@@ -12,6 +12,8 @@
 //!
 //! Requires `d | q`.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::{GridShape, TesseractGrid};
 use tesseract_tensor::TensorLike;
@@ -45,16 +47,16 @@ where
     assert_eq!(b_local.is_some(), k == 0, "layer-0 ranks must provide B");
 
     // Step 1: replicate A and B across the depth fiber.
-    let a = grid.depth.broadcast(ctx, 0, a_local);
-    let b = grid.depth.broadcast(ctx, 0, b_local);
+    let a = grid.depth.broadcast_shared(ctx, 0, a_local.map(Arc::new));
+    let b = grid.depth.broadcast_shared(ctx, 0, b_local.map(Arc::new));
 
     // Step 2: layer k performs SUMMA steps t ∈ [k·q/d, (k+1)·q/d).
     let steps = q / d;
     let mut c: Option<T> = None;
     for s in 0..steps {
         let t = k * steps + s;
-        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| a.clone()));
-        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| b.clone()));
+        let a_t = grid.row.broadcast_shared(ctx, t, (j == t).then(|| Arc::clone(&a)));
+        let b_t = grid.col.broadcast_shared(ctx, t, (i == t).then(|| Arc::clone(&b)));
         let partial = a_t.matmul(&b_t, &mut ctx.meter);
         match c.as_mut() {
             None => c = Some(partial),
@@ -65,7 +67,7 @@ where
 
     // Step 3: sum the per-layer partial products across depth.
     if d > 1 {
-        grid.depth.all_reduce(ctx, c)
+        Arc::unwrap_or_clone(grid.depth.all_reduce_shared(ctx, c))
     } else {
         c
     }

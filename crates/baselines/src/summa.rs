@@ -4,6 +4,8 @@
 //! `tesseract_matmul`) so the equivalence `SUMMA ≡ Tesseract(d=1)` can be
 //! *tested* rather than assumed.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::{GridShape, TesseractGrid};
 use tesseract_tensor::TensorLike;
@@ -23,8 +25,8 @@ where
     let (i, j, _) = grid.coords;
     let mut c: Option<T> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| a_local.clone()));
-        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| b_local.clone()));
+        let a_t = grid.row.broadcast_shared(ctx, t, (j == t).then(|| Arc::new(a_local.clone())));
+        let b_t = grid.col.broadcast_shared(ctx, t, (i == t).then(|| Arc::new(b_local.clone())));
         let partial = a_t.matmul(&b_t, &mut ctx.meter);
         match c.as_mut() {
             None => c = Some(partial),
@@ -41,16 +43,16 @@ where
 {
     let q = grid.shape.q;
     let (i, j, _) = grid.coords;
-    let mut mine: Option<T> = None;
+    let mut mine: Option<Arc<T>> = None;
     for t in 0..q {
-        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| b_local.clone()));
+        let b_t = grid.col.broadcast_shared(ctx, t, (i == t).then(|| Arc::new(b_local.clone())));
         let partial = a_local.matmul_nt(&b_t, &mut ctx.meter);
-        let reduced = grid.row.reduce(ctx, t, partial);
+        let reduced = grid.row.reduce_shared(ctx, t, partial);
         if j == t {
             mine = Some(reduced.expect("root receives reduction"));
         }
     }
-    mine.expect("every rank is root once")
+    Arc::unwrap_or_clone(mine.expect("every rank is root once"))
 }
 
 /// SUMMA backward rules (Eq. 3): `B' = Aᵀ·C'`.
@@ -60,16 +62,16 @@ where
 {
     let q = grid.shape.q;
     let (i, j, _) = grid.coords;
-    let mut mine: Option<T> = None;
+    let mut mine: Option<Arc<T>> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| a_local.clone()));
+        let a_t = grid.row.broadcast_shared(ctx, t, (j == t).then(|| Arc::new(a_local.clone())));
         let partial = a_t.matmul_tn(b_local, &mut ctx.meter);
-        let reduced = grid.col.reduce(ctx, t, partial);
+        let reduced = grid.col.reduce_shared(ctx, t, partial);
         if i == t {
             mine = Some(reduced.expect("root receives reduction"));
         }
     }
-    mine.expect("every rank is root once")
+    Arc::unwrap_or_clone(mine.expect("every rank is root once"))
 }
 
 #[cfg(test)]
@@ -115,12 +117,8 @@ mod tests {
             let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
             let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
             let summa = summa_matmul(&grid, ctx, &a_loc, &b_loc);
-            let tess = tesseract_matmul(
-                &grid,
-                ctx,
-                &std::sync::Arc::new(a_loc.clone()),
-                &std::sync::Arc::new(b_loc.clone()),
-            );
+            let tess =
+                tesseract_matmul(&grid, ctx, &Arc::new(a_loc.clone()), &Arc::new(b_loc.clone()));
             summa.matrix() == tess.matrix()
         });
         assert!(out.results.iter().all(|&same| same), "SUMMA must equal Tesseract(d=1) bitwise");

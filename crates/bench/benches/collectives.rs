@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use tesseract_comm::Cluster;
 use tesseract_tensor::{DenseTensor, Matrix};
 
@@ -16,7 +17,7 @@ fn bench_all_reduce(c: &mut Criterion) {
                 Cluster::a100(ranks).run(|ctx| {
                     let g = ctx.world_group();
                     let t = DenseTensor::from_matrix(Matrix::full(16, 16, ctx.rank as f32));
-                    black_box(g.all_reduce(ctx, t));
+                    black_box(g.all_reduce_shared(ctx, t));
                 })
             })
         });
@@ -32,9 +33,9 @@ fn bench_broadcast_chain(c: &mut Criterion) {
             Cluster::a100(4).run(|ctx| {
                 let g = ctx.world_group();
                 for _ in 0..16 {
-                    let payload =
-                        (ctx.rank == 0).then(|| DenseTensor::from_matrix(Matrix::full(8, 8, 1.0)));
-                    black_box(g.broadcast(ctx, 0, payload));
+                    let payload = (ctx.rank == 0)
+                        .then(|| Arc::new(DenseTensor::from_matrix(Matrix::full(8, 8, 1.0))));
+                    black_box(g.broadcast_shared(ctx, 0, payload));
                 }
             })
         })

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use tesseract_baselines::cannon::{cannon_matmul, cannon_mesh};
 use tesseract_baselines::solomonik::{solomonik_grid, solomonik_matmul};
 use tesseract_baselines::summa::{summa_matmul, summa_mesh};
@@ -31,8 +32,8 @@ fn bench_algorithms(c: &mut Criterion) {
             Cluster::a100(8).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
-                let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
-                let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
+                let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
+                let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
                 black_box(tesseract_matmul(&grid, ctx, &a_loc, &b_loc));
             })
         })

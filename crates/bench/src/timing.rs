@@ -1,16 +1,15 @@
 //! Paper-scale timing runs on the shadow backend.
 //!
-//! Each function spins up the simulated cluster at the requested world
-//! size, builds the scheme's Transformer stack with [`ShadowTensor`]s
-//! (shapes + exact flop/byte metering, no data), executes one forward and
-//! one backward over one batch, and reports the **virtual** seconds —
-//! `max` over ranks, which is what a host-side `time` measurement of one
-//! training iteration sees on a real cluster.
+//! Each function runs the planner's step harness ([`tesseract_plan::dryrun::step`])
+//! at the requested world size: the scheme's Transformer stack is built
+//! with `ShadowTensor`s (shapes + exact flop/byte metering, no data), one
+//! forward and one backward over one batch are executed, and the **virtual**
+//! seconds are reported — `max` over ranks, which is what a host-side
+//! `time` measurement of one training iteration sees on a real cluster.
 
-use tesseract_baselines::megatron::{MegatronTransformer, MegatronWorld};
-use tesseract_comm::{Cluster, CommStats};
-use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
-use tesseract_tensor::ShadowTensor;
+use tesseract_comm::{CommStats, RunConfig, RunOutput};
+use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_plan::{dryrun, Candidate};
 
 /// Virtual-time measurement of one fwd+bwd batch.
 #[derive(Clone, Debug)]
@@ -39,6 +38,22 @@ impl SchemeTiming {
     }
 }
 
+impl From<RunOutput<(f64, f64)>> for SchemeTiming {
+    /// Summarizes one run of the step harness under the makespan
+    /// convention: every column is a max over ranks.
+    fn from(out: RunOutput<(f64, f64)>) -> Self {
+        let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
+        let total = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        let hidden_nanos = out.reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0);
+        SchemeTiming {
+            forward,
+            backward: total - forward,
+            overlap_hidden: hidden_nanos as f64 * 1e-9,
+            comm: out.comm,
+        }
+    }
+}
+
 /// Times one batch through a Tesseract `[q, q, d]` Transformer stack.
 ///
 /// The backward pass models **activation recomputation** (Chen et al.
@@ -48,56 +63,13 @@ impl SchemeTiming {
 /// 0.1225 ≈ 3.9 for Megatron, 0.2636 / 0.0869 ≈ 3.0 for Tesseract).
 pub fn time_tesseract(shape: GridShape, cfg: TransformerConfig) -> SchemeTiming {
     cfg.validate_for_grid(shape.q, shape.d);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
-        let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);
-        let rows_local = cfg.rows() / (shape.q * shape.d);
-        let x = std::sync::Arc::new(ShadowTensor::new(rows_local, cfg.hidden / shape.q));
-        let _ = model.forward(&grid, ctx, &x);
-        ctx.flush_compute();
-        let t_fwd = ctx.clock();
-        // Backward phase under checkpointing = recompute forward + true
-        // backward (the first forward's caches are modelled as discarded;
-        // they only affect memory, not time).
-        let y = model.forward(&grid, ctx, &x);
-        let _ = model.backward(&grid, ctx, &y);
-        ctx.flush_compute();
-        (t_fwd, ctx.clock())
-    });
-    let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
-    let total = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-    let overlap_hidden = hidden_seconds(&out.reports);
-    SchemeTiming { forward, backward: total - forward, overlap_hidden, comm: out.comm }
-}
-
-/// Max-over-ranks overlap-hidden seconds, mirroring the makespan
-/// convention the `forward`/`backward` columns use.
-fn hidden_seconds(reports: &[tesseract_comm::RankReport]) -> f64 {
-    reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0) as f64 * 1e-9
+    dryrun::step(&RunConfig::from_env(0), &Candidate::Tesseract { grid: shape }, &cfg).into()
 }
 
 /// Times one batch through a Megatron-LM 1-D Transformer stack on `p` GPUs.
 pub fn time_megatron(p: usize, cfg: TransformerConfig) -> SchemeTiming {
     assert_eq!(cfg.heads % p, 0, "megatron needs p | heads");
-    let out = Cluster::a100(p).run(|ctx| {
-        let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
-        let mut model = MegatronTransformer::<ShadowTensor>::new(&world, cfg, true, 0, 0);
-        // Activations are replicated: every rank sees the full batch.
-        let x = std::sync::Arc::new(ShadowTensor::new(cfg.rows(), cfg.hidden));
-        let _ = model.forward(&world, ctx, &x);
-        ctx.flush_compute();
-        let t_fwd = ctx.clock();
-        // Checkpointed backward = recompute forward + true backward, as in
-        // `time_tesseract`.
-        let y = model.forward(&world, ctx, &x);
-        let _ = model.backward(&world, ctx, &y);
-        ctx.flush_compute();
-        (t_fwd, ctx.clock())
-    });
-    let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
-    let total = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-    let overlap_hidden = hidden_seconds(&out.reports);
-    SchemeTiming { forward, backward: total - forward, overlap_hidden, comm: out.comm }
+    dryrun::step(&RunConfig::from_env(0), &Candidate::Megatron { p }, &cfg).into()
 }
 
 /// The paper's fixed experiment scale: sequence length and layer count are

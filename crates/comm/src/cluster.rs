@@ -73,28 +73,6 @@ impl Cluster {
         crate::RunConfig::from_env(world).cluster()
     }
 
-    /// A cluster with explicit topology and cost constants.
-    #[deprecated(note = "build a `RunConfig` and call `.cluster()` instead")]
-    pub fn custom(world: usize, topology: Topology, params: CostParams) -> Self {
-        crate::RunConfig::from_env(world).with_topology(topology).with_params(params).cluster()
-    }
-
-    /// Enables (or disables) per-rank event tracing for this cluster.
-    #[deprecated(note = "set tracing on the `RunConfig` via `RunConfig::with_trace`")]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Sets an explicit rendezvous timeout for this cluster's fabric.
-    #[deprecated(
-        note = "set the timeout on the `RunConfig` via `RunConfig::with_rendezvous_timeout_secs`"
-    )]
-    pub fn with_rendezvous_timeout_secs(mut self, secs: u64) -> Self {
-        self.rendezvous_timeout_secs = Some(secs);
-        self
-    }
-
     /// Runs `f` as one thread per rank and gathers results in rank order.
     ///
     /// Panics in any rank are propagated (after all threads finish or time
@@ -188,7 +166,7 @@ mod tests {
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, (ctx.rank + 1) as f32));
-            let sum = world.all_reduce(ctx, t);
+            let sum = world.all_reduce_shared(ctx, t);
             sum.matrix()[(0, 0)]
         });
         // 1 + 2 + 3 + 4 = 10 on every rank.
@@ -203,7 +181,7 @@ mod tests {
             let world = ctx.world_group();
             let payload =
                 (ctx.rank == 1).then(|| DenseTensor::from_matrix(Matrix::full(1, 4, 7.0)));
-            let got = world.broadcast(ctx, 1, payload);
+            let got = world.broadcast_shared(ctx, 1, payload.map(Arc::new));
             got.matrix().sum()
         });
         assert!(out.results.iter().all(|&v| v == 28.0));
@@ -265,7 +243,7 @@ mod tests {
             let ranks = vec![row * 2, row * 2 + 1];
             let g = ctx.group("row", ranks);
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, (ctx.rank + 1) as f32));
-            g.all_reduce(ctx, t).matrix()[(0, 0)]
+            g.all_reduce_shared(ctx, t).matrix()[(0, 0)]
         });
         assert_eq!(out.results, vec![3.0, 3.0, 7.0, 7.0]);
     }
@@ -298,7 +276,7 @@ mod tests {
                 acc = acc.matmul(&a, &mut ctx.meter);
             }
             let world = ctx.world_group();
-            let _ = world.all_reduce(ctx, acc);
+            let _ = world.all_reduce_shared(ctx, acc);
             ctx.flush_compute();
             ctx.clock()
         });
@@ -310,11 +288,9 @@ mod tests {
     #[test]
     fn broadcast_charge_is_size_independent_of_receivers_and_synchronizes_clocks() {
         // Broadcast is charged in two fixed parts — the zero-byte rendezvous
-        // latency plus the size-dependent `recharge` once the root's payload
-        // size is known (the charging the calibrated tables were produced
-        // with). Every member must land on exactly that clock, bitwise, and
-        // payload *copies* must never move it: the shared path and the
-        // cloning wrapper charge identically.
+        // latency plus the size-dependent cost once the root's payload size
+        // is known (the charging the calibrated tables were produced with).
+        // Every member must land on exactly that clock, bitwise.
         let cluster = Cluster::a100(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
@@ -325,20 +301,13 @@ mod tests {
             let expected = ctx.params.collective_time(CollectiveOp::Broadcast, 4, 0, link)
                 + ctx.params.collective_time(CollectiveOp::Broadcast, 4, got.wire_size(), link);
             ctx.flush_compute();
-            let after_shared = ctx.clock();
-            // The owned wrapper deep-copies the result on every member; the
-            // copy must cost host time only, never simulated time.
-            let payload = (ctx.rank == 0).then(|| (*got).clone());
-            let _ = world.broadcast(ctx, 0, payload);
-            ctx.flush_compute();
-            (after_shared, ctx.clock() - after_shared, expected)
+            (ctx.clock(), expected)
         });
-        let (first_clock, _, expected) = out.results[0];
+        let (first_clock, expected) = out.results[0];
         assert!(expected > 0.0);
-        for &(clock, second_charge, _) in &out.results {
+        for &(clock, _) in &out.results {
             assert_eq!(clock, first_clock, "member clocks diverged after broadcast");
-            assert_eq!(clock, expected, "broadcast charge must be rendezvous + recharge");
-            assert_eq!(second_charge, expected, "cloning wrapper must charge the same sim time");
+            assert_eq!(clock, expected, "broadcast charge must be rendezvous + size cost");
         }
     }
 
@@ -349,7 +318,7 @@ mod tests {
                 let world = ctx.world_group();
                 let t = DenseTensor::from_matrix(Matrix::full(16, 16, 1.0));
                 let s = t.matmul(&t, &mut ctx.meter);
-                let r = world.all_reduce(ctx, s);
+                let r = world.all_reduce_shared(ctx, s);
                 ctx.flush_compute();
                 (ctx.clock(), r.matrix().sum())
             })
@@ -366,7 +335,7 @@ mod tests {
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::zeros(4, 4));
-            let _ = world.all_reduce(ctx, t);
+            let _ = world.all_reduce_shared(ctx, t);
         });
         let s = out.comm.get(CollectiveOp::AllReduce);
         assert_eq!(s.calls, 1);
@@ -379,7 +348,7 @@ mod tests {
         let out = Cluster::a100(1).run(|ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, 3.0));
-            g.all_reduce(ctx, t).matrix().sum()
+            g.all_reduce_shared(ctx, t).matrix().sum()
         });
         assert_eq!(out.results, vec![12.0]);
         assert_eq!(out.makespan(), 0.0);

@@ -2,21 +2,16 @@
 //!
 //! Two primitives are provided:
 //!
-//! * [`Fabric::exchange`] — an n-way rendezvous: every member of a group
-//!   deposits an optional payload under a `(group id, sequence)` key; once
-//!   all `n` members have arrived, everyone receives the full deposit vector
-//!   plus the maximum entry virtual-time (collectives synchronize clocks to
-//!   the slowest participant). All collectives are built on this.
+//! * An n-way **split-phase rendezvous**: every member of a group publishes
+//!   its contribution under a `(group id, sequence)` key without blocking
+//!   ([`Fabric::deposit`], or [`Fabric::deposit_reduce`] to have the last
+//!   arriver fold the contributions), and [`Fabric::wait`] blocks until all
+//!   `n` members have arrived, then hands everyone the published value plus
+//!   the maximum entry virtual-time (collectives synchronize clocks to the
+//!   slowest participant). A rank can deposit, go compute, and only pay the
+//!   wait when it needs the result; every collective is built on this.
 //! * [`Fabric::send`] / [`Fabric::recv`] — ordered point-to-point channels
 //!   keyed by `(group id, src, dst, tag)`, used by pipeline parallelism.
-//!
-//! Both rendezvous primitives are **split-phase** internally:
-//! [`Fabric::deposit`] publishes one member's contribution without blocking
-//! and [`Fabric::wait`] blocks until the full group has arrived (the
-//! blocking `exchange` is literally `deposit` followed by `wait`). The
-//! split-phase collectives in [`crate::group`] use the two halves directly
-//! so a rank can deposit a payload, go compute, and only pay the rendezvous
-//! wait when it actually needs the result.
 //!
 //! SPMD contract: all members of a group must invoke the same collectives
 //! in the same order. A timeout (default 120 s, env-overridable)
@@ -75,6 +70,50 @@ struct FabricState {
     channels: HashMap<ChanKey, VecDeque<(f64, Box<dyn Any + Send>)>>,
 }
 
+impl FabricState {
+    /// Stores member `my_index`'s deposit in the slot for `key`. The last
+    /// of the `n` members to arrive gets all deposits moved out (member
+    /// order) with the maximum entry vt, and owes the slot its result.
+    ///
+    /// Panics if a member deposits twice under one key (a sequencing bug).
+    fn arrive<D: Send + 'static>(
+        &mut self,
+        key: SlotKey,
+        my_index: usize,
+        n: usize,
+        deposit: D,
+        entry_vt: f64,
+    ) -> Option<(f64, Vec<D>)> {
+        let slot = self.slots.entry(key).or_insert_with(|| Slot::new(n));
+        assert_eq!(slot.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
+        assert!(
+            slot.deposits[my_index].is_none() && slot.result.is_none(),
+            "member {my_index} deposited twice at rendezvous {key:?}"
+        );
+        slot.deposits[my_index] = Some(Box::new(deposit));
+        slot.entry_vts.push(entry_vt);
+        slot.arrived += 1;
+        (slot.arrived == n).then(|| {
+            let max_vt = slot.entry_vts.iter().copied().fold(f64::MIN, f64::max);
+            let take = |d: &mut Option<Box<dyn Any + Send>>| {
+                *d.take()
+                    .expect("all deposits present")
+                    .downcast::<D>()
+                    .expect("payload type mismatch within one rendezvous")
+            };
+            (max_vt, slot.deposits.iter_mut().map(take).collect())
+        })
+    }
+
+    /// Sets the value every member's [`Fabric::wait`] on `key` returns (the
+    /// caller wakes the waiters). The slot cannot have been
+    /// garbage-collected: `taken` only advances once `result` is set.
+    fn publish<T: Send + Sync + 'static>(&mut self, key: SlotKey, max_vt: f64, value: T) {
+        let slot = self.slots.get_mut(&key).expect("slot present until taken by all");
+        slot.result = Some((max_vt, Arc::new(value)));
+    }
+}
+
 /// Shared rendezvous state for one cluster run.
 pub struct Fabric {
     state: Mutex<FabricState>,
@@ -111,11 +150,10 @@ impl Fabric {
         Self { state: Mutex::new(FabricState::default()), cond: Condvar::new(), timeout }
     }
 
-    /// Non-blocking half of [`Fabric::exchange`]: publishes this member's
-    /// contribution under `key` and returns immediately. The last arriver
-    /// assembles the deposit vector and wakes every waiter.
-    ///
-    /// Panics if a member deposits twice under one key (a sequencing bug).
+    /// Publishes this member's contribution under `key` and returns
+    /// immediately. The last arriver publishes the deposit vector
+    /// (`Vec<Option<P>>`, member order — the type [`Fabric::wait`] is asked
+    /// for).
     pub fn deposit<P: Send + Sync + 'static>(
         &self,
         key: SlotKey,
@@ -125,43 +163,25 @@ impl Fabric {
         entry_vt: f64,
     ) {
         let mut state = lock_fabric(&self.state);
-        let slot = state.slots.entry(key).or_insert_with(|| Slot::new(n));
-        assert_eq!(slot.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
-        assert!(
-            slot.deposits[my_index].is_none() && slot.result.is_none(),
-            "member {my_index} deposited twice at rendezvous {key:?}"
-        );
-        slot.deposits[my_index] = Some(Box::new(payload));
-        slot.entry_vts.push(entry_vt);
-        slot.arrived += 1;
-        if slot.arrived == n {
-            let max_vt = slot.entry_vts.iter().copied().fold(f64::MIN, f64::max);
-            let vec: Vec<Option<P>> = slot
-                .deposits
-                .iter_mut()
-                .map(|d| {
-                    *d.take()
-                        .expect("all deposits present")
-                        .downcast::<Option<P>>()
-                        .expect("payload type mismatch within one rendezvous")
-                })
-                .collect();
-            slot.result = Some((max_vt, Arc::new(vec)));
+        if let Some((max_vt, deposits)) = state.arrive(key, my_index, n, payload, entry_vt) {
+            state.publish(key, max_vt, deposits);
             self.cond.notify_all();
         }
     }
 
-    /// Blocking half of [`Fabric::exchange`]: parks until all `n` members
-    /// have deposited under `key`, then returns `(max entry vt, deposits)`
-    /// where `deposits[i]` is member `i`'s payload (if it deposited one).
+    /// Parks until all `n` members have deposited under `key`, then returns
+    /// `(max entry vt, published value)`: after [`Fabric::deposit`]s of `P`
+    /// the value is the `Vec<Option<P>>` of deposits in member order, after
+    /// [`Fabric::deposit_reduce`]s it is the combined `P`. Every member
+    /// clones the same `Arc` out; the last one frees the slot.
     ///
     /// Panics if the rendezvous does not complete within the timeout.
-    pub fn wait<P: Send + Sync + 'static>(
+    pub fn wait<T: Send + Sync + 'static>(
         &self,
         key: SlotKey,
         my_index: usize,
         n: usize,
-    ) -> (f64, Arc<Vec<Option<P>>>) {
+    ) -> (f64, Arc<T>) {
         let mut state = lock_fabric(&self.state);
         loop {
             if let Some(slot) = state.slots.get_mut(&key) {
@@ -171,7 +191,7 @@ impl Fabric {
                         state.slots.remove(&key);
                     }
                     let arc = result
-                        .downcast::<Vec<Option<P>>>()
+                        .downcast::<T>()
                         .expect("payload type mismatch within one rendezvous");
                     return (max_vt, arc);
                 }
@@ -188,30 +208,12 @@ impl Fabric {
         }
     }
 
-    /// N-way rendezvous: [`Fabric::deposit`] followed by [`Fabric::wait`].
-    pub fn exchange<P: Send + Sync + 'static>(
-        &self,
-        key: SlotKey,
-        my_index: usize,
-        n: usize,
-        payload: Option<P>,
-        entry_vt: f64,
-    ) -> (f64, Arc<Vec<Option<P>>>) {
-        self.deposit(key, my_index, n, payload, entry_vt);
-        self.wait(key, my_index, n)
-    }
-
-    /// Non-blocking half of [`Fabric::exchange_reduce`]: deposits this
-    /// member's payload *by value*; the last arriver moves all `n` deposits
-    /// out of the slot and folds them with `combine` **outside the fabric
-    /// lock** (a large reduction must not serialize unrelated traffic), then
-    /// publishes the result as a single `Arc` that every member clones out
-    /// of [`Fabric::wait_reduce`]. No deposit is ever copied: the combiner
-    /// consumes them, so the fold can reuse the first part's buffer in
-    /// place.
-    ///
-    /// The slot cannot be garbage-collected mid-combine because `taken`
-    /// only advances once `result` is published.
+    /// Reducing deposit: publishes this member's payload *by value*; the
+    /// last arriver folds all `n` deposits with `combine` **outside the
+    /// fabric lock** (a large reduction must not serialize unrelated
+    /// traffic) and publishes the combined `P`. No deposit is ever copied:
+    /// the combiner consumes them, so the fold can reuse the first part's
+    /// buffer in place.
     pub fn deposit_reduce<P, F>(
         &self,
         key: SlotKey,
@@ -224,97 +226,12 @@ impl Fabric {
         P: Send + Sync + 'static,
         F: FnOnce(Vec<P>) -> P,
     {
-        let mut state = lock_fabric(&self.state);
-        let is_last = {
-            let slot = state.slots.entry(key).or_insert_with(|| Slot::new(n));
-            assert_eq!(slot.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
-            assert!(
-                slot.deposits[my_index].is_none() && slot.result.is_none(),
-                "member {my_index} deposited twice at rendezvous {key:?}"
-            );
-            slot.deposits[my_index] = Some(Box::new(payload));
-            slot.entry_vts.push(entry_vt);
-            slot.arrived += 1;
-            slot.arrived == n
-        };
-        if is_last {
-            let (max_vt, parts) = {
-                let slot = state.slots.get_mut(&key).expect("slot present until taken by all");
-                let max_vt = slot.entry_vts.iter().copied().fold(f64::MIN, f64::max);
-                let parts: Vec<P> = slot
-                    .deposits
-                    .iter_mut()
-                    .map(|d| {
-                        *d.take()
-                            .expect("all deposits present")
-                            .downcast::<P>()
-                            .expect("payload type mismatch within one rendezvous")
-                    })
-                    .collect();
-                (max_vt, parts)
-            };
-            drop(state);
+        let last = lock_fabric(&self.state).arrive(key, my_index, n, payload, entry_vt);
+        if let Some((max_vt, parts)) = last {
             let combined = combine(parts);
-            state = lock_fabric(&self.state);
-            let slot = state.slots.get_mut(&key).expect("slot present until taken by all");
-            slot.result = Some((max_vt, Arc::new(combined)));
+            lock_fabric(&self.state).publish(key, max_vt, combined);
             self.cond.notify_all();
         }
-    }
-
-    /// Blocking half of [`Fabric::exchange_reduce`]: parks until the last
-    /// arriver has published the combined value, then clones the shared
-    /// `Arc` out. Panics if the rendezvous does not complete within the
-    /// timeout.
-    pub fn wait_reduce<P: Send + Sync + 'static>(
-        &self,
-        key: SlotKey,
-        my_index: usize,
-        n: usize,
-    ) -> (f64, Arc<P>) {
-        let mut state = lock_fabric(&self.state);
-        loop {
-            if let Some(slot) = state.slots.get_mut(&key) {
-                if let Some((max_vt, result)) = slot.result.clone() {
-                    slot.taken += 1;
-                    if slot.taken == n {
-                        state.slots.remove(&key);
-                    }
-                    let arc = result
-                        .downcast::<P>()
-                        .expect("payload type mismatch within one rendezvous");
-                    return (max_vt, arc);
-                }
-            }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if timed_out.timed_out() {
-                panic!(
-                    "rendezvous {key:?} timed out (member {my_index} of {n}); \
-                     a peer likely panicked or collectives were issued out of order"
-                );
-            }
-        }
-    }
-
-    /// Reducing N-way rendezvous: [`Fabric::deposit_reduce`] followed by
-    /// [`Fabric::wait_reduce`].
-    pub fn exchange_reduce<P, F>(
-        &self,
-        key: SlotKey,
-        my_index: usize,
-        n: usize,
-        payload: P,
-        entry_vt: f64,
-        combine: F,
-    ) -> (f64, Arc<P>)
-    where
-        P: Send + Sync + 'static,
-        F: FnOnce(Vec<P>) -> P,
-    {
-        self.deposit_reduce(key, my_index, n, payload, entry_vt, combine);
-        self.wait_reduce(key, my_index, n)
     }
 
     /// Deposits a point-to-point message; never blocks.
@@ -361,7 +278,10 @@ mod tests {
             let handles: Vec<_> = (0..n)
                 .map(|i| {
                     let f = Arc::clone(&fabric);
-                    s.spawn(move || f.exchange((1, 0), i, n, Some(i as u32 * 10), i as f64))
+                    s.spawn(move || {
+                        f.deposit((1, 0), i, n, Some(i as u32 * 10), i as f64);
+                        f.wait((1, 0), i, n)
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -381,7 +301,10 @@ mod tests {
                 let handles: Vec<_> = (0..2)
                     .map(|i| {
                         let f = Arc::clone(&fabric);
-                        s.spawn(move || f.exchange((7, round), i, 2, Some(round), 0.0))
+                        s.spawn(move || {
+                            f.deposit((7, round), i, 2, Some(round), 0.0);
+                            f.wait::<Vec<Option<u64>>>((7, round), i, 2)
+                        })
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -400,7 +323,8 @@ mod tests {
                     let f = Arc::clone(&fabric);
                     s.spawn(move || {
                         let payload = if i == 1 { Some(99u8) } else { None };
-                        f.exchange((2, 0), i, 3, payload, 0.0)
+                        f.deposit((2, 0), i, 3, payload, 0.0);
+                        f.wait::<Vec<Option<u8>>>((2, 0), i, 3)
                     })
                 })
                 .collect();
@@ -420,7 +344,7 @@ mod tests {
                 .map(|i| {
                     let f = Arc::clone(&fabric);
                     s.spawn(move || {
-                        f.exchange_reduce((9, 0), i, n, vec![1u64 << (8 * i)], i as f64, |parts| {
+                        f.deposit_reduce((9, 0), i, n, vec![1u64 << (8 * i)], i as f64, |parts| {
                             // Fold in ascending member order, in place.
                             let mut it = parts.into_iter();
                             let mut acc = it.next().unwrap();
@@ -428,7 +352,8 @@ mod tests {
                                 acc[0] += p[0];
                             }
                             acc
-                        })
+                        });
+                        f.wait((9, 0), i, n)
                     })
                 })
                 .collect();
@@ -452,9 +377,10 @@ mod tests {
                     .map(|i| {
                         let f = Arc::clone(&fabric);
                         s.spawn(move || {
-                            f.exchange_reduce((11, round), i, 2, i as u64 + round, 0.0, |parts| {
+                            f.deposit_reduce((11, round), i, 2, i as u64 + round, 0.0, |parts| {
                                 parts.into_iter().sum::<u64>()
-                            })
+                            });
+                            f.wait::<u64>((11, round), i, 2)
                         })
                     })
                     .collect();

@@ -4,55 +4,46 @@
 //! column or depth fiber). Collectives mirror the NCCL/MPI operations the
 //! paper's implementation uses: broadcast, reduce, all-reduce, all-gather,
 //! gather, scatter, cyclic shift (Cannon), barrier and point-to-point
-//! send/recv. Each call:
+//! send/recv. Reductions combine deposits in ascending member order, so
+//! results are bitwise deterministic run-to-run.
 //!
-//! 1. flushes the caller's pending compute into its virtual clock,
-//! 2. rendezvouses with the other members through the [`crate::fabric::Fabric`],
-//! 3. advances everyone's clock to `max(entry clocks) + α–β cost`, and
-//! 4. records wire bytes / call counts once per logical operation.
+//! # One form per collective
 //!
-//! Reductions combine deposits in ascending member order, so results are
-//! bitwise deterministic run-to-run.
+//! Every data-moving collective is implemented once, as a split-phase
+//! `X_shared_begin` returning a [`PendingCollective`]. `begin` flushes the
+//! caller's pending compute into its virtual clock (so the deposit
+//! timestamp is exact) and deposits the payload into the
+//! [`crate::fabric::Fabric`]; [`PendingCollective::complete`] blocks until
+//! the rendezvous is full, advances the clock to the collective's serial
+//! exit time `max(entry clocks) + α–β cost` *if it is not already past it*,
+//! and records wire bytes / call counts once per logical operation. The
+//! blocking `X_shared` is literally `X_shared_begin(..).complete(ctx)`.
 //!
-//! # Zero-copy collectives
-//!
-//! Read-only payloads travel as `Arc<P>`: [`CommGroup::broadcast_shared`]
-//! and [`CommGroup::all_gather_shared`] hand every receiver an `Arc` clone
-//! of the root's deposit — the payload is materialized exactly once per
-//! rendezvous regardless of group size. [`CommGroup::reduce_shared`] and
-//! [`CommGroup::all_reduce_shared`] take deposits *by value* and fold them
-//! in place (ascending member order, once per rendezvous instead of once
-//! per member). The owned-value collectives remain as compatibility
-//! wrappers; every deep copy they make is recorded in
-//! [`crate::stats::OpStats::copies`] and `Meter::payload_copies`, so the
-//! cloning path is observable and copy regressions are testable.
-//!
-//! Ownership rule: an `Arc` returned from a shared collective may be read
-//! freely but must never be mutated through `Arc::get_mut` — other ranks
-//! (or the fabric slot, transiently) may hold clones. Use
-//! `Arc::make_mut` for copy-on-write or clone explicitly.
-//!
-//! # Split-phase collectives
-//!
-//! Every data-moving collective also exists as a `*_begin` variant that
-//! returns a [`PendingCollective`]: the payload is deposited into the
-//! fabric immediately (after flushing pending compute, so the deposit
-//! timestamp is exact), and the blocking wait plus all clock/cost/stat
-//! accounting is deferred to [`PendingCollective::complete`]. Compute
-//! issued between `begin` and `complete` overlaps the rendezvous; at
-//! `complete` the clock is only advanced to the collective's serial exit
-//! time (`max(entry clocks) + α–β cost`) if it is not already past it, so
-//! the virtual clock charges exactly the *non-overlapped remainder* of the
-//! wait. The hidden portion is recorded in `Meter::overlap_hidden_nanos`
-//! and [`crate::stats::OpStats::hidden_time`] instead of being charged.
-//!
-//! Data results are bitwise identical to the blocking calls: the same
-//! fabric slots, the same `Arc` sharing, the same ascending-member-order
-//! folds — only the timing accounting differs.
+//! Compute issued between `begin` and `complete` overlaps the rendezvous,
+//! so the clock is charged exactly the *non-overlapped remainder* of the
+//! wait; the hidden portion is recorded in `Meter::overlap_hidden_nanos`
+//! and [`crate::stats::OpStats::hidden_time`] instead.
 //!
 //! Pending collectives on one group must be completed in begin order
 //! (FIFO, the NCCL stream discipline); completing out of order panics, as
 //! does dropping a handle without completing it.
+//!
+//! # Zero-copy payloads
+//!
+//! Read-only payloads travel as `Arc<P>`: broadcast, all-gather and
+//! all-to-all hand every receiver an `Arc` clone of the depositor's
+//! allocation — the payload is materialized exactly once per rendezvous
+//! regardless of group size. Reductions take deposits *by value* and fold
+//! them in place (ascending member order, once per rendezvous instead of
+//! once per member). Only [`CommGroup::gather`], [`CommGroup::scatter`] and
+//! [`CommGroup::shift`] return owned values; every deep copy they make is
+//! recorded in [`crate::stats::OpStats::copies`] and
+//! `Meter::payload_copies`, so copy regressions are testable.
+//!
+//! Ownership rule: an `Arc` returned from a collective may be read freely
+//! but must never be mutated through `Arc::get_mut` — other ranks (or the
+//! fabric slot, transiently) may hold clones. Use `Arc::make_mut` for
+//! copy-on-write or clone explicitly.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -62,30 +53,21 @@ use tesseract_tensor::{trace, TensorLike, TraceKind};
 
 use crate::cost::CollectiveOp;
 use crate::ctx::RankCtx;
+use crate::fabric::Fabric;
 use crate::topology::GroupPlacement;
 
-/// Per-collective trace observer. Opened at the public entry of every
-/// collective (or at `complete` for split-phase ones, with the deposit
-/// timestamp as its begin), it accumulates what the charging internals
-/// (`sync`/`recharge`/`finish_charge`) already compute — rendezvous key,
-/// slowest entry, α–β cost, stats contributions — plus *deltas* of the
-/// rank's lifetime wait/hidden counters, and emits one
-/// [`TraceKind::Comm`] span at [`CommScope::finish`]. When tracing is
-/// inactive every method is a no-op behind one bool; the observer never
-/// feeds back into any charge, so traced and untraced runs are bitwise
-/// identical.
+/// One in-flight communication op: what it is, where its span starts, and
+/// (when tracing) the rank's lifetime wait/hidden counters at that point.
+/// The charging site hands [`CommScope::finish`] the numbers it computed
+/// and one [`TraceKind::Comm`] span is emitted. When tracing is inactive
+/// `finish` is a no-op; the scope never feeds back into any charge, so
+/// traced and untraced runs are bitwise identical.
 struct CommScope {
     active: bool,
     op: CollectiveOp,
-    /// Span start: entry clock (blocking) or deposit timestamp (split-phase).
-    begin: f64,
     key: (u64, u64),
-    max_entry_vt: f64,
-    cost: f64,
-    wire_bytes: u64,
-    stats_time: f64,
-    recorded: bool,
-    hidden_time: f64,
+    /// Span start: deposit timestamp (collectives) or entry clock (p2p).
+    begin: f64,
     /// Lifetime wait/hidden counters at open; the span's blocked/hidden
     /// charges are the deltas at finish (both counters are invariant under
     /// `flush_compute`, so interleaved flushes cannot contaminate them).
@@ -94,93 +76,51 @@ struct CommScope {
 }
 
 impl CommScope {
-    fn open(ctx: &RankCtx, op: CollectiveOp) -> Self {
+    fn open(ctx: &RankCtx, op: CollectiveOp, key: (u64, u64), begin: f64) -> Self {
         let active = trace::is_active();
         Self {
             active,
             op,
-            begin: f64::NAN,
-            key: (0, 0),
-            max_entry_vt: 0.0,
-            cost: 0.0,
-            wire_bytes: 0,
-            stats_time: 0.0,
-            recorded: false,
-            hidden_time: 0.0,
+            key,
+            begin,
             wait0: if active { ctx.lifetime_comm_wait_nanos() } else { 0 },
             hidden0: if active { ctx.lifetime_overlap_hidden_nanos() } else { 0 },
         }
     }
 
-    /// Opens a scope whose span starts at a known earlier instant (the
-    /// split-phase deposit timestamp).
-    fn open_at(ctx: &RankCtx, op: CollectiveOp, key: (u64, u64), begin: f64) -> Self {
-        let mut s = Self::open(ctx, op);
-        s.key = key;
-        s.begin = begin;
-        s
-    }
-
-    /// Notes one rendezvous: its key, this rank's entry clock and the
-    /// group-wide slowest entry.
-    fn note_sync(&mut self, key: (u64, u64), entry: f64, max_vt: f64) {
-        if !self.active {
-            return;
-        }
-        self.key = key;
-        if self.begin.is_nan() {
-            self.begin = entry;
-        }
-        self.max_entry_vt = max_vt;
-    }
-
-    /// Notes α–β cost charged on behalf of this collective (a deferred-size
-    /// op charges twice: zero-byte latency plus the recharge).
-    fn note_cost(&mut self, cost: f64) {
-        if self.active {
-            self.cost += cost;
-        }
-    }
-
-    /// Notes that this rank recorded the op into the global stats.
-    fn note_stats(&mut self, wire: u64, time: f64) {
-        if self.active {
-            self.recorded = true;
-            self.wire_bytes += wire;
-            self.stats_time += time;
-        }
-    }
-
-    /// Notes hidden-overlap seconds as handed to the stats collector.
-    fn note_hidden(&mut self, seconds: f64) {
-        if self.active {
-            self.hidden_time += seconds;
-        }
-    }
-
     /// Emits the span, ending at the rank's current (charged) clock.
-    fn finish(self, ctx: &RankCtx) {
+    /// `max_entry_vt` is the slowest entry the op synchronized to, `cost`
+    /// the α–β cost charged, `hidden_time` the overlap handed to the stats
+    /// collector, and `recorded` the `(wire bytes, time)` this rank booked
+    /// into the global stats, if it was the one to book them.
+    fn finish(
+        self,
+        ctx: &RankCtx,
+        max_entry_vt: f64,
+        cost: f64,
+        hidden_time: f64,
+        recorded: Option<(u64, f64)>,
+    ) {
         if !self.active {
             return;
         }
-        let end = ctx.clock();
-        let begin = if self.begin.is_nan() { end } else { self.begin };
+        let (wire_bytes, stats_time) = recorded.unwrap_or((0, 0.0));
         trace::record(
             self.op.name().to_string(),
-            begin,
-            end,
+            self.begin,
+            ctx.clock(),
             TraceKind::Comm {
                 op: self.op.name(),
                 key_group: self.key.0,
                 key_seq: self.key.1,
-                max_entry_vt: self.max_entry_vt,
-                cost: self.cost,
+                max_entry_vt,
+                cost,
                 blocked_nanos: ctx.lifetime_comm_wait_nanos() - self.wait0,
                 hidden_nanos: ctx.lifetime_overlap_hidden_nanos() - self.hidden0,
-                hidden_time: self.hidden_time,
-                wire_bytes: self.wire_bytes,
-                stats_time: self.stats_time,
-                recorded: self.recorded,
+                hidden_time,
+                wire_bytes,
+                stats_time,
+                recorded: recorded.is_some(),
             },
         );
     }
@@ -283,6 +223,21 @@ fn group_id(tag: &str, ranks: &[usize]) -> u64 {
     h
 }
 
+/// When the per-member wire size that prices a collective becomes known.
+enum WireSize<R> {
+    /// At `begin`: every member deposits a payload of this many bytes.
+    Known(usize),
+    /// At `complete`: only the root knew it (broadcast, scatter); every
+    /// member reads it off the result it received.
+    OfResult(fn(&R) -> usize),
+}
+
+/// Every member's deposit of an all-gather-shaped rendezvous, in member
+/// order, as `Arc` clones (no payload is copied).
+fn all_deposits<P>(deposits: &[Option<Arc<P>>]) -> Vec<Arc<P>> {
+    deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
+}
+
 /// One rank's handle onto a communication group.
 ///
 /// Contract (SPMD): every member constructs the group with the same `tag`
@@ -343,78 +298,11 @@ impl CommGroup {
         s
     }
 
-    /// Runs one rendezvous and applies clock/cost/stat accounting.
-    /// `bytes` is the per-rank payload size used by the cost formulas;
-    /// `None` means the size is only known after the rendezvous (broadcast,
-    /// scatter): the rendezvous is then charged as a zero-byte collective
-    /// (latency only, no stats), and [`CommGroup::recharge`] applies the
-    /// size-dependent cost and records stats once the size is known — the
-    /// exact charging the calibrated tables were produced with.
-    fn sync<P: Send + Sync + 'static>(
-        &self,
-        ctx: &mut RankCtx,
-        op: CollectiveOp,
-        bytes: Option<usize>,
-        payload: Option<P>,
-        span: &mut CommScope,
-    ) -> Arc<Vec<Option<P>>> {
-        ctx.flush_compute();
-        let key = (self.id, self.next_seq());
-        let entry = ctx.clock();
-        let (max_vt, deposits) =
-            ctx.fabric().exchange(key, self.my_index, self.size(), payload, entry);
-        span.note_sync(key, entry, max_vt);
-        let cost = ctx.params.phased_collective_time(op, bytes.unwrap_or(0), self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(max_vt + cost);
-        if bytes.is_some() && self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes.unwrap_or(0));
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
-        }
-        deposits
-    }
-
-    /// Runs one reducing rendezvous: deposits every member's payload by
-    /// value, folds them in ascending member order exactly once (on the
-    /// last-arriving rank, in place — no deposit is cloned), and hands
-    /// every member an `Arc` of the combined result.
-    fn sync_reduce<P: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        op: CollectiveOp,
-        payload: P,
-        span: &mut CommScope,
-    ) -> Arc<P> {
-        ctx.flush_compute();
-        let bytes = payload.wire_size();
-        let key = (self.id, self.next_seq());
-        let entry = ctx.clock();
-        let (max_vt, combined) = ctx.fabric().exchange_reduce(
-            key,
-            self.my_index,
-            self.size(),
-            payload,
-            entry,
-            combine_parts_in_order,
-        );
-        span.note_sync(key, entry, max_vt);
-        let cost = ctx.params.phased_collective_time(op, bytes, self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(max_vt + cost);
-        if self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
-        }
-        combined
-    }
-
     /// Clones an owned value out of a shared collective result, recording
     /// the copy in both the run-wide comm stats and this rank's meter. The
-    /// owned compatibility wrappers route every materialization through
-    /// here so copy counts stay deterministic: broadcast/all-reduce make
-    /// one per member, all-gather `n` per member, reduce one at the root.
+    /// owned-result ops route every materialization through here so copy
+    /// counts stay deterministic: gather makes `n` at the root, scatter and
+    /// shift one per member.
     fn clone_counted<P: Payload>(&self, ctx: &mut RankCtx, op: CollectiveOp, payload: &P) -> P {
         let bytes = payload.wire_size() as u64;
         ctx.stats().charge_copy(op, bytes);
@@ -431,264 +319,116 @@ impl CommGroup {
         payload.clone()
     }
 
-    /// Synchronizes all members without moving data.
-    pub fn barrier(&self, ctx: &mut RankCtx) {
-        // Barrier cost is bytes-independent, so it is charged in `sync`
-        // directly (no deferred recharge needed).
-        let mut span = CommScope::open(ctx, CollectiveOp::Barrier);
-        let _ = self.sync::<()>(ctx, CollectiveOp::Barrier, Some(0), Some(()), &mut span);
-        span.finish(ctx);
-    }
-
-    /// Zero-copy broadcast: the root (by member index) deposits an `Arc` of
-    /// its payload — without cloning its local block — and every member
-    /// (root included) receives an `Arc` clone of that single allocation.
-    /// The payload is materialized exactly once per rendezvous regardless
-    /// of the group size.
-    pub fn broadcast_shared<P: Payload>(
-        &self,
+    /// The one split-phase implementation under every collective.
+    ///
+    /// Begin half (runs now): flushes pending compute so the deposit
+    /// timestamp is exact, publishes this member's contribution through
+    /// `deposit`, and registers the sequence number as outstanding.
+    /// Completion half (runs in [`PendingCollective::complete`]): enforces
+    /// FIFO order, blocks until the group's `T` is published, charges the
+    /// clock through [`CommGroup::finish_charge`], and hands `project` the
+    /// published value to cut this member's result out of it.
+    ///
+    /// `root` is the member index a rooted op names; it is range-checked
+    /// here, once, for all of them.
+    fn split_phase<'g, T, R>(
+        &'g self,
         ctx: &mut RankCtx,
-        root: usize,
-        payload: Option<Arc<P>>,
-    ) -> Arc<P> {
-        assert_eq!(
-            payload.is_some(),
-            self.my_index == root,
-            "broadcast: exactly the root must supply the payload"
-        );
-        // The root's payload size drives the cost; non-roots don't know it
-        // yet, so the rendezvous charges the zero-byte latency and
-        // `recharge` adds the size-dependent cost identically on every
-        // member once the size is known. One trace span covers both halves.
-        let mut span = CommScope::open(ctx, CollectiveOp::Broadcast);
-        let deposits = self.sync(ctx, CollectiveOp::Broadcast, None, payload, &mut span);
-        let value = Arc::clone(deposits[root].as_ref().expect("root deposited"));
-        self.recharge(ctx, CollectiveOp::Broadcast, value.wire_size(), &mut span);
-        span.finish(ctx);
-        value
-    }
-
-    /// Root (by member index) provides the payload; everyone receives an
-    /// owned copy. Compatibility wrapper over [`CommGroup::broadcast_shared`]:
-    /// makes one counted deep copy per member.
-    pub fn broadcast<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: Option<P>) -> P {
-        let shared = self.broadcast_shared(ctx, root, payload.map(Arc::new));
-        self.clone_counted(ctx, CollectiveOp::Broadcast, &*shared)
-    }
-
-    /// Adds the cost of an op whose byte size was only known after the
-    /// rendezvous. Keeps clocks identical across members because every
-    /// member executes the same re-charge.
-    fn recharge(&self, ctx: &mut RankCtx, op: CollectiveOp, bytes: usize, span: &mut CommScope) {
-        let cost = ctx.params.phased_collective_time(op, bytes, self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(ctx.clock() + cost);
-        if self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
+        op: CollectiveOp,
+        root: Option<usize>,
+        deposit: impl FnOnce(&Fabric, (u64, u64), f64),
+        size: WireSize<R>,
+        project: impl FnOnce(&mut RankCtx, Arc<T>) -> R + 'g,
+    ) -> PendingCollective<'g, R>
+    where
+        T: Send + Sync + 'static,
+        R: 'g,
+    {
+        if let Some(root) = root {
+            assert!(
+                root < self.size(),
+                "{}: root {root} out of range for a group of {} members",
+                op.name(),
+                self.size()
+            );
         }
+        ctx.flush_compute();
+        let seq = self.next_seq();
+        let key = (self.id, seq);
+        let deposit_vt = ctx.clock();
+        deposit(ctx.fabric(), key, deposit_vt);
+        self.outstanding.borrow_mut().push_back(seq);
+        let finish = move |ctx: &mut RankCtx| {
+            self.pop_outstanding(op, seq);
+            let span = CommScope::open(ctx, op, key, deposit_vt);
+            ctx.flush_compute();
+            let (max_vt, published) = ctx.fabric().wait::<T>(key, self.my_index, self.size());
+            match size {
+                WireSize::Known(bytes) => {
+                    self.finish_charge(ctx, span, max_vt, bytes, false);
+                    project(ctx, published)
+                }
+                WireSize::OfResult(wire_size) => {
+                    let result = project(ctx, published);
+                    self.finish_charge(ctx, span, max_vt, wire_size(&result), true);
+                    result
+                }
+            }
+        };
+        PendingCollective { op, seq, finish: Some(Box::new(finish)) }
     }
 
-    /// In-place sum-reduction to `root`: every member's payload is consumed
-    /// by value and folded without cloning; only the root receives the
-    /// combined value (shared, not copied).
-    pub fn reduce_shared<P: Payload>(
-        &self,
+    /// Non-reducing rendezvous: every member deposits an optional payload
+    /// and `project` sees all deposits, in member order.
+    fn begin_sync<'g, P, R>(
+        &'g self,
         ctx: &mut RankCtx,
-        root: usize,
-        payload: P,
-    ) -> Option<Arc<P>> {
-        let mut span = CommScope::open(ctx, CollectiveOp::Reduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::Reduce, payload, &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then_some(combined)
-    }
-
-    /// Sum-reduction to `root`, returning an owned value. Compatibility
-    /// wrapper over [`CommGroup::reduce_shared`]: one counted copy at root.
-    pub fn reduce<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::Reduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::Reduce, payload, &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then(|| self.clone_counted(ctx, CollectiveOp::Reduce, &*combined))
-    }
-
-    /// In-place sum-reduction delivered to every member as one shared
-    /// allocation: payloads are consumed by value, folded exactly once (in
-    /// ascending member order), never cloned.
-    pub fn all_reduce_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::AllReduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::AllReduce, payload, &mut span);
-        span.finish(ctx);
-        combined
-    }
-
-    /// Sum-reduction delivered to every member as an owned value.
-    /// Compatibility wrapper over [`CommGroup::all_reduce_shared`]: one
-    /// counted copy per member.
-    pub fn all_reduce<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> P {
-        let mut span = CommScope::open(ctx, CollectiveOp::AllReduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::AllReduce, payload, &mut span);
-        span.finish(ctx);
-        self.clone_counted(ctx, CollectiveOp::AllReduce, &*combined)
-    }
-
-    /// Zero-copy all-gather: every member receives `Arc` clones of every
-    /// member's deposit, in member order. Each payload is materialized once
-    /// cluster-wide instead of once per receiver (the owned wrapper's
-    /// O(n²) clones).
-    pub fn all_gather_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::AllGather);
-        let deposits =
-            self.sync(ctx, CollectiveOp::AllGather, Some(bytes), Some(payload), &mut span);
-        span.finish(ctx);
-        deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
-    }
-
-    /// Every member receives every member's payload, in member order.
-    /// Compatibility wrapper over [`CommGroup::all_gather_shared`]: `n`
-    /// counted copies per member.
-    pub fn all_gather<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Vec<P> {
-        let shared = self.all_gather_shared(ctx, Arc::new(payload));
-        shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
-    }
-
-    /// Fused reduce-scatter: every member's payload is consumed by value
-    /// and folded exactly once in ascending member order — the identical
-    /// fold [`CommGroup::all_reduce_shared`] performs, so the combined
-    /// values are bitwise equal to an all-reduce — but the op is *charged*
-    /// as a ring reduce-scatter (half the all-reduce's wire volume: each
-    /// member keeps only a `1/n` slice). The shared-memory fabric hands
-    /// every member an `Arc` of the full fold; the caller materializes its
-    /// own slice (the "scatter" half), which is metered as data movement at
-    /// the call site. This is what lets the sequence-parallel matmul path
-    /// replace a reduce-to-root with a reduce-scatter without perturbing
-    /// the fold order the parity tests pin.
-    pub fn reduce_scatter_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::ReduceScatter);
-        let combined = self.sync_reduce(ctx, CollectiveOp::ReduceScatter, payload, &mut span);
-        span.finish(ctx);
-        combined
-    }
-
-    /// Zero-copy all-to-all: every member deposits one `Arc` payload and
-    /// receives `Arc` clones of every member's deposit, in member order —
-    /// exactly the rendezvous shape of [`CommGroup::all_gather_shared`] —
-    /// but charged as a pairwise all-to-all (`(n−1)α + (n−1)/n · b/β`: each
-    /// peer only consumes a `1/n` slice of each deposit). The caller slices
-    /// the portion addressed to it out of each deposit; those slices are
-    /// metered as data movement at the call site. Used for the
-    /// sequence-parallel boundary re-shards (`[R, c] ↔ [R/q, c·q]`).
-    pub fn all_to_all_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::AllToAll);
-        let deposits =
-            self.sync(ctx, CollectiveOp::AllToAll, Some(bytes), Some(payload), &mut span);
-        span.finish(ctx);
-        deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
-    }
-
-    /// Root receives every member's payload, in member order (`n` counted
-    /// copies, all at the root).
-    pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::Gather);
-        let deposits =
-            self.sync(ctx, CollectiveOp::Gather, Some(bytes), Some(Arc::new(payload)), &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then(|| {
-            deposits
-                .iter()
-                .map(|d| {
-                    self.clone_counted(
-                        ctx,
-                        CollectiveOp::Gather,
-                        &**d.as_ref().expect("all deposited"),
-                    )
-                })
-                .collect()
-        })
-    }
-
-    /// Root provides one payload per member; each member receives its own
-    /// (one counted copy per member — the root's part vector is deposited
-    /// whole, without cloning).
-    pub fn scatter<P: Payload>(&self, ctx: &mut RankCtx, root: usize, parts: Option<Vec<P>>) -> P {
-        if let Some(ref p) = parts {
-            assert_eq!(p.len(), self.size(), "scatter: need one part per member");
-        }
-        assert_eq!(
-            parts.is_some(),
-            self.my_index == root,
-            "scatter: exactly the root must supply the parts"
-        );
-        let mut span = CommScope::open(ctx, CollectiveOp::Scatter);
-        let deposits = self.sync(ctx, CollectiveOp::Scatter, None, parts.map(Arc::new), &mut span);
-        let all = deposits[root].as_ref().expect("root deposited");
-        let mine = self.clone_counted(ctx, CollectiveOp::Scatter, &all[self.my_index]);
-        self.recharge(ctx, CollectiveOp::Scatter, mine.wire_size(), &mut span);
-        span.finish(ctx);
-        mine
-    }
-
-    /// Cyclic shift: every member sends its payload `offset` positions
-    /// forward (member order, wrapping) and receives from `offset` behind
-    /// (one counted copy per member). `offset` may be negative. This is
-    /// Cannon's primitive.
-    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: P) -> P {
-        let n = self.size() as isize;
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::Shift);
-        let deposits =
-            self.sync(ctx, CollectiveOp::Shift, Some(bytes), Some(Arc::new(payload)), &mut span);
-        span.finish(ctx);
-        let src = (self.my_index as isize - offset).rem_euclid(n) as usize;
-        self.clone_counted(
+        op: CollectiveOp,
+        root: Option<usize>,
+        payload: Option<P>,
+        size: WireSize<R>,
+        project: impl FnOnce(&mut RankCtx, &[Option<P>]) -> R + 'g,
+    ) -> PendingCollective<'g, R>
+    where
+        P: Send + Sync + 'static,
+        R: 'g,
+    {
+        let (me, n) = (self.my_index, self.size());
+        self.split_phase(
             ctx,
-            CollectiveOp::Shift,
-            &**deposits[src].as_ref().expect("all deposited"),
+            op,
+            root,
+            move |fabric, key, vt| fabric.deposit(key, me, n, payload, vt),
+            size,
+            move |ctx, deposits: Arc<Vec<Option<P>>>| project(ctx, &deposits),
         )
     }
 
-    // ---- Split-phase collectives ------------------------------------
-
-    /// Non-blocking first half shared by all split-phase non-reducing
-    /// collectives: flushes pending compute (so the deposit timestamp is
-    /// exact), deposits the payload, and registers the sequence number as
-    /// outstanding. Returns `(seq, deposit timestamp)`.
-    fn begin_sync<P: Send + Sync + 'static>(
-        &self,
+    /// Reducing rendezvous: every member's payload is deposited by value
+    /// and folded in ascending member order exactly once (on the
+    /// last-arriving rank, in place — no deposit is cloned); `project` sees
+    /// the one shared `Arc` of the combined result.
+    fn begin_reduce<'g, P: Payload, R: 'g>(
+        &'g self,
         ctx: &mut RankCtx,
-        payload: Option<P>,
-    ) -> (u64, f64) {
-        ctx.flush_compute();
-        let seq = self.next_seq();
-        let deposit_vt = ctx.clock();
-        ctx.fabric().deposit((self.id, seq), self.my_index, self.size(), payload, deposit_vt);
-        self.outstanding.borrow_mut().push_back(seq);
-        (seq, deposit_vt)
-    }
-
-    /// Reducing counterpart of [`CommGroup::begin_sync`]. The payload's
-    /// wire size must be captured here — it is consumed by the fold.
-    /// Returns `(seq, deposit timestamp, wire bytes)`.
-    fn begin_reduce<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> (u64, f64, usize) {
-        ctx.flush_compute();
-        let bytes = payload.wire_size();
-        let seq = self.next_seq();
-        let deposit_vt = ctx.clock();
-        ctx.fabric().deposit_reduce(
-            (self.id, seq),
-            self.my_index,
-            self.size(),
-            payload,
-            deposit_vt,
-            combine_parts_in_order,
-        );
-        self.outstanding.borrow_mut().push_back(seq);
-        (seq, deposit_vt, bytes)
+        op: CollectiveOp,
+        root: Option<usize>,
+        payload: P,
+        project: impl FnOnce(Arc<P>) -> R + 'g,
+    ) -> PendingCollective<'g, R> {
+        let (me, n) = (self.my_index, self.size());
+        // The wire size must be captured here — the fold consumes the payload.
+        let size = WireSize::Known(payload.wire_size());
+        self.split_phase(
+            ctx,
+            op,
+            root,
+            move |fabric, key, vt| {
+                fabric.deposit_reduce(key, me, n, payload, vt, combine_parts_in_order)
+            },
+            size,
+            move |_, combined: Arc<P>| project(combined),
+        )
     }
 
     /// Enforces the FIFO completion discipline: `seq` must be the oldest
@@ -708,59 +448,64 @@ impl CommGroup {
         q.pop_front();
     }
 
-    /// Clock/cost/stat accounting for the completion half. The serial exit
-    /// time is `max(entry clocks) + α–β cost` — identical to the blocking
-    /// path — but the clock only advances by the *non-overlapped remainder*:
-    /// whatever portion of the wait the caller's compute already covered is
-    /// recorded as hidden time instead of being charged. `deferred_size`
-    /// mirrors the blocking broadcast/scatter charging (zero-byte latency
-    /// plus a size-dependent recharge; only the recharge reaches the stats).
+    /// The one clock/cost/stat charging site of every collective. The
+    /// serial exit time is `max(entry clocks) + α–β cost`, but the clock
+    /// only advances by the *non-overlapped remainder*: whatever portion of
+    /// the wait the caller's compute already covered is recorded as hidden
+    /// time instead of being charged. A `deferred_size` op (broadcast,
+    /// scatter: non-roots learn the size only from the rendezvous) is
+    /// charged the zero-byte latency plus the size-dependent cost — the
+    /// charging the calibrated tables were produced with — and only the
+    /// size-dependent part reaches the stats.
     fn finish_charge(
         &self,
         ctx: &mut RankCtx,
-        op: CollectiveOp,
+        span: CommScope,
         max_vt: f64,
         bytes: usize,
-        deposit_vt: f64,
         deferred_size: bool,
-        span: &mut CommScope,
     ) {
+        let (op, deposit_vt) = (span.op, span.begin);
         let cost_b = ctx.params.phased_collective_time(op, bytes, self.placement).total;
         let cost0 = if deferred_size {
             ctx.params.phased_collective_time(op, 0, self.placement).total
         } else {
             0.0
         };
-        span.note_sync(span.key, deposit_vt, max_vt);
-        span.note_cost(cost0 + cost_b);
         let target = max_vt + cost0 + cost_b;
         let hidden = (ctx.clock().min(target) - deposit_vt).max(0.0);
         if hidden > 0.0 {
             ctx.meter.charge_overlap_hidden(hidden);
             ctx.stats().charge_hidden(op, hidden);
-            span.note_hidden(hidden);
+        } else if deferred_size {
+            // Nothing overlapped the wait: book it as the two advances a
+            // blocking broadcast has always made (rendezvous latency, then
+            // the size-dependent transfer) so `comm_wait_nanos` keeps
+            // rounding per part. Once compute has hidden some of the wait
+            // there is a single remainder, booked below.
+            ctx.advance_comm(max_vt + cost0);
         }
         ctx.advance_comm(target);
-        if self.my_index == 0 {
+        let recorded = (self.my_index == 0).then(|| {
             let wire = ctx.params.wire_bytes(op, self.size(), bytes);
             ctx.stats().record(op, wire, cost_b);
-            span.note_stats(wire, cost_b);
-        }
+            (wire, cost_b)
+        });
+        span.finish(ctx, max_vt, cost0 + cost_b, hidden, recorded);
     }
 
-    fn pending<'g, R: 'g>(
-        &'g self,
-        op: CollectiveOp,
-        seq: u64,
-        finish: impl FnOnce(&mut RankCtx) -> R + 'g,
-    ) -> PendingCollective<'g, R> {
-        PendingCollective { op, seq, finish: Some(Box::new(finish)) }
+    /// Synchronizes all members without moving data.
+    pub fn barrier(&self, ctx: &mut RankCtx) {
+        self.begin_sync(ctx, CollectiveOp::Barrier, None, Some(()), WireSize::Known(0), |_, _| ())
+            .complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::broadcast_shared`]: deposits the root's
-    /// `Arc` immediately; the returned handle blocks (and pays only the
-    /// non-overlapped wait) at `complete`. Data is bitwise identical to the
-    /// blocking call — every member receives a clone of the same allocation.
+    /// Zero-copy broadcast: the root (by member index) deposits an `Arc` of
+    /// its payload — without cloning its local block — and every member
+    /// (root included) receives an `Arc` clone of that single allocation.
+    /// The payload is materialized exactly once per rendezvous regardless
+    /// of the group size. The deposit happens now; the returned handle
+    /// blocks (and pays only the non-overlapped wait) at `complete`.
     pub fn broadcast_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
@@ -772,267 +517,218 @@ impl CommGroup {
             self.my_index == root,
             "broadcast: exactly the root must supply the payload"
         );
-        let (seq, deposit_vt) = self.begin_sync(ctx, payload);
-        self.pending(CollectiveOp::Broadcast, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::Broadcast, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::Broadcast, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
-            let value = Arc::clone(deposits[root].as_ref().expect("root deposited"));
-            self.finish_charge(
-                ctx,
-                CollectiveOp::Broadcast,
-                max_vt,
-                value.wire_size(),
-                deposit_vt,
-                true,
-                &mut span,
-            );
-            span.finish(ctx);
-            value
-        })
+        self.begin_sync(
+            ctx,
+            CollectiveOp::Broadcast,
+            Some(root),
+            payload,
+            WireSize::OfResult(|value: &Arc<P>| value.wire_size()),
+            move |_, deposits| Arc::clone(deposits[root].as_ref().expect("root deposited")),
+        )
     }
 
-    /// Split-phase [`CommGroup::broadcast`] (owned result; one counted copy
-    /// per member, made at `complete`).
-    pub fn broadcast_begin<'g, P: Payload>(
-        &'g self,
+    /// Blocking [`CommGroup::broadcast_shared_begin`].
+    pub fn broadcast_shared<P: Payload>(
+        &self,
         ctx: &mut RankCtx,
         root: usize,
-        payload: Option<P>,
-    ) -> PendingCollective<'g, P> {
-        self.broadcast_shared_begin(ctx, root, payload.map(Arc::new))
-            .map(move |ctx, shared| self.clone_counted(ctx, CollectiveOp::Broadcast, &*shared))
+        payload: Option<Arc<P>>,
+    ) -> Arc<P> {
+        self.broadcast_shared_begin(ctx, root, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::reduce_shared`]: the payload is consumed
-    /// and deposited immediately; `complete` hands the root the combined
-    /// value (ascending member-order fold, bitwise identical to blocking).
+    /// In-place sum-reduction to `root`: every member's payload is consumed
+    /// by value and folded without cloning (ascending member order); only
+    /// the root receives the combined value (shared, not copied).
     pub fn reduce_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         root: usize,
         payload: P,
     ) -> PendingCollective<'g, Option<Arc<P>>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::Reduce, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::Reduce, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::Reduce, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::Reduce,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            (self.my_index == root).then_some(combined)
+        let at_root = self.my_index == root;
+        self.begin_reduce(ctx, CollectiveOp::Reduce, Some(root), payload, move |combined| {
+            at_root.then_some(combined)
         })
     }
 
-    /// Split-phase [`CommGroup::reduce`] (owned result at root; one counted
-    /// copy, made at `complete`).
-    pub fn reduce_begin<'g, P: Payload>(
-        &'g self,
+    /// Blocking [`CommGroup::reduce_shared_begin`].
+    pub fn reduce_shared<P: Payload>(
+        &self,
         ctx: &mut RankCtx,
         root: usize,
         payload: P,
-    ) -> PendingCollective<'g, Option<P>> {
-        self.reduce_shared_begin(ctx, root, payload).map(move |ctx, shared| {
-            shared.map(|s| self.clone_counted(ctx, CollectiveOp::Reduce, &*s))
-        })
+    ) -> Option<Arc<P>> {
+        self.reduce_shared_begin(ctx, root, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::all_reduce_shared`].
+    /// In-place sum-reduction delivered to every member as one shared
+    /// allocation: payloads are consumed by value, folded exactly once (in
+    /// ascending member order), never cloned.
     pub fn all_reduce_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: P,
     ) -> PendingCollective<'g, Arc<P>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::AllReduce, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllReduce, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllReduce, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllReduce,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            combined
-        })
+        self.begin_reduce(ctx, CollectiveOp::AllReduce, None, payload, |combined| combined)
     }
 
-    /// Split-phase [`CommGroup::all_reduce`] (owned result; one counted
-    /// copy per member, made at `complete`).
-    pub fn all_reduce_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, P> {
-        self.all_reduce_shared_begin(ctx, payload)
-            .map(move |ctx, shared| self.clone_counted(ctx, CollectiveOp::AllReduce, &*shared))
+    /// Blocking [`CommGroup::all_reduce_shared_begin`].
+    pub fn all_reduce_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
+        self.all_reduce_shared_begin(ctx, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::all_gather_shared`].
+    /// Zero-copy all-gather: every member receives `Arc` clones of every
+    /// member's deposit, in member order. Each payload is materialized once
+    /// cluster-wide instead of once per receiver.
     pub fn all_gather_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: Arc<P>,
     ) -> PendingCollective<'g, Vec<Arc<P>>> {
-        let bytes = payload.wire_size();
-        let (seq, deposit_vt) = self.begin_sync(ctx, Some(payload));
-        self.pending(CollectiveOp::AllGather, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllGather, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllGather, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllGather,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
+        let size = WireSize::Known(payload.wire_size());
+        self.begin_sync(ctx, CollectiveOp::AllGather, None, Some(payload), size, |_, deposits| {
+            all_deposits(deposits)
         })
     }
 
-    /// Split-phase [`CommGroup::all_gather`] (owned results; `n` counted
-    /// copies per member, made at `complete`).
-    pub fn all_gather_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, Vec<P>> {
-        self.all_gather_shared_begin(ctx, Arc::new(payload)).map(move |ctx, shared| {
-            shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
-        })
+    /// Blocking [`CommGroup::all_gather_shared_begin`].
+    pub fn all_gather_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
+        self.all_gather_shared_begin(ctx, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::reduce_scatter_shared`]: the payload is
-    /// consumed and deposited immediately; `complete` hands every member
-    /// the full ascending-order fold (bitwise identical to all-reduce),
-    /// charged as a reduce-scatter. Slots into the SUMMA split-phase
-    /// schedule exactly where a `reduce_shared_begin` sat.
+    /// Fused reduce-scatter: every member's payload is consumed by value
+    /// and folded exactly once in ascending member order — the identical
+    /// fold [`CommGroup::all_reduce_shared`] performs, so the combined
+    /// values are bitwise equal to an all-reduce — but the op is *charged*
+    /// as a ring reduce-scatter (half the all-reduce's wire volume: each
+    /// member keeps only a `1/n` slice). The shared-memory fabric hands
+    /// every member an `Arc` of the full fold; the caller materializes its
+    /// own slice (the "scatter" half), which is metered as data movement at
+    /// the call site. This is what lets the sequence-parallel matmul path
+    /// replace a reduce-to-root with a reduce-scatter without perturbing
+    /// the fold order the parity tests pin.
     pub fn reduce_scatter_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: P,
     ) -> PendingCollective<'g, Arc<P>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::ReduceScatter, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::ReduceScatter, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::ReduceScatter, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::ReduceScatter,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            combined
-        })
+        self.begin_reduce(ctx, CollectiveOp::ReduceScatter, None, payload, |combined| combined)
     }
 
-    /// Split-phase [`CommGroup::all_to_all_shared`]: deposits this member's
-    /// `Arc` immediately; `complete` returns every member's deposit in
-    /// member order, charged as a pairwise all-to-all.
+    /// Blocking [`CommGroup::reduce_scatter_shared_begin`].
+    pub fn reduce_scatter_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
+        self.reduce_scatter_shared_begin(ctx, payload).complete(ctx)
+    }
+
+    /// Zero-copy all-to-all: every member deposits one `Arc` payload and
+    /// receives `Arc` clones of every member's deposit, in member order —
+    /// exactly the rendezvous shape of [`CommGroup::all_gather_shared`] —
+    /// but charged as a pairwise all-to-all (`(n−1)α + (n−1)/n · b/β`: each
+    /// peer only consumes a `1/n` slice of each deposit). The caller slices
+    /// the portion addressed to it out of each deposit; those slices are
+    /// metered as data movement at the call site. Used for the
+    /// sequence-parallel boundary re-shards (`[R, c] ↔ [R/q, c·q]`).
     pub fn all_to_all_shared_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: Arc<P>,
     ) -> PendingCollective<'g, Vec<Arc<P>>> {
-        let bytes = payload.wire_size();
-        let (seq, deposit_vt) = self.begin_sync(ctx, Some(payload));
-        self.pending(CollectiveOp::AllToAll, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllToAll, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllToAll, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllToAll,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
+        let size = WireSize::Known(payload.wire_size());
+        self.begin_sync(ctx, CollectiveOp::AllToAll, None, Some(payload), size, |_, deposits| {
+            all_deposits(deposits)
         })
+    }
+
+    /// Blocking [`CommGroup::all_to_all_shared_begin`].
+    pub fn all_to_all_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
+        self.all_to_all_shared_begin(ctx, payload).complete(ctx)
+    }
+
+    /// Root receives every member's payload, in member order (`n` counted
+    /// copies, all at the root).
+    pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
+        let size = WireSize::Known(payload.wire_size());
+        let op = CollectiveOp::Gather;
+        self.begin_sync(ctx, op, Some(root), Some(payload), size, |ctx, deposits| {
+            (self.my_index == root).then(|| {
+                let each = deposits.iter().map(|d| d.as_ref().expect("all deposited"));
+                each.map(|d| self.clone_counted(ctx, op, d)).collect()
+            })
+        })
+        .complete(ctx)
+    }
+
+    /// Root provides one payload per member; each member receives its own
+    /// (one counted copy per member — the root's part vector is deposited
+    /// whole, without cloning).
+    pub fn scatter<P: Payload>(&self, ctx: &mut RankCtx, root: usize, parts: Option<Vec<P>>) -> P {
+        if let Some(ref p) = parts {
+            assert_eq!(p.len(), self.size(), "scatter: need one part per member");
+        }
+        assert_eq!(
+            parts.is_some(),
+            self.my_index == root,
+            "scatter: exactly the root must supply the parts"
+        );
+        let op = CollectiveOp::Scatter;
+        let size = WireSize::OfResult(|mine: &P| mine.wire_size());
+        self.begin_sync(ctx, op, Some(root), parts, size, |ctx, deposits| {
+            let all = deposits[root].as_ref().expect("root deposited");
+            self.clone_counted(ctx, op, &all[self.my_index])
+        })
+        .complete(ctx)
+    }
+
+    /// Cyclic shift: every member sends its payload `offset` positions
+    /// forward (member order, wrapping) and receives from `offset` behind
+    /// (one counted copy per member). `offset` may be negative. This is
+    /// Cannon's primitive.
+    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: P) -> P {
+        let size = WireSize::Known(payload.wire_size());
+        let op = CollectiveOp::Shift;
+        let src = (self.my_index as isize - offset).rem_euclid(self.size() as isize) as usize;
+        self.begin_sync(ctx, op, None, Some(payload), size, |ctx, deposits| {
+            self.clone_counted(ctx, op, deposits[src].as_ref().expect("all deposited"))
+        })
+        .complete(ctx)
     }
 
     /// Point-to-point send to another member (by member index).
     pub fn send<P: Payload>(&self, ctx: &mut RankCtx, dst: usize, tag: u64, payload: P) {
         assert!(dst < self.size() && dst != self.my_index, "send: bad destination");
-        let mut span = CommScope::open(ctx, CollectiveOp::SendRecv);
         ctx.flush_compute();
         let bytes = payload.wire_size();
         let chan = (self.id, self.my_index, dst, tag);
         let send_vt = ctx.clock();
+        let key = (self.id, chan_seq(self.my_index, dst, tag));
+        let span = CommScope::open(ctx, CollectiveOp::SendRecv, key, send_vt);
         ctx.fabric().send(chan, payload, send_vt);
-        span.note_sync((self.id, chan_seq(self.my_index, dst, tag)), send_vt, send_vt);
         let link = ctx.topology.link_between(self.ranks[self.my_index], self.ranks[dst]);
         let (alpha, _) = ctx.params.link_params(link);
-        span.note_cost(alpha);
         // The sender only pays injection latency; transfer time is charged
         // to the receiver (eager-send model).
         ctx.advance_comm(ctx.clock() + alpha);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
         ctx.stats().record(CollectiveOp::SendRecv, wire, 0.0);
-        span.note_stats(wire, 0.0);
-        span.finish(ctx);
+        span.finish(ctx, send_vt, alpha, 0.0, Some((wire, 0.0)));
     }
 
     /// Point-to-point receive from another member (by member index).
     pub fn recv<P: Payload>(&self, ctx: &mut RankCtx, src: usize, tag: u64) -> P {
         assert!(src < self.size() && src != self.my_index, "recv: bad source");
-        let mut span = CommScope::open(ctx, CollectiveOp::SendRecv);
         ctx.flush_compute();
         let chan = (self.id, src, self.my_index, tag);
-        let entry = ctx.clock();
+        let key = (self.id, chan_seq(src, self.my_index, tag));
+        let span = CommScope::open(ctx, CollectiveOp::SendRecv, key, ctx.clock());
         let (send_vt, payload): (f64, P) = ctx.fabric().recv(chan);
-        // The recv's cross-rank dependency is the sender's injection time:
-        // note it as the "slowest entry" so the critical path hops there.
-        span.note_sync((self.id, chan_seq(src, self.my_index, tag)), entry, send_vt);
         let link = ctx.topology.link_between(self.ranks[src], self.ranks[self.my_index]);
         let cost = ctx.params.collective_time(CollectiveOp::SendRecv, 2, payload.wire_size(), link);
-        span.note_cost(cost);
         let ready = send_vt.max(ctx.clock());
         ctx.advance_comm(ready + cost);
-        span.finish(ctx);
+        // The recv's cross-rank dependency is the sender's injection time:
+        // it is the span's "slowest entry", so the critical path hops there.
+        span.finish(ctx, send_vt, cost, 0.0, None);
         payload
     }
 }
@@ -1053,33 +749,11 @@ pub struct PendingCollective<'g, R> {
 }
 
 impl<'g, R> PendingCollective<'g, R> {
-    /// The collective op this handle belongs to.
-    pub fn op(&self) -> CollectiveOp {
-        self.op
-    }
-
     /// Blocks until the rendezvous is full, charges the non-overlapped
     /// remainder of the wait to the virtual clock, and returns the result.
     pub fn complete(mut self, ctx: &mut RankCtx) -> R {
         let finish = self.finish.take().expect("finish closure present until complete");
         finish(ctx)
-    }
-
-    /// Post-processes the eventual result (used by the owned-value wrappers
-    /// to defer their counted copies to `complete`).
-    fn map<S>(mut self, f: impl FnOnce(&mut RankCtx, R) -> S + 'g) -> PendingCollective<'g, S>
-    where
-        R: 'g,
-    {
-        let finish = self.finish.take().expect("finish closure present until complete");
-        PendingCollective {
-            op: self.op,
-            seq: self.seq,
-            finish: Some(Box::new(move |ctx| {
-                let r = finish(ctx);
-                f(ctx, r)
-            })),
-        }
     }
 }
 

@@ -54,8 +54,8 @@ impl StatsCollector {
     }
 
     /// Charges one host-side payload copy of `bytes` bytes made on behalf
-    /// of `op`. Called by every rank that clones (root deposits, receiver
-    /// materializations in the owned compatibility wrappers), so the totals
+    /// of `op`. Called by every rank that clones (the receiver
+    /// materializations of `gather` / `scatter` / `shift`), so the totals
     /// measure real memcpy traffic across the whole cluster.
     pub fn charge_copy(&self, op: CollectiveOp, bytes: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);

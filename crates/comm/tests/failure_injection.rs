@@ -1,6 +1,8 @@
 //! Failure-injection tests: the simulated cluster must convert misuse into
 //! diagnosable panics rather than silent corruption or hangs.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Cluster, RunConfig};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
@@ -40,7 +42,7 @@ fn broadcast_without_root_payload_panics() {
     fail_fast(2).run(|ctx| {
         let g = ctx.world_group();
         // Nobody provides the payload.
-        let _: DenseTensor = g.broadcast(ctx, 0, None);
+        let _: Arc<DenseTensor> = g.broadcast_shared(ctx, 0, None);
     });
 }
 
@@ -52,6 +54,47 @@ fn scatter_with_wrong_part_count_panics() {
         let parts = (ctx.rank == 0).then(|| vec![DenseTensor::from_matrix(Matrix::zeros(1, 1))]);
         // Only one part for two members.
         let _ = g.scatter(ctx, 0, parts);
+    });
+}
+
+// A root index past the group's last member used to slip through every
+// rooted op's "exactly the root supplies the payload" check (no member is
+// that root, so nobody supplies one): broadcast/scatter then died on a bare
+// slice index and reduce/gather silently returned `None` everywhere.
+
+#[test]
+#[should_panic(expected = "broadcast: root 2 out of range for a group of 2 members")]
+fn broadcast_root_out_of_range_panics() {
+    fail_fast(2).run(|ctx| {
+        let g = ctx.world_group();
+        let _: Arc<DenseTensor> = g.broadcast_shared(ctx, 2, None);
+    });
+}
+
+#[test]
+#[should_panic(expected = "reduce: root 5 out of range for a group of 2 members")]
+fn reduce_root_out_of_range_panics() {
+    fail_fast(2).run(|ctx| {
+        let g = ctx.world_group();
+        let _ = g.reduce_shared(ctx, 5, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
+    });
+}
+
+#[test]
+#[should_panic(expected = "gather: root 2 out of range for a group of 2 members")]
+fn gather_root_out_of_range_panics() {
+    fail_fast(2).run(|ctx| {
+        let g = ctx.world_group();
+        let _ = g.gather(ctx, 2, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
+    });
+}
+
+#[test]
+#[should_panic(expected = "scatter: root 3 out of range for a group of 2 members")]
+fn scatter_root_out_of_range_panics() {
+    fail_fast(2).run(|ctx| {
+        let g = ctx.world_group();
+        let _: DenseTensor = g.scatter(ctx, 3, None);
     });
 }
 
@@ -82,7 +125,7 @@ fn reduce_payload_shape_mismatch_panics() {
             } else {
                 DenseTensor::from_matrix(Matrix::zeros(3, 3))
             };
-            let _ = g.all_reduce(ctx, t);
+            let _ = g.all_reduce_shared(ctx, t);
         });
     });
     assert!(result.is_err(), "mismatched reduce shapes must panic");

@@ -5,9 +5,11 @@
 //     cargo test -p <crate> --features proptest-tests
 #![cfg(feature = "proptest-tests")]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
-use tesseract_tensor::{DenseTensor, Matrix};
+use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -110,7 +112,7 @@ proptest! {
         let out = Cluster::a100(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, vals[ctx.rank]));
-            g.all_reduce(ctx, t).matrix()[(1, 1)]
+            g.all_reduce_shared(ctx, t).matrix()[(1, 1)]
         });
         for v in out.results {
             prop_assert!((v - expected).abs() < 1e-5);
@@ -130,83 +132,53 @@ proptest! {
     }
 
     #[test]
-    fn shared_collectives_match_owned_bitwise(
+    fn collectives_deliver_the_sum_and_the_concatenation_bitwise(
         n in 2usize..5,
         rows in 1usize..6,
         cols in 1usize..6,
+        root in 0usize..5,
         seed in 0u64..1000,
     ) {
-        // The `Arc`-shared zero-copy path and the historical cloning path
-        // must agree bitwise for every collective, on arbitrary payload
-        // shapes (combine order is pinned to ascending member index).
+        // Every rank can regenerate every member's payload, so it checks
+        // what it receives against the definition: broadcast delivers the
+        // root's deposit, all-gather the deposits in member order, and the
+        // reductions the left fold over ascending member index — bitwise,
+        // on arbitrary payload shapes, for the blocking form and for a
+        // split-phase pair with compute issued in between.
+        let root = root % n;
+        let payload = move |rank: usize| {
+            let mut rng = tesseract_tensor::Xoshiro256StarStar::seed_from_u64(
+                seed.wrapping_mul(31).wrapping_add(rank as u64),
+            );
+            DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
+        };
         let out = Cluster::a100(n).run(move |ctx| {
             let g = ctx.world_group();
-            let mine = {
-                let mut rng = tesseract_tensor::Xoshiro256StarStar::seed_from_u64(
-                    seed.wrapping_mul(31).wrapping_add(ctx.rank as u64),
-                );
-                DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
-            };
-            let owned_b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| mine.clone()));
-            let shared_b =
-                g.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| std::sync::Arc::new(mine.clone())));
-            let b_ok = owned_b.matrix() == shared_b.matrix();
-            let owned_ar = g.all_reduce(ctx, mine.clone());
-            let shared_ar = g.all_reduce_shared(ctx, mine.clone());
-            let ar_ok = owned_ar.matrix() == shared_ar.matrix();
-            let owned_r = g.reduce(ctx, 0, mine.clone());
-            let shared_r = g.reduce_shared(ctx, 0, mine.clone());
-            let r_ok = match (&owned_r, &shared_r) {
-                (Some(a), Some(b)) => a.matrix() == b.matrix(),
-                (None, None) => true,
-                _ => false,
-            };
-            let owned_g = g.all_gather(ctx, mine.clone());
-            let shared_g = g.all_gather_shared(ctx, std::sync::Arc::new(mine));
-            let g_ok = owned_g.len() == shared_g.len()
-                && owned_g.iter().zip(shared_g.iter()).all(|(a, b)| a.matrix() == b.matrix());
-            b_ok && ar_ok && r_ok && g_ok
-        });
-        prop_assert!(out.results.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn split_phase_matches_blocking_bitwise(
-        n in 2usize..5,
-        rows in 1usize..6,
-        cols in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        // `begin` + `complete` must agree bitwise with the blocking call
-        // for all four data-moving collectives on arbitrary payload shapes
-        // (the fold order is pinned to ascending member index either way).
-        let out = Cluster::a100(n).run(move |ctx| {
-            let g = ctx.world_group();
-            let mine = {
-                let mut rng = tesseract_tensor::Xoshiro256StarStar::seed_from_u64(
-                    seed.wrapping_mul(37).wrapping_add(ctx.rank as u64),
-                );
-                DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
-            };
-            let blocking_b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| mine.clone()));
-            let split_b =
-                g.broadcast_begin(ctx, 0, (ctx.rank == 0).then(|| mine.clone())).complete(ctx);
-            let b_ok = blocking_b.matrix() == split_b.matrix();
-            let blocking_ar = g.all_reduce(ctx, mine.clone());
-            let split_ar = g.all_reduce_begin(ctx, mine.clone()).complete(ctx);
-            let ar_ok = blocking_ar.matrix() == split_ar.matrix();
-            let blocking_r = g.reduce(ctx, 0, mine.clone());
-            let split_r = g.reduce_begin(ctx, 0, mine.clone()).complete(ctx);
-            let r_ok = match (&blocking_r, &split_r) {
-                (Some(a), Some(b)) => a.matrix() == b.matrix(),
-                (None, None) => true,
-                _ => false,
-            };
-            let blocking_g = g.all_gather(ctx, mine.clone());
-            let split_g = g.all_gather_begin(ctx, mine).complete(ctx);
-            let g_ok = blocking_g.len() == split_g.len()
-                && blocking_g.iter().zip(split_g.iter()).all(|(a, b)| a.matrix() == b.matrix());
-            b_ok && ar_ok && r_ok && g_ok
+            let mine = payload(ctx.rank);
+            let mut sum = payload(0).into_matrix();
+            for r in 1..n {
+                sum.add_assign(payload(r).matrix());
+            }
+            let at_root = ctx.rank == root;
+            let b = g.broadcast_shared(ctx, root, at_root.then(|| Arc::new(mine.clone())));
+            let b_ok = b.matrix() == payload(root).matrix();
+            let ar = g.all_reduce_shared(ctx, mine.clone());
+            let ar_ok = ar.matrix() == &sum;
+            let r = g.reduce_shared(ctx, root, mine.clone());
+            let r_ok = r.as_ref().map(|r| r.matrix() == &sum) == at_root.then_some(true);
+            let ag = g.all_gather_shared(ctx, Arc::new(mine.clone()));
+            let ag_ok = ag.len() == n
+                && ag.iter().enumerate().all(|(i, d)| d.matrix() == payload(i).matrix());
+            let pending_ar = g.all_reduce_shared_begin(ctx, mine.clone());
+            let pending_ag = g.all_gather_shared_begin(ctx, Arc::new(mine.clone()));
+            let _ = mine.matmul_nt(&mine, &mut ctx.meter);
+            let split_ok = pending_ar.complete(ctx).matrix() == &sum
+                && pending_ag
+                    .complete(ctx)
+                    .iter()
+                    .enumerate()
+                    .all(|(i, d)| d.matrix() == payload(i).matrix());
+            b_ok && ar_ok && r_ok && ag_ok && split_ok
         });
         prop_assert!(out.results.iter().all(|&ok| ok));
     }
@@ -216,7 +188,7 @@ proptest! {
         let out = Cluster::a100(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32 * 3.0));
-            let all = g.all_gather(ctx, t);
+            let all = g.all_gather_shared(ctx, Arc::new(t));
             all.iter().enumerate().all(|(i, v)| v.matrix()[(0, 0)] == i as f32 * 3.0)
         });
         prop_assert!(out.results.iter().all(|&ok| ok));

@@ -3,50 +3,219 @@
 //! and the backward rules of Eq. 3 (`A' = C'·Bᵀ`, `B' = Aᵀ·C'` with the
 //! depth all-reduce of `B'`).
 //!
-//! All three functions are SPMD: every rank of the grid calls them with its
+//! All entry points are SPMD: every rank of the grid calls them with its
 //! local blocks and receives its local block of the result. With `d = 1`
 //! they are exactly 2-D SUMMA (Optimus); with `d = q` they are a 3-D
 //! algorithm; in between they are the paper's 2.5-D scheme in which the `d`
 //! layers run `q×q` SUMMA multiplications concurrently over disjoint row
 //! bands of `A`/`C`, sharing only the replicated `B`.
 //!
-//! # Double-buffered pipeline
+//! # One double-buffered loop
 //!
-//! The main entry points run the SUMMA loop **double-buffered** on the
-//! split-phase collectives: the step-`t+1` panel broadcasts are begun
-//! before the step-`t` partial product is computed, so the rendezvous wait
-//! overlaps the GEMM; likewise the partial-sum reductions of the backward
-//! rules are begun as soon as a partial is computed and completed one step
-//! later, and `tesseract_matmul_tn`'s depth all-reduce is begun the moment
-//! the local contribution is final. Results are **bitwise identical** to
-//! the serial loop — the panels travel as the same shared `Arc`s and the
-//! reductions fold in the same ascending member order; only the virtual
-//! clock improves (the hidden wait is reported via
-//! `Meter::overlap_hidden_nanos`). The `*_serial` twins run the original
-//! blocking loops and exist as the parity/ablation baseline.
+//! Algorithm 3 is one loop, and [`summa_pipeline`] is its only pipelined
+//! implementation, written against three seams: **fetch** begins the
+//! step-`t` panel collectives (row/column broadcasts, or the
+//! sequence-parallel row all-gather), **multiply** turns the completed
+//! panels into the step's partial product (`matmul` / `matmul_nt` /
+//! `matmul_tn`), and a **sink** ([`Sink`]) disposes of the partial
+//! (accumulate, reduce to the step's root, or reduce-scatter). The six
+//! public entry points only pick the seams.
+//!
+//! The loop is **double-buffered** on the split-phase collectives: the
+//! step-`t+1` fetch is begun before the step-`t` partial is computed, so
+//! the rendezvous wait overlaps the GEMM; the reducing sinks likewise
+//! complete each reduction one step late, and the depth all-reduce of `B'`
+//! is begun the moment the local contribution is final. Results are
+//! **bitwise identical** to the blocking `*_serial` loops (same shared
+//! `Arc` panels, same ascending-member folds), which stay as the reference
+//! the parity suite, `overlap_sweep` and `trace_dump` compare against; only
+//! the virtual clock improves (`Meter::overlap_hidden_nanos`).
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, PendingCollective, RankCtx};
+use tesseract_comm::{CommGroup, Payload, PendingCollective, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
 
-/// Begins the step-`t` row/column panel broadcasts of Algorithm 3 (the
-/// shared prefetch half of the double-buffered loop).
-fn begin_panels<'g, T>(
+/// Collectives begun for one SUMMA step; completing them yields the step's
+/// panels. Tuples complete left to right.
+trait Prefetch {
+    type Panels;
+    fn complete(self, ctx: &mut RankCtx) -> Self::Panels;
+}
+
+impl<R> Prefetch for PendingCollective<'_, R> {
+    type Panels = R;
+    fn complete(self, ctx: &mut RankCtx) -> R {
+        PendingCollective::complete(self, ctx)
+    }
+}
+
+impl<A: Prefetch, B: Prefetch> Prefetch for (A, B) {
+    type Panels = (A::Panels, B::Panels);
+    fn complete(self, ctx: &mut RankCtx) -> Self::Panels {
+        let a = self.0.complete(ctx);
+        let b = self.1.complete(ctx);
+        (a, b)
+    }
+}
+
+/// Where a SUMMA step's partial product goes.
+trait Sink<T> {
+    type Out;
+    /// Disposes of the step-`t` partial.
+    fn push(&mut self, ctx: &mut RankCtx, t: usize, partial: T);
+    /// Settles whatever is still in flight and returns the result block.
+    fn finish(self, ctx: &mut RankCtx) -> Self::Out;
+}
+
+/// The double-buffered SUMMA loop (Algorithm 3): per step, complete the
+/// panels fetched one step ago, begin the next step's fetch, multiply, and
+/// hand the partial to the sink — so every fetch (and every reduction a
+/// sink begins) waits under the following GEMM.
+fn summa_pipeline<T, F: Prefetch, S: Sink<T>>(
+    ctx: &mut RankCtx,
+    q: usize,
+    fetch: impl Fn(&mut RankCtx, usize) -> F,
+    multiply: impl Fn(&mut RankCtx, F::Panels) -> T,
+    mut sink: S,
+) -> S::Out {
+    let mut next = Some(fetch(ctx, 0));
+    for t in 0..q {
+        let panels = next.take().expect("prefetched by the previous step").complete(ctx);
+        if t + 1 < q {
+            next = Some(fetch(ctx, t + 1));
+        }
+        let partial = multiply(ctx, panels);
+        sink.push(ctx, t, partial);
+    }
+    sink.finish(ctx)
+}
+
+/// Begins the step-`t` row broadcast of an A-type panel: root `t` deposits
+/// an `Arc::clone` of its local block (no self-clone) and every member
+/// multiplies against the shared allocation.
+fn row_panel_begin<'g, T: TensorLike + Payload>(
     grid: &'g TesseractGrid,
     ctx: &mut RankCtx,
     a_local: &Arc<T>,
+    t: usize,
+) -> PendingCollective<'g, Arc<T>> {
+    grid.row.broadcast_shared_begin(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)))
+}
+
+/// Begins the step-`t` column broadcast of a B-type panel.
+fn col_panel_begin<'g, T: TensorLike + Payload>(
+    grid: &'g TesseractGrid,
+    ctx: &mut RankCtx,
     b_local: &Arc<T>,
     t: usize,
-) -> (PendingCollective<'g, Arc<T>>, PendingCollective<'g, Arc<T>>)
-where
-    T: TensorLike + Payload,
-{
-    let a = grid.row.broadcast_shared_begin(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-    let b = grid.col.broadcast_shared_begin(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-    (a, b)
+) -> PendingCollective<'g, Arc<T>> {
+    grid.col.broadcast_shared_begin(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)))
+}
+
+/// Sink of the forward rule: `C += partial`, no communication.
+struct Accumulate<T>(Option<T>);
+
+impl<T: TensorLike> Sink<T> for Accumulate<T> {
+    type Out = T;
+
+    fn push(&mut self, ctx: &mut RankCtx, _t: usize, partial: T) {
+        match self.0.as_mut() {
+            None => self.0 = Some(partial),
+            Some(c) => c.add_assign(&partial, &mut ctx.meter.scope("add")),
+        }
+    }
+
+    fn finish(self, _ctx: &mut RankCtx) -> T {
+        self.0.expect("q >= 1")
+    }
+}
+
+/// Sink of the backward rules: the step-`t` partial is reduced over `fiber`
+/// to member `t`, which owns block `t` of the result; each reduction is
+/// completed one step late. With a `depth` fiber the root's combined block
+/// enters the depth all-reduce the moment it is delivered — the same
+/// program point on every member of that fiber, so its SPMD schedule stays
+/// aligned — and overlaps the remaining SUMMA steps.
+struct ReduceToRoot<'g, T> {
+    fiber: &'g CommGroup,
+    depth: Option<&'g CommGroup>,
+    pending: Option<PendingCollective<'g, Option<Arc<T>>>>,
+    depth_pending: Option<PendingCollective<'g, Arc<Arc<T>>>>,
+    mine: Option<Arc<T>>,
+}
+
+impl<'g, T: TensorLike + Payload> ReduceToRoot<'g, T> {
+    fn new(fiber: &'g CommGroup, depth: Option<&'g CommGroup>) -> Self {
+        Self { fiber, depth, pending: None, depth_pending: None, mine: None }
+    }
+
+    fn settle(&mut self, ctx: &mut RankCtx) {
+        match (self.pending.take().and_then(|p| p.complete(ctx)), self.depth) {
+            // Reduce *through* the Arc: copy-on-write touches only member
+            // 0's accumulator, and every depth replica ends up holding the
+            // same combined allocation.
+            (Some(r), Some(depth)) => {
+                self.depth_pending = Some(depth.all_reduce_shared_begin(ctx, r))
+            }
+            (Some(r), None) => self.mine = Some(r),
+            (None, _) => {}
+        }
+    }
+}
+
+impl<T: TensorLike + Payload> Sink<T> for ReduceToRoot<'_, T> {
+    type Out = Arc<T>;
+
+    fn push(&mut self, ctx: &mut RankCtx, t: usize, partial: T) {
+        self.settle(ctx);
+        self.pending = Some(self.fiber.reduce_shared_begin(ctx, t, partial));
+    }
+
+    fn finish(mut self, ctx: &mut RankCtx) -> Arc<T> {
+        self.settle(ctx);
+        if let Some(dp) = self.depth_pending {
+            self.mine = Some(Arc::clone(&*dp.complete(ctx)));
+        }
+        self.mine.expect("every rank is root for exactly one t")
+    }
+}
+
+/// Sink of the sequence-parallel activation-gradient rule: the dense row
+/// reduce-to-root becomes a row reduce-scatter (same ascending fold, so the
+/// combined values are bitwise equal — see
+/// `CommGroup::reduce_scatter_shared_begin`), every member keeps its own
+/// row chunk of each column block, and the `q` chunks concatenate in
+/// ascending step order.
+struct ReduceScatterSeq<'g, T> {
+    grid: &'g TesseractGrid,
+    pending: Option<PendingCollective<'g, Arc<T>>>,
+    chunks: Vec<T>,
+}
+
+impl<T: TensorLike + Payload> ReduceScatterSeq<'_, T> {
+    fn settle(&mut self, ctx: &mut RankCtx) {
+        if let Some(pending) = self.pending.take() {
+            let reduced = pending.complete(ctx);
+            self.chunks.push(sp_seq_chunk(self.grid, ctx, &reduced));
+        }
+    }
+}
+
+impl<T: TensorLike + Payload> Sink<T> for ReduceScatterSeq<'_, T> {
+    type Out = T;
+
+    fn push(&mut self, ctx: &mut RankCtx, _t: usize, partial: T) {
+        self.settle(ctx);
+        self.pending = Some(self.grid.row.reduce_scatter_shared_begin(ctx, partial));
+    }
+
+    fn finish(mut self, ctx: &mut RankCtx) -> T {
+        self.settle(ctx);
+        T::concat_cols(&self.chunks, &mut ctx.meter.scope("sp"))
+    }
 }
 
 /// `C = A·B` (Algorithm 3).
@@ -57,17 +226,9 @@ where
 ///
 /// Per step `t`: `A_{i,t,k}` is broadcast along the row, `B_{t,j,k}` along
 /// the column, and every rank accumulates `C += A_t · B_t`. No inter-layer
-/// communication happens in the forward pass.
-///
-/// The panels travel zero-copy: the step-`t` root deposits `Arc::clone` of
-/// its local block (no self-clone) and every member multiplies against the
-/// shared allocation, so each panel is materialized exactly once per
-/// rendezvous regardless of the group size.
-///
-/// The loop is double-buffered: step `t+1`'s panel broadcasts are begun
-/// before step `t`'s partial product is computed, hiding the rendezvous
-/// wait under the GEMM. Data is bitwise identical to
-/// [`tesseract_matmul_serial`].
+/// communication happens in the forward pass. The panels travel zero-copy,
+/// so each is materialized exactly once per rendezvous regardless of the
+/// group size. Data is bitwise identical to [`tesseract_matmul_serial`].
 pub fn tesseract_matmul<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -77,24 +238,14 @@ pub fn tesseract_matmul<T>(
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
-    let (pa, pb) = begin_panels(grid, ctx, a_local, b_local, 0);
-    let a_t = pa.complete(ctx);
-    let b_t = pb.complete(ctx);
-    let mut next = (q > 1).then(|| begin_panels(grid, ctx, a_local, b_local, 1));
-    let mut c = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-    for t in 1..q {
-        let (pa, pb) = next.take().expect("prefetched by the previous step");
-        let a_t = pa.complete(ctx);
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next = Some(begin_panels(grid, ctx, a_local, b_local, t + 1));
-        }
-        let partial = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-        c.add_assign(&partial, &mut ctx.meter.scope("add"));
-    }
-    c
+    summa_pipeline(
+        ctx,
+        grid.shape.q,
+        |ctx, t| (row_panel_begin(grid, ctx, a_local, t), col_panel_begin(grid, ctx, b_local, t)),
+        |ctx, (a_t, b_t)| a_t.matmul(&b_t, &mut ctx.meter.scope("gemm")),
+        Accumulate(None),
+    )
 }
 
 /// Blocking-collective reference for [`tesseract_matmul`]: the original
@@ -131,16 +282,10 @@ where
 ///
 /// Per step `t`: `B_{t,j,k}` is broadcast along the column; every rank
 /// computes `A · B_tᵀ` and the row reduces the partials to member `t`,
-/// which owns column block `t` of the result.
-///
-/// The weight panel is `Arc`-shared along the column and the freshly
-/// computed partials are consumed by the in-place row reduction, so the
-/// whole backward rule performs zero payload copies.
-///
-/// Double-buffered: step `t+1`'s column broadcast is begun before step
-/// `t`'s GEMM, and each step's row reduction is begun right after its
-/// partial is computed but only completed one step later — both waits hide
-/// under the next GEMM. Data is bitwise identical to
+/// which owns column block `t` of the result. The weight panel is
+/// `Arc`-shared along the column and the freshly computed partials are
+/// consumed by the in-place row reduction, so the whole backward rule
+/// performs zero payload copies. Data is bitwise identical to
 /// [`tesseract_matmul_nt_serial`].
 pub fn tesseract_matmul_nt<T>(
     grid: &TesseractGrid,
@@ -151,36 +296,14 @@ pub fn tesseract_matmul_nt<T>(
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    let pb = grid.col.broadcast_shared_begin(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let b_t = pb.complete(ctx);
-    let mut next_b = (q > 1).then(|| {
-        grid.col.broadcast_shared_begin(ctx, 1, (grid.i() == 1).then(|| Arc::clone(b_local)))
-    });
-    let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.row.reduce_shared_begin(ctx, 0, partial);
-    for t in 1..q {
-        let pb = next_b.take().expect("prefetched by the previous step");
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next_b = Some(grid.col.broadcast_shared_begin(
-                ctx,
-                t + 1,
-                (grid.i() == t + 1).then(|| Arc::clone(b_local)),
-            ));
-        }
-        let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-        if let Some(r) = pending_red.complete(ctx) {
-            mine = Some(r);
-        }
-        pending_red = grid.row.reduce_shared_begin(ctx, t, partial);
-    }
-    if let Some(r) = pending_red.complete(ctx) {
-        mine = Some(r);
-    }
-    mine.expect("every rank is root for exactly one t")
+    summa_pipeline(
+        ctx,
+        grid.shape.q,
+        |ctx, t| col_panel_begin(grid, ctx, b_local, t),
+        |ctx, b_t| a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm")),
+        ReduceToRoot::new(&grid.row, None),
+    )
 }
 
 /// Blocking-collective reference for [`tesseract_matmul_nt`]: one fully
@@ -220,12 +343,7 @@ where
 /// partial weight gradients are finally **all-reduced across depth**
 /// (`depth_reduce = true`), exactly as §3.1 prescribes for `B'`. Pass
 /// `false` to inspect the per-layer partials (used by tests and ablations).
-///
-/// Double-buffered like [`tesseract_matmul_nt`]; in addition the depth
-/// all-reduce is begun the moment this rank's column reduction delivers
-/// its final local contribution (at step `t = i`, the same program point
-/// on every member of the depth fiber), so it overlaps the remaining SUMMA
-/// steps. Data is bitwise identical to [`tesseract_matmul_tn_serial`].
+/// Data is bitwise identical to [`tesseract_matmul_tn_serial`].
 pub fn tesseract_matmul_tn<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -236,66 +354,14 @@ pub fn tesseract_matmul_tn<T>(
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
-    let overlap_depth = depth_reduce && grid.shape.d > 1;
-    let mut mine: Option<Arc<T>> = None;
-    let mut depth_pending: Option<PendingCollective<'_, Arc<Arc<T>>>> = None;
-    let pa = grid.row.broadcast_shared_begin(ctx, 0, (grid.j() == 0).then(|| Arc::clone(a_local)));
-    let a_t = pa.complete(ctx);
-    let mut next_a = (q > 1).then(|| {
-        grid.row.broadcast_shared_begin(ctx, 1, (grid.j() == 1).then(|| Arc::clone(a_local)))
-    });
-    let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.col.reduce_shared_begin(ctx, 0, partial);
-    for t in 1..q {
-        let pa = next_a.take().expect("prefetched by the previous step");
-        let a_t = pa.complete(ctx);
-        if t + 1 < q {
-            next_a = Some(grid.row.broadcast_shared_begin(
-                ctx,
-                t + 1,
-                (grid.j() == t + 1).then(|| Arc::clone(a_local)),
-            ));
-        }
-        let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-        let reduced = pending_red.complete(ctx);
-        settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-        pending_red = grid.col.reduce_shared_begin(ctx, t, partial);
-    }
-    let reduced = pending_red.complete(ctx);
-    settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-    if let Some(dp) = depth_pending {
-        mine = Some(Arc::clone(&*dp.complete(ctx)));
-    }
-    mine.expect("every rank is root for exactly one t")
-}
-
-/// Disposes of one completed column reduction in [`tesseract_matmul_tn`]:
-/// the step-`t` root (rank `i == t`) either keeps the combined block or,
-/// when overlapping the depth all-reduce, begins it immediately — the same
-/// program point on every member of its depth fiber, so the fiber's SPMD
-/// schedule stays aligned.
-fn settle_reduced<'g, T>(
-    grid: &'g TesseractGrid,
-    ctx: &mut RankCtx,
-    overlap_depth: bool,
-    reduced: Option<Arc<T>>,
-    mine: &mut Option<Arc<T>>,
-    depth_pending: &mut Option<PendingCollective<'g, Arc<Arc<T>>>>,
-) where
-    T: TensorLike + Payload,
-{
-    if let Some(r) = reduced {
-        if overlap_depth {
-            // Reduce *through* the Arc: copy-on-write touches only member
-            // 0's accumulator, and every depth replica ends up holding the
-            // same combined allocation.
-            *depth_pending = Some(grid.depth.all_reduce_shared_begin(ctx, r));
-        } else {
-            *mine = Some(r);
-        }
-    }
+    summa_pipeline(
+        ctx,
+        grid.shape.q,
+        |ctx, t| row_panel_begin(grid, ctx, a_local, t),
+        |ctx, a_t| a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm")),
+        ReduceToRoot::new(&grid.col, (depth_reduce && grid.shape.d > 1).then_some(&grid.depth)),
+    )
 }
 
 /// Blocking-collective reference for [`tesseract_matmul_tn`]: one fully
@@ -347,9 +413,7 @@ where
 // all-gather replaces one broadcast per step.
 //
 // The backward activation rule swaps the dense reduce-to-root for a
-// reduce-scatter (same ascending fold, so the combined values are bitwise
-// equal — see `CommGroup::reduce_scatter_shared`), after which every member
-// keeps its own row chunk of each column block. The boundary between a
+// reduce-scatter ([`ReduceScatterSeq`]). The boundary between a
 // sequence-sharded and a dense region is one all-to-all each way
 // ([`sp_scatter_to_seq`] / [`sp_gather_from_seq`]).
 
@@ -390,7 +454,7 @@ where
 /// Per step `t` the row all-gather of column-chunk-`t` slices replaces the
 /// dense row broadcast (same payload volume across the fiber, same count);
 /// the column broadcast of `B_t` and the accumulation are unchanged.
-/// Double-buffered like [`tesseract_matmul`]; bitwise identical to it.
+/// Bitwise identical to [`tesseract_matmul`].
 pub fn tesseract_matmul_sp_in<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -407,37 +471,15 @@ where
         b_local.rows(),
         "tesseract_matmul_sp_in: inner block dims disagree"
     );
-    let pa = sp_panel_begin(grid, ctx, x_sp, 0);
-    let pb = grid.col.broadcast_shared_begin(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let parts = pa.complete(ctx);
-    let b_t = pb.complete(ctx);
-    let mut next = (q > 1).then(|| {
-        let pa = sp_panel_begin(grid, ctx, x_sp, 1);
-        let pb =
-            grid.col.broadcast_shared_begin(ctx, 1, (grid.i() == 1).then(|| Arc::clone(b_local)));
-        (pa, pb)
-    });
-    let a_t = sp_panel_assemble(&parts, ctx);
-    let mut c = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-    for t in 1..q {
-        let (pa, pb) = next.take().expect("prefetched by the previous step");
-        let parts = pa.complete(ctx);
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next = Some((
-                sp_panel_begin(grid, ctx, x_sp, t + 1),
-                grid.col.broadcast_shared_begin(
-                    ctx,
-                    t + 1,
-                    (grid.i() == t + 1).then(|| Arc::clone(b_local)),
-                ),
-            ));
-        }
-        let a_t = sp_panel_assemble(&parts, ctx);
-        let partial = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-        c.add_assign(&partial, &mut ctx.meter.scope("add"));
-    }
-    c
+    summa_pipeline(
+        ctx,
+        q,
+        |ctx, t| (sp_panel_begin(grid, ctx, x_sp, t), col_panel_begin(grid, ctx, b_local, t)),
+        |ctx, (parts, b_t)| {
+            sp_panel_assemble(&parts, ctx).matmul(&b_t, &mut ctx.meter.scope("gemm"))
+        },
+        Accumulate(None),
+    )
 }
 
 /// Slices this rank's sequence chunk (row chunk `j`) out of a combined
@@ -456,16 +498,10 @@ where
 /// `C = A·Bᵀ` with a **sequence-sharded** result: the activation-gradient
 /// rule of Eq. 3 for a layer whose input entered sequence-sharded. `a_local`
 /// is the dense output gradient `[R, c/q]`, `b_local` the `[b, c]` weight
-/// block, and the return is this rank's `[R/q, b·q… /q·q] = [R/q, h]` row
-/// chunk of the input gradient.
-///
-/// The dense row reduce-to-root of each step becomes a row reduce-scatter:
-/// the partials fold in the identical ascending member order (bitwise equal
-/// to the dense reduction), every member keeps its own row chunk, and the
-/// `q` chunks concatenate (ascending step order) into the sequence-sharded
-/// gradient. Collective count stays flat; double-buffered like
-/// [`tesseract_matmul_nt`] with each reduce-scatter completed one step
-/// late.
+/// block, and the return is this rank's `[R/q, h]` row chunk of the input
+/// gradient. Same fetch and multiply as [`tesseract_matmul_nt`]; the
+/// partials go to the [`ReduceScatterSeq`] sink, so the collective count
+/// stays flat.
 pub fn tesseract_matmul_nt_sp<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -478,32 +514,13 @@ where
     let q = grid.shape.q;
     assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt_sp: inner block dims disagree");
     assert_eq!(a_local.rows() % q, 0, "tesseract_matmul_nt_sp: rows not divisible by q");
-    let mut chunks: Vec<T> = Vec::with_capacity(q);
-    let pb = grid.col.broadcast_shared_begin(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let b_t = pb.complete(ctx);
-    let mut next_b = (q > 1).then(|| {
-        grid.col.broadcast_shared_begin(ctx, 1, (grid.i() == 1).then(|| Arc::clone(b_local)))
-    });
-    let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.row.reduce_scatter_shared_begin(ctx, partial);
-    for t in 1..q {
-        let pb = next_b.take().expect("prefetched by the previous step");
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next_b = Some(grid.col.broadcast_shared_begin(
-                ctx,
-                t + 1,
-                (grid.i() == t + 1).then(|| Arc::clone(b_local)),
-            ));
-        }
-        let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-        let reduced = pending_red.complete(ctx);
-        chunks.push(sp_seq_chunk(grid, ctx, &reduced));
-        pending_red = grid.row.reduce_scatter_shared_begin(ctx, partial);
-    }
-    let reduced = pending_red.complete(ctx);
-    chunks.push(sp_seq_chunk(grid, ctx, &reduced));
-    T::concat_cols(&chunks, &mut ctx.meter.scope("sp"))
+    summa_pipeline(
+        ctx,
+        q,
+        |ctx, t| col_panel_begin(grid, ctx, b_local, t),
+        |ctx, b_t| a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm")),
+        ReduceScatterSeq { grid, pending: None, chunks: Vec::with_capacity(q) },
+    )
 }
 
 /// `C = Xᵀ·B` with a **sequence-sharded** `X`: the weight-gradient rule of
@@ -531,33 +548,15 @@ where
         b_local.rows(),
         "tesseract_matmul_tn_sp: inner block dims disagree"
     );
-    let overlap_depth = depth_reduce && grid.shape.d > 1;
-    let mut mine: Option<Arc<T>> = None;
-    let mut depth_pending: Option<PendingCollective<'_, Arc<Arc<T>>>> = None;
-    let pa = sp_panel_begin(grid, ctx, x_sp, 0);
-    let parts = pa.complete(ctx);
-    let mut next_a = (q > 1).then(|| sp_panel_begin(grid, ctx, x_sp, 1));
-    let a_t = sp_panel_assemble(&parts, ctx);
-    let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.col.reduce_shared_begin(ctx, 0, partial);
-    for t in 1..q {
-        let pa = next_a.take().expect("prefetched by the previous step");
-        let parts = pa.complete(ctx);
-        if t + 1 < q {
-            next_a = Some(sp_panel_begin(grid, ctx, x_sp, t + 1));
-        }
-        let a_t = sp_panel_assemble(&parts, ctx);
-        let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-        let reduced = pending_red.complete(ctx);
-        settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-        pending_red = grid.col.reduce_shared_begin(ctx, t, partial);
-    }
-    let reduced = pending_red.complete(ctx);
-    settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-    if let Some(dp) = depth_pending {
-        mine = Some(Arc::clone(&*dp.complete(ctx)));
-    }
-    mine.expect("every rank is root for exactly one t")
+    summa_pipeline(
+        ctx,
+        q,
+        |ctx, t| sp_panel_begin(grid, ctx, x_sp, t),
+        |ctx, parts| {
+            sp_panel_assemble(&parts, ctx).matmul_tn(b_local, &mut ctx.meter.scope("gemm"))
+        },
+        ReduceToRoot::new(&grid.col, (depth_reduce && grid.shape.d > 1).then_some(&grid.depth)),
+    )
 }
 
 /// Re-shards a dense C-type block into the sequence-sharded layout:

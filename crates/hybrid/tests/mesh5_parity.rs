@@ -107,8 +107,8 @@ fn fiber_group_builds_live_collective_groups() {
         let dp_group = mesh.fiber_group(ctx, "mesh5.dp", "dp");
         let pp_group = mesh.fiber_group(ctx, "mesh5.pp", "pp");
         let me = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
-        let dp_sum = dp_group.all_reduce(ctx, me.clone());
-        let pp_sum = pp_group.all_reduce(ctx, me);
+        let dp_sum = dp_group.all_reduce_shared(ctx, me.clone());
+        let pp_sum = pp_group.all_reduce_shared(ctx, me);
         (
             dp_group.ranks().to_vec(),
             pp_group.ranks().to_vec(),

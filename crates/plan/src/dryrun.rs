@@ -105,6 +105,19 @@ pub fn dry_run_with_config(
     cand: &Candidate,
     cfg: &TransformerConfig,
 ) -> DryRun {
+    finish(step(run_cfg, cand, cfg))
+}
+
+/// The one step harness: runs one checkpointed training step of `cand`
+/// (forward; then recompute-forward + true backward) under `run_cfg` and
+/// returns the raw run — per rank `(clock after the forward phase, clock
+/// after the step)`, plus every rank's report and the comm stats.
+/// [`dry_run_with_config`] and `bench::timing` both summarize this.
+pub fn step(
+    run_cfg: &RunConfig,
+    cand: &Candidate,
+    cfg: &TransformerConfig,
+) -> RunOutput<(f64, f64)> {
     let opts = StackOptions {
         sequence_parallel: run_cfg.sequence_parallel,
         recompute_every: run_cfg.recompute_every,
@@ -115,7 +128,7 @@ pub fn dry_run_with_config(
             let cfg = *cfg;
             let mut rc = *run_cfg;
             rc.world = shape.size();
-            let out = rc.cluster().run(|ctx| {
+            rc.cluster().run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut model = TesseractTransformer::<ShadowTensor>::new_with_options(
                     ctx, &grid, cfg, true, 0, 0, opts,
@@ -134,15 +147,14 @@ pub fn dry_run_with_config(
                 let _ = model.backward(&grid, ctx, &y);
                 ctx.flush_compute();
                 (t_fwd, ctx.clock())
-            });
-            finish(out)
+            })
         }
         Candidate::Megatron { p } => {
             let p = *p;
             let cfg = *cfg;
             let mut rc = *run_cfg;
             rc.world = p;
-            let out = rc.cluster().run(|ctx| {
+            rc.cluster().run(|ctx| {
                 let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
                 let mut model = MegatronTransformer::<ShadowTensor>::new(&world, cfg, true, 0, 0);
                 // Activations are replicated: every rank sees the full batch.
@@ -155,8 +167,7 @@ pub fn dry_run_with_config(
                 let _ = model.backward(&world, ctx, &y);
                 ctx.flush_compute();
                 (t_fwd, ctx.clock())
-            });
-            finish(out)
+            })
         }
         Candidate::Hybrid { shape, microbatches } => {
             let shape = *shape;
@@ -166,7 +177,7 @@ pub fn dry_run_with_config(
             let engine_cfg = TransformerConfig { batch: cfg.batch / (shape.dp * mb), ..*cfg };
             let mut rc = *run_cfg;
             rc.world = shape.total();
-            let out = rc.cluster().run(|ctx| {
+            rc.cluster().run(|ctx| {
                 let mut eng =
                     HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0);
                 let rows_local = eng.cfg.rows() / (shape.grid.q * shape.grid.d);
@@ -213,8 +224,7 @@ pub fn dry_run_with_config(
                 }
                 ctx.flush_compute();
                 (t_fwd, ctx.clock())
-            });
-            finish(out)
+            })
         }
     }
 }

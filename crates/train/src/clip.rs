@@ -9,6 +9,8 @@
 //! every block `d` times. The resulting scale factor is identical on every
 //! rank, so the clip itself needs no further communication.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::module::Module;
 use tesseract_core::TesseractGrid;
@@ -45,8 +47,8 @@ pub fn clip_grad_norm<T: TensorLike + Payload>(
     // agree the norm is unmeasurable, so the collective stays aligned).
     let local_sq = local_sq?;
     let packed = DenseTensor::from_matrix(Matrix::from_vec(1, 1, vec![local_sq]));
-    let packed = grid.row.all_reduce(ctx, packed);
-    let packed = grid.col.all_reduce(ctx, packed);
+    let packed = grid.row.all_reduce_shared(ctx, packed);
+    let packed = grid.col.all_reduce_shared(ctx, Arc::unwrap_or_clone(packed));
     let norm = packed.matrix()[(0, 0)].sqrt();
     if norm > max_norm {
         let scale = max_norm / norm;

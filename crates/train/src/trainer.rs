@@ -4,6 +4,8 @@
 //! reproducing the paper's finding that Tesseract "does not affect the
 //! model's accuracy".
 
+use std::sync::Arc;
+
 use tesseract_comm::Cluster;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid};
@@ -161,8 +163,10 @@ pub fn train_tesseract(
                     2,
                     vec![loss_local, correct_local as f32],
                 ));
-                let packed = grid.col.all_reduce(ctx, packed);
-                let packed = if shape.d > 1 { grid.depth.all_reduce(ctx, packed) } else { packed };
+                let mut packed = grid.col.all_reduce_shared(ctx, packed);
+                if shape.d > 1 {
+                    packed = grid.depth.all_reduce_shared(ctx, Arc::unwrap_or_clone(packed));
+                }
                 loss_sum += packed.matrix()[(0, 0)] / b as f32;
                 correct_sum += packed.matrix()[(0, 1)] as usize;
             }

@@ -34,6 +34,12 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 echo "== test (offline) =="
 cargo test -q --workspace --offline
 
+# benchmark/ is its own workspace (BENCHMARK.json builds it from a bare
+# checkout), so the workspace build above never compiles it: an API change
+# that breaks it would stay invisible until the benchmark pipeline runs.
+echo "== benchmark crate (own workspace): build + smoke tests =="
+CARGO_TARGET_DIR=target/benchmark cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The sweep itself enforces per-path bitwise parity at every swept thread
 # count before accepting a timing; CI additionally proves a TESSERACT_KERNEL
 # override is honored end-to-end (forced run must report the forced path).
@@ -61,13 +67,6 @@ if grep -q '"kernel": "avx2"' target/BENCH_kernels.smoke.json; then
     grep -q '"kernel": "avx2"' target/BENCH_kernels.smoke.avx2.json \
         || { echo "ci.sh: forced avx2 kernel not reported in sweep JSON"; exit 1; }
 fi
-
-# The copy-regression gate itself is crates/core/tests/collectives_parity.rs
-# (runs under `cargo test` above): any reintroduced per-receiver clone in the
-# SUMMA hot loop fails the `total_copies() == 0` assertions.
-echo "== collectives_sweep smoke (tiny sizes) =="
-cargo run -q --release --offline -p tesseract-bench --bin collectives_sweep -- \
-    --sizes 64 --reps 2 --iters 4 --out target/BENCH_collectives.smoke.json
 
 # The bitwise-parity gate itself is crates/core/tests/overlap_parity.rs (runs
 # under `cargo test` above); the sweep additionally re-checks parity per size.

@@ -2,7 +2,7 @@
 //! scale where a claim needs a cluster run (full scale lives in the bench
 //! binaries; see EXPERIMENTS.md).
 
-use tesseract_repro::comm::{Cluster, CostParams, Topology};
+use tesseract_repro::comm::{CostParams, RunConfig, Topology};
 use tesseract_repro::core::analysis;
 use tesseract_repro::core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
@@ -45,8 +45,10 @@ fn memory_model_tesseract_wins() {
 }
 
 fn step_time(shape: GridShape, cfg: TransformerConfig, params: CostParams) -> f64 {
-    let cluster = Cluster::custom(shape.size(), Topology::meluxina(), params);
-    cluster
+    RunConfig::from_env(shape.size())
+        .with_topology(Topology::meluxina())
+        .with_params(params)
+        .cluster()
         .run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);
