@@ -100,10 +100,9 @@ fn main() {
 
     // Measured peak of *tape-held* activations over a full forward +
     // backward — the high-water mark training actually pays. Tesseract
-    // already 2-D-shards every wide activation, so sequence parallelism's
-    // incremental saving is the per-row layer-norm stat vectors (exact
-    // bytes, strictly smaller); recomputation (checkpoint every k layers)
-    // drops whole segments and dominates at depth.
+    // already 2-D-shards every wide activation as `[R/(qd), h/q]`, so
+    // nothing replicated is left to shard along the sequence;
+    // recomputation (checkpoint every k layers) drops whole segments.
     let stack_cfg = TransformerConfig { layers: 4, ..cfg };
     println!("\n### measured-peak: per-GPU tape high-water bytes, 4-layer stack fwd+bwd\n");
     println!("| arrangement | mode | measured-peak bytes/GPU |");
@@ -112,8 +111,7 @@ fn main() {
         let shape = GridShape::new(q, d);
         for (mode, opts) in [
             ("dense", StackOptions::default()),
-            ("sp", StackOptions { sequence_parallel: true, recompute_every: None }),
-            ("sp+rc k=1", StackOptions { sequence_parallel: true, recompute_every: Some(1) }),
+            ("recompute k=1", StackOptions { recompute_every: Some(1) }),
         ] {
             let out = Cluster::a100(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);

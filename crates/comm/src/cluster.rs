@@ -188,29 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_round_trip() {
-        let cluster = Cluster::a100(4);
-        let out = cluster.run(|ctx| {
-            let world = ctx.world_group();
-            let mine = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
-            let gathered = world.gather(ctx, 0, mine);
-            let parts = gathered.map(|g| {
-                g.into_iter()
-                    .map(|t| {
-                        let mut m = Meter::default();
-                        t.scale(2.0, &mut m)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let back = world.scatter(ctx, 0, parts);
-            back.matrix()[(0, 0)]
-        });
-        assert_eq!(out.results, vec![0.0, 2.0, 4.0, 6.0]);
-    }
-
-    use tesseract_tensor::Meter;
-
-    #[test]
     fn shift_rotates_payloads() {
         let cluster = Cluster::a100(4);
         let out = cluster.run(|ctx| {

@@ -19,7 +19,9 @@
 //! diagnosable panic instead of a hang. The default is 120 seconds.
 
 use std::any::Any;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -39,6 +41,10 @@ pub fn set_default_rendezvous_timeout_secs(secs: u64) {
 fn rendezvous_timeout() -> Duration {
     DEFAULT_TIMEOUT.get().copied().unwrap_or(Duration::from_secs(120))
 }
+
+/// Condition variables a fabric spreads its waiters over (see
+/// [`Fabric::parked_on`]).
+const WAIT_STRIPES: usize = 256;
 
 type SlotKey = (u64, u64);
 type ChanKey = (u64, usize, usize, u64);
@@ -117,7 +123,8 @@ impl FabricState {
 /// Shared rendezvous state for one cluster run.
 pub struct Fabric {
     state: Mutex<FabricState>,
-    cond: Condvar,
+    /// Where waiters park, striped by rendezvous / channel key.
+    parked: [Condvar; WAIT_STRIPES],
     /// Per-instance rendezvous timeout. Fixed at construction
     /// ([`Fabric::with_timeout`]) so failure-injection tests can shrink it
     /// without racing on the process environment.
@@ -147,7 +154,24 @@ impl Fabric {
 
     /// A fabric whose rendezvous waits give up after `timeout`.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self { state: Mutex::new(FabricState::default()), cond: Condvar::new(), timeout }
+        Self {
+            state: Mutex::new(FabricState::default()),
+            parked: std::array::from_fn(|_| Condvar::new()),
+            timeout,
+        }
+    }
+
+    /// The condition variable the waiters of `key` park on. Completing a
+    /// rendezvous wakes that stripe only, so what a collective costs the
+    /// host depends on its own group, not on how many ranks of unrelated
+    /// groups are parked at that moment: with one shared condition variable
+    /// every completion woke every parked rank of the cluster (63 threads at
+    /// 64 ranks) to re-check a slot that had not changed. Keys that share a
+    /// stripe only cost each other a re-check.
+    fn parked_on<K: Hash>(&self, key: &K) -> &Condvar {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.parked[h.finish() as usize % WAIT_STRIPES]
     }
 
     /// Publishes this member's contribution under `key` and returns
@@ -165,7 +189,8 @@ impl Fabric {
         let mut state = lock_fabric(&self.state);
         if let Some((max_vt, deposits)) = state.arrive(key, my_index, n, payload, entry_vt) {
             state.publish(key, max_vt, deposits);
-            self.cond.notify_all();
+            drop(state);
+            self.parked_on(&key).notify_all();
         }
     }
 
@@ -196,8 +221,10 @@ impl Fabric {
                     return (max_vt, arc);
                 }
             }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
+            let (guard, timed_out) = self
+                .parked_on(&key)
+                .wait_timeout(state, self.timeout)
+                .unwrap_or_else(PoisonError::into_inner);
             state = guard;
             if timed_out.timed_out() {
                 panic!(
@@ -230,7 +257,7 @@ impl Fabric {
         if let Some((max_vt, parts)) = last {
             let combined = combine(parts);
             lock_fabric(&self.state).publish(key, max_vt, combined);
-            self.cond.notify_all();
+            self.parked_on(&key).notify_all();
         }
     }
 
@@ -238,7 +265,8 @@ impl Fabric {
     pub fn send<P: Send + 'static>(&self, chan: ChanKey, payload: P, send_vt: f64) {
         let mut state = lock_fabric(&self.state);
         state.channels.entry(chan).or_default().push_back((send_vt, Box::new(payload)));
-        self.cond.notify_all();
+        drop(state);
+        self.parked_on(&chan).notify_all();
     }
 
     /// Receives the oldest message on a channel, blocking until one arrives.
@@ -255,8 +283,10 @@ impl Fabric {
                     return (vt, payload);
                 }
             }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
+            let (guard, timed_out) = self
+                .parked_on(&chan)
+                .wait_timeout(state, self.timeout)
+                .unwrap_or_else(PoisonError::into_inner);
             state = guard;
             if timed_out.timed_out() {
                 panic!("recv on channel {chan:?} timed out; sender likely panicked");

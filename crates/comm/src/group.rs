@@ -3,9 +3,9 @@
 //! A [`CommGroup`] is one rank's handle onto a subset of ranks (a grid row,
 //! column or depth fiber). Collectives mirror the NCCL/MPI operations the
 //! paper's implementation uses: broadcast, reduce, all-reduce, all-gather,
-//! gather, scatter, cyclic shift (Cannon), barrier and point-to-point
-//! send/recv. Reductions combine deposits in ascending member order, so
-//! results are bitwise deterministic run-to-run.
+//! cyclic shift (Cannon), barrier and point-to-point send/recv. Reductions
+//! combine deposits in ascending member order, so results are bitwise
+//! deterministic run-to-run.
 //!
 //! # One form per collective
 //!
@@ -30,14 +30,13 @@
 //!
 //! # Zero-copy payloads
 //!
-//! Read-only payloads travel as `Arc<P>`: broadcast, all-gather and
-//! all-to-all hand every receiver an `Arc` clone of the depositor's
-//! allocation — the payload is materialized exactly once per rendezvous
-//! regardless of group size. Reductions take deposits *by value* and fold
-//! them in place (ascending member order, once per rendezvous instead of
-//! once per member). Only [`CommGroup::gather`], [`CommGroup::scatter`] and
-//! [`CommGroup::shift`] return owned values; every deep copy they make is
-//! recorded in [`crate::stats::OpStats::copies`] and
+//! Read-only payloads travel as `Arc<P>`: broadcast and all-gather hand
+//! every receiver an `Arc` clone of the depositor's allocation — the
+//! payload is materialized exactly once per rendezvous regardless of group
+//! size. Reductions take deposits *by value* and fold them in place
+//! (ascending member order, once per rendezvous instead of once per
+//! member). Only [`CommGroup::shift`] returns an owned value; the deep copy
+//! it makes is recorded in [`crate::stats::OpStats::copies`] and
 //! `Meter::payload_copies`, so copy regressions are testable.
 //!
 //! Ownership rule: an `Arc` returned from a collective may be read freely
@@ -227,15 +226,9 @@ fn group_id(tag: &str, ranks: &[usize]) -> u64 {
 enum WireSize<R> {
     /// At `begin`: every member deposits a payload of this many bytes.
     Known(usize),
-    /// At `complete`: only the root knew it (broadcast, scatter); every
-    /// member reads it off the result it received.
+    /// At `complete`: only the root knew it (broadcast); every member
+    /// reads it off the result it received.
     OfResult(fn(&R) -> usize),
-}
-
-/// Every member's deposit of an all-gather-shaped rendezvous, in member
-/// order, as `Arc` clones (no payload is copied).
-fn all_deposits<P>(deposits: &[Option<Arc<P>>]) -> Vec<Arc<P>> {
-    deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
 }
 
 /// One rank's handle onto a communication group.
@@ -299,10 +292,8 @@ impl CommGroup {
     }
 
     /// Clones an owned value out of a shared collective result, recording
-    /// the copy in both the run-wide comm stats and this rank's meter. The
-    /// owned-result ops route every materialization through here so copy
-    /// counts stay deterministic: gather makes `n` at the root, scatter and
-    /// shift one per member.
+    /// the copy in both the run-wide comm stats and this rank's meter
+    /// (shift makes one per member).
     fn clone_counted<P: Payload>(&self, ctx: &mut RankCtx, op: CollectiveOp, payload: &P) -> P {
         let bytes = payload.wire_size() as u64;
         ctx.stats().charge_copy(op, bytes);
@@ -452,8 +443,8 @@ impl CommGroup {
     /// serial exit time is `max(entry clocks) + α–β cost`, but the clock
     /// only advances by the *non-overlapped remainder*: whatever portion of
     /// the wait the caller's compute already covered is recorded as hidden
-    /// time instead of being charged. A `deferred_size` op (broadcast,
-    /// scatter: non-roots learn the size only from the rendezvous) is
+    /// time instead of being charged. A `deferred_size` op (broadcast:
+    /// non-roots learn the size only from the rendezvous) is
     /// charged the zero-byte latency plus the size-dependent cost — the
     /// charging the calibrated tables were produced with — and only the
     /// size-dependent part reaches the stats.
@@ -588,96 +579,13 @@ impl CommGroup {
     ) -> PendingCollective<'g, Vec<Arc<P>>> {
         let size = WireSize::Known(payload.wire_size());
         self.begin_sync(ctx, CollectiveOp::AllGather, None, Some(payload), size, |_, deposits| {
-            all_deposits(deposits)
+            deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
         })
     }
 
     /// Blocking [`CommGroup::all_gather_shared_begin`].
     pub fn all_gather_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
         self.all_gather_shared_begin(ctx, payload).complete(ctx)
-    }
-
-    /// Fused reduce-scatter: every member's payload is consumed by value
-    /// and folded exactly once in ascending member order — the identical
-    /// fold [`CommGroup::all_reduce_shared`] performs, so the combined
-    /// values are bitwise equal to an all-reduce — but the op is *charged*
-    /// as a ring reduce-scatter (half the all-reduce's wire volume: each
-    /// member keeps only a `1/n` slice). The shared-memory fabric hands
-    /// every member an `Arc` of the full fold; the caller materializes its
-    /// own slice (the "scatter" half), which is metered as data movement at
-    /// the call site. This is what lets the sequence-parallel matmul path
-    /// replace a reduce-to-root with a reduce-scatter without perturbing
-    /// the fold order the parity tests pin.
-    pub fn reduce_scatter_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, Arc<P>> {
-        self.begin_reduce(ctx, CollectiveOp::ReduceScatter, None, payload, |combined| combined)
-    }
-
-    /// Blocking [`CommGroup::reduce_scatter_shared_begin`].
-    pub fn reduce_scatter_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
-        self.reduce_scatter_shared_begin(ctx, payload).complete(ctx)
-    }
-
-    /// Zero-copy all-to-all: every member deposits one `Arc` payload and
-    /// receives `Arc` clones of every member's deposit, in member order —
-    /// exactly the rendezvous shape of [`CommGroup::all_gather_shared`] —
-    /// but charged as a pairwise all-to-all (`(n−1)α + (n−1)/n · b/β`: each
-    /// peer only consumes a `1/n` slice of each deposit). The caller slices
-    /// the portion addressed to it out of each deposit; those slices are
-    /// metered as data movement at the call site. Used for the
-    /// sequence-parallel boundary re-shards (`[R, c] ↔ [R/q, c·q]`).
-    pub fn all_to_all_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: Arc<P>,
-    ) -> PendingCollective<'g, Vec<Arc<P>>> {
-        let size = WireSize::Known(payload.wire_size());
-        self.begin_sync(ctx, CollectiveOp::AllToAll, None, Some(payload), size, |_, deposits| {
-            all_deposits(deposits)
-        })
-    }
-
-    /// Blocking [`CommGroup::all_to_all_shared_begin`].
-    pub fn all_to_all_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
-        self.all_to_all_shared_begin(ctx, payload).complete(ctx)
-    }
-
-    /// Root receives every member's payload, in member order (`n` counted
-    /// copies, all at the root).
-    pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
-        let size = WireSize::Known(payload.wire_size());
-        let op = CollectiveOp::Gather;
-        self.begin_sync(ctx, op, Some(root), Some(payload), size, |ctx, deposits| {
-            (self.my_index == root).then(|| {
-                let each = deposits.iter().map(|d| d.as_ref().expect("all deposited"));
-                each.map(|d| self.clone_counted(ctx, op, d)).collect()
-            })
-        })
-        .complete(ctx)
-    }
-
-    /// Root provides one payload per member; each member receives its own
-    /// (one counted copy per member — the root's part vector is deposited
-    /// whole, without cloning).
-    pub fn scatter<P: Payload>(&self, ctx: &mut RankCtx, root: usize, parts: Option<Vec<P>>) -> P {
-        if let Some(ref p) = parts {
-            assert_eq!(p.len(), self.size(), "scatter: need one part per member");
-        }
-        assert_eq!(
-            parts.is_some(),
-            self.my_index == root,
-            "scatter: exactly the root must supply the parts"
-        );
-        let op = CollectiveOp::Scatter;
-        let size = WireSize::OfResult(|mine: &P| mine.wire_size());
-        self.begin_sync(ctx, op, Some(root), parts, size, |ctx, deposits| {
-            let all = deposits[root].as_ref().expect("root deposited");
-            self.clone_counted(ctx, op, &all[self.my_index])
-        })
-        .complete(ctx)
     }
 
     /// Cyclic shift: every member sends its payload `offset` positions

@@ -5,8 +5,8 @@
 //! `TESSERACT_THREADS` / `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
 //! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs lives in one
 //! builder: construct a [`RunConfig`], override what you need, and call
-//! [`RunConfig::cluster`]. New execution options (sequence parallelism,
-//! tape recomputation) are fields here instead of yet another constructor.
+//! [`RunConfig::cluster`]. New execution options (tape recomputation) are
+//! fields here instead of yet another constructor.
 //!
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
@@ -29,8 +29,8 @@ use crate::topology::Topology;
 
 /// One-stop configuration for a simulated run: cluster shape and cost
 /// model, per-run toggles (tracing, rendezvous timeout), process-global
-/// knobs (threads, kernel) and execution options (sequence parallelism,
-/// recomputation) that model stacks read off the config.
+/// knobs (threads, kernel) and execution options (recomputation) that
+/// model stacks read off the config.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Number of ranks the cluster spawns.
@@ -50,9 +50,6 @@ pub struct RunConfig {
     /// Rendezvous timeout for this cluster's fabric, in seconds. `None`
     /// uses the process default (120 s unless an installer changed it).
     pub rendezvous_timeout_secs: Option<u64>,
-    /// Shard layer-norm/residual activations along the sequence dimension
-    /// (consumed by model stacks via their `StackOptions`).
-    pub sequence_parallel: bool,
     /// Checkpoint every `k` layers and recompute inside backward
     /// (consumed by model stacks via their `StackOptions`).
     pub recompute_every: Option<usize>,
@@ -70,7 +67,6 @@ impl RunConfig {
             threads: None,
             kernel: None,
             rendezvous_timeout_secs: None,
-            sequence_parallel: false,
             recompute_every: None,
         }
     }
@@ -154,12 +150,6 @@ impl RunConfig {
         self
     }
 
-    /// Shards layer-norm/residual activations along the sequence dimension.
-    pub fn with_sequence_parallel(mut self, on: bool) -> Self {
-        self.sequence_parallel = on;
-        self
-    }
-
     /// Checkpoints every `k` layers, recomputing inside backward.
     pub fn with_recompute_every(mut self, k: Option<usize>) -> Self {
         self.recompute_every = k;
@@ -238,7 +228,6 @@ mod tests {
         assert_eq!(cluster.world, 8);
         assert!(!cluster.trace);
         assert_eq!(cluster.rendezvous_timeout_secs, None);
-        assert!(!cfg.sequence_parallel);
         assert_eq!(cfg.recompute_every, None);
     }
 

@@ -46,21 +46,10 @@ fn broadcast_without_root_payload_panics() {
     });
 }
 
-#[test]
-#[should_panic(expected = "scatter: need one part per member")]
-fn scatter_with_wrong_part_count_panics() {
-    fail_fast(2).run(|ctx| {
-        let g = ctx.world_group();
-        let parts = (ctx.rank == 0).then(|| vec![DenseTensor::from_matrix(Matrix::zeros(1, 1))]);
-        // Only one part for two members.
-        let _ = g.scatter(ctx, 0, parts);
-    });
-}
-
 // A root index past the group's last member used to slip through every
 // rooted op's "exactly the root supplies the payload" check (no member is
-// that root, so nobody supplies one): broadcast/scatter then died on a bare
-// slice index and reduce/gather silently returned `None` everywhere.
+// that root, so nobody supplies one): broadcast then died on a bare slice
+// index and reduce silently returned `None` everywhere.
 
 #[test]
 #[should_panic(expected = "broadcast: root 2 out of range for a group of 2 members")]
@@ -77,24 +66,6 @@ fn reduce_root_out_of_range_panics() {
     fail_fast(2).run(|ctx| {
         let g = ctx.world_group();
         let _ = g.reduce_shared(ctx, 5, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
-    });
-}
-
-#[test]
-#[should_panic(expected = "gather: root 2 out of range for a group of 2 members")]
-fn gather_root_out_of_range_panics() {
-    fail_fast(2).run(|ctx| {
-        let g = ctx.world_group();
-        let _ = g.gather(ctx, 2, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
-    });
-}
-
-#[test]
-#[should_panic(expected = "scatter: root 3 out of range for a group of 2 members")]
-fn scatter_root_out_of_range_panics() {
-    fail_fast(2).run(|ctx| {
-        let g = ctx.world_group();
-        let _: DenseTensor = g.scatter(ctx, 3, None);
     });
 }
 

@@ -15,6 +15,18 @@ fn fail_fast(world: usize) -> Cluster {
     RunConfig::new(world).with_rendezvous_timeout_secs(2).cluster()
 }
 
+/// The collectives [`CommGroup`] implements, in [`CollectiveOp::ALL`] order
+/// (the rest of that list is priced by the cost model but has no runtime
+/// form; point-to-point is charged on its own path).
+const GROUP_OPS: [CollectiveOp; 6] = [
+    CollectiveOp::Broadcast,
+    CollectiveOp::Reduce,
+    CollectiveOp::AllReduce,
+    CollectiveOp::AllGather,
+    CollectiveOp::Shift,
+    CollectiveOp::Barrier,
+];
+
 /// Issues one blocking `op` on `g` with a `[rows, 5]` payload per member
 /// (rooted ops use member 1).
 fn issue_blocking(g: &CommGroup, ctx: &mut RankCtx, op: CollectiveOp, rows: usize) {
@@ -28,13 +40,9 @@ fn issue_blocking(g: &CommGroup, ctx: &mut RankCtx, op: CollectiveOp, rows: usiz
         CollectiveOp::Reduce => drop(g.reduce_shared(ctx, root, mine)),
         CollectiveOp::AllReduce => drop(g.all_reduce_shared(ctx, mine)),
         CollectiveOp::AllGather => drop(g.all_gather_shared(ctx, Arc::new(mine))),
-        CollectiveOp::Gather => drop(g.gather(ctx, root, mine)),
-        CollectiveOp::Scatter => drop(g.scatter(ctx, root, at_root.then(|| vec![mine; g.size()]))),
-        CollectiveOp::ReduceScatter => drop(g.reduce_scatter_shared(ctx, mine)),
-        CollectiveOp::AllToAll => drop(g.all_to_all_shared(ctx, Arc::new(mine))),
         CollectiveOp::Shift => drop(g.shift(ctx, 1, mine)),
         CollectiveOp::Barrier => g.barrier(ctx),
-        CollectiveOp::SendRecv => unreachable!("point-to-point is not in the golden table"),
+        other => unreachable!("{} is not in the golden table", other.name()),
     }
 }
 
@@ -56,14 +64,6 @@ w4 all_reduce rows=3 clock=3f00c83f0ccac8d5 wait=[30007,28005,26003,24000] calls
 w4 all_reduce rows=257 clock=3f00cd5c27efaf98 wait=[30045,28043,26041,24039] calls=1 wire=30840 time=3ef934cc93d686ec
 w4 all_gather rows=3 clock=3ef4fb634d88f492 wait=[18008,16005,14003,12001] calls=1 wire=180 time=3ee92aef2300389e
 w4 all_gather rows=257 clock=3ef50fd7ba1c8f9c wait=[18084,16082,14079,12077] calls=1 wire=15420 time=3ee953d7fc276eb3
-w4 gather rows=3 clock=3ef0c97c2a0bb26c wait=[14007,12005,10003,8000] calls=1 wire=180 time=3ee0c720dc05b451
-w4 gather rows=257 clock=3ef0d04da3923b6f wait=[14033,12030,10028,8026] calls=1 wire=15420 time=3ee0d4c3cf12c658
-w4 scatter rows=3 clock=3ef92cf7fa66a932 wait=[22007,20005,18002,16000] calls=1 wire=180 time=3ee0c720dc05b451
-w4 scatter rows=257 clock=3ef933c973ed3236 wait=[22033,20031,18028,16026] calls=1 wire=15420 time=3ee0d4c3cf12c658
-w4 reduce_scatter rows=3 clock=3ef4fb34eacf34f6 wait=[18007,16005,14002,12000] calls=1 wire=180 time=3ee92a925d8cb967
-w4 reduce_scatter rows=257 clock=3ef5005205f41bb9 wait=[18026,16024,14022,12019] calls=1 wire=15420 time=3ee934cc93d686ec
-w4 all_to_all rows=3 clock=3ef4fb34eacf34f6 wait=[18007,16005,14002,12000] calls=1 wire=180 time=3ee92a925d8cb967
-w4 all_to_all rows=257 clock=3ef5005205f41bb9 wait=[18026,16024,14022,12019] calls=1 wire=15420 time=3ee934cc93d686ec
 w4 shift rows=3 clock=3ee92f7c83bc6e10 wait=[10007,8005,6003,4000] calls=1 wire=240 time=3ed0c74a17557b14
 w4 shift rows=257 clock=3ee93d1f76c98017 wait=[10033,8030,6028,4026] calls=1 wire=20560 time=3ed0e28ffd6f9f22
 w4 barrier rows=3 clock=3ef92ce35cbec5d0 wait=[22007,20005,18002,16000] calls=1 wire=0 time=3ef0c6f7a0b5ed8d
@@ -75,14 +75,6 @@ w8 all_reduce rows=3 clock=3f12e1178f9d0f78 wait=[70016,68014,66012,64010,62007,
 w8 all_reduce rows=257 clock=3f12e41334c7eb6a wait=[70061,68059,66056,64054,62052,60050,58047,56045] calls=1 wire=71960 time=3f0d623aad86fe90
 w8 all_gather rows=3 clock=3f0715ab0899bd74 wait=[42028,40026,38024,36021,34019,32017,30015,28012] calls=1 wire=420 time=3efd5f7e9921ca62
 w8 all_gather rows=257 clock=3f07a17143dfb63d wait=[43070,41067,39065,37063,35061,33058,31056,29054] calls=1 wire=35980 time=3efe770b0fadbbf4
-w8 gather rows=3 clock=3f02e2a345ee0bf4 wait=[34019,32016,30014,28012,26010,24007,22005,20003] calls=1 wire=420 time=3ef4f96f13ca6761
-w8 gather rows=257 clock=3f030151e8cb7484 wait=[34247,32245,30243,28240,26238,24236,22234,20231] calls=1 wire=35980 time=3ef536cc59853881
-w8 scatter rows=3 clock=3f0d5efe0a5fc06c wait=[54019,52017,50014,48012,46010,44008,42005,40003] calls=1 wire=420 time=3ef4f96f13ca6761
-w8 scatter rows=257 clock=3f0d7dacad3d28fc wait=[54247,52245,50242,48240,46238,44236,42233,40231] calls=1 wire=35980 time=3ef536cc59853881
-w8 reduce_scatter rows=3 clock=3f071442419fb244 wait=[42018,40015,38013,36011,34009,32006,30004,28002] calls=1 wire=420 time=3efd5cad0b2db402
-w8 reduce_scatter rows=257 clock=3f0728b6ae334d4f wait=[42170,40168,38166,36163,34161,32159,30156,28154] calls=1 wire=35980 time=3efd8595e454ea18
-w8 all_to_all rows=3 clock=3f1a383ef4d901d6 wait=[98018,96016,94013,92011,90009,88007,86004,84002] calls=1 wire=420 time=3f16054916d495b5
-w8 all_to_all rows=257 clock=3f1a442d8984719c wait=[98196,96194,94191,92189,90187,88184,86182,84180] calls=1 wire=35980 time=3f161137ab80057b
 w8 shift rows=3 clock=3efd61b61dd93dbe wait=[26018,24016,22014,20011,18009,16007,14005,12002] calls=1 wire=480 time=3ee92bbd4b8f1a71
 w8 shift rows=257 clock=3efd9841ea0d85db wait=[26221,24219,22217,20215,18212,16210,14208,12206] calls=1 wire=41120 time=3ee998d4e3f7aaaa
 w8 barrier rows=3 clock=3f0d5ea144ec4133 wait=[54016,52014,50011,48009,46007,44005,42002,40000] calls=1 wire=0 time=3f04f8b588e368f0";
@@ -91,7 +83,7 @@ w8 barrier rows=3 clock=3f0d5ea144ec4133 wait=[54016,52014,50011,48009,46007,440
 fn blocking_charges_match_the_pre_refactor_golden_table() {
     let mut lines = Vec::new();
     for world in [4usize, 8] {
-        for op in CollectiveOp::ALL.into_iter().filter(|&op| op != CollectiveOp::SendRecv) {
+        for op in GROUP_OPS {
             for rows in [3usize, 257] {
                 if op == CollectiveOp::Barrier && rows != 3 {
                     continue; // no payload: one row is the whole story

@@ -130,30 +130,6 @@ impl TransformerConfig {
         }
     }
 
-    /// [`TransformerConfig::check_for_grid`] plus the sequence-parallel
-    /// constraint: the sequence dimension shards over the `q` members of
-    /// the row fiber, so `q | s` (each rank holds whole `s/q`-row chunks
-    /// of every sample).
-    pub fn check_for_grid_sp(&self, q: usize, d: usize) -> Result<(), ShapeError> {
-        self.check_for_grid(q, d)?;
-        if self.seq % q != 0 {
-            return Err(ShapeError::Indivisible {
-                what: "seq",
-                value: self.seq,
-                by: "q",
-                divisor: q,
-            });
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`TransformerConfig::check_for_grid_sp`].
-    pub fn validate_for_grid_sp(&self, q: usize, d: usize) {
-        if let Err(e) = self.check_for_grid_sp(q, d) {
-            panic!("{e}");
-        }
-    }
-
     /// Approximate parameter count of the stack (weights only).
     pub fn param_count(&self) -> usize {
         let attn = 3 * self.hidden * self.hidden + self.hidden * self.hidden;
@@ -206,28 +182,5 @@ mod tests {
             "hidden 18 not divisible by q = 4"
         );
         assert_eq!(TransformerConfig::tiny().check_for_grid(2, 2), Ok(()));
-    }
-
-    #[test]
-    fn check_for_grid_sp_requires_seq_divisibility() {
-        let c = TransformerConfig { seq: 6, ..TransformerConfig::tiny() };
-        assert_eq!(
-            c.check_for_grid_sp(4, 1).unwrap_err().to_string(),
-            "seq 6 not divisible by q = 4"
-        );
-        // The base constraints are still checked first.
-        let c = TransformerConfig { batch: 3, seq: 6, ..TransformerConfig::tiny() };
-        assert_eq!(
-            c.check_for_grid_sp(2, 2).unwrap_err().to_string(),
-            "batch 3 not divisible by q*d = 4"
-        );
-        assert_eq!(TransformerConfig::tiny().check_for_grid_sp(2, 2), Ok(()));
-    }
-
-    #[test]
-    #[should_panic(expected = "seq 6 not divisible by q = 4")]
-    fn validate_for_grid_sp_panics_with_the_same_text() {
-        let c = TransformerConfig { seq: 6, ..TransformerConfig::tiny() };
-        c.validate_for_grid_sp(4, 1);
     }
 }

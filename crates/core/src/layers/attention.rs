@@ -16,7 +16,7 @@ use tesseract_tensor::TensorLike;
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
-use crate::layers::linear::{SpMode, TesseractLinear};
+use crate::layers::linear::TesseractLinear;
 use crate::module::{Module, ParamRef, Tape};
 
 struct HeadCache<T> {
@@ -31,12 +31,6 @@ pub struct TesseractAttention<T> {
     pub wqkv: TesseractLinear<T>,
     pub wo: TesseractLinear<T>,
     cfg: TransformerConfig,
-    /// Sequence-parallel mode: the block's input/output activations are
-    /// `[R/q, h]` row chunks; the QKV projection gathers them back into
-    /// dense panels ([`SpMode::SeqIn`]) and the output projection
-    /// re-shards on the way out ([`SpMode::SeqOut`]). The attention
-    /// interior — scores, softmax, weighted sum — is dense and untouched.
-    sp: bool,
     /// Tape of per-microbatch head caches (see [`Tape`] on pipelining).
     tape: Tape<Vec<HeadCache<T>>>,
 }
@@ -52,23 +46,10 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        Self::new_with_sp(ctx, grid, cfg, with_bias, seed, param_id, false)
-    }
-
-    /// [`TesseractAttention::new`] with an explicit sequence-parallel mode.
-    pub fn new_with_sp(
-        ctx: &RankCtx,
-        grid: &TesseractGrid,
-        cfg: TransformerConfig,
-        with_bias: bool,
-        seed: u64,
-        param_id: u64,
-        sp: bool,
-    ) -> Self {
         let h = cfg.hidden;
         // Three independent [h, h] projections fused column-wise so each
         // rank's slice holds Q/K/V for exactly its own heads.
-        let mut wqkv = TesseractLinear::new_fused(
+        let wqkv = TesseractLinear::new_fused(
             ctx,
             grid,
             h,
@@ -76,12 +57,8 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
             with_bias,
             seed,
         );
-        let mut wo = TesseractLinear::new(ctx, grid, h, h, with_bias, seed, param_id + 3);
-        if sp {
-            wqkv = wqkv.with_sp_mode(SpMode::SeqIn);
-            wo = wo.with_sp_mode(SpMode::SeqOut);
-        }
-        Self { wqkv, wo, cfg, sp, tape: Tape::new() }
+        let wo = TesseractLinear::new(ctx, grid, h, h, with_bias, seed, param_id + 3);
+        Self { wqkv, wo, cfg, tape: Tape::new() }
     }
 
     /// Rows per rank = local samples × sequence length.
@@ -122,7 +99,6 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         new_rows: &[usize],
         mut kvs: Vec<&mut LayerKv<T>>,
     ) -> Arc<T> {
-        assert!(!self.sp, "forward_infer runs the dense serving path");
         let hd = self.cfg.head_dim();
         let heads = self.local_heads(grid);
         let local_h = x.cols();
@@ -194,8 +170,7 @@ impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
         "attention"
     }
 
-    /// Forward over the local activation block `[b/(dq)·s, h/q]` (dense)
-    /// or `[b/(dq)·s/q, h]` (sequence-parallel).
+    /// Forward over the local activation block `[b/(dq)·s, h/q]`.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         let s = self.cfg.seq;
         let hd = self.cfg.head_dim();
@@ -203,15 +178,9 @@ impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
         let samples = self.local_samples(grid);
         let heads = self.local_heads(grid);
         let local_h = self.cfg.hidden / q;
-        if self.sp {
-            assert_eq!(x.cols(), self.cfg.hidden, "attention sp input width mismatch");
-            assert_eq!(x.rows() * q, samples * s, "attention sp input rows mismatch");
-        } else {
-            assert_eq!(x.cols() * q, self.cfg.hidden, "attention input width mismatch");
-            assert_eq!(x.rows(), samples * s, "attention input rows mismatch");
-        }
+        assert_eq!(x.cols() * q, self.cfg.hidden, "attention input width mismatch");
+        assert_eq!(x.rows(), samples * s, "attention input rows mismatch");
 
-        // SeqIn gathers the sharded rows back, so `qkv` is dense either way.
         let qkv = self.wqkv.forward(grid, ctx, x);
         let q_all = qkv.slice_cols(0, local_h, &mut ctx.meter);
         let k_all = qkv.slice_cols(local_h, 2 * local_h, &mut ctx.meter);

@@ -17,16 +17,9 @@ use crate::module::{Module, ParamRef, Tape};
 /// Parameter-free distributed layer norm over the (globally split) hidden
 /// dimension.
 pub struct TesseractLayerNorm<T> {
-    /// Global hidden size `h` (local tensors have `h/q` columns, or the
-    /// full `h` in sequence-parallel mode).
+    /// Global hidden size `h` (local tensors have `h/q` columns).
     pub hidden_global: usize,
     pub eps: f32,
-    /// Sequence-parallel mode: the input is this rank's `[R/q, h]` row
-    /// chunk (full hidden width), so the per-row statistics need **no
-    /// collective at all** — the row-fiber all-reduce of the dense layout
-    /// is replaced by a local fold over the `q` column chunks in the same
-    /// ascending order, which keeps the results bitwise identical.
-    sp: bool,
     /// Tape of (x̂ local block, inv_std column vector) per microbatch.
     /// `x̂` is the same allocation handed to the next layer, so taping it
     /// costs one `Arc` bump rather than a deep copy.
@@ -35,45 +28,13 @@ pub struct TesseractLayerNorm<T> {
 
 impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
     pub fn new(hidden_global: usize, eps: f32) -> Self {
-        Self::new_sp(hidden_global, eps, false)
-    }
-
-    /// Builds the layer in dense (`sp = false`) or sequence-parallel
-    /// (`sp = true`) layout.
-    pub fn new_sp(hidden_global: usize, eps: f32, sp: bool) -> Self {
-        Self { hidden_global, eps, sp, tape: Tape::new() }
-    }
-
-    /// Folds per-column-chunk `[rows, 2]` packed statistics in ascending
-    /// chunk order — the identical left fold (same combine op, same order)
-    /// the dense row-fiber all-reduce performs over per-member packed
-    /// statistics, so the result is bitwise equal to the dense one. The
-    /// closure receives the column range `[c0, c1)` of chunk `c` and
-    /// returns that chunk's packed `[rows, 2]` statistics.
-    fn fold_chunk_stats(
-        q: usize,
-        width: usize,
-        ctx: &mut RankCtx,
-        mut stat: impl FnMut(usize, usize, &mut RankCtx) -> T,
-    ) -> T {
-        debug_assert_eq!(width % q, 0, "layernorm sp: width not divisible by q");
-        let wc = width / q;
-        let mut acc: Option<T> = None;
-        for c in 0..q {
-            let packed = stat(c * wc, (c + 1) * wc, ctx);
-            match acc.as_mut() {
-                None => acc = Some(packed),
-                Some(a) => a.reduce_add_inplace(&packed),
-            }
-        }
-        acc.expect("q >= 1")
+        Self { hidden_global, eps, tape: Tape::new() }
     }
 
     /// Inference forward: identical statistics and normalization to
     /// [`Module::forward`] (bitwise — per-row math over the same row-group
     /// all-reduce), but `&self` and no tape push.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        assert!(!self.sp, "forward_infer runs the dense serving path");
         let n = self.hidden_global as f32;
         assert_eq!(
             x.cols() * grid.shape.q,
@@ -104,37 +65,19 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
         "layernorm"
     }
 
-    /// Forward: `X̂ = (X − E[X]) / sqrt(Var[X] + ε)`. Dense layout
-    /// all-reduces the packed statistics along the row fiber; the
-    /// sequence-parallel layout holds the full hidden width locally and
-    /// folds per-chunk statistics in the identical order, with **zero**
-    /// collectives.
+    /// Forward: `X̂ = (X − E[X]) / sqrt(Var[X] + ε)`, with the packed
+    /// per-row statistics all-reduced along the row fiber.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         let n = self.hidden_global as f32;
-        let q = grid.shape.q;
-        let packed: T = if self.sp {
-            assert_eq!(
-                x.cols(),
-                self.hidden_global,
-                "layernorm sp: input must carry the full hidden width"
-            );
-            Self::fold_chunk_stats(q, x.cols(), ctx, |c0, c1, ctx| {
-                let xc = x.slice_cols(c0, c1, &mut ctx.meter);
-                let s1 = xc.row_sums(&mut ctx.meter);
-                let s2 = xc.row_sums_of_squares(&mut ctx.meter);
-                T::concat_cols(&[s1, s2], &mut ctx.meter)
-            })
-        } else {
-            assert_eq!(
-                x.cols() * q,
-                self.hidden_global,
-                "layernorm: local width times q must equal global hidden"
-            );
-            let s1 = x.row_sums(&mut ctx.meter);
-            let s2 = x.row_sums_of_squares(&mut ctx.meter);
-            let packed = T::concat_cols(&[s1, s2], &mut ctx.meter);
-            (*grid.row.all_reduce_shared(ctx, packed)).clone()
-        };
+        assert_eq!(
+            x.cols() * grid.shape.q,
+            self.hidden_global,
+            "layernorm: local width times q must equal global hidden"
+        );
+        let s1 = x.row_sums(&mut ctx.meter);
+        let s2 = x.row_sums_of_squares(&mut ctx.meter);
+        let packed = T::concat_cols(&[s1, s2], &mut ctx.meter);
+        let packed = (*grid.row.all_reduce_shared(ctx, packed)).clone();
         let s1 = packed.slice_cols(0, 1, &mut ctx.meter);
         let s2 = packed.slice_cols(1, 2, &mut ctx.meter);
         let mean = s1.scale(1.0 / n, &mut ctx.meter);
@@ -148,25 +91,14 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
         xhat
     }
 
-    /// Backward (Eq. 14): `dX = (dY − (X̂·Σ(X̂∘dY) + Σ dY)/n) ∘ inv_std`,
-    /// with the same dense-all-reduce vs. sequence-parallel local-fold
-    /// split as the forward.
+    /// Backward (Eq. 14): `dX = (dY − (X̂·Σ(X̂∘dY) + Σ dY)/n) ∘ inv_std`.
     fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
         let (xhat, inv_std) = self.tape.pop_tracked(ctx, "TesseractLayerNorm");
         let n = self.hidden_global as f32;
-        let packed: T = if self.sp {
-            let prod = xhat.hadamard(dy, &mut ctx.meter);
-            Self::fold_chunk_stats(grid.shape.q, dy.cols(), ctx, |c0, c1, ctx| {
-                let t1 = prod.slice_cols(c0, c1, &mut ctx.meter).row_sums(&mut ctx.meter);
-                let t2 = dy.slice_cols(c0, c1, &mut ctx.meter).row_sums(&mut ctx.meter);
-                T::concat_cols(&[t1, t2], &mut ctx.meter)
-            })
-        } else {
-            let t1 = xhat.hadamard(dy, &mut ctx.meter).row_sums(&mut ctx.meter);
-            let t2 = dy.row_sums(&mut ctx.meter);
-            let packed = T::concat_cols(&[t1, t2], &mut ctx.meter);
-            (*grid.row.all_reduce_shared(ctx, packed)).clone()
-        };
+        let t1 = xhat.hadamard(dy, &mut ctx.meter).row_sums(&mut ctx.meter);
+        let t2 = dy.row_sums(&mut ctx.meter);
+        let packed = T::concat_cols(&[t1, t2], &mut ctx.meter);
+        let packed = (*grid.row.all_reduce_shared(ctx, packed)).clone();
         let t1 = packed.slice_cols(0, 1, &mut ctx.meter);
         let t2 = packed.slice_cols(1, 2, &mut ctx.meter);
         let correction = xhat

@@ -22,32 +22,10 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::mm::{
-    sp_gather_from_seq, sp_scatter_to_seq, tesseract_matmul, tesseract_matmul_nt,
-    tesseract_matmul_nt_sp, tesseract_matmul_sp_in, tesseract_matmul_tn, tesseract_matmul_tn_sp,
-};
+use crate::mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
 use crate::module::{Module, Tape};
 // Historical home of `ParamRef`; re-exported so old import paths keep working.
 pub use crate::module::ParamRef;
-
-/// How this layer's activations are sharded along the sequence dimension
-/// (see the sequence-parallel section of `crate::mm`).
-///
-/// The weight layout is identical in all three modes; only the activation
-/// relayout around the Tesseract matmul changes, and every mode is bitwise
-/// identical to [`SpMode::Dense`] on the same data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpMode {
-    /// Dense activations `[R, h/q]` in and out (the original layout).
-    #[default]
-    Dense,
-    /// Input arrives sequence-sharded `[R/q, h]`, output leaves dense —
-    /// the first linear of a block (QKV projection, MLP `fc1`).
-    SeqIn,
-    /// Input arrives dense, output leaves sequence-sharded `[R/q, h]` —
-    /// the last linear of a block (output projection, MLP `fc2`).
-    SeqOut,
-}
 
 /// Tesseract column/row-blocked linear layer.
 ///
@@ -66,7 +44,6 @@ pub struct TesseractLinear<T> {
     /// Microbatch activation tape (see [`Tape`] on GPipe LIFO ordering).
     tape: Tape<Arc<T>>,
     with_bias: bool,
-    sp: SpMode,
 }
 
 impl<T: TensorLike + Payload> TesseractLinear<T> {
@@ -133,20 +110,7 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
             dbias,
             tape: Tape::new(),
             with_bias,
-            sp: SpMode::Dense,
         }
-    }
-
-    /// Selects the sequence-parallel relayout this layer applies around its
-    /// matmul (builder-style; the default is [`SpMode::Dense`]).
-    pub fn with_sp_mode(mut self, sp: SpMode) -> Self {
-        self.sp = sp;
-        self
-    }
-
-    /// The sequence-parallel mode this layer was built with.
-    pub fn sp_mode(&self) -> SpMode {
-        self.sp
     }
 
     /// Forward for inference: `Y = X·W (+ bias)` exactly like
@@ -154,7 +118,6 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
     /// bitwise-identical output — but `&self` and **no tape push**, so
     /// serving never accumulates activations it will not backpropagate.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        assert_eq!(self.sp, SpMode::Dense, "forward_infer runs the dense serving path");
         let mut y = tesseract_matmul(grid, ctx, x, &self.w);
         if self.with_bias {
             let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
@@ -195,22 +158,11 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
     }
 
     /// Forward: `Y = X·W (+ bias broadcast down the column)`. Tapes `X`.
-    ///
-    /// Under [`SpMode::SeqIn`] `X` arrives sequence-sharded; under
-    /// [`SpMode::SeqOut`] the dense product is re-sharded on the way out.
-    /// Both are bitwise identical to the dense layout (the bias is always
-    /// added on the dense product, before any re-shard).
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut y = match self.sp {
-            SpMode::SeqIn => tesseract_matmul_sp_in(grid, ctx, &**x, &self.w),
-            SpMode::Dense | SpMode::SeqOut => tesseract_matmul(grid, ctx, x, &self.w),
-        };
+        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
         if self.with_bias {
             let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
             y = y.add_rowvec(&b, &mut ctx.meter);
-        }
-        if self.sp == SpMode::SeqOut {
-            y = sp_scatter_to_seq(grid, ctx, y);
         }
         self.tape.push_tracked(ctx, x.byte_size() as u64, Arc::clone(x));
         Arc::new(y)
@@ -219,16 +171,6 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
     /// Backward: returns `dX`; accumulates `dW` (and `dbias` on row 0).
     fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
         let x = self.tape.pop_tracked(ctx, "TesseractLinear");
-        // A SeqOut layer receives the output gradient sequence-sharded;
-        // re-shard it back to dense (the exact inverse of the forward
-        // relayout) and run the dense rules from there.
-        let dy_dense: Arc<T>;
-        let dy = if self.sp == SpMode::SeqOut {
-            dy_dense = Arc::new(sp_gather_from_seq(grid, ctx, (**dy).clone()));
-            &dy_dense
-        } else {
-            dy
-        };
         if self.with_bias {
             let db_local = dy.col_sums(&mut ctx.meter);
             let db = grid.col.reduce_shared(ctx, 0, db_local);
@@ -240,15 +182,9 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
                 self.dbias.as_mut().expect("row-0 rank holds bias").add_assign(&db, &mut ctx.meter);
             }
         }
-        if self.sp == SpMode::SeqIn {
-            let dw = tesseract_matmul_tn_sp(grid, ctx, &*x, &**dy, true);
-            self.dw.add_assign(&dw, &mut ctx.meter);
-            Arc::new(tesseract_matmul_nt_sp(grid, ctx, &**dy, &self.w))
-        } else {
-            let dw = tesseract_matmul_tn(grid, ctx, &x, &**dy, true);
-            self.dw.add_assign(&dw, &mut ctx.meter);
-            tesseract_matmul_nt(grid, ctx, &**dy, &self.w)
-        }
+        let dw = tesseract_matmul_tn(grid, ctx, &x, &**dy, true);
+        self.dw.add_assign(&dw, &mut ctx.meter);
+        tesseract_matmul_nt(grid, ctx, &**dy, &self.w)
     }
 
     /// Visits (weight, grad) pairs for the optimizer, in a deterministic

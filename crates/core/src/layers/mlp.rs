@@ -11,7 +11,7 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::layers::linear::{SpMode, TesseractLinear};
+use crate::layers::linear::TesseractLinear;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
@@ -34,32 +34,9 @@ impl<T: TensorLike + Payload> TesseractMlp<T> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        Self::new_with_sp(ctx, grid, hidden, mlp_hidden, with_bias, seed, param_id, false)
-    }
-
-    /// [`TesseractMlp::new`] with an explicit sequence-parallel mode: when
-    /// `sp` is set, `fc1` consumes the `[R/q, h]` row chunk
-    /// ([`SpMode::SeqIn`]) and `fc2` re-shards its output
-    /// ([`SpMode::SeqOut`]); the GELU in between stays dense.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_sp(
-        ctx: &RankCtx,
-        grid: &TesseractGrid,
-        hidden: usize,
-        mlp_hidden: usize,
-        with_bias: bool,
-        seed: u64,
-        param_id: u64,
-        sp: bool,
-    ) -> Self {
-        let mut fc1 =
-            TesseractLinear::new(ctx, grid, hidden, mlp_hidden, with_bias, seed, param_id);
-        let mut fc2 =
+        let fc1 = TesseractLinear::new(ctx, grid, hidden, mlp_hidden, with_bias, seed, param_id);
+        let fc2 =
             TesseractLinear::new(ctx, grid, mlp_hidden, hidden, with_bias, seed, param_id + 1);
-        if sp {
-            fc1 = fc1.with_sp_mode(SpMode::SeqIn);
-            fc2 = fc2.with_sp_mode(SpMode::SeqOut);
-        }
         Self { fc1, fc2, tape: Tape::new() }
     }
 

@@ -8,7 +8,7 @@ pub mod transformer;
 
 pub use attention::TesseractAttention;
 pub use layernorm::TesseractLayerNorm;
-pub use linear::{SpMode, TesseractLinear};
+pub use linear::TesseractLinear;
 pub use mlp::TesseractMlp;
 pub use transformer::{
     StackOptions, TesseractTransformer, TesseractTransformerLayer, PARAM_IDS_PER_LAYER,

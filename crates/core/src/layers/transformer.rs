@@ -14,19 +14,12 @@ use crate::infer::{InferBatch, LayerKv};
 use crate::layers::attention::TesseractAttention;
 use crate::layers::layernorm::TesseractLayerNorm;
 use crate::layers::mlp::TesseractMlp;
-use crate::mm::{sp_gather_from_seq, sp_scatter_to_seq};
 use crate::module::{CheckpointSegment, Module, ParamRef, Sequential};
 
-/// Execution options of a [`TesseractTransformer`] stack (sequence
-/// parallelism and tape recomputation); the default is the original dense,
-/// no-recompute behavior.
+/// Execution options of a [`TesseractTransformer`] stack (tape
+/// recomputation); the default is the original no-recompute behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackOptions {
-    /// Shard layer-norm/residual activations along the sequence dimension
-    /// over the row fiber. Bitwise identical to the dense layout; the
-    /// stack's external contract (dense blocks in, dense blocks out) is
-    /// preserved by one boundary all-to-all each way.
-    pub sequence_parallel: bool,
     /// Checkpoint every `k` layers: forward keeps only segment inputs,
     /// backward replays each segment before unwinding it. `None` disables
     /// recomputation. `k` need not divide the layer count — the last
@@ -55,33 +48,12 @@ impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        Self::new_with_sp(ctx, grid, cfg, with_bias, seed, param_id, false)
-    }
-
-    /// [`TesseractTransformerLayer::new`] with an explicit sequence-parallel
-    /// mode. Under `sp` the layer consumes and produces `[b/(dq)·s/q, h]`
-    /// row chunks: the layer norms run collective-free on the full hidden
-    /// width, the residual adds stay local, and the four linears
-    /// gather/re-shard at the block boundaries.
-    pub fn new_with_sp(
-        ctx: &RankCtx,
-        grid: &TesseractGrid,
-        cfg: TransformerConfig,
-        with_bias: bool,
-        seed: u64,
-        param_id: u64,
-        sp: bool,
-    ) -> Self {
-        if sp {
-            cfg.validate_for_grid_sp(grid.shape.q, grid.shape.d);
-        } else {
-            cfg.validate_for_grid(grid.shape.q, grid.shape.d);
-        }
+        cfg.validate_for_grid(grid.shape.q, grid.shape.d);
         Self {
-            ln1: TesseractLayerNorm::new_sp(cfg.hidden, cfg.eps, sp),
-            attn: TesseractAttention::new_with_sp(ctx, grid, cfg, with_bias, seed, param_id, sp),
-            ln2: TesseractLayerNorm::new_sp(cfg.hidden, cfg.eps, sp),
-            mlp: TesseractMlp::new_with_sp(
+            ln1: TesseractLayerNorm::new(cfg.hidden, cfg.eps),
+            attn: TesseractAttention::new(ctx, grid, cfg, with_bias, seed, param_id),
+            ln2: TesseractLayerNorm::new(cfg.hidden, cfg.eps),
+            mlp: TesseractMlp::new(
                 ctx,
                 grid,
                 cfg.hidden,
@@ -89,7 +61,6 @@ impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
                 with_bias,
                 seed,
                 param_id + 4,
-                sp,
             ),
         }
     }
@@ -175,16 +146,9 @@ impl<T: TensorLike + Payload> Module<T> for TesseractTransformerLayer<T> {
 /// A stack of `cfg.layers` identical Transformer layers, composed as a
 /// [`Sequential`] of [`TesseractTransformerLayer`] modules (each possibly
 /// wrapped in a [`CheckpointSegment`] when recomputation is on).
-///
-/// The stack's external contract is always the dense layout — `[R, h/q]`
-/// blocks in and out, for activations *and* gradients — regardless of
-/// [`StackOptions::sequence_parallel`]: the SP re-layout happens at the
-/// stack boundary (one all-to-all each way), so embedding/pooling/head
-/// layers and the trainer never see sharded tensors.
 pub struct TesseractTransformer<T> {
     pub layers: Sequential<T>,
     pub cfg: TransformerConfig,
-    opts: StackOptions,
 }
 
 impl<T: TensorLike + Payload> TesseractTransformer<T> {
@@ -225,14 +189,13 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
             assert!(k >= 1, "recompute_every must be at least 1");
         }
         let make_layer = |l: usize| {
-            TesseractTransformerLayer::new_with_sp(
+            TesseractTransformerLayer::new(
                 ctx,
                 grid,
                 cfg,
                 with_bias,
                 seed,
                 base_param_id + l as u64 * PARAM_IDS_PER_LAYER,
-                opts.sequence_parallel,
             )
         };
         let mut layers = Sequential::new();
@@ -256,12 +219,7 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
                 }
             }
         }
-        Self { layers, cfg, opts }
-    }
-
-    /// The options this stack was built with.
-    pub fn options(&self) -> StackOptions {
-        self.opts
+        Self { layers, cfg }
     }
 }
 
@@ -271,25 +229,11 @@ impl<T: TensorLike + Payload> Module<T> for TesseractTransformer<T> {
     }
 
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        if self.opts.sequence_parallel {
-            let x_sp = Arc::new(sp_scatter_to_seq(grid, ctx, (**x).clone()));
-            let y_sp = self.layers.forward(grid, ctx, &x_sp);
-            Arc::new(sp_gather_from_seq(grid, ctx, (*y_sp).clone()))
-        } else {
-            self.layers.forward(grid, ctx, x)
-        }
+        self.layers.forward(grid, ctx, x)
     }
 
     fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        if self.opts.sequence_parallel {
-            // Gradient of a relayout is the inverse relayout: the boundary
-            // all-to-alls mirror the forward pair in reverse order.
-            let dy_sp = Arc::new(sp_scatter_to_seq(grid, ctx, (**dy).clone()));
-            let dx_sp = self.layers.backward(grid, ctx, &dy_sp);
-            Arc::new(sp_gather_from_seq(grid, ctx, (*dx_sp).clone()))
-        } else {
-            self.layers.backward(grid, ctx, dy)
-        }
+        self.layers.backward(grid, ctx, dy)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {

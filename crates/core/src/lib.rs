@@ -37,15 +37,12 @@ pub mod partition;
 pub use config::{ShapeError, TransformerConfig};
 pub use grid::{GridShape, TesseractGrid};
 pub use infer::{HeadKv, InferBatch, InferModel, LayerKv, RequestKv};
-pub use layers::SpMode;
 pub use layers::{
     TesseractAttention, TesseractLayerNorm, TesseractLinear, TesseractMlp, TesseractTransformer,
     TesseractTransformerLayer,
 };
 pub use mm::{
-    sp_gather_from_seq, sp_scatter_to_seq, tesseract_matmul, tesseract_matmul_nt,
-    tesseract_matmul_nt_serial, tesseract_matmul_nt_sp, tesseract_matmul_serial,
-    tesseract_matmul_sp_in, tesseract_matmul_tn, tesseract_matmul_tn_serial,
-    tesseract_matmul_tn_sp,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
+    tesseract_matmul_tn, tesseract_matmul_tn_serial,
 };
 pub use module::{CheckpointSegment, Module, ParamRef, Sequential, Tape};

@@ -14,12 +14,11 @@
 //!
 //! Algorithm 3 is one loop, and [`summa_pipeline`] is its only pipelined
 //! implementation, written against three seams: **fetch** begins the
-//! step-`t` panel collectives (row/column broadcasts, or the
-//! sequence-parallel row all-gather), **multiply** turns the completed
-//! panels into the step's partial product (`matmul` / `matmul_nt` /
-//! `matmul_tn`), and a **sink** ([`Sink`]) disposes of the partial
-//! (accumulate, reduce to the step's root, or reduce-scatter). The six
-//! public entry points only pick the seams.
+//! step-`t` panel collectives (row/column broadcasts), **multiply** turns
+//! the completed panels into the step's partial product (`matmul` /
+//! `matmul_nt` / `matmul_tn`), and a **sink** ([`Sink`]) disposes of the
+//! partial (accumulate, or reduce to the step's root). The three public
+//! entry points only pick the seams.
 //!
 //! The loop is **double-buffered** on the split-phase collectives: the
 //! step-`t+1` fetch is begun before the step-`t` partial is computed, so
@@ -180,41 +179,6 @@ impl<T: TensorLike + Payload> Sink<T> for ReduceToRoot<'_, T> {
             self.mine = Some(Arc::clone(&*dp.complete(ctx)));
         }
         self.mine.expect("every rank is root for exactly one t")
-    }
-}
-
-/// Sink of the sequence-parallel activation-gradient rule: the dense row
-/// reduce-to-root becomes a row reduce-scatter (same ascending fold, so the
-/// combined values are bitwise equal — see
-/// `CommGroup::reduce_scatter_shared_begin`), every member keeps its own
-/// row chunk of each column block, and the `q` chunks concatenate in
-/// ascending step order.
-struct ReduceScatterSeq<'g, T> {
-    grid: &'g TesseractGrid,
-    pending: Option<PendingCollective<'g, Arc<T>>>,
-    chunks: Vec<T>,
-}
-
-impl<T: TensorLike + Payload> ReduceScatterSeq<'_, T> {
-    fn settle(&mut self, ctx: &mut RankCtx) {
-        if let Some(pending) = self.pending.take() {
-            let reduced = pending.complete(ctx);
-            self.chunks.push(sp_seq_chunk(self.grid, ctx, &reduced));
-        }
-    }
-}
-
-impl<T: TensorLike + Payload> Sink<T> for ReduceScatterSeq<'_, T> {
-    type Out = T;
-
-    fn push(&mut self, ctx: &mut RankCtx, _t: usize, partial: T) {
-        self.settle(ctx);
-        self.pending = Some(self.grid.row.reduce_scatter_shared_begin(ctx, partial));
-    }
-
-    fn finish(mut self, ctx: &mut RankCtx) -> T {
-        self.settle(ctx);
-        T::concat_cols(&self.chunks, &mut ctx.meter.scope("sp"))
     }
 }
 
@@ -395,209 +359,6 @@ where
         c = Arc::clone(&*grid.depth.all_reduce_shared(ctx, c));
     }
     c
-}
-
-// ---------------------------------------------------------------------------
-// Sequence-parallel variants.
-//
-// Under sequence parallelism the A-type activation band `[R, h]` of a depth
-// layer is sharded along its *rows* (the sequence/sample dimension) over the
-// row fiber: member `j` holds `x_sp = [R/q, h]`, the `j`-th row chunk,
-// instead of the dense `[R, h/q]` column chunk. The SUMMA step-`t` panel —
-// in the dense schedule a row *broadcast* of root `t`'s column chunk — is
-// reassembled from a row *all-gather* of every member's `[R/q, h/q]` slice
-// of its own column chunk `t`, concatenated in ascending member order. The
-// assembled panel is the same matrix value the dense broadcast would have
-// delivered, so the GEMMs — and therefore the results — are **bitwise
-// identical** to the dense path, and the collective count stays flat: one
-// all-gather replaces one broadcast per step.
-//
-// The backward activation rule swaps the dense reduce-to-root for a
-// reduce-scatter ([`ReduceScatterSeq`]). The boundary between a
-// sequence-sharded and a dense region is one all-to-all each way
-// ([`sp_scatter_to_seq`] / [`sp_gather_from_seq`]).
-
-/// Begins the step-`t` sequence-parallel panel gather: every row-fiber
-/// member contributes its `[R/q, h/q]` slice of column chunk `t`, and the
-/// completed gather reassembles the exact dense broadcast panel.
-fn sp_panel_begin<'g, T>(
-    grid: &'g TesseractGrid,
-    ctx: &mut RankCtx,
-    x_sp: &T,
-    t: usize,
-) -> PendingCollective<'g, Vec<Arc<T>>>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    debug_assert_eq!(x_sp.cols() % q, 0, "sp panel: hidden not divisible by q");
-    let wc = x_sp.cols() / q;
-    let slice = x_sp.slice_cols(t * wc, (t + 1) * wc, &mut ctx.meter.scope("sp"));
-    grid.row.all_gather_shared_begin(ctx, Arc::new(slice))
-}
-
-/// Concatenates gathered panel slices (ascending member order) into the
-/// dense step panel.
-fn sp_panel_assemble<T>(parts: &[Arc<T>], ctx: &mut RankCtx) -> T
-where
-    T: TensorLike + Payload,
-{
-    let owned: Vec<T> = parts.iter().map(|p| (**p).clone()).collect();
-    T::concat_rows(&owned, &mut ctx.meter.scope("sp"))
-}
-
-/// `C = X·B` where `X` enters **sequence-sharded**: `x_sp` is this rank's
-/// `[R/q, h]` row chunk of the activation band and the result is this
-/// rank's *dense* C-type block `[R, c/q]`, exactly as [`tesseract_matmul`]
-/// would return for the dense `[R, h/q]` layout.
-///
-/// Per step `t` the row all-gather of column-chunk-`t` slices replaces the
-/// dense row broadcast (same payload volume across the fiber, same count);
-/// the column broadcast of `B_t` and the accumulation are unchanged.
-/// Bitwise identical to [`tesseract_matmul`].
-pub fn tesseract_matmul_sp_in<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    x_sp: &T,
-    b_local: &Arc<T>,
-) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(x_sp.cols() % q, 0, "tesseract_matmul_sp_in: hidden not divisible by q");
-    assert_eq!(
-        x_sp.cols() / q,
-        b_local.rows(),
-        "tesseract_matmul_sp_in: inner block dims disagree"
-    );
-    summa_pipeline(
-        ctx,
-        q,
-        |ctx, t| (sp_panel_begin(grid, ctx, x_sp, t), col_panel_begin(grid, ctx, b_local, t)),
-        |ctx, (parts, b_t)| {
-            sp_panel_assemble(&parts, ctx).matmul(&b_t, &mut ctx.meter.scope("gemm"))
-        },
-        Accumulate(None),
-    )
-}
-
-/// Slices this rank's sequence chunk (row chunk `j`) out of a combined
-/// column block.
-fn sp_seq_chunk<T>(grid: &TesseractGrid, ctx: &mut RankCtx, reduced: &T) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    debug_assert_eq!(reduced.rows() % q, 0, "sp chunk: rows not divisible by q");
-    let rh = reduced.rows() / q;
-    let j = grid.j();
-    reduced.slice_rows(j * rh, (j + 1) * rh, &mut ctx.meter.scope("sp"))
-}
-
-/// `C = A·Bᵀ` with a **sequence-sharded** result: the activation-gradient
-/// rule of Eq. 3 for a layer whose input entered sequence-sharded. `a_local`
-/// is the dense output gradient `[R, c/q]`, `b_local` the `[b, c]` weight
-/// block, and the return is this rank's `[R/q, h]` row chunk of the input
-/// gradient. Same fetch and multiply as [`tesseract_matmul_nt`]; the
-/// partials go to the [`ReduceScatterSeq`] sink, so the collective count
-/// stays flat.
-pub fn tesseract_matmul_nt_sp<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &T,
-    b_local: &Arc<T>,
-) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt_sp: inner block dims disagree");
-    assert_eq!(a_local.rows() % q, 0, "tesseract_matmul_nt_sp: rows not divisible by q");
-    summa_pipeline(
-        ctx,
-        q,
-        |ctx, t| col_panel_begin(grid, ctx, b_local, t),
-        |ctx, b_t| a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm")),
-        ReduceScatterSeq { grid, pending: None, chunks: Vec::with_capacity(q) },
-    )
-}
-
-/// `C = Xᵀ·B` with a **sequence-sharded** `X`: the weight-gradient rule of
-/// Eq. 3 for a layer whose cached input is the `[R/q, h]` row chunk
-/// `x_sp`. `b_local` is the dense output gradient `[R, c/q]`; the return is
-/// the B-type weight-gradient block, bitwise identical to
-/// [`tesseract_matmul_tn`] on the dense cached input.
-///
-/// The step-`t` row broadcast of the cached panel becomes the same panel
-/// all-gather as [`tesseract_matmul_sp_in`]; the column reductions and the
-/// overlapped depth all-reduce are unchanged.
-pub fn tesseract_matmul_tn_sp<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    x_sp: &T,
-    b_local: &T,
-    depth_reduce: bool,
-) -> Arc<T>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(
-        x_sp.rows() * q,
-        b_local.rows(),
-        "tesseract_matmul_tn_sp: inner block dims disagree"
-    );
-    summa_pipeline(
-        ctx,
-        q,
-        |ctx, t| sp_panel_begin(grid, ctx, x_sp, t),
-        |ctx, parts| {
-            sp_panel_assemble(&parts, ctx).matmul_tn(b_local, &mut ctx.meter.scope("gemm"))
-        },
-        ReduceToRoot::new(&grid.col, (depth_reduce && grid.shape.d > 1).then_some(&grid.depth)),
-    )
-}
-
-/// Re-shards a dense C-type block into the sequence-sharded layout:
-/// `[R, c/q]` (column chunk `j`) in, `[R/q, c]` (row chunk `j`) out, via
-/// one row-fiber all-to-all. Member `j` keeps row chunk `j` of every
-/// member's deposit, concatenated in ascending member order — a pure
-/// relayout, so values are preserved bitwise. With `q = 1` the singleton
-/// exchange returns the tensor unchanged.
-pub fn sp_scatter_to_seq<T>(grid: &TesseractGrid, ctx: &mut RankCtx, x_dense: T) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(x_dense.rows() % q, 0, "sp_scatter_to_seq: rows not divisible by q");
-    let rh = x_dense.rows() / q;
-    let j = grid.j();
-    let deposits = grid.row.all_to_all_shared(ctx, Arc::new(x_dense));
-    let chunks: Vec<T> = deposits
-        .iter()
-        .map(|d| d.slice_rows(j * rh, (j + 1) * rh, &mut ctx.meter.scope("sp")))
-        .collect();
-    T::concat_cols(&chunks, &mut ctx.meter.scope("sp"))
-}
-
-/// Inverse of [`sp_scatter_to_seq`]: `[R/q, c]` (row chunk `j`) in,
-/// `[R, c/q]` (column chunk `j`) out. Member `j` keeps column chunk `j` of
-/// every member's deposit, concatenated in ascending member order.
-pub fn sp_gather_from_seq<T>(grid: &TesseractGrid, ctx: &mut RankCtx, x_sp: T) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(x_sp.cols() % q, 0, "sp_gather_from_seq: cols not divisible by q");
-    let wc = x_sp.cols() / q;
-    let j = grid.j();
-    let deposits = grid.row.all_to_all_shared(ctx, Arc::new(x_sp));
-    let chunks: Vec<T> = deposits
-        .iter()
-        .map(|d| d.slice_cols(j * wc, (j + 1) * wc, &mut ctx.meter.scope("sp")))
-        .collect();
-    T::concat_rows(&chunks, &mut ctx.meter.scope("sp"))
 }
 
 #[cfg(test)]
@@ -791,132 +552,5 @@ mod tests {
         });
         assert!((dense.makespan() - shadow.makespan()).abs() < 1e-15);
         assert_eq!(dense.comm.total_wire_bytes(), shadow.comm.total_wire_bytes());
-    }
-
-    /// Exact (bitwise) equality — the SP schedule promises bit-identical
-    /// results, not merely close ones.
-    fn assert_bits_eq(got: &Matrix, want: &Matrix) {
-        assert_eq!(got.shape(), want.shape(), "shape mismatch");
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert_eq!(g.to_bits(), w.to_bits(), "bitwise mismatch: {g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn sp_scatter_gather_roundtrip_is_identity() {
-        for (q, d) in [(1usize, 1usize), (2, 1), (2, 2), (3, 2)] {
-            let shape = GridShape::new(q, d);
-            let rows = 2 * q; // per-rank band rows R, divisible by q
-            let cols = 3 * q;
-            Cluster::a100(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let (i, j, k) = grid.coords;
-                let mut rng = Xoshiro256StarStar::seed_from_u64(50 + (i * 16 + j * 4 + k) as u64);
-                let x = DenseTensor::from_matrix(Matrix::random_uniform(
-                    rows,
-                    cols / q,
-                    -1.0,
-                    1.0,
-                    &mut rng,
-                ));
-                let sp = sp_scatter_to_seq(&grid, ctx, x.clone());
-                assert_eq!(sp.shape(), (rows / q, cols));
-                let back = sp_gather_from_seq(&grid, ctx, sp);
-                assert_bits_eq(back.matrix(), x.matrix());
-            });
-        }
-    }
-
-    #[test]
-    fn sp_in_forward_is_bitwise_identical_to_dense() {
-        for (q, d, seed) in [(2usize, 1usize, 60u64), (2, 2, 61), (3, 2, 62)] {
-            let shape = GridShape::new(q, d);
-            let (a_rows, inner, c_cols) = (2 * q * q * d, 2 * q, 3 * q);
-            let a = random(a_rows, inner, seed);
-            let b = random(inner, c_cols, seed + 100);
-            Cluster::a100(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let (i, j, k) = grid.coords;
-                let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
-                let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-                let dense = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-                let x_sp = sp_scatter_to_seq(&grid, ctx, (*a_loc).clone());
-                let sp = tesseract_matmul_sp_in(&grid, ctx, &x_sp, &b_loc);
-                assert_bits_eq(sp.matrix(), dense.matrix());
-            });
-        }
-    }
-
-    #[test]
-    fn nt_sp_backward_is_bitwise_identical_to_dense() {
-        for (q, d, seed) in [(2usize, 1usize, 70u64), (2, 2, 71), (3, 2, 72)] {
-            let shape = GridShape::new(q, d);
-            let (a_rows, b_rows, c_cols) = (2 * q * q * d, 2 * q, 3 * q);
-            let a = random(a_rows, c_cols, seed);
-            let b = random(b_rows, c_cols, seed + 100);
-            Cluster::a100(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let (i, j, k) = grid.coords;
-                let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
-                let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-                let dense = tesseract_matmul_nt(&grid, ctx, &a_loc, &b_loc);
-                let dx_sp = tesseract_matmul_nt_sp(&grid, ctx, &a_loc, &b_loc);
-                // Re-shard the sequence-sharded gradient back to the dense
-                // layout: a pure relayout, so bits must match exactly.
-                let back = sp_gather_from_seq(&grid, ctx, dx_sp);
-                assert_bits_eq(back.matrix(), dense.matrix());
-            });
-        }
-    }
-
-    #[test]
-    fn tn_sp_backward_is_bitwise_identical_to_dense() {
-        for (q, d, seed) in [(2usize, 1usize, 80u64), (2, 2, 81), (3, 2, 82)] {
-            let shape = GridShape::new(q, d);
-            let (a_rows, b_cols, c_cols) = (2 * q * q * d, 2 * q, 3 * q);
-            let a = random(a_rows, b_cols, seed);
-            let b = random(a_rows, c_cols, seed + 100);
-            Cluster::a100(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let (i, j, k) = grid.coords;
-                let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
-                let b_loc = DenseTensor::from_matrix(a_block(&b, shape, i, j, k));
-                let dense = tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, true);
-                let x_sp = sp_scatter_to_seq(&grid, ctx, (*a_loc).clone());
-                let sp = tesseract_matmul_tn_sp(&grid, ctx, &x_sp, &b_loc, true);
-                assert_bits_eq(sp.matrix(), dense.matrix());
-            });
-        }
-    }
-
-    #[test]
-    fn sp_keeps_the_collective_count_flat() {
-        // Forward: per matmul the dense path issues q row broadcasts +
-        // q column broadcasts; the SP path swaps each row broadcast for a
-        // row all-gather. Total collective calls must be equal.
-        let shape = GridShape::new(2, 2);
-        let count = |sp: bool| {
-            let out = Cluster::a100(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let a_loc = Arc::new(ShadowTensor::new(4, 4));
-                let b_loc = Arc::new(ShadowTensor::new(4, 4));
-                if sp {
-                    let x_sp = sp_scatter_to_seq(&grid, ctx, (*a_loc).clone());
-                    let _ = tesseract_matmul_sp_in(&grid, ctx, &x_sp, &b_loc);
-                } else {
-                    let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-                }
-            });
-            let total: u64 =
-                tesseract_comm::CollectiveOp::ALL.iter().map(|op| out.comm.get(*op).calls).sum();
-            let a2a = out.comm.get(tesseract_comm::CollectiveOp::AllToAll).calls;
-            (total, a2a)
-        };
-        let (dense_total, dense_a2a) = count(false);
-        let (sp_total, sp_a2a) = count(true);
-        assert_eq!(dense_a2a, 0);
-        // The SP run pays exactly the one boundary all-to-all extra; the
-        // SUMMA loop itself stays flat.
-        assert_eq!(sp_total - sp_a2a, dense_total);
     }
 }

@@ -1,15 +1,13 @@
-//! Sequence parallelism (SP) contract tests.
+//! Tape recomputation contract tests.
 //!
-//! The SP schedule promises *bitwise* identity with the dense layout — the
-//! gathered panels are the same matrix values the dense broadcasts deliver,
-//! the reduce-scatter folds in the same ascending order as the dense
-//! reductions, and the layer-norm chunk folds replicate the dense
-//! all-reduce fold — so every comparison here is on `f32::to_bits`, not a
-//! tolerance.
+//! A checkpointed stack replays each segment's forward inside backward, so
+//! it promises *bitwise* identity with the plain stack — every comparison
+//! here is on `f32::to_bits`, not a tolerance — and a per-rank tape peak
+//! that holds one live segment plus the segment inputs.
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RunConfig};
+use tesseract_comm::Cluster;
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
@@ -47,11 +45,10 @@ fn run_stack(
     shape: GridShape,
     cfg: TransformerConfig,
     opts: StackOptions,
-    trace: bool,
 ) -> Vec<(Matrix, Matrix, Vec<Matrix>)> {
     let x = random(cfg.rows(), cfg.hidden, 11);
     let dy = random(cfg.rows(), cfg.hidden, 12);
-    let out = RunConfig::new(shape.size()).with_trace(trace).cluster().run(|ctx| {
+    let out = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut stack = TesseractTransformer::<DenseTensor>::new_with_options(
@@ -85,82 +82,14 @@ fn assert_runs_bitwise_equal(
 }
 
 #[test]
-fn sp_stack_is_bitwise_identical_to_dense() {
-    for (q, d) in [(2usize, 1usize), (2, 2)] {
-        let shape = GridShape::new(q, d);
-        let cfg = cfg_for(q, d, 2);
-        let dense = run_stack(shape, cfg, StackOptions::default(), false);
-        let sp = run_stack(
-            shape,
-            cfg,
-            StackOptions { sequence_parallel: true, recompute_every: None },
-            false,
-        );
-        assert_runs_bitwise_equal(&sp, &dense, &format!("sp [{q},{q},{d}]"));
-    }
-}
-
-#[test]
-fn sp_stack_is_bitwise_identical_to_dense_when_traced() {
-    // Tracing must be purely observational: the traced SP run produces the
-    // same bits as the untraced dense run.
-    let shape = GridShape::new(2, 2);
-    let cfg = cfg_for(2, 2, 2);
-    let dense_untraced = run_stack(shape, cfg, StackOptions::default(), false);
-    let sp_traced = run_stack(
-        shape,
-        cfg,
-        StackOptions { sequence_parallel: true, recompute_every: None },
-        true,
-    );
-    assert_runs_bitwise_equal(&sp_traced, &dense_untraced, "sp traced [2,2,2]");
-}
-
-#[test]
-fn sp_on_a_q1_grid_is_a_bitwise_noop() {
-    // With q = 1 every fiber is a singleton: the boundary all-to-alls and
-    // panel gathers move nothing, so SP must be the dense computation.
-    let shape = GridShape::new(1, 2);
-    let cfg = cfg_for(1, 2, 2);
-    let dense = run_stack(shape, cfg, StackOptions::default(), false);
-    let sp = run_stack(
-        shape,
-        cfg,
-        StackOptions { sequence_parallel: true, recompute_every: None },
-        false,
-    );
-    assert_runs_bitwise_equal(&sp, &dense, "sp [1,1,2]");
-}
-
-#[test]
 fn recompute_is_bitwise_identical_even_when_k_does_not_divide_layers() {
     // 3 layers, checkpoint every 2: segments of 2 + 1 (the trailing
     // segment is shorter). Replayed forwards must reproduce the same bits.
     let shape = GridShape::new(2, 1);
     let cfg = cfg_for(2, 1, 3);
-    let plain = run_stack(shape, cfg, StackOptions::default(), false);
-    for sp in [false, true] {
-        let rec = run_stack(
-            shape,
-            cfg,
-            StackOptions { sequence_parallel: sp, recompute_every: Some(2) },
-            false,
-        );
-        assert_runs_bitwise_equal(&rec, &plain, &format!("recompute k=2 sp={sp}"));
-    }
-}
-
-#[test]
-#[should_panic(expected = "seq 5 not divisible by q = 2")]
-fn sp_stack_rejects_seq_not_divisible_by_q() {
-    let shape = GridShape::new(2, 1);
-    let cfg = TransformerConfig { seq: 5, ..cfg_for(2, 1, 1) };
-    let _ = run_stack(
-        shape,
-        cfg,
-        StackOptions { sequence_parallel: true, recompute_every: None },
-        false,
-    );
+    let plain = run_stack(shape, cfg, StackOptions::default());
+    let rec = run_stack(shape, cfg, StackOptions { recompute_every: Some(2) });
+    assert_runs_bitwise_equal(&rec, &plain, "recompute k=2");
 }
 
 /// Per-rank peak tape residency for a stack run on the shadow backend.
@@ -181,10 +110,12 @@ fn peak_activation_bytes(shape: GridShape, cfg: TransformerConfig, opts: StackOp
 }
 
 #[test]
-fn sp_and_recompute_reduce_peak_activation_bytes() {
-    // Long sequence so the layer-norm inv_std columns ([R, 1] dense vs
-    // [R/q, 1] SP) are visible in the per-rank peaks, and several layers so
-    // checkpointing has something to drop.
+fn recompute_reduces_peak_activation_bytes() {
+    // 4 layers checkpointed every layer: each rank measures
+    // 47616 / 165888 = 0.287 of the dense peak (one live layer plus the four
+    // segment inputs). The gate is that ratio plus under 10 % slack, so it
+    // fails if recomputation stops dropping segments.
+    const RHO: f64 = 0.31;
     let shape = GridShape::new(2, 1);
     let cfg = TransformerConfig {
         batch: 2,
@@ -196,29 +127,14 @@ fn sp_and_recompute_reduce_peak_activation_bytes() {
         eps: 1e-5,
     };
     let dense = peak_activation_bytes(shape, cfg, StackOptions::default());
-    let sp = peak_activation_bytes(
-        shape,
-        cfg,
-        StackOptions { sequence_parallel: true, recompute_every: None },
-    );
-    let sp_rec = peak_activation_bytes(
-        shape,
-        cfg,
-        StackOptions { sequence_parallel: true, recompute_every: Some(1) },
-    );
+    let rec = peak_activation_bytes(shape, cfg, StackOptions { recompute_every: Some(1) });
     for r in 0..dense.len() {
         assert!(dense[r] > 0, "dense rank {r} tracked no activations");
         assert!(
-            sp[r] < dense[r],
-            "rank {r}: SP peak {} must be strictly below dense {}",
-            sp[r],
+            rec[r] as f64 <= RHO * dense[r] as f64,
+            "rank {r}: recompute peak {} above {RHO} x dense {}",
+            rec[r],
             dense[r]
-        );
-        assert!(
-            sp_rec[r] < sp[r],
-            "rank {r}: recompute peak {} must be strictly below SP {}",
-            sp_rec[r],
-            sp[r]
         );
     }
 }

@@ -57,8 +57,8 @@ pub struct Meter {
     /// Peak bytes of tape-held activations resident on this rank: the
     /// training analogue of `kv_cache_bytes_peak`. A high-water mark over
     /// the running total of bytes pushed-minus-popped across every
-    /// module's [`Tape`](../module) — what sequence parallelism and
-    /// checkpointed recomputation exist to shrink. Merge takes the max.
+    /// module's [`Tape`](../module) — what checkpointed recomputation
+    /// exists to shrink. Merge takes the max.
     pub activation_bytes_peak: u64,
 }
 

@@ -36,12 +36,16 @@ fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
 }
 
 /// Type-erased pointer to the borrowed task closure of the active job.
-/// Validity: `parallel_for` does not return before `completed == n_tasks`,
-/// so workers never dereference it after the borrow ends.
+/// Validity: the pointer is only ever read together with a task-index claim,
+/// under the state lock (`drain_tasks`), and is used for that one task. A
+/// claimed task keeps `completed < n_tasks` until it has run, and
+/// `parallel_for` does not return before `completed == n_tasks`, so the
+/// closure outlives every call made through it — and no thread can carry
+/// the pointer from one job into the next.
 #[derive(Clone, Copy)]
 struct TaskRef(*const (dyn Fn(usize) + Sync + 'static));
-// SAFETY: the closure itself is `Sync`, and the raw pointer is only shared
-// while `parallel_for` keeps the referent alive (see above).
+// SAFETY: the closure itself is `Sync`, and the raw pointer is only
+// dereferenced while `parallel_for` keeps the referent alive (see above).
 unsafe impl Send for TaskRef {}
 
 struct Job {
@@ -134,7 +138,7 @@ impl ThreadPool {
         }
 
         // The submitting thread works too, then waits for stragglers.
-        let caller_panicked = !drain_tasks(&self.shared, body);
+        let caller_panicked = !drain_tasks(&self.shared);
 
         let panicked = {
             let mut state = lock_state(&self.shared.state);
@@ -172,10 +176,12 @@ fn run_inline(n_tasks: usize, body: &(dyn Fn(usize) + Sync)) {
 
 /// Claims and runs tasks of the active job until none are left. Returns
 /// `false` if any task this thread ran panicked (recorded in the job too).
-fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
+fn drain_tasks(shared: &Shared) -> bool {
     let mut ok = true;
     loop {
-        let idx = {
+        // The index and the closure it belongs to are claimed under one
+        // lock: the job in the slot may have changed since the last task.
+        let (idx, task) = {
             let mut state = lock_state(&shared.state);
             let Some(job) = state.job.as_mut() else { return ok };
             if job.next >= job.n_tasks {
@@ -183,8 +189,11 @@ fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
             }
             let idx = job.next;
             job.next += 1;
-            idx
+            (idx, job.task)
         };
+        // SAFETY: the claim above holds the job open until this task's
+        // completion is recorded below (TaskRef invariant).
+        let body = unsafe { &*task.0 };
         let panicked = catch_unwind(AssertUnwindSafe(|| body(idx))).is_err();
         let mut state = lock_state(&shared.state);
         let job = state.job.as_mut().expect("job open while tasks in flight");
@@ -202,21 +211,19 @@ fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
 fn worker_loop(shared: &Shared) {
     loop {
         // Wait until there is claimable work or shutdown.
-        let task = {
+        {
             let mut state = lock_state(&shared.state);
             loop {
                 if state.shutdown {
                     return;
                 }
-                match state.job.as_mut() {
-                    Some(job) if job.next < job.n_tasks => break job.task,
+                match state.job.as_ref() {
+                    Some(job) if job.next < job.n_tasks => break,
                     _ => state = shared.work.wait(state).unwrap(),
                 }
             }
-        };
-        // SAFETY: `task` stays valid while the job is open (TaskRef invariant).
-        let body = unsafe { &*task.0 };
-        drain_tasks(shared, body);
+        }
+        drain_tasks(shared);
     }
 }
 
@@ -337,6 +344,43 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn back_to_back_jobs_never_run_a_stale_closure() {
+        // Four submitters race for one worker: whenever a submitter returns,
+        // another installs the next job while the worker is between its
+        // `completed += 1` and its next claim. Each job's closure borrows
+        // that job's own counters, so an index run through a previous job's
+        // closure shows up as a missing hit here (or a fault).
+        let pool = ThreadPool::new(2);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let pool = &pool;
+                s.spawn(move || {
+                    for job in 0..20_000usize {
+                        let n = 8 + (job + t) % 5;
+                        let hits: [AtomicUsize; 12] = std::array::from_fn(|_| AtomicUsize::new(0));
+                        pool.parallel_for(n, &|i| {
+                            // ~1 µs of work so jobs overlap the hand-off.
+                            let mut x = i as u64 + 1;
+                            for _ in 0..200 {
+                                x = std::hint::black_box(x.wrapping_mul(6364136223846793005) | 1);
+                            }
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        for (i, h) in hits.iter().enumerate() {
+                            let want = usize::from(i < n);
+                            assert_eq!(
+                                h.load(Ordering::Relaxed),
+                                want,
+                                "submitter {t} job {job}: index {i} of {n} ran the wrong number of times"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -134,19 +134,23 @@ test -s target/TRACE_serving.smoke.json \
 grep -q '"traceEvents"' target/TRACE_serving.smoke.json \
     || { echo "ci.sh: serve_sweep trace is not Chrome-trace JSON"; exit 1; }
 
-# sp_sweep asserts per rank, at every swept point, that sequence
-# parallelism strictly lowers the measured tape peak and recomputation
-# lowers it further, and that SP's non-boundary collective count never
-# exceeds dense; the greppable lines print only after those asserts held.
-echo "== sp_sweep smoke (tiny grids, SP memory + collective ledger) =="
-cargo run -q --release --offline -p tesseract-bench --bin sp_sweep -- \
-    --grids 2,1 --seqs 64,256 --out target/BENCH_sp.smoke.json > target/sp_sweep.smoke.log
-grep -q 'measured-peak bytes/GPU' target/sp_sweep.smoke.log \
-    || { echo "ci.sh: sp_sweep measured-peak column missing"; exit 1; }
-grep -q 'sp_peak_lt_dense:true' target/sp_sweep.smoke.log \
-    || { echo "ci.sh: sp_sweep SP-below-dense invariant missing"; exit 1; }
-grep -q 'rc_peak_lt_sp:true' target/sp_sweep.smoke.log \
-    || { echo "ci.sh: sp_sweep recompute-below-SP invariant missing"; exit 1; }
-grep -q 'sp_collectives_flat:true' target/sp_sweep.smoke.log \
-    || { echo "ci.sh: sp_sweep collective-flatness invariant missing"; exit 1; }
+# memory_table prints the measured tape high-water of a 4-layer stack, dense
+# vs recomputation; the ratio itself is gated per rank by
+# crates/core/tests/recompute.rs and plan::dryrun's tests.
+echo "== memory_table smoke (measured-peak: dense vs recompute) =="
+cargo run -q --release --offline -p tesseract-bench --bin memory_table > target/memory_table.smoke.log
+for mode in 'dense' 'recompute k=1'; do
+    sed -n '/^### measured-peak/,$p' target/memory_table.smoke.log \
+        | grep -Eq "^\| \[[0-9],[0-9],[0-9]\] \| $mode \| [0-9]+ \|$" \
+        || { echo "ci.sh: memory_table measured-peak section has no '$mode' row"; exit 1; }
+done
+
+# The race this test guards (a pool worker running a task through the
+# previous job's closure) is probabilistic — about one run in twelve lost a
+# task before the fix — so one pass proves little: repeat it.
+echo "== tensor::pool stress (back-to-back jobs, 5 release runs) =="
+for i in 1 2 3 4 5; do
+    cargo test -q --release --offline -p tesseract-tensor --lib back_to_back_jobs_never_run_a_stale_closure
+done
+
 echo "ci.sh: OK"
