@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 use tesseract_baselines::megatron::{MegatronTransformerLayer, MegatronWorld};
-use tesseract_baselines::optimus::OptimusTransformer;
 use tesseract_baselines::serial::{SerialTransformer, SerialTransformerLayer};
 
 use tesseract_comm::Cluster;
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
-    GridShape, Module, TesseractGrid, TesseractTransformerLayer, TransformerConfig,
+    GridShape, Module, TesseractGrid, TesseractTransformer, TesseractTransformerLayer,
+    TransformerConfig,
 };
 use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
 
@@ -132,7 +132,8 @@ fn megatron_layer_matches_serial() {
     for p in [2usize, 4] {
         let out = Cluster::a100(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
-            let mut layer = MegatronTransformerLayer::<DenseTensor>::new(&world, c, true, SEED, 0);
+            let mut layer =
+                MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, c, true, SEED, 0);
             let x_full = Arc::new(DenseTensor::from_matrix(x.clone()));
             let dy_full = Arc::new(DenseTensor::from_matrix(dy.clone()));
             let y = layer.forward(&world, ctx, &x_full);
@@ -160,6 +161,8 @@ fn megatron_layer_matches_serial() {
 
 #[test]
 fn optimus_matches_serial_stack() {
+    // Optimus is the d = 1 grid: the 2-D baseline is the shared stack on
+    // [q, q, 1].
     let c = TransformerConfig { layers: 2, ..cfg() };
     let x = random(c.rows(), c.hidden, 5);
     let dy = random(c.rows(), c.hidden, 6);
@@ -170,7 +173,7 @@ fn optimus_matches_serial_stack() {
     let out = Cluster::a100(4).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut model = OptimusTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
+        let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let y = model.forward(&grid, ctx, &x_loc);

@@ -89,7 +89,7 @@ fn main() {
     for p in [4usize, 64] {
         let out = Cluster::a100(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
-            let mut model = MegatronTransformer::<ShadowTensor>::new(&world, cfg, true, 0, 0);
+            let mut model = MegatronTransformer::<ShadowTensor>::new(ctx, &world, cfg, true, 0, 0);
             let x = std::sync::Arc::new(ShadowTensor::new(cfg.rows(), cfg.hidden));
             let _ = model.forward(&world, ctx, &x);
             ctx.flush_compute();

@@ -32,21 +32,9 @@ pub struct RankCtx {
     clock: f64,
     compute_time: f64,
     comm_time: f64,
-    total_flops: f64,
-    total_kernels: u64,
-    total_gemms_blocked: u64,
-    total_gemms_serial: u64,
-    total_gemms_kernel_scalar: u64,
-    total_gemms_kernel_avx2: u64,
-    total_bytes_allocated: u64,
-    total_payload_copies: u64,
-    total_payload_copy_bytes: u64,
-    total_comm_wait_nanos: u64,
-    total_overlap_hidden_nanos: u64,
-    total_prefill_steps: u64,
-    total_decode_steps: u64,
-    total_kv_cache_bytes_peak: u64,
-    total_activation_bytes_peak: u64,
+    /// Every flushed meter, folded with [`Meter::merge`] (flows summed,
+    /// the two peaks maxed).
+    totals: Meter,
     /// Running bytes of tape-held activations (pushes minus pops). Lives on
     /// the ctx rather than the meter because `Meter::take` resets flows at
     /// every flush, while tape residency spans flush boundaries.
@@ -74,21 +62,7 @@ impl RankCtx {
             clock: 0.0,
             compute_time: 0.0,
             comm_time: 0.0,
-            total_flops: 0.0,
-            total_kernels: 0,
-            total_gemms_blocked: 0,
-            total_gemms_serial: 0,
-            total_gemms_kernel_scalar: 0,
-            total_gemms_kernel_avx2: 0,
-            total_bytes_allocated: 0,
-            total_payload_copies: 0,
-            total_payload_copy_bytes: 0,
-            total_comm_wait_nanos: 0,
-            total_overlap_hidden_nanos: 0,
-            total_prefill_steps: 0,
-            total_decode_steps: 0,
-            total_kv_cache_bytes_peak: 0,
-            total_activation_bytes_peak: 0,
+            totals: Meter::new(),
             tape_bytes_now: 0,
             idle_time: 0.0,
             fabric,
@@ -114,34 +88,14 @@ impl RankCtx {
     pub fn flush_compute(&mut self) {
         let begin = self.clock;
         let m = self.meter.take();
-        self.total_bytes_allocated += m.bytes_allocated;
-        // GEMM dispatch audit counters: which `planned_path` variant ran,
-        // and — for blocked dispatches — which micro-kernel backend.
-        self.total_gemms_blocked += m.gemms_blocked;
-        self.total_gemms_serial += m.gemms_serial;
-        self.total_gemms_kernel_scalar += m.gemms_kernel_scalar;
-        self.total_gemms_kernel_avx2 += m.gemms_kernel_avx2;
-        // Payload copies are accumulated but deliberately excluded from
-        // `compute_time`: they are host memcpys outside the α–β model.
-        self.total_payload_copies += m.payload_copies;
-        self.total_payload_copy_bytes += m.payload_copy_bytes;
-        // Wait counters are bookkeeping only; `advance_comm` already booked
-        // the corresponding seconds into `comm_time`.
-        self.total_comm_wait_nanos += m.comm_wait_nanos;
-        self.total_overlap_hidden_nanos += m.overlap_hidden_nanos;
-        // Serving counters: steps are flows (summed); the KV peak is a
-        // high-water mark (max), matching `Meter::merge`.
-        self.total_prefill_steps += m.prefill_steps;
-        self.total_decode_steps += m.decode_steps;
-        self.total_kv_cache_bytes_peak = self.total_kv_cache_bytes_peak.max(m.kv_cache_bytes_peak);
-        self.total_activation_bytes_peak =
-            self.total_activation_bytes_peak.max(m.activation_bytes_peak);
+        // Payload copies and the wait counters fold into the totals but
+        // never into `compute_time`: copies are host memcpys outside the α–β
+        // model, and `advance_comm` already booked the waits as `comm_time`.
+        self.totals.merge(&m);
         if m.flops > 0.0 || m.kernels > 0 {
             let t = self.params.compute_time(m.flops, m.kernels);
             self.clock += t;
             self.compute_time += t;
-            self.total_flops += m.flops;
-            self.total_kernels += m.kernels;
         }
         if trace::is_active() {
             // The flush is the authoritative trace unit for compute: the
@@ -196,12 +150,12 @@ impl RankCtx {
     /// Lifetime blocked-wait nanos (folded totals plus the pending meter);
     /// invariant under `flush_compute`, so comm spans can delta it.
     pub(crate) fn lifetime_comm_wait_nanos(&self) -> u64 {
-        self.total_comm_wait_nanos + self.meter.comm_wait_nanos
+        self.totals.comm_wait_nanos + self.meter.comm_wait_nanos
     }
 
     /// Lifetime hidden-overlap nanos; invariant under `flush_compute`.
     pub(crate) fn lifetime_overlap_hidden_nanos(&self) -> u64 {
-        self.total_overlap_hidden_nanos + self.meter.overlap_hidden_nanos
+        self.totals.overlap_hidden_nanos + self.meter.overlap_hidden_nanos
     }
 
     /// Runs `f` inside a named trace scope (`what.phase`, e.g.
@@ -243,26 +197,27 @@ impl RankCtx {
     /// Final accounting snapshot for this rank.
     pub fn report(&mut self) -> RankReport {
         self.flush_compute();
+        let t = self.totals;
         RankReport {
             rank: self.rank,
             virtual_time: self.clock,
             compute_time: self.compute_time,
             comm_time: self.comm_time,
-            flops: self.total_flops,
-            kernels: self.total_kernels,
-            gemms_blocked: self.total_gemms_blocked,
-            gemms_serial: self.total_gemms_serial,
-            gemms_kernel_scalar: self.total_gemms_kernel_scalar,
-            gemms_kernel_avx2: self.total_gemms_kernel_avx2,
-            bytes_allocated: self.total_bytes_allocated,
-            payload_copies: self.total_payload_copies,
-            payload_copy_bytes: self.total_payload_copy_bytes,
-            comm_wait_nanos: self.total_comm_wait_nanos,
-            overlap_hidden_nanos: self.total_overlap_hidden_nanos,
-            prefill_steps: self.total_prefill_steps,
-            decode_steps: self.total_decode_steps,
-            kv_cache_bytes_peak: self.total_kv_cache_bytes_peak,
-            activation_bytes_peak: self.total_activation_bytes_peak,
+            flops: t.flops,
+            kernels: t.kernels,
+            gemms_blocked: t.gemms_blocked,
+            gemms_serial: t.gemms_serial,
+            gemms_kernel_scalar: t.gemms_kernel_scalar,
+            gemms_kernel_avx2: t.gemms_kernel_avx2,
+            bytes_allocated: t.bytes_allocated,
+            payload_copies: t.payload_copies,
+            payload_copy_bytes: t.payload_copy_bytes,
+            comm_wait_nanos: t.comm_wait_nanos,
+            overlap_hidden_nanos: t.overlap_hidden_nanos,
+            prefill_steps: t.prefill_steps,
+            decode_steps: t.decode_steps,
+            kv_cache_bytes_peak: t.kv_cache_bytes_peak,
+            activation_bytes_peak: t.activation_bytes_peak,
             idle_time: self.idle_time,
         }
     }

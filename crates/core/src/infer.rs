@@ -127,7 +127,7 @@ impl<T: TensorLike> InferBatch<T> {
 /// (same seed / parameter ids) and collectives as
 /// [`crate::TesseractTransformer`], but held as a typed `Vec` so each
 /// layer can thread its slice of the per-request KV caches.
-pub struct InferModel<T> {
+pub struct InferModel<T: TensorLike + Payload> {
     pub layers: Vec<TesseractTransformerLayer<T>>,
     pub cfg: TransformerConfig,
 }

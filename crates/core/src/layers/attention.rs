@@ -1,12 +1,14 @@
-//! Tesseract-parallel multi-head self-attention (paper §3.2.1, Figure 5b).
+//! Multi-head self-attention (paper §3.2.1, Figure 5b), written once for
+//! every [`World`].
 //!
 //! The fused QKV projection `[h, 3h]` and the output projection `[h, h]`
-//! run as Tesseract matmuls. Between them, attention itself is **fully
-//! local**: rank `(i, j, k)` holds `b/(d·q)` whole samples (rows) and
-//! `n/q` whole heads (columns), so `softmax(QKᵀ/√d̄)V` for its
-//! (sample, head) pairs needs no communication — the property §3.2.1
-//! emphasizes ("with no communication with other position's tokens, the
-//! attention part is also parallelizable").
+//! are the world's linears. Between them, attention itself is **fully
+//! local**: a rank holds whole samples (rows) and whole heads (columns) —
+//! `b/(d·q)` and `n/q` on a `[q, q, d]` grid, `b` and `n/p` on a 1-D group
+//! — so `softmax(QKᵀ/√d̄)V` for its (sample, head) pairs needs no
+//! communication — the property §3.2.1 emphasizes ("with no communication
+//! with other position's tokens, the attention part is also
+//! parallelizable").
 
 use std::sync::Arc;
 
@@ -16,7 +18,7 @@ use tesseract_tensor::TensorLike;
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
-use crate::layers::linear::TesseractLinear;
+use crate::layers::world::{Half, World};
 use crate::module::{Module, ParamRef, Tape};
 
 struct HeadCache<T> {
@@ -26,21 +28,24 @@ struct HeadCache<T> {
     attn: T,
 }
 
-/// Multi-head self-attention on the `[q, q, d]` grid.
-pub struct TesseractAttention<T> {
-    pub wqkv: TesseractLinear<T>,
-    pub wo: TesseractLinear<T>,
+/// Multi-head self-attention.
+pub struct Attention<T: TensorLike + Payload, G: World<T>> {
+    pub wqkv: G::Linear,
+    pub wo: G::Linear,
     cfg: TransformerConfig,
     /// Tape of per-microbatch head caches (see [`Tape`] on pipelining).
     tape: Tape<Vec<HeadCache<T>>>,
 }
 
-impl<T: TensorLike + Payload> TesseractAttention<T> {
+/// [`Attention`] on the `[q, q, d]` grid.
+pub type TesseractAttention<T> = Attention<T, TesseractGrid>;
+
+impl<T: TensorLike + Payload, G: World<T>> Attention<T, G> {
     /// Builds the layer; consumes param ids `param_id .. param_id + 4`
     /// (Wq, Wk, Wv, Wo).
     pub fn new(
         ctx: &RankCtx,
-        grid: &TesseractGrid,
+        world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
         seed: u64,
@@ -49,30 +54,14 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         let h = cfg.hidden;
         // Three independent [h, h] projections fused column-wise so each
         // rank's slice holds Q/K/V for exactly its own heads.
-        let wqkv = TesseractLinear::new_fused(
-            ctx,
-            grid,
-            h,
-            &[(h, param_id), (h, param_id + 1), (h, param_id + 2)],
-            with_bias,
-            seed,
-        );
-        let wo = TesseractLinear::new(ctx, grid, h, h, with_bias, seed, param_id + 3);
+        let qkv = [(h, param_id), (h, param_id + 1), (h, param_id + 2)];
+        let wqkv = world.linear(ctx, Half::First, h, &qkv, with_bias, seed);
+        let wo = world.linear(ctx, Half::Second, h, &[(h, param_id + 3)], with_bias, seed);
         Self { wqkv, wo, cfg, tape: Tape::new() }
     }
+}
 
-    /// Rows per rank = local samples × sequence length.
-    fn local_samples(&self, grid: &TesseractGrid) -> usize {
-        let per = self.cfg.batch / (grid.shape.q * grid.shape.d);
-        assert!(per >= 1, "batch too small for grid");
-        per
-    }
-
-    /// Heads per rank.
-    fn local_heads(&self, grid: &TesseractGrid) -> usize {
-        self.cfg.heads / grid.shape.q
-    }
-
+impl<T: TensorLike + Payload> TesseractAttention<T> {
     /// KV-cached **causal** inference forward over a batch of request
     /// segments (no tape, `&self`).
     ///
@@ -100,7 +89,7 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         mut kvs: Vec<&mut LayerKv<T>>,
     ) -> Arc<T> {
         let hd = self.cfg.head_dim();
-        let heads = self.local_heads(grid);
+        let heads = self.cfg.heads / grid.shape.q;
         let local_h = x.cols();
         assert_eq!(local_h * grid.shape.q, self.cfg.hidden, "attention input width mismatch");
         assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
@@ -165,23 +154,24 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
+impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Attention<T, G> {
     fn name(&self) -> &'static str {
         "attention"
     }
 
-    /// Forward over the local activation block `[b/(dq)·s, h/q]`.
-    fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+    /// Forward over the local activation block (`[b/(dq)·s, h/q]` on a
+    /// grid, the replicated `[b·s, h]` on a 1-D group).
+    fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         let s = self.cfg.seq;
         let hd = self.cfg.head_dim();
-        let q = grid.shape.q;
-        let samples = self.local_samples(grid);
-        let heads = self.local_heads(grid);
-        let local_h = self.cfg.hidden / q;
-        assert_eq!(x.cols() * q, self.cfg.hidden, "attention input width mismatch");
+        let samples = world.local_samples(self.cfg.batch);
+        let heads = world.local_heads(self.cfg.heads);
+        let local_h = heads * hd;
+        assert!(samples >= 1, "batch too small for this world");
         assert_eq!(x.rows(), samples * s, "attention input rows mismatch");
 
-        let qkv = self.wqkv.forward(grid, ctx, x);
+        let qkv = self.wqkv.forward(world, ctx, x);
+        assert_eq!(qkv.cols(), 3 * local_h, "attention input width mismatch");
         let q_all = qkv.slice_cols(0, local_h, &mut ctx.meter);
         let k_all = qkv.slice_cols(local_h, 2 * local_h, &mut ctx.meter);
         let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, &mut ctx.meter);
@@ -216,19 +206,19 @@ impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
             .sum();
         self.tape.push_tracked(ctx, cache_bytes, caches);
         let merged = Arc::new(T::concat_rows(&sample_outs, &mut ctx.meter));
-        self.wo.forward(grid, ctx, &merged)
+        self.wo.forward(world, ctx, &merged)
     }
 
     /// Backward; returns `dX` and accumulates projection gradients.
-    fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+    fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
         let s = self.cfg.seq;
         let hd = self.cfg.head_dim();
-        let samples = self.local_samples(grid);
-        let heads = self.local_heads(grid);
+        let samples = world.local_samples(self.cfg.batch);
+        let heads = world.local_heads(self.cfg.heads);
         let scale = 1.0 / (hd as f32).sqrt();
 
-        let d_merged = self.wo.backward(grid, ctx, dy);
-        let caches = self.tape.pop_tracked(ctx, "TesseractAttention");
+        let d_merged = self.wo.backward(world, ctx, dy);
+        let caches = self.tape.pop_tracked(ctx, "Attention");
         assert_eq!(caches.len(), samples * heads, "cache/shape mismatch in backward");
 
         let mut dq_rows = Vec::with_capacity(samples);
@@ -266,7 +256,7 @@ impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
         let dk_all = T::concat_rows(&dk_rows, &mut ctx.meter);
         let dv_all = T::concat_rows(&dv_rows, &mut ctx.meter);
         let d_qkv = Arc::new(T::concat_cols(&[dq_all, dk_all, dv_all], &mut ctx.meter));
-        self.wqkv.backward(grid, ctx, &d_qkv)
+        self.wqkv.backward(world, ctx, &d_qkv)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
@@ -275,7 +265,7 @@ impl<T: TensorLike + Payload> Module<T> for TesseractAttention<T> {
     }
 
     fn zero_grad(&mut self) {
-        self.tape.debug_assert_balanced("TesseractAttention");
+        self.tape.debug_assert_balanced("Attention");
         self.wqkv.zero_grad();
         self.wo.zero_grad();
     }

@@ -12,7 +12,7 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::module::{Module, ParamRef, Tape};
+use crate::module::{Module, Tape};
 
 /// Parameter-free distributed layer norm over the (globally split) hidden
 /// dimension.
@@ -31,10 +31,9 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
         Self { hidden_global, eps, tape: Tape::new() }
     }
 
-    /// Inference forward: identical statistics and normalization to
-    /// [`Module::forward`] (bitwise — per-row math over the same row-group
-    /// all-reduce), but `&self` and no tape push.
-    pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+    /// `X̂ = (X − E[X]) / sqrt(Var[X] + ε)` and `1/sqrt(Var[X] + ε)`, with the
+    /// packed per-row statistics all-reduced along the row fiber.
+    fn normalize(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> (Arc<T>, T) {
         let n = self.hidden_global as f32;
         assert_eq!(
             x.cols() * grid.shape.q,
@@ -51,7 +50,14 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
         let mean_sq = mean.hadamard(&mean, &mut ctx.meter);
         let var = s2.scale(1.0 / n, &mut ctx.meter).sub(&mean_sq, &mut ctx.meter);
         let inv_std = var.rsqrt_add(self.eps, &mut ctx.meter);
-        Arc::new(x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter))
+        let xhat = x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter);
+        (Arc::new(xhat), inv_std)
+    }
+
+    /// Inference forward: `&self` and no tape push. [`Module::forward`] is
+    /// this plus the push.
+    pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+        self.normalize(grid, ctx, x).0
     }
 
     /// Activations currently queued on the tape (zero outside training).
@@ -65,27 +71,9 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
         "layernorm"
     }
 
-    /// Forward: `X̂ = (X − E[X]) / sqrt(Var[X] + ε)`, with the packed
-    /// per-row statistics all-reduced along the row fiber.
+    /// Normalizes and tapes `(X̂, inv_std)`.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let n = self.hidden_global as f32;
-        assert_eq!(
-            x.cols() * grid.shape.q,
-            self.hidden_global,
-            "layernorm: local width times q must equal global hidden"
-        );
-        let s1 = x.row_sums(&mut ctx.meter);
-        let s2 = x.row_sums_of_squares(&mut ctx.meter);
-        let packed = T::concat_cols(&[s1, s2], &mut ctx.meter);
-        let packed = (*grid.row.all_reduce_shared(ctx, packed)).clone();
-        let s1 = packed.slice_cols(0, 1, &mut ctx.meter);
-        let s2 = packed.slice_cols(1, 2, &mut ctx.meter);
-        let mean = s1.scale(1.0 / n, &mut ctx.meter);
-        let mean_sq = mean.hadamard(&mean, &mut ctx.meter);
-        let var = s2.scale(1.0 / n, &mut ctx.meter).sub(&mean_sq, &mut ctx.meter);
-        let inv_std = var.rsqrt_add(self.eps, &mut ctx.meter);
-        let xhat =
-            Arc::new(x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter));
+        let (xhat, inv_std) = self.normalize(grid, ctx, x);
         let bytes = (xhat.byte_size() + inv_std.byte_size()) as u64;
         self.tape.push_tracked(ctx, bytes, (Arc::clone(&xhat), inv_std));
         xhat
@@ -98,7 +86,7 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
         let t1 = xhat.hadamard(dy, &mut ctx.meter).row_sums(&mut ctx.meter);
         let t2 = dy.row_sums(&mut ctx.meter);
         let packed = T::concat_cols(&[t1, t2], &mut ctx.meter);
-        let packed = (*grid.row.all_reduce_shared(ctx, packed)).clone();
+        let packed = grid.row.all_reduce_shared(ctx, packed);
         let t1 = packed.slice_cols(0, 1, &mut ctx.meter);
         let t2 = packed.slice_cols(1, 2, &mut ctx.meter);
         let correction = xhat
@@ -108,8 +96,6 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
         Arc::new(dy.sub(&correction, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter))
     }
 
-    // No parameters: the default (empty) visit_params applies.
-
     fn zero_grad(&mut self) {
         self.tape.debug_assert_balanced("TesseractLayerNorm");
     }
@@ -117,6 +103,4 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
     fn reset_tape(&mut self, ctx: &mut RankCtx) {
         self.tape.clear_tracked(ctx);
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(ParamRef<'_, T>)) {}
 }

@@ -23,9 +23,7 @@ use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
 use crate::mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
-use crate::module::{Module, Tape};
-// Historical home of `ParamRef`; re-exported so old import paths keep working.
-pub use crate::module::ParamRef;
+use crate::module::{Module, ParamRef, Tape};
 
 /// Tesseract column/row-blocked linear layer.
 ///
@@ -113,10 +111,10 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
         }
     }
 
-    /// Forward for inference: `Y = X·W (+ bias)` exactly like
-    /// [`Module::forward`] — same Tesseract matmul, same bias broadcast,
-    /// bitwise-identical output — but `&self` and **no tape push**, so
-    /// serving never accumulates activations it will not backpropagate.
+    /// Forward for inference: `Y = X·W (+ bias broadcast down the column)`,
+    /// `&self` and **no tape push**, so serving never accumulates
+    /// activations it will not backpropagate. [`Module::forward`] is this
+    /// plus the push.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         let mut y = tesseract_matmul(grid, ctx, x, &self.w);
         if self.with_bias {
@@ -157,15 +155,11 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
         "linear"
     }
 
-    /// Forward: `Y = X·W (+ bias broadcast down the column)`. Tapes `X`.
+    /// [`TesseractLinear::forward_infer`], then tapes `X`.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
-        if self.with_bias {
-            let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
-            y = y.add_rowvec(&b, &mut ctx.meter);
-        }
+        let y = self.forward_infer(grid, ctx, x);
         self.tape.push_tracked(ctx, x.byte_size() as u64, Arc::clone(x));
-        Arc::new(y)
+        y
     }
 
     /// Backward: returns `dX`; accumulates `dW` (and `dbias` on row 0).

@@ -1,9 +1,10 @@
-//! Tesseract-parallel feed-forward (MLP) layer (paper §3.2.1, Figure 5a).
+//! Feed-forward (MLP) layer (paper §3.2.1, Figure 5a), written once for
+//! every [`World`].
 //!
-//! Two linear layers `[h, 4h]` and `[4h, h]` with a GELU in between, all on
-//! the `[q, q, d]` grid. Parameter matrices stay resident in their owning
-//! processors between steps ("store the parameter matrices inside each
-//! processor for the next computation to avoid waste of communication").
+//! Two linear layers `[h, 4h]` and `[4h, h]` with a GELU in between.
+//! Parameter matrices stay resident in their owning processors between
+//! steps ("store the parameter matrices inside each processor for the next
+//! computation to avoid waste of communication").
 
 use std::sync::Arc;
 
@@ -11,35 +12,41 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::layers::linear::TesseractLinear;
+use crate::layers::world::{Half, World};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
-pub struct TesseractMlp<T> {
-    pub fc1: TesseractLinear<T>,
-    pub fc2: TesseractLinear<T>,
+pub struct Mlp<T: TensorLike + Payload, G: World<T>> {
+    pub fc1: G::Linear,
+    pub fc2: G::Linear,
     /// Tape of pre-activation blocks (GELU backward needs the input).
     tape: Tape<Arc<T>>,
 }
 
-impl<T: TensorLike + Payload> TesseractMlp<T> {
+/// [`Mlp`] on the `[q, q, d]` grid.
+pub type TesseractMlp<T> = Mlp<T, TesseractGrid>;
+
+impl<T: TensorLike + Payload, G: World<T>> Mlp<T, G> {
     /// `hidden → mlp_hidden → hidden`, weights at `param_id` and
     /// `param_id + 1` (biases are zero-initialized).
     pub fn new(
         ctx: &RankCtx,
-        grid: &TesseractGrid,
+        world: &G,
         hidden: usize,
         mlp_hidden: usize,
         with_bias: bool,
         seed: u64,
         param_id: u64,
     ) -> Self {
-        let fc1 = TesseractLinear::new(ctx, grid, hidden, mlp_hidden, with_bias, seed, param_id);
+        let fc1 =
+            world.linear(ctx, Half::First, hidden, &[(mlp_hidden, param_id)], with_bias, seed);
         let fc2 =
-            TesseractLinear::new(ctx, grid, mlp_hidden, hidden, with_bias, seed, param_id + 1);
+            world.linear(ctx, Half::Second, mlp_hidden, &[(hidden, param_id + 1)], with_bias, seed);
         Self { fc1, fc2, tape: Tape::new() }
     }
+}
 
+impl<T: TensorLike + Payload> TesseractMlp<T> {
     /// Inference forward: `fc2(gelu(fc1(x)))` with no tape pushes.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         let pre = self.fc1.forward_infer(grid, ctx, x);
@@ -53,24 +60,24 @@ impl<T: TensorLike + Payload> TesseractMlp<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractMlp<T> {
+impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Mlp<T, G> {
     fn name(&self) -> &'static str {
         "mlp"
     }
 
-    fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let pre = self.fc1.forward(grid, ctx, x);
+    fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+        let pre = self.fc1.forward(world, ctx, x);
         let act = Arc::new(pre.gelu(&mut ctx.meter));
         let bytes = pre.byte_size() as u64;
         self.tape.push_tracked(ctx, bytes, pre);
-        self.fc2.forward(grid, ctx, &act)
+        self.fc2.forward(world, ctx, &act)
     }
 
-    fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let d_act = self.fc2.backward(grid, ctx, dy);
-        let pre = self.tape.pop_tracked(ctx, "TesseractMlp");
+    fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+        let d_act = self.fc2.backward(world, ctx, dy);
+        let pre = self.tape.pop_tracked(ctx, "Mlp");
         let d_pre = Arc::new(pre.gelu_backward(&d_act, &mut ctx.meter));
-        self.fc1.backward(grid, ctx, &d_pre)
+        self.fc1.backward(world, ctx, &d_pre)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
@@ -79,7 +86,7 @@ impl<T: TensorLike + Payload> Module<T> for TesseractMlp<T> {
     }
 
     fn zero_grad(&mut self) {
-        self.tape.debug_assert_balanced("TesseractMlp");
+        self.tape.debug_assert_balanced("Mlp");
         self.fc1.zero_grad();
         self.fc2.zero_grad();
     }

@@ -1,19 +1,20 @@
-//! Tesseract-parallel Transformer layers (paper §3.2).
+//! The Transformer of paper §3.2: one block ([`Mlp`], [`Attention`],
+//! [`TransformerLayer`], [`Transformer`]) written against the [`World`]
+//! seam, plus the `[q, q, d]` grid's own linear and layer norm.
 
 pub mod attention;
 pub mod layernorm;
 pub mod linear;
 pub mod mlp;
 pub mod transformer;
+pub mod world;
 
-pub use attention::TesseractAttention;
+pub use attention::{Attention, TesseractAttention};
 pub use layernorm::TesseractLayerNorm;
 pub use linear::TesseractLinear;
-pub use mlp::TesseractMlp;
+pub use mlp::{Mlp, TesseractMlp};
 pub use transformer::{
-    StackOptions, TesseractTransformer, TesseractTransformerLayer, PARAM_IDS_PER_LAYER,
+    StackOptions, TesseractTransformer, TesseractTransformerLayer, Transformer, TransformerLayer,
+    PARAM_IDS_PER_LAYER,
 };
-
-// Re-exported for the many call sites that historically imported `ParamRef`
-// from the linear layer; it now lives in [`crate::module`].
-pub use crate::module::ParamRef;
+pub use world::{Half, World};

@@ -1,7 +1,8 @@
-//! A full Tesseract-parallel Transformer layer and stack (paper §3.2):
-//! pre-norm residual blocks `x + Attn(LN(x))` and `x + MLP(LN(x))`, the
-//! architecture Megatron-LM adapted ("the whole model consists of multiple
-//! identical Transformer layers"). Residual adds are local (§3.2.2).
+//! A full Transformer layer and stack (paper §3.2), written once for every
+//! [`World`]: pre-norm residual blocks `x + Attn(LN(x))` and
+//! `x + MLP(LN(x))`, the architecture Megatron-LM adapted ("the whole model
+//! consists of multiple identical Transformer layers"). Residual adds are
+//! local (§3.2.2).
 
 use std::sync::Arc;
 
@@ -11,12 +12,12 @@ use tesseract_tensor::TensorLike;
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv};
-use crate::layers::attention::TesseractAttention;
-use crate::layers::layernorm::TesseractLayerNorm;
-use crate::layers::mlp::TesseractMlp;
+use crate::layers::attention::Attention;
+use crate::layers::mlp::Mlp;
+use crate::layers::world::World;
 use crate::module::{CheckpointSegment, Module, ParamRef, Sequential};
 
-/// Execution options of a [`TesseractTransformer`] stack (tape
+/// Execution options of a [`Transformer`] stack (tape
 /// recomputation); the default is the original no-recompute behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackOptions {
@@ -31,40 +32,38 @@ pub struct StackOptions {
 /// fc1, fc2).
 pub const PARAM_IDS_PER_LAYER: u64 = 6;
 
-/// One Transformer layer on the `[q, q, d]` grid.
-pub struct TesseractTransformerLayer<T> {
-    pub ln1: TesseractLayerNorm<T>,
-    pub attn: TesseractAttention<T>,
-    pub ln2: TesseractLayerNorm<T>,
-    pub mlp: TesseractMlp<T>,
+/// One Transformer layer.
+pub struct TransformerLayer<T: TensorLike + Payload, G: World<T>> {
+    pub ln1: G::Norm,
+    pub attn: Attention<T, G>,
+    pub ln2: G::Norm,
+    pub mlp: Mlp<T, G>,
 }
 
-impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
+/// [`TransformerLayer`] on the `[q, q, d]` grid.
+pub type TesseractTransformerLayer<T> = TransformerLayer<T, TesseractGrid>;
+
+impl<T: TensorLike + Payload, G: World<T>> TransformerLayer<T, G> {
     pub fn new(
         ctx: &RankCtx,
-        grid: &TesseractGrid,
+        world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
         seed: u64,
         param_id: u64,
     ) -> Self {
-        cfg.validate_for_grid(grid.shape.q, grid.shape.d);
+        world.validate(&cfg);
+        let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
         Self {
-            ln1: TesseractLayerNorm::new(cfg.hidden, cfg.eps),
-            attn: TesseractAttention::new(ctx, grid, cfg, with_bias, seed, param_id),
-            ln2: TesseractLayerNorm::new(cfg.hidden, cfg.eps),
-            mlp: TesseractMlp::new(
-                ctx,
-                grid,
-                cfg.hidden,
-                cfg.mlp_hidden(),
-                with_bias,
-                seed,
-                param_id + 4,
-            ),
+            ln1: world.norm(h, cfg.eps),
+            attn: Attention::new(ctx, world, cfg, with_bias, seed, param_id),
+            ln2: world.norm(h, cfg.eps),
+            mlp: Mlp::new(ctx, world, h, mlp_h, with_bias, seed, param_id + 4),
         }
     }
+}
 
+impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
     /// Inference forward with KV-cached causal attention: the same
     /// pre-norm residual wiring as [`Module::forward`], no tape pushes.
     /// `layer_idx` selects this layer's [`LayerKv`] slice out of each
@@ -96,30 +95,30 @@ impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractTransformerLayer<T> {
+impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
     fn name(&self) -> &'static str {
         "transformer_layer"
     }
 
-    /// Forward over the local `[b/(dq)·s, h/q]` activation block.
-    fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let a = self.ln1.forward(grid, ctx, x);
-        let b = self.attn.forward(grid, ctx, &a);
+    /// Forward over the local activation block.
+    fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+        let a = self.ln1.forward(world, ctx, x);
+        let b = self.attn.forward(world, ctx, &a);
         let x1 = Arc::new(x.add(&b, &mut ctx.meter));
-        let c = self.ln2.forward(grid, ctx, &x1);
-        let d = self.mlp.forward(grid, ctx, &c);
+        let c = self.ln2.forward(world, ctx, &x1);
+        let d = self.mlp.forward(world, ctx, &c);
         Arc::new(x1.add(&d, &mut ctx.meter))
     }
 
     /// Backward; returns `dX`.
-    fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+    fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
         // y = x1 + mlp(ln2(x1)), so dy flows both directly and through mlp.
-        let d_mlp_in = self.mlp.backward(grid, ctx, dy);
-        let d_x1_from_ln2 = self.ln2.backward(grid, ctx, &d_mlp_in);
+        let d_mlp_in = self.mlp.backward(world, ctx, dy);
+        let d_x1_from_ln2 = self.ln2.backward(world, ctx, &d_mlp_in);
         let d_x1 = Arc::new(dy.add(&d_x1_from_ln2, &mut ctx.meter));
         // x1 = x + attn(ln1(x)).
-        let d_attn_in = self.attn.backward(grid, ctx, &d_x1);
-        let d_x_from_ln1 = self.ln1.backward(grid, ctx, &d_attn_in);
+        let d_attn_in = self.attn.backward(world, ctx, &d_x1);
+        let d_x_from_ln1 = self.ln1.backward(world, ctx, &d_attn_in);
         Arc::new(d_x1.add(&d_x_from_ln1, &mut ctx.meter))
     }
 
@@ -144,41 +143,37 @@ impl<T: TensorLike + Payload> Module<T> for TesseractTransformerLayer<T> {
 }
 
 /// A stack of `cfg.layers` identical Transformer layers, composed as a
-/// [`Sequential`] of [`TesseractTransformerLayer`] modules (each possibly
-/// wrapped in a [`CheckpointSegment`] when recomputation is on).
-pub struct TesseractTransformer<T> {
-    pub layers: Sequential<T>,
+/// [`Sequential`] of [`TransformerLayer`] modules (each possibly wrapped in
+/// a [`CheckpointSegment`] when recomputation is on).
+pub struct Transformer<T, G> {
+    pub layers: Sequential<T, G>,
     pub cfg: TransformerConfig,
 }
 
-impl<T: TensorLike + Payload> TesseractTransformer<T> {
+/// [`Transformer`] on the `[q, q, d]` grid; with `d = 1` this is Optimus.
+pub type TesseractTransformer<T> = Transformer<T, TesseractGrid>;
+
+impl<T: TensorLike + Payload, G: World<T>> Transformer<T, G> {
     /// Builds the stack; layer `l` uses param ids
     /// `base_param_id + l·PARAM_IDS_PER_LAYER ..`.
     pub fn new(
         ctx: &RankCtx,
-        grid: &TesseractGrid,
+        world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
         seed: u64,
         base_param_id: u64,
     ) -> Self {
-        Self::new_with_options(
-            ctx,
-            grid,
-            cfg,
-            with_bias,
-            seed,
-            base_param_id,
-            StackOptions::default(),
-        )
+        let opts = StackOptions::default();
+        Self::new_with_options(ctx, world, cfg, with_bias, seed, base_param_id, opts)
     }
 
-    /// [`TesseractTransformer::new`] with explicit [`StackOptions`].
+    /// [`Transformer::new`] with explicit [`StackOptions`].
     /// Parameter ids are assigned identically in every mode, so stacks
     /// built with different options hold bitwise-identical weights.
     pub fn new_with_options(
         ctx: &RankCtx,
-        grid: &TesseractGrid,
+        world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
         seed: u64,
@@ -189,14 +184,8 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
             assert!(k >= 1, "recompute_every must be at least 1");
         }
         let make_layer = |l: usize| {
-            TesseractTransformerLayer::new(
-                ctx,
-                grid,
-                cfg,
-                with_bias,
-                seed,
-                base_param_id + l as u64 * PARAM_IDS_PER_LAYER,
-            )
+            let param_id = base_param_id + l as u64 * PARAM_IDS_PER_LAYER;
+            TransformerLayer::new(ctx, world, cfg, with_bias, seed, param_id)
         };
         let mut layers = Sequential::new();
         match opts.recompute_every {
@@ -223,17 +212,17 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractTransformer<T> {
+impl<T: TensorLike + Payload, G> Module<T, G> for Transformer<T, G> {
     fn name(&self) -> &'static str {
         "transformer"
     }
 
-    fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        self.layers.forward(grid, ctx, x)
+    fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+        self.layers.forward(world, ctx, x)
     }
 
-    fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        self.layers.backward(grid, ctx, dy)
+    fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+        self.layers.backward(world, ctx, dy)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {

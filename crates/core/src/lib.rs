@@ -13,8 +13,9 @@
 //! * [`module`] — the [`module::Module`] trait every layer implements, the
 //!   shared [`module::Tape`] activation stack and the [`module::Sequential`]
 //!   container pipeline stages and layer lists are built from.
-//! * [`layers`] — the Tesseract Transformer of §3.2: parallel linear, MLP,
-//!   multi-head attention, distributed layer norm, residual blocks.
+//! * [`layers`] — the Transformer of §3.2: MLP, multi-head attention,
+//!   residual layer and stack written once over the [`layers::World`] seam,
+//!   plus the grid's parallel linear and distributed layer norm.
 //! * [`infer`] — the forward-only serving path: per-request KV caches
 //!   sharded with the `[q, q, d]` layout and a no-tape `forward_infer`
 //!   stack with causal KV-cached attention.

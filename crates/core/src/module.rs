@@ -10,8 +10,9 @@
 //! compositions.
 //!
 //! The trait is generic over the communication world `G` (default:
-//! [`TesseractGrid`]) so the Megatron baseline — whose layers run on a 1-D
-//! `MegatronWorld` — shares the same interface. Consumers that only need
+//! [`TesseractGrid`]): the Transformer block in [`crate::layers`] is written
+//! once against it, and the Megatron baseline's 1-D `MegatronWorld` runs
+//! that same block with its own linear and norm. Consumers that only need
 //! parameters (optimizers, gradient sync, gradient clipping) take
 //! `&mut dyn Module<T>` and call [`Module::visit_params`]; consumers that
 //! drive computation (trainer, pipeline schedules, timing harnesses) call
@@ -110,16 +111,14 @@ pub trait Module<T: TensorLike + Payload, G = TesseractGrid> {
 /// schedule fails loudly: popping an empty tape panics, and
 /// [`Tape::debug_assert_balanced`] (called by `zero_grad` at step
 /// boundaries) catches forwards that were never unwound.
-/// Entries may carry a tracked byte size (via [`Tape::push_tracked`]) that
-/// feeds the per-rank activation high-water mark in
-/// [`tesseract_tensor::Meter::activation_bytes_peak`]; the matching pop (or
-/// a checkpoint [`Tape::clear_tracked`]) releases exactly what the push
-/// charged.
+/// Every entry carries its byte size, which feeds the per-rank activation
+/// high-water mark in [`tesseract_tensor::Meter::activation_bytes_peak`];
+/// the matching pop (or a checkpoint [`Tape::clear_tracked`]) releases
+/// exactly what the push charged.
 #[derive(Debug)]
 pub struct Tape<V> {
     items: Vec<V>,
-    /// Tracked byte size per entry, parallel to `items` (0 for untracked
-    /// pushes).
+    /// Byte size per entry, parallel to `items`.
     bytes: Vec<u64>,
     pushes: u64,
     pops: u64,
@@ -136,13 +135,6 @@ impl<V> Tape<V> {
         Self { items: Vec::new(), bytes: Vec::new(), pushes: 0, pops: 0 }
     }
 
-    /// Caches one microbatch's forward state.
-    pub fn push(&mut self, v: V) {
-        self.pushes += 1;
-        self.items.push(v);
-        self.bytes.push(0);
-    }
-
     /// Caches one microbatch's forward state and books `bytes` of tape
     /// residency against the rank's activation high-water mark.
     pub fn push_tracked(&mut self, ctx: &mut RankCtx, bytes: u64, v: V) {
@@ -152,24 +144,11 @@ impl<V> Tape<V> {
         self.bytes.push(bytes);
     }
 
-    /// Retrieves the most recent unconsumed forward state.
+    /// Retrieves the most recent unconsumed forward state and releases the
+    /// bytes the matching [`Tape::push_tracked`] charged.
     ///
     /// Panics when the tape is empty: a backward was issued without a
     /// matching forward (`what` names the offending module).
-    pub fn pop(&mut self, what: &str) -> V {
-        self.pops += 1;
-        self.bytes.pop();
-        self.items.pop().unwrap_or_else(|| {
-            panic!(
-                "{what}: backward without forward (activation tape empty after \
-                 {} forwards / {} backwards)",
-                self.pushes, self.pops
-            )
-        })
-    }
-
-    /// [`Tape::pop`] plus release of the bytes the matching
-    /// [`Tape::push_tracked`] charged.
     pub fn pop_tracked(&mut self, ctx: &mut RankCtx, what: &str) -> V {
         self.pops += 1;
         if let Some(b) = self.bytes.pop() {
@@ -395,38 +374,45 @@ impl<T: TensorLike + Payload, G> Module<T, G> for CheckpointSegment<T, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tesseract_comm::Cluster;
     use tesseract_tensor::DenseTensor;
 
     #[test]
     fn tape_is_lifo_and_counts() {
-        let mut t: Tape<u32> = Tape::new();
-        for v in 0..4 {
-            t.push(v);
-        }
-        assert_eq!(t.depth(), 4);
-        for v in (0..4).rev() {
-            assert_eq!(t.pop("test"), v);
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.counts(), (4, 4));
-        t.debug_assert_balanced("test");
+        Cluster::a100(1).run(|ctx| {
+            let mut t: Tape<u32> = Tape::new();
+            for v in 0..4 {
+                t.push_tracked(ctx, 8, v);
+            }
+            assert_eq!(t.depth(), 4);
+            for v in (0..4).rev() {
+                assert_eq!(t.pop_tracked(ctx, "test"), v);
+            }
+            assert!(t.is_empty());
+            assert_eq!(t.counts(), (4, 4));
+            t.debug_assert_balanced("test");
+        });
     }
 
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn tape_pop_on_empty_panics() {
-        let mut t: Tape<DenseTensor> = Tape::new();
-        let _ = t.pop("test-module");
+        Cluster::a100(1).run(|ctx| {
+            let mut t: Tape<DenseTensor> = Tape::new();
+            let _ = t.pop_tracked(ctx, "test-module");
+        });
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "activation tape unbalanced")]
     fn tape_imbalance_is_caught_at_step_boundary() {
-        let mut t: Tape<u8> = Tape::new();
-        t.push(1);
-        t.push(2);
-        let _ = t.pop("test");
-        t.debug_assert_balanced("test");
+        Cluster::a100(1).run(|ctx| {
+            let mut t: Tape<u8> = Tape::new();
+            t.push_tracked(ctx, 1, 1);
+            t.push_tracked(ctx, 1, 2);
+            let _ = t.pop_tracked(ctx, "test");
+            t.debug_assert_balanced("test");
+        });
     }
 }

@@ -17,10 +17,10 @@
 
 use std::sync::Arc;
 
-use tesseract_baselines::megatron::{MegatronTransformer, MegatronWorld};
-use tesseract_comm::{CostParams, RankReport, RunConfig, RunOutput, Topology};
-use tesseract_core::layers::StackOptions;
-use tesseract_core::{Module, TesseractGrid, TesseractTransformer, TransformerConfig};
+use tesseract_baselines::megatron::MegatronWorld;
+use tesseract_comm::{CostParams, RankCtx, RankReport, RunConfig, RunOutput, Topology};
+use tesseract_core::layers::{StackOptions, Transformer, World};
+use tesseract_core::{Module, TesseractGrid, TransformerConfig};
 use tesseract_hybrid::HybridTransformer;
 use tesseract_tensor::ShadowTensor;
 
@@ -96,8 +96,8 @@ pub fn dry_run(
 
 /// [`dry_run`] driven by a full [`RunConfig`]: the cluster's topology, cost
 /// constants and trace toggle come from the config, and the recompute-every
-/// execution option is applied to Tesseract-grid candidates (the Megatron
-/// and hybrid schedules ignore it). `run_cfg.world` is ignored — each
+/// execution option is applied to Tesseract-grid and Megatron candidates
+/// (the hybrid schedule ignores it). `run_cfg.world` is ignored — each
 /// candidate sets its own world size.
 pub fn dry_run_with_config(
     run_cfg: &RunConfig,
@@ -118,51 +118,25 @@ pub fn step(
     cfg: &TransformerConfig,
 ) -> RunOutput<(f64, f64)> {
     let opts = StackOptions { recompute_every: run_cfg.recompute_every };
+    let cfg = *cfg;
+    let mut rc = *run_cfg;
     match cand {
         Candidate::Tesseract { grid } => {
             let shape = *grid;
-            let cfg = *cfg;
-            let mut rc = *run_cfg;
             rc.world = shape.size();
             rc.cluster().run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
-                let mut model = TesseractTransformer::<ShadowTensor>::new_with_options(
-                    ctx, &grid, cfg, true, 0, 0, opts,
-                );
                 let rows_local = cfg.rows() / (shape.q * shape.d);
-                let x = Arc::new(ShadowTensor::new(rows_local, cfg.hidden / shape.q));
-                let _ = model.forward(&grid, ctx, &x);
-                ctx.flush_compute();
-                let t_fwd = ctx.clock();
-                // Checkpointed backward: recompute forward + true
-                // backward. The first forward's caches are discarded for
-                // real (`reset_tape`), so the reported activation peak is
-                // the one the recompute convention actually holds.
-                model.reset_tape(ctx);
-                let y = model.forward(&grid, ctx, &x);
-                let _ = model.backward(&grid, ctx, &y);
-                ctx.flush_compute();
-                (t_fwd, ctx.clock())
+                stack_step(ctx, &grid, cfg, opts, rows_local, cfg.hidden / shape.q)
             })
         }
         Candidate::Megatron { p } => {
             let p = *p;
-            let cfg = *cfg;
-            let mut rc = *run_cfg;
             rc.world = p;
             rc.cluster().run(|ctx| {
                 let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
-                let mut model = MegatronTransformer::<ShadowTensor>::new(&world, cfg, true, 0, 0);
                 // Activations are replicated: every rank sees the full batch.
-                let x = Arc::new(ShadowTensor::new(cfg.rows(), cfg.hidden));
-                let _ = model.forward(&world, ctx, &x);
-                ctx.flush_compute();
-                let t_fwd = ctx.clock();
-                model.reset_tape(ctx);
-                let y = model.forward(&world, ctx, &x);
-                let _ = model.backward(&world, ctx, &y);
-                ctx.flush_compute();
-                (t_fwd, ctx.clock())
+                stack_step(ctx, &world, cfg, opts, cfg.rows(), cfg.hidden)
             })
         }
         Candidate::Hybrid { shape, microbatches } => {
@@ -170,8 +144,7 @@ pub fn step(
             let mb = *microbatches;
             // The engine wants the per-microbatch batch size; the planner's
             // cfg.batch is global.
-            let engine_cfg = TransformerConfig { batch: cfg.batch / (shape.dp * mb), ..*cfg };
-            let mut rc = *run_cfg;
+            let engine_cfg = TransformerConfig { batch: cfg.batch / (shape.dp * mb), ..cfg };
             rc.world = shape.total();
             rc.cluster().run(|ctx| {
                 let mut eng =
@@ -223,6 +196,32 @@ pub fn step(
             })
         }
     }
+}
+
+/// One checkpointed step of the shared stack on world `G`, from this
+/// rank's `[rows, cols]` input block.
+fn stack_step<G: World<ShadowTensor>>(
+    ctx: &mut RankCtx,
+    world: &G,
+    cfg: TransformerConfig,
+    opts: StackOptions,
+    rows: usize,
+    cols: usize,
+) -> (f64, f64) {
+    let mut model = Transformer::new_with_options(ctx, world, cfg, true, 0, 0, opts);
+    let x = Arc::new(ShadowTensor::new(rows, cols));
+    let _ = model.forward(world, ctx, &x);
+    ctx.flush_compute();
+    let t_fwd = ctx.clock();
+    // Checkpointed backward: recompute forward + true backward. The first
+    // forward's caches are discarded for real (`reset_tape`), so the
+    // reported activation peak is the one the recompute convention
+    // actually holds.
+    model.reset_tape(ctx);
+    let y = model.forward(world, ctx, &x);
+    let _ = model.backward(world, ctx, &y);
+    ctx.flush_compute();
+    (t_fwd, ctx.clock())
 }
 
 #[cfg(test)]
@@ -295,6 +294,34 @@ mod tests {
                 "rank {r}: recompute peak {rc} above {RHO} x dense {d}"
             );
         }
+    }
+
+    #[test]
+    fn megatron_dry_run_reports_a_measured_activation_peak() {
+        let (topo, params) = (Topology::meluxina(), CostParams::a100_cluster());
+        let r = dry_run(&topo, &params, &Candidate::Megatron { p: 4 }, &cfg(), false);
+        assert!(r.activation_peak_bytes > 0, "megatron tapes are not byte-tracked");
+    }
+
+    #[test]
+    fn megatron_reset_tape_discards_the_first_forward() {
+        use tesseract_baselines::megatron::MegatronTransformer;
+        use tesseract_tensor::{DenseTensor, TensorLike};
+        let cfg = cfg();
+        let out = RunConfig::new(2).cluster().run(|ctx| {
+            let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(2, 0));
+            let mut model = MegatronTransformer::<DenseTensor>::new(ctx, &world, cfg, true, 0, 0);
+            let x = Arc::new(DenseTensor::zeros(cfg.rows(), cfg.hidden));
+            // The harness sequence of `stack_step`.
+            let _ = model.forward(&world, ctx, &x);
+            model.reset_tape(ctx);
+            let y = model.forward(&world, ctx, &x);
+            let _ = model.backward(&world, ctx, &y);
+            // Debug builds assert every tape is balanced here.
+            model.zero_grad();
+            ctx.tape_bytes_now()
+        });
+        assert_eq!(out.results, vec![0, 0], "tape bytes left resident after the step");
     }
 
     #[test]

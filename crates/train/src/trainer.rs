@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use tesseract_comm::Cluster;
 use tesseract_core::partition::a_block;
-use tesseract_core::{GridShape, Module, TesseractGrid};
+use tesseract_core::{GridShape, Module, ParamRef, TesseractGrid};
 use tesseract_tensor::{nn, DenseTensor, Matrix, Meter};
 
 use crate::data::SyntheticVisionDataset;
@@ -184,10 +184,7 @@ pub fn train_tesseract(
 /// the generic optimizers can update it. AdamW/SGD updates are elementwise,
 /// so any consistent visit order yields the same trained weights as the
 /// distributed runs (whose blocks partition the same matrices).
-pub fn visit_serial_vit(
-    model: &mut SerialViT,
-    f: &mut dyn FnMut(tesseract_core::layers::linear::ParamRef<'_, DenseTensor>),
-) {
+pub fn visit_serial_vit(model: &mut SerialViT, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
     visit_serial_linear(&mut model.embed, f);
     for layer in &mut model.body.layers {
         visit_serial_linear(&mut layer.attn.wq, f);
@@ -203,7 +200,7 @@ pub fn visit_serial_vit(
 /// Visits one serial linear layer's weight (and bias, if any).
 pub fn visit_serial_linear(
     lin: &mut tesseract_baselines::serial::SerialLinear,
-    f: &mut dyn FnMut(tesseract_core::layers::linear::ParamRef<'_, DenseTensor>),
+    f: &mut dyn FnMut(ParamRef<'_, DenseTensor>),
 ) {
     visit_matrix_pair(&mut lin.w, &mut lin.dw, f);
     if let (Some(b), Some(db)) = (lin.bias.as_mut(), lin.dbias.as_mut()) {
@@ -211,14 +208,10 @@ pub fn visit_serial_linear(
     }
 }
 
-fn visit_matrix_pair(
-    w: &mut Matrix,
-    g: &mut Matrix,
-    f: &mut dyn FnMut(tesseract_core::layers::linear::ParamRef<'_, DenseTensor>),
-) {
+fn visit_matrix_pair(w: &mut Matrix, g: &mut Matrix, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
     let mut wt = DenseTensor::from_matrix(w.clone());
     let mut gt = DenseTensor::from_matrix(g.clone());
-    f(tesseract_core::layers::linear::ParamRef { weight: &mut wt, grad: &mut gt });
+    f(ParamRef { weight: &mut wt, grad: &mut gt });
     *w = wt.into_matrix();
     *g = gt.into_matrix();
 }

@@ -58,7 +58,8 @@ fn main() {
     // Megatron-LM on 4 GPUs for comparison.
     let mega = Cluster::a100(4).run(|ctx| {
         let world = MegatronWorld::new(ctx, (0..4).collect());
-        let mut layer = MegatronTransformerLayer::<DenseTensor>::new(&world, cfg, true, seed, 0);
+        let mut layer =
+            MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, cfg, true, seed, 0);
         let x_full = std::sync::Arc::new(DenseTensor::from_matrix(x.clone()));
         let dy_full = std::sync::Arc::new(DenseTensor::from_matrix(dy.clone()));
         let y = layer.forward(&world, ctx, &x_full);

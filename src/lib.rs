@@ -7,7 +7,7 @@
 //! * [`tensor`] — dense/shadow tensor substrate.
 //! * [`comm`] — simulated multi-GPU cluster with collectives and cost model.
 //! * [`core`] — the Tesseract 2.5-D algorithm, layers and analysis.
-//! * [`baselines`] — Cannon/SUMMA/2.5-D matmuls, Megatron-LM 1-D, Optimus 2-D.
+//! * [`baselines`] — Cannon/SUMMA/2.5-D matmuls, Megatron-LM 1-D, serial oracle.
 //! * [`hybrid`] — data/pipeline parallelism composition (Figure 6).
 //! * [`train`] — optimizers, synthetic dataset, ViT, trainer (Figure 7).
 
