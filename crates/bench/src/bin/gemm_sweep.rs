@@ -1,34 +1,38 @@
-//! GEMM kernel sweep: seed-reference vs serial vs blocked micro-kernels,
-//! plus a multi-core scaling curve.
+//! GEMM kernel sweep: seed-reference vs serial vs every blocked
+//! micro-kernel backend, plus a multi-core scaling curve and the shapes the
+//! benchmark's workloads run.
 //!
-//! Times the `n×n×n` product for each requested size on five kernels:
+//! Times the `n×n×n` product for each requested size on:
 //!
 //! * `seed` — a verbatim copy of the pre-blocking kernel this repo shipped
 //!   with (ikj loop with the zero-skip branch), kept here as the fixed
 //!   baseline the speedup columns are measured against;
 //! * `serial` — the current serial kernel (zero-skip removed, vectorizable);
-//! * `scalar1` — the cache-blocked/packed kernel forced onto the scalar
-//!   4×8 micro-kernel, 1-thread pool (the PR-5 state of the art, kept as
-//!   the SIMD baseline);
-//! * `blocked1` — the blocked kernel on the auto-detected micro-kernel
-//!   backend ([`tesseract_tensor::matmul::active_kernel`]: AVX2+FMA 6×16
-//!   where the host supports it), 1-thread pool — isolating the SIMD win;
-//! * `blocked` — the same kernel on the process-wide pool (the
-//!   `TESSERACT_THREADS`-configured size, recorded in the JSON).
+//! * one **lane per supported backend** ([`MicroKernel::ALL`]: scalar 4×8,
+//!   AVX2 6×16, AVX-512 8×32) — the cache-blocked/packed kernel forced onto
+//!   that micro-kernel on a 1-thread pool, isolating each SIMD width's win;
+//! * `blocked` — the active backend
+//!   ([`tesseract_tensor::matmul::active_kernel`]) on the process-wide pool
+//!   (the `TESSERACT_THREADS`-configured size, recorded in the JSON).
 //!
 //! Then, per size, the active backend is swept over `--threads` (default
 //! `1,2,4,8`) on explicit pools, publishing GFLOP/s and parallel efficiency
-//! per thread count. Every swept thread count is checked **bitwise**
-//! against the 1-thread result of the same backend before its timing is
-//! accepted (the per-path parity contract); scalar-vs-SIMD agreement is
-//! checked within floating-point tolerance.
+//! per thread count. Finally the same lanes time [`WORKLOAD_SHAPES`] — the
+//! non-square GEMMs `benchmark/`'s probes report — so the committed record
+//! measures what the workloads run, not only squares.
+//!
+//! No timing is accepted before its parity gate: every swept thread count
+//! **bitwise** against the 1-thread result of the same backend, the vector
+//! backends **bitwise** against each other (`avx2 == avx512`, the fused
+//! numerics class), and scalar-vs-vector within floating-point tolerance.
 //!
 //! Reports median wall time over `--reps` runs as a table on stdout and as
 //! JSON (`--out`, default `BENCH_kernels.json`). The JSON records which
 //! micro-kernel actually ran (`"kernel"`), whether it was forced via
-//! `TESSERACT_KERNEL` (`"kernel_forced"`), the configured pool size
-//! (`"pool_threads"`), and the host's hardware parallelism (`"host_cpus"`)
-//! so a curve measured on a core-limited container is interpretable.
+//! `TESSERACT_KERNEL` (`"kernel_forced"`), which backends the host supports
+//! (`"lanes"`), the configured pool size (`"pool_threads"`), and the host's
+//! hardware parallelism (`"host_cpus"`) so a curve measured on a
+//! core-limited container is interpretable.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin gemm_sweep -- \
 //!           [--sizes 256,512,1024] [--reps 5] [--threads 1,2,4,8] \
@@ -37,8 +41,29 @@
 use std::time::Instant;
 
 use tesseract_comm::RunConfig;
-use tesseract_tensor::matmul::{active_kernel, matmul_blocked_with, matmul_serial, MicroKernel};
+use tesseract_tensor::matmul::{
+    active_kernel, matmul_blocked_with, matmul_nt_blocked_with, matmul_serial,
+    matmul_tn_blocked_with, MicroKernel,
+};
 use tesseract_tensor::{max_rel_diff, pool, Matrix, ThreadPool, Xoshiro256StarStar};
+
+#[derive(Clone, Copy)]
+enum Orient {
+    Nn,
+    Nt,
+    Tn,
+}
+
+/// The GEMMs `benchmark/`'s probes time, as logical `[m,k]·[k,n]`: fc1's
+/// SUMMA step on `train_gemm` in the three orientations a training step
+/// runs it (`tensor.gemm_host_gflops.{nn,nt,tn}`) and `serve_open`'s skinny
+/// decode GEMM (`tensor.gemm_skinny_host_gflops`).
+const WORKLOAD_SHAPES: [(&str, Orient, usize, usize, usize); 4] = [
+    ("summa_nn", Orient::Nn, 256, 256, 1024),
+    ("summa_nt", Orient::Nt, 256, 1024, 256),
+    ("summa_tn", Orient::Tn, 256, 256, 1024),
+    ("skinny_nn", Orient::Nn, 8, 128, 512),
+];
 
 /// The seed repo's `matmul`, copied verbatim (modulo `Matrix` accessors):
 /// ikj order with a zero-skip branch on `a_ik`. The branch defeats
@@ -90,14 +115,14 @@ struct Row {
     n: usize,
     seed_ns: f64,
     serial_ns: f64,
-    scalar1_ns: f64,
-    blocked1_ns: f64,
+    /// 1-thread time per supported backend, in [`MicroKernel::ALL`] order.
+    lane_ns: Vec<f64>,
     blocked_ns: f64,
     scaling: Vec<ScalePoint>,
 }
 
-fn gflops(n: usize, ns: f64) -> f64 {
-    (2.0 * (n as f64).powi(3)) / ns
+fn gflops(m: usize, k: usize, n: usize, ns: f64) -> f64 {
+    2.0 * m as f64 * k as f64 * n as f64 / ns
 }
 
 fn assert_bitwise(label: &str, reference: &Matrix, candidate: &Matrix) {
@@ -108,6 +133,44 @@ fn assert_bitwise(label: &str, reference: &Matrix, candidate: &Matrix) {
             "{label}: per-path parity violated at flat index {i}: {r} vs {c}"
         );
     }
+}
+
+/// Median 1-thread time of `gemm` on each of `lanes`, accepted only after
+/// the cross-backend gate: every vector backend within FMA tolerance of
+/// scalar, and bitwise equal to the other vector backends.
+fn timed_lanes(
+    label: &str,
+    lanes: &[MicroKernel],
+    reps: usize,
+    gemm: impl Fn(MicroKernel) -> Matrix,
+) -> Vec<f64> {
+    let scalar = gemm(MicroKernel::Scalar);
+    let mut fused: Option<(MicroKernel, Matrix)> = None;
+    for &kernel in lanes.iter().filter(|&&k| k != MicroKernel::Scalar) {
+        let out = gemm(kernel);
+        let cross = max_rel_diff(out.data(), scalar.data());
+        assert!(
+            cross < 1e-4,
+            "{label}: {} vs scalar diverged beyond FMA tolerance ({cross:e})",
+            kernel.name()
+        );
+        match &fused {
+            Some((first, reference)) => assert_bitwise(
+                &format!("{label} {} vs {}", first.name(), kernel.name()),
+                reference,
+                &out,
+            ),
+            None => fused = Some((kernel, out)),
+        }
+    }
+    lanes.iter().map(|&kernel| median_ns(reps, || gemm(kernel))).collect()
+}
+
+/// `"scalar": 1.0, "avx2": 2.0` — one JSON member per lane.
+fn lane_members(lanes: &[MicroKernel], values: impl Iterator<Item = f64>, digits: usize) -> String {
+    let members: Vec<String> =
+        lanes.iter().zip(values).map(|(k, v)| format!("\"{}\": {v:.digits$}", k.name())).collect();
+    members.join(", ")
 }
 
 fn main() {
@@ -152,21 +215,23 @@ fn main() {
     run_cfg.install();
     let kernel = active_kernel();
     let kernel_forced = run_cfg.kernel.is_some();
+    let lanes: Vec<MicroKernel> = MicroKernel::available().collect();
+    let lane_names: Vec<&str> = lanes.iter().map(|k| k.name()).collect();
+    let active_lane = lanes.iter().position(|&k| k == kernel).expect("active kernel is supported");
     let single = ThreadPool::new(1);
     let global = pool::global();
     let host_cpus = pool::host_threads();
     println!(
-        "gemm_sweep: sizes {sizes:?}, {reps} reps, micro-kernel {}{}, pool of {} thread(s) \
-         (host has {host_cpus}), scaling over {threads:?}\n",
+        "gemm_sweep: sizes {sizes:?}, {reps} reps, micro-kernel {}{}, supported backends \
+         {lane_names:?}, pool of {} thread(s) (host has {host_cpus}), scaling over {threads:?}\n",
         kernel.name(),
         if kernel_forced { " (forced via TESSERACT_KERNEL)" } else { "" },
         global.threads(),
     );
+    let lane_header: String =
+        lane_names.iter().map(|l| format!(" {:<12} |", format!("{l} 1t ns"))).collect();
     println!(
-        "| n    | seed ns      | serial ns    | scalar1 ns   | blocked1 ns  | blocked ns   | serial GF/s | blk1 GF/s | blk GF/s | simd x | blk1 x | blk x |"
-    );
-    println!(
-        "|------|--------------|--------------|--------------|--------------|--------------|-------------|-----------|----------|--------|--------|-------|"
+        "| n    | seed ns      | serial ns    |{lane_header} blocked ns   | serial GF/s | blk1 GF/s | blk GF/s | simd x | blk1 x | blk x |"
     );
 
     let mut rows = Vec::new();
@@ -176,15 +241,8 @@ fn main() {
         let b = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
 
         // Correctness gates before any timing: per-path bitwise parity at
-        // every swept thread count, and cross-path tolerance.
+        // every swept thread count here, cross-path parity in timed_lanes.
         let reference = matmul_blocked_with(&a, &b, &single, kernel);
-        let scalar_ref = matmul_blocked_with(&a, &b, &single, MicroKernel::Scalar);
-        let cross = max_rel_diff(reference.data(), scalar_ref.data());
-        assert!(
-            cross < 1e-4,
-            "n={n}: {} vs scalar diverged beyond FMA tolerance ({cross:e})",
-            kernel.name()
-        );
         let pools: Vec<ThreadPool> = threads.iter().map(|&t| ThreadPool::new(t)).collect();
         for (t, p) in threads.iter().zip(&pools) {
             let out = matmul_blocked_with(&a, &b, p, kernel);
@@ -203,26 +261,25 @@ fn main() {
             n,
             seed_ns: median_ns(reps, || matmul_seed(&a, &b)),
             serial_ns: median_ns(reps, || matmul_serial(&a, &b)),
-            scalar1_ns: median_ns(reps, || {
-                matmul_blocked_with(&a, &b, &single, MicroKernel::Scalar)
+            lane_ns: timed_lanes(&format!("n={n}"), &lanes, reps, |k| {
+                matmul_blocked_with(&a, &b, &single, k)
             }),
-            blocked1_ns: median_ns(reps, || matmul_blocked_with(&a, &b, &single, kernel)),
             blocked_ns: median_ns(reps, || matmul_blocked_with(&a, &b, global, kernel)),
             scaling,
         };
+        let blocked1_ns = row.lane_ns[active_lane];
+        let lane_cells: String = row.lane_ns.iter().map(|ns| format!(" {ns:>12.0} |")).collect();
         println!(
-            "| {:<4} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>11.3} | {:>9.3} | {:>8.3} | {:>6.2} | {:>6.2} | {:>5.2} |",
+            "| {:<4} | {:>12.0} | {:>12.0} |{lane_cells} {:>12.0} | {:>11.3} | {:>9.3} | {:>8.3} | {:>6.2} | {:>6.2} | {:>5.2} |",
             row.n,
             row.seed_ns,
             row.serial_ns,
-            row.scalar1_ns,
-            row.blocked1_ns,
             row.blocked_ns,
-            gflops(n, row.serial_ns),
-            gflops(n, row.blocked1_ns),
-            gflops(n, row.blocked_ns),
-            row.scalar1_ns / row.blocked1_ns,
-            row.seed_ns / row.blocked1_ns,
+            gflops(n, n, n, row.serial_ns),
+            gflops(n, n, n, blocked1_ns),
+            gflops(n, n, n, row.blocked_ns),
+            row.lane_ns[0] / blocked1_ns,
+            row.seed_ns / blocked1_ns,
             row.seed_ns / row.blocked_ns,
         );
         for p in &row.scaling {
@@ -231,7 +288,7 @@ fn main() {
                 "|      scaling: {:>2} thread(s) {:>12.0} ns  {:>8.3} GF/s  speedup {:>5.2}  efficiency {:>4.2} |",
                 p.threads,
                 p.ns,
-                gflops(n, p.ns),
+                gflops(n, n, n, p.ns),
                 speedup,
                 speedup / p.threads as f64,
             );
@@ -239,42 +296,67 @@ fn main() {
         rows.push(row);
     }
 
+    println!("\nworkload shapes (1 thread, GFLOP/s per backend):");
+    let workload_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = WORKLOAD_SHAPES
+        .iter()
+        .map(|&(label, orient, m, k, n)| {
+            let mut rng = Xoshiro256StarStar::seed_from_u64((m * k + n) as u64);
+            // Stored operand shapes per orientation (nt stores B as n×k, tn
+            // stores A as k×m).
+            let ((ar, ac), (br, bc)) = match orient {
+                Orient::Nn => ((m, k), (k, n)),
+                Orient::Nt => ((m, k), (n, k)),
+                Orient::Tn => ((k, m), (k, n)),
+            };
+            let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
+            let b = Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng);
+            let lane_ns = timed_lanes(label, &lanes, reps, |kernel| match orient {
+                Orient::Nn => matmul_blocked_with(&a, &b, &single, kernel),
+                Orient::Nt => matmul_nt_blocked_with(&a, &b, &single, kernel),
+                Orient::Tn => matmul_tn_blocked_with(&a, &b, &single, kernel),
+            });
+            let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
+            println!("  {label:<10} {m}x{k}x{n}: {rates}");
+            (label, m, k, n, lane_ns)
+        })
+        .collect();
+
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"gemm_sweep\",\n");
     json.push_str("  \"units\": { \"time\": \"ns (median)\", \"rate\": \"GFLOP/s\" },\n");
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"kernel\": \"{}\",\n", kernel.name()));
     json.push_str(&format!("  \"kernel_forced\": {kernel_forced},\n"));
+    json.push_str(&format!("  \"lanes\": {lane_names:?},\n"));
     json.push_str(&format!("  \"pool_threads\": {},\n", global.threads()));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!(
         "  \"threads_swept\": [{}],\n",
         threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ")
     ));
-    json.push_str("  \"parity\": \"bitwise per kernel path at every swept thread count\",\n");
     json.push_str(
-        "  \"kernels\": [\"seed\", \"serial\", \"scalar1\", \"blocked1\", \"blocked\"],\n",
+        "  \"parity\": \"bitwise per kernel path at every swept thread count; vector lanes bitwise equal to each other\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let n = r.n;
+        let blocked1_ns = r.lane_ns[active_lane];
         json.push_str(&format!(
-            "    {{ \"n\": {}, \"seed_ns\": {:.0}, \"serial_ns\": {:.0}, \"scalar1_ns\": {:.0}, \"blocked1_ns\": {:.0}, \"blocked_ns\": {:.0}, \
-\"serial_gflops\": {:.3}, \"scalar1_gflops\": {:.3}, \"blocked1_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \
+            "    {{ \"n\": {n}, \"seed_ns\": {:.0}, \"serial_ns\": {:.0}, \"blocked_ns\": {:.0}, \
+\"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }}, \
+\"serial_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \
 \"speedup_serial\": {:.3}, \"speedup_blocked1\": {:.3}, \"speedup_blocked\": {:.3}, \"simd_speedup\": {:.3},\n",
-            r.n,
             r.seed_ns,
             r.serial_ns,
-            r.scalar1_ns,
-            r.blocked1_ns,
             r.blocked_ns,
-            gflops(r.n, r.serial_ns),
-            gflops(r.n, r.scalar1_ns),
-            gflops(r.n, r.blocked1_ns),
-            gflops(r.n, r.blocked_ns),
+            lane_members(&lanes, r.lane_ns.iter().copied(), 0),
+            lane_members(&lanes, r.lane_ns.iter().map(|&ns| gflops(n, n, n, ns)), 3),
+            gflops(n, n, n, r.serial_ns),
+            gflops(n, n, n, r.blocked_ns),
             r.seed_ns / r.serial_ns,
-            r.seed_ns / r.blocked1_ns,
+            r.seed_ns / blocked1_ns,
             r.seed_ns / r.blocked_ns,
-            r.scalar1_ns / r.blocked1_ns,
+            r.lane_ns[0] / blocked1_ns,
         ));
         json.push_str("      \"scaling\": [\n");
         for (j, p) in r.scaling.iter().enumerate() {
@@ -283,13 +365,22 @@ fn main() {
                 "        {{ \"threads\": {}, \"ns\": {:.0}, \"gflops\": {:.3}, \"speedup\": {:.3}, \"efficiency\": {:.3} }}{}\n",
                 p.threads,
                 p.ns,
-                gflops(r.n, p.ns),
+                gflops(n, n, n, p.ns),
                 speedup,
                 speedup / p.threads as f64,
                 if j + 1 == r.scaling.len() { "" } else { "," }
             ));
         }
         json.push_str(&format!("      ] }}{}\n", if i + 1 == rows.len() { "" } else { "," }));
+    }
+    json.push_str("  ],\n  \"workload_shapes\": [\n");
+    for (i, (label, m, k, n, lane_ns)) in workload_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }} }}{}\n",
+            lane_members(&lanes, lane_ns.iter().copied(), 0),
+            lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(*m, *k, *n, ns)), 3),
+            if i + 1 == workload_rows.len() { "" } else { "," }
+        ));
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));

@@ -209,6 +209,7 @@ impl RankCtx {
             gemms_serial: t.gemms_serial,
             gemms_kernel_scalar: t.gemms_kernel_scalar,
             gemms_kernel_avx2: t.gemms_kernel_avx2,
+            gemms_kernel_avx512: t.gemms_kernel_avx512,
             bytes_allocated: t.bytes_allocated,
             payload_copies: t.payload_copies,
             payload_copy_bytes: t.payload_copy_bytes,
@@ -263,11 +264,14 @@ pub struct RankReport {
     /// GEMM launches that fell back to the serial triple loop.
     pub gemms_serial: u64,
     /// Blocked dispatches that ran the scalar micro-kernel backend
-    /// (`gemms_kernel_scalar + gemms_kernel_avx2 == gemms_blocked`).
+    /// (`gemms_kernel_scalar + gemms_kernel_avx2 + gemms_kernel_avx512 ==
+    /// gemms_blocked`).
     pub gemms_kernel_scalar: u64,
     /// Blocked dispatches that ran the AVX2+FMA micro-kernel backend —
     /// the audit trail for which kernel actually executed this run.
     pub gemms_kernel_avx2: u64,
+    /// Blocked dispatches that ran the AVX-512 micro-kernel backend.
+    pub gemms_kernel_avx512: u64,
     /// Total bytes of op outputs this rank materialized (an
     /// activation-traffic proxy; weights are counted once at construction
     /// via the concat in layer constructors).

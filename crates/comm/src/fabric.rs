@@ -16,7 +16,7 @@
 //! SPMD contract: all members of a group must invoke the same collectives
 //! in the same order. A timeout (default 120 s, env-overridable)
 //! converts a violated contract (or a peer that panicked) into a
-//! diagnosable panic instead of a hang. The default is 120 seconds.
+//! diagnosable panic instead of a hang.
 
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;

@@ -79,10 +79,10 @@ impl RunConfig {
     ///   `off` enables tracing.
     /// * `TESSERACT_THREADS` — positive integer; an invalid value warns
     ///   once on stderr and is ignored.
-    /// * `TESSERACT_KERNEL` — `scalar` | `avx2` | `auto`; an unknown value
-    ///   panics, and forcing `avx2` on an unsupported host panics at
-    ///   [`RunConfig::install`] time (a forced path must never silently
-    ///   degrade).
+    /// * `TESSERACT_KERNEL` — `scalar` | `avx2` | `avx512` | `auto`; an
+    ///   unknown value panics, and forcing a backend the host does not
+    ///   support panics at [`RunConfig::install`] time (a forced path must
+    ///   never silently degrade).
     /// * `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` — non-negative integer; a
     ///   set-but-unparsable value panics instead of silently hanging for
     ///   the two-minute default.
@@ -206,15 +206,19 @@ fn parse_threads(v: &str) -> Option<usize> {
     }
 }
 
-/// Parses `TESSERACT_KERNEL` (`scalar` | `avx2` | `auto`/empty); an
-/// unknown value panics with the pinned message.
+/// Parses `TESSERACT_KERNEL`: the `name()` of any [`MicroKernel::ALL`]
+/// backend, or `auto`/empty; an unknown value panics with the pinned
+/// message.
 fn parse_kernel(v: &str) -> Option<MicroKernel> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(MicroKernel::Scalar),
-        "avx2" => Some(MicroKernel::Avx2),
-        "" | "auto" => None,
-        other => panic!("invalid TESSERACT_KERNEL={other:?} (want scalar|avx2|auto)"),
+    let v = v.trim().to_ascii_lowercase();
+    if v.is_empty() || v == "auto" {
+        return None;
     }
+    let forced = MicroKernel::ALL.into_iter().find(|k| k.name() == v);
+    Some(forced.unwrap_or_else(|| {
+        let names = MicroKernel::ALL.map(MicroKernel::name).join("|");
+        panic!("invalid TESSERACT_KERNEL={v:?} (want {names}|auto)")
+    }))
 }
 
 #[cfg(test)]
@@ -248,14 +252,16 @@ mod tests {
 
     #[test]
     fn kernel_parse_matches_the_pinned_grammar() {
-        assert_eq!(parse_kernel("scalar"), Some(MicroKernel::Scalar));
-        assert_eq!(parse_kernel("AVX2"), Some(MicroKernel::Avx2));
+        for k in MicroKernel::ALL {
+            assert_eq!(parse_kernel(k.name()), Some(k));
+        }
+        assert_eq!(parse_kernel(" AVX2 "), Some(MicroKernel::Avx2));
         assert_eq!(parse_kernel("auto"), None);
         assert_eq!(parse_kernel(""), None);
     }
 
     #[test]
-    #[should_panic(expected = "invalid TESSERACT_KERNEL=\"sse9\" (want scalar|avx2|auto)")]
+    #[should_panic(expected = "invalid TESSERACT_KERNEL=\"sse9\" (want scalar|avx2|avx512|auto)")]
     fn kernel_parse_panics_on_unknown_backends() {
         let _ = parse_kernel("sse9");
     }

@@ -21,26 +21,39 @@
 //! * [`MicroKernel::Scalar`] — `MR×NR = 4×8`, plain mul+add, the portable
 //!   reference on every architecture;
 //! * [`MicroKernel::Avx2`] — `MR×NR = 6×16`, `_mm256` FMA intrinsics behind
-//!   `#[target_feature(enable = "avx2,fma")]`, selected only when
-//!   `is_x86_feature_detected!` proves the host supports it.
+//!   `#[target_feature(enable = "avx2,fma")]`, the vector path of x86 hosts
+//!   without AVX-512;
+//! * [`MicroKernel::Avx512`] — `MR×NR = 8×32`, `_mm512` FMA intrinsics
+//!   behind `#[target_feature(enable = "avx512f")]`.
 //!
-//! The backend is resolved **once per process** ([`active_kernel`], a
-//! `OnceLock`): auto-detection by default, or forced with
-//! `TESSERACT_KERNEL=scalar|avx2` for testing and benchmarking. Dispatch
-//! therefore costs nothing in the hot loop.
+//! A vector backend is selected only when `is_x86_feature_detected!` proves
+//! the host supports it. The backend is resolved **once per process**
+//! ([`active_kernel`], a `OnceLock`): the widest supported one by default,
+//! or forced with `TESSERACT_KERNEL=scalar|avx2|avx512` for testing and
+//! benchmarking. Dispatch therefore costs nothing in the hot loop.
 //!
-//! **Determinism contract** (DESIGN.md §5), now **per kernel path**: within
-//! a fixed backend, every element of C is computed by exactly one task as
-//! `((c + a_i0·b_0j) + a_i1·b_1j) + …` in strictly ascending k order —
-//! blocking tiles k but visits tiles in order, packing copies values
-//! bit-exactly, which micro-tile (full or edge) computes an element depends
-//! only on the shape and the backend's tile constants, never on thread
-//! count. A fixed backend therefore produces **bitwise-identical** output
-//! at any thread count, so the pool size can never change a result. The
-//! scalar backend is additionally bitwise-identical to the `*_serial`
-//! triple loops. *Across* backends results agree only within floating-point
-//! tolerance: AVX2 uses fused multiply-add (one rounding per `a·b + c`
-//! instead of two), so its k-chains round differently than scalar mul+add.
+//! **Every tile runs the backend's own kernel.** A remainder tile at the
+//! bottom/right edge is copied into a zeroed `MR×NR` stack tile, run
+//! through the same full-tile kernel, and its valid region copied back
+//! (`micro_kernel`) — there is no separate edge loop, so no row of C is
+//! computed at scalar speed on a vector backend.
+//!
+//! **Determinism contract** (DESIGN.md §5): every element of C is computed
+//! by exactly one task as one chain over strictly ascending k — blocking
+//! tiles k but visits tiles in order, packing copies values bit-exactly,
+//! and nothing depends on thread count. A fixed backend therefore produces
+//! **bitwise-identical** output at any thread count. Because edge tiles use
+//! the backend's own arithmetic, the chain's rounding depends only on the
+//! backend's *numerics class*, and there are two:
+//!
+//! * **mul+add** `((c + a_i0·b_0j) + a_i1·b_1j) + …` — the `*_serial`
+//!   triple loops and the scalar backend, bitwise identical to each other;
+//! * **fused** `fma(a_ik, b_kj, c)` — AVX2 and AVX-512, bitwise identical
+//!   to each other on every shape, so a result does not depend on which
+//!   x86 vector width the host has.
+//!
+//! Across the two classes results agree only within floating-point
+//! tolerance (one rounding per `a·b + c` instead of two).
 
 use std::sync::OnceLock;
 
@@ -51,8 +64,8 @@ use crate::pool::{self, ThreadPool};
 /// `BLOCK_K`: 64·256 f32 = 64 KiB).
 pub const BLOCK_M: usize = 64;
 /// Depth (k) tile; one packed B micro-panel stream is `BLOCK_K·NR` f32
-/// (8 KiB scalar, 16 KiB AVX2), resident in L1 across a whole row of
-/// micro-tiles.
+/// (8 KiB scalar, 16 KiB AVX2, 32 KiB AVX-512), resident in L1 across a
+/// whole row of micro-tiles.
 pub const BLOCK_K: usize = 256;
 /// Column (n) tile; the packed B block `BLOCK_K·BLOCK_N` f32 = 256 KiB
 /// stays L2-resident while a task sweeps its row panel.
@@ -69,6 +82,15 @@ const SCALAR_NR: usize = 8;
 const AVX2_MR: usize = 6;
 /// AVX2 micro-tile columns (two 8-lane ymm vectors per accumulator row).
 const AVX2_NR: usize = 16;
+
+/// AVX-512 micro-tile rows: 8×32 f32 = 16 zmm accumulators of the 32
+/// registers. 8 divides [`BLOCK_M`] and every power-of-two shape, so row
+/// panels never pad; a taller 12-row tile had faster probes but a slower
+/// training step because 64-row attention GEMMs pad to 72 (EXPERIMENTS.md
+/// §K).
+const AVX512_MR: usize = 8;
+/// AVX-512 micro-tile columns (two 16-lane zmm vectors per accumulator row).
+const AVX512_NR: usize = 32;
 
 /// `m·k·n` below which the serial kernel is dispatched (≈ one 64³ GEMM);
 /// under this size the pack/tile bookkeeping costs more than it saves.
@@ -96,14 +118,29 @@ pub enum MicroKernel {
     /// `6×16` AVX2+FMA tile (`_mm256_fmadd_ps`); requires runtime-detected
     /// `avx2` and `fma` CPU features.
     Avx2,
+    /// `8×32` AVX-512 tile (`_mm512_fmadd_ps`); requires runtime-detected
+    /// `avx512f`. Bitwise identical to [`MicroKernel::Avx2`].
+    Avx512,
 }
 
 impl MicroKernel {
+    /// Every backend, narrowest first. Forced-path test matrices, sweeps
+    /// and the `TESSERACT_KERNEL` grammar iterate this, so a backend cannot
+    /// be added without entering all of them.
+    pub const ALL: [MicroKernel; 3] = [MicroKernel::Scalar, MicroKernel::Avx2, MicroKernel::Avx512];
+
+    /// The backends of [`MicroKernel::ALL`] this host can run, narrowest
+    /// first (scalar always leads).
+    pub fn available() -> impl DoubleEndedIterator<Item = MicroKernel> {
+        Self::ALL.into_iter().filter(|k| k.supported())
+    }
+
     /// Micro-tile rows of this backend.
     pub const fn mr(self) -> usize {
         match self {
             MicroKernel::Scalar => SCALAR_MR,
             MicroKernel::Avx2 => AVX2_MR,
+            MicroKernel::Avx512 => AVX512_MR,
         }
     }
 
@@ -112,6 +149,7 @@ impl MicroKernel {
         match self {
             MicroKernel::Scalar => SCALAR_NR,
             MicroKernel::Avx2 => AVX2_NR,
+            MicroKernel::Avx512 => AVX512_NR,
         }
     }
 
@@ -121,23 +159,23 @@ impl MicroKernel {
         match self {
             MicroKernel::Scalar => "scalar",
             MicroKernel::Avx2 => "avx2",
+            MicroKernel::Avx512 => "avx512",
         }
     }
 
     /// Whether the running host can execute this backend.
     pub fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
         match self {
             MicroKernel::Scalar => true,
             MicroKernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
             }
+            MicroKernel::Avx512 => is_x86_feature_detected!("avx512f"),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == MicroKernel::Scalar
         }
     }
 }
@@ -174,13 +212,9 @@ pub fn active_kernel() -> MicroKernel {
     *ACTIVE_KERNEL.get_or_init(detect_kernel)
 }
 
-/// Widest supported backend, in preference order.
+/// Widest supported backend.
 fn detect_kernel() -> MicroKernel {
-    if MicroKernel::Avx2.supported() {
-        MicroKernel::Avx2
-    } else {
-        MicroKernel::Scalar
-    }
+    MicroKernel::available().next_back().expect("the scalar backend runs everywhere")
 }
 
 /// Deterministic dispatch decision for a `[m,k]·[k,n]` product. Depends only
@@ -423,17 +457,18 @@ fn gemm_blocked(
 /// Padded lanes feed don't-care accumulator columns that are never stored.
 /// One implementation serves every micro-kernel backend: the panel width
 /// `nr` is a constructor parameter, and each `(k-tile, column-panel)` slot
-/// is the fixed size `BLOCK_K·nr` so panel addresses are computable without
-/// per-tile offset tables.
+/// is the fixed size `min(k, BLOCK_K)·nr` so panel addresses are computable
+/// without per-tile offset tables and a shallow GEMM zero-fills no more
+/// than it packs.
 struct PackedB {
     buf: Vec<f32>,
     n_panels: usize,
-    nr: usize,
+    slot: usize,
 }
 
 impl PackedB {
     fn new(orient: Orient, b: &Matrix, k: usize, n: usize, nr: usize) -> Self {
-        let slot = BLOCK_K * nr;
+        let slot = k.min(BLOCK_K) * nr;
         let n_panels = n.div_ceil(nr);
         let k_tiles = k.div_ceil(BLOCK_K);
         // Pre-zeroed, each slot written once: padding needs no extra pass.
@@ -465,12 +500,11 @@ impl PackedB {
                 }
             }
         }
-        Self { buf, n_panels, nr }
+        Self { buf, n_panels, slot }
     }
 
     fn panel(&self, kc_idx: usize, q: usize) -> &[f32] {
-        let slot = BLOCK_K * self.nr;
-        &self.buf[(kc_idx * self.n_panels + q) * slot..][..slot]
+        &self.buf[(kc_idx * self.n_panels + q) * self.slot..][..self.slot]
     }
 }
 
@@ -496,6 +530,9 @@ fn gemm_row_block(
         MicroKernel::Avx2 => {
             gemm_row_block_g::<AVX2_MR, AVX2_NR>(kernel, orient, a, b_packed, c_rows, i0, mb, k, n)
         }
+        MicroKernel::Avx512 => gemm_row_block_g::<AVX512_MR, AVX512_NR>(
+            kernel, orient, a, b_packed, c_rows, i0, mb, k, n,
+        ),
     }
 }
 
@@ -516,8 +553,7 @@ fn gemm_row_block_g<const MR: usize, const NR: usize>(
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!((MR, NR), (kernel.mr(), kernel.nr()));
-    debug_assert_eq!(b_packed.nr, NR, "B packed for a different backend");
+    debug_assert_eq!(b_packed.slot, k.min(BLOCK_K) * NR, "B packed for a different backend");
     let row_panels = mb.div_ceil(MR);
     let mut a_pack = vec![0.0f32; row_panels * MR * k.min(BLOCK_K)];
     for (kc_idx, kc) in (0..k).step_by(BLOCK_K).enumerate() {
@@ -547,10 +583,12 @@ fn gemm_row_block_g<const MR: usize, const NR: usize>(
 }
 
 /// `MR×NR` register-tile update: `C[tile] += Apanel · Bpanel` over `kb`
-/// depth steps. Full tiles take the backend's fast path; remainder tiles
-/// take the shared scalar edge path. Which path computes an element is a
-/// pure function of shape and tile constants — never of thread count — so
-/// each backend stays bitwise deterministic (the per-path parity contract).
+/// depth steps, always by the backend's own full-tile kernel. A remainder
+/// tile (`rows < MR` or `cols < NR`) is staged through a zeroed `MR×NR`
+/// stack tile: the zero-padded pack lanes feed its don't-care accumulators,
+/// and only the valid region is copied back. Each valid element therefore
+/// sees exactly the arithmetic a full tile would give it, so a backend has
+/// one numerics class on every shape.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel<const MR: usize, const NR: usize>(
@@ -566,34 +604,60 @@ fn micro_kernel<const MR: usize, const NR: usize>(
     cols: usize,
 ) {
     if rows == MR && cols == NR {
-        match kernel {
-            MicroKernel::Scalar => {
-                micro_kernel_full::<MR, NR>(a_panel, b_panel, kb, c_rows, ci, cj, n)
-            }
-            MicroKernel::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `MicroKernel::Avx2` is only dispatched after
-                // `supported()` verified avx2+fma at kernel-selection time
-                // (gemm_blocked asserts it), and full-tile bounds were just
-                // checked (`rows == MR && cols == NR`).
-                unsafe {
-                    micro_kernel_avx2(a_panel, b_panel, kb, c_rows, ci, cj, n)
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                unreachable!("Avx2 backend cannot be selected off x86_64")
-            }
-        }
-    } else {
-        micro_kernel_edge::<MR, NR>(a_panel, b_panel, kb, c_rows, ci, cj, n, rows, cols);
+        full_tile::<MR, NR>(kernel, a_panel, b_panel, kb, c_rows, ci, cj, n);
+        return;
+    }
+    let mut tile = [[0.0f32; NR]; MR];
+    for (r, tile_row) in tile.iter_mut().enumerate().take(rows) {
+        tile_row[..cols].copy_from_slice(&c_rows[(ci + r) * n + cj..][..cols]);
+    }
+    full_tile::<MR, NR>(kernel, a_panel, b_panel, kb, tile.as_flattened_mut(), 0, 0, NR);
+    for (r, tile_row) in tile.iter().enumerate().take(rows) {
+        c_rows[(ci + r) * n + cj..][..cols].copy_from_slice(&tile_row[..cols]);
     }
 }
 
-/// Scalar full-tile fast path. Every access to `acc` is a constant index
+/// Runs the backend's kernel on the full `MR×NR` tile at `(ci, cj)` of `c`
+/// (row stride `n`).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn full_tile<const MR: usize, const NR: usize>(
+    kernel: MicroKernel,
+    a_panel: &[f32],
+    b_panel: &[f32],
+    kb: usize,
+    c: &mut [f32],
+    ci: usize,
+    cj: usize,
+    n: usize,
+) {
+    assert_eq!((MR, NR), (kernel.mr(), kernel.nr()), "tile constants of another backend");
+    assert!(a_panel.len() >= kb * MR && b_panel.len() >= kb * NR, "packed panel too short");
+    assert!((ci + MR - 1) * n + cj + NR <= c.len(), "C tile out of bounds");
+    match kernel {
+        MicroKernel::Scalar => micro_kernel_scalar::<MR, NR>(a_panel, b_panel, kb, c, ci, cj, n),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a vector backend is only dispatched after `supported()`
+        // verified its CPU features (gemm_blocked asserts it); the three
+        // asserts above are the kernel's panel-length and tile-bounds
+        // requirements for this backend's `MR×NR`.
+        MicroKernel::Avx2 => unsafe { micro_kernel_avx2(a_panel, b_panel, kb, c, ci, cj, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for `Avx2`.
+        MicroKernel::Avx512 => unsafe { micro_kernel_avx512(a_panel, b_panel, kb, c, ci, cj, n) },
+        #[cfg(not(target_arch = "x86_64"))]
+        MicroKernel::Avx2 | MicroKernel::Avx512 => {
+            unreachable!("vector backends cannot be selected off x86_64")
+        }
+    }
+}
+
+/// Scalar full-tile kernel. Every access to `acc` is a constant index
 /// (the `MR`/`NR` loops fully unroll), so the array lives in registers;
 /// loading the C tile first keeps each element's k-chain unbroken across
 /// k-tiles.
 #[inline]
-fn micro_kernel_full<const MR: usize, const NR: usize>(
+fn micro_kernel_scalar<const MR: usize, const NR: usize>(
     a_panel: &[f32],
     b_panel: &[f32],
     kb: usize,
@@ -621,92 +685,90 @@ fn micro_kernel_full<const MR: usize, const NR: usize>(
     }
 }
 
-/// AVX2+FMA full-tile fast path: a `6×16` C tile as 12 ymm accumulators,
-/// per depth step two B loads and six A broadcasts feeding
-/// `_mm256_fmadd_ps`. FMA fuses each `a·b + c` into one rounding, so this
-/// backend's k-chains differ from scalar in the last ulps (the per-path
-/// parity contract); within the backend the chain is still strictly
-/// ascending-k and thread-count independent.
-///
-/// # Safety
-/// Caller must guarantee the host supports `avx2` and `fma`, that
-/// `a_panel` holds at least `kb·6` f32, `b_panel` at least `kb·16`, and
-/// that rows `ci..ci+6` × cols `cj..cj+16` are in-bounds in `c_rows`
-/// (row stride `n`).
+/// One FMA full-tile kernel body, instantiated per vector width: an
+/// `MR × 2·LANES` C tile held in `2·MR` vector accumulators, per depth step
+/// two B loads and `MR` A broadcasts feeding the fused multiply-add. FMA
+/// fuses each `a·b + c` into one rounding, so these backends' k-chains
+/// differ from scalar in the last ulps; the chain is the same strictly
+/// ascending-k `fma(a, b, c)` at either width, which is what makes the two
+/// instances bitwise identical to each other.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_kernel_avx2(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kb: usize,
-    c_rows: &mut [f32],
-    ci: usize,
-    cj: usize,
-    n: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(a_panel.len() >= kb * AVX2_MR && b_panel.len() >= kb * AVX2_NR);
-    debug_assert!((ci + AVX2_MR - 1) * n + cj + AVX2_NR <= c_rows.len());
-    let mut acc = [[_mm256_setzero_ps(); 2]; AVX2_MR];
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        let p = c_rows.as_ptr().add((ci + r) * n + cj);
-        acc_row[0] = _mm256_loadu_ps(p);
-        acc_row[1] = _mm256_loadu_ps(p.add(8));
-    }
-    let mut ap = a_panel.as_ptr();
-    let mut bp = b_panel.as_ptr();
-    for _ in 0..kb {
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let ar = _mm256_broadcast_ss(&*ap.add(r));
-            acc_row[0] = _mm256_fmadd_ps(ar, b0, acc_row[0]);
-            acc_row[1] = _mm256_fmadd_ps(ar, b1, acc_row[1]);
-        }
-        ap = ap.add(AVX2_MR);
-        bp = bp.add(AVX2_NR);
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        let p = c_rows.as_mut_ptr().add((ci + r) * n + cj);
-        _mm256_storeu_ps(p, acc_row[0]);
-        _mm256_storeu_ps(p.add(8), acc_row[1]);
-    }
-}
-
-/// Remainder tiles at the right/bottom edges, shared by every backend:
-/// same ascending-k arithmetic as the scalar full tile (plain mul+add),
-/// but loads and stores clip to the valid `rows × cols` region (padded
-/// accumulator lanes are computed and discarded). Not speed-critical.
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_edge<const MR: usize, const NR: usize>(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kb: usize,
-    c_rows: &mut [f32],
-    ci: usize,
-    cj: usize,
-    n: usize,
-    rows: usize,
-    cols: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..rows {
-        let c_row = &c_rows[(ci + r) * n + cj..(ci + r) * n + cj + cols];
-        acc[r][..cols].copy_from_slice(c_row);
-    }
-    for (av, bv) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)).take(kb) {
-        for r in 0..MR {
-            let ar = av[r];
-            for l in 0..NR {
-                acc[r][l] += ar * bv[l];
+macro_rules! fma_micro_kernel {
+    ($name:ident, $features:literal, $mr:ident, $lanes:literal,
+     $zero:ident, $load:ident, $store:ident, $splat:ident, $fmadd:ident) => {
+        /// # Safety
+        /// Caller must guarantee the host supports this kernel's target
+        /// features, that `a_panel` holds at least `kb·MR` f32, `b_panel`
+        /// at least `kb·NR`, and that rows `ci..ci+MR` × cols `cj..cj+NR`
+        /// are in-bounds in `c_rows` (row stride `n`).
+        #[target_feature(enable = $features)]
+        unsafe fn $name(
+            a_panel: &[f32],
+            b_panel: &[f32],
+            kb: usize,
+            c_rows: &mut [f32],
+            ci: usize,
+            cj: usize,
+            n: usize,
+        ) {
+            use std::arch::x86_64::*;
+            let mut acc = [[$zero(); 2]; $mr];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let p = c_rows.as_ptr().add((ci + r) * n + cj);
+                acc_row[0] = $load(p);
+                acc_row[1] = $load(p.add($lanes));
+            }
+            let mut ap = a_panel.as_ptr();
+            let mut bp = b_panel.as_ptr();
+            for _ in 0..kb {
+                let b0 = $load(bp);
+                let b1 = $load(bp.add($lanes));
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let ar = $splat(*ap.add(r));
+                    acc_row[0] = $fmadd(ar, b0, acc_row[0]);
+                    acc_row[1] = $fmadd(ar, b1, acc_row[1]);
+                }
+                ap = ap.add($mr);
+                bp = bp.add(2 * $lanes);
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                let p = c_rows.as_mut_ptr().add((ci + r) * n + cj);
+                $store(p, acc_row[0]);
+                $store(p.add($lanes), acc_row[1]);
             }
         }
-    }
-    for r in 0..rows {
-        let c_row = &mut c_rows[(ci + r) * n + cj..(ci + r) * n + cj + cols];
-        c_row.copy_from_slice(&acc[r][..cols]);
-    }
+    };
 }
+
+// `6×16`: 12 ymm accumulators + two B loads + the A broadcast of 16
+// registers (the BLIS Haswell shape).
+#[cfg(target_arch = "x86_64")]
+fma_micro_kernel!(
+    micro_kernel_avx2,
+    "avx2,fma",
+    AVX2_MR,
+    8,
+    _mm256_setzero_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_set1_ps,
+    _mm256_fmadd_ps
+);
+
+// `8×32`: 16 zmm accumulators + two B loads + the A broadcast of 32
+// registers.
+#[cfg(target_arch = "x86_64")]
+fma_micro_kernel!(
+    micro_kernel_avx512,
+    "avx512f",
+    AVX512_MR,
+    16,
+    _mm512_setzero_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_set1_ps,
+    _mm512_fmadd_ps
+);
 
 /// Packs logical-A rows `[i0, i0+mb) × [kc, kc+kb)` into `mr`-row panels:
 /// `buf[(panel·kb + kk)·mr + r]`, zero-padding the row remainder (padded
@@ -851,10 +913,12 @@ mod tests {
 
     #[test]
     fn kernel_table_is_consistent() {
-        assert_eq!(MicroKernel::Scalar.name(), "scalar");
-        assert_eq!(MicroKernel::Avx2.name(), "avx2");
-        assert_eq!((MicroKernel::Scalar.mr(), MicroKernel::Scalar.nr()), (4, 8));
-        assert_eq!((MicroKernel::Avx2.mr(), MicroKernel::Avx2.nr()), (6, 16));
+        let table = MicroKernel::ALL.map(|k| (k.name(), k.mr(), k.nr()));
+        assert_eq!(table, [("scalar", 4, 8), ("avx2", 6, 16), ("avx512", 8, 32)]);
+        for k in MicroKernel::ALL {
+            // Tasks are BLOCK_M rows: a tile taller than that never fills.
+            assert!(k.mr() <= BLOCK_M && k.nr() <= BLOCK_N);
+        }
         assert!(MicroKernel::Scalar.supported(), "scalar must run everywhere");
         // The resolved process-wide backend must itself be runnable.
         assert!(active_kernel().supported());
@@ -875,10 +939,7 @@ mod tests {
         assert!(c[(1, 0)].is_nan());
         assert!(!c[(0, 1)].is_nan());
         let pool = ThreadPool::new(2);
-        for kernel in [MicroKernel::Scalar, MicroKernel::Avx2] {
-            if !kernel.supported() {
-                continue;
-            }
+        for kernel in MicroKernel::available() {
             let cb = matmul_blocked_with(&a, &b, &pool, kernel);
             assert!(cb[(0, 0)].is_nan() && cb[(1, 0)].is_nan() && !cb[(0, 1)].is_nan());
         }
@@ -910,8 +971,9 @@ mod tests {
     }
 
     /// Each backend must be bitwise deterministic across thread counts
-    /// (the per-path parity contract); across backends, results agree
-    /// within floating-point tolerance (FMA rounds once per step).
+    /// (the per-path parity contract); across the two numerics classes,
+    /// results agree within floating-point tolerance (FMA rounds once per
+    /// step), and within the fused class bit for bit.
     #[test]
     fn per_path_thread_parity_and_cross_path_tolerance() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
@@ -921,14 +983,19 @@ mod tests {
         let pool1 = ThreadPool::new(1);
         let pool4 = ThreadPool::new(4);
         let scalar = matmul_blocked_with(&a, &b, &pool1, MicroKernel::Scalar);
-        assert_eq!(scalar, matmul_blocked_with(&a, &b, &pool4, MicroKernel::Scalar));
-        if MicroKernel::Avx2.supported() {
-            let avx2 = matmul_blocked_with(&a, &b, &pool1, MicroKernel::Avx2);
-            assert_eq!(avx2, matmul_blocked_with(&a, &b, &pool4, MicroKernel::Avx2));
+        let mut fused: Option<Matrix> = None;
+        for kernel in MicroKernel::available() {
+            let c = matmul_blocked_with(&a, &b, &pool1, kernel);
+            assert_eq!(c, matmul_blocked_with(&a, &b, &pool4, kernel), "{}", kernel.name());
+            if kernel == MicroKernel::Scalar {
+                continue;
+            }
             assert!(
-                crate::max_rel_diff(scalar.data(), avx2.data()) < 1e-5,
-                "scalar and avx2 backends diverged beyond FMA rounding"
+                crate::max_rel_diff(scalar.data(), c.data()) < 1e-5,
+                "scalar and {} backends diverged beyond FMA rounding",
+                kernel.name()
             );
+            assert_eq!(fused.get_or_insert_with(|| c.clone()), &c, "avx2 != avx512");
         }
     }
 

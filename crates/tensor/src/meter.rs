@@ -28,6 +28,9 @@ pub struct Meter {
     /// Blocked-GEMM dispatches that ran the AVX2+FMA micro-kernel backend
     /// (`matmul::MicroKernel::Avx2`, the 6×16 `_mm256_fmadd_ps` tile).
     pub gemms_kernel_avx2: u64,
+    /// Blocked-GEMM dispatches that ran the AVX-512 micro-kernel backend
+    /// (`matmul::MicroKernel::Avx512`, the 8×32 `_mm512_fmadd_ps` tile).
+    pub gemms_kernel_avx512: u64,
     /// Host-side deep copies of collective payloads (each one a real
     /// memcpy the zero-copy collectives exist to avoid). Never converted
     /// into simulated time: copies are a host artifact, not part of the
@@ -100,6 +103,7 @@ impl Meter {
                 match crate::matmul::active_kernel() {
                     MicroKernel::Scalar => self.gemms_kernel_scalar += 1,
                     MicroKernel::Avx2 => self.gemms_kernel_avx2 += 1,
+                    MicroKernel::Avx512 => self.gemms_kernel_avx512 += 1,
                 }
             }
             KernelPath::Serial => self.gemms_serial += 1,
@@ -169,6 +173,7 @@ impl Meter {
         self.gemms_serial += other.gemms_serial;
         self.gemms_kernel_scalar += other.gemms_kernel_scalar;
         self.gemms_kernel_avx2 += other.gemms_kernel_avx2;
+        self.gemms_kernel_avx512 += other.gemms_kernel_avx512;
         self.payload_copies += other.payload_copies;
         self.payload_copy_bytes += other.payload_copy_bytes;
         self.comm_wait_nanos += other.comm_wait_nanos;
@@ -397,19 +402,23 @@ mod tests {
         let mut m = Meter::new();
         m.record_gemm(10.0, 8, KernelPath::Serial);
         // Serial dispatches never touch a micro-kernel backend.
-        assert_eq!((m.gemms_kernel_scalar, m.gemms_kernel_avx2), (0, 0));
+        let per_kernel =
+            |m: &Meter| (m.gemms_kernel_scalar, m.gemms_kernel_avx2, m.gemms_kernel_avx512);
+        assert_eq!(per_kernel(&m), (0, 0, 0));
         m.record_gemm(20.0, 8, KernelPath::BlockedParallel);
         m.record_gemm(30.0, 8, KernelPath::BlockedParallel);
         // Blocked dispatches count against exactly the resolved backend.
         let expected = match crate::matmul::active_kernel() {
-            MicroKernel::Scalar => (2, 0),
-            MicroKernel::Avx2 => (0, 2),
+            MicroKernel::Scalar => (2, 0, 0),
+            MicroKernel::Avx2 => (0, 2, 0),
+            MicroKernel::Avx512 => (0, 0, 2),
         };
-        assert_eq!((m.gemms_kernel_scalar, m.gemms_kernel_avx2), expected);
-        assert_eq!(m.gemms_kernel_scalar + m.gemms_kernel_avx2, m.gemms_blocked);
+        assert_eq!(per_kernel(&m), expected);
         let mut other = Meter::new();
         other.record_gemm(1.0, 1, KernelPath::BlockedParallel);
         m.merge(&other);
-        assert_eq!(m.gemms_kernel_scalar + m.gemms_kernel_avx2, 3);
+        let (scalar, avx2, avx512) = per_kernel(&m);
+        assert_eq!(scalar + avx2 + avx512, m.gemms_blocked);
+        assert_eq!(m.gemms_blocked, 3);
     }
 }

@@ -1,18 +1,20 @@
 //! Per-kernel-path parity of the blocked (and blocked-parallel) GEMM
 //! kernels, and determinism across thread counts.
 //!
-//! The contract under test (DESIGN.md §5), per micro-kernel backend:
+//! The contract under test (DESIGN.md §5) has two numerics classes:
 //!
-//! * **Scalar path**: for every orientation and every shape,
+//! * **mul+add**: for every orientation and every shape,
 //!   `*_blocked_with(.., MicroKernel::Scalar)` produces **bitwise
 //!   identical** output to `*_serial`, regardless of how many threads the
 //!   pool has — both accumulate each output element along the same
 //!   ascending-k mul+add chain.
-//! * **AVX2 path**: `*_blocked_with(.., MicroKernel::Avx2)` is **bitwise
-//!   identical to itself** at any thread count (which micro-tile computes
-//!   an element depends only on shape and tile constants), and agrees with
-//!   the scalar path within floating-point tolerance — FMA fuses `a·b + c`
-//!   into one rounding, so the two backends' chains round differently.
+//! * **fused**: every vector backend (`Avx2`, `Avx512`) is **bitwise
+//!   identical** to [`fused_reference`], a plain triple loop over
+//!   `f32::mul_add` — so `avx2 == avx512` bit for bit on every shape, full
+//!   tiles and edge tiles alike, on whichever of them the host can run —
+//!   and to itself at any thread count. It agrees with the scalar path
+//!   within floating-point tolerance: FMA fuses `a·b + c` into one
+//!   rounding, so the two classes' chains round differently.
 //!
 //! Blocking and parallelism only change iteration *grouping*, never a
 //! backend's per-element floating-point evaluation order.
@@ -23,14 +25,26 @@ use tesseract_tensor::matmul::{
 };
 use tesseract_tensor::{max_rel_diff, Matrix, MicroKernel, ThreadPool, Xoshiro256StarStar};
 
-/// Backends to run the forced-path matrix over: scalar always, AVX2 when
-/// the host supports it (forcing an unsupported backend panics by design).
+/// Backends to run the forced-path matrix over: every one the host
+/// supports (forcing an unsupported backend panics by design).
 fn testable_kernels() -> Vec<MicroKernel> {
-    let mut kernels = vec![MicroKernel::Scalar];
-    if MicroKernel::Avx2.supported() {
-        kernels.push(MicroKernel::Avx2);
+    MicroKernel::available().collect()
+}
+
+/// The fused numerics class written out: `C = A · B` with each element one
+/// ascending-k `fma(a_ik, b_kj, c)` chain. `f32::mul_add` rounds once on
+/// every host (in software where there is no FMA unit), so this reference
+/// does not depend on which CPU runs the test.
+fn fused_reference(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for (kk, &a_ik) in a.row(i).iter().enumerate() {
+            for (c_ij, &b_kj) in c.row_mut(i).iter_mut().zip(b.row(kk)) {
+                *c_ij = a_ik.mul_add(b_kj, *c_ij);
+            }
+        }
     }
-    kernels
+    c
 }
 
 /// Deterministic test matrix with non-trivial mantissas (so reassociated
@@ -49,10 +63,10 @@ fn assert_bitwise_eq(label: &str, reference: &Matrix, candidate: &Matrix) {
 
 /// Checks all three orientations at one `(m, k, n)`: the scalar backend
 /// bitwise against the serial triple loops on the given pool, and every
-/// other supported backend bitwise against its own 1-thread result plus
-/// within tolerance of scalar. Operand shapes are arranged so the *logical*
-/// product is m×k · k×n in every orientation (nt stores B as n×k, tn stores
-/// A as k×m).
+/// vector backend bitwise against [`fused_reference`] (hence against every
+/// other vector backend) and its own 1-thread result, plus within tolerance
+/// of scalar. Operand shapes are arranged so the *logical* product is
+/// m×k · k×n in every orientation (nt stores B as n×k, tn stores A as k×m).
 fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
     let single = ThreadPool::new(1);
     let a = gen(m, k, 1);
@@ -60,6 +74,11 @@ fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
     let bt = gen(n, k, 3);
     let at = gen(k, m, 4);
     let serial = (matmul_serial(&a, &b), matmul_nt_serial(&a, &bt), matmul_tn_serial(&at, &b));
+    let fused = (
+        fused_reference(&a, &b),
+        fused_reference(&a, &bt.transpose()),
+        fused_reference(&at.transpose(), &b),
+    );
 
     for kernel in testable_kernels() {
         let kn = kernel.name();
@@ -73,8 +92,12 @@ fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
                 assert_bitwise_eq(&format!("{label} {kn} nt {m}x{k}x{n}"), &serial.1, &nt);
                 assert_bitwise_eq(&format!("{label} {kn} tn {m}x{k}x{n}"), &serial.2, &tn);
             }
-            // SIMD: bitwise against itself serially, tolerant vs scalar.
-            MicroKernel::Avx2 => {
+            // SIMD: bitwise against the fused chain (avx2 == avx512) and
+            // against itself serially, tolerant vs scalar.
+            MicroKernel::Avx2 | MicroKernel::Avx512 => {
+                assert_bitwise_eq(&format!("{label} {kn} nn {m}x{k}x{n} vs fused"), &fused.0, &nn);
+                assert_bitwise_eq(&format!("{label} {kn} nt {m}x{k}x{n} vs fused"), &fused.1, &nt);
+                assert_bitwise_eq(&format!("{label} {kn} tn {m}x{k}x{n} vs fused"), &fused.2, &tn);
                 assert_bitwise_eq(
                     &format!("{label} {kn} nn {m}x{k}x{n} vs 1 thread"),
                     &matmul_blocked_with(&a, &b, &single, kernel),
@@ -104,11 +127,11 @@ fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
     }
 }
 
-/// Shapes chosen to hit every remainder path in the packing and both
-/// micro-kernel tile sets: degenerate dims, sizes just off the scalar
-/// (MR=4, NR=8) and AVX2 (MR=6, NR=16) register tiles — including
-/// m,n strictly below one tile — sizes straddling the cache-block
-/// boundaries, and extreme aspect ratios.
+/// Shapes chosen to hit every remainder path in the packing and every
+/// micro-kernel tile set: degenerate dims, sizes just off the scalar
+/// (MR=4, NR=8), AVX2 (MR=6, NR=16) and AVX-512 (MR=8, NR=32) register
+/// tiles — including m,n strictly below one tile — sizes straddling the
+/// cache-block boundaries, and extreme aspect ratios.
 fn adversarial_shapes() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -120,6 +143,7 @@ fn adversarial_shapes() -> Vec<(usize, usize, usize)> {
         (6, 16, 16), // exactly one AVX2 register tile
         (7, 17, 17), // one past the AVX2 tile in every dim
         (5, 20, 15), // below one AVX2 tile in m and n, above scalar's
+        (8, 32, 32), // exactly one AVX-512 register tile
         (7, 13, 23), // primes: nothing divides anything
         (BLOCK_M + 1, BLOCK_K + 2, BLOCK_N + 3),
         (65, 130, 97),
@@ -137,6 +161,21 @@ fn blocked_matches_reference_per_path_on_adversarial_shapes() {
     let pool = ThreadPool::new(4);
     for (m, k, n) in adversarial_shapes() {
         check_shape(m, k, n, &pool, "adversarial");
+    }
+}
+
+/// The grid around the widest tile: `m` one off a multiple of 8 (and of
+/// [`BLOCK_M`]), `n` one off 32, `k` one off [`BLOCK_K`] — every
+/// combination of full, short and one-past tiles in each dimension.
+#[test]
+fn blocked_matches_reference_per_path_around_the_widest_tile() {
+    let pool = ThreadPool::new(3);
+    for m in [1, 7, 8, 9, 63, 65] {
+        for n in [31, 32, 33] {
+            for k in [1, 255, 257] {
+                check_shape(m, k, n, &pool, "tile-edge");
+            }
+        }
     }
 }
 
@@ -210,15 +249,16 @@ fn blocked_matches_serial_with_special_values() {
         &serial,
         &matmul_blocked_with(&a, &b, &pool, MicroKernel::Scalar),
     );
-    if MicroKernel::Avx2.supported() {
-        let avx2 = matmul_blocked_with(&a, &b, &pool, MicroKernel::Avx2);
+    for kernel in testable_kernels() {
+        let blocked = matmul_blocked_with(&a, &b, &pool, kernel);
         // Special values classify identically even where rounding differs.
-        for (i, (s, v)) in serial.data().iter().zip(avx2.data()).enumerate() {
-            assert_eq!(s.is_nan(), v.is_nan(), "NaN placement diverged at {i}");
+        for (i, (s, v)) in serial.data().iter().zip(blocked.data()).enumerate() {
+            let kn = kernel.name();
+            assert_eq!(s.is_nan(), v.is_nan(), "{kn}: NaN placement diverged at {i}");
             assert_eq!(
-                s.is_infinite() && !s.is_nan(),
-                v.is_infinite() && !v.is_nan(),
-                "infinity placement diverged at {i}"
+                s.is_infinite(),
+                v.is_infinite(),
+                "{kn}: infinity placement diverged at {i}"
             );
         }
     }

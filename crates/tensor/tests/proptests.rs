@@ -152,37 +152,34 @@ use tesseract_tensor::matmul::{
 };
 use tesseract_tensor::{MicroKernel, ThreadPool};
 
-/// Shapes spanning both backends' remainder edges: m and n range from
-/// strictly below one scalar tile (4×8) through several AVX2 tiles (6×16),
-/// k crosses nothing-divides-anything territory.
+/// Shapes spanning every backend's remainder edges: m and n range from
+/// strictly below one scalar tile (4×8) through several AVX2 tiles (6×16)
+/// and past one AVX-512 tile (8×32), k crosses nothing-divides-anything
+/// territory.
 fn kernel_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..40, 1usize..96, 1usize..40)
 }
 
 fn forced_kernels() -> Vec<MicroKernel> {
-    let mut kernels = vec![MicroKernel::Scalar];
-    if MicroKernel::Avx2.supported() {
-        kernels.push(MicroKernel::Avx2);
-    }
-    kernels
+    MicroKernel::available().collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scalar and AVX2 backends agree within FMA rounding tolerance on
-    /// random shapes, including micro-tile remainder edges, in all three
-    /// orientations.
+    /// Every vector backend agrees with scalar within FMA rounding
+    /// tolerance on random shapes, including micro-tile remainder edges, in
+    /// all three orientations.
     #[test]
     fn forced_paths_agree_within_tolerance((m, k, n) in kernel_dims(), seed in 0u64..1000) {
-        if MicroKernel::Avx2.supported() {
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-            let a = Matrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
-            let b = Matrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
-            let bt = Matrix::random_uniform(n, k, -2.0, 2.0, &mut rng);
-            let at = Matrix::random_uniform(k, m, -2.0, 2.0, &mut rng);
-            let pool = ThreadPool::new(2);
-            let (s, v) = (MicroKernel::Scalar, MicroKernel::Avx2);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let a = Matrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
+        let b = Matrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
+        let bt = Matrix::random_uniform(n, k, -2.0, 2.0, &mut rng);
+        let at = Matrix::random_uniform(k, m, -2.0, 2.0, &mut rng);
+        let pool = ThreadPool::new(2);
+        let s = MicroKernel::Scalar;
+        for v in forced_kernels() {
             prop_assert!(max_rel_diff(
                 matmul_blocked_with(&a, &b, &pool, s).data(),
                 matmul_blocked_with(&a, &b, &pool, v).data(),

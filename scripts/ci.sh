@@ -54,19 +54,24 @@ grep -q '"kernel_forced": true' target/BENCH_kernels.smoke.scalar.json \
 echo "== gemm_sweep smoke (auto-detected path, 2-thread pool) =="
 TESSERACT_THREADS=2 cargo run -q --release --offline -p tesseract-bench --bin gemm_sweep -- \
     --sizes 96,128 --reps 2 --threads 1,2 --out target/BENCH_kernels.smoke.json
-grep -Eq '"kernel": "(scalar|avx2)"' target/BENCH_kernels.smoke.json \
+grep -Eq '"kernel": "(scalar|avx2|avx512)"' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: auto-detect run reported no kernel path"; exit 1; }
 grep -q '"pool_threads": 2' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: TESSERACT_THREADS=2 not reflected in sweep JSON"; exit 1; }
 
-# Hosts that auto-detect AVX2 must also honor forcing it explicitly.
-if grep -q '"kernel": "avx2"' target/BENCH_kernels.smoke.json; then
-    echo "== gemm_sweep smoke (forced avx2 path) =="
-    TESSERACT_KERNEL=avx2 cargo run -q --release --offline -p tesseract-bench --bin gemm_sweep -- \
-        --sizes 96 --reps 2 --threads 1,2 --out target/BENCH_kernels.smoke.avx2.json
-    grep -q '"kernel": "avx2"' target/BENCH_kernels.smoke.avx2.json \
-        || { echo "ci.sh: forced avx2 kernel not reported in sweep JSON"; exit 1; }
-fi
+# Every vector backend the host supports (the sweep's "lanes" line, i.e.
+# MicroKernel::supported()) must also honor being forced explicitly — keyed
+# on support, not on being the auto choice, so the narrower AVX2 path stays
+# exercised on hosts whose default is AVX-512.
+for k in avx2 avx512; do
+    if grep -q "\"lanes\": .*\"$k\"" target/BENCH_kernels.smoke.json; then
+        echo "== gemm_sweep smoke (forced $k path) =="
+        TESSERACT_KERNEL=$k cargo run -q --release --offline -p tesseract-bench --bin gemm_sweep -- \
+            --sizes 96 --reps 2 --threads 1,2 --out "target/BENCH_kernels.smoke.$k.json"
+        grep -q "\"kernel\": \"$k\"" "target/BENCH_kernels.smoke.$k.json" \
+            || { echo "ci.sh: forced $k kernel not reported in sweep JSON"; exit 1; }
+    fi
+done
 
 # The bitwise-parity gate itself is crates/core/tests/overlap_parity.rs (runs
 # under `cargo test` above); the sweep additionally re-checks parity per size.
