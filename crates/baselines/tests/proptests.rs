@@ -2,10 +2,6 @@
 //! match serial matmul for randomized mesh sizes and block contents, and
 //! Megatron's column/row split must tile the global weights.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p <crate> --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use proptest::prelude::*;
 use tesseract_baselines::cannon::{cannon_matmul, cannon_mesh};
 use tesseract_baselines::megatron::{MegatronLinear, MegatronWorld, Split};

@@ -19,12 +19,17 @@
 //! `1,2,4,8`) on explicit pools, publishing GFLOP/s and parallel efficiency
 //! per thread count. Finally the same lanes time [`WORKLOAD_SHAPES`] — the
 //! non-square GEMMs `benchmark/`'s probes report — so the committed record
-//! measures what the workloads run, not only squares.
+//! measures what the workloads run, not only squares — and the
+//! `"elementwise"` block times the non-GEMM kernels of a step
+//! ([`ELEMENTWISE_SHAPES`]: GELU forward/backward, the Adam direction) in
+//! ns per element, each beside the implementation it replaced.
 //!
 //! No timing is accepted before its parity gate: every swept thread count
 //! **bitwise** against the 1-thread result of the same backend, the vector
 //! backends **bitwise** against each other (`avx2 == avx512`, the fused
-//! numerics class), and scalar-vs-vector within floating-point tolerance.
+//! numerics class), scalar-vs-vector within floating-point tolerance, and
+//! the elementwise kernels **bitwise** against their scalar function / op
+//! chain (one numerics class: lane-independent `mul`/`add` sequences).
 //!
 //! Reports median wall time over `--reps` runs as a table on stdout and as
 //! JSON (`--out`, default `BENCH_kernels.json`). The JSON records which
@@ -38,6 +43,7 @@
 //!           [--sizes 256,512,1024] [--reps 5] [--threads 1,2,4,8] \
 //!           [--out BENCH_kernels.json]`
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use tesseract_comm::RunConfig;
@@ -45,7 +51,10 @@ use tesseract_tensor::matmul::{
     active_kernel, matmul_blocked_with, matmul_nt_blocked_with, matmul_serial,
     matmul_tn_blocked_with, MicroKernel,
 };
-use tesseract_tensor::{max_rel_diff, pool, Matrix, ThreadPool, Xoshiro256StarStar};
+use tesseract_tensor::{
+    max_rel_diff, nn, pool, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, ThreadPool,
+    Xoshiro256StarStar,
+};
 
 #[derive(Clone, Copy)]
 enum Orient {
@@ -64,6 +73,56 @@ const WORKLOAD_SHAPES: [(&str, Orient, usize, usize, usize); 4] = [
     ("summa_tn", Orient::Tn, 256, 256, 1024),
     ("skinny_nn", Orient::Nn, 8, 128, 512),
 ];
+
+/// Where GELU runs in `benchmark/`'s workloads: fc1's local output on
+/// `train_gemm` and on a `serve_open` decode step.
+const ELEMENTWISE_SHAPES: [(&str, usize, usize); 2] =
+    [("train_gemm", 256, 1024), ("serve_open_decode", 8, 512)];
+/// One `[2,2,1]` weight block of `train_gemm`'s hidden-512 body.
+const ADAM_SHAPE: (usize, usize) = (512, 512);
+
+/// libm `tanhf`: what GELU cost one call of per element until PR 16.
+const TANHF: fn(f32) -> f32 = f32::tanh;
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
+/// The tanh-form GELU forward this repo shipped with (clone, then one
+/// `tanhf` per element): the baseline of the `"elementwise"` GELU rows.
+fn gelu_seed(x: &Matrix) -> Matrix {
+    let mut out = x.clone();
+    for v in out.data_mut() {
+        let x = *v;
+        *v = 0.5 * x * (1.0 + TANHF(SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)));
+    }
+    out
+}
+
+/// Backward counterpart of [`gelu_seed`].
+fn gelu_backward_seed(x: &Matrix, dy: &Matrix) -> Matrix {
+    let mut out = dy.clone();
+    for (g, &x) in out.data_mut().iter_mut().zip(x.data()) {
+        let t = TANHF(SQRT_2_OVER_PI * (x + 0.044715 * x * x * x));
+        let du = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
+        *g *= 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
+    }
+    out
+}
+
+/// The eleven-op `TensorLike` chain `adam_direction` fuses: the baseline of
+/// the `"elementwise"` Adam row and the spec its result must equal bitwise.
+fn adam_direction_chain(
+    g: &DenseTensor,
+    mom: &mut DenseTensor,
+    vel: &mut DenseTensor,
+    c: AdamCoeffs,
+    m: &mut Meter,
+) -> DenseTensor {
+    *mom = mom.scale(c.beta1, m).add(&g.scale(1.0 - c.beta1, m), m);
+    let g2 = g.hadamard(g, m);
+    *vel = vel.scale(c.beta2, m).add(&g2.scale(1.0 - c.beta2, m), m);
+    let m_hat = mom.scale(c.bias1, m);
+    let v_hat = vel.scale(c.bias2, m);
+    m_hat.hadamard(&v_hat.rsqrt_add(c.eps_sq, m), m)
+}
 
 /// The seed repo's `matmul`, copied verbatim (modulo `Matrix` accessors):
 /// ikj order with a zero-skip branch on `a_ik`. The branch defeats
@@ -91,18 +150,111 @@ fn matmul_seed(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Median wall time in nanoseconds over `reps` runs of `f`.
-fn median_ns(reps: usize, mut f: impl FnMut() -> Matrix) -> f64 {
+fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut times: Vec<f64> = (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();
             let out = f();
             let elapsed = start.elapsed().as_nanos() as f64;
-            std::hint::black_box(out);
+            black_box(out);
             elapsed
         })
         .collect();
     times.sort_by(|a, b| a.total_cmp(b));
     times[times.len() / 2]
+}
+
+/// Median nanoseconds per element of an elementwise `f` over `elems`
+/// elements; each sample repeats `f` until it covers about 2²⁰ elements, so
+/// the decode-sized shapes are not timer-bound.
+fn ns_per_elem<R>(reps: usize, elems: usize, mut f: impl FnMut() -> R) -> f64 {
+    let iters = ((1 << 20) / elems).max(1);
+    let sample = median_ns(reps, || {
+        for _ in 1..iters {
+            black_box(f());
+        }
+        f()
+    });
+    sample / (iters * elems) as f64
+}
+
+/// One `"elementwise"` row: an op at a shape, beside what it replaced.
+struct ElementwiseRow {
+    op: &'static str,
+    shape: &'static str,
+    rows: usize,
+    cols: usize,
+    ns_per_elem: f64,
+    replaced: &'static str,
+    replaced_ns_per_elem: f64,
+}
+
+/// Times the non-GEMM kernels of a step. GELU is accepted only once the
+/// matrix loops equal the scalar function bit for bit (lane independence,
+/// here under the release optimizer) and stay within 1e-5 of the tanh form;
+/// the fused Adam direction only once it equals the op chain bit for bit.
+fn elementwise_rows(reps: usize) -> Vec<ElementwiseRow> {
+    let mut rows = Vec::new();
+    for (shape, r, c) in ELEMENTWISE_SHAPES {
+        let mut rng = Xoshiro256StarStar::seed_from_u64((r * c) as u64);
+        let x = Matrix::random_uniform(r, c, -4.0, 4.0, &mut rng);
+        let dy = Matrix::random_uniform(r, c, -1.0, 1.0, &mut rng);
+        let (fwd, bwd) = (nn::gelu_matrix(&x), nn::gelu_backward_matrix(&x, &dy));
+        // `black_box` per element keeps the reference loops scalar.
+        let scalar_fwd = x.map(|x| nn::gelu(black_box(x)));
+        let scalar_bwd = x.zip_map(&dy, |x, g| g * nn::gelu_grad(black_box(x)));
+        assert_bitwise(&format!("gelu fwd {shape}"), &scalar_fwd, &fwd);
+        assert_bitwise(&format!("gelu bwd {shape}"), &scalar_bwd, &bwd);
+        assert!(max_rel_diff(fwd.data(), gelu_seed(&x).data()) < 1e-5);
+        assert!(max_rel_diff(bwd.data(), gelu_backward_seed(&x, &dy).data()) < 1e-5);
+        rows.push(ElementwiseRow {
+            op: "gelu_fwd",
+            shape,
+            rows: r,
+            cols: c,
+            ns_per_elem: ns_per_elem(reps, r * c, || nn::gelu_matrix(&x)),
+            replaced: "libm_tanhf",
+            replaced_ns_per_elem: ns_per_elem(reps, r * c, || gelu_seed(&x)),
+        });
+        rows.push(ElementwiseRow {
+            op: "gelu_bwd",
+            shape,
+            rows: r,
+            cols: c,
+            ns_per_elem: ns_per_elem(reps, r * c, || nn::gelu_backward_matrix(&x, &dy)),
+            replaced: "libm_tanhf",
+            replaced_ns_per_elem: ns_per_elem(reps, r * c, || gelu_backward_seed(&x, &dy)),
+        });
+    }
+
+    let (r, c) = ADAM_SHAPE;
+    let mut rng = Xoshiro256StarStar::seed_from_u64(16);
+    let g = DenseTensor::from_matrix(Matrix::random_uniform(r, c, -1.0, 1.0, &mut rng));
+    let coeffs = AdamCoeffs::at_step(0.9, 0.999, 1e-8, 1);
+    let mut meter = Meter::new();
+    let mut fused = (DenseTensor::zeros(r, c), DenseTensor::zeros(r, c));
+    let mut chain = fused.clone();
+    for step in 0..2 {
+        let got = g.adam_direction(&mut fused.0, &mut fused.1, coeffs, &mut meter);
+        let want = adam_direction_chain(&g, &mut chain.0, &mut chain.1, coeffs, &mut meter);
+        assert_bitwise(&format!("adam direction, step {step}"), want.matrix(), got.matrix());
+        assert_bitwise(&format!("adam moment, step {step}"), chain.0.matrix(), fused.0.matrix());
+        assert_bitwise(&format!("adam velocity, step {step}"), chain.1.matrix(), fused.1.matrix());
+    }
+    rows.push(ElementwiseRow {
+        op: "adam_direction",
+        shape: "train_gemm",
+        rows: r,
+        cols: c,
+        ns_per_elem: ns_per_elem(reps, r * c, || {
+            g.adam_direction(&mut fused.0, &mut fused.1, coeffs, &mut meter)
+        }),
+        replaced: "op_chain",
+        replaced_ns_per_elem: ns_per_elem(reps, r * c, || {
+            adam_direction_chain(&g, &mut chain.0, &mut chain.1, coeffs, &mut meter)
+        }),
+    });
+    rows
 }
 
 /// One thread count of the scaling sweep.
@@ -321,6 +473,15 @@ fn main() {
         })
         .collect();
 
+    println!("\nelementwise kernels (ns per element, beside what each replaced):");
+    let elementwise = elementwise_rows(reps);
+    for e in &elementwise {
+        println!(
+            "  {:<15} {:<18} {}x{}: {:.2} ns/elem ({} {:.2})",
+            e.op, e.shape, e.rows, e.cols, e.ns_per_elem, e.replaced, e.replaced_ns_per_elem
+        );
+    }
+
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"gemm_sweep\",\n");
     json.push_str("  \"units\": { \"time\": \"ns (median)\", \"rate\": \"GFLOP/s\" },\n");
@@ -380,6 +541,20 @@ fn main() {
             lane_members(&lanes, lane_ns.iter().copied(), 0),
             lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(*m, *k, *n, ns)), 3),
             if i + 1 == workload_rows.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ],\n  \"elementwise\": [\n");
+    for (i, e) in elementwise.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"op\": \"{}\", \"shape\": \"{}\", \"rows\": {}, \"cols\": {}, \"ns_per_elem\": {:.2}, \"replaced\": \"{}\", \"replaced_ns_per_elem\": {:.2} }}{}\n",
+            e.op,
+            e.shape,
+            e.rows,
+            e.cols,
+            e.ns_per_elem,
+            e.replaced,
+            e.replaced_ns_per_elem,
+            if i + 1 == elementwise.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

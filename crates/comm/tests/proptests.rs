@@ -1,10 +1,6 @@
 //! Property-based tests for the communication substrate: cost-model
 //! invariants and collective semantics on randomized inputs.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p <crate> --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use std::sync::Arc;
 
 use proptest::prelude::*;

@@ -2,10 +2,6 @@
 //! grid coordinate bijections, the distributed matmul against serial on
 //! randomized shapes, and the closed-form analysis invariants.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p <crate> --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use proptest::prelude::*;
 use tesseract_comm::Cluster;
 use tesseract_core::analysis;

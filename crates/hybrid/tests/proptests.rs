@@ -1,9 +1,5 @@
 //! Property-based tests for the hybrid rank mapping.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p <crate> --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use proptest::prelude::*;
 use tesseract_core::GridShape;
 use tesseract_hybrid::HybridShape;

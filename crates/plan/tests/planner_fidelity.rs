@@ -68,9 +68,7 @@ fn planning_twice_is_deterministic() {
 }
 
 // Property form of the same guarantee, over randomly drawn workloads and
-// GPU budgets. Gated behind the `proptest-tests` feature: run with
-//     cargo test -p tesseract-plan --features proptest-tests
-#[cfg(feature = "proptest-tests")]
+// GPU budgets.
 mod proptests {
     use super::*;
     use proptest::prelude::*;

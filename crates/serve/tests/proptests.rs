@@ -2,10 +2,6 @@
 //! cached incremental decode must be bitwise identical to recomputing every
 //! prefix from scratch through the same causal prefill path.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p tesseract-serve --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use std::sync::Arc;
 
 use proptest::prelude::*;

@@ -33,7 +33,7 @@ pub use matrix::Matrix;
 pub use meter::{Meter, MeterScope};
 pub use pool::ThreadPool;
 pub use rng::Xoshiro256StarStar;
-pub use tensor::{DenseTensor, ShadowTensor, TensorLike};
+pub use tensor::{AdamCoeffs, DenseTensor, ShadowTensor, TensorLike};
 pub use trace::{TraceEvent, TraceKind};
 
 /// Size in bytes of one stored element. The cluster cost model multiplies

@@ -147,11 +147,11 @@ impl Matrix {
     }
 
     /// Vertical concatenation (stack rows). All parts must share `cols`.
-    pub fn concat_rows(parts: &[Matrix]) -> Matrix {
-        assert!(!parts.is_empty());
-        let cols = parts[0].cols;
-        assert!(parts.iter().all(|p| p.cols == cols), "column mismatch in concat_rows");
-        let rows = parts.iter().map(|p| p.rows).sum();
+    pub fn concat_rows<'a>(parts: impl IntoIterator<Item = &'a Matrix, IntoIter: Clone>) -> Matrix {
+        let parts = parts.into_iter();
+        let cols = parts.clone().next().expect("concat_rows of no parts").cols;
+        assert!(parts.clone().all(|p| p.cols == cols), "column mismatch in concat_rows");
+        let rows = parts.clone().map(|p| p.rows).sum();
         let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
             data.extend_from_slice(&p.data);
@@ -160,18 +160,18 @@ impl Matrix {
     }
 
     /// Horizontal concatenation (stack columns). All parts must share `rows`.
-    pub fn concat_cols(parts: &[Matrix]) -> Matrix {
-        assert!(!parts.is_empty());
-        let rows = parts[0].rows;
-        assert!(parts.iter().all(|p| p.rows == rows), "row mismatch in concat_cols");
-        let cols = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut c0 = 0;
-        for p in parts {
-            out.set_block(0, c0, p);
-            c0 += p.cols;
+    pub fn concat_cols<'a>(parts: impl IntoIterator<Item = &'a Matrix, IntoIter: Clone>) -> Matrix {
+        let parts = parts.into_iter();
+        let rows = parts.clone().next().expect("concat_cols of no parts").rows;
+        assert!(parts.clone().all(|p| p.rows == rows), "row mismatch in concat_cols");
+        let cols = parts.clone().map(|p| p.cols).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            for p in parts.clone() {
+                data.extend_from_slice(p.row(i));
+            }
         }
-        out
+        Matrix { rows, cols, data }
     }
 
     /// Elementwise in-place addition.
@@ -182,19 +182,35 @@ impl Matrix {
         }
     }
 
-    /// Elementwise in-place subtraction.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
-        }
-    }
-
     /// Elementwise in-place scaling.
     pub fn scale_assign(&mut self, s: f32) {
         for a in self.data.iter_mut() {
             *a *= s;
         }
+    }
+
+    /// `out[i] = f(self[i])`, each output element written once.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+        let data = self.data.iter().map(|&a| f(a)).collect();
+        Matrix { rows: self.rows, cols: self.cols, data }
+    }
+
+    /// `out[i] = f(self[i], other[i])` over two same-shape matrices, each
+    /// output element written once.
+    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        assert_eq!(self.shape(), other.shape());
+        let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
+        Matrix { rows: self.rows, cols: self.cols, data }
+    }
+
+    /// `out[i][j] = f(self[i][j], col[i])`: broadcasts one value per row.
+    pub fn zip_map_colvec(&self, col: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
+        assert_eq!(col.len(), self.rows);
+        let mut data = Vec::with_capacity(self.data.len());
+        for (i, &s) in col.iter().enumerate() {
+            data.extend(self.row(i).iter().map(|&a| f(a, s)));
+        }
+        Matrix { rows: self.rows, cols: self.cols, data }
     }
 
     /// Frobenius norm.
@@ -303,10 +319,8 @@ mod tests {
         let b = Matrix::full(2, 2, 1.5);
         a.add_assign(&b);
         assert_eq!(a, Matrix::full(2, 2, 4.5));
-        a.sub_assign(&b);
-        assert_eq!(a, Matrix::full(2, 2, 3.0));
         a.scale_assign(2.0);
-        assert_eq!(a, Matrix::full(2, 2, 6.0));
+        assert_eq!(a, Matrix::full(2, 2, 9.0));
     }
 
     #[test]

@@ -21,14 +21,55 @@ use crate::meter::Meter;
 use crate::nn;
 use crate::ELEM_BYTES;
 
-/// Approximate flops per element for GELU (tanh-based). The constant only
-/// needs to be consistent across backends; it mirrors the handful of
-/// transcendental ops a fused GELU kernel performs.
+/// Approximate flops per element for GELU. The constant only needs to be
+/// consistent across backends; it mirrors the handful of transcendental ops
+/// a fused GELU kernel performs.
 pub const GELU_FLOPS_PER_ELEM: f64 = 12.0;
 /// Approximate flops per element for a fused row softmax (max, exp, sum, div).
 pub const SOFTMAX_FLOPS_PER_ELEM: f64 = 6.0;
 /// Flops per element for `1/sqrt(x + eps)`.
 pub const RSQRT_FLOPS_PER_ELEM: f64 = 3.0;
+
+/// Per-step scalars of [`TensorLike::adam_direction`].
+#[derive(Clone, Copy, Debug)]
+pub struct AdamCoeffs {
+    pub beta1: f32,
+    pub beta2: f32,
+    /// Bias corrections `1/(1 − βᵗ)` for the first and second moment.
+    pub bias1: f32,
+    pub bias2: f32,
+    /// Added to `v̂` inside the root (`ε²`, see `train::optim`).
+    pub eps_sq: f32,
+}
+
+impl AdamCoeffs {
+    /// Coefficients of optimizer step `t` (1-based).
+    pub fn at_step(beta1: f32, beta2: f32, eps: f32, t: i32) -> Self {
+        Self {
+            beta1,
+            beta2,
+            bias1: 1.0 / (1.0 - beta1.powi(t)),
+            bias2: 1.0 / (1.0 - beta2.powi(t)),
+            eps_sq: eps * eps,
+        }
+    }
+}
+
+/// Charges `flops_per_elem.len()` elementwise kernels over one tensor, one
+/// [`Meter::record`] each — the fused optimizer ops replay the op chain they
+/// replace through this, on both backends, so the α–β clock cannot tell.
+fn record_chain(m: &mut Meter, elems: usize, bytes: usize, flops_per_elem: &[f64]) {
+    for f in flops_per_elem {
+        m.record(f * elems as f64, bytes);
+    }
+}
+
+/// `x.scale(s)` then `add`.
+const ADD_SCALED_CHAIN: [f64; 2] = [1.0, 1.0];
+/// Two moment updates (scale, scale, add each, plus `g∘g`), two bias
+/// corrections, `rsqrt_add`, final hadamard: eleven kernels.
+const ADAM_DIRECTION_CHAIN: [f64; 11] =
+    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, RSQRT_FLOPS_PER_ELEM, 1.0];
 
 /// Common interface of the dense and shadow tensor backends.
 ///
@@ -92,6 +133,18 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     fn hadamard(&self, rhs: &Self, m: &mut Meter) -> Self;
     /// `self * s`.
     fn scale(&self, s: f32, m: &mut Meter) -> Self;
+    /// In-place `self *= s`. Charged exactly like [`TensorLike::scale`]: the
+    /// modelled kernel is the same, only the host skips the copy.
+    fn scale_assign(&mut self, s: f32, m: &mut Meter);
+    /// `self + s·x` in one pass (`w − lr·g` is `s = −lr`). Elementwise the
+    /// same roundings, and the same two charges, as `self.add(&x.scale(s))`.
+    fn add_scaled(&self, x: &Self, s: f32, m: &mut Meter) -> Self;
+    /// One Adam step for the gradient `self`: updates the moments in place
+    /// (`m ← β₁m + (1−β₁)g`, `v ← β₂v + (1−β₂)g∘g`) and returns the direction
+    /// `m̂ ∘ 1/sqrt(v̂ + ε²)`. Elementwise the same roundings, and the same
+    /// eleven charges, as the `scale`/`add`/`hadamard`/`rsqrt_add` chain it
+    /// replaces (kept as the spec in this module's tests).
+    fn adam_direction(&self, mom: &mut Self, vel: &mut Self, c: AdamCoeffs, m: &mut Meter) -> Self;
 
     /// Row sums as a `[rows, 1]` column vector.
     fn row_sums(&self, m: &mut Meter) -> Self;
@@ -246,8 +299,7 @@ impl TensorLike for DenseTensor {
 
     fn add(&self, rhs: &Self, m: &mut Meter) -> Self {
         ew_shape_check(self, rhs, "add");
-        let mut out = self.0.clone();
-        out.add_assign(&rhs.0);
+        let out = self.0.zip_map(&rhs.0, |a, b| a + b);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
@@ -260,27 +312,50 @@ impl TensorLike for DenseTensor {
 
     fn sub(&self, rhs: &Self, m: &mut Meter) -> Self {
         ew_shape_check(self, rhs, "sub");
-        let mut out = self.0.clone();
-        out.sub_assign(&rhs.0);
+        let out = self.0.zip_map(&rhs.0, |a, b| a - b);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn hadamard(&self, rhs: &Self, m: &mut Meter) -> Self {
         ew_shape_check(self, rhs, "hadamard");
-        let mut out = self.0.clone();
-        for (a, b) in out.data_mut().iter_mut().zip(rhs.0.data().iter()) {
-            *a *= b;
-        }
+        let out = self.0.zip_map(&rhs.0, |a, b| a * b);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn scale(&self, s: f32, m: &mut Meter) -> Self {
-        let mut out = self.0.clone();
-        out.scale_assign(s);
+        let out = self.0.map(|a| a * s);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
+    }
+
+    fn scale_assign(&mut self, s: f32, m: &mut Meter) {
+        self.0.scale_assign(s);
+        m.record(self.elem_count() as f64, self.byte_size());
+    }
+
+    fn add_scaled(&self, x: &Self, s: f32, m: &mut Meter) -> Self {
+        ew_shape_check(self, x, "add_scaled");
+        let out = self.0.zip_map(&x.0, |a, b| a + b * s);
+        record_chain(m, self.elem_count(), self.byte_size(), &ADD_SCALED_CHAIN);
+        Self(out)
+    }
+
+    fn adam_direction(&self, mom: &mut Self, vel: &mut Self, c: AdamCoeffs, m: &mut Meter) -> Self {
+        ew_shape_check(self, mom, "adam_direction");
+        ew_shape_check(self, vel, "adam_direction");
+        let (g1, g2) = (1.0 - c.beta1, 1.0 - c.beta2);
+        let moments = mom.0.data_mut().iter_mut().zip(vel.0.data_mut());
+        let data = (self.0.data().iter().zip(moments))
+            .map(|(&g, (mo, ve))| {
+                *mo = *mo * c.beta1 + g * g1;
+                *ve = *ve * c.beta2 + (g * g) * g2;
+                (*mo * c.bias1) * (1.0 / (*ve * c.bias2 + c.eps_sq).sqrt())
+            })
+            .collect();
+        record_chain(m, self.elem_count(), self.byte_size(), &ADAM_DIRECTION_CHAIN);
+        Self(Matrix::from_vec(self.rows(), self.cols(), data))
     }
 
     fn row_sums(&self, m: &mut Meter) -> Self {
@@ -321,48 +396,27 @@ impl TensorLike for DenseTensor {
 
     fn add_colvec(&self, v: &Self, m: &mut Meter) -> Self {
         assert_eq!(v.shape(), (self.rows(), 1), "add_colvec: bad vector shape");
-        let mut out = self.0.clone();
-        for i in 0..out.rows() {
-            let s = v.0[(i, 0)];
-            for x in out.row_mut(i) {
-                *x += s;
-            }
-        }
+        let out = self.0.zip_map_colvec(v.0.data(), |x, s| x + s);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn sub_colvec(&self, v: &Self, m: &mut Meter) -> Self {
         assert_eq!(v.shape(), (self.rows(), 1), "sub_colvec: bad vector shape");
-        let mut out = self.0.clone();
-        for i in 0..out.rows() {
-            let s = v.0[(i, 0)];
-            for x in out.row_mut(i) {
-                *x -= s;
-            }
-        }
+        let out = self.0.zip_map_colvec(v.0.data(), |x, s| x - s);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn mul_colvec(&self, v: &Self, m: &mut Meter) -> Self {
         assert_eq!(v.shape(), (self.rows(), 1), "mul_colvec: bad vector shape");
-        let mut out = self.0.clone();
-        for i in 0..out.rows() {
-            let s = v.0[(i, 0)];
-            for x in out.row_mut(i) {
-                *x *= s;
-            }
-        }
+        let out = self.0.zip_map_colvec(v.0.data(), |x, s| x * s);
         m.record(self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn rsqrt_add(&self, eps: f32, m: &mut Meter) -> Self {
-        let mut out = self.0.clone();
-        for x in out.data_mut() {
-            *x = 1.0 / (*x + eps).sqrt();
-        }
+        let out = self.0.map(|x| 1.0 / (x + eps).sqrt());
         m.record(RSQRT_FLOPS_PER_ELEM * self.elem_count() as f64, out.len() * ELEM_BYTES);
         Self(out)
     }
@@ -418,15 +472,13 @@ impl TensorLike for DenseTensor {
     }
 
     fn concat_rows(parts: &[Self], m: &mut Meter) -> Self {
-        let mats: Vec<Matrix> = parts.iter().map(|p| p.0.clone()).collect();
-        let out = Matrix::concat_rows(&mats);
+        let out = Matrix::concat_rows(parts.iter().map(|p| &p.0));
         m.record(0.0, out.len() * ELEM_BYTES);
         Self(out)
     }
 
     fn concat_cols(parts: &[Self], m: &mut Meter) -> Self {
-        let mats: Vec<Matrix> = parts.iter().map(|p| p.0.clone()).collect();
-        let out = Matrix::concat_cols(&mats);
+        let out = Matrix::concat_cols(parts.iter().map(|p| &p.0));
         m.record(0.0, out.len() * ELEM_BYTES);
         Self(out)
     }
@@ -555,6 +607,29 @@ impl TensorLike for ShadowTensor {
 
     fn scale(&self, _s: f32, m: &mut Meter) -> Self {
         m.record(self.elem_count() as f64, self.byte_size());
+        *self
+    }
+
+    fn scale_assign(&mut self, _s: f32, m: &mut Meter) {
+        m.record(self.elem_count() as f64, self.byte_size());
+    }
+
+    fn add_scaled(&self, x: &Self, _s: f32, m: &mut Meter) -> Self {
+        ew_shape_check(self, x, "add_scaled");
+        record_chain(m, self.elem_count(), self.byte_size(), &ADD_SCALED_CHAIN);
+        *self
+    }
+
+    fn adam_direction(
+        &self,
+        mom: &mut Self,
+        vel: &mut Self,
+        _c: AdamCoeffs,
+        m: &mut Meter,
+    ) -> Self {
+        ew_shape_check(self, mom, "adam_direction");
+        ew_shape_check(self, vel, "adam_direction");
+        record_chain(m, self.elem_count(), self.byte_size(), &ADAM_DIRECTION_CHAIN);
         *self
     }
 
@@ -730,8 +805,81 @@ mod tests {
         let _ = cs.row_sums(&mut ms);
         let _ = cd.slice_cols(1, 5, &mut md);
         let _ = cs.slice_cols(1, 5, &mut ms);
+        let _ = cd.add_scaled(&gd, -0.5, &mut md);
+        let _ = cs.add_scaled(&gs, -0.5, &mut ms);
+        ipd.scale_assign(0.5, &mut md);
+        ips.scale_assign(0.5, &mut ms);
+        let (mut momd, mut veld) = (DenseTensor::zeros(6, 8), DenseTensor::zeros(6, 8));
+        let (mut moms, mut vels) = (ShadowTensor::new(6, 8), ShadowTensor::new(6, 8));
+        let _ = cd.adam_direction(&mut momd, &mut veld, adam_coeffs(1), &mut md);
+        let _ = cs.adam_direction(&mut moms, &mut vels, adam_coeffs(1), &mut ms);
 
         assert_eq!(md, ms);
+    }
+
+    fn adam_coeffs(t: i32) -> AdamCoeffs {
+        AdamCoeffs::at_step(0.9, 0.999, 1e-8, t)
+    }
+
+    /// The eleven-op chain `adam_direction` replaced, kept as its spec.
+    fn adam_direction_chain<T: TensorLike>(
+        g: &T,
+        mom: &mut T,
+        vel: &mut T,
+        c: AdamCoeffs,
+        m: &mut Meter,
+    ) -> T {
+        *mom = mom.scale(c.beta1, m).add(&g.scale(1.0 - c.beta1, m), m);
+        let g2 = g.hadamard(g, m);
+        *vel = vel.scale(c.beta2, m).add(&g2.scale(1.0 - c.beta2, m), m);
+        let m_hat = mom.scale(c.bias1, m);
+        let v_hat = vel.scale(c.bias2, m);
+        let denom = v_hat.rsqrt_add(c.eps_sq, m);
+        m_hat.hadamard(&denom, m)
+    }
+
+    fn bits(t: &DenseTensor) -> Vec<u32> {
+        t.0.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_optimizer_ops_equal_their_op_chains_bitwise() {
+        let (rows, cols) = (7, 13);
+        let w = dense(rows, cols, 20);
+        let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
+        let sw = ShadowTensor::new(rows, cols);
+
+        // `a + s·x`, and `w − s·x` as the optimizers used to spell it.
+        let x = dense(rows, cols, 21);
+        let got = w.add_scaled(&x, 0.3, &mut fused);
+        assert_eq!(bits(&got), bits(&w.add(&x.scale(0.3, &mut chain), &mut chain)));
+        let got = w.add_scaled(&x, -3e-3, &mut fused);
+        assert_eq!(bits(&got), bits(&w.sub(&x.scale(3e-3, &mut chain), &mut chain)));
+        let _ = sw.add_scaled(&sw, 0.3, &mut shadow);
+        let _ = sw.add_scaled(&sw, -3e-3, &mut shadow);
+
+        let mut scaled = w.clone();
+        scaled.scale_assign(0.7, &mut fused);
+        assert_eq!(bits(&scaled), bits(&w.scale(0.7, &mut chain)));
+        let _ = sw.scale(0.7, &mut shadow);
+
+        // Several Adam steps, so non-zero moments and a moving bias
+        // correction are covered.
+        let mut moments = (DenseTensor::zeros(rows, cols), DenseTensor::zeros(rows, cols));
+        let mut spec = moments.clone();
+        let (mut smom, mut svel) = (sw, sw);
+        for t in 1..=4 {
+            let g = dense(rows, cols, 30 + t as u64);
+            let c = adam_coeffs(t);
+            let got = g.adam_direction(&mut moments.0, &mut moments.1, c, &mut fused);
+            let want = adam_direction_chain(&g, &mut spec.0, &mut spec.1, c, &mut chain);
+            assert_eq!(bits(&got), bits(&want), "direction at step {t}");
+            assert_eq!(bits(&moments.0), bits(&spec.0), "first moment at step {t}");
+            assert_eq!(bits(&moments.1), bits(&spec.1), "second moment at step {t}");
+            let _ = sw.adam_direction(&mut smom, &mut svel, c, &mut shadow);
+        }
+        assert_eq!(fused, chain);
+        assert_eq!(fused, shadow);
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! Property-based tests (proptest) for the tensor substrate: algebraic
 //! identities of the kernels and structural invariants of the matrix type.
 
-// Gated behind the `proptest-tests` feature: run with
-//     cargo test -p <crate> --features proptest-tests
-#![cfg(feature = "proptest-tests")]
-
 use proptest::prelude::*;
 use tesseract_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use tesseract_tensor::nn;
@@ -128,6 +124,29 @@ proptest! {
     #[test]
     fn gelu_is_monotone_on_positive_axis(a in 0.0f32..5.0, delta in 0.001f32..5.0) {
         prop_assert!(nn::gelu(a + delta) >= nn::gelu(a));
+    }
+
+    /// Lane independence: the vectorized loops behind `gelu_matrix` /
+    /// `gelu_backward_matrix` give each element the bits of the scalar
+    /// function, whatever lane it lands in — any offset into a buffer, any
+    /// length (empty, single, non-multiples of the vector width).
+    #[test]
+    fn gelu_over_any_slice_equals_scalar_gelu_bitwise(
+        v in proptest::collection::vec(-12.0f32..12.0, 67),
+        start in 0usize..67,
+        len in 0usize..67,
+    ) {
+        let x = &v[start..(start + len).min(v.len())];
+        let dy: Vec<f32> = x.iter().map(|a| 0.5 - a).collect();
+        let xm = Matrix::from_vec(1, x.len(), x.to_vec());
+        let fwd = nn::gelu_matrix(&xm);
+        let bwd = nn::gelu_backward_matrix(&xm, &Matrix::from_vec(1, x.len(), dy.clone()));
+        for (i, &a) in x.iter().enumerate() {
+            // `black_box` keeps this reference evaluation scalar.
+            let a = std::hint::black_box(a);
+            prop_assert_eq!(fwd.data()[i].to_bits(), nn::gelu(a).to_bits());
+            prop_assert_eq!(bwd.data()[i].to_bits(), (dy[i] * nn::gelu_grad(a)).to_bits());
+        }
     }
 
     #[test]

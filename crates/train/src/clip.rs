@@ -52,11 +52,7 @@ pub fn clip_grad_norm<T: TensorLike + Payload>(
     let norm = packed.matrix()[(0, 0)].sqrt();
     if norm > max_norm {
         let scale = max_norm / norm;
-        let mut scratch = Meter::new();
-        model.visit_params(&mut |pr| {
-            *pr.grad = pr.grad.scale(scale, &mut scratch);
-        });
-        ctx.meter.merge(&scratch);
+        model.visit_params(&mut |pr| pr.grad.scale_assign(scale, &mut ctx.meter));
     }
     Some(norm)
 }
@@ -80,9 +76,7 @@ pub fn clip_grad_norm_params(
     if norm > max_norm {
         let scale = max_norm / norm;
         let mut scratch = Meter::new();
-        visit(&mut |pr| {
-            *pr.grad = pr.grad.scale(scale, &mut scratch);
-        });
+        visit(&mut |pr| pr.grad.scale_assign(scale, &mut scratch));
     }
     norm
 }

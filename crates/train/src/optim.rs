@@ -19,7 +19,7 @@
 
 use tesseract_comm::Payload;
 use tesseract_core::module::{Module, ParamRef};
-use tesseract_tensor::{Meter, TensorLike};
+use tesseract_tensor::{AdamCoeffs, Meter, TensorLike};
 
 /// Plain SGD with optional momentum and (coupled) weight decay.
 pub struct Sgd<T> {
@@ -55,17 +55,16 @@ impl<T: TensorLike> Sgd<T> {
         visit(&mut |pr: ParamRef<'_, T>| {
             let mut g = pr.grad.clone();
             if wd != 0.0 {
-                g = g.add(&pr.weight.scale(wd, m), m);
+                g = g.add_scaled(pr.weight, wd, m);
             }
             if mu != 0.0 {
                 if velocity.len() <= idx {
                     velocity.push(T::zeros(g.rows(), g.cols()));
                 }
-                let v = velocity[idx].scale(mu, m).add(&g, m);
-                velocity[idx] = v.clone();
-                g = v;
+                g = g.add_scaled(&velocity[idx], mu, m);
+                velocity[idx] = g.clone();
             }
-            *pr.weight = pr.weight.sub(&g.scale(lr, m), m);
+            *pr.weight = pr.weight.add_scaled(&g, -lr, m);
             idx += 1;
         });
     }
@@ -93,21 +92,14 @@ impl<T: TensorLike> AdamW<T> {
         moments: &mut Vec<(T, T)>,
         idx: usize,
         g: &T,
-        t: i32,
-        (b1, b2, eps): (f32, f32, f32),
+        coeffs: AdamCoeffs,
         m: &mut Meter,
     ) -> T {
         if moments.len() <= idx {
             moments.push((T::zeros(g.rows(), g.cols()), T::zeros(g.rows(), g.cols())));
         }
         let (mom, vel) = &mut moments[idx];
-        *mom = mom.scale(b1, m).add(&g.scale(1.0 - b1, m), m);
-        let g2 = g.hadamard(g, m);
-        *vel = vel.scale(b2, m).add(&g2.scale(1.0 - b2, m), m);
-        let m_hat = mom.scale(1.0 / (1.0 - b1.powi(t)), m);
-        let v_hat = vel.scale(1.0 / (1.0 - b2.powi(t)), m);
-        let denom = v_hat.rsqrt_add(eps * eps, m);
-        m_hat.hadamard(&denom, m)
+        g.adam_direction(mom, vel, coeffs, m)
     }
 
     /// Updates every parameter of `model` (any world type `G`).
@@ -126,15 +118,15 @@ impl<T: TensorLike> AdamW<T> {
         visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
     ) {
         self.t += 1;
-        let (lr, wd, t) = (self.lr, self.weight_decay, self.t);
-        let betas = (self.beta1, self.beta2, self.eps);
+        let (lr, wd) = (self.lr, self.weight_decay);
+        let coeffs = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         let moments = &mut self.moments;
         let mut idx = 0;
         visit(&mut |pr: ParamRef<'_, T>| {
-            let dir = Self::direction(moments, idx, pr.grad, t, betas, m);
-            let mut w = pr.weight.sub(&dir.scale(lr, m), m);
+            let dir = Self::direction(moments, idx, pr.grad, coeffs, m);
+            let mut w = pr.weight.add_scaled(&dir, -lr, m);
             if wd != 0.0 {
-                w = w.sub(&pr.weight.scale(lr * wd, m), m);
+                w = w.add_scaled(pr.weight, -(lr * wd), m);
             }
             *pr.weight = w;
             idx += 1;
@@ -175,20 +167,20 @@ impl<T: TensorLike> Lamb<T> {
         visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
     ) {
         self.t += 1;
-        let (lr, wd, t) = (self.lr, self.weight_decay, self.t);
-        let betas = (self.beta1, self.beta2, self.eps);
+        let (lr, wd) = (self.lr, self.weight_decay);
+        let coeffs = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         let moments = &mut self.moments;
         let mut idx = 0;
         visit(&mut |pr: ParamRef<'_, T>| {
-            let mut r = AdamW::direction(moments, idx, pr.grad, t, betas, m);
+            let mut r = AdamW::direction(moments, idx, pr.grad, coeffs, m);
             if wd != 0.0 {
-                r = r.add(&pr.weight.scale(wd, m), m);
+                r = r.add_scaled(pr.weight, wd, m);
             }
             let trust = match (pr.weight.frobenius(), r.frobenius()) {
                 (Some(wn), Some(rn)) if wn > 0.0 && rn > 0.0 => (wn / rn).clamp(0.0, 10.0),
                 _ => 1.0,
             };
-            *pr.weight = pr.weight.sub(&r.scale(lr * trust, m), m);
+            *pr.weight = pr.weight.add_scaled(&r, -(lr * trust), m);
             idx += 1;
         });
     }
@@ -234,12 +226,12 @@ impl<T: TensorLike> Lars<T> {
             };
             let mut g = pr.grad.clone();
             if wd != 0.0 {
-                g = g.add(&pr.weight.scale(wd, m), m);
+                g = g.add_scaled(pr.weight, wd, m);
             }
             if velocity.len() <= idx {
                 velocity.push(T::zeros(g.rows(), g.cols()));
             }
-            let v = velocity[idx].scale(mu, m).add(&g.scale(local_lr * lr, m), m);
+            let v = velocity[idx].scale(mu, m).add_scaled(&g, local_lr * lr, m);
             velocity[idx] = v.clone();
             *pr.weight = pr.weight.sub(&v, m);
             idx += 1;

@@ -58,6 +58,12 @@ grep -Eq '"kernel": "(scalar|avx2|avx512)"' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: auto-detect run reported no kernel path"; exit 1; }
 grep -q '"pool_threads": 2' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: TESSERACT_THREADS=2 not reflected in sweep JSON"; exit 1; }
+# The elementwise block is accepted by the sweep only after GELU's matrix
+# loops equal the scalar function, and the fused Adam direction its op
+# chain, bit for bit under the release optimizer.
+grep -q '"elementwise": \[' target/BENCH_kernels.smoke.json \
+    && grep -q '"op": "adam_direction"' target/BENCH_kernels.smoke.json \
+    || { echo "ci.sh: gemm_sweep wrote no elementwise block"; exit 1; }
 
 # Every vector backend the host supports (the sweep's "lanes" line, i.e.
 # MicroKernel::supported()) must also honor being forced explicitly — keyed
@@ -141,6 +147,12 @@ for mode in 'dense' 'recompute k=1'; do
         | grep -Eq "^\| \[[0-9],[0-9],[0-9]\] \| $mode \| [0-9]+ \|$" \
         || { echo "ci.sh: memory_table measured-peak section has no '$mode' row"; exit 1; }
 done
+
+# `cargo test` above runs the property suites unoptimized, where a loop is
+# scalar anyway; lane independence (vectorized GELU == scalar GELU, bit for
+# bit) only means something on the code the release build runs.
+echo "== tensor property tests (release: autovectorized elementwise loops) =="
+cargo test -q --release --offline -p tesseract-tensor --test proptests
 
 # The race this test guards (a pool worker running a task through the
 # previous job's closure) is probabilistic — about one run in twelve lost a
