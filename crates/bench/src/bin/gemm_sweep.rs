@@ -1,6 +1,5 @@
 //! GEMM kernel sweep: seed-reference vs serial vs every blocked
-//! micro-kernel backend, plus a multi-core scaling curve and the shapes the
-//! benchmark's workloads run.
+//! micro-kernel backend, plus the shapes the benchmark's workloads run.
 //!
 //! Times the `n×n×n` product for each requested size on:
 //!
@@ -10,38 +9,33 @@
 //! * `serial` — the current serial kernel (zero-skip removed, vectorizable);
 //! * one **lane per supported backend** ([`MicroKernel::ALL`]: scalar 4×8,
 //!   AVX2 6×16, AVX-512 8×32) — the cache-blocked/packed kernel forced onto
-//!   that micro-kernel on a 1-thread pool, isolating each SIMD width's win;
-//! * `blocked` — the active backend
-//!   ([`tesseract_tensor::matmul::active_kernel`]) on the process-wide pool
-//!   (the `TESSERACT_THREADS`-configured size, recorded in the JSON).
+//!   that micro-kernel, isolating each SIMD width's win. A GEMM runs on its
+//!   calling thread, so every lane is one thread; the speed-up columns read
+//!   the lane of the active backend
+//!   ([`tesseract_tensor::matmul::active_kernel`]).
 //!
-//! Then, per size, the active backend is swept over `--threads` (default
-//! `1,2,4,8`) on explicit pools, publishing GFLOP/s and parallel efficiency
-//! per thread count. Finally the same lanes time [`WORKLOAD_SHAPES`] — the
-//! non-square GEMMs `benchmark/`'s probes report — so the committed record
-//! measures what the workloads run, not only squares — and the
-//! `"elementwise"` block times the non-GEMM kernels of a step
-//! ([`ELEMENTWISE_SHAPES`]: GELU forward/backward, the Adam direction) in
-//! ns per element, each beside the implementation it replaced.
+//! Then the same lanes time [`WORKLOAD_SHAPES`] — the non-square GEMMs
+//! `benchmark/`'s probes report — so the committed record measures what the
+//! workloads run, not only squares — and the `"elementwise"` block times
+//! the non-GEMM kernels of a step ([`ELEMENTWISE_SHAPES`]: GELU
+//! forward/backward, the Adam direction) in ns per element, each beside the
+//! implementation it replaced.
 //!
-//! No timing is accepted before its parity gate: every swept thread count
-//! **bitwise** against the 1-thread result of the same backend, the vector
-//! backends **bitwise** against each other (`avx2 == avx512`, the fused
-//! numerics class), scalar-vs-vector within floating-point tolerance, and
-//! the elementwise kernels **bitwise** against their scalar function / op
-//! chain (one numerics class: lane-independent `mul`/`add` sequences).
+//! No timing is accepted before its parity gate: the vector backends
+//! **bitwise** against each other (`avx2 == avx512`, the fused numerics
+//! class), scalar-vs-vector within floating-point tolerance, and the
+//! elementwise kernels **bitwise** against their scalar function / op chain
+//! (one numerics class: lane-independent `mul`/`add` sequences).
 //!
 //! Reports median wall time over `--reps` runs as a table on stdout and as
 //! JSON (`--out`, default `BENCH_kernels.json`). The JSON records which
 //! micro-kernel actually ran (`"kernel"`), whether it was forced via
 //! `TESSERACT_KERNEL` (`"kernel_forced"`), which backends the host supports
-//! (`"lanes"`), the configured pool size (`"pool_threads"`), and the host's
-//! hardware parallelism (`"host_cpus"`) so a curve measured on a
-//! core-limited container is interpretable.
+//! (`"lanes"`), and the host's hardware parallelism (`"host_cpus"`), which
+//! bounds how many rank threads can run such a GEMM at once.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin gemm_sweep -- \
-//!           [--sizes 256,512,1024] [--reps 5] [--threads 1,2,4,8] \
-//!           [--out BENCH_kernels.json]`
+//!           [--sizes 256,512,1024] [--reps 5] [--out BENCH_kernels.json]`
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -52,8 +46,7 @@ use tesseract_tensor::matmul::{
     matmul_tn_blocked_with, MicroKernel,
 };
 use tesseract_tensor::{
-    max_rel_diff, nn, pool, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, ThreadPool,
-    Xoshiro256StarStar,
+    max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, Xoshiro256StarStar,
 };
 
 #[derive(Clone, Copy)]
@@ -257,20 +250,12 @@ fn elementwise_rows(reps: usize) -> Vec<ElementwiseRow> {
     rows
 }
 
-/// One thread count of the scaling sweep.
-struct ScalePoint {
-    threads: usize,
-    ns: f64,
-}
-
 struct Row {
     n: usize,
     seed_ns: f64,
     serial_ns: f64,
-    /// 1-thread time per supported backend, in [`MicroKernel::ALL`] order.
+    /// Time per supported backend, in [`MicroKernel::ALL`] order.
     lane_ns: Vec<f64>,
-    blocked_ns: f64,
-    scaling: Vec<ScalePoint>,
 }
 
 fn gflops(m: usize, k: usize, n: usize, ns: f64) -> f64 {
@@ -287,7 +272,7 @@ fn assert_bitwise(label: &str, reference: &Matrix, candidate: &Matrix) {
     }
 }
 
-/// Median 1-thread time of `gemm` on each of `lanes`, accepted only after
+/// Median time of `gemm` on each of `lanes`, accepted only after
 /// the cross-backend gate: every vector backend within FMA tolerance of
 /// scalar, and bitwise equal to the other vector backends.
 fn timed_lanes(
@@ -328,7 +313,6 @@ fn lane_members(lanes: &[MicroKernel], values: impl Iterator<Item = f64>, digits
 fn main() {
     let mut sizes: Vec<usize> = vec![256, 512, 1024];
     let mut reps = 5usize;
-    let mut threads: Vec<usize> = vec![1, 2, 4, 8];
     let mut out_path = String::from("BENCH_kernels.json");
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -344,25 +328,14 @@ fn main() {
                     .collect();
             }
             "--reps" => reps = value("--reps").parse().expect("--reps wants an integer"),
-            "--threads" => {
-                threads = value("--threads")
-                    .split(',')
-                    .map(|s| {
-                        let t: usize =
-                            s.trim().parse().expect("--threads wants comma-separated integers");
-                        assert!(t >= 1, "--threads wants positive thread counts");
-                        t
-                    })
-                    .collect();
-            }
             "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other:?} (known: --sizes --reps --threads --out)"),
+            other => panic!("unknown argument {other:?} (known: --sizes --reps --out)"),
         }
     }
 
     // All TESSERACT_* knobs are parsed and installed by the run
     // configuration (the single env-read site of the workspace); this bench
-    // runs no cluster, so it installs explicitly before touching the pool.
+    // runs no cluster, so it installs explicitly before the first GEMM.
     let run_cfg = RunConfig::from_env(1);
     run_cfg.install();
     let kernel = active_kernel();
@@ -370,21 +343,16 @@ fn main() {
     let lanes: Vec<MicroKernel> = MicroKernel::available().collect();
     let lane_names: Vec<&str> = lanes.iter().map(|k| k.name()).collect();
     let active_lane = lanes.iter().position(|&k| k == kernel).expect("active kernel is supported");
-    let single = ThreadPool::new(1);
-    let global = pool::global();
-    let host_cpus = pool::host_threads();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "gemm_sweep: sizes {sizes:?}, {reps} reps, micro-kernel {}{}, supported backends \
-         {lane_names:?}, pool of {} thread(s) (host has {host_cpus}), scaling over {threads:?}\n",
+         {lane_names:?}, one thread per GEMM (host has {host_cpus})\n",
         kernel.name(),
         if kernel_forced { " (forced via TESSERACT_KERNEL)" } else { "" },
-        global.threads(),
     );
     let lane_header: String =
-        lane_names.iter().map(|l| format!(" {:<12} |", format!("{l} 1t ns"))).collect();
-    println!(
-        "| n    | seed ns      | serial ns    |{lane_header} blocked ns   | serial GF/s | blk1 GF/s | blk GF/s | simd x | blk1 x | blk x |"
-    );
+        lane_names.iter().map(|l| format!(" {:<12} |", format!("{l} ns"))).collect();
+    println!("| n    | seed ns      | serial ns    |{lane_header} serial GF/s | blk1 GF/s | simd x | blk1 x |");
 
     let mut rows = Vec::new();
     for &n in &sizes {
@@ -392,63 +360,30 @@ fn main() {
         let a = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
 
-        // Correctness gates before any timing: per-path bitwise parity at
-        // every swept thread count here, cross-path parity in timed_lanes.
-        let reference = matmul_blocked_with(&a, &b, &single, kernel);
-        let pools: Vec<ThreadPool> = threads.iter().map(|&t| ThreadPool::new(t)).collect();
-        for (t, p) in threads.iter().zip(&pools) {
-            let out = matmul_blocked_with(&a, &b, p, kernel);
-            assert_bitwise(&format!("n={n} {} threads={t}", kernel.name()), &reference, &out);
-        }
-
-        let scaling: Vec<ScalePoint> = threads
-            .iter()
-            .zip(&pools)
-            .map(|(&t, p)| ScalePoint {
-                threads: t,
-                ns: median_ns(reps, || matmul_blocked_with(&a, &b, p, kernel)),
-            })
-            .collect();
         let row = Row {
             n,
             seed_ns: median_ns(reps, || matmul_seed(&a, &b)),
             serial_ns: median_ns(reps, || matmul_serial(&a, &b)),
             lane_ns: timed_lanes(&format!("n={n}"), &lanes, reps, |k| {
-                matmul_blocked_with(&a, &b, &single, k)
+                matmul_blocked_with(&a, &b, k)
             }),
-            blocked_ns: median_ns(reps, || matmul_blocked_with(&a, &b, global, kernel)),
-            scaling,
         };
         let blocked1_ns = row.lane_ns[active_lane];
         let lane_cells: String = row.lane_ns.iter().map(|ns| format!(" {ns:>12.0} |")).collect();
         println!(
-            "| {:<4} | {:>12.0} | {:>12.0} |{lane_cells} {:>12.0} | {:>11.3} | {:>9.3} | {:>8.3} | {:>6.2} | {:>6.2} | {:>5.2} |",
+            "| {:<4} | {:>12.0} | {:>12.0} |{lane_cells} {:>11.3} | {:>9.3} | {:>6.2} | {:>6.2} |",
             row.n,
             row.seed_ns,
             row.serial_ns,
-            row.blocked_ns,
             gflops(n, n, n, row.serial_ns),
             gflops(n, n, n, blocked1_ns),
-            gflops(n, n, n, row.blocked_ns),
             row.lane_ns[0] / blocked1_ns,
             row.seed_ns / blocked1_ns,
-            row.seed_ns / row.blocked_ns,
         );
-        for p in &row.scaling {
-            let speedup = row.scaling[0].ns / p.ns;
-            println!(
-                "|      scaling: {:>2} thread(s) {:>12.0} ns  {:>8.3} GF/s  speedup {:>5.2}  efficiency {:>4.2} |",
-                p.threads,
-                p.ns,
-                gflops(n, n, n, p.ns),
-                speedup,
-                speedup / p.threads as f64,
-            );
-        }
         rows.push(row);
     }
 
-    println!("\nworkload shapes (1 thread, GFLOP/s per backend):");
+    println!("\nworkload shapes (GFLOP/s per backend):");
     let workload_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = WORKLOAD_SHAPES
         .iter()
         .map(|&(label, orient, m, k, n)| {
@@ -463,9 +398,9 @@ fn main() {
             let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
             let b = Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng);
             let lane_ns = timed_lanes(label, &lanes, reps, |kernel| match orient {
-                Orient::Nn => matmul_blocked_with(&a, &b, &single, kernel),
-                Orient::Nt => matmul_nt_blocked_with(&a, &b, &single, kernel),
-                Orient::Tn => matmul_tn_blocked_with(&a, &b, &single, kernel),
+                Orient::Nn => matmul_blocked_with(&a, &b, kernel),
+                Orient::Nt => matmul_nt_blocked_with(&a, &b, kernel),
+                Orient::Tn => matmul_tn_blocked_with(&a, &b, kernel),
             });
             let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
             println!("  {label:<10} {m}x{k}x{n}: {rates}");
@@ -489,50 +424,28 @@ fn main() {
     json.push_str(&format!("  \"kernel\": \"{}\",\n", kernel.name()));
     json.push_str(&format!("  \"kernel_forced\": {kernel_forced},\n"));
     json.push_str(&format!("  \"lanes\": {lane_names:?},\n"));
-    json.push_str(&format!("  \"pool_threads\": {},\n", global.threads()));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(&format!(
-        "  \"threads_swept\": [{}],\n",
-        threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ")
-    ));
     json.push_str(
-        "  \"parity\": \"bitwise per kernel path at every swept thread count; vector lanes bitwise equal to each other\",\n",
+        "  \"parity\": \"vector lanes bitwise equal to each other, within FMA tolerance of scalar\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let n = r.n;
         let blocked1_ns = r.lane_ns[active_lane];
         json.push_str(&format!(
-            "    {{ \"n\": {n}, \"seed_ns\": {:.0}, \"serial_ns\": {:.0}, \"blocked_ns\": {:.0}, \
-\"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }}, \
-\"serial_gflops\": {:.3}, \"blocked_gflops\": {:.3}, \
-\"speedup_serial\": {:.3}, \"speedup_blocked1\": {:.3}, \"speedup_blocked\": {:.3}, \"simd_speedup\": {:.3},\n",
+            "    {{ \"n\": {n}, \"seed_ns\": {:.0}, \"serial_ns\": {:.0}, \
+\"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }}, \"serial_gflops\": {:.3}, \
+\"speedup_serial\": {:.3}, \"speedup_blocked1\": {:.3}, \"simd_speedup\": {:.3} }}{}\n",
             r.seed_ns,
             r.serial_ns,
-            r.blocked_ns,
             lane_members(&lanes, r.lane_ns.iter().copied(), 0),
             lane_members(&lanes, r.lane_ns.iter().map(|&ns| gflops(n, n, n, ns)), 3),
             gflops(n, n, n, r.serial_ns),
-            gflops(n, n, n, r.blocked_ns),
             r.seed_ns / r.serial_ns,
             r.seed_ns / blocked1_ns,
-            r.seed_ns / r.blocked_ns,
             r.lane_ns[0] / blocked1_ns,
+            if i + 1 == rows.len() { "" } else { "," }
         ));
-        json.push_str("      \"scaling\": [\n");
-        for (j, p) in r.scaling.iter().enumerate() {
-            let speedup = r.scaling[0].ns / p.ns;
-            json.push_str(&format!(
-                "        {{ \"threads\": {}, \"ns\": {:.0}, \"gflops\": {:.3}, \"speedup\": {:.3}, \"efficiency\": {:.3} }}{}\n",
-                p.threads,
-                p.ns,
-                gflops(n, n, n, p.ns),
-                speedup,
-                speedup / p.threads as f64,
-                if j + 1 == r.scaling.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(&format!("      ] }}{}\n", if i + 1 == rows.len() { "" } else { "," }));
     }
     json.push_str("  ],\n  \"workload_shapes\": [\n");
     for (i, (label, m, k, n, lane_ns)) in workload_rows.iter().enumerate() {

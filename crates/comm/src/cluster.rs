@@ -87,7 +87,7 @@ impl Cluster {
             Some(secs) => Fabric::with_timeout(Duration::from_secs(secs)),
             None => Fabric::new(),
         });
-        let stats = Arc::new(StatsCollector::new());
+        let stats = Arc::new(StatsCollector::new(self.world));
         let f = &f;
 
         let mut outcomes: Vec<Option<(R, RankReport, Vec<TraceEvent>)>> =

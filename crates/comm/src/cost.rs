@@ -18,8 +18,6 @@ pub enum CollectiveOp {
     Reduce,
     AllReduce,
     AllGather,
-    Gather,
-    Scatter,
     ReduceScatter,
     AllToAll,
     Shift,
@@ -28,13 +26,11 @@ pub enum CollectiveOp {
 }
 
 impl CollectiveOp {
-    pub const ALL: [CollectiveOp; 11] = [
+    pub const ALL: [CollectiveOp; 9] = [
         CollectiveOp::Broadcast,
         CollectiveOp::Reduce,
         CollectiveOp::AllReduce,
         CollectiveOp::AllGather,
-        CollectiveOp::Gather,
-        CollectiveOp::Scatter,
         CollectiveOp::ReduceScatter,
         CollectiveOp::AllToAll,
         CollectiveOp::Shift,
@@ -48,8 +44,6 @@ impl CollectiveOp {
             CollectiveOp::Reduce => "reduce",
             CollectiveOp::AllReduce => "all_reduce",
             CollectiveOp::AllGather => "all_gather",
-            CollectiveOp::Gather => "gather",
-            CollectiveOp::Scatter => "scatter",
             CollectiveOp::ReduceScatter => "reduce_scatter",
             CollectiveOp::AllToAll => "all_to_all",
             CollectiveOp::Shift => "shift",
@@ -156,7 +150,7 @@ impl CostParams {
     ///
     /// Formulas are the standard *pipelined* tree/ring costs NCCL-class
     /// libraries achieve:
-    /// * broadcast / reduce / scatter / gather: pipelined binomial tree,
+    /// * broadcast / reduce: pipelined binomial tree,
     ///   `⌈log₂ n⌉·α + bytes/β` (latency pays the tree depth; bandwidth is
     ///   paid once because large messages are chunked and pipelined)
     /// * all-reduce: ring, `2(n−1)α + 2 (n−1)/n · bytes/β`
@@ -179,10 +173,7 @@ impl CostParams {
         let nf = n as f64;
         let log_n = (n as f64).log2().ceil();
         match op {
-            CollectiveOp::Broadcast
-            | CollectiveOp::Reduce
-            | CollectiveOp::Scatter
-            | CollectiveOp::Gather => log_n * alpha + b / beta,
+            CollectiveOp::Broadcast | CollectiveOp::Reduce => log_n * alpha + b / beta,
             CollectiveOp::AllReduce => 2.0 * (nf - 1.0) * alpha + 2.0 * (nf - 1.0) / nf * b / beta,
             CollectiveOp::AllGather => (nf - 1.0) * (alpha + b / beta),
             CollectiveOp::ReduceScatter | CollectiveOp::AllToAll => {
@@ -202,12 +193,13 @@ impl CostParams {
     /// first/last and run the cross-node step over one leader per node on
     /// InfiniBand, so the slow fabric carries `nodes` participants instead
     /// of `members`:
-    /// * broadcast / reduce / scatter / gather: IB tree over the node
-    ///   leaders + NVLink tree inside the fullest node;
+    /// * broadcast / reduce: IB tree over the node leaders + NVLink tree
+    ///   inside the fullest node;
     /// * all-reduce: NVLink reduce to the node leader, IB ring all-reduce
     ///   over leaders, NVLink broadcast back;
-    /// * all-gather: NVLink gather to the leader, IB ring all-gather of the
-    ///   per-node superblocks, NVLink broadcast of the full result;
+    /// * all-gather: NVLink gather to the leader (a tree, priced as
+    ///   reduce), IB ring all-gather of the per-node superblocks, NVLink
+    ///   broadcast of the full result;
     /// * barrier: NVLink barrier per node + IB barrier over leaders;
     /// * shift / send-recv: point-to-point rounds have no hierarchy — they
     ///   are charged flat.
@@ -239,10 +231,7 @@ impl CostParams {
         let flat = self.collective_time(op, n, bytes, Link::InfiniBand);
         let m = p.max_per_node;
         let (intra, inter) = match op {
-            CollectiveOp::Broadcast
-            | CollectiveOp::Reduce
-            | CollectiveOp::Scatter
-            | CollectiveOp::Gather => (
+            CollectiveOp::Broadcast | CollectiveOp::Reduce => (
                 self.collective_time(op, m, bytes, Link::NvLink),
                 self.collective_time(op, p.nodes, bytes, Link::InfiniBand),
             ),
@@ -252,7 +241,7 @@ impl CostParams {
                 self.collective_time(CollectiveOp::AllReduce, p.nodes, bytes, Link::InfiniBand),
             ),
             CollectiveOp::AllGather => (
-                self.collective_time(CollectiveOp::Gather, m, bytes, Link::NvLink)
+                self.collective_time(CollectiveOp::Reduce, m, bytes, Link::NvLink)
                     + self.collective_time(
                         CollectiveOp::Broadcast,
                         m,
@@ -268,7 +257,7 @@ impl CostParams {
             ),
             CollectiveOp::ReduceScatter => (
                 self.collective_time(CollectiveOp::Reduce, m, bytes, Link::NvLink)
-                    + self.collective_time(CollectiveOp::Scatter, m, bytes, Link::NvLink),
+                    + self.collective_time(CollectiveOp::Broadcast, m, bytes, Link::NvLink),
                 self.collective_time(CollectiveOp::ReduceScatter, p.nodes, bytes, Link::InfiniBand),
             ),
             CollectiveOp::Barrier => (
@@ -296,7 +285,7 @@ impl CostParams {
         match op {
             CollectiveOp::Broadcast | CollectiveOp::Reduce => b * (n64 - 1),
             CollectiveOp::AllReduce => 2 * b * (n64 - 1),
-            CollectiveOp::AllGather | CollectiveOp::Gather | CollectiveOp::Scatter => b * (n64 - 1),
+            CollectiveOp::AllGather => b * (n64 - 1),
             CollectiveOp::ReduceScatter | CollectiveOp::AllToAll => b * (n64 - 1),
             CollectiveOp::Shift => b * n64,
             CollectiveOp::Barrier => 0,

@@ -296,7 +296,7 @@ impl CommGroup {
     /// (shift makes one per member).
     fn clone_counted<P: Payload>(&self, ctx: &mut RankCtx, op: CollectiveOp, payload: &P) -> P {
         let bytes = payload.wire_size() as u64;
-        ctx.stats().charge_copy(op, bytes);
+        ctx.stats().charge_copy(ctx.rank, op, bytes);
         ctx.meter.charge_payload_copy(bytes);
         if trace::is_active() {
             let vt = ctx.vt_now();
@@ -467,7 +467,7 @@ impl CommGroup {
         let hidden = (ctx.clock().min(target) - deposit_vt).max(0.0);
         if hidden > 0.0 {
             ctx.meter.charge_overlap_hidden(hidden);
-            ctx.stats().charge_hidden(op, hidden);
+            ctx.stats().charge_hidden(ctx.rank, op, hidden);
         } else if deferred_size {
             // Nothing overlapped the wait: book it as the two advances a
             // blocking broadcast has always made (rendezvous latency, then
@@ -479,7 +479,7 @@ impl CommGroup {
         ctx.advance_comm(target);
         let recorded = (self.my_index == 0).then(|| {
             let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(op, wire, cost_b);
+            ctx.stats().record(ctx.rank, op, wire, cost_b);
             (wire, cost_b)
         });
         span.finish(ctx, max_vt, cost0 + cost_b, hidden, recorded);
@@ -618,7 +618,7 @@ impl CommGroup {
         // to the receiver (eager-send model).
         ctx.advance_comm(ctx.clock() + alpha);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
-        ctx.stats().record(CollectiveOp::SendRecv, wire, 0.0);
+        ctx.stats().record(ctx.rank, CollectiveOp::SendRecv, wire, 0.0);
         span.finish(ctx, send_vt, alpha, 0.0, Some((wire, 0.0)));
     }
 

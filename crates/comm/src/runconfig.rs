@@ -2,7 +2,7 @@
 //!
 //! Everything that used to be scattered across `Cluster::custom`,
 //! `Cluster::with_trace`, `Cluster::with_rendezvous_timeout_secs` and the
-//! `TESSERACT_THREADS` / `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
+//! `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
 //! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs lives in one
 //! builder: construct a [`RunConfig`], override what you need, and call
 //! [`RunConfig::cluster`]. New execution options (tape recomputation) are
@@ -11,16 +11,14 @@
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
 //! [`RunConfig::from_env`] parses them once into explicit fields;
-//! [`RunConfig::install`] pushes the process-global ones (thread-pool size,
-//! GEMM micro-kernel, trace default, rendezvous timeout default) into the
+//! [`RunConfig::install`] pushes the process-global ones (GEMM
+//! micro-kernel, trace default, rendezvous timeout default) into the
 //! crates that consume them through plain setters. Each of those knobs is
 //! resolved once per process — the first installer wins, exactly like the
 //! old lazily-cached env reads.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use tesseract_tensor::matmul::{self, MicroKernel};
-use tesseract_tensor::{pool, trace};
+use tesseract_tensor::trace;
 
 use crate::cluster::Cluster;
 use crate::cost::CostParams;
@@ -28,8 +26,8 @@ use crate::fabric;
 use crate::topology::Topology;
 
 /// One-stop configuration for a simulated run: cluster shape and cost
-/// model, per-run toggles (tracing, rendezvous timeout), process-global
-/// knobs (threads, kernel) and execution options (recomputation) that
+/// model, per-run toggles (tracing, rendezvous timeout), the
+/// process-global kernel choice and execution options (recomputation) that
 /// model stacks read off the config.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
@@ -41,9 +39,6 @@ pub struct RunConfig {
     pub params: CostParams,
     /// Collect per-rank [`tesseract_tensor::TraceEvent`] timelines.
     pub trace: bool,
-    /// Thread-pool size override for the dense kernels (process-global,
-    /// first installer wins). `None` uses the machine's parallelism.
-    pub threads: Option<usize>,
     /// Forced GEMM micro-kernel backend (process-global, first installer
     /// wins). `None` auto-detects the widest supported backend.
     pub kernel: Option<MicroKernel>,
@@ -64,7 +59,6 @@ impl RunConfig {
             topology: Topology::meluxina(),
             params: CostParams::a100_cluster(),
             trace: false,
-            threads: None,
             kernel: None,
             rendezvous_timeout_secs: None,
             recompute_every: None,
@@ -77,8 +71,6 @@ impl RunConfig {
     ///
     /// * `TESSERACT_TRACE` — anything other than unset/empty/`0`/`false`/
     ///   `off` enables tracing.
-    /// * `TESSERACT_THREADS` — positive integer; an invalid value warns
-    ///   once on stderr and is ignored.
     /// * `TESSERACT_KERNEL` — `scalar` | `avx2` | `avx512` | `auto`; an
     ///   unknown value panics, and forcing a backend the host does not
     ///   support panics at [`RunConfig::install`] time (a forced path must
@@ -93,9 +85,6 @@ impl RunConfig {
                 || v == "0"
                 || v.eq_ignore_ascii_case("false")
                 || v.eq_ignore_ascii_case("off"));
-        }
-        if let Ok(v) = std::env::var("TESSERACT_THREADS") {
-            cfg.threads = parse_threads(&v);
         }
         if let Ok(v) = std::env::var("TESSERACT_KERNEL") {
             cfg.kernel = parse_kernel(&v);
@@ -130,9 +119,11 @@ impl RunConfig {
         self
     }
 
-    /// Sizes the process-wide kernel thread pool (first installer wins).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    /// Inert: rank threads are the only threads, so there is nothing to
+    /// size. Kept solely because the frozen `benchmark/` crate calls it;
+    /// ROADMAP item 1(d)'s `[benchmark]` PR removes that last caller and
+    /// this method with it.
+    pub fn with_threads(self, _: usize) -> Self {
         self
     }
 
@@ -156,16 +147,13 @@ impl RunConfig {
         self
     }
 
-    /// Applies the process-global knobs (thread-pool size, forced kernel,
-    /// trace default, rendezvous-timeout default). Idempotent; for each
+    /// Applies the process-global knobs (forced kernel, trace default,
+    /// rendezvous-timeout default). Idempotent; for each
     /// knob the first install wins, matching the old once-per-process env
     /// caching. [`RunConfig::cluster`] calls this, so explicit calls are
     /// only needed by code that runs kernels without a cluster (e.g. the
     /// single-process GEMM benches).
     pub fn install(&self) {
-        if let Some(n) = self.threads {
-            pool::set_configured_threads(n);
-        }
         if let Some(k) = self.kernel {
             matmul::force_kernel(k);
         }
@@ -185,23 +173,6 @@ impl RunConfig {
             params: self.params,
             trace: self.trace,
             rendezvous_timeout_secs: self.rendezvous_timeout_secs,
-        }
-    }
-}
-
-/// Parses `TESSERACT_THREADS`: positive integer, or a once-per-process
-/// stderr warning and `None` (the old env reader's exact behavior).
-fn parse_threads(v: &str) -> Option<usize> {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            if !WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "tesseract: ignoring invalid TESSERACT_THREADS={v:?} (want a positive integer)"
-                );
-            }
-            None
         }
     }
 }
@@ -240,14 +211,6 @@ mod tests {
         let cluster = RunConfig::new(4).with_trace(true).with_rendezvous_timeout_secs(7).cluster();
         assert!(cluster.trace);
         assert_eq!(cluster.rendezvous_timeout_secs, Some(7));
-    }
-
-    #[test]
-    fn thread_parse_rejects_garbage() {
-        assert_eq!(parse_threads("3"), Some(3));
-        assert_eq!(parse_threads(" 2 "), Some(2));
-        assert_eq!(parse_threads("0"), None);
-        assert_eq!(parse_threads("lots"), None);
     }
 
     #[test]

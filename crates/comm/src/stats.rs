@@ -33,48 +33,70 @@ pub struct OpStats {
 }
 
 /// Shared, thread-safe statistics collector for one cluster run.
-#[derive(Debug, Default)]
+///
+/// Each rank adds into its own partial, in its own program order, and
+/// [`StatsCollector::snapshot`] folds the partials in rank order — so the
+/// `f64` totals do not depend on which rank thread the host ran first.
+#[derive(Debug)]
 pub struct StatsCollector {
-    inner: Mutex<HashMap<CollectiveOp, OpStats>>,
+    per_rank: Vec<Mutex<HashMap<CollectiveOp, OpStats>>>,
 }
 
 impl StatsCollector {
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(world: usize) -> Self {
+        Self { per_rank: (0..world).map(|_| Mutex::default()).collect() }
+    }
+
+    fn update(&self, rank: usize, op: CollectiveOp, f: impl FnOnce(&mut OpStats)) {
+        let mut partial = self.per_rank[rank].lock().unwrap_or_else(PoisonError::into_inner);
+        f(partial.entry(op).or_default());
     }
 
     /// Records one completed collective. Called exactly once per collective
-    /// (by the last-arriving rank), so counts are per logical operation.
-    pub fn record(&self, op: CollectiveOp, wire_bytes: u64, time: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = inner.entry(op).or_default();
-        entry.calls += 1;
-        entry.wire_bytes += wire_bytes;
-        entry.time += time;
+    /// (by the group's first member, `rank`), so counts are per logical
+    /// operation.
+    pub fn record(&self, rank: usize, op: CollectiveOp, wire_bytes: u64, time: f64) {
+        self.update(rank, op, |entry| {
+            entry.calls += 1;
+            entry.wire_bytes += wire_bytes;
+            entry.time += time;
+        });
     }
 
-    /// Charges one host-side payload copy of `bytes` bytes made on behalf
-    /// of `op`. Called by every rank that clones (the receiver
-    /// materializations of `gather` / `scatter` / `shift`), so the totals
-    /// measure real memcpy traffic across the whole cluster.
-    pub fn charge_copy(&self, op: CollectiveOp, bytes: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = inner.entry(op).or_default();
-        entry.copies += 1;
-        entry.copy_bytes += bytes;
+    /// Charges one host-side payload copy of `bytes` bytes made by `rank`
+    /// on behalf of `op`. Called by every rank that clones (the receiver
+    /// materialization of `shift`), so the totals measure real memcpy
+    /// traffic across the whole cluster.
+    pub fn charge_copy(&self, rank: usize, op: CollectiveOp, bytes: u64) {
+        self.update(rank, op, |entry| {
+            entry.copies += 1;
+            entry.copy_bytes += bytes;
+        });
     }
 
-    /// Charges `seconds` of `op` wait hidden under compute by one rank's
+    /// Charges `seconds` of `op` wait hidden under compute by `rank`'s
     /// split-phase `begin`/`complete` pair. Like `charge_copy`, called by
     /// every rank that hides wait, so totals are cluster-wide.
-    pub fn charge_hidden(&self, op: CollectiveOp, seconds: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.entry(op).or_default().hidden_time += seconds;
+    pub fn charge_hidden(&self, rank: usize, op: CollectiveOp, seconds: f64) {
+        self.update(rank, op, |entry| entry.hidden_time += seconds);
     }
 
-    /// Snapshot of all op totals.
+    /// Snapshot of all op totals: the per-rank partials folded in rank
+    /// order.
     pub fn snapshot(&self) -> CommStats {
-        CommStats { per_op: self.inner.lock().unwrap_or_else(PoisonError::into_inner).clone() }
+        let mut per_op: HashMap<CollectiveOp, OpStats> = HashMap::new();
+        for partial in &self.per_rank {
+            for (&op, s) in partial.lock().unwrap_or_else(PoisonError::into_inner).iter() {
+                let total = per_op.entry(op).or_default();
+                total.calls += s.calls;
+                total.wire_bytes += s.wire_bytes;
+                total.time += s.time;
+                total.copies += s.copies;
+                total.copy_bytes += s.copy_bytes;
+                total.hidden_time += s.hidden_time;
+            }
+        }
+        CommStats { per_op }
     }
 }
 
@@ -112,7 +134,9 @@ impl CommStats {
     /// Total simulated seconds of collective wait hidden under compute by
     /// split-phase overlap, summed over all ops and all ranks.
     pub fn total_hidden_time(&self) -> f64 {
-        self.per_op.values().map(|s| s.hidden_time).sum()
+        // In `ALL` order: a map's iteration order differs between runs, and
+        // an `f64` sum moves in its last bit with it.
+        CollectiveOp::ALL.iter().map(|&op| self.get(op).hidden_time).sum()
     }
 
     /// Renders a small human-readable table (used by examples and bins).
@@ -141,13 +165,14 @@ impl CommStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
 
     #[test]
     fn record_and_snapshot() {
-        let c = StatsCollector::new();
-        c.record(CollectiveOp::AllReduce, 100, 0.5);
-        c.record(CollectiveOp::AllReduce, 50, 0.25);
-        c.record(CollectiveOp::Broadcast, 10, 0.1);
+        let c = StatsCollector::new(2);
+        c.record(0, CollectiveOp::AllReduce, 100, 0.5);
+        c.record(1, CollectiveOp::AllReduce, 50, 0.25);
+        c.record(0, CollectiveOp::Broadcast, 10, 0.1);
         let s = c.snapshot();
         assert_eq!(s.get(CollectiveOp::AllReduce).calls, 2);
         assert_eq!(s.get(CollectiveOp::AllReduce).wire_bytes, 150);
@@ -157,17 +182,17 @@ mod tests {
 
     #[test]
     fn missing_op_reads_zero() {
-        let s = StatsCollector::new().snapshot();
+        let s = StatsCollector::new(1).snapshot();
         assert_eq!(s.get(CollectiveOp::Shift), OpStats::default());
     }
 
     #[test]
     fn copies_are_tracked_separately_from_wire_traffic() {
-        let c = StatsCollector::new();
-        c.record(CollectiveOp::Broadcast, 100, 0.5);
-        c.charge_copy(CollectiveOp::Broadcast, 64);
-        c.charge_copy(CollectiveOp::Broadcast, 64);
-        c.charge_copy(CollectiveOp::AllGather, 32);
+        let c = StatsCollector::new(2);
+        c.record(0, CollectiveOp::Broadcast, 100, 0.5);
+        c.charge_copy(0, CollectiveOp::Broadcast, 64);
+        c.charge_copy(1, CollectiveOp::Broadcast, 64);
+        c.charge_copy(1, CollectiveOp::AllGather, 32);
         let s = c.snapshot();
         assert_eq!(s.get(CollectiveOp::Broadcast).copies, 2);
         assert_eq!(s.get(CollectiveOp::Broadcast).copy_bytes, 128);
@@ -180,11 +205,11 @@ mod tests {
 
     #[test]
     fn hidden_time_accumulates_per_op() {
-        let c = StatsCollector::new();
-        c.record(CollectiveOp::Broadcast, 100, 0.5);
-        c.charge_hidden(CollectiveOp::Broadcast, 0.125);
-        c.charge_hidden(CollectiveOp::Broadcast, 0.25);
-        c.charge_hidden(CollectiveOp::AllReduce, 0.5);
+        let c = StatsCollector::new(2);
+        c.record(0, CollectiveOp::Broadcast, 100, 0.5);
+        c.charge_hidden(0, CollectiveOp::Broadcast, 0.125);
+        c.charge_hidden(1, CollectiveOp::Broadcast, 0.25);
+        c.charge_hidden(1, CollectiveOp::AllReduce, 0.5);
         let s = c.snapshot();
         assert_eq!(s.get(CollectiveOp::Broadcast).hidden_time, 0.375);
         // Hidden time never inflates the logical call/time accounting.
@@ -194,12 +219,43 @@ mod tests {
         assert_eq!(s.total_hidden_time(), 0.875);
     }
 
+    /// Three rank threads each record one value of a multiset whose `f64`
+    /// sum depends on the order of addition, released one at a time in
+    /// `arrival` order.
+    fn snapshot_after(arrival: [usize; 3]) -> OpStats {
+        const SECONDS: [f64; 3] = [1e16, 1.0, -1e16];
+        let c = StatsCollector::new(3);
+        let turn = (Mutex::new(0usize), Condvar::new());
+        std::thread::scope(|s| {
+            for (pos, rank) in arrival.into_iter().enumerate() {
+                let (c, turn) = (&c, &turn);
+                s.spawn(move || {
+                    let mut now = turn.1.wait_while(turn.0.lock().unwrap(), |t| *t != pos).unwrap();
+                    c.record(rank, CollectiveOp::AllReduce, 8, SECONDS[rank]);
+                    c.charge_hidden(rank, CollectiveOp::AllReduce, SECONDS[rank]);
+                    *now += 1;
+                    turn.1.notify_all();
+                });
+            }
+        });
+        c.snapshot().get(CollectiveOp::AllReduce)
+    }
+
+    #[test]
+    fn totals_do_not_depend_on_rank_arrival_order() {
+        // Added in arrival order these two schedules give 0.0 and 1.0.
+        let (a, b) = (snapshot_after([0, 1, 2]), snapshot_after([0, 2, 1]));
+        assert_eq!(a.calls, 3);
+        assert_eq!(a.time.to_bits(), b.time.to_bits(), "{} vs {}", a.time, b.time);
+        assert_eq!(a.hidden_time.to_bits(), b.hidden_time.to_bits());
+    }
+
     #[test]
     fn render_table_contains_ops() {
-        let c = StatsCollector::new();
-        c.record(CollectiveOp::Gather, 7, 0.0);
+        let c = StatsCollector::new(1);
+        c.record(0, CollectiveOp::AllGather, 7, 0.0);
         let table = c.snapshot().render_table();
-        assert!(table.contains("gather"));
+        assert!(table.contains("all_gather"));
         assert!(table.contains('7'));
     }
 }

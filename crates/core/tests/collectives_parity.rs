@@ -2,9 +2,9 @@
 //! `Arc`-shared broadcasts and in-place reductions under the three
 //! Tesseract matmul variants must never deep-copy a payload — every panel
 //! is materialized once per rendezvous regardless of group fan-out, and
-//! reductions fold their by-value deposits in place. (`gather`, `scatter`
-//! and `shift` are the only collectives that return owned values, so the
-//! copy counters these tests read are live: Cannon's shifts charge them.)
+//! reductions fold their by-value deposits in place. (`shift` is the only
+//! collective that returns owned values, so the copy counters these tests
+//! read are live: Cannon's shifts charge them.)
 
 use std::sync::Arc;
 

@@ -14,7 +14,8 @@
 //!   every op validates shapes and charges the [`Meter`] with the exact flop
 //!   and byte counts the dense op would have incurred.
 //!
-//! The crate also contains the numerical kernels themselves ([`matmul`]),
+//! The crate also contains the numerical kernels themselves ([`matmul`] —
+//! each GEMM runs on the thread that calls it; this crate spawns none),
 //! neural-network primitives ([`nn`]), a deterministic in-tree PRNG
 //! ([`rng`]) and Xavier initialization ([`init`]).
 
@@ -23,7 +24,6 @@ pub mod matmul;
 pub mod matrix;
 pub mod meter;
 pub mod nn;
-pub mod pool;
 pub mod rng;
 pub mod tensor;
 pub mod trace;
@@ -31,7 +31,6 @@ pub mod trace;
 pub use matmul::{KernelPath, MicroKernel};
 pub use matrix::Matrix;
 pub use meter::{Meter, MeterScope};
-pub use pool::ThreadPool;
 pub use rng::Xoshiro256StarStar;
 pub use tensor::{AdamCoeffs, DenseTensor, ShadowTensor, TensorLike};
 pub use trace::{TraceEvent, TraceKind};

@@ -8,11 +8,18 @@
 //!
 //! * a **serial** triple-loop kernel (`*_serial`) used below the
 //!   [`planned_path`] size threshold, where blocking overhead would dominate;
-//! * a **cache-blocked, packed, multi-threaded** kernel (`*_blocked`) used
-//!   above it: A and B are repacked into `MR`/`NR`-wide micro-panels sized
-//!   to L1/L2 ([`BLOCK_M`]/[`BLOCK_K`]/[`BLOCK_N`]), a register-tiled
-//!   micro-kernel accumulates an `MR×NR` block of C, and row-blocks of C are
-//!   distributed over the in-tree [`pool::ThreadPool`].
+//! * a **cache-blocked, packed** kernel (`*_blocked_with`) used above it:
+//!   A and B are repacked into `MR`/`NR`-wide micro-panels sized to L1/L2
+//!   ([`BLOCK_M`]/[`BLOCK_K`]/[`BLOCK_N`]), a register-tiled micro-kernel
+//!   accumulates an `MR×NR` block of C, and the caller walks C one
+//!   [`BLOCK_M`]-row block at a time.
+//!
+//! **A GEMM runs on the thread that calls it.** The unit of parallelism is
+//! the simulated processor — one OS thread per rank (`Cluster::run`) — and
+//! the kernels own no shared state, so any number of rank threads may
+//! multiply concurrently. There is no second, intra-GEMM level of threads:
+//! with `world ≥ 4` rank threads already on the host's cores it never
+//! lowered a benchmark `host_op_s` (EXPERIMENTS.md §K).
 //!
 //! The blocked path is itself **runtime-dispatched** over a family of
 //! [`MicroKernel`] backends sharing one packing implementation (packing is
@@ -39,12 +46,12 @@
 //! computed at scalar speed on a vector backend.
 //!
 //! **Determinism contract** (DESIGN.md §5): every element of C is computed
-//! by exactly one task as one chain over strictly ascending k — blocking
-//! tiles k but visits tiles in order, packing copies values bit-exactly,
-//! and nothing depends on thread count. A fixed backend therefore produces
-//! **bitwise-identical** output at any thread count. Because edge tiles use
-//! the backend's own arithmetic, the chain's rounding depends only on the
-//! backend's *numerics class*, and there are two:
+//! as one chain over strictly ascending k — blocking tiles k but visits
+//! tiles in order, and packing copies values bit-exactly. A fixed backend
+//! therefore produces **bitwise-identical** output on every call, from any
+//! thread. Because edge tiles use the backend's own arithmetic, the chain's
+//! rounding depends only on the backend's *numerics class*, and there are
+//! two:
 //!
 //! * **mul+add** `((c + a_i0·b_0j) + a_i1·b_1j) + …` — the `*_serial`
 //!   triple loops and the scalar backend, bitwise identical to each other;
@@ -58,9 +65,8 @@
 use std::sync::OnceLock;
 
 use crate::matrix::Matrix;
-use crate::pool::{self, ThreadPool};
 
-/// Rows of C per parallel task and per A-panel repack (L2-sized with
+/// Rows of C per row block and per A-panel repack (L2-sized with
 /// `BLOCK_K`: 64·256 f32 = 64 KiB).
 pub const BLOCK_M: usize = 64;
 /// Depth (k) tile; one packed B micro-panel stream is `BLOCK_K·NR` f32
@@ -68,7 +74,7 @@ pub const BLOCK_M: usize = 64;
 /// whole row of micro-tiles.
 pub const BLOCK_K: usize = 256;
 /// Column (n) tile; the packed B block `BLOCK_K·BLOCK_N` f32 = 256 KiB
-/// stays L2-resident while a task sweeps its row panel.
+/// stays L2-resident while a row block sweeps its row panel.
 pub const BLOCK_N: usize = 256;
 
 /// Scalar micro-tile rows: C accumulators held in registers are `MR×NR`
@@ -101,10 +107,10 @@ pub const BLOCKED_MIN_ELEMS: usize = 64 * 64 * 64;
 /// what actually ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Simple triple-loop kernel, single thread.
+    /// Simple triple-loop kernel.
     Serial,
-    /// Cache-blocked packed kernel, row-blocks parallelized over the pool.
-    BlockedParallel,
+    /// Cache-blocked packed kernel on the process-wide [`MicroKernel`].
+    Blocked,
 }
 
 /// Register micro-kernel backend of the blocked path. Resolved once per
@@ -218,7 +224,7 @@ fn detect_kernel() -> MicroKernel {
 }
 
 /// Deterministic dispatch decision for a `[m,k]·[k,n]` product. Depends only
-/// on the shape — never on thread count, data, or the active micro-kernel
+/// on the shape — never on data or the active micro-kernel
 /// backend (the thresholds are the *scalar* tile so metered dispatch counts
 /// are identical on every host) — so dense and shadow backends agree and
 /// runs are reproducible. Degenerate outputs (fewer rows or columns than
@@ -229,14 +235,14 @@ pub fn planned_path(m: usize, k: usize, n: usize) -> KernelPath {
         && n >= SCALAR_NR
         && m.saturating_mul(k).saturating_mul(n) >= BLOCKED_MIN_ELEMS
     {
-        KernelPath::BlockedParallel
+        KernelPath::Blocked
     } else {
         KernelPath::Serial
     }
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points: dispatch serial vs blocked-parallel
+// Public entry points: dispatch serial vs blocked
 // ---------------------------------------------------------------------------
 
 /// `C = A · B`.
@@ -244,7 +250,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
     match planned_path(a.rows(), a.cols(), b.cols()) {
         KernelPath::Serial => matmul_serial(a, b),
-        KernelPath::BlockedParallel => matmul_blocked(a, b, pool::global()),
+        KernelPath::Blocked => matmul_blocked_with(a, b, active_kernel()),
     }
 }
 
@@ -253,7 +259,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
     match planned_path(a.rows(), a.cols(), b.rows()) {
         KernelPath::Serial => matmul_nt_serial(a, b),
-        KernelPath::BlockedParallel => matmul_nt_blocked(a, b, pool::global()),
+        KernelPath::Blocked => matmul_nt_blocked_with(a, b, active_kernel()),
     }
 }
 
@@ -262,7 +268,7 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
     match planned_path(a.cols(), a.rows(), b.cols()) {
         KernelPath::Serial => matmul_tn_serial(a, b),
-        KernelPath::BlockedParallel => matmul_tn_blocked(a, b, pool::global()),
+        KernelPath::Blocked => matmul_tn_blocked_with(a, b, active_kernel()),
     }
 }
 
@@ -336,7 +342,7 @@ pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked, packed, parallel kernels
+// Blocked, packed kernels
 // ---------------------------------------------------------------------------
 
 /// How the logical `[m,k]·[k,n]` operands map onto the stored matrices.
@@ -350,74 +356,27 @@ enum Orient {
     Tn,
 }
 
-/// Blocked-parallel `C = A · B` on an explicit pool, on the process-wide
-/// [`active_kernel`] (exposed so tests and benches can pin thread counts;
-/// production call sites use [`matmul`]).
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, pool: &ThreadPool) -> Matrix {
-    matmul_blocked_with(a, b, pool, active_kernel())
-}
-
-/// Blocked-parallel `C = A · Bᵀ` on an explicit pool.
-pub fn matmul_nt_blocked(a: &Matrix, b: &Matrix, pool: &ThreadPool) -> Matrix {
-    matmul_nt_blocked_with(a, b, pool, active_kernel())
-}
-
-/// Blocked-parallel `C = Aᵀ · B` on an explicit pool.
-pub fn matmul_tn_blocked(a: &Matrix, b: &Matrix, pool: &ThreadPool) -> Matrix {
-    matmul_tn_blocked_with(a, b, pool, active_kernel())
-}
-
-/// [`matmul_blocked`] with an explicitly forced micro-kernel backend.
+/// Blocked `C = A · B` on an explicitly chosen micro-kernel backend
+/// (production call sites use [`matmul`], which passes [`active_kernel`]).
 /// Panics if `kernel` is unsupported on this host. This is the race-free
-/// way for tests to pin a path (no env mutation).
-pub fn matmul_blocked_with(
-    a: &Matrix,
-    b: &Matrix,
-    pool: &ThreadPool,
-    kernel: MicroKernel,
-) -> Matrix {
+/// way for tests and benches to pin a path (no env mutation).
+pub fn matmul_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
-    gemm_blocked(kernel, Orient::Nn, a, b, a.rows(), a.cols(), b.cols(), pool)
+    gemm_blocked(kernel, Orient::Nn, a, b, a.rows(), a.cols(), b.cols())
 }
 
-/// [`matmul_nt_blocked`] with an explicitly forced micro-kernel backend.
-pub fn matmul_nt_blocked_with(
-    a: &Matrix,
-    b: &Matrix,
-    pool: &ThreadPool,
-    kernel: MicroKernel,
-) -> Matrix {
+/// Blocked `C = A · Bᵀ` on an explicitly chosen micro-kernel backend.
+pub fn matmul_nt_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
-    gemm_blocked(kernel, Orient::Nt, a, b, a.rows(), a.cols(), b.rows(), pool)
+    gemm_blocked(kernel, Orient::Nt, a, b, a.rows(), a.cols(), b.rows())
 }
 
-/// [`matmul_tn_blocked`] with an explicitly forced micro-kernel backend.
-pub fn matmul_tn_blocked_with(
-    a: &Matrix,
-    b: &Matrix,
-    pool: &ThreadPool,
-    kernel: MicroKernel,
-) -> Matrix {
+/// Blocked `C = Aᵀ · B` on an explicitly chosen micro-kernel backend.
+pub fn matmul_tn_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
-    gemm_blocked(kernel, Orient::Tn, a, b, a.cols(), a.rows(), b.cols(), pool)
+    gemm_blocked(kernel, Orient::Tn, a, b, a.cols(), a.rows(), b.cols())
 }
 
-/// Shared pointer to C's buffer handed to tasks; tasks write disjoint row
-/// ranges, so no two tasks alias.
-#[derive(Clone, Copy)]
-struct CPtr(*mut f32);
-unsafe impl Send for CPtr {}
-unsafe impl Sync for CPtr {}
-
-impl CPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare non-`Sync` pointer inside it.
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     kernel: MicroKernel,
     orient: Orient,
@@ -426,28 +385,18 @@ fn gemm_blocked(
     m: usize,
     k: usize,
     n: usize,
-    pool: &ThreadPool,
 ) -> Matrix {
     assert!(kernel.supported(), "micro-kernel {:?} unsupported on this host", kernel);
     let mut c = Matrix::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
         return c;
     }
-    // B is packed ONCE, up front, and shared read-only by every task —
-    // repacking it per row-block would add O(k·n) copies per task.
+    // B is packed ONCE, up front, and read by every row block — repacking
+    // it per block would add O(k·n) copies per block.
     let b_packed = PackedB::new(orient, b, k, n, kernel.nr());
-    let n_tasks = m.div_ceil(BLOCK_M);
-    let c_ptr = CPtr(c.data_mut().as_mut_ptr());
-    pool.parallel_for(n_tasks, &|t| {
-        let i0 = t * BLOCK_M;
-        let i1 = (i0 + BLOCK_M).min(m);
-        // SAFETY: tasks receive disjoint row ranges of C (task t owns rows
-        // [t·BLOCK_M, (t+1)·BLOCK_M)), and `parallel_for` completes before
-        // `c` is touched again by this thread.
-        let c_rows =
-            unsafe { std::slice::from_raw_parts_mut(c_ptr.get().add(i0 * n), (i1 - i0) * n) };
-        gemm_row_block(kernel, orient, a, &b_packed, c_rows, i0, i1 - i0, k, n);
-    });
+    for (t, c_rows) in c.data_mut().chunks_mut(BLOCK_M * n).enumerate() {
+        gemm_row_block(kernel, orient, a, &b_packed, c_rows, t * BLOCK_M, c_rows.len() / n, k, n);
+    }
     c
 }
 
@@ -509,8 +458,8 @@ impl PackedB {
 }
 
 /// Monomorphizes the row-block sweep over the backend's tile constants.
-/// The enum → const-generic hop happens once per task, far off the hot
-/// path; everything below it compiles with `MR`/`NR` as literals.
+/// The enum → const-generic hop happens once per row block, far off the
+/// hot path; everything below it compiles with `MR`/`NR` as literals.
 #[allow(clippy::too_many_arguments)]
 fn gemm_row_block(
     kernel: MicroKernel,
@@ -539,8 +488,7 @@ fn gemm_row_block(
 /// Computes rows `[i0, i0+mb)` of C. Per k-tile: repack the A row panel
 /// (once — it is reused across every column panel), then sweep column panels
 /// outer / row panels inner so each packed B panel stays L1-resident while
-/// the L2-resident A panel streams past it. Serial per task; parallelism
-/// lives one level up.
+/// the L2-resident A panel streams past it.
 #[allow(clippy::too_many_arguments)]
 fn gemm_row_block_g<const MR: usize, const NR: usize>(
     kernel: MicroKernel,
@@ -916,7 +864,7 @@ mod tests {
         let table = MicroKernel::ALL.map(|k| (k.name(), k.mr(), k.nr()));
         assert_eq!(table, [("scalar", 4, 8), ("avx2", 6, 16), ("avx512", 8, 32)]);
         for k in MicroKernel::ALL {
-            // Tasks are BLOCK_M rows: a tile taller than that never fills.
+            // Row blocks are BLOCK_M rows: a taller tile never fills.
             assert!(k.mr() <= BLOCK_M && k.nr() <= BLOCK_N);
         }
         assert!(MicroKernel::Scalar.supported(), "scalar must run everywhere");
@@ -938,9 +886,8 @@ mod tests {
         assert!(c[(0, 0)].is_nan(), "0 * NaN must propagate into C");
         assert!(c[(1, 0)].is_nan());
         assert!(!c[(0, 1)].is_nan());
-        let pool = ThreadPool::new(2);
         for kernel in MicroKernel::available() {
-            let cb = matmul_blocked_with(&a, &b, &pool, kernel);
+            let cb = matmul_blocked_with(&a, &b, kernel);
             assert!(cb[(0, 0)].is_nan() && cb[(1, 0)].is_nan() && !cb[(0, 1)].is_nan());
         }
 
@@ -961,35 +908,27 @@ mod tests {
     #[test]
     fn serial_and_blocked_scalar_agree_bitwise_at_the_threshold() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(6);
-        let pool = ThreadPool::new(3);
         let a = Matrix::random_uniform(64, 64, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(64, 64, -1.0, 1.0, &mut rng);
         let k = MicroKernel::Scalar;
-        assert_eq!(matmul_serial(&a, &b), matmul_blocked_with(&a, &b, &pool, k));
-        assert_eq!(matmul_nt_serial(&a, &b), matmul_nt_blocked_with(&a, &b, &pool, k));
-        assert_eq!(matmul_tn_serial(&a, &b), matmul_tn_blocked_with(&a, &b, &pool, k));
+        assert_eq!(matmul_serial(&a, &b), matmul_blocked_with(&a, &b, k));
+        assert_eq!(matmul_nt_serial(&a, &b), matmul_nt_blocked_with(&a, &b, k));
+        assert_eq!(matmul_tn_serial(&a, &b), matmul_tn_blocked_with(&a, &b, k));
     }
 
-    /// Each backend must be bitwise deterministic across thread counts
-    /// (the per-path parity contract); across the two numerics classes,
-    /// results agree within floating-point tolerance (FMA rounds once per
-    /// step), and within the fused class bit for bit.
+    /// Across the two numerics classes results agree within floating-point
+    /// tolerance (FMA rounds once per step), and within the fused class bit
+    /// for bit.
     #[test]
-    fn per_path_thread_parity_and_cross_path_tolerance() {
+    fn cross_path_tolerance() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         let (m, k, n) = (70, 97, 45);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let pool1 = ThreadPool::new(1);
-        let pool4 = ThreadPool::new(4);
-        let scalar = matmul_blocked_with(&a, &b, &pool1, MicroKernel::Scalar);
+        let scalar = matmul_blocked_with(&a, &b, MicroKernel::Scalar);
         let mut fused: Option<Matrix> = None;
-        for kernel in MicroKernel::available() {
-            let c = matmul_blocked_with(&a, &b, &pool1, kernel);
-            assert_eq!(c, matmul_blocked_with(&a, &b, &pool4, kernel), "{}", kernel.name());
-            if kernel == MicroKernel::Scalar {
-                continue;
-            }
+        for kernel in MicroKernel::available().skip(1) {
+            let c = matmul_blocked_with(&a, &b, kernel);
             assert!(
                 crate::max_rel_diff(scalar.data(), c.data()) < 1e-5,
                 "scalar and {} backends diverged beyond FMA rounding",
@@ -1002,18 +941,17 @@ mod tests {
     #[test]
     fn planned_path_thresholds() {
         assert_eq!(planned_path(4, 4, 4), KernelPath::Serial);
-        assert_eq!(planned_path(64, 64, 64), KernelPath::BlockedParallel);
+        assert_eq!(planned_path(64, 64, 64), KernelPath::Blocked);
         // Degenerate outputs stay serial no matter how much work k adds.
         assert_eq!(planned_path(1, 1 << 20, 1), KernelPath::Serial);
-        assert_eq!(planned_path(usize::MAX, 2, usize::MAX), KernelPath::BlockedParallel);
+        assert_eq!(planned_path(usize::MAX, 2, usize::MAX), KernelPath::Blocked);
     }
 
     #[test]
     fn empty_dims_yield_zero_matrices() {
-        let pool = ThreadPool::new(2);
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 5);
-        let c = matmul_blocked(&a, &b, &pool);
+        let c = matmul_blocked_with(&a, &b, active_kernel());
         assert_eq!(c.shape(), (3, 5));
         assert!(c.data().iter().all(|&v| v == 0.0));
     }

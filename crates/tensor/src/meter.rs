@@ -98,7 +98,7 @@ impl Meter {
     pub fn record_gemm(&mut self, flops: f64, out_bytes: usize, path: KernelPath) {
         self.record(flops, out_bytes);
         match path {
-            KernelPath::BlockedParallel => {
+            KernelPath::Blocked => {
                 self.gemms_blocked += 1;
                 match crate::matmul::active_kernel() {
                     MicroKernel::Scalar => self.gemms_kernel_scalar += 1,
@@ -387,8 +387,8 @@ mod tests {
     fn gemm_dispatch_counts_by_path() {
         let mut m = Meter::new();
         m.record_gemm(10.0, 8, KernelPath::Serial);
-        m.record_gemm(20.0, 8, KernelPath::BlockedParallel);
-        m.record_gemm(30.0, 8, KernelPath::BlockedParallel);
+        m.record_gemm(20.0, 8, KernelPath::Blocked);
+        m.record_gemm(30.0, 8, KernelPath::Blocked);
         assert_eq!((m.gemms_serial, m.gemms_blocked), (1, 2));
         assert_eq!(m.kernels, 3);
         let mut other = Meter::new();
@@ -405,8 +405,8 @@ mod tests {
         let per_kernel =
             |m: &Meter| (m.gemms_kernel_scalar, m.gemms_kernel_avx2, m.gemms_kernel_avx512);
         assert_eq!(per_kernel(&m), (0, 0, 0));
-        m.record_gemm(20.0, 8, KernelPath::BlockedParallel);
-        m.record_gemm(30.0, 8, KernelPath::BlockedParallel);
+        m.record_gemm(20.0, 8, KernelPath::Blocked);
+        m.record_gemm(30.0, 8, KernelPath::Blocked);
         // Blocked dispatches count against exactly the resolved backend.
         let expected = match crate::matmul::active_kernel() {
             MicroKernel::Scalar => (2, 0, 0),
@@ -415,7 +415,7 @@ mod tests {
         };
         assert_eq!(per_kernel(&m), expected);
         let mut other = Meter::new();
-        other.record_gemm(1.0, 1, KernelPath::BlockedParallel);
+        other.record_gemm(1.0, 1, KernelPath::Blocked);
         m.merge(&other);
         let (scalar, avx2, avx512) = per_kernel(&m);
         assert_eq!(scalar + avx2 + avx512, m.gemms_blocked);

@@ -1,29 +1,29 @@
-//! Per-kernel-path parity of the blocked (and blocked-parallel) GEMM
-//! kernels, and determinism across thread counts.
+//! Per-kernel-path parity of the blocked GEMM kernels, and independence
+//! from how many rank threads are multiplying at once.
 //!
 //! The contract under test (DESIGN.md §5) has two numerics classes:
 //!
 //! * **mul+add**: for every orientation and every shape,
 //!   `*_blocked_with(.., MicroKernel::Scalar)` produces **bitwise
-//!   identical** output to `*_serial`, regardless of how many threads the
-//!   pool has — both accumulate each output element along the same
-//!   ascending-k mul+add chain.
+//!   identical** output to `*_serial` — both accumulate each output element
+//!   along the same ascending-k mul+add chain.
 //! * **fused**: every vector backend (`Avx2`, `Avx512`) is **bitwise
 //!   identical** to [`fused_reference`], a plain triple loop over
 //!   `f32::mul_add` — so `avx2 == avx512` bit for bit on every shape, full
-//!   tiles and edge tiles alike, on whichever of them the host can run —
-//!   and to itself at any thread count. It agrees with the scalar path
-//!   within floating-point tolerance: FMA fuses `a·b + c` into one
-//!   rounding, so the two classes' chains round differently.
+//!   tiles and edge tiles alike, on whichever of them the host can run. It
+//!   agrees with the scalar path within floating-point tolerance: FMA fuses
+//!   `a·b + c` into one rounding, so the two classes' chains round
+//!   differently.
 //!
-//! Blocking and parallelism only change iteration *grouping*, never a
-//! backend's per-element floating-point evaluation order.
+//! Blocking only changes iteration *grouping*, never a backend's
+//! per-element floating-point evaluation order, and the kernels own no
+//! shared state, so concurrent callers cannot see each other.
 
 use tesseract_tensor::matmul::{
-    matmul_blocked_with, matmul_nt_blocked_with, matmul_nt_serial, matmul_serial,
-    matmul_tn_blocked_with, matmul_tn_serial, BLOCK_K, BLOCK_M, BLOCK_N,
+    matmul, matmul_blocked_with, matmul_nt, matmul_nt_blocked_with, matmul_nt_serial,
+    matmul_serial, matmul_tn, matmul_tn_blocked_with, matmul_tn_serial, BLOCK_K, BLOCK_M, BLOCK_N,
 };
-use tesseract_tensor::{max_rel_diff, Matrix, MicroKernel, ThreadPool, Xoshiro256StarStar};
+use tesseract_tensor::{max_rel_diff, Matrix, MicroKernel, Xoshiro256StarStar};
 
 /// Backends to run the forced-path matrix over: every one the host
 /// supports (forcing an unsupported backend panics by design).
@@ -62,13 +62,12 @@ fn assert_bitwise_eq(label: &str, reference: &Matrix, candidate: &Matrix) {
 }
 
 /// Checks all three orientations at one `(m, k, n)`: the scalar backend
-/// bitwise against the serial triple loops on the given pool, and every
-/// vector backend bitwise against [`fused_reference`] (hence against every
-/// other vector backend) and its own 1-thread result, plus within tolerance
-/// of scalar. Operand shapes are arranged so the *logical* product is
-/// m×k · k×n in every orientation (nt stores B as n×k, tn stores A as k×m).
-fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
-    let single = ThreadPool::new(1);
+/// bitwise against the serial triple loops, and every vector backend
+/// bitwise against [`fused_reference`] (hence against every other vector
+/// backend), plus within tolerance of scalar. Operand shapes are arranged
+/// so the *logical* product is m×k · k×n in every orientation (nt stores B
+/// as n×k, tn stores A as k×m).
+fn check_shape(m: usize, k: usize, n: usize, label: &str) {
     let a = gen(m, k, 1);
     let b = gen(k, n, 2);
     let bt = gen(n, k, 3);
@@ -82,9 +81,9 @@ fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
 
     for kernel in testable_kernels() {
         let kn = kernel.name();
-        let nn = matmul_blocked_with(&a, &b, pool, kernel);
-        let nt = matmul_nt_blocked_with(&a, &bt, pool, kernel);
-        let tn = matmul_tn_blocked_with(&at, &b, pool, kernel);
+        let nn = matmul_blocked_with(&a, &b, kernel);
+        let nt = matmul_nt_blocked_with(&a, &bt, kernel);
+        let tn = matmul_tn_blocked_with(&at, &b, kernel);
         match kernel {
             // Scalar: bitwise against the serial reference.
             MicroKernel::Scalar => {
@@ -92,27 +91,12 @@ fn check_shape(m: usize, k: usize, n: usize, pool: &ThreadPool, label: &str) {
                 assert_bitwise_eq(&format!("{label} {kn} nt {m}x{k}x{n}"), &serial.1, &nt);
                 assert_bitwise_eq(&format!("{label} {kn} tn {m}x{k}x{n}"), &serial.2, &tn);
             }
-            // SIMD: bitwise against the fused chain (avx2 == avx512) and
-            // against itself serially, tolerant vs scalar.
+            // SIMD: bitwise against the fused chain (avx2 == avx512),
+            // tolerant vs scalar.
             MicroKernel::Avx2 | MicroKernel::Avx512 => {
                 assert_bitwise_eq(&format!("{label} {kn} nn {m}x{k}x{n} vs fused"), &fused.0, &nn);
                 assert_bitwise_eq(&format!("{label} {kn} nt {m}x{k}x{n} vs fused"), &fused.1, &nt);
                 assert_bitwise_eq(&format!("{label} {kn} tn {m}x{k}x{n} vs fused"), &fused.2, &tn);
-                assert_bitwise_eq(
-                    &format!("{label} {kn} nn {m}x{k}x{n} vs 1 thread"),
-                    &matmul_blocked_with(&a, &b, &single, kernel),
-                    &nn,
-                );
-                assert_bitwise_eq(
-                    &format!("{label} {kn} nt {m}x{k}x{n} vs 1 thread"),
-                    &matmul_nt_blocked_with(&a, &bt, &single, kernel),
-                    &nt,
-                );
-                assert_bitwise_eq(
-                    &format!("{label} {kn} tn {m}x{k}x{n} vs 1 thread"),
-                    &matmul_tn_blocked_with(&at, &b, &single, kernel),
-                    &tn,
-                );
                 for (orient, reference, candidate) in
                     [("nn", &serial.0, &nn), ("nt", &serial.1, &nt), ("tn", &serial.2, &tn)]
                 {
@@ -158,9 +142,8 @@ fn adversarial_shapes() -> Vec<(usize, usize, usize)> {
 
 #[test]
 fn blocked_matches_reference_per_path_on_adversarial_shapes() {
-    let pool = ThreadPool::new(4);
     for (m, k, n) in adversarial_shapes() {
-        check_shape(m, k, n, &pool, "adversarial");
+        check_shape(m, k, n, "adversarial");
     }
 }
 
@@ -169,60 +152,74 @@ fn blocked_matches_reference_per_path_on_adversarial_shapes() {
 /// combination of full, short and one-past tiles in each dimension.
 #[test]
 fn blocked_matches_reference_per_path_around_the_widest_tile() {
-    let pool = ThreadPool::new(3);
     for m in [1, 7, 8, 9, 63, 65] {
         for n in [31, 32, 33] {
             for k in [1, 255, 257] {
-                check_shape(m, k, n, &pool, "tile-edge");
+                check_shape(m, k, n, "tile-edge");
             }
         }
     }
 }
 
+/// What rank threads rely on: a GEMM touches nothing but its operands and
+/// its own output, so 8 callers (the `train_comm` / `serve_open` world)
+/// multiplying shared inputs at once each get the single-caller bits — on
+/// every backend the host can run, and through the public dispatchers.
 #[test]
-fn every_path_is_bitwise_deterministic_across_thread_counts() {
-    // Big enough for several row-block tasks (m > 2 * BLOCK_M) with remainder,
-    // so different thread counts genuinely interleave differently.
+fn concurrent_callers_get_the_single_caller_result_bitwise() {
+    const CALLERS: usize = 8;
+    // Several row blocks with a remainder, above the dispatch threshold so
+    // the public entry points take the blocked path too.
     let (m, k, n) = (2 * BLOCK_M + 37, 75, 61);
     let a = gen(m, k, 10);
     let b = gen(k, n, 11);
     let bt = gen(n, k, 12);
     let at = gen(k, m, 13);
 
-    for kernel in testable_kernels() {
-        let single = ThreadPool::new(1);
-        let reference = (
-            matmul_blocked_with(&a, &b, &single, kernel),
-            matmul_nt_blocked_with(&a, &bt, &single, kernel),
-            matmul_tn_blocked_with(&at, &b, &single, kernel),
-        );
-        if kernel == MicroKernel::Scalar {
-            // The scalar backend's 1-thread result is itself pinned to the
-            // serial triple loop, anchoring the whole matrix of checks.
-            assert_bitwise_eq("scalar anchor nn", &matmul_serial(&a, &b), &reference.0);
-            assert_bitwise_eq("scalar anchor nt", &matmul_nt_serial(&a, &bt), &reference.1);
-            assert_bitwise_eq("scalar anchor tn", &matmul_tn_serial(&at, &b), &reference.2);
+    let references: Vec<_> = testable_kernels()
+        .into_iter()
+        .map(|kernel| {
+            let single_caller = (
+                matmul_blocked_with(&a, &b, kernel),
+                matmul_nt_blocked_with(&a, &bt, kernel),
+                matmul_tn_blocked_with(&at, &b, kernel),
+            );
+            (kernel, single_caller)
+        })
+        .collect();
+    // The scalar backend's single-caller result (scalar leads the list) is
+    // itself pinned to the serial triple loop, anchoring the whole matrix
+    // of checks.
+    let scalar = &references[0].1;
+    assert_bitwise_eq("scalar anchor nn", &matmul_serial(&a, &b), &scalar.0);
+    assert_bitwise_eq("scalar anchor nt", &matmul_nt_serial(&a, &bt), &scalar.1);
+    assert_bitwise_eq("scalar anchor tn", &matmul_tn_serial(&at, &b), &scalar.2);
+    let active_kernel = tesseract_tensor::matmul::active_kernel();
+    let active = &references.iter().find(|(k, _)| *k == active_kernel).expect("supported").1;
+    // Every caller leaves the barrier together, so the GEMMs overlap.
+    let start = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|s| {
+        for caller in 0..CALLERS {
+            let (a, b, bt, at, start) = (&a, &b, &bt, &at, &start);
+            let references = &references;
+            s.spawn(move || {
+                start.wait();
+                for (kernel, reference) in references {
+                    let label = format!("{} caller={caller}", kernel.name());
+                    let nn = matmul_blocked_with(a, b, *kernel);
+                    let nt = matmul_nt_blocked_with(a, bt, *kernel);
+                    let tn = matmul_tn_blocked_with(at, b, *kernel);
+                    assert_bitwise_eq(&format!("{label} nn"), &reference.0, &nn);
+                    assert_bitwise_eq(&format!("{label} nt"), &reference.1, &nt);
+                    assert_bitwise_eq(&format!("{label} tn"), &reference.2, &tn);
+                }
+                let label = format!("public caller={caller}");
+                assert_bitwise_eq(&format!("{label} nn"), &active.0, &matmul(a, b));
+                assert_bitwise_eq(&format!("{label} nt"), &active.1, &matmul_nt(a, bt));
+                assert_bitwise_eq(&format!("{label} tn"), &active.2, &matmul_tn(at, b));
+            });
         }
-        for threads in [1, 2, 4, 7, 16] {
-            let pool = ThreadPool::new(threads);
-            let label = format!("{} threads={threads}", kernel.name());
-            assert_bitwise_eq(
-                &format!("{label} nn"),
-                &reference.0,
-                &matmul_blocked_with(&a, &b, &pool, kernel),
-            );
-            assert_bitwise_eq(
-                &format!("{label} nt"),
-                &reference.1,
-                &matmul_nt_blocked_with(&a, &bt, &pool, kernel),
-            );
-            assert_bitwise_eq(
-                &format!("{label} tn"),
-                &reference.2,
-                &matmul_tn_blocked_with(&at, &b, &pool, kernel),
-            );
-        }
-    }
+    });
 }
 
 #[test]
@@ -240,17 +237,16 @@ fn blocked_matches_serial_with_special_values() {
     b.data_mut()[4 * n + 2] = f32::NEG_INFINITY;
     b.data_mut()[7 * n + 9] = 0.0;
 
-    let pool = ThreadPool::new(3);
     let serial = matmul_serial(&a, &b);
     // Sanity: the NaN actually reached the output somewhere.
     assert!(serial.data().iter().any(|v| v.is_nan()));
     assert_bitwise_eq(
         "special-values scalar nn",
         &serial,
-        &matmul_blocked_with(&a, &b, &pool, MicroKernel::Scalar),
+        &matmul_blocked_with(&a, &b, MicroKernel::Scalar),
     );
     for kernel in testable_kernels() {
-        let blocked = matmul_blocked_with(&a, &b, &pool, kernel);
+        let blocked = matmul_blocked_with(&a, &b, kernel);
         // Special values classify identically even where rounding differs.
         for (i, (s, v)) in serial.data().iter().zip(blocked.data()).enumerate() {
             let kn = kernel.name();
@@ -267,28 +263,15 @@ fn blocked_matches_serial_with_special_values() {
 #[test]
 fn public_entry_points_match_the_active_kernel_above_the_dispatch_threshold() {
     // 96^3 is above BLOCKED_MIN_ELEMS, so the public fns take the blocked
-    // path through the global pool on the process-wide backend — results
-    // must be bitwise identical to that backend run serially (and hence,
-    // when the backend is scalar, to the serial triple loop).
+    // path on the process-wide backend — results must be bitwise identical
+    // to that backend called explicitly (and hence, when the backend is
+    // scalar, to the serial triple loop).
     let s = 96;
     let a = gen(s, s, 30);
     let b = gen(s, s, 31);
     let bt = gen(s, s, 32);
     let kernel = tesseract_tensor::matmul::active_kernel();
-    let single = ThreadPool::new(1);
-    assert_bitwise_eq(
-        "public nn",
-        &matmul_blocked_with(&a, &b, &single, kernel),
-        &tesseract_tensor::matmul::matmul(&a, &b),
-    );
-    assert_bitwise_eq(
-        "public nt",
-        &matmul_nt_blocked_with(&a, &bt, &single, kernel),
-        &tesseract_tensor::matmul::matmul_nt(&a, &bt),
-    );
-    assert_bitwise_eq(
-        "public tn",
-        &matmul_tn_blocked_with(&a, &b, &single, kernel),
-        &tesseract_tensor::matmul::matmul_tn(&a, &b),
-    );
+    assert_bitwise_eq("public nn", &matmul_blocked_with(&a, &b, kernel), &matmul(&a, &b));
+    assert_bitwise_eq("public nt", &matmul_nt_blocked_with(&a, &bt, kernel), &matmul_nt(&a, &bt));
+    assert_bitwise_eq("public tn", &matmul_tn_blocked_with(&a, &b, kernel), &matmul_tn(&a, &b));
 }
