@@ -20,6 +20,9 @@
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin trace_dump -- \
 //!           [--grid 2,2] [--n 256] [--out TRACE.json] [--top 5]`
+//!
+//! [`RankReport`]: tesseract_comm::RankReport
+//! [`CommStats`]: tesseract_comm::CommStats
 
 use std::sync::Arc;
 

@@ -239,7 +239,12 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], 5.0);
-        assert_eq!(out.comm.get(CollectiveOp::SendRecv).calls, 1);
+        let p2p = out.comm.get(CollectiveOp::SendRecv);
+        assert_eq!(p2p.calls, 1);
+        // The seconds `recv` charges its clock for the 4-byte message.
+        let link = cluster.topology.link_between(0, 1);
+        let cost = cluster.params.collective_time(CollectiveOp::SendRecv, 2, 4, link);
+        assert_eq!(p2p.time.to_bits(), cost.to_bits());
     }
 
     #[test]

@@ -90,20 +90,22 @@ impl CommScope {
     /// Emits the span, ending at the rank's current (charged) clock.
     /// `max_entry_vt` is the slowest entry the op synchronized to, `cost`
     /// the α–β cost charged, `hidden_time` the overlap handed to the stats
-    /// collector, and `recorded` the `(wire bytes, time)` this rank booked
-    /// into the global stats, if it was the one to book them.
+    /// collector, `(wire_bytes, stats_time)` what this rank added to the
+    /// global stats, and `recorded` whether it also booked the op's call
+    /// there (one member per collective; of a point-to-point pair the
+    /// sender, the receiver adding only its transfer seconds).
     fn finish(
         self,
         ctx: &RankCtx,
         max_entry_vt: f64,
         cost: f64,
         hidden_time: f64,
-        recorded: Option<(u64, f64)>,
+        (wire_bytes, stats_time): (u64, f64),
+        recorded: bool,
     ) {
         if !self.active {
             return;
         }
-        let (wire_bytes, stats_time) = recorded.unwrap_or((0, 0.0));
         trace::record(
             self.op.name().to_string(),
             self.begin,
@@ -119,7 +121,7 @@ impl CommScope {
                 hidden_time,
                 wire_bytes,
                 stats_time,
-                recorded: recorded.is_some(),
+                recorded,
             },
         );
     }
@@ -477,12 +479,15 @@ impl CommGroup {
             ctx.advance_comm(max_vt + cost0);
         }
         ctx.advance_comm(target);
-        let recorded = (self.my_index == 0).then(|| {
+        let recorded = self.my_index == 0;
+        let booked = if recorded {
             let wire = ctx.params.wire_bytes(op, self.size(), bytes);
             ctx.stats().record(ctx.rank, op, wire, cost_b);
             (wire, cost_b)
-        });
-        span.finish(ctx, max_vt, cost0 + cost_b, hidden, recorded);
+        } else {
+            (0, 0.0)
+        };
+        span.finish(ctx, max_vt, cost0 + cost_b, hidden, booked, recorded);
     }
 
     /// Synchronizes all members without moving data.
@@ -619,7 +624,7 @@ impl CommGroup {
         ctx.advance_comm(ctx.clock() + alpha);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
         ctx.stats().record(ctx.rank, CollectiveOp::SendRecv, wire, 0.0);
-        span.finish(ctx, send_vt, alpha, 0.0, Some((wire, 0.0)));
+        span.finish(ctx, send_vt, alpha, 0.0, (wire, 0.0), true);
     }
 
     /// Point-to-point receive from another member (by member index).
@@ -634,9 +639,12 @@ impl CommGroup {
         let cost = ctx.params.collective_time(CollectiveOp::SendRecv, 2, payload.wire_size(), link);
         let ready = send_vt.max(ctx.clock());
         ctx.advance_comm(ready + cost);
+        // The sender booked the call and its wire bytes; the transfer
+        // seconds are charged here, so they are booked here.
+        ctx.stats().charge_time(ctx.rank, CollectiveOp::SendRecv, cost);
         // The recv's cross-rank dependency is the sender's injection time:
         // it is the span's "slowest entry", so the critical path hops there.
-        span.finish(ctx, send_vt, cost, 0.0, None);
+        span.finish(ctx, send_vt, cost, 0.0, (0, cost), false);
         payload
     }
 }

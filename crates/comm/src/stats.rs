@@ -16,7 +16,8 @@ pub struct OpStats {
     pub calls: u64,
     /// Total logical bytes moved on the wire across all calls.
     pub wire_bytes: u64,
-    /// Total simulated seconds spent (per call, not multiplied by ranks).
+    /// Total simulated seconds spent (per call, not multiplied by ranks;
+    /// for `SendRecv`, the transfer the receiver is charged).
     pub time: f64,
     /// Host-side deep copies of payloads made on behalf of this op, summed
     /// over *all* ranks (unlike `calls`/`wire_bytes`, which count each
@@ -61,6 +62,12 @@ impl StatsCollector {
             entry.wire_bytes += wire_bytes;
             entry.time += time;
         });
+    }
+
+    /// Adds `seconds` to `op` without counting a call: the receiving half
+    /// of a point-to-point pair, whose sender booked the call and the bytes.
+    pub fn charge_time(&self, rank: usize, op: CollectiveOp, seconds: f64) {
+        self.update(rank, op, |entry| entry.time += seconds);
     }
 
     /// Charges one host-side payload copy of `bytes` bytes made by `rank`

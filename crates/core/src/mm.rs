@@ -12,11 +12,11 @@
 //!
 //! # One double-buffered loop
 //!
-//! Algorithm 3 is one loop, and [`summa_pipeline`] is its only pipelined
+//! Algorithm 3 is one loop, and `summa_pipeline` is its only pipelined
 //! implementation, written against three seams: **fetch** begins the
 //! step-`t` panel collectives (row/column broadcasts), **multiply** turns
 //! the completed panels into the step's partial product (`matmul` /
-//! `matmul_nt` / `matmul_tn`), and a **sink** ([`Sink`]) disposes of the
+//! `matmul_nt` / `matmul_tn`), and a **sink** (`Sink`) disposes of the
 //! partial (accumulate, or reduce to the step's root). The three public
 //! entry points only pick the seams.
 //!

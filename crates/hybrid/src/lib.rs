@@ -14,4 +14,4 @@ pub mod pipeline;
 pub use data_parallel::DataParallel;
 pub use engine::HybridTransformer;
 pub use mapping::{HybridCoords, HybridShape};
-pub use pipeline::{gpipe_step, PipelineStage};
+pub use pipeline::{gpipe_step_module, PipelineStage};

@@ -73,58 +73,9 @@ impl PipelineStage {
     }
 }
 
-/// Runs one GPipe step: all microbatch forwards, then all backwards in
-/// reverse order.
-///
-/// * `inputs(m)` — the stage-0 input for microbatch `m` (ignored elsewhere).
-/// * `forward(ctx, x)` — this stage's slice of the model.
-/// * `loss_grad(ctx, y, m)` — on the *last* stage, converts output `y` of
-///   microbatch `m` into the initial gradient (ignored elsewhere).
-/// * `backward(ctx, dy)` — this stage's backward; returns `dX`.
-///
-/// Returns the last stage's outputs, in microbatch order (empty elsewhere).
-#[allow(clippy::too_many_arguments)]
-pub fn gpipe_step<P, Fi, Ff, Fl, Fb>(
-    stage: &PipelineStage,
-    ctx: &mut RankCtx,
-    microbatches: usize,
-    mut inputs: Fi,
-    mut forward: Ff,
-    mut loss_grad: Fl,
-    mut backward: Fb,
-) -> Vec<P>
-where
-    P: Payload,
-    Fi: FnMut(usize) -> P,
-    Ff: FnMut(&mut RankCtx, P) -> P,
-    Fl: FnMut(&mut RankCtx, &P, usize) -> P,
-    Fb: FnMut(&mut RankCtx, P) -> P,
-{
-    assert!(microbatches >= 1);
-    let mut outputs = Vec::new();
-    for m in 0..microbatches {
-        let x = if stage.is_first() { inputs(m) } else { stage.recv_forward(ctx) };
-        let y = forward(ctx, x);
-        if stage.is_last() {
-            outputs.push(y);
-        } else {
-            stage.send_forward(ctx, y);
-        }
-    }
-    for m in (0..microbatches).rev() {
-        let dy =
-            if stage.is_last() { loss_grad(ctx, &outputs[m], m) } else { stage.recv_backward(ctx) };
-        let dx = backward(ctx, dy);
-        if !stage.is_first() {
-            stage.send_backward(ctx, dx);
-        }
-    }
-    outputs
-}
-
-/// [`gpipe_step`] specialized to a [`Module`] stage slice on a Tesseract
-/// grid: all microbatch forwards push onto the module's activation tapes,
-/// then all backwards pop them in reverse order — the schedule the tapes'
+/// Runs one GPipe step of a [`Module`] stage slice on a Tesseract grid: all
+/// microbatch forwards push onto the module's activation tapes, then all
+/// backwards pop them in reverse microbatch order — the schedule the tapes'
 /// LIFO ordering exists for.
 ///
 /// * `inputs(m)` — the stage-0 input for microbatch `m` (ignored elsewhere).
@@ -179,87 +130,96 @@ where
 mod tests {
     use super::*;
     use tesseract_comm::Cluster;
-    use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+    use tesseract_core::GridShape;
+    use tesseract_tensor::{DenseTensor, Matrix};
+
+    /// `y = factor · x`; records the `dx` of every backward it runs.
+    struct Scale {
+        factor: f32,
+        dxs: Vec<f32>,
+    }
+
+    impl Module<DenseTensor> for Scale {
+        fn forward(
+            &mut self,
+            _: &TesseractGrid,
+            ctx: &mut RankCtx,
+            x: &Arc<DenseTensor>,
+        ) -> Arc<DenseTensor> {
+            Arc::new(x.scale(self.factor, &mut ctx.meter))
+        }
+
+        fn backward(
+            &mut self,
+            _: &TesseractGrid,
+            ctx: &mut RankCtx,
+            dy: &Arc<DenseTensor>,
+        ) -> Arc<DenseTensor> {
+            let dx = dy.scale(self.factor, &mut ctx.meter);
+            self.dxs.push(dx.matrix()[(0, 0)]);
+            Arc::new(dx)
+        }
+    }
+
+    /// A chain of single-rank stages, stage `r` scaling by `factors[r]` on
+    /// its own `[1,1,1]` grid; returns each rank's last-stage outputs, the
+    /// `dx` it produced per backward, and its final clock.
+    fn run_chain(
+        factors: &'static [f32],
+        microbatches: usize,
+        input: impl Fn(usize) -> Matrix + Send + Sync + 'static,
+    ) -> Vec<(Vec<f32>, Vec<f32>, f64)> {
+        let pp = factors.len();
+        let out = Cluster::a100(pp).run(move |ctx| {
+            let prev = ctx.rank.checked_sub(1);
+            let next = (ctx.rank + 1 < pp).then_some(ctx.rank + 1);
+            let stage = PipelineStage::new(ctx, pp, ctx.rank, prev, next);
+            let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), ctx.rank);
+            let mut model = Scale { factor: factors[ctx.rank], dxs: Vec::new() };
+            let outputs = gpipe_step_module(
+                &stage,
+                &grid,
+                ctx,
+                &mut model,
+                microbatches,
+                |m| DenseTensor::from_matrix(input(m)),
+                |_ctx, y, _m| DenseTensor::from_matrix(Matrix::full(y.rows(), y.cols(), 1.0)),
+            );
+            ctx.flush_compute();
+            (outputs.iter().map(|o| o.matrix()[(0, 0)]).collect(), model.dxs, ctx.clock())
+        });
+        out.results
+    }
 
     /// Two single-rank stages computing y = (x·2)·3 with gradient flowing
     /// back as dy = 1 → dx should be 6 at stage 0.
     #[test]
     fn two_stage_pipeline_matches_serial_composition() {
-        let out = Cluster::a100(2).run(|ctx| {
-            let (prev, next) = if ctx.rank == 0 { (None, Some(1)) } else { (Some(0), None) };
-            let stage = PipelineStage::new(ctx, 2, ctx.rank, prev, next);
-            let factor = if ctx.rank == 0 { 2.0f32 } else { 3.0 };
-            let mut received_dx = Vec::new();
-            let outputs = gpipe_step::<DenseTensor, _, _, _, _>(
-                &stage,
-                ctx,
-                3,
-                |m| DenseTensor::from_matrix(Matrix::full(1, 1, m as f32 + 1.0)),
-                |ctx, x| x.scale(factor, &mut ctx.meter),
-                |_ctx, _y, _m| DenseTensor::from_matrix(Matrix::full(1, 1, 1.0)),
-                |ctx, dy| {
-                    let dx = dy.scale(factor, &mut ctx.meter);
-                    received_dx.push(dx.matrix()[(0, 0)]);
-                    dx
-                },
-            );
-            let outs: Vec<f32> = outputs.iter().map(|o| o.matrix()[(0, 0)]).collect();
-            (outs, received_dx)
-        });
+        let results = run_chain(&[2.0, 3.0], 3, |m| Matrix::full(1, 1, m as f32 + 1.0));
         // Last stage sees 1·2·3, 2·2·3, 3·2·3.
-        assert_eq!(out.results[1].0, vec![6.0, 12.0, 18.0]);
-        assert!(out.results[0].0.is_empty());
+        assert_eq!(results[1].0, vec![6.0, 12.0, 18.0]);
+        assert!(results[0].0.is_empty());
         // Backward: dy=1 → stage1 dx=3 → stage0 dx=3·2=6 for each microbatch.
-        assert_eq!(out.results[1].1, vec![3.0, 3.0, 3.0]);
-        assert_eq!(out.results[0].1, vec![6.0, 6.0, 6.0]);
+        assert_eq!(results[1].1, vec![3.0, 3.0, 3.0]);
+        assert_eq!(results[0].1, vec![6.0, 6.0, 6.0]);
     }
 
     /// The receiver's virtual clock must lag the sender's: the pipeline
     /// bubble exists in simulated time.
     #[test]
     fn pipeline_bubble_appears_in_virtual_time() {
-        let out = Cluster::a100(2).run(|ctx| {
-            let (prev, next) = if ctx.rank == 0 { (None, Some(1)) } else { (Some(0), None) };
-            let stage = PipelineStage::new(ctx, 2, ctx.rank, prev, next);
-            let _ = gpipe_step::<DenseTensor, _, _, _, _>(
-                &stage,
-                ctx,
-                2,
-                |_| DenseTensor::from_matrix(Matrix::full(64, 64, 1.0)),
-                |ctx, x| x.matmul(&x, &mut ctx.meter),
-                |_ctx, y, _| y.clone(),
-                |ctx, dy| dy.scale(1.0, &mut ctx.meter),
-            );
-            ctx.flush_compute();
-            ctx.clock()
-        });
-        assert!(out.results[1] > 0.0);
+        let results = run_chain(&[1.0, 1.0], 2, |_| Matrix::full(64, 64, 1.0));
+        let (first, last) = (results[0].2, results[1].2);
+        assert!(last > 0.0);
         // Stage 1 cannot have finished before stage 0 produced anything.
-        assert!(out.results[1] >= out.results[0] * 0.5);
+        assert!(last >= first * 0.5);
     }
 
     /// Three stages, one microbatch: data flows through the whole chain.
     #[test]
     fn three_stage_chain() {
-        let out = Cluster::a100(3).run(|ctx| {
-            let prev = (ctx.rank > 0).then(|| ctx.rank - 1);
-            let next = (ctx.rank < 2).then(|| ctx.rank + 1);
-            let stage = PipelineStage::new(ctx, 3, ctx.rank, prev, next);
-            let outputs = gpipe_step::<DenseTensor, _, _, _, _>(
-                &stage,
-                ctx,
-                1,
-                |_| DenseTensor::from_matrix(Matrix::full(1, 1, 1.0)),
-                |ctx, x| {
-                    let one = DenseTensor::from_matrix(Matrix::full(1, 1, 1.0));
-                    x.add(&one, &mut ctx.meter)
-                },
-                |_ctx, y, _| y.clone(),
-                |ctx, dy| dy.scale(1.0, &mut ctx.meter),
-            );
-            outputs.first().map(|o| o.matrix()[(0, 0)])
-        });
-        assert_eq!(out.results[2], Some(4.0)); // 1 + 1 + 1 + 1
-        assert_eq!(out.results[0], None);
+        let results = run_chain(&[1.0, 2.0, 2.0], 1, |_| Matrix::full(1, 1, 1.0));
+        assert_eq!(results[2].0, vec![4.0]); // 1 · 1 · 2 · 2
+        assert!(results[0].0.is_empty());
     }
 }

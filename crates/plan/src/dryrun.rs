@@ -14,6 +14,8 @@
 //! backward/forward ratio. The hybrid GPipe schedule runs all microbatch
 //! forwards, then per-microbatch recompute + backward in reverse order,
 //! then the data-parallel gradient sync.
+//!
+//! [`Cluster`]: tesseract_comm::Cluster
 
 use std::sync::Arc;
 
@@ -151,6 +153,7 @@ pub fn step(
                     HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0);
                 let rows_local = eng.cfg.rows() / (shape.grid.q * shape.grid.d);
                 let cols_local = engine_cfg.hidden / shape.grid.q;
+                // Not `gpipe_step_module`: this loop interleaves the recompute.
                 // GPipe forward phase; stage inputs are stashed so the
                 // checkpointed backward can recompute without resending
                 // activations.

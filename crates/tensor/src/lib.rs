@@ -8,11 +8,12 @@
 //!
 //! * [`DenseTensor`] — real `f32` math backed by [`Matrix`]. Used by every
 //!   correctness test and by the Figure-7 training experiments.
-//! * [`ShadowTensor`] — shape-and-flops only. Used to push the *paper-scale*
+//! * [`ShadowTensor`] — a shape only. Used to push the *paper-scale*
 //!   Table 1 / Table 2 configurations through the very same layer and
 //!   collective code without doing terabytes of arithmetic on one CPU core:
-//!   every op validates shapes and charges the [`Meter`] with the exact flop
-//!   and byte counts the dense op would have incurred.
+//!   every op is one [`TensorLike`] method body — shape rule, [`Meter`]
+//!   charge, kernel — and this backend merely drops the kernel, so it
+//!   charges what the dense op charges.
 //!
 //! The crate also contains the numerical kernels themselves ([`matmul`] —
 //! each GEMM runs on the thread that calls it; this crate spawns none),

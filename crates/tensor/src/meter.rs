@@ -92,9 +92,9 @@ impl Meter {
     /// Records one GEMM launch, additionally tallying which kernel
     /// implementation its shape dispatched to, and — for blocked dispatches
     /// — which micro-kernel backend the process resolved
-    /// (`matmul::active_kernel`). Dense and shadow backends both derive
-    /// `path` from `matmul::planned_path` and share the process-wide
-    /// backend, so their meters stay equal op for op.
+    /// (`matmul::active_kernel`). The one caller (`tensor::gemm_op`) derives
+    /// `path` from `matmul::planned_path`, a function of the shape alone, so
+    /// the tallies are the same on the dense and the shadow backend.
     pub fn record_gemm(&mut self, flops: f64, out_bytes: usize, path: KernelPath) {
         self.record(flops, out_bytes);
         match path {

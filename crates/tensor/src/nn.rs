@@ -58,7 +58,7 @@ fn gelu_gate(x: f32) -> f32 {
 }
 
 /// GELU activation (the BERT/GPT/Megatron tanh approximation, evaluated as
-/// `x·σ(2u)` through the in-tree [`exp`]).
+/// `x·σ(2u)` through the in-tree `exp`).
 #[inline(always)]
 pub fn gelu(x: f32) -> f32 {
     x * gelu_gate(x)
@@ -91,8 +91,7 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 
 /// In-place form of [`softmax_rows`]: mutates `x` instead of allocating a
 /// fresh matrix. [`softmax_rows`] is implemented as clone + this, so the two
-/// are bitwise-identical by construction; decode-time attention uses this
-/// variant to avoid a per-step full-matrix allocation.
+/// are bitwise-identical by construction.
 pub fn softmax_rows_inplace(x: &mut Matrix) {
     for i in 0..x.rows() {
         softmax_row_prefix(x.row_mut(i));

@@ -66,9 +66,10 @@ pub enum TraceKind {
         wire_bytes: u64,
         /// Seconds this event recorded into `OpStats::time`.
         stats_time: f64,
-        /// True iff this rank recorded the op into the global stats (one
-        /// designated member per logical collective), so
-        /// `count(recorded) == OpStats::calls` cluster-wide.
+        /// True iff this rank recorded the op's call into the global stats
+        /// (one designated member per logical collective; the sender of a
+        /// point-to-point pair), so `count(recorded) == OpStats::calls`
+        /// cluster-wide.
         recorded: bool,
     },
     /// One host-side payload deep copy (a `clone_counted`).

@@ -31,6 +31,24 @@ if [ "$unsafe_files" != "crates/tensor/src/matmul.rs" ]; then
     exit 1
 fi
 
+# Every tensor op's shape rule, Meter charge and kernel is written once, as a
+# provided method of `TensorLike`; a backend is storage. A charge or a shape
+# assert inside an `impl TensorLike for` block is a second copy of the price
+# list, and so is a `Meter::record` call anywhere but tensor.rs (meter.rs
+# defines it; the only other `.record(` is the comm `StatsCollector`'s).
+echo "== price-list gate (TensorLike impls are storage; Meter charged from tensor.rs only) =="
+forked=$(awk '/^impl TensorLike for /{inside=1} /^}/{inside=0}
+    inside && (/record/ || /(^|[^_])assert/) {print FILENAME ":" FNR ": " $0}' \
+    crates/tensor/src/tensor.rs)
+stray=$(grep -rnE '\.record(_gemm)?\(' crates src tests examples --include='*.rs' \
+    | grep -vE '^crates/tensor/src/(tensor|meter)\.rs:|^crates/comm/src/stats\.rs:|stats\(\)\.record\(' \
+    || true)
+if [ -n "$forked$stray" ]; then
+    echo "ci.sh: a Meter charge or shape assert outside TensorLike's provided methods:"
+    echo "$forked$stray"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
@@ -44,6 +62,11 @@ RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 
 echo "== test (offline) =="
 cargo test -q --workspace --offline
+
+# Doc comments name the items they describe by intra-doc link; a link to an
+# item that was deleted, renamed or made private must fail here, not rot.
+echo "== doc-link gate (rustdoc, deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 # benchmark/ is its own workspace (BENCHMARK.json builds it from a bare
 # checkout), so the workspace build above never compiles it: an API change
