@@ -3,6 +3,8 @@
 //! process per GPU. Returns each rank's result plus timing reports and the
 //! global communication statistics.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,8 +77,11 @@ impl Cluster {
 
     /// Runs `f` as one thread per rank and gathers results in rank order.
     ///
-    /// Panics in any rank are propagated (after all threads finish or time
-    /// out) with the rank id attached.
+    /// A rank that panics records itself on the fabric as the run's failure
+    /// (the first one wins) and wakes every waiting rank, which then panics
+    /// too instead of waiting out the rendezvous timeout. Once all threads
+    /// have finished, `run` panics as `rank R panicked: <message>` for that
+    /// first rank, not for a peer it left stranded.
     pub fn run<R, F>(&self, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -101,36 +106,39 @@ impl Cluster {
                         let world = self.world;
                         let traced = self.trace;
                         scope.spawn(move || {
-                            if traced {
-                                trace::install(rank);
-                            }
-                            let mut ctx =
-                                RankCtx::new(rank, world, params, topology, fabric, stats);
-                            let result = f(&mut ctx);
-                            // Harvest after the report: `report` flushes the
-                            // meter, so the final compute event is captured.
-                            let report = ctx.report();
-                            let events = if traced { trace::take() } else { Vec::new() };
-                            (result, report, events)
+                            fabric.enlist();
+                            let body = || {
+                                if traced {
+                                    trace::install(rank);
+                                }
+                                let mut ctx = RankCtx::new(
+                                    rank,
+                                    world,
+                                    params,
+                                    topology,
+                                    Arc::clone(&fabric),
+                                    stats,
+                                );
+                                let result = f(&mut ctx);
+                                // Harvest after the report: `report` flushes
+                                // the meter, so the final compute event is
+                                // captured.
+                                let report = ctx.report();
+                                let events = if traced { trace::take() } else { Vec::new() };
+                                (result, report, events)
+                            };
+                            panic::catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+                                fabric.fail(rank, panic_message(&*payload).to_owned());
+                                panic::resume_unwind(payload)
+                            })
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, h)| match h.join() {
-                        Ok(tuple) => Some(tuple),
-                        Err(e) => {
-                            let msg = e
-                                .downcast_ref::<String>()
-                                .map(String::as_str)
-                                .or_else(|| e.downcast_ref::<&str>().copied())
-                                .unwrap_or("<non-string panic>");
-                            panic!("rank {rank} panicked: {msg}");
-                        }
-                    })
-                    .collect()
+                handles.into_iter().map(|h| h.join().ok()).collect()
             });
+        if let Some((rank, msg)) = fabric.failure.get() {
+            panic!("rank {rank} panicked: {msg}");
+        }
 
         let mut results = Vec::with_capacity(self.world);
         let mut reports = Vec::with_capacity(self.world);
@@ -143,6 +151,15 @@ impl Cluster {
         }
         RunOutput { results, reports, comm: stats.snapshot(), traces }
     }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format string).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use tesseract_tensor::{trace, TensorLike, TraceKind};
 
 use crate::cost::CollectiveOp;
 use crate::ctx::RankCtx;
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, Ticket};
 use crate::topology::GroupPlacement;
 
 /// One in-flight communication op: what it is, where its span starts, and
@@ -317,10 +317,11 @@ impl CommGroup {
     /// Begin half (runs now): flushes pending compute so the deposit
     /// timestamp is exact, publishes this member's contribution through
     /// `deposit`, and registers the sequence number as outstanding.
-    /// Completion half (runs in [`PendingCollective::complete`]): enforces
-    /// FIFO order, blocks until the group's `T` is published, charges the
-    /// clock through [`CommGroup::finish_charge`], and hands `project` the
-    /// published value to cut this member's result out of it.
+    /// Completion half (runs in [`PendingCollective::complete`], carrying
+    /// the deposit's [`Ticket`]): enforces FIFO order, waits on the ticket
+    /// until the group's `T` is published, charges the clock through
+    /// [`CommGroup::finish_charge`], and hands `project` the published value
+    /// to cut this member's result out of it.
     ///
     /// `root` is the member index a rooted op names; it is range-checked
     /// here, once, for all of them.
@@ -329,7 +330,7 @@ impl CommGroup {
         ctx: &mut RankCtx,
         op: CollectiveOp,
         root: Option<usize>,
-        deposit: impl FnOnce(&Fabric, (u64, u64), f64),
+        deposit: impl FnOnce(&Fabric, (u64, u64), f64) -> Ticket,
         size: WireSize<R>,
         project: impl FnOnce(&mut RankCtx, Arc<T>) -> R + 'g,
     ) -> PendingCollective<'g, R>
@@ -349,13 +350,13 @@ impl CommGroup {
         let seq = self.next_seq();
         let key = (self.id, seq);
         let deposit_vt = ctx.clock();
-        deposit(ctx.fabric(), key, deposit_vt);
+        let ticket = deposit(ctx.fabric(), key, deposit_vt);
         self.outstanding.borrow_mut().push_back(seq);
         let finish = move |ctx: &mut RankCtx| {
             self.pop_outstanding(op, seq);
             let span = CommScope::open(ctx, op, key, deposit_vt);
             ctx.flush_compute();
-            let (max_vt, published) = ctx.fabric().wait::<T>(key, self.my_index, self.size());
+            let (max_vt, published) = ctx.fabric().wait::<T>(ticket);
             match size {
                 WireSize::Known(bytes) => {
                     self.finish_charge(ctx, span, max_vt, bytes, false);

@@ -1,7 +1,9 @@
 //! Failure-injection tests: the simulated cluster must convert misuse into
 //! diagnosable panics rather than silent corruption or hangs.
 
+use std::panic;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tesseract_comm::{Cluster, RunConfig};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
@@ -25,6 +27,26 @@ fn rank_panics_are_propagated_with_rank_id() {
         let t = DenseTensor::from_matrix(Matrix::full(2, 2, 1.0));
         let _ = t.matmul(&t, &mut ctx.meter);
     });
+}
+
+/// A rank that panics while its peer waits at a rendezvous is the one
+/// blamed, at once: the peer is woken instead of waiting out its timeout
+/// and being reported as `rank 0 panicked: rendezvous … timed out`.
+#[test]
+fn a_panicking_rank_is_blamed_not_the_peer_it_strands() {
+    let start = Instant::now();
+    let err = panic::catch_unwind(|| {
+        fail_fast(2).run(|ctx| {
+            if ctx.rank == 1 {
+                panic!("deliberate failure");
+            }
+            ctx.world_group().barrier(ctx);
+        })
+    })
+    .expect_err("a rank panicked");
+    let msg = err.downcast_ref::<String>().expect("run panics with a String");
+    assert_eq!(msg, "rank 1 panicked: deliberate failure");
+    assert!(start.elapsed() < Duration::from_secs(2), "the stranded peer waited out its timeout");
 }
 
 #[test]

@@ -31,6 +31,19 @@ if [ "$unsafe_files" != "crates/tensor/src/matmul.rs" ]; then
     exit 1
 fi
 
+# A fabric waiter yields its core, then parks; it never busy-waits. Every
+# workload runs more rank threads than the host has cores, so a spinning
+# waiter holds the core its peer needs to arrive: polling 4 000 times with
+# spin_loop before parking made serve_open 166 -> 295 us/token and
+# plan_paper64 1.07 -> 12.6 s per plan() (medians, EXPERIMENTS.md §K).
+echo "== busy-wait gate (no spin_loop) =="
+spins=$(grep -rn spin_loop crates src --include='*.rs' || true)
+if [ -n "$spins" ]; then
+    echo "ci.sh: spin_loop busy-wait (yield_now, then park, instead):"
+    echo "$spins"
+    exit 1
+fi
+
 # Every tensor op's shape rule, Meter charge and kernel is written once, as a
 # provided method of `TensorLike`; a backend is storage. A charge or a shape
 # assert inside an `impl TensorLike for` block is a second copy of the price
@@ -179,5 +192,10 @@ done
 # bit) only means something on the code the release build runs.
 echo "== tensor property tests (release: autovectorized elementwise loops) =="
 cargo test -q --release --offline -p tesseract-tensor --test proptests
+
+# The fabric's publication-racing-registration stress test depends on
+# timing; the optimized build is the one whose interleavings hit the race.
+echo "== comm unit tests (release: fabric wait-path races) =="
+cargo test -q --release --offline -p tesseract-comm --lib
 
 echo "ci.sh: OK"
