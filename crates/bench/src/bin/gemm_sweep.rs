@@ -16,16 +16,20 @@
 //!
 //! Then the same lanes time [`WORKLOAD_SHAPES`] — the non-square GEMMs
 //! `benchmark/`'s probes report — so the committed record measures what the
-//! workloads run, not only squares — and the `"elementwise"` block times
-//! the non-GEMM kernels of a step ([`ELEMENTWISE_SHAPES`]: GELU
-//! forward/backward, the Adam direction) in ns per element, each beside the
-//! implementation it replaced.
+//! workloads run, not only squares; the `"serial_shapes"` block times the
+//! serial path ([`matmul_serial_with`] and friends) at the small shapes
+//! `train_comm` and a `serve_open` decode step run ([`SERIAL_SHAPES`]), one
+//! lane per backend width; and the `"elementwise"` block times the non-GEMM
+//! kernels of a step ([`ELEMENTWISE_SHAPES`]: GELU forward/backward, the
+//! Adam direction) in ns per element, each beside the implementation it
+//! replaced.
 //!
-//! No timing is accepted before its parity gate: the vector backends
-//! **bitwise** against each other (`avx2 == avx512`, the fused numerics
-//! class), scalar-vs-vector within floating-point tolerance, and the
-//! elementwise kernels **bitwise** against their scalar function / op chain
-//! (one numerics class: lane-independent `mul`/`add` sequences).
+//! No timing is accepted before its parity gate: the blocked vector
+//! backends **bitwise** against each other (`avx2 == avx512`, the fused
+//! numerics class), scalar-vs-vector within floating-point tolerance, every
+//! serial width **bitwise** against the scalar one (the mul+add class), and
+//! the elementwise kernels **bitwise** against their scalar function / op
+//! chain (lane-independent `mul`/`add` sequences).
 //!
 //! Reports median wall time over `--reps` runs as a table on stdout and as
 //! JSON (`--out`, default `BENCH_kernels.json`). The JSON records which
@@ -42,8 +46,8 @@ use std::time::Instant;
 
 use tesseract_comm::RunConfig;
 use tesseract_tensor::matmul::{
-    active_kernel, matmul_blocked_with, matmul_nt_blocked_with, matmul_serial,
-    matmul_tn_blocked_with, MicroKernel,
+    active_kernel, matmul_blocked_with, matmul_nt_blocked_with, matmul_nt_serial_with,
+    matmul_serial, matmul_serial_with, matmul_tn_blocked_with, matmul_tn_serial_with, MicroKernel,
 };
 use tesseract_tensor::{
     max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, Xoshiro256StarStar,
@@ -56,6 +60,21 @@ enum Orient {
     Tn,
 }
 
+impl Orient {
+    /// Random stored operands `(A, B)` of the logical `[m,k]·[k,n]` product
+    /// (nt stores B as n×k, tn stores A as k×m).
+    fn operands(self, m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64((m * k + n) as u64);
+        let ((ar, ac), (br, bc)) = match self {
+            Orient::Nn => ((m, k), (k, n)),
+            Orient::Nt => ((m, k), (n, k)),
+            Orient::Tn => ((k, m), (k, n)),
+        };
+        let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
+        (a, Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng))
+    }
+}
+
 /// The GEMMs `benchmark/`'s probes time, as logical `[m,k]·[k,n]`: fc1's
 /// SUMMA step on `train_gemm` in the three orientations a training step
 /// runs it (`tensor.gemm_host_gflops.{nn,nt,tn}`) and `serve_open`'s skinny
@@ -65,6 +84,18 @@ const WORKLOAD_SHAPES: [(&str, Orient, usize, usize, usize); 4] = [
     ("summa_nt", Orient::Nt, 256, 1024, 256),
     ("summa_tn", Orient::Tn, 256, 256, 1024),
     ("skinny_nn", Orient::Nn, 8, 128, 512),
+];
+
+/// Serial GEMMs of `benchmark/`'s small-shape workloads, as logical
+/// `[m,k]·[k,n]`: `train_comm`'s fc1 in the three orientations a training
+/// step runs it, fc2's input gradient, and the per-head attention scores of
+/// a `serve_open` decode step.
+const SERIAL_SHAPES: [(&str, Orient, usize, usize, usize); 5] = [
+    ("fc1_nn", Orient::Nn, 32, 32, 128),
+    ("fc1_nt", Orient::Nt, 32, 32, 128),
+    ("fc1_tn", Orient::Tn, 32, 32, 128),
+    ("fc2_dx_nt", Orient::Nt, 32, 128, 32),
+    ("decode_scores_nt", Orient::Nt, 1, 32, 64),
 ];
 
 /// Where GELU runs in `benchmark/`'s workloads: fc1's local output on
@@ -169,6 +200,36 @@ fn ns_per_elem<R>(reps: usize, elems: usize, mut f: impl FnMut() -> R) -> f64 {
         f()
     });
     sample / (iters * elems) as f64
+}
+
+/// Median nanoseconds per call of a GEMM of `flops`; each sample repeats
+/// it until it covers about 2²² flops, so the small shapes are not
+/// timer-bound.
+fn ns_per_call<R>(reps: usize, flops: f64, mut f: impl FnMut() -> R) -> f64 {
+    let iters = ((4_194_304.0 / flops) as usize).max(1);
+    let sample = median_ns(reps, || {
+        for _ in 1..iters {
+            black_box(f());
+        }
+        f()
+    });
+    sample / iters as f64
+}
+
+/// Median time per call of the serial `gemm` on each of `lanes`, accepted
+/// only after every lane equals the scalar one bit for bit.
+fn timed_serial_lanes(
+    label: &str,
+    lanes: &[MicroKernel],
+    reps: usize,
+    flops: f64,
+    gemm: impl Fn(MicroKernel) -> Matrix,
+) -> Vec<f64> {
+    let scalar = gemm(MicroKernel::Scalar);
+    for &kernel in lanes {
+        assert_bitwise(&format!("{label} serial {}", kernel.name()), &scalar, &gemm(kernel));
+    }
+    lanes.iter().map(|&kernel| ns_per_call(reps, flops, || gemm(kernel))).collect()
 }
 
 /// One `"elementwise"` row: an op at a shape, beside what it replaced.
@@ -387,16 +448,7 @@ fn main() {
     let workload_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = WORKLOAD_SHAPES
         .iter()
         .map(|&(label, orient, m, k, n)| {
-            let mut rng = Xoshiro256StarStar::seed_from_u64((m * k + n) as u64);
-            // Stored operand shapes per orientation (nt stores B as n×k, tn
-            // stores A as k×m).
-            let ((ar, ac), (br, bc)) = match orient {
-                Orient::Nn => ((m, k), (k, n)),
-                Orient::Nt => ((m, k), (n, k)),
-                Orient::Tn => ((k, m), (k, n)),
-            };
-            let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
-            let b = Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng);
+            let (a, b) = orient.operands(m, k, n);
             let lane_ns = timed_lanes(label, &lanes, reps, |kernel| match orient {
                 Orient::Nn => matmul_blocked_with(&a, &b, kernel),
                 Orient::Nt => matmul_nt_blocked_with(&a, &b, kernel),
@@ -404,6 +456,23 @@ fn main() {
             });
             let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
             println!("  {label:<10} {m}x{k}x{n}: {rates}");
+            (label, m, k, n, lane_ns)
+        })
+        .collect();
+
+    println!("\nserial shapes (GFLOP/s per backend width):");
+    let serial_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = SERIAL_SHAPES
+        .iter()
+        .map(|&(label, orient, m, k, n)| {
+            let (a, b) = orient.operands(m, k, n);
+            let flops = 2.0 * (m * k * n) as f64;
+            let lane_ns = timed_serial_lanes(label, &lanes, reps, flops, |kernel| match orient {
+                Orient::Nn => matmul_serial_with(&a, &b, kernel),
+                Orient::Nt => matmul_nt_serial_with(&a, &b, kernel),
+                Orient::Tn => matmul_tn_serial_with(&a, &b, kernel),
+            });
+            let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
+            println!("  {label:<16} {m}x{k}x{n}: {rates}");
             (label, m, k, n, lane_ns)
         })
         .collect();
@@ -426,7 +495,8 @@ fn main() {
     json.push_str(&format!("  \"lanes\": {lane_names:?},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(
-        "  \"parity\": \"vector lanes bitwise equal to each other, within FMA tolerance of scalar\",\n",
+        "  \"parity\": \"blocked vector lanes bitwise equal to each other, within FMA tolerance of \
+         scalar; serial lanes bitwise equal to scalar\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -447,14 +517,18 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n  \"workload_shapes\": [\n");
-    for (i, (label, m, k, n, lane_ns)) in workload_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }} }}{}\n",
-            lane_members(&lanes, lane_ns.iter().copied(), 0),
-            lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(*m, *k, *n, ns)), 3),
-            if i + 1 == workload_rows.len() { "" } else { "," }
-        ));
+    for (block, shape_rows) in
+        [("workload_shapes", &workload_rows), ("serial_shapes", &serial_rows)]
+    {
+        json.push_str(&format!("  ],\n  \"{block}\": [\n"));
+        for (i, (label, m, k, n, lane_ns)) in shape_rows.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{ \"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }} }}{}\n",
+                lane_members(&lanes, lane_ns.iter().copied(), 0),
+                lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(*m, *k, *n, ns)), 3),
+                if i + 1 == shape_rows.len() { "" } else { "," }
+            ));
+        }
     }
     json.push_str("  ],\n  \"elementwise\": [\n");
     for (i, e) in elementwise.iter().enumerate() {

@@ -261,7 +261,7 @@ pub struct RankReport {
     /// GEMM launches `matmul::planned_path` dispatched to the blocked
     /// kernel on this rank.
     pub gemms_blocked: u64,
-    /// GEMM launches that fell back to the serial triple loop.
+    /// GEMM launches below the blocked threshold (the serial kernel).
     pub gemms_serial: u64,
     /// Blocked dispatches that ran the scalar micro-kernel backend
     /// (`gemms_kernel_scalar + gemms_kernel_avx2 + gemms_kernel_avx512 ==

@@ -6,13 +6,13 @@
 //!
 //! Each orientation has two implementations sharing one numerical contract:
 //!
-//! * a **serial** triple-loop kernel (`*_serial`) used below the
-//!   [`planned_path`] size threshold, where blocking overhead would dominate;
+//! * a **serial** kernel (`*_serial`) used below the [`planned_path`] size
+//!   threshold, where the blocked path's bookkeeping would dominate;
 //! * a **cache-blocked, packed** kernel (`*_blocked_with`) used above it:
-//!   A and B are repacked into `MR`/`NR`-wide micro-panels sized to L1/L2
-//!   ([`BLOCK_M`]/[`BLOCK_K`]/[`BLOCK_N`]), a register-tiled micro-kernel
+//!   A and B are repacked into `MR`/`NR`-wide micro-panels ([`BLOCK_M`]
+//!   rows of A and [`BLOCK_K`] deep), a register-tiled micro-kernel
 //!   accumulates an `MR×NR` block of C, and the caller walks C one
-//!   [`BLOCK_M`]-row block at a time.
+//!   [`BLOCK_M`]-row block at a time against the whole packed B.
 //!
 //! **A GEMM runs on the thread that calls it.** The unit of parallelism is
 //! the simulated processor — one OS thread per rank (`Cluster::run`) — and
@@ -39,6 +39,17 @@
 //! or forced with `TESSERACT_KERNEL=scalar|avx2|avx512` for testing and
 //! benchmarking. Dispatch therefore costs nothing in the hot loop.
 //!
+//! **The serial path runs at the backend's vector width too, in the mul+add
+//! class.** On [`MicroKernel::Scalar`] it is the triple loops. On a vector
+//! backend, B is packed into the backend's `NR`-wide k-major strips and one
+//! mul+add tile body (`mul_add_serial_tile!`, instantiated behind
+//! `#[target_feature(enable = "avx2")]` / `"avx512f"`, never `fma`)
+//! accumulates 4 rows × `NR` columns of C in registers, a separate multiply
+//! and add per step. Shapes a tile cannot fill (fewer than 4 rows, less than
+//! one vector of columns) keep the loops. Every lane computes the loops'
+//! chain, so the serial path gives the same bits on every backend, and
+//! [`planned_path`] and the metered dispatch counts are untouched.
+//!
 //! **Every tile runs the backend's own kernel.** A remainder tile at the
 //! bottom/right edge is copied into a zeroed `MR×NR` stack tile, run
 //! through the same full-tile kernel, and its valid region copied back
@@ -53,8 +64,9 @@
 //! rounding depends only on the backend's *numerics class*, and there are
 //! two:
 //!
-//! * **mul+add** `((c + a_i0·b_0j) + a_i1·b_1j) + …` — the `*_serial`
-//!   triple loops and the scalar backend, bitwise identical to each other;
+//! * **mul+add** `((c + a_i0·b_0j) + a_i1·b_1j) + …` — the serial path on
+//!   every backend and the scalar blocked backend, bitwise identical to
+//!   each other;
 //! * **fused** `fma(a_ik, b_kj, c)` — AVX2 and AVX-512, bitwise identical
 //!   to each other on every shape, so a result does not depend on which
 //!   x86 vector width the host has.
@@ -73,9 +85,6 @@ pub const BLOCK_M: usize = 64;
 /// (8 KiB scalar, 16 KiB AVX2, 32 KiB AVX-512), resident in L1 across a
 /// whole row of micro-tiles.
 pub const BLOCK_K: usize = 256;
-/// Column (n) tile; the packed B block `BLOCK_K·BLOCK_N` f32 = 256 KiB
-/// stays L2-resident while a row block sweeps its row panel.
-pub const BLOCK_N: usize = 256;
 
 /// Scalar micro-tile rows: C accumulators held in registers are `MR×NR`
 /// f32 (4×8 = 8 SSE vectors, the x86-64 baseline budget).
@@ -97,6 +106,11 @@ const AVX2_NR: usize = 16;
 const AVX512_MR: usize = 8;
 /// AVX-512 micro-tile columns (two 16-lane zmm vectors per accumulator row).
 const AVX512_NR: usize = 32;
+
+/// Rows of C per serial vector tile: with two vectors per row that is 8
+/// independent add chains, enough to keep the vector unit busy at either
+/// width (8 rows measured no faster).
+const SERIAL_MR: usize = 4;
 
 /// `m·k·n` below which the serial kernel is dispatched (≈ one 64³ GEMM);
 /// under this size the pack/tile bookkeeping costs more than it saves.
@@ -273,73 +287,288 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Serial reference kernels
+// Serial kernels
 // ---------------------------------------------------------------------------
 //
-// ikj / dot-product order so LLVM vectorizes the contiguous inner loops.
 // Deliberately branch-free: the old `if a_ik == 0.0 { continue }` "skip"
 // both defeated vectorization and broke IEEE semantics (`0 · NaN` must be
 // NaN, `0 · inf` must be NaN — skipping dropped them).
 
-/// Serial `C = A · B`.
+/// Serial `C = A · B` on the [`active_kernel`]'s vector width.
 pub fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (kk, &a_ik) in a_row.iter().enumerate().take(k) {
-            let b_row = b.row(kk);
-            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                *c_ij += a_ik * b_kj;
-            }
-        }
-    }
-    c
+    matmul_serial_with(a, b, active_kernel())
 }
 
-/// Serial `C = A · Bᵀ`.
+/// Serial `C = A · Bᵀ` on the [`active_kernel`]'s vector width.
 pub fn matmul_nt_serial(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_nt_serial_with(a, b, active_kernel())
+}
+
+/// Serial `C = Aᵀ · B` on the [`active_kernel`]'s vector width.
+pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
+    matmul_tn_serial_with(a, b, active_kernel())
+}
+
+/// Serial `C = A · B` at an explicitly chosen backend's vector width —
+/// bitwise the same on every backend. Panics if `kernel` is unsupported on
+/// this host.
+pub fn matmul_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
+    gemm_serial(kernel, Orient::Nn, a, b, a.rows(), a.cols(), b.cols())
+}
+
+/// Serial `C = A · Bᵀ` at an explicitly chosen backend's vector width.
+pub fn matmul_nt_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
-    let m = a.rows();
-    let n = b.rows();
+    gemm_serial(kernel, Orient::Nt, a, b, a.rows(), a.cols(), b.rows())
+}
+
+/// Serial `C = Aᵀ · B` at an explicitly chosen backend's vector width.
+pub fn matmul_tn_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
+    assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
+    gemm_serial(kernel, Orient::Tn, a, b, a.cols(), a.rows(), b.cols())
+}
+
+/// The scalar backend, and every shape a vector tile cannot fill — fewer
+/// than [`SERIAL_MR`] rows or less than one vector of columns — run the
+/// triple loops; the rest runs [`serial_strips`]. The choice reads the
+/// backend and the shape, never an option. It keeps a decode step's
+/// `[1, d]·[t, d]ᵀ` attention scores on the dot product, where packing Bᵀ
+/// would cost as much as the product.
+fn gemm_serial(
+    kernel: MicroKernel,
+    orient: Orient,
+    a: &Matrix,
+    b: &Matrix,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Matrix {
+    assert!(kernel.supported(), "micro-kernel {:?} unsupported on this host", kernel);
     let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for j in 0..n {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row.iter()) {
-                acc += x * y;
-            }
-            c_row[j] = acc;
-        }
+    if kernel == MicroKernel::Scalar || m < SERIAL_MR || n < kernel.nr() / 2 {
+        serial_loops(orient, a, b, &mut c);
+    } else if k > 0 {
+        serial_strips(kernel, orient, a, b, &mut c, k);
     }
     c
 }
 
-/// Serial `C = Aᵀ · B`.
-pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
-    let m = a.cols();
-    let n = b.cols();
-    let k = a.rows();
-    let mut c = Matrix::zeros(m, n);
-    for kk in 0..k {
-        let a_row = a.row(kk);
-        let b_row = b.row(kk);
-        for (i, &a_ki) in a_row.iter().enumerate().take(m) {
-            let c_row = c.row_mut(i);
-            for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                *c_ij += a_ki * b_kj;
+/// The triple loops, in ikj / dot-product order so the compiler vectorizes
+/// the contiguous inner loops at the x86-64 baseline (SSE2).
+fn serial_loops(orient: Orient, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    match orient {
+        Orient::Nn => {
+            for i in 0..c.rows() {
+                let c_row = c.row_mut(i);
+                for (kk, &a_ik) in a.row(i).iter().enumerate() {
+                    for (c_ij, &b_kj) in c_row.iter_mut().zip(b.row(kk)) {
+                        *c_ij += a_ik * b_kj;
+                    }
+                }
+            }
+        }
+        Orient::Nt => {
+            for i in 0..c.rows() {
+                let a_row = a.row(i);
+                for (j, c_ij) in c.row_mut(i).iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for (x, y) in a_row.iter().zip(b.row(j)) {
+                        acc += x * y;
+                    }
+                    *c_ij = acc;
+                }
+            }
+        }
+        Orient::Tn => {
+            for kk in 0..a.rows() {
+                let b_row = b.row(kk);
+                for (i, &a_ki) in a.row(kk).iter().enumerate() {
+                    for (c_ij, &b_kj) in c.row_mut(i).iter_mut().zip(b_row) {
+                        *c_ij += a_ki * b_kj;
+                    }
+                }
             }
         }
     }
-    c
 }
+
+/// The serial path at the backend's vector width: logical B packed into
+/// `NR`-wide k-major strips ([`PackedB`], so `A·Bᵀ` accumulates a strip in
+/// registers instead of running one latency-bound dot product per element),
+/// A read in place, and C swept in [`SERIAL_MR`]-row tiles (then single
+/// rows) of one strip each by [`serial_tile`]. A partial last strip is
+/// staged through a stack tile, like the blocked path's edges. k-tiles are
+/// visited in order and a tile resumes from the stored C value, so each
+/// element keeps the loops' chain.
+fn serial_strips(
+    kernel: MicroKernel,
+    orient: Orient,
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+    k: usize,
+) {
+    let (m, n) = c.shape();
+    let w = kernel.nr();
+    let b_packed = PackedB::new(orient, b, k, n, w);
+    // Logical A(i, kk) is a.data()[i·a_rs + kk·a_ks].
+    let (a_rs, a_ks) = match orient {
+        Orient::Nn | Orient::Nt => (k, 1),
+        Orient::Tn => (1, m),
+    };
+    let mut stage = [0.0f32; SERIAL_MR * AVX512_NR];
+    for (kc_idx, kc) in (0..k).step_by(BLOCK_K).enumerate() {
+        let kb = (k - kc).min(BLOCK_K);
+        for q in 0..b_packed.n_panels {
+            let j0 = q * w;
+            let cols = (n - j0).min(w);
+            let b_panel = b_packed.panel(kc_idx, q);
+            let mut i0 = 0;
+            while i0 < m {
+                let rows = if m - i0 >= SERIAL_MR { SERIAL_MR } else { 1 };
+                let a_tile = &a.data()[i0 * a_rs + kc * a_ks..];
+                if cols == w {
+                    let c_tile = &mut c.data_mut()[i0 * n + j0..];
+                    serial_tile(kernel, rows, a_tile, a_rs, a_ks, b_panel, kb, c_tile, n);
+                } else {
+                    for r in 0..rows {
+                        stage[r * w..][..cols].copy_from_slice(&c.row(i0 + r)[j0..]);
+                    }
+                    serial_tile(kernel, rows, a_tile, a_rs, a_ks, b_panel, kb, &mut stage, w);
+                    for r in 0..rows {
+                        c.row_mut(i0 + r)[j0..].copy_from_slice(&stage[r * w..][..cols]);
+                    }
+                }
+                i0 += rows;
+            }
+        }
+    }
+}
+
+/// Runs the backend's mul+add tile on `rows` (= [`SERIAL_MR`] or 1) rows of
+/// C at `c` (row stride `c_rs`), after asserting the tile's bounds.
+#[allow(clippy::too_many_arguments)]
+fn serial_tile(
+    kernel: MicroKernel,
+    rows: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ks: usize,
+    b_panel: &[f32],
+    kb: usize,
+    c: &mut [f32],
+    c_rs: usize,
+) {
+    assert!(rows > 0 && kb > 0, "empty serial tile");
+    assert!((rows - 1) * a_rs + (kb - 1) * a_ks < a.len(), "A tile out of bounds");
+    assert!(b_panel.len() >= kb * kernel.nr(), "packed panel too short");
+    assert!((rows - 1) * c_rs + kernel.nr() <= c.len(), "C tile out of bounds");
+    match (kernel, rows) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: only vector backends reach here, after `gemm_serial`
+        // verified `supported()`; the asserts above are the tile's bounds
+        // requirements for `rows` rows of this backend's `nr()` columns.
+        (MicroKernel::Avx2, SERIAL_MR) => unsafe {
+            serial_tile_avx2::<SERIAL_MR>(a, a_rs, a_ks, b_panel, kb, c, c_rs)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (MicroKernel::Avx2, 1) => unsafe {
+            serial_tile_avx2::<1>(a, a_rs, a_ks, b_panel, kb, c, c_rs)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (MicroKernel::Avx512, SERIAL_MR) => unsafe {
+            serial_tile_avx512::<SERIAL_MR>(a, a_rs, a_ks, b_panel, kb, c, c_rs)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (MicroKernel::Avx512, 1) => unsafe {
+            serial_tile_avx512::<1>(a, a_rs, a_ks, b_panel, kb, c, c_rs)
+        },
+        _ => unreachable!("no {rows}-row serial tile on the {} backend", kernel.name()),
+    }
+}
+
+/// One mul+add tile body, instantiated per vector width: an `R × 2·LANES`
+/// C tile in `2·R` vector accumulators; per depth step two B loads and `R`
+/// A broadcasts, each multiplied, then added — two instructions and two
+/// roundings, exactly the loops' `acc += a·b`. The features enable the
+/// width only, never `fma`, and intrinsics are never contracted, so every
+/// lane computes the scalar chain `((0 + a₀b₀) + a₁b₁) + …` and the
+/// instances are bitwise the scalar loops on every shape.
+#[cfg(target_arch = "x86_64")]
+macro_rules! mul_add_serial_tile {
+    ($name:ident, $features:literal, $lanes:literal,
+     $zero:ident, $load:ident, $store:ident, $splat:ident, $mul:ident, $add:ident) => {
+        /// # Safety
+        /// Caller must guarantee the host supports this tile's target
+        /// features, that `a` holds index `(R−1)·a_rs + (kb−1)·a_ks`,
+        /// `b_panel` at least `kb·2·LANES` f32, and `c` at least
+        /// `(R−1)·c_rs + 2·LANES` f32.
+        #[target_feature(enable = $features)]
+        unsafe fn $name<const R: usize>(
+            a: &[f32],
+            a_rs: usize,
+            a_ks: usize,
+            b_panel: &[f32],
+            kb: usize,
+            c: &mut [f32],
+            c_rs: usize,
+        ) {
+            use std::arch::x86_64::*;
+            let mut acc = [[$zero(); 2]; R];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let p = c.as_ptr().add(r * c_rs);
+                acc_row[0] = $load(p);
+                acc_row[1] = $load(p.add($lanes));
+            }
+            for kk in 0..kb {
+                let ap = a.as_ptr().add(kk * a_ks);
+                let bp = b_panel.as_ptr().add(kk * 2 * $lanes);
+                let b0 = $load(bp);
+                let b1 = $load(bp.add($lanes));
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let ar = $splat(*ap.add(r * a_rs));
+                    acc_row[0] = $add(acc_row[0], $mul(ar, b0));
+                    acc_row[1] = $add(acc_row[1], $mul(ar, b1));
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                let p = c.as_mut_ptr().add(r * c_rs);
+                $store(p, acc_row[0]);
+                $store(p.add($lanes), acc_row[1]);
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+mul_add_serial_tile!(
+    serial_tile_avx2,
+    "avx2",
+    8,
+    _mm256_setzero_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_set1_ps,
+    _mm256_mul_ps,
+    _mm256_add_ps
+);
+
+#[cfg(target_arch = "x86_64")]
+mul_add_serial_tile!(
+    serial_tile_avx512,
+    "avx512f",
+    16,
+    _mm512_setzero_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_set1_ps,
+    _mm512_mul_ps,
+    _mm512_add_ps
+);
 
 // ---------------------------------------------------------------------------
 // Blocked, packed kernels
@@ -441,8 +670,8 @@ impl PackedB {
                         // storage row j — walk it contiguously, scatter with
                         // stride nr.
                         for (l, row) in (0..cols).map(|l| (l, b.row(j + l))) {
-                            for (kk, &v) in row[kc..kc + kb].iter().enumerate() {
-                                slot_buf[kk * nr + l] = v;
+                            for (dst, &v) in slot_buf.chunks_exact_mut(nr).zip(&row[kc..kc + kb]) {
+                                dst[l] = v;
                             }
                         }
                     }
@@ -865,7 +1094,7 @@ mod tests {
         assert_eq!(table, [("scalar", 4, 8), ("avx2", 6, 16), ("avx512", 8, 32)]);
         for k in MicroKernel::ALL {
             // Row blocks are BLOCK_M rows: a taller tile never fills.
-            assert!(k.mr() <= BLOCK_M && k.nr() <= BLOCK_N);
+            assert!(k.mr() <= BLOCK_M);
         }
         assert!(MicroKernel::Scalar.supported(), "scalar must run everywhere");
         // The resolved process-wide backend must itself be runnable.
@@ -901,6 +1130,69 @@ mod tests {
         bt[(0, 0)] = f32::NAN;
         let cn = matmul_nt_serial(&a, &bt);
         assert!(cn[(0, 0)].is_nan());
+
+        // The packed A·Bᵀ form: enough rows and columns for a full vector
+        // tile, a single-row tile and a partial strip on every backend.
+        let mut a = Matrix::zeros(5, 3);
+        a[(4, 1)] = 1.0;
+        let mut bt = Matrix::full(33, 3, 1.0);
+        bt[(32, 0)] = f32::NAN; // met only by A's zeros
+        bt[(0, 2)] = f32::INFINITY; // 0 · inf
+        for kernel in MicroKernel::available() {
+            let cn = matmul_nt_serial_with(&a, &bt, kernel);
+            let kn = kernel.name();
+            assert!((0..5).all(|i| cn[(i, 32)].is_nan() && cn[(i, 0)].is_nan()), "{kn}");
+            assert!((0..5).all(|i| (1..32).all(|j| !cn[(i, j)].is_nan())), "{kn}");
+        }
+    }
+
+    /// `a` and `b` hold the same bits, any NaN standing for any other (a NaN
+    /// payload depends on operand order, which the compiler may commute).
+    fn assert_same_bits(label: &str, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.shape(), b.shape(), "{label}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            assert!(same, "{label}: flat index {i}: {x:e} vs {y:e}");
+        }
+    }
+
+    /// Every width instance of the serial path is one function: bitwise the
+    /// baseline (scalar) instance in all three orientations, on shapes on
+    /// both sides of every row-tile, vector and strip edge, and again with
+    /// a zero row, a NaN and both infinities in each operand.
+    #[test]
+    fn serial_width_instances_equal_the_baseline_bitwise() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(22);
+        let s = MicroKernel::Scalar;
+        for m in [1, 3, 4, 5, 8, 17, 33] {
+            for k in [0, 1, 7, 8, 33, 128] {
+                for n in [1, 7, 8, 15, 16, 17, 31, 32, 33, 129] {
+                    for specials in [false, true] {
+                        let mut gen = |rows, cols| {
+                            let mut x = Matrix::random_uniform(rows, cols, -2.0, 2.0, &mut rng);
+                            let len = x.len();
+                            if specials && len > 0 {
+                                x.row_mut(0).fill(0.0);
+                                x.data_mut()[len / 3] = f32::INFINITY;
+                                x.data_mut()[len / 2] = f32::NAN;
+                                x.data_mut()[len - 1] = f32::NEG_INFINITY;
+                            }
+                            x
+                        };
+                        let (a, b, bt, at) = (gen(m, k), gen(k, n), gen(n, k), gen(k, m));
+                        let nn = matmul_serial_with(&a, &b, s);
+                        let nt = matmul_nt_serial_with(&a, &bt, s);
+                        let tn = matmul_tn_serial_with(&at, &b, s);
+                        for kernel in MicroKernel::available().skip(1) {
+                            let l = format!("{} {m}x{k}x{n} specials={specials}", kernel.name());
+                            assert_same_bits(&l, &nn, &matmul_serial_with(&a, &b, kernel));
+                            assert_same_bits(&l, &nt, &matmul_nt_serial_with(&a, &bt, kernel));
+                            assert_same_bits(&l, &tn, &matmul_tn_serial_with(&at, &b, kernel));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The scalar backend must agree bit-for-bit with the serial triple

@@ -21,7 +21,7 @@
 
 use tesseract_tensor::matmul::{
     matmul, matmul_blocked_with, matmul_nt, matmul_nt_blocked_with, matmul_nt_serial,
-    matmul_serial, matmul_tn, matmul_tn_blocked_with, matmul_tn_serial, BLOCK_K, BLOCK_M, BLOCK_N,
+    matmul_serial, matmul_tn, matmul_tn_blocked_with, matmul_tn_serial, BLOCK_K, BLOCK_M,
 };
 use tesseract_tensor::{max_rel_diff, Matrix, MicroKernel, Xoshiro256StarStar};
 
@@ -129,14 +129,14 @@ fn adversarial_shapes() -> Vec<(usize, usize, usize)> {
         (5, 20, 15), // below one AVX2 tile in m and n, above scalar's
         (8, 32, 32), // exactly one AVX-512 register tile
         (7, 13, 23), // primes: nothing divides anything
-        (BLOCK_M + 1, BLOCK_K + 2, BLOCK_N + 3),
+        (BLOCK_M + 1, BLOCK_K + 2, 256 + 3),
         (65, 130, 97),
-        (BLOCK_M, 7, BLOCK_N), // thin k: packing dominated by remainders
-        (1, 300, 500),         // single-row C
-        (500, 300, 1),         // single-column C
-        (3, 1024, 4),          // tall accumulation, tiny output
-        (190, 5, 6),           // tall-skinny A
-        (6, 5, 190),           // short-wide B
+        (BLOCK_M, 7, 256), // thin k: packing dominated by remainders
+        (1, 300, 500),     // single-row C
+        (500, 300, 1),     // single-column C
+        (3, 1024, 4),      // tall accumulation, tiny output
+        (190, 5, 6),       // tall-skinny A
+        (6, 5, 190),       // short-wide B
     ]
 }
 

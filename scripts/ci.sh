@@ -21,8 +21,9 @@ if [ -n "$stray" ]; then
 fi
 
 # The only `unsafe` in the workspace is the call into (and the body of) the
-# `#[target_feature]` intrinsic micro-kernels; a second file growing one is
-# a regression.
+# `#[target_feature]` intrinsic kernels: the blocked path's FMA micro-kernels
+# and the serial path's mul+add tiles; a second file growing one is a
+# regression.
 echo "== unsafe gate (intrinsic micro-kernels in tensor/src/matmul.rs only) =="
 unsafe_files=$(grep -rl unsafe crates src --include='*.rs' || true)
 if [ "$unsafe_files" != "crates/tensor/src/matmul.rs" ]; then
@@ -109,6 +110,11 @@ grep -Eq '"kernel": "(scalar|avx2|avx512)"' target/BENCH_kernels.smoke.json \
 grep -q '"elementwise": \[' target/BENCH_kernels.smoke.json \
     && grep -q '"op": "adam_direction"' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: gemm_sweep wrote no elementwise block"; exit 1; }
+# The serial block is accepted only after every backend width of the serial
+# path equals the scalar loops bit for bit at the workloads' small shapes.
+grep -q '"serial_shapes": \[' target/BENCH_kernels.smoke.json \
+    && grep -q '"shape": "decode_scores_nt"' target/BENCH_kernels.smoke.json \
+    || { echo "ci.sh: gemm_sweep wrote no serial_shapes block"; exit 1; }
 
 # Every vector backend the host supports (the sweep's "lanes" line, i.e.
 # MicroKernel::supported()) must also honor being forced explicitly — keyed
@@ -187,11 +193,12 @@ for mode in 'dense' 'recompute k=1'; do
         || { echo "ci.sh: memory_table measured-peak section has no '$mode' row"; exit 1; }
 done
 
-# `cargo test` above runs the property suites unoptimized, where a loop is
-# scalar anyway; lane independence (vectorized GELU == scalar GELU, bit for
-# bit) only means something on the code the release build runs.
-echo "== tensor property tests (release: autovectorized elementwise loops) =="
-cargo test -q --release --offline -p tesseract-tensor --test proptests
+# `cargo test` above runs the tensor tests unoptimized, where a loop is
+# scalar anyway; lane independence (vectorized GELU == scalar GELU, every
+# serial GEMM width == the scalar loops, bit for bit) only means something
+# on the code the release build runs.
+echo "== tensor unit + property tests (release: vectorized loops and GEMM widths) =="
+cargo test -q --release --offline -p tesseract-tensor --lib --test proptests
 
 # The fabric's publication-racing-registration stress test depends on
 # timing; the optimized build is the one whose interleavings hit the race.
