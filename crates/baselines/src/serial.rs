@@ -8,20 +8,26 @@
 //! layer, biases zero-initialized), so for equal seeds every scheme
 //! computes the same function and gradients up to f32 rounding — the
 //! property behind the paper's Figure 7.
+//!
+//! Only the *parameters* are shared with the distributed stack: they are
+//! stored as [`DenseTensor`]s and walked by `visit_params` in the same
+//! [`ParamRef`] form, so optimizers, clipping and gradient sync have one
+//! entry point for every model. The kernels read them through `.matrix()`
+//! / `.0` and never call a `TensorLike` op.
 
 use tesseract_tensor::init::global_xavier;
 use tesseract_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use tesseract_tensor::nn;
-use tesseract_tensor::Matrix;
+use tesseract_tensor::{DenseTensor, Matrix};
 
-use tesseract_core::TransformerConfig;
+use tesseract_core::{ParamRef, TransformerConfig};
 
 /// Serial linear layer `Y = X·W + b`.
 pub struct SerialLinear {
-    pub w: Matrix,
-    pub dw: Matrix,
-    pub bias: Option<Matrix>,
-    pub dbias: Option<Matrix>,
+    pub w: DenseTensor,
+    pub dw: DenseTensor,
+    pub bias: Option<DenseTensor>,
+    pub dbias: Option<DenseTensor>,
     cached_x: Option<Matrix>,
 }
 
@@ -34,19 +40,20 @@ impl SerialLinear {
         param_id: u64,
     ) -> Self {
         let w = global_xavier(in_features, out_features, seed, param_id);
+        let zeros = |rows, cols| DenseTensor(Matrix::zeros(rows, cols));
         Self {
-            dw: Matrix::zeros(in_features, out_features),
-            bias: with_bias.then(|| Matrix::zeros(1, out_features)),
-            dbias: with_bias.then(|| Matrix::zeros(1, out_features)),
-            w,
+            dw: zeros(in_features, out_features),
+            bias: with_bias.then(|| zeros(1, out_features)),
+            dbias: with_bias.then(|| zeros(1, out_features)),
+            w: DenseTensor(w),
             cached_x: None,
         }
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = matmul(x, &self.w);
+        let mut y = matmul(x, self.w.matrix());
         if let Some(b) = &self.bias {
-            y = nn::bias_add(&y, b.row(0));
+            y = nn::bias_add(&y, b.matrix().row(0));
         }
         self.cached_x = Some(x.clone());
         y
@@ -56,19 +63,20 @@ impl SerialLinear {
         let x = self.cached_x.take().expect("backward without forward");
         if let Some(db) = self.dbias.as_mut() {
             for i in 0..dy.rows() {
-                for (acc, &g) in db.row_mut(0).iter_mut().zip(dy.row(i).iter()) {
+                for (acc, &g) in db.0.row_mut(0).iter_mut().zip(dy.row(i).iter()) {
                     *acc += g;
                 }
             }
         }
-        self.dw.add_assign(&matmul_tn(&x, dy));
-        matmul_nt(dy, &self.w)
+        self.dw.0.add_assign(&matmul_tn(&x, dy));
+        matmul_nt(dy, self.w.matrix())
     }
 
-    pub fn zero_grad(&mut self) {
-        self.dw = Matrix::zeros(self.dw.rows(), self.dw.cols());
-        if let Some(db) = self.dbias.as_mut() {
-            *db = Matrix::zeros(1, db.cols());
+    /// Visits `(w, dw)`, then `(bias, dbias)` if the layer has a bias.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
+        f(ParamRef { weight: &mut self.w, grad: &mut self.dw });
+        if let (Some(b), Some(db)) = (self.bias.as_mut(), self.dbias.as_mut()) {
+            f(ParamRef { weight: b, grad: db });
         }
     }
 }
@@ -185,13 +193,6 @@ impl SerialAttention {
         dx.add_assign(&self.wv.backward(&dv_all));
         dx
     }
-
-    pub fn zero_grad(&mut self) {
-        self.wq.zero_grad();
-        self.wk.zero_grad();
-        self.wv.zero_grad();
-        self.wo.zero_grad();
-    }
 }
 
 /// Serial MLP: `fc2(gelu(fc1(x)))`.
@@ -228,11 +229,6 @@ impl SerialMlp {
         let pre = self.cached_pre.take().expect("backward without forward");
         let d_pre = nn::gelu_backward_matrix(&pre, &d_act);
         self.fc1.backward(&d_pre)
-    }
-
-    pub fn zero_grad(&mut self) {
-        self.fc1.zero_grad();
-        self.fc2.zero_grad();
     }
 }
 
@@ -277,11 +273,6 @@ impl SerialTransformerLayer {
         dx.add_assign(&d_x_from_ln1);
         dx
     }
-
-    pub fn zero_grad(&mut self) {
-        self.attn.zero_grad();
-        self.mlp.zero_grad();
-    }
 }
 
 /// A stack of serial Transformer layers (param-id layout identical to
@@ -322,9 +313,16 @@ impl SerialTransformer {
         g
     }
 
-    pub fn zero_grad(&mut self) {
+    /// Visits every linear's parameters: per layer `wq, wk, wv, wo, fc1,
+    /// fc2`, each weight followed by its bias.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
         for layer in &mut self.layers {
-            layer.zero_grad();
+            let (attn, mlp) = (&mut layer.attn, &mut layer.mlp);
+            for lin in
+                [&mut attn.wq, &mut attn.wk, &mut attn.wv, &mut attn.wo, &mut mlp.fc1, &mut mlp.fc2]
+            {
+                lin.visit_params(f);
+            }
         }
     }
 }

@@ -62,7 +62,7 @@ fn serial_reference(c: TransformerConfig, x: &Matrix, dy: &Matrix) -> (Matrix, M
     let mut layer = SerialTransformerLayer::new(c, true, SEED, 0);
     let y = layer.forward(x);
     let dx = layer.backward(dy);
-    (y, dx, layer.attn.wo.dw.clone())
+    (y, dx, layer.attn.wo.dw.matrix().clone())
 }
 
 #[test]
@@ -263,8 +263,8 @@ fn serial_weight_gradients_match_assembled_tesseract_gradients() {
     let fc2: Vec<Matrix> = out.results.iter().map(|(_, b)| b.clone()).collect();
     let fc1_global = tesseract_core::partition::combine_b(&fc1, shape);
     let fc2_global = tesseract_core::partition::combine_b(&fc2, shape);
-    assert_slices_close(fc1_global.data(), serial.mlp.fc1.dw.data(), 3e-4);
-    assert_slices_close(fc2_global.data(), serial.mlp.fc2.dw.data(), 3e-4);
+    assert_slices_close(fc1_global.data(), serial.mlp.fc1.dw.matrix().data(), 3e-4);
+    assert_slices_close(fc2_global.data(), serial.mlp.fc2.dw.matrix().data(), 3e-4);
 }
 
 #[test]

@@ -14,9 +14,11 @@
 //! once against it, and the Megatron baseline's 1-D `MegatronWorld` runs
 //! that same block with its own linear and norm. Consumers that only need
 //! parameters (optimizers, gradient sync, gradient clipping) take
-//! `&mut dyn Module<T>` and call [`Module::visit_params`]; consumers that
-//! drive computation (trainer, pipeline schedules, timing harnesses) call
-//! [`Module::forward`] / [`Module::backward`].
+//! `&mut dyn Module<T>` and call [`Module::visit_params`] — the only
+//! parameter walk there is: the serial oracle (`SerialViT`) implements
+//! `Module` on a `[1,1,1]` grid rather than offering a closure side
+//! channel. Consumers that drive computation (trainer, pipeline schedules,
+//! timing harnesses) call [`Module::forward`] / [`Module::backward`].
 
 use std::sync::Arc;
 
@@ -64,20 +66,6 @@ pub trait Module<T: TensorLike + Payload, G = TesseractGrid> {
     /// Parameter-free modules use the default empty body.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
         let _ = f;
-    }
-
-    /// Number of parameter tensors this module exposes.
-    fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |_| n += 1);
-        n
-    }
-
-    /// Total elements across this rank's parameter blocks.
-    fn param_elems(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |pr| n += pr.weight.elem_count());
-        n
     }
 
     /// Zeroes accumulated gradients. Called at step boundaries; modules

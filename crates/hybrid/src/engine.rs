@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_core::module::{Module, ParamRef, Sequential};
+use tesseract_core::module::Sequential;
 use tesseract_core::{TesseractGrid, TransformerConfig};
 use tesseract_tensor::TensorLike;
 
@@ -87,13 +87,5 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
             self.dp.sync_gradients(ctx, &mut self.model);
         }
         outputs
-    }
-
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
-        self.model.visit_params(f);
-    }
-
-    pub fn zero_grad(&mut self) {
-        self.model.zero_grad();
     }
 }

@@ -5,7 +5,7 @@
 use tesseract_baselines::serial::SerialTransformer;
 use tesseract_comm::Cluster;
 use tesseract_core::partition::{a_block, combine_c};
-use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_core::{GridShape, Module, TransformerConfig};
 use tesseract_hybrid::{HybridShape, HybridTransformer};
 use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
 
@@ -46,7 +46,7 @@ fn pipeline_only_matches_serial_stack() {
             |_ctx, _y, _m| DenseTensor::from_matrix(dy.clone()),
         );
         let mut grads = Vec::new();
-        engine.visit_params(&mut |pr| grads.push(pr.grad.clone().into_matrix()));
+        engine.model.visit_params(&mut |pr| grads.push(pr.grad.clone().into_matrix()));
         (outputs.iter().map(|o| o.matrix().clone()).collect::<Vec<_>>(), grads)
     });
     // Last stage holds the full output (grid is [1,1,1]).
@@ -54,17 +54,11 @@ fn pipeline_only_matches_serial_stack() {
     assert_eq!(outputs.len(), 1);
     assert_slices_close(outputs[0].data(), y_ser.data(), 3e-4);
 
-    // Stage 1 holds layer 1's params; compare its attention Wo gradient.
-    let mut serial_grads = Vec::new();
-    {
-        let l = &serial.layers[1];
-        serial_grads.push(l.attn.wq.dw.clone());
-        let _ = &l;
-    }
+    // Stage 1 holds layer 1's params; compare its attention Wq gradient.
     // Grad order in visit_params: wqkv (fused), wqkv bias, wo, wo bias, ...
     // The fused wqkv grad's first h columns are Wq's gradient.
     let wq_grad = stage1_grads[0].slice_cols(0, cfg.hidden);
-    assert_slices_close(wq_grad.data(), serial_grads[0].data(), 3e-4);
+    assert_slices_close(wq_grad.data(), serial.layers[1].attn.wq.dw.matrix().data(), 3e-4);
 }
 
 #[test]
@@ -85,7 +79,7 @@ fn data_parallel_averages_half_batch_gradients() {
     let mut serial = SerialTransformer::new(full_cfg, true, SEED, 0);
     let _ = serial.forward(&x_full);
     let _ = serial.backward(&dy_full);
-    let serial_wq = serial.layers[0].attn.wq.dw.clone();
+    let serial_wq = serial.layers[0].attn.wq.dw.matrix().clone();
 
     let shape = HybridShape::new(2, 1, GridShape::new(1, 1));
     let out = Cluster::a100(2).run(|ctx| {
@@ -101,7 +95,7 @@ fn data_parallel_averages_half_batch_gradients() {
             |_ctx, _y, _m| DenseTensor::from_matrix(dy_half.clone()),
         );
         let mut grads = Vec::new();
-        engine.visit_params(&mut |pr| grads.push(pr.grad.clone().into_matrix()));
+        engine.model.visit_params(&mut |pr| grads.push(pr.grad.clone().into_matrix()));
         grads
     });
     // Averaged dp gradient = (g_half0 + g_half1) / 2 = serial_full / 2.
@@ -154,7 +148,7 @@ fn figure6_arrangement_matches_serial() {
         );
         let grad0 = {
             let mut g = None;
-            engine.visit_params(&mut |pr| {
+            engine.model.visit_params(&mut |pr| {
                 if g.is_none() {
                     g = Some(pr.grad.clone().into_matrix());
                 }

@@ -8,13 +8,17 @@
 //! depth fiber is deliberately **not** reduced — including it would count
 //! every block `d` times. The resulting scale factor is identical on every
 //! rank, so the clip itself needs no further communication.
+//!
+//! This is the only clip: the serial oracle (`SerialViT`) is a [`Module`]
+//! too and is clipped on a `[1,1,1]` grid, where both all-reduces have one
+//! member and return the local sum unchanged.
 
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::module::Module;
 use tesseract_core::TesseractGrid;
-use tesseract_tensor::{DenseTensor, Matrix, Meter, TensorLike};
+use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
 /// Sum of squared Frobenius norms of a module's local gradient blocks.
 /// `None` when the backend carries no values (shadow tensors).
@@ -55,63 +59,4 @@ pub fn clip_grad_norm<T: TensorLike + Payload>(
         model.visit_params(&mut |pr| pr.grad.scale_assign(scale, &mut ctx.meter));
     }
     Some(norm)
-}
-
-/// Serial-reference counterpart of [`clip_grad_norm`]: clips a parameter
-/// set exposed through a `visit_params`-style closure (the [`SerialViT`]
-/// path), no communication. Returns the pre-clip global norm.
-///
-/// [`SerialViT`]: crate::vit::SerialViT
-pub fn clip_grad_norm_params(
-    visit: &mut dyn FnMut(&mut dyn FnMut(tesseract_core::ParamRef<'_, DenseTensor>)),
-    max_norm: f32,
-) -> f32 {
-    assert!(max_norm > 0.0, "clip threshold must be positive");
-    let mut sq = 0.0f64;
-    visit(&mut |pr| {
-        let n = pr.grad.frobenius().expect("dense tensors always have values");
-        sq += (n as f64) * (n as f64);
-    });
-    let norm = (sq as f32).sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        let mut scratch = Meter::new();
-        visit(&mut |pr| pr.grad.scale_assign(scale, &mut scratch));
-    }
-    norm
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tesseract_core::ParamRef;
-
-    #[test]
-    fn serial_clip_scales_to_threshold() {
-        // One 3-4-0 right triangle of gradients: global norm 5.
-        let mut g1 = DenseTensor::from_matrix(Matrix::full(1, 1, 3.0));
-        let mut g2 = DenseTensor::from_matrix(Matrix::full(1, 1, 4.0));
-        let mut w1 = DenseTensor::from_matrix(Matrix::zeros(1, 1));
-        let mut w2 = DenseTensor::from_matrix(Matrix::zeros(1, 1));
-        let norm = clip_grad_norm_params(
-            &mut |f| {
-                f(ParamRef { weight: &mut w1, grad: &mut g1 });
-                f(ParamRef { weight: &mut w2, grad: &mut g2 });
-            },
-            1.0,
-        );
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((g1.matrix()[(0, 0)] - 0.6).abs() < 1e-6);
-        assert!((g2.matrix()[(0, 0)] - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn serial_clip_is_noop_below_threshold() {
-        let mut g = DenseTensor::from_matrix(Matrix::full(1, 1, 0.5));
-        let mut w = DenseTensor::from_matrix(Matrix::zeros(1, 1));
-        let norm =
-            clip_grad_norm_params(&mut |f| f(ParamRef { weight: &mut w, grad: &mut g }), 1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(g.matrix()[(0, 0)], 0.5);
-    }
 }

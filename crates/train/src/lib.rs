@@ -11,7 +11,7 @@ pub mod optim;
 pub mod trainer;
 pub mod vit;
 
-pub use clip::{clip_grad_norm, clip_grad_norm_params};
+pub use clip::clip_grad_norm;
 pub use data::SyntheticVisionDataset;
 pub use optim::{AdamW, Lamb, Lars, Sgd};
 pub use trainer::{train_serial, train_tesseract, EpochMetrics, TrainReport, TrainSettings};

@@ -6,6 +6,10 @@
 //! inputs produce identical updates. State is keyed by visit order, which
 //! the layers guarantee to be deterministic.
 //!
+//! Each optimizer has one entry point, `step(&mut dyn Module)`: the
+//! distributed models, a hybrid engine's stage and the serial oracle all
+//! expose their parameters through [`Module::visit_params`].
+//!
 //! Implemented: SGD (+momentum, weight decay), AdamW (the paper's Figure-7
 //! setup: Adam, lr 3e-3, weight decay 0.3 — decoupled decay as in ViT
 //! training practice), plus the large-batch optimizers the introduction
@@ -18,7 +22,7 @@
 //! defaults the difference from `1/(sqrt(v̂)+ε)` is far below f32 noise.
 
 use tesseract_comm::Payload;
-use tesseract_core::module::{Module, ParamRef};
+use tesseract_core::module::Module;
 use tesseract_tensor::{AdamCoeffs, Meter, TensorLike};
 
 /// Plain SGD with optional momentum and (coupled) weight decay.
@@ -39,20 +43,10 @@ impl<T: TensorLike> Sgd<T> {
     where
         T: Payload,
     {
-        self.step_params(m, |f| model.visit_params(f));
-    }
-
-    /// Closure-based entry point for parameter sets that are not a
-    /// [`Module`] (the serial reference model, unit tests).
-    pub fn step_params(
-        &mut self,
-        m: &mut Meter,
-        visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
-    ) {
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
         let velocity = &mut self.velocity;
         let mut idx = 0;
-        visit(&mut |pr: ParamRef<'_, T>| {
+        model.visit_params(&mut |pr| {
             let mut g = pr.grad.clone();
             if wd != 0.0 {
                 g = g.add_scaled(pr.weight, wd, m);
@@ -107,22 +101,12 @@ impl<T: TensorLike> AdamW<T> {
     where
         T: Payload,
     {
-        self.step_params(m, |f| model.visit_params(f));
-    }
-
-    /// Closure-based entry point for parameter sets that are not a
-    /// [`Module`] (the serial reference model, unit tests).
-    pub fn step_params(
-        &mut self,
-        m: &mut Meter,
-        visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
-    ) {
         self.t += 1;
         let (lr, wd) = (self.lr, self.weight_decay);
         let coeffs = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         let moments = &mut self.moments;
         let mut idx = 0;
-        visit(&mut |pr: ParamRef<'_, T>| {
+        model.visit_params(&mut |pr| {
             let dir = Self::direction(moments, idx, pr.grad, coeffs, m);
             let mut w = pr.weight.add_scaled(&dir, -lr, m);
             if wd != 0.0 {
@@ -156,22 +140,12 @@ impl<T: TensorLike> Lamb<T> {
     where
         T: Payload,
     {
-        self.step_params(m, |f| model.visit_params(f));
-    }
-
-    /// Closure-based entry point for parameter sets that are not a
-    /// [`Module`] (the serial reference model, unit tests).
-    pub fn step_params(
-        &mut self,
-        m: &mut Meter,
-        visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
-    ) {
         self.t += 1;
         let (lr, wd) = (self.lr, self.weight_decay);
         let coeffs = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         let moments = &mut self.moments;
         let mut idx = 0;
-        visit(&mut |pr: ParamRef<'_, T>| {
+        model.visit_params(&mut |pr| {
             let mut r = AdamW::direction(moments, idx, pr.grad, coeffs, m);
             if wd != 0.0 {
                 r = r.add_scaled(pr.weight, wd, m);
@@ -206,20 +180,10 @@ impl<T: TensorLike> Lars<T> {
     where
         T: Payload,
     {
-        self.step_params(m, |f| model.visit_params(f));
-    }
-
-    /// Closure-based entry point for parameter sets that are not a
-    /// [`Module`] (the serial reference model, unit tests).
-    pub fn step_params(
-        &mut self,
-        m: &mut Meter,
-        visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_, T>)),
-    ) {
         let (lr, mu, wd, eta) = (self.lr, self.momentum, self.weight_decay, self.eta);
         let velocity = &mut self.velocity;
         let mut idx = 0;
-        visit(&mut |pr: ParamRef<'_, T>| {
+        model.visit_params(&mut |pr| {
             let local_lr = match (pr.weight.frobenius(), pr.grad.frobenius()) {
                 (Some(wn), Some(gn)) if wn > 0.0 && gn + wd * wn > 0.0 => eta * wn / (gn + wd * wn),
                 _ => 1.0,
@@ -242,15 +206,45 @@ impl<T: TensorLike> Lars<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tesseract_comm::RankCtx;
+    use tesseract_core::{ParamRef, TesseractGrid};
     use tesseract_tensor::{DenseTensor, Matrix};
 
-    fn quadratic_step<F: FnMut(&mut DenseTensor, &mut DenseTensor)>(
-        w: &mut DenseTensor,
-        mut update: F,
-    ) {
+    /// A bare parameter set: borrowed `(weight, grad)` pairs, visited in
+    /// order. It has no layers, so nothing runs it forward or backward.
+    struct Params<'a>(Vec<(&'a mut DenseTensor, &'a mut DenseTensor)>);
+
+    impl Module<DenseTensor> for Params<'_> {
+        fn forward(
+            &mut self,
+            _: &TesseractGrid,
+            _: &mut RankCtx,
+            _: &Arc<DenseTensor>,
+        ) -> Arc<DenseTensor> {
+            unreachable!("a parameter set has no forward")
+        }
+
+        fn backward(
+            &mut self,
+            _: &TesseractGrid,
+            _: &mut RankCtx,
+            _: &Arc<DenseTensor>,
+        ) -> Arc<DenseTensor> {
+            unreachable!("a parameter set has no backward")
+        }
+
+        fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
+            for (weight, grad) in &mut self.0 {
+                f(ParamRef { weight, grad });
+            }
+        }
+    }
+
+    fn quadratic_step(w: &mut DenseTensor, update: impl FnOnce(&mut Params<'_>)) {
         // Loss = 0.5‖w‖² → grad = w.
         let mut g = w.clone();
-        update(w, &mut g);
+        update(&mut Params(vec![(w, &mut g)]));
     }
 
     #[test]
@@ -259,9 +253,7 @@ mod tests {
         let mut w = DenseTensor::from_matrix(Matrix::full(2, 2, 1.0));
         let mut m = Meter::new();
         for _ in 0..80 {
-            quadratic_step(&mut w, |w, g| {
-                opt.step_params(&mut m, |f| f(ParamRef { weight: w, grad: g }));
-            });
+            quadratic_step(&mut w, |p| opt.step(&mut m, p));
         }
         // w shrinks by (1 - lr) per step: 2·0.9^80 ≈ 4.4e-4.
         assert!(w.matrix().frobenius_norm() < 1e-3);
@@ -274,9 +266,7 @@ mod tests {
             let mut w = DenseTensor::from_matrix(Matrix::full(1, 1, 1.0));
             let mut m = Meter::new();
             for _ in 0..10 {
-                quadratic_step(&mut w, |w, g| {
-                    opt.step_params(&mut m, |f| f(ParamRef { weight: w, grad: g }));
-                });
+                quadratic_step(&mut w, |p| opt.step(&mut m, p));
             }
             w.matrix()[(0, 0)].abs()
         };
@@ -289,9 +279,7 @@ mod tests {
         let mut w = DenseTensor::from_matrix(Matrix::full(2, 3, 2.0));
         let mut m = Meter::new();
         for _ in 0..200 {
-            quadratic_step(&mut w, |w, g| {
-                opt.step_params(&mut m, |f| f(ParamRef { weight: w, grad: g }));
-            });
+            quadratic_step(&mut w, |p| opt.step(&mut m, p));
         }
         assert!(w.matrix().frobenius_norm() < 0.05, "norm {}", w.matrix().frobenius_norm());
     }
@@ -303,7 +291,7 @@ mod tests {
         let mut g = DenseTensor::from_matrix(Matrix::zeros(1, 1));
         let mut m = Meter::new();
         let before = w.matrix()[(0, 0)];
-        opt.step_params(&mut m, |f| f(ParamRef { weight: &mut w, grad: &mut g }));
+        opt.step(&mut m, &mut Params(vec![(&mut w, &mut g)]));
         assert!(w.matrix()[(0, 0)] < before);
     }
 
@@ -314,9 +302,7 @@ mod tests {
         let mut m = Meter::new();
         let initial = w.matrix().frobenius_norm();
         for _ in 0..50 {
-            quadratic_step(&mut w, |w, g| {
-                opt.step_params(&mut m, |f| f(ParamRef { weight: w, grad: g }));
-            });
+            quadratic_step(&mut w, |p| opt.step(&mut m, p));
         }
         assert!(w.matrix().frobenius_norm() < initial * 0.5);
     }
@@ -328,9 +314,7 @@ mod tests {
         let mut m = Meter::new();
         let initial = w.matrix().frobenius_norm();
         for _ in 0..100 {
-            quadratic_step(&mut w, |w, g| {
-                opt.step_params(&mut m, |f| f(ParamRef { weight: w, grad: g }));
-            });
+            quadratic_step(&mut w, |p| opt.step(&mut m, p));
         }
         assert!(w.matrix().frobenius_norm() < initial);
     }
@@ -344,10 +328,7 @@ mod tests {
         for _ in 0..3 {
             let mut g1 = w1.clone();
             let mut g2 = w2.clone();
-            opt.step_params(&mut m, |f| {
-                f(ParamRef { weight: &mut w1, grad: &mut g1 });
-                f(ParamRef { weight: &mut w2, grad: &mut g2 });
-            });
+            opt.step(&mut m, &mut Params(vec![(&mut w1, &mut g1), (&mut w2, &mut g2)]));
         }
         assert_eq!(opt.velocity.len(), 2);
         assert_eq!(opt.velocity[0].shape(), (1, 1));

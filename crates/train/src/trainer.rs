@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use tesseract_comm::Cluster;
 use tesseract_core::partition::a_block;
-use tesseract_core::{GridShape, Module, ParamRef, TesseractGrid};
+use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{nn, DenseTensor, Matrix, Meter};
 
 use crate::data::SyntheticVisionDataset;
@@ -72,40 +72,43 @@ impl TrainReport {
     }
 }
 
-/// Trains the serial ViT — Figure 7's "single GPU" baseline curve.
+/// Trains the serial ViT — Figure 7's "single GPU" baseline curve — on a
+/// one-rank `[1,1,1]` grid, through the same clip and optimizer calls as
+/// [`train_tesseract`].
 pub fn train_serial(vcfg: ViTConfig, ds: &SyntheticVisionDataset, s: TrainSettings) -> TrainReport {
     let b = vcfg.body.batch;
-    let mut model = SerialViT::new(vcfg, s.seed);
-    let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);
-    let mut scratch = Meter::new();
-    let mut report = TrainReport::default();
-    let mut step_idx = 0u64;
-    for _epoch in 0..s.epochs {
-        let mut loss_sum = 0.0f32;
-        let mut correct = 0usize;
-        for _ in 0..s.steps_per_epoch {
-            let (x, labels) = ds.batch_for_step(b, s.data_seed, step_idx);
-            step_idx += 1;
-            let logits = model.forward(&x);
-            let (loss, dlogits) = nn::softmax_cross_entropy(&logits, &labels);
-            correct += nn::count_correct(&logits, &labels);
-            loss_sum += loss;
-            model.backward(&dlogits);
-            if let Some(max_norm) = s.clip_grad_norm {
-                crate::clip::clip_grad_norm_params(
-                    &mut |f| visit_serial_vit(&mut model, f),
-                    max_norm,
-                );
+    let out = Cluster::a100(1).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
+        let mut model = SerialViT::new(vcfg, s.seed);
+        let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);
+        let mut scratch = Meter::new();
+        let mut report = TrainReport::default();
+        let mut step_idx = 0u64;
+        for _epoch in 0..s.epochs {
+            let mut loss_sum = 0.0f32;
+            let mut correct = 0usize;
+            for _ in 0..s.steps_per_epoch {
+                let (x, labels) = ds.batch_for_step(b, s.data_seed, step_idx);
+                step_idx += 1;
+                let logits = model.forward(&grid, ctx, &Arc::new(DenseTensor::from_matrix(x)));
+                let (loss, dlogits) = nn::softmax_cross_entropy(logits.matrix(), &labels);
+                correct += nn::count_correct(logits.matrix(), &labels);
+                loss_sum += loss;
+                model.backward(&grid, ctx, &Arc::new(DenseTensor::from_matrix(dlogits)));
+                if let Some(max_norm) = s.clip_grad_norm {
+                    crate::clip::clip_grad_norm(&grid, ctx, &mut model, max_norm);
+                }
+                opt.step(&mut scratch, &mut model);
+                model.zero_grad();
             }
-            opt.step_params(&mut scratch, |f| visit_serial_vit(&mut model, f));
-            model.zero_grad();
+            report.epochs.push(EpochMetrics {
+                loss: loss_sum / s.steps_per_epoch as f32,
+                accuracy: correct as f32 / (s.steps_per_epoch * b) as f32,
+            });
         }
-        report.epochs.push(EpochMetrics {
-            loss: loss_sum / s.steps_per_epoch as f32,
-            accuracy: correct as f32 / (s.steps_per_epoch * b) as f32,
-        });
-    }
-    report
+        report
+    });
+    out.results.into_iter().next().expect("rank 0 report")
 }
 
 /// Trains the Tesseract ViT on a `[q, q, d]` grid (rank 0's metrics are
@@ -119,13 +122,10 @@ pub fn train_tesseract(
     let b = vcfg.body.batch;
     let out = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let (i, j, k) = grid.coords;
-        let _ = (i, j);
         let mut model = TesseractViT::<DenseTensor>::new(ctx, &grid, vcfg, s.seed);
         let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);
         let per = b / (shape.q * shape.d);
         let h = grid.a_row_block();
-        let _ = k;
         let mut report = TrainReport::default();
         let mut step_idx = 0u64;
         for _epoch in 0..s.epochs {
@@ -178,40 +178,4 @@ pub fn train_tesseract(
         report
     });
     out.results.into_iter().next().expect("rank 0 report")
-}
-
-/// Visits every (weight, grad) pair of a serial ViT as `DenseTensor`s so
-/// the generic optimizers can update it. AdamW/SGD updates are elementwise,
-/// so any consistent visit order yields the same trained weights as the
-/// distributed runs (whose blocks partition the same matrices).
-pub fn visit_serial_vit(model: &mut SerialViT, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
-    visit_serial_linear(&mut model.embed, f);
-    for layer in &mut model.body.layers {
-        visit_serial_linear(&mut layer.attn.wq, f);
-        visit_serial_linear(&mut layer.attn.wk, f);
-        visit_serial_linear(&mut layer.attn.wv, f);
-        visit_serial_linear(&mut layer.attn.wo, f);
-        visit_serial_linear(&mut layer.mlp.fc1, f);
-        visit_serial_linear(&mut layer.mlp.fc2, f);
-    }
-    visit_serial_linear(&mut model.head, f);
-}
-
-/// Visits one serial linear layer's weight (and bias, if any).
-pub fn visit_serial_linear(
-    lin: &mut tesseract_baselines::serial::SerialLinear,
-    f: &mut dyn FnMut(ParamRef<'_, DenseTensor>),
-) {
-    visit_matrix_pair(&mut lin.w, &mut lin.dw, f);
-    if let (Some(b), Some(db)) = (lin.bias.as_mut(), lin.dbias.as_mut()) {
-        visit_matrix_pair(b, db, f);
-    }
-}
-
-fn visit_matrix_pair(w: &mut Matrix, g: &mut Matrix, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
-    let mut wt = DenseTensor::from_matrix(w.clone());
-    let mut gt = DenseTensor::from_matrix(g.clone());
-    f(ParamRef { weight: &mut wt, grad: &mut gt });
-    *w = wt.into_matrix();
-    *g = gt.into_matrix();
 }

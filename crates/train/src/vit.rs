@@ -131,7 +131,10 @@ impl<T: TensorLike + Payload> Module<T> for TesseractViT<T> {
     }
 }
 
-/// Serial single-GPU ViT with identical parameters.
+/// Serial single-GPU ViT with identical parameters. Its compute is plain
+/// `Matrix` code (the oracle); it is a [`Module`] so optimizers and
+/// clipping reach its parameters the same way as the distributed ViT's.
+/// The grid and rank context are unused: run it on a `[1,1,1]` grid.
 pub struct SerialViT {
     pub embed: SerialLinear,
     pub body: SerialTransformer,
@@ -148,11 +151,18 @@ impl SerialViT {
             vcfg,
         }
     }
+}
 
+impl Module<DenseTensor> for SerialViT {
     /// `x`: `[b·s, patch_dim]` → `[b, classes]` logits.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    fn forward(
+        &mut self,
+        _: &TesseractGrid,
+        _: &mut RankCtx,
+        x: &Arc<DenseTensor>,
+    ) -> Arc<DenseTensor> {
         let s = self.vcfg.body.seq;
-        let e = self.embed.forward(x);
+        let e = self.embed.forward(x.matrix());
         let feats = self.body.forward(&e);
         let b = feats.rows() / s;
         let mut pool = Matrix::zeros(b, feats.cols());
@@ -163,16 +173,18 @@ impl SerialViT {
                 }
             }
         }
-        self.head_forward(&pool)
+        Arc::new(DenseTensor(self.head.forward(&pool)))
     }
 
-    fn head_forward(&mut self, pool: &Matrix) -> Matrix {
-        self.head.forward(pool)
-    }
-
-    pub fn backward(&mut self, d_logits: &Matrix) {
+    /// Accumulates every parameter gradient; returns `dX` of the patches.
+    fn backward(
+        &mut self,
+        _: &TesseractGrid,
+        _: &mut RankCtx,
+        d_logits: &Arc<DenseTensor>,
+    ) -> Arc<DenseTensor> {
         let s = self.vcfg.body.seq;
-        let d_pool = self.head.backward(d_logits);
+        let d_pool = self.head.backward(d_logits.matrix());
         let b = d_pool.rows();
         let mut d_feats = Matrix::zeros(b * s, d_pool.cols());
         for si in 0..b {
@@ -183,13 +195,13 @@ impl SerialViT {
             }
         }
         let d_embed = self.body.backward(&d_feats);
-        let _ = self.embed.backward(&d_embed);
+        Arc::new(DenseTensor(self.embed.backward(&d_embed)))
     }
 
-    pub fn zero_grad(&mut self) {
-        self.embed.zero_grad();
-        self.body.zero_grad();
-        self.head.zero_grad();
+    fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {
+        self.embed.visit_params(f);
+        self.body.visit_params(f);
+        self.head.visit_params(f);
     }
 }
 
@@ -214,8 +226,7 @@ pub fn distributed_cross_entropy(
     // Zero-copy gather: each rank's logits block is deposited once and read
     // through `Arc`s; only the column-concat below materializes new data.
     let parts = grid.row.all_gather_shared(ctx, Arc::clone(logits_local));
-    let mats: Vec<Matrix> = parts.iter().map(|p| p.matrix().clone()).collect();
-    let full = Matrix::concat_cols(&mats);
+    let full = Matrix::concat_cols(parts.iter().map(|p| p.matrix()));
     assert_eq!(full.rows(), labels_local.len(), "labels must cover local samples");
 
     let probs = nn::softmax_rows(&full);
@@ -267,8 +278,12 @@ mod tests {
     fn tesseract_vit_logits_match_serial() {
         let v = vcfg();
         let x = random(v.body.rows(), v.patch_dim, 1);
-        let mut serial = SerialViT::new(v, 5);
-        let y_ser = serial.forward(&x);
+        let serial = Cluster::a100(1).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
+            let x = Arc::new(DenseTensor::from_matrix(x.clone()));
+            SerialViT::new(v, 5).forward(&grid, ctx, &x).matrix().clone()
+        });
+        let y_ser = &serial.results[0];
         for shape in [GridShape::new(1, 1), GridShape::new(2, 1), GridShape::new(2, 2)] {
             let out = Cluster::a100(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);

@@ -3,14 +3,15 @@
 //! the values captured when the test was written, and the shadow backend's
 //! flop/byte accounting for a Transformer fwd+bwd must not drift. Any
 //! refactor of the layer stack that changes numerics (or the metered cost
-//! model) trips this immediately.
+//! model) trips this immediately. The serial oracle's short training
+//! trajectory, with and without gradient clipping, is pinned the same way.
 
 use tesseract_comm::Cluster;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::{DenseTensor, Meter, ShadowTensor, TensorLike};
 use tesseract_train::vit::{distributed_cross_entropy, TesseractViT, ViTConfig};
-use tesseract_train::AdamW;
+use tesseract_train::{train_serial, AdamW, TrainSettings};
 
 fn vcfg() -> ViTConfig {
     ViTConfig {
@@ -92,6 +93,38 @@ mod golden {
     pub const SHADOW_FLOPS: u64 = 4634766966517661696;
     /// …and metered bytes allocated.
     pub const SHADOW_BYTES: u64 = 312;
+    /// `train_serial`, 2 epochs × 3 steps: per-epoch `(loss, accuracy)`
+    /// bit patterns, unclipped…
+    pub const SERIAL_TRAJECTORY: [(u32, u32); 2] = [(1079319488, 0), (1075177527, 1042983595)];
+    /// …and clipped to [`SERIAL_CLIP`](super::SERIAL_CLIP).
+    pub const SERIAL_TRAJECTORY_CLIPPED: [(u32, u32); 2] =
+        [(1079319077, 0), (1075167161, 1042983595)];
+}
+
+/// A global-norm threshold small enough that clipping engages on this task.
+const SERIAL_CLIP: f32 = 0.01;
+
+/// The serial oracle's per-epoch `(loss, accuracy)` as f32 bit patterns.
+fn serial_trajectory(clip_grad_norm: Option<f32>) -> Vec<(u32, u32)> {
+    let v = vcfg();
+    let ds =
+        tesseract_train::SyntheticVisionDataset::new(v.classes, v.body.seq, v.patch_dim, 0.3, 7);
+    let s = TrainSettings { epochs: 2, steps_per_epoch: 3, clip_grad_norm, ..Default::default() };
+    let report = train_serial(v, &ds, s);
+    report.epochs.iter().map(|e| (e.loss.to_bits(), e.accuracy.to_bits())).collect()
+}
+
+#[test]
+fn serial_trajectory_is_bitwise_stable() {
+    let plain = serial_trajectory(None);
+    let clipped = serial_trajectory(Some(SERIAL_CLIP));
+    assert_ne!(plain, clipped, "the clip threshold must engage");
+    assert_eq!(plain.as_slice(), golden::SERIAL_TRAJECTORY.as_slice(), "serial run drifted");
+    assert_eq!(
+        clipped.as_slice(),
+        golden::SERIAL_TRAJECTORY_CLIPPED.as_slice(),
+        "clipped serial run drifted"
+    );
 }
 
 #[test]
@@ -106,6 +139,8 @@ fn print_goldens() {
     let (flops, bytes) = shadow_counters();
     println!("SHADOW_FLOPS: {flops}");
     println!("SHADOW_BYTES: {bytes}");
+    println!("SERIAL_TRAJECTORY: {:?}", serial_trajectory(None));
+    println!("SERIAL_TRAJECTORY_CLIPPED: {:?}", serial_trajectory(Some(SERIAL_CLIP)));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use tesseract_repro::comm::Cluster;
 use tesseract_repro::core::partition::a_block;
-use tesseract_repro::core::TransformerConfig;
+use tesseract_repro::core::{Module, TransformerConfig};
 use tesseract_repro::hybrid::{HybridShape, HybridTransformer};
 use tesseract_repro::tensor::{DenseTensor, Matrix, TensorLike, Xoshiro256StarStar};
 
@@ -49,7 +49,7 @@ fn main() {
         );
         // Expose the first parameter gradient for the sync check.
         let mut grad0 = None;
-        engine.visit_params(&mut |pr| {
+        engine.model.visit_params(&mut |pr| {
             if grad0.is_none() {
                 grad0 = Some(pr.grad.clone().into_matrix());
             }

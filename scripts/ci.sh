@@ -63,6 +63,19 @@ if [ -n "$forked$stray" ]; then
     exit 1
 fi
 
+# Every parameter set — distributed, hybrid or the serial oracle — is walked
+# through Module::visit_params; optimizers, clipping and gradient sync take
+# `&mut dyn Module`. A closure that hands out a parameter visitor is a
+# second entry point beside the trait.
+echo "== parameter-path gate (no closure-visitor side channel) =="
+side=$(grep -rnF -e 'FnOnce(&mut dyn FnMut(ParamRef' -e 'FnMut(&mut dyn FnMut(' \
+    crates src tests examples --include='*.rs' || true)
+if [ -n "$side" ]; then
+    echo "ci.sh: parameter visitor passed as a closure (implement Module::visit_params instead):"
+    echo "$side"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
