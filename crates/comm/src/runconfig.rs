@@ -5,8 +5,8 @@
 //! `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
 //! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs lives in one
 //! builder: construct a [`RunConfig`], override what you need, and call
-//! [`RunConfig::cluster`]. New execution options (tape recomputation) are
-//! fields here instead of yet another constructor.
+//! [`RunConfig::cluster`]. Model options such as tape recomputation live
+//! with the model (`StackOptions` in `tesseract-core`), not here.
 //!
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
@@ -26,9 +26,8 @@ use crate::fabric;
 use crate::topology::Topology;
 
 /// One-stop configuration for a simulated run: cluster shape and cost
-/// model, per-run toggles (tracing, rendezvous timeout), the
-/// process-global kernel choice and execution options (recomputation) that
-/// model stacks read off the config.
+/// model, per-run toggles (tracing, rendezvous timeout) and the
+/// process-global kernel choice.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Number of ranks the cluster spawns.
@@ -45,9 +44,6 @@ pub struct RunConfig {
     /// Rendezvous timeout for this cluster's fabric, in seconds. `None`
     /// uses the process default (120 s unless an installer changed it).
     pub rendezvous_timeout_secs: Option<u64>,
-    /// Checkpoint every `k` layers and recompute inside backward
-    /// (consumed by model stacks via their `StackOptions`).
-    pub recompute_every: Option<usize>,
 }
 
 impl RunConfig {
@@ -61,7 +57,6 @@ impl RunConfig {
             trace: false,
             kernel: None,
             rendezvous_timeout_secs: None,
-            recompute_every: None,
         }
     }
 
@@ -141,12 +136,6 @@ impl RunConfig {
         self
     }
 
-    /// Checkpoints every `k` layers, recomputing inside backward.
-    pub fn with_recompute_every(mut self, k: Option<usize>) -> Self {
-        self.recompute_every = k;
-        self
-    }
-
     /// Applies the process-global knobs (forced kernel, trace default,
     /// rendezvous-timeout default). Idempotent; for each
     /// knob the first install wins, matching the old once-per-process env
@@ -203,7 +192,6 @@ mod tests {
         assert_eq!(cluster.world, 8);
         assert!(!cluster.trace);
         assert_eq!(cluster.rendezvous_timeout_secs, None);
-        assert_eq!(cfg.recompute_every, None);
     }
 
     #[test]

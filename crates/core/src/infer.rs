@@ -1,12 +1,13 @@
 //! Forward-only inference on the `[q, q, d]` grid: per-request KV caches
-//! and a no-tape model stack for serving.
+//! and the batch a serving step runs.
 //!
 //! Serving never backpropagates, so the training `Module::forward` path —
 //! which tapes every activation for the matching backward — is the wrong
-//! tool: each decode step would grow every layer's tape forever. This
-//! module provides the `forward_infer` counterpart: `&self`, no tape
-//! pushes, and **causal KV-cached attention** so a decode step costs O(L)
-//! per token instead of the O(L²) full-prefix recompute.
+//! tool: each decode step would grow every layer's tape forever. The
+//! training stack itself carries the counterpart,
+//! [`TesseractTransformer::forward_infer`]: `&self`, no tape pushes, and
+//! **causal KV-cached attention** so a decode step costs O(L) per token
+//! instead of the O(L²) full-prefix recompute.
 //!
 //! ## KV-cache sharding
 //!
@@ -30,14 +31,9 @@
 //! order regardless of how many rows the local block carries. The parity
 //! tests in `crates/serve` pin this property per token.
 
-use std::sync::Arc;
-
-use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
-use crate::config::TransformerConfig;
-use crate::grid::TesseractGrid;
-use crate::layers::transformer::{TesseractTransformerLayer, PARAM_IDS_PER_LAYER};
+use crate::layers::transformer::TesseractTransformer;
 
 /// Bytes per cached element (the stack is f32 end to end).
 const ELEM_BYTES: u64 = 4;
@@ -111,85 +107,18 @@ pub struct InferBatch<T> {
 }
 
 impl<T: TensorLike> InferBatch<T> {
-    /// An empty batch (lanes with nothing runnable still step the model so
-    /// collectives stay in lockstep).
-    pub fn empty() -> Self {
-        Self { new_rows: Vec::new(), kvs: Vec::new() }
-    }
-
     /// Total new tokens across segments — the row count `x` must have.
     pub fn total_rows(&self) -> usize {
         self.new_rows.iter().sum()
     }
 }
 
-/// A forward-only transformer stack for serving: the same layers, weights
-/// (same seed / parameter ids) and collectives as
-/// [`crate::TesseractTransformer`], but held as a typed `Vec` so each
-/// layer can thread its slice of the per-request KV caches.
-pub struct InferModel<T: TensorLike + Payload> {
-    pub layers: Vec<TesseractTransformerLayer<T>>,
-    pub cfg: TransformerConfig,
-}
-
-impl<T: TensorLike + Payload> InferModel<T> {
-    /// Builds the stack; layer `l` uses param ids
-    /// `base_param_id + l·PARAM_IDS_PER_LAYER ..`, matching
-    /// `TesseractTransformer::new` bit for bit.
-    pub fn new(
-        ctx: &RankCtx,
-        grid: &TesseractGrid,
-        cfg: TransformerConfig,
-        with_bias: bool,
-        seed: u64,
-        base_param_id: u64,
-    ) -> Self {
-        let layers = (0..cfg.layers)
-            .map(|l| {
-                TesseractTransformerLayer::new(
-                    ctx,
-                    grid,
-                    cfg,
-                    with_bias,
-                    seed,
-                    base_param_id + l as u64 * PARAM_IDS_PER_LAYER,
-                )
-            })
-            .collect();
-        Self { layers, cfg }
-    }
-
-    /// An empty KV cache shaped for this model on this grid.
-    pub fn new_kv(&self, grid: &TesseractGrid) -> RequestKv<T> {
-        RequestKv::empty(self.cfg.layers, self.cfg.heads / grid.shape.q, self.cfg.head_dim())
-    }
-
-    /// One inference step over the batch: `x` is `[batch.total_rows(),
-    /// h/q]`, the output has the same shape, and every request's cache in
-    /// `batch.kvs` has grown by its `new_rows`. No tape is touched.
-    pub fn forward_infer(
-        &self,
-        grid: &TesseractGrid,
-        ctx: &mut RankCtx,
-        x: &Arc<T>,
-        batch: &mut InferBatch<T>,
-    ) -> Arc<T> {
-        assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
-        let mut h = Arc::clone(x);
-        for (li, layer) in self.layers.iter().enumerate() {
-            h = ctx.traced("transformer_layer", "infer", |ctx| {
-                layer.forward_infer(grid, ctx, &h, li, batch)
-            });
-        }
-        h
-    }
-
-    /// Activations queued across every tape in the stack — zero unless
-    /// someone ran the training forward.
-    pub fn tape_depth(&self) -> usize {
-        self.layers.iter().map(TesseractTransformerLayer::tape_depth).sum()
-    }
-}
+/// The serving stack is the training stack: [`TesseractTransformer`]'s
+/// `new_kv` / `forward_infer` run the same layers, weights and collectives
+/// without touching a tape. Kept solely because the frozen `benchmark/`
+/// crate still names it; ROADMAP item 1(d)'s `[benchmark]` PR removes that
+/// caller and this alias with it.
+pub type InferModel<T> = TesseractTransformer<T>;
 
 #[cfg(test)]
 mod tests {
@@ -216,11 +145,5 @@ mod tests {
         assert_eq!(kv.seq_len(), 5);
         // 2 layers × 2 heads × 2 (K and V) × 5×4 elems × 4 bytes.
         assert_eq!(kv.bytes(), 2 * 2 * 2 * 5 * 4 * 4);
-    }
-
-    #[test]
-    fn empty_batch_has_no_rows() {
-        let b: InferBatch<DenseTensor> = InferBatch::empty();
-        assert_eq!(b.total_rows(), 0);
     }
 }

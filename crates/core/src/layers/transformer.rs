@@ -2,7 +2,9 @@
 //! [`World`]: pre-norm residual blocks `x + Attn(LN(x))` and
 //! `x + MLP(LN(x))`, the architecture Megatron-LM adapted ("the whole model
 //! consists of multiple identical Transformer layers"). Residual adds are
-//! local (§3.2.2).
+//! local (§3.2.2). [`Transformer`] is the only builder of the layer list:
+//! training, checkpointed recomputation, pipeline stages and serving all
+//! run it.
 
 use std::sync::Arc;
 
@@ -11,11 +13,11 @@ use tesseract_tensor::TensorLike;
 
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
-use crate::infer::{InferBatch, LayerKv};
+use crate::infer::{InferBatch, LayerKv, RequestKv};
 use crate::layers::attention::Attention;
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
-use crate::module::{CheckpointSegment, Module, ParamRef, Sequential};
+use crate::module::{Module, ParamRef, Tape};
 
 /// Execution options of a [`Transformer`] stack (tape
 /// recomputation); the default is the original no-recompute behavior.
@@ -142,12 +144,25 @@ impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for TransformerLayer<T, 
     }
 }
 
-/// A stack of `cfg.layers` identical Transformer layers, composed as a
-/// [`Sequential`] of [`TransformerLayer`] modules (each possibly wrapped in
-/// a [`CheckpointSegment`] when recomputation is on).
-pub struct Transformer<T, G> {
-    pub layers: Sequential<T, G>,
+/// A stack of `cfg.layers` identical Transformer layers. A pipeline stage
+/// is a stack of its `layers / pp` layers, built from the global parameter
+/// id of its first layer.
+///
+/// With [`StackOptions::recompute_every`] `= Some(k)` every run of `k`
+/// layers is a checkpointed segment: forward drops the segment's tapes
+/// ([`Module::reset_tape`]) and keeps only its input; backward replays the
+/// segment's forward to rebuild them — bitwise deterministic and at the
+/// same program point on every rank, so the replayed collective schedule
+/// stays SPMD-aligned — then unwinds it. Peak tape residency drops from
+/// "every layer" to "one input per segment plus the deepest segment", at
+/// the cost of one extra forward per segment.
+pub struct Transformer<T: TensorLike + Payload, G: World<T>> {
+    pub layers: Vec<TransformerLayer<T, G>>,
     pub cfg: TransformerConfig,
+    recompute_every: Option<usize>,
+    /// Checkpointed segment inputs, one per segment per queued forward
+    /// (LIFO, so GPipe's reversed backwards pop their own microbatch's).
+    inputs: Tape<Arc<T>>,
 }
 
 /// [`Transformer`] on the `[q, q, d]` grid; with `d = 1` this is Optimus.
@@ -183,57 +198,127 @@ impl<T: TensorLike + Payload, G: World<T>> Transformer<T, G> {
         if let Some(k) = opts.recompute_every {
             assert!(k >= 1, "recompute_every must be at least 1");
         }
-        let make_layer = |l: usize| {
-            let param_id = base_param_id + l as u64 * PARAM_IDS_PER_LAYER;
-            TransformerLayer::new(ctx, world, cfg, with_bias, seed, param_id)
-        };
-        let mut layers = Sequential::new();
-        match opts.recompute_every {
-            None => {
-                for l in 0..cfg.layers {
-                    layers.push_boxed(Box::new(make_layer(l)));
-                }
-            }
-            Some(k) => {
-                // Checkpoint every k layers; k need not divide the layer
-                // count — the trailing segment is shorter.
-                let mut l = 0;
-                while l < cfg.layers {
-                    let mut seg = Sequential::new();
-                    for sl in l..cfg.layers.min(l + k) {
-                        seg.push_boxed(Box::new(make_layer(sl)));
-                    }
-                    layers.push_boxed(Box::new(CheckpointSegment::new(seg)));
-                    l += k;
-                }
-            }
-        }
-        Self { layers, cfg }
+        let layers = (0..cfg.layers)
+            .map(|l| {
+                let param_id = base_param_id + l as u64 * PARAM_IDS_PER_LAYER;
+                TransformerLayer::new(ctx, world, cfg, with_bias, seed, param_id)
+            })
+            .collect();
+        Self { layers, cfg, recompute_every: opts.recompute_every, inputs: Tape::new() }
     }
 }
 
-impl<T: TensorLike + Payload, G> Module<T, G> for Transformer<T, G> {
+/// Runs `layers` left to right, one `transformer_layer.fwd` scope each.
+fn forward_layers<T: TensorLike + Payload, G: World<T>>(
+    layers: &mut [TransformerLayer<T, G>],
+    world: &G,
+    ctx: &mut RankCtx,
+    x: &Arc<T>,
+) -> Arc<T> {
+    let mut h = Arc::clone(x);
+    for layer in layers {
+        h = ctx.traced("transformer_layer", "fwd", |ctx| layer.forward(world, ctx, &h));
+    }
+    h
+}
+
+/// Unwinds `layers` right to left, one `transformer_layer.bwd` scope each.
+fn backward_layers<T: TensorLike + Payload, G: World<T>>(
+    layers: &mut [TransformerLayer<T, G>],
+    world: &G,
+    ctx: &mut RankCtx,
+    dy: &Arc<T>,
+) -> Arc<T> {
+    let mut g = Arc::clone(dy);
+    for layer in layers.iter_mut().rev() {
+        g = ctx.traced("transformer_layer", "bwd", |ctx| layer.backward(world, ctx, &g));
+    }
+    g
+}
+
+impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Transformer<T, G> {
     fn name(&self) -> &'static str {
         "transformer"
     }
 
     fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        self.layers.forward(world, ctx, x)
+        let Some(k) = self.recompute_every else {
+            return forward_layers(&mut self.layers, world, ctx, x);
+        };
+        let mut h = Arc::clone(x);
+        for seg in self.layers.chunks_mut(k) {
+            h = ctx.traced("checkpoint", "fwd", |ctx| {
+                let y = forward_layers(seg, world, ctx, &h);
+                // Everything the segment taped is recomputable from `h`:
+                // release it now and keep only the input.
+                seg.iter_mut().for_each(|layer| layer.reset_tape(ctx));
+                self.inputs.push_tracked(ctx, h.byte_size() as u64, Arc::clone(&h));
+                y
+            });
+        }
+        h
     }
 
     fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        self.layers.backward(world, ctx, dy)
+        let Some(k) = self.recompute_every else {
+            return backward_layers(&mut self.layers, world, ctx, dy);
+        };
+        let mut g = Arc::clone(dy);
+        for seg in self.layers.chunks_mut(k).rev() {
+            g = ctx.traced("checkpoint", "bwd", |ctx| {
+                let x = self.inputs.pop_tracked(ctx, "Transformer checkpoint");
+                let _ = forward_layers(seg, world, ctx, &x);
+                backward_layers(seg, world, ctx, &g)
+            });
+        }
+        g
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
-        self.layers.visit_params(f);
+        self.layers.iter_mut().for_each(|layer| layer.visit_params(f));
     }
 
     fn zero_grad(&mut self) {
-        self.layers.zero_grad();
+        self.inputs.debug_assert_balanced("Transformer checkpoint");
+        self.layers.iter_mut().for_each(|layer| layer.zero_grad());
     }
 
     fn reset_tape(&mut self, ctx: &mut RankCtx) {
-        self.layers.reset_tape(ctx);
+        self.inputs.clear_tracked(ctx);
+        self.layers.iter_mut().for_each(|layer| layer.reset_tape(ctx));
+    }
+}
+
+impl<T: TensorLike + Payload> TesseractTransformer<T> {
+    /// An empty KV cache shaped for this stack on `grid`.
+    pub fn new_kv(&self, grid: &TesseractGrid) -> RequestKv<T> {
+        RequestKv::empty(self.cfg.layers, self.cfg.heads / grid.shape.q, self.cfg.head_dim())
+    }
+
+    /// One inference step over the batch: `x` is `[batch.total_rows(),
+    /// h/q]`, the output has the same shape, and every request's cache in
+    /// `batch.kvs` has grown by its `new_rows`. No tape is touched.
+    pub fn forward_infer(
+        &self,
+        grid: &TesseractGrid,
+        ctx: &mut RankCtx,
+        x: &Arc<T>,
+        batch: &mut InferBatch<T>,
+    ) -> Arc<T> {
+        assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
+        let mut h = Arc::clone(x);
+        for (li, layer) in self.layers.iter().enumerate() {
+            h = ctx.traced("transformer_layer", "infer", |ctx| {
+                layer.forward_infer(grid, ctx, &h, li, batch)
+            });
+        }
+        h
+    }
+
+    /// Activations queued across every tape in the stack — zero unless a
+    /// training forward is still waiting for its backward.
+    pub fn tape_depth(&self) -> usize {
+        self.inputs.depth()
+            + self.layers.iter().map(TesseractTransformerLayer::tape_depth).sum::<usize>()
     }
 }

@@ -10,15 +10,15 @@
 //! * [`mm`] — Algorithm 3 (`C = A·B`) plus the `A·Bᵀ` / `Aᵀ·B` variants
 //!   implementing the backward rules of Eq. 3, including the depth
 //!   all-reduce of weight gradients.
-//! * [`module`] — the [`module::Module`] trait every layer implements, the
-//!   shared [`module::Tape`] activation stack and the [`module::Sequential`]
-//!   container pipeline stages and layer lists are built from.
+//! * [`module`] — the [`module::Module`] trait every layer implements and
+//!   the shared [`module::Tape`] activation stack.
 //! * [`layers`] — the Transformer of §3.2: MLP, multi-head attention,
 //!   residual layer and stack written once over the [`layers::World`] seam,
-//!   plus the grid's parallel linear and distributed layer norm.
-//! * [`infer`] — the forward-only serving path: per-request KV caches
-//!   sharded with the `[q, q, d]` layout and a no-tape `forward_infer`
-//!   stack with causal KV-cached attention.
+//!   plus the grid's parallel linear and distributed layer norm. The one
+//!   stack is trained, checkpointed, carved into pipeline stages and
+//!   served (its no-tape `forward_infer`).
+//! * [`infer`] — the forward-only serving path's data: per-request KV
+//!   caches sharded with the `[q, q, d]` layout and the step batch.
 //! * [`analysis`] — closed-form communication/memory formulas (Eq. 7–12 and
 //!   the §1/§3.1 transmission-count claims).
 //!
@@ -46,4 +46,4 @@ pub use mm::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
     tesseract_matmul_tn, tesseract_matmul_tn_serial,
 };
-pub use module::{CheckpointSegment, Module, ParamRef, Sequential, Tape};
+pub use module::{Module, ParamRef, Tape};

@@ -5,9 +5,10 @@
 //! LIFO cache of forward activations. [`Module`] makes that contract a
 //! first-class trait, [`Tape`] centralizes the microbatch activation
 //! stacks (push-on-forward / pop-on-backward, with balance accounting so
-//! GPipe-style schedules cannot silently desync), and [`Sequential`] turns
-//! layer lists and pipeline-stage slices into ordinary `Module`
-//! compositions.
+//! GPipe-style schedules cannot silently desync). Layers are composed by
+//! one typed stack, [`crate::layers::Transformer`], which also does its
+//! own checkpointed recomputation; a pipeline stage is such a stack over
+//! its slice of the layers.
 //!
 //! The trait is generic over the communication world `G` (default:
 //! [`TesseractGrid`]): the Transformer block in [`crate::layers`] is written
@@ -152,8 +153,8 @@ impl<V> Tape<V> {
     }
 
     /// Drops every queued entry and releases all tracked bytes, counting
-    /// the drops as pops so the balance invariant holds. The checkpoint
-    /// wrapper calls this through [`Module::reset_tape`] after a segment's
+    /// the drops as pops so the balance invariant holds. A checkpointed
+    /// stack calls this through [`Module::reset_tape`] after a segment's
     /// forward.
     pub fn clear_tracked(&mut self, ctx: &mut RankCtx) {
         self.pops += self.items.len() as u64;
@@ -168,11 +169,6 @@ impl<V> Tape<V> {
 
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Lifetime push/pop counters (for schedule diagnostics).
-    pub fn counts(&self) -> (u64, u64) {
-        (self.pushes, self.pops)
     }
 
     /// Debug-asserts that every forward has been consumed by a backward —
@@ -197,168 +193,6 @@ pub fn zero_params<T: TensorLike + Payload, G>(m: &mut dyn Module<T, G>) {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Sequential
-// ---------------------------------------------------------------------------
-
-/// An ordered composition of modules: forward runs them left to right,
-/// backward unwinds right to left. This is how the Transformer stack, the
-/// ViT (embed → body → pool → head) and hybrid pipeline-stage slices are
-/// all expressed.
-pub struct Sequential<T, G = TesseractGrid> {
-    mods: Vec<Box<dyn Module<T, G> + Send>>,
-}
-
-impl<T: TensorLike + Payload, G> Default for Sequential<T, G> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: TensorLike + Payload, G> Sequential<T, G> {
-    pub fn new() -> Self {
-        Self { mods: Vec::new() }
-    }
-
-    pub fn from_modules(mods: Vec<Box<dyn Module<T, G> + Send>>) -> Self {
-        Self { mods }
-    }
-
-    /// Appends a module; returns `self` for builder-style chaining.
-    pub fn push(mut self, m: impl Module<T, G> + Send + 'static) -> Self {
-        self.mods.push(Box::new(m));
-        self
-    }
-
-    /// Appends a boxed module in place.
-    pub fn push_boxed(&mut self, m: Box<dyn Module<T, G> + Send>) {
-        self.mods.push(m);
-    }
-
-    pub fn len(&self) -> usize {
-        self.mods.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.mods.is_empty()
-    }
-
-    /// The boxed modules, for stage re-slicing and per-module inspection.
-    pub fn modules_mut(&mut self) -> &mut Vec<Box<dyn Module<T, G> + Send>> {
-        &mut self.mods
-    }
-}
-
-impl<T: TensorLike + Payload, G> Module<T, G> for Sequential<T, G> {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn forward(&mut self, grid: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut h = Arc::clone(x);
-        for m in &mut self.mods {
-            h = ctx.traced(m.name(), "fwd", |ctx| m.forward(grid, ctx, &h));
-        }
-        h
-    }
-
-    fn backward(&mut self, grid: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let mut g = Arc::clone(dy);
-        for m in self.mods.iter_mut().rev() {
-            g = ctx.traced(m.name(), "bwd", |ctx| m.backward(grid, ctx, &g));
-        }
-        g
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
-        for m in &mut self.mods {
-            m.visit_params(f);
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for m in &mut self.mods {
-            m.zero_grad();
-        }
-    }
-
-    fn reset_tape(&mut self, ctx: &mut RankCtx) {
-        for m in &mut self.mods {
-            m.reset_tape(ctx);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointSegment
-// ---------------------------------------------------------------------------
-
-/// Activation-checkpointing wrapper: runs a [`Sequential`] segment's
-/// forward, then immediately drops the segment's internal activation tapes
-/// ([`Module::reset_tape`]) and keeps only the segment *input* resident.
-/// Backward replays the segment forward to rebuild the tapes — bitwise
-/// deterministic (same data, same kernels) and issued at the same program
-/// point on every rank, so the replayed collective schedule stays
-/// SPMD-aligned — then unwinds it as usual.
-///
-/// Peak tape residency drops from "every layer of the stack" to "one
-/// segment input per segment plus the deepest single segment", at the cost
-/// of one extra forward per segment (the classic recompute trade).
-pub struct CheckpointSegment<T, G = TesseractGrid> {
-    inner: Sequential<T, G>,
-    input_tape: Tape<Arc<T>>,
-}
-
-impl<T: TensorLike + Payload, G> CheckpointSegment<T, G> {
-    pub fn new(inner: Sequential<T, G>) -> Self {
-        Self { inner, input_tape: Tape::new() }
-    }
-
-    /// Number of modules inside the checkpointed segment.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
-impl<T: TensorLike + Payload, G> Module<T, G> for CheckpointSegment<T, G> {
-    fn name(&self) -> &'static str {
-        "checkpoint"
-    }
-
-    fn forward(&mut self, grid: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let y = self.inner.forward(grid, ctx, x);
-        // Everything the segment taped is recomputable from `x`: release
-        // it now and keep only the input.
-        self.inner.reset_tape(ctx);
-        self.input_tape.push_tracked(ctx, x.byte_size() as u64, Arc::clone(x));
-        y
-    }
-
-    fn backward(&mut self, grid: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let x = self.input_tape.pop_tracked(ctx, "CheckpointSegment");
-        let _ = self.inner.forward(grid, ctx, &x);
-        self.inner.backward(grid, ctx, dy)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
-        self.inner.visit_params(f);
-    }
-
-    fn zero_grad(&mut self) {
-        self.input_tape.debug_assert_balanced("CheckpointSegment");
-        self.inner.zero_grad();
-    }
-
-    fn reset_tape(&mut self, ctx: &mut RankCtx) {
-        self.input_tape.clear_tracked(ctx);
-        self.inner.reset_tape(ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +211,6 @@ mod tests {
                 assert_eq!(t.pop_tracked(ctx, "test"), v);
             }
             assert!(t.is_empty());
-            assert_eq!(t.counts(), (4, 4));
             t.debug_assert_balanced("test");
         });
     }

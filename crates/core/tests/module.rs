@@ -1,14 +1,14 @@
-//! Integration tests of the `Module`/`Tape`/`Sequential` abstractions on
-//! the simulated cluster: GPipe-style microbatched schedules (all forwards,
+//! Integration tests of the `Module`/`Tape` abstractions and the layer stack
+//! on the simulated cluster: GPipe-style microbatched schedules (all forwards,
 //! then all backwards in reverse) against sequential per-microbatch
 //! execution, plus the tape's failure modes.
 
 use std::sync::Arc;
 
 use tesseract_comm::Cluster;
-use tesseract_core::layers::{TesseractLayerNorm, TesseractLinear};
+use tesseract_core::layers::TesseractLinear;
 use tesseract_core::partition::a_block;
-use tesseract_core::{GridShape, Module, Sequential, TesseractGrid};
+use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
 
 const SEED: u64 = 2024;
@@ -95,11 +95,20 @@ fn backward_on_empty_tape_panics() {
     });
 }
 
-/// A `Sequential` of modules must behave exactly like calling the modules
-/// by hand: forward left-to-right, backward right-to-left.
+/// The stack must behave exactly like calling its layers by hand: forward
+/// left-to-right, backward right-to-left.
 #[test]
-fn sequential_composition_matches_manual_chaining() {
+fn stack_composition_matches_manual_chaining() {
     let shape = GridShape::new(2, 1);
+    let cfg = TransformerConfig {
+        batch: 2,
+        seq: 4,
+        hidden: 8,
+        heads: 2,
+        mlp_ratio: 2,
+        layers: 2,
+        eps: 1e-5,
+    };
     let x = random(8, 8, 40);
     let dy = random(8, 8, 41);
     let out = Cluster::a100(shape.size()).run(|ctx| {
@@ -108,26 +117,28 @@ fn sequential_composition_matches_manual_chaining() {
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
 
-        let mut seq: Sequential<DenseTensor> = Sequential::new()
-            .push(TesseractLayerNorm::new(8, 1e-5))
-            .push(TesseractLinear::new(ctx, &grid, 8, 8, true, SEED, 2));
-        let y_seq = seq.forward(&grid, ctx, &x_loc);
-        let dx_seq = seq.backward(&grid, ctx, &dy_loc);
+        let mut stack = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 2);
+        let y_stack = stack.forward(&grid, ctx, &x_loc);
+        let dx_stack = stack.backward(&grid, ctx, &dy_loc);
         let mut params = 0;
-        seq.visit_params(&mut |_| params += 1);
-        assert_eq!(params, if grid.i() == 0 { 2 } else { 1 });
+        stack.visit_params(&mut |_| params += 1);
 
-        let mut ln = TesseractLayerNorm::<DenseTensor>::new(8, 1e-5);
-        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 8, 8, true, SEED, 2);
-        let h = ln.forward(&grid, ctx, &x_loc);
-        let y_man = lin.forward(&grid, ctx, &h);
-        let d_h = lin.backward(&grid, ctx, &dy_loc);
-        let dx_man = ln.backward(&grid, ctx, &d_h);
+        let mut man = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 2);
+        let [l0, l1] = &mut man.layers[..] else { unreachable!("a 2-layer stack") };
+        let h = l0.forward(&grid, ctx, &x_loc);
+        let y_man = l1.forward(&grid, ctx, &h);
+        let d_h = l1.backward(&grid, ctx, &dy_loc);
+        let dx_man = l0.backward(&grid, ctx, &d_h);
+        let mut man_params = 0;
+        for layer in &mut man.layers {
+            layer.visit_params(&mut |_| man_params += 1);
+        }
+        assert_eq!(params, man_params);
 
         (
-            y_seq.matrix().clone(),
+            y_stack.matrix().clone(),
             y_man.matrix().clone(),
-            dx_seq.matrix().clone(),
+            dx_stack.matrix().clone(),
             dx_man.matrix().clone(),
         )
     });

@@ -7,11 +7,13 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::Cluster;
+use tesseract_comm::{Cluster, RunConfig};
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
-use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike, Xoshiro256StarStar};
+use tesseract_tensor::{
+    DenseTensor, Matrix, ShadowTensor, TensorLike, TraceKind, Xoshiro256StarStar,
+};
 
 const SEED: u64 = 321;
 
@@ -136,5 +138,96 @@ fn recompute_reduces_peak_activation_bytes() {
             rec[r],
             dense[r]
         );
+    }
+}
+
+/// Per rank: per microbatch `(y, dx)`, the accumulated gradients, and the
+/// tape bytes still held after a GPipe schedule — three microbatch forwards,
+/// then their backwards in reverse order.
+type GpipeRun = (Vec<(Matrix, Matrix)>, Vec<Matrix>, u64);
+
+fn run_gpipe(shape: GridShape, cfg: TransformerConfig, opts: StackOptions) -> Vec<GpipeRun> {
+    let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
+    let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 30 + m)).collect();
+    let out = Cluster::a100(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let (i, j, k) = grid.coords;
+        let block = |m: &Matrix| Arc::new(DenseTensor::from_matrix(a_block(m, shape, i, j, k)));
+        let mut stack = TesseractTransformer::<DenseTensor>::new_with_options(
+            ctx, &grid, cfg, true, SEED, 0, opts,
+        );
+        let ys: Vec<Matrix> =
+            xs.iter().map(|x| stack.forward(&grid, ctx, &block(x)).matrix().clone()).collect();
+        let mut dxs: Vec<Matrix> = dys
+            .iter()
+            .rev()
+            .map(|dy| stack.backward(&grid, ctx, &block(dy)).matrix().clone())
+            .collect();
+        dxs.reverse();
+        let mut grads = Vec::new();
+        stack.visit_params(&mut |pr| grads.push(pr.grad.matrix().clone()));
+        stack.zero_grad();
+        (ys.into_iter().zip(dxs).collect(), grads, ctx.tape_bytes_now())
+    });
+    out.results
+}
+
+#[test]
+fn recompute_under_a_gpipe_schedule_is_bitwise_the_plain_stack() {
+    // Every segment input of every microbatch sits on one LIFO tape; the
+    // reversed backwards must each pop their own microbatch's inputs.
+    let shape = GridShape::new(2, 1);
+    let cfg = cfg_for(2, 1, 3);
+    let plain = run_gpipe(shape, cfg, StackOptions::default());
+    let rec = run_gpipe(shape, cfg, StackOptions { recompute_every: Some(2) });
+    for (r, ((py, pg, _), (ry, rg, bytes))) in plain.iter().zip(&rec).enumerate() {
+        for (m, ((y, dx), (wy, wdx))) in ry.iter().zip(py).enumerate() {
+            assert_bits_eq(y, wy, &format!("rank {r} microbatch {m} forward output"));
+            assert_bits_eq(dx, wdx, &format!("rank {r} microbatch {m} input gradient"));
+        }
+        assert_eq!(rg.len(), pg.len(), "rank {r} gradient count");
+        for (p, (g, w)) in rg.iter().zip(pg).enumerate() {
+            assert_bits_eq(g, w, &format!("rank {r} grad {p}"));
+        }
+        assert_eq!(*bytes, 0, "rank {r}: tape bytes left resident after the schedule");
+    }
+}
+
+/// The scope names a checkpointed stack emits are read by trace roll-ups
+/// (`transformer_layer` per layer, `checkpoint` per segment); pin them and
+/// their order for a 3-layer stack checkpointed every 2 layers. A scope is
+/// recorded when it closes, so a segment follows the layers it ran.
+#[test]
+fn checkpointed_stack_scopes_are_pinned() {
+    const TL_FWD: &str = "transformer_layer.fwd";
+    const TL_BWD: &str = "transformer_layer.bwd";
+    const CKPT_FWD: &str = "checkpoint.fwd";
+    const CKPT_BWD: &str = "checkpoint.bwd";
+    let shape = GridShape::new(2, 1);
+    let cfg = cfg_for(2, 1, 3);
+    let out = RunConfig::new(shape.size()).with_trace(true).cluster().run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let opts = StackOptions { recompute_every: Some(2) };
+        let mut stack = TesseractTransformer::<ShadowTensor>::new_with_options(
+            ctx, &grid, cfg, true, SEED, 0, opts,
+        );
+        let rows = cfg.rows() / (shape.q * shape.d);
+        let x = Arc::new(ShadowTensor::new(rows, cfg.hidden / shape.q));
+        let y = stack.forward(&grid, ctx, &x);
+        let _ = stack.backward(&grid, ctx, &y);
+    });
+    let want = [
+        [TL_FWD, TL_FWD, CKPT_FWD, TL_FWD, CKPT_FWD].as_slice(),
+        &[TL_FWD, TL_BWD, CKPT_BWD],
+        &[TL_FWD, TL_FWD, TL_BWD, TL_BWD, CKPT_BWD],
+    ]
+    .concat();
+    for (r, events) in out.traces.iter().enumerate() {
+        let scopes: Vec<&str> = events
+            .iter()
+            .filter(|ev| matches!(ev.kind, TraceKind::Scope { .. }))
+            .map(|ev| ev.name.as_str())
+            .collect();
+        assert_eq!(scopes, want, "rank {r}: scope sequence");
     }
 }

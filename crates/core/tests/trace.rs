@@ -6,11 +6,10 @@
 use std::sync::Arc;
 
 use tesseract_comm::RunConfig;
-use tesseract_core::layers::{TesseractLayerNorm, TesseractLinear};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, Sequential,
-    TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, TesseractGrid,
+    TesseractTransformer, TransformerConfig,
 };
 use tesseract_tensor::trace::{chrome, json};
 use tesseract_tensor::{DenseTensor, Matrix, TraceKind, Xoshiro256StarStar};
@@ -107,30 +106,37 @@ fn tracing_does_not_perturb_results_or_accounting() {
 }
 
 /// A GPipe schedule (all forwards, then all backwards in reverse) through
-/// a `Sequential` must emit one balanced fwd/bwd scope pair per module per
+/// the layer stack must emit one balanced fwd/bwd scope pair per layer per
 /// microbatch, and scope spans must nest (contain or stay disjoint — no
 /// partial overlap), even though the tape rewinds in reverse order.
 #[test]
 fn scope_events_balance_under_tape_rewind() {
     let shape = GridShape::new(2, 1);
     let microbatches = 3usize;
+    let cfg = TransformerConfig {
+        batch: 2,
+        seq: 4,
+        hidden: 8,
+        heads: 2,
+        mlp_ratio: 2,
+        layers: 2,
+        eps: 1e-5,
+    };
     let xs: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 30 + m as u64)).collect();
     let dys: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 40 + m as u64)).collect();
     let out = RunConfig::from_env(shape.size()).with_trace(true).cluster().run(move |ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut seq: Sequential<DenseTensor> = Sequential::new()
-            .push(TesseractLayerNorm::new(8, 1e-5))
-            .push(TesseractLinear::new(ctx, &grid, 8, 8, true, SEED, 3));
+        let mut stack = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 3);
         for x in &xs {
             let x_loc = Arc::new(DenseTensor::from_matrix(a_block(x, shape, i, j, k)));
-            let _ = seq.forward(&grid, ctx, &x_loc);
+            let _ = stack.forward(&grid, ctx, &x_loc);
         }
         for dy in dys.iter().rev() {
             let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(dy, shape, i, j, k)));
-            let _ = seq.backward(&grid, ctx, &dy_loc);
+            let _ = stack.backward(&grid, ctx, &dy_loc);
         }
-        seq.zero_grad();
+        stack.zero_grad();
     });
     for events in &out.traces {
         let scopes: Vec<_> = events
@@ -142,7 +148,7 @@ fn scope_events_balance_under_tape_rewind() {
             .collect();
         let fwd = scopes.iter().filter(|s| s.1 == "fwd").count();
         let bwd = scopes.iter().filter(|s| s.1 == "bwd").count();
-        // 2 modules x 3 microbatches, once per direction.
+        // 2 layers x 3 microbatches, once per direction.
         assert_eq!(fwd, 6, "fwd scopes: {scopes:?}");
         assert_eq!(bwd, 6, "bwd scopes: {scopes:?}");
         for (name, _, begin, end) in &scopes {

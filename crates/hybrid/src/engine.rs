@@ -1,17 +1,16 @@
 //! The combined dp × pp × Tesseract engine (paper §3.4, Figure 6).
 //!
 //! Each rank determines its (replica, stage, grid position) from
-//! [`HybridShape`], carves its pipeline stage's slice of the Transformer
-//! stack (a [`Sequential`] of layer modules, via
-//! [`HybridShape::carve_stage`]) on its module's Tesseract grid, and
-//! exposes a GPipe `train_step` that finishes with the data-parallel
+//! [`HybridShape`], builds its pipeline stage — a [`TesseractTransformer`]
+//! of the stage's `layers / pp` layers — on its module's Tesseract grid,
+//! and exposes a GPipe `train_step` that finishes with the data-parallel
 //! gradient all-reduce.
 
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_core::module::Sequential;
-use tesseract_core::{TesseractGrid, TransformerConfig};
+use tesseract_core::layers::PARAM_IDS_PER_LAYER;
+use tesseract_core::{TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::TensorLike;
 
 use crate::data_parallel::DataParallel;
@@ -19,14 +18,16 @@ use crate::mapping::{HybridCoords, HybridShape};
 use crate::pipeline::{gpipe_step_module, PipelineStage};
 
 /// One rank's slice of a hybrid-parallel Transformer.
-pub struct HybridTransformer<T> {
+pub struct HybridTransformer<T: TensorLike + Payload> {
     pub shape: HybridShape,
     pub coords: HybridCoords,
     pub grid: TesseractGrid,
     pub stage: PipelineStage,
     pub dp: DataParallel,
-    /// This pipeline stage's contiguous slice of the layer stack.
-    pub model: Sequential<T>,
+    /// This pipeline stage's contiguous slice of the layer stack. Layer
+    /// `l` of the global stack keeps its global parameter ids, so the
+    /// stages jointly hold exactly the weights of the monolithic model.
+    pub model: TesseractTransformer<T>,
     /// Configuration of one microbatch (`cfg.batch` = microbatch size).
     pub cfg: TransformerConfig,
 }
@@ -48,8 +49,13 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
         let base = shape.module_base(coords.dp_idx, coords.pp_idx);
         let grid = TesseractGrid::new(ctx, shape.grid, base);
 
-        let (model, stage_cfg) =
-            shape.carve_stage::<T>(ctx, &grid, coords.pp_idx, cfg, with_bias, seed);
+        let layers = shape
+            .check_carve(cfg.layers)
+            .unwrap_or_else(|e| panic!("pp must divide the layer count: {e}"));
+        let stage_cfg = TransformerConfig { layers, ..cfg };
+        let first_param_id = (coords.pp_idx * layers) as u64 * PARAM_IDS_PER_LAYER;
+        let model =
+            TesseractTransformer::new(ctx, &grid, stage_cfg, with_bias, seed, first_param_id);
 
         let prev_peer = (coords.pp_idx > 0)
             .then(|| shape.module_base(coords.dp_idx, coords.pp_idx - 1) + coords.tess_offset);

@@ -11,10 +11,8 @@
 //!
 //! and the gradient all-reduce groups are the fibers along the `"dp"` axis.
 
-use tesseract_comm::{Mesh, MeshAxis, Payload, RankCtx};
-use tesseract_core::layers::{TesseractTransformerLayer, PARAM_IDS_PER_LAYER};
-use tesseract_core::{GridShape, Sequential, ShapeError, TesseractGrid, TransformerConfig};
-use tesseract_tensor::TensorLike;
+use tesseract_comm::{Mesh, MeshAxis};
+use tesseract_core::{GridShape, ShapeError};
 
 /// Shape of a hybrid dp × pp × Tesseract arrangement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,42 +132,6 @@ impl HybridShape {
     pub fn dp_group_ranks(&self, pp_idx: usize, tess_offset: usize) -> Vec<usize> {
         let (i, j, k) = self.grid.coords_of(tess_offset);
         self.mesh().fiber_ranks("dp", &[0, pp_idx, k, i, j])
-    }
-
-    /// Carves pipeline stage `pp_idx`'s contiguous slice out of the full
-    /// `cfg.layers`-deep Transformer stack, as a [`Sequential`] of layer
-    /// modules on `grid`. Layer `l` of the *global* stack keeps its global
-    /// parameter ids (`l · PARAM_IDS_PER_LAYER`), so the carved stages of a
-    /// pipeline jointly hold exactly the weights of the monolithic model.
-    /// Returns the stage module and the per-stage config
-    /// (`layers = cfg.layers / pp`).
-    pub fn carve_stage<T: TensorLike + Payload>(
-        &self,
-        ctx: &RankCtx,
-        grid: &TesseractGrid,
-        pp_idx: usize,
-        cfg: TransformerConfig,
-        with_bias: bool,
-        seed: u64,
-    ) -> (Sequential<T>, TransformerConfig) {
-        assert!(pp_idx < self.pp, "stage {pp_idx} out of {} stages", self.pp);
-        let layers_per_stage = self
-            .check_carve(cfg.layers)
-            .unwrap_or_else(|e| panic!("pp must divide the layer count: {e}"));
-        let stage_cfg = TransformerConfig { layers: layers_per_stage, ..cfg };
-        let first = pp_idx * layers_per_stage;
-        let mut stage = Sequential::new();
-        for l in first..first + layers_per_stage {
-            stage.push_boxed(Box::new(TesseractTransformerLayer::new(
-                ctx,
-                grid,
-                stage_cfg,
-                with_bias,
-                seed,
-                l as u64 * PARAM_IDS_PER_LAYER,
-            )));
-        }
-        (stage, stage_cfg)
     }
 
     /// Renders the Figure-6-style arrangement map.

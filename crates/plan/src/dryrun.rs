@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use tesseract_baselines::megatron::MegatronWorld;
 use tesseract_comm::{CostParams, RankCtx, RankReport, RunConfig, RunOutput, Topology};
-use tesseract_core::layers::{StackOptions, Transformer, World};
+use tesseract_core::layers::{Transformer, World};
 use tesseract_core::{Module, TesseractGrid, TransformerConfig};
 use tesseract_hybrid::HybridTransformer;
 use tesseract_tensor::ShadowTensor;
@@ -97,10 +97,8 @@ pub fn dry_run(
 }
 
 /// [`dry_run`] driven by a full [`RunConfig`]: the cluster's topology, cost
-/// constants and trace toggle come from the config, and the recompute-every
-/// execution option is applied to Tesseract-grid and Megatron candidates
-/// (the hybrid schedule ignores it). `run_cfg.world` is ignored — each
-/// candidate sets its own world size.
+/// constants and trace toggle come from the config. `run_cfg.world` is
+/// ignored — each candidate sets its own world size.
 pub fn dry_run_with_config(
     run_cfg: &RunConfig,
     cand: &Candidate,
@@ -119,7 +117,6 @@ pub fn step(
     cand: &Candidate,
     cfg: &TransformerConfig,
 ) -> RunOutput<(f64, f64)> {
-    let opts = StackOptions { recompute_every: run_cfg.recompute_every };
     let cfg = *cfg;
     let mut rc = *run_cfg;
     match cand {
@@ -129,7 +126,7 @@ pub fn step(
             rc.cluster().run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let rows_local = cfg.rows() / (shape.q * shape.d);
-                stack_step(ctx, &grid, cfg, opts, rows_local, cfg.hidden / shape.q)
+                stack_step(ctx, &grid, cfg, rows_local, cfg.hidden / shape.q)
             })
         }
         Candidate::Megatron { p } => {
@@ -138,7 +135,7 @@ pub fn step(
             rc.cluster().run(|ctx| {
                 let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
                 // Activations are replicated: every rank sees the full batch.
-                stack_step(ctx, &world, cfg, opts, cfg.rows(), cfg.hidden)
+                stack_step(ctx, &world, cfg, cfg.rows(), cfg.hidden)
             })
         }
         Candidate::Hybrid { shape, microbatches } => {
@@ -207,11 +204,10 @@ fn stack_step<G: World<ShadowTensor>>(
     ctx: &mut RankCtx,
     world: &G,
     cfg: TransformerConfig,
-    opts: StackOptions,
     rows: usize,
     cols: usize,
 ) -> (f64, f64) {
-    let mut model = Transformer::new_with_options(ctx, world, cfg, true, 0, 0, opts);
+    let mut model = Transformer::new(ctx, world, cfg, true, 0, 0);
     let x = Arc::new(ShadowTensor::new(rows, cols));
     let _ = model.forward(world, ctx, &x);
     ctx.flush_compute();
@@ -276,27 +272,6 @@ mod tests {
         );
         assert_eq!(tess.makespan_s, hybrid.makespan_s);
         assert_eq!(tess.forward_s, hybrid.forward_s);
-    }
-
-    #[test]
-    fn recompute_shrinks_the_measured_activation_peak() {
-        // 2 layers checkpointed every layer: each rank measures
-        // 156160 / 295936 = 0.528 of the dense tape peak (one live layer
-        // plus the segment inputs). The gate is that ratio plus 10 % slack,
-        // so it fails if recomputation stops dropping segments.
-        const RHO: f64 = 0.58;
-        let base = RunConfig::new(0);
-        let cand = Candidate::Tesseract { grid: GridShape::new(2, 1) };
-        let dense = step(&base, &cand, &cfg());
-        let rec = step(&base.with_recompute_every(Some(1)), &cand, &cfg());
-        for (r, (d, rc)) in dense.reports.iter().zip(&rec.reports).enumerate() {
-            let (d, rc) = (d.activation_bytes_peak, rc.activation_bytes_peak);
-            assert!(d > 0, "rank {r}: dense dry run tracked no activations");
-            assert!(
-                rc as f64 <= RHO * d as f64,
-                "rank {r}: recompute peak {rc} above {RHO} x dense {d}"
-            );
-        }
     }
 
     #[test]

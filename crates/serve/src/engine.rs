@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use tesseract_comm::{Cluster, Payload, RankCtx, RunConfig, RunOutput};
 use tesseract_core::TransformerConfig;
-use tesseract_core::{GridShape, InferBatch, InferModel, RequestKv, TesseractGrid};
+use tesseract_core::{GridShape, InferBatch, RequestKv, TesseractGrid, TesseractTransformer};
 use tesseract_tensor::TensorLike;
 
 use crate::traffic::RequestSpec;
@@ -342,7 +342,7 @@ pub fn run_serve<T: TensorLike + Payload>(
     traffic: &[RequestSpec],
 ) -> ServeSummary {
     cfg.model.validate_for_grid(grid.shape.q, grid.shape.d);
-    let model = InferModel::<T>::new(ctx, grid, cfg.model, cfg.with_bias, cfg.seed, 0);
+    let model = TesseractTransformer::<T>::new(ctx, grid, cfg.model, cfg.with_bias, cfg.seed, 0);
     let lanes = grid.shape.q * grid.shape.d;
     let my_lane = grid.a_row_block();
     let hidden = cfg.model.hidden;

@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tesseract_comm::Cluster;
-use tesseract_core::{GridShape, InferBatch, InferModel, TesseractGrid, TransformerConfig};
+use tesseract_core::{
+    GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
+};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
 fn test_model() -> TransformerConfig {
@@ -22,7 +24,7 @@ fn check_parity(prompt_len: usize, decode_tokens: usize, seed: u64) {
     let cfg = test_model();
     let out = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let model = InferModel::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
+        let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
         let local_h = cfg.hidden / grid.shape.q;
         let prompt = DenseTensor::init_xavier_block(
             prompt_len,

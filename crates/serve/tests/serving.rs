@@ -4,7 +4,9 @@
 use std::sync::Arc;
 
 use tesseract_comm::Cluster;
-use tesseract_core::{GridShape, InferBatch, InferModel, TesseractGrid, TransformerConfig};
+use tesseract_core::{
+    GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
+};
 use tesseract_serve::{
     latency_stats, serve_on_cluster, RequestSpec, ServeConfig, ServeSummary, TrafficConfig,
 };
@@ -46,7 +48,7 @@ fn cached_vs_recompute(shape: GridShape, prompt_len: usize, decode_tokens: usize
     let cfg = test_model();
     let out = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let model = InferModel::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
+        let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
         let prompt = prompt_block(&grid, cfg.hidden, prompt_len, seed ^ 0xABCD, 1);
 
         // Cached path: prefill once, then O(1)-row decode steps.
@@ -123,7 +125,7 @@ fn inference_never_grows_tapes_and_drops_activation_arcs() {
     let cfg = test_model();
     Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let model = InferModel::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
+        let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
         let prompt = Arc::new(prompt_block(&grid, cfg.hidden, 4, 99, 0));
         let weak_prompt = Arc::downgrade(&prompt);
 
@@ -163,7 +165,7 @@ fn backward_after_forward_infer_panics_on_the_empty_tape() {
     let cfg = test_model();
     Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut model = InferModel::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
+        let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
         let x = Arc::new(prompt_block(&grid, cfg.hidden, 4, 3, 0));
         let mut batch = InferBatch { new_rows: vec![4], kvs: vec![model.new_kv(&grid)] };
         let y = model.forward_infer(&grid, ctx, &x, &mut batch);

@@ -37,7 +37,7 @@ impl ViTConfig {
 }
 
 /// Tesseract-parallel ViT.
-pub struct TesseractViT<T> {
+pub struct TesseractViT<T: TensorLike + Payload> {
     pub embed: TesseractLinear<T>,
     pub body: TesseractTransformer<T>,
     pub head: TesseractLinear<T>,

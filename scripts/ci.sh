@@ -76,6 +76,20 @@ if [ -n "$side" ]; then
     exit 1
 fi
 
+# The layer list is built in one place: Transformer's constructor. Training,
+# recomputation, pipeline stages and serving all run that stack, so a second
+# builder of layers in library code is a second stack. (The serial oracle's
+# SerialTransformerLayer is the reference, not a stack, and is exempt.)
+echo "== one-stack gate (layers built only by core's Transformer) =="
+stacks=$(grep -rnE '(^|[^A-Za-z_])(Tesseract|Megatron)?TransformerLayer(::<[^>]*>)?::new\(' \
+    crates/*/src src --include='*.rs' \
+    | grep -v '^crates/core/src/layers/transformer\.rs:' || true)
+if [ -n "$stacks" ]; then
+    echo "ci.sh: Transformer layers built outside core/src/layers/transformer.rs:"
+    echo "$stacks"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
@@ -197,7 +211,7 @@ grep -q '"traceEvents"' target/TRACE_serving.smoke.json \
 
 # memory_table prints the measured tape high-water of a 4-layer stack, dense
 # vs recomputation; the ratio itself is gated per rank by
-# crates/core/tests/recompute.rs and plan::dryrun's tests.
+# crates/core/tests/recompute.rs.
 echo "== memory_table smoke (measured-peak: dense vs recompute) =="
 cargo run -q --release --offline -p tesseract-bench --bin memory_table > target/memory_table.smoke.log
 for mode in 'dense' 'recompute k=1'; do
