@@ -7,6 +7,7 @@
 //! Run: `cargo run --release -p tesseract-bench --bin fig6_hybrid`
 
 use tesseract_comm::Cluster;
+use tesseract_core::layers::StackOptions;
 use tesseract_core::TransformerConfig;
 use tesseract_hybrid::{HybridShape, HybridTransformer};
 use tesseract_tensor::ShadowTensor;
@@ -37,7 +38,7 @@ fn main() {
     };
     let microbatches = 4;
     let out = Cluster::a100(shape.total()).run(|ctx| {
-        let mut engine = HybridTransformer::<ShadowTensor>::new(ctx, shape, cfg, true, 0);
+        let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 0, StackOptions::default());
         // A-type partitioning splits rows into q·d bands (Figure 4a).
         let rows_local = engine.cfg.rows() / (shape.grid.q * shape.grid.d);
         let cols_local = cfg.hidden / shape.grid.q;

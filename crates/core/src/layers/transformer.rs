@@ -260,18 +260,31 @@ impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Transformer<T, G> {
     }
 
     fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+        self.backward_from(world, ctx, &mut |_| Arc::clone(dy))
+    }
+
+    /// Checkpointed, the last segment's replay runs before `dy(ctx)` is
+    /// asked for, inside that segment's `checkpoint.bwd` scope.
+    fn backward_from(
+        &mut self,
+        world: &G,
+        ctx: &mut RankCtx,
+        dy: &mut dyn FnMut(&mut RankCtx) -> Arc<T>,
+    ) -> Arc<T> {
         let Some(k) = self.recompute_every else {
-            return backward_layers(&mut self.layers, world, ctx, dy);
+            let dy = dy(ctx);
+            return backward_layers(&mut self.layers, world, ctx, &dy);
         };
-        let mut g = Arc::clone(dy);
+        let mut g: Option<Arc<T>> = None;
         for seg in self.layers.chunks_mut(k).rev() {
-            g = ctx.traced("checkpoint", "bwd", |ctx| {
+            g = Some(ctx.traced("checkpoint", "bwd", |ctx| {
                 let x = self.inputs.pop_tracked(ctx, "Transformer checkpoint");
                 let _ = forward_layers(seg, world, ctx, &x);
+                let g = g.take().unwrap_or_else(|| dy(ctx));
                 backward_layers(seg, world, ctx, &g)
-            });
+            }));
         }
-        g
+        g.unwrap_or_else(|| dy(ctx))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {

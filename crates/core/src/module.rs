@@ -63,6 +63,20 @@ pub trait Module<T: TensorLike + Payload, G = TesseractGrid> {
     /// queued microbatch forwards are unwound in reverse order).
     fn backward(&mut self, grid: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T>;
 
+    /// [`Module::backward`] with `dY` fetched by `dy(ctx)`, called once and
+    /// as late as the module allows: a checkpointed stack replays its last
+    /// segment first, so a pipeline stage's replay runs before it waits on
+    /// the downstream gradient. The default fetches `dY` first.
+    fn backward_from(
+        &mut self,
+        grid: &G,
+        ctx: &mut RankCtx,
+        dy: &mut dyn FnMut(&mut RankCtx) -> Arc<T>,
+    ) -> Arc<T> {
+        let dy = dy(ctx);
+        self.backward(grid, ctx, &dy)
+    }
+
     /// Visits every (weight, grad) pair in a deterministic order.
     /// Parameter-free modules use the default empty body.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_core::layers::PARAM_IDS_PER_LAYER;
+use tesseract_core::layers::{StackOptions, Transformer, PARAM_IDS_PER_LAYER};
 use tesseract_core::{TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::TensorLike;
 
@@ -34,13 +34,15 @@ pub struct HybridTransformer<T: TensorLike + Payload> {
 
 impl<T: TensorLike + Payload> HybridTransformer<T> {
     /// `cfg.layers` is the *total* stack depth (must divide by `shape.pp`);
-    /// `cfg.batch` is the per-microbatch batch size.
+    /// `cfg.batch` is the per-microbatch batch size; every stage's stack is
+    /// built with `opts`.
     pub fn new(
         ctx: &RankCtx,
         shape: HybridShape,
         cfg: TransformerConfig,
         with_bias: bool,
         seed: u64,
+        opts: StackOptions,
     ) -> Self {
         shape
             .check_world(ctx.world)
@@ -52,10 +54,10 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
         let layers = shape
             .check_carve(cfg.layers)
             .unwrap_or_else(|e| panic!("pp must divide the layer count: {e}"));
-        let stage_cfg = TransformerConfig { layers, ..cfg };
+        let cfg = TransformerConfig { layers, ..cfg };
         let first_param_id = (coords.pp_idx * layers) as u64 * PARAM_IDS_PER_LAYER;
         let model =
-            TesseractTransformer::new(ctx, &grid, stage_cfg, with_bias, seed, first_param_id);
+            Transformer::new_with_options(ctx, &grid, cfg, with_bias, seed, first_param_id, opts);
 
         let prev_peer = (coords.pp_idx > 0)
             .then(|| shape.module_base(coords.dp_idx, coords.pp_idx - 1) + coords.tess_offset);
@@ -65,22 +67,23 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
 
         let dp = DataParallel::new(ctx, shape.dp_group_ranks(coords.pp_idx, coords.tess_offset));
 
-        Self { shape, coords, grid, stage, dp, model, cfg: stage_cfg }
+        Self { shape, coords, grid, stage, dp, model, cfg }
     }
 
     /// One GPipe training step over `microbatches` inputs, followed by the
     /// data-parallel gradient sync. `inputs(m)` supplies microbatch `m`'s
     /// local activation block on the first stage; `loss_grad` converts the
     /// last stage's output into the initial gradient. Returns last-stage
-    /// outputs (empty on other stages).
+    /// outputs (empty on other stages) and the clock at the end of the
+    /// forward phase, as [`gpipe_step_module`] does.
     pub fn train_step(
         &mut self,
         ctx: &mut RankCtx,
         microbatches: usize,
         inputs: impl FnMut(usize) -> T,
         loss_grad: impl FnMut(&mut RankCtx, &T, usize) -> T,
-    ) -> Vec<Arc<T>> {
-        let outputs = gpipe_step_module(
+    ) -> (Vec<Arc<T>>, f64) {
+        let step = gpipe_step_module(
             &self.stage,
             &self.grid,
             ctx,
@@ -92,6 +95,6 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
         if self.shape.dp > 1 {
             self.dp.sync_gradients(ctx, &mut self.model);
         }
-        outputs
+        step
     }
 }

@@ -82,7 +82,15 @@ impl PipelineStage {
 /// * `loss_grad(ctx, y, m)` — on the *last* stage, converts output `y` of
 ///   microbatch `m` into the initial gradient (ignored elsewhere).
 ///
-/// Returns the last stage's outputs, in microbatch order (empty elsewhere).
+/// Each backward goes through [`Module::backward_from`], which fetches the
+/// gradient (`loss_grad` on the last stage, `recv_backward` elsewhere) only
+/// after a checkpointed stage has replayed its last segment, so the replay
+/// overlaps the wait; the `stage.bwd` scope spans it. The forward phase
+/// ends with a compute flush. This is the only GPipe loop: training,
+/// `fig6_hybrid` and the planner's dry-run all run it.
+///
+/// Returns the last stage's outputs, in microbatch order (empty elsewhere),
+/// and the rank's clock at the end of the forward phase.
 ///
 /// Activations flow between stages as `Arc<T>`: within a simulated node the
 /// point-to-point send hands the receiver a reference to the same buffer
@@ -96,7 +104,7 @@ pub fn gpipe_step_module<T>(
     microbatches: usize,
     mut inputs: impl FnMut(usize) -> T,
     mut loss_grad: impl FnMut(&mut RankCtx, &T, usize) -> T,
-) -> Vec<Arc<T>>
+) -> (Vec<Arc<T>>, f64)
 where
     T: TensorLike + Payload,
 {
@@ -112,18 +120,22 @@ where
             stage.send_forward(ctx, y);
         }
     }
+    ctx.flush_compute();
+    let forward_end = ctx.clock();
     for m in (0..microbatches).rev() {
-        let dy: Arc<T> = if stage.is_last() {
-            Arc::new(loss_grad(ctx, &outputs[m], m))
-        } else {
-            stage.recv_backward(ctx)
+        let mut dy = |ctx: &mut RankCtx| -> Arc<T> {
+            if stage.is_last() {
+                Arc::new(loss_grad(ctx, &outputs[m], m))
+            } else {
+                stage.recv_backward(ctx)
+            }
         };
-        let dx = ctx.traced("stage", "bwd", |ctx| model.backward(grid, ctx, &dy));
+        let dx = ctx.traced("stage", "bwd", |ctx| model.backward_from(grid, ctx, &mut dy));
         if !stage.is_first() {
             stage.send_backward(ctx, dx);
         }
     }
-    outputs
+    (outputs, forward_end)
 }
 
 #[cfg(test)]
@@ -176,7 +188,7 @@ mod tests {
             let stage = PipelineStage::new(ctx, pp, ctx.rank, prev, next);
             let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), ctx.rank);
             let mut model = Scale { factor: factors[ctx.rank], dxs: Vec::new() };
-            let outputs = gpipe_step_module(
+            let (outputs, _) = gpipe_step_module(
                 &stage,
                 &grid,
                 ctx,

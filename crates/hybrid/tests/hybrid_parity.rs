@@ -4,6 +4,7 @@
 
 use tesseract_baselines::serial::SerialTransformer;
 use tesseract_comm::Cluster;
+use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{GridShape, Module, TransformerConfig};
 use tesseract_hybrid::{HybridShape, HybridTransformer};
@@ -36,10 +37,17 @@ fn pipeline_only_matches_serial_stack() {
 
     let shape = HybridShape::new(1, 2, GridShape::new(1, 1));
     let out = Cluster::a100(2).run(|ctx| {
-        let mut engine = HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, SEED);
+        let mut engine = HybridTransformer::<DenseTensor>::new(
+            ctx,
+            shape,
+            cfg,
+            true,
+            SEED,
+            StackOptions::default(),
+        );
         let x = x.clone();
         let dy = dy.clone();
-        let outputs = engine.train_step(
+        let (outputs, _) = engine.train_step(
             ctx,
             1,
             |_m| DenseTensor::from_matrix(x.clone()),
@@ -83,7 +91,14 @@ fn data_parallel_averages_half_batch_gradients() {
 
     let shape = HybridShape::new(2, 1, GridShape::new(1, 1));
     let out = Cluster::a100(2).run(|ctx| {
-        let mut engine = HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, SEED);
+        let mut engine = HybridTransformer::<DenseTensor>::new(
+            ctx,
+            shape,
+            cfg,
+            true,
+            SEED,
+            StackOptions::default(),
+        );
         let rows_half = cfg.rows();
         let r0 = ctx.rank * rows_half;
         let x_half = x_full.slice_rows(r0, r0 + rows_half);
@@ -130,7 +145,14 @@ fn figure6_arrangement_matches_serial() {
 
     let grid = shape.grid;
     let out = Cluster::a100(shape.total()).run(|ctx| {
-        let mut engine = HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, SEED);
+        let mut engine = HybridTransformer::<DenseTensor>::new(
+            ctx,
+            shape,
+            cfg,
+            true,
+            SEED,
+            StackOptions::default(),
+        );
         let coords = engine.coords;
         // Replica r sees samples [r·4, r·4+4) → rows [r·8, r·8+8).
         let rows_per_replica = cfg.rows();
@@ -140,7 +162,7 @@ fn figure6_arrangement_matches_serial() {
         let (i, j, k) = engine.grid.coords;
         let x_loc = a_block(&x_rep, grid, i, j, k);
         let dy_loc = a_block(&dy_rep, grid, i, j, k);
-        let outputs = engine.train_step(
+        let (outputs, _) = engine.train_step(
             ctx,
             1,
             |_m| DenseTensor::from_matrix(x_loc.clone()),
@@ -189,5 +211,54 @@ fn figure6_arrangement_matches_serial() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn checkpointed_stages_match_the_plain_pipeline_bitwise() {
+    // pp = 2 stages of two layers on [2,2,1] grids; `recompute_every: Some(1)`
+    // makes two segments per stage, replayed under a three-microbatch GPipe
+    // order, with the replay of the last segment before the gradient recv.
+    let shape = HybridShape::new(1, 2, GridShape::new(2, 1));
+    let cfg = TransformerConfig {
+        batch: 4, // per microbatch, divisible by q·d = 2
+        seq: 2,
+        hidden: 8,
+        heads: 2,
+        mlp_ratio: 2,
+        layers: 4,
+        eps: 1e-5,
+    };
+    let microbatches = 3;
+    let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 10 + m)).collect();
+    let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
+    let grid = shape.grid;
+    let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let run = |opts: StackOptions| {
+        Cluster::a100(shape.total())
+            .run(|ctx| {
+                let mut engine =
+                    HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, SEED, opts);
+                let (i, j, k) = engine.grid.coords;
+                let (outputs, _) = engine.train_step(
+                    ctx,
+                    microbatches,
+                    |m| DenseTensor::from_matrix(a_block(&xs[m], grid, i, j, k)),
+                    |_ctx, _y, m| DenseTensor::from_matrix(a_block(&dys[m], grid, i, j, k)),
+                );
+                let mut grads = Vec::new();
+                engine.model.visit_params(&mut |pr| grads.push(bits(pr.grad.matrix())));
+                let outputs: Vec<Vec<u32>> = outputs.iter().map(|o| bits(o.matrix())).collect();
+                (outputs, grads, engine.model.tape_depth(), ctx.tape_bytes_now())
+            })
+            .results
+    };
+    let plain = run(StackOptions::default());
+    let replayed = run(StackOptions { recompute_every: Some(1) });
+    assert_eq!(replayed[shape.total() - 1].0.len(), microbatches);
+    for (rank, (p, r)) in plain.iter().zip(&replayed).enumerate() {
+        assert_eq!(p.0, r.0, "rank {rank}: last-stage outputs differ under recompute");
+        assert_eq!(p.1, r.1, "rank {rank}: gradients differ under recompute");
+        assert_eq!((r.2, r.3), (0, 0), "rank {rank}: tape left resident after the step");
     }
 }

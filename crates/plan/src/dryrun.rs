@@ -9,19 +9,22 @@
 //! bitwise (the runs are deterministic; tracing does not perturb clocks).
 //!
 //! Step convention, uniform across schemes so ranks are comparable:
-//! **checkpointed backward** (forward; then recompute-forward + true
-//! backward), the convention of `bench::timing` and the paper's ≈3×
-//! backward/forward ratio. The hybrid GPipe schedule runs all microbatch
-//! forwards, then per-microbatch recompute + backward in reverse order,
-//! then the data-parallel gradient sync.
+//! **checkpointed backward**, done by the stack's own checkpointing
+//! (`StackOptions::recompute_every`). The forward keeps only each
+//! segment's input; the backward replays the segment, then unwinds it.
+//! This is the convention of `bench::timing` and the paper's ≈3×
+//! backward/forward ratio. Tesseract and Megatron run their whole stack as
+//! one segment. The hybrid arm is `HybridTransformer::train_step` with one
+//! segment per stage: the GPipe schedule that trains, followed by the
+//! data-parallel gradient sync.
 //!
 //! [`Cluster`]: tesseract_comm::Cluster
 
 use std::sync::Arc;
 
 use tesseract_baselines::megatron::MegatronWorld;
-use tesseract_comm::{CostParams, RankCtx, RankReport, RunConfig, RunOutput, Topology};
-use tesseract_core::layers::{Transformer, World};
+use tesseract_comm::{CostParams, RankCtx, RunConfig, RunOutput, Topology};
+use tesseract_core::layers::{StackOptions, Transformer, World};
 use tesseract_core::{Module, TesseractGrid, TransformerConfig};
 use tesseract_hybrid::HybridTransformer;
 use tesseract_tensor::ShadowTensor;
@@ -43,39 +46,15 @@ pub struct DryRun {
     /// materialized.
     pub peak_bytes: u64,
     /// Measured peak of tape-held activation bytes: max over ranks of the
-    /// [`RankReport::activation_bytes_peak`] high-water mark. This is the
-    /// number recomputation actually shrinks.
+    /// [`RankReport::activation_bytes_peak`](tesseract_comm::RankReport::activation_bytes_peak)
+    /// high-water mark: one segment's tape plus the segment inputs queued
+    /// beside it (one per in-flight microbatch on a pipeline stage).
     pub activation_peak_bytes: u64,
     /// Fraction of collective wait the split-phase pipelines hid under
     /// compute: Σ hidden / (Σ hidden + Σ blocked) over all ranks, in [0, 1].
     pub hidden_wait_frac: f64,
     /// Max over ranks of seconds blocked in collectives.
     pub comm_s: f64,
-}
-
-fn collect(results: &[(f64, f64)], reports: &[RankReport], makespan: f64) -> DryRun {
-    let forward = results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
-    let peak_bytes = reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0);
-    let activation_peak_bytes = reports.iter().map(|r| r.activation_bytes_peak).max().unwrap_or(0);
-    let hidden: u64 = reports.iter().map(|r| r.overlap_hidden_nanos).sum();
-    let blocked: u64 = reports.iter().map(|r| r.comm_wait_nanos).sum();
-    let denom = hidden + blocked;
-    let hidden_wait_frac = if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 };
-    let comm_s = reports.iter().map(|r| r.comm_time).fold(0.0, f64::max);
-    DryRun {
-        makespan_s: makespan,
-        forward_s: forward,
-        backward_s: makespan - forward,
-        peak_bytes,
-        activation_peak_bytes,
-        hidden_wait_frac,
-        comm_s,
-    }
-}
-
-fn finish(out: RunOutput<(f64, f64)>) -> DryRun {
-    let makespan = out.makespan();
-    collect(&out.results, &out.reports, makespan)
 }
 
 /// Runs one simulated training step of `cand` on `topo`/`params`. The
@@ -93,25 +72,29 @@ pub fn dry_run(
 ) -> DryRun {
     let run_cfg =
         RunConfig::from_env(0).with_topology(*topo).with_params(*params).with_trace(trace);
-    dry_run_with_config(&run_cfg, cand, cfg)
-}
-
-/// [`dry_run`] driven by a full [`RunConfig`]: the cluster's topology, cost
-/// constants and trace toggle come from the config. `run_cfg.world` is
-/// ignored — each candidate sets its own world size.
-pub fn dry_run_with_config(
-    run_cfg: &RunConfig,
-    cand: &Candidate,
-    cfg: &TransformerConfig,
-) -> DryRun {
-    finish(step(run_cfg, cand, cfg))
+    let out = step(&run_cfg, cand, cfg);
+    let makespan = out.makespan();
+    let reports = &out.reports;
+    let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
+    let hidden: u64 = reports.iter().map(|r| r.overlap_hidden_nanos).sum();
+    let blocked: u64 = reports.iter().map(|r| r.comm_wait_nanos).sum();
+    let denom = hidden + blocked;
+    DryRun {
+        makespan_s: makespan,
+        forward_s: forward,
+        backward_s: makespan - forward,
+        peak_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
+        activation_peak_bytes: reports.iter().map(|r| r.activation_bytes_peak).max().unwrap_or(0),
+        hidden_wait_frac: if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 },
+        comm_s: reports.iter().map(|r| r.comm_time).fold(0.0, f64::max),
+    }
 }
 
 /// The one step harness: runs one checkpointed training step of `cand`
-/// (forward; then recompute-forward + true backward) under `run_cfg` and
-/// returns the raw run — per rank `(clock after the forward phase, clock
-/// after the step)`, plus every rank's report and the comm stats.
-/// [`dry_run_with_config`] and `bench::timing` both summarize this.
+/// under `run_cfg` and returns the raw run — per rank `(clock after the
+/// forward phase, clock after the step)`, plus every rank's report and the
+/// comm stats. [`dry_run`] and `bench::timing` both summarize this. The
+/// world size comes from the candidate; `run_cfg.world` is ignored.
 pub fn step(
     run_cfg: &RunConfig,
     cand: &Candidate,
@@ -144,53 +127,21 @@ pub fn step(
             // The engine wants the per-microbatch batch size; the planner's
             // cfg.batch is global.
             let engine_cfg = TransformerConfig { batch: cfg.batch / (shape.dp * mb), ..cfg };
+            // `layers` is at least a stage's depth: one segment per stage.
+            let opts = StackOptions { recompute_every: Some(engine_cfg.layers) };
             rc.world = shape.total();
             rc.cluster().run(|ctx| {
                 let mut eng =
-                    HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0);
+                    HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0, opts);
                 let rows_local = eng.cfg.rows() / (shape.grid.q * shape.grid.d);
                 let cols_local = engine_cfg.hidden / shape.grid.q;
-                // Not `gpipe_step_module`: this loop interleaves the recompute.
-                // GPipe forward phase; stage inputs are stashed so the
-                // checkpointed backward can recompute without resending
-                // activations.
-                let mut xs: Vec<Arc<ShadowTensor>> = Vec::with_capacity(mb);
-                for _ in 0..mb {
-                    let x: Arc<ShadowTensor> = if eng.stage.is_first() {
-                        Arc::new(ShadowTensor::new(rows_local, cols_local))
-                    } else {
-                        eng.stage.recv_forward(ctx)
-                    };
-                    let y = eng.model.forward(&eng.grid, ctx, &x);
-                    xs.push(x);
-                    // The first forward's outputs are modelled as
-                    // discarded (checkpointing); the backward phase
-                    // recomputes them.
-                    if !eng.stage.is_last() {
-                        eng.stage.send_forward(ctx, y);
-                    }
-                }
-                ctx.flush_compute();
-                let t_fwd = ctx.clock();
-                eng.model.reset_tape(ctx);
-                // Backward phase in reverse microbatch order: recompute
-                // this stage's forward from the stashed input, then run
-                // the true backward on the recomputed tape.
-                for m in (0..mb).rev() {
-                    let y = eng.model.forward(&eng.grid, ctx, &xs[m]);
-                    let dy: Arc<ShadowTensor> = if eng.stage.is_last() {
-                        y // loss gradient modelled as the output itself
-                    } else {
-                        eng.stage.recv_backward(ctx)
-                    };
-                    let dx = eng.model.backward(&eng.grid, ctx, &dy);
-                    if !eng.stage.is_first() {
-                        eng.stage.send_backward(ctx, dx);
-                    }
-                }
-                if shape.dp > 1 {
-                    eng.dp.sync_gradients(ctx, &mut eng.model);
-                }
+                // The loss gradient is modelled as the output itself.
+                let (_, t_fwd) = eng.train_step(
+                    ctx,
+                    mb,
+                    |_| ShadowTensor::new(rows_local, cols_local),
+                    |_, y, _| *y,
+                );
                 ctx.flush_compute();
                 (t_fwd, ctx.clock())
             })
@@ -199,7 +150,7 @@ pub fn step(
 }
 
 /// One checkpointed step of the shared stack on world `G`, from this
-/// rank's `[rows, cols]` input block.
+/// rank's `[rows, cols]` input block: the whole stack is one segment.
 fn stack_step<G: World<ShadowTensor>>(
     ctx: &mut RankCtx,
     world: &G,
@@ -207,17 +158,12 @@ fn stack_step<G: World<ShadowTensor>>(
     rows: usize,
     cols: usize,
 ) -> (f64, f64) {
-    let mut model = Transformer::new(ctx, world, cfg, true, 0, 0);
+    let opts = StackOptions { recompute_every: Some(cfg.layers) };
+    let mut model = Transformer::new_with_options(ctx, world, cfg, true, 0, 0, opts);
     let x = Arc::new(ShadowTensor::new(rows, cols));
-    let _ = model.forward(world, ctx, &x);
+    let y = model.forward(world, ctx, &x);
     ctx.flush_compute();
     let t_fwd = ctx.clock();
-    // Checkpointed backward: recompute forward + true backward. The first
-    // forward's caches are discarded for real (`reset_tape`), so the
-    // reported activation peak is the one the recompute convention
-    // actually holds.
-    model.reset_tape(ctx);
-    let y = model.forward(world, ctx, &x);
     let _ = model.backward(world, ctx, &y);
     ctx.flush_compute();
     (t_fwd, ctx.clock())
@@ -282,17 +228,18 @@ mod tests {
     }
 
     #[test]
-    fn megatron_reset_tape_discards_the_first_forward() {
+    fn megatron_checkpointed_step_leaves_no_tape() {
         use tesseract_baselines::megatron::MegatronTransformer;
         use tesseract_tensor::{DenseTensor, TensorLike};
         let cfg = cfg();
         let out = RunConfig::new(2).cluster().run(|ctx| {
             let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(2, 0));
-            let mut model = MegatronTransformer::<DenseTensor>::new(ctx, &world, cfg, true, 0, 0);
+            let opts = StackOptions { recompute_every: Some(cfg.layers) };
+            let mut model = MegatronTransformer::<DenseTensor>::new_with_options(
+                ctx, &world, cfg, true, 0, 0, opts,
+            );
             let x = Arc::new(DenseTensor::zeros(cfg.rows(), cfg.hidden));
             // The harness sequence of `stack_step`.
-            let _ = model.forward(&world, ctx, &x);
-            model.reset_tape(ctx);
             let y = model.forward(&world, ctx, &x);
             let _ = model.backward(&world, ctx, &y);
             // Debug builds assert every tape is balanced here.
@@ -300,6 +247,25 @@ mod tests {
             ctx.tape_bytes_now()
         });
         assert_eq!(out.results, vec![0, 0], "tape bytes left resident after the step");
+    }
+
+    #[test]
+    fn hybrid_dry_run_peak_is_one_stage_tape_plus_queued_inputs() {
+        // Each queued microbatch holds only its stage input; one stage's
+        // tape is live at a time, and a microbatch's tape shrinks with it.
+        let (topo, params) = (Topology::meluxina(), CostParams::a100_cluster());
+        let cfg = TransformerConfig { batch: 16, layers: 4, ..cfg() };
+        let shape = HybridShape::new(1, 2, GridShape::new(2, 1));
+        let peak = |mb: u64| {
+            let cand = Candidate::Hybrid { shape, microbatches: mb as usize };
+            dry_run(&topo, &params, &cand, &cfg, false).activation_peak_bytes
+        };
+        let one = peak(1);
+        for mb in [1, 2, 4] {
+            // A stage input is `[128/mb, 32]` f32 per rank.
+            let input_block = 16384 / mb;
+            assert_eq!(peak(mb), one / mb + (mb - 1) * input_block, "mb = {mb}");
+        }
     }
 
     #[test]

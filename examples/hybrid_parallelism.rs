@@ -5,6 +5,7 @@
 //! Run: `cargo run --release --example hybrid_parallelism`
 
 use tesseract_repro::comm::Cluster;
+use tesseract_repro::core::layers::StackOptions;
 use tesseract_repro::core::partition::a_block;
 use tesseract_repro::core::{Module, TransformerConfig};
 use tesseract_repro::hybrid::{HybridShape, HybridTransformer};
@@ -33,11 +34,11 @@ fn main() {
 
     let grid_shape = shape.grid;
     let out = Cluster::a100(shape.total()).run(|ctx| {
-        let mut engine = HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, 7);
+        let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 7, StackOptions::default());
         let coords = engine.coords;
         let (i, j, k) = engine.grid.coords;
         let inputs = inputs.clone();
-        let outputs = engine.train_step(
+        let (outputs, _) = engine.train_step(
             ctx,
             microbatches,
             |m| {
