@@ -12,17 +12,12 @@
 //! `2·p^{2/3}` (at `d = q`).
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_core::{GridShape, TesseractGrid};
+use tesseract_core::TesseractGrid;
 use tesseract_tensor::TensorLike;
 
-/// Creates the `[q, q]` mesh Cannon runs on (a depth-1 Tesseract grid).
-pub fn cannon_mesh(ctx: &RankCtx, q: usize, base: usize) -> TesseractGrid {
-    TesseractGrid::new(ctx, GridShape::new(q, 1), base)
-}
-
-/// `C = A·B` with `A` split into `[a/q, b/q]` blocks and `B` into
-/// `[b/q, c/q]` blocks at their natural `(i, j)` positions. Returns this
-/// rank's `[a/q, c/q]` block of `C`.
+/// `C = A·B` on a `[q, q]` mesh (a depth-1 grid) with `A` split into
+/// `[a/q, b/q]` blocks and `B` into `[b/q, c/q]` blocks at their natural
+/// `(i, j)` positions. Returns this rank's `[a/q, c/q]` block of `C`.
 pub fn cannon_matmul<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &T, b_local: &T) -> T
 where
     T: TensorLike + Payload,
@@ -43,7 +38,6 @@ where
         let partial = a.matmul(&b, &mut ctx.meter);
         c.add_assign(&partial, &mut ctx.meter);
     }
-    let _ = j;
     c
 }
 
@@ -52,6 +46,7 @@ mod tests {
     use super::*;
     use tesseract_comm::{Cluster, CollectiveOp};
     use tesseract_core::partition::{b_block, combine_b};
+    use tesseract_core::GridShape;
     use tesseract_tensor::{assert_slices_close, matmul, DenseTensor, Matrix, Xoshiro256StarStar};
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -62,7 +57,7 @@ mod tests {
     fn run_cannon(q: usize, a: &Matrix, b: &Matrix) -> Matrix {
         let shape = GridShape::new(q, 1);
         let out = Cluster::a100(q * q).run(|ctx| {
-            let grid = cannon_mesh(ctx, q, 0);
+            let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             // With d = 1, A/B/C all use plain q×q 2-D blocks.
             let a_loc = DenseTensor::from_matrix(b_block(a, shape, i, j));
@@ -102,7 +97,7 @@ mod tests {
         let b = random(4, 4, 8);
         let shape = GridShape::new(2, 1);
         let out = Cluster::a100(4).run(|ctx| {
-            let grid = cannon_mesh(ctx, 2, 0);
+            let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
             let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));

@@ -7,17 +7,18 @@
 //!   verify every distributed scheme's forward and backward numerics).
 //! * [`megatron`] — Megatron-LM 1-D tensor parallelism (§2.5, Figure 2).
 //! * Optimus 2-D tensor parallelism is not a type: it is
-//!   `tesseract_core::TesseractTransformer` on `GridShape::new(q, 1)`, whose
-//!   matmuls are tested bitwise equal to [`summa`].
+//!   `tesseract_core::TesseractTransformer` on `GridShape::new(q, 1)`.
+//! * SUMMA 2-D matmul (§2.2, Algorithm 2) plus the Eq. 3 backward rules is
+//!   not a function here either: it is `tesseract_core::mm::tesseract_matmul*`
+//!   on `GridShape::new(q, 1)` (Algorithm 3 at `d = 1`), whose blocking
+//!   `*_serial` loops are the parity reference.
 //! * [`cannon`] — Cannon's 2-D matmul (§2.1, Algorithm 1).
-//! * [`summa`] — SUMMA 2-D matmul (§2.2, Algorithm 2) plus Eq. 3 backward.
 //! * [`solomonik`] — Solomonik's 2.5-D matmul (§2.3).
 
 pub mod cannon;
 pub mod megatron;
 pub mod serial;
 pub mod solomonik;
-pub mod summa;
 
 pub use cannon::cannon_matmul;
 pub use megatron::{
@@ -29,4 +30,3 @@ pub use serial::{
     SerialTransformerLayer,
 };
 pub use solomonik::solomonik_matmul;
-pub use summa::{summa_matmul, summa_matmul_nt, summa_matmul_tn};

@@ -15,16 +15,10 @@
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_core::{GridShape, TesseractGrid};
+use tesseract_core::TesseractGrid;
 use tesseract_tensor::TensorLike;
 
-/// Creates the `[q, q, d]` grid for the 2.5-D algorithm.
-pub fn solomonik_grid(ctx: &RankCtx, q: usize, d: usize, base: usize) -> TesseractGrid {
-    assert_eq!(q % d, 0, "2.5-D needs d | q");
-    TesseractGrid::new(ctx, GridShape::new(q, d), base)
-}
-
-/// `C = A·B` on the 2.5-D grid.
+/// `C = A·B` on a `[q, q, d]` grid with `d | q`.
 ///
 /// Inputs live on layer 0 as natural `q×q` blocks (`[a/q, b/q]`,
 /// `[b/q, c/q]`); the function returns this rank's `[a/q, c/q]` block of
@@ -78,6 +72,7 @@ mod tests {
     use super::*;
     use tesseract_comm::Cluster;
     use tesseract_core::partition::{b_block, combine_b};
+    use tesseract_core::GridShape;
     use tesseract_tensor::{assert_slices_close, matmul, DenseTensor, Matrix, Xoshiro256StarStar};
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -89,7 +84,7 @@ mod tests {
         let shape2d = GridShape::new(q, 1);
         Cluster::a100(q * q * d)
             .run(|ctx| {
-                let grid = solomonik_grid(ctx, q, d, 0);
+                let grid = TesseractGrid::new(ctx, GridShape::new(q, d), 0);
                 let (i, j, k) = grid.coords;
                 let a_loc = (k == 0).then(|| DenseTensor::from_matrix(b_block(a, shape2d, i, j)));
                 let b_loc = (k == 0).then(|| DenseTensor::from_matrix(b_block(b, shape2d, i, j)));

@@ -27,8 +27,8 @@
 //! Run: `cargo run --release -p tesseract-bench --bin comm_cost_table -- \
 //!           [--out BENCH_comm.json]`
 
-use tesseract_baselines::cannon::{cannon_matmul, cannon_mesh};
-use tesseract_baselines::solomonik::{solomonik_grid, solomonik_matmul};
+use tesseract_baselines::cannon::cannon_matmul;
+use tesseract_baselines::solomonik::solomonik_matmul;
 use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
 use tesseract_core::analysis::{
     transmissions_25d, transmissions_cannon, transmissions_tesseract_cube,
@@ -127,7 +127,7 @@ fn main() {
 
     // Cannon on [8, 8].
     let cannon = Cluster::a100(64).run(|ctx| {
-        let grid = cannon_mesh(ctx, 8, 0);
+        let grid = TesseractGrid::new(ctx, GridShape::new(8, 1), 0);
         let a = ShadowTensor::new(a_rows / 8, n / 8);
         let b = ShadowTensor::new(n / 8, n / 8);
         let _ = cannon_matmul(&grid, ctx, &a, &b);
@@ -135,7 +135,7 @@ fn main() {
 
     // Solomonik 2.5-D on [4, 4, 4].
     let solomonik = Cluster::a100(64).run(|ctx| {
-        let grid = solomonik_grid(ctx, 4, 4, 0);
+        let grid = TesseractGrid::new(ctx, GridShape::new(4, 4), 0);
         let (_, _, k) = grid.coords;
         let a = (k == 0).then(|| ShadowTensor::new(a_rows / 4, n / 4));
         let b = (k == 0).then(|| ShadowTensor::new(n / 4, n / 4));

@@ -17,7 +17,7 @@ fn main() {
 
     // Serial work proxy: compute-seconds of the p = 1 run.
     let serial = time_tesseract(GridShape::new(1, 1), cfg);
-    let w = serial.forward + serial.backward;
+    let w = serial.forward_s + serial.backward_s;
     println!("serial step time W = {:.4} simulated s\n", w);
 
     println!("| scheme | p | step (s) | speedup | efficiency |");
@@ -33,7 +33,7 @@ fn main() {
         ("Megatron [16]", 16, time_megatron(16, cfg)),
         ("Megatron [64]", 64, time_megatron(64, cfg)),
     ] {
-        let step = t.forward + t.backward;
+        let step = t.forward_s + t.backward_s;
         let speedup = w / step;
         println!(
             "| {label} | {p} | {step:.4} | {speedup:.2}x | {:.1}% |",

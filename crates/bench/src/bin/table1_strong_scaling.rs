@@ -21,40 +21,14 @@ fn main() {
     for p in [4usize, 16, 64] {
         let cfg = paper_config(12, hidden, heads);
         let t = time_megatron(p, cfg);
-        rows.push(ResultRow {
-            parallelization: "Megatron-LM".into(),
-            gpus: p,
-            shape: format!("[{p}]"),
-            batch: 12,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(12),
-            inference: t.inference(12),
-            overlap_hidden: t.overlap_hidden,
-            note: "",
-        });
+        rows.push(ResultRow::measured("Megatron-LM", p, format!("[{p}]"), &cfg, &t, ""));
     }
 
-    // Optimus = Tesseract with d = 1 (validated bitwise against SUMMA).
+    // Optimus = Tesseract with d = 1, whose matmuls are 2-D SUMMA (Algorithm 2).
     for (q, batch, note) in [(2usize, 12usize, ""), (4, 12, ""), (8, 16, "batch 16: q∤12")] {
         let cfg = paper_config(batch, hidden, heads);
         let t = time_tesseract(GridShape::new(q, 1), cfg);
-        rows.push(ResultRow {
-            parallelization: "Optimus".into(),
-            gpus: q * q,
-            shape: format!("[{q},{q}]"),
-            batch,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(batch),
-            inference: t.inference(batch),
-            overlap_hidden: t.overlap_hidden,
-            note,
-        });
+        rows.push(ResultRow::measured("Optimus", q * q, format!("[{q},{q}]"), &cfg, &t, note));
     }
 
     for (q, d, batch, note) in [
@@ -67,20 +41,14 @@ fn main() {
     ] {
         let cfg = paper_config(batch, hidden, heads);
         let t = time_tesseract(GridShape::new(q, d), cfg);
-        rows.push(ResultRow {
-            parallelization: "Tesseract".into(),
-            gpus: q * q * d,
-            shape: format!("[{q},{q},{d}]"),
-            batch,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(batch),
-            inference: t.inference(batch),
-            overlap_hidden: t.overlap_hidden,
+        rows.push(ResultRow::measured(
+            "Tesseract",
+            q * q * d,
+            format!("[{q},{q},{d}]"),
+            &cfg,
+            &t,
             note,
-        });
+        ));
     }
 
     println!("{}", render_rows("Table 1 — strong scaling (simulated A100 cluster)", &rows));

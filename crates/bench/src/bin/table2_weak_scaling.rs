@@ -16,20 +16,7 @@ fn main() {
     {
         let cfg = paper_config(batch, hidden, heads);
         let t = time_megatron(p, cfg);
-        rows.push(ResultRow {
-            parallelization: "Megatron-LM".into(),
-            gpus: p,
-            shape: format!("[{p}]"),
-            batch,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(batch),
-            inference: t.inference(batch),
-            overlap_hidden: t.overlap_hidden,
-            note: "",
-        });
+        rows.push(ResultRow::measured("Megatron-LM", p, format!("[{p}]"), &cfg, &t, ""));
     }
 
     for (q, batch, hidden, heads) in
@@ -37,20 +24,7 @@ fn main() {
     {
         let cfg = paper_config(batch, hidden, heads);
         let t = time_tesseract(GridShape::new(q, 1), cfg);
-        rows.push(ResultRow {
-            parallelization: "Optimus".into(),
-            gpus: q * q,
-            shape: format!("[{q},{q}]"),
-            batch,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(batch),
-            inference: t.inference(batch),
-            overlap_hidden: t.overlap_hidden,
-            note: "",
-        });
+        rows.push(ResultRow::measured("Optimus", q * q, format!("[{q},{q}]"), &cfg, &t, ""));
     }
 
     for (q, d, batch, hidden, heads) in [
@@ -64,20 +38,14 @@ fn main() {
     ] {
         let cfg = paper_config(batch, hidden, heads);
         let t = time_tesseract(GridShape::new(q, d), cfg);
-        rows.push(ResultRow {
-            parallelization: "Tesseract".into(),
-            gpus: q * q * d,
-            shape: format!("[{q},{q},{d}]"),
-            batch,
-            hidden,
-            heads,
-            forward: t.forward,
-            backward: t.backward,
-            throughput: t.throughput(batch),
-            inference: t.inference(batch),
-            overlap_hidden: t.overlap_hidden,
-            note: "",
-        });
+        rows.push(ResultRow::measured(
+            "Tesseract",
+            q * q * d,
+            format!("[{q},{q},{d}]"),
+            &cfg,
+            &t,
+            "",
+        ));
     }
 
     println!("{}", render_rows("Table 2 — weak scaling (simulated A100 cluster)", &rows));

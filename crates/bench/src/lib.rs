@@ -4,8 +4,9 @@
 //! paper's evaluation (see DESIGN.md §4 for the experiment index):
 //!
 //! * [`timing`] — runs the paper-scale Transformer configurations through
-//!   the *shadow* tensor backend on the simulated cluster, producing the
-//!   per-batch forward/backward virtual times behind Tables 1 and 2.
+//!   the planner's shadow-backend dry-run on the simulated cluster; its
+//!   `DryRun` holds the per-batch forward/backward virtual times behind
+//!   Tables 1 and 2.
 //! * [`tables`] — the row structures and renderers shared by the binaries.
 //!
 //! Binaries (one per table/figure): `table1_strong_scaling`,
@@ -16,4 +17,4 @@ pub mod tables;
 pub mod timing;
 
 pub use tables::{render_rows, ResultRow};
-pub use timing::{time_megatron, time_tesseract, SchemeTiming};
+pub use timing::{time_megatron, time_tesseract};

@@ -1,5 +1,8 @@
 //! Result-row structures and text renderers shared by the table binaries.
 
+use tesseract_core::TransformerConfig;
+use tesseract_plan::DryRun;
+
 /// One row of a Table-1/Table-2-style result table.
 #[derive(Clone, Debug)]
 pub struct ResultRow {
@@ -18,6 +21,37 @@ pub struct ResultRow {
     pub overlap_hidden: f64,
     /// Annotation (e.g. batch adjusted for divisibility).
     pub note: &'static str,
+}
+
+impl ResultRow {
+    /// The row of one measured step of `cfg` on `gpus` GPUs. The paper's
+    /// rates are sequences per second: throughput through fwd+bwd
+    /// (`batch / (forward_s + backward_s)`), inference through the forward
+    /// only.
+    pub fn measured(
+        parallelization: &str,
+        gpus: usize,
+        shape: String,
+        cfg: &TransformerConfig,
+        t: &DryRun,
+        note: &'static str,
+    ) -> Self {
+        let batch = cfg.batch as f64;
+        ResultRow {
+            parallelization: parallelization.into(),
+            gpus,
+            shape,
+            batch: cfg.batch,
+            hidden: cfg.hidden,
+            heads: cfg.heads,
+            forward: t.forward_s,
+            backward: t.backward_s,
+            throughput: batch / (t.forward_s + t.backward_s),
+            inference: batch / t.forward_s,
+            overlap_hidden: t.hidden_wait_s,
+            note,
+        }
+    }
 }
 
 /// Renders rows in the paper's column layout.

@@ -1,57 +1,21 @@
 //! Paper-scale timing runs on the shadow backend.
 //!
-//! Each function runs the planner's step harness ([`tesseract_plan::dryrun::step`])
-//! at the requested world size: the scheme's Transformer stack is built
-//! with `ShadowTensor`s (shapes + exact flop/byte metering, no data), one
-//! forward and one backward over one batch are executed, and the **virtual**
-//! seconds are reported — `max` over ranks, which is what a host-side
-//! `time` measurement of one training iteration sees on a real cluster.
+//! Each function is the planner's [`dry_run`] at the requested world size,
+//! on the cluster model `RunConfig` defaults to ([`Topology::meluxina`],
+//! [`CostParams::a100_cluster`]): the scheme's
+//! Transformer stack is built with `ShadowTensor`s (shapes + exact
+//! flop/byte metering, no data), one forward and one backward over one
+//! batch are executed, and the returned [`DryRun`] reports **virtual**
+//! seconds — `max` over ranks, which is what a host-side `time`
+//! measurement of one training iteration sees on a real cluster.
 
-use tesseract_comm::{CommStats, RunConfig, RunOutput};
+use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{GridShape, TransformerConfig};
-use tesseract_plan::{dryrun, Candidate};
+use tesseract_plan::{dry_run, Candidate, DryRun};
 
-/// Virtual-time measurement of one fwd+bwd batch.
-#[derive(Clone, Debug)]
-pub struct SchemeTiming {
-    /// Simulated forward seconds per batch (max over ranks).
-    pub forward: f64,
-    /// Simulated backward seconds per batch.
-    pub backward: f64,
-    /// Simulated seconds of collective wait the split-phase pipeline hid
-    /// under compute (max over ranks, like `forward`; 0 when every
-    /// collective in the step was blocking).
-    pub overlap_hidden: f64,
-    /// Global collective statistics of the whole fwd+bwd step.
-    pub comm: CommStats,
-}
-
-impl SchemeTiming {
-    /// Paper metric: sequences per second through fwd+bwd.
-    pub fn throughput(&self, batch: usize) -> f64 {
-        batch as f64 / (self.forward + self.backward)
-    }
-
-    /// Paper metric: sequences per second through forward only.
-    pub fn inference(&self, batch: usize) -> f64 {
-        batch as f64 / self.forward
-    }
-}
-
-impl From<RunOutput<(f64, f64)>> for SchemeTiming {
-    /// Summarizes one run of the step harness under the makespan
-    /// convention: every column is a max over ranks.
-    fn from(out: RunOutput<(f64, f64)>) -> Self {
-        let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
-        let total = out.results.iter().map(|&(_, t)| t).fold(0.0, f64::max);
-        let hidden_nanos = out.reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0);
-        SchemeTiming {
-            forward,
-            backward: total - forward,
-            overlap_hidden: hidden_nanos as f64 * 1e-9,
-            comm: out.comm,
-        }
-    }
+/// One untraced dry-run of `cand` on the default cluster model.
+fn time(cand: Candidate, cfg: &TransformerConfig) -> DryRun {
+    dry_run(&Topology::meluxina(), &CostParams::a100_cluster(), &cand, cfg, false)
 }
 
 /// Times one batch through a Tesseract `[q, q, d]` Transformer stack.
@@ -61,15 +25,15 @@ impl From<RunOutput<(f64, f64)>> for SchemeTiming {
 /// one extra forward runs before the true backward, making backward ≈ 3×
 /// forward — exactly the ratio the paper's tables show (e.g. 0.4749 /
 /// 0.1225 ≈ 3.9 for Megatron, 0.2636 / 0.0869 ≈ 3.0 for Tesseract).
-pub fn time_tesseract(shape: GridShape, cfg: TransformerConfig) -> SchemeTiming {
+pub fn time_tesseract(shape: GridShape, cfg: TransformerConfig) -> DryRun {
     cfg.validate_for_grid(shape.q, shape.d);
-    dryrun::step(&RunConfig::from_env(0), &Candidate::Tesseract { grid: shape }, &cfg).into()
+    time(Candidate::Tesseract { grid: shape }, &cfg)
 }
 
 /// Times one batch through a Megatron-LM 1-D Transformer stack on `p` GPUs.
-pub fn time_megatron(p: usize, cfg: TransformerConfig) -> SchemeTiming {
+pub fn time_megatron(p: usize, cfg: TransformerConfig) -> DryRun {
     assert_eq!(cfg.heads % p, 0, "megatron needs p | heads");
-    dryrun::step(&RunConfig::from_env(0), &Candidate::Megatron { p }, &cfg).into()
+    time(Candidate::Megatron { p }, &cfg)
 }
 
 /// The paper's fixed experiment scale: sequence length and layer count are
@@ -104,10 +68,10 @@ mod tests {
         let t444 = time_tesseract(GridShape::new(4, 4), cfg);
         let t881 = time_tesseract(GridShape::new(8, 1), cfg);
         assert!(
-            t444.forward < t881.forward,
+            t444.forward_s < t881.forward_s,
             "[4,4,4] fwd {} must beat [8,8,1] fwd {}",
-            t444.forward,
-            t881.forward
+            t444.forward_s,
+            t881.forward_s
         );
     }
 
@@ -117,23 +81,11 @@ mod tests {
         let mega = time_megatron(64, cfg_m);
         let tess = time_tesseract(GridShape::new(4, 4), cfg_m);
         assert!(
-            tess.forward < mega.forward,
+            tess.forward_s < mega.forward_s,
             "tesseract fwd {} must beat megatron fwd {}",
-            tess.forward,
-            mega.forward
+            tess.forward_s,
+            mega.forward_s
         );
-    }
-
-    #[test]
-    fn throughput_and_inference_definitions() {
-        let t = SchemeTiming {
-            forward: 0.1,
-            backward: 0.3,
-            overlap_hidden: 0.0,
-            comm: CommStats::default(),
-        };
-        assert!((t.throughput(12) - 30.0).abs() < 1e-9);
-        assert!((t.inference(12) - 120.0).abs() < 1e-9);
     }
 
     #[test]
@@ -142,7 +94,7 @@ mod tests {
         // compute, so any multi-step grid must report non-zero hidden time.
         let cfg = paper_config(12, 1024, 16);
         let t = time_tesseract(GridShape::new(2, 2), cfg);
-        assert!(t.overlap_hidden > 0.0, "pipeline hid no wait: {t:?}");
+        assert!(t.hidden_wait_s > 0.0, "pipeline hid no wait: {t:?}");
     }
 
     #[test]
@@ -150,7 +102,6 @@ mod tests {
         let cfg = paper_config(12, 1024, 16);
         let a = time_tesseract(GridShape::new(2, 2), cfg);
         let b = time_tesseract(GridShape::new(2, 2), cfg);
-        assert_eq!(a.forward, b.forward);
-        assert_eq!(a.backward, b.backward);
+        assert_eq!(a, b);
     }
 }

@@ -1,11 +1,12 @@
 //! Property-based tests for the Tesseract core: partitioning bijections,
-//! grid coordinate bijections, the distributed matmul against serial on
-//! randomized shapes, and the closed-form analysis invariants.
+//! grid coordinate bijections, the distributed matmul (and its blocking
+//! SUMMA reference) against serial on randomized shapes, and the
+//! closed-form analysis invariants.
 
 use proptest::prelude::*;
 use tesseract_comm::Cluster;
 use tesseract_core::analysis;
-use tesseract_core::mm::tesseract_matmul;
+use tesseract_core::mm::{tesseract_matmul, tesseract_matmul_serial};
 use tesseract_core::partition::{a_block, b_block, combine_c, split_a, split_b};
 use tesseract_core::{GridShape, TesseractGrid};
 use tesseract_tensor::{matmul::matmul, max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar};
@@ -92,7 +93,7 @@ proptest! {
 
     #[test]
     fn tesseract_matmul_matches_serial_on_random_shapes(
-        q in 1usize..3,
+        q in 1usize..4,
         d in 1usize..3,
         mr in 1usize..3,
         mk in 1usize..3,
@@ -109,9 +110,17 @@ proptest! {
             let (i, j, k) = grid.coords;
             let a_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
             let b_loc = std::sync::Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-            tesseract_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
+            let c = tesseract_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix();
+            // The blocking reference loop (2-D SUMMA at d = 1) gives the
+            // same bits as the double-buffered one.
+            let reference = tesseract_matmul_serial(&grid, ctx, &a_loc, &b_loc).into_matrix();
+            (c, reference)
         });
-        let got = combine_c(&out.results, shape);
+        for (c, reference) in &out.results {
+            prop_assert_eq!(c, reference);
+        }
+        let blocks: Vec<Matrix> = out.results.into_iter().map(|(c, _)| c).collect();
+        let got = combine_c(&blocks, shape);
         let expected = matmul(&a, &b);
         prop_assert!(max_rel_diff(got.data(), expected.data()) < 1e-4);
     }

@@ -53,6 +53,9 @@ pub struct DryRun {
     /// Fraction of collective wait the split-phase pipelines hid under
     /// compute: Σ hidden / (Σ hidden + Σ blocked) over all ranks, in [0, 1].
     pub hidden_wait_frac: f64,
+    /// Max over ranks of seconds of collective wait the split-phase
+    /// pipelines hid under compute (0 when every collective was blocking).
+    pub hidden_wait_s: f64,
     /// Max over ranks of seconds blocked in collectives.
     pub comm_s: f64,
 }
@@ -86,6 +89,8 @@ pub fn dry_run(
         peak_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
         activation_peak_bytes: reports.iter().map(|r| r.activation_bytes_peak).max().unwrap_or(0),
         hidden_wait_frac: if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 },
+        hidden_wait_s: reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0) as f64
+            * 1e-9,
         comm_s: reports.iter().map(|r| r.comm_time).fold(0.0, f64::max),
     }
 }
@@ -93,8 +98,9 @@ pub fn dry_run(
 /// The one step harness: runs one checkpointed training step of `cand`
 /// under `run_cfg` and returns the raw run — per rank `(clock after the
 /// forward phase, clock after the step)`, plus every rank's report and the
-/// comm stats. [`dry_run`] and `bench::timing` both summarize this. The
-/// world size comes from the candidate; `run_cfg.world` is ignored.
+/// comm stats. [`dry_run`] summarizes this into a [`DryRun`], the one
+/// step summary (`bench::timing` returns it too). The world size comes
+/// from the candidate; `run_cfg.world` is ignored.
 pub fn step(
     run_cfg: &RunConfig,
     cand: &Candidate,

@@ -105,6 +105,20 @@ if [ -n "$resets$loops" ]; then
     exit 1
 fi
 
+# SUMMA is written once: core::mm's Algorithm 3, which at d = 1 is 2-D
+# SUMMA (Algorithm 2) with its Eq. 3 backward rules. A row-panel broadcast
+# elsewhere is a second SUMMA loop. Solomonik's 2.5-D matmul is exempt: it
+# replicates A across depth and splits the step range over the layers, a
+# different algorithm from Tesseract's.
+echo "== one-SUMMA gate (row-panel broadcasts in core/src/mm.rs and solomonik.rs only) =="
+summas=$(grep -rn '\.row\.broadcast_shared' crates src tests examples --include='*.rs' \
+    | grep -vE '^crates/(core/src/mm|baselines/src/solomonik)\.rs:' || true)
+if [ -n "$summas" ]; then
+    echo "ci.sh: a SUMMA loop outside core/src/mm.rs (use tesseract_matmul* on GridShape::new(q, 1)):"
+    echo "$summas"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
@@ -183,26 +197,33 @@ test -s target/TRACE.smoke.json || { echo "trace_dump wrote no JSON"; exit 1; }
 # [NVLink floor, flat charge] and a size crossover; plan_sweep: the planner
 # re-derives the measured Table 1/2 winners and its JSON round-trips through
 # the in-tree parser) — all of which the committed files record.
+# comm_cost_table's stdout (the C1 table that Cannon, Solomonik, SUMMA and
+# Tesseract feed) is kept for the golden stdout gate below.
 echo "== BENCH regeneration gate (plan, comm, serving, overlap: byte-identical) =="
+mkdir -p target/golden
 for pair in plan_sweep:plan comm_cost_table:comm serve_sweep:serving overlap_sweep:overlap; do
     bin=${pair%%:*}
     file=BENCH_${pair##*:}.json
+    case $bin in
+        comm_cost_table) stdout=target/golden/comm_cost_table.txt ;;
+        *) stdout=/dev/null ;;
+    esac
     cargo run -q --release --offline -p tesseract-bench --bin "$bin" -- \
-        --out "target/$file" > /dev/null
+        --out "target/$file" > "$stdout"
     cmp "target/$file" "$file" \
         || { echo "ci.sh: $bin no longer regenerates the committed $file"; exit 1; }
 done
 
 # The table bins print virtual-clock numbers only (Shadow runs), so their
-# stdout is pinned byte for byte, and so is the Chrome trace the serve_sweep
-# run above wrote to target/TRACE_serving.json. An intended change edits
-# scripts/golden.sha256 in the same diff. memory_table's measured-peak rows
-# (dense vs recompute) are among the pinned bytes; the ratio itself is gated
-# per rank by crates/core/tests/recompute.rs. fig7_training_accuracy trains
+# stdout is pinned byte for byte, and so are comm_cost_table's stdout and
+# the Chrome trace that the BENCH loop above wrote under target/. An
+# intended change edits scripts/golden.sha256 in the same diff.
+# memory_table's measured-peak rows (dense vs recompute) are among the
+# pinned bytes; the ratio itself is gated per rank by
+# crates/core/tests/recompute.rs. fig7_training_accuracy trains
 # on the Dense backend; its bits are pinned too, because no Dense bit
 # depends on the host CPU's GEMM backend.
-echo "== golden stdout gate (table bins + serving trace, sha256) =="
-mkdir -p target/golden
+echo "== golden stdout gate (table bins + C1 table + serving trace, sha256) =="
 for bin in fig6_hybrid memory_table table1_strong_scaling table2_weak_scaling \
     ablation_depth isoefficiency fig7_training_accuracy; do
     cargo run -q --release --offline -p tesseract-bench --bin "$bin" > "target/golden/$bin.txt"
