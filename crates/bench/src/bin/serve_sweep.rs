@@ -11,9 +11,11 @@
 //!
 //! Runs use [`ShadowTensor`]: the serving tests pin shadow and dense
 //! backends to bitwise-identical latency results and rank reports, so the
-//! sweep pays for shapes, not floats. The calibration flood of the first
-//! arrangement is re-run with tracing on and exported as a Chrome-trace
-//! JSON of the saturated steady state.
+//! sweep pays for shapes, not floats, and each load point drives 1 000
+//! requests, so its p99 is a percentile rather than the maximum. A
+//! [`TRACE_REQUESTS`]-request calibration flood of the first arrangement
+//! runs with tracing on and is exported as a Chrome-trace JSON of the
+//! saturated steady state.
 //!
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
@@ -21,7 +23,7 @@
 //! same bytes out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
-//!           [--grids 2,1;2,2;4,1] [--requests 48] [--seed 42] \
+//!           [--grids 2,1;2,2;4,1] [--requests 1000] [--seed 42] \
 //!           [--out BENCH_serving.json] [--trace-out target/TRACE_serving.json]`
 
 use tesseract_comm::{Cluster, RunConfig, RunOutput};
@@ -38,6 +40,10 @@ const LOAD_MULTIPLIERS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
 /// Arrival rate that floods every request in at t≈0 for calibration.
 const FLOOD_RATE: f64 = 1e12;
+
+/// Requests of the traced flood (capped by `--requests`): enough for a
+/// saturated steady state, small enough to keep the trace a few MB.
+const TRACE_REQUESTS: usize = 48;
 
 /// The served model: GPT-2-small-ish widths, scaled to stay honest on the
 /// meter while every arrangement in the default sweep divides it evenly.
@@ -157,9 +163,9 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
     ArrangementCurve { shape, capacity_rps, points }
 }
 
-/// Re-runs the first arrangement's calibration flood with tracing on and
-/// writes the saturated steady state as Chrome-trace JSON (schema-checked
-/// by re-parsing, like `trace_dump`).
+/// Runs a `requests`-request calibration flood of the first arrangement
+/// with tracing on and writes the saturated steady state as Chrome-trace
+/// JSON (schema-checked by re-parsing, like `trace_dump`).
 fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u64) -> usize {
     let cfg = serve_cfg(seed);
     let traffic_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
@@ -192,7 +198,7 @@ fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u6
 
 fn main() {
     let mut grids: Vec<(usize, usize)> = vec![(2, 1), (2, 2), (4, 1)];
-    let mut requests = 48usize;
+    let mut requests = 1000usize;
     let mut seed = 42u64;
     let mut out_path = String::from("BENCH_serving.json");
     // Traces are regenerated artifacts, not sources: they default under
@@ -280,7 +286,8 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!("invariant ok: latency grows past the saturation knee");
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
-    let events = write_saturated_trace(&trace_path, trace_shape, requests, seed);
+    let events =
+        write_saturated_trace(&trace_path, trace_shape, requests.min(TRACE_REQUESTS), seed);
     println!(
         "wrote {trace_path} ({events} trace events, saturated [{q},{q},{d}] steady state)",
         q = trace_shape.q,

@@ -287,11 +287,11 @@ pub struct RankReport {
     /// Simulated nanoseconds of collective wait hidden under compute by
     /// split-phase overlap (zero on the serial path).
     pub overlap_hidden_nanos: u64,
-    /// Serving prefill steps this rank participated in (zero for training
-    /// runs).
+    /// Serving steps this rank participated in that prefilled at least one
+    /// prompt, decode tokens possibly riding along (zero for training runs).
     pub prefill_steps: u64,
-    /// Serving decode steps this rank participated in (zero for training
-    /// runs).
+    /// Serving steps this rank participated in that only decoded (zero for
+    /// training runs).
     pub decode_steps: u64,
     /// Peak bytes of KV-cache blocks resident on this rank at any point in
     /// the run (a high-water mark, not a flow).

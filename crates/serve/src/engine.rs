@@ -14,12 +14,23 @@
 //!
 //! ## Batching policy
 //!
-//! Prefill and decode are batched separately (their row shapes differ by
-//! orders of magnitude): a lane with any unprefilled admissions runs a
-//! **prefill step** over as many of them as fit `max_batch_tokens`
-//! (prefill-priority — time-to-first-token is the latency term admission
-//! can actually help); otherwise it runs a **decode step** advancing up to
-//! `max_batch_tokens` active requests by one token each.
+//! Each lane runs **one mixed batch per step**, built in two passes under
+//! the per-lane token budget `max_batch_tokens`:
+//!
+//! 1. every prefilled active request advances one token (at most
+//!    `max_batch_tokens` of them, in arrival order);
+//! 2. then the lane's unprefilled prompts are prefilled whole, in arrival
+//!    order, while they fit the remaining budget. The first prompt that
+//!    does not fit ends the pass — a FIFO prefix, so a long prompt is
+//!    never overtaken by shorter ones queued behind it. A prompt always
+//!    runs when the batch is otherwise empty, even if it alone exceeds
+//!    the budget.
+//!
+//! Decode rows, then prompt rows, are stacked into one `forward_infer`
+//! call. A step's collective count does not depend on its row count, so
+//! an admission rides along with the lane's decoders instead of stalling
+//! them for a prefill-only step. (This is not chunked prefill: a prompt is
+//! never split across steps.)
 //!
 //! ## SPMD determinism
 //!
@@ -58,8 +69,9 @@ pub struct ServeConfig {
     pub with_bias: bool,
     /// Weight-init seed (prompts derive a salted stream from it).
     pub seed: u64,
-    /// Per-lane token budget per step: caps the rows of one prefill batch
-    /// and the width of one decode batch.
+    /// Per-lane token budget per step: caps the rows of one lane's batch
+    /// (one per decoding request plus every prefilled prompt's), except
+    /// that a lone prompt always runs.
     pub max_batch_tokens: usize,
     /// Concurrent requests admitted per lane (KV-slot budget).
     pub max_lane_requests: usize,
@@ -72,8 +84,8 @@ pub struct RequestResult {
     /// Lane `(i + k·q)` the request ran on.
     pub lane: usize,
     pub arrival: f64,
-    /// Barrier-synchronized time its prefill step completed (the first
-    /// output token exists here).
+    /// Barrier-synchronized time the step that prefilled it completed (the
+    /// first output token exists here).
     pub first_token_time: f64,
     /// Barrier-synchronized time its last token completed.
     pub finish_time: f64,
@@ -98,9 +110,10 @@ impl RequestResult {
 pub struct ServeSummary {
     /// All requests, id-ordered — identical on every rank by construction.
     pub results: Vec<RequestResult>,
-    /// Prefill steps this rank's lane executed (mirrors `Meter`).
+    /// Steps of this rank's lane that prefilled at least one prompt
+    /// (decode tokens may ride along; mirrors `Meter`).
     pub prefill_steps: u64,
-    /// Decode steps this rank's lane executed (mirrors `Meter`).
+    /// Steps of this rank's lane that only decoded (mirrors `Meter`).
     pub decode_steps: u64,
     /// This rank's KV-cache high-water mark in bytes (mirrors `Meter`).
     pub kv_peak_bytes: u64,
@@ -119,19 +132,31 @@ enum ReqState {
     Done,
 }
 
-/// One lane's share of a step.
-#[derive(Clone, Debug, PartialEq)]
-enum LanePhase {
-    Idle,
-    Prefill(Vec<usize>),
-    Decode(Vec<usize>),
+/// One lane's share of a step: the prefilled requests that advance one
+/// token, then the prompts prefilled whole. `run_serve` stacks their rows
+/// in that order.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct LaneBatch {
+    decode: Vec<usize>,
+    prefill: Vec<usize>,
 }
 
-/// A global step decision: one phase per lane plus the requests that will
+impl LaneBatch {
+    fn is_empty(&self) -> bool {
+        self.decode.is_empty() && self.prefill.is_empty()
+    }
+
+    /// Request ids in row order: decoders first, then prompts.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.decode.iter().chain(&self.prefill).copied()
+    }
+}
+
+/// A global step decision: one batch per lane plus the requests that will
 /// finish when the step completes.
 #[derive(Clone, Debug)]
 struct StepPlan {
-    lanes: Vec<LanePhase>,
+    lanes: Vec<LaneBatch>,
     finishing: Vec<Vec<usize>>,
 }
 
@@ -179,9 +204,9 @@ impl Scheduler {
         }
     }
 
-    /// Admissions + phase choice for every lane at synchronized time
-    /// `now`. Mutates only Pending→Active (admission); step effects apply
-    /// in [`Scheduler::complete`].
+    /// Admissions + one batch per lane at synchronized time `now`.
+    /// Mutates only Pending→Active (admission); step effects apply in
+    /// [`Scheduler::complete`].
     fn plan(&mut self, now: f64) -> Decision {
         // Admission: arrival-ordered (traffic order) per lane, bounded by
         // the lane's free KV slots.
@@ -202,60 +227,53 @@ impl Scheduler {
             }
         }
 
-        // Phase choice per lane: prefill-priority, then budgeted decode.
-        let mut lanes = Vec::with_capacity(self.lanes);
-        let mut finishing = Vec::with_capacity(self.lanes);
-        let mut any_work = false;
-        for lane in 0..self.lanes {
-            let unprefilled: Vec<usize> = (0..self.specs.len())
-                .filter(|&id| {
-                    self.lane_of[id] == lane
-                        && self.state[id] == ReqState::Active { prefilled: false, generated: 0 }
-                })
-                .collect();
-            let (phase, fin) = if !unprefilled.is_empty() {
-                // Greedy prefix under the token budget; the head request
-                // always runs even if its prompt alone exceeds it.
-                let mut batch = Vec::new();
-                let mut tokens = 0usize;
-                for id in unprefilled {
-                    let plen = self.specs[id].prompt_len;
-                    if batch.is_empty() || tokens + plen <= self.max_batch_tokens {
-                        tokens += plen;
-                        batch.push(id);
-                    }
-                }
-                let fin: Vec<usize> =
-                    batch.iter().copied().filter(|&id| self.specs[id].output_len == 1).collect();
-                (LanePhase::Prefill(batch), fin)
-            } else {
-                let batch: Vec<usize> = (0..self.specs.len())
-                    .filter(|&id| {
-                        self.lane_of[id] == lane
-                            && matches!(self.state[id], ReqState::Active { prefilled: true, .. })
-                    })
-                    .take(self.max_batch_tokens)
-                    .collect();
-                if batch.is_empty() {
-                    (LanePhase::Idle, Vec::new())
-                } else {
-                    let fin: Vec<usize> = batch
-                        .iter()
-                        .copied()
-                        .filter(|&id| match self.state[id] {
-                            ReqState::Active { generated, .. } => {
-                                generated + 1 == self.specs[id].output_len
-                            }
-                            _ => unreachable!("decode batch holds active requests"),
-                        })
-                        .collect();
-                    (LanePhase::Decode(batch), fin)
-                }
-            };
-            any_work |= phase != LanePhase::Idle;
-            lanes.push(phase);
-            finishing.push(fin);
+        // Pass 1: every prefilled request advances one token, up to the
+        // budget. Pass 2: a FIFO prefix of the unprefilled prompts fills
+        // what is left; the first prompt that does not fit closes the
+        // lane's pass, unless the batch is still empty.
+        let mut lanes = vec![LaneBatch::default(); self.lanes];
+        let mut tokens = vec![0usize; self.lanes];
+        for id in 0..self.specs.len() {
+            let lane = self.lane_of[id];
+            if matches!(self.state[id], ReqState::Active { prefilled: true, .. })
+                && tokens[lane] < self.max_batch_tokens
+            {
+                lanes[lane].decode.push(id);
+                tokens[lane] += 1;
+            }
         }
+        let mut closed = vec![false; self.lanes];
+        for id in 0..self.specs.len() {
+            let lane = self.lane_of[id];
+            if closed[lane]
+                || self.state[id] != (ReqState::Active { prefilled: false, generated: 0 })
+            {
+                continue;
+            }
+            let plen = self.specs[id].prompt_len;
+            if lanes[lane].is_empty() || tokens[lane] + plen <= self.max_batch_tokens {
+                lanes[lane].prefill.push(id);
+                tokens[lane] += plen;
+            } else {
+                closed[lane] = true;
+            }
+        }
+
+        let finishing: Vec<Vec<usize>> = lanes
+            .iter()
+            .map(|batch| {
+                batch
+                    .ids()
+                    .filter(|&id| match self.state[id] {
+                        ReqState::Active { generated, .. } => {
+                            generated + 1 == self.specs[id].output_len
+                        }
+                        _ => unreachable!("a batch holds active requests"),
+                    })
+                    .collect()
+            })
+            .collect();
+        let any_work = lanes.iter().any(|batch| !batch.is_empty());
 
         if any_work {
             return Decision::Step(StepPlan { lanes, finishing });
@@ -276,26 +294,19 @@ impl Scheduler {
 
     /// Applies a completed step's effects at synchronized time `now`.
     fn complete(&mut self, plan: &StepPlan, now: f64) {
-        for lane in 0..self.lanes {
-            match &plan.lanes[lane] {
-                LanePhase::Idle => {}
-                LanePhase::Prefill(ids) => {
-                    for &id in ids {
-                        // The prefill step yields the first output token.
-                        self.first_token[id] = now;
-                        self.state[id] = ReqState::Active { prefilled: true, generated: 1 };
-                    }
-                }
-                LanePhase::Decode(ids) => {
-                    for &id in ids {
-                        match &mut self.state[id] {
-                            ReqState::Active { generated, .. } => *generated += 1,
-                            _ => unreachable!("decode batch holds active requests"),
-                        }
-                    }
+        for (batch, finishing) in plan.lanes.iter().zip(&plan.finishing) {
+            for &id in &batch.decode {
+                match &mut self.state[id] {
+                    ReqState::Active { generated, .. } => *generated += 1,
+                    _ => unreachable!("a batch holds active requests"),
                 }
             }
-            for &id in &plan.finishing[lane] {
+            for &id in &batch.prefill {
+                // Prefill yields the request's first output token.
+                self.first_token[id] = now;
+                self.state[id] = ReqState::Active { prefilled: true, generated: 1 };
+            }
+            for &id in finishing {
                 self.finish[id] = now;
                 self.state[id] = ReqState::Done;
                 self.done += 1;
@@ -385,38 +396,34 @@ pub fn run_serve<T: TensorLike + Payload>(
         steps_total += 1;
 
         // Tensor work for my lane only; other lanes do theirs in parallel.
-        let (ids, is_prefill): (&[usize], bool) = match &plan.lanes[my_lane] {
-            LanePhase::Idle => (&[], false),
-            LanePhase::Prefill(ids) => (ids, true),
-            LanePhase::Decode(ids) => (ids, false),
-        };
-        let mut parts: Vec<T> = Vec::with_capacity(ids.len());
-        let mut new_rows = Vec::with_capacity(ids.len());
-        let mut kvs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            if is_prefill {
-                let plen = sched.specs[id].prompt_len;
-                // The prompt is a deterministic function of (seed, id):
-                // every rank of the lane extracts its own column block of
-                // the same global [plen, h] matrix.
-                parts.push(T::init_xavier_block(
-                    plen,
-                    hidden,
-                    0,
-                    col0,
-                    plen,
-                    local_h,
-                    prompt_seed,
-                    id as u64,
-                ));
-                new_rows.push(plen);
-                kvs.push(model.new_kv(grid));
-            } else {
-                let slot = slots.get_mut(&id).expect("decode before prefill");
-                parts.push(slot.next_input.take().expect("decode input missing"));
-                new_rows.push(1);
-                kvs.push(slot.kv.take().expect("KV missing from slot"));
-            }
+        let batch = &plan.lanes[my_lane];
+        let segments = batch.decode.len() + batch.prefill.len();
+        let mut parts: Vec<T> = Vec::with_capacity(segments);
+        let mut new_rows = Vec::with_capacity(segments);
+        let mut kvs = Vec::with_capacity(segments);
+        for &id in &batch.decode {
+            let slot = slots.get_mut(&id).expect("decode before prefill");
+            parts.push(slot.next_input.take().expect("decode input missing"));
+            new_rows.push(1);
+            kvs.push(slot.kv.take().expect("KV missing from slot"));
+        }
+        for &id in &batch.prefill {
+            let plen = sched.specs[id].prompt_len;
+            // The prompt is a deterministic function of (seed, id): every
+            // rank of the lane extracts its own column block of the same
+            // global [plen, h] matrix.
+            parts.push(T::init_xavier_block(
+                plen,
+                hidden,
+                0,
+                col0,
+                plen,
+                local_h,
+                prompt_seed,
+                id as u64,
+            ));
+            new_rows.push(plen);
+            kvs.push(model.new_kv(grid));
         }
         let x = Arc::new(if parts.is_empty() {
             // Empty lane: zero-row block keeps this rank inside every
@@ -427,25 +434,25 @@ pub fn run_serve<T: TensorLike + Payload>(
         });
         drop(parts);
 
-        let mut batch = InferBatch { new_rows, kvs };
-        let y = model.forward_infer(grid, ctx, &x, &mut batch);
+        let mut infer = InferBatch { new_rows, kvs };
+        let y = model.forward_infer(grid, ctx, &x, &mut infer);
 
-        if !ids.is_empty() {
-            if is_prefill {
-                ctx.meter.charge_prefill_step();
-                prefill_steps += 1;
-            } else {
-                ctx.meter.charge_decode_step();
-                decode_steps += 1;
-            }
+        // A step that prefilled any prompt counts as a prefill step; one
+        // that only decoded, as a decode step.
+        if !batch.prefill.is_empty() {
+            ctx.meter.charge_prefill_step();
+            prefill_steps += 1;
+        } else if !batch.decode.is_empty() {
+            ctx.meter.charge_decode_step();
+            decode_steps += 1;
         }
 
         // Scatter outputs back: the last row of each segment is the next
         // decode input; caches (now grown) return to their slots.
         let mut r0 = 0;
-        let kvs_back = std::mem::take(&mut batch.kvs);
-        for (seg, (&id, kv)) in ids.iter().zip(kvs_back).enumerate() {
-            let r1 = r0 + batch.new_rows[seg];
+        let kvs_back = std::mem::take(&mut infer.kvs);
+        for (seg, (id, kv)) in batch.ids().zip(kvs_back).enumerate() {
+            let r1 = r0 + infer.new_rows[seg];
             let next = y.slice_rows(r1 - 1, r1, &mut ctx.meter);
             slots.insert(id, LaneSlot { kv: Some(kv), next_input: Some(next) });
             r0 = r1;
@@ -494,4 +501,175 @@ pub fn serve_on_cluster<T: TensorLike + Payload>(
         let grid = TesseractGrid::new(ctx, shape, 0);
         run_serve::<T>(ctx, &grid, cfg, traffic)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use crate::traffic::{generate, TrafficConfig};
+    use tesseract_tensor::Xoshiro256StarStar;
+
+    fn cfg(max_batch_tokens: usize, max_lane_requests: usize) -> ServeConfig {
+        ServeConfig {
+            model: TransformerConfig {
+                batch: 1,
+                seq: 1,
+                hidden: 8,
+                heads: 1,
+                mlp_ratio: 1,
+                layers: 1,
+                eps: 1e-5,
+            },
+            with_bias: false,
+            seed: 0,
+            max_batch_tokens,
+            max_lane_requests,
+        }
+    }
+
+    /// Tokens a request has produced so far.
+    fn produced(sched: &Scheduler, id: usize) -> usize {
+        match sched.state[id] {
+            ReqState::Pending => 0,
+            ReqState::Active { generated, .. } => generated,
+            ReqState::Done => sched.specs[id].output_len,
+        }
+    }
+
+    /// Drives the scheduler to completion on a synthetic clock (`step_s`
+    /// per step), checking every step against the batching rules and
+    /// mirroring `run_serve`'s slot bookkeeping. Returns each lane's
+    /// prefill order.
+    fn drive(
+        traffic: &[RequestSpec],
+        lanes: usize,
+        cfg: &ServeConfig,
+        step_s: f64,
+    ) -> Vec<Vec<usize>> {
+        let budget = cfg.max_batch_tokens;
+        let mut sched = Scheduler::new(traffic, lanes, cfg);
+        let mut slots = BTreeSet::new();
+        let mut prefill_order = vec![Vec::new(); lanes];
+        let max_steps: usize = traffic.iter().map(|r| r.output_len + 1).sum();
+        let (mut now, mut steps) = (0.0, 0);
+        loop {
+            let plan = match sched.plan(now) {
+                Decision::AllDone => break,
+                Decision::IdleUntil(t) => {
+                    now = t;
+                    continue;
+                }
+                Decision::Step(plan) => plan,
+            };
+            steps += 1;
+            assert!(steps <= max_steps, "no progress after {max_steps} steps");
+            for (lane, batch) in plan.lanes.iter().enumerate() {
+                let decoding: Vec<usize> = (0..traffic.len())
+                    .filter(|&id| {
+                        sched.lane_of[id] == lane
+                            && matches!(sched.state[id], ReqState::Active { prefilled: true, .. })
+                    })
+                    .collect();
+                assert_eq!(
+                    batch.decode,
+                    decoding[..decoding.len().min(budget)],
+                    "lane {lane}: every prefilled request decodes, up to the budget"
+                );
+                let tokens: usize = batch.decode.len()
+                    + batch.prefill.iter().map(|&id| traffic[id].prompt_len).sum::<usize>();
+                let lone_prompt = batch.decode.is_empty() && batch.prefill.len() == 1;
+                assert!(tokens <= budget || lone_prompt, "lane {lane}: {tokens} tokens > {budget}");
+                for &id in &batch.decode {
+                    assert!(slots.contains(&id), "request {id} decodes without a slot");
+                }
+                for &id in &batch.prefill {
+                    assert!(slots.insert(id), "request {id} prefilled twice");
+                }
+                prefill_order[lane].extend(&batch.prefill);
+            }
+            let before: Vec<usize> = (0..traffic.len()).map(|id| produced(&sched, id)).collect();
+            now += step_s;
+            sched.complete(&plan, now);
+            for (id, &was) in before.iter().enumerate() {
+                let batched = plan.lanes[sched.lane_of[id]].ids().any(|b| b == id);
+                assert_eq!(
+                    produced(&sched, id),
+                    was + usize::from(batched),
+                    "request {id}: a batched request advances exactly one token"
+                );
+            }
+            for &id in plan.finishing.iter().flatten() {
+                assert!(slots.remove(&id), "request {id} finished without a slot");
+            }
+        }
+        let results = sched.results();
+        assert!(results
+            .iter()
+            .all(|r| r.arrival <= r.first_token_time && r.first_token_time <= r.finish_time));
+        assert!(slots.is_empty(), "slots left at the end: {slots:?}");
+        prefill_order
+    }
+
+    #[test]
+    fn scheduler_properties_hold_on_random_traffic() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5C4E_D01E);
+        for case in 0..300 {
+            let lanes = 1 + rng.next_usize(4);
+            let cfg = cfg(1 + rng.next_usize(64), 1 + rng.next_usize(8));
+            let traffic = generate(&TrafficConfig {
+                rate: [1e2, 1e3, 1e4, 1e12][rng.next_usize(4)],
+                requests: 1 + rng.next_usize(60),
+                prompt_lens: (1, 1 + rng.next_usize(80)),
+                output_lens: (1, 1 + rng.next_usize(8)),
+                seed: case,
+            });
+            let order = drive(&traffic, lanes, &cfg, 1e-3);
+            for (lane, prefilled) in order.iter().enumerate() {
+                let fifo: Vec<usize> = (lane..traffic.len()).step_by(lanes).collect();
+                assert_eq!(
+                    *prefilled, fifo,
+                    "case {case}: lane {lane} prefills out of arrival order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_prompt_never_overtakes_one_that_does_not_fit() {
+        // Request 0 decodes while request 1's prompt (64) does not fit
+        // beside it under a 64-token budget. Request 2's short prompt would
+        // fit, but the FIFO prefix stops at request 1: both wait until
+        // request 0 finishes, then request 1 runs alone.
+        let spec = |id, arrival, prompt_len, output_len| RequestSpec {
+            id,
+            arrival,
+            prompt_len,
+            output_len,
+        };
+        let traffic = [spec(0, 0.0, 8, 3), spec(1, 0.5, 64, 1), spec(2, 0.5, 4, 1)];
+        let mut sched = Scheduler::new(&traffic, 1, &cfg(64, 4));
+        let mut batches = Vec::new();
+        let mut now = 0.0;
+        while let Decision::Step(plan) = sched.plan(now) {
+            batches.push(plan.lanes[0].clone());
+            now += 1.0;
+            sched.complete(&plan, now);
+        }
+        let batch = |decode: &[usize], prefill: &[usize]| LaneBatch {
+            decode: decode.to_vec(),
+            prefill: prefill.to_vec(),
+        };
+        assert_eq!(
+            batches,
+            [
+                batch(&[], &[0]),
+                batch(&[0], &[]),
+                batch(&[0], &[]),
+                batch(&[], &[1]),
+                batch(&[], &[2])
+            ]
+        );
+    }
 }

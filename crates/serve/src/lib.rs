@@ -8,8 +8,9 @@
 //! * [`traffic`] — deterministic Poisson arrival traces with mixed
 //!   prompt/output lengths.
 //! * [`engine`] — request lifecycle, per-lane admission/eviction at step
-//!   granularity, prefill/decode batching under a token budget, and the
-//!   SPMD step loop with barrier-synchronized latency accounting.
+//!   granularity, one mixed decode + FIFO-prefill batch per lane per step
+//!   under a token budget, and the SPMD step loop with
+//!   barrier-synchronized latency accounting.
 //! * [`metrics`] — nearest-rank latency percentiles and summaries.
 //!
 //! Correctness rests on `tesseract_core::infer`: cached decode is bitwise

@@ -46,11 +46,12 @@ pub struct Meter {
     /// hid under compute (zero on the serial path). Informational: already
     /// excluded from `comm_wait_nanos`, never re-charged.
     pub overlap_hidden_nanos: u64,
-    /// Serving-engine prefill steps this rank participated in (each one
-    /// processes the full prompts of a batch of admitted requests).
+    /// Serving-engine steps this rank participated in that prefilled at
+    /// least one whole prompt (decode tokens of the lane's other requests
+    /// may ride in the same batch).
     pub prefill_steps: u64,
-    /// Serving-engine decode steps this rank participated in (each one
-    /// advances every active request by one token).
+    /// Serving-engine steps this rank participated in that only decoded
+    /// (each batched request advanced by one token, no prompt).
     pub decode_steps: u64,
     /// Peak bytes of KV-cache blocks resident on this rank. Tracked as a
     /// high-water mark (merge takes the max), never converted into
