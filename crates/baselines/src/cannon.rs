@@ -11,14 +11,22 @@
 //! needs `2·p^{3/2} − 2·p^{1/2}` transfers per matmul versus Tesseract's
 //! `2·p^{2/3}` (at `d = q`).
 
+use std::sync::Arc;
+
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::TesseractGrid;
 use tesseract_tensor::TensorLike;
 
 /// `C = A·B` on a `[q, q]` mesh (a depth-1 grid) with `A` split into
 /// `[a/q, b/q]` blocks and `B` into `[b/q, c/q]` blocks at their natural
-/// `(i, j)` positions. Returns this rank's `[a/q, c/q]` block of `C`.
-pub fn cannon_matmul<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &T, b_local: &T) -> T
+/// `(i, j)` positions. Returns this rank's `[a/q, c/q]` block of `C`. The
+/// blocks rotate as shared `Arc`s, so no shift copies a payload.
+pub fn cannon_matmul<T>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    a_local: &Arc<T>,
+    b_local: &Arc<T>,
+) -> T
 where
     T: TensorLike + Payload,
 {
@@ -27,8 +35,8 @@ where
     let (i, j, _) = grid.coords;
 
     // Initial skew (Figure 1a): A_{i,j} → p_{i, j-i}; B_{i,j} → p_{i-j, j}.
-    let mut a = grid.row.shift(ctx, -(i as isize), a_local.clone());
-    let mut b = grid.col.shift(ctx, -(j as isize), b_local.clone());
+    let mut a = grid.row.shift(ctx, -(i as isize), Arc::clone(a_local));
+    let mut b = grid.col.shift(ctx, -(j as isize), Arc::clone(b_local));
 
     let mut c = a.matmul(&b, &mut ctx.meter);
     for _step in 1..q {
@@ -60,8 +68,8 @@ mod tests {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             // With d = 1, A/B/C all use plain q×q 2-D blocks.
-            let a_loc = DenseTensor::from_matrix(b_block(a, shape, i, j));
-            let b_loc = DenseTensor::from_matrix(b_block(b, shape, i, j));
+            let a_loc = Arc::new(DenseTensor::from_matrix(b_block(a, shape, i, j)));
+            let b_loc = Arc::new(DenseTensor::from_matrix(b_block(b, shape, i, j)));
             cannon_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
         });
         combine_b(&out.results, shape)
@@ -99,8 +107,8 @@ mod tests {
         let out = Cluster::a100(4).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
-            let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
-            let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
+            let a_loc = Arc::new(DenseTensor::from_matrix(b_block(&a, shape, i, j)));
+            let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
             let _ = cannon_matmul(&grid, ctx, &a_loc, &b_loc);
         });
         assert!(out.comm.get(CollectiveOp::Shift).calls > 0);

@@ -3,6 +3,8 @@
 //! Megatron's column/row split must tile the global weights. (SUMMA is
 //! Tesseract at `d = 1`; core's proptests cover it.)
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tesseract_baselines::cannon::cannon_matmul;
 use tesseract_baselines::megatron::{MegatronLinear, MegatronWorld, Split};
@@ -27,8 +29,8 @@ proptest! {
         let out = Cluster::a100(q * q).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
-            let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
-            let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
+            let a_loc = Arc::new(DenseTensor::from_matrix(b_block(&a, shape, i, j)));
+            let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
             cannon_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
         });
         let got = combine_b(&out.results, shape);

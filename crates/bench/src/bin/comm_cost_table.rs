@@ -34,6 +34,8 @@ use tesseract_core::analysis::{
     transmissions_25d, transmissions_cannon, transmissions_tesseract_cube,
 };
 use tesseract_core::{mm::tesseract_matmul, GridShape, TesseractGrid};
+use tesseract_tensor::json;
+use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::ShadowTensor;
 
 /// Payload sizes swept per (op, placement): 1 KiB … 64 MiB.
@@ -128,8 +130,8 @@ fn main() {
     // Cannon on [8, 8].
     let cannon = Cluster::a100(64).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(8, 1), 0);
-        let a = ShadowTensor::new(a_rows / 8, n / 8);
-        let b = ShadowTensor::new(n / 8, n / 8);
+        let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 8, n / 8));
+        let b = std::sync::Arc::new(ShadowTensor::new(n / 8, n / 8));
         let _ = cannon_matmul(&grid, ctx, &a, &b);
     });
 
@@ -186,12 +188,6 @@ fn main() {
         "\n## Flat vs two-level hierarchical collective cost (Meluxina packing, 4 GPUs/node)\n"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"comm_cost_table\",\n");
-    json.push_str("  \"model\": \"two_level_hierarchical_vs_flat\",\n");
-    json.push_str("  \"topology\": \"meluxina (4 GPUs/node, NVLink intra, InfiniBand inter)\",\n");
-    json.push_str("  \"entries\": [\n");
-
     let mut intra_exceeds = false;
     let mut shared_crossovers = 0usize;
     let mut entries = Vec::new();
@@ -238,15 +234,11 @@ fn main() {
                     c.inter * 1e6,
                     if c.hierarchical_won() { "hierarchical" } else { "flat" }
                 );
-                size_rows.push(format!(
-                    "        {{\"bytes\": {bytes}, \"flat_s\": {:e}, \"hier_s\": {:e}, \
-                     \"intra_s\": {:e}, \"inter_s\": {:e}, \"hier_cheaper\": {}}}",
-                    c.flat,
-                    c.total,
-                    c.intra,
-                    c.inter,
-                    c.hierarchical_won()
-                ));
+                size_rows.push(json!({
+                    "bytes": bytes, "flat_s": Value::sci(c.flat), "hier_s": Value::sci(c.total),
+                    "intra_s": Value::sci(c.intra), "inter_s": Value::sci(c.inter),
+                    "hier_cheaper": c.hierarchical_won()
+                }));
             }
             if placement.shares_nodes_across() {
                 assert!(
@@ -258,31 +250,29 @@ fn main() {
             if crossover.is_some() {
                 shared_crossovers += 1;
             }
-            entries.push(format!(
-                "    {{\n      \"op\": \"{}\",\n      \"placement\": \"{}\",\n      \
-                 \"members\": {},\n      \"nodes\": {},\n      \"max_per_node\": {},\n      \
-                 \"intra_node\": {},\n      \"shares_nodes_across\": {},\n      \
-                 \"hier_wins_somewhere\": {},\n      \"crossover_bytes\": {},\n      \
-                 \"sizes\": [\n{}\n      ]\n    }}",
-                op.name(),
-                case.label,
-                placement.members,
-                placement.nodes,
-                placement.max_per_node,
-                placement.is_intra_node(),
-                placement.shares_nodes_across(),
-                won_somewhere,
-                crossover.map_or("null".to_string(), |b| b.to_string()),
-                size_rows.join(",\n")
-            ));
+            entries.push(json!({
+                "op": op.name(),
+                "placement": case.label,
+                "members": placement.members,
+                "nodes": placement.nodes,
+                "max_per_node": placement.max_per_node,
+                "intra_node": placement.is_intra_node(),
+                "shares_nodes_across": placement.shares_nodes_across(),
+                "hier_wins_somewhere": won_somewhere,
+                "crossover_bytes": crossover,
+                "sizes": size_rows
+            }));
         }
         println!();
     }
-    json.push_str(&entries.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!("  \"intra_node_hier_exceeds_flat\": {intra_exceeds},\n"));
-    json.push_str(&format!("  \"crossover_entries\": {shared_crossovers}\n"));
-    json.push_str("}\n");
+    let json = json::write(&json!({
+        "bench": "comm_cost_table",
+        "model": "two_level_hierarchical_vs_flat",
+        "topology": "meluxina (4 GPUs/node, NVLink intra, InfiniBand inter)",
+        "entries": entries,
+        "intra_node_hier_exceeds_flat": intra_exceeds,
+        "crossover_entries": shared_crossovers
+    }));
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path} ({shared_crossovers} op/placement entries show a size crossover)");
     println!("\nReading the table: inside one node the two-level schedule *is* the flat");

@@ -46,11 +46,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use tesseract_comm::RunConfig;
+use tesseract_tensor::json;
 use tesseract_tensor::matmul::{
     active_kernel, matmul_blocked_with, matmul_flops, matmul_nt_blocked_with,
     matmul_nt_serial_with, matmul_serial, matmul_serial_with, matmul_tn_blocked_with,
     matmul_tn_serial_with, MicroKernel,
 };
+use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{
     max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, Xoshiro256StarStar,
 };
@@ -218,22 +220,30 @@ fn ns_per_call<R>(reps: usize, flops: f64, mut f: impl FnMut() -> R) -> f64 {
     sample / iters as f64
 }
 
-/// One `"elementwise"` row: an op at a shape, beside what it replaced.
-struct ElementwiseRow {
-    op: &'static str,
-    shape: &'static str,
-    rows: usize,
-    cols: usize,
+/// One `"elementwise"` row: `op` at `shape`, beside what it replaced. The
+/// row is printed as it is returned.
+fn elementwise_row(
+    (op, shape): (&str, &str),
+    (rows, cols): (usize, usize),
     ns_per_elem: f64,
-    replaced: &'static str,
-    replaced_ns_per_elem: f64,
+    (replaced, replaced_ns_per_elem): (&str, f64),
+) -> Value {
+    println!(
+        "  {op:<15} {shape:<18} {rows}x{cols}: {ns_per_elem:.2} ns/elem \
+         ({replaced} {replaced_ns_per_elem:.2})"
+    );
+    json!({
+        "op": op, "shape": shape, "rows": rows, "cols": cols,
+        "ns_per_elem": Value::fixed(ns_per_elem, 2), "replaced": replaced,
+        "replaced_ns_per_elem": Value::fixed(replaced_ns_per_elem, 2)
+    })
 }
 
 /// Times the non-GEMM kernels of a step. GELU is accepted only once the
 /// matrix loops equal the scalar function bit for bit (lane independence,
 /// here under the release optimizer) and stay within 1e-5 of the tanh form;
 /// the fused Adam direction only once it equals the op chain bit for bit.
-fn elementwise_rows(reps: usize) -> Vec<ElementwiseRow> {
+fn elementwise_rows(reps: usize) -> Vec<Value> {
     let mut rows = Vec::new();
     for (shape, r, c) in ELEMENTWISE_SHAPES {
         let mut rng = Xoshiro256StarStar::seed_from_u64((r * c) as u64);
@@ -247,24 +257,18 @@ fn elementwise_rows(reps: usize) -> Vec<ElementwiseRow> {
         assert_bitwise(&format!("gelu bwd {shape}"), &scalar_bwd, &bwd);
         assert!(max_rel_diff(fwd.data(), gelu_seed(&x).data()) < 1e-5);
         assert!(max_rel_diff(bwd.data(), gelu_backward_seed(&x, &dy).data()) < 1e-5);
-        rows.push(ElementwiseRow {
-            op: "gelu_fwd",
-            shape,
-            rows: r,
-            cols: c,
-            ns_per_elem: ns_per_elem(reps, r * c, || nn::gelu_matrix(&x)),
-            replaced: "libm_tanhf",
-            replaced_ns_per_elem: ns_per_elem(reps, r * c, || gelu_seed(&x)),
-        });
-        rows.push(ElementwiseRow {
-            op: "gelu_bwd",
-            shape,
-            rows: r,
-            cols: c,
-            ns_per_elem: ns_per_elem(reps, r * c, || nn::gelu_backward_matrix(&x, &dy)),
-            replaced: "libm_tanhf",
-            replaced_ns_per_elem: ns_per_elem(reps, r * c, || gelu_backward_seed(&x, &dy)),
-        });
+        rows.push(elementwise_row(
+            ("gelu_fwd", shape),
+            (r, c),
+            ns_per_elem(reps, r * c, || nn::gelu_matrix(&x)),
+            ("libm_tanhf", ns_per_elem(reps, r * c, || gelu_seed(&x))),
+        ));
+        rows.push(elementwise_row(
+            ("gelu_bwd", shape),
+            (r, c),
+            ns_per_elem(reps, r * c, || nn::gelu_backward_matrix(&x, &dy)),
+            ("libm_tanhf", ns_per_elem(reps, r * c, || gelu_backward_seed(&x, &dy))),
+        ));
     }
 
     let (r, c) = ADAM_SHAPE;
@@ -281,28 +285,19 @@ fn elementwise_rows(reps: usize) -> Vec<ElementwiseRow> {
         assert_bitwise(&format!("adam moment, step {step}"), chain.0.matrix(), fused.0.matrix());
         assert_bitwise(&format!("adam velocity, step {step}"), chain.1.matrix(), fused.1.matrix());
     }
-    rows.push(ElementwiseRow {
-        op: "adam_direction",
-        shape: "train_gemm",
-        rows: r,
-        cols: c,
-        ns_per_elem: ns_per_elem(reps, r * c, || {
-            g.adam_direction(&mut fused.0, &mut fused.1, coeffs, &mut meter)
-        }),
-        replaced: "op_chain",
-        replaced_ns_per_elem: ns_per_elem(reps, r * c, || {
-            adam_direction_chain(&g, &mut chain.0, &mut chain.1, coeffs, &mut meter)
-        }),
+    let fused_ns = ns_per_elem(reps, r * c, || {
+        g.adam_direction(&mut fused.0, &mut fused.1, coeffs, &mut meter)
     });
+    let chain_ns = ns_per_elem(reps, r * c, || {
+        adam_direction_chain(&g, &mut chain.0, &mut chain.1, coeffs, &mut meter)
+    });
+    rows.push(elementwise_row(
+        ("adam_direction", "train_gemm"),
+        (r, c),
+        fused_ns,
+        ("op_chain", chain_ns),
+    ));
     rows
-}
-
-struct Row {
-    n: usize,
-    seed_ns: f64,
-    serial_ns: f64,
-    /// Time per supported backend, in [`MicroKernel::ALL`] order.
-    lane_ns: Vec<f64>,
 }
 
 fn gflops(m: usize, k: usize, n: usize, ns: f64) -> f64 {
@@ -337,11 +332,34 @@ fn timed_lanes(
     lanes.iter().map(|&kernel| ns_per_call(reps, flops, || gemm(kernel))).collect()
 }
 
-/// `"scalar": 1.0, "avx2": 2.0` — one JSON member per lane.
-fn lane_members(lanes: &[MicroKernel], values: impl Iterator<Item = f64>, digits: usize) -> String {
-    let members: Vec<String> =
-        lanes.iter().zip(values).map(|(k, v)| format!("\"{}\": {v:.digits$}", k.name())).collect();
-    members.join(", ")
+/// `{ "scalar": 1.0, "avx2": 2.0 }` — one member per lane, `digits` after
+/// the point.
+fn per_lane(lanes: &[MicroKernel], values: impl Iterator<Item = f64>, digits: usize) -> Value {
+    Value::Obj(
+        lanes.iter().zip(values).map(|(k, v)| (k.name().into(), Value::fixed(v, digits))).collect(),
+    )
+}
+
+/// Times each of `shapes` on every lane through `gemm` (accepted only
+/// after the lane parity gate), prints its GFLOP/s per lane, and returns
+/// one JSON row per shape.
+fn shape_rows(
+    lanes: &[MicroKernel],
+    reps: usize,
+    shapes: &[(&str, Orient, usize, usize, usize)],
+    gemm: fn(Orient, &Matrix, &Matrix, MicroKernel) -> Matrix,
+) -> Value {
+    let rows = shapes.iter().map(|&(label, orient, m, k, n)| {
+        let (a, b) = orient.operands(m, k, n);
+        let lane_ns = timed_lanes(label, lanes, reps, matmul_flops(m, k, n), |kernel| {
+            gemm(orient, &a, &b, kernel)
+        });
+        let rates = per_lane(lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
+        print!("  {label:<16} {m}x{k}x{n}: {}", json::write(&rates));
+        let lane_ns = per_lane(lanes, lane_ns.into_iter(), 0);
+        json!({ "shape": label, "m": m, "k": k, "n": n, "lane1_ns": lane_ns, "lane1_gflops": rates })
+    });
+    Value::Arr(rows.collect())
 }
 
 fn main() {
@@ -388,134 +406,70 @@ fn main() {
         lane_names.iter().map(|l| format!(" {:<12} |", format!("{l} ns"))).collect();
     println!("| n    | seed ns      | serial ns    |{lane_header} serial GF/s | blk1 GF/s | simd x | blk1 x |");
 
-    let mut rows = Vec::new();
+    let mut results = Vec::new();
     for &n in &sizes {
         let mut rng = Xoshiro256StarStar::seed_from_u64(n as u64);
         let a = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
 
-        let row = Row {
-            n,
-            seed_ns: median_ns(reps, || matmul_seed(&a, &b)),
-            serial_ns: median_ns(reps, || matmul_serial(&a, &b)),
-            lane_ns: timed_lanes(&format!("n={n}"), &lanes, reps, matmul_flops(n, n, n), |k| {
-                matmul_blocked_with(&a, &b, k)
-            }),
-        };
-        let blocked1_ns = row.lane_ns[active_lane];
-        let lane_cells: String = row.lane_ns.iter().map(|ns| format!(" {ns:>12.0} |")).collect();
+        let seed_ns = median_ns(reps, || matmul_seed(&a, &b));
+        let serial_ns = median_ns(reps, || matmul_serial(&a, &b));
+        // One time per supported backend, in `MicroKernel::ALL` order.
+        let lane_ns = timed_lanes(&format!("n={n}"), &lanes, reps, matmul_flops(n, n, n), |k| {
+            matmul_blocked_with(&a, &b, k)
+        });
+        let blocked1_ns = lane_ns[active_lane];
+        let (serial_gflops, blocked1_gflops) =
+            (gflops(n, n, n, serial_ns), gflops(n, n, n, blocked1_ns));
+        let (simd_speedup, speedup_blocked1) = (lane_ns[0] / blocked1_ns, seed_ns / blocked1_ns);
+        let lane_cells: String = lane_ns.iter().map(|ns| format!(" {ns:>12.0} |")).collect();
         println!(
-            "| {:<4} | {:>12.0} | {:>12.0} |{lane_cells} {:>11.3} | {:>9.3} | {:>6.2} | {:>6.2} |",
-            row.n,
-            row.seed_ns,
-            row.serial_ns,
-            gflops(n, n, n, row.serial_ns),
-            gflops(n, n, n, blocked1_ns),
-            row.lane_ns[0] / blocked1_ns,
-            row.seed_ns / blocked1_ns,
+            "| {n:<4} | {seed_ns:>12.0} | {serial_ns:>12.0} |{lane_cells} {serial_gflops:>11.3} | \
+             {blocked1_gflops:>9.3} | {simd_speedup:>6.2} | {speedup_blocked1:>6.2} |",
         );
-        rows.push(row);
+        results.push(json!({
+            "n": n, "seed_ns": Value::fixed(seed_ns, 0), "serial_ns": Value::fixed(serial_ns, 0),
+            "lane1_ns": per_lane(&lanes, lane_ns.iter().copied(), 0),
+            "lane1_gflops": per_lane(&lanes, lane_ns.iter().map(|&ns| gflops(n, n, n, ns)), 3),
+            "serial_gflops": Value::fixed(serial_gflops, 3),
+            "speedup_serial": Value::fixed(seed_ns / serial_ns, 3),
+            "speedup_blocked1": Value::fixed(speedup_blocked1, 3),
+            "simd_speedup": Value::fixed(simd_speedup, 3)
+        }));
     }
 
     println!("\nworkload shapes (GFLOP/s per backend):");
-    let workload_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = WORKLOAD_SHAPES
-        .iter()
-        .map(|&(label, orient, m, k, n)| {
-            let (a, b) = orient.operands(m, k, n);
-            let lane_ns =
-                timed_lanes(label, &lanes, reps, matmul_flops(m, k, n), |kernel| match orient {
-                    Orient::Nn => matmul_blocked_with(&a, &b, kernel),
-                    Orient::Nt => matmul_nt_blocked_with(&a, &b, kernel),
-                    Orient::Tn => matmul_tn_blocked_with(&a, &b, kernel),
-                });
-            let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
-            println!("  {label:<10} {m}x{k}x{n}: {rates}");
-            (label, m, k, n, lane_ns)
-        })
-        .collect();
-
+    let workload_shapes =
+        shape_rows(&lanes, reps, &WORKLOAD_SHAPES, |orient, a, b, kernel| match orient {
+            Orient::Nn => matmul_blocked_with(a, b, kernel),
+            Orient::Nt => matmul_nt_blocked_with(a, b, kernel),
+            Orient::Tn => matmul_tn_blocked_with(a, b, kernel),
+        });
     println!("\nserial shapes (GFLOP/s per backend width):");
-    let serial_rows: Vec<(&str, usize, usize, usize, Vec<f64>)> = SERIAL_SHAPES
-        .iter()
-        .map(|&(label, orient, m, k, n)| {
-            let (a, b) = orient.operands(m, k, n);
-            let lane_ns =
-                timed_lanes(label, &lanes, reps, matmul_flops(m, k, n), |kernel| match orient {
-                    Orient::Nn => matmul_serial_with(&a, &b, kernel),
-                    Orient::Nt => matmul_nt_serial_with(&a, &b, kernel),
-                    Orient::Tn => matmul_tn_serial_with(&a, &b, kernel),
-                });
-            let rates = lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
-            println!("  {label:<16} {m}x{k}x{n}: {rates}");
-            (label, m, k, n, lane_ns)
-        })
-        .collect();
+    let serial_shapes =
+        shape_rows(&lanes, reps, &SERIAL_SHAPES, |orient, a, b, kernel| match orient {
+            Orient::Nn => matmul_serial_with(a, b, kernel),
+            Orient::Nt => matmul_nt_serial_with(a, b, kernel),
+            Orient::Tn => matmul_tn_serial_with(a, b, kernel),
+        });
 
     println!("\nelementwise kernels (ns per element, beside what each replaced):");
     let elementwise = elementwise_rows(reps);
-    for e in &elementwise {
-        println!(
-            "  {:<15} {:<18} {}x{}: {:.2} ns/elem ({} {:.2})",
-            e.op, e.shape, e.rows, e.cols, e.ns_per_elem, e.replaced, e.replaced_ns_per_elem
-        );
-    }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"gemm_sweep\",\n");
-    json.push_str("  \"units\": { \"time\": \"ns (median)\", \"rate\": \"GFLOP/s\" },\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"kernel\": \"{}\",\n", kernel.name()));
-    json.push_str(&format!("  \"kernel_forced\": {kernel_forced},\n"));
-    json.push_str(&format!("  \"lanes\": {lane_names:?},\n"));
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str("  \"parity\": \"every lane bitwise equal to the first, blocked and serial\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let n = r.n;
-        let blocked1_ns = r.lane_ns[active_lane];
-        json.push_str(&format!(
-            "    {{ \"n\": {n}, \"seed_ns\": {:.0}, \"serial_ns\": {:.0}, \
-\"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }}, \"serial_gflops\": {:.3}, \
-\"speedup_serial\": {:.3}, \"speedup_blocked1\": {:.3}, \"simd_speedup\": {:.3} }}{}\n",
-            r.seed_ns,
-            r.serial_ns,
-            lane_members(&lanes, r.lane_ns.iter().copied(), 0),
-            lane_members(&lanes, r.lane_ns.iter().map(|&ns| gflops(n, n, n, ns)), 3),
-            gflops(n, n, n, r.serial_ns),
-            r.seed_ns / r.serial_ns,
-            r.seed_ns / blocked1_ns,
-            r.lane_ns[0] / blocked1_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    for (block, shape_rows) in
-        [("workload_shapes", &workload_rows), ("serial_shapes", &serial_rows)]
-    {
-        json.push_str(&format!("  ],\n  \"{block}\": [\n"));
-        for (i, (label, m, k, n, lane_ns)) in shape_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{ \"shape\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"lane1_ns\": {{ {} }}, \"lane1_gflops\": {{ {} }} }}{}\n",
-                lane_members(&lanes, lane_ns.iter().copied(), 0),
-                lane_members(&lanes, lane_ns.iter().map(|&ns| gflops(*m, *k, *n, ns)), 3),
-                if i + 1 == shape_rows.len() { "" } else { "," }
-            ));
-        }
-    }
-    json.push_str("  ],\n  \"elementwise\": [\n");
-    for (i, e) in elementwise.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"shape\": \"{}\", \"rows\": {}, \"cols\": {}, \"ns_per_elem\": {:.2}, \"replaced\": \"{}\", \"replaced_ns_per_elem\": {:.2} }}{}\n",
-            e.op,
-            e.shape,
-            e.rows,
-            e.cols,
-            e.ns_per_elem,
-            e.replaced,
-            e.replaced_ns_per_elem,
-            if i + 1 == elementwise.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = json::write(&json!({
+        "bench": "gemm_sweep",
+        "units": { "time": "ns (median)", "rate": "GFLOP/s" },
+        "reps": reps,
+        "kernel": kernel.name(),
+        "kernel_forced": kernel_forced,
+        "lanes": lane_names,
+        "host_cpus": host_cpus,
+        "parity": "every lane bitwise equal to the first, blocked and serial",
+        "results": results,
+        "workload_shapes": workload_shapes,
+        "serial_shapes": serial_shapes,
+        "elementwise": elementwise
+    }));
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path}");
 }

@@ -23,6 +23,8 @@ use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
     tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
 };
+use tesseract_tensor::json;
+use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
 
 /// The 2.5-D cube the acceptance criterion names.
@@ -64,14 +66,6 @@ fn step_round(pipelined: bool, n: usize) -> RunOutput<(Matrix, Matrix)> {
     })
 }
 
-struct Row {
-    n: usize,
-    serial_s: f64,
-    pipelined_s: f64,
-    hidden_s: f64,
-    hidden_frac: f64,
-}
-
 fn main() {
     let mut sizes: Vec<usize> = vec![256, 512, 1024];
     let mut out_path = String::from("BENCH_overlap.json");
@@ -103,7 +97,7 @@ sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
         "| n | serial step (s) | pipelined step (s) | speedup | hidden wait (s) | hidden frac |"
     );
     println!("|---|---|---|---|---|---|");
-    let mut rows = Vec::new();
+    let mut steps = Vec::new();
     for &n in &sizes {
         let serial = step_round(false, n);
         let pipelined = step_round(true, n);
@@ -122,32 +116,24 @@ sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
             "| {n} | {serial_s:.6} | {pipelined_s:.6} | {:.3}x | {hidden_s:.6} | {hidden_frac:.3} |",
             serial_s / pipelined_s,
         );
-        rows.push(Row { n, serial_s, pipelined_s, hidden_s, hidden_frac });
+        steps.push(json!({
+            "n": n, "serial_s": Value::fixed(serial_s, 9),
+            "pipelined_s": Value::fixed(pipelined_s, 9),
+            "speedup": Value::fixed(serial_s / pipelined_s, 4),
+            "hidden_s": Value::fixed(hidden_s, 9), "hidden_frac": Value::fixed(hidden_frac, 4)
+        }));
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"overlap_sweep\",\n");
-    json.push_str(
-        "  \"units\": { \"time\": \"simulated seconds (max over ranks)\", \
-\"hidden\": \"simulated seconds summed over ranks\" },\n",
-    );
-    json.push_str(&format!("  \"grid\": \"[{q},{q},{d}]\",\n"));
-    json.push_str(&format!("  \"step_rows\": {STEP_ROWS},\n"));
-    json.push_str("  \"steps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"n\": {}, \"serial_s\": {:.9}, \"pipelined_s\": {:.9}, \
-\"speedup\": {:.4}, \"hidden_s\": {:.9}, \"hidden_frac\": {:.4} }}{}\n",
-            r.n,
-            r.serial_s,
-            r.pipelined_s,
-            r.serial_s / r.pipelined_s,
-            r.hidden_s,
-            r.hidden_frac,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = json::write(&json!({
+        "bench": "overlap_sweep",
+        "units": {
+            "time": "simulated seconds (max over ranks)",
+            "hidden": "simulated seconds summed over ranks"
+        },
+        "grid": format!("[{q},{q},{d}]"),
+        "step_rows": STEP_ROWS,
+        "steps": steps
+    }));
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path}");
 }

@@ -17,8 +17,7 @@
 //!   microbatches — the mode where signature dedup and analytic pruning
 //!   earn their keep.
 //!
-//! The ranked tables print to stdout and the JSON report (validated with
-//! the in-tree parser before it is written) goes to `--out`
+//! The ranked tables print to stdout and the JSON report goes to `--out`
 //! (default `BENCH_plan.json`).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin plan_sweep -- \
@@ -26,6 +25,8 @@
 
 use tesseract_bench::timing::paper_config;
 use tesseract_plan::{plan, CandidateMenu, EntryStatus, Plan, PlanRequest};
+use tesseract_tensor::json;
+use tesseract_tensor::trace::json::{self, Value};
 
 struct Mode {
     name: &'static str,
@@ -55,91 +56,65 @@ fn modes(which: &str) -> Vec<Mode> {
 }
 
 /// JSON object for one planned mode.
-fn mode_json(mode: &Mode, p: &Plan) -> String {
+fn mode_json(mode: &Mode, p: &Plan) -> Value {
     let winner = p.winner().expect("every mode has at least one feasible candidate");
-    let mut j = String::from("    {\n");
-    j.push_str(&format!("      \"mode\": \"{}\",\n", mode.name));
-    j.push_str(&format!("      \"gpus\": {},\n", p.gpus));
-    j.push_str(&format!(
-        "      \"workload\": {{ \"batch\": {}, \"seq\": {}, \"hidden\": {}, \"heads\": {}, \"layers\": {} }},\n",
-        p.cfg.batch, p.cfg.seq, p.cfg.hidden, p.cfg.heads, p.cfg.layers
-    ));
-    j.push_str(&format!("      \"winner\": \"{}\",\n", winner.label));
-    match mode.expected_winner {
-        Some(expected) => {
-            j.push_str(&format!("      \"expected_winner\": \"{expected}\",\n"));
-            j.push_str(&format!("      \"matches_expected\": {},\n", winner.label == expected));
-        }
-        None => {
-            j.push_str("      \"expected_winner\": null,\n");
-            j.push_str("      \"matches_expected\": null,\n");
-        }
-    }
-    j.push_str("      \"candidates\": [\n");
-    let mut first = true;
-    for e in &p.entries {
-        if !first {
-            j.push_str(",\n");
-        }
-        first = false;
-        j.push_str("        { ");
-        j.push_str(&format!("\"arrangement\": \"{}\", ", e.label));
-        j.push_str(&format!("\"signature\": \"{}\", ", e.signature));
-        j.push_str(&format!(
-            "\"analytic_s\": {{ \"compute\": {:.9}, \"comm\": {:.9}, \"total\": {:.9} }}, ",
-            e.analytic.compute_s,
-            e.analytic.comm_s,
-            e.analytic.total_s()
-        ));
-        match (&e.status, &e.dryrun) {
-            (EntryStatus::Ranked(r), Some(d)) => {
-                j.push_str(&format!("\"rank\": {r}, "));
-                j.push_str(&format!(
-                    "\"dryrun\": {{ \"makespan_s\": {:.9}, \"forward_s\": {:.9}, \
-\"backward_s\": {:.9}, \"peak_bytes\": {}, \"hidden_wait_frac\": {:.6}, \
-\"throughput_seq_s\": {:.4} }}",
-                    d.makespan_s,
-                    d.forward_s,
-                    d.backward_s,
-                    d.peak_bytes,
-                    d.hidden_wait_frac,
-                    p.cfg.batch as f64 / d.makespan_s
-                ));
-            }
-            (EntryStatus::PrunedByAnalytic, _) => {
-                j.push_str("\"rank\": null, \"dryrun\": null, \"pruned\": true");
-            }
+    let candidates = p.entries.iter().map(|e| {
+        let a = &e.analytic;
+        let analytic = json!({
+            "compute": Value::fixed(a.compute_s, 9), "comm": Value::fixed(a.comm_s, 9),
+            "total": Value::fixed(a.total_s(), 9)
+        });
+        // A pruned or duplicate entry names why it has no dry-run.
+        let (rank, dryrun, why) = match (&e.status, &e.dryrun) {
+            (EntryStatus::Ranked(r), Some(d)) => (Some(*r), Some(d), None),
+            (EntryStatus::PrunedByAnalytic, _) => (None, None, Some(("pruned", json!(true)))),
             (EntryStatus::Duplicate { of }, _) => {
-                j.push_str(&format!(
-                    "\"rank\": null, \"dryrun\": null, \"duplicate_of\": \"{of}\""
-                ));
+                (None, None, Some(("duplicate_of", json!(of.as_str()))))
             }
             _ => unreachable!("ranked entries always carry a dry-run"),
+        };
+        let dryrun = dryrun.map(|d| {
+            json!({
+                "makespan_s": Value::fixed(d.makespan_s, 9),
+                "forward_s": Value::fixed(d.forward_s, 9),
+                "backward_s": Value::fixed(d.backward_s, 9), "peak_bytes": d.peak_bytes,
+                "hidden_wait_frac": Value::fixed(d.hidden_wait_frac, 6),
+                "throughput_seq_s": Value::fixed(p.cfg.batch as f64 / d.makespan_s, 4)
+            })
+        });
+        let mut entry = json!({
+            "arrangement": e.label.as_str(), "signature": e.signature.as_str(),
+            "analytic_s": analytic, "rank": rank, "dryrun": dryrun
+        });
+        if let (Value::Obj(fields), Some((key, value))) = (&mut entry, why) {
+            fields.push((key.to_string(), value));
         }
-        j.push_str(" }");
-    }
-    j.push_str("\n      ],\n");
-    j.push_str("      \"infeasible\": [\n");
-    let mut first = true;
-    for (label, err) in &p.infeasible {
-        if !first {
-            j.push_str(",\n");
+        entry
+    });
+    let infeasible = p
+        .infeasible
+        .iter()
+        .map(|(label, err)| json!({ "arrangement": label.as_str(), "reason": err.to_string() }));
+    let duplicates =
+        p.entries.iter().filter(|e| matches!(e.status, EntryStatus::Duplicate { .. })).count();
+    let c = &p.cfg;
+    json!({
+        "mode": mode.name,
+        "gpus": p.gpus,
+        "workload": {
+            "batch": c.batch, "seq": c.seq, "hidden": c.hidden, "heads": c.heads, "layers": c.layers
+        },
+        "winner": winner.label.as_str(),
+        "expected_winner": mode.expected_winner,
+        "matches_expected": mode.expected_winner.map(|w| winner.label == w),
+        "candidates": Value::Arr(candidates.collect()),
+        "infeasible": Value::Arr(infeasible.collect()),
+        "search": {
+            "feasible": p.entries.len(), "infeasible": p.infeasible.len(),
+            "analytic_memo_hits": p.analytic_memo_hits, "pruned_dryruns": p.pruned_dryruns,
+            "duplicates_collapsed": duplicates
         }
-        first = false;
-        j.push_str(&format!("        {{ \"arrangement\": \"{label}\", \"reason\": \"{err}\" }}"));
-    }
-    j.push_str("\n      ],\n");
-    j.push_str(&format!(
-        "      \"search\": {{ \"feasible\": {}, \"infeasible\": {}, \"analytic_memo_hits\": {}, \
-\"pruned_dryruns\": {}, \"duplicates_collapsed\": {} }}\n",
-        p.entries.len(),
-        p.infeasible.len(),
-        p.analytic_memo_hits,
-        p.pruned_dryruns,
-        p.entries.iter().filter(|e| matches!(e.status, EntryStatus::Duplicate { .. })).count()
-    ));
-    j.push_str("    }");
-    j
+    })
 }
 
 fn main() {
@@ -176,20 +151,14 @@ fn main() {
         sections.push(mode_json(&mode, &p));
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"plan_sweep\",\n");
-    json.push_str(
-        "  \"units\": { \"time\": \"simulated seconds (max over ranks)\", \
-\"throughput\": \"sequences per simulated second\" },\n",
-    );
-    json.push_str("  \"modes\": [\n");
-    json.push_str(&sections.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    // The report must round-trip through the in-tree parser before it is
-    // published — a malformed escape or bare NaN fails here, not in CI.
-    tesseract_tensor::trace::json::parse(&json)
-        .unwrap_or_else(|e| panic!("emitted JSON failed to parse: {e}"));
+    let json = json::write(&json!({
+        "bench": "plan_sweep",
+        "units": {
+            "time": "simulated seconds (max over ranks)",
+            "throughput": "sequences per simulated second"
+        },
+        "modes": sections
+    }));
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 }

@@ -31,7 +31,9 @@ use tesseract_core::{GridShape, TransformerConfig};
 use tesseract_serve::{
     generate, latency_stats, serve_on_cluster, ServeConfig, ServeSummary, TrafficConfig,
 };
-use tesseract_tensor::trace::{chrome, json};
+use tesseract_tensor::json;
+use tesseract_tensor::trace::chrome;
+use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::ShadowTensor;
 
 /// Offered load as multiples of the measured saturated capacity; the knee
@@ -294,50 +296,39 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         d = trace_shape.d
     );
 
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve_sweep\",\n");
-    out.push_str(
-        "  \"units\": { \"time\": \"simulated seconds\", \
-\"rates\": \"per simulated second\", \"kv_peak\": \"bytes, max over ranks\" },\n",
-    );
-    out.push_str(&format!(
-        "  \"model\": {{ \"hidden\": {}, \"heads\": {}, \"layers\": {}, \"mlp_ratio\": {} }},\n",
-        m.hidden, m.heads, m.layers, m.mlp_ratio
-    ));
-    out.push_str(&format!(
-        "  \"traffic\": {{ \"requests\": {requests}, \"prompt_lens\": [16, 64], \
-\"output_lens\": [4, 16], \"seed\": {seed} }},\n"
-    ));
-    out.push_str("  \"arrangements\": [\n");
-    for (gi, curve) in curves.iter().enumerate() {
+    let arrangements = curves.iter().map(|curve| {
         let (q, d) = (curve.shape.q, curve.shape.d);
-        out.push_str(&format!(
-            "    {{ \"grid\": \"[{q},{q},{d}]\", \"world\": {}, \"capacity_rps\": {:.9},\n",
-            curve.shape.size(),
-            curve.capacity_rps
-        ));
-        out.push_str("      \"points\": [\n");
-        for (pi, p) in curve.points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"load\": {:.2}, \"offered_rps\": {:.9}, \"achieved_rps\": {:.9}, \
-\"tokens_per_s\": {:.9}, \"p50_s\": {:.9}, \"p99_s\": {:.9}, \"ttft_p50_s\": {:.9}, \
-\"makespan_s\": {:.9}, \"kv_peak_bytes\": {} }}{}\n",
-                p.multiplier,
-                p.offered_rps,
-                p.achieved_rps,
-                p.tokens_per_s,
-                p.p50_s,
-                p.p99_s,
-                p.ttft_p50_s,
-                p.makespan_s,
-                p.kv_peak_bytes,
-                if pi + 1 == curve.points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!("    }}{}\n", if gi + 1 == curves.len() { "" } else { "," }));
-    }
-    out.push_str("  ]\n}\n");
+        let points = curve.points.iter().map(|p| {
+            let s9 = |x: f64| Value::fixed(x, 9);
+            json!({
+                "load": Value::fixed(p.multiplier, 2), "offered_rps": s9(p.offered_rps),
+                "achieved_rps": s9(p.achieved_rps), "tokens_per_s": s9(p.tokens_per_s),
+                "p50_s": s9(p.p50_s), "p99_s": s9(p.p99_s), "ttft_p50_s": s9(p.ttft_p50_s),
+                "makespan_s": s9(p.makespan_s), "kv_peak_bytes": p.kv_peak_bytes
+            })
+        });
+        json!({
+            "grid": format!("[{q},{q},{d}]"),
+            "world": curve.shape.size(),
+            "capacity_rps": Value::fixed(curve.capacity_rps, 9),
+            "points": Value::Arr(points.collect())
+        })
+    });
+    let out = json::write(&json!({
+        "bench": "serve_sweep",
+        "units": {
+            "time": "simulated seconds", "rates": "per simulated second",
+            "kv_peak": "bytes, max over ranks"
+        },
+        "model": {
+            "hidden": m.hidden, "heads": m.heads, "layers": m.layers, "mlp_ratio": m.mlp_ratio
+        },
+        "traffic": {
+            "requests": requests, "prompt_lens": [16usize, 64usize],
+            "output_lens": [4usize, 16usize], "seed": seed
+        },
+        "arrangements": Value::Arr(arrangements.collect())
+    }));
     std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 }

@@ -9,9 +9,12 @@
 //!   Tables 1 and 2.
 //! * [`tables`] — the row structures and renderers shared by the binaries.
 //!
-//! Binaries (one per table/figure): `table1_strong_scaling`,
+//! Binaries (one per table, figure or sweep): `table1_strong_scaling`,
 //! `table2_weak_scaling`, `fig7_training_accuracy`, `fig6_hybrid`,
-//! `comm_cost_table`, `memory_table`, `ablation_depth`.
+//! `comm_cost_table`, `memory_table`, `ablation_depth`, `isoefficiency`,
+//! `plan_sweep`, `serve_sweep`, `overlap_sweep`, `gemm_sweep` and
+//! `trace_dump`. Those that write JSON build a `trace::json::Value` and
+//! serialize it with `json::write`.
 
 pub mod tables;
 pub mod timing;

@@ -210,7 +210,7 @@ mod tests {
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let mine = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
-            let got = world.shift(ctx, 1, mine);
+            let got = world.shift(ctx, 1, Arc::new(mine));
             got.matrix()[(0, 0)] as usize
         });
         // Rank r receives from (r - 1) mod 4.
@@ -223,7 +223,7 @@ mod tests {
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let mine = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
-            let got = world.shift(ctx, -1, mine);
+            let got = world.shift(ctx, -1, Arc::new(mine));
             got.matrix()[(0, 0)] as usize
         });
         assert_eq!(out.results, vec![1, 2, 0]);

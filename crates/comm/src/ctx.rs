@@ -276,8 +276,9 @@ pub struct RankReport {
     /// activation-traffic proxy; weights are counted once at construction
     /// via the concat in layer constructors).
     pub bytes_allocated: u64,
-    /// Host-side deep copies of collective payloads this rank performed
-    /// (zero on the shared, read-only collective path).
+    /// Host-side deep copies of collective payloads this rank performed.
+    /// Every collective is zero-copy, so nothing charges this; it stays
+    /// while the benchmark crate reads the copy counters.
     pub payload_copies: u64,
     /// Bytes duplicated by those copies.
     pub payload_copy_bytes: u64,

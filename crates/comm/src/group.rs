@@ -35,9 +35,8 @@
 //! payload is materialized exactly once per rendezvous regardless of group
 //! size. Reductions take deposits *by value* and fold them in place
 //! (ascending member order, once per rendezvous instead of once per
-//! member). Only [`CommGroup::shift`] returns an owned value; the deep copy
-//! it makes is recorded in [`crate::stats::OpStats::copies`] and
-//! `Meter::payload_copies`, so copy regressions are testable.
+//! member). [`CommGroup::shift`] hands each member an `Arc` clone of its
+//! source's deposit, so no collective deep-copies a payload.
 //!
 //! Ownership rule: an `Arc` returned from a collective may be read freely
 //! but must never be mutated through `Arc::get_mut` — other ranks (or the
@@ -291,25 +290,6 @@ impl CommGroup {
         let s = self.seq.get();
         self.seq.set(s + 1);
         s
-    }
-
-    /// Clones an owned value out of a shared collective result, recording
-    /// the copy in both the run-wide comm stats and this rank's meter
-    /// (shift makes one per member).
-    fn clone_counted<P: Payload>(&self, ctx: &mut RankCtx, op: CollectiveOp, payload: &P) -> P {
-        let bytes = payload.wire_size() as u64;
-        ctx.stats().charge_copy(ctx.rank, op, bytes);
-        ctx.meter.charge_payload_copy(bytes);
-        if trace::is_active() {
-            let vt = ctx.vt_now();
-            trace::record(
-                format!("copy:{}", op.name()),
-                vt,
-                vt,
-                TraceKind::Copy { op: op.name(), bytes },
-            );
-        }
-        payload.clone()
     }
 
     /// The one split-phase implementation under every collective.
@@ -594,16 +574,15 @@ impl CommGroup {
         self.all_gather_shared_begin(ctx, payload).complete(ctx)
     }
 
-    /// Cyclic shift: every member sends its payload `offset` positions
-    /// forward (member order, wrapping) and receives from `offset` behind
-    /// (one counted copy per member). `offset` may be negative. This is
-    /// Cannon's primitive.
-    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: P) -> P {
+    /// Zero-copy cyclic shift: every member sends its payload `offset`
+    /// positions forward (member order, wrapping) and receives an `Arc`
+    /// clone of the deposit `offset` behind. `offset` may be negative. This
+    /// is Cannon's primitive.
+    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: Arc<P>) -> Arc<P> {
         let size = WireSize::Known(payload.wire_size());
-        let op = CollectiveOp::Shift;
         let src = (self.my_index as isize - offset).rem_euclid(self.size() as isize) as usize;
-        self.begin_sync(ctx, op, None, Some(payload), size, |ctx, deposits| {
-            self.clone_counted(ctx, op, deposits[src].as_ref().expect("all deposited"))
+        self.begin_sync(ctx, CollectiveOp::Shift, None, Some(payload), size, move |_, deposits| {
+            Arc::clone(deposits[src].as_ref().expect("all deposited"))
         })
         .complete(ctx)
     }

@@ -21,8 +21,9 @@ pub struct OpStats {
     pub time: f64,
     /// Host-side deep copies of payloads made on behalf of this op, summed
     /// over *all* ranks (unlike `calls`/`wire_bytes`, which count each
-    /// logical operation once): every receiver-side clone is a real memcpy
-    /// and each one is recorded where it happens.
+    /// logical operation once). No collective copies a payload, so nothing
+    /// charges this: it reads zero, and stays only because the benchmark
+    /// crate reads [`CommStats::total_copies`].
     pub copies: u64,
     /// Bytes duplicated by those copies.
     pub copy_bytes: u64,
@@ -71,9 +72,8 @@ impl StatsCollector {
     }
 
     /// Charges one host-side payload copy of `bytes` bytes made by `rank`
-    /// on behalf of `op`. Called by every rank that clones (the receiver
-    /// materialization of `shift`), so the totals measure real memcpy
-    /// traffic across the whole cluster.
+    /// on behalf of `op`. No collective calls it (every one is zero-copy);
+    /// see [`OpStats::copies`].
     pub fn charge_copy(&self, rank: usize, op: CollectiveOp, bytes: u64) {
         self.update(rank, op, |entry| {
             entry.copies += 1;

@@ -121,7 +121,7 @@ proptest! {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
             // Shifting by a multiple of the group size returns own payload.
-            let got = g.shift(ctx, (n * offset_mult) as isize, t);
+            let got = g.shift(ctx, (n * offset_mult) as isize, Arc::new(t));
             got.matrix()[(0, 0)] as usize == ctx.rank
         });
         prop_assert!(out.results.iter().all(|&ok| ok));

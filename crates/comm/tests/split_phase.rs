@@ -40,7 +40,7 @@ fn issue_blocking(g: &CommGroup, ctx: &mut RankCtx, op: CollectiveOp, rows: usiz
         CollectiveOp::Reduce => drop(g.reduce_shared(ctx, root, mine)),
         CollectiveOp::AllReduce => drop(g.all_reduce_shared(ctx, mine)),
         CollectiveOp::AllGather => drop(g.all_gather_shared(ctx, Arc::new(mine))),
-        CollectiveOp::Shift => drop(g.shift(ctx, 1, mine)),
+        CollectiveOp::Shift => drop(g.shift(ctx, 1, Arc::new(mine))),
         CollectiveOp::Barrier => g.barrier(ctx),
         other => unreachable!("{} is not in the golden table", other.name()),
     }

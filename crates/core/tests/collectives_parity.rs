@@ -1,13 +1,13 @@
 //! Copy-regression suite for the zero-copy collective path: the
 //! `Arc`-shared broadcasts and in-place reductions under the three
-//! Tesseract matmul variants must never deep-copy a payload — every panel
-//! is materialized once per rendezvous regardless of group fan-out, and
-//! reductions fold their by-value deposits in place. (`shift` is the only
-//! collective that returns owned values, so the copy counters these tests
-//! read are live: Cannon's shifts charge them.)
+//! Tesseract matmul variants, and the `Arc`-shared shifts Cannon rotates
+//! its blocks with, must never deep-copy a payload — every panel is
+//! materialized once per rendezvous regardless of group fan-out, and
+//! reductions fold their by-value deposits in place.
 
 use std::sync::Arc;
 
+use tesseract_baselines::cannon::cannon_matmul;
 use tesseract_comm::{Cluster, CollectiveOp, RankCtx};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
@@ -23,13 +23,14 @@ fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
 }
 
-/// Runs `step` on every rank of every grid in [`SHAPES`] and asserts the
+/// Runs `step` on every rank of every grid in `shapes` and asserts the
 /// whole run copied no payload, cluster-wide and per rank.
 fn assert_copies_nothing(
     what: &str,
+    shapes: &[(usize, usize)],
     step: impl Fn(&TesseractGrid, &mut RankCtx, GridShape) + Send + Sync,
 ) {
-    for (q, d) in SHAPES {
+    for &(q, d) in shapes {
         let shape = GridShape::new(q, d);
         let out = Cluster::a100(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
@@ -45,7 +46,7 @@ fn assert_copies_nothing(
 
 #[test]
 fn matmul_copies_nothing() {
-    assert_copies_nothing("matmul", |grid, ctx, shape| {
+    assert_copies_nothing("matmul", &SHAPES, |grid, ctx, shape| {
         let (q, d) = (shape.q, shape.d);
         let (i, j, k) = grid.coords;
         let a = random(4 * q * d, 2 * q, 7);
@@ -58,7 +59,7 @@ fn matmul_copies_nothing() {
 
 #[test]
 fn matmul_nt_copies_nothing() {
-    assert_copies_nothing("matmul_nt", |grid, ctx, shape| {
+    assert_copies_nothing("matmul_nt", &SHAPES, |grid, ctx, shape| {
         let (q, d) = (shape.q, shape.d);
         let (i, j, k) = grid.coords;
         // Global: A [a, c], B [b, c] → C = A·Bᵀ is [a, b].
@@ -72,7 +73,7 @@ fn matmul_nt_copies_nothing() {
 
 #[test]
 fn matmul_tn_copies_nothing() {
-    assert_copies_nothing("matmul_tn", |grid, ctx, shape| {
+    assert_copies_nothing("matmul_tn", &SHAPES, |grid, ctx, shape| {
         let (q, d) = (shape.q, shape.d);
         let (i, j, k) = grid.coords;
         // Global: A [a, b], B [a, c] → C = Aᵀ·B is [b, c].
@@ -81,6 +82,19 @@ fn matmul_tn_copies_nothing() {
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_loc = DenseTensor::from_matrix(a_block(&b, shape, i, j, k));
         let _ = tesseract_matmul_tn(grid, ctx, &a_loc, &b_loc, true);
+    });
+}
+
+/// Cannon (a `[q, q]` mesh only) rotates its blocks as shared `Arc`s.
+#[test]
+fn cannon_copies_nothing() {
+    assert_copies_nothing("cannon", &[(2, 1), (4, 1)], |grid, ctx, shape| {
+        let (i, j, _) = grid.coords;
+        let a = random(4 * shape.q, 2 * shape.q, 47);
+        let b = random(2 * shape.q, 3 * shape.q, 48);
+        let a_loc = Arc::new(DenseTensor::from_matrix(b_block(&a, shape, i, j)));
+        let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
+        let _ = cannon_matmul(grid, ctx, &a_loc, &b_loc);
     });
 }
 

@@ -1,8 +1,8 @@
 //! Stage 1 of the search: a cheap analytic α–β estimate per candidate.
 //!
 //! The estimate prices one training step (forward + checkpointed backward,
-//! the convention of `bench::timing` and the paper's tables: backward ≈ 3×
-//! forward) from the same [`CostParams`] the simulator charges, with every
+//! the step convention of [`crate::dryrun`] and the paper's tables:
+//! backward ≈ 3× forward) from the same [`CostParams`] the simulator charges, with every
 //! collective priced by [`CostParams::phased_collective_time`] on the
 //! *actual* fiber placements of the candidate's mesh on the target
 //! [`Topology`] — so node packing (NVLink vs InfiniBand) shows up in the

@@ -12,11 +12,10 @@
 //! **checkpointed backward**, done by the stack's own checkpointing
 //! (`StackOptions::recompute_every`). The forward keeps only each
 //! segment's input; the backward replays the segment, then unwinds it.
-//! This is the convention of `bench::timing` and the paper's ≈3×
-//! backward/forward ratio. Tesseract and Megatron run their whole stack as
-//! one segment. The hybrid arm is `HybridTransformer::train_step` with one
-//! segment per stage: the GPipe schedule that trains, followed by the
-//! data-parallel gradient sync.
+//! With the replay, a backward costs ≈ 3× its forward, the paper's ratio.
+//! Tesseract and Megatron run their whole stack as one segment. The hybrid
+//! arm is `HybridTransformer::train_step` with one segment per stage: the
+//! GPipe schedule that trains, followed by the data-parallel gradient sync.
 //!
 //! [`Cluster`]: tesseract_comm::Cluster
 

@@ -34,7 +34,9 @@ pub struct Meter {
     /// Host-side deep copies of collective payloads (each one a real
     /// memcpy the zero-copy collectives exist to avoid). Never converted
     /// into simulated time: copies are a host artifact, not part of the
-    /// α–β model.
+    /// α–β model. No collective copies a payload any more, so nothing
+    /// charges this; it stays while the benchmark crate reads the copy
+    /// counters.
     pub payload_copies: u64,
     /// Bytes duplicated by those payload copies.
     pub payload_copy_bytes: u64,
@@ -123,8 +125,7 @@ impl Meter {
 
     /// Charges one deep copy of a collective payload of `bytes` bytes.
     /// Copies contribute to no simulated time — `compute_time` never sees
-    /// them — they exist so the copy-elimination in the shared collectives
-    /// is observable and regressions are testable.
+    /// them. No collective calls it (see [`Meter::payload_copies`]).
     pub fn charge_payload_copy(&mut self, bytes: u64) {
         self.payload_copies += 1;
         self.payload_copy_bytes += bytes;

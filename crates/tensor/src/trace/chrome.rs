@@ -8,78 +8,48 @@
 //! visible. Open the file at <https://ui.perfetto.dev> or
 //! `chrome://tracing`.
 
+use super::json::{self, Value};
 use super::{TraceEvent, TraceKind};
+use crate::json;
 
 /// Track (tid) layout within each rank's process.
 const TID_COMPUTE: u32 = 0;
 const TID_COMM: u32 = 1;
 const TID_SCOPES: u32 = 2;
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Virtual seconds → fractional microseconds (Chrome's `ts` unit), with
 /// nanosecond precision preserved in the fraction.
-fn us(vt: f64) -> String {
-    format!("{:.3}", vt * 1e6)
-}
-
-fn push_event(out: &mut String, body: String) {
-    out.push_str("    {");
-    out.push_str(&body);
-    out.push_str("},\n");
+fn us(vt: f64) -> Value {
+    Value::fixed(vt * 1e6, 3)
 }
 
 /// Renders per-rank traces (as returned in `RunOutput::traces`) to a
 /// Chrome-trace JSON document.
 pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
-    let mut out = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
-    for (rank, events) in traces.iter().enumerate() {
-        push_event(
-            &mut out,
-            format!(
-                "\"ph\":\"M\",\"pid\":{rank},\"tid\":0,\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"rank {rank}\"}}"
-            ),
-        );
-        for (tid, tname) in [(TID_COMPUTE, "compute"), (TID_COMM, "comm"), (TID_SCOPES, "scopes")] {
-            push_event(
-                &mut out,
-                format!(
-                    "\"ph\":\"M\",\"pid\":{rank},\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"{tname}\"}}"
-                ),
-            );
+    let mut events = Vec::new();
+    for (rank, trace) in traces.iter().enumerate() {
+        let tracks = [(TID_COMPUTE, "compute"), (TID_COMM, "comm"), (TID_SCOPES, "scopes")];
+        let names = std::iter::once((0, "process_name", format!("rank {rank}")))
+            .chain(tracks.map(|(tid, track)| (tid, "thread_name", track.to_string())));
+        for (tid, name, label) in names {
+            let args = json!({ "name": label });
+            events.push(json!({ "ph": "M", "pid": rank, "tid": tid, "name": name, "args": args }));
         }
-        for ev in events {
-            let name = escape_json(&ev.name);
-            match &ev.kind {
+        for ev in trace {
+            let name = ev.name.as_str();
+            // A complete (`ph: "X"`) span on track `tid`.
+            let span = |tid: u32, cat: &str, args: Value| {
+                json!({
+                    "ph": "X", "pid": rank, "tid": tid, "name": name, "cat": cat,
+                    "ts": us(ev.begin), "dur": us(ev.duration()), "args": args
+                })
+            };
+            events.push(match &ev.kind {
                 TraceKind::Compute { flops, kernels, bytes_allocated } => {
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"ph\":\"X\",\"pid\":{rank},\"tid\":{TID_COMPUTE},\
-                             \"name\":\"{name}\",\"cat\":\"compute\",\"ts\":{},\"dur\":{:.3},\
-                             \"args\":{{\"flops\":{flops},\"kernels\":{kernels},\
-                             \"bytes_allocated\":{bytes_allocated}}}",
-                            us(ev.begin),
-                            ev.duration() * 1e6,
-                        ),
-                    );
+                    let args = json!({
+                        "flops": *flops, "kernels": *kernels, "bytes_allocated": *bytes_allocated
+                    });
+                    span(TID_COMPUTE, "compute", args)
                 }
                 TraceKind::Comm {
                     op,
@@ -90,75 +60,35 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
                     wire_bytes,
                     ..
                 } => {
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"ph\":\"X\",\"pid\":{rank},\"tid\":{TID_COMM},\
-                             \"name\":\"{name}\",\"cat\":\"comm\",\"ts\":{},\"dur\":{:.3},\
-                             \"args\":{{\"op\":\"{op}\",\"blocked_ns\":{blocked_nanos},\
-                             \"hidden_ns\":{hidden_nanos},\"wire_bytes\":{wire_bytes},\
-                             \"key\":\"{key_group:x}:{key_seq}\"}}",
-                            us(ev.begin),
-                            ev.duration() * 1e6,
-                        ),
-                    );
-                    // Flow arrow across the overlapped window: deposit
-                    // (begin) → complete (end) whenever the split-phase
-                    // machinery hid wait under compute.
-                    if *hidden_nanos > 0 {
-                        let id = format!("{key_group:x}-{key_seq}-r{rank}");
-                        push_event(
-                            &mut out,
-                            format!(
-                                "\"ph\":\"s\",\"pid\":{rank},\"tid\":{TID_COMM},\
-                                 \"name\":\"overlap\",\"cat\":\"comm\",\"id\":\"{id}\",\"ts\":{}",
-                                us(ev.begin),
-                            ),
-                        );
-                        push_event(
-                            &mut out,
-                            format!(
-                                "\"ph\":\"f\",\"bp\":\"e\",\"pid\":{rank},\"tid\":{TID_COMM},\
-                                 \"name\":\"overlap\",\"cat\":\"comm\",\"id\":\"{id}\",\"ts\":{}",
-                                us(ev.end),
-                            ),
-                        );
-                    }
+                    let args = json!({
+                        "op": *op, "blocked_ns": *blocked_nanos, "hidden_ns": *hidden_nanos,
+                        "wire_bytes": *wire_bytes, "key": format!("{key_group:x}:{key_seq}")
+                    });
+                    span(TID_COMM, "comm", args)
                 }
-                TraceKind::Copy { op, bytes } => {
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"ph\":\"i\",\"s\":\"t\",\"pid\":{rank},\"tid\":{TID_COMM},\
-                             \"name\":\"{name}\",\"cat\":\"copy\",\"ts\":{},\
-                             \"args\":{{\"op\":\"{op}\",\"bytes\":{bytes}}}",
-                            us(ev.begin),
-                        ),
-                    );
-                }
-                TraceKind::Scope { phase } => {
-                    push_event(
-                        &mut out,
-                        format!(
-                            "\"ph\":\"X\",\"pid\":{rank},\"tid\":{TID_SCOPES},\
-                             \"name\":\"{name}\",\"cat\":\"scope\",\"ts\":{},\"dur\":{:.3},\
-                             \"args\":{{\"phase\":\"{phase}\"}}",
-                            us(ev.begin),
-                            ev.duration() * 1e6,
-                        ),
-                    );
-                }
+                TraceKind::Copy { op, bytes } => json!({
+                    "ph": "i", "s": "t", "pid": rank, "tid": TID_COMM, "name": name, "cat": "copy",
+                    "ts": us(ev.begin), "args": { "op": *op, "bytes": *bytes }
+                }),
+                TraceKind::Scope { phase } => span(TID_SCOPES, "scope", json!({ "phase": *phase })),
+            });
+            // Flow arrow across the overlapped window: deposit (begin) →
+            // complete (end) whenever the split-phase machinery hid wait
+            // under compute.
+            if let TraceKind::Comm { key_group, key_seq, hidden_nanos: 1.., .. } = ev.kind {
+                let id = format!("{key_group:x}-{key_seq}-r{rank}");
+                events.push(json!({
+                    "ph": "s", "pid": rank, "tid": TID_COMM, "name": "overlap", "cat": "comm",
+                    "id": id.as_str(), "ts": us(ev.begin)
+                }));
+                events.push(json!({
+                    "ph": "f", "bp": "e", "pid": rank, "tid": TID_COMM, "name": "overlap",
+                    "cat": "comm", "id": id, "ts": us(ev.end)
+                }));
             }
         }
     }
-    // Strip the trailing ",\n" of the last event (the metadata events
-    // guarantee at least one was written for a non-empty trace set).
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    json::write(&json!({ "displayTimeUnit": "ns", "traceEvents": events }))
 }
 
 #[cfg(test)]
@@ -199,12 +129,6 @@ mod tests {
                 && e.get("id").and_then(|i| i.as_str()) == Some("abc-7-r0")
         }));
         assert!(events.iter().all(|e| e.get("ph").is_some() && e.get("pid").is_some()));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -1,17 +1,65 @@
-//! Minimal JSON parser for validating emitted trace (and bench) documents
-//! in-tree — the workspace is hermetic, so there is no serde to lean on.
-//! Supports the full JSON grammar the Chrome-trace emitter uses: objects,
+//! The one JSON module of the workspace: every document the workspace
+//! emits (the `BENCH_*.json` records, the Chrome trace) is a [`Value`] tree
+//! — usually built with the [`json!`](crate::json) macro — serialized by
+//! [`write()`], and [`parse`] reads them back. The workspace is hermetic, so
+//! there is no serde to lean on. Both cover the full grammar: objects,
 //! arrays, strings (with escapes incl. `\uXXXX`), numbers, booleans, null.
+//!
+//! The writer takes no layout argument; the value's shape decides. A
+//! container spans lines, one member per line indented two spaces a level,
+//! when an array somewhere inside it holds a container; any other container
+//! is written on one line (`{ "k": 1, "v": [2, 3] }`). A number is written
+//! as the token it was built with ([`Value::fixed`], [`Value::sci`], an
+//! integer or an `f64`'s shortest round-trip text), so each field keeps the
+//! precision its producer chose.
 
-/// A parsed JSON value. Objects preserve key order.
+use std::fmt::Write as _;
+
+/// A parsed or to-be-written JSON value. Objects preserve key order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
-    Num(f64),
+    Num(Number),
     Str(String),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
+}
+
+/// A JSON number, kept as its token: a writer keeps each field's printed
+/// precision and a parse keeps the source's text, so write → parse gives
+/// back the same tree. Built only from a finite `f64`'s formatting, an
+/// integer, or a token the parser accepted.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Number(String);
+
+/// `text` is how `x` is formatted; JSON has no NaN or infinity.
+fn number(x: f64, text: String) -> Value {
+    assert!(x.is_finite(), "JSON numbers are finite, got {x}");
+    Value::Num(Number(text))
+}
+
+/// Builds a [`Value`] from JSON syntax: `json!({ "k": expr, "o": { .. },
+/// "a": [expr, ..] })`. Any other value is an expression with an
+/// `Into<Value>` conversion (a `Value` itself included).
+#[macro_export]
+macro_rules! json {
+    (@fields [$($done:tt)*]) => { vec![$($done)*] };
+    // A one-token value (`{ .. }`, `[ .. ]`, a name or a literal), else an
+    // expression.
+    (@fields [$($done:tt)*] $key:literal : $v:tt $(, $($rest:tt)*)?) => {
+        $crate::json!(@fields [$($done)* ($key.to_string(), $crate::json!($v)),] $($($rest)*)?)
+    };
+    (@fields [$($done:tt)*] $key:literal : $v:expr $(, $($rest:tt)*)?) => {
+        $crate::json!(@fields [$($done)* ($key.to_string(), $crate::json!($v)),] $($($rest)*)?)
+    };
+    ({ $($fields:tt)* }) => {
+        $crate::trace::json::Value::Obj($crate::json!(@fields [] $($fields)*))
+    };
+    ([ $($item:expr),* $(,)? ]) => {
+        $crate::trace::json::Value::Arr(vec![$($crate::json!($item)),*])
+    };
+    ($value:expr) => { $crate::trace::json::Value::from($value) };
 }
 
 impl Value {
@@ -39,10 +87,142 @@ impl Value {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(Number(text)) => text.parse().ok(),
             _ => None,
         }
     }
+
+    /// `x` with `places` digits after the point (`{:.places$}`).
+    pub fn fixed(x: f64, places: usize) -> Value {
+        number(x, format!("{x:.places$}"))
+    }
+
+    /// `x` in Rust's shortest round-trip scientific form (`{:e}`, e.g.
+    /// `4.00512e-6`).
+    pub fn sci(x: f64) -> Value {
+        number(x, format!("{x:e}"))
+    }
+}
+
+/// `x` in Rust's shortest round-trip decimal form (`{}`).
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        number(x, x.to_string())
+    }
+}
+
+macro_rules! integer_values {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(Number(n.to_string()))
+            }
+        }
+    )*};
+}
+integer_values!(u32, u64, usize);
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Serializes `value` as a document: the layout the module doc describes,
+/// then a final newline.
+pub fn write(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0);
+    out.push('\n');
+    out
+}
+
+/// True when an array somewhere inside `v` holds a container.
+fn spans_lines(v: &Value) -> bool {
+    match v {
+        Value::Arr(items) => items.iter().any(|i| matches!(i, Value::Arr(_) | Value::Obj(_))),
+        Value::Obj(fields) => fields.iter().any(|(_, v)| spans_lines(v)),
+        _ => false,
+    }
+}
+
+fn write_value(out: &mut String, v: &Value, depth: usize) {
+    let (open, close, members): (_, _, Vec<_>) = match v {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(Number(text)) => return out.push_str(text),
+        Value::Str(s) => return write_str(out, s),
+        Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(k), v)).collect()),
+    };
+    let multiline = spans_lines(v);
+    // Between members: a newline and indent, or a space. One-line objects
+    // also pad their braces (`{ "k": 1 }`, but `[1, 2]` and `{}`).
+    let gap = |out: &mut String, depth: usize, pad: bool| {
+        if multiline {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        } else if pad {
+            out.push(' ');
+        }
+    };
+    let pad = open == '{' && !members.is_empty();
+    out.push(open);
+    for (i, (key, v)) in members.into_iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        gap(out, depth + 1, pad || i > 0);
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write_value(out, v, depth + 1);
+    }
+    gap(out, depth, pad);
+    out.push(close);
+}
+
+/// Writes `s` as a quoted JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
@@ -75,8 +255,8 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
 fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_members(b, pos, b'}', parse_field).map(Value::Obj),
+        Some(b'[') => parse_members(b, pos, b']', parse_value).map(Value::Arr),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -95,53 +275,41 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
+/// Parses a container from its opening bracket at `pos` through `close`:
+/// comma-separated members, each read by `member`.
+fn parse_members<T>(
+    b: &[u8],
+    pos: &mut usize,
+    close: u8,
+    member: fn(&[u8], &mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    *pos += 1;
+    let mut members = Vec::new();
     skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
+    if b.get(*pos) == Some(&close) {
         *pos += 1;
-        return Ok(Value::Obj(fields));
+        return Ok(members);
     }
     loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
+        members.push(member(b, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b'}') => {
+            Some(&c) if c == close => {
                 *pos += 1;
-                return Ok(Value::Obj(fields));
+                return Ok(members);
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return Err(format!("expected ',' or '{}' at byte {}", close as char, *pos)),
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
+fn parse_field(b: &[u8], pos: &mut usize) -> Result<(String, Value), String> {
     skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
+    let key = parse_string(b, pos)?;
+    skip_ws(b, pos);
+    expect(b, pos, b':')?;
+    Ok((key, parse_value(b, pos)?))
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -203,7 +371,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid number bytes")?;
-    s.parse::<f64>().map(Value::Num).map_err(|_| format!("invalid number {s:?} at byte {start}"))
+    s.parse::<f64>().map_err(|_| format!("invalid number {s:?} at byte {start}"))?;
+    Ok(Value::Num(Number(s.to_string())))
 }
 
 #[cfg(test)]
@@ -256,5 +425,52 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));
         assert_eq!(parse(" { } ").unwrap(), Value::Obj(vec![]));
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(write(&"a\"b\\c\nd".into()), "\"a\\\"b\\\\c\\nd\"\n");
+        assert_eq!(write(&"\u{1}".into()), "\"\\u0001\"\n");
+    }
+
+    #[test]
+    fn layout_follows_the_value_shape() {
+        let rows = vec![crate::json!({ "n": 1usize }), crate::json!({})];
+        let doc = crate::json!({
+            "units": { "t": "s" }, "lens": [16usize, 64usize], "empty": [], "rows": rows
+        });
+        let want = r#"{
+  "units": { "t": "s" },
+  "lens": [16, 64],
+  "empty": [],
+  "rows": [
+    { "n": 1 },
+    {}
+  ]
+}
+"#;
+        assert_eq!(write(&doc), want);
+    }
+
+    #[test]
+    fn numbers_keep_their_token() {
+        let nums = vec![
+            Value::fixed(0.5, 3),
+            Value::fixed(-2483885.4, 0),
+            Value::sci(4.00512e-6),
+            Value::sci(0.0),
+            2.0.into(),
+            0.1.into(),
+            7usize.into(),
+        ];
+        assert_eq!(write(&Value::Arr(nums)), "[0.500, -2483885, 4.00512e-6, 0e0, 2, 0.1, 7]\n");
+        assert_eq!(parse("1.500").unwrap().as_f64(), Some(1.5));
+        assert_ne!(parse("1.500").unwrap(), parse("1.5").unwrap(), "the token is the number");
+    }
+
+    #[test]
+    #[should_panic(expected = "JSON numbers are finite")]
+    fn nan_is_not_a_number() {
+        let _ = Value::fixed(f64::NAN, 3);
     }
 }

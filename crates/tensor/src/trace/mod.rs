@@ -72,7 +72,9 @@ pub enum TraceKind {
         /// cluster-wide.
         recorded: bool,
     },
-    /// One host-side payload deep copy (a `clone_counted`).
+    /// One host-side payload deep copy. Every collective is zero-copy, so
+    /// nothing records this; it stays while the benchmark crate reads the
+    /// copy counters it mirrors.
     Copy { op: &'static str, bytes: u64 },
     /// A semantic scope: a layer forward/backward, a pipeline stage, a
     /// training step. Purely structural — carries no charges.

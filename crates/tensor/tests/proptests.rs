@@ -1,9 +1,11 @@
 //! Property-based tests (proptest) for the tensor substrate: algebraic
-//! identities of the kernels and structural invariants of the matrix type.
+//! identities of the kernels, structural invariants of the matrix type,
+//! and the JSON writer's round trip through the parser.
 
 use proptest::prelude::*;
 use tesseract_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use tesseract_tensor::nn;
+use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{approx_eq, max_rel_diff, Matrix, Xoshiro256StarStar};
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -372,4 +374,46 @@ fn violation_messages<T: TensorLike>() -> Vec<String> {
 #[test]
 fn shape_violations_panic_alike_on_dense_and_shadow() {
     assert_eq!(violation_messages::<DenseTensor>(), violation_messages::<ShadowTensor>());
+}
+
+/// Characters a JSON string must escape or carry through: quotes,
+/// backslashes, control characters, and multi-byte UTF-8.
+const JSON_CHARS: [char; 17] = [
+    'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{8}', '\u{1f}', 'é', '→',
+    '中', '😀',
+];
+
+fn random_json_string(rng: &mut Xoshiro256StarStar) -> String {
+    (0..rng.next_usize(6)).map(|_| JSON_CHARS[rng.next_usize(JSON_CHARS.len())]).collect()
+}
+
+/// A random JSON tree: every scalar kind, each number form the writer
+/// builds, escaped strings, and empty or nested containers up to `depth`.
+fn random_json(rng: &mut Xoshiro256StarStar, depth: usize) -> Value {
+    let magnitude = 10f64.powi(rng.next_usize(40) as i32 - 20);
+    let x = (rng.next_f64() - 0.5) * magnitude;
+    match rng.next_usize(if depth == 0 { 7 } else { 11 }) {
+        0 => Value::Null,
+        1 => rng.next_u64().is_multiple_of(2).into(),
+        2 => Value::fixed(x, rng.next_usize(10)),
+        3 => Value::sci(x),
+        4 => x.into(),
+        5 => rng.next_u64().into(),
+        6 => random_json_string(rng).into(),
+        7 | 8 => Value::Arr((0..rng.next_usize(4)).map(|_| random_json(rng, depth - 1)).collect()),
+        _ => Value::Obj(
+            (0..rng.next_usize(4))
+                .map(|_| (random_json_string(rng), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #[test]
+    fn json_write_then_parse_gives_back_the_tree(seed in 0u64..1_000_000) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let tree = random_json(&mut rng, 4);
+        prop_assert_eq!(json::parse(&json::write(&tree)), Ok(tree));
+    }
 }

@@ -119,6 +119,25 @@ if [ -n "$summas" ]; then
     exit 1
 fi
 
+# JSON is written by one module: every document (the BENCH_*.json records,
+# the Chrome trace) is a trace::json::Value tree serialized by json::write,
+# which escapes every string and lays the document out from its shape. A
+# hand-escaped key (`\"key\":`) in a string literal outside
+# crates/tensor/src/trace/json.rs and #[cfg(test)] items is a second
+# emitter. (benchmark/ is frozen and out of scope.)
+echo "== one-JSON-writer gate (JSON syntax written by tensor/src/trace/json.rs only) =="
+emitters=$(find crates/*/src src -name '*.rs' ! -path 'crates/tensor/src/trace/json.rs' | sort \
+    | xargs awk 'FNR == 1 { pending = 0; test = 0 }
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending { pending = 0; if (/\{$/) test = 1; next }
+        test { if (/^}/) test = 0; next }
+        /\\"[^" ]*\\" ?:/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$emitters" ]; then
+    echo "ci.sh: JSON keys built by hand (build a trace::json::Value and call json::write):"
+    printf '%s\n' "$emitters"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
@@ -195,8 +214,8 @@ test -s target/TRACE.smoke.json || { echo "trace_dump wrote no JSON"; exit 1; }
 # regenerate its committed file byte for byte. The bins also assert their
 # own claims before writing (comm_cost_table: hierarchical cost within
 # [NVLink floor, flat charge] and a size crossover; plan_sweep: the planner
-# re-derives the measured Table 1/2 winners and its JSON round-trips through
-# the in-tree parser) — all of which the committed files record.
+# re-derives the measured Table 1/2 winners) — all of which the committed
+# files record.
 # comm_cost_table's stdout (the C1 table that Cannon, Solomonik, SUMMA and
 # Tesseract feed) is kept for the golden stdout gate below.
 echo "== BENCH regeneration gate (plan, comm, serving, overlap: byte-identical) =="
