@@ -15,17 +15,11 @@
 //! Run: `cargo run --release -p tesseract-bench --bin overlap_sweep -- \
 //!           [--sizes 256,512,1024] [--out BENCH_overlap.json]`
 
-use std::sync::Arc;
-
-use tesseract_comm::{Cluster, RunOutput};
-use tesseract_core::partition::{a_block, b_block};
-use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
-};
+use tesseract_bench::step::matmul_step;
+use tesseract_comm::Cluster;
+use tesseract_core::GridShape;
 use tesseract_tensor::json;
 use tesseract_tensor::trace::json::{self, Value};
-use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
 
 /// The 2.5-D cube the acceptance criterion names.
 const SHAPE: (usize, usize) = (2, 2); // [2, 2, 2]
@@ -33,38 +27,6 @@ const SHAPE: (usize, usize) = (2, 2); // [2, 2, 2]
 /// Global activation rows: skinny against the `n×n` weight, the
 /// transformer linear-layer regime where panel broadcasts dominate.
 const STEP_ROWS: usize = 64;
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
-
-/// One fwd+bwd matmul step on the cube; returns each rank's gradient
-/// blocks so the two variants can be compared bitwise.
-fn step_round(pipelined: bool, n: usize) -> RunOutput<(Matrix, Matrix)> {
-    let shape = GridShape::new(SHAPE.0, SHAPE.1);
-    let a = random(STEP_ROWS, n, 71);
-    let b = random(n, n, 72);
-    Cluster::a100(shape.size()).run(move |ctx| {
-        let grid = TesseractGrid::new(ctx, shape, 0);
-        let (i, j, k) = grid.coords;
-        let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
-        let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let (dx, dw) = if pipelined {
-            let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        } else {
-            let dy = tesseract_matmul_serial(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt_serial(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn_serial(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        };
-        ctx.flush_compute();
-        (dx.matrix().clone(), dw.matrix().clone())
-    })
-}
 
 fn main() {
     let mut sizes: Vec<usize> = vec![256, 512, 1024];
@@ -97,10 +59,11 @@ sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
         "| n | serial step (s) | pipelined step (s) | speedup | hidden wait (s) | hidden frac |"
     );
     println!("|---|---|---|---|---|---|");
+    let (shape, cluster) = (GridShape::new(q, d), Cluster::a100(q * q * d));
     let mut steps = Vec::new();
     for &n in &sizes {
-        let serial = step_round(false, n);
-        let pipelined = step_round(true, n);
+        let serial = matmul_step(&cluster, shape, STEP_ROWS, n, false);
+        let pipelined = matmul_step(&cluster, shape, STEP_ROWS, n, true);
         assert_eq!(
             serial.results, pipelined.results,
             "n = {n}: pipelined step diverged from serial bitwise"

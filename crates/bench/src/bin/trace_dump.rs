@@ -14,9 +14,9 @@
 //! * per rank, the summed compute-event flops / kernels / allocated bytes
 //!   and the summed comm-event blocked/hidden nanoseconds must equal the
 //!   [`RankReport`] counters **exactly** (same values, same fold order);
-//! * per collective op, the recorded event count, wire bytes and copy
-//!   counts must equal the global [`CommStats`] exactly, and the f64
-//!   time/hidden totals must agree to float-sum tolerance.
+//! * per collective op, the recorded event count and wire bytes must equal
+//!   the global [`CommStats`] exactly, and the f64 time/hidden totals must
+//!   agree to float-sum tolerance.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin trace_dump -- \
 //!           [--grid 2,2] [--n 256] [--out TRACE.json] [--top 5]`
@@ -24,48 +24,11 @@
 //! [`RankReport`]: tesseract_comm::RankReport
 //! [`CommStats`]: tesseract_comm::CommStats
 
-use std::sync::Arc;
-
+use tesseract_bench::step::matmul_step;
 use tesseract_comm::{RunConfig, RunOutput};
-use tesseract_core::partition::{a_block, b_block};
-use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
-};
+use tesseract_core::GridShape;
 use tesseract_tensor::trace::{chrome, critical, json};
-use tesseract_tensor::{DenseTensor, Matrix, TraceKind, Xoshiro256StarStar};
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
-
-/// One fwd+bwd matmul step on the `[q, q, d]` grid with tracing on;
-/// returns each rank's gradient blocks for the bitwise parity check.
-fn step_round(pipelined: bool, shape: GridShape, n: usize) -> RunOutput<(Matrix, Matrix)> {
-    let rows = 8 * shape.q * shape.d;
-    let a = random(rows, n, 71);
-    let b = random(n, n, 72);
-    RunConfig::from_env(shape.size()).with_trace(true).cluster().run(move |ctx| {
-        let grid = TesseractGrid::new(ctx, shape, 0);
-        let (i, j, k) = grid.coords;
-        let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
-        let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let (dx, dw) = if pipelined {
-            let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        } else {
-            let dy = tesseract_matmul_serial(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt_serial(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn_serial(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        };
-        ctx.flush_compute();
-        (dx.matrix().clone(), dw.matrix().clone())
-    })
-}
+use tesseract_tensor::{Matrix, TraceKind};
 
 /// Per-op aggregate rebuilt from trace events, mirroring `OpStats`.
 #[derive(Default)]
@@ -73,8 +36,6 @@ struct OpAgg {
     calls: u64,
     wire_bytes: u64,
     time: f64,
-    copies: u64,
-    copy_bytes: u64,
     hidden_time: f64,
 }
 
@@ -112,22 +73,15 @@ fn reconcile<R>(what: &str, run: &RunOutput<R>) {
     // Per op across ranks: rebuild the stats table from the events.
     let mut agg: std::collections::HashMap<&'static str, OpAgg> = Default::default();
     for ev in run.traces.iter().flatten() {
-        match &ev.kind {
-            TraceKind::Comm { op, wire_bytes, stats_time, hidden_time, recorded, .. } => {
-                let e = agg.entry(op).or_default();
-                if *recorded {
-                    e.calls += 1;
-                }
-                e.wire_bytes += wire_bytes;
-                e.time += stats_time;
-                e.hidden_time += hidden_time;
+        if let TraceKind::Comm { op, wire_bytes, stats_time, hidden_time, recorded, .. } = &ev.kind
+        {
+            let e = agg.entry(op).or_default();
+            if *recorded {
+                e.calls += 1;
             }
-            TraceKind::Copy { op, bytes } => {
-                let e = agg.entry(op).or_default();
-                e.copies += 1;
-                e.copy_bytes += bytes;
-            }
-            _ => {}
+            e.wire_bytes += wire_bytes;
+            e.time += stats_time;
+            e.hidden_time += hidden_time;
         }
     }
     // The collector folds f64 time in cross-rank completion order, which
@@ -140,8 +94,6 @@ fn reconcile<R>(what: &str, run: &RunOutput<R>) {
         let got = agg.remove(name).unwrap_or_default();
         assert_eq!(got.calls, stats.calls, "{what}: {name} calls mismatch");
         assert_eq!(got.wire_bytes, stats.wire_bytes, "{what}: {name} wire bytes mismatch");
-        assert_eq!(got.copies, stats.copies, "{what}: {name} copies mismatch");
-        assert_eq!(got.copy_bytes, stats.copy_bytes, "{what}: {name} copy bytes mismatch");
         assert!(tol(got.time, stats.time), "{what}: {name} time {} != {}", got.time, stats.time);
         assert!(
             tol(got.hidden_time, stats.hidden_time),
@@ -216,14 +168,15 @@ fn main() {
         None => format!("{out_path}.serial"),
     };
 
+    let rows = 8 * q * d;
     println!(
-        "trace_dump: [{q},{q},{d}] grid ({} ranks), global A {} x {n}, B {n} x {n}\n",
-        shape.size(),
-        8 * q * d
+        "trace_dump: [{q},{q},{d}] grid ({} ranks), global A {rows} x {n}, B {n} x {n}\n",
+        shape.size()
     );
 
-    let serial = step_round(false, shape, n);
-    let pipelined = step_round(true, shape, n);
+    let cluster = RunConfig::from_env(shape.size()).with_trace(true).cluster();
+    let serial = matmul_step(&cluster, shape, rows, n, false);
+    let pipelined = matmul_step(&cluster, shape, rows, n, true);
     assert_eq!(serial.results, pipelined.results, "pipelined step diverged from serial bitwise");
     reconcile("serial", &serial);
     reconcile("pipelined", &pipelined);

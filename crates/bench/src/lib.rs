@@ -8,6 +8,8 @@
 //!   `DryRun` holds the per-batch forward/backward virtual times behind
 //!   Tables 1 and 2.
 //! * [`tables`] — the row structures and renderers shared by the binaries.
+//! * [`step`] — one Dense fwd+bwd Tesseract matmul step, pipelined or
+//!   serial, which `overlap_sweep` and `trace_dump` run.
 //!
 //! Binaries (one per table, figure or sweep): `table1_strong_scaling`,
 //! `table2_weak_scaling`, `fig7_training_accuracy`, `fig6_hybrid`,
@@ -16,6 +18,7 @@
 //! `trace_dump`. Those that write JSON build a `trace::json::Value` and
 //! serialize it with `json::write`.
 
+pub mod step;
 pub mod tables;
 pub mod timing;
 

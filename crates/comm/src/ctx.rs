@@ -211,8 +211,6 @@ impl RankCtx {
             gemms_kernel_avx2: t.gemms_kernel_avx2,
             gemms_kernel_avx512: t.gemms_kernel_avx512,
             bytes_allocated: t.bytes_allocated,
-            payload_copies: t.payload_copies,
-            payload_copy_bytes: t.payload_copy_bytes,
             comm_wait_nanos: t.comm_wait_nanos,
             overlap_hidden_nanos: t.overlap_hidden_nanos,
             prefill_steps: t.prefill_steps,
@@ -276,12 +274,6 @@ pub struct RankReport {
     /// activation-traffic proxy; weights are counted once at construction
     /// via the concat in layer constructors).
     pub bytes_allocated: u64,
-    /// Host-side deep copies of collective payloads this rank performed.
-    /// Every collective is zero-copy, so nothing charges this; it stays
-    /// while the benchmark crate reads the copy counters.
-    pub payload_copies: u64,
-    /// Bytes duplicated by those copies.
-    pub payload_copy_bytes: u64,
     /// Simulated nanoseconds this rank spent blocked in collectives (the
     /// integer-nanosecond mirror of `comm_time`, at counter resolution).
     pub comm_wait_nanos: u64,

@@ -12,13 +12,13 @@
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
 //! [`RunConfig::from_env`] parses them once into explicit fields;
 //! [`RunConfig::install`] pushes the process-global ones (GEMM
-//! micro-kernel, trace default, rendezvous timeout default) into the
-//! crates that consume them through plain setters. Each of those knobs is
-//! resolved once per process — the first installer wins, exactly like the
-//! old lazily-cached env reads.
+//! micro-kernel, rendezvous timeout default) into the crates that consume
+//! them through plain setters. Each of those knobs is resolved once per
+//! process — the first installer wins, exactly like the old lazily-cached
+//! env reads. `TESSERACT_TRACE` is not one of them: it sets only the
+//! `trace` field of a configuration built by `from_env`.
 
 use tesseract_tensor::matmul::{self, MicroKernel};
-use tesseract_tensor::trace;
 
 use crate::cluster::Cluster;
 use crate::cost::CostParams;
@@ -122,12 +122,6 @@ impl RunConfig {
         self
     }
 
-    /// Forces the GEMM micro-kernel backend (first installer wins).
-    pub fn with_kernel(mut self, kernel: MicroKernel) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
-
     /// Sets an explicit rendezvous timeout for this cluster's fabric. Used
     /// by failure-injection tests so a deliberate deadlock fails fast
     /// without mutating process-global state.
@@ -136,17 +130,15 @@ impl RunConfig {
         self
     }
 
-    /// Applies the process-global knobs (forced kernel, trace default,
-    /// rendezvous-timeout default). Idempotent; for each
-    /// knob the first install wins, matching the old once-per-process env
-    /// caching. [`RunConfig::cluster`] calls this, so explicit calls are
-    /// only needed by code that runs kernels without a cluster (e.g. the
-    /// single-process GEMM benches).
+    /// Applies the process-global knobs (forced kernel, rendezvous-timeout
+    /// default). Idempotent; for each knob the first install wins, matching
+    /// the old once-per-process env caching. [`RunConfig::cluster`] calls
+    /// this, so explicit calls are only needed by code that runs kernels
+    /// without a cluster (e.g. the single-process GEMM benches).
     pub fn install(&self) {
         if let Some(k) = self.kernel {
             matmul::force_kernel(k);
         }
-        trace::set_default_enabled(self.trace);
         if let Some(secs) = self.rendezvous_timeout_secs {
             fabric::set_default_rendezvous_timeout_secs(secs);
         }

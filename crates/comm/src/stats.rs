@@ -19,14 +19,6 @@ pub struct OpStats {
     /// Total simulated seconds spent (per call, not multiplied by ranks;
     /// for `SendRecv`, the transfer the receiver is charged).
     pub time: f64,
-    /// Host-side deep copies of payloads made on behalf of this op, summed
-    /// over *all* ranks (unlike `calls`/`wire_bytes`, which count each
-    /// logical operation once). No collective copies a payload, so nothing
-    /// charges this: it reads zero, and stays only because the benchmark
-    /// crate reads [`CommStats::total_copies`].
-    pub copies: u64,
-    /// Bytes duplicated by those copies.
-    pub copy_bytes: u64,
     /// Simulated seconds of this op's wait that split-phase overlap hid
     /// under compute, summed over *all* ranks (each rank hides a different
     /// amount depending on how much compute it had in flight). Zero on the
@@ -71,19 +63,9 @@ impl StatsCollector {
         self.update(rank, op, |entry| entry.time += seconds);
     }
 
-    /// Charges one host-side payload copy of `bytes` bytes made by `rank`
-    /// on behalf of `op`. No collective calls it (every one is zero-copy);
-    /// see [`OpStats::copies`].
-    pub fn charge_copy(&self, rank: usize, op: CollectiveOp, bytes: u64) {
-        self.update(rank, op, |entry| {
-            entry.copies += 1;
-            entry.copy_bytes += bytes;
-        });
-    }
-
     /// Charges `seconds` of `op` wait hidden under compute by `rank`'s
-    /// split-phase `begin`/`complete` pair. Like `charge_copy`, called by
-    /// every rank that hides wait, so totals are cluster-wide.
+    /// split-phase `begin`/`complete` pair. Called by every rank that hides
+    /// wait, so totals are summed over *all* ranks.
     pub fn charge_hidden(&self, rank: usize, op: CollectiveOp, seconds: f64) {
         self.update(rank, op, |entry| entry.hidden_time += seconds);
     }
@@ -98,8 +80,6 @@ impl StatsCollector {
                 total.calls += s.calls;
                 total.wire_bytes += s.wire_bytes;
                 total.time += s.time;
-                total.copies += s.copies;
-                total.copy_bytes += s.copy_bytes;
                 total.hidden_time += s.hidden_time;
             }
         }
@@ -128,14 +108,12 @@ impl CommStats {
         self.per_op.values().map(|s| s.calls).sum()
     }
 
-    /// Total host-side payload copies across all collective types.
+    /// Always `0`: every collective hands members the depositor's
+    /// allocation, so no payload is ever copied. Kept solely because the
+    /// frozen `benchmark/src/reports.rs:45` reads it; ROADMAP item 1(d)
+    /// deletes it.
     pub fn total_copies(&self) -> u64 {
-        self.per_op.values().map(|s| s.copies).sum()
-    }
-
-    /// Total bytes duplicated by host-side payload copies.
-    pub fn total_copy_bytes(&self) -> u64 {
-        self.per_op.values().map(|s| s.copy_bytes).sum()
+        0
     }
 
     /// Total simulated seconds of collective wait hidden under compute by
@@ -149,19 +127,17 @@ impl CommStats {
     /// Renders a small human-readable table (used by examples and bins).
     pub fn render_table(&self) -> String {
         let mut out = String::from(
-            "collective    calls      wire bytes        sim time (s)  copies      copy bytes      hidden (s)\n",
+            "collective    calls      wire bytes        sim time (s)      hidden (s)\n",
         );
         let mut ops: Vec<_> = self.per_op.iter().collect();
         ops.sort_by_key(|(op, _)| op.name());
         for (op, s) in ops {
             out.push_str(&format!(
-                "{:<12} {:>6} {:>15} {:>19.6} {:>7} {:>15} {:>15.6}\n",
+                "{:<12} {:>6} {:>15} {:>19.6} {:>15.6}\n",
                 op.name(),
                 s.calls,
                 s.wire_bytes,
                 s.time,
-                s.copies,
-                s.copy_bytes,
                 s.hidden_time
             ));
         }
@@ -191,23 +167,6 @@ mod tests {
     fn missing_op_reads_zero() {
         let s = StatsCollector::new(1).snapshot();
         assert_eq!(s.get(CollectiveOp::Shift), OpStats::default());
-    }
-
-    #[test]
-    fn copies_are_tracked_separately_from_wire_traffic() {
-        let c = StatsCollector::new(2);
-        c.record(0, CollectiveOp::Broadcast, 100, 0.5);
-        c.charge_copy(0, CollectiveOp::Broadcast, 64);
-        c.charge_copy(1, CollectiveOp::Broadcast, 64);
-        c.charge_copy(1, CollectiveOp::AllGather, 32);
-        let s = c.snapshot();
-        assert_eq!(s.get(CollectiveOp::Broadcast).copies, 2);
-        assert_eq!(s.get(CollectiveOp::Broadcast).copy_bytes, 128);
-        // Copies never inflate the logical wire/call accounting.
-        assert_eq!(s.get(CollectiveOp::Broadcast).wire_bytes, 100);
-        assert_eq!(s.get(CollectiveOp::AllGather).calls, 0);
-        assert_eq!(s.total_copies(), 3);
-        assert_eq!(s.total_copy_bytes(), 160);
     }
 
     #[test]

@@ -130,6 +130,40 @@ fn blocking_charges_match_the_pre_refactor_golden_table() {
     assert_eq!(lines.len(), golden.len(), "golden table row count:\n{}", lines.join("\n"));
 }
 
+/// The sharing collectives hand every member the depositor's allocation,
+/// never a copy: a broadcast result is the root's input `Arc`, gather slot
+/// `m` is member `m`'s input, a shift delivers the input `offset` members
+/// behind, and an all-reduce gives every member the one folded value.
+/// Every rank keeps its results alive until all have compared, so no
+/// address is freed and reused mid-check.
+#[test]
+fn sharing_collectives_hand_out_the_depositors_allocation() {
+    type Ptrs = (usize, usize, Vec<usize>, usize, usize);
+    let (world, root, offset) = (4, 1, 1);
+    let ptr = |a: &Arc<DenseTensor>| Arc::as_ptr(a) as usize;
+    let out = Cluster::a100(world).run(|ctx| -> Ptrs {
+        let g = ctx.world_group();
+        let mine = Arc::new(DenseTensor::from_matrix(Matrix::full(3, 5, ctx.rank as f32)));
+        let at_root = g.my_index() == root;
+        let bcast = g.broadcast_shared(ctx, root, at_root.then(|| Arc::clone(&mine)));
+        let gathered = g.all_gather_shared(ctx, Arc::clone(&mine));
+        let shifted = g.shift(ctx, offset as isize, Arc::clone(&mine));
+        let reduced = g.all_reduce_shared(ctx, (*mine).clone());
+        g.barrier(ctx);
+        let gathered_ptrs = gathered.iter().map(ptr).collect();
+        (ptr(&mine), ptr(&bcast), gathered_ptrs, ptr(&shifted), ptr(&reduced))
+    });
+    let inputs: Vec<usize> = out.results.iter().map(|r| r.0).collect();
+    let reduced = out.results[0].4;
+    for (rank, (_, bcast, gathered, shifted, all_reduced)) in out.results.iter().enumerate() {
+        assert_eq!(*bcast, inputs[root], "rank {rank}: broadcast copied the root's payload");
+        assert_eq!(gathered, &inputs, "rank {rank}: all-gather copied a member's payload");
+        let src = (rank + world - offset) % world;
+        assert_eq!(*shifted, inputs[src], "rank {rank}: shift copied member {src}'s payload");
+        assert_eq!(*all_reduced, reduced, "rank {rank}: all-reduce result is not shared");
+    }
+}
+
 /// Compute issued between `begin` and `complete` hides the rendezvous
 /// wait: the clock charges only the non-overlapped remainder, the hidden
 /// portion lands in the meter/stats, and the makespan strictly improves —

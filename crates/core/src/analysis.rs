@@ -49,18 +49,6 @@ pub fn comm_time_megatron(beta: f64, p: usize, b: usize, s: usize, h: usize) -> 
     2.0 * beta * (pf - 1.0) * (b * s * h) as f64 / pf
 }
 
-/// §3.1: Optimus (2-D) per-layer communication time as printed in the
-/// paper: `2·β·b·s·h·q·log(p) / p` on a `[q, q]` mesh with `p = q²`.
-/// (The paper's expression contains `h²`; dimensional analysis of SUMMA
-/// broadcast volumes gives `h` — each of the `q` broadcast steps moves
-/// `[b·s/q, h/q]` blocks — so we expose the dimensionally consistent form
-/// and note the discrepancy in EXPERIMENTS.md.)
-pub fn comm_time_optimus(beta: f64, p: usize, b: usize, s: usize, h: usize) -> f64 {
-    let pf = p as f64;
-    let q = pf.sqrt();
-    2.0 * beta * (b * s * h) as f64 * q * pf.log2() / pf
-}
-
 /// Tesseract per-layer communication time: the Optimus broadcast pattern on
 /// a `q×q` layer but with the batch (rows) further divided by `d`, i.e.
 /// volume reduced by the depth factor.

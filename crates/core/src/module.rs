@@ -199,14 +199,6 @@ impl<V> Tape<V> {
     }
 }
 
-/// Zeroes every gradient a module exposes (the body of the default
-/// [`Module::zero_grad`], reusable from overrides that add tape asserts).
-pub fn zero_params<T: TensorLike + Payload, G>(m: &mut dyn Module<T, G>) {
-    m.visit_params(&mut |pr| {
-        *pr.grad = T::zeros(pr.grad.rows(), pr.grad.cols());
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

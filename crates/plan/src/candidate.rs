@@ -102,17 +102,6 @@ impl Candidate {
         }
     }
 
-    /// Per-microbatch batch size of a hybrid candidate (the global batch is
-    /// split over `dp` replicas, then over `microbatches`).
-    pub fn micro_batch(&self, cfg: &TransformerConfig) -> Option<usize> {
-        match self {
-            Candidate::Hybrid { shape, microbatches } => {
-                Some(cfg.batch / (shape.dp * microbatches))
-            }
-            _ => None,
-        }
-    }
-
     /// Feasibility of this candidate for `cfg` on a `gpus`-rank budget:
     /// capacity first, then every divisibility constraint, reported as the
     /// structured [`ShapeError`] the construction paths now return.

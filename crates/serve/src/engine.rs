@@ -49,7 +49,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, Payload, RankCtx, RunConfig, RunOutput};
+use tesseract_comm::{Cluster, Payload, RankCtx, RunOutput};
 use tesseract_core::TransformerConfig;
 use tesseract_core::{GridShape, InferBatch, RequestKv, TesseractGrid, TesseractTransformer};
 use tesseract_tensor::TensorLike;
@@ -475,17 +475,6 @@ pub fn run_serve<T: TensorLike + Payload>(
         kv_peak_bytes,
         steps_total,
     }
-}
-
-/// [`serve_on_cluster`] from a [`RunConfig`]: installs the process-global
-/// knobs, builds the cluster and serves `traffic` on it.
-pub fn serve_with_config<T: TensorLike + Payload>(
-    run_cfg: &RunConfig,
-    shape: GridShape,
-    cfg: &ServeConfig,
-    traffic: &[RequestSpec],
-) -> RunOutput<ServeSummary> {
-    serve_on_cluster::<T>(&run_cfg.cluster(), shape, cfg, traffic)
 }
 
 /// Convenience driver: spawns a `[q, q, d]` grid over the whole cluster

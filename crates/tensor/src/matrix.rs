@@ -89,10 +89,6 @@ impl Matrix {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrow of row `i`.
     pub fn row(&self, i: usize) -> &[f32] {
         debug_assert!(i < self.rows);

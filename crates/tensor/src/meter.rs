@@ -31,15 +31,6 @@ pub struct Meter {
     /// Blocked-GEMM dispatches that ran the AVX-512 micro-kernel backend
     /// (`matmul::MicroKernel::Avx512`, the 8×32 `_mm512_fmadd_ps` tile).
     pub gemms_kernel_avx512: u64,
-    /// Host-side deep copies of collective payloads (each one a real
-    /// memcpy the zero-copy collectives exist to avoid). Never converted
-    /// into simulated time: copies are a host artifact, not part of the
-    /// α–β model. No collective copies a payload any more, so nothing
-    /// charges this; it stays while the benchmark crate reads the copy
-    /// counters.
-    pub payload_copies: u64,
-    /// Bytes duplicated by those payload copies.
-    pub payload_copy_bytes: u64,
     /// Simulated nanoseconds this rank's clock spent blocked in collectives
     /// (the `advance_comm` deltas). Recorded as integer nanoseconds so the
     /// counter is bitwise deterministic across runs.
@@ -123,14 +114,6 @@ impl Meter {
         MeterScope { meter: self, label }
     }
 
-    /// Charges one deep copy of a collective payload of `bytes` bytes.
-    /// Copies contribute to no simulated time — `compute_time` never sees
-    /// them. No collective calls it (see [`Meter::payload_copies`]).
-    pub fn charge_payload_copy(&mut self, bytes: u64) {
-        self.payload_copies += 1;
-        self.payload_copy_bytes += bytes;
-    }
-
     /// Charges `seconds` of simulated time spent blocked in a collective.
     pub fn charge_comm_wait(&mut self, seconds: f64) {
         self.comm_wait_nanos += to_nanos(seconds);
@@ -176,8 +159,6 @@ impl Meter {
         self.gemms_kernel_scalar += other.gemms_kernel_scalar;
         self.gemms_kernel_avx2 += other.gemms_kernel_avx2;
         self.gemms_kernel_avx512 += other.gemms_kernel_avx512;
-        self.payload_copies += other.payload_copies;
-        self.payload_copy_bytes += other.payload_copy_bytes;
         self.comm_wait_nanos += other.comm_wait_nanos;
         self.overlap_hidden_nanos += other.overlap_hidden_nanos;
         self.prefill_steps += other.prefill_steps;
@@ -276,22 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_copies_accumulate_and_merge() {
-        let mut a = Meter::new();
-        a.charge_payload_copy(256);
-        a.charge_payload_copy(64);
-        assert_eq!((a.payload_copies, a.payload_copy_bytes), (2, 320));
-        // Copies launch no kernels and allocate no metered output bytes:
-        // they must never leak into simulated time.
-        assert_eq!((a.kernels, a.bytes_allocated), (0, 0));
-        assert_eq!(a.flops, 0.0);
-        let mut b = Meter::new();
-        b.charge_payload_copy(8);
-        a.merge(&b);
-        assert_eq!((a.payload_copies, a.payload_copy_bytes), (3, 328));
-    }
-
-    #[test]
     fn comm_wait_and_hidden_nanos_accumulate_and_merge() {
         let mut a = Meter::new();
         a.charge_comm_wait(1.5e-6);
@@ -323,12 +288,12 @@ mod tests {
         {
             let mut s = scoped.scope("gemm");
             s.record(100.0, 64);
-            s.charge_payload_copy(8);
+            s.charge_comm_wait(1.5e-6);
             assert_eq!(s.label(), "gemm");
         }
         let mut bare = Meter::new();
         bare.record(100.0, 64);
-        bare.charge_payload_copy(8);
+        bare.charge_comm_wait(1.5e-6);
         assert_eq!(scoped, bare, "scope must be charging-transparent");
         // With a tracer installed, the label names the next flush event.
         crate::trace::install(0);

@@ -422,9 +422,9 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     }
 
     /// Frobenius norm of the stored values, if this backend has real data
-    /// (the shadow backend returns `None`; LAMB/LARS fall back to a trust
-    /// ratio of 1 there). Not metered: norm computation inside optimizers
-    /// is negligible against the fwd/bwd work the tables time.
+    /// (the shadow backend returns `None`; gradient clipping skips the
+    /// rescale there). Not metered: a norm is negligible against the
+    /// fwd/bwd work the tables time.
     fn frobenius(&self) -> Option<f32> {
         self.try_matrix().map(Matrix::frobenius_norm)
     }

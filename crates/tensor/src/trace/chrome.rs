@@ -2,10 +2,9 @@
 //!
 //! Produces the classic `{"traceEvents": [...]}` format: one *process* per
 //! rank, three *threads* per rank (compute, comm, scopes), complete events
-//! (`ph: "X"`) with microsecond timestamps on the virtual clock, instant
-//! events for host payload copies, and flow arrows (`ph: "s"` → `"f"`)
-//! across each overlapped split-phase collective so the hidden window is
-//! visible. Open the file at <https://ui.perfetto.dev> or
+//! (`ph: "X"`) with microsecond timestamps on the virtual clock, and flow
+//! arrows (`ph: "s"` → `"f"`) across each overlapped split-phase
+//! collective so the hidden window is visible. Open the file at <https://ui.perfetto.dev> or
 //! `chrome://tracing`.
 
 use super::json::{self, Value};
@@ -66,10 +65,6 @@ pub fn chrome_trace_json(traces: &[Vec<TraceEvent>]) -> String {
                     });
                     span(TID_COMM, "comm", args)
                 }
-                TraceKind::Copy { op, bytes } => json!({
-                    "ph": "i", "s": "t", "pid": rank, "tid": TID_COMM, "name": name, "cat": "copy",
-                    "ts": us(ev.begin), "args": { "op": *op, "bytes": *bytes }
-                }),
                 TraceKind::Scope { phase } => span(TID_SCOPES, "scope", json!({ "phase": *phase })),
             });
             // Flow arrow across the overlapped window: deposit (begin) →
@@ -116,14 +111,13 @@ mod tests {
                 stats_time: 1e-6,
                 recorded: true,
             }),
-            ev(TraceKind::Copy { op: "broadcast", bytes: 64 }),
             ev(TraceKind::Scope { phase: "fwd" }),
         ]];
         let json = chrome_trace_json(&traces);
         let doc = crate::trace::json::parse(&json).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array");
-        // 4 metadata + 4 events + 2 flow halves.
-        assert_eq!(events.len(), 10);
+        // 4 metadata + 3 events + 2 flow halves.
+        assert_eq!(events.len(), 9);
         assert!(events.iter().any(|e| {
             e.get("ph").and_then(|p| p.as_str()) == Some("s")
                 && e.get("id").and_then(|i| i.as_str()) == Some("abc-7-r0")

@@ -93,7 +93,7 @@ fn walkable(ev: &TraceEvent) -> bool {
     match &ev.kind {
         TraceKind::Compute { .. } => true,
         TraceKind::Comm { blocked_nanos, .. } => *blocked_nanos > 0,
-        TraceKind::Copy { .. } | TraceKind::Scope { .. } => false,
+        TraceKind::Scope { .. } => false,
     }
 }
 
@@ -195,7 +195,7 @@ pub fn critical_path(traces: &[Vec<TraceEvent>]) -> CriticalPath {
                     rank = r;
                 }
             }
-            TraceKind::Copy { .. } | TraceKind::Scope { .. } => unreachable!("filtered"),
+            TraceKind::Scope { .. } => unreachable!("filtered"),
         }
     }
     CriticalPath { segments, makespan }

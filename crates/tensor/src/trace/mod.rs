@@ -2,11 +2,11 @@
 //!
 //! Every rank of a cluster run can record [`TraceEvent`] spans: compute
 //! flushes (with exact flop/kernel/byte payloads), collectives (with their
-//! blocked and hidden wait split out of the split-phase accounting), host
-//! payload copies, and step/layer scopes. The recorder is a thread-local
-//! installed by the cluster driver on each rank thread, so tracing is
-//! **zero-cost when disabled**: every hook first reads one thread-local
-//! `Cell<bool>` and returns. No charging arithmetic anywhere consults the
+//! blocked and hidden wait split out of the split-phase accounting), and
+//! step/layer scopes. The recorder is a thread-local installed by the
+//! cluster driver on each rank thread, so tracing is **zero-cost when
+//! disabled**: every hook first reads one thread-local `Cell<bool>` and
+//! returns. No charging arithmetic anywhere consults the
 //! tracer — enabling it changes no simulated time, no counter, no result
 //! byte.
 //!
@@ -16,10 +16,10 @@
 //! same accumulation order). That reconciliation is enforced by tests and
 //! by the `trace_dump` bench bin.
 //!
-//! Enable tracing either per cluster (`RunConfig::with_trace(true)`) or
-//! for a whole process via the `TESSERACT_TRACE=1` environment variable,
-//! which `RunConfig::from_env` parses and installs here through
-//! [`set_default_enabled`].
+//! Tracing is a per-cluster toggle (`RunConfig::with_trace(true)`). The
+//! `TESSERACT_TRACE=1` environment variable sets that toggle only for
+//! clusters built through `RunConfig::from_env` (as `Cluster::a100` is);
+//! a `RunConfig::new(..)` cluster ignores it.
 //! Export with [`chrome::chrome_trace_json`] and open the file in
 //! Perfetto / `chrome://tracing`; analyze with [`critical::critical_path`].
 
@@ -28,7 +28,6 @@ pub mod critical;
 pub mod json;
 
 use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
 
 /// What one trace span was doing. Field values are recorded verbatim from
 /// the charging sites they mirror so totals reconcile with the counters.
@@ -72,10 +71,6 @@ pub enum TraceKind {
         /// cluster-wide.
         recorded: bool,
     },
-    /// One host-side payload deep copy. Every collective is zero-copy, so
-    /// nothing records this; it stays while the benchmark crate reads the
-    /// copy counters it mirrors.
-    Copy { op: &'static str, bytes: u64 },
     /// A semantic scope: a layer forward/backward, a pipeline stage, a
     /// training step. Purely structural — carries no charges.
     Scope { phase: &'static str },
@@ -111,22 +106,6 @@ struct Tracer {
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
-}
-
-static DEFAULT_ON: OnceLock<bool> = OnceLock::new();
-
-/// Installs the process-default trace toggle (first caller wins). This is
-/// the setter the run configuration applies after parsing
-/// `TESSERACT_TRACE`; nothing in this crate reads the environment.
-pub fn set_default_enabled(on: bool) {
-    let _ = DEFAULT_ON.set(on);
-}
-
-/// The process-default trace toggle: whatever [`set_default_enabled`]
-/// installed, or `false` if nothing did. Per-cluster `with_trace` overrides
-/// win over this default.
-pub fn default_enabled() -> bool {
-    DEFAULT_ON.get().copied().unwrap_or(false)
 }
 
 /// True iff a tracer is installed on this thread. Every hook gates on this
@@ -216,8 +195,8 @@ fn compute_name(labels: &[&'static str], flops: f64, kernels: u64) -> String {
     }
 }
 
-/// Records a fully-built span (comm, copy or scope). The caller supplies
-/// everything but the rank.
+/// Records a fully-built span (a collective or a scope). The caller
+/// supplies everything but the rank.
 pub fn record(name: String, begin: f64, end: f64, kind: TraceKind) {
     if !is_active() {
         return;

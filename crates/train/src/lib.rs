@@ -1,9 +1,9 @@
 //! # tesseract-train
 //!
-//! Training substrate for the Figure-7 reproduction: optimizers
-//! (SGD/AdamW/LAMB/LARS), a deterministic synthetic stand-in for
-//! ImageNet-100, a Vision Transformer in both Tesseract-parallel and
-//! serial form, and training loops that produce the accuracy curves.
+//! Training substrate for the Figure-7 reproduction: the AdamW optimizer,
+//! a deterministic synthetic stand-in for ImageNet-100, a Vision
+//! Transformer in both Tesseract-parallel and serial form, and training
+//! loops that produce the accuracy curves.
 
 pub mod clip;
 pub mod data;
@@ -13,6 +13,6 @@ pub mod vit;
 
 pub use clip::clip_grad_norm;
 pub use data::SyntheticVisionDataset;
-pub use optim::{AdamW, Lamb, Lars, Sgd};
+pub use optim::AdamW;
 pub use trainer::{train_serial, train_tesseract, EpochMetrics, TrainReport, TrainSettings};
 pub use vit::{distributed_cross_entropy, SerialViT, TesseractViT, ViTConfig};
