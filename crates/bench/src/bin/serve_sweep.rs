@@ -91,6 +91,9 @@ struct Point {
 struct ArrangementCurve {
     shape: GridShape,
     capacity_rps: f64,
+    /// Weight bytes a rank holds for weight-stationary serving, max over
+    /// ranks (from the calibration flood).
+    weight_bytes: u64,
     points: Vec<Point>,
 }
 
@@ -112,6 +115,7 @@ fn run_point(
         assert_eq!(report.prefill_steps, summary.prefill_steps, "prefill counters reconcile");
         assert_eq!(report.decode_steps, summary.decode_steps, "decode counters reconcile");
         assert_eq!(report.kv_cache_bytes_peak, summary.kv_peak_bytes, "KV peaks reconcile");
+        assert_eq!(report.weight_bytes, summary.weight_bytes, "weight bytes reconcile");
     }
     let latencies: Vec<f64> = head.results.iter().map(|r| r.latency()).collect();
     (out, latencies)
@@ -125,6 +129,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
     let (flood, _) = run_point(shape, &cfg, FLOOD_RATE, requests, traffic_seed);
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
+    let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
 
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
@@ -162,7 +167,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
         q = shape.q,
         d = shape.d,
     );
-    ArrangementCurve { shape, capacity_rps, points }
+    ArrangementCurve { shape, capacity_rps, weight_bytes, points }
 }
 
 /// Runs a `requests`-request calibration flood of the first arrangement
@@ -257,9 +262,10 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         let shape = GridShape::new(q, d);
         let curve = sweep_arrangement(shape, requests, seed);
         println!(
-            "[{q},{q},{d}] ({} ranks): saturated capacity {:.3} req/s",
+            "[{q},{q},{d}] ({} ranks): saturated capacity {:.3} req/s, {} weight bytes per rank",
             shape.size(),
-            curve.capacity_rps
+            curve.capacity_rps,
+            curve.weight_bytes
         );
         println!(
             "| load | offered (req/s) | achieved (req/s) | tokens/s | p50 (s) | p99 (s) | ttft p50 (s) |"
@@ -311,6 +317,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
             "grid": format!("[{q},{q},{d}]"),
             "world": curve.shape.size(),
             "capacity_rps": Value::fixed(curve.capacity_rps, 9),
+            "weight_bytes": curve.weight_bytes,
             "points": Value::Arr(points.collect())
         })
     });
@@ -318,7 +325,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         "bench": "serve_sweep",
         "units": {
             "time": "simulated seconds", "rates": "per simulated second",
-            "kv_peak": "bytes, max over ranks"
+            "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks"
         },
         "model": {
             "hidden": m.hidden, "heads": m.heads, "layers": m.layers, "mlp_ratio": m.mlp_ratio

@@ -217,6 +217,7 @@ impl RankCtx {
             decode_steps: t.decode_steps,
             kv_cache_bytes_peak: t.kv_cache_bytes_peak,
             activation_bytes_peak: t.activation_bytes_peak,
+            weight_bytes: t.weight_bytes,
             idle_time: self.idle_time,
         }
     }
@@ -295,6 +296,10 @@ pub struct RankReport {
     /// measured-peak column and `plan`'s dry-run report — what sequence
     /// parallelism and checkpointed recomputation shrink.
     pub activation_bytes_peak: u64,
+    /// Peak bytes of weights this rank held for weight-stationary serving
+    /// (`q×` its weight blocks; zero for training runs). Like
+    /// `kv_cache_bytes_peak`, a high-water mark.
+    pub weight_bytes: u64,
     /// Simulated seconds spent idle waiting for future arrivals (via
     /// `RankCtx::idle_until`; zero for training runs). Idle time is part
     /// of `virtual_time` but belongs to neither compute nor comm.

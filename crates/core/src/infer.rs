@@ -114,10 +114,11 @@ impl<T: TensorLike> InferBatch<T> {
 }
 
 /// The serving stack is the training stack: [`TesseractTransformer`]'s
-/// `new_kv` / `forward_infer` run the same layers, weights and collectives
-/// without touching a tape. Kept solely because the frozen `benchmark/`
-/// crate still names it; ROADMAP item 1(d)'s `[benchmark]` PR removes that
-/// caller and this alias with it.
+/// `new_kv` / `forward_infer` run the same layers and weights without
+/// touching a tape, its linears weight-stationary (one row all-gather per
+/// call once each rank has fetched its weight column). Kept solely because
+/// the frozen `benchmark/` crate still names it; ROADMAP item 1(d)'s
+/// `[benchmark]` PR removes that caller and this alias with it.
 pub type InferModel<T> = TesseractTransformer<T>;
 
 #[cfg(test)]

@@ -10,19 +10,28 @@
 //! gradients are **reduced back to row 0** (plus a depth all-reduce so the
 //! replicas stay in sync).
 //!
+//! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary: the
+//! first call fetches this rank's column of weight panels and the bias
+//! once, and every later call is one row all-gather of the activations
+//! plus the same multiply-and-add as SUMMA (`mm::stationary_matmul`), so
+//! its output is bitwise [`Module::forward`]'s. [`Module::visit_params`],
+//! the only path that mutates a weight, drops the fetched copy.
+//!
 //! Fused projections (the attention `[h, 3h]` QKV weight) are built with
 //! [`TesseractLinear::new_fused`]: each sub-weight is an independently
 //! Xavier-initialized global matrix whose local blocks are concatenated
 //! column-wise, so every rank's output columns hold *its own heads'*
 //! Q/K/V — the layout trick Megatron-style implementations rely on.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
+use crate::mm::{
+    column_panels, stationary_matmul, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn,
+};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Tesseract column/row-blocked linear layer.
@@ -42,6 +51,17 @@ pub struct TesseractLinear<T> {
     /// Microbatch activation tape (see [`Tape`] on GPipe LIFO ordering).
     tape: Tape<Arc<T>>,
     with_bias: bool,
+    /// Serving's copy of this rank's weight column, filled by the first
+    /// [`TesseractLinear::forward_infer`] and dropped by `visit_params`.
+    stationary: OnceLock<Stationary<T>>,
+}
+
+/// The weights a serving rank multiplies by: its column's panels
+/// `[W_0j … W_{q-1,j}]` (its own block among them, shared, not copied) and
+/// the column's bias.
+struct Stationary<T> {
+    panels: Vec<Arc<T>>,
+    bias: Option<Arc<T>>,
 }
 
 impl<T: TensorLike + Payload> TesseractLinear<T> {
@@ -108,20 +128,36 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
             dbias,
             tape: Tape::new(),
             with_bias,
+            stationary: OnceLock::new(),
         }
     }
 
-    /// Forward for inference: `Y = X·W (+ bias broadcast down the column)`,
-    /// `&self` and **no tape push**, so serving never accumulates
-    /// activations it will not backpropagate. [`Module::forward`] is this
-    /// plus the push.
+    /// Forward for inference: `Y = X·W (+ bias)`, `&self` and **no tape
+    /// push**, so serving never accumulates activations it will not
+    /// backpropagate. The first call fetches this rank's weight column and
+    /// the bias (the column broadcasts [`Module::forward`] issues every
+    /// call); every call after is one row all-gather. Bitwise equal to
+    /// [`Module::forward`]'s output. SPMD: every rank of the grid calls it
+    /// in lockstep, zero-row lanes included.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
-        if self.with_bias {
-            let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
-            y = y.add_rowvec(&b, &mut ctx.meter);
+        let st = self.stationary.get_or_init(|| Stationary {
+            panels: column_panels(grid, ctx, &self.w),
+            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
+        });
+        let mut y = stationary_matmul(grid, ctx, x, &st.panels);
+        if let Some(b) = &st.bias {
+            y = y.add_rowvec(b, &mut ctx.meter);
         }
         Arc::new(y)
+    }
+
+    /// Bytes of the weight column and bias [`TesseractLinear::forward_infer`]
+    /// holds on this rank (zero before the first call): `q×` the weight
+    /// block, since the block itself is one of the panels.
+    pub fn stationary_bytes(&self) -> u64 {
+        self.stationary
+            .get()
+            .map_or(0, |st| st.panels.iter().chain(&st.bias).map(|p| p.byte_size() as u64).sum())
     }
 
     /// Activations currently queued on the tape (zero outside training).
@@ -155,11 +191,16 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
         "linear"
     }
 
-    /// [`TesseractLinear::forward_infer`], then tapes `X`.
+    /// `Y = X·W` by SUMMA, the bias broadcast down the column, then tapes
+    /// `X`.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let y = self.forward_infer(grid, ctx, x);
+        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
+        if self.with_bias {
+            let b = grid.col.broadcast_shared(ctx, 0, self.bias.clone());
+            y = y.add_rowvec(&b, &mut ctx.meter);
+        }
         self.tape.push_tracked(ctx, x.byte_size() as u64, Arc::clone(x));
-        y
+        Arc::new(y)
     }
 
     /// Backward: returns `dX`; accumulates `dW` (and `dbias` on row 0).
@@ -182,8 +223,12 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
     }
 
     /// Visits (weight, grad) pairs for the optimizer, in a deterministic
-    /// order. Row-0 ranks visit the bias too.
+    /// order. Row-0 ranks visit the bias too. Drops serving's fetched
+    /// weights first: the visitor may change them, and releasing this
+    /// rank's shares of the panels leaves `Arc::make_mut` a copy-on-write
+    /// at most.
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
+        self.stationary.take();
         f(ParamRef { weight: Arc::make_mut(&mut self.w), grad: &mut self.dw });
         if let (Some(b), Some(db)) = (self.bias.as_mut(), self.dbias.as_mut()) {
             f(ParamRef { weight: Arc::make_mut(b), grad: db });

@@ -15,6 +15,7 @@ use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv, RequestKv};
 use crate::layers::attention::Attention;
+use crate::layers::linear::TesseractLinear;
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
 use crate::module::{Module, ParamRef, Tape};
@@ -326,6 +327,17 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
             });
         }
         h
+    }
+
+    /// Bytes of weights [`TesseractTransformer::forward_infer`] holds on this
+    /// rank: every linear's fetched column and bias (zero before the first
+    /// call; [`TesseractLinear::stationary_bytes`]).
+    pub fn stationary_bytes(&self) -> u64 {
+        self.layers
+            .iter()
+            .flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
+            .map(TesseractLinear::stationary_bytes)
+            .sum()
     }
 
     /// Activations queued across every tape in the stack — zero unless a

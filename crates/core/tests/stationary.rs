@@ -1,0 +1,173 @@
+//! Weight-stationary serving: `TesseractLinear::forward_infer` fetches its
+//! column of weight panels and the bias once, then gathers activations
+//! every call after. Its output must be bitwise SUMMA's (`Module::forward`:
+//! `tesseract_matmul` plus the bias broadcast) on every grid and row
+//! layout, Dense and Shadow must agree on the virtual clock, and a steady
+//! serving layer must issue nothing but row all-gathers and its layer
+//! norms' all-reduces.
+
+use std::sync::Arc;
+
+use tesseract_comm::{Cluster, CollectiveOp, CommStats, Payload, RankCtx};
+use tesseract_core::{
+    GridShape, InferBatch, Module, TesseractGrid, TesseractLinear, TesseractTransformer,
+    TransformerConfig,
+};
+use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike};
+
+/// The `(q, d)` arrangements the parity suite covers: 2-D and 2.5-D, at
+/// an even and an odd `q`.
+const GRIDS: [(usize, usize); 4] = [(2, 1), (2, 2), (3, 1), (3, 2)];
+
+/// Row layouts of the activation blocks: every lane empty, one row each,
+/// and ragged (lane-dependent counts, zero included).
+#[derive(Clone, Copy, Debug)]
+enum Rows {
+    Empty,
+    One,
+    Ragged,
+}
+
+impl Rows {
+    fn of_lane(self, lane: usize) -> usize {
+        match self {
+            Rows::Empty => 0,
+            Rows::One => 1,
+            Rows::Ragged => (lane * 5 + 2) % 7,
+        }
+    }
+}
+
+/// This rank's A-type block of a deterministic `[rows, in_f]` activation
+/// for its lane; `stream` varies the values between calls.
+fn input<T: TensorLike>(grid: &TesseractGrid, in_f: usize, rows: Rows, stream: u64) -> Arc<T> {
+    let lane = grid.a_row_block();
+    let (n, local) = (rows.of_lane(lane), in_f / grid.shape.q);
+    let stream = stream * 1000 + lane as u64;
+    Arc::new(T::init_xavier_block(n, in_f, 0, grid.j() * local, n, local, 31, stream))
+}
+
+/// A `[4q, 6q]` linear with a bias whose weight and bias are moved off
+/// their initial values (the bias is zero-initialized), so the bias add
+/// is exercised.
+fn linear<T: TensorLike + Payload>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear<T> {
+    let q = grid.shape.q;
+    let mut lin = TesseractLinear::<T>::new(ctx, grid, 4 * q, 6 * q, true, 5, 0);
+    let mut scratch = tesseract_tensor::Meter::new();
+    let mut stream = 0;
+    lin.visit_params(&mut |p| {
+        let (r, c) = (p.weight.rows(), p.weight.cols());
+        stream += 1;
+        p.weight.add_assign(&T::init_xavier_block(r, c, 0, 0, r, c, 77, stream), &mut scratch);
+    });
+    lin
+}
+
+/// Serves two calls (the one that fetches the weights, then a steady
+/// one) and runs SUMMA on the same inputs; returns both pairs per rank.
+fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
+    let out = Cluster::a100(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let mut lin = linear::<DenseTensor>(ctx, &grid);
+        let in_f = lin.in_features;
+        let (x0, x1) = (input(&grid, in_f, rows, 0), input(&grid, in_f, rows, 1));
+        let fetch = lin.forward_infer(&grid, ctx, &x0);
+        let steady = lin.forward_infer(&grid, ctx, &x1);
+        let summa0 = lin.forward(&grid, ctx, &x0);
+        let summa1 = lin.forward(&grid, ctx, &x1);
+        [fetch, summa0, steady, summa1].map(|y| y.matrix().clone())
+    });
+    out.results
+}
+
+#[test]
+fn stationary_linear_is_bitwise_summa_on_every_grid_and_row_layout() {
+    for (q, d) in GRIDS {
+        for rows in [Rows::Empty, Rows::One, Rows::Ragged] {
+            let shape = GridShape::new(q, d);
+            for (rank, [fetch, summa0, steady, summa1]) in
+                served_and_summa(shape, rows).iter().enumerate()
+            {
+                let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
+                assert_eq!(fetch, summa0, "{what}: fetching call differs from SUMMA");
+                assert_eq!(steady, summa1, "{what}: steady call differs from SUMMA");
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_and_shadow_serve_on_the_same_virtual_clock() {
+    fn serve<T: TensorLike + Payload>(shape: GridShape) -> (f64, u64) {
+        let out = Cluster::a100(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            let lin = linear::<T>(ctx, &grid);
+            for (stream, rows) in [Rows::Ragged, Rows::One, Rows::Ragged].into_iter().enumerate() {
+                let x = input::<T>(&grid, lin.in_features, rows, stream as u64);
+                let _ = lin.forward_infer(&grid, ctx, &x);
+            }
+        });
+        (out.makespan(), out.comm.total_wire_bytes())
+    }
+    for (q, d) in GRIDS {
+        let shape = GridShape::new(q, d);
+        assert_eq!(serve::<DenseTensor>(shape), serve::<ShadowTensor>(shape), "[{q},{q},{d}]");
+    }
+}
+
+/// Runs `steps` serving steps of a one-layer stack (a prompt, then one
+/// decode row per step) and returns the run's collective statistics.
+fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
+    let cfg = TransformerConfig {
+        batch: 16,
+        seq: 4,
+        hidden: 16,
+        heads: 4,
+        mlp_ratio: 4,
+        layers: 1,
+        eps: 1e-5,
+    };
+    let local = cfg.hidden / shape.q;
+    let out = Cluster::a100(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 3, 0);
+        let mut kvs = vec![model.new_kv(&grid)];
+        for step in 0..steps {
+            let rows = if step == 0 { 3 } else { 1 };
+            let x = DenseTensor::init_xavier_block(
+                rows,
+                cfg.hidden,
+                0,
+                grid.j() * local,
+                rows,
+                local,
+                9,
+                step as u64,
+            );
+            let mut batch = InferBatch { new_rows: vec![rows], kvs };
+            let _ = model.forward_infer(&grid, ctx, &Arc::new(x), &mut batch);
+            kvs = batch.kvs;
+        }
+    });
+    out.comm
+}
+
+#[test]
+fn a_steady_serving_layer_gathers_activations_and_broadcasts_nothing() {
+    use CollectiveOp::{AllGather, AllReduce, Broadcast};
+    for q in [2, 4] {
+        let shape = GridShape::new(q, 1);
+        let (fetch, two) = (serve_steps(shape, 1), serve_steps(shape, 2));
+        let step = |op| two.get(op).calls - fetch.get(op).calls;
+        // Every rank sits in exactly one row group and one column group, so
+        // per-rank counts are group calls over the q·d groups of a kind.
+        let groups = (shape.q * shape.d) as u64;
+        assert_eq!(step(AllGather), 4 * groups, "q = {q}: one row all-gather per linear");
+        assert_eq!(step(AllReduce), 2 * groups, "q = {q}: one row all-reduce per layer norm");
+        assert_eq!(step(Broadcast), 0, "q = {q}: no weight or bias broadcast after the fetch");
+        assert_eq!(two.total_calls() - fetch.total_calls(), 6 * groups, "q = {q}: nothing else");
+        // The fetch itself: per linear, q weight panels and the bias, down
+        // every column.
+        assert_eq!(fetch.get(Broadcast).calls, 4 * (q as u64 + 1) * groups, "q = {q}");
+    }
+}

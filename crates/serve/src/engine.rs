@@ -117,6 +117,10 @@ pub struct ServeSummary {
     pub decode_steps: u64,
     /// This rank's KV-cache high-water mark in bytes (mirrors `Meter`).
     pub kv_peak_bytes: u64,
+    /// Bytes of weights this rank holds for weight-stationary serving: its
+    /// column of every linear's weight panels plus the biases, `q×` its
+    /// weight blocks (mirrors `Meter`).
+    pub weight_bytes: u64,
     /// Global step-boundary count (barriers with at least one busy lane).
     pub steps_total: u64,
 }
@@ -468,11 +472,15 @@ pub fn run_serve<T: TensorLike + Payload>(
 
     assert!(slots.is_empty(), "all slots evicted at completion");
     assert_eq!(model.tape_depth(), 0, "inference must never grow a tape");
+    // Serving never drops the fetched weights, so the end total is the peak.
+    let weight_bytes = model.stationary_bytes();
+    ctx.meter.note_weight_bytes(weight_bytes);
     ServeSummary {
         results: sched.results(),
         prefill_steps,
         decode_steps,
         kv_peak_bytes,
+        weight_bytes,
         steps_total,
     }
 }

@@ -253,6 +253,13 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
         &serve_cfg(),
         &traffic,
     );
+    // Every rank holds its column of each linear, `[in, out/q]`, and the
+    // column's bias `[1, out/q]`, in f32.
+    let m = test_model();
+    let (h, f) = (m.hidden, m.mlp_hidden());
+    let linears = [(h, 3 * h), (h, h), (h, f), (f, h)];
+    let per_layer: usize = linears.iter().map(|&(i, o)| (i + 1) * o / shape.q).sum();
+    let stationary_bytes = (4 * m.layers * per_layer) as u64;
     let mut total_prefills = 0u64;
     let mut total_decodes = 0u64;
     for (summary, report) in out.results.iter().zip(&out.reports) {
@@ -260,6 +267,8 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
         assert_eq!(report.decode_steps, summary.decode_steps, "decode counters reconcile");
         assert_eq!(report.kv_cache_bytes_peak, summary.kv_peak_bytes, "KV peaks reconcile");
         assert!(report.kv_cache_bytes_peak > 0, "serving must cache something");
+        assert_eq!(report.weight_bytes, summary.weight_bytes, "weight bytes reconcile");
+        assert_eq!(summary.weight_bytes, stationary_bytes, "q x the weight blocks, plus biases");
         assert!(report.idle_time >= 0.0);
         total_prefills += report.prefill_steps;
         total_decodes += report.decode_steps;

@@ -57,6 +57,11 @@ pub struct Meter {
     /// module's [`Tape`](../module) — what checkpointed recomputation
     /// exists to shrink. Merge takes the max.
     pub activation_bytes_peak: u64,
+    /// Peak bytes of weights a serving rank holds for its weight-stationary
+    /// matmuls (each linear's column of weight panels plus its bias, `q×`
+    /// the rank's weight blocks). A high-water mark like
+    /// `kv_cache_bytes_peak`; merge takes the max. Zero for training runs.
+    pub weight_bytes: u64,
 }
 
 /// Converts simulated seconds into the integer-nanosecond resolution the
@@ -142,6 +147,13 @@ impl Meter {
         self.kv_cache_bytes_peak = self.kv_cache_bytes_peak.max(bytes);
     }
 
+    /// Raises the serving-weight high-water mark to `bytes` if it is the
+    /// new peak. The serving engine calls this with the stack's fetched
+    /// weight bytes.
+    pub fn note_weight_bytes(&mut self, bytes: u64) {
+        self.weight_bytes = self.weight_bytes.max(bytes);
+    }
+
     /// Raises the tape-held activation high-water mark to `bytes` if it is
     /// the new peak. Called by the tape-accounting layer with the rank's
     /// running tape total after every push.
@@ -167,6 +179,7 @@ impl Meter {
         // keeps the larger peak instead of summing.
         self.kv_cache_bytes_peak = self.kv_cache_bytes_peak.max(other.kv_cache_bytes_peak);
         self.activation_bytes_peak = self.activation_bytes_peak.max(other.activation_bytes_peak);
+        self.weight_bytes = self.weight_bytes.max(other.weight_bytes);
     }
 
     /// Returns the current totals and resets the meter, for converting a

@@ -174,3 +174,35 @@ fn makespan_accounting_is_consistent() {
         assert!(r.flops > 0.0);
     }
 }
+
+#[test]
+fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
+    // Serving fetches each linear's weight column once; an optimizer step
+    // changes the weights through `visit_params`, which must drop that
+    // copy so the next serving call refetches. Served output must then be
+    // the SUMMA forward's on the updated weights, bit for bit.
+    use std::sync::Arc;
+    use tesseract_repro::core::TesseractLinear;
+    let shape = GridShape::new(2, 2);
+    let (in_f, out_f, rows) = (8, 12, 16);
+    let x = random(rows, in_f, 40);
+    let dy = random(rows, out_f, 41);
+    let out = Cluster::a100(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let (i, j, k) = grid.coords;
+        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);
+        let x = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
+        let dy = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
+        let before = lin.forward_infer(&grid, ctx, &x);
+        let _ = lin.forward(&grid, ctx, &x);
+        let _ = lin.backward(&grid, ctx, &dy);
+        AdamW::new(1e-2, 0.1).step(&mut ctx.meter, &mut lin);
+        let served = lin.forward_infer(&grid, ctx, &x);
+        let summa = lin.forward(&grid, ctx, &x);
+        [before, served, summa].map(|y| y.matrix().clone())
+    });
+    for (rank, [before, served, summa]) in out.results.iter().enumerate() {
+        assert_eq!(served, summa, "rank {rank}: serving used stale weights");
+        assert_ne!(served, before, "rank {rank}: the step must change the output");
+    }
+}
