@@ -23,7 +23,7 @@ use tesseract_tensor::TensorLike;
 
 use tesseract_core::layers::{Half, Transformer, TransformerLayer, World};
 use tesseract_core::module::{Module, ParamRef, Tape};
-use tesseract_core::TransformerConfig;
+use tesseract_core::{ShapeError, TransformerConfig};
 
 /// How a weight is split across the 1-D group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,6 +60,20 @@ impl MegatronWorld {
         let group = mesh.fiber_group(ctx, "megatron.tp", "tp");
         Self { p: group.size(), index: group.my_index(), group }
     }
+
+    /// Whether `cfg` splits over a `p`-rank 1-D group: `p` must divide the
+    /// heads (each rank owns whole heads), the hidden size and the MLP
+    /// hidden size (the column / row splits of the two linears).
+    pub fn check(p: usize, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        for (what, value) in
+            [("heads", cfg.heads), ("hidden", cfg.hidden), ("mlp hidden", cfg.mlp_hidden())]
+        {
+            if value % p != 0 {
+                return Err(ShapeError::Indivisible { what, value, by: "p", divisor: p });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<T: TensorLike + Payload> World<T> for MegatronWorld {
@@ -89,7 +103,9 @@ impl<T: TensorLike + Payload> World<T> for MegatronWorld {
     }
 
     fn validate(&self, cfg: &TransformerConfig) {
-        assert_eq!(cfg.heads % self.p, 0, "megatron needs p | heads");
+        if let Err(e) = Self::check(self.p, cfg) {
+            panic!("{e}");
+        }
     }
 
     /// Activations are replicated: every rank holds the whole batch.

@@ -73,13 +73,13 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
             }
             _ => unreachable!("ranked entries always carry a dry-run"),
         };
-        let dryrun = dryrun.map(|d| {
+        let dryrun = dryrun.zip(e.throughput_seq_s(&p.cfg)).map(|(d, throughput)| {
             json!({
                 "makespan_s": Value::fixed(d.makespan_s, 9),
                 "forward_s": Value::fixed(d.forward_s, 9),
                 "backward_s": Value::fixed(d.backward_s, 9), "peak_bytes": d.peak_bytes,
                 "hidden_wait_frac": Value::fixed(d.hidden_wait_frac, 6),
-                "throughput_seq_s": Value::fixed(p.cfg.batch as f64 / d.makespan_s, 4)
+                "throughput_seq_s": Value::fixed(throughput, 4)
             })
         });
         let mut entry = json!({

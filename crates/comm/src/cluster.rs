@@ -28,8 +28,8 @@ pub struct Cluster {
     /// (set from [`crate::RunConfig::with_trace`] / `TESSERACT_TRACE`).
     pub trace: bool,
     /// Rendezvous timeout override for this cluster's fabric (seconds).
-    /// `None` uses the process-wide default (120 s unless
-    /// `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` was installed). Tests that
+    /// `None` uses the fabric's 120 s default; [`crate::RunConfig::from_env`]
+    /// fills it from `TESSERACT_RENDEZVOUS_TIMEOUT_SECS`. Tests that
     /// deliberately deadlock set this explicitly instead of racing on
     /// `std::env::set_var`.
     pub rendezvous_timeout_secs: Option<u64>,

@@ -88,9 +88,8 @@ impl RankCtx {
     pub fn flush_compute(&mut self) {
         let begin = self.clock;
         let m = self.meter.take();
-        // Payload copies and the wait counters fold into the totals but
-        // never into `compute_time`: copies are host memcpys outside the α–β
-        // model, and `advance_comm` already booked the waits as `comm_time`.
+        // The wait counters fold into the totals but never into
+        // `compute_time`: `advance_comm` already booked them as `comm_time`.
         self.totals.merge(&m);
         if m.flops > 0.0 || m.kernels > 0 {
             let t = self.params.compute_time(m.flops, m.kernels);

@@ -19,9 +19,10 @@
 //! `serve_open` 1.6× and the 64-rank dry-runs 7× slower).
 //!
 //! SPMD contract: all members of a group must invoke the same collectives
-//! in the same order. A timeout (default 120 s, env-overridable) turns a
-//! violated contract into a diagnosable panic; a rank's panic makes every
-//! waiter panic at once.
+//! in the same order. A timeout (120 s unless the cluster sets its own,
+//! e.g. from `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` via
+//! [`crate::RunConfig::from_env`]) turns a violated contract into a
+//! diagnosable panic; a rank's panic makes every waiter panic at once.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -30,21 +31,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-static DEFAULT_TIMEOUT: OnceLock<Duration> = OnceLock::new();
-
-/// Installs the process-default rendezvous timeout (first caller wins).
-/// This is the setter [`crate::RunConfig::install`] applies after parsing
-/// `TESSERACT_RENDEZVOUS_TIMEOUT_SECS`; clusters that need a different
-/// timeout set it per instance instead of racing on process state.
-pub fn set_default_rendezvous_timeout_secs(secs: u64) {
-    let _ = DEFAULT_TIMEOUT.set(Duration::from_secs(secs));
-}
-
-/// How long a rank waits at a rendezvous before declaring the run wedged:
-/// the installed default, or 120 s if nothing was installed.
-fn rendezvous_timeout() -> Duration {
-    DEFAULT_TIMEOUT.get().copied().unwrap_or(Duration::from_secs(120))
-}
+/// How long a rank waits at a rendezvous before declaring the run wedged,
+/// unless its cluster sets a timeout of its own.
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// How many times a waiter yields its core before it parks.
 const YIELDS: usize = 8;
@@ -123,10 +112,9 @@ impl Default for Fabric {
 }
 
 impl Fabric {
-    /// A fabric with the process-default timeout (120 s, or whatever
-    /// [`set_default_rendezvous_timeout_secs`] installed).
+    /// A fabric with the default 120 s timeout.
     pub fn new() -> Self {
-        Self::with_timeout(rendezvous_timeout())
+        Self::with_timeout(DEFAULT_TIMEOUT)
     }
 
     /// A fabric whose rendezvous waits give up after `timeout`.

@@ -190,19 +190,6 @@ impl<P: Payload> Payload for Arc<P> {
     }
 }
 
-impl<P: Payload> Payload for Vec<P> {
-    fn wire_size(&self) -> usize {
-        self.iter().map(Payload::wire_size).sum()
-    }
-
-    fn combine(&mut self, other: &Self) {
-        assert_eq!(self.len(), other.len(), "Vec payload length mismatch in reduce");
-        for (a, b) in self.iter_mut().zip(other.iter()) {
-            a.combine(b);
-        }
-    }
-}
-
 /// FNV-1a over a tag and the member ranks; gives every distinct group a
 /// stable identifier shared by all of its members.
 fn group_id(tag: &str, ranks: &[usize]) -> u64 {
@@ -712,19 +699,5 @@ mod tests {
             (0..4).map(|i| DenseTensor::from_matrix(Matrix::full(1, 2, i as f32))).collect();
         let acc = combine_parts_in_order(parts);
         assert_eq!(acc.matrix().data(), &[6.0, 6.0]);
-    }
-
-    #[test]
-    fn vec_payload_sizes_and_combines() {
-        use tesseract_tensor::{DenseTensor, Matrix};
-        let a = vec![
-            DenseTensor::from_matrix(Matrix::full(2, 2, 1.0)),
-            DenseTensor::from_matrix(Matrix::full(1, 2, 2.0)),
-        ];
-        assert_eq!(a.wire_size(), (4 + 2) * 4);
-        let mut acc = a.clone();
-        acc.combine(&a);
-        assert_eq!(acc[0].matrix().data(), &[2.0, 2.0, 2.0, 2.0]);
-        assert_eq!(acc[1].matrix().data(), &[4.0, 4.0]);
     }
 }

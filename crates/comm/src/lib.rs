@@ -32,4 +32,4 @@ pub use group::{CommGroup, Payload, PendingCollective};
 pub use mesh::{Mesh, MeshAxis};
 pub use runconfig::RunConfig;
 pub use stats::{CommStats, OpStats, StatsCollector};
-pub use topology::{GroupPlacement, Link, NodeArrangement, Topology};
+pub use topology::{GroupPlacement, Link, Topology};

@@ -11,18 +11,16 @@
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
 //! [`RunConfig::from_env`] parses them once into explicit fields;
-//! [`RunConfig::install`] pushes the process-global ones (GEMM
-//! micro-kernel, rendezvous timeout default) into the crates that consume
-//! them through plain setters. Each of those knobs is resolved once per
-//! process — the first installer wins, exactly like the old lazily-cached
-//! env reads. `TESSERACT_TRACE` is not one of them: it sets only the
-//! `trace` field of a configuration built by `from_env`.
+//! [`RunConfig::install`] pushes the one process-global knob (the GEMM
+//! micro-kernel) into the tensor crate, where the first installer wins.
+//! `TESSERACT_TRACE` and `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` only set the
+//! `trace` and `rendezvous_timeout_secs` fields of a configuration built by
+//! `from_env`, which its cluster applies.
 
 use tesseract_tensor::matmul::{self, MicroKernel};
 
 use crate::cluster::Cluster;
 use crate::cost::CostParams;
-use crate::fabric;
 use crate::topology::Topology;
 
 /// One-stop configuration for a simulated run: cluster shape and cost
@@ -42,7 +40,7 @@ pub struct RunConfig {
     /// wins). `None` auto-detects the widest supported backend.
     pub kernel: Option<MicroKernel>,
     /// Rendezvous timeout for this cluster's fabric, in seconds. `None`
-    /// uses the process default (120 s unless an installer changed it).
+    /// uses the fabric's 120 s default.
     pub rendezvous_timeout_secs: Option<u64>,
 }
 
@@ -130,21 +128,18 @@ impl RunConfig {
         self
     }
 
-    /// Applies the process-global knobs (forced kernel, rendezvous-timeout
-    /// default). Idempotent; for each knob the first install wins, matching
-    /// the old once-per-process env caching. [`RunConfig::cluster`] calls
-    /// this, so explicit calls are only needed by code that runs kernels
-    /// without a cluster (e.g. the single-process GEMM benches).
+    /// Applies the process-global knob (the forced kernel). Idempotent;
+    /// the first install wins, matching the old once-per-process env
+    /// caching. [`RunConfig::cluster`] calls this, so explicit calls are
+    /// only needed by code that runs kernels without a cluster (e.g. the
+    /// single-process GEMM benches).
     pub fn install(&self) {
         if let Some(k) = self.kernel {
             matmul::force_kernel(k);
         }
-        if let Some(secs) = self.rendezvous_timeout_secs {
-            fabric::set_default_rendezvous_timeout_secs(secs);
-        }
     }
 
-    /// Installs the process-global knobs and builds the [`Cluster`] this
+    /// Installs the process-global knob and builds the [`Cluster`] this
     /// configuration describes.
     pub fn cluster(&self) -> Cluster {
         self.install();

@@ -26,25 +26,12 @@ pub enum Link {
     InfiniBand,
 }
 
-/// How ranks are physically assigned to nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeArrangement {
-    /// Ranks are packed into fixed-size nodes in rank order
-    /// (`node = rank / gpus_per_node`).
-    Packed {
-        /// GPUs per node (Meluxina: 4).
-        gpus_per_node: usize,
-    },
-    /// Every rank shares one giant node; useful to isolate algorithmic
-    /// volume from placement effects in ablations.
-    SingleNode,
-}
-
-/// Physical arrangement of ranks into nodes.
+/// Physical arrangement of ranks into nodes: ranks are packed into
+/// fixed-size nodes in rank order (`node = rank / gpus_per_node`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
-    /// Node-assignment rule for every rank.
-    pub arrangement: NodeArrangement,
+    /// GPUs per node (Meluxina: 4); positive.
+    gpus_per_node: usize,
 }
 
 /// How a group of ranks sits relative to node boundaries: the summary the
@@ -78,7 +65,7 @@ impl GroupPlacement {
 impl Topology {
     pub fn new(gpus_per_node: usize) -> Self {
         assert!(gpus_per_node > 0);
-        Self { arrangement: NodeArrangement::Packed { gpus_per_node } }
+        Self { gpus_per_node }
     }
 
     /// The paper's testbed: 4 GPUs per node.
@@ -86,17 +73,9 @@ impl Topology {
         Self::new(4)
     }
 
-    /// A degenerate topology where every rank shares one giant node.
-    pub fn single_node() -> Self {
-        Self { arrangement: NodeArrangement::SingleNode }
-    }
-
     /// Node index hosting `rank`.
     pub fn node_of(&self, rank: usize) -> usize {
-        match self.arrangement {
-            NodeArrangement::Packed { gpus_per_node } => rank / gpus_per_node,
-            NodeArrangement::SingleNode => 0,
-        }
+        rank / self.gpus_per_node
     }
 
     /// Link between two ranks.
@@ -194,13 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn single_node_never_uses_ib() {
-        let t = Topology::single_node();
-        assert_eq!(t.worst_link(&[0, 63]), Link::NvLink);
-        assert_eq!(t.arrangement, NodeArrangement::SingleNode);
-    }
-
-    #[test]
     fn placement_counts_nodes_and_fullest_node() {
         let t = Topology::meluxina();
         // One full node.
@@ -220,13 +192,5 @@ mod tests {
         // Uneven spill: 3 on node 0, 1 on node 1.
         let p = t.placement(&[1, 2, 3, 4]);
         assert_eq!(p, GroupPlacement { members: 4, nodes: 2, max_per_node: 3 });
-    }
-
-    #[test]
-    fn placement_on_single_node_topology_is_always_intra() {
-        let t = Topology::single_node();
-        let p = t.placement(&[0, 17, 63]);
-        assert_eq!(p, GroupPlacement { members: 3, nodes: 1, max_per_node: 3 });
-        assert!(p.is_intra_node());
     }
 }

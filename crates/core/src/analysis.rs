@@ -1,7 +1,7 @@
 //! Closed-form communication and memory analysis (paper §1, §3.1,
 //! Eq. 7–12): transmission counts of Cannon / 2.5-D / Tesseract, the
-//! per-processor memory formulas for Tesseract vs. Megatron-LM, per-layer
-//! communication-time expressions and the isoefficiency functions.
+//! per-processor memory formulas for Tesseract vs. Megatron-LM, the
+//! bandwidth/latency lower bounds and the isoefficiency functions.
 //!
 //! The `comm_cost_table` and `memory_table` binaries evaluate these and
 //! cross-check them against byte counts *measured* by the simulated
@@ -40,22 +40,6 @@ pub fn memory_megatron(a: usize, b: usize, c: usize, p: usize) -> f64 {
     let p = p as f64;
     let (a, b, c) = (a as f64, b as f64, c as f64);
     a * b + b * c / p + a * c / p
-}
-
-/// §3.1: Megatron-LM per-layer communication time
-/// `2·β·(p−1)·b·s·h / p` (two all-reduces of the `[b·s, h]` activation).
-pub fn comm_time_megatron(beta: f64, p: usize, b: usize, s: usize, h: usize) -> f64 {
-    let pf = p as f64;
-    2.0 * beta * (pf - 1.0) * (b * s * h) as f64 / pf
-}
-
-/// Tesseract per-layer communication time: the Optimus broadcast pattern on
-/// a `q×q` layer but with the batch (rows) further divided by `d`, i.e.
-/// volume reduced by the depth factor.
-pub fn comm_time_tesseract(beta: f64, q: usize, d: usize, b: usize, s: usize, h: usize) -> f64 {
-    let p = (q * q * d) as f64;
-    let qf = q as f64;
-    2.0 * beta * (b * s * h) as f64 * qf * p.log2() / p / d as f64
 }
 
 /// §3.1 isoefficiency functions: the rate at which problem size must grow
@@ -148,23 +132,6 @@ mod tests {
         assert!((tess - (32.0 / 8.0 + 24.0 * 2.0 / 8.0 + 48.0 / 8.0)).abs() < 1e-12);
         let mega = memory_megatron(8, 4, 6, 8);
         assert!((mega - (32.0 + 3.0 + 6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn megatron_comm_time_saturates_with_p() {
-        let t4 = comm_time_megatron(1e-9, 4, 12, 512, 3072);
-        let t64 = comm_time_megatron(1e-9, 64, 12, 512, 3072);
-        // (p-1)/p → 1: all-reduce volume stops shrinking with more GPUs.
-        assert!(t64 > t4);
-        assert!(t64 / t4 < 1.4);
-    }
-
-    #[test]
-    fn depth_reduces_tesseract_comm_time() {
-        let t_d1 = comm_time_tesseract(1e-9, 8, 1, 384, 512, 8192);
-        let t_d4 = comm_time_tesseract(1e-9, 4, 4, 768, 512, 4096);
-        // [4,4,4] moves less than [8,8,1] at the same p = 64 (§4.2).
-        assert!(t_d4 < t_d1, "{t_d4} vs {t_d1}");
     }
 
     #[test]

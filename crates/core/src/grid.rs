@@ -54,16 +54,6 @@ impl GridShape {
         self.q * self.q * self.d
     }
 
-    /// `d = 1` makes Tesseract the 2-D SUMMA algorithm (Optimus).
-    pub fn is_2d(&self) -> bool {
-        self.d == 1
-    }
-
-    /// `d = q` makes Tesseract a 3-D algorithm.
-    pub fn is_3d(&self) -> bool {
-        self.d == self.q
-    }
-
     /// The named-axis mesh underlying this grid: `[("depth", d),
     /// ("row", q), ("col", q)]` over ranks `base..base+q²d`. Row-major
     /// strides make the layout layer-major (`depth` outermost, `col`
@@ -206,12 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn size_and_special_cases() {
+    fn size_is_q_squared_d() {
         assert_eq!(GridShape::new(4, 2).size(), 32);
-        assert!(GridShape::new(8, 1).is_2d());
-        assert!(GridShape::new(4, 4).is_3d());
-        assert!(!GridShape::new(4, 2).is_2d());
-        assert!(!GridShape::new(4, 2).is_3d());
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         };
         self.wo.forward_infer(grid, ctx, &merged)
     }
-
-    /// Activations currently queued across this block's tapes.
-    pub fn tape_depth(&self) -> usize {
-        self.tape.depth() + self.wqkv.tape_depth() + self.wo.tape_depth()
-    }
 }
 
 impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Attention<T, G> {

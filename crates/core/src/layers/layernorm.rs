@@ -59,11 +59,6 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         self.normalize(grid, ctx, x).0
     }
-
-    /// Activations currently queued on the tape (zero outside training).
-    pub fn tape_depth(&self) -> usize {
-        self.tape.depth()
-    }
 }
 
 impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {

@@ -160,11 +160,6 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
             .map_or(0, |st| st.panels.iter().chain(&st.bias).map(|p| p.byte_size() as u64).sum())
     }
 
-    /// Activations currently queued on the tape (zero outside training).
-    pub fn tape_depth(&self) -> usize {
-        self.tape.depth()
-    }
-
     /// This rank's weight block (for tests).
     pub fn weight(&self) -> &T {
         &self.w

@@ -53,11 +53,6 @@ impl<T: TensorLike + Payload> TesseractMlp<T> {
         let act = Arc::new(pre.gelu(&mut ctx.meter));
         self.fc2.forward_infer(grid, ctx, &act)
     }
-
-    /// Activations currently queued across this block's tapes.
-    pub fn tape_depth(&self) -> usize {
-        self.tape.depth() + self.fc1.tape_depth() + self.fc2.tape_depth()
-    }
 }
 
 impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Mlp<T, G> {

@@ -88,14 +88,6 @@ impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
         let d = self.mlp.forward_infer(grid, ctx, &c);
         Arc::new(x1.add(&d, &mut ctx.meter))
     }
-
-    /// Activations currently queued across this layer's tapes.
-    pub fn tape_depth(&self) -> usize {
-        self.ln1.tape_depth()
-            + self.attn.tape_depth()
-            + self.ln2.tape_depth()
-            + self.mlp.tape_depth()
-    }
 }
 
 impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
@@ -338,12 +330,5 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
             .flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
             .map(TesseractLinear::stationary_bytes)
             .sum()
-    }
-
-    /// Activations queued across every tape in the stack — zero unless a
-    /// training forward is still waiting for its backward.
-    pub fn tape_depth(&self) -> usize {
-        self.inputs.depth()
-            + self.layers.iter().map(TesseractTransformerLayer::tape_depth).sum::<usize>()
     }
 }

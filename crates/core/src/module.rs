@@ -176,15 +176,6 @@ impl<V> Tape<V> {
         ctx.charge_tape_pop(self.bytes.drain(..).sum());
     }
 
-    /// Microbatches currently queued (forwards not yet unwound).
-    pub fn depth(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Debug-asserts that every forward has been consumed by a backward —
     /// the step-boundary invariant GPipe schedules must maintain.
     pub fn debug_assert_balanced(&self, what: &str) {
@@ -212,11 +203,11 @@ mod tests {
             for v in 0..4 {
                 t.push_tracked(ctx, 8, v);
             }
-            assert_eq!(t.depth(), 4);
+            assert_eq!(ctx.tape_bytes_now(), 32);
             for v in (0..4).rev() {
                 assert_eq!(t.pop_tracked(ctx, "test"), v);
             }
-            assert!(t.is_empty());
+            assert_eq!(ctx.tape_bytes_now(), 0);
             t.debug_assert_balanced("test");
         });
     }

@@ -8,6 +8,7 @@
 //! workload is a separate, `Result`-returning step ([`Candidate::check`]) so
 //! the planner can report *why* each rejected candidate cannot run.
 
+use tesseract_baselines::MegatronWorld;
 use tesseract_core::{GridShape, ShapeError, TransformerConfig};
 use tesseract_hybrid::HybridShape;
 
@@ -115,31 +116,7 @@ impl Candidate {
                         available: gpus,
                     });
                 }
-                if cfg.heads % p != 0 {
-                    return Err(ShapeError::Indivisible {
-                        what: "heads",
-                        value: cfg.heads,
-                        by: "p",
-                        divisor: *p,
-                    });
-                }
-                if cfg.hidden % p != 0 {
-                    return Err(ShapeError::Indivisible {
-                        what: "hidden",
-                        value: cfg.hidden,
-                        by: "p",
-                        divisor: *p,
-                    });
-                }
-                if cfg.mlp_hidden() % p != 0 {
-                    return Err(ShapeError::Indivisible {
-                        what: "mlp hidden",
-                        value: cfg.mlp_hidden(),
-                        by: "p",
-                        divisor: *p,
-                    });
-                }
-                Ok(())
+                MegatronWorld::check(*p, cfg)
             }
             Candidate::Tesseract { grid } => {
                 grid.check_world(gpus)?;

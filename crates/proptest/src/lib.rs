@@ -107,18 +107,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
     }
 }
 
-/// A constant strategy (proptest's `Just`).
-#[derive(Clone, Copy, Debug)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for std::ops::Range<$t> {
@@ -270,7 +258,7 @@ pub mod prelude {
     /// Alias so `proptest::prelude::prop::collection::vec` style paths work.
     pub use crate as prop;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
+        prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy,
     };
 }
 

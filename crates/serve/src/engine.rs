@@ -471,7 +471,7 @@ pub fn run_serve<T: TensorLike + Payload>(
     }
 
     assert!(slots.is_empty(), "all slots evicted at completion");
-    assert_eq!(model.tape_depth(), 0, "inference must never grow a tape");
+    assert_eq!(ctx.tape_bytes_now(), 0, "inference must never grow a tape");
     // Serving never drops the fetched weights, so the end total is the peak.
     let weight_bytes = model.stationary_bytes();
     ctx.meter.note_weight_bytes(weight_bytes);

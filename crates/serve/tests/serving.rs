@@ -134,7 +134,7 @@ fn inference_never_grows_tapes_and_drops_activation_arcs() {
         let y = model.forward_infer(&grid, ctx, &prompt, &mut batch);
         kv = batch.kvs.pop().expect("cache returned");
         let mut next = y.slice_rows(3, 4, &mut ctx.meter);
-        assert_eq!(model.tape_depth(), 0, "prefill must not tape activations");
+        assert_eq!(ctx.tape_bytes_now(), 0, "prefill must not tape activations");
         drop(y);
         drop(prompt);
         assert!(
@@ -149,7 +149,7 @@ fn inference_never_grows_tapes_and_drops_activation_arcs() {
             let y = model.forward_infer(&grid, ctx, &x, &mut batch);
             kv = batch.kvs.pop().expect("cache returned");
             next = y.slice_rows(0, 1, &mut ctx.meter);
-            assert_eq!(model.tape_depth(), 0, "decode must not tape activations");
+            assert_eq!(ctx.tape_bytes_now(), 0, "decode must not tape activations");
             drop(y);
             drop(x);
             assert!(weak_x.upgrade().is_none(), "decode activations must be freed after each step");

@@ -18,12 +18,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut Xoshiro256StarStar) ->
     Matrix::random_uniform(rows, cols, -a, a, rng)
 }
 
-/// Xavier/Glorot normal: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal(rows: usize, cols: usize, rng: &mut Xoshiro256StarStar) -> Matrix {
-    let std = (2.0 / (rows + cols) as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| rng.normal() * std)
-}
-
 /// Samples the global `[rows, cols]` Xavier matrix from the stream forked at
 /// `param_id` off `root`, so every rank deterministically reconstructs the
 /// same global weight regardless of grid arrangement.
@@ -43,17 +37,6 @@ mod tests {
         let m = xavier_uniform(64, 64, &mut rng);
         let a = (6.0 / 128.0f32).sqrt();
         assert!(m.data().iter().all(|&v| v > -a && v < a));
-    }
-
-    #[test]
-    fn xavier_normal_variance_close() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(2);
-        let m = xavier_normal(100, 100, &mut rng);
-        let target = 2.0 / 200.0f32;
-        let mean = m.sum() / m.len() as f32;
-        let var = m.data().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / m.len() as f32;
-        assert!(mean.abs() < 0.01);
-        assert!((var - target).abs() / target < 0.1);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl CriticalPath {
         totals
     }
 
-    /// The single op bounding the makespan (largest attributed total).
-    pub fn bounding_op(&self) -> Option<(String, f64)> {
-        self.op_totals().into_iter().next()
-    }
-
     /// Renders the top-`k` makespan-bounding ops as an aligned text table.
     pub fn render_top_k(&self, k: usize) -> String {
         let mut out = format!("critical path: makespan {:.9} s\n", self.makespan);
@@ -263,7 +258,7 @@ mod tests {
         let totals = cp.op_totals();
         let slow = totals.iter().find(|(n, _)| n == "slowgemm").expect("straggler attributed");
         assert!((slow.1 - 5.0).abs() < 1e-9, "straggler compute dominates: {totals:?}");
-        assert_eq!(cp.bounding_op().unwrap().0, "slowgemm");
+        assert_eq!(totals[0].0, "slowgemm");
         // The whole makespan is attributed (no gaps on this synthetic path).
         let attributed: f64 = cp.segments.iter().map(Segment::duration).sum();
         assert!((attributed - cp.makespan).abs() < 1e-9);
@@ -283,7 +278,7 @@ mod tests {
         let cp = critical_path(&[vec![], vec![]]);
         assert_eq!(cp.makespan, 0.0);
         assert!(cp.segments.is_empty());
-        assert!(cp.bounding_op().is_none());
+        assert!(cp.op_totals().is_empty());
         assert!(cp.render_top_k(3).contains("no events"));
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Training substrate for the Figure-7 reproduction: the AdamW optimizer,
 //! a deterministic synthetic stand-in for ImageNet-100, a Vision
-//! Transformer in both Tesseract-parallel and serial form, and training
-//! loops that produce the accuracy curves.
+//! Transformer in both Tesseract-parallel and serial form, and the one
+//! training loop that produces every accuracy curve (the serial curve is
+//! that loop on a `[1,1,1]` grid).
 
 pub mod clip;
 pub mod data;

@@ -1,15 +1,16 @@
-//! Training loops for the Figure-7 experiment: the same ViT trained (a) on
-//! a single device and (b) on Tesseract `[q, q, d]` grids, with identical
-//! seeds, identical data streams and identical AdamW hyperparameters —
-//! reproducing the paper's finding that Tesseract "does not affect the
-//! model's accuracy".
+//! The Figure-7 training loop: the same ViT trained (a) on a single device
+//! and (b) on Tesseract `[q, q, d]` grids, with identical seeds, identical
+//! data streams and identical AdamW hyperparameters — reproducing the
+//! paper's finding that Tesseract "does not affect the model's accuracy".
+//! Both curves come from one loop; the single device is the `[1,1,1]` grid
+//! running the serial oracle [`SerialViT`].
 
 use std::sync::Arc;
 
-use tesseract_comm::Cluster;
+use tesseract_comm::{Cluster, RankCtx};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid};
-use tesseract_tensor::{nn, DenseTensor, Matrix, Meter};
+use tesseract_tensor::{DenseTensor, Matrix, Meter};
 
 use crate::data::SyntheticVisionDataset;
 use crate::optim::AdamW;
@@ -73,42 +74,9 @@ impl TrainReport {
 }
 
 /// Trains the serial ViT — Figure 7's "single GPU" baseline curve — on a
-/// one-rank `[1,1,1]` grid, through the same clip and optimizer calls as
-/// [`train_tesseract`].
+/// one-rank `[1,1,1]` grid, through the same loop as [`train_tesseract`].
 pub fn train_serial(vcfg: ViTConfig, ds: &SyntheticVisionDataset, s: TrainSettings) -> TrainReport {
-    let b = vcfg.body.batch;
-    let out = Cluster::a100(1).run(|ctx| {
-        let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
-        let mut model = SerialViT::new(vcfg, s.seed);
-        let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);
-        let mut scratch = Meter::new();
-        let mut report = TrainReport::default();
-        let mut step_idx = 0u64;
-        for _epoch in 0..s.epochs {
-            let mut loss_sum = 0.0f32;
-            let mut correct = 0usize;
-            for _ in 0..s.steps_per_epoch {
-                let (x, labels) = ds.batch_for_step(b, s.data_seed, step_idx);
-                step_idx += 1;
-                let logits = model.forward(&grid, ctx, &Arc::new(DenseTensor::from_matrix(x)));
-                let (loss, dlogits) = nn::softmax_cross_entropy(logits.matrix(), &labels);
-                correct += nn::count_correct(logits.matrix(), &labels);
-                loss_sum += loss;
-                model.backward(&grid, ctx, &Arc::new(DenseTensor::from_matrix(dlogits)));
-                if let Some(max_norm) = s.clip_grad_norm {
-                    crate::clip::clip_grad_norm(&grid, ctx, &mut model, max_norm);
-                }
-                opt.step(&mut scratch, &mut model);
-                model.zero_grad();
-            }
-            report.epochs.push(EpochMetrics {
-                loss: loss_sum / s.steps_per_epoch as f32,
-                accuracy: correct as f32 / (s.steps_per_epoch * b) as f32,
-            });
-        }
-        report
-    });
-    out.results.into_iter().next().expect("rank 0 report")
+    train(GridShape::new(1, 1), vcfg, ds, s, |_, _| SerialViT::new(vcfg, s.seed))
 }
 
 /// Trains the Tesseract ViT on a `[q, q, d]` grid (rank 0's metrics are
@@ -119,11 +87,27 @@ pub fn train_tesseract(
     ds: &SyntheticVisionDataset,
     s: TrainSettings,
 ) -> TrainReport {
+    train(shape, vcfg, ds, s, |ctx, grid| TesseractViT::<DenseTensor>::new(ctx, grid, vcfg, s.seed))
+}
+
+/// The one Figure-7 training loop: every rank of a `shape` cluster builds
+/// its model with `build`, then runs forward, the distributed loss,
+/// backward, optional clipping and AdamW on the shared data stream. On
+/// `[1,1,1]` the logits gather and the metric all-reduce have one member,
+/// so the serial curve is the same f32 operations in the same order.
+fn train<M: Module<DenseTensor>>(
+    shape: GridShape,
+    vcfg: ViTConfig,
+    ds: &SyntheticVisionDataset,
+    s: TrainSettings,
+    build: impl Fn(&RankCtx, &TesseractGrid) -> M + Sync,
+) -> TrainReport {
     let b = vcfg.body.batch;
     let out = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut model = TesseractViT::<DenseTensor>::new(ctx, &grid, vcfg, s.seed);
+        let mut model = build(ctx, &grid);
         let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);
+        let mut scratch = Meter::new();
         let per = b / (shape.q * shape.d);
         let h = grid.a_row_block();
         let mut report = TrainReport::default();
@@ -134,7 +118,7 @@ pub fn train_tesseract(
             for _ in 0..s.steps_per_epoch {
                 let (x, labels) = ds.batch_for_step(b, s.data_seed, step_idx);
                 step_idx += 1;
-                let x_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(
+                let x_loc = Arc::new(DenseTensor::from_matrix(a_block(
                     &x,
                     shape,
                     grid.i(),
@@ -145,14 +129,11 @@ pub fn train_tesseract(
                 let logits = ctx.traced("step", "fwd", |ctx| model.forward(&grid, ctx, &x_loc));
                 let (loss_local, dlogits, correct_local) =
                     distributed_cross_entropy(&grid, ctx, &logits, my_labels, b);
-                ctx.traced("step", "bwd", |ctx| {
-                    model.backward(&grid, ctx, &std::sync::Arc::new(dlogits))
-                });
+                ctx.traced("step", "bwd", |ctx| model.backward(&grid, ctx, &Arc::new(dlogits)));
                 if let Some(max_norm) = s.clip_grad_norm {
                     crate::clip::clip_grad_norm(&grid, ctx, &mut model, max_norm);
                 }
                 // Optimizer updates are local (grads already synchronized).
-                let mut scratch = Meter::new();
                 opt.step(&mut scratch, &mut model);
                 model.zero_grad();
                 // Aggregate metrics over the distinct row bands: sum across
