@@ -171,8 +171,9 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
 }
 
 /// Runs a `requests`-request calibration flood of the first arrangement
-/// with tracing on and writes the saturated steady state as Chrome-trace
-/// JSON (schema-checked by re-parsing, like `trace_dump`).
+/// with tracing on, reconciles the trace exactly with the run's
+/// accounting, and writes the saturated steady state as Chrome-trace JSON
+/// (schema-checked by re-parsing, like `trace_dump`).
 fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u64) -> usize {
     let cfg = serve_cfg(seed);
     let traffic_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
@@ -180,6 +181,7 @@ fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u6
     let cluster = RunConfig::from_env(shape.size()).with_trace(true).cluster();
     let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &cfg, &traffic);
     assert_eq!(out.traces.len(), shape.size(), "one trace per rank");
+    out.reconcile_trace().unwrap_or_else(|e| panic!("{path}: {e}"));
     let payload = chrome::chrome_trace_json(&out.traces);
     let doc = json::parse(&payload)
         .unwrap_or_else(|e| panic!("{path}: emitted chrome trace does not parse: {e}"));

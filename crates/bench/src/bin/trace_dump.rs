@@ -9,105 +9,27 @@
 //! (the pipelined one shows the hidden-wait flow arrows).
 //!
 //! Before writing anything the dump *reconciles* the trace against the
-//! run's own accounting and panics on any mismatch:
-//!
-//! * per rank, the summed compute-event flops / kernels / allocated bytes
-//!   and the summed comm-event blocked/hidden nanoseconds must equal the
-//!   [`RankReport`] counters **exactly** (same values, same fold order);
-//! * per collective op, the recorded event count and wire bytes must equal
-//!   the global [`CommStats`] exactly, and the f64 time/hidden totals must
-//!   agree to float-sum tolerance.
+//! run's own accounting ([`RunOutput::reconcile_trace`]) and panics on any
+//! mismatch: per rank, the compute and comm events must rebuild the
+//! [`RankReport`] counters and the rank's comm ledger exactly, `f64` sums
+//! included (same values, same fold order).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin trace_dump -- \
 //!           [--grid 2,2] [--n 256] [--out TRACE.json] [--top 5]`
 //!
 //! [`RankReport`]: tesseract_comm::RankReport
-//! [`CommStats`]: tesseract_comm::CommStats
+//! [`RunOutput::reconcile_trace`]: tesseract_comm::RunOutput::reconcile_trace
 
 use tesseract_bench::step::matmul_step;
 use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::GridShape;
 use tesseract_tensor::trace::{chrome, critical, json};
-use tesseract_tensor::{Matrix, TraceKind};
-
-/// Per-op aggregate rebuilt from trace events, mirroring `OpStats`.
-#[derive(Default)]
-struct OpAgg {
-    calls: u64,
-    wire_bytes: u64,
-    time: f64,
-    hidden_time: f64,
-}
+use tesseract_tensor::Matrix;
 
 /// Panics unless the trace reconciles with the run's own accounting.
 fn reconcile<R>(what: &str, run: &RunOutput<R>) {
-    assert_eq!(run.traces.len(), run.reports.len(), "{what}: one trace per rank");
-    // Per rank: integer counters and the rank-local f64 flop fold are
-    // exact — compute events carry the very values the report folded, in
-    // the same order.
-    for (report, events) in run.reports.iter().zip(&run.traces) {
-        assert!(!events.is_empty(), "{what}: rank {} traced no events", report.rank);
-        let (mut flops, mut kernels, mut bytes) = (0.0f64, 0u64, 0u64);
-        let (mut blocked, mut hidden) = (0u64, 0u64);
-        for ev in events {
-            match &ev.kind {
-                TraceKind::Compute { flops: f, kernels: k, bytes_allocated: b } => {
-                    flops += f;
-                    kernels += k;
-                    bytes += b;
-                }
-                TraceKind::Comm { blocked_nanos, hidden_nanos, .. } => {
-                    blocked += blocked_nanos;
-                    hidden += hidden_nanos;
-                }
-                _ => {}
-            }
-        }
-        let r = report.rank;
-        assert_eq!(flops, report.flops, "{what}: rank {r} trace flops != report");
-        assert_eq!(kernels, report.kernels, "{what}: rank {r} trace kernels != report");
-        assert_eq!(bytes, report.bytes_allocated, "{what}: rank {r} trace bytes != report");
-        assert_eq!(blocked, report.comm_wait_nanos, "{what}: rank {r} blocked nanos != report");
-        assert_eq!(hidden, report.overlap_hidden_nanos, "{what}: rank {r} hidden nanos != report");
-    }
-    // Per op across ranks: rebuild the stats table from the events.
-    let mut agg: std::collections::HashMap<&'static str, OpAgg> = Default::default();
-    for ev in run.traces.iter().flatten() {
-        if let TraceKind::Comm { op, wire_bytes, stats_time, hidden_time, recorded, .. } = &ev.kind
-        {
-            let e = agg.entry(op).or_default();
-            if *recorded {
-                e.calls += 1;
-            }
-            e.wire_bytes += wire_bytes;
-            e.time += stats_time;
-            e.hidden_time += hidden_time;
-        }
-    }
-    // The collector folds f64 time in cross-rank completion order, which
-    // the trace cannot replay — integers must match exactly, floats to
-    // accumulated-rounding tolerance.
-    let tol = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-9);
-    let mut checked = 0;
-    for (op, stats) in &run.comm.per_op {
-        let name = op.name();
-        let got = agg.remove(name).unwrap_or_default();
-        assert_eq!(got.calls, stats.calls, "{what}: {name} calls mismatch");
-        assert_eq!(got.wire_bytes, stats.wire_bytes, "{what}: {name} wire bytes mismatch");
-        assert!(tol(got.time, stats.time), "{what}: {name} time {} != {}", got.time, stats.time);
-        assert!(
-            tol(got.hidden_time, stats.hidden_time),
-            "{what}: {name} hidden {} != {}",
-            got.hidden_time,
-            stats.hidden_time
-        );
-        checked += 1;
-    }
-    assert!(agg.is_empty(), "{what}: trace has ops the stats never saw: {:?}", agg.keys());
-    println!(
-        "{what}: reconciled {} ranks and {checked} collective op(s) against the run accounting",
-        run.reports.len()
-    );
+    run.reconcile_trace().unwrap_or_else(|e| panic!("{what}: {e}"));
+    println!("{what}: reconciled {} ranks exactly against the run accounting", run.reports.len());
 }
 
 /// Writes the Chrome-trace JSON, re-parses it as a schema check, and

@@ -1,19 +1,20 @@
 //! The simulated cluster driver: spawns one OS thread per rank and runs an
 //! SPMD closure on each, exactly as `torch.distributed`/NCCL launches one
-//! process per GPU. Returns each rank's result plus timing reports and the
-//! global communication statistics.
+//! process per GPU. Returns each rank's result and report (its comm ledger
+//! included) plus the rank-order fold of those ledgers.
 
 use std::any::Any;
+use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tesseract_tensor::{trace, TraceEvent};
+use tesseract_tensor::{trace, TraceEvent, TraceKind};
 
-use crate::cost::CostParams;
+use crate::cost::{CollectiveOp, CostParams};
 use crate::ctx::{RankCtx, RankReport};
 use crate::fabric::Fabric;
-use crate::stats::{CommStats, StatsCollector};
+use crate::stats::CommStats;
 use crate::topology::Topology;
 
 /// A runnable simulated cluster. Build one through
@@ -42,7 +43,8 @@ pub struct RunOutput<R> {
     pub results: Vec<R>,
     /// Per-rank timing reports, indexed by rank.
     pub reports: Vec<RankReport>,
-    /// Global collective statistics.
+    /// Every rank's comm ledger ([`RankReport::comm`]) folded in rank
+    /// order.
     pub comm: CommStats,
     /// Per-rank event timelines, indexed by rank. Empty vectors unless the
     /// cluster ran with tracing enabled (see [`crate::RunConfig::with_trace`]).
@@ -64,6 +66,76 @@ impl<R> RunOutput<R> {
     /// Maximum communication time across ranks.
     pub fn max_comm_time(&self) -> f64 {
         self.reports.iter().map(|r| r.comm_time).fold(0.0, f64::max)
+    }
+
+    /// Checks the trace against the run's own accounting. Each rank's
+    /// flops, kernels, allocated bytes, blocked and hidden nanoseconds and
+    /// comm ledger are rebuilt from that rank's events and compared with
+    /// its [`RankReport`] exactly: every event carries the values its
+    /// charging site booked, in booking order, so even the `f64` sums
+    /// agree bit for bit. `Err` names the first rank and counter that
+    /// differ. An untraced run reconciles only if no rank charged anything.
+    pub fn reconcile_trace(&self) -> Result<(), String> {
+        if self.traces.len() != self.reports.len() {
+            let (t, r) = (self.traces.len(), self.reports.len());
+            return Err(format!("{t} timelines for {r} ranks"));
+        }
+        for (report, events) in self.reports.iter().zip(&self.traces) {
+            let r = report.rank;
+            let (mut flops, mut kernels, mut bytes) = (0.0f64, 0u64, 0u64);
+            let (mut blocked, mut hidden, mut comm) = (0u64, 0u64, CommStats::default());
+            for ev in events {
+                same(r, "event rank", ev.rank, r)?;
+                match ev.kind {
+                    TraceKind::Compute { flops: f, kernels: k, bytes_allocated: b } => {
+                        flops += f;
+                        kernels += k;
+                        bytes += b;
+                    }
+                    TraceKind::Comm {
+                        op,
+                        blocked_nanos,
+                        hidden_nanos,
+                        hidden_time,
+                        wire_bytes,
+                        stats_time,
+                        recorded,
+                        ..
+                    } => {
+                        blocked += blocked_nanos;
+                        hidden += hidden_nanos;
+                        let Some(&op) = CollectiveOp::ALL.iter().find(|o| o.name() == op) else {
+                            return Err(format!("rank {r}: trace names an unknown op {op}"));
+                        };
+                        if recorded {
+                            comm.record(op, wire_bytes, stats_time);
+                        } else {
+                            comm.charge_time(op, stats_time);
+                        }
+                        comm.charge_hidden(op, hidden_time);
+                    }
+                    TraceKind::Scope { .. } => {}
+                }
+            }
+            same(r, "flops", flops, report.flops)?;
+            same(r, "kernels", kernels, report.kernels)?;
+            same(r, "allocated bytes", bytes, report.bytes_allocated)?;
+            same(r, "blocked nanos", blocked, report.comm_wait_nanos)?;
+            same(r, "hidden nanos", hidden, report.overlap_hidden_nanos)?;
+            for op in CollectiveOp::ALL {
+                same(r, op.name(), comm.get(op), report.comm.get(op))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `Ok` iff rank `r`'s trace rebuilds `what` exactly as its report booked it.
+fn same<T: PartialEq + Debug>(r: usize, what: &str, traced: T, booked: T) -> Result<(), String> {
+    if traced == booked {
+        Ok(())
+    } else {
+        Err(format!("rank {r}: trace rebuilds {what} {traced:?}, the report has {booked:?}"))
     }
 }
 
@@ -92,7 +164,6 @@ impl Cluster {
             Some(secs) => Fabric::with_timeout(Duration::from_secs(secs)),
             None => Fabric::new(),
         });
-        let stats = Arc::new(StatsCollector::new(self.world));
         let f = &f;
 
         let mut outcomes: Vec<Option<(R, RankReport, Vec<TraceEvent>)>> =
@@ -100,7 +171,6 @@ impl Cluster {
                 let handles: Vec<_> = (0..self.world)
                     .map(|rank| {
                         let fabric = Arc::clone(&fabric);
-                        let stats = Arc::clone(&stats);
                         let params = self.params;
                         let topology = self.topology;
                         let world = self.world;
@@ -117,7 +187,6 @@ impl Cluster {
                                     params,
                                     topology,
                                     Arc::clone(&fabric),
-                                    stats,
                                 );
                                 let result = f(&mut ctx);
                                 // Harvest after the report: `report` flushes
@@ -143,13 +212,15 @@ impl Cluster {
         let mut results = Vec::with_capacity(self.world);
         let mut reports = Vec::with_capacity(self.world);
         let mut traces = Vec::with_capacity(self.world);
+        let mut comm = CommStats::default();
         for outcome in outcomes.drain(..) {
             let (r, rep, events) = outcome.expect("all ranks joined");
+            comm.merge(&rep.comm);
             results.push(r);
             reports.push(rep);
             traces.push(events);
         }
-        RunOutput { results, reports, comm: stats.snapshot(), traces }
+        RunOutput { results, reports, comm, traces }
     }
 }
 
@@ -165,8 +236,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CollectiveOp;
     use crate::group::Payload;
+    use crate::stats::OpStats;
     use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
     #[test]
@@ -340,6 +411,59 @@ mod tests {
         assert_eq!(s.calls, 1);
         // 4x4 f32 = 64 bytes; ring all-reduce volume = 2 * 64 * (n-1).
         assert_eq!(s.wire_bytes, 2 * 64 * 3);
+    }
+
+    /// A traced run on two 2-rank rows that books every kind of charge:
+    /// a blocking all-reduce, a broadcast whose wait compute partly hides,
+    /// and a send/recv pair.
+    fn ledger_run() -> RunOutput<()> {
+        crate::RunConfig::new(4).with_trace(true).cluster().run(|ctx| {
+            let row = ctx.group("row", vec![ctx.rank / 2 * 2, ctx.rank / 2 * 2 + 1]);
+            let t = DenseTensor::from_matrix(Matrix::full(8, 8, ctx.rank as f32));
+            let _ = row.all_reduce_shared(ctx, t.clone());
+            let root = (row.my_index() == 0).then(|| Arc::new(t.clone()));
+            let pending = row.broadcast_shared_begin(ctx, 0, root);
+            for _ in 0..=ctx.rank {
+                let _ = t.matmul(&t, &mut ctx.meter);
+            }
+            let _ = pending.complete(ctx);
+            let world = ctx.world_group();
+            match ctx.rank {
+                0 => world.send(ctx, 3, 0, t),
+                3 => drop(world.recv::<DenseTensor>(ctx, 0, 0)),
+                _ => {}
+            }
+        })
+    }
+
+    #[test]
+    fn run_comm_is_the_rank_order_fold_of_the_rank_ledgers() {
+        let out = ledger_run();
+        let mut fold = CommStats::default();
+        for report in &out.reports {
+            fold.merge(&report.comm);
+        }
+        assert_eq!(out.comm, fold);
+        // Each collective is booked once, by its group's first member; the
+        // receiver of a point-to-point pair books only the transfer time.
+        let r = |rank: usize, op| out.reports[rank].comm.get(op);
+        assert_eq!(r(0, CollectiveOp::AllReduce).calls, 1);
+        assert_eq!(r(1, CollectiveOp::AllReduce), OpStats::default());
+        assert_eq!(r(0, CollectiveOp::SendRecv).calls, 1);
+        assert_eq!(r(3, CollectiveOp::SendRecv).calls, 0);
+        assert!(r(3, CollectiveOp::SendRecv).time > 0.0);
+        assert_eq!(out.comm.get(CollectiveOp::Broadcast).calls, 2);
+        assert!(out.comm.get(CollectiveOp::Broadcast).hidden_time > 0.0);
+    }
+
+    #[test]
+    fn trace_reconciles_exactly_and_names_the_rank_that_does_not() {
+        let mut out = ledger_run();
+        assert_eq!(out.reconcile_trace(), Ok(()));
+        let time = &mut out.reports[2].comm.per_op[CollectiveOp::AllReduce as usize].time;
+        *time = f64::from_bits(time.to_bits() + 1);
+        let err = out.reconcile_trace().unwrap_err();
+        assert!(err.starts_with("rank 2: trace rebuilds all_reduce"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tesseract_tensor::{trace, Meter};
 use crate::cost::CostParams;
 use crate::fabric::Fabric;
 use crate::group::CommGroup;
-use crate::stats::StatsCollector;
+use crate::stats::CommStats;
 use crate::topology::Topology;
 
 /// One rank's view of the simulated cluster.
@@ -41,7 +41,9 @@ pub struct RankCtx {
     tape_bytes_now: u64,
     idle_time: f64,
     fabric: Arc<Fabric>,
-    stats: Arc<StatsCollector>,
+    /// The collectives this rank booked; the charging sites in
+    /// [`crate::group`] write it, [`RankCtx::report`] hands it out.
+    pub(crate) comm: CommStats,
 }
 
 impl RankCtx {
@@ -51,7 +53,6 @@ impl RankCtx {
         params: CostParams,
         topology: Topology,
         fabric: Arc<Fabric>,
-        stats: Arc<StatsCollector>,
     ) -> Self {
         Self {
             rank,
@@ -66,7 +67,7 @@ impl RankCtx {
             tape_bytes_now: 0,
             idle_time: 0.0,
             fabric,
-            stats,
+            comm: CommStats::default(),
         }
     }
 
@@ -77,10 +78,6 @@ impl RankCtx {
 
     pub(crate) fn fabric(&self) -> &Fabric {
         &self.fabric
-    }
-
-    pub(crate) fn stats(&self) -> &StatsCollector {
-        &self.stats
     }
 
     /// Converts all pending metered compute into virtual time. Collectives
@@ -218,6 +215,7 @@ impl RankCtx {
             activation_bytes_peak: t.activation_bytes_peak,
             weight_bytes: t.weight_bytes,
             idle_time: self.idle_time,
+            comm: self.comm,
         }
     }
 
@@ -292,8 +290,8 @@ pub struct RankReport {
     /// Peak bytes of tape-held activations resident on this rank at any
     /// point in the run (a high-water mark, not a flow; zero for serving
     /// runs). This is the measured number the memory table's
-    /// measured-peak column and `plan`'s dry-run report — what sequence
-    /// parallelism and checkpointed recomputation shrink.
+    /// measured-peak column and `plan`'s dry-run report — what
+    /// checkpointed recomputation shrinks.
     pub activation_bytes_peak: u64,
     /// Peak bytes of weights this rank held for weight-stationary serving
     /// (`q×` its weight blocks; zero for training runs). Like
@@ -303,4 +301,8 @@ pub struct RankReport {
     /// `RankCtx::idle_until`; zero for training runs). Idle time is part
     /// of `virtual_time` but belongs to neither compute nor comm.
     pub idle_time: f64,
+    /// The collectives this rank booked: calls and wire bytes of those it
+    /// led, the seconds it was charged, the wait it hid.
+    /// [`crate::RunOutput::comm`] is the rank-order fold of these.
+    pub comm: CommStats,
 }

@@ -88,10 +88,10 @@ impl CommScope {
 
     /// Emits the span, ending at the rank's current (charged) clock.
     /// `max_entry_vt` is the slowest entry the op synchronized to, `cost`
-    /// the α–β cost charged, `hidden_time` the overlap handed to the stats
-    /// collector, `(wire_bytes, stats_time)` what this rank added to the
-    /// global stats, and `recorded` whether it also booked the op's call
-    /// there (one member per collective; of a point-to-point pair the
+    /// the α–β cost charged, `hidden_time` the overlap booked in the rank's
+    /// ledger (`RankCtx::comm`), `(wire_bytes, stats_time)` what this rank
+    /// added to that ledger, and `recorded` whether it also booked the op's
+    /// call there (one member per collective; of a point-to-point pair the
     /// sender, the receiver adding only its transfer seconds).
     fn finish(
         self,
@@ -417,7 +417,7 @@ impl CommGroup {
     /// non-roots learn the size only from the rendezvous) is
     /// charged the zero-byte latency plus the size-dependent cost — the
     /// charging the calibrated tables were produced with — and only the
-    /// size-dependent part reaches the stats.
+    /// size-dependent part reaches the rank's ledger.
     fn finish_charge(
         &self,
         ctx: &mut RankCtx,
@@ -437,7 +437,7 @@ impl CommGroup {
         let hidden = (ctx.clock().min(target) - deposit_vt).max(0.0);
         if hidden > 0.0 {
             ctx.meter.charge_overlap_hidden(hidden);
-            ctx.stats().charge_hidden(ctx.rank, op, hidden);
+            ctx.comm.charge_hidden(op, hidden);
         } else if deferred_size {
             // Nothing overlapped the wait: book it as the two advances a
             // blocking broadcast has always made (rendezvous latency, then
@@ -450,7 +450,7 @@ impl CommGroup {
         let recorded = self.my_index == 0;
         let booked = if recorded {
             let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(ctx.rank, op, wire, cost_b);
+            ctx.comm.record(op, wire, cost_b);
             (wire, cost_b)
         } else {
             (0, 0.0)
@@ -590,7 +590,7 @@ impl CommGroup {
         // to the receiver (eager-send model).
         ctx.advance_comm(ctx.clock() + alpha);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
-        ctx.stats().record(ctx.rank, CollectiveOp::SendRecv, wire, 0.0);
+        ctx.comm.record(CollectiveOp::SendRecv, wire, 0.0);
         span.finish(ctx, send_vt, alpha, 0.0, (wire, 0.0), true);
     }
 
@@ -608,7 +608,7 @@ impl CommGroup {
         ctx.advance_comm(ready + cost);
         // The sender booked the call and its wire bytes; the transfer
         // seconds are charged here, so they are booked here.
-        ctx.stats().charge_time(ctx.rank, CollectiveOp::SendRecv, cost);
+        ctx.comm.charge_time(CollectiveOp::SendRecv, cost);
         // The recv's cross-rank dependency is the sender's injection time:
         // it is the span's "slowest entry", so the critical path hops there.
         span.finish(ctx, send_vt, cost, 0.0, (0, cost), false);

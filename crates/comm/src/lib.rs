@@ -11,9 +11,9 @@
 //!   over the [`Topology`]'s NVLink/InfiniBand links. Results are therefore
 //!   deterministic and independent of host load — a single-core laptop
 //!   reproduces the same Table 1/Table 2 numbers as a large workstation.
-//! * [`CommStats`] captures exact per-collective call counts and wire bytes,
-//!   which the analysis binaries compare against the paper's closed-form
-//!   communication claims.
+//! * Each rank's [`CommStats`] ledger captures exact per-collective call
+//!   counts and wire bytes; their rank-order fold is what the analysis
+//!   binaries compare against the paper's closed-form communication claims.
 
 pub mod cluster;
 pub mod cost;
@@ -31,5 +31,5 @@ pub use ctx::{RankCtx, RankReport};
 pub use group::{CommGroup, Payload, PendingCollective};
 pub use mesh::{Mesh, MeshAxis};
 pub use runconfig::RunConfig;
-pub use stats::{CommStats, OpStats, StatsCollector};
+pub use stats::{CommStats, OpStats};
 pub use topology::{GroupPlacement, Link, Topology};

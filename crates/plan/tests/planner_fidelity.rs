@@ -4,8 +4,10 @@
 //! re-execution of the same candidate on the same topology, traced or not
 //! (the simulator's virtual clocks are deterministic and trace-invariant).
 
-use tesseract_core::TransformerConfig;
-use tesseract_plan::{dry_run, plan, EntryStatus, PlanRequest};
+use tesseract_comm::RunConfig;
+use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_hybrid::HybridShape;
+use tesseract_plan::{dry_run, dryrun, plan, Candidate, EntryStatus, PlanRequest};
 
 fn small_cfg() -> TransformerConfig {
     TransformerConfig {
@@ -50,6 +52,28 @@ fn winner_replays_bitwise_under_tracing() {
     let w = p.winner().expect("a winner exists at 8 GPUs");
     let traced = dry_run(&req.topology, &req.params, &w.candidate, &req.cfg, true);
     assert_eq!(w.dryrun.unwrap(), traced, "tracing perturbed the winner's clocks");
+}
+
+#[test]
+fn traced_dryruns_reconcile_with_their_accounting_exactly() {
+    // Tesseract, Megatron, and two hybrids: one whose stages talk through
+    // send/recv and sync gradients across dp, one on a [2,2,1] grid.
+    let hybrid = |dp, pp, q, d| Candidate::Hybrid {
+        shape: HybridShape::new(dp, pp, GridShape::new(q, d)),
+        microbatches: 2,
+    };
+    let candidates = [
+        Candidate::Tesseract { grid: GridShape::new(2, 2) },
+        Candidate::Megatron { p: 4 },
+        hybrid(2, 2, 1, 1),
+        hybrid(1, 2, 2, 1),
+    ];
+    let run_cfg = RunConfig::from_env(0).with_trace(true);
+    for cand in candidates {
+        let out = dryrun::step(&run_cfg, &cand, &small_cfg());
+        assert!(out.traces.iter().all(|t| !t.is_empty()), "{} ran untraced", cand.label());
+        assert_eq!(out.reconcile_trace(), Ok(()), "{}", cand.label());
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::Cluster;
+use tesseract_comm::{Cluster, CollectiveOp, RunConfig};
 use tesseract_core::{
     GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
@@ -282,6 +282,30 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
     let expected_decode_tokens: usize = traffic.iter().map(|r| r.output_len - 1).sum();
     let decoded: usize = out.results[0].results.iter().map(|r| r.output_len - 1).sum();
     assert_eq!(decoded, expected_decode_tokens);
+}
+
+#[test]
+fn traced_serving_reconciles_with_its_accounting_exactly() {
+    // A trickle of requests on [2,2,2]: ranks idle until arrivals, lanes
+    // with nothing runnable step zero-row batches, and each step begins
+    // with a barrier.
+    let shape = GridShape::new(2, 2);
+    let traffic = tesseract_serve::generate(&TrafficConfig {
+        rate: 200.0,
+        requests: 5,
+        prompt_lens: (2, 6),
+        output_lens: (1, 4),
+        seed: 21,
+    });
+    let cluster = RunConfig::new(shape.size()).with_trace(true).cluster();
+    let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), &traffic);
+    let steps = out.results[0].steps_total;
+    for r in &out.reports {
+        assert!(r.idle_time > 0.0, "rank {} never idled", r.rank);
+        assert!(r.prefill_steps + r.decode_steps < steps, "rank {} ran no empty step", r.rank);
+    }
+    assert!(out.comm.get(CollectiveOp::Barrier).calls > 0);
+    assert_eq!(out.reconcile_trace(), Ok(()));
 }
 
 #[test]

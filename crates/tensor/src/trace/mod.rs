@@ -11,10 +11,10 @@
 //! byte.
 //!
 //! Events are recorded at the *same program points, with the same values*,
-//! as the [`crate::Meter`] / comm-stats counters they mirror, so per-op
-//! totals reconcile exactly (integer counters bitwise, f64 totals in the
-//! same accumulation order). That reconciliation is enforced by tests and
-//! by the `trace_dump` bench bin.
+//! as the [`crate::Meter`] / per-rank comm-ledger counters they mirror, so
+//! each rank's totals reconcile exactly (integer counters and f64 totals
+//! alike, in the same accumulation order). `RunOutput::reconcile_trace`
+//! in tesseract-comm is that check.
 //!
 //! Tracing is a per-cluster toggle (`RunConfig::with_trace(true)`). The
 //! `TESSERACT_TRACE=1` environment variable sets that toggle only for
@@ -57,18 +57,18 @@ pub enum TraceKind {
         /// Wait hidden under compute — the exact
         /// `Meter::overlap_hidden_nanos` delta (zero on blocking calls).
         hidden_nanos: u64,
-        /// The hidden seconds as handed to the stats collector (f64, for
+        /// The hidden seconds booked in this rank's comm ledger (f64, for
         /// reconciling `OpStats::hidden_time`).
         hidden_time: f64,
-        /// Wire bytes this event recorded into the stats (zero unless
+        /// Wire bytes this event booked in the rank's ledger (zero unless
         /// `recorded`).
         wire_bytes: u64,
-        /// Seconds this event recorded into `OpStats::time`.
+        /// Seconds this event booked in the ledger's `OpStats::time`.
         stats_time: f64,
-        /// True iff this rank recorded the op's call into the global stats
-        /// (one designated member per logical collective; the sender of a
-        /// point-to-point pair), so `count(recorded) == OpStats::calls`
-        /// cluster-wide.
+        /// True iff this rank booked the op's call in its ledger (one
+        /// designated member per logical collective; the sender of a
+        /// point-to-point pair), so a rank's `count(recorded)` is its
+        /// `OpStats::calls`.
         recorded: bool,
     },
     /// A semantic scope: a layer forward/backward, a pipeline stage, a

@@ -35,7 +35,7 @@ fn main() {
     for q in 1..=8usize {
         for d in 1..=8usize {
             let p = q * q * d;
-            if p > budget || cfg.batch % (q * d) != 0 || cfg.heads % q != 0 || cfg.hidden % q != 0 {
+            if p > budget || cfg.check_for_grid(q, d).is_err() {
                 continue;
             }
             let shape = GridShape::new(q, d);

@@ -49,13 +49,14 @@ fi
 # provided method of `TensorLike`; a backend is storage. A charge or a shape
 # assert inside an `impl TensorLike for` block is a second copy of the price
 # list, and so is a `Meter::record` call anywhere but tensor.rs (meter.rs
-# defines it; the only other `.record(` is the comm `StatsCollector`'s).
+# defines it; the only other `.record(` is a rank's comm ledger's,
+# `CommStats::record`).
 echo "== price-list gate (TensorLike impls are storage; Meter charged from tensor.rs only) =="
 forked=$(awk '/^impl TensorLike for /{inside=1} /^}/{inside=0}
     inside && (/record/ || /(^|[^_])assert/) {print FILENAME ":" FNR ": " $0}' \
     crates/tensor/src/tensor.rs)
 stray=$(grep -rnE '\.record(_gemm)?\(' crates src tests examples --include='*.rs' \
-    | grep -vE '^crates/tensor/src/(tensor|meter)\.rs:|^crates/comm/src/stats\.rs:|stats\(\)\.record\(' \
+    | grep -vE '^crates/tensor/src/(tensor|meter)\.rs:|^crates/comm/src/stats\.rs:|comm\.record\(' \
     || true)
 if [ -n "$forked$stray" ]; then
     echo "ci.sh: a Meter charge or shape assert outside TensorLike's provided methods:"
@@ -208,8 +209,10 @@ for k in scalar avx2 avx512; do
     fi
 done
 
-# trace_dump reconciles the event trace against Meter/CommStats internally
-# (panics on mismatch) and re-parses its own Chrome JSON before writing.
+# trace_dump reconciles the event trace exactly with each rank's report and
+# comm ledger (`RunOutput::reconcile_trace`, panics on mismatch) and
+# re-parses its own Chrome JSON before writing; serve_sweep makes the same
+# check on its traced flood before writing TRACE_serving.json.
 echo "== trace_dump smoke (tiny grid) =="
 cargo run -q --release --offline -p tesseract-bench --bin trace_dump -- \
     --grid 2,2 --n 64 --out target/TRACE.smoke.json
