@@ -88,12 +88,38 @@ struct Point {
     kv_peak_bytes: u64,
 }
 
+/// Where a saturated step's virtual time goes: the calibration flood's
+/// busiest rank (most compute time), per engine step.
+struct FloodCost {
+    steps: u64,
+    kernels_per_step: f64,
+    compute_s_per_step: f64,
+    comm_s_per_step: f64,
+}
+
+impl FloodCost {
+    fn of(flood: &RunOutput<ServeSummary>) -> Self {
+        let busiest = (flood.reports.iter())
+            .reduce(|a, b| if b.compute_time > a.compute_time { b } else { a })
+            .expect("a run has ranks");
+        let steps = flood.results[busiest.rank].steps_total;
+        let per_step = |x: f64| x / steps as f64;
+        FloodCost {
+            steps,
+            kernels_per_step: per_step(busiest.kernels as f64),
+            compute_s_per_step: per_step(busiest.compute_time),
+            comm_s_per_step: per_step(busiest.comm_time),
+        }
+    }
+}
+
 struct ArrangementCurve {
     shape: GridShape,
     capacity_rps: f64,
     /// Weight bytes a rank holds for weight-stationary serving, max over
     /// ranks (from the calibration flood).
     weight_bytes: u64,
+    flood: FloodCost,
     points: Vec<Point>,
 }
 
@@ -130,6 +156,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
+    let flood = FloodCost::of(&flood);
 
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
@@ -167,7 +194,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
         q = shape.q,
         d = shape.d,
     );
-    ArrangementCurve { shape, capacity_rps, weight_bytes, points }
+    ArrangementCurve { shape, capacity_rps, weight_bytes, flood, points }
 }
 
 /// Runs a `requests`-request calibration flood of the first arrangement
@@ -269,6 +296,14 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
             curve.capacity_rps,
             curve.weight_bytes
         );
+        let f = &curve.flood;
+        println!(
+            "flood, busiest rank: {} steps, {:.1} launches, {:.1} us compute, {:.1} us comm per step",
+            f.steps,
+            f.kernels_per_step,
+            f.compute_s_per_step * 1e6,
+            f.comm_s_per_step * 1e6
+        );
         println!(
             "| load | offered (req/s) | achieved (req/s) | tokens/s | p50 (s) | p99 (s) | ttft p50 (s) |"
         );
@@ -315,11 +350,17 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
                 "makespan_s": s9(p.makespan_s), "kv_peak_bytes": p.kv_peak_bytes
             })
         });
+        let f = &curve.flood;
         json!({
             "grid": format!("[{q},{q},{d}]"),
             "world": curve.shape.size(),
             "capacity_rps": Value::fixed(curve.capacity_rps, 9),
             "weight_bytes": curve.weight_bytes,
+            "flood": {
+                "steps": f.steps, "kernels_per_step": Value::fixed(f.kernels_per_step, 3),
+                "compute_s_per_step": Value::fixed(f.compute_s_per_step, 9),
+                "comm_s_per_step": Value::fixed(f.comm_s_per_step, 9)
+            },
             "points": Value::Arr(points.collect())
         })
     });
@@ -327,7 +368,8 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         "bench": "serve_sweep",
         "units": {
             "time": "simulated seconds", "rates": "per simulated second",
-            "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks"
+            "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks",
+            "flood": "calibration flood, busiest rank (most compute), per engine step"
         },
         "model": {
             "hidden": m.hidden, "heads": m.heads, "layers": m.layers, "mlp_ratio": m.mlp_ratio

@@ -38,36 +38,28 @@ use crate::layers::transformer::TesseractTransformer;
 /// Bytes per cached element (the stack is f32 end to end).
 const ELEM_BYTES: u64 = 4;
 
-/// One locally-owned head's K/V blocks for one layer of one request:
-/// `[seq_len, head_dim]` each, grown by row-append every step.
-pub struct HeadKv<T> {
+/// One attention layer's KV cache for one request on this rank: K and V
+/// of its `n/q` locally-owned heads, `[seq_len, h/q]` each — the column
+/// layout of the fused QKV slice — grown by row-append every step.
+pub struct LayerKv<T> {
     pub k: T,
     pub v: T,
 }
 
-/// One attention layer's KV cache for one request: one [`HeadKv`] per
-/// locally-owned head (`n/q` of them on every rank of the request's lane).
-pub struct LayerKv<T> {
-    pub heads: Vec<HeadKv<T>>,
-}
-
 impl<T: TensorLike> LayerKv<T> {
-    /// An empty cache for `local_heads` heads of width `head_dim`.
-    pub fn empty(local_heads: usize, head_dim: usize) -> Self {
-        let heads = (0..local_heads)
-            .map(|_| HeadKv { k: T::zeros(0, head_dim), v: T::zeros(0, head_dim) })
-            .collect();
-        Self { heads }
+    /// An empty cache `width` (`h/q`) columns wide.
+    pub fn empty(width: usize) -> Self {
+        Self { k: T::zeros(0, width), v: T::zeros(0, width) }
     }
 
-    /// Cached sequence length (identical across heads by construction).
+    /// Cached sequence length.
     pub fn seq_len(&self) -> usize {
-        self.heads.first().map_or(0, |h| h.k.rows())
+        self.k.rows()
     }
 
     /// Resident bytes of this layer's cache on this rank.
     pub fn bytes(&self) -> u64 {
-        self.heads.iter().map(|h| (h.k.elem_count() + h.v.elem_count()) as u64 * ELEM_BYTES).sum()
+        (self.k.elem_count() + self.v.elem_count()) as u64 * ELEM_BYTES
     }
 }
 
@@ -78,9 +70,9 @@ pub struct RequestKv<T> {
 }
 
 impl<T: TensorLike> RequestKv<T> {
-    /// An empty cache for a `layers`-deep stack.
-    pub fn empty(layers: usize, local_heads: usize, head_dim: usize) -> Self {
-        Self { layers: (0..layers).map(|_| LayerKv::empty(local_heads, head_dim)).collect() }
+    /// An empty cache for a `layers`-deep stack, `width` (`h/q`) columns wide.
+    pub fn empty(layers: usize, width: usize) -> Self {
+        Self { layers: (0..layers).map(|_| LayerKv::empty(width)).collect() }
     }
 
     /// Tokens cached so far (prompt + generated).
@@ -128,23 +120,21 @@ mod tests {
 
     #[test]
     fn empty_kv_reports_zero_everything() {
-        let kv: RequestKv<DenseTensor> = RequestKv::empty(3, 2, 8);
+        let kv: RequestKv<DenseTensor> = RequestKv::empty(3, 16);
         assert_eq!(kv.layers.len(), 3);
         assert_eq!(kv.seq_len(), 0);
         assert_eq!(kv.bytes(), 0);
     }
 
     #[test]
-    fn kv_bytes_count_k_and_v_across_heads_and_layers() {
-        let mut kv: RequestKv<DenseTensor> = RequestKv::empty(2, 2, 4);
+    fn kv_bytes_count_k_and_v_across_layers() {
+        let mut kv: RequestKv<DenseTensor> = RequestKv::empty(2, 8);
         for layer in &mut kv.layers {
-            for h in &mut layer.heads {
-                h.k = DenseTensor::zeros(5, 4);
-                h.v = DenseTensor::zeros(5, 4);
-            }
+            layer.k = DenseTensor::zeros(5, 8);
+            layer.v = DenseTensor::zeros(5, 8);
         }
         assert_eq!(kv.seq_len(), 5);
-        // 2 layers × 2 heads × 2 (K and V) × 5×4 elems × 4 bytes.
-        assert_eq!(kv.bytes(), 2 * 2 * 2 * 5 * 4 * 4);
+        // 2 layers × 2 (K and V) × 5×8 elems × 4 bytes.
+        assert_eq!(kv.bytes(), 2 * 2 * 5 * 8 * 4);
     }
 }

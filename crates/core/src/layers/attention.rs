@@ -67,13 +67,13 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     ///
     /// `x` is the row-concatenation of each request's *new* tokens
     /// (`new_rows[r]` rows for request `r`: the whole prompt during
-    /// prefill, one row per decode step). For each request and each
-    /// locally-owned head, the new K/V rows are appended to that request's
-    /// [`LayerKv`] and attention runs over the full cached prefix with a
-    /// causal mask (`softmax_rows_masked_inplace`): new token `t` attends
-    /// `cached + t + 1` positions. A decode step is therefore O(L) per
-    /// token instead of the O(L²) full-prefix recompute — and, because
-    /// every op involved is per-row deterministic (serial-GEMM dot
+    /// prefill, one row per decode step). Each request's new K/V rows are
+    /// appended to its [`LayerKv`], then one
+    /// [`TensorLike::ragged_causal_attention`] launch attends every segment
+    /// and every locally-owned head over its full cached prefix: new token
+    /// `t` attends `cached + t + 1` positions. A decode step is therefore
+    /// O(L) per token instead of the O(L²) full-prefix recompute — and,
+    /// because every op involved is per-row deterministic (serial-GEMM dot
     /// products, masked row softmax), bitwise identical to it.
     ///
     /// SPMD contract: ranks sharing an `(i, k)` lane see the same
@@ -88,64 +88,31 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         new_rows: &[usize],
         mut kvs: Vec<&mut LayerKv<T>>,
     ) -> Arc<T> {
-        let hd = self.cfg.head_dim();
-        let heads = self.cfg.heads / grid.shape.q;
         let local_h = x.cols();
         assert_eq!(local_h * grid.shape.q, self.cfg.hidden, "attention input width mismatch");
         assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
-        let total: usize = new_rows.iter().sum();
-        assert_eq!(x.rows(), total, "attention input rows mismatch");
 
         let qkv = self.wqkv.forward_infer(grid, ctx, x);
-        let q_all = qkv.slice_cols(0, local_h, &mut ctx.meter);
-        let k_all = qkv.slice_cols(local_h, 2 * local_h, &mut ctx.meter);
-        let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, &mut ctx.meter);
+        let m = &mut ctx.meter;
+        let q_all = qkv.slice_cols(0, local_h, m);
+        let k_all = qkv.slice_cols(local_h, 2 * local_h, m);
+        let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, m);
 
-        let scale = 1.0 / (hd as f32).sqrt();
-        let mut seg_outs = Vec::with_capacity(kvs.len());
+        // Append each segment's new K/V rows to its cache (metered as data
+        // movement, like every concat).
         let mut r0 = 0;
-        for (ri, kv) in kvs.iter_mut().enumerate() {
-            let t_new = new_rows[ri];
-            assert!(t_new >= 1, "request segment must carry at least one new token");
-            assert_eq!(kv.heads.len(), heads, "KV cache head count mismatch");
-            let r1 = r0 + t_new;
-            let qs = q_all.slice_rows(r0, r1, &mut ctx.meter);
-            let ks = k_all.slice_rows(r0, r1, &mut ctx.meter);
-            let vs = v_all.slice_rows(r0, r1, &mut ctx.meter);
-            let cached = kv.seq_len();
-            let limits: Vec<usize> = (0..t_new).map(|t| cached + t + 1).collect();
-            let mut head_outs = Vec::with_capacity(heads);
-            for hi in 0..heads {
-                let (c0, c1) = (hi * hd, (hi + 1) * hd);
-                let qh = qs.slice_cols(c0, c1, &mut ctx.meter);
-                let kh = ks.slice_cols(c0, c1, &mut ctx.meter);
-                let vh = vs.slice_cols(c0, c1, &mut ctx.meter);
-                let slot = &mut kv.heads[hi];
-                // Append the new K/V rows to the cache (metered as data
-                // movement, like every concat), then attend over the full
-                // prefix.
-                let k_prev = std::mem::replace(&mut slot.k, T::zeros(0, hd));
-                let v_prev = std::mem::replace(&mut slot.v, T::zeros(0, hd));
-                let k_full = T::concat_rows(&[k_prev, kh], &mut ctx.meter);
-                let v_full = T::concat_rows(&[v_prev, vh], &mut ctx.meter);
-                let mut scores = qh.matmul_nt(&k_full, &mut ctx.meter).scale(scale, &mut ctx.meter);
-                scores.softmax_rows_masked_inplace(&limits, &mut ctx.meter);
-                let out = scores.matmul(&v_full, &mut ctx.meter);
-                slot.k = k_full;
-                slot.v = v_full;
-                head_outs.push(out);
+        for (kv, &t_new) in kvs.iter_mut().zip(new_rows) {
+            for (cache, new) in [(&mut kv.k, &k_all), (&mut kv.v, &v_all)] {
+                let prev = std::mem::replace(cache, T::zeros(0, local_h));
+                *cache = T::concat_rows(&[prev, new.slice_rows(r0, r0 + t_new, m)], m);
             }
-            seg_outs.push(T::concat_cols(&head_outs, &mut ctx.meter));
-            r0 = r1;
+            r0 += t_new;
         }
-        let merged = if seg_outs.is_empty() {
-            // Empty lane this step: still a [0, h/q] block so the output
-            // projection's collectives run in lockstep with busy lanes.
-            Arc::new(T::zeros(0, local_h))
-        } else {
-            Arc::new(T::concat_rows(&seg_outs, &mut ctx.meter))
-        };
-        self.wo.forward_infer(grid, ctx, &merged)
+        // An empty lane attends zero segments into a [0, h/q] block, so the
+        // output projection's collectives run in lockstep with busy lanes.
+        let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
+        let attended = q_all.ragged_causal_attention(&caches, new_rows, self.cfg.head_dim(), m);
+        self.wo.forward_infer(grid, ctx, &Arc::new(attended))
     }
 }
 

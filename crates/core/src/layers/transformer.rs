@@ -298,7 +298,7 @@ impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Transformer<T, G> {
 impl<T: TensorLike + Payload> TesseractTransformer<T> {
     /// An empty KV cache shaped for this stack on `grid`.
     pub fn new_kv(&self, grid: &TesseractGrid) -> RequestKv<T> {
-        RequestKv::empty(self.cfg.layers, self.cfg.heads / grid.shape.q, self.cfg.head_dim())
+        RequestKv::empty(self.cfg.layers, self.cfg.hidden / grid.shape.q)
     }
 
     /// One inference step over the batch: `x` is `[batch.total_rows(),

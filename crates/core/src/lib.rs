@@ -37,7 +37,7 @@ pub mod partition;
 
 pub use config::{ShapeError, TransformerConfig};
 pub use grid::{GridShape, TesseractGrid};
-pub use infer::{HeadKv, InferBatch, InferModel, LayerKv, RequestKv};
+pub use infer::{InferBatch, InferModel, LayerKv, RequestKv};
 pub use layers::{
     TesseractAttention, TesseractLayerNorm, TesseractLinear, TesseractMlp, TesseractTransformer,
     TesseractTransformerLayer,

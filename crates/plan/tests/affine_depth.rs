@@ -1,0 +1,82 @@
+//! The virtual clock is affine in depth: a training step's simulated
+//! makespan is `m(L) = a + b·L` for every arrangement, with `a = 0` when
+//! there is no pipeline. The paper's §3.1 costs are per layer, so a
+//! makespan that bends with depth means state leaking between layers, a
+//! cache that fills once on the training path, or clock skew that grows
+//! with depth.
+//!
+//! Serving is not covered: its weight-stationary linears fetch their
+//! weight column once per run, on the first step, by design.
+
+use proptest::prelude::*;
+use tesseract_comm::{CostParams, Topology};
+use tesseract_core::TransformerConfig;
+use tesseract_plan::{dry_run, enumerate, Candidate, CandidateMenu};
+
+/// Relative distance from collinearity the f64 clock may show.
+const REL_TOL: f64 = 1e-12;
+
+fn pipeline_stages(cand: &Candidate) -> usize {
+    match cand {
+        Candidate::Hybrid { shape, .. } => shape.pp,
+        _ => 1,
+    }
+}
+
+/// Makespans at `pp`, `2·pp` and `3·pp` layers.
+fn makespans(cand: &Candidate, cfg: &TransformerConfig) -> [f64; 3] {
+    let pp = pipeline_stages(cand);
+    let (topo, params) = (Topology::meluxina(), CostParams::a100_cluster());
+    [1, 2, 3].map(|k| {
+        let cfg = TransformerConfig { layers: k * pp, ..*cfg };
+        dry_run(&topo, &params, cand, &cfg, false).makespan_s
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn makespan_is_affine_in_depth(
+        gpus_log in 2usize..5,
+        (heads_log, head_dim_log, seq_log) in (2usize..4, 3usize..5, 2usize..5),
+        batch_mul in 1usize..3,
+        mb_log in 0usize..3,
+        picks in (0usize..1000, 0usize..1000),
+    ) {
+        let heads = 1 << heads_log;
+        let cfg = TransformerConfig {
+            batch: 16 * batch_mul,
+            seq: 1 << seq_log,
+            hidden: heads << head_dim_log,
+            heads,
+            mlp_ratio: 4,
+            layers: 1,
+            eps: 1e-5,
+        };
+        let gpus = 1 << gpus_log;
+        let feasible: Vec<Candidate> = enumerate(gpus, CandidateMenu::all(), 1 << mb_log)
+            .into_iter()
+            .filter(|c| {
+                let layers = pipeline_stages(c);
+                c.check(&TransformerConfig { layers, ..cfg }, gpus).is_ok()
+            })
+            .collect();
+        prop_assert!(!feasible.is_empty(), "{cfg:?} on {gpus} GPUs: nothing feasible");
+        let mut chosen = vec![feasible[picks.0 % feasible.len()], feasible[picks.1 % feasible.len()]];
+        chosen.dedup();
+        for cand in &chosen {
+            let [m1, m2, m3] = makespans(cand, &cfg);
+            let label = cand.label();
+            prop_assert!(m1 > 0.0 && m2 > m1 && m3 > m2, "{label}: makespan grows with depth");
+            let bend = (m3 - 2.0 * m2 + m1).abs() / m3;
+            prop_assert!(bend <= REL_TOL, "{label}: {m1} {m2} {m3} bend {bend:e}");
+            if pipeline_stages(cand) == 1 {
+                for (k, m) in [(2.0, m2), (3.0, m3)] {
+                    let off = (m - k * m1).abs() / m;
+                    prop_assert!(off <= REL_TOL, "{label}: m({k}) = {m} vs {k}·m(1) = {}", k * m1);
+                }
+            }
+        }
+    }
+}

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, CollectiveOp, RunConfig};
+use tesseract_comm::{Cluster, CollectiveOp, RankCtx, RunConfig};
 use tesseract_core::{
     GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
@@ -117,6 +117,45 @@ fn cached_decode_matches_recompute_bitwise_on_2x2x2() {
 #[test]
 fn single_token_prompt_decodes_consistently() {
     cached_vs_recompute(GridShape::new(2, 1), 1, 5, 17);
+}
+
+/// Kernel launches of one decode step over `segments` requests, each
+/// prefilled first with a prompt of its own length.
+fn decode_step_launches(
+    ctx: &mut RankCtx,
+    grid: &TesseractGrid,
+    model: &TesseractTransformer<DenseTensor>,
+    segments: usize,
+) -> u64 {
+    let hidden = test_model().hidden;
+    let new_rows: Vec<usize> = (0..segments).map(|s| 2 + s % 3).collect();
+    let prompt = prompt_block(grid, hidden, new_rows.iter().sum(), 5, segments as u64);
+    let kvs = (0..segments).map(|_| model.new_kv(grid)).collect();
+    let mut batch = InferBatch { new_rows, kvs };
+    model.forward_infer(grid, ctx, &Arc::new(prompt), &mut batch);
+    batch.new_rows = vec![1; segments];
+    let x = prompt_block(grid, hidden, segments, 6, segments as u64);
+    let before = ctx.report().kernels;
+    model.forward_infer(grid, ctx, &Arc::new(x), &mut batch);
+    ctx.report().kernels - before
+}
+
+#[test]
+fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
+    // Attention is one fused launch per layer, so a step's launch count
+    // does not grow with its segments; an unfused per-(segment, head)
+    // chain would add 4 launches per segment and head.
+    let shape = GridShape::new(2, 2);
+    let cfg = test_model();
+    let out = Cluster::a100(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
+        (decode_step_launches(ctx, &grid, &model, 1), decode_step_launches(ctx, &grid, &model, 8))
+    });
+    for (rank, &(one, eight)) in out.results.iter().enumerate() {
+        assert!(one > 0, "rank {rank}: a decode step launches kernels");
+        assert_eq!(one, eight, "rank {rank}: launches per step grew with the segment count");
+    }
 }
 
 #[test]

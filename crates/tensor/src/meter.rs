@@ -1,10 +1,15 @@
 //! Execution metering.
 //!
 //! Every tensor op — dense or shadow — charges a [`Meter`] with the flops it
-//! performs, the bytes it allocates for its output, and one "kernel launch".
-//! The cluster runtime converts these into simulated time
-//! (`flops / device_rate + kernels * launch_overhead`), which is what the
-//! Table 1 / Table 2 reproductions report instead of host wall-clock.
+//! performs and the bytes it allocates for its output. A [`Meter::record`]
+//! with flops is one kernel launch; a zero-flop op (slice, concatenation)
+//! is data movement and launches none. The fused optimizer ops replay their
+//! op chain's records, so the clock cannot tell them apart; the serving
+//! path's `TensorLike::ragged_causal_attention` is one launch for every
+//! segment and head of a layer. The cluster runtime converts these into
+//! simulated time (`flops / device_rate + kernels * launch_overhead`),
+//! which is what the Table 1 / Table 2 reproductions report instead of
+//! host wall-clock.
 
 use crate::matmul::{KernelPath, MicroKernel};
 

@@ -374,6 +374,65 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
             nn::softmax_rows_masked_inplace(x, limits);
         }
     }
+    /// Fused ragged causal attention, one launch for every segment and head.
+    ///
+    /// `self` is `Q`, `[T, w]`: the new rows of every segment stacked, `w`
+    /// a whole number of `head_dim`-wide heads. Segment `s` owns the next
+    /// `new_rows[s]` rows and attends over its full cache `kv[s] = (K, V)`,
+    /// each `[L, w]` with the new rows last, so new row `t` sees
+    /// `L − new_rows[s] + t + 1` positions. Per segment and head the kernel
+    /// is the op chain `matmul_nt → scale(1/√head_dim) →
+    /// softmax_rows_masked_inplace → matmul` on the same shapes (so the
+    /// same `matmul::planned_path` and the same bits); the charge is that
+    /// chain's exact flops with one launch, and the `[T, w]` output.
+    fn ragged_causal_attention(
+        &self,
+        kv: &[(&Self, &Self)],
+        new_rows: &[usize],
+        head_dim: usize,
+        m: &mut Meter,
+    ) -> Self {
+        let (rows, w) = self.shape();
+        assert_eq!(kv.len(), new_rows.len(), "attention: one KV cache per segment");
+        assert_eq!(new_rows.iter().sum::<usize>(), rows, "attention: segment rows vs {rows}");
+        assert!(head_dim > 0 && w % head_dim == 0, "attention: width {w} vs head {head_dim}");
+        let heads = (w / head_dim) as f64;
+        let mut flops = 0.0;
+        for (&(k, v), &t) in kv.iter().zip(new_rows) {
+            let len = k.rows();
+            assert_eq!(k.shape(), v.shape(), "attention: K and V caches differ");
+            assert_eq!(k.cols(), w, "attention: cache width vs query width");
+            assert!(t >= 1 && t <= len, "attention: {t} new rows in a {len}-row cache");
+            // Σ_t (len − t_new + t + 1) unmasked positions.
+            let active = t * (len - t) + t * (t + 1) / 2;
+            flops += heads
+                * (matmul::matmul_flops(t, head_dim, len)
+                    + (t * len) as f64
+                    + SOFTMAX_FLOPS_PER_ELEM * active as f64
+                    + matmul::matmul_flops(t, len, head_dim));
+        }
+        m.record(flops, rows * w * ELEM_BYTES);
+        Self::build(rows, w, || {
+            let q = vals(self);
+            let scale = 1.0 / (head_dim as f32).sqrt();
+            let mut out = Matrix::zeros(rows, w);
+            let mut r0 = 0;
+            for (&(k, v), &t) in kv.iter().zip(new_rows) {
+                let (k, v) = (vals(k), vals(v));
+                let len = k.rows();
+                let limits: Vec<usize> = (len - t + 1..=len).collect();
+                for c0 in (0..w).step_by(head_dim) {
+                    let qh = q.block(r0, c0, t, head_dim);
+                    let mut scores = matmul::matmul_nt(&qh, &k.block(0, c0, len, head_dim));
+                    scores.scale_assign(scale);
+                    nn::softmax_rows_masked_inplace(&mut scores, &limits);
+                    out.set_block(r0, c0, &matmul::matmul(&scores, &v.block(0, c0, len, head_dim)));
+                }
+                r0 += t;
+            }
+            out
+        })
+    }
     /// Softmax backward: `self` is the forward *output* `Y`.
     fn softmax_rows_backward(&self, dy: &Self, m: &mut Meter) -> Self {
         zip_op(
@@ -583,6 +642,76 @@ mod tests {
         }
         assert_eq!(fused, chain);
         assert_eq!(fused, shadow);
+    }
+
+    /// The per-(segment, head) chain `ragged_causal_attention` replaced,
+    /// kept as its spec.
+    fn attention_chain<T: TensorLike>(
+        q: &T,
+        kv: &[(&T, &T)],
+        new_rows: &[usize],
+        hd: usize,
+        m: &mut Meter,
+    ) -> T {
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut segs = Vec::new();
+        let mut r0 = 0;
+        for (&(k, v), &t) in kv.iter().zip(new_rows) {
+            let qs = q.slice_rows(r0, r0 + t, m);
+            let limits: Vec<usize> = (k.rows() - t + 1..=k.rows()).collect();
+            let mut heads = Vec::new();
+            for c0 in (0..q.cols()).step_by(hd) {
+                let qh = qs.slice_cols(c0, c0 + hd, m);
+                let (kh, vh) = (k.slice_cols(c0, c0 + hd, m), v.slice_cols(c0, c0 + hd, m));
+                let mut scores = qh.matmul_nt(&kh, m).scale(scale, m);
+                scores.softmax_rows_masked_inplace(&limits, m);
+                heads.push(scores.matmul(&vh, m));
+            }
+            segs.push(T::concat_cols(&heads, m));
+            r0 += t;
+        }
+        if segs.is_empty() {
+            T::zeros(0, q.cols())
+        } else {
+            T::concat_rows(&segs, m)
+        }
+    }
+
+    #[test]
+    fn fused_attention_equals_its_op_chain_bitwise() {
+        // (head width, heads, [(new rows, cached rows)]): a prefill beside
+        // decodes over different cached prefixes; the wide case puts the
+        // prefill's GEMMs on the blocked path; then an empty lane.
+        let cases: [(usize, usize, &[(usize, usize)]); 3] =
+            [(4, 3, &[(1, 6), (5, 0), (1, 2), (3, 4)]), (64, 2, &[(64, 16), (1, 40)]), (4, 2, &[])];
+        for (ci, &(hd, heads, segs)) in cases.iter().enumerate() {
+            let w = hd * heads;
+            let new_rows: Vec<usize> = segs.iter().map(|s| s.0).collect();
+            let rows = new_rows.iter().sum();
+            let q = dense(rows, w, 40 + ci as u64);
+            let caches: Vec<(DenseTensor, DenseTensor)> = (segs.iter().enumerate())
+                .map(|(i, &(t, c))| {
+                    (dense(t + c, w, 50 + i as u64), dense(t + c, w, 60 + i as u64))
+                })
+                .collect();
+            let kv: Vec<(&DenseTensor, &DenseTensor)> =
+                caches.iter().map(|(k, v)| (k, v)).collect();
+            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
+            let got = q.ragged_causal_attention(&kv, &new_rows, hd, &mut fused);
+            let want = attention_chain(&q, &kv, &new_rows, hd, &mut chain);
+            assert_eq!(got.shape(), (rows, w), "case {ci}");
+            assert_eq!(bits(&got), bits(&want), "case {ci}");
+            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
+            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
+            assert_eq!(chain.kernels, 4 * (segs.len() * heads) as u64, "case {ci}");
+
+            let shapes: Vec<ShadowTensor> =
+                caches.iter().map(|(k, _)| ShadowTensor::new(k.rows(), w)).collect();
+            let skv: Vec<_> = shapes.iter().map(|s| (s, s)).collect();
+            let sq = ShadowTensor::new(rows, w);
+            let _ = sq.ragged_causal_attention(&skv, &new_rows, hd, &mut shadow);
+            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
+        }
     }
 
     #[test]
