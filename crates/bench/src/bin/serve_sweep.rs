@@ -95,6 +95,8 @@ struct FloodCost {
     kernels_per_step: f64,
     compute_s_per_step: f64,
     comm_s_per_step: f64,
+    /// Collectives the rank booked (`RankReport::comm`: those it led).
+    collectives_per_step: f64,
 }
 
 impl FloodCost {
@@ -109,6 +111,7 @@ impl FloodCost {
             kernels_per_step: per_step(busiest.kernels as f64),
             compute_s_per_step: per_step(busiest.compute_time),
             comm_s_per_step: per_step(busiest.comm_time),
+            collectives_per_step: per_step(busiest.comm.total_calls() as f64),
         }
     }
 }
@@ -298,11 +301,13 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         );
         let f = &curve.flood;
         println!(
-            "flood, busiest rank: {} steps, {:.1} launches, {:.1} us compute, {:.1} us comm per step",
+            "flood, busiest rank: {} steps, {:.1} launches, {:.1} us compute, {:.1} us comm, \
+             {:.1} collectives per step",
             f.steps,
             f.kernels_per_step,
             f.compute_s_per_step * 1e6,
-            f.comm_s_per_step * 1e6
+            f.comm_s_per_step * 1e6,
+            f.collectives_per_step
         );
         println!(
             "| load | offered (req/s) | achieved (req/s) | tokens/s | p50 (s) | p99 (s) | ttft p50 (s) |"
@@ -359,7 +364,8 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
             "flood": {
                 "steps": f.steps, "kernels_per_step": Value::fixed(f.kernels_per_step, 3),
                 "compute_s_per_step": Value::fixed(f.compute_s_per_step, 9),
-                "comm_s_per_step": Value::fixed(f.comm_s_per_step, 9)
+                "comm_s_per_step": Value::fixed(f.comm_s_per_step, 9),
+                "collectives_per_step": Value::fixed(f.collectives_per_step, 3)
             },
             "points": Value::Arr(points.collect())
         })
@@ -369,7 +375,8 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         "units": {
             "time": "simulated seconds", "rates": "per simulated second",
             "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks",
-            "flood": "calibration flood, busiest rank (most compute), per engine step"
+            "flood": "calibration flood, busiest rank (most compute), per engine step",
+            "collectives": "calls the rank booked, i.e. led (RankReport::comm)"
         },
         "model": {
             "hidden": m.hidden, "heads": m.heads, "layers": m.layers, "mlp_ratio": m.mlp_ratio

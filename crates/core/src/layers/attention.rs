@@ -19,6 +19,7 @@ use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
 use crate::layers::world::{Half, World};
+use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 struct HeadCache<T> {
@@ -65,10 +66,11 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     /// KV-cached **causal** inference forward over a batch of request
     /// segments (no tape, `&self`).
     ///
-    /// `x` is the row-concatenation of each request's *new* tokens
-    /// (`new_rows[r]` rows for request `r`: the whole prompt during
-    /// prefill, one row per decode step). Each request's new K/V rows are
-    /// appended to its [`LayerKv`], then one
+    /// `rows` is this rank's gathered row of normalized input panels
+    /// (`TesseractLayerNorm::forward_infer`); their rows stack each
+    /// request's *new* tokens (`new_rows[r]` rows for request `r`: the
+    /// whole prompt during prefill, one row per decode step). Each
+    /// request's new K/V rows are appended to its [`LayerKv`], then one
     /// [`TensorLike::ragged_causal_attention`] launch attends every segment
     /// and every locally-owned head over its full cached prefix: new token
     /// `t` attends `cached + t + 1` positions. A decode step is therefore
@@ -78,21 +80,22 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     ///
     /// SPMD contract: ranks sharing an `(i, k)` lane see the same
     /// segments; ranks on other lanes may pass different (even empty)
-    /// batches — the collective sequence (QKV matmul, output projection)
-    /// is independent of the segment list.
+    /// batches — the collective sequence (the projections' weight fetch on
+    /// the first call, the output projection's row all-gather) is
+    /// independent of the segment list.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
         ctx: &mut RankCtx,
-        x: &Arc<T>,
+        rows: &[Arc<T>],
         new_rows: &[usize],
         mut kvs: Vec<&mut LayerKv<T>>,
     ) -> Arc<T> {
-        let local_h = x.cols();
-        assert_eq!(local_h * grid.shape.q, self.cfg.hidden, "attention input width mismatch");
+        let local_h = self.cfg.hidden / grid.shape.q;
+        assert!(rows.iter().all(|p| p.cols() == local_h), "attention input width mismatch");
         assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
 
-        let qkv = self.wqkv.forward_infer(grid, ctx, x);
+        let qkv = self.wqkv.forward_infer(grid, ctx, rows);
         let m = &mut ctx.meter;
         let q_all = qkv.slice_cols(0, local_h, m);
         let k_all = qkv.slice_cols(local_h, 2 * local_h, m);
@@ -112,7 +115,8 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         // output projection's collectives run in lockstep with busy lanes.
         let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
         let attended = q_all.ragged_causal_attention(&caches, new_rows, self.cfg.head_dim(), m);
-        self.wo.forward_infer(grid, ctx, &Arc::new(attended))
+        let attended = row_panels(grid, ctx, &Arc::new(attended));
+        self.wo.forward_infer(grid, ctx, &attended)
     }
 }
 

@@ -5,6 +5,16 @@
 //! along the row** (one fused `[rows, 2]` all-reduce). The backward pass
 //! all-reduces `Σ X̂ᵢ(δJ/δX̂)ᵢ` and `Σ(δJ/δX̂)ᵢ` the same way and applies
 //! Eq. 14 with the taped `X̂` and `1/sqrt(Var+ε)`.
+//!
+//! Serving ([`TesseractLayerNorm::forward_infer`]) turns this around. The
+//! weight-stationary linear after every pre-norm all-gathers its input
+//! rows along the same row anyway, so the norm gathers the *un-normalized*
+//! rows instead and normalizes all `q` panels in one
+//! `TensorLike::layer_norm_panels` launch: no statistics all-reduce, and
+//! every panel bitwise the one `normalize` gives its owner (the fold runs
+//! in the all-reduce's member order). Training keeps the all-reduce: its
+//! SUMMA linear broadcasts one row panel per step instead of gathering the
+//! row, and Eq. 14's backward all-reduces along the row regardless.
 
 use std::sync::Arc;
 
@@ -12,6 +22,7 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
+use crate::mm::row_panels;
 use crate::module::{Module, Tape};
 
 /// Parameter-free distributed layer norm over the (globally split) hidden
@@ -54,10 +65,26 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
         (Arc::new(xhat), inv_std)
     }
 
-    /// Inference forward: `&self` and no tape push. [`Module::forward`] is
-    /// this plus the push.
-    pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        self.normalize(grid, ctx, x).0
+    /// Inference forward: `&self`, no tape push, and the normalized rows
+    /// *gathered*: one row all-gather of the local blocks `X_{i,0,k} …
+    /// X_{i,q-1,k}`, then every panel normalized on this rank. Panel `t` is
+    /// bitwise the `X̂` block [`Module::forward`] gives member `t` of the
+    /// row; the panels are the rows a weight-stationary
+    /// [`TesseractLinear::forward_infer`](crate::TesseractLinear::forward_infer)
+    /// multiplies.
+    pub fn forward_infer(
+        &self,
+        grid: &TesseractGrid,
+        ctx: &mut RankCtx,
+        x: &Arc<T>,
+    ) -> Vec<Arc<T>> {
+        assert_eq!(
+            x.cols() * grid.shape.q,
+            self.hidden_global,
+            "layernorm: local width times q must equal global hidden"
+        );
+        let rows = row_panels(grid, ctx, x);
+        T::layer_norm_panels(&rows, self.eps, &mut ctx.meter).into_iter().map(Arc::new).collect()
     }
 }
 

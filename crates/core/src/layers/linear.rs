@@ -12,10 +12,12 @@
 //!
 //! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary: the
 //! first call fetches this rank's column of weight panels and the bias
-//! once, and every later call is one row all-gather of the activations
-//! plus the same multiply-and-add as SUMMA (`mm::stationary_matmul`), so
-//! its output is bitwise [`Module::forward`]'s. [`Module::visit_params`],
-//! the only path that mutates a weight, drops the fetched copy.
+//! once, and every call multiplies gathered row panels (`mm::row_panels`,
+//! or a serving layer norm's output) by them in one
+//! `TensorLike::matmul_panels` launch — SUMMA's multiply-and-add on the
+//! same panels, so its output is bitwise [`Module::forward`]'s.
+//! [`Module::visit_params`], the only path that mutates a weight, drops
+//! the fetched copy.
 //!
 //! Fused projections (the attention `[h, 3h]` QKV weight) are built with
 //! [`TesseractLinear::new_fused`]: each sub-weight is an independently
@@ -29,9 +31,7 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::mm::{
-    column_panels, stationary_matmul, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn,
-};
+use crate::mm::{column_panels, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Tesseract column/row-blocked linear layer.
@@ -134,21 +134,27 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
 
     /// Forward for inference: `Y = X·W (+ bias)`, `&self` and **no tape
     /// push**, so serving never accumulates activations it will not
-    /// backpropagate. The first call fetches this rank's weight column and
-    /// the bias (the column broadcasts [`Module::forward`] issues every
-    /// call); every call after is one row all-gather. Bitwise equal to
-    /// [`Module::forward`]'s output. SPMD: every rank of the grid calls it
-    /// in lockstep, zero-row lanes included.
-    pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+    /// backpropagate. `rows` is this rank's row of `X` panels
+    /// `[X_{i,0,k} … X_{i,q-1,k}]` (`mm::row_panels`, or the output of
+    /// `TesseractLayerNorm::forward_infer`). The first call fetches this
+    /// rank's weight column and the bias (the column broadcasts
+    /// [`Module::forward`] issues every call); every call is then one
+    /// `TensorLike::matmul_panels` launch and no collective. Bitwise equal
+    /// to [`Module::forward`]'s output on the block `rows[j]`. SPMD: every
+    /// rank of the grid calls it in lockstep, zero-row lanes included.
+    pub fn forward_infer(
+        &self,
+        grid: &TesseractGrid,
+        ctx: &mut RankCtx,
+        rows: &[Arc<T>],
+    ) -> Arc<T> {
+        assert_eq!(rows.len(), grid.shape.q, "linear: one row panel per grid column");
         let st = self.stationary.get_or_init(|| Stationary {
             panels: column_panels(grid, ctx, &self.w),
             bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
         });
-        let mut y = stationary_matmul(grid, ctx, x, &st.panels);
-        if let Some(b) = &st.bias {
-            y = y.add_rowvec(b, &mut ctx.meter);
-        }
-        Arc::new(y)
+        let m = &mut ctx.meter.scope("gemm");
+        Arc::new(T::matmul_panels(rows, &st.panels, st.bias.as_deref(), m))
     }
 
     /// Bytes of the weight column and bias [`TesseractLinear::forward_infer`]

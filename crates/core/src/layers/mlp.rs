@@ -13,6 +13,7 @@ use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
 use crate::layers::world::{Half, World};
+use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
@@ -47,10 +48,18 @@ impl<T: TensorLike + Payload, G: World<T>> Mlp<T, G> {
 }
 
 impl<T: TensorLike + Payload> TesseractMlp<T> {
-    /// Inference forward: `fc2(gelu(fc1(x)))` with no tape pushes.
-    pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let pre = self.fc1.forward_infer(grid, ctx, x);
+    /// Inference forward: `fc2(gelu(fc1(x)))` with no tape pushes. `rows`
+    /// is this rank's gathered row of `x` panels (a serving layer norm's
+    /// output); `fc2` gathers its own through `mm::row_panels`.
+    pub fn forward_infer(
+        &self,
+        grid: &TesseractGrid,
+        ctx: &mut RankCtx,
+        rows: &[Arc<T>],
+    ) -> Arc<T> {
+        let pre = self.fc1.forward_infer(grid, ctx, rows);
         let act = Arc::new(pre.gelu(&mut ctx.meter));
+        let act = row_panels(grid, ctx, &act);
         self.fc2.forward_infer(grid, ctx, &act)
     }
 }

@@ -37,13 +37,16 @@
 //! Serving never changes the weights, so re-broadcasting `B_tj` down the
 //! column every step moves constants. [`column_panels`] fetches a rank's
 //! whole column `[B_0j … B_{q-1,j}]` once (the same `q` column broadcasts
-//! one SUMMA call issues), and [`stationary_matmul`] then runs the same
-//! loop on a **ready** fetch seam: one row all-gather of the activation
-//! panels, no collective per step, and the `Accumulate` sink — the same
-//! panels multiplied and summed in the same ascending-`t` order, so the
-//! result is bitwise [`tesseract_matmul`]'s. Each rank holds `q×` its
-//! weight shard for it; the paper's §3.1 trades memory for communication
-//! across depth the same way.
+//! one SUMMA call issues), and [`row_panels`] — one row all-gather —
+//! delivers the activation panels `[A_{i,0,k} … A_{i,q-1,k}]` every step
+//! after. With both in hand the rank computes its block of `C` as one
+//! `TensorLike::matmul_panels` launch: the same panels multiplied and
+//! summed in the same ascending-`t` order as the accumulating sink, so the
+//! result is bitwise [`tesseract_matmul`]'s. The serving layer norm
+//! normalizes the gathered rows themselves (`TesseractLayerNorm::
+//! forward_infer`), so its statistics need no all-reduce. Each rank holds
+//! `q×` its weight shard for it; the paper's §3.1 trades memory for
+//! communication across depth the same way.
 
 use std::sync::Arc;
 
@@ -72,17 +75,6 @@ impl<A: Prefetch, B: Prefetch> Prefetch for (A, B) {
         let a = self.0.complete(ctx);
         let b = self.1.complete(ctx);
         (a, b)
-    }
-}
-
-/// Panels already resident on this rank: completing the "fetch" issues no
-/// collective, so the loop is multiply-and-sink only.
-struct Ready<P>(P);
-
-impl<P> Prefetch for Ready<P> {
-    type Panels = P;
-    fn complete(self, _ctx: &mut RankCtx) -> P {
-        self.0
     }
 }
 
@@ -240,7 +232,7 @@ where
 
 /// This rank's column of B-type panels `[B_0j … B_{q-1,j}]`, in step order:
 /// the `q` column broadcasts of one [`tesseract_matmul`] call, issued once
-/// so that [`stationary_matmul`] can reuse them every call after.
+/// so that weight-stationary serving can reuse them every call after.
 pub fn column_panels<T>(grid: &TesseractGrid, ctx: &mut RankCtx, b_local: &Arc<T>) -> Vec<Arc<T>>
 where
     T: TensorLike + Payload,
@@ -248,32 +240,15 @@ where
     (0..grid.shape.q).map(|t| col_panel_begin(grid, ctx, b_local, t).complete(ctx)).collect()
 }
 
-/// Weight-stationary `C = A·B` over panels from [`column_panels`].
-///
-/// One row all-gather delivers `[A_{i,0,k} … A_{i,q-1,k}]`; the SUMMA loop
-/// then runs on a ready fetch seam (no collective per step) and the
-/// forward rule's sink. Same panels, same ascending-`t` accumulation:
-/// data is bitwise identical to [`tesseract_matmul`] on the weight the
-/// panels were fetched from.
-pub fn stationary_matmul<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_panels: &[Arc<T>],
-) -> T
+/// This rank's row of A-type panels `[A_{i,0,k} … A_{i,q-1,k}]`, in step
+/// order: one row all-gather, the panels every step of a SUMMA call
+/// broadcasts along the row. Zero-copy: each panel is the allocation its
+/// owner deposited.
+pub fn row_panels<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &Arc<T>) -> Vec<Arc<T>>
 where
     T: TensorLike + Payload,
 {
-    assert_eq!(b_panels.len(), grid.shape.q, "stationary_matmul: one B panel per step");
-    assert_eq!(a_local.cols(), b_panels[0].rows(), "stationary_matmul: inner block dims disagree");
-    let a_panels = grid.row.all_gather_shared(ctx, Arc::clone(a_local));
-    summa_pipeline(
-        ctx,
-        grid.shape.q,
-        |_, t| Ready((&a_panels[t], &b_panels[t])),
-        |ctx, (a_t, b_t)| a_t.matmul(b_t, &mut ctx.meter.scope("gemm")),
-        Accumulate(None),
-    )
+    grid.row.all_gather_shared(ctx, Arc::clone(a_local))
 }
 
 /// Blocking-collective reference for [`tesseract_matmul`]: the original

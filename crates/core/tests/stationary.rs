@@ -1,17 +1,19 @@
 //! Weight-stationary serving: `TesseractLinear::forward_infer` fetches its
-//! column of weight panels and the bias once, then gathers activations
-//! every call after. Its output must be bitwise SUMMA's (`Module::forward`:
-//! `tesseract_matmul` plus the bias broadcast) on every grid and row
-//! layout, Dense and Shadow must agree on the virtual clock, and a steady
-//! serving layer must issue nothing but row all-gathers and its layer
-//! norms' all-reduces.
+//! column of weight panels and the bias once, then multiplies gathered row
+//! panels every call. Its output must be bitwise SUMMA's
+//! (`Module::forward`: `tesseract_matmul` plus the bias broadcast) on every
+//! grid and row layout, and so must a serving pre-norm (which normalizes
+//! the gathered rows itself) followed by it; Dense and Shadow must agree on
+//! the virtual clock, and a steady serving layer must issue nothing but
+//! its four row all-gathers.
 
 use std::sync::Arc;
 
 use tesseract_comm::{Cluster, CollectiveOp, CommStats, Payload, RankCtx};
+use tesseract_core::mm::row_panels;
 use tesseract_core::{
-    GridShape, InferBatch, Module, TesseractGrid, TesseractLinear, TesseractTransformer,
-    TransformerConfig,
+    GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
+    TesseractTransformer, TransformerConfig,
 };
 use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike};
 
@@ -63,6 +65,18 @@ fn linear<T: TensorLike + Payload>(ctx: &RankCtx, grid: &TesseractGrid) -> Tesse
     lin
 }
 
+/// Serves `x` through `lin`: one row all-gather, then the stationary
+/// multiply.
+fn serve_linear<T: TensorLike + Payload>(
+    lin: &TesseractLinear<T>,
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    x: &Arc<T>,
+) -> Arc<T> {
+    let rows = row_panels(grid, ctx, x);
+    lin.forward_infer(grid, ctx, &rows)
+}
+
 /// Serves two calls (the one that fetches the weights, then a steady
 /// one) and runs SUMMA on the same inputs; returns both pairs per rank.
 fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
@@ -71,8 +85,8 @@ fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
         let mut lin = linear::<DenseTensor>(ctx, &grid);
         let in_f = lin.in_features;
         let (x0, x1) = (input(&grid, in_f, rows, 0), input(&grid, in_f, rows, 1));
-        let fetch = lin.forward_infer(&grid, ctx, &x0);
-        let steady = lin.forward_infer(&grid, ctx, &x1);
+        let fetch = serve_linear(&lin, &grid, ctx, &x0);
+        let steady = serve_linear(&lin, &grid, ctx, &x1);
         let summa0 = lin.forward(&grid, ctx, &x0);
         let summa1 = lin.forward(&grid, ctx, &x1);
         [fetch, summa0, steady, summa1].map(|y| y.matrix().clone())
@@ -97,6 +111,36 @@ fn stationary_linear_is_bitwise_summa_on_every_grid_and_row_layout() {
 }
 
 #[test]
+fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
+    for (q, d) in GRIDS {
+        for rows in [Rows::Empty, Rows::One, Rows::Ragged] {
+            let shape = GridShape::new(q, d);
+            let out = Cluster::a100(shape.size()).run(|ctx| {
+                let grid = TesseractGrid::new(ctx, shape, 0);
+                let mut lin = linear::<DenseTensor>(ctx, &grid);
+                let mut norm = TesseractLayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
+                let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
+                let normed = norm.forward_infer(&grid, ctx, &x);
+                let served = lin.forward_infer(&grid, ctx, &normed);
+                let xhat = norm.forward(&grid, ctx, &x);
+                let summa = lin.forward(&grid, ctx, &xhat);
+                // Each member's training X̂ block, gathered for comparison.
+                let xhats = row_panels(&grid, ctx, &xhat);
+                let panels = |p: &[Arc<DenseTensor>]| -> Vec<Matrix> {
+                    p.iter().map(|t| t.matrix().clone()).collect()
+                };
+                (panels(&normed), panels(&xhats), served.matrix().clone(), summa.matrix().clone())
+            });
+            for (rank, (normed, xhats, served, summa)) in out.results.iter().enumerate() {
+                let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
+                assert_eq!(normed, xhats, "{what}: a gathered panel differs from its owner's X̂");
+                assert_eq!(served, summa, "{what}: norm + stationary linear differs from SUMMA");
+            }
+        }
+    }
+}
+
+#[test]
 fn dense_and_shadow_serve_on_the_same_virtual_clock() {
     fn serve<T: TensorLike + Payload>(shape: GridShape) -> (f64, u64) {
         let out = Cluster::a100(shape.size()).run(|ctx| {
@@ -104,7 +148,7 @@ fn dense_and_shadow_serve_on_the_same_virtual_clock() {
             let lin = linear::<T>(ctx, &grid);
             for (stream, rows) in [Rows::Ragged, Rows::One, Rows::Ragged].into_iter().enumerate() {
                 let x = input::<T>(&grid, lin.in_features, rows, stream as u64);
-                let _ = lin.forward_infer(&grid, ctx, &x);
+                let _ = serve_linear(&lin, &grid, ctx, &x);
             }
         });
         (out.makespan(), out.comm.total_wire_bytes())
@@ -163,9 +207,9 @@ fn a_steady_serving_layer_gathers_activations_and_broadcasts_nothing() {
         // per-rank counts are group calls over the q·d groups of a kind.
         let groups = (shape.q * shape.d) as u64;
         assert_eq!(step(AllGather), 4 * groups, "q = {q}: one row all-gather per linear");
-        assert_eq!(step(AllReduce), 2 * groups, "q = {q}: one row all-reduce per layer norm");
+        assert_eq!(step(AllReduce), 0, "q = {q}: layer norms normalize the gathered rows");
         assert_eq!(step(Broadcast), 0, "q = {q}: no weight or bias broadcast after the fetch");
-        assert_eq!(two.total_calls() - fetch.total_calls(), 6 * groups, "q = {q}: nothing else");
+        assert_eq!(two.total_calls() - fetch.total_calls(), 4 * groups, "q = {q}: nothing else");
         // The fetch itself: per linear, q weight panels and the bias, down
         // every column.
         assert_eq!(fetch.get(Broadcast).calls, 4 * (q as u64 + 1) * groups, "q = {q}");

@@ -159,6 +159,25 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
 }
 
 #[test]
+fn a_steady_busy_lane_layer_is_ten_launches_per_rank() {
+    // Per layer: ln1, wqkv, attention, wo, residual add, ln2, fc1, GELU,
+    // fc2, residual add. Each layer norm is one launch over the gathered
+    // rows and each stationary linear one GEMM launch, at any q.
+    let cfg = test_model();
+    for q in [2, 4] {
+        let shape = GridShape::new(q, 1);
+        let out = Cluster::a100(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
+            decode_step_launches(ctx, &grid, &model, 3)
+        });
+        for (rank, &launches) in out.results.iter().enumerate() {
+            assert_eq!(launches, 10 * cfg.layers as u64, "q = {q}, rank {rank}");
+        }
+    }
+}
+
+#[test]
 fn inference_never_grows_tapes_and_drops_activation_arcs() {
     let shape = GridShape::new(2, 1);
     let cfg = test_model();

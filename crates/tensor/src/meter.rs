@@ -4,9 +4,13 @@
 //! performs and the bytes it allocates for its output. A [`Meter::record`]
 //! with flops is one kernel launch; a zero-flop op (slice, concatenation)
 //! is data movement and launches none. The fused optimizer ops replay their
-//! op chain's records, so the clock cannot tell them apart; the serving
-//! path's `TensorLike::ragged_causal_attention` is one launch for every
-//! segment and head of a layer. The cluster runtime converts these into
+//! op chain's records, so the clock cannot tell them apart. The serving
+//! path's fused ops charge their chain's exact flops as one launch:
+//! `TensorLike::ragged_causal_attention` for every segment and head of a
+//! layer, `TensorLike::layer_norm_panels` for a layer norm over gathered
+//! rows, and `TensorLike::matmul_panels` for a whole weight-stationary
+//! linear; the GEMMs inside them are still tallied by kernel path
+//! ([`Meter::tally_gemm`]). The cluster runtime converts these into
 //! simulated time (`flops / device_rate + kernels * launch_overhead`),
 //! which is what the Table 1 / Table 2 reproductions report instead of
 //! host wall-clock.
@@ -101,6 +105,15 @@ impl Meter {
     /// the tallies are the same on the dense and the shadow backend.
     pub fn record_gemm(&mut self, flops: f64, out_bytes: usize, path: KernelPath) {
         self.record(flops, out_bytes);
+        self.tally_gemm(path);
+    }
+
+    /// Counts one GEMM dispatch on `path` without charging it: a fused op
+    /// (`TensorLike::matmul_panels`, `TensorLike::ragged_causal_attention`)
+    /// charges its whole chain in one [`Meter::record`] and tallies each
+    /// inner GEMM here, so `gemms_serial` / `gemms_blocked` count GEMM
+    /// dispatches by path, fused or not.
+    pub fn tally_gemm(&mut self, path: KernelPath) {
         match path {
             KernelPath::Blocked => {
                 self.gemms_blocked += 1;

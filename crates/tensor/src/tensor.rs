@@ -18,6 +18,9 @@
 //! run of the same configuration therefore report the same simulated time by
 //! construction: there is no second copy of a charge to keep in step.
 
+use std::borrow::Borrow;
+use std::cell::OnceCell;
+
 use crate::init::global_xavier;
 use crate::matmul;
 use crate::matrix::Matrix;
@@ -153,6 +156,26 @@ fn gemm_op<T: TensorLike>(
     );
     T::build(rows, cols, kernel)
 }
+
+/// Row sums of `x` as a `[rows, 1]` column: the kernel of
+/// [`TensorLike::row_sums`].
+fn row_sums_of(x: &Matrix) -> Matrix {
+    Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().sum())
+}
+
+/// Row sums of squares of `x` as a `[rows, 1]` column: the kernel of
+/// [`TensorLike::row_sums_of_squares`].
+fn row_sums_of_squares_of(x: &Matrix) -> Matrix {
+    Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().map(|v| v * v).sum())
+}
+
+/// Flops per row of the layer norm's statistics chain on `[rows, 1]`
+/// vectors: `scale` (mean), `hadamard` (mean²), `scale` and `sub`
+/// (variance), `rsqrt_add`.
+const NORM_STATS_FLOPS_PER_ROW: f64 = 4.0 + RSQRT_FLOPS_PER_ELEM;
+/// Flops per element of the layer norm's per-panel kernels: `row_sums`
+/// (1), `row_sums_of_squares` (2), `sub_colvec` (1), `mul_colvec` (1).
+const NORM_FLOPS_PER_ELEM: f64 = 5.0;
 
 /// Common interface of the dense and shadow tensor backends.
 ///
@@ -302,14 +325,12 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
 
     /// Row sums as a `[rows, 1]` column vector.
     fn row_sums(&self, m: &mut Meter) -> Self {
-        op((self.rows(), 1), self.elem_count() as f64, m, || {
-            Matrix::from_fn(self.rows(), 1, |i, _| vals(self).row(i).iter().sum())
-        })
+        op((self.rows(), 1), self.elem_count() as f64, m, || row_sums_of(vals(self)))
     }
     /// Row sums of squares as a `[rows, 1]` column vector.
     fn row_sums_of_squares(&self, m: &mut Meter) -> Self {
         op((self.rows(), 1), 2.0 * self.elem_count() as f64, m, || {
-            Matrix::from_fn(self.rows(), 1, |i, _| vals(self).row(i).iter().map(|v| v * v).sum())
+            row_sums_of_squares_of(vals(self))
         })
     }
     /// Column sums as a `[1, cols]` row vector.
@@ -348,6 +369,109 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
         map_op(self, RSQRT_FLOPS_PER_ELEM, m, |a| a.map(|x| 1.0 / (x + eps).sqrt()))
     }
 
+    /// Layer norm, in one launch, of rows whose hidden vector is split into
+    /// column panels `[X_0 … X_{q-1}]` (the row all-gather of §3.2.2's
+    /// blocks). Returns every normalized panel
+    /// `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the statistics taken
+    /// over all `Σ_t cols(X_t)` columns.
+    ///
+    /// The Dense kernel runs `row_sums` and `row_sums_of_squares` per
+    /// panel, folds them in ascending panel order (the member-order fold of
+    /// the row all-reduce the split layer norm uses), then the `scale →
+    /// hadamard → sub → rsqrt_add` statistics chain once and `sub_colvec →
+    /// mul_colvec` per panel: each panel is bitwise what the split layer
+    /// norm gives the rank that owns it. The charge is that chain's exact
+    /// flops with one launch, and the output panels.
+    fn layer_norm_panels<P: Borrow<Self>>(panels: &[P], eps: f32, m: &mut Meter) -> Vec<Self> {
+        let rows = panels.first().expect("layer_norm_panels of no panels").borrow().rows();
+        assert!(
+            panels.iter().all(|p| p.borrow().rows() == rows),
+            "layer_norm_panels: panels disagree on rows"
+        );
+        let width: usize = panels.iter().map(|p| p.borrow().cols()).sum();
+        let flops =
+            NORM_FLOPS_PER_ELEM * (rows * width) as f64 + NORM_STATS_FLOPS_PER_ROW * rows as f64;
+        m.record(flops, rows * width * ELEM_BYTES);
+        // `(mean, inv_std)`, computed by the first panel's kernel (so never
+        // on a backend that drops kernels unrun).
+        let stats: OnceCell<(Matrix, Matrix)> = OnceCell::new();
+        let stats = || {
+            stats.get_or_init(|| {
+                let mut xs = panels.iter().map(|p| vals(p.borrow()));
+                let x0 = xs.next().expect("at least one panel");
+                let (mut s1, mut s2) = (row_sums_of(x0), row_sums_of_squares_of(x0));
+                for x in xs {
+                    s1.add_assign(&row_sums_of(x));
+                    s2.add_assign(&row_sums_of_squares_of(x));
+                }
+                let inv_n = 1.0 / width as f32;
+                let mean = s1.map(|x| x * inv_n);
+                let mean_sq = mean.zip_map(&mean, |x, y| x * y);
+                let var = s2.map(|x| x * inv_n).zip_map(&mean_sq, |x, y| x - y);
+                (mean, var.map(|x| 1.0 / (x + eps).sqrt()))
+            })
+        };
+        (panels.iter().map(Borrow::borrow))
+            .map(|p: &Self| {
+                Self::build(rows, p.cols(), || {
+                    let (mean, inv_std) = stats();
+                    (vals(p).zip_map_colvec(mean.data(), |x, s| x - s))
+                        .zip_map_colvec(inv_std.data(), |x, s| x * s)
+                })
+            })
+            .collect()
+    }
+
+    /// `Σ_t A_t·B_t (+ bias)` in one launch: a whole weight-stationary
+    /// linear over gathered row panels `a = [A_0 … A_{q-1}]` (`[rows, k_t]`)
+    /// and the weight column `b = [B_0 … B_{q-1}]` (`[k_t, cols]`), with an
+    /// optional `[1, cols]` bias.
+    ///
+    /// The Dense kernel is `matmul` per pair, `add_assign` in ascending
+    /// `t`, then the bias add of [`TensorLike::add_rowvec`]: SUMMA's
+    /// accumulating sink on the same shapes, so the same
+    /// `matmul::planned_path` per GEMM and the same bits. The charge is
+    /// that chain's exact flops with one launch, and the `[rows, cols]`
+    /// output; every inner GEMM is tallied by path ([`Meter::tally_gemm`]).
+    fn matmul_panels<A: Borrow<Self>, B: Borrow<Self>>(
+        a: &[A],
+        b: &[B],
+        bias: Option<&Self>,
+        m: &mut Meter,
+    ) -> Self {
+        assert_eq!(a.len(), b.len(), "matmul_panels: {} A panels vs {} B panels", a.len(), b.len());
+        let rows = a.first().expect("matmul_panels of no panels").borrow().rows();
+        let cols = b[0].borrow().cols();
+        let elems = (rows * cols) as f64;
+        let mut flops = (a.len() - 1) as f64 * elems;
+        for (a_t, b_t) in a.iter().zip(b) {
+            let (a_t, b_t) = (a_t.borrow(), b_t.borrow());
+            assert_eq!(a_t.rows(), rows, "matmul_panels: A panels disagree on rows");
+            assert_eq!(b_t.cols(), cols, "matmul_panels: B panels disagree on cols");
+            let (inner, rhs_inner) = (a_t.cols(), b_t.rows());
+            assert_eq!(inner, rhs_inner, "matmul_panels: inner dims {inner} vs {rhs_inner}");
+            flops += matmul::matmul_flops(rows, inner, cols);
+            m.tally_gemm(matmul::planned_path(rows, inner, cols));
+        }
+        if let Some(v) = bias {
+            assert_eq!(v.shape(), (1, cols), "matmul_panels: bad bias shape");
+            flops += elems;
+        }
+        m.record(flops, rows * cols * ELEM_BYTES);
+        Self::build(rows, cols, || {
+            let mut partials =
+                a.iter().zip(b).map(|(a, b)| matmul::matmul(vals(a.borrow()), vals(b.borrow())));
+            let mut c = partials.next().expect("at least one panel");
+            for partial in partials {
+                c.add_assign(&partial);
+            }
+            match bias {
+                Some(v) => nn::bias_add(&c, vals(v).row(0)),
+                None => c,
+            }
+        })
+    }
+
     /// Elementwise GELU.
     fn gelu(&self, m: &mut Meter) -> Self {
         map_op(self, GELU_FLOPS_PER_ELEM, m, nn::gelu_matrix)
@@ -384,7 +508,8 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     /// is the op chain `matmul_nt → scale(1/√head_dim) →
     /// softmax_rows_masked_inplace → matmul` on the same shapes (so the
     /// same `matmul::planned_path` and the same bits); the charge is that
-    /// chain's exact flops with one launch, and the `[T, w]` output.
+    /// chain's exact flops with one launch, and the `[T, w]` output; each
+    /// inner GEMM is tallied by path ([`Meter::tally_gemm`]).
     fn ragged_causal_attention(
         &self,
         kv: &[(&Self, &Self)],
@@ -403,6 +528,10 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
             assert_eq!(k.shape(), v.shape(), "attention: K and V caches differ");
             assert_eq!(k.cols(), w, "attention: cache width vs query width");
             assert!(t >= 1 && t <= len, "attention: {t} new rows in a {len}-row cache");
+            for _ in 0..w / head_dim {
+                m.tally_gemm(matmul::planned_path(t, head_dim, len));
+                m.tally_gemm(matmul::planned_path(t, len, head_dim));
+            }
             // Σ_t (len − t_new + t + 1) unmasked positions.
             let active = t * (len - t) + t * (t + 1) / 2;
             flops += heads
@@ -704,12 +833,126 @@ mod tests {
             assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
             assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
             assert_eq!(chain.kernels, 4 * (segs.len() * heads) as u64, "case {ci}");
+            assert_eq!(tallies(&fused), tallies(&chain), "case {ci}: GEMM tallies");
 
             let shapes: Vec<ShadowTensor> =
                 caches.iter().map(|(k, _)| ShadowTensor::new(k.rows(), w)).collect();
             let skv: Vec<_> = shapes.iter().map(|s| (s, s)).collect();
             let sq = ShadowTensor::new(rows, w);
             let _ = sq.ragged_causal_attention(&skv, &new_rows, hd, &mut shadow);
+            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
+        }
+    }
+
+    /// The GEMM dispatch tallies of a meter, by path and micro-kernel.
+    fn tallies(m: &Meter) -> [u64; 5] {
+        [
+            m.gemms_serial,
+            m.gemms_blocked,
+            m.gemms_kernel_scalar,
+            m.gemms_kernel_avx2,
+            m.gemms_kernel_avx512,
+        ]
+    }
+
+    /// The split layer norm's op chain over a gathered row — per-panel
+    /// statistics, the row all-reduce's member-order fold, the statistics
+    /// chain, per-panel normalization — kept as `layer_norm_panels`' spec.
+    fn layer_norm_chain<T: TensorLike>(panels: &[T], eps: f32, m: &mut Meter) -> Vec<T> {
+        let n = panels.iter().map(T::cols).sum::<usize>() as f32;
+        let sums: Vec<(T, T)> =
+            panels.iter().map(|x| (x.row_sums(m), x.row_sums_of_squares(m))).collect();
+        let (mut s1, mut s2) = sums[0].clone();
+        for (t1, t2) in &sums[1..] {
+            s1.reduce_add_inplace(t1);
+            s2.reduce_add_inplace(t2);
+        }
+        let mean = s1.scale(1.0 / n, m);
+        let mean_sq = mean.hadamard(&mean, m);
+        let var = s2.scale(1.0 / n, m).sub(&mean_sq, m);
+        let inv_std = var.rsqrt_add(eps, m);
+        panels.iter().map(|x| x.sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
+    }
+
+    #[test]
+    fn fused_layer_norm_equals_its_op_chain_bitwise() {
+        // (rows, panel widths): one to four panels, then an empty lane.
+        let cases: [(usize, &[usize]); 5] =
+            [(7, &[12]), (5, &[6, 6]), (9, &[4, 4, 4]), (3, &[8, 8, 8, 8]), (0, &[4, 4])];
+        for (ci, &(rows, widths)) in cases.iter().enumerate() {
+            let panels: Vec<DenseTensor> = (widths.iter().enumerate())
+                .map(|(t, &w)| dense(rows, w, 70 + 10 * ci as u64 + t as u64))
+                .collect();
+            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
+            let got = DenseTensor::layer_norm_panels(&panels, 1e-5, &mut fused);
+            let want = layer_norm_chain(&panels, 1e-5, &mut chain);
+            assert_eq!(got.len(), widths.len(), "case {ci}");
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.shape(), (rows, widths[t]), "case {ci} panel {t}");
+                assert_eq!(bits(g), bits(w), "case {ci} panel {t}");
+            }
+            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
+            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
+
+            let shapes: Vec<ShadowTensor> =
+                widths.iter().map(|&w| ShadowTensor::new(rows, w)).collect();
+            let out = ShadowTensor::layer_norm_panels(&shapes, 1e-5, &mut shadow);
+            assert_eq!(out, shapes, "case {ci}: Shadow shapes");
+            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
+        }
+    }
+
+    /// SUMMA's accumulating sink over a row of panels, then the bias add:
+    /// the chain `matmul_panels` replaced, kept as its spec.
+    fn matmul_panels_chain<T: TensorLike>(a: &[T], b: &[T], bias: Option<&T>, m: &mut Meter) -> T {
+        let mut c = a[0].matmul(&b[0], m);
+        for (a_t, b_t) in a.iter().zip(b).skip(1) {
+            c.add_assign(&a_t.matmul(b_t, m), m);
+        }
+        match bias {
+            Some(v) => c.add_rowvec(v, m),
+            None => c,
+        }
+    }
+
+    #[test]
+    fn fused_panel_matmul_equals_its_op_chain_bitwise() {
+        // (rows, inner per panel, cols, panels, bias): one to four panels
+        // on the serial path, an empty lane, then blocked GEMMs.
+        let cases = [
+            (5, 4, 6, 1, true),
+            (5, 4, 6, 2, false),
+            (3, 5, 8, 3, true),
+            (7, 4, 6, 4, true),
+            (0, 4, 6, 2, true),
+            (64, 64, 64, 2, true),
+            (64, 64, 64, 3, false),
+        ];
+        for (ci, &(rows, inner, cols, q, with_bias)) in cases.iter().enumerate() {
+            let seed = 100 + 10 * ci as u64;
+            let a: Vec<DenseTensor> = (0..q).map(|t| dense(rows, inner, seed + t as u64)).collect();
+            let b: Vec<DenseTensor> =
+                (0..q).map(|t| dense(inner, cols, seed + 5 + t as u64)).collect();
+            let bias = with_bias.then(|| dense(1, cols, seed + 9));
+            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
+            let got = DenseTensor::matmul_panels(&a, &b, bias.as_ref(), &mut fused);
+            let want = matmul_panels_chain(&a, &b, bias.as_ref(), &mut chain);
+            assert_eq!(got.shape(), (rows, cols), "case {ci}");
+            assert_eq!(bits(&got), bits(&want), "case {ci}");
+            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
+            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
+            assert_eq!(tallies(&fused), tallies(&chain), "case {ci}: GEMM tallies");
+            assert_eq!(fused.gemms_blocked > 0, rows == 64, "case {ci}: the path it covers");
+
+            let (sa, sb) = (ShadowTensor::new(rows, inner), ShadowTensor::new(inner, cols));
+            let sbias = with_bias.then(|| ShadowTensor::new(1, cols));
+            let out = ShadowTensor::matmul_panels(
+                &vec![sa; q],
+                &vec![sb; q],
+                sbias.as_ref(),
+                &mut shadow,
+            );
+            assert_eq!(out.shape(), (rows, cols), "case {ci}");
             assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
         }
     }

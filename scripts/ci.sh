@@ -110,10 +110,10 @@ fi
 # SUMMA (Algorithm 2) with its Eq. 3 backward rules. A row-panel broadcast
 # elsewhere is a second SUMMA loop. Solomonik's 2.5-D matmul is exempt: it
 # replicates A across depth and splits the step range over the layers, a
-# different algorithm from Tesseract's. Serving's weight-stationary matmul
-# is the same loop on a row all-gather of the activation panels, so a row
-# all-gather elsewhere is a second one; the ViT head's logits gather (the
-# loss needs whole rows) is exempt.
+# different algorithm from Tesseract's. Serving's weight-stationary linear
+# multiplies a row all-gather of the activation panels (`mm::row_panels`),
+# so a row all-gather elsewhere is a second one; the ViT head's logits
+# gather (the loss needs whole rows) is exempt.
 echo "== one-SUMMA gate (row-panel broadcasts and all-gathers in core/src/mm.rs; 2.5-D, ViT logits exempt) =="
 summas=$(grep -rn '\.row\.broadcast_shared' crates src tests examples --include='*.rs' \
     | grep -vE '^crates/(core/src/mm|baselines/src/solomonik)\.rs:' || true)
@@ -121,7 +121,7 @@ gathers=$(grep -rn '\.row\.all_gather_shared' crates src tests examples --includ
     | grep -vE '^crates/(core/src/mm|train/src/vit)\.rs:' || true)
 if [ -n "$summas$gathers" ]; then
     echo "ci.sh: a SUMMA loop outside core/src/mm.rs (use tesseract_matmul* on GridShape::new(q, 1)"
-    echo "or stationary_matmul):"
+    echo "or mm::row_panels):"
     echo "$summas$gathers"
     exit 1
 fi

@@ -182,7 +182,7 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     // copy so the next serving call refetches. Served output must then be
     // the SUMMA forward's on the updated weights, bit for bit.
     use std::sync::Arc;
-    use tesseract_repro::core::TesseractLinear;
+    use tesseract_repro::core::{mm::row_panels, TesseractLinear};
     let shape = GridShape::new(2, 2);
     let (in_f, out_f, rows) = (8, 12, 16);
     let x = random(rows, in_f, 40);
@@ -193,11 +193,12 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);
         let x = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
-        let before = lin.forward_infer(&grid, ctx, &x);
+        let rows = row_panels(&grid, ctx, &x);
+        let before = lin.forward_infer(&grid, ctx, &rows);
         let _ = lin.forward(&grid, ctx, &x);
         let _ = lin.backward(&grid, ctx, &dy);
         AdamW::new(1e-2, 0.1).step(&mut ctx.meter, &mut lin);
-        let served = lin.forward_infer(&grid, ctx, &x);
+        let served = lin.forward_infer(&grid, ctx, &rows);
         let summa = lin.forward(&grid, ctx, &x);
         [before, served, summa].map(|y| y.matrix().clone())
     });
