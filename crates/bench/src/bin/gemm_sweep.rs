@@ -54,7 +54,8 @@ use tesseract_tensor::matmul::{
 };
 use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{
-    max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike, Xoshiro256StarStar,
+    adam_direction_chain, max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike,
+    Xoshiro256StarStar,
 };
 
 #[derive(Clone, Copy)]
@@ -133,23 +134,6 @@ fn gelu_backward_seed(x: &Matrix, dy: &Matrix) -> Matrix {
         *g *= 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
     }
     out
-}
-
-/// The eleven-op `TensorLike` chain `adam_direction` fuses: the baseline of
-/// the `"elementwise"` Adam row and the spec its result must equal bitwise.
-fn adam_direction_chain(
-    g: &DenseTensor,
-    mom: &mut DenseTensor,
-    vel: &mut DenseTensor,
-    c: AdamCoeffs,
-    m: &mut Meter,
-) -> DenseTensor {
-    *mom = mom.scale(c.beta1, m).add(&g.scale(1.0 - c.beta1, m), m);
-    let g2 = g.hadamard(g, m);
-    *vel = vel.scale(c.beta2, m).add(&g2.scale(1.0 - c.beta2, m), m);
-    let m_hat = mom.scale(c.bias1, m);
-    let v_hat = vel.scale(c.bias2, m);
-    m_hat.hadamard(&v_hat.rsqrt_add(c.eps_sq, m), m)
 }
 
 /// The seed repo's `matmul`, copied verbatim (modulo `Matrix` accessors):

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_tensor::TensorLike;
+use tesseract_tensor::{fused, Meter, TensorLike};
 
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
@@ -71,12 +71,17 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     /// request's *new* tokens (`new_rows[r]` rows for request `r`: the
     /// whole prompt during prefill, one row per decode step). Each
     /// request's new K/V rows are appended to its [`LayerKv`], then one
-    /// [`TensorLike::ragged_causal_attention`] launch attends every segment
-    /// and every locally-owned head over its full cached prefix: new token
-    /// `t` attends `cached + t + 1` positions. A decode step is therefore
-    /// O(L) per token instead of the O(L²) full-prefix recompute — and,
-    /// because every op involved is per-row deterministic (serial-GEMM dot
-    /// products, masked row softmax), bitwise identical to it.
+    /// fused [`ragged_causal_attention`] launch attends every segment and
+    /// every locally-owned head over its full cached prefix: new token `t`
+    /// attends `cached + t + 1` positions. A decode step is therefore O(L)
+    /// per token instead of the O(L²) full-prefix recompute, and bitwise
+    /// identical to it **only while both runs' GEMMs take the same
+    /// `matmul::planned_path` kernel** (every op is then per-row
+    /// deterministic: dot products, masked row softmax). A recompute's
+    /// GEMMs have more rows than a one-row decode's, so past the path's
+    /// size threshold they run the blocked kernel (fused multiply-add)
+    /// while the decode stays serial (multiply, then add), and the bits
+    /// differ; ROADMAP item 7(b) would make the two paths bitwise equal.
     ///
     /// SPMD contract: ranks sharing an `(i, k)` lane see the same
     /// segments; ranks on other lanes may pass different (even empty)
@@ -114,9 +119,60 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
         // An empty lane attends zero segments into a [0, h/q] block, so the
         // output projection's collectives run in lockstep with busy lanes.
         let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
-        let attended = q_all.ragged_causal_attention(&caches, new_rows, self.cfg.head_dim(), m);
+        let hd = self.cfg.head_dim();
+        let attended = fused(m, |m| ragged_causal_attention(&q_all, &caches, new_rows, hd, m));
         let attended = row_panels(grid, ctx, &Arc::new(attended));
         self.wo.forward_infer(grid, ctx, &attended)
+    }
+}
+
+/// Ragged causal attention of every segment and head of a serving step.
+///
+/// `q` is `[T, w]`: the new rows of every segment stacked, `w` a whole
+/// number of `head_dim`-wide heads. Segment `s` owns the next
+/// `new_rows[s]` rows and attends over its full cache `kv[s] = (K, V)`,
+/// each `[L, w]` with the new rows last, so new row `t` sees
+/// `L − new_rows[s] + t + 1` positions. Per segment and head it is the
+/// chain `matmul_nt → scale(1/√head_dim) → softmax_rows_masked_inplace →
+/// matmul`; serving runs the whole step as one `tesseract_tensor::fused`
+/// launch.
+pub fn ragged_causal_attention<T: TensorLike>(
+    q: &T,
+    kv: &[(&T, &T)],
+    new_rows: &[usize],
+    head_dim: usize,
+    m: &mut Meter,
+) -> T {
+    let (rows, w) = q.shape();
+    assert_eq!(kv.len(), new_rows.len(), "attention: one KV cache per segment");
+    assert_eq!(new_rows.iter().sum::<usize>(), rows, "attention: segment rows vs {rows}");
+    assert!(head_dim > 0 && w % head_dim == 0, "attention: width {w} vs head {head_dim}");
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut segments = Vec::with_capacity(kv.len());
+    let mut r0 = 0;
+    for (&(k, v), &t) in kv.iter().zip(new_rows) {
+        let len = k.rows();
+        assert!(k.shape() == v.shape() && k.cols() == w, "attention: K/V caches vs query width");
+        assert!(t >= 1 && t <= len, "attention: {t} new rows in a {len}-row cache");
+        let limits: Vec<usize> = (len - t + 1..=len).collect();
+        let q_seg = q.slice_rows(r0, r0 + t, m);
+        let heads: Vec<T> = (0..w)
+            .step_by(head_dim)
+            .map(|c0| {
+                let c1 = c0 + head_dim;
+                let mut scores = q_seg.slice_cols(c0, c1, m).matmul_nt(&k.slice_cols(c0, c1, m), m);
+                scores.scale_assign(scale, m);
+                scores.softmax_rows_masked_inplace(&limits, m);
+                scores.matmul(&v.slice_cols(c0, c1, m), m)
+            })
+            .collect();
+        segments.push(T::concat_cols(&heads, m));
+        r0 += t;
+    }
+    if segments.is_empty() {
+        T::zeros(0, w)
+    } else {
+        T::concat_rows(&segments, m)
     }
 }
 

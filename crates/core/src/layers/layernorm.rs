@@ -9,17 +9,19 @@
 //! Serving ([`TesseractLayerNorm::forward_infer`]) turns this around. The
 //! weight-stationary linear after every pre-norm all-gathers its input
 //! rows along the same row anyway, so the norm gathers the *un-normalized*
-//! rows instead and normalizes all `q` panels in one
-//! `TensorLike::layer_norm_panels` launch: no statistics all-reduce, and
-//! every panel bitwise the one `normalize` gives its owner (the fold runs
-//! in the all-reduce's member order). Training keeps the all-reduce: its
+//! rows instead and normalizes all `q` panels with [`layer_norm_panels`]
+//! in one launch (a fused launch is its op chain under
+//! `tesseract_tensor::fused`): no statistics all-reduce, and every panel
+//! bitwise the one `normalize` gives its owner (the fold runs in the
+//! all-reduce's member order; both finish with one statistics tail).
+//! Training keeps the all-reduce: its
 //! SUMMA linear broadcasts one row panel per step instead of gathering the
 //! row, and Eq. 14's backward all-reduces along the row regardless.
 
 use std::sync::Arc;
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_tensor::TensorLike;
+use tesseract_tensor::{fused, Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
 use crate::mm::row_panels;
@@ -57,17 +59,15 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
         let packed = grid.row.all_reduce_shared(ctx, packed);
         let s1 = packed.slice_cols(0, 1, &mut ctx.meter);
         let s2 = packed.slice_cols(1, 2, &mut ctx.meter);
-        let mean = s1.scale(1.0 / n, &mut ctx.meter);
-        let mean_sq = mean.hadamard(&mean, &mut ctx.meter);
-        let var = s2.scale(1.0 / n, &mut ctx.meter).sub(&mean_sq, &mut ctx.meter);
-        let inv_std = var.rsqrt_add(self.eps, &mut ctx.meter);
+        let (mean, inv_std) = statistics(&s1, &s2, n, self.eps, &mut ctx.meter);
         let xhat = x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter);
         (Arc::new(xhat), inv_std)
     }
 
     /// Inference forward: `&self`, no tape push, and the normalized rows
     /// *gathered*: one row all-gather of the local blocks `X_{i,0,k} …
-    /// X_{i,q-1,k}`, then every panel normalized on this rank. Panel `t` is
+    /// X_{i,q-1,k}`, then every panel normalized on this rank in one
+    /// fused [`layer_norm_panels`] launch. Panel `t` is
     /// bitwise the `X̂` block [`Module::forward`] gives member `t` of the
     /// row; the panels are the rows a weight-stationary
     /// [`TesseractLinear::forward_infer`](crate::TesseractLinear::forward_infer)
@@ -84,8 +84,38 @@ impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
             "layernorm: local width times q must equal global hidden"
         );
         let rows = row_panels(grid, ctx, x);
-        T::layer_norm_panels(&rows, self.eps, &mut ctx.meter).into_iter().map(Arc::new).collect()
+        let normalized = fused(&mut ctx.meter, |m| layer_norm_panels(&rows, self.eps, m));
+        normalized.into_iter().map(Arc::new).collect()
     }
+}
+
+/// The statistics tail of a layer norm over `n` columns, from the row sums
+/// `s1 = ΣX` and `s2 = ΣX²`: `E[X]` and `1/sqrt(Var[X] + eps)`.
+fn statistics<T: TensorLike>(s1: &T, s2: &T, n: f32, eps: f32, m: &mut Meter) -> (T, T) {
+    let mean = s1.scale(1.0 / n, m);
+    let mean_sq = mean.hadamard(&mean, m);
+    let var = s2.scale(1.0 / n, m).sub(&mean_sq, m);
+    (mean, var.rsqrt_add(eps, m))
+}
+
+/// Layer norm of rows whose hidden vector is split into column panels
+/// `[X_0 … X_{q-1}]` (the row all-gather of §3.2.2's blocks): every
+/// normalized panel `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the
+/// statistics taken over all `Σ_t cols(X_t)` columns. The per-panel sums
+/// fold in ascending panel order, the member-order fold of the row
+/// all-reduce `normalize` uses, so each panel is bitwise what the split
+/// layer norm gives the rank that owns it. Serving runs it as one
+/// [`fused`] launch.
+pub fn layer_norm_panels<T: TensorLike>(panels: &[Arc<T>], eps: f32, m: &mut Meter) -> Vec<T> {
+    let n = panels.iter().map(|p| p.cols()).sum::<usize>() as f32;
+    let mut sums = panels.iter().map(|x| (x.row_sums(m), x.row_sums_of_squares(m)));
+    let (mut s1, mut s2) = sums.next().expect("layer norm of no panels");
+    for (t1, t2) in sums {
+        s1.reduce_add_inplace(&t1);
+        s2.reduce_add_inplace(&t2);
+    }
+    let (mean, inv_std) = statistics(&s1, &s2, n, eps, m);
+    panels.iter().map(|x| x.sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
 }
 
 impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {

@@ -13,9 +13,11 @@
 //! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary: the
 //! first call fetches this rank's column of weight panels and the bias
 //! once, and every call multiplies gathered row panels (`mm::row_panels`,
-//! or a serving layer norm's output) by them in one
-//! `TensorLike::matmul_panels` launch — SUMMA's multiply-and-add on the
-//! same panels, so its output is bitwise [`Module::forward`]'s.
+//! or a serving layer norm's output) by them in one fused
+//! [`mm::matmul_panels`](crate::mm::matmul_panels) launch (a fused launch
+//! is its op chain under `tesseract_tensor::fused`) — SUMMA's
+//! multiply-and-add on the same panels, so its output is bitwise
+//! [`Module::forward`]'s.
 //! [`Module::visit_params`], the only path that mutates a weight, drops
 //! the fetched copy.
 //!
@@ -28,10 +30,12 @@
 use std::sync::{Arc, OnceLock};
 
 use tesseract_comm::{Payload, RankCtx};
-use tesseract_tensor::TensorLike;
+use tesseract_tensor::{fused, TensorLike};
 
 use crate::grid::TesseractGrid;
-use crate::mm::{column_panels, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
+use crate::mm::{
+    column_panels, matmul_panels, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn,
+};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Tesseract column/row-blocked linear layer.
@@ -138,8 +142,8 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
     /// `[X_{i,0,k} … X_{i,q-1,k}]` (`mm::row_panels`, or the output of
     /// `TesseractLayerNorm::forward_infer`). The first call fetches this
     /// rank's weight column and the bias (the column broadcasts
-    /// [`Module::forward`] issues every call); every call is then one
-    /// `TensorLike::matmul_panels` launch and no collective. Bitwise equal
+    /// [`Module::forward`] issues every call); every call is then one fused
+    /// [`matmul_panels`] launch and no collective. Bitwise equal
     /// to [`Module::forward`]'s output on the block `rows[j]`. SPMD: every
     /// rank of the grid calls it in lockstep, zero-row lanes included.
     pub fn forward_infer(
@@ -153,8 +157,8 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
             panels: column_panels(grid, ctx, &self.w),
             bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
         });
-        let m = &mut ctx.meter.scope("gemm");
-        Arc::new(T::matmul_panels(rows, &st.panels, st.bias.as_deref(), m))
+        let bias = st.bias.as_deref();
+        Arc::new(fused(&mut ctx.meter.scope("gemm"), |m| matmul_panels(rows, &st.panels, bias, m)))
     }
 
     /// Bytes of the weight column and bias [`TesseractLinear::forward_infer`]

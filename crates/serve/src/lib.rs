@@ -14,8 +14,11 @@
 //! * [`metrics`] — nearest-rank latency percentiles and summaries.
 //!
 //! Correctness rests on `tesseract_core::infer`: cached decode is bitwise
-//! identical per token to a full-prefix causal recompute (pinned by this
-//! crate's tests), and the whole run — results, rank reports, traces — is
+//! identical per token to a full-prefix causal recompute while both runs'
+//! GEMMs take the same `matmul::planned_path` kernel. A recompute's larger
+//! GEMMs can cross onto the blocked (fused multiply-add) path, so this
+//! crate's tests keep every GEMM serial; ROADMAP item 7(b) would lift the
+//! condition. The whole run — results, rank reports, traces — is
 //! byte-identical across reruns with the same seed.
 
 pub mod engine;

@@ -13,7 +13,8 @@
 //!   collective code without doing terabytes of arithmetic on one CPU core:
 //!   every op is one [`TensorLike`] method body — shape rule, [`Meter`]
 //!   charge, kernel — and this backend merely drops the kernel, so it
-//!   charges what the dense op charges.
+//!   charges what the dense op charges. A fused launch is its op chain
+//!   under [`fused`], which charges the chain as one launch.
 //!
 //! The crate also contains the numerical kernels themselves ([`matmul`] —
 //! each GEMM runs on the thread that calls it; this crate spawns none),
@@ -33,7 +34,9 @@ pub use matmul::{KernelPath, MicroKernel};
 pub use matrix::Matrix;
 pub use meter::{Meter, MeterScope};
 pub use rng::Xoshiro256StarStar;
-pub use tensor::{AdamCoeffs, DenseTensor, ShadowTensor, TensorLike};
+pub use tensor::{
+    adam_direction_chain, fused, AdamCoeffs, DenseTensor, FusedOutput, ShadowTensor, TensorLike,
+};
 pub use trace::{TraceEvent, TraceKind};
 
 /// Size in bytes of one stored element. The cluster cost model multiplies

@@ -3,17 +3,15 @@
 //! Every tensor op — dense or shadow — charges a [`Meter`] with the flops it
 //! performs and the bytes it allocates for its output. A [`Meter::record`]
 //! with flops is one kernel launch; a zero-flop op (slice, concatenation)
-//! is data movement and launches none. The fused optimizer ops replay their
-//! op chain's records, so the clock cannot tell them apart. The serving
-//! path's fused ops charge their chain's exact flops as one launch:
-//! `TensorLike::ragged_causal_attention` for every segment and head of a
-//! layer, `TensorLike::layer_norm_panels` for a layer norm over gathered
-//! rows, and `TensorLike::matmul_panels` for a whole weight-stationary
-//! linear; the GEMMs inside them are still tallied by kernel path
-//! ([`Meter::tally_gemm`]). The cluster runtime converts these into
-//! simulated time (`flops / device_rate + kernels * launch_overhead`),
-//! which is what the Table 1 / Table 2 reproductions report instead of
-//! host wall-clock.
+//! is data movement and launches none. The one-pass optimizer ops charge
+//! their op chain run on shadow shapes, so the clock cannot tell them
+//! apart. A fused launch is its op chain under `tensor::fused`: the chain
+//! runs on a meter of its own and [`Meter::record_fused`] charges it as one
+//! launch with the chain's flops and GEMM dispatch tallies and only the
+//! output's bytes (serving's attention, layer norm and stationary linear).
+//! The cluster runtime converts these into simulated time (`flops /
+//! device_rate + kernels * launch_overhead`), which is what the Table 1 /
+//! Table 2 reproductions report instead of host wall-clock.
 
 use crate::matmul::{KernelPath, MicroKernel};
 
@@ -105,15 +103,6 @@ impl Meter {
     /// the tallies are the same on the dense and the shadow backend.
     pub fn record_gemm(&mut self, flops: f64, out_bytes: usize, path: KernelPath) {
         self.record(flops, out_bytes);
-        self.tally_gemm(path);
-    }
-
-    /// Counts one GEMM dispatch on `path` without charging it: a fused op
-    /// (`TensorLike::matmul_panels`, `TensorLike::ragged_causal_attention`)
-    /// charges its whole chain in one [`Meter::record`] and tallies each
-    /// inner GEMM here, so `gemms_serial` / `gemms_blocked` count GEMM
-    /// dispatches by path, fused or not.
-    pub fn tally_gemm(&mut self, path: KernelPath) {
         match path {
             KernelPath::Blocked => {
                 self.gemms_blocked += 1;
@@ -125,6 +114,16 @@ impl Meter {
             }
             KernelPath::Serial => self.gemms_serial += 1,
         }
+    }
+
+    /// Records one fused launch of an op chain charged on its own meter
+    /// `chain`: the chain's flops and GEMM dispatch tallies in one launch
+    /// (none for a zero-flop chain), and `out_bytes` of output — the
+    /// chain's intermediates never leave the launch. The one caller is
+    /// `tensor::fused`.
+    pub fn record_fused(&mut self, chain: &Meter, out_bytes: usize) {
+        let kernels = u64::from(chain.flops > 0.0);
+        self.merge(&Meter { kernels, bytes_allocated: out_bytes as u64, ..*chain });
     }
 
     /// Opens a labeled RAII instrumentation scope over this meter. The

@@ -17,9 +17,10 @@
 //! closure, `ShadowTensor::build` drops it unrun. A dense run and a shadow
 //! run of the same configuration therefore report the same simulated time by
 //! construction: there is no second copy of a charge to keep in step.
-
-use std::borrow::Borrow;
-use std::cell::OnceCell;
+//!
+//! A fused launch is its op chain: [`fused`] runs a chain of these ops and
+//! charges it as one launch, so a fused op has no kernel or price of its
+//! own either.
 
 use crate::init::global_xavier;
 use crate::matmul;
@@ -61,21 +62,50 @@ impl AdamCoeffs {
     }
 }
 
-/// Charges `flops_per_elem.len()` elementwise kernels over one tensor, one
-/// [`Meter::record`] each — the fused optimizer ops replay the op chain they
-/// replace through this, so the α–β clock cannot tell.
-fn record_chain(m: &mut Meter, elems: usize, bytes: usize, flops_per_elem: &[f64]) {
-    for f in flops_per_elem {
-        m.record(f * elems as f64, bytes);
+/// What a [`fused`] launch writes: the bytes its output occupies.
+pub trait FusedOutput {
+    fn out_bytes(&self) -> usize;
+}
+
+impl<T: TensorLike> FusedOutput for T {
+    fn out_bytes(&self) -> usize {
+        self.byte_size()
     }
 }
 
-/// `x.scale(s)` then `add`.
-const ADD_SCALED_CHAIN: [f64; 2] = [1.0, 1.0];
-/// Two moment updates (scale, scale, add each, plus `g∘g`), two bias
-/// corrections, `rsqrt_add`, final hadamard: eleven kernels.
-const ADAM_DIRECTION_CHAIN: [f64; 11] =
-    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, RSQRT_FLOPS_PER_ELEM, 1.0];
+impl<T: TensorLike> FusedOutput for Vec<T> {
+    fn out_bytes(&self) -> usize {
+        self.iter().map(T::byte_size).sum()
+    }
+}
+
+/// One fused launch: runs the op `chain` on a meter of its own and charges
+/// `m` ([`Meter::record_fused`]) one launch with the chain's flops and GEMM
+/// dispatch tallies and only the output's bytes. The values are the
+/// chain's, bit for bit; only the price list folds.
+pub fn fused<R: FusedOutput>(m: &mut Meter, chain: impl FnOnce(&mut Meter) -> R) -> R {
+    let mut ops = Meter::new();
+    let out = chain(&mut ops);
+    m.record_fused(&ops, out.out_bytes());
+    out
+}
+
+/// The eleven-op chain [`TensorLike::adam_direction`] runs in one pass:
+/// its spec, and (on shadow shapes) its charge.
+pub fn adam_direction_chain<T: TensorLike>(
+    g: &T,
+    mom: &mut T,
+    vel: &mut T,
+    c: AdamCoeffs,
+    m: &mut Meter,
+) -> T {
+    *mom = mom.scale(c.beta1, m).add(&g.scale(1.0 - c.beta1, m), m);
+    let g2 = g.hadamard(g, m);
+    *vel = vel.scale(c.beta2, m).add(&g2.scale(1.0 - c.beta2, m), m);
+    let m_hat = mom.scale(c.bias1, m);
+    let v_hat = vel.scale(c.bias2, m);
+    m_hat.hadamard(&v_hat.rsqrt_add(c.eps_sq, m), m)
+}
 
 const NO_VALUES: &str = "kernels run only on a backend that stores values";
 
@@ -156,26 +186,6 @@ fn gemm_op<T: TensorLike>(
     );
     T::build(rows, cols, kernel)
 }
-
-/// Row sums of `x` as a `[rows, 1]` column: the kernel of
-/// [`TensorLike::row_sums`].
-fn row_sums_of(x: &Matrix) -> Matrix {
-    Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().sum())
-}
-
-/// Row sums of squares of `x` as a `[rows, 1]` column: the kernel of
-/// [`TensorLike::row_sums_of_squares`].
-fn row_sums_of_squares_of(x: &Matrix) -> Matrix {
-    Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().map(|v| v * v).sum())
-}
-
-/// Flops per row of the layer norm's statistics chain on `[rows, 1]`
-/// vectors: `scale` (mean), `hadamard` (mean²), `scale` and `sub`
-/// (variance), `rsqrt_add`.
-const NORM_STATS_FLOPS_PER_ROW: f64 = 4.0 + RSQRT_FLOPS_PER_ELEM;
-/// Flops per element of the layer norm's per-panel kernels: `row_sums`
-/// (1), `row_sums_of_squares` (2), `sub_colvec` (1), `mul_colvec` (1).
-const NORM_FLOPS_PER_ELEM: f64 = 5.0;
 
 /// Common interface of the dense and shadow tensor backends.
 ///
@@ -293,22 +303,26 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
         }
     }
     /// `self + s·x` in one pass (`w − lr·g` is `s = −lr`). Elementwise the
-    /// same roundings, and the same two charges, as `self.add(&x.scale(s))`.
+    /// same roundings as `self.add(&x.scale(s))`, charged by running that
+    /// chain on shadow shapes.
     fn add_scaled(&self, x: &Self, s: f32, m: &mut Meter) -> Self {
         ew_shape_check(self, x, "add_scaled");
-        record_chain(m, self.elem_count(), self.byte_size(), &ADD_SCALED_CHAIN);
+        let shape = ShadowTensor::new(self.rows(), self.cols());
+        let _ = shape.add(&shape.scale(s, m), m);
         Self::build(self.rows(), self.cols(), || vals(self).zip_map(vals(x), |a, b| a + b * s))
     }
     /// One Adam step for the gradient `self`: updates the moments in place
     /// (`m ← β₁m + (1−β₁)g`, `v ← β₂v + (1−β₂)g∘g`) and returns the direction
-    /// `m̂ ∘ 1/sqrt(v̂ + ε²)`. Elementwise the same roundings, and the same
-    /// eleven charges, as the `scale`/`add`/`hadamard`/`rsqrt_add` chain it
-    /// replaces (kept as the spec in this module's tests).
+    /// `m̂ ∘ 1/sqrt(v̂ + ε²)`. Elementwise the same roundings as
+    /// [`adam_direction_chain`], charged by running that chain on shadow
+    /// shapes.
     fn adam_direction(&self, mom: &mut Self, vel: &mut Self, c: AdamCoeffs, m: &mut Meter) -> Self {
         ew_shape_check(self, mom, "adam_direction");
         ew_shape_check(self, vel, "adam_direction");
-        record_chain(m, self.elem_count(), self.byte_size(), &ADAM_DIRECTION_CHAIN);
         let (rows, cols) = self.shape();
+        let shape = ShadowTensor::new(rows, cols);
+        let (mut mo, mut ve) = (shape, shape);
+        let _ = adam_direction_chain(&shape, &mut mo, &mut ve, c, m);
         Self::build(rows, cols, || {
             let (g1, g2) = (1.0 - c.beta1, 1.0 - c.beta2);
             let moments = vals_mut(mom).data_mut().iter_mut().zip(vals_mut(vel).data_mut());
@@ -325,12 +339,16 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
 
     /// Row sums as a `[rows, 1]` column vector.
     fn row_sums(&self, m: &mut Meter) -> Self {
-        op((self.rows(), 1), self.elem_count() as f64, m, || row_sums_of(vals(self)))
+        op((self.rows(), 1), self.elem_count() as f64, m, || {
+            let x = vals(self);
+            Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().sum())
+        })
     }
     /// Row sums of squares as a `[rows, 1]` column vector.
     fn row_sums_of_squares(&self, m: &mut Meter) -> Self {
         op((self.rows(), 1), 2.0 * self.elem_count() as f64, m, || {
-            row_sums_of_squares_of(vals(self))
+            let x = vals(self);
+            Matrix::from_fn(x.rows(), 1, |i, _| x.row(i).iter().map(|v| v * v).sum())
         })
     }
     /// Column sums as a `[1, cols]` row vector.
@@ -369,109 +387,6 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
         map_op(self, RSQRT_FLOPS_PER_ELEM, m, |a| a.map(|x| 1.0 / (x + eps).sqrt()))
     }
 
-    /// Layer norm, in one launch, of rows whose hidden vector is split into
-    /// column panels `[X_0 … X_{q-1}]` (the row all-gather of §3.2.2's
-    /// blocks). Returns every normalized panel
-    /// `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the statistics taken
-    /// over all `Σ_t cols(X_t)` columns.
-    ///
-    /// The Dense kernel runs `row_sums` and `row_sums_of_squares` per
-    /// panel, folds them in ascending panel order (the member-order fold of
-    /// the row all-reduce the split layer norm uses), then the `scale →
-    /// hadamard → sub → rsqrt_add` statistics chain once and `sub_colvec →
-    /// mul_colvec` per panel: each panel is bitwise what the split layer
-    /// norm gives the rank that owns it. The charge is that chain's exact
-    /// flops with one launch, and the output panels.
-    fn layer_norm_panels<P: Borrow<Self>>(panels: &[P], eps: f32, m: &mut Meter) -> Vec<Self> {
-        let rows = panels.first().expect("layer_norm_panels of no panels").borrow().rows();
-        assert!(
-            panels.iter().all(|p| p.borrow().rows() == rows),
-            "layer_norm_panels: panels disagree on rows"
-        );
-        let width: usize = panels.iter().map(|p| p.borrow().cols()).sum();
-        let flops =
-            NORM_FLOPS_PER_ELEM * (rows * width) as f64 + NORM_STATS_FLOPS_PER_ROW * rows as f64;
-        m.record(flops, rows * width * ELEM_BYTES);
-        // `(mean, inv_std)`, computed by the first panel's kernel (so never
-        // on a backend that drops kernels unrun).
-        let stats: OnceCell<(Matrix, Matrix)> = OnceCell::new();
-        let stats = || {
-            stats.get_or_init(|| {
-                let mut xs = panels.iter().map(|p| vals(p.borrow()));
-                let x0 = xs.next().expect("at least one panel");
-                let (mut s1, mut s2) = (row_sums_of(x0), row_sums_of_squares_of(x0));
-                for x in xs {
-                    s1.add_assign(&row_sums_of(x));
-                    s2.add_assign(&row_sums_of_squares_of(x));
-                }
-                let inv_n = 1.0 / width as f32;
-                let mean = s1.map(|x| x * inv_n);
-                let mean_sq = mean.zip_map(&mean, |x, y| x * y);
-                let var = s2.map(|x| x * inv_n).zip_map(&mean_sq, |x, y| x - y);
-                (mean, var.map(|x| 1.0 / (x + eps).sqrt()))
-            })
-        };
-        (panels.iter().map(Borrow::borrow))
-            .map(|p: &Self| {
-                Self::build(rows, p.cols(), || {
-                    let (mean, inv_std) = stats();
-                    (vals(p).zip_map_colvec(mean.data(), |x, s| x - s))
-                        .zip_map_colvec(inv_std.data(), |x, s| x * s)
-                })
-            })
-            .collect()
-    }
-
-    /// `Σ_t A_t·B_t (+ bias)` in one launch: a whole weight-stationary
-    /// linear over gathered row panels `a = [A_0 … A_{q-1}]` (`[rows, k_t]`)
-    /// and the weight column `b = [B_0 … B_{q-1}]` (`[k_t, cols]`), with an
-    /// optional `[1, cols]` bias.
-    ///
-    /// The Dense kernel is `matmul` per pair, `add_assign` in ascending
-    /// `t`, then the bias add of [`TensorLike::add_rowvec`]: SUMMA's
-    /// accumulating sink on the same shapes, so the same
-    /// `matmul::planned_path` per GEMM and the same bits. The charge is
-    /// that chain's exact flops with one launch, and the `[rows, cols]`
-    /// output; every inner GEMM is tallied by path ([`Meter::tally_gemm`]).
-    fn matmul_panels<A: Borrow<Self>, B: Borrow<Self>>(
-        a: &[A],
-        b: &[B],
-        bias: Option<&Self>,
-        m: &mut Meter,
-    ) -> Self {
-        assert_eq!(a.len(), b.len(), "matmul_panels: {} A panels vs {} B panels", a.len(), b.len());
-        let rows = a.first().expect("matmul_panels of no panels").borrow().rows();
-        let cols = b[0].borrow().cols();
-        let elems = (rows * cols) as f64;
-        let mut flops = (a.len() - 1) as f64 * elems;
-        for (a_t, b_t) in a.iter().zip(b) {
-            let (a_t, b_t) = (a_t.borrow(), b_t.borrow());
-            assert_eq!(a_t.rows(), rows, "matmul_panels: A panels disagree on rows");
-            assert_eq!(b_t.cols(), cols, "matmul_panels: B panels disagree on cols");
-            let (inner, rhs_inner) = (a_t.cols(), b_t.rows());
-            assert_eq!(inner, rhs_inner, "matmul_panels: inner dims {inner} vs {rhs_inner}");
-            flops += matmul::matmul_flops(rows, inner, cols);
-            m.tally_gemm(matmul::planned_path(rows, inner, cols));
-        }
-        if let Some(v) = bias {
-            assert_eq!(v.shape(), (1, cols), "matmul_panels: bad bias shape");
-            flops += elems;
-        }
-        m.record(flops, rows * cols * ELEM_BYTES);
-        Self::build(rows, cols, || {
-            let mut partials =
-                a.iter().zip(b).map(|(a, b)| matmul::matmul(vals(a.borrow()), vals(b.borrow())));
-            let mut c = partials.next().expect("at least one panel");
-            for partial in partials {
-                c.add_assign(&partial);
-            }
-            match bias {
-                Some(v) => nn::bias_add(&c, vals(v).row(0)),
-                None => c,
-            }
-        })
-    }
-
     /// Elementwise GELU.
     fn gelu(&self, m: &mut Meter) -> Self {
         map_op(self, GELU_FLOPS_PER_ELEM, m, nn::gelu_matrix)
@@ -497,70 +412,6 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
         if let Some(x) = self.try_matrix_mut() {
             nn::softmax_rows_masked_inplace(x, limits);
         }
-    }
-    /// Fused ragged causal attention, one launch for every segment and head.
-    ///
-    /// `self` is `Q`, `[T, w]`: the new rows of every segment stacked, `w`
-    /// a whole number of `head_dim`-wide heads. Segment `s` owns the next
-    /// `new_rows[s]` rows and attends over its full cache `kv[s] = (K, V)`,
-    /// each `[L, w]` with the new rows last, so new row `t` sees
-    /// `L − new_rows[s] + t + 1` positions. Per segment and head the kernel
-    /// is the op chain `matmul_nt → scale(1/√head_dim) →
-    /// softmax_rows_masked_inplace → matmul` on the same shapes (so the
-    /// same `matmul::planned_path` and the same bits); the charge is that
-    /// chain's exact flops with one launch, and the `[T, w]` output; each
-    /// inner GEMM is tallied by path ([`Meter::tally_gemm`]).
-    fn ragged_causal_attention(
-        &self,
-        kv: &[(&Self, &Self)],
-        new_rows: &[usize],
-        head_dim: usize,
-        m: &mut Meter,
-    ) -> Self {
-        let (rows, w) = self.shape();
-        assert_eq!(kv.len(), new_rows.len(), "attention: one KV cache per segment");
-        assert_eq!(new_rows.iter().sum::<usize>(), rows, "attention: segment rows vs {rows}");
-        assert!(head_dim > 0 && w % head_dim == 0, "attention: width {w} vs head {head_dim}");
-        let heads = (w / head_dim) as f64;
-        let mut flops = 0.0;
-        for (&(k, v), &t) in kv.iter().zip(new_rows) {
-            let len = k.rows();
-            assert_eq!(k.shape(), v.shape(), "attention: K and V caches differ");
-            assert_eq!(k.cols(), w, "attention: cache width vs query width");
-            assert!(t >= 1 && t <= len, "attention: {t} new rows in a {len}-row cache");
-            for _ in 0..w / head_dim {
-                m.tally_gemm(matmul::planned_path(t, head_dim, len));
-                m.tally_gemm(matmul::planned_path(t, len, head_dim));
-            }
-            // Σ_t (len − t_new + t + 1) unmasked positions.
-            let active = t * (len - t) + t * (t + 1) / 2;
-            flops += heads
-                * (matmul::matmul_flops(t, head_dim, len)
-                    + (t * len) as f64
-                    + SOFTMAX_FLOPS_PER_ELEM * active as f64
-                    + matmul::matmul_flops(t, len, head_dim));
-        }
-        m.record(flops, rows * w * ELEM_BYTES);
-        Self::build(rows, w, || {
-            let q = vals(self);
-            let scale = 1.0 / (head_dim as f32).sqrt();
-            let mut out = Matrix::zeros(rows, w);
-            let mut r0 = 0;
-            for (&(k, v), &t) in kv.iter().zip(new_rows) {
-                let (k, v) = (vals(k), vals(v));
-                let len = k.rows();
-                let limits: Vec<usize> = (len - t + 1..=len).collect();
-                for c0 in (0..w).step_by(head_dim) {
-                    let qh = q.block(r0, c0, t, head_dim);
-                    let mut scores = matmul::matmul_nt(&qh, &k.block(0, c0, len, head_dim));
-                    scores.scale_assign(scale);
-                    nn::softmax_rows_masked_inplace(&mut scores, &limits);
-                    out.set_block(r0, c0, &matmul::matmul(&scores, &v.block(0, c0, len, head_dim)));
-                }
-                r0 += t;
-            }
-            out
-        })
     }
     /// Softmax backward: `self` is the forward *output* `Y`.
     fn softmax_rows_backward(&self, dy: &Self, m: &mut Meter) -> Self {
@@ -712,23 +563,6 @@ mod tests {
         AdamCoeffs::at_step(0.9, 0.999, 1e-8, t)
     }
 
-    /// The eleven-op chain `adam_direction` replaced, kept as its spec.
-    fn adam_direction_chain<T: TensorLike>(
-        g: &T,
-        mom: &mut T,
-        vel: &mut T,
-        c: AdamCoeffs,
-        m: &mut Meter,
-    ) -> T {
-        *mom = mom.scale(c.beta1, m).add(&g.scale(1.0 - c.beta1, m), m);
-        let g2 = g.hadamard(g, m);
-        *vel = vel.scale(c.beta2, m).add(&g2.scale(1.0 - c.beta2, m), m);
-        let m_hat = mom.scale(c.bias1, m);
-        let v_hat = vel.scale(c.bias2, m);
-        let denom = v_hat.rsqrt_add(c.eps_sq, m);
-        m_hat.hadamard(&denom, m)
-    }
-
     fn bits(t: &DenseTensor) -> Vec<u32> {
         t.0.data().iter().map(|v| v.to_bits()).collect()
     }
@@ -771,190 +605,6 @@ mod tests {
         }
         assert_eq!(fused, chain);
         assert_eq!(fused, shadow);
-    }
-
-    /// The per-(segment, head) chain `ragged_causal_attention` replaced,
-    /// kept as its spec.
-    fn attention_chain<T: TensorLike>(
-        q: &T,
-        kv: &[(&T, &T)],
-        new_rows: &[usize],
-        hd: usize,
-        m: &mut Meter,
-    ) -> T {
-        let scale = 1.0 / (hd as f32).sqrt();
-        let mut segs = Vec::new();
-        let mut r0 = 0;
-        for (&(k, v), &t) in kv.iter().zip(new_rows) {
-            let qs = q.slice_rows(r0, r0 + t, m);
-            let limits: Vec<usize> = (k.rows() - t + 1..=k.rows()).collect();
-            let mut heads = Vec::new();
-            for c0 in (0..q.cols()).step_by(hd) {
-                let qh = qs.slice_cols(c0, c0 + hd, m);
-                let (kh, vh) = (k.slice_cols(c0, c0 + hd, m), v.slice_cols(c0, c0 + hd, m));
-                let mut scores = qh.matmul_nt(&kh, m).scale(scale, m);
-                scores.softmax_rows_masked_inplace(&limits, m);
-                heads.push(scores.matmul(&vh, m));
-            }
-            segs.push(T::concat_cols(&heads, m));
-            r0 += t;
-        }
-        if segs.is_empty() {
-            T::zeros(0, q.cols())
-        } else {
-            T::concat_rows(&segs, m)
-        }
-    }
-
-    #[test]
-    fn fused_attention_equals_its_op_chain_bitwise() {
-        // (head width, heads, [(new rows, cached rows)]): a prefill beside
-        // decodes over different cached prefixes; the wide case puts the
-        // prefill's GEMMs on the blocked path; then an empty lane.
-        let cases: [(usize, usize, &[(usize, usize)]); 3] =
-            [(4, 3, &[(1, 6), (5, 0), (1, 2), (3, 4)]), (64, 2, &[(64, 16), (1, 40)]), (4, 2, &[])];
-        for (ci, &(hd, heads, segs)) in cases.iter().enumerate() {
-            let w = hd * heads;
-            let new_rows: Vec<usize> = segs.iter().map(|s| s.0).collect();
-            let rows = new_rows.iter().sum();
-            let q = dense(rows, w, 40 + ci as u64);
-            let caches: Vec<(DenseTensor, DenseTensor)> = (segs.iter().enumerate())
-                .map(|(i, &(t, c))| {
-                    (dense(t + c, w, 50 + i as u64), dense(t + c, w, 60 + i as u64))
-                })
-                .collect();
-            let kv: Vec<(&DenseTensor, &DenseTensor)> =
-                caches.iter().map(|(k, v)| (k, v)).collect();
-            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
-            let got = q.ragged_causal_attention(&kv, &new_rows, hd, &mut fused);
-            let want = attention_chain(&q, &kv, &new_rows, hd, &mut chain);
-            assert_eq!(got.shape(), (rows, w), "case {ci}");
-            assert_eq!(bits(&got), bits(&want), "case {ci}");
-            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
-            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
-            assert_eq!(chain.kernels, 4 * (segs.len() * heads) as u64, "case {ci}");
-            assert_eq!(tallies(&fused), tallies(&chain), "case {ci}: GEMM tallies");
-
-            let shapes: Vec<ShadowTensor> =
-                caches.iter().map(|(k, _)| ShadowTensor::new(k.rows(), w)).collect();
-            let skv: Vec<_> = shapes.iter().map(|s| (s, s)).collect();
-            let sq = ShadowTensor::new(rows, w);
-            let _ = sq.ragged_causal_attention(&skv, &new_rows, hd, &mut shadow);
-            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
-        }
-    }
-
-    /// The GEMM dispatch tallies of a meter, by path and micro-kernel.
-    fn tallies(m: &Meter) -> [u64; 5] {
-        [
-            m.gemms_serial,
-            m.gemms_blocked,
-            m.gemms_kernel_scalar,
-            m.gemms_kernel_avx2,
-            m.gemms_kernel_avx512,
-        ]
-    }
-
-    /// The split layer norm's op chain over a gathered row — per-panel
-    /// statistics, the row all-reduce's member-order fold, the statistics
-    /// chain, per-panel normalization — kept as `layer_norm_panels`' spec.
-    fn layer_norm_chain<T: TensorLike>(panels: &[T], eps: f32, m: &mut Meter) -> Vec<T> {
-        let n = panels.iter().map(T::cols).sum::<usize>() as f32;
-        let sums: Vec<(T, T)> =
-            panels.iter().map(|x| (x.row_sums(m), x.row_sums_of_squares(m))).collect();
-        let (mut s1, mut s2) = sums[0].clone();
-        for (t1, t2) in &sums[1..] {
-            s1.reduce_add_inplace(t1);
-            s2.reduce_add_inplace(t2);
-        }
-        let mean = s1.scale(1.0 / n, m);
-        let mean_sq = mean.hadamard(&mean, m);
-        let var = s2.scale(1.0 / n, m).sub(&mean_sq, m);
-        let inv_std = var.rsqrt_add(eps, m);
-        panels.iter().map(|x| x.sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
-    }
-
-    #[test]
-    fn fused_layer_norm_equals_its_op_chain_bitwise() {
-        // (rows, panel widths): one to four panels, then an empty lane.
-        let cases: [(usize, &[usize]); 5] =
-            [(7, &[12]), (5, &[6, 6]), (9, &[4, 4, 4]), (3, &[8, 8, 8, 8]), (0, &[4, 4])];
-        for (ci, &(rows, widths)) in cases.iter().enumerate() {
-            let panels: Vec<DenseTensor> = (widths.iter().enumerate())
-                .map(|(t, &w)| dense(rows, w, 70 + 10 * ci as u64 + t as u64))
-                .collect();
-            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
-            let got = DenseTensor::layer_norm_panels(&panels, 1e-5, &mut fused);
-            let want = layer_norm_chain(&panels, 1e-5, &mut chain);
-            assert_eq!(got.len(), widths.len(), "case {ci}");
-            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.shape(), (rows, widths[t]), "case {ci} panel {t}");
-                assert_eq!(bits(g), bits(w), "case {ci} panel {t}");
-            }
-            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
-            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
-
-            let shapes: Vec<ShadowTensor> =
-                widths.iter().map(|&w| ShadowTensor::new(rows, w)).collect();
-            let out = ShadowTensor::layer_norm_panels(&shapes, 1e-5, &mut shadow);
-            assert_eq!(out, shapes, "case {ci}: Shadow shapes");
-            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
-        }
-    }
-
-    /// SUMMA's accumulating sink over a row of panels, then the bias add:
-    /// the chain `matmul_panels` replaced, kept as its spec.
-    fn matmul_panels_chain<T: TensorLike>(a: &[T], b: &[T], bias: Option<&T>, m: &mut Meter) -> T {
-        let mut c = a[0].matmul(&b[0], m);
-        for (a_t, b_t) in a.iter().zip(b).skip(1) {
-            c.add_assign(&a_t.matmul(b_t, m), m);
-        }
-        match bias {
-            Some(v) => c.add_rowvec(v, m),
-            None => c,
-        }
-    }
-
-    #[test]
-    fn fused_panel_matmul_equals_its_op_chain_bitwise() {
-        // (rows, inner per panel, cols, panels, bias): one to four panels
-        // on the serial path, an empty lane, then blocked GEMMs.
-        let cases = [
-            (5, 4, 6, 1, true),
-            (5, 4, 6, 2, false),
-            (3, 5, 8, 3, true),
-            (7, 4, 6, 4, true),
-            (0, 4, 6, 2, true),
-            (64, 64, 64, 2, true),
-            (64, 64, 64, 3, false),
-        ];
-        for (ci, &(rows, inner, cols, q, with_bias)) in cases.iter().enumerate() {
-            let seed = 100 + 10 * ci as u64;
-            let a: Vec<DenseTensor> = (0..q).map(|t| dense(rows, inner, seed + t as u64)).collect();
-            let b: Vec<DenseTensor> =
-                (0..q).map(|t| dense(inner, cols, seed + 5 + t as u64)).collect();
-            let bias = with_bias.then(|| dense(1, cols, seed + 9));
-            let (mut fused, mut chain, mut shadow) = (Meter::new(), Meter::new(), Meter::new());
-            let got = DenseTensor::matmul_panels(&a, &b, bias.as_ref(), &mut fused);
-            let want = matmul_panels_chain(&a, &b, bias.as_ref(), &mut chain);
-            assert_eq!(got.shape(), (rows, cols), "case {ci}");
-            assert_eq!(bits(&got), bits(&want), "case {ci}");
-            assert_eq!(fused.flops, chain.flops, "case {ci}: the chain's flops, exactly");
-            assert_eq!(fused.kernels, u64::from(rows > 0), "case {ci}: one launch");
-            assert_eq!(tallies(&fused), tallies(&chain), "case {ci}: GEMM tallies");
-            assert_eq!(fused.gemms_blocked > 0, rows == 64, "case {ci}: the path it covers");
-
-            let (sa, sb) = (ShadowTensor::new(rows, inner), ShadowTensor::new(inner, cols));
-            let sbias = with_bias.then(|| ShadowTensor::new(1, cols));
-            let out = ShadowTensor::matmul_panels(
-                &vec![sa; q],
-                &vec![sb; q],
-                sbias.as_ref(),
-                &mut shadow,
-            );
-            assert_eq!(out.shape(), (rows, cols), "case {ci}");
-            assert_eq!(fused, shadow, "case {ci}: Shadow charges what Dense charges");
-        }
     }
 
     #[test]

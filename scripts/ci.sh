@@ -48,14 +48,15 @@ fi
 # Every tensor op's shape rule, Meter charge and kernel is written once, as a
 # provided method of `TensorLike`; a backend is storage. A charge or a shape
 # assert inside an `impl TensorLike for` block is a second copy of the price
-# list, and so is a `Meter::record` call anywhere but tensor.rs (meter.rs
-# defines it; the only other `.record(` is a rank's comm ledger's,
-# `CommStats::record`).
+# list, and so is a `Meter::record` / `record_gemm` / `record_fused` call
+# anywhere but tensor.rs (meter.rs defines them; the only other `.record(` is
+# a rank's comm ledger's, `CommStats::record`): a fused launch elsewhere is
+# its op chain under `tesseract_tensor::fused`.
 echo "== price-list gate (TensorLike impls are storage; Meter charged from tensor.rs only) =="
 forked=$(awk '/^impl TensorLike for /{inside=1} /^}/{inside=0}
     inside && (/record/ || /(^|[^_])assert/) {print FILENAME ":" FNR ": " $0}' \
     crates/tensor/src/tensor.rs)
-stray=$(grep -rnE '\.record(_gemm)?\(' crates src tests examples --include='*.rs' \
+stray=$(grep -rnE '\.record(_gemm|_fused)?\(' crates src tests examples --include='*.rs' \
     | grep -vE '^crates/tensor/src/(tensor|meter)\.rs:|^crates/comm/src/stats\.rs:|comm\.record\(' \
     || true)
 if [ -n "$forked$stray" ]; then
