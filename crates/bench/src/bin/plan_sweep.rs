@@ -14,11 +14,12 @@
 //! - `sweep` — a scale the paper never measured: 128 GPUs (only one
 //!   feasible `d ≤ q` Tesseract grid, `[8,8,2]`), batch 256, hidden 4096,
 //!   heads 128, with the **full** menu including 5-axis hybrids and 4
-//!   microbatches — the mode where signature dedup and analytic pruning
-//!   earn their keep.
+//!   microbatches — the mode where signature dedup earns its keep; all 25
+//!   unique candidates are dry-run and ranked.
 //!
-//! The ranked tables print to stdout and the JSON report goes to `--out`
-//! (default `BENCH_plan.json`).
+//! Every mode asserts that each non-duplicate candidate was dry-run and
+//! ranked. The ranked tables print to stdout and the JSON report goes to
+//! `--out` (default `BENCH_plan.json`).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin plan_sweep -- \
 //!           [--mode table1|table2|sweep|all] [--out BENCH_plan.json]`
@@ -64,20 +65,16 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
             "compute": Value::fixed(a.compute_s, 9), "comm": Value::fixed(a.comm_s, 9),
             "total": Value::fixed(a.total_s(), 9)
         });
-        // A pruned or duplicate entry names why it has no dry-run.
-        let (rank, dryrun, why) = match (&e.status, &e.dryrun) {
-            (EntryStatus::Ranked(r), Some(d)) => (Some(*r), Some(d), None),
-            (EntryStatus::PrunedByAnalytic, _) => (None, None, Some(("pruned", json!(true)))),
-            (EntryStatus::Duplicate { of }, _) => {
-                (None, None, Some(("duplicate_of", json!(of.as_str()))))
-            }
-            _ => unreachable!("ranked entries always carry a dry-run"),
+        let (rank, duplicate_of) = match &e.status {
+            EntryStatus::Ranked(r) => (Some(*r), None),
+            EntryStatus::Duplicate { of } => (None, Some(of.as_str())),
         };
-        let dryrun = dryrun.zip(e.throughput_seq_s(&p.cfg)).map(|(d, throughput)| {
+        let dryrun = e.dryrun.zip(e.throughput_seq_s(&p.cfg)).map(|(d, throughput)| {
             json!({
                 "makespan_s": Value::fixed(d.makespan_s, 9),
                 "forward_s": Value::fixed(d.forward_s, 9),
-                "backward_s": Value::fixed(d.backward_s, 9), "peak_bytes": d.peak_bytes,
+                "backward_s": Value::fixed(d.backward_s, 9), "alloc_bytes": d.alloc_bytes,
+                "act_peak_bytes": d.activation_peak_bytes,
                 "hidden_wait_frac": Value::fixed(d.hidden_wait_frac, 6),
                 "throughput_seq_s": Value::fixed(throughput, 4)
             })
@@ -86,8 +83,9 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
             "arrangement": e.label.as_str(), "signature": e.signature.as_str(),
             "analytic_s": analytic, "rank": rank, "dryrun": dryrun
         });
-        if let (Value::Obj(fields), Some((key, value))) = (&mut entry, why) {
-            fields.push((key.to_string(), value));
+        // A duplicate names the entry it was scored under.
+        if let (Value::Obj(fields), Some(of)) = (&mut entry, duplicate_of) {
+            fields.push(("duplicate_of".to_string(), json!(of)));
         }
         entry
     });
@@ -111,8 +109,7 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
         "infeasible": Value::Arr(infeasible.collect()),
         "search": {
             "feasible": p.entries.len(), "infeasible": p.infeasible.len(),
-            "analytic_memo_hits": p.analytic_memo_hits, "pruned_dryruns": p.pruned_dryruns,
-            "duplicates_collapsed": duplicates
+            "analytic_memo_hits": p.analytic_memo_hits, "duplicates_collapsed": duplicates
         }
     })
 }
@@ -138,6 +135,12 @@ fn main() {
         let p = plan(&mode.request);
         print!("{}", p.describe());
         let winner = p.winner().expect("every mode has at least one feasible candidate");
+        // Every non-duplicate entry was dry-run, listed by rank from 0.
+        let unique = p.entries.len() - p.analytic_memo_hits;
+        for (r, e) in p.entries[..unique].iter().enumerate() {
+            let ok = e.status == EntryStatus::Ranked(r) && e.dryrun.is_some();
+            assert!(ok, "{}: {} is not ranked {r}", mode.name, e.label);
+        }
         if let Some(expected) = mode.expected_winner {
             assert_eq!(
                 winner.label, expected,

@@ -1,4 +1,4 @@
-//! Stage 1 of the search: a cheap analytic α–β estimate per candidate.
+//! A cheap analytic α–β estimate per candidate, reported beside its dry-run.
 //!
 //! The estimate prices one training step (forward + checkpointed backward,
 //! the step convention of [`crate::dryrun`] and the paper's tables:
@@ -7,9 +7,9 @@
 //! *actual* fiber placements of the candidate's mesh on the target
 //! [`Topology`] — so node packing (NVLink vs InfiniBand) shows up in the
 //! estimate exactly as it does in the dry-run. The numbers are estimates,
-//! not replays: SUMMA overlap, skew and pipeline fill are simplified. They
-//! exist to prune the candidate list before the expensive ShadowTensor
-//! dry-runs; the dry-run decides the final ranking.
+//! not replays: SUMMA overlap, skew and pipeline fill are simplified. The
+//! planner dry-runs every candidate and ranks by the dry-run alone; the
+//! estimate filters nothing and is kept so its error can be measured.
 
 use tesseract_comm::{CollectiveOp, CostParams, GroupPlacement, Mesh, Topology};
 use tesseract_core::{GridShape, TransformerConfig};

@@ -1,4 +1,4 @@
-//! Stage 2 of the search: ShadowTensor dry-runs on the simulated cluster.
+//! The planner's ranking: ShadowTensor dry-runs on the simulated cluster.
 //!
 //! Each candidate is executed for one real training step — shapes and exact
 //! flop/byte metering, no data — on a [`Cluster`] built from the *target*
@@ -41,9 +41,10 @@ pub struct DryRun {
     pub forward_s: f64,
     /// `makespan_s − forward_s`: recompute + backward (+ drain + grad sync).
     pub backward_s: f64,
-    /// Peak activation-traffic proxy: max over ranks of bytes the step
-    /// materialized.
-    pub peak_bytes: u64,
+    /// Allocation traffic: max over ranks of the cumulative bytes the
+    /// step's ops materialized. Not a high-water mark; that is
+    /// `activation_peak_bytes`.
+    pub alloc_bytes: u64,
     /// Measured peak of tape-held activation bytes: max over ranks of the
     /// [`RankReport::activation_bytes_peak`](tesseract_comm::RankReport::activation_bytes_peak)
     /// high-water mark: one segment's tape plus the segment inputs queued
@@ -85,7 +86,7 @@ pub fn dry_run(
         makespan_s: makespan,
         forward_s: forward,
         backward_s: makespan - forward,
-        peak_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
+        alloc_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
         activation_peak_bytes: reports.iter().map(|r| r.activation_bytes_peak).max().unwrap_or(0),
         hidden_wait_frac: if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 },
         hidden_wait_s: reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0) as f64
@@ -284,6 +285,6 @@ mod tests {
         let r = dry_run(&topo, &params, &cand, &cfg(), false);
         assert!(r.makespan_s > 0.0);
         assert!(r.forward_s > 0.0 && r.backward_s > 0.0);
-        assert!(r.peak_bytes > 0);
+        assert!(r.alloc_bytes > 0);
     }
 }

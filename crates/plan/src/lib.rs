@@ -5,21 +5,22 @@
 //! Tables 1–2: *which processor arrangement should these GPUs form?* It
 //! enumerates every structural decomposition — Megatron-LM 1-D, Tesseract
 //! `[q, q, d]` with `1 ≤ d ≤ q`, and 5-axis `[dp, pp, depth, row, col]`
-//! hybrids — and searches in two stages:
+//! hybrids — rejects infeasible ones, collapses equivalent ones onto one
+//! signature, and ranks the rest:
 //!
-//! 1. **Analytic** ([`analytic_score`]): a cheap α–β estimate per candidate,
-//!    priced on the candidate's actual fiber placements over the topology
-//!    (so NVLink vs InfiniBand boundaries are visible). Canonically
-//!    equivalent arrangements share one memoized score.
-//! 2. **Dry-run** ([`dry_run`]): the analytically cheapest survivors execute
-//!    one real (shape-only, [`ShadowTensor`]-metered) training step on the
-//!    simulated cluster; the final ranking is by simulated makespan, backed
-//!    by the same deterministic virtual clocks as the paper-table benches.
+//! - **Dry-run** ([`dry_run`]): every unique feasible candidate executes
+//!   one real (shape-only, [`ShadowTensor`]-metered) training step on the
+//!   simulated cluster; the ranking is by simulated makespan, backed by the
+//!   same deterministic virtual clocks as the paper-table benches.
+//! - **Analytic** ([`analytic_score`]): a cheap α–β estimate per candidate,
+//!   priced on the candidate's actual fiber placements over the topology
+//!   (so NVLink vs InfiniBand boundaries are visible). It is reported
+//!   beside the dry-run and decides nothing.
 //!
 //! Entry point: build a [`PlanRequest`] and call [`plan`]; the returned
 //! [`Plan`] carries the winner, the full ranked table with per-candidate
 //! cost breakdowns, every infeasible candidate with its [`ShapeError`]
-//! reason, and the search-coverage counters (memo hits, pruned dry-runs).
+//! reason, and the search-coverage counters (memo hits, duplicates).
 //!
 //! [`TransformerConfig`]: tesseract_core::TransformerConfig
 //! [`ShapeError`]: tesseract_core::ShapeError

@@ -1,13 +1,14 @@
-//! The two-stage arrangement search.
+//! The exhaustive arrangement search.
 //!
 //! [`plan`] enumerates every structural candidate for the GPU budget,
 //! rejects infeasible ones with their [`ShapeError`] reason, collapses
-//! canonically-equivalent arrangements onto one signature (memoizing the
-//! analytic score), prices the survivors with the analytic α–β model, keeps
-//! the `dryrun_keep` cheapest, and ranks those by a full ShadowTensor
-//! dry-run on the simulated cluster. The winner is the ranked entry with
-//! the smallest simulated makespan — at a fixed global batch that is also
-//! the throughput (sequences/s) winner, the paper's Table 1/2 metric.
+//! canonically-equivalent arrangements onto one signature, and runs a full
+//! ShadowTensor dry-run of **every** unique feasible candidate on the
+//! simulated cluster. The winner is the entry with the smallest simulated
+//! makespan (ties go to the earlier-enumerated candidate) — at a fixed
+//! global batch that is also the throughput (sequences/s) winner, the
+//! paper's Table 1/2 metric. Each unique candidate's analytic α–β estimate
+//! is reported beside its dry-run; it decides nothing.
 
 use std::collections::HashMap;
 
@@ -34,15 +35,13 @@ pub struct PlanRequest {
     pub menu: CandidateMenu,
     /// GPipe depth for pipelined hybrids (pp > 1).
     pub microbatches: usize,
-    /// How many analytic-stage survivors get a dry-run.
-    pub dryrun_keep: usize,
     /// Collect event traces during the dry-runs (bitwise-invariant).
     pub trace: bool,
 }
 
 impl PlanRequest {
     /// Defaults: meluxina topology, A100 cost constants, every candidate
-    /// family, 4 microbatches, 8 dry-run slots, no tracing.
+    /// family, 4 microbatches, no tracing.
     pub fn new(gpus: usize, cfg: TransformerConfig) -> Self {
         Self {
             gpus,
@@ -51,7 +50,6 @@ impl PlanRequest {
             params: CostParams::a100_cluster(),
             menu: CandidateMenu::all(),
             microbatches: 4,
-            dryrun_keep: 8,
             trace: false,
         }
     }
@@ -62,9 +60,6 @@ impl PlanRequest {
 pub enum EntryStatus {
     /// Dry-run and ranked; 0 is the winner.
     Ranked(usize),
-    /// Survived feasibility but its analytic score fell outside the
-    /// `dryrun_keep` cheapest — never dry-run.
-    PrunedByAnalytic,
     /// Canonically equivalent to an earlier candidate (same signature);
     /// scored once under that entry's label.
     Duplicate { of: String },
@@ -76,6 +71,8 @@ pub struct PlanEntry {
     pub candidate: Candidate,
     pub label: String,
     pub signature: String,
+    /// The analytic estimate, reported beside the dry-run (a duplicate
+    /// carries its owner's).
     pub analytic: AnalyticScore,
     /// Present iff `status` is `Ranked`.
     pub dryrun: Option<DryRun>,
@@ -97,15 +94,16 @@ impl PlanEntry {
 pub struct Plan {
     pub gpus: usize,
     pub cfg: TransformerConfig,
-    /// Ranked entries first (by rank), then analytic-pruned (cheapest
-    /// first), then duplicates.
+    /// Ranked entries first (by rank), then duplicates (in enumeration
+    /// order).
     pub entries: Vec<PlanEntry>,
     /// `(label, reason)` of every enumerated-but-infeasible candidate.
     pub infeasible: Vec<(String, ShapeError)>,
     /// Analytic scores served from the signature memo instead of being
     /// recomputed (== number of duplicate arrangements collapsed).
     pub analytic_memo_hits: usize,
-    /// Feasible, non-duplicate candidates that never got a dry-run.
+    /// Always 0: every unique feasible candidate is dry-run. Kept for
+    /// readers of the old two-stage search's counter.
     pub pruned_dryruns: usize,
 }
 
@@ -128,28 +126,21 @@ impl Plan {
             self.cfg.layers
         ));
         out.push_str(
-            "  rank  arrangement                               analytic(s)  makespan(s)  seq/s      peak(MB)  act-peak(MB)  hidden-wait\n",
+            "  rank  arrangement                               analytic(s)  makespan(s)  seq/s      alloc(MB)  act-peak(MB)  hidden-wait\n",
         );
         for e in &self.entries {
             match (&e.status, &e.dryrun) {
                 (EntryStatus::Ranked(r), Some(d)) => {
                     out.push_str(&format!(
-                        "  {:>4}  {:<41} {:>10.4}  {:>10.4}  {:>8.2}  {:>8.1}  {:>12.1}  {:>10.3}\n",
+                        "  {:>4}  {:<41} {:>10.4}  {:>10.4}  {:>8.2}  {:>9.1}  {:>12.1}  {:>10.3}\n",
                         r,
                         e.label,
                         e.analytic.total_s(),
                         d.makespan_s,
                         self.cfg.batch as f64 / d.makespan_s,
-                        d.peak_bytes as f64 / 1e6,
+                        d.alloc_bytes as f64 / 1e6,
                         d.activation_peak_bytes as f64 / 1e6,
                         d.hidden_wait_frac,
-                    ));
-                }
-                (EntryStatus::PrunedByAnalytic, _) => {
-                    out.push_str(&format!(
-                        "     -  {:<41} {:>10.4}  (pruned by analytic stage)\n",
-                        e.label,
-                        e.analytic.total_s(),
                     ));
                 }
                 (EntryStatus::Duplicate { of }, _) => {
@@ -162,10 +153,9 @@ impl Plan {
             out.push_str(&format!("     x  {label:<41} infeasible: {err}\n"));
         }
         out.push_str(&format!(
-            "  coverage: {} feasible ({} dry-run, {} pruned, {} duplicates collapsed), {} infeasible, {} analytic memo hits\n",
+            "  coverage: {} feasible ({} dry-run, {} duplicates collapsed), {} infeasible, {} analytic memo hits\n",
             self.entries.len(),
             self.entries.iter().filter(|e| matches!(e.status, EntryStatus::Ranked(_))).count(),
-            self.pruned_dryruns,
             self.entries.iter().filter(|e| matches!(e.status, EntryStatus::Duplicate { .. })).count(),
             self.infeasible.len(),
             self.analytic_memo_hits,
@@ -174,107 +164,65 @@ impl Plan {
     }
 }
 
-/// Runs the two-stage search. See the module docs for the pipeline.
+/// Runs the exhaustive search. See the module docs for the pipeline.
 pub fn plan(req: &PlanRequest) -> Plan {
-    let candidates = enumerate(req.gpus, req.menu, req.microbatches);
-
-    // Stage 0: feasibility (Result-based, so rejections carry their reason).
-    let mut feasible: Vec<Candidate> = Vec::new();
     let mut infeasible: Vec<(String, ShapeError)> = Vec::new();
-    for cand in candidates {
-        match cand.check(&req.cfg, req.gpus) {
-            Ok(()) => feasible.push(cand),
-            Err(e) => infeasible.push((cand.label(), e)),
+    // The first candidate with a signature owns it and is scored and
+    // dry-run; later holders are duplicates and reuse the owner's score.
+    let mut owners: HashMap<String, usize> = HashMap::new();
+    let mut entries: Vec<PlanEntry> = Vec::new();
+    for cand in enumerate(req.gpus, req.menu, req.microbatches) {
+        if let Err(e) = cand.check(&req.cfg, req.gpus) {
+            infeasible.push((cand.label(), e));
+            continue;
         }
-    }
-
-    // Stage 1: analytic scores, memoized by canonical signature. The first
-    // candidate with a signature owns it; later holders are duplicates and
-    // reuse the memoized score.
-    let mut memo: HashMap<String, (usize, AnalyticScore)> = HashMap::new();
-    let mut analytic_memo_hits = 0usize;
-    let mut scored: Vec<PlanEntry> = Vec::new();
-    for cand in feasible {
         let signature = cand.signature();
-        let (analytic, status) = match memo.get(&signature) {
-            Some(&(owner, score)) => {
-                analytic_memo_hits += 1;
-                (score, EntryStatus::Duplicate { of: scored[owner].label.clone() })
+        let (analytic, dryrun, status) = match owners.get(&signature) {
+            Some(&owner) => {
+                let o = &entries[owner];
+                (o.analytic, None, EntryStatus::Duplicate { of: o.label.clone() })
             }
             None => {
-                let score = analytic_score(&req.topology, &req.params, &cand, &req.cfg);
-                memo.insert(signature.clone(), (scored.len(), score));
-                (score, EntryStatus::PrunedByAnalytic) // promoted below if kept
+                owners.insert(signature.clone(), entries.len());
+                let analytic = analytic_score(&req.topology, &req.params, &cand, &req.cfg);
+                let d = dry_run(&req.topology, &req.params, &cand, &req.cfg, req.trace);
+                (analytic, Some(d), EntryStatus::Ranked(0)) // ranked below
             }
         };
-        scored.push(PlanEntry {
+        entries.push(PlanEntry {
             candidate: cand,
             label: cand.label(),
             signature,
             analytic,
-            dryrun: None,
+            dryrun,
             status,
         });
     }
+    let analytic_memo_hits = entries.len() - owners.len();
 
-    // Stage 2: dry-run the `dryrun_keep` analytically cheapest unique
-    // candidates.
-    let mut unique: Vec<usize> = (0..scored.len())
-        .filter(|&i| !matches!(scored[i].status, EntryStatus::Duplicate { .. }))
-        .collect();
-    unique.sort_by(|&a, &b| {
-        scored[a]
-            .analytic
-            .total_s()
-            .partial_cmp(&scored[b].analytic.total_s())
-            .expect("analytic scores are finite")
-            .then(a.cmp(&b))
-    });
-    let keep = req.dryrun_keep.max(1).min(unique.len());
-    let pruned_dryruns = unique.len() - keep;
-    let mut ranked: Vec<(usize, DryRun)> = unique[..keep]
-        .iter()
-        .map(|&i| {
-            let d = dry_run(&req.topology, &req.params, &scored[i].candidate, &req.cfg, req.trace);
-            (i, d)
-        })
-        .collect();
-    ranked.sort_by(|a, b| {
-        a.1.makespan_s
-            .partial_cmp(&b.1.makespan_s)
-            .expect("makespans are finite")
-            .then(a.0.cmp(&b.0))
-    });
-    for (rank, &(i, d)) in ranked.iter().enumerate() {
-        scored[i].dryrun = Some(d);
-        scored[i].status = EntryStatus::Ranked(rank);
+    // Rank by makespan; the sort is stable, so ties go to the
+    // earlier-enumerated candidate.
+    let mut ranked: Vec<(usize, f64)> =
+        entries.iter().enumerate().filter_map(|(i, e)| Some((i, e.dryrun?.makespan_s))).collect();
+    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+    for (rank, &(i, _)) in ranked.iter().enumerate() {
+        entries[i].status = EntryStatus::Ranked(rank);
     }
-
-    // Present ranked entries first, then pruned by ascending analytic cost,
-    // then duplicates.
-    let mut order: Vec<usize> = (0..scored.len()).collect();
-    order.sort_by(|&a, &b| {
-        fn key(e: &PlanEntry) -> (usize, usize) {
-            match e.status {
-                EntryStatus::Ranked(r) => (0, r),
-                EntryStatus::PrunedByAnalytic => (1, 0),
-                EntryStatus::Duplicate { .. } => (2, 0),
-            }
-        }
-        let (ka, kb) = (key(&scored[a]), key(&scored[b]));
-        ka.cmp(&kb)
-            .then(
-                scored[a]
-                    .analytic
-                    .total_s()
-                    .partial_cmp(&scored[b].analytic.total_s())
-                    .expect("analytic scores are finite"),
-            )
-            .then(a.cmp(&b))
+    // Ranked entries by rank, then duplicates in enumeration order (the
+    // sort is stable).
+    entries.sort_by_key(|e| match e.status {
+        EntryStatus::Ranked(r) => (0, r),
+        EntryStatus::Duplicate { .. } => (1, 0),
     });
-    let entries: Vec<PlanEntry> = order.into_iter().map(|i| scored[i].clone()).collect();
 
-    Plan { gpus: req.gpus, cfg: req.cfg, entries, infeasible, analytic_memo_hits, pruned_dryruns }
+    Plan {
+        gpus: req.gpus,
+        cfg: req.cfg,
+        entries,
+        infeasible,
+        analytic_memo_hits,
+        pruned_dryruns: 0,
+    }
 }
 
 #[cfg(test)]
@@ -327,17 +275,6 @@ mod tests {
                 assert!(d.makespan_s >= best);
             }
         }
-    }
-
-    #[test]
-    fn pruning_is_logged_when_the_keep_budget_binds() {
-        let mut req = PlanRequest::new(8, small_cfg());
-        req.microbatches = 2;
-        req.dryrun_keep = 2;
-        let p = plan(&req);
-        assert!(p.pruned_dryruns > 0);
-        assert!(p.entries.iter().any(|e| e.status == EntryStatus::PrunedByAnalytic));
-        assert!(p.describe().contains("pruned"));
     }
 
     #[test]

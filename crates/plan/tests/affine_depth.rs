@@ -3,14 +3,17 @@
 //! there is no pipeline. The paper's §3.1 costs are per layer, so a
 //! makespan that bends with depth means state leaking between layers, a
 //! cache that fills once on the training path, or clock skew that grows
-//! with depth.
+//! with depth. Fixed cases cover each family and pipeline depth; a
+//! property test draws random small workloads and feasible candidates.
 //!
-//! Serving is not covered: its weight-stationary linears fetch their
-//! weight column once per run, on the first step, by design.
+//! Serving is deliberately not affine and not covered: its
+//! weight-stationary linears fetch their weight column once per run, on
+//! the first step, so that fetch fills once by design.
 
 use proptest::prelude::*;
 use tesseract_comm::{CostParams, Topology};
-use tesseract_core::TransformerConfig;
+use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_hybrid::HybridShape;
 use tesseract_plan::{dry_run, enumerate, Candidate, CandidateMenu};
 
 /// Relative distance from collinearity the f64 clock may show.
@@ -31,6 +34,51 @@ fn makespans(cand: &Candidate, cfg: &TransformerConfig) -> [f64; 3] {
         let cfg = TransformerConfig { layers: k * pp, ..*cfg };
         dry_run(&topo, &params, cand, &cfg, false).makespan_s
     })
+}
+
+/// Asserts `cand`'s makespans at `pp`, `2·pp` and `3·pp` layers of `cfg`
+/// are collinear, and proportional to depth when there is no pipeline.
+fn assert_affine(cand: &Candidate, cfg: &TransformerConfig) {
+    let [m1, m2, m3] = makespans(cand, cfg);
+    let label = cand.label();
+    assert!(m1 > 0.0 && m2 > m1 && m3 > m2, "{label}: makespan grows with depth");
+    let bend = (m3 - 2.0 * m2 + m1).abs() / m3;
+    assert!(bend <= REL_TOL, "{label}: {m1} {m2} {m3} bend {bend:e}");
+    if pipeline_stages(cand) == 1 {
+        for (k, m) in [(2.0, m2), (3.0, m3)] {
+            let off = (m - k * m1).abs() / m;
+            assert!(off <= REL_TOL, "{label}: m({k}) = {m} vs {k}·m(1) = {}", k * m1);
+        }
+    }
+}
+
+#[test]
+fn every_family_is_affine_in_depth() {
+    // One fixed case per family and pipeline depth on 8 GPUs, so a random
+    // draw that misses one cannot hide it.
+    let cfg = TransformerConfig {
+        batch: 16,
+        seq: 8,
+        hidden: 64,
+        heads: 8,
+        mlp_ratio: 4,
+        layers: 1,
+        eps: 1e-5,
+    };
+    let hybrid = |dp, pp, q, d| Candidate::Hybrid {
+        shape: HybridShape::new(dp, pp, GridShape::new(q, d)),
+        microbatches: 2,
+    };
+    for cand in [
+        Candidate::Tesseract { grid: GridShape::new(2, 2) },
+        Candidate::Megatron { p: 8 },
+        hybrid(2, 1, 2, 1),
+        hybrid(2, 2, 1, 1),
+        hybrid(1, 2, 2, 1),
+        hybrid(1, 8, 1, 1),
+    ] {
+        assert_affine(&cand, &cfg);
+    }
 }
 
 proptest! {
@@ -66,17 +114,7 @@ proptest! {
         let mut chosen = vec![feasible[picks.0 % feasible.len()], feasible[picks.1 % feasible.len()]];
         chosen.dedup();
         for cand in &chosen {
-            let [m1, m2, m3] = makespans(cand, &cfg);
-            let label = cand.label();
-            prop_assert!(m1 > 0.0 && m2 > m1 && m3 > m2, "{label}: makespan grows with depth");
-            let bend = (m3 - 2.0 * m2 + m1).abs() / m3;
-            prop_assert!(bend <= REL_TOL, "{label}: {m1} {m2} {m3} bend {bend:e}");
-            if pipeline_stages(cand) == 1 {
-                for (k, m) in [(2.0, m2), (3.0, m3)] {
-                    let off = (m - k * m1).abs() / m;
-                    prop_assert!(off <= REL_TOL, "{label}: m({k}) = {m} vs {k}·m(1) = {}", k * m1);
-                }
-            }
+            assert_affine(cand, &cfg);
         }
     }
 }

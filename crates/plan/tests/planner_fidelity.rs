@@ -34,7 +34,7 @@ fn reported_dryruns_replay_bitwise() {
         let replay = dry_run(&req.topology, &req.params, &e.candidate, &req.cfg, false);
         assert_eq!(reported.makespan_s, replay.makespan_s, "{} makespan", e.label);
         assert_eq!(reported.forward_s, replay.forward_s, "{} forward", e.label);
-        assert_eq!(reported.peak_bytes, replay.peak_bytes, "{} peak bytes", e.label);
+        assert_eq!(reported.alloc_bytes, replay.alloc_bytes, "{} alloc bytes", e.label);
         assert_eq!(reported.comm_s, replay.comm_s, "{} comm", e.label);
         replayed += 1;
     }
@@ -113,14 +113,17 @@ mod proptests {
             };
             let mut req = PlanRequest::new(1 << gpus_pow, cfg);
             req.microbatches = 2;
-            req.dryrun_keep = 3;
             let p = plan(&req);
+            let best = p.winner().and_then(|w| w.dryrun).expect("a winner exists").makespan_s;
+            // The search is exhaustive: every entry but a duplicate carries
+            // its dry-run, and none is faster than the winner.
             for e in &p.entries {
-                let (EntryStatus::Ranked(_), Some(reported)) = (&e.status, &e.dryrun) else {
-                    continue;
-                };
+                let duplicate = matches!(e.status, EntryStatus::Duplicate { .. });
+                prop_assert_eq!(e.dryrun.is_some(), !duplicate, "{} ranked iff unique", &e.label);
+                let Some(reported) = e.dryrun else { continue };
+                prop_assert!(reported.makespan_s >= best, "{} beats the winner", &e.label);
                 let replay = dry_run(&req.topology, &req.params, &e.candidate, &req.cfg, false);
-                prop_assert_eq!(reported, &replay, "{} diverged on replay", &e.label);
+                prop_assert_eq!(reported, replay, "{} diverged on replay", &e.label);
             }
         }
     }
