@@ -14,12 +14,12 @@
 //! - `sweep` — a scale the paper never measured: 128 GPUs (only one
 //!   feasible `d ≤ q` Tesseract grid, `[8,8,2]`), batch 256, hidden 4096,
 //!   heads 128, with the **full** menu including 5-axis hybrids and 4
-//!   microbatches — the mode where signature dedup earns its keep; all 25
-//!   unique candidates are dry-run and ranked.
+//!   microbatches; all 25 feasible candidates are dry-run and ranked.
 //!
-//! Every mode asserts that each non-duplicate candidate was dry-run and
-//! ranked. The ranked tables print to stdout and the JSON report goes to
-//! `--out` (default `BENCH_plan.json`).
+//! Every mode asserts that each feasible candidate was dry-run and ranked,
+//! by rank from 0, and that no arrangement appears twice. The ranked
+//! tables print to stdout and the JSON report goes to `--out` (default
+//! `BENCH_plan.json`).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin plan_sweep -- \
 //!           [--mode table1|table2|sweep|all] [--out BENCH_plan.json]`
@@ -56,19 +56,16 @@ fn modes(which: &str) -> Vec<Mode> {
     out
 }
 
-/// JSON object for one planned mode.
+/// JSON object for one planned mode, whose entries `main` has checked are
+/// listed by rank.
 fn mode_json(mode: &Mode, p: &Plan) -> Value {
     let winner = p.winner().expect("every mode has at least one feasible candidate");
-    let candidates = p.entries.iter().map(|e| {
+    let candidates = p.entries.iter().enumerate().map(|(rank, e)| {
         let a = &e.analytic;
         let analytic = json!({
             "compute": Value::fixed(a.compute_s, 9), "comm": Value::fixed(a.comm_s, 9),
             "total": Value::fixed(a.total_s(), 9)
         });
-        let (rank, duplicate_of) = match &e.status {
-            EntryStatus::Ranked(r) => (Some(*r), None),
-            EntryStatus::Duplicate { of } => (None, Some(of.as_str())),
-        };
         let dryrun = e.dryrun.zip(e.throughput_seq_s(&p.cfg)).map(|(d, throughput)| {
             json!({
                 "makespan_s": Value::fixed(d.makespan_s, 9),
@@ -79,22 +76,14 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
                 "throughput_seq_s": Value::fixed(throughput, 4)
             })
         });
-        let mut entry = json!({
-            "arrangement": e.label.as_str(), "signature": e.signature.as_str(),
-            "analytic_s": analytic, "rank": rank, "dryrun": dryrun
-        });
-        // A duplicate names the entry it was scored under.
-        if let (Value::Obj(fields), Some(of)) = (&mut entry, duplicate_of) {
-            fields.push(("duplicate_of".to_string(), json!(of)));
-        }
-        entry
+        json!({
+            "arrangement": e.label.as_str(), "analytic_s": analytic, "rank": rank, "dryrun": dryrun
+        })
     });
     let infeasible = p
         .infeasible
         .iter()
         .map(|(label, err)| json!({ "arrangement": label.as_str(), "reason": err.to_string() }));
-    let duplicates =
-        p.entries.iter().filter(|e| matches!(e.status, EntryStatus::Duplicate { .. })).count();
     let c = &p.cfg;
     json!({
         "mode": mode.name,
@@ -107,10 +96,7 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
         "matches_expected": mode.expected_winner.map(|w| winner.label == w),
         "candidates": Value::Arr(candidates.collect()),
         "infeasible": Value::Arr(infeasible.collect()),
-        "search": {
-            "feasible": p.entries.len(), "infeasible": p.infeasible.len(),
-            "analytic_memo_hits": p.analytic_memo_hits, "duplicates_collapsed": duplicates
-        }
+        "search": { "feasible": p.entries.len(), "infeasible": p.infeasible.len() }
     })
 }
 
@@ -135,11 +121,13 @@ fn main() {
         let p = plan(&mode.request);
         print!("{}", p.describe());
         let winner = p.winner().expect("every mode has at least one feasible candidate");
-        // Every non-duplicate entry was dry-run, listed by rank from 0.
-        let unique = p.entries.len() - p.analytic_memo_hits;
-        for (r, e) in p.entries[..unique].iter().enumerate() {
+        // Every entry was dry-run, listed by rank from 0, and no
+        // arrangement appears twice.
+        for (r, e) in p.entries.iter().enumerate() {
             let ok = e.status == EntryStatus::Ranked(r) && e.dryrun.is_some();
             assert!(ok, "{}: {} is not ranked {r}", mode.name, e.label);
+            let twice = p.entries[..r].iter().any(|o| o.label == e.label);
+            assert!(!twice, "{}: {} is listed twice", mode.name, e.label);
         }
         if let Some(expected) = mode.expected_winner {
             assert_eq!(

@@ -7,7 +7,9 @@
 //! flop/byte metering, no data), one forward and one backward over one
 //! batch are executed, and the returned [`DryRun`] reports **virtual**
 //! seconds — `max` over ranks, which is what a host-side `time`
-//! measurement of one training iteration sees on a real cluster.
+//! measurement of one training iteration sees on a real cluster. A
+//! Tesseract grid runs as the planner's one-stage, one-replica hybrid
+//! ([`Candidate::tesseract`]).
 
 use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{GridShape, TransformerConfig};
@@ -26,7 +28,7 @@ fn time(cand: Candidate, cfg: &TransformerConfig) -> DryRun {
 /// forward — exactly the ratio the paper's tables show (e.g. 0.4749 /
 /// 0.1225 ≈ 3.9 for Megatron, 0.2636 / 0.0869 ≈ 3.0 for Tesseract).
 pub fn time_tesseract(shape: GridShape, cfg: TransformerConfig) -> DryRun {
-    time(Candidate::Tesseract { grid: shape }, &cfg)
+    time(Candidate::tesseract(shape), &cfg)
 }
 
 /// Times one batch through a Megatron-LM 1-D Transformer stack on `p` GPUs.

@@ -142,6 +142,10 @@ fn tesseract_module_cost(
 /// backward — 4× the forward compute and ~4× the forward collective volume
 /// for SUMMA schemes (Megatron's backward re-runs its 2 all-reduces per
 /// layer, giving 3× its forward comm), plus the depth-wise gradient sync.
+/// A hybrid's `comm_s` is the sum of its terms, in this order: per-wave
+/// collectives and depth sync, the pipeline bubble, the stage hand-offs,
+/// the dp gradient sync. A bare grid (one wave, one stage, one replica) is
+/// its first term alone.
 pub fn analytic_score(
     topo: &Topology,
     params: &CostParams,
@@ -169,16 +173,9 @@ pub fn analytic_score(
             let comm_fwd = cfg.layers as f64 * 2.0 * ar;
             AnalyticScore { compute_s: 4.0 * compute_fwd, comm_s: 3.0 * comm_fwd }
         }
-        Candidate::Tesseract { grid } => {
-            let m = tesseract_module_cost(topo, params, *grid, 0, cfg.rows(), cfg.layers, cfg);
-            AnalyticScore {
-                compute_s: 4.0 * m.compute_fwd,
-                comm_s: 4.0 * m.comm_fwd + m.depth_sync,
-            }
-        }
         Candidate::Hybrid { shape, microbatches } => {
-            let mb = *microbatches;
-            let micro_rows = (cfg.batch / (shape.dp * mb)) * cfg.seq;
+            let mb = *microbatches as f64;
+            let micro_rows = (cfg.batch / (shape.dp * microbatches)) * cfg.seq;
             let stage_layers = cfg.layers / shape.pp;
             let m = tesseract_module_cost(
                 topo,
@@ -189,13 +186,15 @@ pub fn analytic_score(
                 stage_layers,
                 cfg,
             );
-            // GPipe fill-and-drain: (mb + pp − 1) waves of forward then of
-            // backward; each backward also pays the depth sync.
-            let t_f = m.compute_fwd + m.comm_fwd;
-            let t_b = 3.0 * t_f + m.depth_sync;
-            let waves = (mb + shape.pp - 1) as f64;
-            let mut total = waves * (t_f + t_b);
+            // One microbatch through one stage: forward, recompute-forward
+            // and true backward (≈ 3× the forward), plus the depth sync.
+            let wave_compute = 4.0 * m.compute_fwd;
+            let wave_comm = 4.0 * m.comm_fwd + m.depth_sync;
+            let mut comm_s = mb * wave_comm;
             if shape.pp > 1 {
+                // GPipe fill-and-drain: pp − 1 extra waves of forward then
+                // backward, each a whole wave of idle time.
+                comm_s += (shape.pp - 1) as f64 * (wave_compute + wave_comm);
                 // Activation/gradient hand-off between adjacent stages: the
                 // corresponding ranks sit one module apart.
                 let bytes_act =
@@ -208,7 +207,7 @@ pub fn analytic_score(
                         topo.placement(&peers),
                     )
                     .total;
-                total += 2.0 * mb as f64 * p2p;
+                comm_s += 2.0 * mb * p2p;
             }
             if shape.dp > 1 {
                 // Post-step gradient all-reduce over the dp fibers of the
@@ -216,11 +215,10 @@ pub fn analytic_score(
                 // shard.
                 let bytes_dp = (cfg.param_count() / (shape.pp * shape.grid.q * shape.grid.q)) * 4;
                 let mesh = shape.mesh();
-                total +=
+                comm_s +=
                     worst_fiber_cost(topo, params, &mesh, "dp", CollectiveOp::AllReduce, bytes_dp);
             }
-            let compute_s = 4.0 * mb as f64 * m.compute_fwd;
-            AnalyticScore { compute_s, comm_s: total - compute_s }
+            AnalyticScore { compute_s: mb * wave_compute, comm_s }
         }
     }
 }
@@ -228,7 +226,6 @@ pub fn analytic_score(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_hybrid::HybridShape;
 
     fn cfg() -> TransformerConfig {
         TransformerConfig {
@@ -240,28 +237,6 @@ mod tests {
             layers: 4,
             eps: 1e-5,
         }
-    }
-
-    #[test]
-    fn trivial_hybrid_wrapper_scores_identically_to_its_grid() {
-        // A hybrid with dp = pp = 1 and one microbatch is the same
-        // arrangement as the bare Tesseract grid, and the analytic model
-        // agrees (up to float re-association: the hybrid path computes
-        // comm as total − compute). The memo itself never re-derives this —
-        // duplicates share the owner's score by signature.
-        let topo = Topology::meluxina();
-        let params = CostParams::a100_cluster();
-        let grid = GridShape::new(2, 2);
-        let tess = analytic_score(&topo, &params, &Candidate::Tesseract { grid }, &cfg());
-        let hybrid = analytic_score(
-            &topo,
-            &params,
-            &Candidate::Hybrid { shape: HybridShape::new(1, 1, grid), microbatches: 1 },
-            &cfg(),
-        );
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
-        assert!(close(tess.compute_s, hybrid.compute_s), "{tess:?} vs {hybrid:?}");
-        assert!(close(tess.comm_s, hybrid.comm_s), "{tess:?} vs {hybrid:?}");
     }
 
     #[test]
@@ -281,12 +256,8 @@ mod tests {
             eps: 1e-5,
         };
         let mega = analytic_score(&topo, &params, &Candidate::Megatron { p: 64 }, &big);
-        let tess = analytic_score(
-            &topo,
-            &params,
-            &Candidate::Tesseract { grid: GridShape::new(4, 4) },
-            &big,
-        );
+        let tess =
+            analytic_score(&topo, &params, &Candidate::tesseract(GridShape::new(4, 4)), &big);
         assert!(tess.comm_s < mega.comm_s, "tess {tess:?} vs mega {mega:?}");
         assert!(tess.total_s() < mega.total_s());
     }
@@ -295,12 +266,7 @@ mod tests {
     fn free_comm_leaves_only_compute() {
         let topo = Topology::meluxina();
         let params = CostParams::a100_cluster().free_comm();
-        let s = analytic_score(
-            &topo,
-            &params,
-            &Candidate::Tesseract { grid: GridShape::new(2, 2) },
-            &cfg(),
-        );
+        let s = analytic_score(&topo, &params, &Candidate::tesseract(GridShape::new(2, 2)), &cfg());
         assert_eq!(s.comm_s, 0.0);
         assert!(s.compute_s > 0.0);
     }

@@ -13,18 +13,20 @@
 //! (`StackOptions::recompute_every`). The forward keeps only each
 //! segment's input; the backward replays the segment, then unwinds it.
 //! With the replay, a backward costs ≈ 3× its forward, the paper's ratio.
-//! Tesseract and Megatron run their whole stack as one segment. The hybrid
-//! arm is `HybridTransformer::train_step` with one segment per stage: the
-//! GPipe schedule that trains, followed by the data-parallel gradient sync.
+//! Megatron runs its whole stack as one segment. Every other candidate is
+//! a hybrid, a bare `[q, q, d]` grid included (its one stage, one replica
+//! and one microbatch), and runs `HybridTransformer::train_step` with one
+//! segment per stage: the GPipe schedule that trains, followed by the
+//! data-parallel gradient sync.
 //!
 //! [`Cluster`]: tesseract_comm::Cluster
 
 use std::sync::Arc;
 
-use tesseract_baselines::megatron::MegatronWorld;
-use tesseract_comm::{CostParams, RankCtx, RunConfig, RunOutput, Topology};
-use tesseract_core::layers::{StackOptions, Transformer, World};
-use tesseract_core::{Module, TesseractGrid, TransformerConfig};
+use tesseract_baselines::megatron::{MegatronTransformer, MegatronWorld};
+use tesseract_comm::{CostParams, RunConfig, RunOutput, Topology};
+use tesseract_core::layers::StackOptions;
+use tesseract_core::{Module, TransformerConfig};
 use tesseract_hybrid::HybridTransformer;
 use tesseract_tensor::ShadowTensor;
 
@@ -75,23 +77,34 @@ pub fn dry_run(
 ) -> DryRun {
     let run_cfg =
         RunConfig::from_env(0).with_topology(*topo).with_params(*params).with_trace(trace);
-    let out = step(&run_cfg, cand, cfg);
-    let makespan = out.makespan();
-    let reports = &out.reports;
-    let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
-    let hidden: u64 = reports.iter().map(|r| r.overlap_hidden_nanos).sum();
-    let blocked: u64 = reports.iter().map(|r| r.comm_wait_nanos).sum();
-    let denom = hidden + blocked;
-    DryRun {
-        makespan_s: makespan,
-        forward_s: forward,
-        backward_s: makespan - forward,
-        alloc_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
-        activation_peak_bytes: reports.iter().map(|r| r.activation_bytes_peak).max().unwrap_or(0),
-        hidden_wait_frac: if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 },
-        hidden_wait_s: reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0) as f64
-            * 1e-9,
-        comm_s: reports.iter().map(|r| r.comm_time).fold(0.0, f64::max),
+    DryRun::of_step(&step(&run_cfg, cand, cfg))
+}
+
+impl DryRun {
+    /// Summarizes one [`step`] run: the per-rank clocks and reports folded
+    /// into the step's makespan, phases, bytes and wait.
+    pub fn of_step(out: &RunOutput<(f64, f64)>) -> Self {
+        let makespan = out.makespan();
+        let reports = &out.reports;
+        let forward = out.results.iter().map(|&(f, _)| f).fold(0.0, f64::max);
+        let hidden: u64 = reports.iter().map(|r| r.overlap_hidden_nanos).sum();
+        let blocked: u64 = reports.iter().map(|r| r.comm_wait_nanos).sum();
+        let denom = hidden + blocked;
+        DryRun {
+            makespan_s: makespan,
+            forward_s: forward,
+            backward_s: makespan - forward,
+            alloc_bytes: reports.iter().map(|r| r.bytes_allocated).max().unwrap_or(0),
+            activation_peak_bytes: reports
+                .iter()
+                .map(|r| r.activation_bytes_peak)
+                .max()
+                .unwrap_or(0),
+            hidden_wait_frac: if denom == 0 { 0.0 } else { hidden as f64 / denom as f64 },
+            hidden_wait_s: reports.iter().map(|r| r.overlap_hidden_nanos).max().unwrap_or(0) as f64
+                * 1e-9,
+            comm_s: reports.iter().map(|r| r.comm_time).fold(0.0, f64::max),
+        }
     }
 }
 
@@ -109,22 +122,24 @@ pub fn step(
     let cfg = *cfg;
     let mut rc = *run_cfg;
     match cand {
-        Candidate::Tesseract { grid } => {
-            let shape = *grid;
-            rc.world = shape.size();
-            rc.cluster().run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let rows_local = cfg.rows() / (shape.q * shape.d);
-                stack_step(ctx, &grid, cfg, rows_local, cfg.hidden / shape.q)
-            })
-        }
         Candidate::Megatron { p } => {
             let p = *p;
             rc.world = p;
             rc.cluster().run(|ctx| {
                 let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
+                // The whole stack is one segment.
+                let opts = StackOptions { recompute_every: Some(cfg.layers) };
+                let mut model = MegatronTransformer::<ShadowTensor>::new_with_options(
+                    ctx, &world, cfg, true, 0, 0, opts,
+                );
                 // Activations are replicated: every rank sees the full batch.
-                stack_step(ctx, &world, cfg, cfg.rows(), cfg.hidden)
+                let x = Arc::new(ShadowTensor::new(cfg.rows(), cfg.hidden));
+                let y = model.forward(&world, ctx, &x);
+                ctx.flush_compute();
+                let t_fwd = ctx.clock();
+                let _ = model.backward(&world, ctx, &y);
+                ctx.flush_compute();
+                (t_fwd, ctx.clock())
             })
         }
         Candidate::Hybrid { shape, microbatches } => {
@@ -155,26 +170,6 @@ pub fn step(
     }
 }
 
-/// One checkpointed step of the shared stack on world `G`, from this
-/// rank's `[rows, cols]` input block: the whole stack is one segment.
-fn stack_step<G: World<ShadowTensor>>(
-    ctx: &mut RankCtx,
-    world: &G,
-    cfg: TransformerConfig,
-    rows: usize,
-    cols: usize,
-) -> (f64, f64) {
-    let opts = StackOptions { recompute_every: Some(cfg.layers) };
-    let mut model = Transformer::new_with_options(ctx, world, cfg, true, 0, 0, opts);
-    let x = Arc::new(ShadowTensor::new(rows, cols));
-    let y = model.forward(world, ctx, &x);
-    ctx.flush_compute();
-    let t_fwd = ctx.clock();
-    let _ = model.backward(world, ctx, &y);
-    ctx.flush_compute();
-    (t_fwd, ctx.clock())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,33 +192,12 @@ mod tests {
     fn dry_runs_are_deterministic_and_trace_invariant() {
         let topo = Topology::meluxina();
         let params = CostParams::a100_cluster();
-        let cand = Candidate::Tesseract { grid: GridShape::new(2, 2) };
+        let cand = Candidate::tesseract(GridShape::new(2, 2));
         let a = dry_run(&topo, &params, &cand, &cfg(), false);
         let b = dry_run(&topo, &params, &cand, &cfg(), false);
         assert_eq!(a, b);
         let traced = dry_run(&topo, &params, &cand, &cfg(), true);
         assert_eq!(a, traced, "tracing must not perturb the virtual clocks");
-    }
-
-    #[test]
-    fn hybrid_trivial_wrapper_matches_tesseract_schedule() {
-        // dp = pp = 1 with one microbatch executes the same
-        // forward/recompute/backward schedule as the bare grid; the layer
-        // stacks are built from the same layer modules, so the virtual
-        // clocks agree bitwise.
-        let topo = Topology::meluxina();
-        let params = CostParams::a100_cluster();
-        let grid = GridShape::new(2, 1);
-        let tess = dry_run(&topo, &params, &Candidate::Tesseract { grid }, &cfg(), false);
-        let hybrid = dry_run(
-            &topo,
-            &params,
-            &Candidate::Hybrid { shape: HybridShape::new(1, 1, grid), microbatches: 1 },
-            &cfg(),
-            false,
-        );
-        assert_eq!(tess.makespan_s, hybrid.makespan_s);
-        assert_eq!(tess.forward_s, hybrid.forward_s);
     }
 
     #[test]
@@ -235,7 +209,6 @@ mod tests {
 
     #[test]
     fn megatron_checkpointed_step_leaves_no_tape() {
-        use tesseract_baselines::megatron::MegatronTransformer;
         use tesseract_tensor::{DenseTensor, TensorLike};
         let cfg = cfg();
         let out = RunConfig::new(2).cluster().run(|ctx| {
@@ -245,7 +218,7 @@ mod tests {
                 ctx, &world, cfg, true, 0, 0, opts,
             );
             let x = Arc::new(DenseTensor::zeros(cfg.rows(), cfg.hidden));
-            // The harness sequence of `stack_step`.
+            // The harness sequence of `step`'s Megatron arm.
             let y = model.forward(&world, ctx, &x);
             let _ = model.backward(&world, ctx, &y);
             // Debug builds assert every tape is balanced here.

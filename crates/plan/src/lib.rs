@@ -3,12 +3,12 @@
 //! Given a GPU budget, a workload ([`TransformerConfig`]) and a node
 //! topology, the planner answers the question the paper answers by hand in
 //! Tables 1–2: *which processor arrangement should these GPUs form?* It
-//! enumerates every structural decomposition — Megatron-LM 1-D, Tesseract
-//! `[q, q, d]` with `1 ≤ d ≤ q`, and 5-axis `[dp, pp, depth, row, col]`
-//! hybrids — rejects infeasible ones, collapses equivalent ones onto one
-//! signature, and ranks the rest:
+//! enumerates every structural decomposition once — Megatron-LM 1-D and
+//! 5-axis `[dp, pp, depth, row, col]` hybrids, whose `dp = pp = 1` case is
+//! a bare Tesseract `[q, q, d]` grid with `1 ≤ d ≤ q` — rejects infeasible
+//! ones, and ranks the rest:
 //!
-//! - **Dry-run** ([`dry_run`]): every unique feasible candidate executes
+//! - **Dry-run** ([`dry_run`]): every feasible candidate executes
 //!   one real (shape-only, [`ShadowTensor`]-metered) training step on the
 //!   simulated cluster; the ranking is by simulated makespan, backed by the
 //!   same deterministic virtual clocks as the paper-table benches.
@@ -19,8 +19,8 @@
 //!
 //! Entry point: build a [`PlanRequest`] and call [`plan`]; the returned
 //! [`Plan`] carries the winner, the full ranked table with per-candidate
-//! cost breakdowns, every infeasible candidate with its [`ShapeError`]
-//! reason, and the search-coverage counters (memo hits, duplicates).
+//! cost breakdowns, and every infeasible candidate with its [`ShapeError`]
+//! reason.
 //!
 //! [`TransformerConfig`]: tesseract_core::TransformerConfig
 //! [`ShapeError`]: tesseract_core::ShapeError

@@ -1,16 +1,13 @@
 //! The exhaustive arrangement search.
 //!
-//! [`plan`] enumerates every structural candidate for the GPU budget,
-//! rejects infeasible ones with their [`ShapeError`] reason, collapses
-//! canonically-equivalent arrangements onto one signature, and runs a full
-//! ShadowTensor dry-run of **every** unique feasible candidate on the
-//! simulated cluster. The winner is the entry with the smallest simulated
-//! makespan (ties go to the earlier-enumerated candidate) — at a fixed
-//! global batch that is also the throughput (sequences/s) winner, the
-//! paper's Table 1/2 metric. Each unique candidate's analytic α–β estimate
-//! is reported beside its dry-run; it decides nothing.
-
-use std::collections::HashMap;
+//! [`plan`] enumerates every structural candidate for the GPU budget (each
+//! arrangement once), rejects infeasible ones with their [`ShapeError`]
+//! reason, and runs a full ShadowTensor dry-run of **every** feasible
+//! candidate on the simulated cluster. The winner is the entry with the
+//! smallest simulated makespan (ties go to the earlier-enumerated
+//! candidate) — at a fixed global batch that is also the throughput
+//! (sequences/s) winner, the paper's Table 1/2 metric. Each candidate's
+//! analytic α–β estimate is reported beside its dry-run; it decides nothing.
 
 use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{ShapeError, TransformerConfig};
@@ -60,8 +57,9 @@ impl PlanRequest {
 pub enum EntryStatus {
     /// Dry-run and ranked; 0 is the winner.
     Ranked(usize),
-    /// Canonically equivalent to an earlier candidate (same signature);
-    /// scored once under that entry's label.
+    /// Never produced: [`enumerate`] spells each arrangement once, so there
+    /// is nothing to collapse. Kept for readers of the old deduplicating
+    /// search.
     Duplicate { of: String },
 }
 
@@ -70,18 +68,16 @@ pub enum EntryStatus {
 pub struct PlanEntry {
     pub candidate: Candidate,
     pub label: String,
-    pub signature: String,
-    /// The analytic estimate, reported beside the dry-run (a duplicate
-    /// carries its owner's).
+    /// The analytic estimate, reported beside the dry-run.
     pub analytic: AnalyticScore,
-    /// Present iff `status` is `Ranked`.
+    /// Always `Some`: every feasible candidate is dry-run. Kept optional
+    /// for readers of the old deduplicating search.
     pub dryrun: Option<DryRun>,
     pub status: EntryStatus,
 }
 
 impl PlanEntry {
-    /// Paper metric: global sequences per second through one fwd+bwd step
-    /// (present iff the entry was dry-run).
+    /// Paper metric: global sequences per second through one fwd+bwd step.
     pub fn throughput_seq_s(&self, cfg: &TransformerConfig) -> Option<f64> {
         self.dryrun.map(|d| cfg.batch as f64 / d.makespan_s)
     }
@@ -94,16 +90,15 @@ impl PlanEntry {
 pub struct Plan {
     pub gpus: usize,
     pub cfg: TransformerConfig,
-    /// Ranked entries first (by rank), then duplicates (in enumeration
-    /// order).
+    /// Every feasible candidate, by rank.
     pub entries: Vec<PlanEntry>,
     /// `(label, reason)` of every enumerated-but-infeasible candidate.
     pub infeasible: Vec<(String, ShapeError)>,
-    /// Analytic scores served from the signature memo instead of being
-    /// recomputed (== number of duplicate arrangements collapsed).
+    /// Always 0: no arrangement is enumerated twice, so no analytic score
+    /// is reused. Kept for readers of the old deduplicating search.
     pub analytic_memo_hits: usize,
-    /// Always 0: every unique feasible candidate is dry-run. Kept for
-    /// readers of the old two-stage search's counter.
+    /// Always 0: every feasible candidate is dry-run. Kept for readers of
+    /// the old two-stage search's counter.
     pub pruned_dryruns: usize,
 }
 
@@ -129,36 +124,27 @@ impl Plan {
             "  rank  arrangement                               analytic(s)  makespan(s)  seq/s      alloc(MB)  act-peak(MB)  hidden-wait\n",
         );
         for e in &self.entries {
-            match (&e.status, &e.dryrun) {
-                (EntryStatus::Ranked(r), Some(d)) => {
-                    out.push_str(&format!(
-                        "  {:>4}  {:<41} {:>10.4}  {:>10.4}  {:>8.2}  {:>9.1}  {:>12.1}  {:>10.3}\n",
-                        r,
-                        e.label,
-                        e.analytic.total_s(),
-                        d.makespan_s,
-                        self.cfg.batch as f64 / d.makespan_s,
-                        d.alloc_bytes as f64 / 1e6,
-                        d.activation_peak_bytes as f64 / 1e6,
-                        d.hidden_wait_frac,
-                    ));
-                }
-                (EntryStatus::Duplicate { of }, _) => {
-                    out.push_str(&format!("     -  {:<41} (duplicate of {of})\n", e.label));
-                }
-                _ => {}
+            if let (EntryStatus::Ranked(r), Some(d)) = (&e.status, &e.dryrun) {
+                out.push_str(&format!(
+                    "  {:>4}  {:<41} {:>10.4}  {:>10.4}  {:>8.2}  {:>9.1}  {:>12.1}  {:>10.3}\n",
+                    r,
+                    e.label,
+                    e.analytic.total_s(),
+                    d.makespan_s,
+                    self.cfg.batch as f64 / d.makespan_s,
+                    d.alloc_bytes as f64 / 1e6,
+                    d.activation_peak_bytes as f64 / 1e6,
+                    d.hidden_wait_frac,
+                ));
             }
         }
         for (label, err) in &self.infeasible {
             out.push_str(&format!("     x  {label:<41} infeasible: {err}\n"));
         }
         out.push_str(&format!(
-            "  coverage: {} feasible ({} dry-run, {} duplicates collapsed), {} infeasible, {} analytic memo hits\n",
+            "  coverage: {} feasible, all dry-run; {} infeasible\n",
             self.entries.len(),
-            self.entries.iter().filter(|e| matches!(e.status, EntryStatus::Ranked(_))).count(),
-            self.entries.iter().filter(|e| matches!(e.status, EntryStatus::Duplicate { .. })).count(),
             self.infeasible.len(),
-            self.analytic_memo_hits,
         ));
         out
     }
@@ -167,60 +153,37 @@ impl Plan {
 /// Runs the exhaustive search. See the module docs for the pipeline.
 pub fn plan(req: &PlanRequest) -> Plan {
     let mut infeasible: Vec<(String, ShapeError)> = Vec::new();
-    // The first candidate with a signature owns it and is scored and
-    // dry-run; later holders are duplicates and reuse the owner's score.
-    let mut owners: HashMap<String, usize> = HashMap::new();
-    let mut entries: Vec<PlanEntry> = Vec::new();
+    let mut scored: Vec<(Candidate, AnalyticScore, DryRun)> = Vec::new();
     for cand in enumerate(req.gpus, req.menu, req.microbatches) {
         if let Err(e) = cand.check(&req.cfg, req.gpus) {
             infeasible.push((cand.label(), e));
             continue;
         }
-        let signature = cand.signature();
-        let (analytic, dryrun, status) = match owners.get(&signature) {
-            Some(&owner) => {
-                let o = &entries[owner];
-                (o.analytic, None, EntryStatus::Duplicate { of: o.label.clone() })
-            }
-            None => {
-                owners.insert(signature.clone(), entries.len());
-                let analytic = analytic_score(&req.topology, &req.params, &cand, &req.cfg);
-                let d = dry_run(&req.topology, &req.params, &cand, &req.cfg, req.trace);
-                (analytic, Some(d), EntryStatus::Ranked(0)) // ranked below
-            }
-        };
-        entries.push(PlanEntry {
-            candidate: cand,
-            label: cand.label(),
-            signature,
-            analytic,
-            dryrun,
-            status,
-        });
+        let analytic = analytic_score(&req.topology, &req.params, &cand, &req.cfg);
+        let d = dry_run(&req.topology, &req.params, &cand, &req.cfg, req.trace);
+        scored.push((cand, analytic, d));
     }
-    let analytic_memo_hits = entries.len() - owners.len();
-
     // Rank by makespan; the sort is stable, so ties go to the
     // earlier-enumerated candidate.
-    let mut ranked: Vec<(usize, f64)> =
-        entries.iter().enumerate().filter_map(|(i, e)| Some((i, e.dryrun?.makespan_s))).collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-    for (rank, &(i, _)) in ranked.iter().enumerate() {
-        entries[i].status = EntryStatus::Ranked(rank);
-    }
-    // Ranked entries by rank, then duplicates in enumeration order (the
-    // sort is stable).
-    entries.sort_by_key(|e| match e.status {
-        EntryStatus::Ranked(r) => (0, r),
-        EntryStatus::Duplicate { .. } => (1, 0),
-    });
+    scored.sort_by(|a, b| a.2.makespan_s.total_cmp(&b.2.makespan_s));
+    let entries = scored
+        .into_iter()
+        .enumerate()
+        .map(|(rank, (candidate, analytic, d))| PlanEntry {
+            candidate,
+            label: candidate.label(),
+            analytic,
+            dryrun: Some(d),
+            status: EntryStatus::Ranked(rank),
+        })
+        .collect();
 
     Plan {
         gpus: req.gpus,
         cfg: req.cfg,
         entries,
         infeasible,
-        analytic_memo_hits,
+        analytic_memo_hits: 0,
         pruned_dryruns: 0,
     }
 }
@@ -243,37 +206,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_ranks_and_memoizes_at_8_gpus() {
+    fn plan_ranks_every_candidate_at_8_gpus() {
         let mut req = PlanRequest::new(8, small_cfg());
         req.microbatches = 2;
         let p = plan(&req);
         let winner = p.winner().expect("some candidate must be feasible");
         assert!(winner.dryrun.is_some());
-        // The trivial hybrid wrapper of [2,2,2] collapses onto the
-        // Tesseract candidate: at least one memo hit and one duplicate.
-        assert!(p.analytic_memo_hits >= 1, "memo hits: {}", p.analytic_memo_hits);
-        assert!(
-            p.entries.iter().any(|e| matches!(e.status, EntryStatus::Duplicate { .. })),
-            "{}",
-            p.describe()
-        );
-        // Ranks are contiguous from 0.
-        let mut ranks: Vec<usize> = p
-            .entries
-            .iter()
-            .filter_map(|e| match e.status {
-                EntryStatus::Ranked(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        ranks.sort_unstable();
-        assert_eq!(ranks, (0..ranks.len()).collect::<Vec<_>>());
+        // Entries are listed by rank, contiguous from 0, each dry-run.
+        for (r, e) in p.entries.iter().enumerate() {
+            assert_eq!(e.status, EntryStatus::Ranked(r), "{}", p.describe());
+            assert!(e.dryrun.is_some(), "{} was not dry-run", e.label);
+        }
         // Winner has the smallest makespan of all ranked entries.
         let best = winner.dryrun.unwrap().makespan_s;
         for e in &p.entries {
-            if let Some(d) = e.dryrun {
-                assert!(d.makespan_s >= best);
-            }
+            assert!(e.dryrun.unwrap().makespan_s >= best);
         }
     }
 
@@ -297,6 +244,6 @@ mod tests {
         req.menu = CandidateMenu { megatron: false, tesseract: true, hybrid: false };
         let p = plan(&req);
         let w = p.winner().unwrap();
-        assert_eq!(w.candidate, Candidate::Tesseract { grid: GridShape::new(2, 2) });
+        assert_eq!(w.candidate, Candidate::tesseract(GridShape::new(2, 2)));
     }
 }

@@ -70,7 +70,7 @@ fn every_family_is_affine_in_depth() {
         microbatches: 2,
     };
     for cand in [
-        Candidate::Tesseract { grid: GridShape::new(2, 2) },
+        Candidate::tesseract(GridShape::new(2, 2)),
         Candidate::Megatron { p: 8 },
         hybrid(2, 1, 2, 1),
         hybrid(2, 2, 1, 1),

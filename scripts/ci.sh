@@ -224,10 +224,10 @@ test -s target/TRACE.smoke.json || { echo "trace_dump wrote no JSON"; exit 1; }
 # regenerate its committed file byte for byte. The bins also assert their
 # own claims before writing (comm_cost_table: hierarchical cost within
 # [NVLink floor, flat charge] and a size crossover; plan_sweep: the planner
-# re-derives the measured Table 1/2 winners and dry-runs every unique
-# candidate of every mode) — all of which the committed files record, so
-# BENCH_plan.json pins all 25 makespans of the 128-GPU sweep, not a
-# pruned subset.
+# re-derives the measured Table 1/2 winners, dry-runs every candidate of
+# every mode, and lists each arrangement once) — all of which the
+# committed files record, so BENCH_plan.json pins all 25 makespans of the
+# 128-GPU sweep, not a pruned subset.
 # comm_cost_table's stdout (the C1 table that Cannon, Solomonik, SUMMA and
 # Tesseract feed) is kept for the golden stdout gate below.
 echo "== BENCH regeneration gate (plan, comm, serving, overlap: byte-identical) =="
