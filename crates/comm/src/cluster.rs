@@ -14,7 +14,7 @@ use tesseract_tensor::{trace, TraceEvent, TraceKind};
 use crate::cost::{CollectiveOp, CostParams};
 use crate::ctx::{RankCtx, RankReport};
 use crate::fabric::Fabric;
-use crate::stats::CommStats;
+use crate::stats::{CommStats, OpStats};
 use crate::topology::Topology;
 
 /// A runnable simulated cluster. Build one through
@@ -69,12 +69,13 @@ impl<R> RunOutput<R> {
     }
 
     /// Checks the trace against the run's own accounting. Each rank's
-    /// flops, kernels, allocated bytes, blocked and hidden nanoseconds and
-    /// comm ledger are rebuilt from that rank's events and compared with
-    /// its [`RankReport`] exactly: every event carries the values its
-    /// charging site booked, in booking order, so even the `f64` sums
-    /// agree bit for bit. `Err` names the first rank and counter that
-    /// differ. An untraced run reconciles only if no rank charged anything.
+    /// flops, kernels, allocated bytes and comm ledger (its blocked and
+    /// hidden nanoseconds per op included) are rebuilt from that rank's
+    /// events and compared with its [`RankReport`] exactly: every event
+    /// carries the values its charging site booked, in booking order, so
+    /// even the `f64` sums agree bit for bit. `Err` names the first rank
+    /// and counter that differ. An untraced run reconciles only if no rank
+    /// charged anything.
     pub fn reconcile_trace(&self) -> Result<(), String> {
         if self.traces.len() != self.reports.len() {
             let (t, r) = (self.traces.len(), self.reports.len());
@@ -83,7 +84,7 @@ impl<R> RunOutput<R> {
         for (report, events) in self.reports.iter().zip(&self.traces) {
             let r = report.rank;
             let (mut flops, mut kernels, mut bytes) = (0.0f64, 0u64, 0u64);
-            let (mut blocked, mut hidden, mut comm) = (0u64, 0u64, CommStats::default());
+            let mut comm = CommStats::default();
             for ev in events {
                 same(r, "event rank", ev.rank, r)?;
                 match ev.kind {
@@ -102,17 +103,17 @@ impl<R> RunOutput<R> {
                         recorded,
                         ..
                     } => {
-                        blocked += blocked_nanos;
-                        hidden += hidden_nanos;
                         let Some(&op) = CollectiveOp::ALL.iter().find(|o| o.name() == op) else {
                             return Err(format!("rank {r}: trace names an unknown op {op}"));
                         };
-                        if recorded {
-                            comm.record(op, wire_bytes, stats_time);
-                        } else {
-                            comm.charge_time(op, stats_time);
-                        }
-                        comm.charge_hidden(op, hidden_time);
+                        comm.per_op[op as usize].merge(&OpStats {
+                            calls: recorded.into(),
+                            wire_bytes,
+                            time: stats_time,
+                            hidden_time,
+                            blocked_nanos,
+                            hidden_nanos,
+                        });
                     }
                     TraceKind::Scope { .. } => {}
                 }
@@ -120,8 +121,6 @@ impl<R> RunOutput<R> {
             same(r, "flops", flops, report.flops)?;
             same(r, "kernels", kernels, report.kernels)?;
             same(r, "allocated bytes", bytes, report.bytes_allocated)?;
-            same(r, "blocked nanos", blocked, report.comm_wait_nanos)?;
-            same(r, "hidden nanos", hidden, report.overlap_hidden_nanos)?;
             for op in CollectiveOp::ALL {
                 same(r, op.name(), comm.get(op), report.comm.get(op))?;
             }
@@ -237,7 +236,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 mod tests {
     use super::*;
     use crate::group::Payload;
-    use crate::stats::OpStats;
     use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
     #[test]
@@ -444,11 +442,13 @@ mod tests {
             fold.merge(&report.comm);
         }
         assert_eq!(out.comm, fold);
-        // Each collective is booked once, by its group's first member; the
-        // receiver of a point-to-point pair books only the transfer time.
+        // Each collective's call is booked once, by its group's first
+        // member; every member books its own wait. The receiver of a
+        // point-to-point pair books only the transfer time.
         let r = |rank: usize, op| out.reports[rank].comm.get(op);
         assert_eq!(r(0, CollectiveOp::AllReduce).calls, 1);
-        assert_eq!(r(1, CollectiveOp::AllReduce), OpStats::default());
+        let led = |s: OpStats| (s.calls, s.wire_bytes, s.time);
+        assert_eq!(led(r(1, CollectiveOp::AllReduce)), (0, 0, 0.0));
         assert_eq!(r(0, CollectiveOp::SendRecv).calls, 1);
         assert_eq!(r(3, CollectiveOp::SendRecv).calls, 0);
         assert!(r(3, CollectiveOp::SendRecv).time > 0.0);

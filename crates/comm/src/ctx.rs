@@ -5,12 +5,17 @@
 //! pending meter into the clock using the cost model, so simulated time is
 //! always `compute time + communication time` regardless of how fast the
 //! host machine happens to be.
+//!
+//! Every other per-rank counter is booked once, where it is produced: a
+//! collective's wait in the rank's comm ledger ([`CommStats`], per op, by
+//! the charging sites in [`crate::group`]), and the serving step counts and
+//! the KV, weight and tape high-water marks in fields of the ctx itself.
 
 use std::sync::Arc;
 
 use tesseract_tensor::{trace, Meter};
 
-use crate::cost::CostParams;
+use crate::cost::{CollectiveOp, CostParams};
 use crate::fabric::Fabric;
 use crate::group::CommGroup;
 use crate::stats::CommStats;
@@ -32,13 +37,15 @@ pub struct RankCtx {
     clock: f64,
     compute_time: f64,
     comm_time: f64,
-    /// Every flushed meter, folded with [`Meter::merge`] (flows summed,
-    /// the two peaks maxed).
+    /// Every flushed meter, folded with [`Meter::merge`].
     totals: Meter,
-    /// Running bytes of tape-held activations (pushes minus pops). Lives on
-    /// the ctx rather than the meter because `Meter::take` resets flows at
-    /// every flush, while tape residency spans flush boundaries.
+    /// Running bytes of tape-held activations (pushes minus pops).
     tape_bytes_now: u64,
+    activation_bytes_peak: u64,
+    prefill_steps: u64,
+    decode_steps: u64,
+    kv_cache_bytes_peak: u64,
+    weight_bytes: u64,
     idle_time: f64,
     fabric: Arc<Fabric>,
     /// The collectives this rank booked; the charging sites in
@@ -65,6 +72,11 @@ impl RankCtx {
             comm_time: 0.0,
             totals: Meter::new(),
             tape_bytes_now: 0,
+            activation_bytes_peak: 0,
+            prefill_steps: 0,
+            decode_steps: 0,
+            kv_cache_bytes_peak: 0,
+            weight_bytes: 0,
             idle_time: 0.0,
             fabric,
             comm: CommStats::default(),
@@ -85,8 +97,6 @@ impl RankCtx {
     pub fn flush_compute(&mut self) {
         let begin = self.clock;
         let m = self.meter.take();
-        // The wait counters fold into the totals but never into
-        // `compute_time`: `advance_comm` already booked them as `comm_time`.
         self.totals.merge(&m);
         if m.flops > 0.0 || m.kernels > 0 {
             let t = self.params.compute_time(m.flops, m.kernels);
@@ -102,14 +112,17 @@ impl RankCtx {
         }
     }
 
-    /// Advances the clock to `new_time` (a collective exit time), booking
-    /// the difference as communication/wait time.
-    pub(crate) fn advance_comm(&mut self, new_time: f64) {
-        if new_time > self.clock {
-            self.meter.charge_comm_wait(new_time - self.clock);
-            self.comm_time += new_time - self.clock;
-            self.clock = new_time;
+    /// Advances the clock to `new_time` (an exit time of `op`), booking the
+    /// difference as communication time and as `op`'s blocked nanoseconds
+    /// in the rank's comm ledger. Returns the nanoseconds booked.
+    pub(crate) fn advance_comm(&mut self, op: CollectiveOp, new_time: f64) -> u64 {
+        if new_time <= self.clock {
+            return 0;
         }
+        let nanos = self.comm.charge_blocked(op, new_time - self.clock);
+        self.comm_time += new_time - self.clock;
+        self.clock = new_time;
+        nanos
     }
 
     /// Advances the clock to `until` (virtual seconds), booking the gap as
@@ -141,17 +154,6 @@ impl RankCtx {
         } else {
             self.clock
         }
-    }
-
-    /// Lifetime blocked-wait nanos (folded totals plus the pending meter);
-    /// invariant under `flush_compute`, so comm spans can delta it.
-    pub(crate) fn lifetime_comm_wait_nanos(&self) -> u64 {
-        self.totals.comm_wait_nanos + self.meter.comm_wait_nanos
-    }
-
-    /// Lifetime hidden-overlap nanos; invariant under `flush_compute`.
-    pub(crate) fn lifetime_overlap_hidden_nanos(&self) -> u64 {
-        self.totals.overlap_hidden_nanos + self.meter.overlap_hidden_nanos
     }
 
     /// Runs `f` inside a named trace scope (`what.phase`, e.g.
@@ -207,36 +209,62 @@ impl RankCtx {
             gemms_kernel_avx2: t.gemms_kernel_avx2,
             gemms_kernel_avx512: t.gemms_kernel_avx512,
             bytes_allocated: t.bytes_allocated,
-            comm_wait_nanos: t.comm_wait_nanos,
-            overlap_hidden_nanos: t.overlap_hidden_nanos,
-            prefill_steps: t.prefill_steps,
-            decode_steps: t.decode_steps,
-            kv_cache_bytes_peak: t.kv_cache_bytes_peak,
-            activation_bytes_peak: t.activation_bytes_peak,
-            weight_bytes: t.weight_bytes,
+            comm_wait_nanos: self.comm.per_op.iter().map(|s| s.blocked_nanos).sum(),
+            overlap_hidden_nanos: self.comm.per_op.iter().map(|s| s.hidden_nanos).sum(),
+            prefill_steps: self.prefill_steps,
+            decode_steps: self.decode_steps,
+            kv_cache_bytes_peak: self.kv_cache_bytes_peak,
+            activation_bytes_peak: self.activation_bytes_peak,
+            weight_bytes: self.weight_bytes,
             idle_time: self.idle_time,
             comm: self.comm,
         }
     }
 
     /// Books `bytes` of newly tape-held activation data and raises the
-    /// meter's high-water mark to the new running total. Called by
+    /// tape high-water mark to the new running total. Called by
     /// `Tape::push_tracked` in tesseract-core.
     pub fn charge_tape_push(&mut self, bytes: u64) {
         self.tape_bytes_now += bytes;
-        self.meter.note_activation_bytes(self.tape_bytes_now);
+        self.activation_bytes_peak = self.activation_bytes_peak.max(self.tape_bytes_now);
     }
 
     /// Releases `bytes` of tape-held activation data (pop or checkpoint
-    /// clear). Saturating: a release can never underflow the running total.
+    /// clear). Panics if the rank holds fewer bytes: an over-release would
+    /// understate every later high-water mark.
     pub fn charge_tape_pop(&mut self, bytes: u64) {
-        debug_assert!(self.tape_bytes_now >= bytes, "tape release exceeds held bytes");
-        self.tape_bytes_now = self.tape_bytes_now.saturating_sub(bytes);
+        self.tape_bytes_now =
+            self.tape_bytes_now.checked_sub(bytes).expect("tape release exceeds held bytes");
     }
 
     /// Current bytes of tape-held activations (pushes minus pops).
     pub fn tape_bytes_now(&self) -> u64 {
         self.tape_bytes_now
+    }
+
+    /// Counts one serving-engine step: a prefill step if it `prefilled` at
+    /// least one whole prompt, else a decode-only step. Bookkeeping only,
+    /// no time.
+    pub fn count_serving_step(&mut self, prefilled: bool) {
+        if prefilled {
+            self.prefill_steps += 1;
+        } else {
+            self.decode_steps += 1;
+        }
+    }
+
+    /// Raises the KV-cache high-water mark to `bytes` if it is the new
+    /// peak. The serving engine calls this with its current per-rank cache
+    /// footprint after every admit/append/evict transition.
+    pub fn note_kv_cache_bytes(&mut self, bytes: u64) {
+        self.kv_cache_bytes_peak = self.kv_cache_bytes_peak.max(bytes);
+    }
+
+    /// Raises the serving-weight high-water mark to `bytes` if it is the
+    /// new peak. The serving engine calls this with the stack's fetched
+    /// weight bytes.
+    pub fn note_weight_bytes(&mut self, bytes: u64) {
+        self.weight_bytes = self.weight_bytes.max(bytes);
     }
 }
 
@@ -273,10 +301,12 @@ pub struct RankReport {
     /// via the concat in layer constructors).
     pub bytes_allocated: u64,
     /// Simulated nanoseconds this rank spent blocked in collectives (the
-    /// integer-nanosecond mirror of `comm_time`, at counter resolution).
+    /// integer-nanosecond mirror of `comm_time`): the sum of
+    /// [`crate::OpStats::blocked_nanos`] over `comm`'s ops.
     pub comm_wait_nanos: u64,
     /// Simulated nanoseconds of collective wait hidden under compute by
-    /// split-phase overlap (zero on the serial path).
+    /// split-phase overlap (zero on the serial path): the sum of
+    /// [`crate::OpStats::hidden_nanos`] over `comm`'s ops.
     pub overlap_hidden_nanos: u64,
     /// Serving steps this rank participated in that prefilled at least one
     /// prompt, decode tokens possibly riding along (zero for training runs).
@@ -302,7 +332,55 @@ pub struct RankReport {
     /// of `virtual_time` but belongs to neither compute nor comm.
     pub idle_time: f64,
     /// The collectives this rank booked: calls and wire bytes of those it
-    /// led, the seconds it was charged, the wait it hid.
+    /// led, the seconds it was charged, and per op the wait it paid and
+    /// the wait it hid.
     /// [`crate::RunOutput::comm`] is the rank-order fold of these.
     pub comm: CommStats,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_rank(f: impl Fn(&mut RankCtx) + Send + Sync) -> RankReport {
+        crate::RunConfig::new(1).cluster().run(f).reports[0]
+    }
+
+    #[test]
+    fn serving_counters_reach_the_report() {
+        let r = one_rank(|ctx| {
+            ctx.count_serving_step(true);
+            ctx.count_serving_step(false);
+            ctx.count_serving_step(false);
+            ctx.note_kv_cache_bytes(1024);
+            ctx.note_kv_cache_bytes(512); // below the peak: must not lower it
+            ctx.note_weight_bytes(256);
+            ctx.note_weight_bytes(128);
+        });
+        assert_eq!((r.prefill_steps, r.decode_steps), (1, 2));
+        assert_eq!((r.kv_cache_bytes_peak, r.weight_bytes), (1024, 256));
+        // Pure bookkeeping: never compute, never simulated time.
+        assert_eq!((r.kernels, r.bytes_allocated, r.virtual_time), (0, 0, 0.0));
+    }
+
+    #[test]
+    fn activation_peak_is_a_high_water_mark() {
+        let r = one_rank(|ctx| {
+            ctx.charge_tape_push(2048);
+            ctx.charge_tape_pop(2048);
+            ctx.charge_tape_push(512); // below the peak: must not lower it
+            assert_eq!(ctx.tape_bytes_now(), 512);
+        });
+        assert_eq!(r.activation_bytes_peak, 2048);
+        assert_eq!((r.kernels, r.virtual_time), (0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "tape release exceeds held bytes")]
+    fn tape_over_release_panics() {
+        one_rank(|ctx| {
+            ctx.charge_tape_push(8);
+            ctx.charge_tape_pop(16);
+        });
+    }
 }

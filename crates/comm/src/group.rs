@@ -21,8 +21,10 @@
 //!
 //! Compute issued between `begin` and `complete` overlaps the rendezvous,
 //! so the clock is charged exactly the *non-overlapped remainder* of the
-//! wait; the hidden portion is recorded in `Meter::overlap_hidden_nanos`
-//! and [`crate::stats::OpStats::hidden_time`] instead.
+//! wait, booked as the op's [`crate::stats::OpStats::blocked_nanos`]; the
+//! hidden portion is booked as its [`crate::stats::OpStats::hidden_time`]
+//! and `hidden_nanos` instead. Every member books its own wait in its own
+//! ledger.
 //!
 //! Pending collectives on one group must be completed in begin order
 //! (FIFO, the NCCL stream discipline); completing out of order panics, as
@@ -55,54 +57,49 @@ use crate::fabric::{Fabric, Ticket};
 use crate::topology::GroupPlacement;
 
 /// One in-flight communication op: what it is, where its span starts, and
-/// (when tracing) the rank's lifetime wait/hidden counters at that point.
-/// The charging site hands [`CommScope::finish`] the numbers it computed
-/// and one [`TraceKind::Comm`] span is emitted. When tracing is inactive
-/// `finish` is a no-op; the scope never feeds back into any charge, so
-/// traced and untraced runs are bitwise identical.
+/// the wait its charging site has booked so far. The charging site
+/// advances the clock through [`CommScope::advance`], hands
+/// [`CommScope::finish`] the rest of what it booked, and one
+/// [`TraceKind::Comm`] span is emitted. When tracing is inactive `finish`
+/// is a no-op; the scope never feeds back into any charge, so traced and
+/// untraced runs are bitwise identical.
 struct CommScope {
-    active: bool,
     op: CollectiveOp,
     key: (u64, u64),
     /// Span start: deposit timestamp (collectives) or entry clock (p2p).
     begin: f64,
-    /// Lifetime wait/hidden counters at open; the span's blocked/hidden
-    /// charges are the deltas at finish (both counters are invariant under
-    /// `flush_compute`, so interleaved flushes cannot contaminate them).
-    wait0: u64,
-    hidden0: u64,
+    /// Nanoseconds [`CommScope::advance`] booked as this op's wait.
+    blocked_nanos: u64,
 }
 
 impl CommScope {
-    fn open(ctx: &RankCtx, op: CollectiveOp, key: (u64, u64), begin: f64) -> Self {
-        let active = trace::is_active();
-        Self {
-            active,
-            op,
-            key,
-            begin,
-            wait0: if active { ctx.lifetime_comm_wait_nanos() } else { 0 },
-            hidden0: if active { ctx.lifetime_overlap_hidden_nanos() } else { 0 },
-        }
+    fn open(op: CollectiveOp, key: (u64, u64), begin: f64) -> Self {
+        Self { op, key, begin, blocked_nanos: 0 }
+    }
+
+    /// Advances the clock to `until`, booking the wait against this op.
+    fn advance(&mut self, ctx: &mut RankCtx, until: f64) {
+        self.blocked_nanos += ctx.advance_comm(self.op, until);
     }
 
     /// Emits the span, ending at the rank's current (charged) clock.
     /// `max_entry_vt` is the slowest entry the op synchronized to, `cost`
-    /// the α–β cost charged, `hidden_time` the overlap booked in the rank's
-    /// ledger (`RankCtx::comm`), `(wire_bytes, stats_time)` what this rank
-    /// added to that ledger, and `recorded` whether it also booked the op's
-    /// call there (one member per collective; of a point-to-point pair the
-    /// sender, the receiver adding only its transfer seconds).
+    /// the α–β cost charged, `(hidden_nanos, hidden_time)` the overlap
+    /// booked in the rank's ledger (`RankCtx::comm`), `(wire_bytes,
+    /// stats_time)` what this rank added to that ledger, and `recorded`
+    /// whether it also booked the op's call there (one member per
+    /// collective; of a point-to-point pair the sender, the receiver adding
+    /// only its transfer seconds).
     fn finish(
         self,
         ctx: &RankCtx,
         max_entry_vt: f64,
         cost: f64,
-        hidden_time: f64,
+        (hidden_nanos, hidden_time): (u64, f64),
         (wire_bytes, stats_time): (u64, f64),
         recorded: bool,
     ) {
-        if !self.active {
+        if !trace::is_active() {
             return;
         }
         trace::record(
@@ -115,8 +112,8 @@ impl CommScope {
                 key_seq: self.key.1,
                 max_entry_vt,
                 cost,
-                blocked_nanos: ctx.lifetime_comm_wait_nanos() - self.wait0,
-                hidden_nanos: ctx.lifetime_overlap_hidden_nanos() - self.hidden0,
+                blocked_nanos: self.blocked_nanos,
+                hidden_nanos,
                 hidden_time,
                 wire_bytes,
                 stats_time,
@@ -321,7 +318,7 @@ impl CommGroup {
         self.outstanding.borrow_mut().push_back(seq);
         let finish = move |ctx: &mut RankCtx| {
             self.pop_outstanding(op, seq);
-            let span = CommScope::open(ctx, op, key, deposit_vt);
+            let span = CommScope::open(op, key, deposit_vt);
             ctx.flush_compute();
             let (max_vt, published) = ctx.fabric().wait::<T>(ticket);
             match size {
@@ -421,7 +418,7 @@ impl CommGroup {
     fn finish_charge(
         &self,
         ctx: &mut RankCtx,
-        span: CommScope,
+        mut span: CommScope,
         max_vt: f64,
         bytes: usize,
         deferred_size: bool,
@@ -435,18 +432,18 @@ impl CommGroup {
         };
         let target = max_vt + cost0 + cost_b;
         let hidden = (ctx.clock().min(target) - deposit_vt).max(0.0);
+        let mut hidden_nanos = 0;
         if hidden > 0.0 {
-            ctx.meter.charge_overlap_hidden(hidden);
-            ctx.comm.charge_hidden(op, hidden);
+            hidden_nanos = ctx.comm.charge_hidden(op, hidden);
         } else if deferred_size {
             // Nothing overlapped the wait: book it as the two advances a
             // blocking broadcast has always made (rendezvous latency, then
-            // the size-dependent transfer) so `comm_wait_nanos` keeps
+            // the size-dependent transfer) so `blocked_nanos` keeps
             // rounding per part. Once compute has hidden some of the wait
             // there is a single remainder, booked below.
-            ctx.advance_comm(max_vt + cost0);
+            span.advance(ctx, max_vt + cost0);
         }
-        ctx.advance_comm(target);
+        span.advance(ctx, target);
         let recorded = self.my_index == 0;
         let booked = if recorded {
             let wire = ctx.params.wire_bytes(op, self.size(), bytes);
@@ -455,7 +452,7 @@ impl CommGroup {
         } else {
             (0, 0.0)
         };
-        span.finish(ctx, max_vt, cost0 + cost_b, hidden, booked, recorded);
+        span.finish(ctx, max_vt, cost0 + cost_b, (hidden_nanos, hidden), booked, recorded);
     }
 
     /// Synchronizes all members without moving data.
@@ -582,16 +579,17 @@ impl CommGroup {
         let chan = (self.id, self.my_index, dst, tag);
         let send_vt = ctx.clock();
         let key = (self.id, chan_seq(self.my_index, dst, tag));
-        let span = CommScope::open(ctx, CollectiveOp::SendRecv, key, send_vt);
+        let mut span = CommScope::open(CollectiveOp::SendRecv, key, send_vt);
         ctx.fabric().send(chan, payload, send_vt);
         let link = ctx.topology.link_between(self.ranks[self.my_index], self.ranks[dst]);
         let (alpha, _) = ctx.params.link_params(link);
         // The sender only pays injection latency; transfer time is charged
         // to the receiver (eager-send model).
-        ctx.advance_comm(ctx.clock() + alpha);
+        let injected = ctx.clock() + alpha;
+        span.advance(ctx, injected);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
         ctx.comm.record(CollectiveOp::SendRecv, wire, 0.0);
-        span.finish(ctx, send_vt, alpha, 0.0, (wire, 0.0), true);
+        span.finish(ctx, send_vt, alpha, (0, 0.0), (wire, 0.0), true);
     }
 
     /// Point-to-point receive from another member (by member index).
@@ -600,18 +598,18 @@ impl CommGroup {
         ctx.flush_compute();
         let chan = (self.id, src, self.my_index, tag);
         let key = (self.id, chan_seq(src, self.my_index, tag));
-        let span = CommScope::open(ctx, CollectiveOp::SendRecv, key, ctx.clock());
+        let mut span = CommScope::open(CollectiveOp::SendRecv, key, ctx.clock());
         let (send_vt, payload): (f64, P) = ctx.fabric().recv(chan);
         let link = ctx.topology.link_between(self.ranks[src], self.ranks[self.my_index]);
         let cost = ctx.params.collective_time(CollectiveOp::SendRecv, 2, payload.wire_size(), link);
         let ready = send_vt.max(ctx.clock());
-        ctx.advance_comm(ready + cost);
+        span.advance(ctx, ready + cost);
         // The sender booked the call and its wire bytes; the transfer
         // seconds are charged here, so they are booked here.
         ctx.comm.charge_time(CollectiveOp::SendRecv, cost);
         // The recv's cross-rank dependency is the sender's injection time:
         // it is the span's "slowest entry", so the critical path hops there.
-        span.finish(ctx, send_vt, cost, 0.0, (0, cost), false);
+        span.finish(ctx, send_vt, cost, (0, 0.0), (0, cost), false);
         payload
     }
 }

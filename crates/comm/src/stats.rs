@@ -1,8 +1,13 @@
 //! Per-rank communication ledger.
 //!
 //! Each rank's [`CommStats`] holds the calls and wire bytes of the
-//! collectives it led, the simulated seconds it was charged for them, and
-//! the wait it hid under compute. [`crate::Cluster::run`] folds the ledgers
+//! collectives it led and the simulated seconds it was charged for them,
+//! plus, per op, the wait its own clock paid and the wait it hid under
+//! compute. Those two are booked in integer nanoseconds by `to_nanos`,
+//! the one place a charge is rounded, so a rank's
+//! [`crate::RankReport::comm_wait_nanos`] and
+//! [`crate::RankReport::overlap_hidden_nanos`] are exact sums over its
+//! ops. [`crate::Cluster::run`] folds the ledgers
 //! in rank order into the run's totals, so they do not depend on how the
 //! host scheduled the rank threads. The experiment harness uses those
 //! totals to report exact message counts and wire volumes per scheme (the
@@ -27,15 +32,30 @@ pub struct OpStats {
     /// much compute it had in flight). Zero on the blocking path.
     /// Informational: `time` still records the full op cost.
     pub hidden_time: f64,
+    /// Simulated nanoseconds this rank's clock spent blocked in this op,
+    /// each charge rounded once by `to_nanos`. Booked by every member
+    /// that waited, not only the one that booked the call.
+    pub blocked_nanos: u64,
+    /// `hidden_time` in integer nanoseconds, each charge rounded once.
+    pub hidden_nanos: u64,
 }
 
 impl OpStats {
-    fn merge(&mut self, other: &OpStats) {
+    pub(crate) fn merge(&mut self, other: &OpStats) {
         self.calls += other.calls;
         self.wire_bytes += other.wire_bytes;
         self.time += other.time;
         self.hidden_time += other.hidden_time;
+        self.blocked_nanos += other.blocked_nanos;
+        self.hidden_nanos += other.hidden_nanos;
     }
+}
+
+/// Converts simulated seconds into the integer nanoseconds the wait
+/// counters book. Rounding (not truncation) keeps the conversion stable
+/// against the ±1 ulp wobble of f64 cost arithmetic.
+pub(crate) fn to_nanos(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
 }
 
 /// One rank's collective ledger, or the rank-order fold of a run's.
@@ -61,10 +81,22 @@ impl CommStats {
         self.per_op[op as usize].time += seconds;
     }
 
+    /// Charges `seconds` this rank's clock spent blocked in `op`; returns
+    /// the nanoseconds booked.
+    pub(crate) fn charge_blocked(&mut self, op: CollectiveOp, seconds: f64) -> u64 {
+        let nanos = to_nanos(seconds);
+        self.per_op[op as usize].blocked_nanos += nanos;
+        nanos
+    }
+
     /// Charges `seconds` of `op` wait hidden under compute by a split-phase
-    /// `begin`/`complete` pair.
-    pub(crate) fn charge_hidden(&mut self, op: CollectiveOp, seconds: f64) {
-        self.per_op[op as usize].hidden_time += seconds;
+    /// `begin`/`complete` pair; returns the nanoseconds booked.
+    pub(crate) fn charge_hidden(&mut self, op: CollectiveOp, seconds: f64) -> u64 {
+        let nanos = to_nanos(seconds);
+        let entry = &mut self.per_op[op as usize];
+        entry.hidden_time += seconds;
+        entry.hidden_nanos += nanos;
+        nanos
     }
 
     /// Adds `other`'s ledger into this one, op by op.
@@ -179,8 +211,35 @@ mod tests {
         s.charge_time(CollectiveOp::SendRecv, 0.5);
         assert_eq!(
             s.get(CollectiveOp::SendRecv),
-            OpStats { calls: 1, wire_bytes: 4, time: 0.5, hidden_time: 0.0 }
+            OpStats { calls: 1, wire_bytes: 4, time: 0.5, ..OpStats::default() }
         );
+    }
+
+    #[test]
+    fn comm_wait_and_hidden_nanos_accumulate_and_merge() {
+        let (mut a, mut b) = (CommStats::default(), CommStats::default());
+        assert_eq!(a.charge_blocked(CollectiveOp::Broadcast, 1.5e-6), 1500);
+        a.charge_blocked(CollectiveOp::Broadcast, 0.5e-6);
+        a.charge_blocked(CollectiveOp::Reduce, 1e-9);
+        assert_eq!(a.charge_hidden(CollectiveOp::Broadcast, 0.25e-6), 250);
+        b.charge_blocked(CollectiveOp::Broadcast, 1e-9);
+        b.charge_hidden(CollectiveOp::AllReduce, 2e-9);
+        a.merge(&b);
+        let nanos = |op| (a.get(op).blocked_nanos, a.get(op).hidden_nanos);
+        assert_eq!(nanos(CollectiveOp::Broadcast), (2001, 250));
+        assert_eq!(nanos(CollectiveOp::Reduce), (1, 0));
+        assert_eq!(nanos(CollectiveOp::AllReduce), (0, 2));
+        // Wait is not a call: the led-call accounting is untouched.
+        assert_eq!((a.total_calls(), a.total_wire_bytes()), (0, 0));
+        assert_eq!(a.get(CollectiveOp::Broadcast).time, 0.0);
+    }
+
+    #[test]
+    fn nanos_conversion_rounds_instead_of_truncating() {
+        let mut s = CommStats::default();
+        // 0.1 µs is not exactly representable; rounding keeps it at 100 ns.
+        assert_eq!(s.charge_blocked(CollectiveOp::Barrier, 1e-7), 100);
+        assert_eq!(s.charge_hidden(CollectiveOp::Barrier, 1e-7), 100);
     }
 
     #[test]

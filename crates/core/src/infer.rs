@@ -19,7 +19,7 @@
 //! the `q` ranks of its row fiber and absent everywhere else, and the
 //! per-rank footprint (`2 · L · n/q · d̄ · 4` bytes per layer) is what
 //! [`RequestKv::bytes`] reports and the serving engine feeds into
-//! `Meter::note_kv_cache_bytes`.
+//! [`RankCtx::note_kv_cache_bytes`](tesseract_comm::RankCtx::note_kv_cache_bytes).
 //!
 //! ## Bitwise parity with recompute
 //!

@@ -28,7 +28,8 @@
 //! **bitwise identical** to the blocking `*_serial` loops (same shared
 //! `Arc` panels, same ascending-member folds), which stay as the reference
 //! the parity suite, `overlap_sweep` and `trace_dump` compare against; only
-//! the virtual clock improves (`Meter::overlap_hidden_nanos`). At `d = 1`
+//! the virtual clock improves (`OpStats::hidden_nanos` in each rank's comm
+//! ledger, summed into `RankReport::overlap_hidden_nanos`). At `d = 1`
 //! those loops are also the paper's blocking 2-D SUMMA (Algorithm 2) and
 //! its Eq. 3 backward rules: the repo writes SUMMA once, here.
 //!

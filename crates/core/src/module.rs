@@ -115,7 +115,8 @@ pub trait Module<T: TensorLike + Payload, G = TesseractGrid> {
 /// [`Tape::debug_assert_balanced`] (called by `zero_grad` at step
 /// boundaries) catches forwards that were never unwound.
 /// Every entry carries its byte size, which feeds the per-rank activation
-/// high-water mark in [`tesseract_tensor::Meter::activation_bytes_peak`];
+/// high-water mark in
+/// [`RankReport::activation_bytes_peak`](tesseract_comm::RankReport::activation_bytes_peak);
 /// the matching pop (or a checkpoint [`Tape::clear_tracked`]) releases
 /// exactly what the push charged.
 #[derive(Debug)]

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::RunConfig;
+use tesseract_comm::{CollectiveOp, RunConfig};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, TesseractGrid,
@@ -47,6 +47,59 @@ fn trace_reconciles_with_meter_and_stats_on_the_cube() {
     assert_eq!(out.traces.len(), 8);
     assert!(out.traces.iter().all(|t| !t.is_empty()));
     assert_eq!(out.reconcile_trace(), Ok(()));
+}
+
+/// Every rank books its own wait, per op. Two `[2,2,1]` stages: stage 0
+/// runs double-buffered SUMMA (split-phase row and column broadcasts) and
+/// sends its blocks to stage 1 over a pipeline hop; stage 1 receives them,
+/// runs SUMMA, and the world ends on a blocking broadcast whose size only
+/// the root knows. On every rank the report's wait fields are the sums of
+/// the per-op ledger, and a rank that led no collective still shows the
+/// wait it paid.
+#[test]
+fn every_rank_books_its_own_wait_per_op() {
+    let shape = GridShape::new(2, 1);
+    let stage_size = shape.size();
+    let a = random(8 * shape.q, 16, 3);
+    let b = random(16, 16, 4);
+    let out = RunConfig::from_env(2 * stage_size).with_trace(true).cluster().run(move |ctx| {
+        let (stage, local) = (ctx.rank / stage_size, ctx.rank % stage_size);
+        let grid = TesseractGrid::new(ctx, shape, stage * stage_size);
+        let (i, j, k) = grid.coords;
+        let pipe = ctx.group("pipe", vec![local, stage_size + local]);
+        let a_loc = if stage == 0 {
+            DenseTensor::from_matrix(a_block(&a, shape, i, j, k))
+        } else {
+            pipe.recv(ctx, 0, 0)
+        };
+        let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
+        let y = tesseract_matmul(&grid, ctx, &Arc::new(a_loc), &b_loc);
+        if stage == 0 {
+            pipe.send(ctx, 1, 0, y.clone());
+        }
+        let world = ctx.world_group();
+        let _ = world.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| Arc::new(y)));
+    });
+    assert_eq!(out.reconcile_trace(), Ok(()));
+    for r in &out.reports {
+        let per_op = |f: fn(tesseract_comm::OpStats) -> u64| {
+            CollectiveOp::ALL.iter().map(|&op| f(r.comm.get(op))).sum::<u64>()
+        };
+        assert_eq!(r.comm_wait_nanos, per_op(|s| s.blocked_nanos), "rank {}", r.rank);
+        assert_eq!(r.overlap_hidden_nanos, per_op(|s| s.hidden_nanos), "rank {}", r.rank);
+        assert!(r.comm.get(CollectiveOp::Broadcast).blocked_nanos > 0, "rank {}", r.rank);
+    }
+    assert!(out.reports.iter().any(|r| r.overlap_hidden_nanos > 0), "SUMMA hid no wait");
+    // Stage 1 led no hop, yet every receiver waited on its sender.
+    for r in &out.reports[stage_size..] {
+        let hop = r.comm.get(CollectiveOp::SendRecv);
+        assert_eq!(hop.calls, 0, "rank {}", r.rank);
+        assert!(hop.blocked_nanos > 0, "rank {} booked no wait on its recv", r.rank);
+    }
+    // The last rank of stage 1 leads nothing at all and still waited.
+    let last = out.reports.last().unwrap();
+    assert_eq!(last.comm.total_calls(), 0);
+    assert!(last.comm_wait_nanos > 0);
 }
 
 /// Tracing is observational: enabling it must not change results, reports,

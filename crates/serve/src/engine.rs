@@ -111,15 +111,15 @@ pub struct ServeSummary {
     /// All requests, id-ordered — identical on every rank by construction.
     pub results: Vec<RequestResult>,
     /// Steps of this rank's lane that prefilled at least one prompt
-    /// (decode tokens may ride along; mirrors `Meter`).
+    /// (decode tokens may ride along; mirrors `RankReport`).
     pub prefill_steps: u64,
-    /// Steps of this rank's lane that only decoded (mirrors `Meter`).
+    /// Steps of this rank's lane that only decoded (mirrors `RankReport`).
     pub decode_steps: u64,
-    /// This rank's KV-cache high-water mark in bytes (mirrors `Meter`).
+    /// This rank's KV-cache high-water mark in bytes (mirrors `RankReport`).
     pub kv_peak_bytes: u64,
     /// Bytes of weights this rank holds for weight-stationary serving: its
     /// column of every linear's weight panels plus the biases, `q×` its
-    /// weight blocks (mirrors `Meter`).
+    /// weight blocks (mirrors `RankReport`).
     pub weight_bytes: u64,
     /// Global step-boundary count (barriers with at least one busy lane).
     pub steps_total: u64,
@@ -444,10 +444,10 @@ pub fn run_serve<T: TensorLike + Payload>(
         // A step that prefilled any prompt counts as a prefill step; one
         // that only decoded, as a decode step.
         if !batch.prefill.is_empty() {
-            ctx.meter.charge_prefill_step();
+            ctx.count_serving_step(true);
             prefill_steps += 1;
         } else if !batch.decode.is_empty() {
-            ctx.meter.charge_decode_step();
+            ctx.count_serving_step(false);
             decode_steps += 1;
         }
 
@@ -464,7 +464,7 @@ pub fn run_serve<T: TensorLike + Payload>(
 
         // KV high-water mark after the append, before any eviction.
         let resident: u64 = slots.values().map(|s| s.kv.as_ref().map_or(0, RequestKv::bytes)).sum();
-        ctx.meter.note_kv_cache_bytes(resident);
+        ctx.note_kv_cache_bytes(resident);
         kv_peak_bytes = kv_peak_bytes.max(resident);
 
         prev = Some(plan);
@@ -474,7 +474,7 @@ pub fn run_serve<T: TensorLike + Payload>(
     assert_eq!(ctx.tape_bytes_now(), 0, "inference must never grow a tape");
     // Serving never drops the fetched weights, so the end total is the peak.
     let weight_bytes = model.stationary_bytes();
-    ctx.meter.note_weight_bytes(weight_bytes);
+    ctx.note_weight_bytes(weight_bytes);
     ServeSummary {
         results: sched.results(),
         prefill_steps,

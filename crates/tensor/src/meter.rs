@@ -12,6 +12,10 @@
 //! The cluster runtime converts these into simulated time (`flops /
 //! device_rate + kernels * launch_overhead`), which is what the Table 1 /
 //! Table 2 reproductions report instead of host wall-clock.
+//!
+//! A meter holds compute flows only. A rank's collective wait, its serving
+//! step counts and its KV, weight and tape high-water marks are booked where
+//! they are produced: in the comm crate's per-rank context and ledger.
 
 use crate::matmul::{KernelPath, MicroKernel};
 
@@ -38,44 +42,6 @@ pub struct Meter {
     /// Blocked-GEMM dispatches that ran the AVX-512 micro-kernel backend
     /// (`matmul::MicroKernel::Avx512`, the 8×32 `_mm512_fmadd_ps` tile).
     pub gemms_kernel_avx512: u64,
-    /// Simulated nanoseconds this rank's clock spent blocked in collectives
-    /// (the `advance_comm` deltas). Recorded as integer nanoseconds so the
-    /// counter is bitwise deterministic across runs.
-    pub comm_wait_nanos: u64,
-    /// Simulated nanoseconds of collective wait that split-phase overlap
-    /// hid under compute (zero on the serial path). Informational: already
-    /// excluded from `comm_wait_nanos`, never re-charged.
-    pub overlap_hidden_nanos: u64,
-    /// Serving-engine steps this rank participated in that prefilled at
-    /// least one whole prompt (decode tokens of the lane's other requests
-    /// may ride in the same batch).
-    pub prefill_steps: u64,
-    /// Serving-engine steps this rank participated in that only decoded
-    /// (each batched request advanced by one token, no prompt).
-    pub decode_steps: u64,
-    /// Peak bytes of KV-cache blocks resident on this rank. Tracked as a
-    /// high-water mark (merge takes the max), never converted into
-    /// simulated time: it is the serving analogue of activation peak
-    /// memory, the binding constraint at long sequence lengths.
-    pub kv_cache_bytes_peak: u64,
-    /// Peak bytes of tape-held activations resident on this rank: the
-    /// training analogue of `kv_cache_bytes_peak`. A high-water mark over
-    /// the running total of bytes pushed-minus-popped across every
-    /// module's [`Tape`](../module) — what checkpointed recomputation
-    /// exists to shrink. Merge takes the max.
-    pub activation_bytes_peak: u64,
-    /// Peak bytes of weights a serving rank holds for its weight-stationary
-    /// matmuls (each linear's column of weight panels plus its bias, `q×`
-    /// the rank's weight blocks). A high-water mark like
-    /// `kv_cache_bytes_peak`; merge takes the max. Zero for training runs.
-    pub weight_bytes: u64,
-}
-
-/// Converts simulated seconds into the integer-nanosecond resolution the
-/// overlap counters use. Rounding (not truncation) keeps the conversion
-/// stable against the ±1 ulp wobble of f64 cost arithmetic.
-fn to_nanos(seconds: f64) -> u64 {
-    (seconds * 1e9).round() as u64
 }
 
 impl Meter {
@@ -136,48 +102,6 @@ impl Meter {
         MeterScope { meter: self, label }
     }
 
-    /// Charges `seconds` of simulated time spent blocked in a collective.
-    pub fn charge_comm_wait(&mut self, seconds: f64) {
-        self.comm_wait_nanos += to_nanos(seconds);
-    }
-
-    /// Charges `seconds` of collective wait hidden under compute by a
-    /// split-phase `begin`/`complete` pair.
-    pub fn charge_overlap_hidden(&mut self, seconds: f64) {
-        self.overlap_hidden_nanos += to_nanos(seconds);
-    }
-
-    /// Counts one serving prefill step (bookkeeping only, no time).
-    pub fn charge_prefill_step(&mut self) {
-        self.prefill_steps += 1;
-    }
-
-    /// Counts one serving decode step (bookkeeping only, no time).
-    pub fn charge_decode_step(&mut self) {
-        self.decode_steps += 1;
-    }
-
-    /// Raises the KV-cache high-water mark to `bytes` if it is the new
-    /// peak. The serving engine calls this with its current per-rank cache
-    /// footprint after every admit/append/evict transition.
-    pub fn note_kv_cache_bytes(&mut self, bytes: u64) {
-        self.kv_cache_bytes_peak = self.kv_cache_bytes_peak.max(bytes);
-    }
-
-    /// Raises the serving-weight high-water mark to `bytes` if it is the
-    /// new peak. The serving engine calls this with the stack's fetched
-    /// weight bytes.
-    pub fn note_weight_bytes(&mut self, bytes: u64) {
-        self.weight_bytes = self.weight_bytes.max(bytes);
-    }
-
-    /// Raises the tape-held activation high-water mark to `bytes` if it is
-    /// the new peak. Called by the tape-accounting layer with the rank's
-    /// running tape total after every push.
-    pub fn note_activation_bytes(&mut self, bytes: u64) {
-        self.activation_bytes_peak = self.activation_bytes_peak.max(bytes);
-    }
-
     /// Merges another meter into this one (e.g. per-layer into per-step).
     pub fn merge(&mut self, other: &Meter) {
         self.flops += other.flops;
@@ -188,15 +112,6 @@ impl Meter {
         self.gemms_kernel_scalar += other.gemms_kernel_scalar;
         self.gemms_kernel_avx2 += other.gemms_kernel_avx2;
         self.gemms_kernel_avx512 += other.gemms_kernel_avx512;
-        self.comm_wait_nanos += other.comm_wait_nanos;
-        self.overlap_hidden_nanos += other.overlap_hidden_nanos;
-        self.prefill_steps += other.prefill_steps;
-        self.decode_steps += other.decode_steps;
-        // Peak memory is a high-water mark, not a flow: merging windows
-        // keeps the larger peak instead of summing.
-        self.kv_cache_bytes_peak = self.kv_cache_bytes_peak.max(other.kv_cache_bytes_peak);
-        self.activation_bytes_peak = self.activation_bytes_peak.max(other.activation_bytes_peak);
-        self.weight_bytes = self.weight_bytes.max(other.weight_bytes);
     }
 
     /// Returns the current totals and resets the meter, for converting a
@@ -287,43 +202,15 @@ mod tests {
     }
 
     #[test]
-    fn comm_wait_and_hidden_nanos_accumulate_and_merge() {
-        let mut a = Meter::new();
-        a.charge_comm_wait(1.5e-6);
-        a.charge_comm_wait(0.5e-6);
-        a.charge_overlap_hidden(0.25e-6);
-        assert_eq!((a.comm_wait_nanos, a.overlap_hidden_nanos), (2000, 250));
-        // Wait counters are pure bookkeeping: no kernels, no flops, no
-        // allocation — they must never turn into compute time.
-        assert_eq!((a.kernels, a.bytes_allocated), (0, 0));
-        assert_eq!(a.flops, 0.0);
-        let mut b = Meter::new();
-        b.charge_comm_wait(1e-9);
-        b.charge_overlap_hidden(2e-9);
-        a.merge(&b);
-        assert_eq!((a.comm_wait_nanos, a.overlap_hidden_nanos), (2001, 252));
-    }
-
-    #[test]
-    fn nanos_conversion_rounds_instead_of_truncating() {
-        let mut m = Meter::new();
-        // 0.1 µs is not exactly representable; rounding keeps it at 100 ns.
-        m.charge_comm_wait(1e-7);
-        assert_eq!(m.comm_wait_nanos, 100);
-    }
-
-    #[test]
     fn scope_charges_like_the_bare_meter_and_labels_the_tracer() {
         let mut scoped = Meter::new();
         {
             let mut s = scoped.scope("gemm");
             s.record(100.0, 64);
-            s.charge_comm_wait(1.5e-6);
             assert_eq!(s.label(), "gemm");
         }
         let mut bare = Meter::new();
         bare.record(100.0, 64);
-        bare.charge_comm_wait(1.5e-6);
         assert_eq!(scoped, bare, "scope must be charging-transparent");
         // With a tracer installed, the label names the next flush event.
         crate::trace::install(0);
@@ -335,49 +222,6 @@ mod tests {
         let events = crate::trace::take();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "gemm");
-    }
-
-    #[test]
-    fn serving_counters_accumulate_and_merge() {
-        let mut a = Meter::new();
-        a.charge_prefill_step();
-        a.charge_decode_step();
-        a.charge_decode_step();
-        a.note_kv_cache_bytes(1024);
-        a.note_kv_cache_bytes(512); // below the peak: must not lower it
-        assert_eq!((a.prefill_steps, a.decode_steps), (1, 2));
-        assert_eq!(a.kv_cache_bytes_peak, 1024);
-        // Serving counters are pure bookkeeping: no kernels, no flops, no
-        // allocation — they must never turn into simulated time.
-        assert_eq!((a.kernels, a.bytes_allocated), (0, 0));
-        assert_eq!(a.flops, 0.0);
-        let mut b = Meter::new();
-        b.charge_prefill_step();
-        b.charge_decode_step();
-        b.note_kv_cache_bytes(768);
-        a.merge(&b);
-        // Steps are flows (summed); the peak is a high-water mark (max).
-        assert_eq!((a.prefill_steps, a.decode_steps), (2, 3));
-        assert_eq!(a.kv_cache_bytes_peak, 1024);
-        let mut c = Meter::new();
-        c.note_kv_cache_bytes(4096);
-        a.merge(&c);
-        assert_eq!(a.kv_cache_bytes_peak, 4096);
-    }
-
-    #[test]
-    fn activation_peak_is_a_high_water_mark() {
-        let mut a = Meter::new();
-        a.note_activation_bytes(2048);
-        a.note_activation_bytes(512); // below the peak: must not lower it
-        assert_eq!(a.activation_bytes_peak, 2048);
-        // Pure bookkeeping: never turns into simulated time.
-        assert_eq!((a.kernels, a.bytes_allocated), (0, 0));
-        assert_eq!(a.flops, 0.0);
-        let mut b = Meter::new();
-        b.note_activation_bytes(4096);
-        a.merge(&b);
-        assert_eq!(a.activation_bytes_peak, 4096);
     }
 
     #[test]

@@ -51,11 +51,11 @@ pub enum TraceKind {
         max_entry_vt: f64,
         /// α–β cost charged for this op (seconds).
         cost: f64,
-        /// Wait this rank's clock actually paid inside the op — the exact
-        /// `Meter::comm_wait_nanos` delta.
+        /// Wait this rank's clock actually paid inside the op — the
+        /// nanoseconds it booked in its ledger's `OpStats::blocked_nanos`.
         blocked_nanos: u64,
-        /// Wait hidden under compute — the exact
-        /// `Meter::overlap_hidden_nanos` delta (zero on blocking calls).
+        /// Wait hidden under compute — the nanoseconds it booked in its
+        /// ledger's `OpStats::hidden_nanos` (zero on blocking calls).
         hidden_nanos: u64,
         /// The hidden seconds booked in this rank's comm ledger (f64, for
         /// reconciling `OpStats::hidden_time`).

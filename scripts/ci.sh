@@ -45,6 +45,19 @@ if [ -n "$spins" ]; then
     exit 1
 fi
 
+# A collective's wait is booked in integer nanoseconds, each charge rounded
+# once by comm/src/stats.rs::to_nanos, so every report field is an exact
+# integer sum of the per-op ledger. A second rounding site is a second copy
+# of that rule (until one integer time type replaces both, ROADMAP item 14).
+echo "== one-rounding-site gate (seconds -> nanos in comm/src/stats.rs only) =="
+rounds=$(grep -rnF '1e9).round()' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/comm/src/stats\.rs:' || true)
+if [ -n "$rounds" ]; then
+    echo "ci.sh: seconds rounded to nanoseconds outside crates/comm/src/stats.rs:"
+    echo "$rounds"
+    exit 1
+fi
+
 # Every tensor op's shape rule, Meter charge and kernel is written once, as a
 # provided method of `TensorLike`; a backend is storage. A charge or a shape
 # assert inside an `impl TensorLike for` block is a second copy of the price
