@@ -10,8 +10,9 @@
 //!   `tesseract_core::TesseractTransformer` on `GridShape::new(q, 1)`.
 //! * SUMMA 2-D matmul (§2.2, Algorithm 2) plus the Eq. 3 backward rules is
 //!   not a function here either: it is `tesseract_core::mm::tesseract_matmul*`
-//!   on `GridShape::new(q, 1)` (Algorithm 3 at `d = 1`), whose blocking
-//!   `*_serial` loops are the parity reference.
+//!   on `GridShape::new(q, 1)` (Algorithm 3 at `d = 1`); the grid's
+//!   blocking schedule (`TesseractGrid::overlap = false`) is Algorithm 2's
+//!   step order.
 //! * [`cannon`] — Cannon's 2-D matmul (§2.1, Algorithm 1).
 //! * [`solomonik`] — Solomonik's 2.5-D matmul (§2.3).
 

@@ -1,12 +1,14 @@
-//! Overlap sweep: the double-buffered SUMMA pipeline vs the serial
-//! broadcast-then-compute loop, measured in **simulated** (virtual) seconds.
+//! Overlap sweep: SUMMA's double-buffered schedule vs its blocking
+//! broadcast-then-compute schedule, measured in **simulated** (virtual)
+//! seconds.
 //!
 //! One full training matmul step — forward `C = A·B` plus both backward
 //! rules `A' = C'·Bᵀ` and `B' = Aᵀ·C'` (with the depth all-reduce) — runs
 //! on the `[2, 2, 2]` cube with global `A [64, n]` against the `n×n`
-//! weight, once through the shipped `tesseract_matmul*` pipeline and once
-//! through the `*_serial` reference loops. Both runs use `DenseTensor`, so
-//! the sweep doubles as a bitwise-parity check at every size.
+//! weight, through `tesseract_matmul*` once with `TesseractGrid::overlap`
+//! on (the shipped default) and once with it off (the "serial" column).
+//! Both runs use `DenseTensor`, so the sweep doubles as a bitwise-parity
+//! check at every size.
 //!
 //! Columns: virtual step seconds per variant, the pipeline's speedup, the
 //! collective wait it hid under compute, and the fraction of the total

@@ -4,8 +4,9 @@
 //! `ui.perfetto.dev` or `chrome://tracing`), and prints the critical-path
 //! report naming the ops that bound the simulated makespan.
 //!
-//! Both the shipped double-buffered pipeline and the serial blocking
-//! reference are traced, so the two timelines can be diffed side by side
+//! SUMMA runs under both schedules — the shipped double-buffered one and
+//! the blocking one (`TesseractGrid::overlap = false`, written to the
+//! `.serial.json` file) — so the two timelines can be diffed side by side
 //! (the pipelined one shows the hidden-wait flow arrows).
 //!
 //! Before writing anything the dump *reconciles* the trace against the

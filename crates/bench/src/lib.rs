@@ -8,8 +8,9 @@
 //!   `DryRun` holds the per-batch forward/backward virtual times behind
 //!   Tables 1 and 2.
 //! * [`tables`] — the row structures and renderers shared by the binaries.
-//! * [`step`] — one Dense fwd+bwd Tesseract matmul step, pipelined or
-//!   serial, which `overlap_sweep` and `trace_dump` run.
+//! * [`step`] — one Dense fwd+bwd Tesseract matmul step under either SUMMA
+//!   schedule (pipelined or blocking), which `overlap_sweep` and
+//!   `trace_dump` run.
 //!
 //! Binaries (one per table, figure or sweep): `table1_strong_scaling`,
 //! `table2_weak_scaling`, `fig7_training_accuracy`, `fig6_hybrid`,

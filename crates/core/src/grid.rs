@@ -109,6 +109,11 @@ pub struct TesseractGrid {
     /// Peers sharing `(i, j)`, ordered by `k` — weight-gradient all-reduce
     /// (the fiber along the `"depth"` axis).
     pub depth: CommGroup,
+    /// SUMMA's schedule (`crate::mm`): `true` (the default) begins each
+    /// step's panel broadcasts under the previous step's GEMM; `false`
+    /// completes every collective before the next begins. Results are
+    /// bitwise the same; only the virtual clock differs.
+    pub overlap: bool,
 }
 
 impl TesseractGrid {
@@ -131,7 +136,7 @@ impl TesseractGrid {
         let row = ctx.group("tess.row", mesh.fiber_ranks("col", &c));
         let col = ctx.group("tess.col", mesh.fiber_ranks("row", &c));
         let depth = ctx.group("tess.depth", mesh.fiber_ranks("depth", &c));
-        Self { shape, base, mesh, coords: (i, j, k), row, col, depth }
+        Self { shape, base, mesh, coords: (i, j, k), row, col, depth, overlap: true }
     }
 
     pub fn i(&self) -> usize {

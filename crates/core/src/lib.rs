@@ -42,8 +42,5 @@ pub use layers::{
     TesseractAttention, TesseractLayerNorm, TesseractLinear, TesseractMlp, TesseractTransformer,
     TesseractTransformerLayer,
 };
-pub use mm::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial,
-};
+pub use mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
 pub use module::{Module, ParamRef, Tape};

@@ -10,28 +10,30 @@
 //! layers run `q×q` SUMMA multiplications concurrently over disjoint row
 //! bands of `A`/`C`, sharing only the replicated `B`.
 //!
-//! # One double-buffered loop
+//! # One SUMMA loop
 //!
-//! Algorithm 3 is one loop, and `summa_pipeline` is its only pipelined
-//! implementation, written against three seams: **fetch** begins the
-//! step-`t` panel collectives (row/column broadcasts), **multiply** turns
-//! the completed panels into the step's partial product (`matmul` /
-//! `matmul_nt` / `matmul_tn`), and a **sink** (`Sink`) disposes of the
-//! partial (accumulate, or reduce to the step's root). The three public
-//! entry points only pick the seams.
+//! Algorithm 3 is one loop, and `summa_pipeline` is its only
+//! implementation, written against three seams: **fetch** names the
+//! step-`t` panel collectives (row/column broadcasts) without beginning
+//! them, **multiply** turns the completed panels into the step's partial
+//! product (`matmul` / `matmul_nt` / `matmul_tn`), and a **sink** (`Sink`)
+//! disposes of the partial (accumulate, or reduce to the step's root). The
+//! three public entry points only pick the seams.
 //!
-//! The loop is **double-buffered** on the split-phase collectives: the
+//! The grid's `overlap` setting picks the schedule. On (the default) the
+//! loop is **double-buffered** on the split-phase collectives: the
 //! step-`t+1` fetch is begun before the step-`t` partial is computed, so
 //! the rendezvous wait overlaps the GEMM; the reducing sinks likewise
 //! complete each reduction one step late, and the depth all-reduce of `B'`
-//! is begun the moment the local contribution is final. Results are
-//! **bitwise identical** to the blocking `*_serial` loops (same shared
-//! `Arc` panels, same ascending-member folds), which stay as the reference
-//! the parity suite, `overlap_sweep` and `trace_dump` compare against; only
-//! the virtual clock improves (`OpStats::hidden_nanos` in each rank's comm
-//! ledger, summed into `RankReport::overlap_hidden_nanos`). At `d = 1`
-//! those loops are also the paper's blocking 2-D SUMMA (Algorithm 2) and
-//! its Eq. 3 backward rules: the repo writes SUMMA once, here.
+//! is begun the moment the local contribution is final. Off, the loop is
+//! **blocking**: every collective completes before the next one begins, and
+//! the depth all-reduce runs after the loop. Both schedules move the same
+//! shared `Arc` panels and fold in the same ascending-member order, so
+//! their results are **bitwise identical**; only the virtual clock differs
+//! (`OpStats::hidden_nanos` in each rank's comm ledger, summed into
+//! `RankReport::overlap_hidden_nanos`, is zero when blocking). At `d = 1`
+//! the blocking schedule is the paper's 2-D SUMMA (Algorithm 2) and its
+//! Eq. 3 backward rules: the repo writes SUMMA once, here.
 //!
 //! # Weight-stationary serving
 //!
@@ -57,26 +59,45 @@ use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
 
-/// Collectives begun for one SUMMA step; completing them yields the step's
-/// panels. Tuples complete left to right.
-trait Prefetch {
+/// One SUMMA step's collectives, not yet begun. `begin` starts them all
+/// (the prefetch) and `complete` later finishes them; `fetch` begins and
+/// completes each in turn, so no wait is booked as hidden under another
+/// collective's. Tuples run left to right.
+trait Fetch {
+    type Begun;
     type Panels;
-    fn complete(self, ctx: &mut RankCtx) -> Self::Panels;
-}
-
-impl<R> Prefetch for PendingCollective<'_, R> {
-    type Panels = R;
-    fn complete(self, ctx: &mut RankCtx) -> R {
-        PendingCollective::complete(self, ctx)
+    fn begin(&self, ctx: &mut RankCtx, t: usize) -> Self::Begun;
+    fn complete(begun: Self::Begun, ctx: &mut RankCtx) -> Self::Panels;
+    fn fetch(&self, ctx: &mut RankCtx, t: usize) -> Self::Panels {
+        Self::complete(self.begin(ctx, t), ctx)
     }
 }
 
-impl<A: Prefetch, B: Prefetch> Prefetch for (A, B) {
+impl<'g, R, F> Fetch for F
+where
+    F: Fn(&mut RankCtx, usize) -> PendingCollective<'g, R>,
+{
+    type Begun = PendingCollective<'g, R>;
+    type Panels = R;
+    fn begin(&self, ctx: &mut RankCtx, t: usize) -> Self::Begun {
+        self(ctx, t)
+    }
+    fn complete(begun: Self::Begun, ctx: &mut RankCtx) -> R {
+        begun.complete(ctx)
+    }
+}
+
+impl<A: Fetch, B: Fetch> Fetch for (A, B) {
+    type Begun = (A::Begun, B::Begun);
     type Panels = (A::Panels, B::Panels);
-    fn complete(self, ctx: &mut RankCtx) -> Self::Panels {
-        let a = self.0.complete(ctx);
-        let b = self.1.complete(ctx);
-        (a, b)
+    fn begin(&self, ctx: &mut RankCtx, t: usize) -> Self::Begun {
+        (self.0.begin(ctx, t), self.1.begin(ctx, t))
+    }
+    fn complete((a, b): Self::Begun, ctx: &mut RankCtx) -> Self::Panels {
+        (A::complete(a, ctx), B::complete(b, ctx))
+    }
+    fn fetch(&self, ctx: &mut RankCtx, t: usize) -> Self::Panels {
+        (self.0.fetch(ctx, t), self.1.fetch(ctx, t))
     }
 }
 
@@ -89,22 +110,27 @@ trait Sink<T> {
     fn finish(self, ctx: &mut RankCtx) -> Self::Out;
 }
 
-/// The double-buffered SUMMA loop (Algorithm 3): per step, complete the
-/// panels fetched one step ago, begin the next step's fetch, multiply, and
-/// hand the partial to the sink — so every fetch (and every reduction a
-/// sink begins) waits under the following GEMM.
-fn summa_pipeline<T, F: Prefetch, S: Sink<T>>(
+/// The SUMMA loop (Algorithm 3): per step, take the panels, multiply, and
+/// hand the partial to the sink. With `grid.overlap` the panels were begun
+/// one step ago and the next step's are begun before the multiply, so every
+/// fetch (and every reduction a sink begins) waits under the following
+/// GEMM; without it each step fetches its own panels, blocking.
+fn summa_pipeline<T, F: Fetch, S: Sink<T>>(
+    grid: &TesseractGrid,
     ctx: &mut RankCtx,
-    q: usize,
-    fetch: impl Fn(&mut RankCtx, usize) -> F,
+    fetch: F,
     multiply: impl Fn(&mut RankCtx, F::Panels) -> T,
     mut sink: S,
 ) -> S::Out {
-    let mut next = Some(fetch(ctx, 0));
+    let q = grid.shape.q;
+    let mut next = grid.overlap.then(|| fetch.begin(ctx, 0));
     for t in 0..q {
-        let panels = next.take().expect("prefetched by the previous step").complete(ctx);
-        if t + 1 < q {
-            next = Some(fetch(ctx, t + 1));
+        let panels = match next.take() {
+            Some(begun) => F::complete(begun, ctx),
+            None => fetch.fetch(ctx, t),
+        };
+        if grid.overlap && t + 1 < q {
+            next = Some(fetch.begin(ctx, t + 1));
         }
         let partial = multiply(ctx, panels);
         sink.push(ctx, t, partial);
@@ -153,33 +179,33 @@ impl<T: TensorLike> Sink<T> for Accumulate<T> {
 }
 
 /// Sink of the backward rules: the step-`t` partial is reduced over `fiber`
-/// to member `t`, which owns block `t` of the result; each reduction is
-/// completed one step late. With a `depth` fiber the root's combined block
-/// enters the depth all-reduce the moment it is delivered — the same
-/// program point on every member of that fiber, so its SPMD schedule stays
-/// aligned — and overlaps the remaining SUMMA steps.
+/// to member `t`, which owns block `t` of the result. Overlapped, each
+/// reduction is completed one step late, and with a `depth` fiber the
+/// root's combined block enters the depth all-reduce the moment it is
+/// delivered — the same program point on every member of that fiber, so
+/// its SPMD schedule stays aligned — and overlaps the remaining SUMMA
+/// steps. Blocking, each reduction completes in its own step and the depth
+/// all-reduce runs after the loop.
 struct ReduceToRoot<'g, T> {
     fiber: &'g CommGroup,
     depth: Option<&'g CommGroup>,
+    overlap: bool,
     pending: Option<PendingCollective<'g, Option<Arc<T>>>>,
     depth_pending: Option<PendingCollective<'g, Arc<Arc<T>>>>,
     mine: Option<Arc<T>>,
 }
 
 impl<'g, T: TensorLike + Payload> ReduceToRoot<'g, T> {
-    fn new(fiber: &'g CommGroup, depth: Option<&'g CommGroup>) -> Self {
-        Self { fiber, depth, pending: None, depth_pending: None, mine: None }
+    fn new(fiber: &'g CommGroup, depth: Option<&'g CommGroup>, overlap: bool) -> Self {
+        Self { fiber, depth, overlap, pending: None, depth_pending: None, mine: None }
     }
 
     fn settle(&mut self, ctx: &mut RankCtx) {
         match (self.pending.take().and_then(|p| p.complete(ctx)), self.depth) {
-            // Reduce *through* the Arc: copy-on-write touches only member
-            // 0's accumulator, and every depth replica ends up holding the
-            // same combined allocation.
-            (Some(r), Some(depth)) => {
+            (Some(r), Some(depth)) if self.overlap => {
                 self.depth_pending = Some(depth.all_reduce_shared_begin(ctx, r))
             }
-            (Some(r), None) => self.mine = Some(r),
+            (Some(r), _) => self.mine = Some(r),
             (None, _) => {}
         }
     }
@@ -191,14 +217,23 @@ impl<T: TensorLike + Payload> Sink<T> for ReduceToRoot<'_, T> {
     fn push(&mut self, ctx: &mut RankCtx, t: usize, partial: T) {
         self.settle(ctx);
         self.pending = Some(self.fiber.reduce_shared_begin(ctx, t, partial));
+        if !self.overlap {
+            self.settle(ctx);
+        }
     }
 
     fn finish(mut self, ctx: &mut RankCtx) -> Arc<T> {
         self.settle(ctx);
-        if let Some(dp) = self.depth_pending {
-            self.mine = Some(Arc::clone(&*dp.complete(ctx)));
-        }
-        self.mine.expect("every rank is root for exactly one t")
+        let mine = || self.mine.expect("every rank is root for exactly one t");
+        // Reduce *through* the Arc: copy-on-write touches only member 0's
+        // accumulator, and every depth replica ends up holding the same
+        // combined allocation.
+        let depth_reduced = match (self.depth_pending, self.depth) {
+            (Some(dp), _) => dp,
+            (None, Some(depth)) => depth.all_reduce_shared_begin(ctx, mine()),
+            (None, None) => return mine(),
+        };
+        Arc::clone(&*depth_reduced.complete(ctx))
     }
 }
 
@@ -212,7 +247,7 @@ impl<T: TensorLike + Payload> Sink<T> for ReduceToRoot<'_, T> {
 /// the column, and every rank accumulates `C += A_t · B_t`. No inter-layer
 /// communication happens in the forward pass. The panels travel zero-copy,
 /// so each is materialized exactly once per rendezvous regardless of the
-/// group size. Data is bitwise identical to [`tesseract_matmul_serial`].
+/// group size.
 pub fn tesseract_matmul<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -224,9 +259,12 @@ where
 {
     assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
     summa_pipeline(
+        grid,
         ctx,
-        grid.shape.q,
-        |ctx, t| (row_panel_begin(grid, ctx, a_local, t), col_panel_begin(grid, ctx, b_local, t)),
+        (
+            |ctx: &mut RankCtx, t| row_panel_begin(grid, ctx, a_local, t),
+            |ctx: &mut RankCtx, t| col_panel_begin(grid, ctx, b_local, t),
+        ),
         |ctx, (a_t, b_t)| a_t.matmul(&b_t, &mut ctx.meter.scope("gemm")),
         Accumulate(None),
     )
@@ -276,32 +314,6 @@ pub fn matmul_panels<T: TensorLike>(
     }
 }
 
-/// Blocking-collective reference for [`tesseract_matmul`]: the original
-/// serial SUMMA loop (broadcast, broadcast, multiply — every step waits).
-/// Kept as the parity baseline and the `overlap_sweep` ablation.
-pub fn tesseract_matmul_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_local: &Arc<T>,
-) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
-    let a_t = grid.row.broadcast_shared(ctx, 0, (grid.j() == 0).then(|| Arc::clone(a_local)));
-    let b_t = grid.col.broadcast_shared(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let mut c = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-    for t in 1..q {
-        let a_t = grid.row.broadcast_shared(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-        let b_t = grid.col.broadcast_shared(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-        let partial = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-        c.add_assign(&partial, &mut ctx.meter.scope("add"));
-    }
-    c
-}
-
 /// `C = A·Bᵀ` — the activation-gradient rule `A' = C'·Bᵀ` of Eq. 3.
 ///
 /// * `a_local`: A-type block of `[a, c]` (e.g. the output gradient `C'`).
@@ -313,8 +325,7 @@ where
 /// which owns column block `t` of the result. The weight panel is
 /// `Arc`-shared along the column and the freshly computed partials are
 /// consumed by the in-place row reduction, so the whole backward rule
-/// performs zero payload copies. Data is bitwise identical to
-/// [`tesseract_matmul_nt_serial`].
+/// performs zero payload copies.
 pub fn tesseract_matmul_nt<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -326,37 +337,12 @@ where
 {
     assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
     summa_pipeline(
+        grid,
         ctx,
-        grid.shape.q,
-        |ctx, t| col_panel_begin(grid, ctx, b_local, t),
+        |ctx: &mut RankCtx, t| col_panel_begin(grid, ctx, b_local, t),
         |ctx, b_t| a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm")),
-        ReduceToRoot::new(&grid.row, None),
+        ReduceToRoot::new(&grid.row, None, grid.overlap),
     )
-}
-
-/// Blocking-collective reference for [`tesseract_matmul_nt`]: one fully
-/// synchronous broadcast + reduce per step.
-pub fn tesseract_matmul_nt_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &T,
-    b_local: &Arc<T>,
-) -> Arc<T>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    for t in 0..q {
-        let b_t = grid.col.broadcast_shared(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-        let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-        let reduced = grid.row.reduce_shared(ctx, t, partial);
-        if grid.j() == t {
-            mine = Some(reduced.expect("root receives reduction"));
-        }
-    }
-    mine.expect("every rank is root for exactly one t")
 }
 
 /// `C = Aᵀ·B` — the weight-gradient rule `B' = Aᵀ·C'` of Eq. 3.
@@ -370,8 +356,7 @@ where
 /// Because each depth layer only sums its own row band `h = i + k·q`, the
 /// partial weight gradients are finally **all-reduced across depth**
 /// (`depth_reduce = true`), exactly as §3.1 prescribes for `B'`. Pass
-/// `false` to inspect the per-layer partials (used by tests and ablations).
-/// Data is bitwise identical to [`tesseract_matmul_tn_serial`].
+/// `false` to inspect the per-layer partials (the tests do).
 pub fn tesseract_matmul_tn<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -383,46 +368,14 @@ where
     T: TensorLike + Payload,
 {
     assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
+    let depth = (depth_reduce && grid.shape.d > 1).then_some(&grid.depth);
     summa_pipeline(
+        grid,
         ctx,
-        grid.shape.q,
-        |ctx, t| row_panel_begin(grid, ctx, a_local, t),
+        |ctx: &mut RankCtx, t| row_panel_begin(grid, ctx, a_local, t),
         |ctx, a_t| a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm")),
-        ReduceToRoot::new(&grid.col, (depth_reduce && grid.shape.d > 1).then_some(&grid.depth)),
+        ReduceToRoot::new(&grid.col, depth, grid.overlap),
     )
-}
-
-/// Blocking-collective reference for [`tesseract_matmul_tn`]: one fully
-/// synchronous broadcast + reduce per step, depth all-reduce at the end.
-pub fn tesseract_matmul_tn_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_local: &T,
-    depth_reduce: bool,
-) -> Arc<T>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    for t in 0..q {
-        let a_t = grid.row.broadcast_shared(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-        let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-        let reduced = grid.col.reduce_shared(ctx, t, partial);
-        if grid.i() == t {
-            mine = Some(reduced.expect("root receives reduction"));
-        }
-    }
-    let mut c = mine.expect("every rank is root for exactly one t");
-    if depth_reduce && grid.shape.d > 1 {
-        // Reduce *through* the Arc: copy-on-write touches only member 0's
-        // accumulator, and every depth replica ends up holding the same
-        // combined allocation.
-        c = Arc::clone(&*grid.depth.all_reduce_shared(ctx, c));
-    }
-    c
 }
 
 #[cfg(test)]

@@ -26,10 +26,30 @@ fn pipeline_stages(cand: &Candidate) -> usize {
     }
 }
 
+/// The cluster every case is dry-run on.
+fn cluster() -> (Topology, CostParams) {
+    (Topology::meluxina(), CostParams::a100_cluster())
+}
+
+/// The fixed workload of the per-family cases, on 8 GPUs.
+const FIXED: TransformerConfig = TransformerConfig {
+    batch: 16,
+    seq: 8,
+    hidden: 64,
+    heads: 8,
+    mlp_ratio: 4,
+    layers: 1,
+    eps: 1e-5,
+};
+
+fn hybrid(dp: usize, pp: usize, q: usize, d: usize, microbatches: usize) -> Candidate {
+    Candidate::Hybrid { shape: HybridShape::new(dp, pp, GridShape::new(q, d)), microbatches }
+}
+
 /// Makespans at `pp`, `2·pp` and `3·pp` layers.
 fn makespans(cand: &Candidate, cfg: &TransformerConfig) -> [f64; 3] {
     let pp = pipeline_stages(cand);
-    let (topo, params) = (Topology::meluxina(), CostParams::a100_cluster());
+    let (topo, params) = cluster();
     [1, 2, 3].map(|k| {
         let cfg = TransformerConfig { layers: k * pp, ..*cfg };
         dry_run(&topo, &params, cand, &cfg, false).makespan_s
@@ -56,28 +76,39 @@ fn assert_affine(cand: &Candidate, cfg: &TransformerConfig) {
 fn every_family_is_affine_in_depth() {
     // One fixed case per family and pipeline depth on 8 GPUs, so a random
     // draw that misses one cannot hide it.
-    let cfg = TransformerConfig {
-        batch: 16,
-        seq: 8,
-        hidden: 64,
-        heads: 8,
-        mlp_ratio: 4,
-        layers: 1,
-        eps: 1e-5,
-    };
-    let hybrid = |dp, pp, q, d| Candidate::Hybrid {
-        shape: HybridShape::new(dp, pp, GridShape::new(q, d)),
-        microbatches: 2,
-    };
     for cand in [
         Candidate::tesseract(GridShape::new(2, 2)),
         Candidate::Megatron { p: 8 },
-        hybrid(2, 1, 2, 1),
-        hybrid(2, 2, 1, 1),
-        hybrid(1, 2, 2, 1),
-        hybrid(1, 8, 1, 1),
+        hybrid(2, 1, 2, 1, 2),
+        hybrid(2, 2, 1, 1, 2),
+        hybrid(1, 2, 2, 1, 2),
+        hybrid(1, 8, 1, 1, 2),
     ] {
-        assert_affine(&cand, &cfg);
+        assert_affine(&cand, &FIXED);
+    }
+}
+
+/// At pp = 2 the intercept `2·m(pp) − m(2·pp)` is `2·mb` blocking
+/// stage-boundary transfers, each `α + B/β` on the link between the two
+/// stages, where `B = (batch/dp/mb)·seq·hidden·4 / (q²d)` bytes is one
+/// microbatch's activation shard. Both links are covered: a `[2,2,1]`
+/// stage fills a node, so its neighbour is across InfiniBand; `[1,1,1]`
+/// stages share a node and talk over NVLink.
+#[test]
+fn two_stage_intercept_is_the_stage_boundary_transfers() {
+    let (topo, params) = cluster();
+    for cand in [hybrid(1, 2, 2, 1, 2), hybrid(1, 2, 2, 1, 4), hybrid(2, 2, 1, 1, 2)] {
+        let Candidate::Hybrid { shape, microbatches: mb } = cand else { unreachable!() };
+        let [m1, m2, _] = makespans(&cand, &FIXED);
+        let link = topo.link_between(shape.module_base(0, 0), shape.module_base(0, 1));
+        let (alpha, beta) = params.link_params(link);
+        let rows = FIXED.batch / shape.dp / mb;
+        let bytes = (rows * FIXED.seq * FIXED.hidden * 4 / shape.grid.size()) as f64;
+        let want = 2.0 * mb as f64 * (alpha + bytes / beta);
+        let got = 2.0 * m1 - m2;
+        let err = (got - want).abs() / want;
+        let label = cand.label();
+        assert!(err <= REL_TOL, "{label} over {link:?}: intercept {got} vs {want} (rel {err:e})");
     }
 }
 

@@ -111,7 +111,8 @@ pub struct ServeSummary {
     /// All requests, id-ordered — identical on every rank by construction.
     pub results: Vec<RequestResult>,
     /// Steps of this rank's lane that prefilled at least one prompt
-    /// (decode tokens may ride along; mirrors `RankReport`).
+    /// (decode tokens may ride along). This and the next three fields are
+    /// copied from the rank's `RankReport` at the end of the run.
     pub prefill_steps: u64,
     /// Steps of this rank's lane that only decoded (mirrors `RankReport`).
     pub decode_steps: u64,
@@ -369,8 +370,7 @@ pub fn run_serve<T: TensorLike + Payload>(
     let mut sched = Scheduler::new(traffic, lanes, cfg);
     let mut slots: BTreeMap<usize, LaneSlot<T>> = BTreeMap::new();
     let mut prev: Option<StepPlan> = None;
-    let (mut prefill_steps, mut decode_steps, mut steps_total) = (0u64, 0u64, 0u64);
-    let mut kv_peak_bytes = 0u64;
+    let mut steps_total = 0u64;
 
     loop {
         // Step boundary: synchronize every rank's clock so all mirrored
@@ -445,10 +445,8 @@ pub fn run_serve<T: TensorLike + Payload>(
         // that only decoded, as a decode step.
         if !batch.prefill.is_empty() {
             ctx.count_serving_step(true);
-            prefill_steps += 1;
         } else if !batch.decode.is_empty() {
             ctx.count_serving_step(false);
-            decode_steps += 1;
         }
 
         // Scatter outputs back: the last row of each segment is the next
@@ -465,7 +463,6 @@ pub fn run_serve<T: TensorLike + Payload>(
         // KV high-water mark after the append, before any eviction.
         let resident: u64 = slots.values().map(|s| s.kv.as_ref().map_or(0, RequestKv::bytes)).sum();
         ctx.note_kv_cache_bytes(resident);
-        kv_peak_bytes = kv_peak_bytes.max(resident);
 
         prev = Some(plan);
     }
@@ -473,14 +470,16 @@ pub fn run_serve<T: TensorLike + Payload>(
     assert!(slots.is_empty(), "all slots evicted at completion");
     assert_eq!(ctx.tape_bytes_now(), 0, "inference must never grow a tape");
     // Serving never drops the fetched weights, so the end total is the peak.
-    let weight_bytes = model.stationary_bytes();
-    ctx.note_weight_bytes(weight_bytes);
+    ctx.note_weight_bytes(model.stationary_bytes());
+    // The mirrored counters are read back from the rank's own booking. The
+    // last step boundary flushed the meter, so this report moves no clock.
+    let booked = ctx.report();
     ServeSummary {
         results: sched.results(),
-        prefill_steps,
-        decode_steps,
-        kv_peak_bytes,
-        weight_bytes,
+        prefill_steps: booked.prefill_steps,
+        decode_steps: booked.decode_steps,
+        kv_peak_bytes: booked.kv_cache_bytes_peak,
+        weight_bytes: booked.weight_bytes,
         steps_total,
     }
 }

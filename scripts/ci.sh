@@ -127,7 +127,10 @@ fi
 # different algorithm from Tesseract's. Serving's weight-stationary linear
 # multiplies a row all-gather of the activation panels (`mm::row_panels`),
 # so a row all-gather elsewhere is a second one; the ViT head's logits
-# gather (the loss needs whole rows) is exempt.
+# gather (the loss needs whole rows) is exempt. Inside mm.rs the loop is
+# written once too: the blocking schedule is the grid's `overlap = false`,
+# not a second loop, so mm.rs begins a row panel broadcast on exactly one
+# line and a column panel broadcast on exactly one line.
 echo "== one-SUMMA gate (row-panel broadcasts and all-gathers in core/src/mm.rs; 2.5-D, ViT logits exempt) =="
 summas=$(grep -rn '\.row\.broadcast_shared' crates src tests examples --include='*.rs' \
     | grep -vE '^crates/(core/src/mm|baselines/src/solomonik)\.rs:' || true)
@@ -139,6 +142,15 @@ if [ -n "$summas$gathers" ]; then
     echo "$summas$gathers"
     exit 1
 fi
+for axis in row col; do
+    n=$(grep -c "\\.$axis\\.broadcast_shared" crates/core/src/mm.rs || true)
+    if [ "$n" != 1 ]; then
+        echo "ci.sh: crates/core/src/mm.rs has $n lines broadcasting a $axis panel, not 1:"
+        echo "a second Algorithm-3 loop (set TesseractGrid::overlap instead):"
+        grep -n "\\.$axis\\.broadcast_shared" crates/core/src/mm.rs
+        exit 1
+    fi
+done
 
 # JSON is written by one module: every document (the BENCH_*.json records,
 # the Chrome trace) is a trace::json::Value tree serialized by json::write,
