@@ -55,7 +55,9 @@ mod tests {
     use tesseract_comm::{Cluster, CollectiveOp};
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
-    use tesseract_tensor::{assert_slices_close, matmul, DenseTensor, Matrix, Xoshiro256StarStar};
+    use tesseract_tensor::{
+        assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, Xoshiro256StarStar,
+    };
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -80,7 +82,7 @@ mod tests {
         let a = random(4, 6, 1);
         let b = random(6, 8, 2);
         let got = run_cannon(2, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -88,7 +90,7 @@ mod tests {
         let a = random(6, 9, 3);
         let b = random(9, 6, 4);
         let got = run_cannon(3, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -96,7 +98,7 @@ mod tests {
         let a = random(8, 8, 5);
         let b = random(8, 8, 6);
         let got = run_cannon(4, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]

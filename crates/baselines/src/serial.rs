@@ -16,7 +16,7 @@
 //! / `.0` and never call a `TensorLike` op.
 
 use tesseract_tensor::init::global_xavier;
-use tesseract_tensor::matmul::{matmul, matmul_nt, matmul_tn};
+use tesseract_tensor::matmul::{gemm, Orient};
 use tesseract_tensor::nn;
 use tesseract_tensor::{DenseTensor, Matrix};
 
@@ -51,7 +51,7 @@ impl SerialLinear {
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = matmul(x, self.w.matrix());
+        let mut y = gemm(Orient::Nn, x, self.w.matrix());
         if let Some(b) = &self.bias {
             y = nn::bias_add(&y, b.matrix().row(0));
         }
@@ -68,8 +68,8 @@ impl SerialLinear {
                 }
             }
         }
-        self.dw.0.add_assign(&matmul_tn(&x, dy));
-        matmul_nt(dy, self.w.matrix())
+        self.dw.0.add_assign(&gemm(Orient::Tn, &x, dy));
+        gemm(Orient::Nt, dy, self.w.matrix())
     }
 
     /// Visits `(w, dw)`, then `(bias, dbias)` if the layer has a bias.
@@ -151,10 +151,10 @@ impl SerialAttention {
                 let qh = q_all.block(r0, c0, r1 - r0, c1 - c0);
                 let kh = k_all.block(r0, c0, r1 - r0, c1 - c0);
                 let vh = v_all.block(r0, c0, r1 - r0, c1 - c0);
-                let mut scores = matmul_nt(&qh, &kh);
+                let mut scores = gemm(Orient::Nt, &qh, &kh);
                 scores.scale_assign(scale);
                 let attn = nn::softmax_rows(&scores);
-                let head_out = matmul(&attn, &vh);
+                let head_out = gemm(Orient::Nn, &attn, &vh);
                 out.set_block(r0, c0, &head_out);
                 self.cache.push(SerialHeadCache { q: qh, k: kh, v: vh, attn });
             }
@@ -176,12 +176,12 @@ impl SerialAttention {
                 let cache = &self.cache[si * n + hi];
                 let c0 = hi * hd;
                 let d_out = d_merged.block(r0, c0, s, hd);
-                let d_attn = matmul_nt(&d_out, &cache.v);
-                let dv = matmul_tn(&cache.attn, &d_out);
+                let d_attn = gemm(Orient::Nt, &d_out, &cache.v);
+                let dv = gemm(Orient::Tn, &cache.attn, &d_out);
                 let mut d_scores = nn::softmax_rows_backward(&cache.attn, &d_attn);
                 d_scores.scale_assign(scale);
-                let dq = matmul(&d_scores, &cache.k);
-                let dk = matmul_tn(&d_scores, &cache.q);
+                let dq = gemm(Orient::Nn, &d_scores, &cache.k);
+                let dk = gemm(Orient::Tn, &d_scores, &cache.q);
                 dq_all.set_block(r0, c0, &dq);
                 dk_all.set_block(r0, c0, &dk);
                 dv_all.set_block(r0, c0, &dv);

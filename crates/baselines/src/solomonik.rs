@@ -73,7 +73,9 @@ mod tests {
     use tesseract_comm::Cluster;
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
-    use tesseract_tensor::{assert_slices_close, matmul, DenseTensor, Matrix, Xoshiro256StarStar};
+    use tesseract_tensor::{
+        assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, Xoshiro256StarStar,
+    };
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -102,7 +104,7 @@ mod tests {
         // Layer 0's blocks assemble to the global product.
         let layer0: Vec<Matrix> = results[..q * q].to_vec();
         let got = combine_b(&layer0, GridShape::new(q, 1));
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -113,7 +115,7 @@ mod tests {
         let results = run(q, d, &a, &b);
         let layer0: Vec<Matrix> = results[..q * q].to_vec();
         let got = combine_b(&layer0, GridShape::new(q, 1));
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -136,7 +138,7 @@ mod tests {
         let b = random(4, 4, 8);
         let results = run(q, 1, &a, &b);
         let got = combine_b(&results, GridShape::new(q, 1));
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]

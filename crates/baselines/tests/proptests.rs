@@ -12,7 +12,8 @@ use tesseract_comm::Cluster;
 use tesseract_core::partition::{b_block, combine_b};
 use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{
-    init::global_xavier, matmul::matmul, max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar,
+    init::global_xavier, matmul::gemm, max_rel_diff, DenseTensor, Matrix, Orient,
+    Xoshiro256StarStar,
 };
 
 proptest! {
@@ -34,7 +35,7 @@ proptest! {
             cannon_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
         });
         let got = combine_b(&out.results, shape);
-        prop_assert!(max_rel_diff(got.data(), matmul(&a, &b).data()) < 1e-4);
+        prop_assert!(max_rel_diff(got.data(), gemm(Orient::Nn, &a, &b).data()) < 1e-4);
     }
 
     #[test]
@@ -59,7 +60,7 @@ proptest! {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed ^ 0xabc);
         let x = Matrix::random_uniform(rows, inf, -1.0, 1.0, &mut rng);
         let w = global_xavier(inf, outf, seed, 9);
-        let expected = matmul(&x, &w);
+        let expected = gemm(Orient::Nn, &x, &w);
         let out = Cluster::a100(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let mut lin = MegatronLinear::<DenseTensor>::new(

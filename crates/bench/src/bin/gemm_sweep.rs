@@ -17,7 +17,7 @@
 //! Then the same lanes time [`WORKLOAD_SHAPES`] — the non-square GEMMs
 //! `benchmark/`'s probes report — so the committed record measures what the
 //! workloads run, not only squares; the `"serial_shapes"` block times the
-//! serial path ([`matmul_serial_with`] and friends) at the small shapes
+//! serial path ([`gemm_on`] with [`KernelPath::Serial`]) at the small shapes
 //! `train_comm` and a `serve_open` decode step run ([`SERIAL_SHAPES`]), one
 //! lane per backend width; and the `"elementwise"` block times the non-GEMM
 //! kernels of a step ([`ELEMENTWISE_SHAPES`]: GELU forward/backward, the
@@ -48,37 +48,13 @@ use std::time::Instant;
 use tesseract_comm::RunConfig;
 use tesseract_tensor::json;
 use tesseract_tensor::matmul::{
-    active_kernel, matmul_blocked_with, matmul_flops, matmul_nt_blocked_with,
-    matmul_nt_serial_with, matmul_serial, matmul_serial_with, matmul_tn_blocked_with,
-    matmul_tn_serial_with, MicroKernel,
+    active_kernel, gemm_on, matmul_flops, KernelPath, MicroKernel, Orient,
 };
 use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{
     adam_direction_chain, max_rel_diff, nn, AdamCoeffs, DenseTensor, Matrix, Meter, TensorLike,
     Xoshiro256StarStar,
 };
-
-#[derive(Clone, Copy)]
-enum Orient {
-    Nn,
-    Nt,
-    Tn,
-}
-
-impl Orient {
-    /// Random stored operands `(A, B)` of the logical `[m,k]·[k,n]` product
-    /// (nt stores B as n×k, tn stores A as k×m).
-    fn operands(self, m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64((m * k + n) as u64);
-        let ((ar, ac), (br, bc)) = match self {
-            Orient::Nn => ((m, k), (k, n)),
-            Orient::Nt => ((m, k), (n, k)),
-            Orient::Tn => ((k, m), (k, n)),
-        };
-        let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
-        (a, Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng))
-    }
-}
 
 /// The GEMMs `benchmark/`'s probes time, as logical `[m,k]·[k,n]`: fc1's
 /// SUMMA step on `train_gemm` in the three orientations a training step
@@ -324,19 +300,22 @@ fn per_lane(lanes: &[MicroKernel], values: impl Iterator<Item = f64>, digits: us
     )
 }
 
-/// Times each of `shapes` on every lane through `gemm` (accepted only
-/// after the lane parity gate), prints its GFLOP/s per lane, and returns
-/// one JSON row per shape.
+/// Times each of `shapes` on every lane of `path` (accepted only after the
+/// lane parity gate), prints its GFLOP/s per lane, and returns one JSON row
+/// per shape. A shape's random stored operands are seeded by the shape.
 fn shape_rows(
     lanes: &[MicroKernel],
     reps: usize,
     shapes: &[(&str, Orient, usize, usize, usize)],
-    gemm: fn(Orient, &Matrix, &Matrix, MicroKernel) -> Matrix,
+    path: KernelPath,
 ) -> Value {
     let rows = shapes.iter().map(|&(label, orient, m, k, n)| {
-        let (a, b) = orient.operands(m, k, n);
+        let mut rng = Xoshiro256StarStar::seed_from_u64((m * k + n) as u64);
+        let ((ar, ac), (br, bc)) = orient.stored(m, k, n);
+        let a = Matrix::random_uniform(ar, ac, -1.0, 1.0, &mut rng);
+        let b = Matrix::random_uniform(br, bc, -1.0, 1.0, &mut rng);
         let lane_ns = timed_lanes(label, lanes, reps, matmul_flops(m, k, n), |kernel| {
-            gemm(orient, &a, &b, kernel)
+            gemm_on(orient, path, kernel, &a, &b)
         });
         let rates = per_lane(lanes, lane_ns.iter().map(|&ns| gflops(m, k, n, ns)), 3);
         print!("  {label:<16} {m}x{k}x{n}: {}", json::write(&rates));
@@ -397,10 +376,10 @@ fn main() {
         let b = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
 
         let seed_ns = median_ns(reps, || matmul_seed(&a, &b));
-        let serial_ns = median_ns(reps, || matmul_serial(&a, &b));
+        let serial_ns = median_ns(reps, || gemm_on(Orient::Nn, KernelPath::Serial, kernel, &a, &b));
         // One time per supported backend, in `MicroKernel::ALL` order.
         let lane_ns = timed_lanes(&format!("n={n}"), &lanes, reps, matmul_flops(n, n, n), |k| {
-            matmul_blocked_with(&a, &b, k)
+            gemm_on(Orient::Nn, KernelPath::Blocked, k, &a, &b)
         });
         let blocked1_ns = lane_ns[active_lane];
         let (serial_gflops, blocked1_gflops) =
@@ -423,19 +402,9 @@ fn main() {
     }
 
     println!("\nworkload shapes (GFLOP/s per backend):");
-    let workload_shapes =
-        shape_rows(&lanes, reps, &WORKLOAD_SHAPES, |orient, a, b, kernel| match orient {
-            Orient::Nn => matmul_blocked_with(a, b, kernel),
-            Orient::Nt => matmul_nt_blocked_with(a, b, kernel),
-            Orient::Tn => matmul_tn_blocked_with(a, b, kernel),
-        });
+    let workload_shapes = shape_rows(&lanes, reps, &WORKLOAD_SHAPES, KernelPath::Blocked);
     println!("\nserial shapes (GFLOP/s per backend width):");
-    let serial_shapes =
-        shape_rows(&lanes, reps, &SERIAL_SHAPES, |orient, a, b, kernel| match orient {
-            Orient::Nn => matmul_serial_with(a, b, kernel),
-            Orient::Nt => matmul_nt_serial_with(a, b, kernel),
-            Orient::Tn => matmul_tn_serial_with(a, b, kernel),
-        });
+    let serial_shapes = shape_rows(&lanes, reps, &SERIAL_SHAPES, KernelPath::Serial);
 
     println!("\nelementwise kernels (ns per element, beside what each replaced):");
     let elementwise = elementwise_rows(reps);

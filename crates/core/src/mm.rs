@@ -385,7 +385,8 @@ mod tests {
     use crate::partition::{a_block, b_block, combine_b, combine_c};
     use tesseract_comm::Cluster;
     use tesseract_tensor::{
-        assert_slices_close, matmul, DenseTensor, Matrix, ShadowTensor, Xoshiro256StarStar,
+        assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, ShadowTensor,
+        Xoshiro256StarStar,
     };
 
     fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -410,7 +411,7 @@ mod tests {
         let a = random(8, 6, 1);
         let b = random(6, 4, 2);
         let got = run_matmul(shape, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -419,7 +420,7 @@ mod tests {
         let a = random(8, 6, 3);
         let b = random(6, 4, 4);
         let got = run_matmul(shape, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -428,7 +429,7 @@ mod tests {
         let a = random(12, 9, 5);
         let b = random(9, 6, 6);
         let got = run_matmul(shape, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -438,7 +439,7 @@ mod tests {
         let a = random(16, 4, 7);
         let b = random(4, 4, 8);
         let got = run_matmul(shape, &a, &b);
-        assert_slices_close(got.data(), matmul::matmul(&a, &b).data(), 1e-4);
+        assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
@@ -457,7 +458,7 @@ mod tests {
                 tesseract_matmul_nt(&grid, ctx, &a_loc, &b_loc).matrix().clone()
             });
             let got = combine_c(&out.results, shape);
-            let expected = matmul::matmul_nt(&a, &b);
+            let expected = gemm(Orient::Nt, &a, &b);
             assert_slices_close(got.data(), expected.data(), 1e-4);
         }
     }
@@ -478,7 +479,7 @@ mod tests {
                 tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, true).matrix().clone()
             });
             let got = combine_b(&out.results, shape);
-            let expected = matmul::matmul_tn(&a, &b);
+            let expected = gemm(Orient::Tn, &a, &b);
             assert_slices_close(got.data(), expected.data(), 1e-4);
 
             // All depth replicas must agree after the all-reduce.
@@ -525,7 +526,7 @@ mod tests {
             }
         }
         let got = combine_b(&full_parts, shape);
-        let expected = matmul::matmul_tn(&a, &b);
+        let expected = gemm(Orient::Tn, &a, &b);
         assert_slices_close(got.data(), expected.data(), 1e-4);
     }
 

@@ -11,8 +11,8 @@ use tesseract_core::{
     GridShape, Module, TesseractGrid, TesseractTransformerLayer, TransformerConfig,
 };
 use tesseract_tensor::{
-    assert_slices_close, init::global_xavier, matmul::matmul, nn, DenseTensor, Matrix, TensorLike,
-    Xoshiro256StarStar,
+    assert_slices_close, init::global_xavier, matmul::gemm, nn, DenseTensor, Matrix, Orient,
+    TensorLike, Xoshiro256StarStar,
 };
 
 const SEED: u64 = 99;
@@ -59,7 +59,7 @@ fn linear_forward_matches_global_weight_product() {
         lin.forward(&grid, ctx, &x_loc).matrix().clone()
     });
     let y = combine_c(&out.results, shape);
-    assert_slices_close(y.data(), matmul(&x, &w_global).data(), 1e-4);
+    assert_slices_close(y.data(), gemm(Orient::Nn, &x, &w_global).data(), 1e-4);
 }
 
 #[test]

@@ -9,7 +9,8 @@ use tesseract_core::analysis;
 use tesseract_core::mm::tesseract_matmul;
 use tesseract_core::partition::{a_block, b_block, combine_c, split_a, split_b};
 use tesseract_core::{GridShape, TesseractGrid};
-use tesseract_tensor::{matmul::matmul, max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar};
+use tesseract_tensor::matmul::{gemm, Orient};
+use tesseract_tensor::{max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar};
 
 fn grid_strategy() -> impl Strategy<Value = GridShape> {
     (1usize..4, 1usize..4).prop_map(|(q, d)| GridShape::new(q, d))
@@ -122,7 +123,7 @@ proptest! {
         }
         let blocks: Vec<Matrix> = out.results.into_iter().map(|(c, _)| c).collect();
         let got = combine_c(&blocks, shape);
-        let expected = matmul(&a, &b);
+        let expected = gemm(Orient::Nn, &a, &b);
         prop_assert!(max_rel_diff(got.data(), expected.data()) < 1e-4);
     }
 

@@ -45,30 +45,30 @@ impl PipelineStage {
         Self { pp, pp_idx, prev, next }
     }
 
-    pub fn is_first(&self) -> bool {
+    fn is_first(&self) -> bool {
         self.pp_idx == 0
     }
 
-    pub fn is_last(&self) -> bool {
+    fn is_last(&self) -> bool {
         self.pp_idx == self.pp - 1
     }
 
-    pub fn send_forward<P: Payload>(&self, ctx: &mut RankCtx, activation: P) {
+    fn send_forward<P: Payload>(&self, ctx: &mut RankCtx, activation: P) {
         self.next
             .as_ref()
             .expect("last stage cannot send forward")
             .send(ctx, 1, TAG_FWD, activation);
     }
 
-    pub fn recv_forward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
+    fn recv_forward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
         self.prev.as_ref().expect("first stage cannot recv forward").recv(ctx, 0, TAG_FWD)
     }
 
-    pub fn send_backward<P: Payload>(&self, ctx: &mut RankCtx, grad: P) {
+    fn send_backward<P: Payload>(&self, ctx: &mut RankCtx, grad: P) {
         self.prev.as_ref().expect("first stage cannot send backward").send(ctx, 0, TAG_BWD, grad);
     }
 
-    pub fn recv_backward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
+    fn recv_backward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
         self.next.as_ref().expect("last stage cannot recv backward").recv(ctx, 1, TAG_BWD)
     }
 }

@@ -88,27 +88,61 @@ fn every_family_is_affine_in_depth() {
     }
 }
 
-/// At pp = 2 the intercept `2·m(pp) − m(2·pp)` is `2·mb` blocking
-/// stage-boundary transfers, each `α + B/β` on the link between the two
-/// stages, where `B = (batch/dp/mb)·seq·hidden·4 / (q²d)` bytes is one
-/// microbatch's activation shard. Both links are covered: a `[2,2,1]`
-/// stage fills a node, so its neighbour is across InfiniBand; `[1,1,1]`
-/// stages share a node and talk over NVLink.
+/// `cand`'s intercept `2·m(pp) − m(2·pp)` on [`FIXED`], the prediction of
+/// the stage-boundary law, and `m(2·pp)`. On a uniform stage link the law
+/// is `2·(mb + pp − 2)` blocking transfers, each `α + B/β`, plus
+/// `2·(mb − 1)·α` from pp = 3 on, where
+/// `B = (batch/dp/mb)·seq·hidden·4 / (q²d)` bytes is one microbatch's
+/// activation shard.
+fn intercept(cand: &Candidate) -> (f64, f64, f64) {
+    let (topo, params) = cluster();
+    let Candidate::Hybrid { shape, microbatches: mb } = *cand else { unreachable!() };
+    let [m1, m2, _] = makespans(cand, &FIXED);
+    let link = topo.link_between(shape.module_base(0, 0), shape.module_base(0, 1));
+    for s in 1..shape.pp - 1 {
+        let hop = topo.link_between(shape.module_base(0, s), shape.module_base(0, s + 1));
+        assert_eq!(hop, link, "{}: stage links are not uniform", cand.label());
+    }
+    let (alpha, beta) = params.link_params(link);
+    let rows = FIXED.batch / shape.dp / mb;
+    let bytes = (rows * FIXED.seq * FIXED.hidden * 4 / shape.grid.size()) as f64;
+    let transfers = 2 * (mb + shape.pp - 2);
+    let latencies = if shape.pp >= 3 { 2 * (mb - 1) } else { 0 };
+    let want = transfers as f64 * (alpha + bytes / beta) + latencies as f64 * alpha;
+    (2.0 * m1 - m2, want, m2)
+}
+
+/// At pp = 2 the intercept is `2·mb` blocking stage-boundary transfers,
+/// each `α + B/β` on the link between the two stages. Both links are
+/// covered: a `[2,2,1]` stage fills a node, so its neighbour is across
+/// InfiniBand; `[1,1,1]` stages share a node and talk over NVLink.
 #[test]
 fn two_stage_intercept_is_the_stage_boundary_transfers() {
-    let (topo, params) = cluster();
     for cand in [hybrid(1, 2, 2, 1, 2), hybrid(1, 2, 2, 1, 4), hybrid(2, 2, 1, 1, 2)] {
-        let Candidate::Hybrid { shape, microbatches: mb } = cand else { unreachable!() };
-        let [m1, m2, _] = makespans(&cand, &FIXED);
-        let link = topo.link_between(shape.module_base(0, 0), shape.module_base(0, 1));
-        let (alpha, beta) = params.link_params(link);
-        let rows = FIXED.batch / shape.dp / mb;
-        let bytes = (rows * FIXED.seq * FIXED.hidden * 4 / shape.grid.size()) as f64;
-        let want = 2.0 * mb as f64 * (alpha + bytes / beta);
-        let got = 2.0 * m1 - m2;
+        let (got, want, _) = intercept(&cand);
         let err = (got - want).abs() / want;
         let label = cand.label();
-        assert!(err <= REL_TOL, "{label} over {link:?}: intercept {got} vs {want} (rel {err:e})");
+        assert!(err <= REL_TOL, "{label}: intercept {got} vs {want} (rel {err:e})");
+    }
+}
+
+/// From pp = 3 on, the intercept is the `2·(mb + pp − 2)` stage-boundary
+/// transfers plus `2·(mb − 1)·α`, one latency per microbatch after the
+/// first in each direction. Covered over NVLink (`[1,1,1]` stages on one
+/// node) and InfiniBand (`[2,2,1]` stages, one node each), at
+/// mb ∈ {1, 2, 4, 8}. The intercept is a difference of two makespans, so
+/// its error is bounded against `m(2·pp)`, the scale it was rounded at.
+#[test]
+fn deep_pipeline_intercept_follows_the_stage_boundary_law() {
+    let cases = [(1, 3, 1), (1, 4, 1), (2, 4, 1), (1, 3, 2), (1, 4, 2), (1, 6, 2), (1, 8, 2)];
+    for (dp, pp, q) in cases {
+        for mb in [1, 2, 4, 8] {
+            let cand = hybrid(dp, pp, q, 1, mb);
+            let (got, want, m2) = intercept(&cand);
+            let err = (got - want).abs() / m2;
+            let label = cand.label();
+            assert!(err <= REL_TOL, "{label}: intercept {got} vs {want} (rel to m(2pp) {err:e})");
+        }
     }
 }
 

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod tensor;
 pub mod trace;
 
-pub use matmul::{KernelPath, MicroKernel};
+pub use matmul::{KernelPath, MicroKernel, Orient};
 pub use matrix::Matrix;
 pub use meter::{Meter, MeterScope};
 pub use rng::Xoshiro256StarStar;

@@ -4,11 +4,15 @@
 //! §3.1 defines Tesseract variants for `C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`;
 //! the latter two implement the backward rules `A' = C'·Bᵀ`, `B' = Aᵀ·C'`).
 //!
-//! Each orientation has two implementations sharing one numerical contract:
+//! [`Orient`] names the three and owns their one shape rule. Every GEMM has
+//! one signature: [`gemm`] runs the path [`planned_path`] picks for the
+//! shape on the [`active_kernel`], and [`gemm_on`] forces a path and backend
+//! (tests and sweeps). Each orientation has two paths sharing one numerical
+//! contract:
 //!
-//! * a **serial** kernel (`*_serial`) used below the [`planned_path`] size
-//!   threshold, where the blocked path's bookkeeping would dominate;
-//! * a **cache-blocked, packed** kernel (`*_blocked_with`) used above it:
+//! * the **serial** path ([`KernelPath::Serial`]) below the [`planned_path`]
+//!   size threshold, where the blocked path's bookkeeping would dominate;
+//! * the **cache-blocked, packed** path ([`KernelPath::Blocked`]) above it:
 //!   A and B are repacked into `MR`/`NR`-wide micro-panels ([`BLOCK_M`]
 //!   rows of A and [`BLOCK_K`] deep), a register-tiled micro-kernel
 //!   accumulates an `MR×NR` block of C, and the caller walks C one
@@ -126,9 +130,9 @@ pub enum KernelPath {
     Blocked,
 }
 
-/// Register micro-kernel backend of the blocked path. Resolved once per
-/// process by [`active_kernel`]; tests and benches can force one per call
-/// via [`matmul_blocked_with`] and friends.
+/// Register micro-kernel backend of the blocked path (and the vector width
+/// of the serial one). Resolved once per process by [`active_kernel`];
+/// tests and benches can force one per call via [`gemm_on`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MicroKernel {
     /// Portable `4×8` `f32::mul_add` tile — bitwise identical to the vector
@@ -254,34 +258,80 @@ pub fn planned_path(m: usize, k: usize, n: usize) -> KernelPath {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points: dispatch serial vs blocked
-// ---------------------------------------------------------------------------
+/// How the logical `[m,k]·[k,n]` operands of a GEMM map onto the stored
+/// matrices: the paper's §3.1 `C = A·B`, `C = A·Bᵀ` and `C = Aᵀ·B`. The
+/// orientation's shape rule is written here once ([`Orient::dims`],
+/// [`Orient::stored`]); the packing and loop code read only the variant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Orient {
+    /// `C = A·B`: `A[m,k]`, `B[k,n]` as stored.
+    Nn,
+    /// `C = A·Bᵀ`: logical B is `Bᵀ` of the stored `[n,k]` matrix.
+    Nt,
+    /// `C = Aᵀ·B`: logical A is `Aᵀ` of the stored `[k,m]` matrix.
+    Tn,
+}
 
-/// `C = A · B`.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
-    match planned_path(a.rows(), a.cols(), b.cols()) {
-        KernelPath::Serial => matmul_serial(a, b),
-        KernelPath::Blocked => matmul_blocked_with(a, b, active_kernel()),
+impl Orient {
+    /// Every orientation, in the order the tests and sweeps report them.
+    pub const ALL: [Orient; 3] = [Orient::Nn, Orient::Nt, Orient::Tn];
+
+    /// The `TensorLike` method of this orientation, which names it in the
+    /// shape-mismatch panic.
+    const fn name(self) -> &'static str {
+        match self {
+            Orient::Nn => "matmul",
+            Orient::Nt => "matmul_nt",
+            Orient::Tn => "matmul_tn",
+        }
+    }
+
+    /// Stored `(A, B)` shapes of the logical `[m,k]·[k,n]` product.
+    pub const fn stored(self, m: usize, k: usize, n: usize) -> ((usize, usize), (usize, usize)) {
+        match self {
+            Orient::Nn => ((m, k), (k, n)),
+            Orient::Nt => ((m, k), (n, k)),
+            Orient::Tn => ((k, m), (k, n)),
+        }
+    }
+
+    /// Logical `(m, k, n)` of the product of stored operands shaped `a` and
+    /// `b`. Panics (`"matmul_nt: inner dims 5 vs 2"`) when their inner
+    /// dimensions differ.
+    pub fn dims(self, (ar, ac): (usize, usize), (br, bc): (usize, usize)) -> (usize, usize, usize) {
+        let ((m, k), (k_b, n)) = match self {
+            Orient::Nn => ((ar, ac), (br, bc)),
+            Orient::Nt => ((ar, ac), (bc, br)),
+            Orient::Tn => ((ac, ar), (br, bc)),
+        };
+        assert_eq!(k, k_b, "{}: inner dims {k} vs {k_b}", self.name());
+        (m, k, n)
     }
 }
 
-/// `C = A · Bᵀ` without materializing the transpose.
-pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
-    match planned_path(a.rows(), a.cols(), b.rows()) {
-        KernelPath::Serial => matmul_nt_serial(a, b),
-        KernelPath::Blocked => matmul_nt_blocked_with(a, b, active_kernel()),
-    }
+/// `C = A·B`, `A·Bᵀ` or `Aᵀ·B` on the path [`planned_path`] picks for the
+/// shape and the process-wide [`active_kernel`]: the GEMM every op runs.
+pub fn gemm(orient: Orient, a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = orient.dims(a.shape(), b.shape());
+    gemm_on(orient, planned_path(m, k, n), active_kernel(), a, b)
 }
 
-/// `C = Aᵀ · B` without materializing the transpose.
-pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
-    match planned_path(a.cols(), a.rows(), b.cols()) {
-        KernelPath::Serial => matmul_tn_serial(a, b),
-        KernelPath::Blocked => matmul_tn_blocked_with(a, b, active_kernel()),
+/// [`gemm`] on a forced path and backend: the race-free way for tests and
+/// sweeps to pin one (no env mutation). The serial path runs at `kernel`'s
+/// vector width, bitwise the same on every backend; the blocked path runs
+/// `kernel`'s micro-kernel. Panics if `kernel` is unsupported on this host.
+pub fn gemm_on(
+    orient: Orient,
+    path: KernelPath,
+    kernel: MicroKernel,
+    a: &Matrix,
+    b: &Matrix,
+) -> Matrix {
+    let (m, k, n) = orient.dims(a.shape(), b.shape());
+    assert!(kernel.supported(), "micro-kernel {:?} unsupported on this host", kernel);
+    match path {
+        KernelPath::Serial => gemm_serial(kernel, orient, a, b, m, k, n),
+        KernelPath::Blocked => gemm_blocked(kernel, orient, a, b, m, k, n),
     }
 }
 
@@ -292,41 +342,6 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 // Deliberately branch-free: the old `if a_ik == 0.0 { continue }` "skip"
 // both defeated vectorization and broke IEEE semantics (`0 · NaN` must be
 // NaN, `0 · inf` must be NaN — skipping dropped them).
-
-/// Serial `C = A · B` on the [`active_kernel`]'s vector width.
-pub fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_serial_with(a, b, active_kernel())
-}
-
-/// Serial `C = A · Bᵀ` on the [`active_kernel`]'s vector width.
-pub fn matmul_nt_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_nt_serial_with(a, b, active_kernel())
-}
-
-/// Serial `C = Aᵀ · B` on the [`active_kernel`]'s vector width.
-pub fn matmul_tn_serial(a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_tn_serial_with(a, b, active_kernel())
-}
-
-/// Serial `C = A · B` at an explicitly chosen backend's vector width —
-/// bitwise the same on every backend. Panics if `kernel` is unsupported on
-/// this host.
-pub fn matmul_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
-    gemm_serial(kernel, Orient::Nn, a, b, a.rows(), a.cols(), b.cols())
-}
-
-/// Serial `C = A · Bᵀ` at an explicitly chosen backend's vector width.
-pub fn matmul_nt_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
-    gemm_serial(kernel, Orient::Nt, a, b, a.rows(), a.cols(), b.rows())
-}
-
-/// Serial `C = Aᵀ · B` at an explicitly chosen backend's vector width.
-pub fn matmul_tn_serial_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
-    gemm_serial(kernel, Orient::Tn, a, b, a.cols(), a.rows(), b.cols())
-}
 
 /// The scalar backend, and every shape a vector tile cannot fill — fewer
 /// than [`SERIAL_MR`] rows or less than one vector of columns — run the
@@ -343,7 +358,6 @@ fn gemm_serial(
     k: usize,
     n: usize,
 ) -> Matrix {
-    assert!(kernel.supported(), "micro-kernel {:?} unsupported on this host", kernel);
     let mut c = Matrix::zeros(m, n);
     if kernel == MicroKernel::Scalar || m < SERIAL_MR || n < kernel.nr() / 2 {
         serial_loops(orient, a, b, &mut c);
@@ -465,7 +479,7 @@ fn serial_tile(
     assert!((rows - 1) * c_rs + kernel.nr() <= c.len(), "C tile out of bounds");
     match (kernel, rows) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: only vector backends reach here, after `gemm_serial`
+        // SAFETY: only vector backends reach here, after `gemm_on`
         // verified `supported()`; the asserts above are the tile's bounds
         // requirements for `rows` rows of this backend's `nr()` columns.
         (MicroKernel::Avx2, SERIAL_MR) => unsafe {
@@ -573,38 +587,6 @@ mul_add_serial_tile!(
 // Blocked, packed kernels
 // ---------------------------------------------------------------------------
 
-/// How the logical `[m,k]·[k,n]` operands map onto the stored matrices.
-#[derive(Clone, Copy)]
-enum Orient {
-    /// `A[m,k]`, `B[k,n]` as stored.
-    Nn,
-    /// logical B is `Bᵀ` of the stored `[n,k]` matrix.
-    Nt,
-    /// logical A is `Aᵀ` of the stored `[k,m]` matrix.
-    Tn,
-}
-
-/// Blocked `C = A · B` on an explicitly chosen micro-kernel backend
-/// (production call sites use [`matmul`], which passes [`active_kernel`]).
-/// Panics if `kernel` is unsupported on this host. This is the race-free
-/// way for tests and benches to pin a path (no env mutation).
-pub fn matmul_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul: inner dims {} vs {}", a.cols(), b.rows());
-    gemm_blocked(kernel, Orient::Nn, a, b, a.rows(), a.cols(), b.cols())
-}
-
-/// Blocked `C = A · Bᵀ` on an explicitly chosen micro-kernel backend.
-pub fn matmul_nt_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt: inner dims {} vs {}", a.cols(), b.cols());
-    gemm_blocked(kernel, Orient::Nt, a, b, a.rows(), a.cols(), b.rows())
-}
-
-/// Blocked `C = Aᵀ · B` on an explicitly chosen micro-kernel backend.
-pub fn matmul_tn_blocked_with(a: &Matrix, b: &Matrix, kernel: MicroKernel) -> Matrix {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn: inner dims {} vs {}", a.rows(), b.rows());
-    gemm_blocked(kernel, Orient::Tn, a, b, a.cols(), a.rows(), b.cols())
-}
-
 fn gemm_blocked(
     kernel: MicroKernel,
     orient: Orient,
@@ -614,7 +596,6 @@ fn gemm_blocked(
     k: usize,
     n: usize,
 ) -> Matrix {
-    assert!(kernel.supported(), "micro-kernel {:?} unsupported on this host", kernel);
     let mut c = Matrix::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
         return c;
@@ -814,7 +795,7 @@ fn full_tile<const MR: usize, const NR: usize>(
         MicroKernel::Scalar => micro_kernel_scalar::<MR, NR>(a_panel, b_panel, kb, c, ci, cj, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a vector backend is only dispatched after `supported()`
-        // verified its CPU features (gemm_blocked asserts it); the three
+        // verified its CPU features (`gemm_on` asserts it); the three
         // asserts above are the kernel's panel-length and tile-bounds
         // requirements for this backend's `MR×NR`.
         MicroKernel::Avx2 => unsafe { micro_kernel_avx2(a_panel, b_panel, kb, c, ci, cj, n) },
@@ -1009,6 +990,8 @@ pub fn matmul_flops(m: usize, k: usize, n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256StarStar;
+    use KernelPath::{Blocked, Serial};
+    use Orient::{Nn, Nt, Tn};
 
     fn reference(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -1029,15 +1012,15 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let a = Matrix::random_uniform(7, 5, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(5, 9, -1.0, 1.0, &mut rng);
-        crate::assert_slices_close(matmul(&a, &b).data(), reference(&a, &b).data(), 1e-5);
+        crate::assert_slices_close(gemm(Nn, &a, &b).data(), reference(&a, &b).data(), 1e-5);
     }
 
     #[test]
     fn identity_is_neutral() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let a = Matrix::random_uniform(4, 4, -1.0, 1.0, &mut rng);
-        assert_eq!(matmul(&a, &Matrix::eye(4)), a);
-        assert_eq!(matmul(&Matrix::eye(4), &a), a);
+        assert_eq!(gemm(Nn, &a, &Matrix::eye(4)), a);
+        assert_eq!(gemm(Nn, &Matrix::eye(4), &a), a);
     }
 
     #[test]
@@ -1046,8 +1029,8 @@ mod tests {
         let a = Matrix::random_uniform(6, 4, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(8, 4, -1.0, 1.0, &mut rng);
         crate::assert_slices_close(
-            matmul_nt(&a, &b).data(),
-            matmul(&a, &b.transpose()).data(),
+            gemm(Nt, &a, &b).data(),
+            gemm(Nn, &a, &b.transpose()).data(),
             1e-5,
         );
     }
@@ -1058,8 +1041,8 @@ mod tests {
         let a = Matrix::random_uniform(4, 6, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(4, 8, -1.0, 1.0, &mut rng);
         crate::assert_slices_close(
-            matmul_tn(&a, &b).data(),
-            matmul(&a.transpose(), &b).data(),
+            gemm(Tn, &a, &b).data(),
+            gemm(Nn, &a.transpose(), &b).data(),
             1e-5,
         );
     }
@@ -1070,8 +1053,8 @@ mod tests {
         let a = Matrix::random_uniform(5, 6, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(6, 7, -1.0, 1.0, &mut rng);
         let c = Matrix::random_uniform(7, 3, -1.0, 1.0, &mut rng);
-        let left = matmul(&matmul(&a, &b), &c);
-        let right = matmul(&a, &matmul(&b, &c));
+        let left = gemm(Nn, &gemm(Nn, &a, &b), &c);
+        let right = gemm(Nn, &a, &gemm(Nn, &b, &c));
         crate::assert_slices_close(left.data(), right.data(), 1e-4);
     }
 
@@ -1083,7 +1066,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matmul: inner dims")]
     fn mismatched_dims_panic() {
-        matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2));
+        gemm(Nn, &Matrix::zeros(2, 3), &Matrix::zeros(4, 2));
     }
 
     #[test]
@@ -1109,24 +1092,24 @@ mod tests {
         a[(1, 1)] = 1.0;
         let mut b = Matrix::full(3, 2, 1.0);
         b[(0, 0)] = f32::NAN; // multiplied only by A's zeros
-        let c = matmul_serial(&a, &b);
+        let c = gemm_on(Nn, Serial, active_kernel(), &a, &b);
         assert!(c[(0, 0)].is_nan(), "0 * NaN must propagate into C");
         assert!(c[(1, 0)].is_nan());
         assert!(!c[(0, 1)].is_nan());
         for kernel in MicroKernel::available() {
-            let cb = matmul_blocked_with(&a, &b, kernel);
+            let cb = gemm_on(Nn, Blocked, kernel, &a, &b);
             assert!(cb[(0, 0)].is_nan() && cb[(1, 0)].is_nan() && !cb[(0, 1)].is_nan());
         }
 
         // Aᵀ·B with a zero in Aᵀ against a NaN in B.
         let mut at = Matrix::zeros(3, 2);
         at[(2, 0)] = 2.0;
-        let ct = matmul_tn_serial(&at, &b);
+        let ct = gemm_on(Tn, Serial, active_kernel(), &at, &b);
         assert!(ct[(0, 0)].is_nan());
         // A·Bᵀ: NaN in B's column hit by a zero of A.
         let mut bt = Matrix::full(2, 3, 1.0);
         bt[(0, 0)] = f32::NAN;
-        let cn = matmul_nt_serial(&a, &bt);
+        let cn = gemm_on(Nt, Serial, active_kernel(), &a, &bt);
         assert!(cn[(0, 0)].is_nan());
 
         // The packed A·Bᵀ form: enough rows and columns for a full vector
@@ -1137,7 +1120,7 @@ mod tests {
         bt[(32, 0)] = f32::NAN; // met only by A's zeros
         bt[(0, 2)] = f32::INFINITY; // 0 · inf
         for kernel in MicroKernel::available() {
-            let cn = matmul_nt_serial_with(&a, &bt, kernel);
+            let cn = gemm_on(Nt, Serial, kernel, &a, &bt);
             let kn = kernel.name();
             assert!((0..5).all(|i| cn[(i, 32)].is_nan() && cn[(i, 0)].is_nan()), "{kn}");
             assert!((0..5).all(|i| (1..32).all(|j| !cn[(i, j)].is_nan())), "{kn}");
@@ -1177,15 +1160,15 @@ mod tests {
                             }
                             x
                         };
-                        let (a, b, bt, at) = (gen(m, k), gen(k, n), gen(n, k), gen(k, m));
-                        let nn = matmul_serial_with(&a, &b, s);
-                        let nt = matmul_nt_serial_with(&a, &bt, s);
-                        let tn = matmul_tn_serial_with(&at, &b, s);
-                        for kernel in MicroKernel::available().skip(1) {
-                            let l = format!("{} {m}x{k}x{n} specials={specials}", kernel.name());
-                            assert_same_bits(&l, &nn, &matmul_serial_with(&a, &b, kernel));
-                            assert_same_bits(&l, &nt, &matmul_nt_serial_with(&a, &bt, kernel));
-                            assert_same_bits(&l, &tn, &matmul_tn_serial_with(&at, &b, kernel));
+                        for o in Orient::ALL {
+                            let ((ar, ac), (br, bc)) = o.stored(m, k, n);
+                            let (a, b) = (gen(ar, ac), gen(br, bc));
+                            let want = gemm_on(o, Serial, s, &a, &b);
+                            for kernel in MicroKernel::available().skip(1) {
+                                let kn = kernel.name();
+                                let l = format!("{kn} {o:?} {m}x{k}x{n} specials={specials}");
+                                assert_same_bits(&l, &want, &gemm_on(o, Serial, kernel, &a, &b));
+                            }
                         }
                     }
                 }
@@ -1201,10 +1184,10 @@ mod tests {
         let (m, k, n) = (70, 97, 45);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
-        let scalar = matmul_blocked_with(&a, &b, MicroKernel::Scalar);
+        let scalar = gemm_on(Nn, Blocked, MicroKernel::Scalar, &a, &b);
         for kernel in MicroKernel::available().skip(1) {
             let l = format!("scalar vs {}", kernel.name());
-            assert_same_bits(&l, &scalar, &matmul_blocked_with(&a, &b, kernel));
+            assert_same_bits(&l, &scalar, &gemm_on(Nn, Blocked, kernel, &a, &b));
         }
     }
 
@@ -1221,7 +1204,7 @@ mod tests {
     fn empty_dims_yield_zero_matrices() {
         let a = Matrix::zeros(3, 0);
         let b = Matrix::zeros(0, 5);
-        let c = matmul_blocked_with(&a, &b, active_kernel());
+        let c = gemm_on(Nn, Blocked, active_kernel(), &a, &b);
         assert_eq!(c.shape(), (3, 5));
         assert!(c.data().iter().all(|&v| v == 0.0));
     }

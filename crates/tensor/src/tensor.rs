@@ -23,7 +23,7 @@
 //! own either.
 
 use crate::init::global_xavier;
-use crate::matmul;
+use crate::matmul::{self, Orient};
 use crate::matrix::Matrix;
 use crate::meter::Meter;
 use crate::nn;
@@ -170,21 +170,16 @@ fn colvec_op<T: TensorLike>(
     map_op(x, 1.0, m, |x| x.zip_map_colvec(vals(v).data(), f))
 }
 
-/// One GEMM launch of a `[rows, inner] · [rhs_inner, cols]` product.
-fn gemm_op<T: TensorLike>(
-    what: &str,
-    (rows, cols): (usize, usize),
-    (inner, rhs_inner): (usize, usize),
-    m: &mut Meter,
-    kernel: impl FnOnce() -> Matrix,
-) -> T {
-    assert_eq!(inner, rhs_inner, "{what}: inner dims {inner} vs {rhs_inner}");
+/// One GEMM launch of `a` and `b` in orientation `orient`, shaped by
+/// [`Orient::dims`].
+fn gemm_op<T: TensorLike>(orient: Orient, a: &T, b: &T, m: &mut Meter) -> T {
+    let (rows, inner, cols) = orient.dims(a.shape(), b.shape());
     m.record_gemm(
         matmul::matmul_flops(rows, inner, cols),
         rows * cols * ELEM_BYTES,
         matmul::planned_path(rows, inner, cols),
     );
-    T::build(rows, cols, kernel)
+    T::build(rows, cols, || matmul::gemm(orient, vals(a), vals(b)))
 }
 
 /// Common interface of the dense and shadow tensor backends.
@@ -253,21 +248,15 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
 
     /// `C = self · rhs`.
     fn matmul(&self, rhs: &Self, m: &mut Meter) -> Self {
-        gemm_op("matmul", (self.rows(), rhs.cols()), (self.cols(), rhs.rows()), m, || {
-            matmul::matmul(vals(self), vals(rhs))
-        })
+        gemm_op(Orient::Nn, self, rhs, m)
     }
     /// `C = self · rhsᵀ`.
     fn matmul_nt(&self, rhs: &Self, m: &mut Meter) -> Self {
-        gemm_op("matmul_nt", (self.rows(), rhs.rows()), (self.cols(), rhs.cols()), m, || {
-            matmul::matmul_nt(vals(self), vals(rhs))
-        })
+        gemm_op(Orient::Nt, self, rhs, m)
     }
     /// `C = selfᵀ · rhs`.
     fn matmul_tn(&self, rhs: &Self, m: &mut Meter) -> Self {
-        gemm_op("matmul_tn", (self.cols(), rhs.cols()), (self.rows(), rhs.rows()), m, || {
-            matmul::matmul_tn(vals(self), vals(rhs))
-        })
+        gemm_op(Orient::Tn, self, rhs, m)
     }
 
     /// Elementwise `self + rhs`.

@@ -14,10 +14,9 @@
 //! shared state, so concurrent callers cannot see each other.
 
 use tesseract_tensor::matmul::{
-    matmul, matmul_blocked_with, matmul_nt, matmul_nt_blocked_with, matmul_nt_serial,
-    matmul_serial, matmul_tn, matmul_tn_blocked_with, matmul_tn_serial, BLOCK_K, BLOCK_M,
+    active_kernel, gemm, gemm_on, planned_path, Orient, BLOCKED_MIN_ELEMS, BLOCK_K, BLOCK_M,
 };
-use tesseract_tensor::{max_rel_diff, Matrix, MicroKernel, Xoshiro256StarStar};
+use tesseract_tensor::{max_rel_diff, KernelPath, Matrix, MicroKernel, Xoshiro256StarStar};
 
 /// Backends to run the forced-path matrix over: every one the host
 /// supports (forcing an unsupported backend panics by design).
@@ -59,43 +58,29 @@ fn assert_bitwise_eq(label: &str, reference: &Matrix, candidate: &Matrix) {
     }
 }
 
-/// [`fused_reference`] of the three orientations' logical products, from
-/// the stored operands `A`, `B`, `Bᵀ`, `Aᵀ` (nt stores B as n×k, tn stores
-/// A as k×m).
-fn fused_references(a: &Matrix, b: &Matrix, bt: &Matrix, at: &Matrix) -> [Matrix; 3] {
-    [
-        fused_reference(a, b),
-        fused_reference(a, &bt.transpose()),
-        fused_reference(&at.transpose(), b),
-    ]
+/// `orient`'s stored operands of the logical product `a · b`: every
+/// orientation multiplies the same values, so [`fused_reference`]`(a, b)`
+/// is the one anchor for all three.
+fn stored(orient: Orient, a: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
+    let flip = |x: &Matrix, transposed: bool| if transposed { x.transpose() } else { x.clone() };
+    (flip(a, orient == Orient::Tn), flip(b, orient == Orient::Nt))
 }
 
-/// `kernel`'s blocked products from the same operands, in [`ORIENTS`] order.
-fn blocked(kernel: MicroKernel, a: &Matrix, b: &Matrix, bt: &Matrix, at: &Matrix) -> [Matrix; 3] {
-    [
-        matmul_blocked_with(a, b, kernel),
-        matmul_nt_blocked_with(a, bt, kernel),
-        matmul_tn_blocked_with(at, b, kernel),
-    ]
-}
-
-const ORIENTS: [&str; 3] = ["nn", "nt", "tn"];
-
-/// Checks all three orientations at one `(m, k, n)`: every backend bitwise
+/// Checks every orientation at one `(m, k, n)`: every backend bitwise
 /// against [`fused_reference`], and within tolerance of the serial path
-/// (whose mul+add chain rounds twice per step). Operand shapes are arranged
-/// so the *logical* product is m×k · k×n in every orientation.
+/// (whose mul+add chain rounds twice per step).
 fn check_shape(m: usize, k: usize, n: usize, label: &str) {
-    let (a, b, bt, at) = (gen(m, k, 1), gen(k, n, 2), gen(n, k, 3), gen(k, m, 4));
-    let serial = [matmul_serial(&a, &b), matmul_nt_serial(&a, &bt), matmul_tn_serial(&at, &b)];
-    let fused = fused_references(&a, &b, &bt, &at);
-    for kernel in testable_kernels() {
-        let kn = kernel.name();
-        for (o, c) in blocked(kernel, &a, &b, &bt, &at).iter().enumerate() {
-            let orient = ORIENTS[o];
-            assert_bitwise_eq(&format!("{label} {kn} {orient} {m}x{k}x{n}"), &fused[o], c);
-            let diff = max_rel_diff(serial[o].data(), c.data());
-            assert!(diff < 1e-4, "{label} {kn} {orient} {m}x{k}x{n}: {diff:e} off serial");
+    let (a, b) = (gen(m, k, 1), gen(k, n, 2));
+    let fused = fused_reference(&a, &b);
+    for o in Orient::ALL {
+        let (sa, sb) = stored(o, &a, &b);
+        let serial = gemm_on(o, KernelPath::Serial, active_kernel(), &sa, &sb);
+        for kernel in testable_kernels() {
+            let c = gemm_on(o, KernelPath::Blocked, kernel, &sa, &sb);
+            let label = format!("{label} {} {o:?} {m}x{k}x{n}", kernel.name());
+            assert_bitwise_eq(&label, &fused, &c);
+            let diff = max_rel_diff(serial.data(), c.data());
+            assert!(diff < 1e-4, "{label}: {diff:e} off serial");
         }
     }
 }
@@ -160,26 +145,25 @@ fn concurrent_callers_get_the_single_caller_result_bitwise() {
     // Several row blocks with a remainder, above the dispatch threshold so
     // the public entry points take the blocked path too.
     let (m, k, n) = (2 * BLOCK_M + 37, 75, 61);
-    let (a, b, bt, at) = (gen(m, k, 10), gen(k, n, 11), gen(n, k, 12), gen(k, m, 13));
-    // One anchor for every caller, backend and entry point.
-    let reference = fused_references(&a, &b, &bt, &at);
+    let (a, b) = (gen(m, k, 10), gen(k, n, 11));
+    // One anchor for every caller, orientation, backend and entry point.
+    let reference = fused_reference(&a, &b);
+    let operands = Orient::ALL.map(|o| (o, stored(o, &a, &b)));
     // Every caller leaves the barrier together, so the GEMMs overlap.
     let start = std::sync::Barrier::new(CALLERS);
     std::thread::scope(|s| {
         for caller in 0..CALLERS {
-            let (a, b, bt, at, start, reference) = (&a, &b, &bt, &at, &start, &reference);
+            let (operands, start, reference) = (&operands, &start, &reference);
             s.spawn(move || {
                 start.wait();
-                for kernel in testable_kernels() {
-                    for (o, c) in blocked(kernel, a, b, bt, at).iter().enumerate() {
-                        let label = format!("{} {} caller={caller}", kernel.name(), ORIENTS[o]);
-                        assert_bitwise_eq(&label, &reference[o], c);
+                for (o, (a, b)) in operands {
+                    for kernel in testable_kernels() {
+                        let label = format!("{} {o:?} caller={caller}", kernel.name());
+                        let c = gemm_on(*o, KernelPath::Blocked, kernel, a, b);
+                        assert_bitwise_eq(&label, reference, &c);
                     }
-                }
-                let public = [matmul(a, b), matmul_nt(a, bt), matmul_tn(at, b)];
-                for (o, c) in public.iter().enumerate() {
-                    let label = format!("public {} caller={caller}", ORIENTS[o]);
-                    assert_bitwise_eq(&label, &reference[o], c);
+                    let label = format!("public {o:?} caller={caller}");
+                    assert_bitwise_eq(&label, reference, &gemm(*o, a, b));
                 }
             });
         }
@@ -207,21 +191,41 @@ fn blocked_matches_the_fused_chain_with_special_values() {
     assert!(fused.data().iter().any(|v| v.is_infinite()));
     for kernel in testable_kernels() {
         let label = format!("special-values {} nn", kernel.name());
-        assert_bitwise_eq(&label, &fused, &matmul_blocked_with(&a, &b, kernel));
+        assert_bitwise_eq(
+            &label,
+            &fused,
+            &gemm_on(Orient::Nn, KernelPath::Blocked, kernel, &a, &b),
+        );
     }
 }
 
+/// Dispatch reads the shape only: [`gemm`] is [`gemm_on`] at the shape's
+/// [`planned_path`] on the [`active_kernel`], bit for bit, in every
+/// orientation, on both sides of [`BLOCKED_MIN_ELEMS`] and of the
+/// thin-output edges (fewer than 4 rows or 8 columns stay serial).
 #[test]
-fn public_entry_points_match_the_active_kernel_above_the_dispatch_threshold() {
-    // 96^3 is above BLOCKED_MIN_ELEMS, so the public fns take the blocked
-    // path on the process-wide backend — results must be bitwise identical
-    // to that backend called explicitly.
-    let s = 96;
-    let a = gen(s, s, 30);
-    let b = gen(s, s, 31);
-    let bt = gen(s, s, 32);
-    let kernel = tesseract_tensor::matmul::active_kernel();
-    assert_bitwise_eq("public nn", &matmul_blocked_with(&a, &b, kernel), &matmul(&a, &b));
-    assert_bitwise_eq("public nt", &matmul_nt_blocked_with(&a, &bt, kernel), &matmul_nt(&a, &bt));
-    assert_bitwise_eq("public tn", &matmul_tn_blocked_with(&a, &b, kernel), &matmul_tn(&a, &b));
+fn gemm_is_the_planned_path_on_the_active_kernel() {
+    use KernelPath::{Blocked, Serial};
+    let t = 64;
+    assert_eq!(t * t * t, BLOCKED_MIN_ELEMS);
+    let kernel = active_kernel();
+    for (m, k, n, path) in [
+        (96, 96, 96, Blocked),
+        (t, t, t, Blocked),
+        (t - 1, t, t, Serial),
+        (t, t, t - 1, Serial),
+        (3, 300, 300, Serial),
+        (4, 300, 300, Blocked),
+        (300, 300, 7, Serial),
+        (300, 300, 8, Blocked),
+        (1, 1, 1, Serial),
+    ] {
+        assert_eq!(planned_path(m, k, n), path, "{m}x{k}x{n}");
+        for o in Orient::ALL {
+            let ((ar, ac), (br, bc)) = o.stored(m, k, n);
+            let (a, b) = (gen(ar, ac, 40), gen(br, bc, 41));
+            let label = format!("{o:?} {m}x{k}x{n} {path:?}");
+            assert_bitwise_eq(&label, &gemm_on(o, path, kernel, &a, &b), &gemm(o, &a, &b));
+        }
+    }
 }

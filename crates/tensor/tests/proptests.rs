@@ -3,7 +3,7 @@
 //! and the JSON writer's round trip through the parser.
 
 use proptest::prelude::*;
-use tesseract_tensor::matmul::{matmul, matmul_nt, matmul_tn};
+use tesseract_tensor::matmul::{gemm, gemm_on, KernelPath, Orient};
 use tesseract_tensor::nn;
 use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{approx_eq, max_rel_diff, Matrix, Xoshiro256StarStar};
@@ -28,9 +28,9 @@ proptest! {
         let c = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
         let mut b_plus_c = b.clone();
         b_plus_c.add_assign(&c);
-        let lhs = matmul(&a, &b_plus_c);
-        let mut rhs = matmul(&a, &b);
-        rhs.add_assign(&matmul(&a, &c));
+        let lhs = gemm(Orient::Nn, &a, &b_plus_c);
+        let mut rhs = gemm(Orient::Nn, &a, &b);
+        rhs.add_assign(&gemm(Orient::Nn, &a, &c));
         prop_assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4);
     }
 
@@ -40,8 +40,8 @@ proptest! {
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
         // (AB)ᵀ = Bᵀ Aᵀ
-        let lhs = matmul(&a, &b).transpose();
-        let rhs = matmul(&b.transpose(), &a.transpose());
+        let lhs = gemm(Orient::Nn, &a, &b).transpose();
+        let rhs = gemm(Orient::Nn, &b.transpose(), &a.transpose());
         prop_assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4);
     }
 
@@ -51,13 +51,13 @@ proptest! {
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(n, k, -1.0, 1.0, &mut rng);
         prop_assert!(max_rel_diff(
-            matmul_nt(&a, &b).data(),
-            matmul(&a, &b.transpose()).data()
+            gemm(Orient::Nt, &a, &b).data(),
+            gemm(Orient::Nn, &a, &b.transpose()).data()
         ) < 1e-4);
         let c = Matrix::random_uniform(m, n, -1.0, 1.0, &mut rng);
         prop_assert!(max_rel_diff(
-            matmul_tn(&a, &c).data(),
-            matmul(&a.transpose(), &c).data()
+            gemm(Orient::Tn, &a, &c).data(),
+            gemm(Orient::Nn, &a.transpose(), &c).data()
         ) < 1e-4);
     }
 
@@ -167,9 +167,6 @@ proptest! {
 // Forced-kernel-path properties (per-path parity contract, DESIGN.md §5)
 // ---------------------------------------------------------------------------
 
-use tesseract_tensor::matmul::{
-    matmul_blocked_with, matmul_nt_blocked_with, matmul_tn_blocked_with,
-};
 use tesseract_tensor::MicroKernel;
 
 /// Shapes spanning every backend's remainder edges: m and n range from
@@ -189,21 +186,18 @@ proptest! {
     #[test]
     fn forced_paths_agree_bitwise((m, k, n) in kernel_dims(), seed in 0u64..1000) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let a = Matrix::random_uniform(m, k, -2.0, 2.0, &mut rng);
-        let b = Matrix::random_uniform(k, n, -2.0, 2.0, &mut rng);
-        let bt = Matrix::random_uniform(n, k, -2.0, 2.0, &mut rng);
-        let at = Matrix::random_uniform(k, m, -2.0, 2.0, &mut rng);
-        let products = |v| {
-            [
-                matmul_blocked_with(&a, &b, v),
-                matmul_nt_blocked_with(&a, &bt, v),
-                matmul_tn_blocked_with(&at, &b, v),
-            ]
-            .map(|c| c.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
-        };
-        let first = products(MicroKernel::Scalar);
-        for v in MicroKernel::available().skip(1) {
-            prop_assert_eq!(&first, &products(v));
+        for o in Orient::ALL {
+            let ((ar, ac), (br, bc)) = o.stored(m, k, n);
+            let a = Matrix::random_uniform(ar, ac, -2.0, 2.0, &mut rng);
+            let b = Matrix::random_uniform(br, bc, -2.0, 2.0, &mut rng);
+            let bits = |v| {
+                let c = gemm_on(o, KernelPath::Blocked, v, &a, &b);
+                c.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+            };
+            let first = bits(MicroKernel::Scalar);
+            for v in MicroKernel::available().skip(1) {
+                prop_assert_eq!(&first, &bits(v));
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use tesseract_repro::comm::Cluster;
 use tesseract_repro::core::mm::tesseract_matmul;
 use tesseract_repro::core::partition::{a_block, b_block, combine_c};
 use tesseract_repro::core::{GridShape, TesseractGrid};
-use tesseract_repro::tensor::matmul::matmul;
+use tesseract_repro::tensor::matmul::{gemm, Orient};
 use tesseract_repro::tensor::{max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
 
     // Combine the distributed C blocks and compare against serial matmul.
     let c_distributed = combine_c(&out.results, shape);
-    let c_serial = matmul(&a, &b);
+    let c_serial = gemm(Orient::Nn, &a, &b);
     let err = max_rel_diff(c_distributed.data(), c_serial.data());
     println!("max relative error vs serial matmul: {err:.3e}");
     assert!(err < 1e-5, "distributed result must match serial");

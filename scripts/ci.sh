@@ -108,7 +108,9 @@ fi
 # The planner prices the schedule that trains: every pipeline step is
 # hybrid::gpipe_step_module, and every recompute is the Transformer stack's
 # own checkpointing. A stage recv outside pipeline.rs is a second GPipe
-# loop; a tape reset outside core is a second checkpoint implementation.
+# loop (the stage's send/recv methods are private to pipeline.rs, so the
+# compiler rejects one too); a tape reset outside core is a second
+# checkpoint implementation.
 echo "== one-schedule gate (GPipe loop in hybrid/src/pipeline.rs, tape resets in core) =="
 resets=$(grep -rnF '.reset_tape(' crates/*/src src --include='*.rs' \
     | grep -v '^crates/core/src/' || true)
@@ -151,6 +153,23 @@ for axis in row col; do
         exit 1
     fi
 done
+
+# The GEMM has one signature: `matmul::gemm(orient, a, b)` runs the planned
+# path on the active backend, and `matmul::gemm_on(orient, path, kernel, a,
+# b)` forces both. `matmul::Orient` owns the orientation's shape rule (the
+# paper's §3.1 A·B, A·Bᵀ, Aᵀ·B), so a second `enum Orient` is a second
+# copy of that rule, and a `pub fn matmul…` in matmul.rs other than
+# `matmul_flops` is a second entry point per orientation or path.
+echo "== one-GEMM-signature gate (Orient declared in tensor/src/matmul.rs; gemm / gemm_on the only entry points) =="
+orients=$(grep -rnE '\benum Orient\b' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/tensor/src/matmul\.rs:' || true)
+entries=$(grep -HnE '^ *pub fn matmul' crates/tensor/src/matmul.rs \
+    | grep -v 'pub fn matmul_flops(' || true)
+if [ -n "$orients$entries" ]; then
+    echo "ci.sh: a second GEMM orientation type or entry point (use matmul::{gemm, gemm_on, Orient}):"
+    printf '%s\n' "$orients" "$entries" | grep -v '^$'
+    exit 1
+fi
 
 # JSON is written by one module: every document (the BENCH_*.json records,
 # the Chrome trace) is a trace::json::Value tree serialized by json::write,
