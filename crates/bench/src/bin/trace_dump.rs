@@ -85,7 +85,7 @@ fn main() {
     }
     let (q, d) = grid;
     let shape = GridShape::new(q, d);
-    assert!(n % (q * q * d) == 0, "--n must be divisible by q*q*d = {}", q * q * d);
+    assert!(n.is_multiple_of(q * q * d), "--n must be divisible by q*q*d = {}", q * q * d);
     let serial_path = match out_path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.serial.json"),
         None => format!("{out_path}.serial"),

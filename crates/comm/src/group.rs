@@ -626,8 +626,11 @@ impl CommGroup {
 pub struct PendingCollective<'g, R> {
     op: CollectiveOp,
     seq: u64,
-    finish: Option<Box<dyn FnOnce(&mut RankCtx) -> R + 'g>>,
+    finish: Option<Finish<'g, R>>,
 }
+
+/// The deferred half of a split-phase collective: wait, charge, project.
+type Finish<'g, R> = Box<dyn FnOnce(&mut RankCtx) -> R + 'g>;
 
 impl<'g, R> PendingCollective<'g, R> {
     /// Blocks until the rendezvous is full, charges the non-overlapped

@@ -9,7 +9,7 @@
 //! with the model (`StackOptions` in `tesseract-core`), not here.
 //!
 //! This module is the **only** place in the workspace that reads
-//! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
+//! `TESSERACT_*` environment variables (`tests/structure.rs` rejects strays).
 //! [`RunConfig::from_env`] parses them once into explicit fields;
 //! [`RunConfig::install`] pushes the one process-global knob (the GEMM
 //! micro-kernel) into the tensor crate, where the first installer wins.

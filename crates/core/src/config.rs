@@ -87,7 +87,7 @@ impl TransformerConfig {
     /// first violated constraint so planners can reject candidates without
     /// unwinding.
     pub fn check_for_grid(&self, q: usize, d: usize) -> Result<(), ShapeError> {
-        if self.batch % (q * d) != 0 {
+        if !self.batch.is_multiple_of(q * d) {
             return Err(ShapeError::Indivisible {
                 what: "batch",
                 value: self.batch,
@@ -95,7 +95,7 @@ impl TransformerConfig {
                 divisor: q * d,
             });
         }
-        if self.heads % q != 0 {
+        if !self.heads.is_multiple_of(q) {
             return Err(ShapeError::Indivisible {
                 what: "heads",
                 value: self.heads,
@@ -103,7 +103,7 @@ impl TransformerConfig {
                 divisor: q,
             });
         }
-        if self.hidden % q != 0 {
+        if !self.hidden.is_multiple_of(q) {
             return Err(ShapeError::Indivisible {
                 what: "hidden",
                 value: self.hidden,
@@ -111,7 +111,7 @@ impl TransformerConfig {
                 divisor: q,
             });
         }
-        if self.mlp_hidden() % q != 0 {
+        if !self.mlp_hidden().is_multiple_of(q) {
             return Err(ShapeError::Indivisible {
                 what: "mlp hidden",
                 value: self.mlp_hidden(),

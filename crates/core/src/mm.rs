@@ -191,6 +191,9 @@ struct ReduceToRoot<'g, T> {
     depth: Option<&'g CommGroup>,
     overlap: bool,
     pending: Option<PendingCollective<'g, Option<Arc<T>>>>,
+    // The depth all-reduce's payload is the `Arc` itself (reduced through,
+    // copy-on-write, see `finish`), and the collective wraps it once more.
+    #[allow(clippy::redundant_allocation)]
     depth_pending: Option<PendingCollective<'g, Arc<Arc<T>>>>,
     mine: Option<Arc<T>>,
 }
@@ -518,10 +521,10 @@ mod tests {
         // Rebuild using only k = 0 entries.
         let mut full_parts = vec![Matrix::zeros(4 / 2, 6 / 2); shape.size()];
         let mut idx = 0;
-        for off in 0..shape.size() {
+        for (off, part) in full_parts.iter_mut().enumerate() {
             let (_i, _j, k) = shape.coords_of(off);
             if k == 0 {
-                full_parts[off] = parts[idx].clone();
+                *part = parts[idx].clone();
                 idx += 1;
             }
         }

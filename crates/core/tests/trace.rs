@@ -189,8 +189,7 @@ fn scope_events_balance_under_tape_rewind() {
 #[test]
 fn comm_events_pair_across_group_members() {
     let out = traced_step(GridShape::new(2, 2), true);
-    let mut by_key: std::collections::HashMap<(u64, u64, &'static str), Vec<(f64, f64, bool)>> =
-        Default::default();
+    let mut by_key = std::collections::HashMap::<_, Vec<_>>::new();
     for ev in out.traces.iter().flatten() {
         if let TraceKind::Comm { op, key_group, key_seq, max_entry_vt, recorded, .. } = &ev.kind {
             by_key.entry((*key_group, *key_seq, op)).or_default().push((
@@ -247,7 +246,7 @@ fn chrome_json_is_valid_chrome_trace_format() {
             "X" => {
                 assert!(e.get("name").and_then(|v| v.as_str()).is_some());
                 assert!(e.get("ts").and_then(|v| v.as_f64()).is_some());
-                assert!(e.get("dur").and_then(|v| v.as_f64()).map_or(false, |d| d >= 0.0));
+                assert!(e.get("dur").and_then(|v| v.as_f64()).is_some_and(|d| d >= 0.0));
                 assert!(e.get("tid").and_then(|v| v.as_f64()).is_some());
             }
             "M" | "i" | "s" | "f" => {}

@@ -68,7 +68,7 @@ impl HybridShape {
     /// Checks that `pp` evenly carves a `layers`-deep stack and returns the
     /// per-stage depth.
     pub fn check_carve(&self, layers: usize) -> Result<usize, ShapeError> {
-        if layers % self.pp != 0 {
+        if !layers.is_multiple_of(self.pp) {
             return Err(ShapeError::Indivisible {
                 what: "layers",
                 value: layers,

@@ -103,7 +103,7 @@ impl Candidate {
                 }
                 shape.check_carve(cfg.layers)?;
                 let split = shape.dp * microbatches;
-                if cfg.batch % split != 0 {
+                if !cfg.batch.is_multiple_of(split) {
                     return Err(ShapeError::Indivisible {
                         what: "batch",
                         value: cfg.batch,
@@ -124,7 +124,7 @@ fn square_depth_factorizations(p: usize) -> Vec<GridShape> {
     let mut out = Vec::new();
     let mut q = 1usize;
     while q * q <= p {
-        if p % (q * q) == 0 {
+        if p.is_multiple_of(q * q) {
             let d = p / (q * q);
             if d <= q {
                 out.push(GridShape::new(q, d));
@@ -137,7 +137,7 @@ fn square_depth_factorizations(p: usize) -> Vec<GridShape> {
 }
 
 fn divisors(n: usize) -> Vec<usize> {
-    (1..=n).filter(|k| n % k == 0).collect()
+    (1..=n).filter(|&k| n.is_multiple_of(k)).collect()
 }
 
 /// Enumerates every structural candidate for a `gpus`-rank budget from the

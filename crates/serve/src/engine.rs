@@ -57,7 +57,7 @@ use tesseract_tensor::TensorLike;
 use crate::traffic::RequestSpec;
 
 /// Seed salt separating prompt-content streams from weight-init streams.
-const PROMPT_SEED_SALT: u64 = 0x5EED_0F_5E4E_D0D0;
+const PROMPT_SEED_SALT: u64 = 0x5E_ED0F_5E4E_D0D0;
 
 /// Serving-engine parameters.
 #[derive(Clone, Copy, Debug)]

@@ -213,6 +213,9 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     /// `(root_seed, param_id)`. Every rank calling this with the same global
     /// shape and ids reconstructs blocks of the *same* global matrix, which
     /// is what makes arrangements numerically comparable (Figure 7).
+    // Global shape, block origin, block size, then the stream's ids: the
+    // same positional pairs as `Matrix::block`, which the kernel calls.
+    #[allow(clippy::too_many_arguments)]
     fn init_xavier_block(
         global_rows: usize,
         global_cols: usize,

@@ -233,6 +233,7 @@ pub fn distributed_cross_entropy(
     let mut loss_sum = 0.0f32;
     let mut grad_full = probs.clone();
     for (r, &label) in labels_local.iter().enumerate() {
+        assert!(label < full.cols(), "label {label} out of range");
         loss_sum -= probs[(r, label)].max(1e-12).ln();
         grad_full[(r, label)] -= 1.0;
     }
@@ -337,6 +338,23 @@ mod tests {
         let grads: Vec<Matrix> = out.results.iter().map(|(_, g, _)| g.clone()).collect();
         let grad_full = combine_c(&grads, shape);
         assert_slices_close(grad_full.data(), grad_ser.data(), 1e-5);
+    }
+
+    /// `Matrix` checks an index only under `debug_assert!`, so without the
+    /// range check a label equal to `classes` on row 0 would read and write
+    /// row 1's class 0 in a release build.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn distributed_ce_rejects_an_out_of_range_label() {
+        let v = vcfg();
+        let logits = random(v.body.batch, v.classes, 9);
+        let shape = GridShape::new(2, 1);
+        Cluster::a100(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            let (i, j, k) = grid.coords;
+            let loc = Arc::new(DenseTensor::from_matrix(a_block(&logits, shape, i, j, k)));
+            distributed_cross_entropy(&grid, ctx, &loc, &[v.classes, 0], v.body.batch)
+        });
     }
 
     #[test]
