@@ -61,14 +61,17 @@ impl MegatronWorld {
         Self { p: group.size(), index: group.my_index(), group }
     }
 
-    /// Whether `cfg` splits over a `p`-rank 1-D group: `p` must divide the
-    /// heads (each rank owns whole heads), the hidden size and the MLP
-    /// hidden size (the column / row splits of the two linears).
-    pub fn check(p: usize, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+    /// Whether `cfg` splits over a `p`-rank 1-D group: `p` must be positive
+    /// and divide the heads (each rank owns whole heads), the hidden size
+    /// and the MLP hidden size (the column / row splits of the two linears).
+    pub fn check_degree(p: usize, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        if p == 0 {
+            return Err(ShapeError::NonPositive { what: "megatron p" });
+        }
         for (what, value) in
             [("heads", cfg.heads), ("hidden", cfg.hidden), ("mlp hidden", cfg.mlp_hidden())]
         {
-            if value % p != 0 {
+            if !value.is_multiple_of(p) {
                 return Err(ShapeError::Indivisible { what, value, by: "p", divisor: p });
             }
         }
@@ -102,10 +105,8 @@ impl<T: TensorLike + Payload> World<T> for MegatronWorld {
         MegatronLayerNorm::new(hidden, eps)
     }
 
-    fn validate(&self, cfg: &TransformerConfig) {
-        if let Err(e) = Self::check(self.p, cfg) {
-            panic!("{e}");
-        }
+    fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        Self::check_degree(self.p, cfg)
     }
 
     /// Activations are replicated: every rank holds the whole batch.

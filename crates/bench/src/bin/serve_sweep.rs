@@ -280,7 +280,7 @@ fn main() {
     assert!(requests >= 2, "--requests must be at least 2");
     let m = model();
     for &(q, d) in &grids {
-        m.validate_for_grid(q, d);
+        GridShape::new(q, d).check(&m).unwrap_or_else(|e| panic!("{e}"));
     }
 
     println!(

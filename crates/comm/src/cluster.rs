@@ -26,7 +26,7 @@ pub struct Cluster {
     pub topology: Topology,
     pub params: CostParams,
     /// Collect per-rank [`TraceEvent`] timelines during [`Cluster::run`]
-    /// (set from [`crate::RunConfig::with_trace`] / `TESSERACT_TRACE`).
+    /// (set from [`crate::RunConfig::with_trace`]).
     pub trace: bool,
     /// Rendezvous timeout override for this cluster's fabric (seconds).
     /// `None` uses the fabric's 120 s default; [`crate::RunConfig::from_env`]

@@ -2,20 +2,21 @@
 //!
 //! Everything that used to be scattered across `Cluster::custom`,
 //! `Cluster::with_trace`, `Cluster::with_rendezvous_timeout_secs` and the
-//! `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
-//! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs lives in one
-//! builder: construct a [`RunConfig`], override what you need, and call
-//! [`RunConfig::cluster`]. Model options such as tape recomputation live
-//! with the model (`StackOptions` in `tesseract-core`), not here.
+//! `TESSERACT_KERNEL` / `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment
+//! knobs lives in one builder: construct a [`RunConfig`], override what
+//! you need, and call [`RunConfig::cluster`]. Model options such as tape
+//! recomputation live with the model (`StackOptions` in `tesseract-core`),
+//! not here.
 //!
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`tests/structure.rs` rejects strays).
 //! [`RunConfig::from_env`] parses them once into explicit fields;
 //! [`RunConfig::install`] pushes the one process-global knob (the GEMM
 //! micro-kernel) into the tensor crate, where the first installer wins.
-//! `TESSERACT_TRACE` and `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` only set the
-//! `trace` and `rendezvous_timeout_secs` fields of a configuration built by
-//! `from_env`, which its cluster applies.
+//! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` only sets the
+//! `rendezvous_timeout_secs` field of a configuration built by `from_env`,
+//! which its cluster applies. Tracing has no variable: a run that reads
+//! its traces asks for them with [`RunConfig::with_trace`].
 
 use tesseract_tensor::matmul::{self, MicroKernel};
 
@@ -60,36 +61,22 @@ impl RunConfig {
 
     /// [`RunConfig::new`] with the `TESSERACT_*` environment knobs parsed
     /// into their fields. This is the single environment-read site of the
-    /// workspace; the semantics of each variable are unchanged:
+    /// workspace:
     ///
-    /// * `TESSERACT_TRACE` — anything other than unset/empty/`0`/`false`/
-    ///   `off` enables tracing.
     /// * `TESSERACT_KERNEL` — `scalar` | `avx2` | `avx512` | `auto`; an
     ///   unknown value panics, and forcing a backend the host does not
     ///   support panics at [`RunConfig::install`] time (a forced path must
     ///   never silently degrade).
-    /// * `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` — non-negative integer; a
-    ///   set-but-unparsable value panics instead of silently hanging for
-    ///   the two-minute default.
+    /// * `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` — positive integer; a set
+    ///   value that is not panics instead of hanging for the two-minute
+    ///   default or timing out every wait at once.
     pub fn from_env(world: usize) -> Self {
         let mut cfg = Self::new(world);
-        if let Ok(v) = std::env::var("TESSERACT_TRACE") {
-            cfg.trace = !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off"));
-        }
         if let Ok(v) = std::env::var("TESSERACT_KERNEL") {
             cfg.kernel = parse_kernel(&v);
         }
         if let Ok(v) = std::env::var("TESSERACT_RENDEZVOUS_TIMEOUT_SECS") {
-            let secs = v.parse().unwrap_or_else(|_| {
-                panic!(
-                    "TESSERACT_RENDEZVOUS_TIMEOUT_SECS must be a non-negative \
-                     integer number of seconds, got {v:?}"
-                )
-            });
-            cfg.rendezvous_timeout_secs = Some(secs);
+            cfg.rendezvous_timeout_secs = Some(parse_timeout_secs(&v));
         }
         cfg
     }
@@ -168,6 +155,18 @@ fn parse_kernel(v: &str) -> Option<MicroKernel> {
     }))
 }
 
+/// Parses `TESSERACT_RENDEZVOUS_TIMEOUT_SECS`: a positive integer number
+/// of seconds. Zero or anything unparsable panics with the pinned message
+/// (a zero timeout fails every rendezvous and blames a healthy sender).
+fn parse_timeout_secs(v: &str) -> u64 {
+    v.parse().ok().filter(|&s| s > 0).unwrap_or_else(|| {
+        panic!(
+            "TESSERACT_RENDEZVOUS_TIMEOUT_SECS must be a positive integer number of \
+             seconds, got {v:?}"
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +201,29 @@ mod tests {
     #[should_panic(expected = "invalid TESSERACT_KERNEL=\"sse9\" (want scalar|avx2|avx512|auto)")]
     fn kernel_parse_panics_on_unknown_backends() {
         let _ = parse_kernel("sse9");
+    }
+
+    #[test]
+    fn timeout_parse_takes_positive_seconds() {
+        assert_eq!(parse_timeout_secs("1"), 1);
+        assert_eq!(parse_timeout_secs("120"), 120);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "TESSERACT_RENDEZVOUS_TIMEOUT_SECS must be a positive integer number of \
+                    seconds, got \"0\""
+    )]
+    fn timeout_parse_rejects_zero() {
+        let _ = parse_timeout_secs("0");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "TESSERACT_RENDEZVOUS_TIMEOUT_SECS must be a positive integer number of \
+                    seconds, got \"-5\""
+    )]
+    fn timeout_parse_rejects_non_integers() {
+        let _ = parse_timeout_secs("-5");
     }
 }

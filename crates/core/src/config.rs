@@ -5,11 +5,11 @@
 use std::fmt;
 
 /// Why a processor arrangement cannot run a workload: the structured form
-/// of every divisibility/capacity constraint the construction paths used to
-/// enforce with bare `assert!`s. The planner rejects candidates by matching
-/// on these; the legacy panicking entry points format them with [`fmt::Display`]
-/// (the rendered text is identical to the old assert messages, so existing
-/// `should_panic` expectations keep holding).
+/// of every divisibility/capacity constraint. Each arrangement states its
+/// rule once, as a `Result`-returning method (`GridShape::check`,
+/// `MegatronWorld::check_degree`, `HybridShape::micro_config`); the planner
+/// reports the value, and the one execution-path site that panics on it
+/// (`TransformerLayer::new`) formats it with [`fmt::Display`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShapeError {
     /// A structural parameter (grid side, depth, dp, pp) was zero.
@@ -81,55 +81,6 @@ impl TransformerConfig {
         self.hidden * self.mlp_ratio
     }
 
-    /// Checks divisibility for a `[q, q, d]` arrangement: `q·d | b`
-    /// (whole samples per rank), `q | n` (whole heads per rank) and
-    /// `q | h/n`-free constraints via `q | h` and `q | 4h`. Returns the
-    /// first violated constraint so planners can reject candidates without
-    /// unwinding.
-    pub fn check_for_grid(&self, q: usize, d: usize) -> Result<(), ShapeError> {
-        if !self.batch.is_multiple_of(q * d) {
-            return Err(ShapeError::Indivisible {
-                what: "batch",
-                value: self.batch,
-                by: "q*d",
-                divisor: q * d,
-            });
-        }
-        if !self.heads.is_multiple_of(q) {
-            return Err(ShapeError::Indivisible {
-                what: "heads",
-                value: self.heads,
-                by: "q",
-                divisor: q,
-            });
-        }
-        if !self.hidden.is_multiple_of(q) {
-            return Err(ShapeError::Indivisible {
-                what: "hidden",
-                value: self.hidden,
-                by: "q",
-                divisor: q,
-            });
-        }
-        if !self.mlp_hidden().is_multiple_of(q) {
-            return Err(ShapeError::Indivisible {
-                what: "mlp hidden",
-                value: self.mlp_hidden(),
-                by: "q",
-                divisor: q,
-            });
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`TransformerConfig::check_for_grid`] for the
-    /// execution paths, where an infeasible arrangement is a caller bug.
-    pub fn validate_for_grid(&self, q: usize, d: usize) {
-        if let Err(e) = self.check_for_grid(q, d) {
-            panic!("{e}");
-        }
-    }
-
     /// Approximate parameter count of the stack (weights only).
     pub fn param_count(&self) -> usize {
         let attn = 3 * self.hidden * self.hidden + self.hidden * self.hidden;
@@ -148,39 +99,11 @@ mod tests {
         assert_eq!(c.head_dim(), 4);
         assert_eq!(c.rows(), 16);
         assert_eq!(c.mlp_hidden(), 64);
-        c.validate_for_grid(2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn validation_catches_bad_batch() {
-        let c = TransformerConfig { batch: 3, ..TransformerConfig::tiny() };
-        c.validate_for_grid(2, 2);
     }
 
     #[test]
     fn param_count_formula() {
         let c = TransformerConfig::tiny();
         assert_eq!(c.param_count(), 4 * 16 * 16 + 2 * 16 * 64);
-    }
-
-    #[test]
-    fn check_for_grid_reports_the_violated_constraint() {
-        let c = TransformerConfig { batch: 3, ..TransformerConfig::tiny() };
-        assert_eq!(
-            c.check_for_grid(2, 2).unwrap_err().to_string(),
-            "batch 3 not divisible by q*d = 4"
-        );
-        let c = TransformerConfig { batch: 8, heads: 2, hidden: 16, ..TransformerConfig::tiny() };
-        assert_eq!(
-            c.check_for_grid(4, 2).unwrap_err().to_string(),
-            "heads 2 not divisible by q = 4"
-        );
-        let c = TransformerConfig { batch: 8, hidden: 18, ..TransformerConfig::tiny() };
-        assert_eq!(
-            c.check_for_grid(4, 1).unwrap_err().to_string(),
-            "hidden 18 not divisible by q = 4"
-        );
-        assert_eq!(TransformerConfig::tiny().check_for_grid(2, 2), Ok(()));
     }
 }

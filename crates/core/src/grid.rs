@@ -11,7 +11,7 @@
 //! Coordinates, offsets and the three communication fibers are all derived
 //! from the mesh's axis strides rather than hard-coded literals.
 
-use crate::config::ShapeError;
+use crate::config::{ShapeError, TransformerConfig};
 use tesseract_comm::{CommGroup, Mesh, MeshAxis, RankCtx};
 
 /// Shape parameters of a Tesseract arrangement.
@@ -45,6 +45,25 @@ impl GridShape {
                 needed: self.size(),
                 available: world,
             });
+        }
+        Ok(())
+    }
+
+    /// Whether `cfg` splits over this arrangement (paper §3.1, Figure 4):
+    /// `q·d | b` (whole samples per rank), `q | n` (whole heads per rank),
+    /// and `q | h`, `q | 4h` (the weight blocks). Returns the first
+    /// violated constraint; a zero side is `NonPositive`.
+    pub fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        let Self { q, d } = Self::try_new(self.q, self.d)?;
+        for (what, value, by, divisor) in [
+            ("batch", cfg.batch, "q*d", q * d),
+            ("heads", cfg.heads, "q", q),
+            ("hidden", cfg.hidden, "q", q),
+            ("mlp hidden", cfg.mlp_hidden(), "q", q),
+        ] {
+            if !value.is_multiple_of(divisor) {
+                return Err(ShapeError::Indivisible { what, value, by, divisor });
+            }
         }
         Ok(())
     }
@@ -189,6 +208,34 @@ mod tests {
             s.check_world(64).unwrap_err().to_string(),
             "tesseract [4,4,2] needs 32 ranks but 64 are available"
         );
+    }
+
+    #[test]
+    fn check_reports_the_violated_constraint() {
+        let tiny = TransformerConfig::tiny();
+        assert_eq!(GridShape::new(2, 2).check(&tiny), Ok(()));
+        let c = TransformerConfig { batch: 3, ..tiny };
+        assert_eq!(
+            GridShape::new(2, 2).check(&c).unwrap_err().to_string(),
+            "batch 3 not divisible by q*d = 4"
+        );
+        let c = TransformerConfig { batch: 8, heads: 2, hidden: 16, ..tiny };
+        assert_eq!(
+            GridShape::new(4, 2).check(&c).unwrap_err().to_string(),
+            "heads 2 not divisible by q = 4"
+        );
+        let c = TransformerConfig { batch: 8, hidden: 18, ..tiny };
+        assert_eq!(
+            GridShape::new(4, 1).check(&c).unwrap_err().to_string(),
+            "hidden 18 not divisible by q = 4"
+        );
+        // A zero side is rejected as such, not as "divisible by 0".
+        for (q, d) in [(0, 1), (2, 0)] {
+            assert_eq!(
+                GridShape { q, d }.check(&tiny),
+                Err(ShapeError::NonPositive { what: "grid shape" })
+            );
+        }
     }
 
     #[test]

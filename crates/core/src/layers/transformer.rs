@@ -55,7 +55,9 @@ impl<T: TensorLike + Payload, G: World<T>> TransformerLayer<T, G> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        world.validate(&cfg);
+        // The one execution-path site that turns an infeasible arrangement
+        // into a panic; the text is the `ShapeError`'s.
+        world.check(&cfg).unwrap_or_else(|e| panic!("{e}"));
         let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
         Self {
             ln1: world.norm(h, cfg.eps),

@@ -11,7 +11,7 @@
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
-use crate::config::TransformerConfig;
+use crate::config::{ShapeError, TransformerConfig};
 use crate::grid::TesseractGrid;
 use crate::layers::layernorm::TesseractLayerNorm;
 use crate::layers::linear::TesseractLinear;
@@ -46,8 +46,9 @@ pub trait World<T: TensorLike + Payload>: Sized + 'static {
 
     fn norm(&self, hidden: usize, eps: f32) -> Self::Norm;
 
-    /// Panics unless `cfg` divides evenly over this world.
-    fn validate(&self, cfg: &TransformerConfig);
+    /// Whether `cfg` divides evenly over this world: the arrangement's one
+    /// feasibility rule, which the planner also checks.
+    fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError>;
 
     /// Whole samples in one rank's activation block.
     fn local_samples(&self, batch: usize) -> usize;
@@ -76,8 +77,8 @@ impl<T: TensorLike + Payload> World<T> for TesseractGrid {
         TesseractLayerNorm::new(hidden, eps)
     }
 
-    fn validate(&self, cfg: &TransformerConfig) {
-        cfg.validate_for_grid(self.shape.q, self.shape.d);
+    fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        self.shape.check(cfg)
     }
 
     fn local_samples(&self, batch: usize) -> usize {

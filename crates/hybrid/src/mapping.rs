@@ -12,7 +12,7 @@
 //! and the gradient all-reduce groups are the fibers along the `"dp"` axis.
 
 use tesseract_comm::{Mesh, MeshAxis};
-use tesseract_core::{GridShape, ShapeError};
+use tesseract_core::{GridShape, ShapeError, TransformerConfig};
 
 /// Shape of a hybrid dp × pp × Tesseract arrangement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +77,35 @@ impl HybridShape {
             });
         }
         Ok(layers / self.pp)
+    }
+
+    /// The configuration of one microbatch when a GPipe step splits `cfg`'s
+    /// global batch over `dp` replicas and `microbatches` waves: the
+    /// arrangement's one feasibility rule. It needs positive degrees and
+    /// `microbatches`, `pp | layers`, `dp·microbatches | batch` and the grid
+    /// to fit the microbatch; `layers` stays the whole stack's.
+    pub fn micro_config(
+        &self,
+        cfg: &TransformerConfig,
+        microbatches: usize,
+    ) -> Result<TransformerConfig, ShapeError> {
+        Self::try_new(self.dp, self.pp, self.grid)?;
+        if microbatches == 0 {
+            return Err(ShapeError::NonPositive { what: "microbatches" });
+        }
+        self.check_carve(cfg.layers)?;
+        let split = self.dp * microbatches;
+        if !cfg.batch.is_multiple_of(split) {
+            return Err(ShapeError::Indivisible {
+                what: "batch",
+                value: cfg.batch,
+                by: "dp*microbatches",
+                divisor: split,
+            });
+        }
+        let micro = TransformerConfig { batch: cfg.batch / split, ..*cfg };
+        self.grid.check(&micro)?;
+        Ok(micro)
     }
 
     /// The paper's Figure 6 example: dp = 2, pp = 2, Tesseract `[2, 2, 2]`
@@ -211,6 +240,27 @@ mod tests {
         assert_eq!(s.check_carve(8), Ok(4));
         assert_eq!(s.check_carve(6), Ok(3));
         assert_eq!(s.check_carve(7).unwrap_err().to_string(), "layers 7 not divisible by pp = 2");
+    }
+
+    #[test]
+    fn micro_config_splits_the_batch_once_and_reports_each_rule() {
+        let cfg = TransformerConfig { batch: 16, layers: 4, ..TransformerConfig::tiny() };
+        let s = HybridShape::figure6(); // dp=2, pp=2, [2,2,2].
+        let micro = s.micro_config(&cfg, 2).unwrap();
+        assert_eq!(micro, TransformerConfig { batch: 4, ..cfg });
+        let err = |s: HybridShape, cfg: &TransformerConfig, mb| {
+            s.micro_config(cfg, mb).unwrap_err().to_string()
+        };
+        assert_eq!(err(s, &cfg, 0), "microbatches must be positive");
+        assert_eq!(
+            err(s, &TransformerConfig { layers: 3, ..cfg }, 2),
+            "layers 3 not divisible by pp = 2"
+        );
+        assert_eq!(err(s, &cfg, 3), "batch 16 not divisible by dp*microbatches = 6");
+        // The grid must fit the microbatch, not the global batch.
+        assert_eq!(err(s, &cfg, 8), "batch 1 not divisible by q*d = 4");
+        let zero_dp = HybridShape { dp: 0, ..s };
+        assert_eq!(err(zero_dp, &cfg, 1), "hybrid dp and pp must be positive");
     }
 
     #[test]

@@ -175,7 +175,10 @@ pub fn analytic_score(
         }
         Candidate::Hybrid { shape, microbatches } => {
             let mb = *microbatches as f64;
-            let micro_rows = (cfg.batch / (shape.dp * microbatches)) * cfg.seq;
+            let micro_rows = shape
+                .micro_config(cfg, *microbatches)
+                .unwrap_or_else(|e| panic!("analytic score of an infeasible candidate: {e}"))
+                .rows();
             let stage_layers = cfg.layers / shape.pp;
             let m = tesseract_module_cost(
                 topo,

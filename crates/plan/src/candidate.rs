@@ -85,8 +85,10 @@ impl Candidate {
     }
 
     /// Feasibility of this candidate for `cfg` on a `gpus`-rank budget:
-    /// capacity first (the error names the candidate's label), then every
-    /// divisibility constraint, reported as a structured [`ShapeError`].
+    /// capacity first (the error names the candidate's label), then the
+    /// arrangement's own rule ([`MegatronWorld::check_degree`],
+    /// [`HybridShape::micro_config`]), reported as a structured
+    /// [`ShapeError`].
     pub fn check(&self, cfg: &TransformerConfig, gpus: usize) -> Result<(), ShapeError> {
         if self.gpus() != gpus {
             return Err(ShapeError::Capacity {
@@ -96,23 +98,9 @@ impl Candidate {
             });
         }
         match self {
-            Candidate::Megatron { p } => MegatronWorld::check(*p, cfg),
+            Candidate::Megatron { p } => MegatronWorld::check_degree(*p, cfg),
             Candidate::Hybrid { shape, microbatches } => {
-                if *microbatches == 0 {
-                    return Err(ShapeError::NonPositive { what: "microbatches" });
-                }
-                shape.check_carve(cfg.layers)?;
-                let split = shape.dp * microbatches;
-                if !cfg.batch.is_multiple_of(split) {
-                    return Err(ShapeError::Indivisible {
-                        what: "batch",
-                        value: cfg.batch,
-                        by: "dp*microbatches",
-                        divisor: split,
-                    });
-                }
-                let micro = TransformerConfig { batch: cfg.batch / split, ..*cfg };
-                micro.check_for_grid(shape.grid.q, shape.grid.d)
+                shape.micro_config(cfg, *microbatches).map(|_| ())
             }
         }
     }
@@ -231,6 +219,9 @@ mod tests {
             microbatches: 0,
         };
         assert_eq!(h0.check(&cfg, 8).unwrap_err().to_string(), "microbatches must be positive");
+        // So is a zero-rank Megatron group.
+        let m0 = Candidate::Megatron { p: 0 };
+        assert_eq!(m0.check(&cfg, 0).unwrap_err().to_string(), "megatron p must be positive");
         // Feasible Tesseract.
         assert_eq!(t.check(&cfg, 8), Ok(()));
     }

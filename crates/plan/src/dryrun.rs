@@ -113,7 +113,8 @@ impl DryRun {
 /// forward phase, clock after the step)`, plus every rank's report and the
 /// comm stats. [`dry_run`] summarizes this into a [`DryRun`], the one
 /// step summary (`bench::timing` returns it too). The world size comes
-/// from the candidate; `run_cfg.world` is ignored.
+/// from the candidate; `run_cfg.world` is ignored. `cand` must pass
+/// [`Candidate::check`].
 pub fn step(
     run_cfg: &RunConfig,
     cand: &Candidate,
@@ -147,7 +148,9 @@ pub fn step(
             let mb = *microbatches;
             // The engine wants the per-microbatch batch size; the planner's
             // cfg.batch is global.
-            let engine_cfg = TransformerConfig { batch: cfg.batch / (shape.dp * mb), ..cfg };
+            let engine_cfg = shape
+                .micro_config(&cfg, mb)
+                .unwrap_or_else(|e| panic!("dry-run of an infeasible candidate: {e}"));
             // `layers` is at least a stage's depth: one segment per stage.
             let opts = StackOptions { recompute_every: Some(engine_cfg.layers) };
             rc.world = shape.total();

@@ -1,0 +1,57 @@
+//! The planner and the execution path share one feasibility rule per
+//! arrangement: for an infeasible arrangement, the `ShapeError` that
+//! `Candidate::check` reports renders to the very text that building the
+//! stack on that world panics with.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use tesseract_baselines::{MegatronTransformer, MegatronWorld};
+use tesseract_comm::RunConfig;
+use tesseract_core::{GridShape, TesseractGrid, TesseractTransformer, TransformerConfig};
+use tesseract_plan::Candidate;
+use tesseract_tensor::ShadowTensor;
+
+fn cfg() -> TransformerConfig {
+    TransformerConfig { batch: 8, seq: 4, hidden: 48, heads: 8, mlp_ratio: 4, layers: 2, eps: 1e-5 }
+}
+
+/// Runs `build` on a `world`-rank cluster and returns the text of the
+/// panic it must end in.
+fn build_panic(world: usize, build: impl Fn(&mut tesseract_comm::RankCtx) + Send + Sync) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(|| RunConfig::new(world).cluster().run(&build)))
+        .expect_err("building the stack on an infeasible world must panic");
+    payload.downcast_ref::<String>().cloned().expect("Cluster::run panics with a String")
+}
+
+/// `Cluster::run` names the first rank that failed, whichever it was.
+fn assert_rank_panicked_with(text: &str, err: &str) {
+    let (rank, msg) = text.split_once(" panicked: ").unwrap_or(("", text));
+    assert!(rank.starts_with("rank "), "not a rank panic: {text:?}");
+    assert_eq!(msg, err);
+}
+
+#[test]
+fn a_grid_the_planner_rejects_panics_with_the_same_text() {
+    let cfg = TransformerConfig { batch: 6, ..cfg() };
+    let shape = GridShape::new(2, 2);
+    let err = Candidate::tesseract(shape).check(&cfg, shape.size()).unwrap_err().to_string();
+    assert_eq!(err, "batch 6 not divisible by q*d = 4");
+    let text = build_panic(shape.size(), |ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);
+    });
+    assert_rank_panicked_with(&text, &err);
+}
+
+#[test]
+fn a_megatron_group_the_planner_rejects_panics_with_the_same_text() {
+    let cfg = TransformerConfig { heads: 6, ..cfg() };
+    let p = 4;
+    let err = Candidate::Megatron { p }.check(&cfg, p).unwrap_err().to_string();
+    assert_eq!(err, "heads 6 not divisible by p = 4");
+    let text = build_panic(p, |ctx| {
+        let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
+        MegatronTransformer::<ShadowTensor>::new(ctx, &world, cfg, true, 0, 0);
+    });
+    assert_rank_panicked_with(&text, &err);
+}

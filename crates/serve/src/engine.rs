@@ -357,7 +357,6 @@ pub fn run_serve<T: TensorLike + Payload>(
     cfg: &ServeConfig,
     traffic: &[RequestSpec],
 ) -> ServeSummary {
-    cfg.model.validate_for_grid(grid.shape.q, grid.shape.d);
     let model = TesseractTransformer::<T>::new(ctx, grid, cfg.model, cfg.with_bias, cfg.seed, 0);
     let lanes = grid.shape.q * grid.shape.d;
     let my_lane = grid.a_row_block();

@@ -16,10 +16,8 @@
 //! alike, in the same accumulation order). `RunOutput::reconcile_trace`
 //! in tesseract-comm is that check.
 //!
-//! Tracing is a per-cluster toggle (`RunConfig::with_trace(true)`). The
-//! `TESSERACT_TRACE=1` environment variable sets that toggle only for
-//! clusters built through `RunConfig::from_env` (as `Cluster::a100` is);
-//! a `RunConfig::new(..)` cluster ignores it.
+//! Tracing is a per-cluster toggle (`RunConfig::with_trace(true)`), set by
+//! the run that reads the traces; no environment variable reaches it.
 //! Export with [`chrome::chrome_trace_json`] and open the file in
 //! Perfetto / `chrome://tracing`; analyze with [`critical::critical_path`].
 

@@ -28,14 +28,6 @@ pub struct ViTConfig {
     pub classes: usize,
 }
 
-impl ViTConfig {
-    pub fn validate_for_grid(&self, q: usize, d: usize) {
-        self.body.validate_for_grid(q, d);
-        assert_eq!(self.patch_dim % q, 0, "patch_dim must divide by q");
-        assert_eq!(self.classes % q, 0, "classes must divide by q");
-    }
-}
-
 /// Tesseract-parallel ViT.
 pub struct TesseractViT<T: TensorLike + Payload> {
     pub embed: TesseractLinear<T>,
@@ -46,7 +38,9 @@ pub struct TesseractViT<T: TensorLike + Payload> {
 
 impl<T: TensorLike + Payload> TesseractViT<T> {
     pub fn new(ctx: &RankCtx, grid: &TesseractGrid, vcfg: ViTConfig, seed: u64) -> Self {
-        vcfg.validate_for_grid(grid.shape.q, grid.shape.d);
+        // The body's rule is checked where its layers are built.
+        assert_eq!(vcfg.patch_dim % grid.shape.q, 0, "patch_dim must divide by q");
+        assert_eq!(vcfg.classes % grid.shape.q, 0, "classes must divide by q");
         Self {
             embed: TesseractLinear::new(
                 ctx,

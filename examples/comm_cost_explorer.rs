@@ -34,11 +34,10 @@ fn main() {
     let mut best: Option<(String, f64)> = None;
     for q in 1..=8usize {
         for d in 1..=8usize {
-            let p = q * q * d;
-            if p > budget || cfg.check_for_grid(q, d).is_err() {
+            let (p, shape) = (q * q * d, GridShape::new(q, d));
+            if p > budget || shape.check(&cfg).is_err() {
                 continue;
             }
-            let shape = GridShape::new(q, d);
             let out = Cluster::a100(p).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut model =

@@ -1,10 +1,11 @@
 //! The workspace's structural rules as one table. Each row is a design rule
 //! that keeps one job in one place (one env parser, one SUMMA loop, one GEMM
-//! signature, one JSON writer, …), with the matcher that finds a breach,
-//! where it looks, which paths may hold a hit and why. `every_row_holds`
-//! walks `crates/ src/ tests/ examples/` (every `.rs` file but this one,
-//! whose planted lines break every row) and names file, line and reason for
-//! each hit; `every_check_rejects_its_planted_line_and_accepts_its_clean_one`
+//! signature, one JSON writer, one feasibility rule per arrangement, …),
+//! with the matcher that finds a breach, where it looks, which paths may
+//! hold a hit and why. `every_row_holds` walks `crates/ src/ tests/
+//! examples/` (every `.rs` file but this one, whose planted lines break
+//! every row) and names file, line and reason for each hit;
+//! `every_check_rejects_its_planted_line_and_accepts_its_clean_one`
 //! runs each check's planted violation and clean line through its matcher.
 //! `benchmark/` is a frozen workspace of its own and is not walked.
 
@@ -42,7 +43,8 @@ enum Scope {
     All,
     /// Library and bin sources: `crates/*/src` and `src`.
     Lib,
-    File(&'static str),
+    /// One file, or every file under a directory when it ends in `/`.
+    Under(&'static str),
 }
 
 enum Matcher {
@@ -117,7 +119,7 @@ const ROWS: &[Row] = &[
         checks: &[
             Check {
                 rule: Rule::Forbidden {
-                    scope: Scope::File("crates/tensor/src/tensor.rs"),
+                    scope: Scope::Under("crates/tensor/src/tensor.rs"),
                     allowed: &[],
                 },
                 matcher: Matcher::Text(charge_in_tensor_like_impl),
@@ -250,7 +252,7 @@ const ROWS: &[Row] = &[
             },
             Check {
                 rule: Rule::Forbidden {
-                    scope: Scope::File("crates/tensor/src/matmul.rs"),
+                    scope: Scope::Under("crates/tensor/src/matmul.rs"),
                     allowed: &[],
                 },
                 matcher: Matcher::Line(|l| {
@@ -276,6 +278,31 @@ const ROWS: &[Row] = &[
             planted: r#"let s = format!("{{\"rank\": {r}}}");"#,
             clean: "#[cfg(test)]\nmod tests {\n    const S: &str = \"{\\\"rank\\\": 0}\";\n}",
         }],
+    },
+    Row {
+        name: "one-feasibility-rule",
+        reason: "each arrangement states its feasibility once, as a Result method \
+                 (GridShape::check, MegatronWorld::check_degree, HybridShape::micro_config), \
+                 and only TransformerLayer::new panics on it: a config-side grid check, a \
+                 panicking twin or a second microbatch split in the planner is a second copy",
+        checks: &[
+            Check {
+                rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
+                matcher: Matcher::Line(|l| {
+                    ["check_for_grid", "validate_for_grid", "fn validate("]
+                        .iter()
+                        .any(|p| l.contains(p))
+                }),
+                planted: "fn validate(&self, cfg: &TransformerConfig);",
+                clean: "fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError>;",
+            },
+            Check {
+                rule: Rule::Forbidden { scope: Scope::Under("crates/plan/src/"), allowed: &[] },
+                matcher: Matcher::Line(|l| l.contains("batch / (")),
+                planted: "let micro = TransformerConfig { batch: cfg.batch / (dp * mb), ..cfg };",
+                clean: "let micro = shape.micro_config(&cfg, mb)?;",
+            },
+        ],
     },
     Row {
         name: "trace-artifact",
@@ -378,7 +405,7 @@ fn in_scope(path: &str, scope: &Scope) -> bool {
             path.starts_with("src/")
                 || path.strip_prefix("crates/").and_then(|p| p.split('/').nth(1)) == Some("src")
         }
-        Scope::File(file) => path == *file,
+        Scope::Under(prefix) => allowed(path, &[prefix]),
     }
 }
 
