@@ -19,7 +19,7 @@ fn main() {
     println!("rank → (replica, stage, i, j, k):");
     for rank in 0..shape.total() {
         let c = shape.coords_of(rank);
-        let (i, j, k) = shape.grid.coords_of(c.tess_offset);
+        let (i, j, k) = shape.grid().coords_of(c.tess_offset);
         print!("  {rank:>2} → (dp{}, pp{}, {i},{j},{k})", c.dp_idx, c.pp_idx);
         if (rank + 1) % 4 == 0 {
             println!();
@@ -40,8 +40,8 @@ fn main() {
     let out = Cluster::a100(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 0, StackOptions::default());
         // A-type partitioning splits rows into q·d bands (Figure 4a).
-        let rows_local = engine.cfg.rows() / (shape.grid.q * shape.grid.d);
-        let cols_local = cfg.hidden / shape.grid.q;
+        let rows_local = engine.cfg.rows() / (shape.grid().q * shape.grid().d);
+        let cols_local = cfg.hidden / shape.grid().q;
         let _ = engine.train_step(
             ctx,
             microbatches,
@@ -56,7 +56,7 @@ fn main() {
         "\none GPipe step: {} microbatches x batch {} (global batch {})",
         microbatches,
         cfg.batch,
-        microbatches * cfg.batch * shape.dp
+        microbatches * cfg.batch * shape.dp()
     );
     println!("simulated makespan: {:.4} s", out.makespan());
     println!("max compute time:   {:.4} s", out.max_compute_time());

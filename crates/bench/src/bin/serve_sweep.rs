@@ -89,7 +89,7 @@ struct Point {
 }
 
 /// Where a saturated step's virtual time goes: the calibration flood's
-/// busiest rank (most compute time), per engine step.
+/// busiest rank (most compute time), per step of its own lane.
 struct FloodCost {
     steps: u64,
     kernels_per_step: f64,
@@ -375,7 +375,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         "units": {
             "time": "simulated seconds", "rates": "per simulated second",
             "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks",
-            "flood": "calibration flood, busiest rank (most compute), per engine step",
+            "flood": "calibration flood, busiest rank (most compute), per step of its lane",
             "collectives": "calls the rank booked, i.e. led (RankReport::comm)"
         },
         "model": {

@@ -84,10 +84,10 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
     /// differ; ROADMAP item 7(b) would make the two paths bitwise equal.
     ///
     /// SPMD contract: ranks sharing an `(i, k)` lane see the same
-    /// segments; ranks on other lanes may pass different (even empty)
-    /// batches — the collective sequence (the projections' weight fetch on
-    /// the first call, the output projection's row all-gather) is
-    /// independent of the segment list.
+    /// segments; ranks on other lanes run their own batches on their own
+    /// clocks. Once the projections' weights are fetched
+    /// ([`fetch_stationary`](crate::layers::TesseractLinear::fetch_stationary)),
+    /// the only collective is the output projection's row all-gather.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -116,8 +116,6 @@ impl<T: TensorLike + Payload> TesseractAttention<T> {
             }
             r0 += t_new;
         }
-        // An empty lane attends zero segments into a [0, h/q] block, so the
-        // output projection's collectives run in lockstep with busy lanes.
         let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
         let hd = self.cfg.head_dim();
         let attended = fused(m, |m| ragged_causal_attention(&q_all, &caches, new_rows, hd, m));

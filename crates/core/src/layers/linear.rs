@@ -10,9 +10,10 @@
 //! gradients are **reduced back to row 0** (plus a depth all-reduce so the
 //! replicas stay in sync).
 //!
-//! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary: the
-//! first call fetches this rank's column of weight panels and the bias
-//! once, and every call multiplies gathered row panels (`mm::row_panels`,
+//! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary:
+//! [`TesseractLinear::fetch_stationary`] (or else the first call) fetches
+//! this rank's column of weight panels and the bias once, and every call
+//! multiplies gathered row panels (`mm::row_panels`,
 //! or a serving layer norm's output) by them in one fused
 //! [`mm::matmul_panels`](crate::mm::matmul_panels) launch (a fused launch
 //! is its op chain under `tesseract_tensor::fused`) — SUMMA's
@@ -136,16 +137,29 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
         }
     }
 
+    /// Fetches this rank's weight column and the bias (the column
+    /// broadcasts [`Module::forward`] issues every call) unless it already
+    /// holds them. SPMD over each grid column: its `q` ranks fetch together.
+    pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
+        self.stationary(grid, ctx);
+    }
+
+    fn stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) -> &Stationary<T> {
+        self.stationary.get_or_init(|| Stationary {
+            panels: column_panels(grid, ctx, &self.w),
+            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
+        })
+    }
+
     /// Forward for inference: `Y = X·W (+ bias)`, `&self` and **no tape
     /// push**, so serving never accumulates activations it will not
     /// backpropagate. `rows` is this rank's row of `X` panels
     /// `[X_{i,0,k} … X_{i,q-1,k}]` (`mm::row_panels`, or the output of
-    /// `TesseractLayerNorm::forward_infer`). The first call fetches this
-    /// rank's weight column and the bias (the column broadcasts
-    /// [`Module::forward`] issues every call); every call is then one fused
-    /// [`matmul_panels`] launch and no collective. Bitwise equal
-    /// to [`Module::forward`]'s output on the block `rows[j]`. SPMD: every
-    /// rank of the grid calls it in lockstep, zero-row lanes included.
+    /// `TesseractLayerNorm::forward_infer`). A first call that finds no
+    /// fetched weights runs [`TesseractLinear::fetch_stationary`]; every
+    /// call is then one fused [`matmul_panels`] launch and no collective.
+    /// Bitwise equal to [`Module::forward`]'s output on the block
+    /// `rows[j]`.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -153,16 +167,13 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
         rows: &[Arc<T>],
     ) -> Arc<T> {
         assert_eq!(rows.len(), grid.shape.q, "linear: one row panel per grid column");
-        let st = self.stationary.get_or_init(|| Stationary {
-            panels: column_panels(grid, ctx, &self.w),
-            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
-        });
+        let st = self.stationary(grid, ctx);
         let bias = st.bias.as_deref();
         Arc::new(fused(&mut ctx.meter.scope("gemm"), |m| matmul_panels(rows, &st.panels, bias, m)))
     }
 
     /// Bytes of the weight column and bias [`TesseractLinear::forward_infer`]
-    /// holds on this rank (zero before the first call): `q×` the weight
+    /// holds on this rank (zero before the fetch): `q×` the weight
     /// block, since the block itself is one of the panels.
     pub fn stationary_bytes(&self) -> u64 {
         self.stationary

@@ -323,14 +323,22 @@ impl<T: TensorLike + Payload> TesseractTransformer<T> {
         h
     }
 
+    /// Fetches every linear's weight column and bias, in forward order
+    /// ([`TesseractLinear::fetch_stationary`]): the one-time collective
+    /// work of serving, after which a grid row serves with row collectives
+    /// alone. SPMD over the whole grid.
+    pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
+        self.linears().for_each(|l| l.fetch_stationary(grid, ctx));
+    }
+
     /// Bytes of weights [`TesseractTransformer::forward_infer`] holds on this
-    /// rank: every linear's fetched column and bias (zero before the first
-    /// call; [`TesseractLinear::stationary_bytes`]).
+    /// rank: every linear's fetched column and bias (zero before the fetch;
+    /// [`TesseractLinear::stationary_bytes`]).
     pub fn stationary_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
-            .map(TesseractLinear::stationary_bytes)
-            .sum()
+        self.linears().map(TesseractLinear::stationary_bytes).sum()
+    }
+
+    fn linears(&self) -> impl Iterator<Item = &TesseractLinear<T>> {
+        self.layers.iter().flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
     }
 }

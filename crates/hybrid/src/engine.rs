@@ -33,7 +33,7 @@ pub struct HybridTransformer<T: TensorLike + Payload> {
 }
 
 impl<T: TensorLike + Payload> HybridTransformer<T> {
-    /// `cfg.layers` is the *total* stack depth (must divide by `shape.pp`);
+    /// `cfg.layers` is the *total* stack depth (must divide by `shape.pp()`);
     /// `cfg.batch` is the per-microbatch batch size; every stage's stack is
     /// built with `opts`.
     pub fn new(
@@ -49,7 +49,7 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
             .unwrap_or_else(|e| panic!("world size must match hybrid shape: {e}"));
         let coords = shape.coords_of(ctx.rank);
         let base = shape.module_base(coords.dp_idx, coords.pp_idx);
-        let grid = TesseractGrid::new(ctx, shape.grid, base);
+        let grid = TesseractGrid::new(ctx, shape.grid(), base);
 
         let layers = shape
             .check_carve(cfg.layers)
@@ -61,9 +61,9 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
 
         let prev_peer = (coords.pp_idx > 0)
             .then(|| shape.module_base(coords.dp_idx, coords.pp_idx - 1) + coords.tess_offset);
-        let next_peer = (coords.pp_idx + 1 < shape.pp)
+        let next_peer = (coords.pp_idx + 1 < shape.pp())
             .then(|| shape.module_base(coords.dp_idx, coords.pp_idx + 1) + coords.tess_offset);
-        let stage = PipelineStage::new(ctx, shape.pp, coords.pp_idx, prev_peer, next_peer);
+        let stage = PipelineStage::new(ctx, shape.pp(), coords.pp_idx, prev_peer, next_peer);
 
         let dp = DataParallel::new(ctx, shape.dp_group_ranks(coords.pp_idx, coords.tess_offset));
 
@@ -92,7 +92,7 @@ impl<T: TensorLike + Payload> HybridTransformer<T> {
             inputs,
             loss_grad,
         );
-        if self.shape.dp > 1 {
+        if self.shape.dp() > 1 {
             self.dp.sync_gradients(ctx, &mut self.model);
         }
         step

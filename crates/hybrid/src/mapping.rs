@@ -16,13 +16,13 @@ use tesseract_core::{GridShape, ShapeError, TransformerConfig};
 
 /// Shape of a hybrid dp × pp × Tesseract arrangement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// The fields are private, so every value comes through
+/// [`HybridShape::try_new`] and has positive degrees.
 pub struct HybridShape {
-    /// Data-parallel degree.
-    pub dp: usize,
-    /// Pipeline-parallel degree (number of stages).
-    pub pp: usize,
-    /// Tensor-parallel (Tesseract) grid of each module.
-    pub grid: GridShape,
+    dp: usize,
+    pp: usize,
+    grid: GridShape,
 }
 
 /// A rank's position in the hybrid arrangement.
@@ -48,6 +48,21 @@ impl HybridShape {
 
     pub fn new(dp: usize, pp: usize, grid: GridShape) -> Self {
         Self::try_new(dp, pp, grid).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Data-parallel degree.
+    pub fn dp(&self) -> usize {
+        self.dp
+    }
+
+    /// Pipeline-parallel degree (number of stages).
+    pub fn pp(&self) -> usize {
+        self.pp
+    }
+
+    /// Tensor-parallel (Tesseract) grid of each module.
+    pub fn grid(&self) -> GridShape {
+        self.grid
     }
 
     /// Checks that the arrangement consumes exactly `world` ranks.
@@ -81,15 +96,15 @@ impl HybridShape {
 
     /// The configuration of one microbatch when a GPipe step splits `cfg`'s
     /// global batch over `dp` replicas and `microbatches` waves: the
-    /// arrangement's one feasibility rule. It needs positive degrees and
-    /// `microbatches`, `pp | layers`, `dp·microbatches | batch` and the grid
-    /// to fit the microbatch; `layers` stays the whole stack's.
+    /// arrangement's one feasibility rule. It needs positive `microbatches`
+    /// (the degrees are positive by construction), `pp | layers`,
+    /// `dp·microbatches | batch` and the grid to fit the microbatch;
+    /// `layers` stays the whole stack's.
     pub fn micro_config(
         &self,
         cfg: &TransformerConfig,
         microbatches: usize,
     ) -> Result<TransformerConfig, ShapeError> {
-        Self::try_new(self.dp, self.pp, self.grid)?;
         if microbatches == 0 {
             return Err(ShapeError::NonPositive { what: "microbatches" });
         }
@@ -259,8 +274,8 @@ mod tests {
         assert_eq!(err(s, &cfg, 3), "batch 16 not divisible by dp*microbatches = 6");
         // The grid must fit the microbatch, not the global batch.
         assert_eq!(err(s, &cfg, 8), "batch 1 not divisible by q*d = 4");
-        let zero_dp = HybridShape { dp: 0, ..s };
-        assert_eq!(err(zero_dp, &cfg, 1), "hybrid dp and pp must be positive");
+        let zero_dp = HybridShape::try_new(0, s.pp(), s.grid());
+        assert_eq!(zero_dp.unwrap_err().to_string(), "hybrid dp and pp must be positive");
     }
 
     #[test]

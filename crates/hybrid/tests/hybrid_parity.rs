@@ -143,7 +143,7 @@ fn figure6_arrangement_matches_serial() {
     let y_ser = serial.forward(&x_full);
     let _ = serial.backward(&dy_full);
 
-    let grid = shape.grid;
+    let grid = shape.grid();
     let out = Cluster::a100(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::<DenseTensor>::new(
             ctx,
@@ -181,10 +181,10 @@ fn figure6_arrangement_matches_serial() {
     });
 
     // Assemble last-stage outputs of each replica and compare to serial.
-    for dp_idx in 0..shape.dp {
+    for dp_idx in 0..shape.dp() {
         let mut blocks = vec![Matrix::zeros(1, 1); grid.size()];
         for (coords, outputs, _) in &out.results {
-            if coords.dp_idx == dp_idx && coords.pp_idx == shape.pp - 1 {
+            if coords.dp_idx == dp_idx && coords.pp_idx == shape.pp() - 1 {
                 blocks[coords.tess_offset] = outputs[0].clone();
             }
         }
@@ -196,7 +196,7 @@ fn figure6_arrangement_matches_serial() {
 
     // Data-parallel sync: the first parameter gradient must be identical
     // across replicas (same stage, same tess offset).
-    for pp_idx in 0..shape.pp {
+    for pp_idx in 0..shape.pp() {
         for off in 0..grid.size() {
             let mut seen: Option<&Matrix> = None;
             for (coords, _, grad) in &out.results {
@@ -232,7 +232,7 @@ fn checkpointed_stages_match_the_plain_pipeline_bitwise() {
     let microbatches = 3;
     let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 10 + m)).collect();
     let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
-    let grid = shape.grid;
+    let grid = shape.grid();
     let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let run = |opts: StackOptions| {
         Cluster::a100(shape.total())

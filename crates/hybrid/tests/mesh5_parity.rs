@@ -14,23 +14,23 @@ use tesseract_tensor::{DenseTensor, Matrix};
 
 /// Closed-form rank of §3.4's layout.
 fn rank_of(shape: &HybridShape, dp: usize, pp: usize, k: usize, i: usize, j: usize) -> usize {
-    let q = shape.grid.q;
-    ((dp * shape.pp + pp) * shape.grid.size()) + k * q * q + i * q + j
+    let q = shape.grid().q;
+    ((dp * shape.pp() + pp) * shape.grid().size()) + k * q * q + i * q + j
 }
 
 #[test]
 fn five_axis_strides_match_the_closed_form() {
     let shape = HybridShape::figure6(); // dp=2, pp=2, [2,2,2] = 32 ranks.
     let mesh = shape.mesh();
-    let q = shape.grid.q;
+    let q = shape.grid().q;
     assert_eq!(mesh.stride("col"), 1);
     assert_eq!(mesh.stride("row"), q);
     assert_eq!(mesh.stride("depth"), q * q);
-    assert_eq!(mesh.stride("pp"), shape.grid.size());
-    assert_eq!(mesh.stride("dp"), shape.pp * shape.grid.size());
-    for dp in 0..shape.dp {
-        for pp in 0..shape.pp {
-            for k in 0..shape.grid.d {
+    assert_eq!(mesh.stride("pp"), shape.grid().size());
+    assert_eq!(mesh.stride("dp"), shape.pp() * shape.grid().size());
+    for dp in 0..shape.dp() {
+        for pp in 0..shape.pp() {
+            for k in 0..shape.grid().d {
                 for i in 0..q {
                     for j in 0..q {
                         assert_eq!(
@@ -51,16 +51,16 @@ fn dp_and_pp_fibers_stride_over_replicas_and_stages() {
     // dp fiber at (·, pp=1, k=1, i=0, j=1): the gradient all-reduce group —
     // one member per replica, pp·q²d = 16 apart.
     let at = [0usize, 1, 1, 0, 1];
-    let expected: Vec<usize> = (0..shape.dp).map(|r| rank_of(&shape, r, 1, 1, 0, 1)).collect();
+    let expected: Vec<usize> = (0..shape.dp()).map(|r| rank_of(&shape, r, 1, 1, 0, 1)).collect();
     assert_eq!(mesh.fiber_ranks("dp", &at), expected);
     assert_eq!(expected, vec![13, 29, 45]);
     // ... and it agrees with the engine's own dp-group helper (which pins
     // the tesseract offset instead of raw coords).
-    let tess_offset = shape.grid.offset_of(0, 1, 1);
+    let tess_offset = shape.grid().offset_of(0, 1, 1);
     assert_eq!(shape.dp_group_ranks(1, tess_offset), expected);
     // pp fiber at the same point: one member per pipeline stage of replica
     // 0, q²d = 8 apart.
-    let expected_pp: Vec<usize> = (0..shape.pp).map(|s| rank_of(&shape, 0, s, 1, 0, 1)).collect();
+    let expected_pp: Vec<usize> = (0..shape.pp()).map(|s| rank_of(&shape, 0, s, 1, 0, 1)).collect();
     assert_eq!(mesh.fiber_ranks("pp", &at), expected_pp);
     assert_eq!(expected_pp, vec![5, 13]);
 }

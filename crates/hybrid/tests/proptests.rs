@@ -24,13 +24,13 @@ proptest! {
         let shape = HybridShape::new(dp, pp, GridShape::new(q, d));
         for pp_idx in 0..pp {
             let mut covered = std::collections::HashSet::new();
-            for off in 0..shape.grid.size() {
+            for off in 0..shape.grid().size() {
                 for rank in shape.dp_group_ranks(pp_idx, off) {
                     prop_assert_eq!(shape.coords_of(rank).pp_idx, pp_idx);
                     prop_assert!(covered.insert(rank));
                 }
             }
-            prop_assert_eq!(covered.len(), dp * shape.grid.size());
+            prop_assert_eq!(covered.len(), dp * shape.grid().size());
         }
     }
 
@@ -42,7 +42,7 @@ proptest! {
             for pp_idx in 0..pp {
                 let base = shape.module_base(dp_idx, pp_idx);
                 prop_assert_eq!(base, prev_end);
-                prev_end = base + shape.grid.size();
+                prev_end = base + shape.grid().size();
             }
         }
         prop_assert_eq!(prev_end, shape.total());

@@ -179,11 +179,11 @@ pub fn analytic_score(
                 .micro_config(cfg, *microbatches)
                 .unwrap_or_else(|e| panic!("analytic score of an infeasible candidate: {e}"))
                 .rows();
-            let stage_layers = cfg.layers / shape.pp;
+            let stage_layers = cfg.layers / shape.pp();
             let m = tesseract_module_cost(
                 topo,
                 params,
-                shape.grid,
+                shape.grid(),
                 shape.module_base(0, 0),
                 micro_rows,
                 stage_layers,
@@ -194,14 +194,15 @@ pub fn analytic_score(
             let wave_compute = 4.0 * m.compute_fwd;
             let wave_comm = 4.0 * m.comm_fwd + m.depth_sync;
             let mut comm_s = mb * wave_comm;
-            if shape.pp > 1 {
+            if shape.pp() > 1 {
                 // GPipe fill-and-drain: pp − 1 extra waves of forward then
                 // backward, each a whole wave of idle time.
-                comm_s += (shape.pp - 1) as f64 * (wave_compute + wave_comm);
+                comm_s += (shape.pp() - 1) as f64 * (wave_compute + wave_comm);
                 // Activation/gradient hand-off between adjacent stages: the
                 // corresponding ranks sit one module apart.
-                let bytes_act =
-                    (micro_rows / (shape.grid.q * shape.grid.d)) * (cfg.hidden / shape.grid.q) * 4;
+                let bytes_act = (micro_rows / (shape.grid().q * shape.grid().d))
+                    * (cfg.hidden / shape.grid().q)
+                    * 4;
                 let peers = [shape.module_base(0, 0), shape.module_base(0, 1)];
                 let p2p = params
                     .phased_collective_time(
@@ -212,11 +213,12 @@ pub fn analytic_score(
                     .total;
                 comm_s += 2.0 * mb * p2p;
             }
-            if shape.dp > 1 {
+            if shape.dp() > 1 {
                 // Post-step gradient all-reduce over the dp fibers of the
                 // 5-axis mesh: each rank holds its stage's 1/q² weight
                 // shard.
-                let bytes_dp = (cfg.param_count() / (shape.pp * shape.grid.q * shape.grid.q)) * 4;
+                let bytes_dp =
+                    (cfg.param_count() / (shape.pp() * shape.grid().q * shape.grid().q)) * 4;
                 let mesh = shape.mesh();
                 comm_s +=
                     worst_fiber_cost(topo, params, &mesh, "dp", CollectiveOp::AllReduce, bytes_dp);

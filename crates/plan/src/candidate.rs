@@ -71,13 +71,14 @@ impl Candidate {
         match self {
             Candidate::Megatron { p } => format!("megatron[{p}]"),
             Candidate::Hybrid { shape, microbatches } => {
-                let (q, d) = (shape.grid.q, shape.grid.d);
-                if *self == Candidate::tesseract(shape.grid) {
+                let (q, d) = (shape.grid().q, shape.grid().d);
+                if *self == Candidate::tesseract(shape.grid()) {
                     format!("tesseract[{q},{q},{d}]")
                 } else {
                     format!(
                         "hybrid[dp={},pp={},tess=[{q},{q},{d}],mb={microbatches}]",
-                        shape.dp, shape.pp
+                        shape.dp(),
+                        shape.pp()
                     )
                 }
             }

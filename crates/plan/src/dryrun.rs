@@ -157,8 +157,8 @@ pub fn step(
             rc.cluster().run(|ctx| {
                 let mut eng =
                     HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0, opts);
-                let rows_local = eng.cfg.rows() / (shape.grid.q * shape.grid.d);
-                let cols_local = engine_cfg.hidden / shape.grid.q;
+                let rows_local = eng.cfg.rows() / (shape.grid().q * shape.grid().d);
+                let cols_local = engine_cfg.hidden / shape.grid().q;
                 // The loss gradient is modelled as the output itself.
                 let (_, t_fwd) = eng.train_step(
                     ctx,

@@ -21,7 +21,7 @@ const REL_TOL: f64 = 1e-12;
 
 fn pipeline_stages(cand: &Candidate) -> usize {
     match cand {
-        Candidate::Hybrid { shape, .. } => shape.pp,
+        Candidate::Hybrid { shape, .. } => shape.pp(),
         _ => 1,
     }
 }
@@ -99,15 +99,15 @@ fn intercept(cand: &Candidate) -> (f64, f64, f64) {
     let Candidate::Hybrid { shape, microbatches: mb } = *cand else { unreachable!() };
     let [m1, m2, _] = makespans(cand, &FIXED);
     let link = topo.link_between(shape.module_base(0, 0), shape.module_base(0, 1));
-    for s in 1..shape.pp - 1 {
+    for s in 1..shape.pp() - 1 {
         let hop = topo.link_between(shape.module_base(0, s), shape.module_base(0, s + 1));
         assert_eq!(hop, link, "{}: stage links are not uniform", cand.label());
     }
     let (alpha, beta) = params.link_params(link);
-    let rows = FIXED.batch / shape.dp / mb;
-    let bytes = (rows * FIXED.seq * FIXED.hidden * 4 / shape.grid.size()) as f64;
-    let transfers = 2 * (mb + shape.pp - 2);
-    let latencies = if shape.pp >= 3 { 2 * (mb - 1) } else { 0 };
+    let rows = FIXED.batch / shape.dp() / mb;
+    let bytes = (rows * FIXED.seq * FIXED.hidden * 4 / shape.grid().size()) as f64;
+    let transfers = 2 * (mb + shape.pp() - 2);
+    let latencies = if shape.pp() >= 3 { 2 * (mb - 1) } else { 0 };
     let want = transfers as f64 * (alpha + bytes / beta) + latencies as f64 * alpha;
     (2.0 * m1 - m2, want, m2)
 }

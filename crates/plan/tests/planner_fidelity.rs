@@ -195,8 +195,8 @@ mod proptests {
                 // A bare grid is the one-stage hybrid: it runs the bare
                 // stack's step, every field bitwise.
                 if let Candidate::Hybrid { shape, .. } = e.candidate {
-                    if e.candidate == Candidate::tesseract(shape.grid) {
-                        let bare = bare_grid_step(&req, shape.grid);
+                    if e.candidate == Candidate::tesseract(shape.grid()) {
+                        let bare = bare_grid_step(&req, shape.grid());
                         prop_assert_eq!(reported, bare, "{} is not the bare stack", &e.label);
                     }
                 }

@@ -32,19 +32,25 @@
 //! them for a prefill-only step. (This is not chunked prefill: a prompt is
 //! never split across steps.)
 //!
-//! ## SPMD determinism
+//! ## Independent lanes
 //!
-//! Every rank mirrors the *metadata* scheduler for all lanes (arrivals and
-//! lengths are in the shared traffic trace; generated token values never
-//! influence scheduling). Each step begins with a world barrier, so
-//! `ctx.clock()` is bitwise identical on every rank when decisions are
-//! taken — all ranks compute the same global plan and execute the same
-//! collective sequence, while only touching tensors for their own lane.
-//! Lanes with nothing runnable step a zero-row batch to stay in lockstep;
-//! when *no* lane is runnable, every rank `idle_until` the next arrival.
-//! Latencies are measured on the virtual clock at these synchronized
-//! barriers, which makes whole runs — results, reports, traces —
-//! reproducible byte for byte.
+//! A lane is an independent `q`-rank tensor-parallel replica. Before
+//! serving, every rank fetches its column of the weights once (column
+//! broadcasts over the whole grid); after that a lane's only collectives
+//! are its own row all-gathers, and lanes exchange no data. Each rank runs
+//! the metadata scheduler of its own lane only (arrivals and lengths are in
+//! the shared traffic trace; generated token values never influence
+//! scheduling) and decides on its **lane clock**, `ctx.clock()` at the step
+//! boundary. The `q` members of a lane hold bitwise-equal clocks at every
+//! boundary: they finish the weight fetch together (every rank starts it on
+//! one clock, and `run_serve` asserts that the grid columns they fetch over
+//! sit alike on nodes), run symmetric compute, and every blocking row
+//! all-gather releases them together. So they plan
+//! the same batch and execute the same collective sequence without
+//! communicating to agree. A lane with nothing runnable `idle_until`s its
+//! own next arrival, and leaves the loop when its own requests are done.
+//! Latencies are measured on the lane clock, which makes whole runs —
+//! results, reports, traces — reproducible byte for byte.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -77,17 +83,17 @@ pub struct ServeConfig {
     pub max_lane_requests: usize,
 }
 
-/// Outcome of one request, on the virtual clock. Identical on every rank.
+/// Outcome of one request, on the virtual clock of the lane that ran it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequestResult {
     pub id: usize,
     /// Lane `(i + k·q)` the request ran on.
     pub lane: usize,
     pub arrival: f64,
-    /// Barrier-synchronized time the step that prefilled it completed (the
-    /// first output token exists here).
+    /// Lane clock when the step that prefilled it completed (the first
+    /// output token exists here).
     pub first_token_time: f64,
-    /// Barrier-synchronized time its last token completed.
+    /// Lane clock when the step that produced its last token completed.
     pub finish_time: f64,
     pub prompt_len: usize,
     pub output_len: usize,
@@ -108,7 +114,9 @@ impl RequestResult {
 /// Per-rank outcome of a serving run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeSummary {
-    /// All requests, id-ordered — identical on every rank by construction.
+    /// All requests, id-ordered. [`run_serve`] returns its own lane's;
+    /// [`serve_on_cluster`] folds every lane's into one list on the host
+    /// and hands each rank that list.
     pub results: Vec<RequestResult>,
     /// Steps of this rank's lane that prefilled at least one prompt
     /// (decode tokens may ride along). This and the next three fields are
@@ -122,12 +130,12 @@ pub struct ServeSummary {
     /// column of every linear's weight panels plus the biases, `q×` its
     /// weight blocks (mirrors `RankReport`).
     pub weight_bytes: u64,
-    /// Global step-boundary count (barriers with at least one busy lane).
+    /// Steps this rank's lane ran: `prefill_steps + decode_steps`.
     pub steps_total: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Metadata scheduler (mirrored on every rank)
+// Metadata scheduler (one lane's)
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,55 +145,54 @@ enum ReqState {
     Done,
 }
 
-/// One lane's share of a step: the prefilled requests that advance one
-/// token, then the prompts prefilled whole. `run_serve` stacks their rows
-/// in that order.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// One lane's step: the prefilled requests that advance one token, then
+/// the prompts prefilled whole (`run_serve` stacks their rows in that
+/// order), and which of them finish when the step completes. Request ids
+/// are global.
+#[derive(Debug, Default)]
 struct LaneBatch {
     decode: Vec<usize>,
     prefill: Vec<usize>,
+    finishing: Vec<usize>,
 }
 
 impl LaneBatch {
-    fn is_empty(&self) -> bool {
-        self.decode.is_empty() && self.prefill.is_empty()
-    }
-
     /// Request ids in row order: decoders first, then prompts.
     fn ids(&self) -> impl Iterator<Item = usize> + '_ {
         self.decode.iter().chain(&self.prefill).copied()
     }
 }
 
-/// A global step decision: one batch per lane plus the requests that will
-/// finish when the step completes.
-#[derive(Clone, Debug)]
-struct StepPlan {
-    lanes: Vec<LaneBatch>,
-    finishing: Vec<Vec<usize>>,
-}
-
 enum Decision {
     AllDone,
-    /// No lane runnable; sleep until this arrival time.
+    /// Nothing runnable; sleep until this arrival time.
     IdleUntil(f64),
-    Step(StepPlan),
+    Step(LaneBatch),
 }
 
+/// The scheduler of one lane. It holds only the lane's requests (`id %
+/// lanes == lane`), so a step costs work in the lane's active requests, not
+/// in the whole trace.
 struct Scheduler {
+    lane: usize,
+    lanes: usize,
+    /// The lane's requests in arrival order; request `id` is
+    /// `specs[id / lanes]`.
     specs: Vec<RequestSpec>,
-    lane_of: Vec<usize>,
     state: Vec<ReqState>,
     first_token: Vec<f64>,
     finish: Vec<f64>,
-    lanes: usize,
+    /// Admission is FIFO, so the admitted requests are `specs[..admitted]`.
+    admitted: usize,
+    /// Indices into `specs` of the admitted, unfinished requests, in
+    /// arrival order.
+    active: Vec<usize>,
     max_lane_requests: usize,
     max_batch_tokens: usize,
-    done: usize,
 }
 
 impl Scheduler {
-    fn new(traffic: &[RequestSpec], lanes: usize, cfg: &ServeConfig) -> Self {
+    fn new(traffic: &[RequestSpec], lane: usize, lanes: usize, cfg: &ServeConfig) -> Self {
         assert!(cfg.max_batch_tokens >= 1, "max_batch_tokens must be positive");
         assert!(cfg.max_lane_requests >= 1, "max_lane_requests must be positive");
         for (i, spec) in traffic.iter().enumerate() {
@@ -196,139 +203,125 @@ impl Scheduler {
             traffic.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "traffic must be arrival-sorted"
         );
+        let specs: Vec<RequestSpec> = traffic.iter().skip(lane).step_by(lanes).copied().collect();
+        let n = specs.len();
         Self {
-            lane_of: traffic.iter().map(|r| r.id % lanes).collect(),
-            state: vec![ReqState::Pending; traffic.len()],
-            first_token: vec![0.0; traffic.len()],
-            finish: vec![0.0; traffic.len()],
-            specs: traffic.to_vec(),
+            lane,
             lanes,
+            specs,
+            state: vec![ReqState::Pending; n],
+            first_token: vec![0.0; n],
+            finish: vec![0.0; n],
+            admitted: 0,
+            active: Vec::new(),
             max_lane_requests: cfg.max_lane_requests,
             max_batch_tokens: cfg.max_batch_tokens,
-            done: 0,
         }
     }
 
-    /// Admissions + one batch per lane at synchronized time `now`.
-    /// Mutates only Pending→Active (admission); step effects apply in
+    fn spec(&self, id: usize) -> &RequestSpec {
+        &self.specs[id / self.lanes]
+    }
+
+    /// Admissions plus the lane's batch at lane time `now`. Mutates only
+    /// Pending→Active (admission); step effects apply in
     /// [`Scheduler::complete`].
     fn plan(&mut self, now: f64) -> Decision {
-        // Admission: arrival-ordered (traffic order) per lane, bounded by
-        // the lane's free KV slots.
-        let mut active_per_lane = vec![0usize; self.lanes];
-        for id in 0..self.specs.len() {
-            if matches!(self.state[id], ReqState::Active { .. }) {
-                active_per_lane[self.lane_of[id]] += 1;
-            }
-        }
-        for id in 0..self.specs.len() {
-            let lane = self.lane_of[id];
-            if self.state[id] == ReqState::Pending
-                && self.specs[id].arrival <= now
-                && active_per_lane[lane] < self.max_lane_requests
-            {
-                self.state[id] = ReqState::Active { prefilled: false, generated: 0 };
-                active_per_lane[lane] += 1;
-            }
+        // Admission: arrival order, bounded by the lane's free KV slots.
+        while self.admitted < self.specs.len()
+            && self.specs[self.admitted].arrival <= now
+            && self.active.len() < self.max_lane_requests
+        {
+            self.state[self.admitted] = ReqState::Active { prefilled: false, generated: 0 };
+            self.active.push(self.admitted);
+            self.admitted += 1;
         }
 
         // Pass 1: every prefilled request advances one token, up to the
         // budget. Pass 2: a FIFO prefix of the unprefilled prompts fills
         // what is left; the first prompt that does not fit closes the
-        // lane's pass, unless the batch is still empty.
-        let mut lanes = vec![LaneBatch::default(); self.lanes];
-        let mut tokens = vec![0usize; self.lanes];
-        for id in 0..self.specs.len() {
-            let lane = self.lane_of[id];
-            if matches!(self.state[id], ReqState::Active { prefilled: true, .. })
-                && tokens[lane] < self.max_batch_tokens
+        // pass, unless the batch is still empty.
+        let mut batch = LaneBatch::default();
+        let mut tokens = 0;
+        for &n in &self.active {
+            if matches!(self.state[n], ReqState::Active { prefilled: true, .. })
+                && tokens < self.max_batch_tokens
             {
-                lanes[lane].decode.push(id);
-                tokens[lane] += 1;
+                batch.decode.push(self.specs[n].id);
+                tokens += 1;
             }
         }
-        let mut closed = vec![false; self.lanes];
-        for id in 0..self.specs.len() {
-            let lane = self.lane_of[id];
-            if closed[lane]
-                || self.state[id] != (ReqState::Active { prefilled: false, generated: 0 })
-            {
+        for &n in &self.active {
+            if self.state[n] != (ReqState::Active { prefilled: false, generated: 0 }) {
                 continue;
             }
-            let plen = self.specs[id].prompt_len;
-            if lanes[lane].is_empty() || tokens[lane] + plen <= self.max_batch_tokens {
-                lanes[lane].prefill.push(id);
-                tokens[lane] += plen;
-            } else {
-                closed[lane] = true;
+            let plen = self.specs[n].prompt_len;
+            if !(batch.decode.is_empty() && batch.prefill.is_empty())
+                && tokens + plen > self.max_batch_tokens
+            {
+                break;
             }
+            batch.prefill.push(self.specs[n].id);
+            tokens += plen;
         }
-
-        let finishing: Vec<Vec<usize>> = lanes
-            .iter()
-            .map(|batch| {
-                batch
-                    .ids()
-                    .filter(|&id| match self.state[id] {
-                        ReqState::Active { generated, .. } => {
-                            generated + 1 == self.specs[id].output_len
-                        }
-                        _ => unreachable!("a batch holds active requests"),
-                    })
-                    .collect()
+        batch.finishing = batch
+            .ids()
+            .filter(|&id| match self.state[id / self.lanes] {
+                ReqState::Active { generated, .. } => generated + 1 == self.spec(id).output_len,
+                _ => unreachable!("a batch holds active requests"),
             })
             .collect();
-        let any_work = lanes.iter().any(|batch| !batch.is_empty());
 
-        if any_work {
-            return Decision::Step(StepPlan { lanes, finishing });
+        // An active request always runs: a prefilled one decodes (the
+        // budget is at least one token) and a lone prompt always fits.
+        if !self.active.is_empty() {
+            return Decision::Step(batch);
         }
-        if self.done == self.specs.len() {
-            return Decision::AllDone;
-        }
-        let next = self
-            .specs
-            .iter()
-            .zip(&self.state)
-            .filter(|(_, s)| **s == ReqState::Pending)
-            .map(|(r, _)| r.arrival)
-            .fold(f64::INFINITY, f64::min);
-        assert!(next > now, "unadmitted arrival in the past implies a runnable lane");
-        Decision::IdleUntil(next)
-    }
-
-    /// Applies a completed step's effects at synchronized time `now`.
-    fn complete(&mut self, plan: &StepPlan, now: f64) {
-        for (batch, finishing) in plan.lanes.iter().zip(&plan.finishing) {
-            for &id in &batch.decode {
-                match &mut self.state[id] {
-                    ReqState::Active { generated, .. } => *generated += 1,
-                    _ => unreachable!("a batch holds active requests"),
-                }
-            }
-            for &id in &batch.prefill {
-                // Prefill yields the request's first output token.
-                self.first_token[id] = now;
-                self.state[id] = ReqState::Active { prefilled: true, generated: 1 };
-            }
-            for &id in finishing {
-                self.finish[id] = now;
-                self.state[id] = ReqState::Done;
-                self.done += 1;
+        match self.specs.get(self.admitted) {
+            None => Decision::AllDone,
+            Some(next) => {
+                assert!(next.arrival > now, "an arrival in the past implies a runnable lane");
+                Decision::IdleUntil(next.arrival)
             }
         }
     }
 
+    /// Applies a completed step's effects at lane time `now`.
+    fn complete(&mut self, batch: &LaneBatch, now: f64) {
+        for &id in &batch.decode {
+            match &mut self.state[id / self.lanes] {
+                ReqState::Active { generated, .. } => *generated += 1,
+                _ => unreachable!("a batch holds active requests"),
+            }
+        }
+        for &id in &batch.prefill {
+            // Prefill yields the request's first output token.
+            self.first_token[id / self.lanes] = now;
+            self.state[id / self.lanes] = ReqState::Active { prefilled: true, generated: 1 };
+        }
+        for &id in &batch.finishing {
+            self.finish[id / self.lanes] = now;
+            self.state[id / self.lanes] = ReqState::Done;
+        }
+        let state = &self.state;
+        self.active.retain(|&n| state[n] != ReqState::Done);
+    }
+
+    /// The lane's results, id-ordered.
     fn results(&self) -> Vec<RequestResult> {
-        assert_eq!(self.done, self.specs.len(), "results requested before completion");
+        assert!(
+            self.state.iter().all(|s| *s == ReqState::Done),
+            "results requested before completion"
+        );
         self.specs
             .iter()
-            .map(|spec| RequestResult {
+            .enumerate()
+            .map(|(n, spec)| RequestResult {
                 id: spec.id,
-                lane: self.lane_of[spec.id],
+                lane: self.lane,
                 arrival: spec.arrival,
-                first_token_time: self.first_token[spec.id],
-                finish_time: self.finish[spec.id],
+                first_token_time: self.first_token[n],
+                finish_time: self.finish[n],
                 prompt_len: spec.prompt_len,
                 output_len: spec.output_len,
             })
@@ -349,57 +342,51 @@ struct LaneSlot<T> {
 }
 
 /// Runs the serving engine on one rank (SPMD: call from every rank of the
-/// grid with the same `cfg` and `traffic`). Returns the per-rank summary;
-/// `results` inside it is identical on every rank.
+/// grid, each entering on the same clock, with the same `cfg` and
+/// `traffic`). Returns the per-rank summary, whose `results` are this
+/// rank's lane's requests; the lane's `q` ranks return equal summaries.
 pub fn run_serve<T: TensorLike + Payload>(
     ctx: &mut RankCtx,
     grid: &TesseractGrid,
     cfg: &ServeConfig,
     traffic: &[RequestSpec],
 ) -> ServeSummary {
+    // The lane's ranks sit in different grid columns. They leave the weight
+    // fetch on one clock only if every column costs the same to fetch over.
+    let (q, (i, _, k)) = (grid.shape.q, grid.coords);
+    assert!(
+        (0..q).all(|j| {
+            ctx.topology.placement(&grid.mesh.fiber_ranks("row", &[k, i, j]))
+                == grid.col.placement()
+        }),
+        "serving needs every grid column of a depth layer to sit alike on nodes, so that a \
+         lane's ranks finish the weight fetch on one clock"
+    );
     let model = TesseractTransformer::<T>::new(ctx, grid, cfg.model, cfg.with_bias, cfg.seed, 0);
-    let lanes = grid.shape.q * grid.shape.d;
-    let my_lane = grid.a_row_block();
+    model.fetch_stationary(grid, ctx);
+    // Serving never drops the fetched weights, so this total is the peak.
+    ctx.note_weight_bytes(model.stationary_bytes());
+
     let hidden = cfg.model.hidden;
-    let local_h = hidden / grid.shape.q;
+    let local_h = hidden / q;
     let col0 = grid.j() * local_h;
     let prompt_seed = cfg.seed ^ PROMPT_SEED_SALT;
-    let world = ctx.world_group();
-
-    let mut sched = Scheduler::new(traffic, lanes, cfg);
+    let mut sched = Scheduler::new(traffic, grid.a_row_block(), q * grid.shape.d, cfg);
     let mut slots: BTreeMap<usize, LaneSlot<T>> = BTreeMap::new();
-    let mut prev: Option<StepPlan> = None;
-    let mut steps_total = 0u64;
 
     loop {
-        // Step boundary: synchronize every rank's clock so all mirrored
-        // schedulers decide from the same `now`.
-        world.barrier(ctx);
+        // Step boundary: the lane clock, equal on the lane's q ranks.
         ctx.flush_compute();
-        let now = ctx.clock();
-
-        if let Some(plan) = prev.take() {
-            sched.complete(&plan, now);
-            // Eviction: finished requests leave at step granularity and
-            // their KV blocks drop here.
-            for &id in &plan.finishing[my_lane] {
-                slots.remove(&id);
-            }
-        }
-
-        let plan = match sched.plan(now) {
+        let batch = match sched.plan(ctx.clock()) {
             Decision::AllDone => break,
             Decision::IdleUntil(t) => {
-                // Open-loop lull: every rank sleeps to the same arrival.
+                // Open-loop lull: the lane sleeps to its next arrival.
                 ctx.idle_until(t);
                 continue;
             }
-            Decision::Step(plan) => plan,
+            Decision::Step(batch) => batch,
         };
-        steps_total += 1;
 
-        // Tensor work for my lane only; other lanes do theirs in parallel.
-        let batch = &plan.lanes[my_lane];
         let segments = batch.decode.len() + batch.prefill.len();
         let mut parts: Vec<T> = Vec::with_capacity(segments);
         let mut new_rows = Vec::with_capacity(segments);
@@ -411,7 +398,7 @@ pub fn run_serve<T: TensorLike + Payload>(
             kvs.push(slot.kv.take().expect("KV missing from slot"));
         }
         for &id in &batch.prefill {
-            let plen = sched.specs[id].prompt_len;
+            let plen = sched.spec(id).prompt_len;
             // The prompt is a deterministic function of (seed, id): every
             // rank of the lane extracts its own column block of the same
             // global [plen, h] matrix.
@@ -428,25 +415,14 @@ pub fn run_serve<T: TensorLike + Payload>(
             new_rows.push(plen);
             kvs.push(model.new_kv(grid));
         }
-        let x = Arc::new(if parts.is_empty() {
-            // Empty lane: zero-row block keeps this rank inside every
-            // collective of the step.
-            T::zeros(0, local_h)
-        } else {
-            T::concat_rows(&parts, &mut ctx.meter)
-        });
+        let x = Arc::new(T::concat_rows(&parts, &mut ctx.meter));
         drop(parts);
 
         let mut infer = InferBatch { new_rows, kvs };
         let y = model.forward_infer(grid, ctx, &x, &mut infer);
-
         // A step that prefilled any prompt counts as a prefill step; one
         // that only decoded, as a decode step.
-        if !batch.prefill.is_empty() {
-            ctx.count_serving_step(true);
-        } else if !batch.decode.is_empty() {
-            ctx.count_serving_step(false);
-        }
+        ctx.count_serving_step(!batch.prefill.is_empty());
 
         // Scatter outputs back: the last row of each segment is the next
         // decode input; caches (now grown) return to their slots.
@@ -463,15 +439,19 @@ pub fn run_serve<T: TensorLike + Payload>(
         let resident: u64 = slots.values().map(|s| s.kv.as_ref().map_or(0, RequestKv::bytes)).sum();
         ctx.note_kv_cache_bytes(resident);
 
-        prev = Some(plan);
+        // The step completes on the lane clock; finished requests leave at
+        // step granularity and their KV blocks drop here.
+        ctx.flush_compute();
+        sched.complete(&batch, ctx.clock());
+        for id in &batch.finishing {
+            slots.remove(id);
+        }
     }
 
     assert!(slots.is_empty(), "all slots evicted at completion");
     assert_eq!(ctx.tape_bytes_now(), 0, "inference must never grow a tape");
-    // Serving never drops the fetched weights, so the end total is the peak.
-    ctx.note_weight_bytes(model.stationary_bytes());
-    // The mirrored counters are read back from the rank's own booking. The
-    // last step boundary flushed the meter, so this report moves no clock.
+    // The counters are read back from the rank's own booking. The last
+    // step boundary flushed the meter, so this report moves no clock.
     let booked = ctx.report();
     ServeSummary {
         results: sched.results(),
@@ -479,12 +459,15 @@ pub fn run_serve<T: TensorLike + Payload>(
         decode_steps: booked.decode_steps,
         kv_peak_bytes: booked.kv_cache_bytes_peak,
         weight_bytes: booked.weight_bytes,
-        steps_total,
+        steps_total: booked.prefill_steps + booked.decode_steps,
     }
 }
 
-/// Convenience driver: spawns a `[q, q, d]` grid over the whole cluster
-/// and serves `traffic` on it.
+/// Convenience driver: spawns a `[q, q, d]` grid over the whole cluster,
+/// serves `traffic` on it, and folds every lane's results into one
+/// id-ordered list that each rank's summary carries. The fold runs on the
+/// host after the ranks finish (like `RunOutput::comm`) and charges no
+/// virtual time; it panics if two ranks of a lane disagree on a result.
 pub fn serve_on_cluster<T: TensorLike + Payload>(
     cluster: &Cluster,
     shape: GridShape,
@@ -492,10 +475,23 @@ pub fn serve_on_cluster<T: TensorLike + Payload>(
     traffic: &[RequestSpec],
 ) -> RunOutput<ServeSummary> {
     shape.check_world(cluster.world).unwrap_or_else(|e| panic!("{e}"));
-    cluster.run(|ctx| {
+    let mut out = cluster.run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         run_serve::<T>(ctx, &grid, cfg, traffic)
-    })
+    });
+    let mut all: Vec<RequestResult> =
+        out.results.iter().flat_map(|s| s.results.iter().copied()).collect();
+    all.sort_by_key(|r| r.id);
+    all.dedup_by(|later, kept| {
+        let same = later.id == kept.id;
+        assert!(!same || later == kept, "a lane's ranks disagree: {kept:?} vs {later:?}");
+        same
+    });
+    assert_eq!(all.len(), traffic.len(), "every request runs on one lane");
+    for summary in &mut out.results {
+        summary.results.clone_from(&all);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -524,78 +520,81 @@ mod tests {
         }
     }
 
-    /// Tokens a request has produced so far.
-    fn produced(sched: &Scheduler, id: usize) -> usize {
-        match sched.state[id] {
+    /// Tokens the lane's `n`-th request has produced so far.
+    fn produced(sched: &Scheduler, n: usize) -> usize {
+        match sched.state[n] {
             ReqState::Pending => 0,
             ReqState::Active { generated, .. } => generated,
-            ReqState::Done => sched.specs[id].output_len,
+            ReqState::Done => sched.specs[n].output_len,
         }
     }
 
-    /// Drives the scheduler to completion on a synthetic clock (`step_s`
-    /// per step), checking every step against the batching rules and
-    /// mirroring `run_serve`'s slot bookkeeping. Returns each lane's
+    /// Drives one lane's scheduler to completion on a synthetic clock
+    /// (`step_s` per step), checking every step against the batching rules
+    /// and mirroring `run_serve`'s slot bookkeeping. Returns the lane's
     /// prefill order.
     fn drive(
         traffic: &[RequestSpec],
+        lane: usize,
         lanes: usize,
         cfg: &ServeConfig,
         step_s: f64,
-    ) -> Vec<Vec<usize>> {
+    ) -> Vec<usize> {
         let budget = cfg.max_batch_tokens;
-        let mut sched = Scheduler::new(traffic, lanes, cfg);
+        let mut sched = Scheduler::new(traffic, lane, lanes, cfg);
         let mut slots = BTreeSet::new();
-        let mut prefill_order = vec![Vec::new(); lanes];
+        let mut prefill_order = Vec::new();
         let max_steps: usize = traffic.iter().map(|r| r.output_len + 1).sum();
         let (mut now, mut steps) = (0.0, 0);
         loop {
-            let plan = match sched.plan(now) {
+            let batch = match sched.plan(now) {
                 Decision::AllDone => break,
                 Decision::IdleUntil(t) => {
                     now = t;
                     continue;
                 }
-                Decision::Step(plan) => plan,
+                Decision::Step(batch) => batch,
             };
             steps += 1;
             assert!(steps <= max_steps, "no progress after {max_steps} steps");
-            for (lane, batch) in plan.lanes.iter().enumerate() {
-                let decoding: Vec<usize> = (0..traffic.len())
-                    .filter(|&id| {
-                        sched.lane_of[id] == lane
-                            && matches!(sched.state[id], ReqState::Active { prefilled: true, .. })
-                    })
-                    .collect();
-                assert_eq!(
-                    batch.decode,
-                    decoding[..decoding.len().min(budget)],
-                    "lane {lane}: every prefilled request decodes, up to the budget"
-                );
-                let tokens: usize = batch.decode.len()
-                    + batch.prefill.iter().map(|&id| traffic[id].prompt_len).sum::<usize>();
-                let lone_prompt = batch.decode.is_empty() && batch.prefill.len() == 1;
-                assert!(tokens <= budget || lone_prompt, "lane {lane}: {tokens} tokens > {budget}");
-                for &id in &batch.decode {
-                    assert!(slots.contains(&id), "request {id} decodes without a slot");
-                }
-                for &id in &batch.prefill {
-                    assert!(slots.insert(id), "request {id} prefilled twice");
-                }
-                prefill_order[lane].extend(&batch.prefill);
+            assert!(
+                batch.ids().all(|id| id % lanes == lane),
+                "lane {lane} batched another lane's request"
+            );
+            let decoding: Vec<usize> = (0..sched.specs.len())
+                .filter(|&n| matches!(sched.state[n], ReqState::Active { prefilled: true, .. }))
+                .map(|n| sched.specs[n].id)
+                .collect();
+            assert_eq!(
+                batch.decode,
+                decoding[..decoding.len().min(budget)],
+                "lane {lane}: every prefilled request decodes, up to the budget"
+            );
+            let tokens: usize = batch.decode.len()
+                + batch.prefill.iter().map(|&id| traffic[id].prompt_len).sum::<usize>();
+            let lone_prompt = batch.decode.is_empty() && batch.prefill.len() == 1;
+            assert!(tokens <= budget || lone_prompt, "lane {lane}: {tokens} tokens > {budget}");
+            let active = sched.active.len();
+            assert!(active <= cfg.max_lane_requests, "lane {lane}: {active} requests admitted");
+            for &id in &batch.decode {
+                assert!(slots.contains(&id), "request {id} decodes without a slot");
             }
-            let before: Vec<usize> = (0..traffic.len()).map(|id| produced(&sched, id)).collect();
+            for &id in &batch.prefill {
+                assert!(slots.insert(id), "request {id} prefilled twice");
+            }
+            prefill_order.extend(&batch.prefill);
+            let before: Vec<usize> = (0..sched.specs.len()).map(|n| produced(&sched, n)).collect();
             now += step_s;
-            sched.complete(&plan, now);
-            for (id, &was) in before.iter().enumerate() {
-                let batched = plan.lanes[sched.lane_of[id]].ids().any(|b| b == id);
+            sched.complete(&batch, now);
+            for (n, &was) in before.iter().enumerate() {
+                let id = sched.specs[n].id;
                 assert_eq!(
-                    produced(&sched, id),
-                    was + usize::from(batched),
+                    produced(&sched, n),
+                    was + usize::from(batch.ids().any(|b| b == id)),
                     "request {id}: a batched request advances exactly one token"
                 );
             }
-            for &id in plan.finishing.iter().flatten() {
+            for &id in &batch.finishing {
                 assert!(slots.remove(&id), "request {id} finished without a slot");
             }
         }
@@ -620,11 +619,11 @@ mod tests {
                 output_lens: (1, 1 + rng.next_usize(8)),
                 seed: case,
             });
-            let order = drive(&traffic, lanes, &cfg, 1e-3);
-            for (lane, prefilled) in order.iter().enumerate() {
+            for lane in 0..lanes {
+                let prefilled = drive(&traffic, lane, lanes, &cfg, 1e-3);
                 let fifo: Vec<usize> = (lane..traffic.len()).step_by(lanes).collect();
                 assert_eq!(
-                    *prefilled, fifo,
+                    prefilled, fifo,
                     "case {case}: lane {lane} prefills out of arrival order"
                 );
             }
@@ -644,18 +643,15 @@ mod tests {
             output_len,
         };
         let traffic = [spec(0, 0.0, 8, 3), spec(1, 0.5, 64, 1), spec(2, 0.5, 4, 1)];
-        let mut sched = Scheduler::new(&traffic, 1, &cfg(64, 4));
+        let mut sched = Scheduler::new(&traffic, 0, 1, &cfg(64, 4));
         let mut batches = Vec::new();
         let mut now = 0.0;
-        while let Decision::Step(plan) = sched.plan(now) {
-            batches.push(plan.lanes[0].clone());
+        while let Decision::Step(batch) = sched.plan(now) {
             now += 1.0;
-            sched.complete(&plan, now);
+            sched.complete(&batch, now);
+            batches.push((batch.decode, batch.prefill));
         }
-        let batch = |decode: &[usize], prefill: &[usize]| LaneBatch {
-            decode: decode.to_vec(),
-            prefill: prefill.to_vec(),
-        };
+        let batch = |decode: &[usize], prefill: &[usize]| (decode.to_vec(), prefill.to_vec());
         assert_eq!(
             batches,
             [

@@ -9,8 +9,8 @@
 //!   prompt/output lengths.
 //! * [`engine`] — request lifecycle, per-lane admission/eviction at step
 //!   granularity, one mixed decode + FIFO-prefill batch per lane per step
-//!   under a token budget, and the SPMD step loop with
-//!   barrier-synchronized latency accounting.
+//!   under a token budget, and the step loop in which every lane runs as
+//!   an independent `q`-rank replica on its own clock.
 //! * [`metrics`] — nearest-rank latency percentiles and summaries.
 //!
 //! Correctness rests on `tesseract_core::infer`: cached decode is bitwise

@@ -10,7 +10,7 @@ use tesseract_core::{
 use tesseract_serve::{
     latency_stats, serve_on_cluster, RequestSpec, ServeConfig, ServeSummary, TrafficConfig,
 };
-use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike};
+use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike, Xoshiro256StarStar};
 
 fn test_model() -> TransformerConfig {
     // batch divides q·d for both [2,2,1] and [2,2,2]; everything small
@@ -266,7 +266,7 @@ fn engine_serves_all_requests_with_sane_latencies() {
     let stats = latency_stats(summary.results.iter().map(|r| r.latency()).collect());
     assert!(stats.p99 >= stats.p50, "percentiles must be ordered");
     assert!(stats.p50 > 0.0);
-    // Every rank mirrors the same metadata scheduler: identical results.
+    // serve_on_cluster folds every lane's results into one list per rank.
     for other in &out.results[1..] {
         assert_eq!(other.results, summary.results);
     }
@@ -344,9 +344,8 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
 
 #[test]
 fn traced_serving_reconciles_with_its_accounting_exactly() {
-    // A trickle of requests on [2,2,2]: ranks idle until arrivals, lanes
-    // with nothing runnable step zero-row batches, and each step begins
-    // with a barrier.
+    // A trickle of requests on [2,2,2]: lanes idle until their own
+    // arrivals, step only when they have work, and never barrier.
     let shape = GridShape::new(2, 2);
     let traffic = tesseract_serve::generate(&TrafficConfig {
         rate: 200.0,
@@ -357,13 +356,101 @@ fn traced_serving_reconciles_with_its_accounting_exactly() {
     });
     let cluster = RunConfig::new(shape.size()).with_trace(true).cluster();
     let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), &traffic);
-    let steps = out.results[0].steps_total;
-    for r in &out.reports {
+    for (summary, r) in out.results.iter().zip(&out.reports) {
         assert!(r.idle_time > 0.0, "rank {} never idled", r.rank);
-        assert!(r.prefill_steps + r.decode_steps < steps, "rank {} ran no empty step", r.rank);
+        assert_eq!(
+            r.prefill_steps + r.decode_steps,
+            summary.steps_total,
+            "rank {} ran a step that was neither prefill nor decode",
+            r.rank
+        );
     }
-    assert!(out.comm.get(CollectiveOp::Barrier).calls > 0);
+    assert_eq!(out.comm.get(CollectiveOp::Barrier).calls, 0);
     assert_eq!(out.reconcile_trace(), Ok(()));
+}
+
+/// The lane `(i + k·q)` of every rank of a `shape` grid, in rank order.
+fn lanes_of(shape: GridShape) -> Vec<usize> {
+    (0..shape.size())
+        .map(|rank| {
+            let (i, _, k) = shape.coords_of(rank);
+            shape.a_row_block(i, k)
+        })
+        .collect()
+}
+
+#[test]
+fn serving_lanes_run_independently() {
+    // Random small traffic, some of it sparser than one request per lane:
+    // (a) a lane's q ranks end on bitwise-equal clocks and step counts,
+    // (b) another lane's output lengths change nothing on this lane, and
+    // (c) no rank synchronizes with a barrier.
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0x1A4E);
+    for shape in [GridShape::new(2, 1), GridShape::new(2, 2)] {
+        let lane_of = lanes_of(shape);
+        let lanes = shape.q * shape.d;
+        for case in 0..4 {
+            let traffic = tesseract_serve::generate(&TrafficConfig {
+                rate: [200.0, 2_000.0, 1e12][rng.next_usize(3)],
+                requests: 1 + rng.next_usize(12),
+                prompt_lens: (1, 1 + rng.next_usize(8)),
+                output_lens: (1, 1 + rng.next_usize(5)),
+                seed: case,
+            });
+            let serve = |traffic: &[RequestSpec]| {
+                let cluster = Cluster::a100(shape.size());
+                serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), traffic)
+            };
+            let out = serve(&traffic);
+            for (rank, (summary, report)) in out.results.iter().zip(&out.reports).enumerate() {
+                let peer = lane_of.iter().position(|&l| l == lane_of[rank]).expect("own lane");
+                let (head, head_report) = (&out.results[peer], &out.reports[peer]);
+                assert_eq!(
+                    report.virtual_time.to_bits(),
+                    head_report.virtual_time.to_bits(),
+                    "case {case}: rank {rank}'s clock left its lane's"
+                );
+                assert_eq!(
+                    (summary.prefill_steps, summary.decode_steps, summary.steps_total),
+                    (head.prefill_steps, head.decode_steps, head.steps_total),
+                    "case {case}: rank {rank}'s step count left its lane's"
+                );
+                assert_eq!(report.comm.get(CollectiveOp::Barrier).calls, 0, "rank {rank}");
+            }
+
+            let lane = rng.next_usize(lanes);
+            let mut other = traffic.clone();
+            for r in other.iter_mut().filter(|r| r.id % lanes != lane) {
+                r.output_len = 1 + (r.output_len + 2) % 6;
+            }
+            let perturbed = serve(&other);
+            let on_lane = |results: &[tesseract_serve::RequestResult]| {
+                results.iter().filter(|r| r.lane == lane).copied().collect::<Vec<_>>()
+            };
+            assert_eq!(
+                on_lane(&out.results[0].results),
+                on_lane(&perturbed.results[0].results),
+                "case {case}: lane {lane}'s results moved with other lanes' traffic"
+            );
+            for rank in (0..shape.size()).filter(|&r| lane_of[r] == lane) {
+                assert_eq!(out.reports[rank], perturbed.reports[rank], "case {case}: rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "sit alike on nodes")]
+fn a_grid_whose_columns_sit_unlike_on_nodes_is_refused() {
+    // On 4-GPU nodes a [3,3,1] grid's column {0,3,6} spans two nodes and
+    // {2,5,8} three, so its lanes' ranks would leave the weight fetch on
+    // different clocks and could plan different batches.
+    let shape = GridShape::new(3, 1);
+    let cfg = ServeConfig {
+        model: TransformerConfig { batch: 3, hidden: 12, heads: 3, ..test_model() },
+        ..serve_cfg()
+    };
+    serve_on_cluster::<ShadowTensor>(&Cluster::a100(shape.size()), shape, &cfg, &smoke_traffic());
 }
 
 #[test]

@@ -28,11 +28,11 @@ fn main() {
 
     let mut rng = Xoshiro256StarStar::seed_from_u64(1);
     // One batch per (replica, microbatch).
-    let inputs: Vec<Matrix> = (0..shape.dp * microbatches)
+    let inputs: Vec<Matrix> = (0..shape.dp() * microbatches)
         .map(|_| Matrix::random_uniform(cfg.rows(), cfg.hidden, -1.0, 1.0, &mut rng))
         .collect();
 
-    let grid_shape = shape.grid;
+    let grid_shape = shape.grid();
     let out = Cluster::a100(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 7, StackOptions::default());
         let coords = engine.coords;
@@ -67,8 +67,8 @@ fn main() {
 
     // Verify the data-parallel all-reduce left replicas identical.
     let mut synced = true;
-    for pp_idx in 0..shape.pp {
-        for off in 0..shape.grid.size() {
+    for pp_idx in 0..shape.pp() {
+        for off in 0..shape.grid().size() {
             let grads: Vec<&Matrix> = out
                 .results
                 .iter()

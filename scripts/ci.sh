@@ -102,7 +102,7 @@ for pair in plan_sweep:plan serve_sweep:serving; do
     cmp "target/$file" "$file" \
         || { echo "ci.sh: $bin no longer regenerates the committed $file"; exit 1; }
 done
-echo "afd042c8f22cd4f4a1b89f6ec1da93228a1923a9f0866aaafdfe3d9c2d813ad9  target/TRACE_serving.json" \
+echo "d35f05490892c3bbcb23ffae9c4cac410257cc2bd2f43640b156e772c4149af8  target/TRACE_serving.json" \
     | sha256sum -c --quiet --strict \
     || { echo "ci.sh: serve_sweep's trace differs from its pinned digest"; exit 1; }
 

@@ -305,6 +305,18 @@ const ROWS: &[Row] = &[
         ],
     },
     Row {
+        name: "serve-lanes-independent",
+        reason: "a serving lane is an independent q-rank replica that decides on its own clock; \
+                 a world group or a barrier outside the comm crate would bring back the \
+                 per-step lockstep every rank paid for",
+        checks: &[Check {
+            rule: Rule::Forbidden { scope: Scope::Lib, allowed: &["crates/comm/src/"] },
+            matcher: Matcher::Line(|l| l.contains("world_group(") || l.contains(".barrier(")),
+            planted: "ctx.world_group().barrier(ctx);",
+            clean: "let rows = mm::row_panels(grid, ctx, x);",
+        }],
+    },
+    Row {
         name: "trace-artifact",
         reason: "traces are regenerated artifacts (serve_sweep writes them under target/); \
                  none is committed",
