@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_core::TesseractGrid;
 use tesseract_tensor::TensorLike;
 
@@ -28,7 +28,7 @@ pub fn cannon_matmul<T>(
     b_local: &Arc<T>,
 ) -> T
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     assert_eq!(grid.shape.d, 1, "Cannon runs on a [q, q] mesh");
     let q = grid.shape.q;
@@ -52,7 +52,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::{Cluster, CollectiveOp};
+    use tesseract_comm::{CollectiveOp, RunConfig};
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
     use tesseract_tensor::{
@@ -66,7 +66,7 @@ mod tests {
 
     fn run_cannon(q: usize, a: &Matrix, b: &Matrix) -> Matrix {
         let shape = GridShape::new(q, 1);
-        let out = Cluster::a100(q * q).run(|ctx| {
+        let out = RunConfig::from_env(q * q).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             // With d = 1, A/B/C all use plain q×q 2-D blocks.
@@ -106,7 +106,7 @@ mod tests {
         let a = random(4, 4, 7);
         let b = random(4, 4, 8);
         let shape = GridShape::new(2, 1);
-        let out = Cluster::a100(4).run(|ctx| {
+        let out = RunConfig::from_env(4).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(b_block(&a, shape, i, j)));

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{CommGroup, Mesh, MeshAxis, Payload, RankCtx};
+use tesseract_comm::{CommGroup, Mesh, MeshAxis, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use tesseract_core::layers::{Half, Transformer, TransformerLayer, World};
@@ -61,10 +61,12 @@ impl MegatronWorld {
         Self { p: group.size(), index: group.my_index(), group }
     }
 
-    /// Whether `cfg` splits over a `p`-rank 1-D group: `p` must be positive
-    /// and divide the heads (each rank owns whole heads), the hidden size
+    /// Whether `cfg` splits over a `p`-rank 1-D group: `cfg`'s dimensions
+    /// ([`TransformerConfig::check_positive`]) and `p` must be positive, and
+    /// `p` must divide the heads (each rank owns whole heads), the hidden size
     /// and the MLP hidden size (the column / row splits of the two linears).
     pub fn check_degree(p: usize, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        cfg.check_positive()?;
         if p == 0 {
             return Err(ShapeError::NonPositive { what: "megatron p" });
         }
@@ -79,7 +81,7 @@ impl MegatronWorld {
     }
 }
 
-impl<T: TensorLike + Payload> World<T> for MegatronWorld {
+impl<T: TensorLike> World<T> for MegatronWorld {
     type Linear = MegatronLinear<T>;
     type Norm = MegatronLayerNorm<T>;
 
@@ -137,7 +139,7 @@ pub struct MegatronLinear<T> {
     tape: Tape<Arc<T>>,
 }
 
-impl<T: TensorLike + Payload> MegatronLinear<T> {
+impl<T: TensorLike> MegatronLinear<T> {
     pub fn new(
         world: &MegatronWorld,
         split: Split,
@@ -224,7 +226,7 @@ impl<T: TensorLike + Payload> MegatronLinear<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T, MegatronWorld> for MegatronLinear<T> {
+impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLinear<T> {
     /// Column-parallel: `Y_local = X·W_local (+ b_local)`, no communication.
     /// Row-parallel: `Y = all_reduce(X_local·W_local) (+ b)`.
     fn forward(&mut self, world: &MegatronWorld, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
@@ -289,13 +291,13 @@ pub struct MegatronLayerNorm<T> {
     tape: Tape<(Arc<T>, T)>,
 }
 
-impl<T: TensorLike + Payload> MegatronLayerNorm<T> {
+impl<T: TensorLike> MegatronLayerNorm<T> {
     pub fn new(hidden: usize, eps: f32) -> Self {
         Self { eps, hidden, tape: Tape::new() }
     }
 }
 
-impl<T: TensorLike + Payload> Module<T, MegatronWorld> for MegatronLayerNorm<T> {
+impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLayerNorm<T> {
     /// The norm is rank-local (activations are replicated), so the world is
     /// unused — it is only here to satisfy the `Module` signature.
     fn forward(&mut self, _world: &MegatronWorld, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_core::TesseractGrid;
 use tesseract_tensor::TensorLike;
 
@@ -31,7 +31,7 @@ pub fn solomonik_matmul<T>(
     b_local: Option<T>,
 ) -> T
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     let q = grid.shape.q;
     let d = grid.shape.d;
@@ -70,7 +70,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
     use tesseract_tensor::{
@@ -84,7 +84,7 @@ mod tests {
 
     fn run(q: usize, d: usize, a: &Matrix, b: &Matrix) -> Vec<Matrix> {
         let shape2d = GridShape::new(q, 1);
-        Cluster::a100(q * q * d)
+        RunConfig::from_env(q * q * d)
             .run(|ctx| {
                 let grid = TesseractGrid::new(ctx, GridShape::new(q, d), 0);
                 let (i, j, k) = grid.coords;

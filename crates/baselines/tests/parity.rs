@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tesseract_baselines::megatron::{MegatronTransformerLayer, MegatronWorld};
 use tesseract_baselines::serial::{SerialTransformer, SerialTransformerLayer};
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TesseractTransformerLayer,
@@ -37,7 +37,7 @@ fn run_tesseract(
     x: &Matrix,
     dy: &Matrix,
 ) -> (Matrix, Matrix, Matrix) {
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -130,7 +130,7 @@ fn megatron_layer_matches_serial() {
     let dy = random(c.rows(), c.hidden, 2);
     let (y_ser, dx_ser, dwo_ser) = serial_reference(c, &x, &dy);
     for p in [2usize, 4] {
-        let out = Cluster::a100(p).run(|ctx| {
+        let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let mut layer =
                 MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, c, true, SEED, 0);
@@ -170,7 +170,7 @@ fn optimus_matches_serial_stack() {
     let y_ser = serial.forward(&x);
     let dx_ser = serial.backward(&dy);
     let shape = GridShape::new(2, 1);
-    let out = Cluster::a100(4).run(|ctx| {
+    let out = RunConfig::from_env(4).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -210,7 +210,7 @@ fn weight_gradients_are_depth_synchronized() {
     let shape = GridShape::new(2, 2);
     let x = random(c.rows(), c.hidden, 9);
     let dy = random(c.rows(), c.hidden, 10);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -246,7 +246,7 @@ fn serial_weight_gradients_match_assembled_tesseract_gradients() {
     let _ = serial.forward(&x);
     let _ = serial.backward(&dy);
 
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -273,7 +273,7 @@ fn fused_qkv_blocks_match_separate_serial_projections() {
     // [Wq_j | Wk_j | Wv_j] of the global per-projection matrices.
     let c = cfg();
     let shape = GridShape::new(2, 1);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
         (grid.coords, layer.attn.wqkv.weight().clone().into_matrix())

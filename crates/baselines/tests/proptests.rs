@@ -8,7 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use tesseract_baselines::cannon::cannon_matmul;
 use tesseract_baselines::megatron::{MegatronLinear, MegatronWorld, Split};
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::partition::{b_block, combine_b};
 use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{
@@ -27,7 +27,7 @@ proptest! {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let a = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(n, n, -1.0, 1.0, &mut rng);
-        let out = Cluster::a100(q * q).run(|ctx| {
+        let out = RunConfig::from_env(q * q).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, _) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(b_block(&a, shape, i, j)));
@@ -42,7 +42,7 @@ proptest! {
     fn megatron_column_blocks_tile_the_global_weight(p in 2usize..5, seed in 0u64..1000) {
         let (inf, outf) = (4usize, 4 * p);
         let global = global_xavier(inf, outf, seed, 3);
-        let out = Cluster::a100(p).run(|ctx| {
+        let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let lin = MegatronLinear::<DenseTensor>::new(
                 &world, Split::Column, inf, outf, false, seed, 3,
@@ -61,7 +61,7 @@ proptest! {
         let x = Matrix::random_uniform(rows, inf, -1.0, 1.0, &mut rng);
         let w = global_xavier(inf, outf, seed, 9);
         let expected = gemm(Orient::Nn, &x, &w);
-        let out = Cluster::a100(p).run(|ctx| {
+        let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let mut lin = MegatronLinear::<DenseTensor>::new(
                 &world, Split::Row, inf, outf, false, seed, 9,

@@ -13,10 +13,8 @@ use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, Tra
 use tesseract_tensor::ShadowTensor;
 
 fn run(shape: GridShape, cfg: TransformerConfig, params: CostParams) -> (f64, f64, f64) {
-    let cluster = RunConfig::from_env(shape.size())
-        .with_topology(Topology::meluxina())
-        .with_params(params)
-        .cluster();
+    let cluster =
+        RunConfig::from_env(shape.size()).with_topology(Topology::meluxina()).with_params(params);
     let out = cluster.run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);

@@ -29,7 +29,7 @@
 
 use tesseract_baselines::cannon::cannon_matmul;
 use tesseract_baselines::solomonik::solomonik_matmul;
-use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
+use tesseract_comm::{CollectiveOp, CostParams, Link, RunConfig, Topology};
 use tesseract_core::analysis::{
     transmissions_25d, transmissions_cannon, transmissions_tesseract_cube,
 };
@@ -128,7 +128,7 @@ fn main() {
     println!("## C1 — measured wire bytes for one [{a_rows}, {n}] x [{n}, {n}] matmul at p = 64\n");
 
     // Cannon on [8, 8].
-    let cannon = Cluster::a100(64).run(|ctx| {
+    let cannon = RunConfig::from_env(64).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(8, 1), 0);
         let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 8, n / 8));
         let b = std::sync::Arc::new(ShadowTensor::new(n / 8, n / 8));
@@ -136,7 +136,7 @@ fn main() {
     });
 
     // Solomonik 2.5-D on [4, 4, 4].
-    let solomonik = Cluster::a100(64).run(|ctx| {
+    let solomonik = RunConfig::from_env(64).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(4, 4), 0);
         let (_, _, k) = grid.coords;
         let a = (k == 0).then(|| ShadowTensor::new(a_rows / 4, n / 4));
@@ -145,7 +145,7 @@ fn main() {
     });
 
     // SUMMA / 2-D Tesseract on [8, 8, 1].
-    let summa = Cluster::a100(64).run(|ctx| {
+    let summa = RunConfig::from_env(64).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(8, 1), 0);
         let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 8, n / 8));
         let b = std::sync::Arc::new(ShadowTensor::new(n / 8, n / 8));
@@ -153,7 +153,7 @@ fn main() {
     });
 
     // Tesseract on [4, 4, 4].
-    let tess = Cluster::a100(64).run(|ctx| {
+    let tess = RunConfig::from_env(64).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(4, 4), 0);
         let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 16, n / 4));
         let b = std::sync::Arc::new(ShadowTensor::new(n / 4, n / 4));

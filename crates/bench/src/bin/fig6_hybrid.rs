@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin fig6_hybrid`
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::layers::StackOptions;
 use tesseract_core::TransformerConfig;
 use tesseract_hybrid::{HybridShape, HybridTransformer};
@@ -37,7 +37,7 @@ fn main() {
         eps: 1e-5,
     };
     let microbatches = 4;
-    let out = Cluster::a100(shape.total()).run(|ctx| {
+    let out = RunConfig::from_env(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 0, StackOptions::default());
         // A-type partitioning splits rows into q·d bands (Figure 4a).
         let rows_local = engine.cfg.rows() / (shape.grid().q * shape.grid().d);

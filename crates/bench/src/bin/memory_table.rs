@@ -7,7 +7,7 @@
 //! Run: `cargo run --release -p tesseract-bench --bin memory_table`
 
 use tesseract_baselines::megatron::{MegatronTransformer, MegatronWorld};
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::analysis::{memory_megatron, memory_tesseract};
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::{a_block_shape, b_block_shape};
@@ -72,7 +72,7 @@ fn main() {
     };
     for (q, d) in [(2usize, 2usize), (4, 4), (8, 1)] {
         let shape = GridShape::new(q, d);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);
             let x = std::sync::Arc::new(ShadowTensor::new(cfg.rows() / (q * d), cfg.hidden / q));
@@ -87,7 +87,7 @@ fn main() {
         );
     }
     for p in [4usize, 64] {
-        let out = Cluster::a100(p).run(|ctx| {
+        let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let mut model = MegatronTransformer::<ShadowTensor>::new(ctx, &world, cfg, true, 0, 0);
             let x = std::sync::Arc::new(ShadowTensor::new(cfg.rows(), cfg.hidden));
@@ -113,7 +113,7 @@ fn main() {
             ("dense", StackOptions::default()),
             ("recompute k=1", StackOptions { recompute_every: Some(1) }),
         ] {
-            let out = Cluster::a100(shape.size()).run(|ctx| {
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut model = TesseractTransformer::<ShadowTensor>::new_with_options(
                     ctx, &grid, stack_cfg, true, 0, 0, opts,

@@ -18,7 +18,7 @@
 //!           [--sizes 256,512,1024] [--out BENCH_overlap.json]`
 
 use tesseract_bench::step::matmul_step;
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::GridShape;
 use tesseract_tensor::json;
 use tesseract_tensor::trace::json::{self, Value};
@@ -61,7 +61,7 @@ sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
         "| n | serial step (s) | pipelined step (s) | speedup | hidden wait (s) | hidden frac |"
     );
     println!("|---|---|---|---|---|---|");
-    let (shape, cluster) = (GridShape::new(q, d), Cluster::a100(q * q * d));
+    let (shape, cluster) = (GridShape::new(q, d), RunConfig::from_env(q * q * d));
     let mut steps = Vec::new();
     for &n in &sizes {
         let serial = matmul_step(&cluster, shape, STEP_ROWS, n, false);

@@ -26,13 +26,13 @@
 //!           [--grids 2,1;2,2;4,1] [--requests 1000] [--seed 42] \
 //!           [--out BENCH_serving.json] [--trace-out target/TRACE_serving.json]`
 
-use tesseract_comm::{Cluster, RunConfig, RunOutput};
+use tesseract_bench::write_chrome_trace;
+use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::{GridShape, TransformerConfig};
 use tesseract_serve::{
     generate, latency_stats, serve_on_cluster, ServeConfig, ServeSummary, TrafficConfig,
 };
 use tesseract_tensor::json;
-use tesseract_tensor::trace::chrome;
 use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::ShadowTensor;
 
@@ -136,7 +136,8 @@ fn run_point(
     traffic_seed: u64,
 ) -> (RunOutput<ServeSummary>, Vec<f64>) {
     let traffic = generate(&traffic_cfg(traffic_rate, requests, traffic_seed));
-    let out = serve_on_cluster::<ShadowTensor>(&Cluster::a100(shape.size()), shape, cfg, &traffic);
+    let out =
+        serve_on_cluster::<ShadowTensor>(&RunConfig::from_env(shape.size()), shape, cfg, &traffic);
     let head = &out.results[0];
     assert_eq!(head.results.len(), requests, "every request must complete");
     for (summary, report) in out.results.iter().zip(&out.reports) {
@@ -203,36 +204,16 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
 /// Runs a `requests`-request calibration flood of the first arrangement
 /// with tracing on, reconciles the trace exactly with the run's
 /// accounting, and writes the saturated steady state as Chrome-trace JSON
-/// (schema-checked by re-parsing, like `trace_dump`).
+/// ([`write_chrome_trace`]).
 fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u64) -> usize {
     let cfg = serve_cfg(seed);
     let traffic_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
     let traffic = generate(&traffic_cfg(FLOOD_RATE, requests, traffic_seed));
-    let cluster = RunConfig::from_env(shape.size()).with_trace(true).cluster();
+    let cluster = RunConfig::from_env(shape.size()).with_trace(true);
     let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &cfg, &traffic);
     assert_eq!(out.traces.len(), shape.size(), "one trace per rank");
     out.reconcile_trace().unwrap_or_else(|e| panic!("{path}: {e}"));
-    let payload = chrome::chrome_trace_json(&out.traces);
-    let doc = json::parse(&payload)
-        .unwrap_or_else(|e| panic!("{path}: emitted chrome trace does not parse: {e}"));
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .unwrap_or_else(|| panic!("{path}: traceEvents array missing"));
-    assert!(
-        events.iter().any(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                && e.get("dur").and_then(|d| d.as_f64()).is_some()
-        }),
-        "{path}: no complete (ph: X) spans emitted"
-    );
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| panic!("creating {parent:?}: {e}"));
-        }
-    }
-    std::fs::write(path, &payload).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    events.len()
+    write_chrome_trace(path, &out.traces)
 }
 
 fn main() {

@@ -22,36 +22,15 @@
 //! [`RunOutput::reconcile_trace`]: tesseract_comm::RunOutput::reconcile_trace
 
 use tesseract_bench::step::matmul_step;
+use tesseract_bench::write_chrome_trace;
 use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::GridShape;
-use tesseract_tensor::trace::{chrome, critical, json};
-use tesseract_tensor::Matrix;
+use tesseract_tensor::trace::critical;
 
 /// Panics unless the trace reconciles with the run's own accounting.
 fn reconcile<R>(what: &str, run: &RunOutput<R>) {
     run.reconcile_trace().unwrap_or_else(|e| panic!("{what}: {e}"));
     println!("{what}: reconciled {} ranks exactly against the run accounting", run.reports.len());
-}
-
-/// Writes the Chrome-trace JSON, re-parses it as a schema check, and
-/// returns the number of `traceEvents` entries written.
-fn write_chrome(path: &str, run: &RunOutput<(Matrix, Matrix)>) -> usize {
-    let payload = chrome::chrome_trace_json(&run.traces);
-    let doc = json::parse(&payload)
-        .unwrap_or_else(|e| panic!("{path}: emitted chrome trace does not parse: {e}"));
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .unwrap_or_else(|| panic!("{path}: traceEvents array missing"));
-    assert!(
-        events.iter().any(|e| {
-            e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                && e.get("dur").and_then(|d| d.as_f64()).is_some()
-        }),
-        "{path}: no complete (ph: X) spans emitted"
-    );
-    std::fs::write(path, &payload).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    events.len()
 }
 
 fn main() {
@@ -97,15 +76,15 @@ fn main() {
         shape.size()
     );
 
-    let cluster = RunConfig::from_env(shape.size()).with_trace(true).cluster();
+    let cluster = RunConfig::from_env(shape.size()).with_trace(true);
     let serial = matmul_step(&cluster, shape, rows, n, false);
     let pipelined = matmul_step(&cluster, shape, rows, n, true);
     assert_eq!(serial.results, pipelined.results, "pipelined step diverged from serial bitwise");
     reconcile("serial", &serial);
     reconcile("pipelined", &pipelined);
 
-    let wrote = write_chrome(&out_path, &pipelined);
-    let wrote_serial = write_chrome(&serial_path, &serial);
+    let wrote = write_chrome_trace(&out_path, &pipelined.traces);
+    let wrote_serial = write_chrome_trace(&serial_path, &serial.traces);
     println!("wrote {out_path} ({wrote} trace events, pipelined)");
     println!("wrote {serial_path} ({wrote_serial} trace events, serial)");
     println!("open either file at https://ui.perfetto.dev or chrome://tracing\n");

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RunOutput};
+use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, TesseractGrid,
@@ -20,11 +20,11 @@ fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// Runs one fwd+bwd step of global `A [rows, n]` against the `n×n` weight
-/// on `cluster`, laid out as the `[q, q, d]` grid `shape`, pipelined
+/// by `run_cfg`, laid out as the `[q, q, d]` grid `shape`, pipelined
 /// (double-buffered) or blocking. Returns each rank's gradient blocks
 /// `(A', B')`, so the two schedules can be compared bitwise.
 pub fn matmul_step(
-    cluster: &Cluster,
+    run_cfg: &RunConfig,
     shape: GridShape,
     rows: usize,
     n: usize,
@@ -32,7 +32,7 @@ pub fn matmul_step(
 ) -> RunOutput<(Matrix, Matrix)> {
     let a = random(rows, n, 71);
     let b = random(n, n, 72);
-    cluster.run(move |ctx| {
+    run_cfg.run(move |ctx| {
         let mut grid = TesseractGrid::new(ctx, shape, 0);
         grid.overlap = pipelined;
         let (i, j, k) = grid.coords;

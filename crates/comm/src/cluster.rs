@@ -11,30 +11,11 @@ use std::time::Duration;
 
 use tesseract_tensor::{trace, TraceEvent, TraceKind};
 
-use crate::cost::{CollectiveOp, CostParams};
+use crate::cost::CollectiveOp;
 use crate::ctx::{RankCtx, RankReport};
 use crate::fabric::Fabric;
+use crate::runconfig::RunConfig;
 use crate::stats::{CommStats, OpStats};
-use crate::topology::Topology;
-
-/// A runnable simulated cluster. Build one through
-/// [`crate::RunConfig`] — `RunConfig::new(world).cluster()` or
-/// [`crate::RunConfig::from_env`] for the environment-configured defaults.
-#[derive(Clone, Copy, Debug)]
-pub struct Cluster {
-    pub world: usize,
-    pub topology: Topology,
-    pub params: CostParams,
-    /// Collect per-rank [`TraceEvent`] timelines during [`Cluster::run`]
-    /// (set from [`crate::RunConfig::with_trace`]).
-    pub trace: bool,
-    /// Rendezvous timeout override for this cluster's fabric (seconds).
-    /// `None` uses the fabric's 120 s default; [`crate::RunConfig::from_env`]
-    /// fills it from `TESSERACT_RENDEZVOUS_TIMEOUT_SECS`. Tests that
-    /// deliberately deadlock set this explicitly instead of racing on
-    /// `std::env::set_var`.
-    pub rendezvous_timeout_secs: Option<u64>,
-}
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -138,15 +119,9 @@ fn same<T: PartialEq + Debug>(r: usize, what: &str, traced: T, booked: T) -> Res
     }
 }
 
-impl Cluster {
-    /// A cluster with the paper's testbed topology and cost constants,
-    /// honoring the `TESSERACT_*` environment knobs — shorthand for
-    /// [`crate::RunConfig::from_env`]`(world).cluster()`.
-    pub fn a100(world: usize) -> Self {
-        crate::RunConfig::from_env(world).cluster()
-    }
-
-    /// Runs `f` as one thread per rank and gathers results in rank order.
+impl RunConfig {
+    /// Installs the forced kernel ([`RunConfig::install`]), then runs `f`
+    /// as one thread per rank and gathers results in rank order.
     ///
     /// A rank that panics records itself on the fabric as the run's failure
     /// (the first one wins) and wakes every waiting rank, which then panics
@@ -159,6 +134,7 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Send + Sync,
     {
         assert!(self.world > 0, "cluster needs at least one rank");
+        self.install();
         let fabric = Arc::new(match self.rendezvous_timeout_secs {
             Some(secs) => Fabric::with_timeout(Duration::from_secs(secs)),
             None => Fabric::new(),
@@ -235,12 +211,11 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::Payload;
-    use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+    use tesseract_tensor::{DenseTensor, Matrix, Payload, TensorLike};
 
     #[test]
     fn ranks_are_spmd_and_ordered() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| ctx.rank * 10);
         assert_eq!(out.results, vec![0, 10, 20, 30]);
         assert_eq!(out.reports.len(), 4);
@@ -248,7 +223,7 @@ mod tests {
 
     #[test]
     fn all_reduce_sums_across_ranks() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, (ctx.rank + 1) as f32));
@@ -262,7 +237,7 @@ mod tests {
 
     #[test]
     fn broadcast_delivers_root_payload() {
-        let cluster = Cluster::a100(3);
+        let cluster = RunConfig::from_env(3);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let payload =
@@ -275,7 +250,7 @@ mod tests {
 
     #[test]
     fn shift_rotates_payloads() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let mine = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
@@ -288,7 +263,7 @@ mod tests {
 
     #[test]
     fn negative_shift_rotates_backwards() {
-        let cluster = Cluster::a100(3);
+        let cluster = RunConfig::from_env(3);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let mine = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
@@ -300,7 +275,7 @@ mod tests {
 
     #[test]
     fn subgroups_operate_independently() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             let row = ctx.rank / 2;
             let ranks = vec![row * 2, row * 2 + 1];
@@ -313,7 +288,7 @@ mod tests {
 
     #[test]
     fn send_recv_moves_data_between_ranks() {
-        let cluster = Cluster::a100(2);
+        let cluster = RunConfig::from_env(2);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             if ctx.rank == 0 {
@@ -335,7 +310,7 @@ mod tests {
 
     #[test]
     fn clocks_are_synchronized_after_collectives() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             // Unequal compute before the collective: rank r does r matmuls.
             let a = DenseTensor::from_matrix(Matrix::full(8, 8, 1.0));
@@ -359,7 +334,7 @@ mod tests {
         // latency plus the size-dependent cost once the root's payload size
         // is known (the charging the calibrated tables were produced with).
         // Every member must land on exactly that clock, bitwise.
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let payload =
@@ -382,7 +357,7 @@ mod tests {
     #[test]
     fn virtual_time_is_deterministic() {
         let run = || {
-            Cluster::a100(8).run(|ctx| {
+            RunConfig::from_env(8).run(|ctx| {
                 let world = ctx.world_group();
                 let t = DenseTensor::from_matrix(Matrix::full(16, 16, 1.0));
                 let s = t.matmul(&t, &mut ctx.meter);
@@ -399,7 +374,7 @@ mod tests {
 
     #[test]
     fn comm_stats_capture_volume() {
-        let cluster = Cluster::a100(4);
+        let cluster = RunConfig::from_env(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::zeros(4, 4));
@@ -415,7 +390,7 @@ mod tests {
     /// a blocking all-reduce, a broadcast whose wait compute partly hides,
     /// and a send/recv pair.
     fn ledger_run() -> RunOutput<()> {
-        crate::RunConfig::new(4).with_trace(true).cluster().run(|ctx| {
+        crate::RunConfig::new(4).with_trace(true).run(|ctx| {
             let row = ctx.group("row", vec![ctx.rank / 2 * 2, ctx.rank / 2 * 2 + 1]);
             let t = DenseTensor::from_matrix(Matrix::full(8, 8, ctx.rank as f32));
             let _ = row.all_reduce_shared(ctx, t.clone());
@@ -468,7 +443,7 @@ mod tests {
 
     #[test]
     fn single_rank_cluster_works() {
-        let out = Cluster::a100(1).run(|ctx| {
+        let out = RunConfig::from_env(1).run(|ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, 3.0));
             g.all_reduce_shared(ctx, t).matrix().sum()

@@ -343,7 +343,7 @@ mod tests {
     use super::*;
 
     fn one_rank(f: impl Fn(&mut RankCtx) + Send + Sync) -> RankReport {
-        crate::RunConfig::new(1).cluster().run(f).reports[0]
+        crate::RunConfig::new(1).run(f).reports[0]
     }
 
     #[test]

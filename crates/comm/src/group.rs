@@ -49,7 +49,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tesseract_tensor::{trace, TensorLike, TraceKind};
+use tesseract_tensor::{trace, Payload, TraceKind};
 
 use crate::cost::CollectiveOp;
 use crate::ctx::RankCtx;
@@ -135,56 +135,6 @@ fn chan_seq(src: usize, dst: usize, tag: u64) -> u64 {
         }
     }
     h
-}
-
-/// Data that can travel through collectives.
-pub trait Payload: Clone + Send + Sync + 'static {
-    /// Size of one rank's contribution on the wire, in bytes.
-    fn wire_size(&self) -> usize;
-    /// Elementwise combine for reductions.
-    fn combine(&mut self, other: &Self);
-}
-
-impl Payload for tesseract_tensor::DenseTensor {
-    fn wire_size(&self) -> usize {
-        self.byte_size()
-    }
-
-    fn combine(&mut self, other: &Self) {
-        self.reduce_add_inplace(other);
-    }
-}
-
-impl Payload for tesseract_tensor::ShadowTensor {
-    fn wire_size(&self) -> usize {
-        self.byte_size()
-    }
-
-    fn combine(&mut self, other: &Self) {
-        self.reduce_add_inplace(other);
-    }
-}
-
-impl Payload for () {
-    fn wire_size(&self) -> usize {
-        0
-    }
-
-    fn combine(&mut self, _other: &Self) {}
-}
-
-/// `Arc<P>` travels through collectives and point-to-point channels without
-/// copying the inner payload (the pipeline sends activations this way).
-/// Reducing through the `Arc` uses copy-on-write: uniquely-owned deposits
-/// are combined in place, shared ones are cloned first.
-impl<P: Payload> Payload for Arc<P> {
-    fn wire_size(&self) -> usize {
-        (**self).wire_size()
-    }
-
-    fn combine(&mut self, other: &Self) {
-        Arc::make_mut(self).combine(other);
-    }
 }
 
 /// FNV-1a over a tag and the member ranks; gives every distinct group a

@@ -3,7 +3,7 @@
 //! The simulated multi-GPU cluster that substitutes for the paper's
 //! 64xA100 testbed (see DESIGN.md §2 for the substitution argument).
 //!
-//! * One OS thread per rank executes an SPMD closure ([`Cluster::run`]).
+//! * One OS thread per rank executes an SPMD closure ([`RunConfig::run`]).
 //! * [`CommGroup`] provides NCCL-style collectives over arbitrary rank
 //!   subsets (grid rows / columns / depth fibers).
 //! * Timing is **virtual**: tensor ops charge a [`tesseract_tensor::Meter`],
@@ -25,11 +25,12 @@ pub mod runconfig;
 pub mod stats;
 pub mod topology;
 
-pub use cluster::{Cluster, RunOutput};
+pub use cluster::RunOutput;
 pub use cost::{CollectiveOp, CostParams, PhasedCost};
 pub use ctx::{RankCtx, RankReport};
-pub use group::{CommGroup, Payload, PendingCollective};
+pub use group::{CommGroup, PendingCollective};
 pub use mesh::{Mesh, MeshAxis};
 pub use runconfig::RunConfig;
 pub use stats::{CommStats, OpStats};
+pub use tesseract_tensor::Payload;
 pub use topology::{GroupPlacement, Link, Topology};

@@ -1,12 +1,11 @@
 //! The unified run configuration.
 //!
-//! Everything that used to be scattered across `Cluster::custom`,
-//! `Cluster::with_trace`, `Cluster::with_rendezvous_timeout_secs` and the
+//! A run is one value: construct a [`RunConfig`], override what you need,
+//! and call [`RunConfig::run`] (the driver in `cluster.rs`). Cluster shape,
+//! cost model, tracing, the rendezvous timeout and the
 //! `TESSERACT_KERNEL` / `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment
-//! knobs lives in one builder: construct a [`RunConfig`], override what
-//! you need, and call [`RunConfig::cluster`]. Model options such as tape
-//! recomputation live with the model (`StackOptions` in `tesseract-core`),
-//! not here.
+//! knobs all live here. Model options such as tape recomputation live with
+//! the model (`StackOptions` in `tesseract-core`), not here.
 //!
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`tests/structure.rs` rejects strays).
@@ -15,12 +14,11 @@
 //! micro-kernel) into the tensor crate, where the first installer wins.
 //! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` only sets the
 //! `rendezvous_timeout_secs` field of a configuration built by `from_env`,
-//! which its cluster applies. Tracing has no variable: a run that reads
+//! which its run applies. Tracing has no variable: a run that reads
 //! its traces asks for them with [`RunConfig::with_trace`].
 
 use tesseract_tensor::matmul::{self, MicroKernel};
 
-use crate::cluster::Cluster;
 use crate::cost::CostParams;
 use crate::topology::Topology;
 
@@ -40,8 +38,9 @@ pub struct RunConfig {
     /// Forced GEMM micro-kernel backend (process-global, first installer
     /// wins). `None` auto-detects the widest supported backend.
     pub kernel: Option<MicroKernel>,
-    /// Rendezvous timeout for this cluster's fabric, in seconds. `None`
-    /// uses the fabric's 120 s default.
+    /// Rendezvous timeout for this run's fabric, in seconds. `None` uses
+    /// the fabric's 120 s default. Tests that deliberately deadlock set it
+    /// explicitly instead of racing on `std::env::set_var`.
     pub rendezvous_timeout_secs: Option<u64>,
 }
 
@@ -107,7 +106,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets an explicit rendezvous timeout for this cluster's fabric. Used
+    /// Sets an explicit rendezvous timeout for this run's fabric. Used
     /// by failure-injection tests so a deliberate deadlock fails fast
     /// without mutating process-global state.
     pub fn with_rendezvous_timeout_secs(mut self, secs: u64) -> Self {
@@ -116,27 +115,20 @@ impl RunConfig {
     }
 
     /// Applies the process-global knob (the forced kernel). Idempotent;
-    /// the first install wins, matching the old once-per-process env
-    /// caching. [`RunConfig::cluster`] calls this, so explicit calls are
-    /// only needed by code that runs kernels without a cluster (e.g. the
-    /// single-process GEMM benches).
+    /// the first install wins. [`RunConfig::run`] calls this, so explicit
+    /// calls are only needed by code that runs kernels without a cluster
+    /// (e.g. the single-process GEMM benches).
     pub fn install(&self) {
         if let Some(k) = self.kernel {
             matmul::force_kernel(k);
         }
     }
 
-    /// Installs the process-global knob and builds the [`Cluster`] this
-    /// configuration describes.
-    pub fn cluster(&self) -> Cluster {
-        self.install();
-        Cluster {
-            world: self.world,
-            topology: self.topology,
-            params: self.params,
-            trace: self.trace,
-            rendezvous_timeout_secs: self.rendezvous_timeout_secs,
-        }
+    /// Inert: a `RunConfig` runs itself. Kept solely because the frozen
+    /// `benchmark/` crate calls it; ROADMAP item 1(d)'s `[benchmark]` PR
+    /// removes that last caller and this method with it.
+    pub fn cluster(self) -> Self {
+        self
     }
 }
 
@@ -174,17 +166,17 @@ mod tests {
     #[test]
     fn defaults_match_the_a100_cluster() {
         let cfg = RunConfig::new(8);
-        let cluster = cfg.cluster();
-        assert_eq!(cluster.world, 8);
-        assert!(!cluster.trace);
-        assert_eq!(cluster.rendezvous_timeout_secs, None);
+        assert_eq!(cfg.world, 8);
+        assert!(!cfg.trace);
+        assert_eq!(cfg.kernel, None);
+        assert_eq!(cfg.rendezvous_timeout_secs, None);
     }
 
     #[test]
-    fn builder_fields_flow_into_the_cluster() {
-        let cluster = RunConfig::new(4).with_trace(true).with_rendezvous_timeout_secs(7).cluster();
-        assert!(cluster.trace);
-        assert_eq!(cluster.rendezvous_timeout_secs, Some(7));
+    fn builder_fields_set_their_knobs() {
+        let cfg = RunConfig::new(4).with_trace(true).with_rendezvous_timeout_secs(7);
+        assert!(cfg.trace);
+        assert_eq!(cfg.rendezvous_timeout_secs, Some(7));
     }
 
     #[test]

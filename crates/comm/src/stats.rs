@@ -7,7 +7,7 @@
 //! the one place a charge is rounded, so a rank's
 //! [`crate::RankReport::comm_wait_nanos`] and
 //! [`crate::RankReport::overlap_hidden_nanos`] are exact sums over its
-//! ops. [`crate::Cluster::run`] folds the ledgers
+//! ops. [`crate::RunConfig::run`] folds the ledgers
 //! in rank order into the run's totals, so they do not depend on how the
 //! host scheduled the rank threads. The experiment harness uses those
 //! totals to report exact message counts and wire volumes per scheme (the

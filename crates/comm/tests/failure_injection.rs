@@ -5,15 +5,15 @@ use std::panic;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tesseract_comm::{Cluster, RunConfig};
+use tesseract_comm::RunConfig;
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
-/// A cluster whose fabric gives up in seconds instead of minutes, so
-/// ranks that survive an injected failure fail fast. Set per cluster via
+/// A run whose fabric gives up in seconds instead of minutes, so
+/// ranks that survive an injected failure fail fast. Set per run via
 /// the builder — mutating the process environment from parallel tests is
 /// a race.
-fn fail_fast(world: usize) -> Cluster {
-    RunConfig::new(world).with_rendezvous_timeout_secs(2).cluster()
+fn fail_fast(world: usize) -> RunConfig {
+    RunConfig::new(world).with_rendezvous_timeout_secs(2)
 }
 
 #[test]
@@ -103,7 +103,7 @@ fn send_to_self_panics() {
 #[test]
 #[should_panic(expected = "cluster needs at least one rank")]
 fn zero_rank_cluster_is_rejected() {
-    let _ = Cluster::a100(0).run(|_ctx| ());
+    let _ = RunConfig::from_env(0).run(|_ctx| ());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
+use tesseract_comm::{CollectiveOp, CostParams, Link, RunConfig, Topology};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
 proptest! {
@@ -105,7 +105,7 @@ proptest! {
         let values: Vec<f32> = (0..n).map(|r| ((seed + r as u64) % 17) as f32 - 8.0).collect();
         let expected: f32 = values.iter().sum();
         let vals = values.clone();
-        let out = Cluster::a100(n).run(move |ctx| {
+        let out = RunConfig::from_env(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(2, 2, vals[ctx.rank]));
             g.all_reduce_shared(ctx, t).matrix()[(1, 1)]
@@ -117,7 +117,7 @@ proptest! {
 
     #[test]
     fn shift_by_group_size_is_identity(n in 2usize..6, offset_mult in 1usize..3) {
-        let out = Cluster::a100(n).run(move |ctx| {
+        let out = RunConfig::from_env(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));
             // Shifting by a multiple of the group size returns own payload.
@@ -148,7 +148,7 @@ proptest! {
             );
             DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
         };
-        let out = Cluster::a100(n).run(move |ctx| {
+        let out = RunConfig::from_env(n).run(move |ctx| {
             let g = ctx.world_group();
             let mine = payload(ctx.rank);
             let mut sum = payload(0).into_matrix();
@@ -181,7 +181,7 @@ proptest! {
 
     #[test]
     fn all_gather_preserves_order(n in 2usize..6) {
-        let out = Cluster::a100(n).run(move |ctx| {
+        let out = RunConfig::from_env(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32 * 3.0));
             let all = g.all_gather_shared(ctx, Arc::new(t));

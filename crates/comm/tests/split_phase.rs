@@ -4,15 +4,15 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, CollectiveOp, CommGroup, RankCtx, RunConfig};
+use tesseract_comm::{CollectiveOp, CommGroup, RankCtx, RunConfig};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
-/// A cluster whose fabric gives up in seconds instead of minutes, so
-/// misuse tests that wedge peers fail fast. Set per cluster via the
+/// A run whose fabric gives up in seconds instead of minutes, so
+/// misuse tests that wedge peers fail fast. Set per run via the
 /// builder — mutating the process environment from parallel tests is a
 /// race.
-fn fail_fast(world: usize) -> Cluster {
-    RunConfig::new(world).with_rendezvous_timeout_secs(2).cluster()
+fn fail_fast(world: usize) -> RunConfig {
+    RunConfig::new(world).with_rendezvous_timeout_secs(2)
 }
 
 /// The collectives [`CommGroup`] implements, in [`CollectiveOp::ALL`] order
@@ -88,7 +88,7 @@ fn blocking_charges_match_the_pre_refactor_golden_table() {
                 if op == CollectiveOp::Barrier && rows != 3 {
                     continue; // no payload: one row is the whole story
                 }
-                let out = Cluster::a100(world).run(|ctx| {
+                let out = RunConfig::from_env(world).run(|ctx| {
                     let g = ctx.world_group();
                     let t = DenseTensor::from_matrix(Matrix::full(61, 61, 0.5));
                     for _ in 0..=ctx.rank {
@@ -141,7 +141,7 @@ fn sharing_collectives_hand_out_the_depositors_allocation() {
     type Ptrs = (usize, usize, Vec<usize>, usize, usize);
     let (world, root, offset) = (4, 1, 1);
     let ptr = |a: &Arc<DenseTensor>| Arc::as_ptr(a) as usize;
-    let out = Cluster::a100(world).run(|ctx| -> Ptrs {
+    let out = RunConfig::from_env(world).run(|ctx| -> Ptrs {
         let g = ctx.world_group();
         let mine = Arc::new(DenseTensor::from_matrix(Matrix::full(3, 5, ctx.rank as f32)));
         let at_root = g.my_index() == root;
@@ -171,7 +171,7 @@ fn sharing_collectives_hand_out_the_depositors_allocation() {
 #[test]
 fn overlap_charges_only_the_non_overlapped_remainder() {
     let n = 2;
-    let serial = Cluster::a100(n).run(|ctx| {
+    let serial = RunConfig::from_env(n).run(|ctx| {
         let g = ctx.world_group();
         let payload = Arc::new(DenseTensor::from_matrix(Matrix::full(64, 64, 1.5)));
         let b = g.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| Arc::clone(&payload)));
@@ -180,7 +180,7 @@ fn overlap_charges_only_the_non_overlapped_remainder() {
         ctx.flush_compute();
         b.matrix().clone()
     });
-    let overlapped = Cluster::a100(n).run(|ctx| {
+    let overlapped = RunConfig::from_env(n).run(|ctx| {
         let g = ctx.world_group();
         let payload = Arc::new(DenseTensor::from_matrix(Matrix::full(64, 64, 1.5)));
         let pending =

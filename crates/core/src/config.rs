@@ -12,7 +12,8 @@ use std::fmt;
 /// (`TransformerLayer::new`) formats it with [`fmt::Display`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShapeError {
-    /// A structural parameter (grid side, depth, dp, pp) was zero.
+    /// A structural parameter (grid side, depth, dp, pp) or a workload
+    /// dimension ([`TransformerConfig::check_positive`]) was zero.
     NonPositive {
         /// What was zero, e.g. `"grid shape"`.
         what: &'static str,
@@ -65,6 +66,27 @@ impl TransformerConfig {
         Self { batch: 4, seq: 4, hidden: 16, heads: 4, mlp_ratio: 4, layers: 1, eps: 1e-5 }
     }
 
+    /// Every dimension must be positive: a zero one divides evenly over any
+    /// arrangement, yet no stack can run it. Each arrangement's rule
+    /// (`GridShape::check`, `MegatronWorld::check_degree`) calls this first,
+    /// so a zero side is [`ShapeError::NonPositive`], never a remainder by
+    /// zero.
+    pub fn check_positive(&self) -> Result<(), ShapeError> {
+        for (what, value) in [
+            ("batch", self.batch),
+            ("seq", self.seq),
+            ("hidden", self.hidden),
+            ("heads", self.heads),
+            ("mlp ratio", self.mlp_ratio),
+            ("layers", self.layers),
+        ] {
+            if value == 0 {
+                return Err(ShapeError::NonPositive { what });
+            }
+        }
+        Ok(())
+    }
+
     /// Head dimension `h / n`.
     pub fn head_dim(&self) -> usize {
         assert_eq!(self.hidden % self.heads, 0, "heads must divide hidden");
@@ -99,6 +121,22 @@ mod tests {
         assert_eq!(c.head_dim(), 4);
         assert_eq!(c.rows(), 16);
         assert_eq!(c.mlp_hidden(), 64);
+    }
+
+    #[test]
+    fn a_zero_dimension_is_non_positive() {
+        let tiny = TransformerConfig::tiny();
+        assert_eq!(tiny.check_positive(), Ok(()));
+        for (cfg, what) in [
+            (TransformerConfig { batch: 0, ..tiny }, "batch"),
+            (TransformerConfig { seq: 0, ..tiny }, "seq"),
+            (TransformerConfig { hidden: 0, ..tiny }, "hidden"),
+            (TransformerConfig { heads: 0, ..tiny }, "heads"),
+            (TransformerConfig { mlp_ratio: 0, ..tiny }, "mlp ratio"),
+            (TransformerConfig { layers: 0, ..tiny }, "layers"),
+        ] {
+            assert_eq!(cfg.check_positive(), Err(ShapeError::NonPositive { what }));
+        }
     }
 
     #[test]

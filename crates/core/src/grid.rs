@@ -52,8 +52,10 @@ impl GridShape {
     /// Whether `cfg` splits over this arrangement (paper §3.1, Figure 4):
     /// `q·d | b` (whole samples per rank), `q | n` (whole heads per rank),
     /// and `q | h`, `q | 4h` (the weight blocks). Returns the first
-    /// violated constraint; a zero side is `NonPositive`.
+    /// violated constraint; a zero workload dimension
+    /// ([`TransformerConfig::check_positive`]) or grid side is `NonPositive`.
     pub fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
+        cfg.check_positive()?;
         let Self { q, d } = Self::try_new(self.q, self.d)?;
         for (what, value, by, divisor) in [
             ("batch", cfg.batch, "q*d", q * d),
@@ -179,7 +181,7 @@ impl TesseractGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
 
     #[test]
     fn try_new_rejects_degenerate_sides_with_the_legacy_text() {
@@ -277,7 +279,7 @@ mod tests {
     #[test]
     fn grid_groups_have_correct_membership() {
         let shape = GridShape::new(2, 2);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let g = TesseractGrid::new(ctx, shape, 0);
             (g.coords, g.row.ranks().to_vec(), g.col.ranks().to_vec(), g.depth.ranks().to_vec())
         });
@@ -298,7 +300,7 @@ mod tests {
     #[test]
     fn grid_with_base_offset() {
         let shape = GridShape::new(2, 1);
-        let out = Cluster::a100(8).run(|ctx| {
+        let out = RunConfig::from_env(8).run(|ctx| {
             // Two independent grids: ranks 0..4 and 4..8.
             let base = if ctx.rank < 4 { 0 } else { 4 };
             let g = TesseractGrid::new(ctx, shape, base);

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::{fused, Meter, TensorLike};
 
 use crate::config::TransformerConfig;
@@ -30,7 +30,7 @@ struct HeadCache<T> {
 }
 
 /// Multi-head self-attention.
-pub struct Attention<T: TensorLike + Payload, G: World<T>> {
+pub struct Attention<T: TensorLike, G: World<T>> {
     pub wqkv: G::Linear,
     pub wo: G::Linear,
     cfg: TransformerConfig,
@@ -41,7 +41,7 @@ pub struct Attention<T: TensorLike + Payload, G: World<T>> {
 /// [`Attention`] on the `[q, q, d]` grid.
 pub type TesseractAttention<T> = Attention<T, TesseractGrid>;
 
-impl<T: TensorLike + Payload, G: World<T>> Attention<T, G> {
+impl<T: TensorLike, G: World<T>> Attention<T, G> {
     /// Builds the layer; consumes param ids `param_id .. param_id + 4`
     /// (Wq, Wk, Wv, Wo).
     pub fn new(
@@ -62,7 +62,7 @@ impl<T: TensorLike + Payload, G: World<T>> Attention<T, G> {
     }
 }
 
-impl<T: TensorLike + Payload> TesseractAttention<T> {
+impl<T: TensorLike> TesseractAttention<T> {
     /// KV-cached **causal** inference forward over a batch of request
     /// segments (no tape, `&self`).
     ///
@@ -174,7 +174,7 @@ pub fn ragged_causal_attention<T: TensorLike>(
     }
 }
 
-impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Attention<T, G> {
+impl<T: TensorLike, G: World<T>> Module<T, G> for Attention<T, G> {
     fn name(&self) -> &'static str {
         "attention"
     }

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::{fused, Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
@@ -39,7 +39,7 @@ pub struct TesseractLayerNorm<T> {
     tape: Tape<(Arc<T>, T)>,
 }
 
-impl<T: TensorLike + Payload> TesseractLayerNorm<T> {
+impl<T: TensorLike> TesseractLayerNorm<T> {
     pub fn new(hidden_global: usize, eps: f32) -> Self {
         Self { hidden_global, eps, tape: Tape::new() }
     }
@@ -118,7 +118,7 @@ pub fn layer_norm_panels<T: TensorLike>(panels: &[Arc<T>], eps: f32, m: &mut Met
     panels.iter().map(|x| x.sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractLayerNorm<T> {
+impl<T: TensorLike> Module<T> for TesseractLayerNorm<T> {
     fn name(&self) -> &'static str {
         "layernorm"
     }

@@ -30,7 +30,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::{fused, TensorLike};
 
 use crate::grid::TesseractGrid;
@@ -69,7 +69,7 @@ struct Stationary<T> {
     bias: Option<Arc<T>>,
 }
 
-impl<T: TensorLike + Payload> TesseractLinear<T> {
+impl<T: TensorLike> TesseractLinear<T> {
     /// A plain `[in, out]` linear layer with Xavier weight `param_id`.
     pub fn new(
         ctx: &RankCtx,
@@ -202,7 +202,7 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
+impl<T: TensorLike> Module<T> for TesseractLinear<T> {
     fn name(&self) -> &'static str {
         "linear"
     }

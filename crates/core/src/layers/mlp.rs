@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
@@ -17,7 +17,7 @@ use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
-pub struct Mlp<T: TensorLike + Payload, G: World<T>> {
+pub struct Mlp<T: TensorLike, G: World<T>> {
     pub fc1: G::Linear,
     pub fc2: G::Linear,
     /// Tape of pre-activation blocks (GELU backward needs the input).
@@ -27,7 +27,7 @@ pub struct Mlp<T: TensorLike + Payload, G: World<T>> {
 /// [`Mlp`] on the `[q, q, d]` grid.
 pub type TesseractMlp<T> = Mlp<T, TesseractGrid>;
 
-impl<T: TensorLike + Payload, G: World<T>> Mlp<T, G> {
+impl<T: TensorLike, G: World<T>> Mlp<T, G> {
     /// `hidden → mlp_hidden → hidden`, weights at `param_id` and
     /// `param_id + 1` (biases are zero-initialized).
     pub fn new(
@@ -47,7 +47,7 @@ impl<T: TensorLike + Payload, G: World<T>> Mlp<T, G> {
     }
 }
 
-impl<T: TensorLike + Payload> TesseractMlp<T> {
+impl<T: TensorLike> TesseractMlp<T> {
     /// Inference forward: `fc2(gelu(fc1(x)))` with no tape pushes. `rows`
     /// is this rank's gathered row of `x` panels (a serving layer norm's
     /// output); `fc2` gathers its own through `mm::row_panels`.
@@ -64,7 +64,7 @@ impl<T: TensorLike + Payload> TesseractMlp<T> {
     }
 }
 
-impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Mlp<T, G> {
+impl<T: TensorLike, G: World<T>> Module<T, G> for Mlp<T, G> {
     fn name(&self) -> &'static str {
         "mlp"
     }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::TensorLike;
 
 use crate::config::TransformerConfig;
@@ -36,7 +36,7 @@ pub struct StackOptions {
 pub const PARAM_IDS_PER_LAYER: u64 = 6;
 
 /// One Transformer layer.
-pub struct TransformerLayer<T: TensorLike + Payload, G: World<T>> {
+pub struct TransformerLayer<T: TensorLike, G: World<T>> {
     pub ln1: G::Norm,
     pub attn: Attention<T, G>,
     pub ln2: G::Norm,
@@ -46,7 +46,7 @@ pub struct TransformerLayer<T: TensorLike + Payload, G: World<T>> {
 /// [`TransformerLayer`] on the `[q, q, d]` grid.
 pub type TesseractTransformerLayer<T> = TransformerLayer<T, TesseractGrid>;
 
-impl<T: TensorLike + Payload, G: World<T>> TransformerLayer<T, G> {
+impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
     pub fn new(
         ctx: &RankCtx,
         world: &G,
@@ -68,7 +68,7 @@ impl<T: TensorLike + Payload, G: World<T>> TransformerLayer<T, G> {
     }
 }
 
-impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
+impl<T: TensorLike> TesseractTransformerLayer<T> {
     /// Inference forward with KV-cached causal attention: the same
     /// pre-norm residual wiring as [`Module::forward`], no tape pushes.
     /// `layer_idx` selects this layer's [`LayerKv`] slice out of each
@@ -92,7 +92,7 @@ impl<T: TensorLike + Payload> TesseractTransformerLayer<T> {
     }
 }
 
-impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
+impl<T: TensorLike, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
     fn name(&self) -> &'static str {
         "transformer_layer"
     }
@@ -151,7 +151,7 @@ impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for TransformerLayer<T, 
 /// stays SPMD-aligned — then unwinds it. Peak tape residency drops from
 /// "every layer" to "one input per segment plus the deepest segment", at
 /// the cost of one extra forward per segment.
-pub struct Transformer<T: TensorLike + Payload, G: World<T>> {
+pub struct Transformer<T: TensorLike, G: World<T>> {
     pub layers: Vec<TransformerLayer<T, G>>,
     pub cfg: TransformerConfig,
     recompute_every: Option<usize>,
@@ -163,7 +163,7 @@ pub struct Transformer<T: TensorLike + Payload, G: World<T>> {
 /// [`Transformer`] on the `[q, q, d]` grid; with `d = 1` this is Optimus.
 pub type TesseractTransformer<T> = Transformer<T, TesseractGrid>;
 
-impl<T: TensorLike + Payload, G: World<T>> Transformer<T, G> {
+impl<T: TensorLike, G: World<T>> Transformer<T, G> {
     /// Builds the stack; layer `l` uses param ids
     /// `base_param_id + l·PARAM_IDS_PER_LAYER ..`.
     pub fn new(
@@ -204,7 +204,7 @@ impl<T: TensorLike + Payload, G: World<T>> Transformer<T, G> {
 }
 
 /// Runs `layers` left to right, one `transformer_layer.fwd` scope each.
-fn forward_layers<T: TensorLike + Payload, G: World<T>>(
+fn forward_layers<T: TensorLike, G: World<T>>(
     layers: &mut [TransformerLayer<T, G>],
     world: &G,
     ctx: &mut RankCtx,
@@ -218,7 +218,7 @@ fn forward_layers<T: TensorLike + Payload, G: World<T>>(
 }
 
 /// Unwinds `layers` right to left, one `transformer_layer.bwd` scope each.
-fn backward_layers<T: TensorLike + Payload, G: World<T>>(
+fn backward_layers<T: TensorLike, G: World<T>>(
     layers: &mut [TransformerLayer<T, G>],
     world: &G,
     ctx: &mut RankCtx,
@@ -231,7 +231,7 @@ fn backward_layers<T: TensorLike + Payload, G: World<T>>(
     g
 }
 
-impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Transformer<T, G> {
+impl<T: TensorLike, G: World<T>> Module<T, G> for Transformer<T, G> {
     fn name(&self) -> &'static str {
         "transformer"
     }
@@ -297,7 +297,7 @@ impl<T: TensorLike + Payload, G: World<T>> Module<T, G> for Transformer<T, G> {
     }
 }
 
-impl<T: TensorLike + Payload> TesseractTransformer<T> {
+impl<T: TensorLike> TesseractTransformer<T> {
     /// An empty KV cache shaped for this stack on `grid`.
     pub fn new_kv(&self, grid: &TesseractGrid) -> RequestKv<T> {
         RequestKv::empty(self.cfg.layers, self.cfg.hidden / grid.shape.q)

@@ -8,7 +8,7 @@
 //! [`TransformerLayer`](super::TransformerLayer) and
 //! [`Transformer`](super::Transformer) are written once against it.
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::TensorLike;
 
 use crate::config::{ShapeError, TransformerConfig};
@@ -27,7 +27,7 @@ pub enum Half {
 }
 
 /// What a parallel scheme supplies to run the shared Transformer block.
-pub trait World<T: TensorLike + Payload>: Sized + 'static {
+pub trait World<T: TensorLike>: Sized + 'static {
     type Linear: Module<T, Self> + Send + 'static;
     type Norm: Module<T, Self> + Send + 'static;
 
@@ -57,7 +57,7 @@ pub trait World<T: TensorLike + Payload>: Sized + 'static {
     fn local_heads(&self, heads: usize) -> usize;
 }
 
-impl<T: TensorLike + Payload> World<T> for TesseractGrid {
+impl<T: TensorLike> World<T> for TesseractGrid {
     type Linear = TesseractLinear<T>;
     type Norm = TesseractLayerNorm<T>;
 

@@ -54,7 +54,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{CommGroup, Payload, PendingCollective, RankCtx};
+use tesseract_comm::{CommGroup, PendingCollective, RankCtx};
 use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
@@ -141,7 +141,7 @@ fn summa_pipeline<T, F: Fetch, S: Sink<T>>(
 /// Begins the step-`t` row broadcast of an A-type panel: root `t` deposits
 /// an `Arc::clone` of its local block (no self-clone) and every member
 /// multiplies against the shared allocation.
-fn row_panel_begin<'g, T: TensorLike + Payload>(
+fn row_panel_begin<'g, T: TensorLike>(
     grid: &'g TesseractGrid,
     ctx: &mut RankCtx,
     a_local: &Arc<T>,
@@ -151,7 +151,7 @@ fn row_panel_begin<'g, T: TensorLike + Payload>(
 }
 
 /// Begins the step-`t` column broadcast of a B-type panel.
-fn col_panel_begin<'g, T: TensorLike + Payload>(
+fn col_panel_begin<'g, T: TensorLike>(
     grid: &'g TesseractGrid,
     ctx: &mut RankCtx,
     b_local: &Arc<T>,
@@ -198,7 +198,7 @@ struct ReduceToRoot<'g, T> {
     mine: Option<Arc<T>>,
 }
 
-impl<'g, T: TensorLike + Payload> ReduceToRoot<'g, T> {
+impl<'g, T: TensorLike> ReduceToRoot<'g, T> {
     fn new(fiber: &'g CommGroup, depth: Option<&'g CommGroup>, overlap: bool) -> Self {
         Self { fiber, depth, overlap, pending: None, depth_pending: None, mine: None }
     }
@@ -214,7 +214,7 @@ impl<'g, T: TensorLike + Payload> ReduceToRoot<'g, T> {
     }
 }
 
-impl<T: TensorLike + Payload> Sink<T> for ReduceToRoot<'_, T> {
+impl<T: TensorLike> Sink<T> for ReduceToRoot<'_, T> {
     type Out = Arc<T>;
 
     fn push(&mut self, ctx: &mut RankCtx, t: usize, partial: T) {
@@ -258,7 +258,7 @@ pub fn tesseract_matmul<T>(
     b_local: &Arc<T>,
 ) -> T
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
     summa_pipeline(
@@ -278,7 +278,7 @@ where
 /// so that weight-stationary serving can reuse them every call after.
 pub fn column_panels<T>(grid: &TesseractGrid, ctx: &mut RankCtx, b_local: &Arc<T>) -> Vec<Arc<T>>
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     (0..grid.shape.q).map(|t| col_panel_begin(grid, ctx, b_local, t).complete(ctx)).collect()
 }
@@ -289,7 +289,7 @@ where
 /// owner deposited.
 pub fn row_panels<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &Arc<T>) -> Vec<Arc<T>>
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     grid.row.all_gather_shared(ctx, Arc::clone(a_local))
 }
@@ -336,7 +336,7 @@ pub fn tesseract_matmul_nt<T>(
     b_local: &Arc<T>,
 ) -> Arc<T>
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
     summa_pipeline(
@@ -368,7 +368,7 @@ pub fn tesseract_matmul_tn<T>(
     depth_reduce: bool,
 ) -> Arc<T>
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
     let depth = (depth_reduce && grid.shape.d > 1).then_some(&grid.depth);
@@ -386,7 +386,7 @@ mod tests {
     use super::*;
     use crate::grid::GridShape;
     use crate::partition::{a_block, b_block, combine_b, combine_c};
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_tensor::{
         assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, ShadowTensor,
         Xoshiro256StarStar,
@@ -398,7 +398,7 @@ mod tests {
     }
 
     fn run_matmul(shape: GridShape, a: &Matrix, b: &Matrix) -> Matrix {
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(a, shape, i, j, k)));
@@ -453,7 +453,7 @@ mod tests {
             let (a_rows, b_rows, c_cols) = (4 * q * d, 2 * q, 3 * q);
             let a = random(a_rows, c_cols, seed);
             let b = random(b_rows, c_cols, seed + 100);
-            let out = Cluster::a100(shape.size()).run(|ctx| {
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
                 let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
@@ -474,7 +474,7 @@ mod tests {
             let (a_rows, b_cols, c_cols) = (4 * q * d, 2 * q, 3 * q);
             let a = random(a_rows, b_cols, seed);
             let b = random(a_rows, c_cols, seed + 100);
-            let out = Cluster::a100(shape.size()).run(|ctx| {
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
                 let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
@@ -499,7 +499,7 @@ mod tests {
         let shape = GridShape::new(2, 2);
         let a = random(8, 4, 30);
         let b = random(8, 6, 31);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
@@ -536,7 +536,7 @@ mod tests {
     #[test]
     fn shadow_backend_runs_same_code_path() {
         let shape = GridShape::new(2, 2);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             // Global A [16, 8], B [8, 8] at shadow scale.
             let a_loc = Arc::new(ShadowTensor::new(16 / 4, 8 / 2));
@@ -558,14 +558,14 @@ mod tests {
         let shape = GridShape::new(2, 1);
         let a = random(8, 8, 40);
         let b = random(8, 8, 41);
-        let dense = Cluster::a100(shape.size()).run(|ctx| {
+        let dense = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
             let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
             let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
         });
-        let shadow = Cluster::a100(shape.size()).run(|ctx| {
+        let shadow = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let a_loc = Arc::new(ShadowTensor::new(4, 4));
             let b_loc = Arc::new(ShadowTensor::new(4, 4));

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
@@ -41,7 +41,7 @@ pub struct ParamRef<'a, T> {
 /// and must call the same methods in the same order; `visit_params` must
 /// visit parameters in a deterministic order so per-parameter collectives
 /// (data-parallel all-reduce, optimizer state) line up across ranks.
-pub trait Module<T: TensorLike + Payload, G = TesseractGrid> {
+pub trait Module<T: TensorLike, G = TesseractGrid> {
     /// Short stable name used to label trace scopes (e.g. `linear`,
     /// `layernorm`). Purely observational: tracing-disabled runs never
     /// call it on a hot path.
@@ -194,12 +194,12 @@ impl<V> Tape<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_tensor::DenseTensor;
 
     #[test]
     fn tape_is_lifo_and_counts() {
-        Cluster::a100(1).run(|ctx| {
+        RunConfig::from_env(1).run(|ctx| {
             let mut t: Tape<u32> = Tape::new();
             for v in 0..4 {
                 t.push_tracked(ctx, 8, v);
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn tape_pop_on_empty_panics() {
-        Cluster::a100(1).run(|ctx| {
+        RunConfig::from_env(1).run(|ctx| {
             let mut t: Tape<DenseTensor> = Tape::new();
             let _ = t.pop_tracked(ctx, "test-module");
         });
@@ -226,7 +226,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "activation tape unbalanced")]
     fn tape_imbalance_is_caught_at_step_boundary() {
-        Cluster::a100(1).run(|ctx| {
+        RunConfig::from_env(1).run(|ctx| {
             let mut t: Tape<u8> = Tape::new();
             t.push_tracked(ctx, 1, 1);
             t.push_tracked(ctx, 1, 2);

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::layers::{TesseractLayerNorm, TesseractLinear, TesseractMlp};
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
@@ -27,7 +27,7 @@ fn layernorm_matches_serial_kernel() {
     let shape = GridShape::new(2, 2);
     let x = random(8, 8, 1);
     let dy = random(8, 8, 2);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut ln = TesseractLayerNorm::<DenseTensor>::new(8, 1e-5);
@@ -51,7 +51,7 @@ fn linear_forward_matches_global_weight_product() {
     let (in_f, out_f) = (8, 12);
     let x = random(16, in_f, 3);
     let w_global = global_xavier(in_f, out_f, SEED, 7);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, false, SEED, 7);
@@ -65,7 +65,7 @@ fn linear_forward_matches_global_weight_product() {
 #[test]
 fn linear_bias_lives_on_row_zero_and_broadcasts() {
     let shape = GridShape::new(2, 2);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, true, SEED, 0);
         (grid.coords, lin.bias().is_some())
@@ -82,7 +82,7 @@ fn linear_bias_gradient_reduces_to_row_zero() {
     // the whole global batch = b·s rows of ones.
     let shape = GridShape::new(2, 2);
     let rows_global = 8;
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, true, SEED, 0);
@@ -112,7 +112,7 @@ fn mlp_gradient_matches_finite_difference() {
     let x = random(4, 4, 5);
     let dy = random(4, 4, 6);
     let run = |input: &Matrix| -> Matrix {
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut mlp = TesseractMlp::<DenseTensor>::new(ctx, &grid, 4, 8, true, SEED, 0);
@@ -121,7 +121,7 @@ fn mlp_gradient_matches_finite_difference() {
         });
         combine_c(&out.results, shape)
     };
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut mlp = TesseractMlp::<DenseTensor>::new(ctx, &grid, 4, 8, true, SEED, 0);
@@ -167,7 +167,7 @@ fn forward_backward_can_repeat_across_steps() {
         eps: 1e-5,
     };
     let x = random(cfg.rows(), cfg.hidden, 7);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer =
@@ -205,7 +205,7 @@ fn gpipe_style_multi_forward_then_backward_works() {
     };
     let x1 = random(cfg.rows(), cfg.hidden, 8);
     let x2 = random(cfg.rows(), cfg.hidden, 9);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer =
@@ -222,7 +222,7 @@ fn gpipe_style_multi_forward_then_backward_works() {
     // Cross-check against single-microbatch runs.
     let single = |x: &Matrix, seed_tag: u64| -> Matrix {
         let _ = seed_tag;
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut layer =

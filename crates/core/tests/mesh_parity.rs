@@ -7,7 +7,7 @@
 //! same order — on the paper's `[2,2,1]`, `[2,2,2]` and `[4,4,2]`
 //! arrangements, so the refactor cannot silently renumber any rank group.
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::{GridShape, TesseractGrid};
 
 /// Legacy layout literals, re-encoded independently of `GridShape`:
@@ -74,7 +74,7 @@ fn mesh_fibers_match_legacy_group_construction() {
 fn constructed_grid_groups_match_legacy_membership_end_to_end() {
     for (q, d) in SHAPES {
         let shape = GridShape::new(q, d);
-        let out = Cluster::a100(shape.size()).run(move |ctx| {
+        let out = RunConfig::from_env(shape.size()).run(move |ctx| {
             let g = TesseractGrid::new(ctx, shape, 0);
             (g.coords, g.row.ranks().to_vec(), g.col.ranks().to_vec(), g.depth.ranks().to_vec())
         });

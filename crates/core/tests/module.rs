@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::layers::TesseractLinear;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
@@ -32,7 +32,7 @@ fn tape_survives_four_microbatch_gpipe_schedule() {
     let run = |pipelined: bool| {
         let xs = xs.clone();
         let dys = dys.clone();
-        Cluster::a100(shape.size()).run(move |ctx| {
+        RunConfig::from_env(shape.size()).run(move |ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut model = TesseractLinear::<DenseTensor>::new(ctx, &grid, 8, 8, true, SEED, 1);
@@ -87,7 +87,7 @@ fn tape_survives_four_microbatch_gpipe_schedule() {
 #[should_panic(expected = "backward without forward")]
 fn backward_on_empty_tape_panics() {
     let shape = GridShape::new(1, 1);
-    Cluster::a100(shape.size()).run(|ctx| {
+    RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, false, SEED, 1);
         let dy = Arc::new(DenseTensor::from_matrix(random(4, 4, 3)));
@@ -111,7 +111,7 @@ fn stack_composition_matches_manual_chaining() {
     };
     let x = random(8, 8, 40);
     let dy = random(8, 8, 41);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RankCtx, RunOutput};
+use tesseract_comm::{RankCtx, RunConfig, RunOutput};
 use tesseract_core::partition::a_block;
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, TesseractGrid,
@@ -32,7 +32,7 @@ fn run<R: Send, F>(shape: GridShape, overlap: bool, step: F) -> RunOutput<R>
 where
     F: Fn(&TesseractGrid, &mut RankCtx) -> R + Send + Sync,
 {
-    Cluster::a100(shape.size()).run(|ctx| {
+    RunConfig::from_env(shape.size()).run(|ctx| {
         let mut grid = TesseractGrid::new(ctx, shape, 0);
         grid.overlap = overlap;
         step(&grid, ctx)

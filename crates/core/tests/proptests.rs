@@ -4,7 +4,7 @@
 //! closed-form analysis invariants.
 
 use proptest::prelude::*;
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::analysis;
 use tesseract_core::mm::tesseract_matmul;
 use tesseract_core::partition::{a_block, b_block, combine_c, split_a, split_b};
@@ -106,7 +106,7 @@ proptest! {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let a = Matrix::random_uniform(a_rows, inner, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(inner, b_cols, -1.0, 1.0, &mut rng);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let mut grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let a_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
@@ -138,7 +138,7 @@ proptest! {
         // a B block, each to q−1 peers.
         let shape = GridShape::new(q, d);
         let (a_rows, inner, b_cols) = (q * d * mr * 2, q * 2, q * 3);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let a_loc =
                 std::sync::Arc::new(tesseract_tensor::ShadowTensor::new(a_rows / (q * d), inner / q));

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RunConfig};
+use tesseract_comm::RunConfig;
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
@@ -50,7 +50,7 @@ fn run_stack(
 ) -> Vec<(Matrix, Matrix, Vec<Matrix>)> {
     let x = random(cfg.rows(), cfg.hidden, 11);
     let dy = random(cfg.rows(), cfg.hidden, 12);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut stack = TesseractTransformer::<DenseTensor>::new_with_options(
@@ -96,7 +96,7 @@ fn recompute_is_bitwise_identical_even_when_k_does_not_divide_layers() {
 
 /// Per-rank peak tape residency for a stack run on the shadow backend.
 fn peak_activation_bytes(shape: GridShape, cfg: TransformerConfig, opts: StackOptions) -> Vec<u64> {
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut stack = TesseractTransformer::<ShadowTensor>::new_with_options(
             ctx, &grid, cfg, true, SEED, 0, opts,
@@ -149,7 +149,7 @@ type GpipeRun = (Vec<(Matrix, Matrix)>, Vec<Matrix>, u64);
 fn run_gpipe(shape: GridShape, cfg: TransformerConfig, opts: StackOptions) -> Vec<GpipeRun> {
     let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
     let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 30 + m)).collect();
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let block = |m: &Matrix| Arc::new(DenseTensor::from_matrix(a_block(m, shape, i, j, k)));
@@ -205,7 +205,7 @@ fn checkpointed_stack_scopes_are_pinned() {
     const CKPT_BWD: &str = "checkpoint.bwd";
     let shape = GridShape::new(2, 1);
     let cfg = cfg_for(2, 1, 3);
-    let out = RunConfig::new(shape.size()).with_trace(true).cluster().run(|ctx| {
+    let out = RunConfig::new(shape.size()).with_trace(true).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let opts = StackOptions { recompute_every: Some(2) };
         let mut stack = TesseractTransformer::<ShadowTensor>::new_with_options(

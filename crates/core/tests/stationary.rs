@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, CollectiveOp, CommStats, Payload, RankCtx};
+use tesseract_comm::{CollectiveOp, CommStats, RankCtx, RunConfig};
 use tesseract_core::mm::row_panels;
 use tesseract_core::{
     GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
@@ -52,7 +52,7 @@ fn input<T: TensorLike>(grid: &TesseractGrid, in_f: usize, rows: Rows, stream: u
 /// A `[4q, 6q]` linear with a bias whose weight and bias are moved off
 /// their initial values (the bias is zero-initialized), so the bias add
 /// is exercised.
-fn linear<T: TensorLike + Payload>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear<T> {
+fn linear<T: TensorLike>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear<T> {
     let q = grid.shape.q;
     let mut lin = TesseractLinear::<T>::new(ctx, grid, 4 * q, 6 * q, true, 5, 0);
     let mut scratch = tesseract_tensor::Meter::new();
@@ -67,7 +67,7 @@ fn linear<T: TensorLike + Payload>(ctx: &RankCtx, grid: &TesseractGrid) -> Tesse
 
 /// Serves `x` through `lin`: one row all-gather, then the stationary
 /// multiply.
-fn serve_linear<T: TensorLike + Payload>(
+fn serve_linear<T: TensorLike>(
     lin: &TesseractLinear<T>,
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -80,7 +80,7 @@ fn serve_linear<T: TensorLike + Payload>(
 /// Serves two calls (the one that fetches the weights, then a steady
 /// one) and runs SUMMA on the same inputs; returns both pairs per rank.
 fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut lin = linear::<DenseTensor>(ctx, &grid);
         let in_f = lin.in_features;
@@ -115,7 +115,7 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
     for (q, d) in GRIDS {
         for rows in [Rows::Empty, Rows::One, Rows::Ragged] {
             let shape = GridShape::new(q, d);
-            let out = Cluster::a100(shape.size()).run(|ctx| {
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut lin = linear::<DenseTensor>(ctx, &grid);
                 let mut norm = TesseractLayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
@@ -142,8 +142,8 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
 
 #[test]
 fn dense_and_shadow_serve_on_the_same_virtual_clock() {
-    fn serve<T: TensorLike + Payload>(shape: GridShape) -> (f64, u64) {
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+    fn serve<T: TensorLike>(shape: GridShape) -> (f64, u64) {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let lin = linear::<T>(ctx, &grid);
             for (stream, rows) in [Rows::Ragged, Rows::One, Rows::Ragged].into_iter().enumerate() {
@@ -172,7 +172,7 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
         eps: 1e-5,
     };
     let local = cfg.hidden / shape.q;
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 3, 0);
         let mut kvs = vec![model.new_kv(&grid)];

@@ -26,7 +26,7 @@ fn traced_step(shape: GridShape, trace: bool) -> tesseract_comm::RunOutput<Matri
     let rows = 8 * shape.q * shape.d;
     let a = random(rows, 16, 1);
     let b = random(16, 16, 2);
-    RunConfig::from_env(shape.size()).with_trace(trace).cluster().run(move |ctx| {
+    RunConfig::from_env(shape.size()).with_trace(trace).run(move |ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
@@ -62,7 +62,7 @@ fn every_rank_books_its_own_wait_per_op() {
     let stage_size = shape.size();
     let a = random(8 * shape.q, 16, 3);
     let b = random(16, 16, 4);
-    let out = RunConfig::from_env(2 * stage_size).with_trace(true).cluster().run(move |ctx| {
+    let out = RunConfig::from_env(2 * stage_size).with_trace(true).run(move |ctx| {
         let (stage, local) = (ctx.rank / stage_size, ctx.rank % stage_size);
         let grid = TesseractGrid::new(ctx, shape, stage * stage_size);
         let (i, j, k) = grid.coords;
@@ -137,7 +137,7 @@ fn scope_events_balance_under_tape_rewind() {
     };
     let xs: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 30 + m as u64)).collect();
     let dys: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 40 + m as u64)).collect();
-    let out = RunConfig::from_env(shape.size()).with_trace(true).cluster().run(move |ctx| {
+    let out = RunConfig::from_env(shape.size()).with_trace(true).run(move |ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut stack = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 3);

@@ -4,7 +4,7 @@
 //! global batch; after backward, gradients are all-reduced across replicas
 //! and averaged, exactly like PyTorch DDP over NCCL.
 
-use tesseract_comm::{CommGroup, Payload, RankCtx};
+use tesseract_comm::{CommGroup, RankCtx};
 use tesseract_core::module::Module;
 use tesseract_tensor::TensorLike;
 
@@ -23,7 +23,7 @@ impl DataParallel {
 
     /// All-reduces and averages every gradient the model exposes. Call once
     /// per step, after backward and before the optimizer.
-    pub fn sync_gradients<T: TensorLike + Payload, G>(
+    pub fn sync_gradients<T: TensorLike, G>(
         &self,
         ctx: &mut RankCtx,
         model: &mut dyn Module<T, G>,
@@ -46,7 +46,7 @@ impl DataParallel {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_core::{ParamRef, TesseractGrid};
     use tesseract_tensor::{DenseTensor, Matrix};
 
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn gradients_are_averaged_across_replicas() {
-        let out = Cluster::a100(2).run(|ctx| {
+        let out = RunConfig::from_env(2).run(|ctx| {
             let dp = DataParallel::new(ctx, vec![0, 1]);
             let mut w = DenseTensor::from_matrix(Matrix::full(2, 2, 0.0));
             let mut g = DenseTensor::from_matrix(Matrix::full(2, 2, (ctx.rank as f32 + 1.0) * 2.0));
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn sync_handles_multiple_params_in_order() {
-        let out = Cluster::a100(2).run(|ctx| {
+        let out = RunConfig::from_env(2).run(|ctx| {
             let dp = DataParallel::new(ctx, vec![0, 1]);
             let mut w1 = DenseTensor::from_matrix(Matrix::zeros(1, 1));
             let mut g1 = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32));

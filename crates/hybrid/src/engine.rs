@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_core::layers::{StackOptions, Transformer, PARAM_IDS_PER_LAYER};
 use tesseract_core::{TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::TensorLike;
@@ -18,7 +18,7 @@ use crate::mapping::{HybridCoords, HybridShape};
 use crate::pipeline::{gpipe_step_module, PipelineStage};
 
 /// One rank's slice of a hybrid-parallel Transformer.
-pub struct HybridTransformer<T: TensorLike + Payload> {
+pub struct HybridTransformer<T: TensorLike> {
     pub shape: HybridShape,
     pub coords: HybridCoords,
     pub grid: TesseractGrid,
@@ -32,7 +32,7 @@ pub struct HybridTransformer<T: TensorLike + Payload> {
     pub cfg: TransformerConfig,
 }
 
-impl<T: TensorLike + Payload> HybridTransformer<T> {
+impl<T: TensorLike> HybridTransformer<T> {
     /// `cfg.layers` is the *total* stack depth (must divide by `shape.pp()`);
     /// `cfg.batch` is the per-microbatch batch size; every stage's stack is
     /// built with `opts`.

@@ -96,7 +96,8 @@ impl HybridShape {
 
     /// The configuration of one microbatch when a GPipe step splits `cfg`'s
     /// global batch over `dp` replicas and `microbatches` waves: the
-    /// arrangement's one feasibility rule. It needs positive `microbatches`
+    /// arrangement's one feasibility rule. It needs `cfg`'s dimensions
+    /// ([`TransformerConfig::check_positive`]) and `microbatches` positive
     /// (the degrees are positive by construction), `pp | layers`,
     /// `dp·microbatches | batch` and the grid to fit the microbatch;
     /// `layers` stays the whole stack's.
@@ -105,6 +106,7 @@ impl HybridShape {
         cfg: &TransformerConfig,
         microbatches: usize,
     ) -> Result<TransformerConfig, ShapeError> {
+        cfg.check_positive()?;
         if microbatches == 0 {
             return Err(ShapeError::NonPositive { what: "microbatches" });
         }

@@ -106,7 +106,7 @@ pub fn gpipe_step_module<T>(
     mut loss_grad: impl FnMut(&mut RankCtx, &T, usize) -> T,
 ) -> (Vec<Arc<T>>, f64)
 where
-    T: TensorLike + Payload,
+    T: TensorLike,
 {
     assert!(microbatches >= 1);
     let mut outputs: Vec<Arc<T>> = Vec::new();
@@ -141,7 +141,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_core::GridShape;
     use tesseract_tensor::{DenseTensor, Matrix};
 
@@ -182,7 +182,7 @@ mod tests {
         input: impl Fn(usize) -> Matrix + Send + Sync + 'static,
     ) -> Vec<(Vec<f32>, Vec<f32>, f64)> {
         let pp = factors.len();
-        let out = Cluster::a100(pp).run(move |ctx| {
+        let out = RunConfig::from_env(pp).run(move |ctx| {
             let prev = ctx.rank.checked_sub(1);
             let next = (ctx.rank + 1 < pp).then_some(ctx.rank + 1);
             let stage = PipelineStage::new(ctx, pp, ctx.rank, prev, next);

@@ -3,7 +3,7 @@
 //! arrangement is still "no approximation".
 
 use tesseract_baselines::serial::SerialTransformer;
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{GridShape, Module, TransformerConfig};
@@ -36,7 +36,7 @@ fn pipeline_only_matches_serial_stack() {
     let _ = serial.backward(&dy);
 
     let shape = HybridShape::new(1, 2, GridShape::new(1, 1));
-    let out = Cluster::a100(2).run(|ctx| {
+    let out = RunConfig::from_env(2).run(|ctx| {
         let mut engine = HybridTransformer::<DenseTensor>::new(
             ctx,
             shape,
@@ -90,7 +90,7 @@ fn data_parallel_averages_half_batch_gradients() {
     let serial_wq = serial.layers[0].attn.wq.dw.matrix().clone();
 
     let shape = HybridShape::new(2, 1, GridShape::new(1, 1));
-    let out = Cluster::a100(2).run(|ctx| {
+    let out = RunConfig::from_env(2).run(|ctx| {
         let mut engine = HybridTransformer::<DenseTensor>::new(
             ctx,
             shape,
@@ -144,7 +144,7 @@ fn figure6_arrangement_matches_serial() {
     let _ = serial.backward(&dy_full);
 
     let grid = shape.grid();
-    let out = Cluster::a100(shape.total()).run(|ctx| {
+    let out = RunConfig::from_env(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::<DenseTensor>::new(
             ctx,
             shape,
@@ -235,7 +235,7 @@ fn checkpointed_stages_match_the_plain_pipeline_bitwise() {
     let grid = shape.grid();
     let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let run = |opts: StackOptions| {
-        Cluster::a100(shape.total())
+        RunConfig::from_env(shape.total())
             .run(|ctx| {
                 let mut engine =
                     HybridTransformer::<DenseTensor>::new(ctx, shape, cfg, true, SEED, opts);

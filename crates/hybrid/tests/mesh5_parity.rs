@@ -7,7 +7,7 @@
 //! based at a nonzero rank, and exercises [`Mesh::fiber_group`] as a live
 //! [`CommGroup`] on the simulated cluster.
 
-use tesseract_comm::{Cluster, Mesh, MeshAxis};
+use tesseract_comm::{Mesh, MeshAxis, RunConfig};
 use tesseract_core::GridShape;
 use tesseract_hybrid::HybridShape;
 use tesseract_tensor::{DenseTensor, Matrix};
@@ -102,7 +102,7 @@ fn fiber_group_builds_live_collective_groups() {
     // the sums only come out right if membership and ordering match the
     // closed form on every rank.
     let shape = HybridShape::figure6();
-    let out = Cluster::a100(shape.total()).run(move |ctx| {
+    let out = RunConfig::from_env(shape.total()).run(move |ctx| {
         let mesh = shape.mesh();
         let dp_group = mesh.fiber_group(ctx, "mesh5.dp", "dp");
         let pp_group = mesh.fiber_group(ctx, "mesh5.pp", "pp");

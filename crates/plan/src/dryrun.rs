@@ -1,8 +1,8 @@
 //! The planner's ranking: ShadowTensor dry-runs on the simulated cluster.
 //!
 //! Each candidate is executed for one real training step — shapes and exact
-//! flop/byte metering, no data — on a [`Cluster`] built from the *target*
-//! topology and cost constants. The returned numbers come from the same
+//! flop/byte metering, no data — by a [`RunConfig`] that carries the
+//! *target* topology and cost constants. The returned numbers come from the same
 //! Meter/RankReport machinery the benches publish, so a planner decision is
 //! backed by the same virtual clocks as the paper-table reproductions, and
 //! re-running the winning arrangement reproduces the reported makespan
@@ -18,8 +18,6 @@
 //! and one microbatch), and runs `HybridTransformer::train_step` with one
 //! segment per stage: the GPipe schedule that trains, followed by the
 //! data-parallel gradient sync.
-//!
-//! [`Cluster`]: tesseract_comm::Cluster
 
 use std::sync::Arc;
 
@@ -126,7 +124,7 @@ pub fn step(
         Candidate::Megatron { p } => {
             let p = *p;
             rc.world = p;
-            rc.cluster().run(|ctx| {
+            rc.run(|ctx| {
                 let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(p, 0));
                 // The whole stack is one segment.
                 let opts = StackOptions { recompute_every: Some(cfg.layers) };
@@ -154,7 +152,7 @@ pub fn step(
             // `layers` is at least a stage's depth: one segment per stage.
             let opts = StackOptions { recompute_every: Some(engine_cfg.layers) };
             rc.world = shape.total();
-            rc.cluster().run(|ctx| {
+            rc.run(|ctx| {
                 let mut eng =
                     HybridTransformer::<ShadowTensor>::new(ctx, shape, engine_cfg, true, 0, opts);
                 let rows_local = eng.cfg.rows() / (shape.grid().q * shape.grid().d);
@@ -214,7 +212,7 @@ mod tests {
     fn megatron_checkpointed_step_leaves_no_tape() {
         use tesseract_tensor::{DenseTensor, TensorLike};
         let cfg = cfg();
-        let out = RunConfig::new(2).cluster().run(|ctx| {
+        let out = RunConfig::new(2).run(|ctx| {
             let world = MegatronWorld::from_mesh(ctx, &MegatronWorld::tp_mesh(2, 0));
             let opts = StackOptions { recompute_every: Some(cfg.layers) };
             let mut model = MegatronTransformer::<DenseTensor>::new_with_options(

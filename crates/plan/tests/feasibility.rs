@@ -1,14 +1,18 @@
 //! The planner and the execution path share one feasibility rule per
 //! arrangement: for an infeasible arrangement, the `ShapeError` that
 //! `Candidate::check` reports renders to the very text that building the
-//! stack on that world panics with.
+//! stack on that world panics with. A zero workload dimension is
+//! infeasible on every arrangement, so the planner lists it instead of
+//! panicking in a dry-run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tesseract_baselines::{MegatronTransformer, MegatronWorld};
 use tesseract_comm::RunConfig;
-use tesseract_core::{GridShape, TesseractGrid, TesseractTransformer, TransformerConfig};
-use tesseract_plan::Candidate;
+use tesseract_core::{
+    GridShape, ShapeError, TesseractGrid, TesseractTransformer, TransformerConfig,
+};
+use tesseract_plan::{plan, Candidate, PlanRequest};
 use tesseract_tensor::ShadowTensor;
 
 fn cfg() -> TransformerConfig {
@@ -18,12 +22,12 @@ fn cfg() -> TransformerConfig {
 /// Runs `build` on a `world`-rank cluster and returns the text of the
 /// panic it must end in.
 fn build_panic(world: usize, build: impl Fn(&mut tesseract_comm::RankCtx) + Send + Sync) -> String {
-    let payload = catch_unwind(AssertUnwindSafe(|| RunConfig::new(world).cluster().run(&build)))
+    let payload = catch_unwind(AssertUnwindSafe(|| RunConfig::new(world).run(&build)))
         .expect_err("building the stack on an infeasible world must panic");
-    payload.downcast_ref::<String>().cloned().expect("Cluster::run panics with a String")
+    payload.downcast_ref::<String>().cloned().expect("RunConfig::run panics with a String")
 }
 
-/// `Cluster::run` names the first rank that failed, whichever it was.
+/// `RunConfig::run` names the first rank that failed, whichever it was.
 fn assert_rank_panicked_with(text: &str, err: &str) {
     let (rank, msg) = text.split_once(" panicked: ").unwrap_or(("", text));
     assert!(rank.starts_with("rank "), "not a rank panic: {text:?}");
@@ -54,4 +58,35 @@ fn a_megatron_group_the_planner_rejects_panics_with_the_same_text() {
         MegatronTransformer::<ShadowTensor>::new(ctx, &world, cfg, true, 0, 0);
     });
     assert_rank_panicked_with(&text, &err);
+}
+
+/// `cfg()` with one dimension set to zero, and the `NonPositive` it earns.
+fn zeroed() -> [(TransformerConfig, ShapeError); 3] {
+    let cfg = cfg();
+    [
+        (TransformerConfig { batch: 0, ..cfg }, ShapeError::NonPositive { what: "batch" }),
+        (TransformerConfig { heads: 0, ..cfg }, ShapeError::NonPositive { what: "heads" }),
+        (TransformerConfig { layers: 0, ..cfg }, ShapeError::NonPositive { what: "layers" }),
+    ]
+}
+
+#[test]
+fn a_zero_dimension_is_non_positive_on_a_grid_and_on_megatron() {
+    let shape = GridShape::new(2, 1);
+    for (cfg, err) in zeroed() {
+        assert_eq!(Candidate::tesseract(shape).check(&cfg, shape.size()), Err(err.clone()));
+        assert_eq!(Candidate::Megatron { p: 2 }.check(&cfg, 2), Err(err));
+    }
+}
+
+#[test]
+fn the_planner_lists_a_zero_dimension_as_infeasible() {
+    for (cfg, err) in zeroed() {
+        let p = plan(&PlanRequest::new(4, cfg));
+        assert!(p.entries.is_empty(), "{}", p.describe());
+        assert!(!p.infeasible.is_empty());
+        for (label, e) in &p.infeasible {
+            assert_eq!(e, &err, "{label}");
+        }
+    }
 }

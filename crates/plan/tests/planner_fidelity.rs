@@ -36,7 +36,7 @@ fn bare_grid_step(req: &PlanRequest, grid: GridShape) -> DryRun {
     let cfg = req.cfg;
     let run_cfg =
         RunConfig::from_env(grid.size()).with_topology(req.topology).with_params(req.params);
-    let out = run_cfg.cluster().run(|ctx| {
+    let out = run_cfg.run(|ctx| {
         let world = TesseractGrid::new(ctx, grid, 0);
         let opts = StackOptions { recompute_every: Some(cfg.layers) };
         let mut model = TesseractTransformer::<ShadowTensor>::new_with_options(

@@ -55,7 +55,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, Payload, RankCtx, RunOutput};
+use tesseract_comm::{RankCtx, RunConfig, RunOutput};
 use tesseract_core::TransformerConfig;
 use tesseract_core::{GridShape, InferBatch, RequestKv, TesseractGrid, TesseractTransformer};
 use tesseract_tensor::TensorLike;
@@ -345,7 +345,7 @@ struct LaneSlot<T> {
 /// grid, each entering on the same clock, with the same `cfg` and
 /// `traffic`). Returns the per-rank summary, whose `results` are this
 /// rank's lane's requests; the lane's `q` ranks return equal summaries.
-pub fn run_serve<T: TensorLike + Payload>(
+pub fn run_serve<T: TensorLike>(
     ctx: &mut RankCtx,
     grid: &TesseractGrid,
     cfg: &ServeConfig,
@@ -463,19 +463,19 @@ pub fn run_serve<T: TensorLike + Payload>(
     }
 }
 
-/// Convenience driver: spawns a `[q, q, d]` grid over the whole cluster,
-/// serves `traffic` on it, and folds every lane's results into one
-/// id-ordered list that each rank's summary carries. The fold runs on the
+/// Convenience driver: runs `run_cfg` as one `[q, q, d]` grid over all
+/// its ranks, serves `traffic` on it, and folds every lane's results into
+/// one id-ordered list that each rank's summary carries. The fold runs on the
 /// host after the ranks finish (like `RunOutput::comm`) and charges no
 /// virtual time; it panics if two ranks of a lane disagree on a result.
-pub fn serve_on_cluster<T: TensorLike + Payload>(
-    cluster: &Cluster,
+pub fn serve_on_cluster<T: TensorLike>(
+    run_cfg: &RunConfig,
     shape: GridShape,
     cfg: &ServeConfig,
     traffic: &[RequestSpec],
 ) -> RunOutput<ServeSummary> {
-    shape.check_world(cluster.world).unwrap_or_else(|e| panic!("{e}"));
-    let mut out = cluster.run(|ctx| {
+    shape.check_world(run_cfg.world).unwrap_or_else(|e| panic!("{e}"));
+    let mut out = run_cfg.run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         run_serve::<T>(ctx, &grid, cfg, traffic)
     });

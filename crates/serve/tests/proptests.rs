@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::{
     GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
@@ -22,7 +22,7 @@ fn test_model() -> TransformerConfig {
 fn check_parity(prompt_len: usize, decode_tokens: usize, seed: u64) {
     let shape = GridShape::new(2, 1);
     let cfg = test_model();
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
         let local_h = cfg.hidden / grid.shape.q;

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, CollectiveOp, RankCtx, RunConfig};
+use tesseract_comm::{CollectiveOp, RankCtx, RunConfig};
 use tesseract_core::{
     GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
@@ -46,7 +46,7 @@ fn prompt_block(
 /// output rows; the two must match bitwise.
 fn cached_vs_recompute(shape: GridShape, prompt_len: usize, decode_tokens: usize, seed: u64) {
     let cfg = test_model();
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
         let prompt = prompt_block(&grid, cfg.hidden, prompt_len, seed ^ 0xABCD, 1);
@@ -147,7 +147,7 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
     // chain would add 4 launches per segment and head.
     let shape = GridShape::new(2, 2);
     let cfg = test_model();
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
         (decode_step_launches(ctx, &grid, &model, 1), decode_step_launches(ctx, &grid, &model, 8))
@@ -166,7 +166,7 @@ fn a_steady_busy_lane_layer_is_ten_launches_per_rank() {
     let cfg = test_model();
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
             decode_step_launches(ctx, &grid, &model, 3)
@@ -181,7 +181,7 @@ fn a_steady_busy_lane_layer_is_ten_launches_per_rank() {
 fn inference_never_grows_tapes_and_drops_activation_arcs() {
     let shape = GridShape::new(2, 1);
     let cfg = test_model();
-    Cluster::a100(shape.size()).run(|ctx| {
+    RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
         let prompt = Arc::new(prompt_block(&grid, cfg.hidden, 4, 99, 0));
@@ -221,7 +221,7 @@ fn backward_after_forward_infer_panics_on_the_empty_tape() {
     use tesseract_core::Module;
     let shape = GridShape::new(2, 1);
     let cfg = test_model();
-    Cluster::a100(shape.size()).run(|ctx| {
+    RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 5, 0);
         let x = Arc::new(prompt_block(&grid, cfg.hidden, 4, 3, 0));
@@ -247,7 +247,7 @@ fn engine_serves_all_requests_with_sane_latencies() {
     let shape = GridShape::new(2, 1);
     let traffic = smoke_traffic();
     let out = serve_on_cluster::<DenseTensor>(
-        &Cluster::a100(shape.size()),
+        &RunConfig::from_env(shape.size()),
         shape,
         &serve_cfg(),
         &traffic,
@@ -278,7 +278,12 @@ fn engine_reruns_are_bitwise_identical() {
     let shape = GridShape::new(2, 2);
     let traffic = smoke_traffic();
     let run = || {
-        serve_on_cluster::<DenseTensor>(&Cluster::a100(shape.size()), shape, &serve_cfg(), &traffic)
+        serve_on_cluster::<DenseTensor>(
+            &RunConfig::from_env(shape.size()),
+            shape,
+            &serve_cfg(),
+            &traffic,
+        )
     };
     let a = run();
     let b = run();
@@ -294,7 +299,7 @@ fn dense_and_shadow_serving_report_identical_virtual_time() {
     // and every rank report must agree bitwise across backends.
     let shape = GridShape::new(2, 1);
     let traffic = smoke_traffic();
-    let cluster = Cluster::a100(shape.size());
+    let cluster = RunConfig::from_env(shape.size());
     let dense = serve_on_cluster::<DenseTensor>(&cluster, shape, &serve_cfg(), &traffic);
     let shadow = serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), &traffic);
     assert_eq!(dense.results, shadow.results);
@@ -306,7 +311,7 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
     let shape = GridShape::new(2, 2);
     let traffic = smoke_traffic();
     let out = serve_on_cluster::<DenseTensor>(
-        &Cluster::a100(shape.size()),
+        &RunConfig::from_env(shape.size()),
         shape,
         &serve_cfg(),
         &traffic,
@@ -354,7 +359,7 @@ fn traced_serving_reconciles_with_its_accounting_exactly() {
         output_lens: (1, 4),
         seed: 21,
     });
-    let cluster = RunConfig::new(shape.size()).with_trace(true).cluster();
+    let cluster = RunConfig::new(shape.size()).with_trace(true);
     let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), &traffic);
     for (summary, r) in out.results.iter().zip(&out.reports) {
         assert!(r.idle_time > 0.0, "rank {} never idled", r.rank);
@@ -398,7 +403,7 @@ fn serving_lanes_run_independently() {
                 seed: case,
             });
             let serve = |traffic: &[RequestSpec]| {
-                let cluster = Cluster::a100(shape.size());
+                let cluster = RunConfig::from_env(shape.size());
                 serve_on_cluster::<ShadowTensor>(&cluster, shape, &serve_cfg(), traffic)
             };
             let out = serve(&traffic);
@@ -450,7 +455,12 @@ fn a_grid_whose_columns_sit_unlike_on_nodes_is_refused() {
         model: TransformerConfig { batch: 3, hidden: 12, heads: 3, ..test_model() },
         ..serve_cfg()
     };
-    serve_on_cluster::<ShadowTensor>(&Cluster::a100(shape.size()), shape, &cfg, &smoke_traffic());
+    serve_on_cluster::<ShadowTensor>(
+        &RunConfig::from_env(shape.size()),
+        shape,
+        &cfg,
+        &smoke_traffic(),
+    );
 }
 
 #[test]
@@ -469,7 +479,7 @@ fn offered_load_past_saturation_raises_latency() {
     let run = |rate: f64| -> ServeSummary {
         let traffic = tesseract_serve::generate(&TrafficConfig { rate, ..base });
         let out = serve_on_cluster::<ShadowTensor>(
-            &Cluster::a100(shape.size()),
+            &RunConfig::from_env(shape.size()),
             shape,
             &ServeConfig { max_lane_requests: 2, ..serve_cfg() },
             &traffic,

@@ -35,7 +35,8 @@ pub use matrix::Matrix;
 pub use meter::{Meter, MeterScope};
 pub use rng::Xoshiro256StarStar;
 pub use tensor::{
-    adam_direction_chain, fused, AdamCoeffs, DenseTensor, FusedOutput, ShadowTensor, TensorLike,
+    adam_direction_chain, fused, AdamCoeffs, DenseTensor, FusedOutput, Payload, ShadowTensor,
+    TensorLike,
 };
 pub use trace::{TraceEvent, TraceKind};
 

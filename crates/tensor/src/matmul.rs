@@ -19,7 +19,7 @@
 //!   [`BLOCK_M`]-row block at a time against the whole packed B.
 //!
 //! **A GEMM runs on the thread that calls it.** The unit of parallelism is
-//! the simulated processor — one OS thread per rank (`Cluster::run`) — and
+//! the simulated processor — one OS thread per rank (`RunConfig::run`) — and
 //! the kernels own no shared state, so any number of rank threads may
 //! multiply concurrently. There is no second, intra-GEMM level of threads:
 //! with `world ≥ 4` rank threads already on the host's cores it never

@@ -22,6 +22,8 @@
 //! charges it as one launch, so a fused op has no kernel or price of its
 //! own either.
 
+use std::sync::Arc;
+
 use crate::init::global_xavier;
 use crate::matmul::{self, Orient};
 use crate::matrix::Matrix;
@@ -458,6 +460,50 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     /// fwd/bwd work the tables time.
     fn frobenius(&self) -> Option<f32> {
         self.try_matrix().map(Matrix::frobenius_norm)
+    }
+}
+
+/// Data that can travel through collectives. Every [`TensorLike`] is one:
+/// its wire size is [`TensorLike::byte_size`] and a reduction combines with
+/// [`TensorLike::reduce_add_inplace`]. The trait lives beside `TensorLike`
+/// because only the crate that owns both may write that blanket impl next
+/// to the `()` and `Arc<P>` ones.
+pub trait Payload: Clone + Send + Sync + 'static {
+    /// Size of one rank's contribution on the wire, in bytes.
+    fn wire_size(&self) -> usize;
+    /// Elementwise combine for reductions.
+    fn combine(&mut self, other: &Self);
+}
+
+impl<T: TensorLike> Payload for T {
+    fn wire_size(&self) -> usize {
+        self.byte_size()
+    }
+
+    fn combine(&mut self, other: &Self) {
+        self.reduce_add_inplace(other);
+    }
+}
+
+impl Payload for () {
+    fn wire_size(&self) -> usize {
+        0
+    }
+
+    fn combine(&mut self, _other: &Self) {}
+}
+
+/// `Arc<P>` travels through collectives and point-to-point channels without
+/// copying the inner payload (the pipeline sends activations this way).
+/// Reducing through the `Arc` uses copy-on-write: uniquely-owned deposits
+/// are combined in place, shared ones are cloned first.
+impl<P: Payload> Payload for Arc<P> {
+    fn wire_size(&self) -> usize {
+        (**self).wire_size()
+    }
+
+    fn combine(&mut self, other: &Self) {
+        Arc::make_mut(self).combine(other);
     }
 }
 

@@ -15,14 +15,14 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_core::module::Module;
 use tesseract_core::TesseractGrid;
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
 /// Sum of squared Frobenius norms of a module's local gradient blocks.
 /// `None` when the backend carries no values (shadow tensors).
-fn local_grad_norm_sq<T: TensorLike + Payload, G>(model: &mut dyn Module<T, G>) -> Option<f32> {
+fn local_grad_norm_sq<T: TensorLike, G>(model: &mut dyn Module<T, G>) -> Option<f32> {
     let mut sq = 0.0f64;
     let mut measurable = true;
     model.visit_params(&mut |pr| match pr.grad.frobenius() {
@@ -38,7 +38,7 @@ fn local_grad_norm_sq<T: TensorLike + Payload, G>(model: &mut dyn Module<T, G>) 
 ///
 /// Collective: all grid ranks must call this together (it all-reduces one
 /// scalar over the row and column fibers).
-pub fn clip_grad_norm<T: TensorLike + Payload>(
+pub fn clip_grad_norm<T: TensorLike>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
     model: &mut dyn Module<T>,

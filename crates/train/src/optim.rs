@@ -16,7 +16,6 @@
 //! because the tensor trait exposes a fused `rsqrt_add`; for the ε = 1e-8
 //! defaults the difference from `1/(sqrt(v̂)+ε)` is far below f32 noise.
 
-use tesseract_comm::Payload;
 use tesseract_core::module::Module;
 use tesseract_tensor::{AdamCoeffs, Meter, TensorLike};
 
@@ -37,10 +36,7 @@ impl<T: TensorLike> AdamW<T> {
     }
 
     /// Updates every parameter of `model` (any world type `G`).
-    pub fn step<G>(&mut self, m: &mut Meter, model: &mut dyn Module<T, G>)
-    where
-        T: Payload,
-    {
+    pub fn step<G>(&mut self, m: &mut Meter, model: &mut dyn Module<T, G>) {
         self.t += 1;
         let (lr, wd) = (self.lr, self.weight_decay);
         let coeffs = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RankCtx};
+use tesseract_comm::{RankCtx, RunConfig};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{DenseTensor, Matrix, Meter};
@@ -103,7 +103,7 @@ fn train<M: Module<DenseTensor>>(
     build: impl Fn(&RankCtx, &TesseractGrid) -> M + Sync,
 ) -> TrainReport {
     let b = vcfg.body.batch;
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = build(ctx, &grid);
         let mut opt: AdamW<DenseTensor> = AdamW::new(s.lr, s.weight_decay);

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::RankCtx;
 use tesseract_core::module::{Module, ParamRef};
 use tesseract_core::{TesseractGrid, TesseractLinear, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::nn;
@@ -29,14 +29,14 @@ pub struct ViTConfig {
 }
 
 /// Tesseract-parallel ViT.
-pub struct TesseractViT<T: TensorLike + Payload> {
+pub struct TesseractViT<T: TensorLike> {
     pub embed: TesseractLinear<T>,
     pub body: TesseractTransformer<T>,
     pub head: TesseractLinear<T>,
     pub vcfg: ViTConfig,
 }
 
-impl<T: TensorLike + Payload> TesseractViT<T> {
+impl<T: TensorLike> TesseractViT<T> {
     pub fn new(ctx: &RankCtx, grid: &TesseractGrid, vcfg: ViTConfig, seed: u64) -> Self {
         // The body's rule is checked where its layers are built.
         assert_eq!(vcfg.patch_dim % grid.shape.q, 0, "patch_dim must divide by q");
@@ -70,7 +70,7 @@ impl<T: TensorLike + Payload> TesseractViT<T> {
     }
 }
 
-impl<T: TensorLike + Payload> Module<T> for TesseractViT<T> {
+impl<T: TensorLike> Module<T> for TesseractViT<T> {
     fn name(&self) -> &'static str {
         "vit"
     }
@@ -243,7 +243,7 @@ pub fn distributed_cross_entropy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_comm::Cluster;
+    use tesseract_comm::RunConfig;
     use tesseract_core::partition::{a_block, combine_c};
     use tesseract_core::GridShape;
     use tesseract_tensor::{assert_slices_close, Xoshiro256StarStar};
@@ -273,14 +273,14 @@ mod tests {
     fn tesseract_vit_logits_match_serial() {
         let v = vcfg();
         let x = random(v.body.rows(), v.patch_dim, 1);
-        let serial = Cluster::a100(1).run(|ctx| {
+        let serial = RunConfig::from_env(1).run(|ctx| {
             let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
             let x = Arc::new(DenseTensor::from_matrix(x.clone()));
             SerialViT::new(v, 5).forward(&grid, ctx, &x).matrix().clone()
         });
         let y_ser = &serial.results[0];
         for shape in [GridShape::new(1, 1), GridShape::new(2, 1), GridShape::new(2, 2)] {
-            let out = Cluster::a100(shape.size()).run(|ctx| {
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
                 let mut vit = TesseractViT::<DenseTensor>::new(ctx, &grid, v, 5);
@@ -301,7 +301,7 @@ mod tests {
 
         let shape = GridShape::new(2, 2);
         let labels_for_test = labels.clone();
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             // Logits are A-type: rows split by h = i + kq, cols by j.
@@ -343,7 +343,7 @@ mod tests {
         let v = vcfg();
         let logits = random(v.body.batch, v.classes, 9);
         let shape = GridShape::new(2, 1);
-        Cluster::a100(shape.size()).run(|ctx| {
+        RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let loc = Arc::new(DenseTensor::from_matrix(a_block(&logits, shape, i, j, k)));
@@ -357,7 +357,7 @@ mod tests {
         let x = random(v.body.rows(), v.patch_dim, 11);
         let dlogits = random(v.body.batch, v.classes, 12);
         let shape = GridShape::new(2, 2);
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut vit = TesseractViT::<DenseTensor>::new(ctx, &grid, v, 5);

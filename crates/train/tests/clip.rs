@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{Cluster, RankCtx};
+use tesseract_comm::{RankCtx, RunConfig};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, ParamRef, TesseractGrid, TransformerConfig};
 use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
@@ -46,7 +46,7 @@ fn inputs() -> (Matrix, Matrix) {
 /// f64 straight off its `Matrix` gradients.
 fn serial_grad_norm() -> f64 {
     let (x, dlogits) = inputs();
-    let out = Cluster::a100(1).run(|ctx| {
+    let out = RunConfig::from_env(1).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
         let mut model = SerialViT::new(vcfg(), SEED);
         let _ = model.forward(&grid, ctx, &Arc::new(DenseTensor::from_matrix(x.clone())));
@@ -64,7 +64,7 @@ fn serial_grad_norm() -> f64 {
 /// reports, then (clipping to half of it) the threshold and the norm left.
 fn grid_clip(shape: GridShape) -> Vec<(f32, f32, f32)> {
     let (x, dlogits) = inputs();
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut model = TesseractViT::<DenseTensor>::new(ctx, &grid, vcfg(), SEED);
@@ -139,7 +139,7 @@ impl Module<DenseTensor> for Params<'_> {
 /// Clips `grads` (with zero weights) to `max_norm` on a `[1,1,1]` grid;
 /// returns the reported norm and the gradients afterwards.
 fn clip_on_one_rank(grads: &[f32], max_norm: f32) -> (f32, Vec<f32>) {
-    let out = Cluster::a100(1).run(|ctx| {
+    let out = RunConfig::from_env(1).run(|ctx| {
         let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
         let mut ws: Vec<_> =
             grads.iter().map(|_| DenseTensor::from_matrix(Matrix::zeros(1, 1))).collect();

@@ -11,7 +11,7 @@
 //! supports (`scripts/ci.sh` re-runs this file under each): every blocked
 //! backend computes the same fused chain, so no Dense bit depends on the CPU.
 
-use tesseract_comm::Cluster;
+use tesseract_comm::RunConfig;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::{DenseTensor, Meter, ShadowTensor, TensorLike};
@@ -59,7 +59,7 @@ fn vcfg_blocked() -> ViTConfig {
 fn run_step(v: ViTConfig, shape: GridShape) -> (Fingerprint, u64) {
     let ds =
         tesseract_train::SyntheticVisionDataset::new(v.classes, v.body.seq, v.patch_dim, 0.3, 7);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut model = TesseractViT::<DenseTensor>::new(ctx, &grid, v, 42);
@@ -202,7 +202,7 @@ fn dense_vit_step_on_blocked_gemms_is_bitwise_stable() {
 fn shadow_counters() -> (u64, u64) {
     let cfg = vcfg().body;
     let shape = GridShape::new(2, 2);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 42, 0);
         let rows = cfg.rows() / (shape.q * shape.d);

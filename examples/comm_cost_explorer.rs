@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release --example comm_cost_explorer [gpu_budget]`
 
-use tesseract_repro::comm::Cluster;
+use tesseract_repro::comm::RunConfig;
 use tesseract_repro::core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
@@ -38,7 +38,7 @@ fn main() {
             if p > budget || shape.check(&cfg).is_err() {
                 continue;
             }
-            let out = Cluster::a100(p).run(|ctx| {
+            let out = RunConfig::from_env(p).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut model =
                     TesseractTransformer::<ShadowTensor>::new(ctx, &grid, cfg, true, 0, 0);

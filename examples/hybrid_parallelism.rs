@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example hybrid_parallelism`
 
-use tesseract_repro::comm::Cluster;
+use tesseract_repro::comm::RunConfig;
 use tesseract_repro::core::layers::StackOptions;
 use tesseract_repro::core::partition::a_block;
 use tesseract_repro::core::{Module, TransformerConfig};
@@ -33,7 +33,7 @@ fn main() {
         .collect();
 
     let grid_shape = shape.grid();
-    let out = Cluster::a100(shape.total()).run(|ctx| {
+    let out = RunConfig::from_env(shape.total()).run(|ctx| {
         let mut engine = HybridTransformer::new(ctx, shape, cfg, true, 7, StackOptions::default());
         let coords = engine.coords;
         let (i, j, k) = engine.grid.coords;

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use tesseract_repro::comm::Cluster;
+use tesseract_repro::comm::RunConfig;
 use tesseract_repro::core::mm::tesseract_matmul;
 use tesseract_repro::core::partition::{a_block, b_block, combine_c};
 use tesseract_repro::core::{GridShape, TesseractGrid};
@@ -28,7 +28,7 @@ fn main() {
     let b = Matrix::random_uniform(8, 12, -1.0, 1.0, &mut rng);
 
     // SPMD: each rank takes its Figure-4 block and runs Algorithm 3.
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let a_local = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));

@@ -7,7 +7,7 @@
 
 use tesseract_repro::baselines::megatron::{MegatronTransformerLayer, MegatronWorld};
 use tesseract_repro::baselines::serial::SerialTransformerLayer;
-use tesseract_repro::comm::Cluster;
+use tesseract_repro::comm::RunConfig;
 use tesseract_repro::core::partition::{a_block, combine_c};
 use tesseract_repro::core::{
     GridShape, Module, TesseractGrid, TesseractTransformerLayer, TransformerConfig,
@@ -36,7 +36,7 @@ fn main() {
 
     // Tesseract [2,2,2].
     let shape = GridShape::new(2, 2);
-    let tess = Cluster::a100(shape.size()).run(|ctx| {
+    let tess = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut layer =
@@ -56,7 +56,7 @@ fn main() {
     println!("  backward max rel err: {:.3e}", max_rel_diff(dx_tess.data(), dx_ser.data()));
 
     // Megatron-LM on 4 GPUs for comparison.
-    let mega = Cluster::a100(4).run(|ctx| {
+    let mega = RunConfig::from_env(4).run(|ctx| {
         let world = MegatronWorld::new(ctx, (0..4).collect());
         let mut layer =
             MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, cfg, true, seed, 0);

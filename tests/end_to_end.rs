@@ -2,7 +2,7 @@
 //! assembled the way a downstream user would use it.
 
 use tesseract_repro::baselines::serial::SerialTransformer;
-use tesseract_repro::comm::Cluster;
+use tesseract_repro::comm::RunConfig;
 use tesseract_repro::core::partition::{a_block, combine_c};
 use tesseract_repro::core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
@@ -34,7 +34,7 @@ fn two_layer_stack_parity_across_all_grids() {
     for shape in
         [GridShape::new(1, 1), GridShape::new(2, 1), GridShape::new(2, 2), GridShape::new(1, 4)]
     {
-        let out = Cluster::a100(shape.size()).run(|ctx| {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -53,7 +53,7 @@ fn shadow_and_dense_runs_report_identical_simulated_time() {
     let c = cfg();
     let shape = GridShape::new(2, 2);
     let x = random(c.rows(), c.hidden, 2);
-    let dense = Cluster::a100(shape.size()).run(|ctx| {
+    let dense = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -62,7 +62,7 @@ fn shadow_and_dense_runs_report_identical_simulated_time() {
         let _ = model.backward(&grid, ctx, &y);
         ctx.flush_compute();
     });
-    let shadow = Cluster::a100(shape.size()).run(|ctx| {
+    let shadow = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, c, true, SEED, 0);
         let x_loc = std::sync::Arc::new(ShadowTensor::new(
@@ -86,7 +86,7 @@ fn every_optimizer_trains_the_distributed_transformer() {
     let shape = GridShape::new(2, 2);
     let x = random(c.rows(), c.hidden, 3);
     let dy = random(c.rows(), c.hidden, 4);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
@@ -158,7 +158,7 @@ fn makespan_accounting_is_consistent() {
     // compute + comm decomposition must bound the makespan.
     let c = cfg();
     let shape = GridShape::new(2, 1);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut model = TesseractTransformer::<ShadowTensor>::new(ctx, &grid, c, true, SEED, 0);
         let x = std::sync::Arc::new(ShadowTensor::new(c.rows() / shape.q, c.hidden / shape.q));
@@ -187,7 +187,7 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     let (in_f, out_f, rows) = (8, 12, 16);
     let x = random(rows, in_f, 40);
     let dy = random(rows, out_f, 41);
-    let out = Cluster::a100(shape.size()).run(|ctx| {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);

@@ -246,7 +246,7 @@ const ROWS: &[Row] = &[
                     scope: Scope::All,
                     allowed: &["crates/tensor/src/matmul.rs"],
                 },
-                matcher: Matcher::Line(declares_orient),
+                matcher: Matcher::Line(|l| has_word(l, "enum Orient")),
                 planted: "enum Orient { Nn, Nt, Tn }",
                 clean: "enum Orientation { Nn, Nt, Tn }",
             },
@@ -317,6 +317,34 @@ const ROWS: &[Row] = &[
         }],
     },
     Row {
+        name: "comm-names-once",
+        reason: "every TensorLike is a Payload by one blanket impl beside the trait, so a \
+                 bound names one of them; a RunConfig runs, so there is no second run type \
+                 and no constructor that reads the environment without saying so",
+        checks: &[
+            Check {
+                rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
+                matcher: Matcher::Line(|l| {
+                    l.contains("TensorLike + Payload") || l.contains("Payload + TensorLike")
+                }),
+                planted: "impl<T: TensorLike + Payload> TesseractMlp<T> {",
+                clean: "impl<T: TensorLike> TesseractMlp<T> {",
+            },
+            Check {
+                rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
+                matcher: Matcher::Line(|l| l.contains("Cluster::a100(")),
+                planted: "let out = Cluster::a100(4).run(|ctx| ctx.rank);",
+                clean: "let out = RunConfig::from_env(4).run(|ctx| ctx.rank);",
+            },
+            Check {
+                rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
+                matcher: Matcher::Line(|l| has_word(l, "struct Cluster")),
+                planted: "pub struct Cluster {",
+                clean: "pub struct ClusterSpec {",
+            },
+        ],
+    },
+    Row {
         name: "trace-artifact",
         reason: "traces are regenerated artifacts (serve_sweep writes them under target/); \
                  none is committed",
@@ -370,10 +398,10 @@ fn builds_layer(line: &str) -> bool {
     })
 }
 
-/// `\benum Orient\b`.
-fn declares_orient(line: &str) -> bool {
+/// `\b{phrase}\b`: `phrase` stands on its own, not inside a longer name.
+fn has_word(line: &str, phrase: &str) -> bool {
     let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    line.match_indices("enum Orient")
+    line.match_indices(phrase)
         .any(|(at, m)| !line[..at].ends_with(word) && !line[at + m.len()..].starts_with(word))
 }
 
