@@ -19,7 +19,8 @@
 //!
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
-//! nonzero throughput) and the whole sweep is deterministic: same seed,
+//! nonzero throughput, and four launches per layer in every step of the
+//! flood's busiest rank) and the whole sweep is deterministic: same seed,
 //! same bytes out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
@@ -161,6 +162,9 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
     let flood = FloodCost::of(&flood);
+    // One fused launch after each of a layer's four row all-gathers.
+    let launches = (4 * cfg.model.layers) as f64;
+    assert_eq!(flood.kernels_per_step, launches, "{shape:?}: a busy layer must be 4 launches");
 
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
@@ -315,6 +319,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!("invariant ok: p99 >= p50 at every load point");
     println!("invariant ok: nonzero throughput at every load point");
     println!("invariant ok: latency grows past the saturation knee");
+    println!("invariant ok: a busy serving layer is 4 launches");
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
     let events =

@@ -13,13 +13,14 @@
 use std::sync::Arc;
 
 use tesseract_comm::RankCtx;
-use tesseract_tensor::{fused, Meter, TensorLike};
+use tesseract_tensor::{Meter, TensorLike};
 
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
+use crate::layers::layernorm::layer_norm_panels;
+use crate::layers::linear::Stationary;
 use crate::layers::world::{Half, World};
-use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 struct HeadCache<T> {
@@ -33,7 +34,7 @@ struct HeadCache<T> {
 pub struct Attention<T: TensorLike, G: World<T>> {
     pub wqkv: G::Linear,
     pub wo: G::Linear,
-    cfg: TransformerConfig,
+    pub(crate) cfg: TransformerConfig,
     /// Tape of per-microbatch head caches (see [`Tape`] on pipelining).
     tape: Tape<Vec<HeadCache<T>>>,
 }
@@ -62,66 +63,52 @@ impl<T: TensorLike, G: World<T>> Attention<T, G> {
     }
 }
 
-impl<T: TensorLike> TesseractAttention<T> {
-    /// KV-cached **causal** inference forward over a batch of request
-    /// segments (no tape, `&self`).
-    ///
-    /// `rows` is this rank's gathered row of normalized input panels
-    /// (`TesseractLayerNorm::forward_infer`); their rows stack each
-    /// request's *new* tokens (`new_rows[r]` rows for request `r`: the
-    /// whole prompt during prefill, one row per decode step). Each
-    /// request's new K/V rows are appended to its [`LayerKv`], then one
-    /// fused [`ragged_causal_attention`] launch attends every segment and
-    /// every locally-owned head over its full cached prefix: new token `t`
-    /// attends `cached + t + 1` positions. A decode step is therefore O(L)
-    /// per token instead of the O(L²) full-prefix recompute, and bitwise
-    /// identical to it **only while both runs' GEMMs take the same
-    /// `matmul::planned_path` kernel** (every op is then per-row
-    /// deterministic: dot products, masked row softmax). A recompute's
-    /// GEMMs have more rows than a one-row decode's, so past the path's
-    /// size threshold they run the blocked kernel (fused multiply-add)
-    /// while the decode stays serial (multiply, then add), and the bits
-    /// differ; ROADMAP item 7(b) would make the two paths bitwise equal.
-    ///
-    /// SPMD contract: ranks sharing an `(i, k)` lane see the same
-    /// segments; ranks on other lanes run their own batches on their own
-    /// clocks. Once the projections' weights are fetched
-    /// ([`fetch_stationary`](crate::layers::TesseractLinear::fetch_stationary)),
-    /// the only collective is the output projection's row all-gather.
-    pub fn forward_infer(
-        &self,
-        grid: &TesseractGrid,
-        ctx: &mut RankCtx,
-        rows: &[Arc<T>],
-        new_rows: &[usize],
-        mut kvs: Vec<&mut LayerKv<T>>,
-    ) -> Arc<T> {
-        let local_h = self.cfg.hidden / grid.shape.q;
-        assert!(rows.iter().all(|p| p.cols() == local_h), "attention input width mismatch");
-        assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
+/// A serving layer's first stretch, KV-cached **causal** attention (no
+/// tape): [`layer_norm_panels`] of this rank's gathered row of input
+/// panels, the fused QKV projection by `wqkv`'s fetched weights, the Q/K/V
+/// column slices, each segment's new K/V rows appended to its [`LayerKv`],
+/// then [`ragged_causal_attention`] over every segment and locally-owned
+/// head. The layer runs it as one fused launch, the way a KV-cache
+/// attention kernel appends K/V in-kernel.
+///
+/// The rows of `rows` stack each request's *new* tokens (`new_rows[r]`
+/// rows for request `r`: the whole prompt during prefill, one row per
+/// decode step), and new token `t` attends `cached + t + 1` positions. A
+/// decode step is therefore O(L) per token instead of the O(L²)
+/// full-prefix recompute, and bitwise identical to it **only while both
+/// runs' GEMMs take the same `matmul::planned_path` kernel** (every op is
+/// then per-row deterministic: dot products, masked row softmax). A
+/// recompute's GEMMs have more rows than a one-row decode's, so past the
+/// path's size threshold they run the blocked kernel (fused multiply-add)
+/// while the decode stays serial (multiply, then add), and the bits
+/// differ; ROADMAP item 7(b) would make the two paths bitwise equal.
+pub fn norm_attention<T: TensorLike>(
+    rows: &[Arc<T>],
+    eps: f32,
+    wqkv: &Stationary<T>,
+    new_rows: &[usize],
+    kvs: &mut [&mut LayerKv<T>],
+    head_dim: usize,
+    m: &mut Meter,
+) -> T {
+    assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
+    let qkv = wqkv.matmul(&layer_norm_panels(rows, eps, m), m);
+    let local_h = qkv.cols() / 3;
+    assert!(rows.iter().all(|p| p.cols() == local_h), "attention input width mismatch");
+    let q_all = qkv.slice_cols(0, local_h, m);
+    let k_all = qkv.slice_cols(local_h, 2 * local_h, m);
+    let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, m);
 
-        let qkv = self.wqkv.forward_infer(grid, ctx, rows);
-        let m = &mut ctx.meter;
-        let q_all = qkv.slice_cols(0, local_h, m);
-        let k_all = qkv.slice_cols(local_h, 2 * local_h, m);
-        let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, m);
-
-        // Append each segment's new K/V rows to its cache (metered as data
-        // movement, like every concat).
-        let mut r0 = 0;
-        for (kv, &t_new) in kvs.iter_mut().zip(new_rows) {
-            for (cache, new) in [(&mut kv.k, &k_all), (&mut kv.v, &v_all)] {
-                let prev = std::mem::replace(cache, T::zeros(0, local_h));
-                *cache = T::concat_rows(&[prev, new.slice_rows(r0, r0 + t_new, m)], m);
-            }
-            r0 += t_new;
+    let mut r0 = 0;
+    for (kv, &t_new) in kvs.iter_mut().zip(new_rows) {
+        for (cache, new) in [(&mut kv.k, &k_all), (&mut kv.v, &v_all)] {
+            let prev = std::mem::replace(cache, T::zeros(0, local_h));
+            *cache = T::concat_rows(&[prev, new.slice_rows(r0, r0 + t_new, m)], m);
         }
-        let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
-        let hd = self.cfg.head_dim();
-        let attended = fused(m, |m| ragged_causal_attention(&q_all, &caches, new_rows, hd, m));
-        let attended = row_panels(grid, ctx, &Arc::new(attended));
-        self.wo.forward_infer(grid, ctx, &attended)
+        r0 += t_new;
     }
+    let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();
+    ragged_causal_attention(&q_all, &caches, new_rows, head_dim, m)
 }
 
 /// Ragged causal attention of every segment and head of a serving step.
@@ -132,8 +119,7 @@ impl<T: TensorLike> TesseractAttention<T> {
 /// each `[L, w]` with the new rows last, so new row `t` sees
 /// `L − new_rows[s] + t + 1` positions. Per segment and head it is the
 /// chain `matmul_nt → scale(1/√head_dim) → softmax_rows_masked_inplace →
-/// matmul`; serving runs the whole step as one `tesseract_tensor::fused`
-/// launch.
+/// matmul`; [`norm_attention`] ends with it.
 pub fn ragged_causal_attention<T: TensorLike>(
     q: &T,
     kv: &[(&T, &T)],

@@ -6,25 +6,24 @@
 //! all-reduces `Σ X̂ᵢ(δJ/δX̂)ᵢ` and `Σ(δJ/δX̂)ᵢ` the same way and applies
 //! Eq. 14 with the taped `X̂` and `1/sqrt(Var+ε)`.
 //!
-//! Serving ([`TesseractLayerNorm::forward_infer`]) turns this around. The
+//! Serving ([`layer_norm_panels`]) turns this around. The
 //! weight-stationary linear after every pre-norm all-gathers its input
-//! rows along the same row anyway, so the norm gathers the *un-normalized*
-//! rows instead and normalizes all `q` panels with [`layer_norm_panels`]
-//! in one launch (a fused launch is its op chain under
-//! `tesseract_tensor::fused`): no statistics all-reduce, and every panel
-//! bitwise the one `normalize` gives its owner (the fold runs in the
-//! all-reduce's member order; both finish with one statistics tail).
-//! Training keeps the all-reduce: its
-//! SUMMA linear broadcasts one row panel per step instead of gathering the
-//! row, and Eq. 14's backward all-reduces along the row regardless.
+//! rows along the same row anyway, so a serving layer gathers the
+//! *un-normalized* rows instead and normalizes all `q` panels at the head
+//! of the fused launch that multiplies them (a fused launch is its op
+//! chain under `tesseract_tensor::fused`): no statistics all-reduce, and
+//! every panel bitwise the one `normalize` gives its owner (the fold runs
+//! in the all-reduce's member order; both finish with one statistics
+//! tail). Training keeps the all-reduce: its SUMMA linear broadcasts one
+//! row panel per step instead of gathering the row, and Eq. 14's backward
+//! all-reduces along the row regardless.
 
 use std::sync::Arc;
 
 use tesseract_comm::RankCtx;
-use tesseract_tensor::{fused, Meter, TensorLike};
+use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
-use crate::mm::row_panels;
 use crate::module::{Module, Tape};
 
 /// Parameter-free distributed layer norm over the (globally split) hidden
@@ -63,30 +62,6 @@ impl<T: TensorLike> TesseractLayerNorm<T> {
         let xhat = x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter);
         (Arc::new(xhat), inv_std)
     }
-
-    /// Inference forward: `&self`, no tape push, and the normalized rows
-    /// *gathered*: one row all-gather of the local blocks `X_{i,0,k} …
-    /// X_{i,q-1,k}`, then every panel normalized on this rank in one
-    /// fused [`layer_norm_panels`] launch. Panel `t` is
-    /// bitwise the `X̂` block [`Module::forward`] gives member `t` of the
-    /// row; the panels are the rows a weight-stationary
-    /// [`TesseractLinear::forward_infer`](crate::TesseractLinear::forward_infer)
-    /// multiplies.
-    pub fn forward_infer(
-        &self,
-        grid: &TesseractGrid,
-        ctx: &mut RankCtx,
-        x: &Arc<T>,
-    ) -> Vec<Arc<T>> {
-        assert_eq!(
-            x.cols() * grid.shape.q,
-            self.hidden_global,
-            "layernorm: local width times q must equal global hidden"
-        );
-        let rows = row_panels(grid, ctx, x);
-        let normalized = fused(&mut ctx.meter, |m| layer_norm_panels(&rows, self.eps, m));
-        normalized.into_iter().map(Arc::new).collect()
-    }
 }
 
 /// The statistics tail of a layer norm over `n` columns, from the row sums
@@ -104,8 +79,8 @@ fn statistics<T: TensorLike>(s1: &T, s2: &T, n: f32, eps: f32, m: &mut Meter) ->
 /// statistics taken over all `Σ_t cols(X_t)` columns. The per-panel sums
 /// fold in ascending panel order, the member-order fold of the row
 /// all-reduce `normalize` uses, so each panel is bitwise what the split
-/// layer norm gives the rank that owns it. Serving runs it as one
-/// [`fused`] launch.
+/// layer norm gives the rank that owns it. A serving layer runs it at the
+/// head of the fused launch that multiplies the normalized panels.
 pub fn layer_norm_panels<T: TensorLike>(panels: &[Arc<T>], eps: f32, m: &mut Meter) -> Vec<T> {
     let n = panels.iter().map(|p| p.cols()).sum::<usize>() as f32;
     let mut sums = panels.iter().map(|x| (x.row_sums(m), x.row_sums_of_squares(m)));

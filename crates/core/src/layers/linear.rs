@@ -10,15 +10,13 @@
 //! gradients are **reduced back to row 0** (plus a depth all-reduce so the
 //! replicas stay in sync).
 //!
-//! Serving ([`TesseractLinear::forward_infer`]) is weight-stationary:
-//! [`TesseractLinear::fetch_stationary`] (or else the first call) fetches
-//! this rank's column of weight panels and the bias once, and every call
-//! multiplies gathered row panels (`mm::row_panels`,
-//! or a serving layer norm's output) by them in one fused
-//! [`mm::matmul_panels`](crate::mm::matmul_panels) launch (a fused launch
-//! is its op chain under `tesseract_tensor::fused`) — SUMMA's
-//! multiply-and-add on the same panels, so its output is bitwise
-//! [`Module::forward`]'s.
+//! Serving is weight-stationary: [`TesseractLinear::fetch_stationary`]
+//! fetches this rank's column of weight panels and the bias once, and
+//! [`Stationary::matmul`] multiplies gathered row panels (`mm::row_panels`,
+//! or a serving layer norm's output) by them — SUMMA's multiply-and-add on
+//! the same panels, so its output is bitwise [`Module::forward`]'s. It
+//! takes a `Meter`, not a `RankCtx`, so it runs inside the fused launch of
+//! a serving layer's collective-free stretch and never fetches.
 //! [`Module::visit_params`], the only path that mutates a weight, drops
 //! the fetched copy.
 //!
@@ -28,10 +26,11 @@
 //! column-wise, so every rank's output columns hold *its own heads'*
 //! Q/K/V — the layout trick Megatron-style implementations rely on.
 
+use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 
 use tesseract_comm::RankCtx;
-use tesseract_tensor::{fused, TensorLike};
+use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
 use crate::mm::{
@@ -56,17 +55,27 @@ pub struct TesseractLinear<T> {
     /// Microbatch activation tape (see [`Tape`] on GPipe LIFO ordering).
     tape: Tape<Arc<T>>,
     with_bias: bool,
-    /// Serving's copy of this rank's weight column, filled by the first
-    /// [`TesseractLinear::forward_infer`] and dropped by `visit_params`.
+    /// Serving's copy of this rank's weight column, filled by
+    /// [`TesseractLinear::fetch_stationary`] and dropped by `visit_params`.
     stationary: OnceLock<Stationary<T>>,
 }
 
 /// The weights a serving rank multiplies by: its column's panels
 /// `[W_0j … W_{q-1,j}]` (its own block among them, shared, not copied) and
 /// the column's bias.
-struct Stationary<T> {
-    panels: Vec<Arc<T>>,
-    bias: Option<Arc<T>>,
+pub struct Stationary<T> {
+    pub panels: Vec<Arc<T>>,
+    pub bias: Option<Arc<T>>,
+}
+
+impl<T: TensorLike> Stationary<T> {
+    /// `Y = X·W (+ bias)` for this rank's block of `Y`: `rows` is its row
+    /// of `X` panels `[X_{i,0,k} … X_{i,q-1,k}]`, multiplied by the column
+    /// with [`matmul_panels`]. Bitwise [`Module::forward`]'s output on the
+    /// block `rows[j]`.
+    pub fn matmul(&self, rows: &[impl Borrow<T>], m: &mut Meter) -> T {
+        matmul_panels(rows, &self.panels, self.bias.as_deref(), m)
+    }
 }
 
 impl<T: TensorLike> TesseractLinear<T> {
@@ -141,40 +150,22 @@ impl<T: TensorLike> TesseractLinear<T> {
     /// broadcasts [`Module::forward`] issues every call) unless it already
     /// holds them. SPMD over each grid column: its `q` ranks fetch together.
     pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        self.stationary(grid, ctx);
-    }
-
-    fn stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) -> &Stationary<T> {
         self.stationary.get_or_init(|| Stationary {
             panels: column_panels(grid, ctx, &self.w),
             bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
-        })
+        });
     }
 
-    /// Forward for inference: `Y = X·W (+ bias)`, `&self` and **no tape
-    /// push**, so serving never accumulates activations it will not
-    /// backpropagate. `rows` is this rank's row of `X` panels
-    /// `[X_{i,0,k} … X_{i,q-1,k}]` (`mm::row_panels`, or the output of
-    /// `TesseractLayerNorm::forward_infer`). A first call that finds no
-    /// fetched weights runs [`TesseractLinear::fetch_stationary`]; every
-    /// call is then one fused [`matmul_panels`] launch and no collective.
-    /// Bitwise equal to [`Module::forward`]'s output on the block
-    /// `rows[j]`.
-    pub fn forward_infer(
-        &self,
-        grid: &TesseractGrid,
-        ctx: &mut RankCtx,
-        rows: &[Arc<T>],
-    ) -> Arc<T> {
-        assert_eq!(rows.len(), grid.shape.q, "linear: one row panel per grid column");
-        let st = self.stationary(grid, ctx);
-        let bias = st.bias.as_deref();
-        Arc::new(fused(&mut ctx.meter.scope("gemm"), |m| matmul_panels(rows, &st.panels, bias, m)))
+    /// The fetched weight column and bias serving multiplies by, with no
+    /// tape push. Panics before [`TesseractLinear::fetch_stationary`]: a
+    /// serving chain holds a `Meter`, not a `RankCtx`, so it cannot fetch.
+    pub fn stationary(&self) -> &Stationary<T> {
+        self.stationary.get().expect("TesseractLinear: serving before fetch_stationary")
     }
 
-    /// Bytes of the weight column and bias [`TesseractLinear::forward_infer`]
-    /// holds on this rank (zero before the fetch): `q×` the weight
-    /// block, since the block itself is one of the panels.
+    /// Bytes of the fetched weight column and bias
+    /// ([`TesseractLinear::stationary`]) on this rank, zero before the
+    /// fetch: `q×` the weight block, since the block is one of the panels.
     pub fn stationary_bytes(&self) -> u64 {
         self.stationary
             .get()

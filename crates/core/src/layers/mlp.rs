@@ -13,7 +13,6 @@ use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
 use crate::layers::world::{Half, World};
-use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
@@ -44,23 +43,6 @@ impl<T: TensorLike, G: World<T>> Mlp<T, G> {
         let fc2 =
             world.linear(ctx, Half::Second, mlp_hidden, &[(hidden, param_id + 1)], with_bias, seed);
         Self { fc1, fc2, tape: Tape::new() }
-    }
-}
-
-impl<T: TensorLike> TesseractMlp<T> {
-    /// Inference forward: `fc2(gelu(fc1(x)))` with no tape pushes. `rows`
-    /// is this rank's gathered row of `x` panels (a serving layer norm's
-    /// output); `fc2` gathers its own through `mm::row_panels`.
-    pub fn forward_infer(
-        &self,
-        grid: &TesseractGrid,
-        ctx: &mut RankCtx,
-        rows: &[Arc<T>],
-    ) -> Arc<T> {
-        let pre = self.fc1.forward_infer(grid, ctx, rows);
-        let act = Arc::new(pre.gelu(&mut ctx.meter));
-        let act = row_panels(grid, ctx, &act);
-        self.fc2.forward_infer(grid, ctx, &act)
     }
 }
 

@@ -9,15 +9,17 @@
 use std::sync::Arc;
 
 use tesseract_comm::RankCtx;
-use tesseract_tensor::TensorLike;
+use tesseract_tensor::{fused, Meter, TensorLike};
 
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv, RequestKv};
-use crate::layers::attention::Attention;
-use crate::layers::linear::TesseractLinear;
+use crate::layers::attention::{norm_attention, Attention};
+use crate::layers::layernorm::layer_norm_panels;
+use crate::layers::linear::{Stationary, TesseractLinear};
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
+use crate::mm::row_panels;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Execution options of a [`Transformer`] stack (tape
@@ -70,9 +72,13 @@ impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
 
 impl<T: TensorLike> TesseractTransformerLayer<T> {
     /// Inference forward with KV-cached causal attention: the same
-    /// pre-norm residual wiring as [`Module::forward`], no tape pushes.
-    /// `layer_idx` selects this layer's [`LayerKv`] slice out of each
-    /// request's cache in `batch`.
+    /// pre-norm residual wiring as [`Module::forward`], no tape pushes, on
+    /// the weights [`TesseractTransformer::fetch_stationary`] fetched. Four
+    /// times a row all-gather, then one fused launch over the
+    /// collective-free stretch after it: [`norm_attention`],
+    /// [`project_residual`] by `wo`, [`norm_mlp_up`], [`project_residual`]
+    /// by `fc2`. `layer_idx` selects this layer's [`LayerKv`] slice out of
+    /// each request's cache in `batch`.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -81,15 +87,60 @@ impl<T: TensorLike> TesseractTransformerLayer<T> {
         layer_idx: usize,
         batch: &mut InferBatch<T>,
     ) -> Arc<T> {
-        let a = self.ln1.forward_infer(grid, ctx, x);
-        let kvs: Vec<&mut LayerKv<T>> =
+        let mut kvs: Vec<&mut LayerKv<T>> =
             batch.kvs.iter_mut().map(|rk| &mut rk.layers[layer_idx]).collect();
-        let b = self.attn.forward_infer(grid, ctx, &a, &batch.new_rows, kvs);
-        let x1 = Arc::new(x.add(&b, &mut ctx.meter));
-        let c = self.ln2.forward_infer(grid, ctx, &x1);
-        let d = self.mlp.forward_infer(grid, ctx, &c);
-        Arc::new(x1.add(&d, &mut ctx.meter))
+        let (attn, mlp) = (&self.attn, &self.mlp);
+        let attended = stretch(grid, ctx, x, "ln1_attention", |rows, m| {
+            let (wqkv, hd) = (attn.wqkv.stationary(), attn.cfg.head_dim());
+            norm_attention(rows, self.ln1.eps, wqkv, &batch.new_rows, &mut kvs, hd, m)
+        });
+        let x1 = stretch(grid, ctx, &attended, "wo_residual", |rows, m| {
+            project_residual(rows, attn.wo.stationary(), x, m)
+        });
+        let act = stretch(grid, ctx, &x1, "ln2_fc1_gelu", |rows, m| {
+            norm_mlp_up(rows, self.ln2.eps, mlp.fc1.stationary(), m)
+        });
+        stretch(grid, ctx, &act, "fc2_residual", |rows, m| {
+            project_residual(rows, mlp.fc2.stationary(), &x1, m)
+        })
     }
+}
+
+/// One collective-free stretch of a serving layer: the row all-gather of
+/// `x`, then `chain` over the gathered panels as one fused launch, its
+/// compute span named `label` in the trace.
+fn stretch<T: TensorLike>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    x: &Arc<T>,
+    label: &'static str,
+    chain: impl FnOnce(&[Arc<T>], &mut Meter) -> T,
+) -> Arc<T> {
+    let rows = row_panels(grid, ctx, x);
+    Arc::new(fused(&mut ctx.meter.scope(label), |m| chain(&rows, m)))
+}
+
+/// The stretch after an attention or MLP output's gather: its projection
+/// ([`Stationary::matmul`]) and §3.2's residual add, `residual + rows·W
+/// (+ bias)`.
+pub fn project_residual<T: TensorLike>(
+    rows: &[Arc<T>],
+    w: &Stationary<T>,
+    residual: &T,
+    m: &mut Meter,
+) -> T {
+    residual.add(&w.matmul(rows, m), m)
+}
+
+/// The MLP's first stretch, `LN₂ → fc1 (+ bias) → GELU`, over the gathered
+/// rows of the attention block's output.
+pub fn norm_mlp_up<T: TensorLike>(
+    rows: &[Arc<T>],
+    eps: f32,
+    fc1: &Stationary<T>,
+    m: &mut Meter,
+) -> T {
+    fc1.matmul(&layer_norm_panels(rows, eps, m), m).gelu(m)
 }
 
 impl<T: TensorLike, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
@@ -305,7 +356,10 @@ impl<T: TensorLike> TesseractTransformer<T> {
 
     /// One inference step over the batch: `x` is `[batch.total_rows(),
     /// h/q]`, the output has the same shape, and every request's cache in
-    /// `batch.kvs` has grown by its `new_rows`. No tape is touched.
+    /// `batch.kvs` has grown by its `new_rows`. No tape is touched. The
+    /// first call fetches the stationary weights
+    /// ([`TesseractTransformer::fetch_stationary`]; SPMD over the whole
+    /// grid) unless the caller already did.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -314,6 +368,9 @@ impl<T: TensorLike> TesseractTransformer<T> {
         batch: &mut InferBatch<T>,
     ) -> Arc<T> {
         assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
+        // Idempotent: a no-op once the weights are held, so a run that
+        // fetched them up front pays no collective here.
+        self.fetch_stationary(grid, ctx);
         let mut h = Arc::clone(x);
         for (li, layer) in self.layers.iter().enumerate() {
             h = ctx.traced("transformer_layer", "infer", |ctx| {

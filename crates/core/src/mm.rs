@@ -42,16 +42,17 @@
 //! whole column `[B_0j … B_{q-1,j}]` once (the same `q` column broadcasts
 //! one SUMMA call issues), and [`row_panels`] — one row all-gather —
 //! delivers the activation panels `[A_{i,0,k} … A_{i,q-1,k}]` every step
-//! after. With both in hand the rank computes its block of `C` as one
-//! [`matmul_panels`] launch (a fused launch is its op chain under
-//! `tesseract_tensor::fused`): the same panels multiplied and summed in the
-//! same ascending-`t` order as the accumulating sink, so the result is
-//! bitwise [`tesseract_matmul`]'s. The serving layer norm
-//! normalizes the gathered rows themselves (`TesseractLayerNorm::
-//! forward_infer`), so its statistics need no all-reduce. Each rank holds
-//! `q×` its weight shard for it; the paper's §3.1 trades memory for
-//! communication across depth the same way.
+//! after. With both in hand the rank computes its block of `C` with
+//! [`matmul_panels`]: the same panels multiplied and summed in the same
+//! ascending-`t` order as the accumulating sink, so the result is bitwise
+//! [`tesseract_matmul`]'s. A serving layer runs it inside one fused launch
+//! per collective-free stretch (a fused launch is its op chain under
+//! `tesseract_tensor::fused`), after a layer norm of the gathered rows
+//! themselves (`layernorm::layer_norm_panels`), whose statistics need no
+//! all-reduce. Each rank holds `q×` its weight shard for it; the paper's
+//! §3.1 trades memory for communication across depth the same way.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use tesseract_comm::{CommGroup, PendingCollective, RankCtx};
@@ -295,21 +296,21 @@ where
 }
 
 /// `Σ_t A_t·B_t (+ bias)` over a gathered row of panels `a = [A_0 …
-/// A_{q-1}]` and a weight column `b = [B_0 … B_{q-1}]`, with an optional
-/// `[1, cols]` bias: the accumulating sink's `matmul` per pair and
-/// `add_assign` in ascending `t`, then the bias add. Serving's stationary
-/// linear runs it as one `tesseract_tensor::fused` launch.
+/// A_{q-1}]` (shared or owned) and a weight column `b = [B_0 … B_{q-1}]`,
+/// with an optional `[1, cols]` bias: the accumulating sink's `matmul` per
+/// pair and `add_assign` in ascending `t`, then the bias add. Serving's
+/// stationary linear runs it inside a `tesseract_tensor::fused` launch.
 pub fn matmul_panels<T: TensorLike>(
-    a: &[Arc<T>],
+    a: &[impl Borrow<T>],
     b: &[Arc<T>],
     bias: Option<&T>,
     m: &mut Meter,
 ) -> T {
     let q = a.len();
     assert!(q > 0 && b.len() == q, "matmul_panels: {q} A panels vs {} B panels", b.len());
-    let mut c = a[0].matmul(&b[0], m);
+    let mut c = a[0].borrow().matmul(&b[0], m);
     for (a_t, b_t) in a.iter().zip(b).skip(1) {
-        c.add_assign(&a_t.matmul(b_t, m), m);
+        c.add_assign(&a_t.borrow().matmul(b_t, m), m);
     }
     match bias {
         Some(v) => c.add_rowvec(v, m),

@@ -1,16 +1,22 @@
 //! The fused-launch pricing rule, `tesseract_tensor::fused`, over serving's
-//! three op chains (attention, layer norm over gathered panels, stationary
-//! linear): a fused chain is one launch — none for a zero-flop chain —
-//! carrying the chain's flops and GEMM dispatch tallies and only its
-//! output's bytes, and Shadow operands price it exactly as Dense ones do.
-//! The chains' values are pinned against training's ops elsewhere
-//! (`stationary.rs`, `mesh_parity.rs`, serving's cached-vs-recompute).
+//! op chains: attention, layer norm over gathered panels, the stationary
+//! linear, and the four collective-free stretches of a serving layer that
+//! compose them (`norm_attention`, `project_residual` by `wo`,
+//! `norm_mlp_up`, `project_residual` by `fc2`). A fused chain is one
+//! launch — none for a zero-flop chain — carrying the chain's flops and
+//! GEMM dispatch tallies and only its output's bytes, and Shadow operands
+//! price it exactly as Dense ones do. The chains' values are pinned against
+//! training's ops elsewhere (`stationary.rs`, `mesh_parity.rs`, serving's
+//! cached-vs-recompute).
 
 use std::sync::Arc;
 
-use tesseract_core::layers::attention::ragged_causal_attention;
+use tesseract_core::layers::attention::{norm_attention, ragged_causal_attention};
 use tesseract_core::layers::layernorm::layer_norm_panels;
+use tesseract_core::layers::linear::Stationary;
+use tesseract_core::layers::transformer::{norm_mlp_up, project_residual};
 use tesseract_core::mm::matmul_panels;
+use tesseract_core::LayerKv;
 use tesseract_tensor::{
     fused, DenseTensor, Matrix, Meter, ShadowTensor, TensorLike, Xoshiro256StarStar, ELEM_BYTES,
 };
@@ -23,9 +29,18 @@ enum Chain {
     LayerNorm(usize, &'static [usize]),
     /// Rows, inner width per panel, output columns, panels, with a bias.
     Panels(usize, usize, usize, usize, bool),
+    /// A serving layer's first stretch: head width, heads, panels, and
+    /// `(new rows, cached rows)` per segment.
+    NormAttention(usize, usize, usize, &'static [(usize, usize)]),
+    /// The `wo` or `fc2` stretch: rows, inner width per panel, output
+    /// columns, panels.
+    ProjectResidual(usize, usize, usize, usize),
+    /// The `ln2 → fc1 → GELU` stretch: rows, width per panel, output
+    /// columns, panels.
+    NormMlpUp(usize, usize, usize, usize),
 }
 
-const CASES: [Chain; 15] = [
+const CASES: [Chain; 29] = [
     // A prefill beside decodes over different cached prefixes; the wide
     // case puts the prefill's GEMMs on the blocked path; then an empty lane.
     Chain::Attention(4, 3, &[(1, 6), (5, 0), (1, 2), (3, 4)]),
@@ -46,7 +61,48 @@ const CASES: [Chain; 15] = [
     Chain::Panels(0, 4, 6, 2, true),
     Chain::Panels(64, 64, 64, 2, true),
     Chain::Panels(64, 64, 64, 3, false),
+    // Each stretch of a serving layer over a prefill, a ragged decode (one
+    // row per request) and an empty lane; a wide prefill puts the QKV
+    // projection on the blocked path, and q = 4 has four panels.
+    Chain::NormAttention(4, 2, 2, &[(6, 0)]),
+    Chain::NormAttention(4, 2, 2, &[(1, 6), (1, 2), (1, 9)]),
+    Chain::NormAttention(4, 2, 2, &[]),
+    Chain::NormAttention(32, 2, 2, &[(64, 0)]),
+    Chain::ProjectResidual(6, 8, 8, 2),
+    Chain::ProjectResidual(3, 8, 8, 2),
+    Chain::ProjectResidual(0, 8, 8, 2),
+    Chain::NormMlpUp(6, 8, 32, 2),
+    Chain::NormMlpUp(3, 8, 32, 2),
+    Chain::NormMlpUp(0, 8, 32, 2),
+    Chain::NormMlpUp(3, 4, 16, 4),
+    Chain::ProjectResidual(6, 32, 8, 2),
+    Chain::ProjectResidual(3, 32, 8, 2),
+    Chain::ProjectResidual(0, 32, 8, 2),
 ];
+
+/// `q` panels `[rows, cols]` from seeds `seed..`.
+fn panels<T: TensorLike>(
+    make: fn(usize, usize, u64) -> T,
+    q: usize,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+) -> Vec<Arc<T>> {
+    (seed..seed + q as u64).map(|s| Arc::new(make(rows, cols, s))).collect()
+}
+
+/// A stationary weight column of `q` panels `[inner, cols]` and its bias.
+fn stationary<T: TensorLike>(
+    make: fn(usize, usize, u64) -> T,
+    q: usize,
+    inner: usize,
+    cols: usize,
+) -> Stationary<T> {
+    Stationary {
+        panels: panels(make, q, inner, cols, 110),
+        bias: Some(Arc::new(make(1, cols, 120))),
+    }
+}
 
 impl Chain {
     /// Runs the chain on operands `make(rows, cols, seed)`; returns its
@@ -70,12 +126,32 @@ impl Chain {
                 layer_norm_panels(&panels, 1e-5, m)
             }
             Chain::Panels(rows, inner, cols, q, with_bias) => {
-                let panels = |r, c, seed| -> Vec<Arc<T>> {
-                    (seed..seed + q as u64).map(|s| Arc::new(make(r, c, s))).collect()
-                };
-                let (a, b) = (panels(rows, inner, 100), panels(inner, cols, 110));
+                let (a, b) = (panels(make, q, rows, inner, 100), panels(make, q, inner, cols, 110));
                 let bias = with_bias.then(|| make(1, cols, 120));
                 vec![matmul_panels(&a, &b, bias.as_ref(), m)]
+            }
+            Chain::NormAttention(hd, heads, q, segs) => {
+                let w = hd * heads;
+                let new_rows: Vec<usize> = segs.iter().map(|s| s.0).collect();
+                let rows = panels(make, q, new_rows.iter().sum(), w, 100);
+                let mut kvs: Vec<LayerKv<T>> = (segs.iter().zip(50..))
+                    .map(|(&(_, c), seed)| LayerKv {
+                        k: make(c, w, seed),
+                        v: make(c, w, seed + 10),
+                    })
+                    .collect();
+                let mut kvs: Vec<&mut LayerKv<T>> = kvs.iter_mut().collect();
+                let wqkv = stationary(make, q, w, 3 * w);
+                vec![norm_attention(&rows, 1e-5, &wqkv, &new_rows, &mut kvs, hd, m)]
+            }
+            Chain::ProjectResidual(rows, inner, cols, q) => {
+                let residual = make(rows, cols, 130);
+                let w = stationary(make, q, inner, cols);
+                vec![project_residual(&panels(make, q, rows, inner, 100), &w, &residual, m)]
+            }
+            Chain::NormMlpUp(rows, width, cols, q) => {
+                let fc1 = stationary(make, q, width, cols);
+                vec![norm_mlp_up(&panels(make, q, rows, width, 100), 1e-5, &fc1, m)]
             }
         }
     }
@@ -83,11 +159,13 @@ impl Chain {
     /// Bytes of the chain's output.
     fn out_bytes(&self) -> u64 {
         let elems = match *self {
-            Chain::Attention(hd, heads, segs) => {
+            Chain::Attention(hd, heads, segs) | Chain::NormAttention(hd, heads, _, segs) => {
                 segs.iter().map(|s| s.0).sum::<usize>() * hd * heads
             }
             Chain::LayerNorm(rows, widths) => rows * widths.iter().sum::<usize>(),
-            Chain::Panels(rows, _, cols, ..) => rows * cols,
+            Chain::Panels(rows, _, cols, ..)
+            | Chain::ProjectResidual(rows, _, cols, _)
+            | Chain::NormMlpUp(rows, _, cols, _) => rows * cols,
         };
         (elems * ELEM_BYTES) as u64
     }

@@ -1,21 +1,23 @@
-//! Weight-stationary serving: `TesseractLinear::forward_infer` fetches its
-//! column of weight panels and the bias once, then multiplies gathered row
-//! panels every call. Its output must be bitwise SUMMA's
-//! (`Module::forward`: `tesseract_matmul` plus the bias broadcast) on every
-//! grid and row layout, and so must a serving pre-norm (which normalizes
-//! the gathered rows itself) followed by it; Dense and Shadow must agree on
-//! the virtual clock, and a steady serving layer must issue nothing but
-//! its four row all-gathers.
+//! Weight-stationary serving: `TesseractLinear::fetch_stationary` fetches
+//! its column of weight panels and the bias once, and `Stationary::matmul`
+//! multiplies gathered row panels by them every call. Its output must be
+//! bitwise SUMMA's (`Module::forward`: `tesseract_matmul` plus the bias
+//! broadcast) on every grid and row layout, and so must a serving layer's
+//! pre-norm stretch (which normalizes the gathered rows itself); Dense and
+//! Shadow must agree on the virtual clock, and a steady serving layer must
+//! issue nothing but its four row all-gathers.
 
 use std::sync::Arc;
 
 use tesseract_comm::{CollectiveOp, CommStats, RankCtx, RunConfig};
+use tesseract_core::layers::layernorm::layer_norm_panels;
+use tesseract_core::layers::transformer::norm_mlp_up;
 use tesseract_core::mm::row_panels;
 use tesseract_core::{
     GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
     TesseractTransformer, TransformerConfig,
 };
-use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike};
+use tesseract_tensor::{fused, DenseTensor, Matrix, ShadowTensor, TensorLike};
 
 /// The `(q, d)` arrangements the parity suite covers: 2-D and 2.5-D, at
 /// an even and an odd `q`.
@@ -65,8 +67,8 @@ fn linear<T: TensorLike>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear
     lin
 }
 
-/// Serves `x` through `lin`: one row all-gather, then the stationary
-/// multiply.
+/// Serves `x` through `lin`: one row all-gather, the weight fetch (a no-op
+/// once held), then the stationary multiply as one fused launch.
 fn serve_linear<T: TensorLike>(
     lin: &TesseractLinear<T>,
     grid: &TesseractGrid,
@@ -74,7 +76,8 @@ fn serve_linear<T: TensorLike>(
     x: &Arc<T>,
 ) -> Arc<T> {
     let rows = row_panels(grid, ctx, x);
-    lin.forward_infer(grid, ctx, &rows)
+    lin.fetch_stationary(grid, ctx);
+    Arc::new(fused(&mut ctx.meter, |m| lin.stationary().matmul(&rows, m)))
 }
 
 /// Serves two calls (the one that fetches the weights, then a steady
@@ -110,6 +113,9 @@ fn stationary_linear_is_bitwise_summa_on_every_grid_and_row_layout() {
     }
 }
 
+/// The pre-norm stretch a serving layer runs after its row all-gather
+/// (`norm_mlp_up`: layer norm of the gathered rows, the stationary linear,
+/// GELU) against training's norm, SUMMA and GELU on the same input.
 #[test]
 fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
     for (q, d) in GRIDS {
@@ -120,21 +126,26 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
                 let mut lin = linear::<DenseTensor>(ctx, &grid);
                 let mut norm = TesseractLayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
                 let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
-                let normed = norm.forward_infer(&grid, ctx, &x);
-                let served = lin.forward_infer(&grid, ctx, &normed);
+                let gathered = row_panels(&grid, ctx, &x);
+                lin.fetch_stationary(&grid, ctx);
+                let m = &mut ctx.meter;
+                let normed = layer_norm_panels(&gathered, norm.eps, m);
+                let served = norm_mlp_up(&gathered, norm.eps, lin.stationary(), m);
                 let xhat = norm.forward(&grid, ctx, &x);
-                let summa = lin.forward(&grid, ctx, &xhat);
+                let summa = lin.forward(&grid, ctx, &xhat).gelu(&mut ctx.meter);
                 // Each member's training X̂ block, gathered for comparison.
                 let xhats = row_panels(&grid, ctx, &xhat);
-                let panels = |p: &[Arc<DenseTensor>]| -> Vec<Matrix> {
-                    p.iter().map(|t| t.matrix().clone()).collect()
-                };
-                (panels(&normed), panels(&xhats), served.matrix().clone(), summa.matrix().clone())
+                let normed: Vec<Matrix> = normed.iter().map(|t| t.matrix().clone()).collect();
+                let xhats: Vec<Matrix> = xhats.iter().map(|t| t.matrix().clone()).collect();
+                (normed, xhats, served.matrix().clone(), summa.matrix().clone())
             });
             for (rank, (normed, xhats, served, summa)) in out.results.iter().enumerate() {
                 let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
                 assert_eq!(normed, xhats, "{what}: a gathered panel differs from its owner's X̂");
-                assert_eq!(served, summa, "{what}: norm + stationary linear differs from SUMMA");
+                assert_eq!(
+                    served, summa,
+                    "{what}: norm + stationary linear + GELU differs from SUMMA"
+                );
             }
         }
     }

@@ -362,7 +362,10 @@ pub fn run_serve<T: TensorLike>(
         "serving needs every grid column of a depth layer to sit alike on nodes, so that a \
          lane's ranks finish the weight fetch on one clock"
     );
-    let model = TesseractTransformer::<T>::new(ctx, grid, cfg.model, cfg.with_bias, cfg.seed, 0);
+    // `batch` and `seq` only shape training; the smallest batch the grid
+    // accepts keeps the stack's one feasibility rule to the serving widths.
+    let model_cfg = TransformerConfig { batch: q * grid.shape.d, seq: 1, ..cfg.model };
+    let model = TesseractTransformer::<T>::new(ctx, grid, model_cfg, cfg.with_bias, cfg.seed, 0);
     model.fetch_stationary(grid, ctx);
     // Serving never drops the fetched weights, so this total is the peak.
     ctx.note_weight_bytes(model.stationary_bytes());

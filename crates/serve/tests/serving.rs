@@ -159,10 +159,10 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
 }
 
 #[test]
-fn a_steady_busy_lane_layer_is_ten_launches_per_rank() {
-    // Per layer: ln1, wqkv, attention, wo, residual add, ln2, fc1, GELU,
-    // fc2, residual add. Each layer norm is one launch over the gathered
-    // rows and each stationary linear one GEMM launch, at any q.
+fn a_steady_busy_lane_layer_is_four_launches_per_rank() {
+    // Per layer, one fused launch after each of its four row all-gathers:
+    // ln1 → wqkv → KV append → attention; wo → residual add; ln2 → fc1 →
+    // GELU; fc2 → residual add. At any q.
     let cfg = test_model();
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
@@ -172,7 +172,7 @@ fn a_steady_busy_lane_layer_is_ten_launches_per_rank() {
             decode_step_launches(ctx, &grid, &model, 3)
         });
         for (rank, &launches) in out.results.iter().enumerate() {
-            assert_eq!(launches, 10 * cfg.layers as u64, "q = {q}, rank {rank}");
+            assert_eq!(launches, 4 * cfg.layers as u64, "q = {q}, rank {rank}");
         }
     }
 }
@@ -271,6 +271,23 @@ fn engine_serves_all_requests_with_sane_latencies() {
         assert_eq!(other.results, summary.results);
     }
     assert!(out.makespan() >= summary.results.iter().map(|r| r.finish_time).fold(0.0, f64::max));
+}
+
+#[test]
+fn serving_ignores_the_training_batch_and_seq() {
+    // `ServeConfig::model`'s batch and seq shape training only: a batch the
+    // grid does not divide and a zero seq serve what a trainable shape does.
+    let shape = GridShape::new(2, 1);
+    let traffic = smoke_traffic();
+    let serve = |batch, seq| {
+        let model = TransformerConfig { batch, seq, ..test_model() };
+        let cfg = ServeConfig { model, ..serve_cfg() };
+        serve_on_cluster::<DenseTensor>(&RunConfig::from_env(shape.size()), shape, &cfg, &traffic)
+            .results
+    };
+    let ignored = serve(1, 0);
+    assert_eq!(ignored[0].results.len(), traffic.len(), "every request is served");
+    assert_eq!(ignored, serve(16, 64), "batch and seq change no result");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! apart. A fused launch is its op chain under `tensor::fused`: the chain
 //! runs on a meter of its own and [`Meter::record_fused`] charges it as one
 //! launch with the chain's flops and GEMM dispatch tallies and only the
-//! output's bytes (serving's attention, layer norm and stationary linear).
+//! output's bytes (each collective-free stretch of a serving layer).
 //! The cluster runtime converts these into simulated time (`flops /
 //! device_rate + kernels * launch_overhead`), which is what the Table 1 /
 //! Table 2 reproductions report instead of host wall-clock.

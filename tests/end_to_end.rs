@@ -179,9 +179,10 @@ fn makespan_accounting_is_consistent() {
 fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     // Serving fetches each linear's weight column once; an optimizer step
     // changes the weights through `visit_params`, which must drop that
-    // copy so the next serving call refetches. Served output must then be
-    // the SUMMA forward's on the updated weights, bit for bit.
+    // copy so the next (idempotent) fetch refetches. Served output must
+    // then be the SUMMA forward's on the updated weights, bit for bit.
     use std::sync::Arc;
+    use tesseract_repro::comm::RankCtx;
     use tesseract_repro::core::{mm::row_panels, TesseractLinear};
     let shape = GridShape::new(2, 2);
     let (in_f, out_f, rows) = (8, 12, 16);
@@ -194,11 +195,15 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
         let x = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let rows = row_panels(&grid, ctx, &x);
-        let before = lin.forward_infer(&grid, ctx, &rows);
+        let serve = |lin: &TesseractLinear<DenseTensor>, ctx: &mut RankCtx| {
+            lin.fetch_stationary(&grid, ctx);
+            Arc::new(lin.stationary().matmul(&rows, &mut ctx.meter))
+        };
+        let before = serve(&lin, ctx);
         let _ = lin.forward(&grid, ctx, &x);
         let _ = lin.backward(&grid, ctx, &dy);
         AdamW::new(1e-2, 0.1).step(&mut ctx.meter, &mut lin);
-        let served = lin.forward_infer(&grid, ctx, &rows);
+        let served = serve(&lin, ctx);
         let summa = lin.forward(&grid, ctx, &x);
         [before, served, summa].map(|y| y.matrix().clone())
     });
