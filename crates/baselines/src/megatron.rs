@@ -61,21 +61,23 @@ impl MegatronWorld {
         Self { p: group.size(), index: group.my_index(), group }
     }
 
-    /// Whether `cfg` splits over a `p`-rank 1-D group: `cfg`'s dimensions
-    /// ([`TransformerConfig::check_positive`]) and `p` must be positive, and
-    /// `p` must divide the heads (each rank owns whole heads), the hidden size
-    /// and the MLP hidden size (the column / row splits of the two linears).
+    /// Whether `cfg` splits over a `p`-rank 1-D group: `cfg` must pass its
+    /// own rule ([`TransformerConfig::check`]: `n | h`), `p` must be
+    /// positive, and `p` must divide the heads (each rank owns whole heads),
+    /// so it divides the hidden size and the MLP hidden size too (the
+    /// column / row splits of the two linears).
     pub fn check_degree(p: usize, cfg: &TransformerConfig) -> Result<(), ShapeError> {
-        cfg.check_positive()?;
+        cfg.check()?;
         if p == 0 {
             return Err(ShapeError::NonPositive { what: "megatron p" });
         }
-        for (what, value) in
-            [("heads", cfg.heads), ("hidden", cfg.hidden), ("mlp hidden", cfg.mlp_hidden())]
-        {
-            if !value.is_multiple_of(p) {
-                return Err(ShapeError::Indivisible { what, value, by: "p", divisor: p });
-            }
+        if !cfg.heads.is_multiple_of(p) {
+            return Err(ShapeError::Indivisible {
+                what: "heads",
+                value: cfg.heads,
+                by: "p",
+                divisor: p,
+            });
         }
         Ok(())
     }

@@ -29,6 +29,7 @@
 
 use tesseract_baselines::cannon::cannon_matmul;
 use tesseract_baselines::solomonik::solomonik_matmul;
+use tesseract_bench::cli::Args;
 use tesseract_comm::{CollectiveOp, CostParams, Link, RunConfig, Topology};
 use tesseract_core::analysis::{
     transmissions_25d, transmissions_cannon, transmissions_tesseract_cube,
@@ -92,16 +93,7 @@ fn human_bytes(b: usize) -> String {
 }
 
 fn main() {
-    let mut out_path = "BENCH_comm.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| panic!("--out needs a value"));
-            }
-            other => panic!("unknown argument {other:?} (known: --out)"),
-        }
-    }
+    let out_path = Args::parse(&["--out"]).value("--out", String::from("BENCH_comm.json"));
 
     println!("## C1 — closed-form transfer counts per matmul (§1/§3.1)\n");
     println!("| p | Cannon 2p^1.5-2p^0.5 | 2.5-D 2p-2p^(1/3) | Tesseract 2p^(2/3) | Cannon/Tess | 2.5D/Tess |");

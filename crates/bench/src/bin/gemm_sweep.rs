@@ -45,6 +45,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use tesseract_bench::cli::Args;
 use tesseract_comm::RunConfig;
 use tesseract_tensor::json;
 use tesseract_tensor::matmul::{
@@ -326,27 +327,10 @@ fn shape_rows(
 }
 
 fn main() {
-    let mut sizes: Vec<usize> = vec![256, 512, 1024];
-    let mut reps = 5usize;
-    let mut out_path = String::from("BENCH_kernels.json");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value")).clone();
-        match arg.as_str() {
-            "--sizes" => {
-                sizes = value("--sizes")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes wants comma-separated integers"))
-                    .collect();
-            }
-            "--reps" => reps = value("--reps").parse().expect("--reps wants an integer"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other:?} (known: --sizes --reps --out)"),
-        }
-    }
+    let args = Args::parse(&["--sizes", "--reps", "--out"]);
+    let sizes = args.list("--sizes", &[256, 512, 1024]);
+    let reps: usize = args.value("--reps", 5);
+    let out_path = args.value("--out", String::from("BENCH_kernels.json"));
 
     // All TESSERACT_* knobs are parsed and installed by the run
     // configuration (the single env-read site of the workspace); this bench

@@ -15,8 +15,9 @@
 //! wait that was hidden (`hidden / (hidden + still-paid)`).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin overlap_sweep -- \
-//!           [--sizes 256,512,1024] [--out BENCH_overlap.json]`
+//!           [--out BENCH_overlap.json]`
 
+use tesseract_bench::cli::Args;
 use tesseract_bench::step::matmul_step;
 use tesseract_comm::RunConfig;
 use tesseract_core::GridShape;
@@ -30,32 +31,16 @@ const SHAPE: (usize, usize) = (2, 2); // [2, 2, 2]
 /// transformer linear-layer regime where panel broadcasts dominate.
 const STEP_ROWS: usize = 64;
 
-fn main() {
-    let mut sizes: Vec<usize> = vec![256, 512, 1024];
-    let mut out_path = String::from("BENCH_overlap.json");
+/// Weight sizes `n`, each a multiple of the cube's `q·q·d = 8` ranks.
+const SIZES: [usize; 3] = [256, 512, 1024];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value")).clone();
-        match arg.as_str() {
-            "--sizes" => {
-                sizes = value("--sizes")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes wants comma-separated integers"))
-                    .collect();
-            }
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other:?} (known: --sizes --out)"),
-        }
-    }
+fn main() {
+    let out_path = Args::parse(&["--out"]).value("--out", String::from("BENCH_overlap.json"));
     let (q, d) = SHAPE;
-    assert!(sizes.iter().all(|&n| n % (q * q * d) == 0), "--sizes must divide the [2,2,2] grid");
 
     println!(
         "overlap_sweep: [{q},{q},{d}] grid, global A {STEP_ROWS} x n, B n x n, \
-sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
+sizes {SIZES:?} (virtual seconds; both runs bitwise-checked)\n"
     );
     println!(
         "| n | serial step (s) | pipelined step (s) | speedup | hidden wait (s) | hidden frac |"
@@ -63,7 +48,7 @@ sizes {sizes:?} (virtual seconds; both runs bitwise-checked)\n"
     println!("|---|---|---|---|---|---|");
     let (shape, cluster) = (GridShape::new(q, d), RunConfig::from_env(q * q * d));
     let mut steps = Vec::new();
-    for &n in &sizes {
+    for n in SIZES {
         let serial = matmul_step(&cluster, shape, STEP_ROWS, n, false);
         let pipelined = matmul_step(&cluster, shape, STEP_ROWS, n, true);
         assert_eq!(

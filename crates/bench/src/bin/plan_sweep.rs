@@ -24,6 +24,7 @@
 //! Run: `cargo run --release -p tesseract-bench --bin plan_sweep -- \
 //!           [--mode table1|table2|sweep|all] [--out BENCH_plan.json]`
 
+use tesseract_bench::cli::Args;
 use tesseract_bench::timing::paper_config;
 use tesseract_plan::{plan, CandidateMenu, EntryStatus, Plan, PlanRequest};
 use tesseract_tensor::json;
@@ -101,19 +102,9 @@ fn mode_json(mode: &Mode, p: &Plan) -> Value {
 }
 
 fn main() {
-    let mut which = String::from("all");
-    let mut out_path = String::from("BENCH_plan.json");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value")).clone();
-        match arg.as_str() {
-            "--mode" => which = value("--mode"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other:?} (known: --mode --out)"),
-        }
-    }
+    let args = Args::parse(&["--mode", "--out"]);
+    let which = args.value("--mode", String::from("all"));
+    let out_path = args.value("--out", String::from("BENCH_plan.json"));
 
     let mut sections = Vec::new();
     for mode in modes(&which) {

@@ -20,13 +20,14 @@
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
 //! nonzero throughput, and four launches per layer in every step of the
-//! flood's busiest rank) and the whole sweep is deterministic: same seed,
+//! flood's busiest rank) and the whole sweep is deterministic: same arguments,
 //! same bytes out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
-//!           [--grids 2,1;2,2;4,1] [--requests 1000] [--seed 42] \
-//!           [--out BENCH_serving.json] [--trace-out target/TRACE_serving.json]`
+//!           [--grids 2,1;2,2;4,1] [--requests 1000] [--out BENCH_serving.json] \
+//!           [--trace-out target/TRACE_serving.json]`
 
+use tesseract_bench::cli::Args;
 use tesseract_bench::write_chrome_trace;
 use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::{GridShape, TransformerConfig};
@@ -48,6 +49,9 @@ const FLOOD_RATE: f64 = 1e12;
 /// saturated steady state, small enough to keep the trace a few MB.
 const TRACE_REQUESTS: usize = 48;
 
+/// Seeds the weights and, per arrangement, the traffic.
+const SEED: u64 = 42;
+
 /// The served model: GPT-2-small-ish widths, scaled to stay honest on the
 /// meter while every arrangement in the default sweep divides it evenly.
 fn model() -> TransformerConfig {
@@ -62,17 +66,19 @@ fn model() -> TransformerConfig {
     }
 }
 
-fn serve_cfg(seed: u64) -> ServeConfig {
+fn serve_cfg() -> ServeConfig {
     ServeConfig {
         model: model(),
         with_bias: true,
-        seed,
+        seed: SEED,
         max_batch_tokens: 128,
         max_lane_requests: 8,
     }
 }
 
-fn traffic_cfg(rate: f64, requests: usize, seed: u64) -> TrafficConfig {
+/// The traffic of `requests` requests arriving at `rate` on `shape`.
+fn traffic_cfg(rate: f64, requests: usize, shape: GridShape) -> TrafficConfig {
+    let seed = SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
     TrafficConfig { rate, requests, prompt_lens: (16, 64), output_lens: (4, 16), seed }
 }
 
@@ -134,9 +140,8 @@ fn run_point(
     cfg: &ServeConfig,
     traffic_rate: f64,
     requests: usize,
-    traffic_seed: u64,
 ) -> (RunOutput<ServeSummary>, Vec<f64>) {
-    let traffic = generate(&traffic_cfg(traffic_rate, requests, traffic_seed));
+    let traffic = generate(&traffic_cfg(traffic_rate, requests, shape));
     let out =
         serve_on_cluster::<ShadowTensor>(&RunConfig::from_env(shape.size()), shape, cfg, &traffic);
     let head = &out.results[0];
@@ -152,12 +157,11 @@ fn run_point(
     (out, latencies)
 }
 
-fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> ArrangementCurve {
-    let cfg = serve_cfg(seed);
-    let traffic_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
+fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
+    let cfg = serve_cfg();
 
     // Calibration: all-at-once arrivals measure the saturated service rate.
-    let (flood, _) = run_point(shape, &cfg, FLOOD_RATE, requests, traffic_seed);
+    let (flood, _) = run_point(shape, &cfg, FLOOD_RATE, requests);
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
@@ -169,7 +173,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
         let offered_rps = capacity_rps * mult;
-        let (out, latencies) = run_point(shape, &cfg, offered_rps, requests, traffic_seed);
+        let (out, latencies) = run_point(shape, &cfg, offered_rps, requests);
         let head = &out.results[0];
         let stats = latency_stats(latencies);
         let ttft = latency_stats(head.results.iter().map(|r| r.ttft()).collect());
@@ -209,10 +213,9 @@ fn sweep_arrangement(shape: GridShape, requests: usize, seed: u64) -> Arrangemen
 /// with tracing on, reconciles the trace exactly with the run's
 /// accounting, and writes the saturated steady state as Chrome-trace JSON
 /// ([`write_chrome_trace`]).
-fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u64) -> usize {
-    let cfg = serve_cfg(seed);
-    let traffic_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ shape.size() as u64;
-    let traffic = generate(&traffic_cfg(FLOOD_RATE, requests, traffic_seed));
+fn write_saturated_trace(path: &str, shape: GridShape, requests: usize) -> usize {
+    let cfg = serve_cfg();
+    let traffic = generate(&traffic_cfg(FLOOD_RATE, requests, shape));
     let cluster = RunConfig::from_env(shape.size()).with_trace(true);
     let out = serve_on_cluster::<ShadowTensor>(&cluster, shape, &cfg, &traffic);
     assert_eq!(out.traces.len(), shape.size(), "one trace per rank");
@@ -221,46 +224,14 @@ fn write_saturated_trace(path: &str, shape: GridShape, requests: usize, seed: u6
 }
 
 fn main() {
-    let mut grids: Vec<(usize, usize)> = vec![(2, 1), (2, 2), (4, 1)];
-    let mut requests = 1000usize;
-    let mut seed = 42u64;
-    let mut out_path = String::from("BENCH_serving.json");
+    let args = Args::parse(&["--grids", "--requests", "--out", "--trace-out"]);
+    let grids = args.pairs("--grids", &[(2, 1), (2, 2), (4, 1)]);
+    let requests: usize = args.value("--requests", 1000);
+    let out_path = args.value("--out", String::from("BENCH_serving.json"));
     // Traces are regenerated artifacts, not sources: they default under
     // target/ and are never committed (ci.sh proves one is generated and
     // parseable on every run).
-    let mut trace_path = String::from("target/TRACE_serving.json");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value")).clone();
-        match arg.as_str() {
-            "--grids" => {
-                grids = value("--grids")
-                    .split(';')
-                    .map(|pair| {
-                        let mut parts = pair
-                            .split(',')
-                            .map(|s| s.trim().parse::<usize>().expect("--grids wants q,d pairs"));
-                        let q = parts.next().expect("--grids wants q,d pairs");
-                        let d = parts.next().expect("--grids wants q,d pairs");
-                        assert!(parts.next().is_none(), "--grids wants q,d pairs");
-                        (q, d)
-                    })
-                    .collect();
-            }
-            "--requests" => {
-                requests = value("--requests").parse().expect("--requests wants an integer")
-            }
-            "--seed" => seed = value("--seed").parse().expect("--seed wants an integer"),
-            "--out" => out_path = value("--out"),
-            "--trace-out" => trace_path = value("--trace-out"),
-            other => panic!(
-                "unknown argument {other:?} (known: --grids --requests --seed --out --trace-out)"
-            ),
-        }
-    }
+    let trace_path = args.value("--trace-out", String::from("target/TRACE_serving.json"));
     assert!(!grids.is_empty(), "--grids must name at least one arrangement");
     assert!(requests >= 2, "--requests must be at least 2");
     let m = model();
@@ -277,7 +248,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     let mut curves = Vec::new();
     for &(q, d) in &grids {
         let shape = GridShape::new(q, d);
-        let curve = sweep_arrangement(shape, requests, seed);
+        let curve = sweep_arrangement(shape, requests);
         println!(
             "[{q},{q},{d}] ({} ranks): saturated capacity {:.3} req/s, {} weight bytes per rank",
             shape.size(),
@@ -322,8 +293,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!("invariant ok: a busy serving layer is 4 launches");
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
-    let events =
-        write_saturated_trace(&trace_path, trace_shape, requests.min(TRACE_REQUESTS), seed);
+    let events = write_saturated_trace(&trace_path, trace_shape, requests.min(TRACE_REQUESTS));
     println!(
         "wrote {trace_path} ({events} trace events, saturated [{q},{q},{d}] steady state)",
         q = trace_shape.q,
@@ -369,7 +339,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         },
         "traffic": {
             "requests": requests, "prompt_lens": [16usize, 64usize],
-            "output_lens": [4usize, 16usize], "seed": seed
+            "output_lens": [4usize, 16usize], "seed": SEED
         },
         "arrangements": Value::Arr(arrangements.collect())
     }));

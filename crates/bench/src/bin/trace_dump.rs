@@ -16,16 +16,20 @@
 //! included (same values, same fold order).
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin trace_dump -- \
-//!           [--grid 2,2] [--n 256] [--out TRACE.json] [--top 5]`
+//!           [--grid 2,2] [--n 256] [--out TRACE.json]`
 //!
 //! [`RankReport`]: tesseract_comm::RankReport
 //! [`RunOutput::reconcile_trace`]: tesseract_comm::RunOutput::reconcile_trace
 
+use tesseract_bench::cli::Args;
 use tesseract_bench::step::matmul_step;
 use tesseract_bench::write_chrome_trace;
 use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::GridShape;
 use tesseract_tensor::trace::critical;
+
+/// Critical-path ops printed per schedule.
+const TOP_K: usize = 5;
 
 /// Panics unless the trace reconciles with the run's own accounting.
 fn reconcile<R>(what: &str, run: &RunOutput<R>) {
@@ -34,35 +38,12 @@ fn reconcile<R>(what: &str, run: &RunOutput<R>) {
 }
 
 fn main() {
-    let mut grid = (2usize, 2usize);
-    let mut n = 256usize;
-    let mut out_path = String::from("TRACE.json");
-    let mut top_k = 5usize;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value")).clone();
-        match arg.as_str() {
-            "--grid" => {
-                let v = value("--grid");
-                let mut parts = v
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().expect("--grid wants q,d (two integers)"));
-                grid = (
-                    parts.next().expect("--grid wants q,d"),
-                    parts.next().expect("--grid wants q,d"),
-                );
-                assert!(parts.next().is_none(), "--grid wants exactly q,d");
-            }
-            "--n" => n = value("--n").parse().expect("--n wants an integer"),
-            "--out" => out_path = value("--out"),
-            "--top" => top_k = value("--top").parse().expect("--top wants an integer"),
-            other => panic!("unknown argument {other:?} (known: --grid --n --out --top)"),
-        }
-    }
-    let (q, d) = grid;
+    let args = Args::parse(&["--grid", "--n", "--out"]);
+    let [(q, d)] = args.pairs("--grid", &[(2, 2)])[..] else {
+        panic!("--grid wants exactly one q,d pair")
+    };
+    let n: usize = args.value("--n", 256);
+    let out_path = args.value("--out", String::from("TRACE.json"));
     let shape = GridShape::new(q, d);
     assert!(n.is_multiple_of(q * q * d), "--n must be divisible by q*q*d = {}", q * q * d);
     let serial_path = match out_path.strip_suffix(".json") {
@@ -92,6 +73,6 @@ fn main() {
     for (what, run) in [("serial", &serial), ("pipelined", &pipelined)] {
         let cp = critical::critical_path(&run.traces);
         println!("[{what}] makespan {:.9} s", run.makespan());
-        println!("{}", cp.render_top_k(top_k));
+        println!("{}", cp.render_top_k(TOP_K));
     }
 }

@@ -11,6 +11,8 @@
 //! * [`step`] — one Dense fwd+bwd Tesseract matmul step under either SUMMA
 //!   schedule (pipelined or blocking), which `overlap_sweep` and
 //!   `trace_dump` run.
+//! * [`cli`] — the one `--flag value` parser of the binaries that take
+//!   arguments.
 //!
 //! Binaries (one per table, figure or sweep): `table1_strong_scaling`,
 //! `table2_weak_scaling`, `fig7_training_accuracy`, `fig6_hybrid`,
@@ -20,6 +22,7 @@
 //! serialize it with `json::write`; the two that write Chrome traces
 //! (`trace_dump`, `serve_sweep`) call [`write_chrome_trace`].
 
+pub mod cli;
 pub mod step;
 pub mod tables;
 pub mod timing;

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use tesseract_tensor::matmul::{self, MicroKernel};
 use tesseract_tensor::{trace, Meter};
 
 use crate::cost::{CollectiveOp, CostParams};
@@ -196,6 +197,9 @@ impl RankCtx {
     pub fn report(&mut self) -> RankReport {
         self.flush_compute();
         let t = self.totals;
+        // Every blocked GEMM of a process runs on its one resolved backend.
+        let backend = (t.gemms_blocked > 0).then(matmul::active_kernel);
+        let on = |k| if backend == Some(k) { t.gemms_blocked } else { 0 };
         RankReport {
             rank: self.rank,
             virtual_time: self.clock,
@@ -205,9 +209,9 @@ impl RankCtx {
             kernels: t.kernels,
             gemms_blocked: t.gemms_blocked,
             gemms_serial: t.gemms_serial,
-            gemms_kernel_scalar: t.gemms_kernel_scalar,
-            gemms_kernel_avx2: t.gemms_kernel_avx2,
-            gemms_kernel_avx512: t.gemms_kernel_avx512,
+            gemms_kernel_scalar: on(MicroKernel::Scalar),
+            gemms_kernel_avx2: on(MicroKernel::Avx2),
+            gemms_kernel_avx512: on(MicroKernel::Avx512),
             bytes_allocated: t.bytes_allocated,
             comm_wait_nanos: self.comm.per_op.iter().map(|s| s.blocked_nanos).sum(),
             overlap_hidden_nanos: self.comm.per_op.iter().map(|s| s.hidden_nanos).sum(),
@@ -287,9 +291,9 @@ pub struct RankReport {
     pub gemms_blocked: u64,
     /// GEMM launches below the blocked threshold (the serial kernel).
     pub gemms_serial: u64,
-    /// Blocked dispatches that ran the scalar micro-kernel backend
-    /// (`gemms_kernel_scalar + gemms_kernel_avx2 + gemms_kernel_avx512 ==
-    /// gemms_blocked`).
+    /// Blocked dispatches that ran the scalar micro-kernel backend. The
+    /// process runs every blocked GEMM on its one `matmul::active_kernel`,
+    /// so that backend's field is `gemms_blocked` and the other two are 0.
     pub gemms_kernel_scalar: u64,
     /// Blocked dispatches that ran the AVX2+FMA micro-kernel backend —
     /// the audit trail for which kernel actually executed this run.
@@ -341,6 +345,7 @@ pub struct RankReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tesseract_tensor::{ShadowTensor, TensorLike};
 
     fn one_rank(f: impl Fn(&mut RankCtx) + Send + Sync) -> RankReport {
         crate::RunConfig::new(1).run(f).reports[0]
@@ -373,6 +378,23 @@ mod tests {
         });
         assert_eq!(r.activation_bytes_peak, 2048);
         assert_eq!((r.kernels, r.virtual_time), (0, 0.0));
+    }
+
+    #[test]
+    fn the_report_books_blocked_gemms_on_the_active_backend() {
+        let per_backend =
+            |r: &RankReport| [r.gemms_kernel_scalar, r.gemms_kernel_avx2, r.gemms_kernel_avx512];
+        assert_eq!(per_backend(&one_rank(|_| {})), [0, 0, 0]);
+        let r = one_rank(|ctx| {
+            let (a, b) = (ShadowTensor::new(64, 64), ShadowTensor::new(64, 64));
+            let _ = a.matmul(&b, &mut ctx.meter);
+            let _ = a.matmul_nt(&b, &mut ctx.meter);
+            let _ = ShadowTensor::new(1, 64).matmul(&b, &mut ctx.meter);
+        });
+        assert_eq!((r.gemms_blocked, r.gemms_serial), (2, 1));
+        let mut want = [0; 3];
+        want[MicroKernel::ALL.iter().position(|&k| k == matmul::active_kernel()).unwrap()] = 2;
+        assert_eq!(per_backend(&r), want);
     }
 
     #[test]

@@ -9,11 +9,12 @@ use std::fmt;
 /// rule once, as a `Result`-returning method (`GridShape::check`,
 /// `MegatronWorld::check_degree`, `HybridShape::micro_config`); the planner
 /// reports the value, and the one execution-path site that panics on it
-/// (`TransformerLayer::new`) formats it with [`fmt::Display`].
+/// (`Transformer::new_with_options`, which builds every stack) formats it
+/// with [`fmt::Display`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShapeError {
     /// A structural parameter (grid side, depth, dp, pp) or a workload
-    /// dimension ([`TransformerConfig::check_positive`]) was zero.
+    /// dimension ([`TransformerConfig::check`]) was zero.
     NonPositive {
         /// What was zero, e.g. `"grid shape"`.
         what: &'static str,
@@ -66,12 +67,13 @@ impl TransformerConfig {
         Self { batch: 4, seq: 4, hidden: 16, heads: 4, mlp_ratio: 4, layers: 1, eps: 1e-5 }
     }
 
-    /// Every dimension must be positive: a zero one divides evenly over any
-    /// arrangement, yet no stack can run it. Each arrangement's rule
-    /// (`GridShape::check`, `MegatronWorld::check_degree`) calls this first,
-    /// so a zero side is [`ShapeError::NonPositive`], never a remainder by
-    /// zero.
-    pub fn check_positive(&self) -> Result<(), ShapeError> {
+    /// The workload's own rule, which each arrangement's rule
+    /// (`GridShape::check`, `MegatronWorld::check_degree`,
+    /// `HybridShape::micro_config`) calls first. Every dimension must be
+    /// positive: a zero one divides evenly over any arrangement, yet no
+    /// stack can run it, so it is [`ShapeError::NonPositive`], never a
+    /// remainder by zero. The heads must split `hidden` evenly.
+    pub fn check(&self) -> Result<(), ShapeError> {
         for (what, value) in [
             ("batch", self.batch),
             ("seq", self.seq),
@@ -83,6 +85,10 @@ impl TransformerConfig {
             if value == 0 {
                 return Err(ShapeError::NonPositive { what });
             }
+        }
+        if !self.hidden.is_multiple_of(self.heads) {
+            let (value, divisor) = (self.hidden, self.heads);
+            return Err(ShapeError::Indivisible { what: "hidden", value, by: "heads", divisor });
         }
         Ok(())
     }
@@ -126,7 +132,7 @@ mod tests {
     #[test]
     fn a_zero_dimension_is_non_positive() {
         let tiny = TransformerConfig::tiny();
-        assert_eq!(tiny.check_positive(), Ok(()));
+        assert_eq!(tiny.check(), Ok(()));
         for (cfg, what) in [
             (TransformerConfig { batch: 0, ..tiny }, "batch"),
             (TransformerConfig { seq: 0, ..tiny }, "seq"),
@@ -135,8 +141,14 @@ mod tests {
             (TransformerConfig { mlp_ratio: 0, ..tiny }, "mlp ratio"),
             (TransformerConfig { layers: 0, ..tiny }, "layers"),
         ] {
-            assert_eq!(cfg.check_positive(), Err(ShapeError::NonPositive { what }));
+            assert_eq!(cfg.check(), Err(ShapeError::NonPositive { what }));
         }
+    }
+
+    #[test]
+    fn heads_must_split_hidden() {
+        let cfg = TransformerConfig { hidden: 6, heads: 4, ..TransformerConfig::tiny() };
+        assert_eq!(cfg.check().unwrap_err().to_string(), "hidden 6 not divisible by heads = 4");
     }
 
     #[test]

@@ -50,19 +50,17 @@ impl GridShape {
     }
 
     /// Whether `cfg` splits over this arrangement (paper §3.1, Figure 4):
-    /// `q·d | b` (whole samples per rank), `q | n` (whole heads per rank),
-    /// and `q | h`, `q | 4h` (the weight blocks). Returns the first
-    /// violated constraint; a zero workload dimension
-    /// ([`TransformerConfig::check_positive`]) or grid side is `NonPositive`.
+    /// `q·d | b` (whole samples per rank) and `q | n` (whole heads per
+    /// rank), which with the workload's own rule ([`TransformerConfig::check`],
+    /// checked first: `n | h`) gives `q | h` and `q | 4h`, the weight
+    /// blocks. Returns the first violated constraint; a zero grid side is
+    /// `NonPositive`.
     pub fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
-        cfg.check_positive()?;
+        cfg.check()?;
         let Self { q, d } = Self::try_new(self.q, self.d)?;
-        for (what, value, by, divisor) in [
-            ("batch", cfg.batch, "q*d", q * d),
-            ("heads", cfg.heads, "q", q),
-            ("hidden", cfg.hidden, "q", q),
-            ("mlp hidden", cfg.mlp_hidden(), "q", q),
-        ] {
+        for (what, value, by, divisor) in
+            [("batch", cfg.batch, "q*d", q * d), ("heads", cfg.heads, "q", q)]
+        {
             if !value.is_multiple_of(divisor) {
                 return Err(ShapeError::Indivisible { what, value, by, divisor });
             }
@@ -229,7 +227,7 @@ mod tests {
         let c = TransformerConfig { batch: 8, hidden: 18, ..tiny };
         assert_eq!(
             GridShape::new(4, 1).check(&c).unwrap_err().to_string(),
-            "hidden 18 not divisible by q = 4"
+            "hidden 18 not divisible by heads = 4"
         );
         // A zero side is rejected as such, not as "divisible by 0".
         for (q, d) in [(0, 1), (2, 0)] {

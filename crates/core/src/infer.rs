@@ -35,12 +35,10 @@ use tesseract_tensor::TensorLike;
 
 use crate::layers::transformer::TesseractTransformer;
 
-/// Bytes per cached element (the stack is f32 end to end).
-const ELEM_BYTES: u64 = 4;
-
 /// One attention layer's KV cache for one request on this rank: K and V
 /// of its `n/q` locally-owned heads, `[seq_len, h/q]` each — the column
-/// layout of the fused QKV slice — grown by row-append every step.
+/// layout of the fused QKV slice — grown in place every step
+/// ([`TensorLike::append_rows`]).
 pub struct LayerKv<T> {
     pub k: T,
     pub v: T,
@@ -59,7 +57,7 @@ impl<T: TensorLike> LayerKv<T> {
 
     /// Resident bytes of this layer's cache on this rank.
     pub fn bytes(&self) -> u64 {
-        (self.k.elem_count() + self.v.elem_count()) as u64 * ELEM_BYTES
+        (self.k.byte_size() + self.v.byte_size()) as u64
     }
 }
 

@@ -66,7 +66,8 @@ impl<T: TensorLike, G: World<T>> Attention<T, G> {
 /// A serving layer's first stretch, KV-cached **causal** attention (no
 /// tape): [`layer_norm_panels`] of this rank's gathered row of input
 /// panels, the fused QKV projection by `wqkv`'s fetched weights, the Q/K/V
-/// column slices, each segment's new K/V rows appended to its [`LayerKv`],
+/// column slices, each segment's new K/V rows appended in place to its
+/// [`LayerKv`] ([`TensorLike::append_rows`]),
 /// then [`ragged_causal_attention`] over every segment and locally-owned
 /// head. The layer runs it as one fused launch, the way a KV-cache
 /// attention kernel appends K/V in-kernel.
@@ -101,10 +102,8 @@ pub fn norm_attention<T: TensorLike>(
 
     let mut r0 = 0;
     for (kv, &t_new) in kvs.iter_mut().zip(new_rows) {
-        for (cache, new) in [(&mut kv.k, &k_all), (&mut kv.v, &v_all)] {
-            let prev = std::mem::replace(cache, T::zeros(0, local_h));
-            *cache = T::concat_rows(&[prev, new.slice_rows(r0, r0 + t_new, m)], m);
-        }
+        kv.k.append_rows(&k_all.slice_rows(r0, r0 + t_new, m), m);
+        kv.v.append_rows(&v_all.slice_rows(r0, r0 + t_new, m), m);
         r0 += t_new;
     }
     let caches: Vec<(&T, &T)> = kvs.iter().map(|kv| (&kv.k, &kv.v)).collect();

@@ -57,9 +57,6 @@ impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        // The one execution-path site that turns an infeasible arrangement
-        // into a panic; the text is the `ShapeError`'s.
-        world.check(&cfg).unwrap_or_else(|e| panic!("{e}"));
         let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
         Self {
             ln1: world.norm(h, cfg.eps),
@@ -241,6 +238,10 @@ impl<T: TensorLike, G: World<T>> Transformer<T, G> {
         base_param_id: u64,
         opts: StackOptions,
     ) -> Self {
+        // The one execution-path site that turns an infeasible arrangement
+        // into a panic, a zero-layer stack included; the text is the
+        // `ShapeError`'s.
+        world.check(&cfg).unwrap_or_else(|e| panic!("{e}"));
         if let Some(k) = opts.recompute_every {
             assert!(k >= 1, "recompute_every must be at least 1");
         }

@@ -96,8 +96,8 @@ impl HybridShape {
 
     /// The configuration of one microbatch when a GPipe step splits `cfg`'s
     /// global batch over `dp` replicas and `microbatches` waves: the
-    /// arrangement's one feasibility rule. It needs `cfg`'s dimensions
-    /// ([`TransformerConfig::check_positive`]) and `microbatches` positive
+    /// arrangement's one feasibility rule. It needs `cfg` to pass its own
+    /// rule ([`TransformerConfig::check`]) and `microbatches` positive
     /// (the degrees are positive by construction), `pp | layers`,
     /// `dp·microbatches | batch` and the grid to fit the microbatch;
     /// `layers` stays the whole stack's.
@@ -106,7 +106,7 @@ impl HybridShape {
         cfg: &TransformerConfig,
         microbatches: usize,
     ) -> Result<TransformerConfig, ShapeError> {
-        cfg.check_positive()?;
+        cfg.check()?;
         if microbatches == 0 {
             return Err(ShapeError::NonPositive { what: "microbatches" });
         }

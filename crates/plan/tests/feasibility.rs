@@ -3,16 +3,19 @@
 //! `Candidate::check` reports renders to the very text that building the
 //! stack on that world panics with. A zero workload dimension is
 //! infeasible on every arrangement, so the planner lists it instead of
-//! panicking in a dry-run.
+//! panicking in a dry-run. A property test closes the loop over random
+//! small workloads: a candidate dry-runs exactly when its check accepts it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use proptest::prelude::*;
 
 use tesseract_baselines::{MegatronTransformer, MegatronWorld};
 use tesseract_comm::RunConfig;
 use tesseract_core::{
     GridShape, ShapeError, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
-use tesseract_plan::{plan, Candidate, PlanRequest};
+use tesseract_plan::{dryrun, enumerate, plan, Candidate, CandidateMenu, PlanRequest};
 use tesseract_tensor::ShadowTensor;
 
 fn cfg() -> TransformerConfig {
@@ -87,6 +90,57 @@ fn the_planner_lists_a_zero_dimension_as_infeasible() {
         assert!(!p.infeasible.is_empty());
         for (label, e) in &p.infeasible {
             assert_eq!(e, &err, "{label}");
+        }
+    }
+}
+
+/// The text `f` panics with, or `None` if it returns.
+fn panic_text(f: impl FnOnce()) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+    let text = (payload.downcast_ref::<String>().cloned())
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+    Some(text.expect("a panic carries text"))
+}
+
+/// Nonzero workload dimensions to draw from, some of which the small grids
+/// and the head count do not divide.
+const BATCHES: [usize; 4] = [3, 4, 8, 16];
+const HIDDENS: [usize; 4] = [6, 16, 20, 32];
+const HEADS: [usize; 5] = [1, 2, 3, 4, 8];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every candidate `enumerate` lists for a random small workload on
+    /// 1, 2, 4 or 8 GPUs dry-runs without panicking exactly when
+    /// `Candidate::check` accepts it, and a rejected one panics with the
+    /// rejection's text. A third of the workloads have one dimension zeroed.
+    #[test]
+    fn a_candidate_dry_runs_exactly_when_its_check_accepts_it(
+        gpus_log in 0usize..4,
+        (batch, seq, hidden) in (0usize..4, 1usize..5, 0usize..4),
+        (heads, mlp_ratio, layers) in (0usize..5, 1usize..4, 1usize..5),
+        (zeroed, microbatches) in (0usize..18, 1usize..4),
+    ) {
+        let mut dims = [BATCHES[batch], seq, HIDDENS[hidden], HEADS[heads], mlp_ratio, layers];
+        if let Some(dim) = dims.get_mut(zeroed) {
+            *dim = 0;
+        }
+        let [batch, seq, hidden, heads, mlp_ratio, layers] = dims;
+        let cfg = TransformerConfig { batch, seq, hidden, heads, mlp_ratio, layers, eps: 1e-5 };
+        let gpus = 1 << gpus_log;
+        for cand in enumerate(gpus, CandidateMenu::all(), microbatches) {
+            let label = cand.label();
+            let ran = panic_text(|| drop(dryrun::step(&RunConfig::new(0), &cand, &cfg)));
+            match (cand.check(&cfg, gpus), ran) {
+                (Ok(()), None) => {}
+                (Ok(()), Some(text)) => panic!("{label} on {cfg:?}: accepted, then {text:?}"),
+                (Err(e), None) => panic!("{label} on {cfg:?}: rejected ({e}), then ran"),
+                (Err(e), Some(text)) => {
+                    let e = e.to_string();
+                    prop_assert!(text.contains(&e), "{label} on {cfg:?}: {text:?} lacks {e:?}");
+                }
+            }
         }
     }
 }

@@ -155,6 +155,14 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Appends `rows` below the existing rows in place: the one copy is of
+    /// `rows`, and the buffer grows like a `Vec` (amortized O(1) per row).
+    pub fn append_rows(&mut self, rows: &Matrix) {
+        assert_eq!(rows.cols, self.cols, "column mismatch in append_rows");
+        self.data.extend_from_slice(&rows.data);
+        self.rows += rows.rows;
+    }
+
     /// Horizontal concatenation (stack columns). All parts must share `rows`.
     pub fn concat_cols<'a>(parts: impl IntoIterator<Item = &'a Matrix, IntoIter: Clone>) -> Matrix {
         let parts = parts.into_iter();

@@ -17,7 +17,7 @@
 //! step counts and its KV, weight and tape high-water marks are booked where
 //! they are produced: in the comm crate's per-rank context and ledger.
 
-use crate::matmul::{KernelPath, MicroKernel};
+use crate::matmul::KernelPath;
 
 /// Accumulated compute-side costs for one rank.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -33,15 +33,6 @@ pub struct Meter {
     /// GEMM launches that fell back to the serial kernel (below the
     /// `matmul::planned_path` size threshold).
     pub gemms_serial: u64,
-    /// Blocked-GEMM dispatches that ran the scalar micro-kernel backend
-    /// (`matmul::MicroKernel::Scalar`, the portable 4×8 tile).
-    pub gemms_kernel_scalar: u64,
-    /// Blocked-GEMM dispatches that ran the AVX2+FMA micro-kernel backend
-    /// (`matmul::MicroKernel::Avx2`, the 6×16 `_mm256_fmadd_ps` tile).
-    pub gemms_kernel_avx2: u64,
-    /// Blocked-GEMM dispatches that ran the AVX-512 micro-kernel backend
-    /// (`matmul::MicroKernel::Avx512`, the 8×32 `_mm512_fmadd_ps` tile).
-    pub gemms_kernel_avx512: u64,
 }
 
 impl Meter {
@@ -62,22 +53,16 @@ impl Meter {
     }
 
     /// Records one GEMM launch, additionally tallying which kernel
-    /// implementation its shape dispatched to, and — for blocked dispatches
-    /// — which micro-kernel backend the process resolved
-    /// (`matmul::active_kernel`). The one caller (`tensor::gemm_op`) derives
-    /// `path` from `matmul::planned_path`, a function of the shape alone, so
-    /// the tallies are the same on the dense and the shadow backend.
+    /// implementation its shape dispatched to. The one caller
+    /// (`tensor::gemm_op`) derives `path` from `matmul::planned_path`, a
+    /// function of the shape alone, so the tallies are the same on the dense
+    /// and the shadow backend. Every blocked GEMM of a process runs on its
+    /// one `matmul::active_kernel`, so the per-backend split is not tallied
+    /// here; the rank's report derives it.
     pub fn record_gemm(&mut self, flops: f64, out_bytes: usize, path: KernelPath) {
         self.record(flops, out_bytes);
         match path {
-            KernelPath::Blocked => {
-                self.gemms_blocked += 1;
-                match crate::matmul::active_kernel() {
-                    MicroKernel::Scalar => self.gemms_kernel_scalar += 1,
-                    MicroKernel::Avx2 => self.gemms_kernel_avx2 += 1,
-                    MicroKernel::Avx512 => self.gemms_kernel_avx512 += 1,
-                }
-            }
+            KernelPath::Blocked => self.gemms_blocked += 1,
             KernelPath::Serial => self.gemms_serial += 1,
         }
     }
@@ -109,9 +94,6 @@ impl Meter {
         self.kernels += other.kernels;
         self.gemms_blocked += other.gemms_blocked;
         self.gemms_serial += other.gemms_serial;
-        self.gemms_kernel_scalar += other.gemms_kernel_scalar;
-        self.gemms_kernel_avx2 += other.gemms_kernel_avx2;
-        self.gemms_kernel_avx512 += other.gemms_kernel_avx512;
     }
 
     /// Returns the current totals and resets the meter, for converting a
@@ -236,30 +218,5 @@ mod tests {
         other.record_gemm(1.0, 1, KernelPath::Serial);
         m.merge(&other);
         assert_eq!((m.gemms_serial, m.gemms_blocked), (2, 2));
-    }
-
-    #[test]
-    fn gemm_dispatch_counts_the_active_micro_kernel() {
-        let mut m = Meter::new();
-        m.record_gemm(10.0, 8, KernelPath::Serial);
-        // Serial dispatches never touch a micro-kernel backend.
-        let per_kernel =
-            |m: &Meter| (m.gemms_kernel_scalar, m.gemms_kernel_avx2, m.gemms_kernel_avx512);
-        assert_eq!(per_kernel(&m), (0, 0, 0));
-        m.record_gemm(20.0, 8, KernelPath::Blocked);
-        m.record_gemm(30.0, 8, KernelPath::Blocked);
-        // Blocked dispatches count against exactly the resolved backend.
-        let expected = match crate::matmul::active_kernel() {
-            MicroKernel::Scalar => (2, 0, 0),
-            MicroKernel::Avx2 => (0, 2, 0),
-            MicroKernel::Avx512 => (0, 0, 2),
-        };
-        assert_eq!(per_kernel(&m), expected);
-        let mut other = Meter::new();
-        other.record_gemm(1.0, 1, KernelPath::Blocked);
-        m.merge(&other);
-        let (scalar, avx2, avx512) = per_kernel(&m);
-        assert_eq!(scalar + avx2 + avx512, m.gemms_blocked);
-        assert_eq!(m.gemms_blocked, 3);
     }
 }

@@ -117,7 +117,7 @@ fn vals<T: TensorLike>(t: &T) -> &Matrix {
     t.try_matrix().expect(NO_VALUES)
 }
 
-/// Mutable [`vals`], for the one kernel that also updates its operands.
+/// Mutable [`vals`], for the kernels that also update an operand.
 fn vals_mut<T: TensorLike>(t: &mut T) -> &mut Matrix {
     t.try_matrix_mut().expect(NO_VALUES)
 }
@@ -436,6 +436,19 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
         let rows = parts.iter().map(Self::rows).sum();
         op((rows, cols), 0.0, m, || Matrix::concat_rows(parts.iter().map(vals)))
     }
+    /// Appends `rows` below this tensor's rows in place: the value of
+    /// [`TensorLike::concat_rows`] of `[self, rows]` without copying
+    /// `self`, charged as data movement of the new rows only.
+    fn append_rows(&mut self, rows: &Self, m: &mut Meter) {
+        assert_eq!(rows.cols(), self.cols(), "append_rows: column mismatch");
+        m.record(0.0, rows.byte_size());
+        let grown = Self::build(self.rows() + rows.rows(), self.cols(), || {
+            let mut kept = std::mem::replace(vals_mut(self), Matrix::zeros(0, 0));
+            kept.append_rows(vals(rows));
+            kept
+        });
+        *self = grown;
+    }
     /// Horizontal concatenation.
     fn concat_cols(parts: &[Self], m: &mut Meter) -> Self {
         let rows = parts.first().expect("concat_cols of no parts").rows();
@@ -696,6 +709,28 @@ mod tests {
         }
         let assembled = DenseTensor::concat_rows(&quads, &mut m);
         assert_eq!(assembled.matrix(), full.matrix());
+    }
+
+    /// A cache grown by `append_rows` holds what `concat_rows` builds, bit
+    /// for bit, from empty through a prefill, decodes and an empty step;
+    /// Shadow grows to the same shapes on the same charge, the new rows'
+    /// bytes and no launch.
+    #[test]
+    fn append_rows_is_concat_rows_in_place() {
+        let (mut dense_m, mut shadow_m) = (Meter::new(), Meter::new());
+        let (mut grown, mut shadow) = (DenseTensor::zeros(0, 6), ShadowTensor::new(0, 6));
+        for (step, rows) in [5, 1, 1, 0, 3].into_iter().enumerate() {
+            let new = dense(rows, 6, 40 + step as u64);
+            let want = DenseTensor::concat_rows(&[grown.clone(), new.clone()], &mut Meter::new());
+            grown.append_rows(&new, &mut dense_m);
+            assert_eq!(grown.shape(), want.shape(), "step {step}");
+            assert_eq!(bits(&grown), bits(&want), "step {step}");
+            shadow.append_rows(&ShadowTensor::new(rows, 6), &mut shadow_m);
+            assert_eq!(shadow.shape(), grown.shape(), "step {step}");
+            assert_eq!(shadow_m, dense_m, "step {step}");
+        }
+        assert_eq!((dense_m.kernels, dense_m.flops), (0, 0.0));
+        assert_eq!(dense_m.bytes_allocated, (10 * 6 * ELEM_BYTES) as u64);
     }
 
     fn row_major_push(quads: &mut Vec<DenseTensor>, row: Vec<DenseTensor>, m: &mut Meter) {

@@ -262,6 +262,9 @@ fn drive_every_op<T: TensorLike>(
     logged!("softmax_rows_masked_inplace", &probs);
     let top = logged!("slice_rows", x.slice_rows(r0, r, &mut m));
     let left = logged!("slice_cols", x.slice_cols(0, c0, &mut m));
+    let mut grown = x.clone();
+    grown.append_rows(&top, &mut m);
+    logged!("append_rows", &grown);
     logged!("concat_rows", T::concat_rows(&[x.clone(), top], &mut m));
     logged!("concat_cols", T::concat_cols(&[left, x], &mut m));
     log
@@ -282,7 +285,7 @@ proptest! {
     ) {
         let dense = drive_every_op::<DenseTensor>(dims, cut, seed);
         let shadow = drive_every_op::<ShadowTensor>(dims, cut, seed);
-        prop_assert_eq!(dense.len(), 28, "one entry per metered op");
+        prop_assert_eq!(dense.len(), 29, "one entry per metered op");
         for (d, s) in dense.iter().zip(&shadow) {
             prop_assert_eq!(d, s, "{} on {:?}", d.0, dims);
         }
@@ -329,6 +332,7 @@ fn shape_violations<T: TensorLike>() -> Vec<Violation> {
         case("slice_cols out of bounds", move |m| drop(t(3, 5).slice_cols(0, 6, m))),
         case("slice_cols out of bounds", move |m| drop(t(3, 5).slice_cols(4, 3, m))),
         case("concat_rows: column mismatch", move |m| drop(T::concat_rows(&[t(3, 5), t(3, 4)], m))),
+        case("append_rows: column mismatch", move |m| t(3, 5).append_rows(&t(2, 4), m)),
         case("concat_cols: row mismatch", move |m| drop(T::concat_cols(&[t(3, 5), t(2, 5)], m))),
         case("concat_rows of no parts", move |m| drop(T::concat_rows(&[], m))),
         case("concat_cols of no parts", move |m| drop(T::concat_cols(&[], m))),

@@ -1,10 +1,10 @@
 //! The workspace's structural rules as one table. Each row is a design rule
-//! that keeps one job in one place (one env parser, one SUMMA loop, one GEMM
-//! signature, one JSON writer, one feasibility rule per arrangement, …),
-//! with the matcher that finds a breach, where it looks, which paths may
-//! hold a hit and why. `every_row_holds` walks `crates/ src/ tests/
-//! examples/` (every `.rs` file but this one, whose planted lines break
-//! every row) and names file, line and reason for each hit;
+//! that keeps one job in one place (one env parser, one argument parser, one
+//! SUMMA loop, one GEMM signature, one JSON writer, one feasibility rule per
+//! arrangement, …), with the matcher that finds a breach, where it looks,
+//! which paths may hold a hit and why. `every_row_holds` walks `crates/
+//! src/ tests/ examples/` (every `.rs` file but this one, whose planted
+//! lines break every row) and names file, line and reason for each hit;
 //! `every_check_rejects_its_planted_line_and_accepts_its_clean_one`
 //! runs each check's planted violation and clean line through its matcher.
 //! `benchmark/` is a frozen workspace of its own and is not walked.
@@ -76,6 +76,20 @@ const ROWS: &[Row] = &[
             matcher: Matcher::Line(|l| l.contains(r#"env::var("TESSERACT_"#)),
             planted: r#"let t = std::env::var("TESSERACT_THREADS");"#,
             clean: "let t = RunConfig::from_env();",
+        }],
+    },
+    Row {
+        name: "one-argument-parser",
+        reason: "every experiment binary reads its --flag value pairs through bench::cli::Args, \
+                 which names the known flags once; the examples stay standalone",
+        checks: &[Check {
+            rule: Rule::Forbidden {
+                scope: Scope::All,
+                allowed: &["crates/bench/src/cli.rs", "examples/"],
+            },
+            matcher: Matcher::Line(|l| l.contains("env::args")),
+            planted: "let args: Vec<String> = std::env::args().skip(1).collect();",
+            clean: "let args = cli::Args::parse(&[\"--out\"]);",
         }],
     },
     Row {
@@ -283,7 +297,7 @@ const ROWS: &[Row] = &[
         name: "one-feasibility-rule",
         reason: "each arrangement states its feasibility once, as a Result method \
                  (GridShape::check, MegatronWorld::check_degree, HybridShape::micro_config), \
-                 and only TransformerLayer::new panics on it: a config-side grid check, a \
+                 and only the stack's constructor panics on it: a config-side grid check, a \
                  panicking twin or a second microbatch split in the planner is a second copy",
         checks: &[
             Check {
