@@ -54,14 +54,9 @@ pub fn isoefficiency_optimus(p: usize) -> f64 {
     (pf.sqrt() * pf.log2()).powi(3)
 }
 
-/// Eq. 1/2 and Eq. 4/5: bandwidth and latency lower bounds.
-/// Cannon (2-D): `W = Ω(n²/√p)`, `S = Ω(√p)`.
-pub fn lower_bounds_2d(n: usize, p: usize) -> (f64, f64) {
-    let (n, p) = (n as f64, p as f64);
-    (n * n / p.sqrt(), p.sqrt())
-}
-
-/// 2.5-D with replication `d`: `W = Ω(n²/√(d·p))`, `S = Ω(√p / d^{3/2})`.
+/// Eq. 4/5: bandwidth and latency lower bounds of 2.5-D with replication
+/// `d`, `W = Ω(n²/√(d·p))`, `S = Ω(√p / d^{3/2})`. At `d = 1` they are
+/// Cannon's 2-D bounds of Eq. 1/2, `W = Ω(n²/√p)`, `S = Ω(√p)`.
 pub fn lower_bounds_25d(n: usize, p: usize, d: usize) -> (f64, f64) {
     let (n, p, d) = (n as f64, p as f64, d as f64);
     (n * n / (d * p).sqrt(), p.sqrt() / d.powf(1.5))
@@ -139,14 +134,6 @@ mod tests {
         // Megatron's isoefficiency grows faster than Optimus's beyond the
         // small-p regime where the log factor dominates.
         assert!(isoefficiency_megatron(4096) > isoefficiency_optimus(4096));
-    }
-
-    #[test]
-    fn lower_bounds_shrink_with_replication() {
-        let (w2d, s2d) = lower_bounds_2d(4096, 64);
-        let (w25, s25) = lower_bounds_25d(4096, 64, 4);
-        assert!(w25 < w2d);
-        assert!(s25 < s2d);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! the kernels own no shared state, so any number of rank threads may
 //! multiply concurrently. There is no second, intra-GEMM level of threads:
 //! with `world ≥ 4` rank threads already on the host's cores it never
-//! lowered a benchmark `host_op_s` (EXPERIMENTS.md §K).
+//! lowered a benchmark `host_op_s` (CHANGES.md records the measurement).
 //!
 //! The blocked path is itself **runtime-dispatched** over a family of
 //! [`MicroKernel`] backends sharing one packing implementation (packing is
@@ -104,8 +104,8 @@ const AVX2_NR: usize = 16;
 /// AVX-512 micro-tile rows: 8×32 f32 = 16 zmm accumulators of the 32
 /// registers. 8 divides [`BLOCK_M`] and every power-of-two shape, so row
 /// panels never pad; a taller 12-row tile had faster probes but a slower
-/// training step because 64-row attention GEMMs pad to 72 (EXPERIMENTS.md
-/// §K).
+/// training step because 64-row attention GEMMs pad to 72 (CHANGES.md
+/// records the runs).
 const AVX512_MR: usize = 8;
 /// AVX-512 micro-tile columns (two 16-lane zmm vectors per accumulator row).
 const AVX512_NR: usize = 32;

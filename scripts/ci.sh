@@ -91,16 +91,20 @@ test -s target/TRACE.smoke.json || { echo "trace_dump wrote no JSON"; exit 1; }
 # BENCH_plan.json pins all 25 makespans of the 128-GPU sweep, not a pruned
 # subset. These two run in release: plan_sweep takes ≈ 7 s optimized and
 # ≈ 22 s in a debug `cargo test`. (comm_cost_table and overlap_sweep are
-# pinned by crates/bench/tests/golden.rs.) serve_sweep also writes the
-# Chrome trace of its traced flood (6.8 MB), pinned by its digest.
-echo "== BENCH regeneration gate (plan, serving: byte-identical; serving trace digest) =="
+# pinned by crates/bench/tests/golden.rs.) Their stdout is a golden too,
+# crates/bench/golden/<bin>.txt, which EXPERIMENTS.md quotes. serve_sweep
+# also writes the Chrome trace of its traced flood (6.8 MB), pinned by its
+# digest.
+echo "== BENCH regeneration gate (plan, serving: JSON and stdout byte-identical; serving trace digest) =="
 for pair in plan_sweep:plan serve_sweep:serving; do
     bin=${pair%%:*}
     file=BENCH_${pair##*:}.json
     cargo run -q --release --offline -p tesseract-bench --bin "$bin" -- \
-        --out "target/$file" > /dev/null
+        --out "target/$file" > "target/$bin.txt"
     cmp "target/$file" "$file" \
         || { echo "ci.sh: $bin no longer regenerates the committed $file"; exit 1; }
+    cmp "target/$bin.txt" "crates/bench/golden/$bin.txt" \
+        || { echo "ci.sh: $bin's stdout differs from crates/bench/golden/$bin.txt"; exit 1; }
 done
 echo "f8336fa62b865b56dd54be002250dd8ae9cd8c2425b4226755aa0cf8878882ae  target/TRACE_serving.json" \
     | sha256sum -c --quiet --strict \

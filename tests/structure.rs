@@ -106,7 +106,7 @@ const ROWS: &[Row] = &[
     Row {
         name: "busy-wait",
         reason: "a fabric waiter yields its core, then parks; rank threads outnumber cores, so \
-                 a spinning waiter holds the core its peer needs (EXPERIMENTS.md §K)",
+                 a spinning waiter holds the core its peer needs (CHANGES.md records the sweep)",
         checks: &[Check {
             rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
             matcher: Matcher::Line(|l| l.contains("spin_loop")),
