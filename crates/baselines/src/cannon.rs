@@ -55,14 +55,7 @@ mod tests {
     use tesseract_comm::{CollectiveOp, RunConfig};
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
-    use tesseract_tensor::{
-        assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, Xoshiro256StarStar,
-    };
-
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
+    use tesseract_tensor::{assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient};
 
     fn run_cannon(q: usize, a: &Matrix, b: &Matrix) -> Matrix {
         let shape = GridShape::new(q, 1);
@@ -79,32 +72,32 @@ mod tests {
 
     #[test]
     fn cannon_matches_serial_2x2() {
-        let a = random(4, 6, 1);
-        let b = random(6, 8, 2);
+        let a = Matrix::seeded(4, 6, 1);
+        let b = Matrix::seeded(6, 8, 2);
         let got = run_cannon(2, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
     fn cannon_matches_serial_3x3() {
-        let a = random(6, 9, 3);
-        let b = random(9, 6, 4);
+        let a = Matrix::seeded(6, 9, 3);
+        let b = Matrix::seeded(9, 6, 4);
         let got = run_cannon(3, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
     fn cannon_matches_serial_4x4() {
-        let a = random(8, 8, 5);
-        let b = random(8, 8, 6);
+        let a = Matrix::seeded(8, 8, 5);
+        let b = Matrix::seeded(8, 8, 6);
         let got = run_cannon(4, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
 
     #[test]
     fn cannon_uses_only_shifts() {
-        let a = random(4, 4, 7);
-        let b = random(4, 4, 8);
+        let a = Matrix::seeded(4, 4, 7);
+        let b = Matrix::seeded(4, 4, 8);
         let shape = GridShape::new(2, 1);
         let out = RunConfig::from_env(4).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);

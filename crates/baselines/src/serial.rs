@@ -330,18 +330,12 @@ impl SerialTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_tensor::Xoshiro256StarStar;
-
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
 
     #[test]
     fn linear_backward_matches_finite_difference() {
         let mut lin = SerialLinear::new(4, 3, true, 7, 0);
-        let x = random(2, 4, 1);
-        let dy = random(2, 3, 2);
+        let x = Matrix::seeded(2, 4, 1);
+        let dy = Matrix::seeded(2, 3, 2);
         let _ = lin.forward(&x);
         let dx = lin.backward(&dy);
         let h = 1e-2f32;
@@ -377,8 +371,8 @@ mod tests {
             layers: 1,
             eps: 1e-5,
         };
-        let x = random(cfg.rows(), cfg.hidden, 3);
-        let dy = random(cfg.rows(), cfg.hidden, 4);
+        let x = Matrix::seeded(cfg.rows(), cfg.hidden, 3);
+        let dy = Matrix::seeded(cfg.rows(), cfg.hidden, 4);
         let mut layer = SerialTransformerLayer::new(cfg, true, 11, 0);
         let _ = layer.forward(&x);
         let dx = layer.backward(&dy);
@@ -410,7 +404,7 @@ mod tests {
     #[test]
     fn forward_is_deterministic_across_instances() {
         let cfg = TransformerConfig::tiny();
-        let x = random(cfg.rows(), cfg.hidden, 5);
+        let x = Matrix::seeded(cfg.rows(), cfg.hidden, 5);
         let mut a = SerialTransformer::new(cfg, true, 42, 0);
         let mut b = SerialTransformer::new(cfg, true, 42, 0);
         assert_eq!(a.forward(&x), b.forward(&x));
@@ -419,7 +413,7 @@ mod tests {
     #[test]
     fn different_seeds_change_output() {
         let cfg = TransformerConfig::tiny();
-        let x = random(cfg.rows(), cfg.hidden, 5);
+        let x = Matrix::seeded(cfg.rows(), cfg.hidden, 5);
         let mut a = SerialTransformer::new(cfg, true, 42, 0);
         let mut b = SerialTransformer::new(cfg, true, 43, 0);
         assert_ne!(a.forward(&x), b.forward(&x));
@@ -428,7 +422,7 @@ mod tests {
     #[test]
     fn attention_output_shape_is_input_shape() {
         let cfg = TransformerConfig::tiny();
-        let x = random(cfg.rows(), cfg.hidden, 6);
+        let x = Matrix::seeded(cfg.rows(), cfg.hidden, 6);
         let mut attn = SerialAttention::new(cfg, true, 1, 0);
         assert_eq!(attn.forward(&x).shape(), x.shape());
     }

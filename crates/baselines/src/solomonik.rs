@@ -73,14 +73,7 @@ mod tests {
     use tesseract_comm::RunConfig;
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_core::GridShape;
-    use tesseract_tensor::{
-        assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, Xoshiro256StarStar,
-    };
-
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
+    use tesseract_tensor::{assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient};
 
     fn run(q: usize, d: usize, a: &Matrix, b: &Matrix) -> Vec<Matrix> {
         let shape2d = GridShape::new(q, 1);
@@ -98,8 +91,8 @@ mod tests {
     #[test]
     fn matches_serial_2x2x2() {
         let (q, d) = (2, 2);
-        let a = random(4, 6, 1);
-        let b = random(6, 4, 2);
+        let a = Matrix::seeded(4, 6, 1);
+        let b = Matrix::seeded(6, 4, 2);
         let results = run(q, d, &a, &b);
         // Layer 0's blocks assemble to the global product.
         let layer0: Vec<Matrix> = results[..q * q].to_vec();
@@ -110,8 +103,8 @@ mod tests {
     #[test]
     fn matches_serial_4x4x2() {
         let (q, d) = (4, 2);
-        let a = random(8, 8, 3);
-        let b = random(8, 8, 4);
+        let a = Matrix::seeded(8, 8, 3);
+        let b = Matrix::seeded(8, 8, 4);
         let results = run(q, d, &a, &b);
         let layer0: Vec<Matrix> = results[..q * q].to_vec();
         let got = combine_b(&layer0, GridShape::new(q, 1));
@@ -121,8 +114,8 @@ mod tests {
     #[test]
     fn result_is_replicated_across_layers() {
         let (q, d) = (2, 2);
-        let a = random(4, 4, 5);
-        let b = random(4, 4, 6);
+        let a = Matrix::seeded(4, 4, 5);
+        let b = Matrix::seeded(4, 4, 6);
         let results = run(q, d, &a, &b);
         for off in q * q..2 * q * q {
             assert_eq!(results[off], results[off - q * q], "layer 1 must mirror layer 0");
@@ -134,8 +127,8 @@ mod tests {
         // §2.3: "In special cases like d = 1, the 2.5-D algorithm
         // degenerates to [the 2-D algorithm]".
         let q = 2;
-        let a = random(4, 4, 7);
-        let b = random(4, 4, 8);
+        let a = Matrix::seeded(4, 4, 7);
+        let b = Matrix::seeded(4, 4, 8);
         let results = run(q, 1, &a, &b);
         let got = combine_b(&results, GridShape::new(q, 1));
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
@@ -144,6 +137,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "d | q")]
     fn rejects_indivisible_depth() {
-        let _ = run(3, 2, &random(6, 6, 9), &random(6, 6, 10));
+        let _ = run(3, 2, &Matrix::seeded(6, 6, 9), &Matrix::seeded(6, 6, 10));
     }
 }

@@ -16,17 +16,12 @@ use tesseract_core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TesseractTransformerLayer,
     TransformerConfig,
 };
-use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
+use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix};
 
 const SEED: u64 = 20220829; // ICPP '22 conference date.
 
 fn cfg() -> TransformerConfig {
     TransformerConfig { batch: 4, seq: 3, hidden: 8, heads: 4, mlp_ratio: 2, layers: 1, eps: 1e-5 }
-}
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
 }
 
 /// Runs one Tesseract transformer layer fwd+bwd on `[q, q, d]`; returns
@@ -68,8 +63,8 @@ fn serial_reference(c: TransformerConfig, x: &Matrix, dy: &Matrix) -> (Matrix, M
 #[test]
 fn tesseract_layer_matches_serial_on_2x2x1() {
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 1);
-    let dy = random(c.rows(), c.hidden, 2);
+    let x = Matrix::seeded(c.rows(), c.hidden, 1);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 2);
     let (y_ser, dx_ser, dwo_ser) = serial_reference(c, &x, &dy);
     let (y, dx, dwo) = run_tesseract(GridShape::new(2, 1), c, &x, &dy);
     assert_slices_close(y.data(), y_ser.data(), 2e-4);
@@ -80,8 +75,8 @@ fn tesseract_layer_matches_serial_on_2x2x1() {
 #[test]
 fn tesseract_layer_matches_serial_on_2x2x2() {
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 1);
-    let dy = random(c.rows(), c.hidden, 2);
+    let x = Matrix::seeded(c.rows(), c.hidden, 1);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 2);
     let (y_ser, dx_ser, dwo_ser) = serial_reference(c, &x, &dy);
     let (y, dx, dwo) = run_tesseract(GridShape::new(2, 2), c, &x, &dy);
     assert_slices_close(y.data(), y_ser.data(), 2e-4);
@@ -92,8 +87,8 @@ fn tesseract_layer_matches_serial_on_2x2x2() {
 #[test]
 fn tesseract_layer_matches_serial_on_1x1x1() {
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 1);
-    let dy = random(c.rows(), c.hidden, 2);
+    let x = Matrix::seeded(c.rows(), c.hidden, 1);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 2);
     let (y_ser, dx_ser, dwo_ser) = serial_reference(c, &x, &dy);
     let (y, dx, dwo) = run_tesseract(GridShape::new(1, 1), c, &x, &dy);
     assert_slices_close(y.data(), y_ser.data(), 2e-4);
@@ -113,8 +108,8 @@ fn tesseract_layer_matches_serial_on_4x4x1_and_2x2x4() {
         layers: 1,
         eps: 1e-5,
     };
-    let x = random(c.rows(), c.hidden, 3);
-    let dy = random(c.rows(), c.hidden, 4);
+    let x = Matrix::seeded(c.rows(), c.hidden, 3);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 4);
     let (y_ser, dx_ser, _) = serial_reference(c, &x, &dy);
     for shape in [GridShape::new(4, 1), GridShape::new(2, 4)] {
         let (y, dx, _) = run_tesseract(shape, c, &x, &dy);
@@ -126,8 +121,8 @@ fn tesseract_layer_matches_serial_on_4x4x1_and_2x2x4() {
 #[test]
 fn megatron_layer_matches_serial() {
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 1);
-    let dy = random(c.rows(), c.hidden, 2);
+    let x = Matrix::seeded(c.rows(), c.hidden, 1);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 2);
     let (y_ser, dx_ser, dwo_ser) = serial_reference(c, &x, &dy);
     for p in [2usize, 4] {
         let out = RunConfig::from_env(p).run(|ctx| {
@@ -164,8 +159,8 @@ fn optimus_matches_serial_stack() {
     // Optimus is the d = 1 grid: the 2-D baseline is the shared stack on
     // [q, q, 1].
     let c = TransformerConfig { layers: 2, ..cfg() };
-    let x = random(c.rows(), c.hidden, 5);
-    let dy = random(c.rows(), c.hidden, 6);
+    let x = Matrix::seeded(c.rows(), c.hidden, 5);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 6);
     let mut serial = SerialTransformer::new(c, true, SEED, 0);
     let y_ser = serial.forward(&x);
     let dx_ser = serial.backward(&dy);
@@ -191,8 +186,8 @@ fn all_schemes_agree_with_each_other() {
     // The paper's central "no approximation" claim across arrangements:
     // [1,1,1], [2,2,1] and [2,2,2] produce the same outputs (Figure 7).
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 7);
-    let dy = random(c.rows(), c.hidden, 8);
+    let x = Matrix::seeded(c.rows(), c.hidden, 7);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 8);
     let (y1, dx1, _) = run_tesseract(GridShape::new(1, 1), c, &x, &dy);
     let (y2, dx2, _) = run_tesseract(GridShape::new(2, 1), c, &x, &dy);
     let (y3, dx3, _) = run_tesseract(GridShape::new(2, 2), c, &x, &dy);
@@ -208,8 +203,8 @@ fn weight_gradients_are_depth_synchronized() {
     // be identical (the §3.1 depth all-reduce of B').
     let c = cfg();
     let shape = GridShape::new(2, 2);
-    let x = random(c.rows(), c.hidden, 9);
-    let dy = random(c.rows(), c.hidden, 10);
+    let x = Matrix::seeded(c.rows(), c.hidden, 9);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 10);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -240,8 +235,8 @@ fn weight_gradients_are_depth_synchronized() {
 fn serial_weight_gradients_match_assembled_tesseract_gradients() {
     let c = cfg();
     let shape = GridShape::new(2, 2);
-    let x = random(c.rows(), c.hidden, 11);
-    let dy = random(c.rows(), c.hidden, 12);
+    let x = Matrix::seeded(c.rows(), c.hidden, 11);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 12);
     let mut serial = SerialTransformerLayer::new(c, true, SEED, 0);
     let _ = serial.forward(&x);
     let _ = serial.backward(&dy);

@@ -329,6 +329,7 @@ fn shape_rows(
 fn main() {
     let args = Args::parse(&["--sizes", "--reps", "--out"]);
     let sizes = args.list("--sizes", &[256, 512, 1024]);
+    assert!(!sizes.contains(&0), "--sizes: every size must be positive, got {sizes:?}");
     let reps: usize = args.value("--reps", 5);
     let out_path = args.value("--out", String::from("BENCH_kernels.json"));
 

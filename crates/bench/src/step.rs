@@ -12,12 +12,7 @@ use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, TesseractGrid,
 };
-use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
+use tesseract_tensor::{DenseTensor, Matrix};
 
 /// Runs one fwd+bwd step of global `A [rows, n]` against the `n×n` weight
 /// by `run_cfg`, laid out as the `[q, q, d]` grid `shape`, pipelined
@@ -30,8 +25,8 @@ pub fn matmul_step(
     n: usize,
     pipelined: bool,
 ) -> RunOutput<(Matrix, Matrix)> {
-    let a = random(rows, n, 71);
-    let b = random(n, n, 72);
+    let a = Matrix::seeded(rows, n, 71);
+    let b = Matrix::seeded(n, n, 72);
     run_cfg.run(move |ctx| {
         let mut grid = TesseractGrid::new(ctx, shape, 0);
         grid.overlap = pipelined;

@@ -390,13 +390,7 @@ mod tests {
     use tesseract_comm::RunConfig;
     use tesseract_tensor::{
         assert_slices_close, matmul::gemm, DenseTensor, Matrix, Orient, ShadowTensor,
-        Xoshiro256StarStar,
     };
-
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
 
     fn run_matmul(shape: GridShape, a: &Matrix, b: &Matrix) -> Matrix {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
@@ -412,8 +406,8 @@ mod tests {
     #[test]
     fn matmul_matches_serial_on_2x2x1() {
         let shape = GridShape::new(2, 1);
-        let a = random(8, 6, 1);
-        let b = random(6, 4, 2);
+        let a = Matrix::seeded(8, 6, 1);
+        let b = Matrix::seeded(6, 4, 2);
         let got = run_matmul(shape, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
@@ -421,8 +415,8 @@ mod tests {
     #[test]
     fn matmul_matches_serial_on_2x2x2() {
         let shape = GridShape::new(2, 2);
-        let a = random(8, 6, 3);
-        let b = random(6, 4, 4);
+        let a = Matrix::seeded(8, 6, 3);
+        let b = Matrix::seeded(6, 4, 4);
         let got = run_matmul(shape, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
@@ -430,8 +424,8 @@ mod tests {
     #[test]
     fn matmul_matches_serial_on_3x3x2() {
         let shape = GridShape::new(3, 2);
-        let a = random(12, 9, 5);
-        let b = random(9, 6, 6);
+        let a = Matrix::seeded(12, 9, 5);
+        let b = Matrix::seeded(9, 6, 6);
         let got = run_matmul(shape, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
@@ -440,8 +434,8 @@ mod tests {
     fn matmul_matches_serial_on_2x2x4_cube_exceeding_depth() {
         // d > q is unusual but nothing in the algorithm forbids it.
         let shape = GridShape::new(2, 4);
-        let a = random(16, 4, 7);
-        let b = random(4, 4, 8);
+        let a = Matrix::seeded(16, 4, 7);
+        let b = Matrix::seeded(4, 4, 8);
         let got = run_matmul(shape, &a, &b);
         assert_slices_close(got.data(), gemm(Orient::Nn, &a, &b).data(), 1e-4);
     }
@@ -452,8 +446,8 @@ mod tests {
             let shape = GridShape::new(q, d);
             // Global: A [a, c], B [b, c] → C = A·Bᵀ is [a, b].
             let (a_rows, b_rows, c_cols) = (4 * q * d, 2 * q, 3 * q);
-            let a = random(a_rows, c_cols, seed);
-            let b = random(b_rows, c_cols, seed + 100);
+            let a = Matrix::seeded(a_rows, c_cols, seed);
+            let b = Matrix::seeded(b_rows, c_cols, seed + 100);
             let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
@@ -473,8 +467,8 @@ mod tests {
             let shape = GridShape::new(q, d);
             // Global: A [a, b], B [a, c] → C = Aᵀ·B is [b, c] (B-type).
             let (a_rows, b_cols, c_cols) = (4 * q * d, 2 * q, 3 * q);
-            let a = random(a_rows, b_cols, seed);
-            let b = random(a_rows, c_cols, seed + 100);
+            let a = Matrix::seeded(a_rows, b_cols, seed);
+            let b = Matrix::seeded(a_rows, c_cols, seed + 100);
             let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let (i, j, k) = grid.coords;
@@ -498,8 +492,8 @@ mod tests {
     #[test]
     fn without_depth_reduce_layers_hold_partials() {
         let shape = GridShape::new(2, 2);
-        let a = random(8, 4, 30);
-        let b = random(8, 6, 31);
+        let a = Matrix::seeded(8, 4, 30);
+        let b = Matrix::seeded(8, 6, 31);
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
@@ -557,8 +551,8 @@ mod tests {
     #[test]
     fn dense_and_shadow_report_identical_makespan() {
         let shape = GridShape::new(2, 1);
-        let a = random(8, 8, 40);
-        let b = random(8, 8, 41);
+        let a = Matrix::seeded(8, 8, 40);
+        let b = Matrix::seeded(8, 8, 41);
         let dense = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;

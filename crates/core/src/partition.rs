@@ -111,17 +111,11 @@ pub fn combine_b(parts: &[Matrix], shape: GridShape) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tesseract_tensor::Xoshiro256StarStar;
-
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
 
     #[test]
     fn a_split_combine_round_trip() {
         let shape = GridShape::new(2, 2);
-        let global = random(8, 6, 1);
+        let global = Matrix::seeded(8, 6, 1);
         let parts = split_a(&global, shape);
         assert_eq!(parts.len(), 8);
         assert_eq!(parts[0].shape(), (2, 3));
@@ -131,7 +125,7 @@ mod tests {
     #[test]
     fn b_split_is_depth_replicated() {
         let shape = GridShape::new(2, 3);
-        let global = random(4, 4, 2);
+        let global = Matrix::seeded(4, 4, 2);
         let parts = split_b(&global, shape);
         // Same (i, j) across k must be identical.
         for i in 0..2 {
@@ -157,7 +151,7 @@ mod tests {
     #[test]
     fn d1_reduces_to_summa_partitioning() {
         let shape = GridShape::new(2, 1);
-        let global = random(4, 4, 3);
+        let global = Matrix::seeded(4, 4, 3);
         let a_parts = split_a(&global, shape);
         let b_parts = split_b(&global, shape);
         // With d = 1, A and B partitioning coincide (plain 2-D blocks).

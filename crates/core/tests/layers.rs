@@ -12,21 +12,16 @@ use tesseract_core::{
 };
 use tesseract_tensor::{
     assert_slices_close, init::global_xavier, matmul::gemm, nn, DenseTensor, Matrix, Orient,
-    TensorLike, Xoshiro256StarStar,
+    TensorLike,
 };
 
 const SEED: u64 = 99;
 
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
-
 #[test]
 fn layernorm_matches_serial_kernel() {
     let shape = GridShape::new(2, 2);
-    let x = random(8, 8, 1);
-    let dy = random(8, 8, 2);
+    let x = Matrix::seeded(8, 8, 1);
+    let dy = Matrix::seeded(8, 8, 2);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -49,7 +44,7 @@ fn layernorm_matches_serial_kernel() {
 fn linear_forward_matches_global_weight_product() {
     let shape = GridShape::new(2, 2);
     let (in_f, out_f) = (8, 12);
-    let x = random(16, in_f, 3);
+    let x = Matrix::seeded(16, in_f, 3);
     let w_global = global_xavier(in_f, out_f, SEED, 7);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
@@ -109,8 +104,8 @@ fn linear_bias_gradient_reduces_to_row_zero() {
 #[test]
 fn mlp_gradient_matches_finite_difference() {
     let shape = GridShape::new(2, 1);
-    let x = random(4, 4, 5);
-    let dy = random(4, 4, 6);
+    let x = Matrix::seeded(4, 4, 5);
+    let dy = Matrix::seeded(4, 4, 6);
     let run = |input: &Matrix| -> Matrix {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
@@ -166,7 +161,7 @@ fn forward_backward_can_repeat_across_steps() {
         layers: 1,
         eps: 1e-5,
     };
-    let x = random(cfg.rows(), cfg.hidden, 7);
+    let x = Matrix::seeded(cfg.rows(), cfg.hidden, 7);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -203,8 +198,8 @@ fn gpipe_style_multi_forward_then_backward_works() {
         layers: 1,
         eps: 1e-5,
     };
-    let x1 = random(cfg.rows(), cfg.hidden, 8);
-    let x2 = random(cfg.rows(), cfg.hidden, 9);
+    let x1 = Matrix::seeded(cfg.rows(), cfg.hidden, 8);
+    let x2 = Matrix::seeded(cfg.rows(), cfg.hidden, 9);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;

@@ -9,14 +9,9 @@ use tesseract_comm::RunConfig;
 use tesseract_core::layers::TesseractLinear;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
-use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
+use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix};
 
 const SEED: u64 = 2024;
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
 
 /// A GPipe step queues every microbatch forward before any backward runs
 /// (reverse order). The shared tape must hand each backward the activations
@@ -26,8 +21,8 @@ fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
 fn tape_survives_four_microbatch_gpipe_schedule() {
     let shape = GridShape::new(2, 2);
     let microbatches = 4;
-    let xs: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 10 + m as u64)).collect();
-    let dys: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 20 + m as u64)).collect();
+    let xs: Vec<Matrix> = (0..microbatches).map(|m| Matrix::seeded(8, 8, 10 + m as u64)).collect();
+    let dys: Vec<Matrix> = (0..microbatches).map(|m| Matrix::seeded(8, 8, 20 + m as u64)).collect();
 
     let run = |pipelined: bool| {
         let xs = xs.clone();
@@ -90,7 +85,7 @@ fn backward_on_empty_tape_panics() {
     RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, false, SEED, 1);
-        let dy = Arc::new(DenseTensor::from_matrix(random(4, 4, 3)));
+        let dy = Arc::new(DenseTensor::from_matrix(Matrix::seeded(4, 4, 3)));
         let _ = lin.backward(&grid, ctx, &dy);
     });
 }
@@ -109,8 +104,8 @@ fn stack_composition_matches_manual_chaining() {
         layers: 2,
         eps: 1e-5,
     };
-    let x = random(8, 8, 40);
-    let dy = random(8, 8, 41);
+    let x = Matrix::seeded(8, 8, 40);
+    let dy = Matrix::seeded(8, 8, 41);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;

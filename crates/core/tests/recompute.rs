@@ -11,16 +11,9 @@ use tesseract_comm::RunConfig;
 use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
-use tesseract_tensor::{
-    DenseTensor, Matrix, ShadowTensor, TensorLike, TraceKind, Xoshiro256StarStar,
-};
+use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike, TraceKind};
 
 const SEED: u64 = 321;
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
 
 fn cfg_for(q: usize, d: usize, layers: usize) -> TransformerConfig {
     TransformerConfig {
@@ -48,8 +41,8 @@ fn run_stack(
     cfg: TransformerConfig,
     opts: StackOptions,
 ) -> Vec<(Matrix, Matrix, Vec<Matrix>)> {
-    let x = random(cfg.rows(), cfg.hidden, 11);
-    let dy = random(cfg.rows(), cfg.hidden, 12);
+    let x = Matrix::seeded(cfg.rows(), cfg.hidden, 11);
+    let dy = Matrix::seeded(cfg.rows(), cfg.hidden, 12);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -147,8 +140,8 @@ fn recompute_reduces_peak_activation_bytes() {
 type GpipeRun = (Vec<(Matrix, Matrix)>, Vec<Matrix>, u64);
 
 fn run_gpipe(shape: GridShape, cfg: TransformerConfig, opts: StackOptions) -> Vec<GpipeRun> {
-    let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
-    let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 30 + m)).collect();
+    let xs: Vec<Matrix> = (0..3).map(|m| Matrix::seeded(cfg.rows(), cfg.hidden, 20 + m)).collect();
+    let dys: Vec<Matrix> = (0..3).map(|m| Matrix::seeded(cfg.rows(), cfg.hidden, 30 + m)).collect();
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;

@@ -12,20 +12,15 @@ use tesseract_core::{
     TesseractTransformer, TransformerConfig,
 };
 use tesseract_tensor::trace::{chrome, json};
-use tesseract_tensor::{DenseTensor, Matrix, TraceKind, Xoshiro256StarStar};
+use tesseract_tensor::{DenseTensor, Matrix, TraceKind};
 
 const SEED: u64 = 7;
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
 
 /// One traced fwd+bwd matmul step on the `[q, q, d]` grid.
 fn traced_step(shape: GridShape, trace: bool) -> tesseract_comm::RunOutput<Matrix> {
     let rows = 8 * shape.q * shape.d;
-    let a = random(rows, 16, 1);
-    let b = random(16, 16, 2);
+    let a = Matrix::seeded(rows, 16, 1);
+    let b = Matrix::seeded(16, 16, 2);
     RunConfig::from_env(shape.size()).with_trace(trace).run(move |ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -60,8 +55,8 @@ fn trace_reconciles_with_meter_and_stats_on_the_cube() {
 fn every_rank_books_its_own_wait_per_op() {
     let shape = GridShape::new(2, 1);
     let stage_size = shape.size();
-    let a = random(8 * shape.q, 16, 3);
-    let b = random(16, 16, 4);
+    let a = Matrix::seeded(8 * shape.q, 16, 3);
+    let b = Matrix::seeded(16, 16, 4);
     let out = RunConfig::from_env(2 * stage_size).with_trace(true).run(move |ctx| {
         let (stage, local) = (ctx.rank / stage_size, ctx.rank % stage_size);
         let grid = TesseractGrid::new(ctx, shape, stage * stage_size);
@@ -135,8 +130,8 @@ fn scope_events_balance_under_tape_rewind() {
         layers: 2,
         eps: 1e-5,
     };
-    let xs: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 30 + m as u64)).collect();
-    let dys: Vec<Matrix> = (0..microbatches).map(|m| random(8, 8, 40 + m as u64)).collect();
+    let xs: Vec<Matrix> = (0..microbatches).map(|m| Matrix::seeded(8, 8, 30 + m as u64)).collect();
+    let dys: Vec<Matrix> = (0..microbatches).map(|m| Matrix::seeded(8, 8, 40 + m as u64)).collect();
     let out = RunConfig::from_env(shape.size()).with_trace(true).run(move |ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;

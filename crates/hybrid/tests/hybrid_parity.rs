@@ -8,14 +8,9 @@ use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{GridShape, Module, TransformerConfig};
 use tesseract_hybrid::{HybridShape, HybridTransformer};
-use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix, Xoshiro256StarStar};
+use tesseract_tensor::{assert_slices_close, DenseTensor, Matrix};
 
 const SEED: u64 = 77;
-
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
 
 #[test]
 fn pipeline_only_matches_serial_stack() {
@@ -29,8 +24,8 @@ fn pipeline_only_matches_serial_stack() {
         layers: 2,
         eps: 1e-5,
     };
-    let x = random(cfg.rows(), cfg.hidden, 1);
-    let dy = random(cfg.rows(), cfg.hidden, 2);
+    let x = Matrix::seeded(cfg.rows(), cfg.hidden, 1);
+    let dy = Matrix::seeded(cfg.rows(), cfg.hidden, 2);
     let mut serial = SerialTransformer::new(cfg, true, SEED, 0);
     let y_ser = serial.forward(&x);
     let _ = serial.backward(&dy);
@@ -81,8 +76,8 @@ fn data_parallel_averages_half_batch_gradients() {
         eps: 1e-5,
     };
     let full_cfg = TransformerConfig { batch: 4, ..cfg };
-    let x_full = random(full_cfg.rows(), cfg.hidden, 3);
-    let dy_full = random(full_cfg.rows(), cfg.hidden, 4);
+    let x_full = Matrix::seeded(full_cfg.rows(), cfg.hidden, 3);
+    let dy_full = Matrix::seeded(full_cfg.rows(), cfg.hidden, 4);
 
     let mut serial = SerialTransformer::new(full_cfg, true, SEED, 0);
     let _ = serial.forward(&x_full);
@@ -137,8 +132,8 @@ fn figure6_arrangement_matches_serial() {
     };
     // Global batch = dp · microbatch = 8 samples.
     let full_cfg = TransformerConfig { batch: 8, ..cfg };
-    let x_full = random(full_cfg.rows(), cfg.hidden, 5);
-    let dy_full = random(full_cfg.rows(), cfg.hidden, 6);
+    let x_full = Matrix::seeded(full_cfg.rows(), cfg.hidden, 5);
+    let dy_full = Matrix::seeded(full_cfg.rows(), cfg.hidden, 6);
     let mut serial = SerialTransformer::new(full_cfg, true, SEED, 0);
     let y_ser = serial.forward(&x_full);
     let _ = serial.backward(&dy_full);
@@ -230,8 +225,8 @@ fn checkpointed_stages_match_the_plain_pipeline_bitwise() {
         eps: 1e-5,
     };
     let microbatches = 3;
-    let xs: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 10 + m)).collect();
-    let dys: Vec<Matrix> = (0..3).map(|m| random(cfg.rows(), cfg.hidden, 20 + m)).collect();
+    let xs: Vec<Matrix> = (0..3).map(|m| Matrix::seeded(cfg.rows(), cfg.hidden, 10 + m)).collect();
+    let dys: Vec<Matrix> = (0..3).map(|m| Matrix::seeded(cfg.rows(), cfg.hidden, 20 + m)).collect();
     let grid = shape.grid();
     let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let run = |opts: StackOptions| {

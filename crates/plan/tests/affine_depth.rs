@@ -10,11 +10,11 @@
 //! weight-stationary linears fetch their weight column once per run, on
 //! the first step, so that fetch fills once by design.
 
-use proptest::prelude::*;
 use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{GridShape, TransformerConfig};
 use tesseract_hybrid::HybridShape;
 use tesseract_plan::{dry_run, enumerate, Candidate, CandidateMenu};
+use tesseract_tensor::Xoshiro256StarStar;
 
 /// Relative distance from collinearity the f64 clock may show.
 const REL_TOL: f64 = 1e-12;
@@ -146,17 +146,15 @@ fn deep_pipeline_intercept_follows_the_stage_boundary_law() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn makespan_is_affine_in_depth(
-        gpus_log in 2usize..5,
-        (heads_log, head_dim_log, seq_log) in (2usize..4, 3usize..5, 2usize..5),
-        batch_mul in 1usize..3,
-        mb_log in 0usize..3,
-        picks in (0usize..1000, 0usize..1000),
-    ) {
+#[test]
+fn makespan_is_affine_in_depth() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(701);
+    for _ in 0..12 {
+        let gpus_log = 2 + rng.next_usize(3);
+        let (heads_log, head_dim_log, seq_log) =
+            (2 + rng.next_usize(2), 3 + rng.next_usize(2), 2 + rng.next_usize(3));
+        let (batch_mul, mb_log) = (1 + rng.next_usize(2), rng.next_usize(3));
+        let picks = (rng.next_usize(1000), rng.next_usize(1000));
         let heads = 1 << heads_log;
         let cfg = TransformerConfig {
             batch: 16 * batch_mul,
@@ -175,8 +173,9 @@ proptest! {
                 c.check(&TransformerConfig { layers, ..cfg }, gpus).is_ok()
             })
             .collect();
-        prop_assert!(!feasible.is_empty(), "{cfg:?} on {gpus} GPUs: nothing feasible");
-        let mut chosen = vec![feasible[picks.0 % feasible.len()], feasible[picks.1 % feasible.len()]];
+        assert!(!feasible.is_empty(), "{cfg:?} on {gpus} GPUs: nothing feasible");
+        let mut chosen =
+            vec![feasible[picks.0 % feasible.len()], feasible[picks.1 % feasible.len()]];
         chosen.dedup();
         for cand in &chosen {
             assert_affine(cand, &cfg);

@@ -159,22 +159,17 @@ fn planning_twice_is_deterministic() {
 // GPU budgets.
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use tesseract_tensor::Xoshiro256StarStar;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn planner_numbers_replay_for_random_workloads(
-            gpus_pow in 1usize..4,       // 2, 4, 8 GPUs
-            batch_mul in 1usize..4,      // batch 8, 16, 24
-            layers_mul in 1usize..3,     // 2 or 4 layers
-        ) {
-            let cfg = TransformerConfig {
-                batch: 8 * batch_mul,
-                layers: 2 * layers_mul,
-                ..small_cfg()
-            };
+    #[test]
+    fn planner_numbers_replay_for_random_workloads() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(703);
+        for _ in 0..8 {
+            let gpus_pow = 1 + rng.next_usize(3); // 2, 4, 8 GPUs
+            let batch_mul = 1 + rng.next_usize(3); // batch 8, 16, 24
+            let layers_mul = 1 + rng.next_usize(2); // 2 or 4 layers
+            let cfg =
+                TransformerConfig { batch: 8 * batch_mul, layers: 2 * layers_mul, ..small_cfg() };
             let mut req = PlanRequest::new(1 << gpus_pow, cfg);
             req.microbatches = 2;
             let p = plan(&req);
@@ -183,21 +178,21 @@ mod proptests {
             // every entry carries its dry-run, none is faster than the
             // winner, and no two share a label.
             for (i, e) in p.entries.iter().enumerate() {
-                prop_assert!(
+                assert!(
                     p.entries[..i].iter().all(|o| o.label != e.label),
                     "{} listed twice",
                     &e.label
                 );
                 let reported = e.dryrun.expect("every entry is dry-run");
-                prop_assert!(reported.makespan_s >= best, "{} beats the winner", &e.label);
+                assert!(reported.makespan_s >= best, "{} beats the winner", &e.label);
                 let replay = dry_run(&req.topology, &req.params, &e.candidate, &req.cfg, false);
-                prop_assert_eq!(reported, replay, "{} diverged on replay", &e.label);
+                assert_eq!(reported, replay, "{} diverged on replay", &e.label);
                 // A bare grid is the one-stage hybrid: it runs the bare
                 // stack's step, every field bitwise.
                 if let Candidate::Hybrid { shape, .. } = e.candidate {
                     if e.candidate == Candidate::tesseract(shape.grid()) {
                         let bare = bare_grid_step(&req, shape.grid());
-                        prop_assert_eq!(reported, bare, "{} is not the bare stack", &e.label);
+                        assert_eq!(reported, bare, "{} is not the bare stack", &e.label);
                     }
                 }
             }

@@ -1,15 +1,16 @@
 //! Property-based KV-cache parity: over random prompt and decode lengths,
 //! cached incremental decode must be bitwise identical to recomputing every
-//! prefix from scratch through the same causal prefill path.
+//! prefix from scratch through the same causal prefill path. The test loops
+//! over its cases and draws every input from a `Xoshiro256StarStar`, seeded
+//! with a constant.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tesseract_comm::RunConfig;
 use tesseract_core::{
     GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
-use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+use tesseract_tensor::{DenseTensor, Matrix, TensorLike, Xoshiro256StarStar};
 
 fn test_model() -> TransformerConfig {
     // Small enough that every GEMM stays on the serial (per-row bitwise)
@@ -77,24 +78,20 @@ fn check_parity(prompt_len: usize, decode_tokens: usize, seed: u64) {
         (cached_rows, recomputed_rows)
     });
     for (rank, (cached, recomputed)) in out.results.iter().enumerate() {
-        prop_assert_eq!(cached.len(), prompt_len + decode_tokens);
-        prop_assert_eq!(cached.len(), recomputed.len());
+        assert_eq!(cached.len(), prompt_len + decode_tokens);
+        assert_eq!(cached.len(), recomputed.len());
         for (t, (c, r)) in cached.iter().zip(recomputed).enumerate() {
-            prop_assert_eq!(c, r, "rank {rank}: cached decode diverged at token {t}");
+            assert_eq!(c, r, "rank {rank}: cached decode diverged at token {t}");
         }
     }
 }
 
-proptest! {
-    // Fewer cases: each spawns a simulated cluster and decodes token by token.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn cached_decode_matches_recompute_on_random_lengths(
-        prompt_len in 1usize..12,
-        decode_tokens in 1usize..8,
-        seed in 0u64..1000,
-    ) {
-        check_parity(prompt_len, decode_tokens, seed);
+// Few cases: each spawns a simulated cluster and decodes token by token.
+#[test]
+fn cached_decode_matches_recompute_on_random_lengths() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(601);
+    for _ in 0..8 {
+        let (prompt_len, decode_tokens) = (1 + rng.next_usize(11), 1 + rng.next_usize(7));
+        check_parity(prompt_len, decode_tokens, rng.next_usize(1000) as u64);
     }
 }

@@ -61,6 +61,12 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Uniform random matrix in `[-1, 1)`, drawn from a generator seeded
+    /// with `seed`: the one seeded test matrix.
+    pub fn seeded(rows: usize, cols: usize, seed: u64) -> Self {
+        Self::random_uniform(rows, cols, -1.0, 1.0, &mut Xoshiro256StarStar::seed_from_u64(seed))
+    }
+
     pub fn rows(&self) -> usize {
         self.rows
     }

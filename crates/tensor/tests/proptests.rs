@@ -1,28 +1,28 @@
-//! Property-based tests (proptest) for the tensor substrate: algebraic
-//! identities of the kernels, structural invariants of the matrix type,
-//! and the JSON writer's round trip through the parser.
+//! Property tests for the tensor substrate: algebraic identities of the
+//! kernels, structural invariants of the matrix type, and the JSON writer's
+//! round trip through the parser. Each test loops over its cases and draws
+//! every input from its own `Xoshiro256StarStar`, seeded with a constant.
 
-use proptest::prelude::*;
 use tesseract_tensor::matmul::{gemm, gemm_on, KernelPath, Orient};
 use tesseract_tensor::nn;
 use tesseract_tensor::trace::json::{self, Value};
 use tesseract_tensor::{approx_eq, max_rel_diff, Matrix, Xoshiro256StarStar};
 
-fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-2.0f32..2.0, rows * cols)
-        .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+/// `(m, k, n)`, each in `1..8`.
+fn dims(rng: &mut Xoshiro256StarStar) -> (usize, usize, usize) {
+    (1 + rng.next_usize(7), 1 + rng.next_usize(7), 1 + rng.next_usize(7))
 }
 
-fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (1usize..8, 1usize..8, 1usize..8)
+/// A `rows × cols` matrix with entries in `[-2, 2)`.
+fn matrix(rng: &mut Xoshiro256StarStar, rows: usize, cols: usize) -> Matrix {
+    Matrix::random_uniform(rows, cols, -2.0, 2.0, rng)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn matmul_is_left_distributive((m, k, n) in dims(), seed in 0u64..1000) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+#[test]
+fn matmul_is_left_distributive() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(101);
+    for _ in 0..64 {
+        let (m, k, n) = dims(&mut rng);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
         let c = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
@@ -31,72 +31,103 @@ proptest! {
         let lhs = gemm(Orient::Nn, &a, &b_plus_c);
         let mut rhs = gemm(Orient::Nn, &a, &b);
         rhs.add_assign(&gemm(Orient::Nn, &a, &c));
-        prop_assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4);
+        assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4, "{m}x{k}x{n}");
     }
+}
 
-    #[test]
-    fn transpose_reverses_products((m, k, n) in dims(), seed in 0u64..1000) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+#[test]
+fn transpose_reverses_products() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(102);
+    for _ in 0..64 {
+        let (m, k, n) = dims(&mut rng);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(k, n, -1.0, 1.0, &mut rng);
         // (AB)ᵀ = Bᵀ Aᵀ
         let lhs = gemm(Orient::Nn, &a, &b).transpose();
         let rhs = gemm(Orient::Nn, &b.transpose(), &a.transpose());
-        prop_assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4);
+        assert!(max_rel_diff(lhs.data(), rhs.data()) < 1e-4, "{m}x{k}x{n}");
     }
+}
 
-    #[test]
-    fn nt_and_tn_agree_with_explicit_transposes((m, k, n) in dims(), seed in 0u64..1000) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+#[test]
+fn nt_and_tn_agree_with_explicit_transposes() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(103);
+    for _ in 0..64 {
+        let (m, k, n) = dims(&mut rng);
         let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut rng);
         let b = Matrix::random_uniform(n, k, -1.0, 1.0, &mut rng);
-        prop_assert!(max_rel_diff(
-            gemm(Orient::Nt, &a, &b).data(),
-            gemm(Orient::Nn, &a, &b.transpose()).data()
-        ) < 1e-4);
+        assert!(
+            max_rel_diff(
+                gemm(Orient::Nt, &a, &b).data(),
+                gemm(Orient::Nn, &a, &b.transpose()).data()
+            ) < 1e-4
+        );
         let c = Matrix::random_uniform(m, n, -1.0, 1.0, &mut rng);
-        prop_assert!(max_rel_diff(
-            gemm(Orient::Tn, &a, &c).data(),
-            gemm(Orient::Nn, &a.transpose(), &c).data()
-        ) < 1e-4);
+        assert!(
+            max_rel_diff(
+                gemm(Orient::Tn, &a, &c).data(),
+                gemm(Orient::Nn, &a.transpose(), &c).data()
+            ) < 1e-4
+        );
     }
+}
 
-    #[test]
-    fn softmax_rows_are_distributions(m in matrix_strategy(4, 6)) {
-        let y = nn::softmax_rows(&m);
+#[test]
+fn softmax_rows_are_distributions() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(104);
+    for _ in 0..64 {
+        let y = nn::softmax_rows(&matrix(&mut rng, 4, 6));
         for i in 0..y.rows() {
             let sum: f32 = y.row(i).iter().sum();
-            prop_assert!(approx_eq(sum, 1.0, 1e-4));
-            prop_assert!(y.row(i).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert!(approx_eq(sum, 1.0, 1e-4));
+            assert!(y.row(i).iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
     }
+}
 
-    #[test]
-    fn layernorm_output_is_normalized(m in matrix_strategy(3, 16)) {
-        let cache = nn::layernorm_rows(&m, 1e-5);
+#[test]
+fn layernorm_output_is_normalized() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(105);
+    for _ in 0..64 {
+        let cache = nn::layernorm_rows(&matrix(&mut rng, 3, 16), 1e-5);
         for i in 0..cache.y.rows() {
             let row = cache.y.row(i);
             let mean: f32 = row.iter().sum::<f32>() / row.len() as f32;
-            prop_assert!(mean.abs() < 1e-3, "row {i} mean {mean}");
+            assert!(mean.abs() < 1e-3, "row {i} mean {mean}");
         }
     }
+}
 
-    #[test]
-    fn slice_concat_rows_round_trip(m in matrix_strategy(6, 4), split in 1usize..5) {
+#[test]
+fn slice_concat_rows_round_trip() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(106);
+    for _ in 0..64 {
+        let m = matrix(&mut rng, 6, 4);
+        let split = 1 + rng.next_usize(4);
         let top = m.slice_rows(0, split);
         let bottom = m.slice_rows(split, 6);
-        prop_assert_eq!(Matrix::concat_rows(&[top, bottom]), m);
+        assert_eq!(Matrix::concat_rows(&[top, bottom]), m);
     }
+}
 
-    #[test]
-    fn slice_concat_cols_round_trip(m in matrix_strategy(4, 6), split in 1usize..5) {
+#[test]
+fn slice_concat_cols_round_trip() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(107);
+    for _ in 0..64 {
+        let m = matrix(&mut rng, 4, 6);
+        let split = 1 + rng.next_usize(4);
         let left = m.slice_cols(0, split);
         let right = m.slice_cols(split, 6);
-        prop_assert_eq!(Matrix::concat_cols(&[left, right]), m);
+        assert_eq!(Matrix::concat_cols(&[left, right]), m);
     }
+}
 
-    #[test]
-    fn block_tiling_reconstructs(m in matrix_strategy(6, 6), br in 1usize..4, bc in 1usize..4) {
+#[test]
+fn block_tiling_reconstructs() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(108);
+    for _ in 0..64 {
+        let m = matrix(&mut rng, 6, 6);
+        let (br, bc) = (1 + rng.next_usize(3), 1 + rng.next_usize(3));
         // Tile with (possibly ragged) blocks and reassemble.
         let mut rebuilt = Matrix::zeros(6, 6);
         let mut r = 0;
@@ -110,34 +141,42 @@ proptest! {
             }
             r += nr;
         }
-        prop_assert_eq!(rebuilt, m);
+        assert_eq!(rebuilt, m);
     }
+}
 
-    #[test]
-    fn rng_uniform_respects_bounds(seed in 0u64..10_000, lo in -5.0f32..0.0, width in 0.1f32..10.0) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let hi = lo + width;
+#[test]
+fn rng_uniform_respects_bounds() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(109);
+    for _ in 0..64 {
+        let lo = rng.uniform(-5.0, 0.0);
+        let hi = lo + rng.uniform(0.1, 10.0);
         for _ in 0..100 {
             let x = rng.uniform(lo, hi);
-            prop_assert!(x >= lo && x < hi);
+            assert!(x >= lo && x < hi, "{x} outside [{lo}, {hi})");
         }
     }
+}
 
-    #[test]
-    fn gelu_is_monotone_on_positive_axis(a in 0.0f32..5.0, delta in 0.001f32..5.0) {
-        prop_assert!(nn::gelu(a + delta) >= nn::gelu(a));
+#[test]
+fn gelu_is_monotone_on_positive_axis() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(110);
+    for _ in 0..64 {
+        let (a, delta) = (rng.uniform(0.0, 5.0), rng.uniform(0.001, 5.0));
+        assert!(nn::gelu(a + delta) >= nn::gelu(a), "gelu({a} + {delta})");
     }
+}
 
-    /// Lane independence: the vectorized loops behind `gelu_matrix` /
-    /// `gelu_backward_matrix` give each element the bits of the scalar
-    /// function, whatever lane it lands in — any offset into a buffer, any
-    /// length (empty, single, non-multiples of the vector width).
-    #[test]
-    fn gelu_over_any_slice_equals_scalar_gelu_bitwise(
-        v in proptest::collection::vec(-12.0f32..12.0, 67),
-        start in 0usize..67,
-        len in 0usize..67,
-    ) {
+/// Lane independence: the vectorized loops behind `gelu_matrix` /
+/// `gelu_backward_matrix` give each element the bits of the scalar
+/// function, whatever lane it lands in — any offset into a buffer, any
+/// length (empty, single, non-multiples of the vector width).
+#[test]
+fn gelu_over_any_slice_equals_scalar_gelu_bitwise() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(111);
+    for _ in 0..64 {
+        let v: Vec<f32> = (0..67).map(|_| rng.uniform(-12.0, 12.0)).collect();
+        let (start, len) = (rng.next_usize(67), rng.next_usize(67));
         let x = &v[start..(start + len).min(v.len())];
         let dy: Vec<f32> = x.iter().map(|a| 0.5 - a).collect();
         let xm = Matrix::from_vec(1, x.len(), x.to_vec());
@@ -146,20 +185,23 @@ proptest! {
         for (i, &a) in x.iter().enumerate() {
             // `black_box` keeps this reference evaluation scalar.
             let a = std::hint::black_box(a);
-            prop_assert_eq!(fwd.data()[i].to_bits(), nn::gelu(a).to_bits());
-            prop_assert_eq!(bwd.data()[i].to_bits(), (dy[i] * nn::gelu_grad(a)).to_bits());
+            assert_eq!(fwd.data()[i].to_bits(), nn::gelu(a).to_bits());
+            assert_eq!(bwd.data()[i].to_bits(), (dy[i] * nn::gelu_grad(a)).to_bits());
         }
     }
+}
 
-    #[test]
-    fn cross_entropy_is_nonnegative(seed in 0u64..1000, label in 0usize..4) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+#[test]
+fn cross_entropy_is_nonnegative() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(112);
+    for _ in 0..64 {
         let logits = Matrix::random_uniform(1, 4, -3.0, 3.0, &mut rng);
+        let label = rng.next_usize(4);
         let (loss, grad) = nn::softmax_cross_entropy(&logits, &[label]);
-        prop_assert!(loss >= 0.0);
+        assert!(loss >= 0.0);
         // Gradient rows sum to ~0 (softmax minus one-hot).
         let s: f32 = grad.row(0).iter().sum();
-        prop_assert!(s.abs() < 1e-5);
+        assert!(s.abs() < 1e-5);
     }
 }
 
@@ -169,23 +211,17 @@ proptest! {
 
 use tesseract_tensor::MicroKernel;
 
-/// Shapes spanning every backend's remainder edges: m and n range from
-/// strictly below one scalar tile (4×8) through several AVX2 tiles (6×16)
-/// and past one AVX-512 tile (8×32), k crosses nothing-divides-anything
-/// territory.
-fn kernel_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (1usize..40, 1usize..96, 1usize..40)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every blocked backend is bitwise identical to the first (scalar) on
-    /// random shapes, including micro-tile remainder edges, in all three
-    /// orientations: the blocked path has one numerics class.
-    #[test]
-    fn forced_paths_agree_bitwise((m, k, n) in kernel_dims(), seed in 0u64..1000) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+/// Every blocked backend is bitwise identical to the first (scalar) on
+/// random shapes, including micro-tile remainder edges, in all three
+/// orientations: the blocked path has one numerics class. m and n range
+/// from strictly below one scalar tile (4×8) through several AVX2 tiles
+/// (6×16) and past one AVX-512 tile (8×32), k crosses
+/// nothing-divides-anything territory.
+#[test]
+fn forced_paths_agree_bitwise() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(113);
+    for _ in 0..24 {
+        let (m, k, n) = (1 + rng.next_usize(39), 1 + rng.next_usize(95), 1 + rng.next_usize(39));
         for o in Orient::ALL {
             let ((ar, ac), (br, bc)) = o.stored(m, k, n);
             let a = Matrix::random_uniform(ar, ac, -2.0, 2.0, &mut rng);
@@ -196,7 +232,7 @@ proptest! {
             };
             let first = bits(MicroKernel::Scalar);
             for v in MicroKernel::available().skip(1) {
-                prop_assert_eq!(&first, &bits(v));
+                assert_eq!(first, bits(v), "{o:?} {m}x{k}x{n} on {v:?}");
             }
         }
     }
@@ -270,24 +306,21 @@ fn drive_every_op<T: TensorLike>(
     log
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The invariant every shadow-backend number rests on: op for op, a
-    /// dense run and a shadow run produce the same shape and leave the same
-    /// meter. Shapes reach past `BLOCKED_MIN_ELEMS`, so both GEMM dispatch
-    /// tallies are covered.
-    #[test]
-    fn every_op_charges_dense_and_shadow_alike(
-        dims in (1usize..72, 1usize..72, 1usize..72),
-        cut in 0usize..72,
-        seed in 0u64..1000,
-    ) {
+/// The invariant every shadow-backend number rests on: op for op, a
+/// dense run and a shadow run produce the same shape and leave the same
+/// meter. Shapes reach past `BLOCKED_MIN_ELEMS`, so both GEMM dispatch
+/// tallies are covered.
+#[test]
+fn every_op_charges_dense_and_shadow_alike() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(114);
+    for _ in 0..48 {
+        let dims = (1 + rng.next_usize(71), 1 + rng.next_usize(71), 1 + rng.next_usize(71));
+        let (cut, seed) = (rng.next_usize(72), rng.next_usize(1000) as u64);
         let dense = drive_every_op::<DenseTensor>(dims, cut, seed);
         let shadow = drive_every_op::<ShadowTensor>(dims, cut, seed);
-        prop_assert_eq!(dense.len(), 29, "one entry per metered op");
+        assert_eq!(dense.len(), 29, "one entry per metered op");
         for (d, s) in dense.iter().zip(&shadow) {
-            prop_assert_eq!(d, s, "{} on {:?}", d.0, dims);
+            assert_eq!(d, s, "{} on {:?}", d.0, dims);
         }
     }
 }
@@ -407,11 +440,11 @@ fn random_json(rng: &mut Xoshiro256StarStar, depth: usize) -> Value {
     }
 }
 
-proptest! {
-    #[test]
-    fn json_write_then_parse_gives_back_the_tree(seed in 0u64..1_000_000) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+#[test]
+fn json_write_then_parse_gives_back_the_tree() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(115);
+    for _ in 0..256 {
         let tree = random_json(&mut rng, 4);
-        prop_assert_eq!(json::parse(&json::write(&tree)), Ok(tree));
+        assert_eq!(json::parse(&json::write(&tree)), Ok(tree));
     }
 }

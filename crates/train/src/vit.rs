@@ -246,7 +246,7 @@ mod tests {
     use tesseract_comm::RunConfig;
     use tesseract_core::partition::{a_block, combine_c};
     use tesseract_core::GridShape;
-    use tesseract_tensor::{assert_slices_close, Xoshiro256StarStar};
+    use tesseract_tensor::assert_slices_close;
 
     fn vcfg() -> ViTConfig {
         ViTConfig {
@@ -264,15 +264,10 @@ mod tests {
         }
     }
 
-    fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-    }
-
     #[test]
     fn tesseract_vit_logits_match_serial() {
         let v = vcfg();
-        let x = random(v.body.rows(), v.patch_dim, 1);
+        let x = Matrix::seeded(v.body.rows(), v.patch_dim, 1);
         let serial = RunConfig::from_env(1).run(|ctx| {
             let grid = TesseractGrid::new(ctx, GridShape::new(1, 1), 0);
             let x = Arc::new(DenseTensor::from_matrix(x.clone()));
@@ -295,7 +290,7 @@ mod tests {
     #[test]
     fn distributed_ce_matches_serial_loss_and_grad() {
         let v = vcfg();
-        let logits = random(v.body.batch, v.classes, 9);
+        let logits = Matrix::seeded(v.body.batch, v.classes, 9);
         let labels = vec![0usize, 3, 5, 2];
         let (loss_ser, grad_ser) = nn::softmax_cross_entropy(&logits, &labels);
 
@@ -341,7 +336,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn distributed_ce_rejects_an_out_of_range_label() {
         let v = vcfg();
-        let logits = random(v.body.batch, v.classes, 9);
+        let logits = Matrix::seeded(v.body.batch, v.classes, 9);
         let shape = GridShape::new(2, 1);
         RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
@@ -354,8 +349,8 @@ mod tests {
     #[test]
     fn vit_backward_produces_depth_synced_grads() {
         let v = vcfg();
-        let x = random(v.body.rows(), v.patch_dim, 11);
-        let dlogits = random(v.body.batch, v.classes, 12);
+        let x = Matrix::seeded(v.body.rows(), v.patch_dim, 11);
+        let dlogits = Matrix::seeded(v.body.batch, v.classes, 12);
         let shape = GridShape::new(2, 2);
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);

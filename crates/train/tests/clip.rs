@@ -9,7 +9,7 @@ use std::sync::Arc;
 use tesseract_comm::{RankCtx, RunConfig};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, ParamRef, TesseractGrid, TransformerConfig};
-use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
+use tesseract_tensor::{DenseTensor, Matrix};
 use tesseract_train::clip_grad_norm;
 use tesseract_train::vit::{SerialViT, TesseractViT, ViTConfig};
 
@@ -31,15 +31,10 @@ fn vcfg() -> ViTConfig {
     }
 }
 
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
-
 /// The patch features and logit gradient every run backpropagates.
 fn inputs() -> (Matrix, Matrix) {
     let v = vcfg();
-    (random(v.body.rows(), v.patch_dim, 1), random(v.body.batch, v.classes, 2))
+    (Matrix::seeded(v.body.rows(), v.patch_dim, 1), Matrix::seeded(v.body.batch, v.classes, 2))
 }
 
 /// The serial oracle's global gradient norm after one backward, summed in

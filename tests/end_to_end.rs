@@ -7,9 +7,7 @@ use tesseract_repro::core::partition::{a_block, combine_c};
 use tesseract_repro::core::{
     GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
-use tesseract_repro::tensor::{
-    assert_slices_close, DenseTensor, Matrix, Meter, ShadowTensor, Xoshiro256StarStar,
-};
+use tesseract_repro::tensor::{assert_slices_close, DenseTensor, Matrix, Meter, ShadowTensor};
 use tesseract_repro::train::{
     train_tesseract, AdamW, SyntheticVisionDataset, TrainSettings, ViTConfig,
 };
@@ -20,15 +18,10 @@ fn cfg() -> TransformerConfig {
     TransformerConfig { batch: 4, seq: 4, hidden: 8, heads: 2, mlp_ratio: 2, layers: 2, eps: 1e-5 }
 }
 
-fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
-}
-
 #[test]
 fn two_layer_stack_parity_across_all_grids() {
     let c = cfg();
-    let x = random(c.rows(), c.hidden, 1);
+    let x = Matrix::seeded(c.rows(), c.hidden, 1);
     let mut serial = SerialTransformer::new(c, true, SEED, 0);
     let y_ser = serial.forward(&x);
     for shape in
@@ -52,7 +45,7 @@ fn shadow_and_dense_runs_report_identical_simulated_time() {
     // clocks and identical wire bytes on the same configuration.
     let c = cfg();
     let shape = GridShape::new(2, 2);
-    let x = random(c.rows(), c.hidden, 2);
+    let x = Matrix::seeded(c.rows(), c.hidden, 2);
     let dense = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -84,8 +77,8 @@ fn every_optimizer_trains_the_distributed_transformer() {
     // synchronized.
     let c = cfg();
     let shape = GridShape::new(2, 2);
-    let x = random(c.rows(), c.hidden, 3);
-    let dy = random(c.rows(), c.hidden, 4);
+    let x = Matrix::seeded(c.rows(), c.hidden, 3);
+    let dy = Matrix::seeded(c.rows(), c.hidden, 4);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
@@ -186,8 +179,8 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     use tesseract_repro::core::{mm::row_panels, TesseractLinear};
     let shape = GridShape::new(2, 2);
     let (in_f, out_f, rows) = (8, 12, 16);
-    let x = random(rows, in_f, 40);
-    let dy = random(rows, out_f, 41);
+    let x = Matrix::seeded(rows, in_f, 40);
+    let dy = Matrix::seeded(rows, out_f, 41);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;

@@ -1,10 +1,11 @@
 //! The workspace's structural rules as one table. Each row is a design rule
 //! that keeps one job in one place (one env parser, one argument parser, one
 //! SUMMA loop, one GEMM signature, one JSON writer, one feasibility rule per
-//! arrangement, …), with the matcher that finds a breach, where it looks,
-//! which paths may hold a hit and why. `every_row_holds` walks `crates/
-//! src/ tests/ examples/` (every `.rs` file but this one, whose planted
-//! lines break every row) and names file, line and reason for each hit;
+//! arrangement, one case generator, …), with the matcher that finds a
+//! breach, where it looks, which paths may hold a hit and why.
+//! `every_row_holds` walks `crates/ src/ tests/ examples/` (every `.rs` file
+//! but this one, whose planted lines break every row) and names file, line
+//! and reason for each hit;
 //! `every_check_rejects_its_planted_line_and_accepts_its_clean_one`
 //! runs each check's planted violation and clean line through its matcher.
 //! `benchmark/` is a frozen workspace of its own and is not walked.
@@ -357,6 +358,20 @@ const ROWS: &[Row] = &[
                 clean: "pub struct ClusterSpec {",
             },
         ],
+    },
+    Row {
+        name: "one-case-generator",
+        reason: "a property test is a #[test] that loops over its cases and draws every input \
+                 from its own seeded Xoshiro256StarStar; a proptest macro or assertion brings \
+                 back a second case generator",
+        checks: &[Check {
+            rule: Rule::Forbidden { scope: Scope::All, allowed: &[] },
+            matcher: Matcher::Line(|l| {
+                ["proptest!", "prop_assert", "use proptest"].iter().any(|p| l.contains(p))
+            }),
+            planted: "proptest! {",
+            clean: "let mut rng = Xoshiro256StarStar::seed_from_u64(101);",
+        }],
     },
     Row {
         name: "trace-artifact",
