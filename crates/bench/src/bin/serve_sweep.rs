@@ -19,9 +19,9 @@
 //!
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
-//! nonzero throughput, and four launches per layer in every step of the
-//! flood's busiest rank) and the whole sweep is deterministic: same arguments,
-//! same bytes out.
+//! nonzero throughput, and exactly two lane all-reduces per layer and one
+//! launch more than that in every step of the flood's busiest lane) and
+//! the whole sweep is deterministic: same arguments, same bytes out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
 //!           [--grids 2,1;2,2;4,1] [--requests 1000] [--out BENCH_serving.json] \
@@ -29,7 +29,7 @@
 
 use tesseract_bench::cli::Args;
 use tesseract_bench::write_chrome_trace;
-use tesseract_comm::{RunConfig, RunOutput};
+use tesseract_comm::{CollectiveOp, RunConfig, RunOutput};
 use tesseract_core::{GridShape, TransformerConfig};
 use tesseract_serve::{
     generate, latency_stats, serve_on_cluster, ServeConfig, ServeSummary, TrafficConfig,
@@ -104,21 +104,33 @@ struct FloodCost {
     comm_s_per_step: f64,
     /// Collectives the rank booked (`RankReport::comm`: those it led).
     collectives_per_step: f64,
+    /// Row all-reduces of the rank's lane: the weight fetch issues none,
+    /// and each lane all-reduce is booked by one of the lane's ranks.
+    all_reduces_per_step: f64,
 }
 
 impl FloodCost {
-    fn of(flood: &RunOutput<ServeSummary>) -> Self {
+    fn of(flood: &RunOutput<ServeSummary>, shape: GridShape) -> Self {
         let busiest = (flood.reports.iter())
             .reduce(|a, b| if b.compute_time > a.compute_time { b } else { a })
             .expect("a run has ranks");
         let steps = flood.results[busiest.rank].steps_total;
         let per_step = |x: f64| x / steps as f64;
+        let lane = |rank| {
+            let (i, _, k) = shape.coords_of(rank);
+            (i, k)
+        };
+        let lane_all_reduces: u64 = (flood.reports.iter())
+            .filter(|r| lane(r.rank) == lane(busiest.rank))
+            .map(|r| r.comm.get(CollectiveOp::AllReduce).calls)
+            .sum();
         FloodCost {
             steps,
             kernels_per_step: per_step(busiest.kernels as f64),
             compute_s_per_step: per_step(busiest.compute_time),
             comm_s_per_step: per_step(busiest.comm_time),
             collectives_per_step: per_step(busiest.comm.total_calls() as f64),
+            all_reduces_per_step: per_step(lane_all_reduces as f64),
         }
     }
 }
@@ -157,6 +169,13 @@ fn run_point(
     (out, latencies)
 }
 
+/// Lane all-reduces and launches of one busy serving step: two per layer,
+/// and one launch more.
+fn step_counts(cfg: &ServeConfig) -> (usize, usize) {
+    let layers = cfg.model.layers;
+    (2 * layers, 2 * layers + 1)
+}
+
 fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
     let cfg = serve_cfg();
 
@@ -165,10 +184,15 @@ fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
-    let flood = FloodCost::of(&flood);
-    // One fused launch after each of a layer's four row all-gathers.
-    let launches = (4 * cfg.model.layers) as f64;
-    assert_eq!(flood.kernels_per_step, launches, "{shape:?}: a busy layer must be 4 launches");
+    let flood = FloodCost::of(&flood, shape);
+    // Per layer, two fused launches that each end in one lane all-reduce;
+    // then one launch for the last residual add.
+    let (all_reduces, launches) = step_counts(&cfg);
+    assert_eq!(flood.kernels_per_step, launches as f64, "{shape:?}: launches per busy step");
+    assert_eq!(
+        flood.all_reduces_per_step, all_reduces as f64,
+        "{shape:?}: lane all-reduces per busy step"
+    );
 
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
@@ -290,7 +314,10 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!("invariant ok: p99 >= p50 at every load point");
     println!("invariant ok: nonzero throughput at every load point");
     println!("invariant ok: latency grows past the saturation knee");
-    println!("invariant ok: a busy serving layer is 4 launches");
+    let (all_reduces, launches) = step_counts(&serve_cfg());
+    println!(
+        "invariant ok: a busy serving step is {all_reduces} lane all-reduces and {launches} launches"
+    );
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
     let events = write_saturated_trace(&trace_path, trace_shape, requests.min(TRACE_REQUESTS));

@@ -5,13 +5,13 @@
 //! which tapes every activation for the matching backward — is the wrong
 //! tool: each decode step would grow every layer's tape forever. The
 //! training stack itself carries the counterpart,
-//! [`TesseractTransformer::forward_infer`]: `&self`, no tape pushes, and
+//! [`TesseractTransformer::forward_infer_rows`]: `&self`, no tape pushes, and
 //! **causal KV-cached attention** so a decode step costs O(L) per token
 //! instead of the O(L²) full-prefix recompute.
 //!
 //! ## KV-cache sharding
 //!
-//! The cache follows the activation layout exactly. A request lives on one
+//! The cache follows the attention heads' layout. A request lives on one
 //! `(i, k)` **lane** (the `q·d` row-block owners of Figure 4a); within
 //! that lane, rank `(i, j, k)` computes — and therefore caches — the K/V
 //! of *its own* `n/q` heads, the same columns its fused QKV slice
@@ -27,8 +27,8 @@
 //! through the same causal path: every op involved is per-row
 //! deterministic (serial-GEMM rows are independent dot products over a
 //! fixed accumulation order, layer norm / masked softmax / GELU are
-//! per-row), and the SUMMA stages fold partial products in the same `l`
-//! order regardless of how many rows the local block carries. The parity
+//! per-row), and the lane all-reduces fold the members' terms in the same
+//! member order regardless of how many rows the step carries. The parity
 //! tests in `crates/serve` pin this property per token.
 
 use tesseract_tensor::TensorLike;
@@ -105,10 +105,10 @@ impl<T: TensorLike> InferBatch<T> {
 
 /// The serving stack is the training stack: [`TesseractTransformer`]'s
 /// `new_kv` / `forward_infer` run the same layers and weights without
-/// touching a tape, its linears weight-stationary (one row all-gather per
-/// call once each rank has fetched its weight column). Kept solely because
-/// the frozen `benchmark/` crate still names it; ROADMAP item 1(d)'s
-/// `[benchmark]` PR removes that caller and this alias with it.
+/// touching a tape, its linears weight-stationary (two lane all-reduces
+/// per layer once each rank has fetched its weight panels). Kept solely
+/// because the frozen `benchmark/` crate still names it; ROADMAP item
+/// 1(d)'s `[benchmark]` PR removes that caller and this alias with it.
 pub type InferModel<T> = TesseractTransformer<T>;
 
 #[cfg(test)]

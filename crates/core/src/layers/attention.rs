@@ -18,7 +18,7 @@ use tesseract_tensor::{Meter, TensorLike};
 use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
-use crate::layers::layernorm::layer_norm_panels;
+use crate::layers::layernorm::layer_norm_rows;
 use crate::layers::linear::Stationary;
 use crate::layers::world::{Half, World};
 use crate::module::{Module, ParamRef, Tape};
@@ -63,28 +63,29 @@ impl<T: TensorLike, G: World<T>> Attention<T, G> {
     }
 }
 
-/// A serving layer's first stretch, KV-cached **causal** attention (no
-/// tape): [`layer_norm_panels`] of this rank's gathered row of input
-/// panels, the fused QKV projection by `wqkv`'s fetched weights, the Q/K/V
-/// column slices, each segment's new K/V rows appended in place to its
-/// [`LayerKv`] ([`TensorLike::append_rows`]),
-/// then [`ragged_causal_attention`] over every segment and locally-owned
-/// head. The layer runs it as one fused launch, the way a KV-cache
+/// KV-cached **causal** attention over a serving layer's full rows `x`
+/// (no tape): [`layer_norm_rows`] of `x`, the fused QKV projection by
+/// `wqkv`'s fetched column, the Q/K/V column slices of this rank's heads,
+/// each segment's new K/V rows appended in place to its [`LayerKv`]
+/// ([`TensorLike::append_rows`]), then [`ragged_causal_attention`] over
+/// every segment and locally-owned head. The result is this rank's column
+/// block of the attention output, the input of `wo`'s row-parallel
+/// product. The layer runs it inside one fused launch, the way a KV-cache
 /// attention kernel appends K/V in-kernel.
 ///
-/// The rows of `rows` stack each request's *new* tokens (`new_rows[r]`
-/// rows for request `r`: the whole prompt during prefill, one row per
-/// decode step), and new token `t` attends `cached + t + 1` positions. A
-/// decode step is therefore O(L) per token instead of the O(L²)
-/// full-prefix recompute, and bitwise identical to it **only while both
-/// runs' GEMMs take the same `matmul::planned_path` kernel** (every op is
-/// then per-row deterministic: dot products, masked row softmax). A
-/// recompute's GEMMs have more rows than a one-row decode's, so past the
-/// path's size threshold they run the blocked kernel (fused multiply-add)
-/// while the decode stays serial (multiply, then add), and the bits
-/// differ; ROADMAP item 7(b) would make the two paths bitwise equal.
+/// The rows of `x` stack each request's *new* tokens (`new_rows[r]` rows
+/// for request `r`: the whole prompt during prefill, one row per decode
+/// step), and new token `t` attends `cached + t + 1` positions. A decode
+/// step is therefore O(L) per token instead of the O(L²) full-prefix
+/// recompute, and bitwise identical to it **only while both runs' GEMMs
+/// take the same `matmul::planned_path` kernel** (every op is then per-row
+/// deterministic: dot products, masked row softmax). A recompute's GEMMs
+/// have more rows than a one-row decode's, so past the path's size
+/// threshold they run the blocked kernel (fused multiply-add) while the
+/// decode stays serial (multiply, then add), and the bits differ; ROADMAP
+/// item 7(b) would make the two paths bitwise equal.
 pub fn norm_attention<T: TensorLike>(
-    rows: &[Arc<T>],
+    x: &T,
     eps: f32,
     wqkv: &Stationary<T>,
     new_rows: &[usize],
@@ -93,9 +94,10 @@ pub fn norm_attention<T: TensorLike>(
     m: &mut Meter,
 ) -> T {
     assert_eq!(new_rows.len(), kvs.len(), "one KV cache per request segment");
-    let qkv = wqkv.matmul(&layer_norm_panels(rows, eps, m), m);
+    let panels = wqkv.panels.len();
+    let qkv = wqkv.matmul(&layer_norm_rows(x, panels, eps, m), m);
     let local_h = qkv.cols() / 3;
-    assert!(rows.iter().all(|p| p.cols() == local_h), "attention input width mismatch");
+    assert_eq!(x.cols(), panels * local_h, "attention input width mismatch");
     let q_all = qkv.slice_cols(0, local_h, m);
     let k_all = qkv.slice_cols(local_h, 2 * local_h, m);
     let v_all = qkv.slice_cols(2 * local_h, 3 * local_h, m);

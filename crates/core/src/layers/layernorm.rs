@@ -6,18 +6,17 @@
 //! all-reduces `Σ X̂ᵢ(δJ/δX̂)ᵢ` and `Σ(δJ/δX̂)ᵢ` the same way and applies
 //! Eq. 14 with the taped `X̂` and `1/sqrt(Var+ε)`.
 //!
-//! Serving ([`layer_norm_panels`]) turns this around. The
-//! weight-stationary linear after every pre-norm all-gathers its input
-//! rows along the same row anyway, so a serving layer gathers the
-//! *un-normalized* rows instead and normalizes all `q` panels at the head
-//! of the fused launch that multiplies them (a fused launch is its op
-//! chain under `tesseract_tensor::fused`): no statistics all-reduce, and
-//! every panel bitwise the one `normalize` gives its owner (the fold runs
-//! in the all-reduce's member order; both finish with one statistics
-//! tail). Training keeps the all-reduce: its SUMMA linear broadcasts one
-//! row panel per step instead of gathering the row, and Eq. 14's backward
-//! all-reduces along the row regardless.
+//! Serving ([`layer_norm_rows`]) needs no all-reduce at all. A serving
+//! layer's rows are full width on every rank of the lane, so each rank
+//! normalizes them itself at the head of the fused launch that multiplies
+//! them (a fused launch is its op chain under `tesseract_tensor::fused`),
+//! panel by panel: every panel bitwise the one `normalize` gives its owner
+//! (the fold runs in the all-reduce's member order; both finish with one
+//! statistics tail). Training keeps the all-reduce: its activations are
+//! split by columns, and Eq. 14's backward all-reduces along the row
+//! regardless.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use tesseract_comm::RankCtx;
@@ -74,23 +73,37 @@ fn statistics<T: TensorLike>(s1: &T, s2: &T, n: f32, eps: f32, m: &mut Meter) ->
 }
 
 /// Layer norm of rows whose hidden vector is split into column panels
-/// `[X_0 … X_{q-1}]` (the row all-gather of §3.2.2's blocks): every
-/// normalized panel `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the
-/// statistics taken over all `Σ_t cols(X_t)` columns. The per-panel sums
-/// fold in ascending panel order, the member-order fold of the row
-/// all-reduce `normalize` uses, so each panel is bitwise what the split
-/// layer norm gives the rank that owns it. A serving layer runs it at the
-/// head of the fused launch that multiplies the normalized panels.
-pub fn layer_norm_panels<T: TensorLike>(panels: &[Arc<T>], eps: f32, m: &mut Meter) -> Vec<T> {
-    let n = panels.iter().map(|p| p.cols()).sum::<usize>() as f32;
-    let mut sums = panels.iter().map(|x| (x.row_sums(m), x.row_sums_of_squares(m)));
+/// `[X_0 … X_{q-1}]` (§3.2.2's blocks): every normalized panel
+/// `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the statistics taken over
+/// all `Σ_t cols(X_t)` columns. The per-panel sums fold in ascending panel
+/// order, the member-order fold of the row all-reduce `normalize` uses, so
+/// each panel is bitwise what the split layer norm gives the rank that
+/// owns it.
+pub fn layer_norm_panels<T: TensorLike>(
+    panels: &[impl Borrow<T>],
+    eps: f32,
+    m: &mut Meter,
+) -> Vec<T> {
+    let n = panels.iter().map(|p| p.borrow().cols()).sum::<usize>() as f32;
+    let mut sums =
+        panels.iter().map(|x| (x.borrow().row_sums(m), x.borrow().row_sums_of_squares(m)));
     let (mut s1, mut s2) = sums.next().expect("layer norm of no panels");
     for (t1, t2) in sums {
         s1.reduce_add_inplace(&t1);
         s2.reduce_add_inplace(&t2);
     }
     let (mean, inv_std) = statistics(&s1, &s2, n, eps, m);
-    panels.iter().map(|x| x.sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
+    panels.iter().map(|x| x.borrow().sub_colvec(&mean, m).mul_colvec(&inv_std, m)).collect()
+}
+
+/// [`layer_norm_panels`] of full rows `x`, split into `panels` equal
+/// column panels: the panels of `X̂` that a grid with `q = panels` gives
+/// its row's ranks. A serving stretch runs it on the lane's full rows.
+pub fn layer_norm_rows<T: TensorLike>(x: &T, panels: usize, eps: f32, m: &mut Meter) -> Vec<T> {
+    assert_eq!(x.cols() % panels, 0, "layer norm: {} columns in {panels} panels", x.cols());
+    let w = x.cols() / panels;
+    let split: Vec<T> = (0..panels).map(|t| x.slice_cols(t * w, (t + 1) * w, m)).collect();
+    layer_norm_panels(&split, eps, m)
 }
 
 impl<T: TensorLike> Module<T> for TesseractLayerNorm<T> {

@@ -10,13 +10,16 @@
 //! gradients are **reduced back to row 0** (plus a depth all-reduce so the
 //! replicas stay in sync).
 //!
-//! Serving is weight-stationary: [`TesseractLinear::fetch_stationary`]
-//! fetches this rank's column of weight panels and the bias once, and
-//! [`Stationary::matmul`] multiplies gathered row panels (`mm::row_panels`,
-//! or a serving layer norm's output) by them — SUMMA's multiply-and-add on
-//! the same panels, so its output is bitwise [`Module::forward`]'s. It
-//! takes a `Meter`, not a `RankCtx`, so it runs inside the fused launch of
-//! a serving layer's collective-free stretch and never fetches.
+//! Serving is weight-stationary. A column-parallel linear
+//! ([`TesseractLinear::fetch_stationary`]) fetches this rank's column of
+//! weight panels and its bias block once, and [`Stationary::matmul`]
+//! multiplies the panels of full rows by them: SUMMA's multiply-and-add on
+//! the same panels, so its output is bitwise [`Module::forward`]'s block.
+//! A row-parallel linear ([`TesseractLinear::fetch_stationary_row`]) holds
+//! its row of panels and the full-width bias instead;
+//! [`Stationary::partial`] is this rank's term of the lane's sum, and the
+//! bias is added once, after it. Both take a `Meter`, not a `RankCtx`, so
+//! they run inside the fused launch of a serving stretch and never fetch.
 //! [`Module::visit_params`], the only path that mutates a weight, drops
 //! the fetched copy.
 //!
@@ -34,7 +37,8 @@ use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
 use crate::mm::{
-    column_panels, matmul_panels, tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn,
+    column_panels, lane_exchange, matmul_panels, tesseract_matmul, tesseract_matmul_nt,
+    tesseract_matmul_tn,
 };
 use crate::module::{Module, ParamRef, Tape};
 
@@ -55,26 +59,40 @@ pub struct TesseractLinear<T> {
     /// Microbatch activation tape (see [`Tape`] on GPipe LIFO ordering).
     tape: Tape<Arc<T>>,
     with_bias: bool,
-    /// Serving's copy of this rank's weight column, filled by
-    /// [`TesseractLinear::fetch_stationary`] and dropped by `visit_params`.
+    /// Serving's copy of this rank's weight panels, filled by
+    /// [`TesseractLinear::fetch_stationary`] or
+    /// [`TesseractLinear::fetch_stationary_row`] and dropped by
+    /// `visit_params`.
     stationary: OnceLock<Stationary<T>>,
 }
 
-/// The weights a serving rank multiplies by: its column's panels
-/// `[W_0j … W_{q-1,j}]` (its own block among them, shared, not copied) and
-/// the column's bias.
+/// The weights a serving rank multiplies by: `q` weight panels (its own
+/// block among them, shared, not copied) and a bias. A column-parallel
+/// linear holds its column `[W_0j … W_{q-1,j}]` and the column's bias
+/// block; a row-parallel one its row `[W_j0 … W_{j,q-1}]` and the whole
+/// bias `[1, out]`.
 pub struct Stationary<T> {
     pub panels: Vec<Arc<T>>,
     pub bias: Option<Arc<T>>,
 }
 
 impl<T: TensorLike> Stationary<T> {
-    /// `Y = X·W (+ bias)` for this rank's block of `Y`: `rows` is its row
-    /// of `X` panels `[X_{i,0,k} … X_{i,q-1,k}]`, multiplied by the column
-    /// with [`matmul_panels`]. Bitwise [`Module::forward`]'s output on the
-    /// block `rows[j]`.
+    /// Column-parallel: `Y = X·W (+ bias)` for this rank's column block of
+    /// `Y`, where `rows` are the column panels `[X_0 … X_{q-1}]` of `X`,
+    /// multiplied by the column with [`matmul_panels`]. Bitwise
+    /// [`Module::forward`]'s output block on the same rows.
     pub fn matmul(&self, rows: &[impl Borrow<T>], m: &mut Meter) -> T {
         matmul_panels(rows, &self.panels, self.bias.as_deref(), m)
+    }
+
+    /// Row-parallel: this rank's term `A_j·[W_j0 … W_{j,q-1}]` of the
+    /// lane's sum `X·W`, where `a` is column block `j` of `X`. One GEMM per
+    /// output block, `A_j·W_jt`, in SUMMA's shapes (so
+    /// `matmul::planned_path` picks SUMMA's kernel), placed side by side.
+    /// No bias: it is added once, after the sum.
+    pub fn partial(&self, a: &T, m: &mut Meter) -> T {
+        let blocks: Vec<T> = self.panels.iter().map(|w| a.matmul(w, m)).collect();
+        T::concat_cols(&blocks, m)
     }
 }
 
@@ -146,24 +164,48 @@ impl<T: TensorLike> TesseractLinear<T> {
         }
     }
 
-    /// Fetches this rank's weight column and the bias (the column
-    /// broadcasts [`Module::forward`] issues every call) unless it already
-    /// holds them. SPMD over each grid column: its `q` ranks fetch together.
+    /// Fetches this rank's weight column and bias block (the column
+    /// broadcasts [`Module::forward`] issues every call) for serving as a
+    /// column-parallel linear, unless it already holds its panels. SPMD
+    /// over each grid column: its `q` ranks fetch together.
     pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        self.stationary.get_or_init(|| Stationary {
-            panels: column_panels(grid, ctx, &self.w),
-            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
+        self.stationary.get_or_init(|| self.fetch_column(grid, ctx));
+    }
+
+    /// Fetches this rank's row of weight panels and the whole bias for
+    /// serving as a row-parallel linear, unless it already holds its
+    /// panels: the column fetch, then one [`lane_exchange`] of the lane's
+    /// columns, rank `j` keeping panel `j` of each and every bias block.
+    /// SPMD over the whole grid.
+    pub fn fetch_stationary_row(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
+        self.stationary.get_or_init(|| {
+            let Stationary { mut panels, bias } = self.fetch_column(grid, ctx);
+            panels.extend(bias);
+            let columns = lane_exchange(grid, ctx, panels);
+            let (j, q) = (grid.j(), grid.shape.q);
+            let bias = self.with_bias.then(|| {
+                let blocks: Vec<T> = columns.iter().map(|c| T::clone(&c[q])).collect();
+                Arc::new(T::concat_cols(&blocks, &mut Meter::new()))
+            });
+            Stationary { panels: columns.iter().map(|c| Arc::clone(&c[j])).collect(), bias }
         });
     }
 
-    /// The fetched weight column and bias serving multiplies by, with no
-    /// tape push. Panics before [`TesseractLinear::fetch_stationary`]: a
-    /// serving chain holds a `Meter`, not a `RankCtx`, so it cannot fetch.
+    fn fetch_column(&self, grid: &TesseractGrid, ctx: &mut RankCtx) -> Stationary<T> {
+        Stationary {
+            panels: column_panels(grid, ctx, &self.w),
+            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
+        }
+    }
+
+    /// The fetched weight panels and bias serving multiplies by, with no
+    /// tape push. Panics before a fetch: a serving chain holds a `Meter`,
+    /// not a `RankCtx`, so it cannot fetch.
     pub fn stationary(&self) -> &Stationary<T> {
         self.stationary.get().expect("TesseractLinear: serving before fetch_stationary")
     }
 
-    /// Bytes of the fetched weight column and bias
+    /// Bytes of the fetched weight panels and bias
     /// ([`TesseractLinear::stationary`]) on this rank, zero before the
     /// fetch: `q×` the weight block, since the block is one of the panels.
     pub fn stationary_bytes(&self) -> u64 {

@@ -15,11 +15,11 @@ use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv, RequestKv};
 use crate::layers::attention::{norm_attention, Attention};
-use crate::layers::layernorm::layer_norm_panels;
+use crate::layers::layernorm::layer_norm_rows;
 use crate::layers::linear::{Stationary, TesseractLinear};
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
-use crate::mm::row_panels;
+use crate::mm::{lane_sum, row_panels};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Execution options of a [`Transformer`] stack (tape
@@ -70,74 +70,96 @@ impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
 impl<T: TensorLike> TesseractTransformerLayer<T> {
     /// Inference forward with KV-cached causal attention: the same
     /// pre-norm residual wiring as [`Module::forward`], no tape pushes, on
-    /// the weights [`TesseractTransformer::fetch_stationary`] fetched. Four
-    /// times a row all-gather, then one fused launch over the
-    /// collective-free stretch after it: [`norm_attention`],
-    /// [`project_residual`] by `wo`, [`norm_mlp_up`], [`project_residual`]
-    /// by `fc2`. `layer_idx` selects this layer's [`LayerKv`] slice out of
-    /// each request's cache in `batch`.
+    /// the weights [`TesseractTransformer::fetch_stationary`] fetched. Two
+    /// stretches, each one fused launch ending in one lane all-reduce:
+    /// the residual add, [`norm_attention`] and `wo`'s row-parallel
+    /// product; then the residual add, [`norm_mlp_up`] and `fc2`'s.
+    /// `layer_idx` selects this layer's [`LayerKv`] slice out of each
+    /// request's cache in `batch`.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
         ctx: &mut RankCtx,
-        x: &Arc<T>,
+        x: &Stream<T>,
         layer_idx: usize,
         batch: &mut InferBatch<T>,
-    ) -> Arc<T> {
+    ) -> Stream<T> {
         let mut kvs: Vec<&mut LayerKv<T>> =
             batch.kvs.iter_mut().map(|rk| &mut rk.layers[layer_idx]).collect();
         let (attn, mlp) = (&self.attn, &self.mlp);
-        let attended = stretch(grid, ctx, x, "ln1_attention", |rows, m| {
+        let x1 = stretch(grid, ctx, x, "ln1_attention_wo", attn.wo.stationary(), |x, m| {
             let (wqkv, hd) = (attn.wqkv.stationary(), attn.cfg.head_dim());
-            norm_attention(rows, self.ln1.eps, wqkv, &batch.new_rows, &mut kvs, hd, m)
+            norm_attention(x, self.ln1.eps, wqkv, &batch.new_rows, &mut kvs, hd, m)
         });
-        let x1 = stretch(grid, ctx, &attended, "wo_residual", |rows, m| {
-            project_residual(rows, attn.wo.stationary(), x, m)
-        });
-        let act = stretch(grid, ctx, &x1, "ln2_fc1_gelu", |rows, m| {
-            norm_mlp_up(rows, self.ln2.eps, mlp.fc1.stationary(), m)
-        });
-        stretch(grid, ctx, &act, "fc2_residual", |rows, m| {
-            project_residual(rows, mlp.fc2.stationary(), &x1, m)
+        stretch(grid, ctx, &x1, "ln2_mlp_fc2", mlp.fc2.stationary(), |x, m| {
+            norm_mlp_up(x, self.ln2.eps, mlp.fc1.stationary(), m)
         })
     }
 }
 
-/// One collective-free stretch of a serving layer: the row all-gather of
-/// `x`, then `chain` over the gathered panels as one fused launch, its
-/// compute span named `label` in the trace.
+/// A serving step's residual stream between stretches: full rows `[rows,
+/// h]`, equal on every rank of the lane. It is `base`, plus the lane sum of
+/// the row-parallel projection that ended the last stretch and that
+/// projection's bias, not yet added: the next launch adds them at its
+/// head, as training's `x + (X·W + b)`.
+pub struct Stream<T> {
+    base: Arc<T>,
+    pending: Option<(Arc<T>, Option<Arc<T>>)>,
+}
+
+impl<T: TensorLike> Stream<T> {
+    /// A step's input rows, nothing pending.
+    pub fn new(rows: Arc<T>) -> Self {
+        Self { base: rows, pending: None }
+    }
+
+    /// `base + (sum + bias)`, or `None` when nothing is pending and the
+    /// rows are `base` itself.
+    fn add_pending(&self, m: &mut Meter) -> Option<T> {
+        let (sum, bias) = self.pending.as_ref()?;
+        let y = bias.as_ref().map(|b| sum.add_rowvec(b, m));
+        Some(self.base.add(y.as_ref().unwrap_or(sum), m))
+    }
+
+    /// The stream's rows, the pending sum added in one fused launch: a
+    /// step's last launch.
+    pub fn into_rows(self, ctx: &mut RankCtx) -> Arc<T> {
+        match fused(&mut ctx.meter.scope("residual"), |m| self.add_pending(m)) {
+            Some(rows) => Arc::new(rows),
+            None => self.base,
+        }
+    }
+}
+
+/// One collective-free stretch of a serving layer and the lane all-reduce
+/// that ends it. One fused launch, its compute span named `label` in the
+/// trace: the stream's pending residual add, `chain` over the resulting
+/// rows `x`, and `proj`'s row-parallel term of `chain`'s output
+/// ([`Stationary::partial`]). Then [`lane_sum`] adds the lane's terms.
+/// Returns `x` with that sum and `proj`'s bias pending.
 fn stretch<T: TensorLike>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
-    x: &Arc<T>,
+    input: &Stream<T>,
     label: &'static str,
-    chain: impl FnOnce(&[Arc<T>], &mut Meter) -> T,
-) -> Arc<T> {
-    let rows = row_panels(grid, ctx, x);
-    Arc::new(fused(&mut ctx.meter.scope(label), |m| chain(&rows, m)))
+    proj: &Stationary<T>,
+    chain: impl FnOnce(&T, &mut Meter) -> T,
+) -> Stream<T> {
+    let (added, partial) = fused(&mut ctx.meter.scope(label), |m| {
+        let added = input.add_pending(m);
+        let a = chain(added.as_ref().unwrap_or(&input.base), m);
+        (added, proj.partial(&a, m))
+    });
+    let base = added.map_or_else(|| Arc::clone(&input.base), Arc::new);
+    let sum = lane_sum(grid, ctx, partial);
+    Stream { base, pending: Some((sum, proj.bias.clone())) }
 }
 
-/// The stretch after an attention or MLP output's gather: its projection
-/// ([`Stationary::matmul`]) and §3.2's residual add, `residual + rows·W
-/// (+ bias)`.
-pub fn project_residual<T: TensorLike>(
-    rows: &[Arc<T>],
-    w: &Stationary<T>,
-    residual: &T,
-    m: &mut Meter,
-) -> T {
-    residual.add(&w.matmul(rows, m), m)
-}
-
-/// The MLP's first stretch, `LN₂ → fc1 (+ bias) → GELU`, over the gathered
-/// rows of the attention block's output.
-pub fn norm_mlp_up<T: TensorLike>(
-    rows: &[Arc<T>],
-    eps: f32,
-    fc1: &Stationary<T>,
-    m: &mut Meter,
-) -> T {
-    fc1.matmul(&layer_norm_panels(rows, eps, m), m).gelu(m)
+/// The MLP's column-parallel half, `LN₂ → fc1 (+ bias) → GELU`, over a
+/// serving layer's full rows: this rank's column block of the MLP
+/// activation, the input of `fc2`'s row-parallel product.
+pub fn norm_mlp_up<T: TensorLike>(x: &T, eps: f32, fc1: &Stationary<T>, m: &mut Meter) -> T {
+    fc1.matmul(&layer_norm_rows(x, fc1.panels.len(), eps, m), m).gelu(m)
 }
 
 impl<T: TensorLike, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
@@ -355,12 +377,15 @@ impl<T: TensorLike> TesseractTransformer<T> {
         RequestKv::empty(self.cfg.layers, self.cfg.hidden / grid.shape.q)
     }
 
-    /// One inference step over the batch: `x` is `[batch.total_rows(),
-    /// h/q]`, the output has the same shape, and every request's cache in
+    /// One inference step over the batch in the grid's column-block
+    /// layout: `x` is this rank's `[batch.total_rows(), h/q]` block, the
+    /// output has the same shape, and every request's cache in
     /// `batch.kvs` has grown by its `new_rows`. No tape is touched. The
     /// first call fetches the stationary weights
     /// ([`TesseractTransformer::fetch_stationary`]; SPMD over the whole
-    /// grid) unless the caller already did.
+    /// grid) unless the caller already did. A thin wrapper over
+    /// [`TesseractTransformer::forward_infer_rows`]: one row all-gather
+    /// in, this rank's column block out.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -368,35 +393,65 @@ impl<T: TensorLike> TesseractTransformer<T> {
         x: &Arc<T>,
         batch: &mut InferBatch<T>,
     ) -> Arc<T> {
-        assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
         // Idempotent: a no-op once the weights are held, so a run that
         // fetched them up front pays no collective here.
         self.fetch_stationary(grid, ctx);
-        let mut h = Arc::clone(x);
+        let panels: Vec<T> = row_panels(grid, ctx, x).iter().map(|p| T::clone(p)).collect();
+        let rows = Arc::new(T::concat_cols(&panels, &mut ctx.meter));
+        let y = self.forward_infer_rows(grid, ctx, rows, batch);
+        let w = x.cols();
+        Arc::new(y.slice_cols(grid.j() * w, (grid.j() + 1) * w, &mut ctx.meter))
+    }
+
+    /// One inference step over the batch on full rows, the serving
+    /// engine's layout: `x` is `[batch.total_rows(), h]`, equal on every
+    /// rank of the lane, and so is the output. Per layer two fused
+    /// launches, each ending in one lane all-reduce, then one launch for
+    /// the last residual add: `2·layers` collectives, no all-gather, and
+    /// `2·layers + 1` launches. Runs on the weights
+    /// [`TesseractTransformer::fetch_stationary`] fetched and panics
+    /// before the fetch.
+    pub fn forward_infer_rows(
+        &self,
+        grid: &TesseractGrid,
+        ctx: &mut RankCtx,
+        x: Arc<T>,
+        batch: &mut InferBatch<T>,
+    ) -> Arc<T> {
+        assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
+        assert_eq!(x.cols(), self.cfg.hidden, "serving rows are full width");
+        let mut h = Stream::new(x);
         for (li, layer) in self.layers.iter().enumerate() {
             h = ctx.traced("transformer_layer", "infer", |ctx| {
                 layer.forward_infer(grid, ctx, &h, li, batch)
             });
         }
-        h
+        h.into_rows(ctx)
     }
 
-    /// Fetches every linear's weight column and bias, in forward order
-    /// ([`TesseractLinear::fetch_stationary`]): the one-time collective
-    /// work of serving, after which a grid row serves with row collectives
-    /// alone. SPMD over the whole grid.
+    /// Fetches every linear's weight panels and bias, in forward order:
+    /// `wqkv` and `fc1` as column-parallel linears
+    /// ([`TesseractLinear::fetch_stationary`]), `wo` and `fc2`, the second
+    /// of each pair, as row-parallel ones
+    /// ([`TesseractLinear::fetch_stationary_row`]). The one-time
+    /// collective work of serving, after which a grid row serves with
+    /// row collectives alone. SPMD over the whole grid.
     pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        self.linears().for_each(|l| l.fetch_stationary(grid, ctx));
+        for layer in &self.layers {
+            layer.attn.wqkv.fetch_stationary(grid, ctx);
+            layer.attn.wo.fetch_stationary_row(grid, ctx);
+            layer.mlp.fc1.fetch_stationary(grid, ctx);
+            layer.mlp.fc2.fetch_stationary_row(grid, ctx);
+        }
     }
 
     /// Bytes of weights [`TesseractTransformer::forward_infer`] holds on this
-    /// rank: every linear's fetched column and bias (zero before the fetch;
+    /// rank: every linear's fetched panels and bias (zero before the fetch;
     /// [`TesseractLinear::stationary_bytes`]).
     pub fn stationary_bytes(&self) -> u64 {
-        self.linears().map(TesseractLinear::stationary_bytes).sum()
-    }
-
-    fn linears(&self) -> impl Iterator<Item = &TesseractLinear<T>> {
-        self.layers.iter().flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
+        (self.layers.iter())
+            .flat_map(|l| [&l.attn.wqkv, &l.attn.wo, &l.mlp.fc1, &l.mlp.fc2])
+            .map(TesseractLinear::stationary_bytes)
+            .sum()
     }
 }

@@ -40,17 +40,24 @@
 //! Serving never changes the weights, so re-broadcasting `B_tj` down the
 //! column every step moves constants. [`column_panels`] fetches a rank's
 //! whole column `[B_0j … B_{q-1,j}]` once (the same `q` column broadcasts
-//! one SUMMA call issues), and [`row_panels`] — one row all-gather —
-//! delivers the activation panels `[A_{i,0,k} … A_{i,q-1,k}]` every step
-//! after. With both in hand the rank computes its block of `C` with
-//! [`matmul_panels`]: the same panels multiplied and summed in the same
-//! ascending-`t` order as the accumulating sink, so the result is bitwise
-//! [`tesseract_matmul`]'s. A serving layer runs it inside one fused launch
-//! per collective-free stretch (a fused launch is its op chain under
-//! `tesseract_tensor::fused`), after a layer norm of the gathered rows
-//! themselves (`layernorm::layer_norm_panels`), whose statistics need no
-//! all-reduce. Each rank holds `q×` its weight shard for it; the paper's
-//! §3.1 trades memory for communication across depth the same way.
+//! one SUMMA call issues). A serving layer pairs a column-parallel linear
+//! with a row-parallel one inside each lane (a grid row of `q` ranks), as
+//! Megatron pairs them inside its tensor-parallel group. The rows arrive
+//! full width, split into the panels `[A_0 … A_{q-1}]` that SUMMA
+//! broadcasts, and [`matmul_panels`] multiplies them by the column: the
+//! same panels multiplied and summed in the same ascending-`t` order as the
+//! accumulating sink, so the result is bitwise [`tesseract_matmul`]'s
+//! block `j`. The row-parallel linear holds row `j` of panels
+//! `[B_j0 … B_{j,q-1}]` instead, built once from the lane's fetched columns
+//! by [`lane_exchange`]. Its input is this rank's column block `A_j` (the
+//! local heads' attention, the local MLP columns), and `A_j·B_jt` for every
+//! output block `t` is its term of the sum that [`lane_sum`] folds in
+//! ascending member order: `matmul_panels`' order again, so every block is
+//! bitwise SUMMA's. A serving layer runs each collective-free stretch as
+//! one fused launch (a fused launch is its op chain under
+//! `tesseract_tensor::fused`) that ends in one lane all-reduce. Each rank
+//! holds `q` weight panels per linear for it, `q×` its training shard; the
+//! paper's §3.1 trades memory for communication across depth the same way.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -293,6 +300,28 @@ where
     T: TensorLike,
 {
     grid.row.all_gather_shared(ctx, Arc::clone(a_local))
+}
+
+/// Every lane member's list of panels, in member order: one row
+/// all-gather, each panel shared, not copied. A row-parallel serving
+/// linear takes item `j` of every member's fetched column, which is its
+/// row of weight panels `[B_j0 … B_{j,q-1}]`.
+pub fn lane_exchange<T>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    panels: Vec<Arc<T>>,
+) -> Vec<Arc<Vec<Arc<T>>>>
+where
+    T: TensorLike,
+{
+    grid.row.all_gather_shared(ctx, Arc::new(panels))
+}
+
+/// The sum of the lane members' `partial`s, delivered to every member:
+/// one row all-reduce, which folds them left in ascending member order.
+/// For partials `A_j·B_jt` that is [`matmul_panels`]' accumulation order.
+pub fn lane_sum<T: TensorLike>(grid: &TesseractGrid, ctx: &mut RankCtx, partial: T) -> Arc<T> {
+    grid.row.all_reduce_shared(ctx, partial)
 }
 
 /// `Σ_t A_t·B_t (+ bias)` over a gathered row of panels `a = [A_0 …

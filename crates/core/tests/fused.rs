@@ -1,8 +1,8 @@
 //! The fused-launch pricing rule, `tesseract_tensor::fused`, over serving's
-//! op chains: attention, layer norm over gathered panels, the stationary
-//! linear, and the four collective-free stretches of a serving layer that
-//! compose them (`norm_attention`, `project_residual` by `wo`,
-//! `norm_mlp_up`, `project_residual` by `fc2`). A fused chain is one
+//! op chains: attention, layer norm over panels, the column-parallel and
+//! row-parallel stationary linears, and the two collective-free stretches
+//! of a serving layer that compose them (`norm_attention` then `wo`'s
+//! row-parallel term; `norm_mlp_up` then `fc2`'s). A fused chain is one
 //! launch — none for a zero-flop chain — carrying the chain's flops and
 //! GEMM dispatch tallies and only its output's bytes, and Shadow operands
 //! price it exactly as Dense ones do. The chains' values are pinned against
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tesseract_core::layers::attention::{norm_attention, ragged_causal_attention};
 use tesseract_core::layers::layernorm::layer_norm_panels;
 use tesseract_core::layers::linear::Stationary;
-use tesseract_core::layers::transformer::{norm_mlp_up, project_residual};
+use tesseract_core::layers::transformer::norm_mlp_up;
 use tesseract_core::mm::matmul_panels;
 use tesseract_core::LayerKv;
 use tesseract_tensor::{
@@ -25,22 +25,23 @@ use tesseract_tensor::{
 enum Chain {
     /// Head width, heads, and `(new rows, cached rows)` per segment.
     Attention(usize, usize, &'static [(usize, usize)]),
-    /// Rows and the width of each gathered panel.
+    /// Rows and the width of each panel.
     LayerNorm(usize, &'static [usize]),
     /// Rows, inner width per panel, output columns, panels, with a bias.
     Panels(usize, usize, usize, usize, bool),
-    /// A serving layer's first stretch: head width, heads, panels, and
-    /// `(new rows, cached rows)` per segment.
-    NormAttention(usize, usize, usize, &'static [(usize, usize)]),
-    /// The `wo` or `fc2` stretch: rows, inner width per panel, output
-    /// columns, panels.
-    ProjectResidual(usize, usize, usize, usize),
-    /// The `ln2 → fc1 → GELU` stretch: rows, width per panel, output
-    /// columns, panels.
-    NormMlpUp(usize, usize, usize, usize),
+    /// A row-parallel term: rows, inner width, columns per output block,
+    /// blocks.
+    Partial(usize, usize, usize, usize),
+    /// A serving layer's first stretch after its residual add, through
+    /// `wo`'s term: head width, heads, panels, and `(new rows, cached
+    /// rows)` per segment.
+    AttentionWo(usize, usize, usize, &'static [(usize, usize)]),
+    /// The `ln2 → fc1 → GELU → fc2` stretch after its residual add: rows,
+    /// width per panel, `fc1` output columns, panels.
+    MlpFc2(usize, usize, usize, usize),
 }
 
-const CASES: [Chain; 29] = [
+const CASES: [Chain; 30] = [
     // A prefill beside decodes over different cached prefixes; the wide
     // case puts the prefill's GEMMs on the blocked path; then an empty lane.
     Chain::Attention(4, 3, &[(1, 6), (5, 0), (1, 2), (3, 4)]),
@@ -61,23 +62,25 @@ const CASES: [Chain; 29] = [
     Chain::Panels(0, 4, 6, 2, true),
     Chain::Panels(64, 64, 64, 2, true),
     Chain::Panels(64, 64, 64, 3, false),
+    // Two to four output blocks, an empty lane, then blocked GEMMs.
+    Chain::Partial(6, 8, 8, 2),
+    Chain::Partial(3, 5, 4, 3),
+    Chain::Partial(3, 32, 8, 4),
+    Chain::Partial(0, 8, 8, 2),
+    Chain::Partial(64, 64, 64, 2),
     // Each stretch of a serving layer over a prefill, a ragged decode (one
     // row per request) and an empty lane; a wide prefill puts the QKV
     // projection on the blocked path, and q = 4 has four panels.
-    Chain::NormAttention(4, 2, 2, &[(6, 0)]),
-    Chain::NormAttention(4, 2, 2, &[(1, 6), (1, 2), (1, 9)]),
-    Chain::NormAttention(4, 2, 2, &[]),
-    Chain::NormAttention(32, 2, 2, &[(64, 0)]),
-    Chain::ProjectResidual(6, 8, 8, 2),
-    Chain::ProjectResidual(3, 8, 8, 2),
-    Chain::ProjectResidual(0, 8, 8, 2),
-    Chain::NormMlpUp(6, 8, 32, 2),
-    Chain::NormMlpUp(3, 8, 32, 2),
-    Chain::NormMlpUp(0, 8, 32, 2),
-    Chain::NormMlpUp(3, 4, 16, 4),
-    Chain::ProjectResidual(6, 32, 8, 2),
-    Chain::ProjectResidual(3, 32, 8, 2),
-    Chain::ProjectResidual(0, 32, 8, 2),
+    Chain::AttentionWo(4, 2, 2, &[(6, 0)]),
+    Chain::AttentionWo(4, 2, 2, &[(1, 6), (1, 2), (1, 9)]),
+    Chain::AttentionWo(4, 2, 2, &[]),
+    Chain::AttentionWo(32, 2, 2, &[(64, 0)]),
+    Chain::AttentionWo(4, 1, 4, &[(1, 3), (2, 0)]),
+    Chain::MlpFc2(6, 8, 32, 2),
+    Chain::MlpFc2(3, 8, 32, 2),
+    Chain::MlpFc2(0, 8, 32, 2),
+    Chain::MlpFc2(3, 4, 16, 4),
+    Chain::MlpFc2(64, 64, 256, 2),
 ];
 
 /// `q` panels `[rows, cols]` from seeds `seed..`.
@@ -91,16 +94,17 @@ fn panels<T: TensorLike>(
     (seed..seed + q as u64).map(|s| Arc::new(make(rows, cols, s))).collect()
 }
 
-/// A stationary weight column of `q` panels `[inner, cols]` and its bias.
+/// Stationary weights: `q` panels `[inner, cols]` and a `[1, bias]` bias.
 fn stationary<T: TensorLike>(
     make: fn(usize, usize, u64) -> T,
     q: usize,
     inner: usize,
     cols: usize,
+    bias: usize,
 ) -> Stationary<T> {
     Stationary {
         panels: panels(make, q, inner, cols, 110),
-        bias: Some(Arc::new(make(1, cols, 120))),
+        bias: Some(Arc::new(make(1, bias, 120))),
     }
 }
 
@@ -130,10 +134,14 @@ impl Chain {
                 let bias = with_bias.then(|| make(1, cols, 120));
                 vec![matmul_panels(&a, &b, bias.as_ref(), m)]
             }
-            Chain::NormAttention(hd, heads, q, segs) => {
+            Chain::Partial(rows, inner, cols, q) => {
+                let w = stationary(make, q, inner, cols, q * cols);
+                vec![w.partial(&make(rows, inner, 100), m)]
+            }
+            Chain::AttentionWo(hd, heads, q, segs) => {
                 let w = hd * heads;
                 let new_rows: Vec<usize> = segs.iter().map(|s| s.0).collect();
-                let rows = panels(make, q, new_rows.iter().sum(), w, 100);
+                let x = make(new_rows.iter().sum(), q * w, 100);
                 let mut kvs: Vec<LayerKv<T>> = (segs.iter().zip(50..))
                     .map(|(&(_, c), seed)| LayerKv {
                         k: make(c, w, seed),
@@ -141,17 +149,16 @@ impl Chain {
                     })
                     .collect();
                 let mut kvs: Vec<&mut LayerKv<T>> = kvs.iter_mut().collect();
-                let wqkv = stationary(make, q, w, 3 * w);
-                vec![norm_attention(&rows, 1e-5, &wqkv, &new_rows, &mut kvs, hd, m)]
+                let wqkv = stationary(make, q, w, 3 * w, 3 * w);
+                let wo = stationary(make, q, w, w, q * w);
+                let attended = norm_attention(&x, 1e-5, &wqkv, &new_rows, &mut kvs, hd, m);
+                vec![wo.partial(&attended, m)]
             }
-            Chain::ProjectResidual(rows, inner, cols, q) => {
-                let residual = make(rows, cols, 130);
-                let w = stationary(make, q, inner, cols);
-                vec![project_residual(&panels(make, q, rows, inner, 100), &w, &residual, m)]
-            }
-            Chain::NormMlpUp(rows, width, cols, q) => {
-                let fc1 = stationary(make, q, width, cols);
-                vec![norm_mlp_up(&panels(make, q, rows, width, 100), 1e-5, &fc1, m)]
+            Chain::MlpFc2(rows, width, cols, q) => {
+                let fc1 = stationary(make, q, width, cols, cols);
+                let fc2 = stationary(make, q, cols, width, q * width);
+                let act = norm_mlp_up(&make(rows, q * width, 100), 1e-5, &fc1, m);
+                vec![fc2.partial(&act, m)]
             }
         }
     }
@@ -159,13 +166,15 @@ impl Chain {
     /// Bytes of the chain's output.
     fn out_bytes(&self) -> u64 {
         let elems = match *self {
-            Chain::Attention(hd, heads, segs) | Chain::NormAttention(hd, heads, _, segs) => {
+            Chain::Attention(hd, heads, segs) => {
                 segs.iter().map(|s| s.0).sum::<usize>() * hd * heads
             }
+            Chain::AttentionWo(hd, heads, q, segs) => {
+                segs.iter().map(|s| s.0).sum::<usize>() * q * hd * heads
+            }
             Chain::LayerNorm(rows, widths) => rows * widths.iter().sum::<usize>(),
-            Chain::Panels(rows, _, cols, ..)
-            | Chain::ProjectResidual(rows, _, cols, _)
-            | Chain::NormMlpUp(rows, _, cols, _) => rows * cols,
+            Chain::Panels(rows, _, cols, ..) => rows * cols,
+            Chain::Partial(rows, _, cols, q) | Chain::MlpFc2(rows, cols, _, q) => rows * q * cols,
         };
         (elems * ELEM_BYTES) as u64
     }

@@ -1,27 +1,30 @@
-//! Weight-stationary serving: `TesseractLinear::fetch_stationary` fetches
-//! its column of weight panels and the bias once, and `Stationary::matmul`
-//! multiplies gathered row panels by them every call. Its output must be
-//! bitwise SUMMA's (`Module::forward`: `tesseract_matmul` plus the bias
-//! broadcast) on every grid and row layout, and so must a serving layer's
-//! pre-norm stretch (which normalizes the gathered rows itself); Dense and
-//! Shadow must agree on the virtual clock, and a steady serving layer must
-//! issue nothing but its four row all-gathers.
+//! Weight-stationary serving: a column-parallel linear
+//! (`TesseractLinear::fetch_stationary`) fetches its column of weight
+//! panels and bias block once and `Stationary::matmul` multiplies row
+//! panels by them; a row-parallel one (`fetch_stationary_row`) holds its
+//! row of panels and the whole bias, and the lane all-reduce of its terms
+//! (`Stationary::partial`, `mm::lane_sum`) plus the bias is the product.
+//! Both must be bitwise SUMMA's (`Module::forward`: `tesseract_matmul` plus
+//! the bias broadcast) on every grid and row layout, and so must a serving
+//! layer's pre-norm stretch (which normalizes the full rows itself); Dense
+//! and Shadow must agree on the virtual clock, and a steady serving layer
+//! must issue nothing but its two lane all-reduces.
 
 use std::sync::Arc;
 
 use tesseract_comm::{CollectiveOp, CommStats, RankCtx, RunConfig};
-use tesseract_core::layers::layernorm::layer_norm_panels;
+use tesseract_core::layers::layernorm::layer_norm_rows;
 use tesseract_core::layers::transformer::norm_mlp_up;
-use tesseract_core::mm::row_panels;
+use tesseract_core::mm::{lane_sum, row_panels};
 use tesseract_core::{
     GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
     TesseractTransformer, TransformerConfig,
 };
-use tesseract_tensor::{fused, DenseTensor, Matrix, ShadowTensor, TensorLike};
+use tesseract_tensor::{fused, DenseTensor, Matrix, Meter, ShadowTensor, TensorLike};
 
 /// The `(q, d)` arrangements the parity suite covers: 2-D and 2.5-D, at
-/// an even and an odd `q`.
-const GRIDS: [(usize, usize); 4] = [(2, 1), (2, 2), (3, 1), (3, 2)];
+/// an even and an odd `q`, and a four-rank lane.
+const GRIDS: [(usize, usize); 5] = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)];
 
 /// Row layouts of the activation blocks: every lane empty, one row each,
 /// and ragged (lane-dependent counts, zero included).
@@ -67,9 +70,17 @@ fn linear<T: TensorLike>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear
     lin
 }
 
-/// Serves `x` through `lin`: one row all-gather, the weight fetch (a no-op
-/// once held), then the stationary multiply as one fused launch.
-fn serve_linear<T: TensorLike>(
+/// The full rows `[rows, in_f]` of this rank's lane: one row all-gather of
+/// the column blocks `x`, placed side by side.
+fn full_rows<T: TensorLike>(grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> T {
+    let panels: Vec<T> = row_panels(grid, ctx, x).iter().map(|p| T::clone(p)).collect();
+    T::concat_cols(&panels, &mut Meter::new())
+}
+
+/// Serves `x` through `lin` as a column-parallel linear: one row
+/// all-gather, the weight fetch (a no-op once held), then the stationary
+/// multiply as one fused launch. Returns this rank's column block.
+fn serve_column<T: TensorLike>(
     lin: &TesseractLinear<T>,
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -80,6 +91,23 @@ fn serve_linear<T: TensorLike>(
     Arc::new(fused(&mut ctx.meter, |m| lin.stationary().matmul(&rows, m)))
 }
 
+/// Serves `x` through `lin` as a row-parallel linear: the weight fetch (a
+/// no-op once held), this rank's term as one fused launch, the lane
+/// all-reduce of the terms, then the bias. Returns the full product.
+fn serve_row<T: TensorLike>(
+    lin: &TesseractLinear<T>,
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    x: &Arc<T>,
+) -> T {
+    lin.fetch_stationary_row(grid, ctx);
+    let st = lin.stationary();
+    let partial = fused(&mut ctx.meter, |m| st.partial(x, m));
+    let sum = lane_sum(grid, ctx, partial);
+    let bias = st.bias.as_ref().expect("the test linear has a bias");
+    sum.add_rowvec(bias, &mut ctx.meter)
+}
+
 /// Serves two calls (the one that fetches the weights, then a steady
 /// one) and runs SUMMA on the same inputs; returns both pairs per rank.
 fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
@@ -88,8 +116,8 @@ fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
         let mut lin = linear::<DenseTensor>(ctx, &grid);
         let in_f = lin.in_features;
         let (x0, x1) = (input(&grid, in_f, rows, 0), input(&grid, in_f, rows, 1));
-        let fetch = serve_linear(&lin, &grid, ctx, &x0);
-        let steady = serve_linear(&lin, &grid, ctx, &x1);
+        let fetch = serve_column(&lin, &grid, ctx, &x0);
+        let steady = serve_column(&lin, &grid, ctx, &x1);
         let summa0 = lin.forward(&grid, ctx, &x0);
         let summa1 = lin.forward(&grid, ctx, &x1);
         [fetch, summa0, steady, summa1].map(|y| y.matrix().clone())
@@ -113,9 +141,40 @@ fn stationary_linear_is_bitwise_summa_on_every_grid_and_row_layout() {
     }
 }
 
-/// The pre-norm stretch a serving layer runs after its row all-gather
-/// (`norm_mlp_up`: layer norm of the gathered rows, the stationary linear,
-/// GELU) against training's norm, SUMMA and GELU on the same input.
+/// The row-parallel product, the lane all-reduce of per-block terms
+/// `A_j·W_jt` plus the bias, against `matmul_panels` plus the bias (a
+/// column-parallel linear on the same weights) and SUMMA. Each rank checks
+/// its own column block of the full product; at q = 3 a fold in any order
+/// but ascending member order would round differently.
+#[test]
+fn the_lane_sum_of_row_parallel_terms_is_bitwise_matmul_panels_plus_bias() {
+    for (q, d) in GRIDS {
+        for rows in [Rows::Empty, Rows::One, Rows::Ragged] {
+            let shape = GridShape::new(q, d);
+            let out = RunConfig::from_env(shape.size()).run(|ctx| {
+                let grid = TesseractGrid::new(ctx, shape, 0);
+                let mut lin = linear::<DenseTensor>(ctx, &grid);
+                let by_rows = linear::<DenseTensor>(ctx, &grid);
+                let x = input(&grid, lin.in_features, rows, 3);
+                let full = serve_row(&by_rows, &grid, ctx, &x);
+                let w = full.cols() / q;
+                let served = full.slice_cols(grid.j() * w, (grid.j() + 1) * w, &mut ctx.meter);
+                let panels = serve_column(&lin, &grid, ctx, &x);
+                let summa = lin.forward(&grid, ctx, &x);
+                [served.matrix(), panels.matrix(), summa.matrix()].map(Matrix::clone)
+            });
+            for (rank, [served, panels, summa]) in out.results.iter().enumerate() {
+                let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
+                assert_eq!(served, panels, "{what}: lane sum differs from matmul_panels");
+                assert_eq!(served, summa, "{what}: lane sum differs from SUMMA");
+            }
+        }
+    }
+}
+
+/// The pre-norm stretch a serving layer runs on its full rows
+/// (`norm_mlp_up`: layer norm of the rows panel by panel, the stationary
+/// linear, GELU) against training's norm, SUMMA and GELU on the same input.
 #[test]
 fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
     for (q, d) in GRIDS {
@@ -126,11 +185,11 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
                 let mut lin = linear::<DenseTensor>(ctx, &grid);
                 let mut norm = TesseractLayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
                 let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
-                let gathered = row_panels(&grid, ctx, &x);
+                let full = full_rows(&grid, ctx, &x);
                 lin.fetch_stationary(&grid, ctx);
                 let m = &mut ctx.meter;
-                let normed = layer_norm_panels(&gathered, norm.eps, m);
-                let served = norm_mlp_up(&gathered, norm.eps, lin.stationary(), m);
+                let normed = layer_norm_rows(&full, q, norm.eps, m);
+                let served = norm_mlp_up(&full, norm.eps, lin.stationary(), m);
                 let xhat = norm.forward(&grid, ctx, &x);
                 let summa = lin.forward(&grid, ctx, &xhat).gelu(&mut ctx.meter);
                 // Each member's training X̂ block, gathered for comparison.
@@ -141,7 +200,7 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
             });
             for (rank, (normed, xhats, served, summa)) in out.results.iter().enumerate() {
                 let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
-                assert_eq!(normed, xhats, "{what}: a gathered panel differs from its owner's X̂");
+                assert_eq!(normed, xhats, "{what}: a panel of the rows differs from its owner's X̂");
                 assert_eq!(
                     served, summa,
                     "{what}: norm + stationary linear + GELU differs from SUMMA"
@@ -156,10 +215,11 @@ fn dense_and_shadow_serve_on_the_same_virtual_clock() {
     fn serve<T: TensorLike>(shape: GridShape) -> (f64, u64) {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
-            let lin = linear::<T>(ctx, &grid);
+            let (lin, by_rows) = (linear::<T>(ctx, &grid), linear::<T>(ctx, &grid));
             for (stream, rows) in [Rows::Ragged, Rows::One, Rows::Ragged].into_iter().enumerate() {
                 let x = input::<T>(&grid, lin.in_features, rows, stream as u64);
-                let _ = serve_linear(&lin, &grid, ctx, &x);
+                let _ = serve_column(&lin, &grid, ctx, &x);
+                let _ = serve_row(&by_rows, &grid, ctx, &x);
             }
         });
         (out.makespan(), out.comm.total_wire_bytes())
@@ -170,8 +230,9 @@ fn dense_and_shadow_serve_on_the_same_virtual_clock() {
     }
 }
 
-/// Runs `steps` serving steps of a one-layer stack (a prompt, then one
-/// decode row per step) and returns the run's collective statistics.
+/// Fetches a one-layer stack's weights, then runs `steps` serving steps on
+/// full rows (a prompt, then one decode row per step); returns the run's
+/// collective statistics.
 fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
     let cfg = TransformerConfig {
         batch: 16,
@@ -182,10 +243,10 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
         layers: 1,
         eps: 1e-5,
     };
-    let local = cfg.hidden / shape.q;
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 3, 0);
+        model.fetch_stationary(&grid, ctx);
         let mut kvs = vec![model.new_kv(&grid)];
         for step in 0..steps {
             let rows = if step == 0 { 3 } else { 1 };
@@ -193,14 +254,14 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
                 rows,
                 cfg.hidden,
                 0,
-                grid.j() * local,
+                0,
                 rows,
-                local,
+                cfg.hidden,
                 9,
                 step as u64,
             );
             let mut batch = InferBatch { new_rows: vec![rows], kvs };
-            let _ = model.forward_infer(&grid, ctx, &Arc::new(x), &mut batch);
+            let _ = model.forward_infer_rows(&grid, ctx, Arc::new(x), &mut batch);
             kvs = batch.kvs;
         }
     });
@@ -208,21 +269,28 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
 }
 
 #[test]
-fn a_steady_serving_layer_gathers_activations_and_broadcasts_nothing() {
+fn a_steady_serving_layer_all_reduces_twice_and_broadcasts_nothing() {
     use CollectiveOp::{AllGather, AllReduce, Broadcast};
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
-        let (fetch, two) = (serve_steps(shape, 1), serve_steps(shape, 2));
-        let step = |op| two.get(op).calls - fetch.get(op).calls;
+        let (fetch, one, two) =
+            (serve_steps(shape, 0), serve_steps(shape, 1), serve_steps(shape, 2));
+        let step = |op| two.get(op).calls - one.get(op).calls;
         // Every rank sits in exactly one row group and one column group, so
         // per-rank counts are group calls over the q·d groups of a kind.
         let groups = (shape.q * shape.d) as u64;
-        assert_eq!(step(AllGather), 4 * groups, "q = {q}: one row all-gather per linear");
-        assert_eq!(step(AllReduce), 0, "q = {q}: layer norms normalize the gathered rows");
+        assert_eq!(
+            step(AllReduce),
+            2 * groups,
+            "q = {q}: one lane all-reduce per row-parallel linear"
+        );
+        assert_eq!(step(AllGather), 0, "q = {q}: the rows are full width");
         assert_eq!(step(Broadcast), 0, "q = {q}: no weight or bias broadcast after the fetch");
-        assert_eq!(two.total_calls() - fetch.total_calls(), 4 * groups, "q = {q}: nothing else");
-        // The fetch itself: per linear, q weight panels and the bias, down
-        // every column.
+        assert_eq!(two.total_calls() - one.total_calls(), 2 * groups, "q = {q}: nothing else");
+        // The fetch itself: per linear, q weight panels and the bias down
+        // every column; per row-parallel linear, one lane exchange.
         assert_eq!(fetch.get(Broadcast).calls, 4 * (q as u64 + 1) * groups, "q = {q}");
+        assert_eq!(fetch.get(AllGather).calls, 2 * groups, "q = {q}");
+        assert_eq!(fetch.total_calls(), (4 * (q as u64 + 1) + 2) * groups, "q = {q}");
     }
 }

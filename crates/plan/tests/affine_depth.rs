@@ -7,8 +7,8 @@
 //! property test draws random small workloads and feasible candidates.
 //!
 //! Serving is deliberately not affine and not covered: its
-//! weight-stationary linears fetch their weight column once per run, on
-//! the first step, so that fetch fills once by design.
+//! weight-stationary linears fetch their weight panels once per run,
+//! before the first step, so that fetch fills once by design.
 
 use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{GridShape, TransformerConfig};

@@ -4,8 +4,9 @@
 //!
 //! `Pending → Active(unprefilled) → Active(decoding) → Done`. A request is
 //! assigned to one `(i, k)` **lane** (round-robin by id over the `q·d` row
-//! -block owners); the `q` ranks of that lane's row fiber hold its KV cache
-//! and activations, sharded by heads/columns exactly like training. At
+//! -block owners); the `q` ranks of that lane's row fiber hold its KV cache,
+//! sharded by heads exactly like training, and its activations, as full
+//! rows between the layer's lane all-reduces. At
 //! every step boundary the scheduler may **admit** newly-arrived requests
 //! (up to `max_lane_requests` concurrent per lane) and **evicts** finished
 //! ones, freeing their KV immediately — batch membership changes at step
@@ -26,7 +27,7 @@
 //!    runs when the batch is otherwise empty, even if it alone exceeds
 //!    the budget.
 //!
-//! Decode rows, then prompt rows, are stacked into one `forward_infer`
+//! Decode rows, then prompt rows, are stacked into one `forward_infer_rows`
 //! call. A step's collective count does not depend on its row count, so
 //! an admission rides along with the lane's decoders instead of stalling
 //! them for a prefill-only step. (This is not chunked prefill: a prompt is
@@ -35,9 +36,10 @@
 //! ## Independent lanes
 //!
 //! A lane is an independent `q`-rank tensor-parallel replica. Before
-//! serving, every rank fetches its column of the weights once (column
-//! broadcasts over the whole grid); after that a lane's only collectives
-//! are its own row all-gathers, and lanes exchange no data. Each rank runs
+//! serving, every rank fetches its panels of the weights once (column
+//! broadcasts over the whole grid, then one row all-gather per row-parallel
+//! linear); after that a lane's only collectives are its own row
+//! all-reduces, two per layer, and lanes exchange no data. Each rank runs
 //! the metadata scheduler of its own lane only (arrivals and lengths are in
 //! the shared traffic trace; generated token values never influence
 //! scheduling) and decides on its **lane clock**, `ctx.clock()` at the step
@@ -45,7 +47,7 @@
 //! boundary: they finish the weight fetch together (every rank starts it on
 //! one clock, and `run_serve` asserts that the grid columns they fetch over
 //! sit alike on nodes), run symmetric compute, and every blocking row
-//! all-gather releases them together. So they plan
+//! all-reduce releases them together. So they plan
 //! the same batch and execute the same collective sequence without
 //! communicating to agree. A lane with nothing runnable `idle_until`s its
 //! own next arrival, and leaves the loop when its own requests are done.
@@ -336,7 +338,7 @@ impl Scheduler {
 /// This rank's resident state for one admitted request on its lane.
 struct LaneSlot<T> {
     kv: Option<RequestKv<T>>,
-    /// Next decode input `[1, h/q]`: the model output row of the request's
+    /// Next decode input `[1, h]`: the model output row of the request's
     /// latest token.
     next_input: Option<T>,
 }
@@ -371,8 +373,6 @@ pub fn run_serve<T: TensorLike>(
     ctx.note_weight_bytes(model.stationary_bytes());
 
     let hidden = cfg.model.hidden;
-    let local_h = hidden / q;
-    let col0 = grid.j() * local_h;
     let prompt_seed = cfg.seed ^ PROMPT_SEED_SALT;
     let mut sched = Scheduler::new(traffic, grid.a_row_block(), q * grid.shape.d, cfg);
     let mut slots: BTreeMap<usize, LaneSlot<T>> = BTreeMap::new();
@@ -403,15 +403,14 @@ pub fn run_serve<T: TensorLike>(
         for &id in &batch.prefill {
             let plen = sched.spec(id).prompt_len;
             // The prompt is a deterministic function of (seed, id): every
-            // rank of the lane extracts its own column block of the same
-            // global [plen, h] matrix.
+            // rank of the lane generates the same full [plen, h] rows.
             parts.push(T::init_xavier_block(
                 plen,
                 hidden,
                 0,
-                col0,
+                0,
                 plen,
-                local_h,
+                hidden,
                 prompt_seed,
                 id as u64,
             ));
@@ -422,7 +421,7 @@ pub fn run_serve<T: TensorLike>(
         drop(parts);
 
         let mut infer = InferBatch { new_rows, kvs };
-        let y = model.forward_infer(grid, ctx, &x, &mut infer);
+        let y = model.forward_infer_rows(grid, ctx, x, &mut infer);
         // A step that prefilled any prompt counts as a prefill step; one
         // that only decoded, as a decode step.
         ctx.count_serving_step(!batch.prefill.is_empty());

@@ -119,25 +119,32 @@ fn single_token_prompt_decodes_consistently() {
     cached_vs_recompute(GridShape::new(2, 1), 1, 5, 17);
 }
 
-/// Kernel launches of one decode step over `segments` requests, each
-/// prefilled first with a prompt of its own length.
-fn decode_step_launches(
+/// What one decode step on full rows over `segments` requests, each
+/// prefilled first with a prompt of its own length, books on this rank:
+/// its kernel launches, and the row all-reduces and all-gathers it led
+/// (one member of each lane books the lane's collective).
+fn decode_step(
     ctx: &mut RankCtx,
     grid: &TesseractGrid,
     model: &TesseractTransformer<DenseTensor>,
     segments: usize,
-) -> u64 {
+) -> [u64; 3] {
     let hidden = test_model().hidden;
+    let full = |rows, stream| {
+        Arc::new(DenseTensor::init_xavier_block(rows, hidden, 0, 0, rows, hidden, 5, stream))
+    };
+    model.fetch_stationary(grid, ctx);
     let new_rows: Vec<usize> = (0..segments).map(|s| 2 + s % 3).collect();
-    let prompt = prompt_block(grid, hidden, new_rows.iter().sum(), 5, segments as u64);
+    let prompt = full(new_rows.iter().sum(), segments as u64);
     let kvs = (0..segments).map(|_| model.new_kv(grid)).collect();
     let mut batch = InferBatch { new_rows, kvs };
-    model.forward_infer(grid, ctx, &Arc::new(prompt), &mut batch);
+    model.forward_infer_rows(grid, ctx, prompt, &mut batch);
     batch.new_rows = vec![1; segments];
-    let x = prompt_block(grid, hidden, segments, 6, segments as u64);
-    let before = ctx.report().kernels;
-    model.forward_infer(grid, ctx, &Arc::new(x), &mut batch);
-    ctx.report().kernels - before
+    let before = ctx.report();
+    model.forward_infer_rows(grid, ctx, full(segments, 100 + segments as u64), &mut batch);
+    let after = ctx.report();
+    let led = |op| after.comm.get(op).calls - before.comm.get(op).calls;
+    [after.kernels - before.kernels, led(CollectiveOp::AllReduce), led(CollectiveOp::AllGather)]
 }
 
 #[test]
@@ -150,7 +157,7 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
-        (decode_step_launches(ctx, &grid, &model, 1), decode_step_launches(ctx, &grid, &model, 8))
+        (decode_step(ctx, &grid, &model, 1)[0], decode_step(ctx, &grid, &model, 8)[0])
     });
     for (rank, &(one, eight)) in out.results.iter().enumerate() {
         assert!(one > 0, "rank {rank}: a decode step launches kernels");
@@ -159,20 +166,29 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
 }
 
 #[test]
-fn a_steady_busy_lane_layer_is_four_launches_per_rank() {
-    // Per layer, one fused launch after each of its four row all-gathers:
-    // ln1 → wqkv → KV append → attention; wo → residual add; ln2 → fc1 →
-    // GELU; fc2 → residual add. At any q.
+fn a_busy_decode_step_is_two_lane_all_reduces_per_layer_and_one_launch_more() {
+    // Per layer two fused launches, each ending in one lane all-reduce:
+    // residual add → ln1 → wqkv → KV append → attention → wo's term; then
+    // residual add → ln2 → fc1 → GELU → fc2's term. Then one launch for the
+    // last residual add. The rows are full width, so nothing is gathered.
     let cfg = test_model();
+    let layers = cfg.layers as u64;
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 9, 0);
-            decode_step_launches(ctx, &grid, &model, 3)
+            decode_step(ctx, &grid, &model, 3)
         });
-        for (rank, &launches) in out.results.iter().enumerate() {
-            assert_eq!(launches, 4 * cfg.layers as u64, "q = {q}, rank {rank}");
+        for (rank, &[launches, ..]) in out.results.iter().enumerate() {
+            assert_eq!(launches, 2 * layers + 1, "q = {q}, rank {rank}: launches per step");
+        }
+        let lane_of = lanes_of(shape);
+        for lane in 0..q {
+            let on_lane = out.results.iter().zip(&lane_of).filter(|&(_, &l)| l == lane);
+            let led = |c: usize| on_lane.clone().map(|(r, _)| r[c]).sum::<u64>();
+            assert_eq!(led(1), 2 * layers, "q = {q}, lane {lane}: lane all-reduces per step");
+            assert_eq!(led(2), 0, "q = {q}, lane {lane}: all-gathers per step");
         }
     }
 }
@@ -333,12 +349,14 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
         &serve_cfg(),
         &traffic,
     );
-    // Every rank holds its column of each linear, `[in, out/q]`, and the
-    // column's bias `[1, out/q]`, in f32.
+    // Every rank holds `q` weight panels of each linear, `in·out/q` floats:
+    // wqkv's and fc1's column with its bias block `[1, out/q]`, wo's and
+    // fc2's row with the whole bias `[1, out]`.
     let m = test_model();
-    let (h, f) = (m.hidden, m.mlp_hidden());
-    let linears = [(h, 3 * h), (h, h), (h, f), (f, h)];
-    let per_layer: usize = linears.iter().map(|&(i, o)| (i + 1) * o / shape.q).sum();
+    let (h, f, q) = (m.hidden, m.mlp_hidden(), shape.q);
+    let column = |i: usize, o: usize| (i + 1) * o / q;
+    let row = |i: usize, o: usize| i * o / q + o;
+    let per_layer = column(h, 3 * h) + row(h, h) + column(h, f) + row(f, h);
     let stationary_bytes = (4 * m.layers * per_layer) as u64;
     let mut total_prefills = 0u64;
     let mut total_decodes = 0u64;
@@ -348,7 +366,10 @@ fn meter_counters_reconcile_with_the_engine_exactly() {
         assert_eq!(report.kv_cache_bytes_peak, summary.kv_peak_bytes, "KV peaks reconcile");
         assert!(report.kv_cache_bytes_peak > 0, "serving must cache something");
         assert_eq!(report.weight_bytes, summary.weight_bytes, "weight bytes reconcile");
-        assert_eq!(summary.weight_bytes, stationary_bytes, "q x the weight blocks, plus biases");
+        assert_eq!(
+            summary.weight_bytes, stationary_bytes,
+            "q weight panels per linear, plus biases"
+        );
         assert!(report.idle_time >= 0.0);
         total_prefills += report.prefill_steps;
         total_decodes += report.decode_steps;

@@ -66,9 +66,16 @@ impl Xoshiro256StarStar {
         ((self.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
+    /// Uniform in `[lo, hi)` for `lo < hi`. `lo + (hi − lo)·u` can round
+    /// up to `hi` when the range is narrow against `lo`'s magnitude; such a
+    /// draw becomes the largest `f32` below `hi` instead.
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.next_f32()
+        let x = lo + (hi - lo) * self.next_f32();
+        if x < hi {
+            x
+        } else {
+            hi.next_down().max(lo)
+        }
     }
 
     /// Uniform integer in `[0, n)` via rejection-free Lemire reduction.
@@ -142,6 +149,16 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.uniform(-3.0, 5.0);
             assert!((-3.0..5.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn uniform_never_returns_hi_on_a_narrow_range() {
+        let (lo, hi) = (1.0, 1.0 + f32::EPSILON);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x4E_A770);
+        for draw in 0..100_000 {
+            let x = rng.uniform(lo, hi);
+            assert!(lo <= x && x < hi, "draw {draw}: {x} outside [{lo}, {hi})");
         }
     }
 

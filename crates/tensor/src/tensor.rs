@@ -81,6 +81,19 @@ impl<T: TensorLike> FusedOutput for Vec<T> {
     }
 }
 
+/// An output the chain may not write: none, no bytes.
+impl<A: FusedOutput> FusedOutput for Option<A> {
+    fn out_bytes(&self) -> usize {
+        self.as_ref().map_or(0, A::out_bytes)
+    }
+}
+
+impl<A: FusedOutput, B: FusedOutput> FusedOutput for (A, B) {
+    fn out_bytes(&self) -> usize {
+        self.0.out_bytes() + self.1.out_bytes()
+    }
+}
+
 /// One fused launch: runs the op `chain` on a meter of its own and charges
 /// `m` ([`Meter::record_fused`]) one launch with the chain's flops and GEMM
 /// dispatch tallies and only the output's bytes. The values are the
@@ -504,6 +517,19 @@ impl Payload for () {
     }
 
     fn combine(&mut self, _other: &Self) {}
+}
+
+/// A list travels as one payload (a lane exchanges its fetched weight
+/// panels this way); a reduction combines it item by item.
+impl<P: Payload> Payload for Vec<P> {
+    fn wire_size(&self) -> usize {
+        self.iter().map(P::wire_size).sum()
+    }
+
+    fn combine(&mut self, other: &Self) {
+        assert_eq!(self.len(), other.len(), "combining lists of different lengths");
+        self.iter_mut().zip(other).for_each(|(a, b)| a.combine(b));
+    }
 }
 
 /// `Arc<P>` travels through collectives and point-to-point channels without

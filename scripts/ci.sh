@@ -106,16 +106,18 @@ for pair in plan_sweep:plan serve_sweep:serving; do
     cmp "target/$bin.txt" "crates/bench/golden/$bin.txt" \
         || { echo "ci.sh: $bin's stdout differs from crates/bench/golden/$bin.txt"; exit 1; }
 done
-echo "f8336fa62b865b56dd54be002250dd8ae9cd8c2425b4226755aa0cf8878882ae  target/TRACE_serving.json" \
+echo "a33fc57cd1a5e0b29ed651d367e2ec546011ff4ed725f860cb058dc82d4a8494  target/TRACE_serving.json" \
     | sha256sum -c --quiet --strict \
     || { echo "ci.sh: serve_sweep's trace differs from its pinned digest"; exit 1; }
 
 # serve_sweep re-checks the serving-engine invariants internally (identical
 # results on every rank, meter/engine counter reconciliation, ordered
-# percentiles, latency growth past the saturation knee, four launches per
-# busy layer) and panics on any violation; CI greps the invariant lines it
-# prints only after those asserts held, then proves the whole open-loop sweep is deterministic by running it
-# twice and byte-comparing both the bench JSON and the Chrome trace.
+# percentiles, latency growth past the saturation knee, exactly 2·layers
+# lane all-reduces and 2·layers + 1 launches per busy step) and panics on
+# any violation; CI greps the invariant lines it prints only after those
+# asserts held, then proves the whole open-loop sweep is deterministic by
+# running it twice and byte-comparing both the bench JSON and the Chrome
+# trace.
 echo "== serve_sweep smoke (tiny grid, open-loop determinism) =="
 cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
     --grids 2,1 --requests 8 --out target/BENCH_serving.smoke.json \
@@ -126,8 +128,9 @@ grep -q 'invariant ok: nonzero throughput at every load point' target/serve_swee
     || { echo "ci.sh: serve_sweep nonzero-throughput invariant missing"; exit 1; }
 grep -q 'invariant ok: latency grows past the saturation knee' target/serve_sweep.smoke.log \
     || { echo "ci.sh: serve_sweep saturation-knee invariant missing"; exit 1; }
-grep -q 'invariant ok: a busy serving layer is 4 launches' target/serve_sweep.smoke.log \
-    || { echo "ci.sh: serve_sweep four-launches-per-layer invariant missing"; exit 1; }
+grep -q 'invariant ok: a busy serving step is 8 lane all-reduces and 9 launches' \
+    target/serve_sweep.smoke.log \
+    || { echo "ci.sh: serve_sweep all-reduces-and-launches-per-step invariant missing"; exit 1; }
 cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
     --grids 2,1 --requests 8 --out target/BENCH_serving.smoke2.json \
     --trace-out target/TRACE_serving.smoke2.json > /dev/null

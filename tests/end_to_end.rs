@@ -170,13 +170,16 @@ fn makespan_accounting_is_consistent() {
 
 #[test]
 fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
-    // Serving fetches each linear's weight column once; an optimizer step
-    // changes the weights through `visit_params`, which must drop that
-    // copy so the next (idempotent) fetch refetches. Served output must
-    // then be the SUMMA forward's on the updated weights, bit for bit.
+    // Serving fetches each linear's weight panels once: a column for the
+    // first linear of a pair, a row for the second. An optimizer step
+    // changes the weights through `visit_params`, which must drop that copy
+    // so the next (idempotent) fetch refetches. Served output must then be
+    // the SUMMA forward's on the updated weights, bit for bit, in both
+    // roles.
     use std::sync::Arc;
-    use tesseract_repro::comm::RankCtx;
-    use tesseract_repro::core::{mm::row_panels, TesseractLinear};
+    use tesseract_repro::core::mm::{lane_sum, row_panels};
+    use tesseract_repro::core::TesseractLinear;
+    use tesseract_repro::tensor::TensorLike;
     let shape = GridShape::new(2, 2);
     let (in_f, out_f, rows) = (8, 12, 16);
     let x = Matrix::seeded(rows, in_f, 40);
@@ -184,24 +187,40 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);
+        let new =
+            |ctx: &_| TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);
+        let (mut column, mut row) = (new(ctx), new(ctx));
         let x = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
-        let rows = row_panels(&grid, ctx, &x);
-        let serve = |lin: &TesseractLinear<DenseTensor>, ctx: &mut RankCtx| {
-            lin.fetch_stationary(&grid, ctx);
-            Arc::new(lin.stationary().matmul(&rows, &mut ctx.meter))
+        let panels = row_panels(&grid, ctx, &x);
+        let serve = |column: &TesseractLinear<DenseTensor>,
+                     row: &TesseractLinear<DenseTensor>,
+                     ctx: &mut _| {
+            column.fetch_stationary(&grid, ctx);
+            let by_column = column.stationary().matmul(&panels, &mut Meter::new());
+            row.fetch_stationary_row(&grid, ctx);
+            let st = row.stationary();
+            let sum = lane_sum(&grid, ctx, st.partial(&x, &mut Meter::new()));
+            let bias = st.bias.as_ref().expect("built with a bias");
+            let full = sum.add_rowvec(bias, &mut Meter::new());
+            let w = out_f / shape.q;
+            let by_row = full.slice_cols(j * w, (j + 1) * w, &mut Meter::new());
+            [by_column, by_row].map(|y| y.matrix().clone())
         };
-        let before = serve(&lin, ctx);
-        let _ = lin.forward(&grid, ctx, &x);
-        let _ = lin.backward(&grid, ctx, &dy);
-        AdamW::new(1e-2, 0.1).step(&mut ctx.meter, &mut lin);
-        let served = serve(&lin, ctx);
-        let summa = lin.forward(&grid, ctx, &x);
-        [before, served, summa].map(|y| y.matrix().clone())
+        let before = serve(&column, &row, ctx);
+        for lin in [&mut column, &mut row] {
+            let _ = lin.forward(&grid, ctx, &x);
+            let _ = lin.backward(&grid, ctx, &dy);
+            AdamW::new(1e-2, 0.1).step(&mut ctx.meter, lin);
+        }
+        let served = serve(&column, &row, ctx);
+        let summa = column.forward(&grid, ctx, &x).matrix().clone();
+        (before, served, summa)
     });
-    for (rank, [before, served, summa]) in out.results.iter().enumerate() {
-        assert_eq!(served, summa, "rank {rank}: serving used stale weights");
-        assert_ne!(served, before, "rank {rank}: the step must change the output");
+    for (rank, (before, served, summa)) in out.results.iter().enumerate() {
+        for (role, (served, before)) in ["column", "row"].iter().zip(served.iter().zip(before)) {
+            assert_eq!(served, summa, "rank {rank}: the {role}-parallel linear used stale weights");
+            assert_ne!(served, before, "rank {rank}: the step must change the {role} output");
+        }
     }
 }
