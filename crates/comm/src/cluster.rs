@@ -292,10 +292,10 @@ mod tests {
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             if ctx.rank == 0 {
-                world.send(ctx, 1, 0, DenseTensor::from_matrix(Matrix::full(1, 1, 5.0)));
+                world.send(ctx, DenseTensor::from_matrix(Matrix::full(1, 1, 5.0)));
                 0.0
             } else {
-                let t: DenseTensor = world.recv(ctx, 0, 0);
+                let t: DenseTensor = world.recv(ctx);
                 t.matrix()[(0, 0)]
             }
         });
@@ -388,7 +388,7 @@ mod tests {
 
     /// A traced run on two 2-rank rows that books every kind of charge:
     /// a blocking all-reduce, a broadcast whose wait compute partly hides,
-    /// and a send/recv pair.
+    /// and a send/recv over the pair group of ranks 0 and 3.
     fn ledger_run() -> RunOutput<()> {
         crate::RunConfig::new(4).with_trace(true).run(|ctx| {
             let row = ctx.group("row", vec![ctx.rank / 2 * 2, ctx.rank / 2 * 2 + 1]);
@@ -400,10 +400,9 @@ mod tests {
                 let _ = t.matmul(&t, &mut ctx.meter);
             }
             let _ = pending.complete(ctx);
-            let world = ctx.world_group();
             match ctx.rank {
-                0 => world.send(ctx, 3, 0, t),
-                3 => drop(world.recv::<DenseTensor>(ctx, 0, 0)),
+                0 => ctx.group("pair", vec![0, 3]).send(ctx, t),
+                3 => drop(ctx.group("pair", vec![0, 3]).recv::<DenseTensor>(ctx)),
                 _ => {}
             }
         })
@@ -441,6 +440,8 @@ mod tests {
         assert!(err.starts_with("rank 2: trace rebuilds all_reduce"), "{err}");
     }
 
+    /// A one-member group's collective is booked as a call at zero cost:
+    /// one call, no wire bytes, no seconds, and the clock does not move.
     #[test]
     fn single_rank_cluster_works() {
         let out = RunConfig::from_env(1).run(|ctx| {
@@ -450,5 +451,8 @@ mod tests {
         });
         assert_eq!(out.results, vec![12.0]);
         assert_eq!(out.makespan(), 0.0);
+        let s = out.comm.get(CollectiveOp::AllReduce);
+        assert_eq!((s.calls, s.wire_bytes, s.time), (1, 0, 0.0));
+        assert_eq!(out.reports[0].virtual_time, 0.0);
     }
 }

@@ -300,9 +300,10 @@ pub struct RankReport {
     pub gemms_kernel_avx2: u64,
     /// Blocked dispatches that ran the AVX-512 micro-kernel backend.
     pub gemms_kernel_avx512: u64,
-    /// Total bytes of op outputs this rank materialized (an
-    /// activation-traffic proxy; weights are counted once at construction
-    /// via the concat in layer constructors).
+    /// Total bytes of op outputs this rank's compute materialized (an
+    /// activation-traffic proxy). Weights are not counted: every linear
+    /// layer is built through a `new_fused` constructor, which charges its
+    /// weight concat to a scratch meter, so no weight byte reaches this field.
     pub bytes_allocated: u64,
     /// Simulated nanoseconds this rank spent blocked in collectives (the
     /// integer-nanosecond mirror of `comm_time`): the sum of

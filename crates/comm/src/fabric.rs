@@ -1,13 +1,14 @@
 //! The rendezvous fabric: the shared-memory "wire" of the simulated cluster.
 //!
-//! * An n-way **split-phase rendezvous**: each member of a group deposits
-//!   under a `(group id, sequence)` key without blocking ([`Fabric::deposit`],
-//!   or [`Fabric::deposit_reduce`] to have the last arriver fold the
-//!   deposits) and gets a [`Ticket`]; [`Fabric::wait`] consumes it when the
-//!   rank needs the result, returning the published value and the maximum
-//!   entry virtual time (clocks synchronize to the slowest member).
-//! * [`Fabric::send`] / [`Fabric::recv`] — ordered point-to-point channels
-//!   keyed by `(group id, src, dst, tag)`, used by pipeline parallelism.
+//! One transport, an n-way **split-phase rendezvous**: each member of a
+//! group deposits under a `(group id, sequence)` key without blocking
+//! ([`Fabric::deposit`], or [`Fabric::deposit_reduce`] to have the last
+//! arriver fold the deposits) and gets a [`Ticket`]; [`Fabric::wait`], the
+//! one blocking path, consumes it when the rank needs the result, returning
+//! the published value and the maximum entry virtual time (clocks
+//! synchronize to the slowest member). A point-to-point send is the same
+//! rendezvous on a two-member group: the sender deposits and drops its
+//! ticket, the receiver deposits nothing and waits.
 //!
 //! A rendezvous costs the host only its own group: an arrival takes the
 //! fabric lock once, and the last one publishes into the ticket outside it.
@@ -25,8 +26,7 @@
 //! diagnosable panic; a rank's panic makes every waiter panic at once.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
@@ -39,11 +39,6 @@ const DEFAULT_TIMEOUT: Duration = Duration::from_secs(120);
 const YIELDS: usize = 8;
 
 type SlotKey = (u64, u64);
-type ChanKey = (u64, usize, usize, u64);
-/// A rendezvous's outcome: `(max entry vt, published value)`.
-type Outcome = Waitable<OnceLock<(f64, Arc<dyn Any + Send + Sync>)>>;
-/// A p2p channel: `(sender's vt, payload)` in send order.
-type Channel = Waitable<Mutex<VecDeque<(f64, Box<dyn Any + Send>)>>>;
 
 /// Locks ignoring poisoning: a rank that panics mid-rendezvous (e.g. on a
 /// sequencing assert) must not turn every surviving rank's next lock into
@@ -52,14 +47,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What a wait blocks on (rendezvous outcome, channel queue) and its parked threads.
+/// A rendezvous's outcome, `(max entry vt, published value)` once the last
+/// member arrives, and the threads parked on it.
 #[derive(Default)]
-struct Waitable<T> {
-    value: T,
+struct Outcome {
+    value: OnceLock<(f64, Arc<dyn Any + Send + Sync>)>,
     parked: Mutex<Vec<Thread>>,
 }
 
-impl<T> Waitable<T> {
+impl Outcome {
     /// Wakes the registered threads; no syscall when none registered.
     fn unpark_all(&self) {
         for t in std::mem::take(&mut *lock(&self.parked)) {
@@ -69,8 +65,8 @@ impl<T> Waitable<T> {
 }
 
 /// One member's claim on a rendezvous outcome: returned by a deposit,
-/// consumed by [`Fabric::wait`].
-#[must_use = "a deposit's ticket must be waited on"]
+/// consumed by [`Fabric::wait`] (an eager sender drops its own).
+#[must_use = "a deposit's ticket must be waited on or dropped on purpose"]
 pub struct Ticket {
     outcome: Arc<Outcome>,
     key: SlotKey,
@@ -86,16 +82,10 @@ struct Slot {
     outcome: Arc<Outcome>,
 }
 
-#[derive(Default)]
-struct FabricState {
-    slots: HashMap<SlotKey, Slot>,
-    /// Open for the run: the keys are the program's fixed `(group, src, dst, tag)`s.
-    channels: HashMap<ChanKey, Arc<Channel>>,
-}
-
 /// Shared rendezvous state for one cluster run.
 pub struct Fabric {
-    state: Mutex<FabricState>,
+    /// The open rendezvous.
+    slots: Mutex<HashMap<SlotKey, Slot>>,
     /// Fixed at construction ([`Fabric::with_timeout`]) so failure-injection
     /// tests can shrink it without racing on the process environment.
     timeout: Duration,
@@ -119,7 +109,7 @@ impl Fabric {
 
     /// A fabric whose rendezvous waits give up after `timeout`.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self { state: Mutex::default(), timeout, failure: OnceLock::new(), ranks: Mutex::default() }
+        Self { slots: Mutex::default(), timeout, failure: OnceLock::new(), ranks: Mutex::default() }
     }
 
     /// Publishes this member's contribution under `key` and returns its
@@ -157,8 +147,8 @@ impl Fabric {
         P: Send + 'static,
         T: Send + Sync + 'static,
     {
-        let mut state = lock(&self.state);
-        let slot = state.slots.entry(key).or_insert_with(|| Slot {
+        let mut slots = lock(&self.slots);
+        let slot = slots.entry(key).or_insert_with(|| Slot {
             deposits: (0..n).map(|_| None).collect(),
             max_vt: f64::MIN,
             arrived: 0,
@@ -174,8 +164,8 @@ impl Fabric {
         slot.arrived += 1;
         let ticket = Ticket { outcome: Arc::clone(&slot.outcome), key, my_index, n };
         if slot.arrived == n {
-            let Slot { deposits, max_vt, .. } = state.slots.remove(&key).expect("slot is open");
-            drop(state);
+            let Slot { deposits, max_vt, .. } = slots.remove(&key).expect("slot is open");
+            drop(slots);
             let take = |d: Option<Box<dyn Any + Send>>| {
                 *d.expect("all deposits present")
                     .downcast::<P>()
@@ -195,72 +185,38 @@ impl Fabric {
     /// deposits in member order, after [`Fabric::deposit_reduce`]s it is
     /// the combined `P`. Every member clones the same `Arc` out.
     ///
-    /// Panics if the rendezvous does not complete within the timeout.
+    /// The fabric's one blocking path: polls, yields `YIELDS` times, then
+    /// registers on the outcome and parks, polling again after registering
+    /// so a publication racing the registration is seen by that poll or
+    /// unparks this thread. Panics if the rendezvous does not complete
+    /// within the timeout, and at once if a rank has failed.
     pub fn wait<T: Send + Sync + 'static>(&self, ticket: Ticket) -> (f64, Arc<T>) {
         let Ticket { outcome, key, my_index, n } = ticket;
-        let (max_vt, value) = self.wait_on(
-            &outcome,
-            |o| o.get().cloned(),
-            format_args!(
-                "rendezvous {key:?} timed out (member {my_index} of {n}); \
-             a peer likely panicked or collectives were issued out of order"
-            ),
-        );
-        (max_vt, value.downcast::<T>().expect("payload type mismatch within one rendezvous"))
-    }
-
-    /// The channel keyed `chan`, opened on first use.
-    fn channel(&self, chan: ChanKey) -> Arc<Channel> {
-        Arc::clone(lock(&self.state).channels.entry(chan).or_default())
-    }
-
-    /// Deposits a point-to-point message; never blocks.
-    pub fn send<P: Send + 'static>(&self, chan: ChanKey, payload: P, send_vt: f64) {
-        let channel = self.channel(chan);
-        lock(&channel.value).push_back((send_vt, Box::new(payload)));
-        channel.unpark_all();
-    }
-
-    /// Receives the oldest message on a channel, blocking until one arrives.
-    /// Returns `(sender's vt at send, payload)`.
-    pub fn recv<P: Send + 'static>(&self, chan: ChanKey) -> (f64, P) {
-        let (vt, payload) = self.wait_on(
-            &self.channel(chan),
-            |q| lock(q).pop_front(),
-            format_args!("recv on channel {chan:?} timed out; sender likely panicked"),
-        );
-        (vt, *payload.downcast::<P>().expect("p2p payload type mismatch"))
-    }
-
-    /// The one blocking path, under [`Fabric::wait`] and [`Fabric::recv`]:
-    /// polls `ready`, yields [`YIELDS`] times, then registers on `on` and
-    /// parks, polling again after registering so a publication racing the
-    /// registration is seen by that poll or unparks this thread. Panics
-    /// with `timed_out` at the timeout, and at once if a rank has failed.
-    fn wait_on<T, R>(
-        &self,
-        on: &Waitable<T>,
-        ready: impl Fn(&T) -> Option<R>,
-        timed_out: fmt::Arguments,
-    ) -> R {
+        let take = |(max_vt, value): &(f64, Arc<dyn Any + Send + Sync>)| {
+            let value = Arc::clone(value).downcast::<T>();
+            (*max_vt, value.expect("payload type mismatch within one rendezvous"))
+        };
         for _ in 0..YIELDS {
-            if let Some(r) = ready(&on.value) {
-                return r;
+            if let Some(published) = outcome.value.get() {
+                return take(published);
             }
             thread::yield_now();
         }
-        lock(&on.parked).push(thread::current());
+        lock(&outcome.parked).push(thread::current());
         let deadline = Instant::now() + self.timeout;
         loop {
-            if let Some(r) = ready(&on.value) {
-                return r;
+            if let Some(published) = outcome.value.get() {
+                return take(published);
             }
             if let Some((rank, _)) = self.failure.get() {
                 panic!("rank {rank} panicked; abandoning this wait");
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                panic!("{timed_out}");
+                panic!(
+                    "rendezvous {key:?} timed out (member {my_index} of {n}); \
+                     a peer likely panicked or collectives were issued out of order"
+                );
             }
             thread::park_timeout(left);
         }
@@ -328,7 +284,7 @@ mod tests {
             });
             assert_eq!(results[0].1.len(), 2);
         }
-        assert!(lock(&fabric.state).slots.is_empty(), "slots must be garbage-collected");
+        assert!(lock(&fabric.slots).is_empty(), "slots must be garbage-collected");
     }
 
     #[test]
@@ -389,7 +345,7 @@ mod tests {
         }
         // Every member holds the *same* allocation, not a copy.
         assert!(Arc::ptr_eq(&results[0].1, &results[1].1));
-        assert!(lock(&fabric.state).slots.is_empty(), "slots must be garbage-collected");
+        assert!(lock(&fabric.slots).is_empty(), "slots must be garbage-collected");
     }
 
     #[test]
@@ -417,29 +373,7 @@ mod tests {
             });
             assert_eq!(*results[0].1, 1 + 2 * round);
         }
-        assert!(lock(&fabric.state).slots.is_empty());
-    }
-
-    #[test]
-    fn p2p_preserves_fifo_order_and_vt() {
-        let fabric = Fabric::new();
-        fabric.send((0, 0, 1, 0), "first", 1.5);
-        fabric.send((0, 0, 1, 0), "second", 2.5);
-        let (vt1, m1): (f64, &str) = fabric.recv((0, 0, 1, 0));
-        let (vt2, m2): (f64, &str) = fabric.recv((0, 0, 1, 0));
-        assert_eq!((vt1, m1), (1.5, "first"));
-        assert_eq!((vt2, m2), (2.5, "second"));
-    }
-
-    #[test]
-    fn p2p_blocks_until_send() {
-        let fabric = Arc::new(Fabric::new());
-        let f2 = Arc::clone(&fabric);
-        let recv = thread::spawn(move || f2.recv::<u64>((0, 0, 1, 7)));
-        thread::sleep(Duration::from_millis(20));
-        fabric.send((0, 0, 1, 7), 42u64, 0.0);
-        let (_, v) = recv.join().unwrap();
-        assert_eq!(v, 42);
+        assert!(lock(&fabric.slots).is_empty());
     }
 
     fn fast_fail() -> Fabric {
@@ -470,16 +404,12 @@ mod tests {
         let _ = f.wait::<Vec<Option<u8>>>(t);
     }
 
-    #[test]
-    #[should_panic(expected = "recv on channel (0, 0, 1, 0) timed out")]
-    fn a_recv_without_a_send_times_out() {
-        let _ = fast_fail().recv::<u8>((0, 0, 1, 0));
-    }
-
-    /// Publication racing registration: random yields before every deposit,
-    /// wait, send and recv shuffle which member arrives last against which
-    /// are still yielding, registering or parked. A lost wake-up shows as a
-    /// timeout panic, a wrong hand-off as a wrong value or entry vt.
+    /// Publication racing registration: random yields before every deposit
+    /// and wait shuffle which member arrives last against which are still
+    /// yielding, registering or parked. Each round ends on a point-to-point
+    /// hand-off between members 0 and n−1: the sender deposits and drops
+    /// its ticket, the receiver deposits nothing and waits. A lost wake-up
+    /// shows as a timeout panic, a wrong hand-off as a wrong value or entry vt.
     #[test]
     fn publication_racing_registration_loses_no_wake_up() {
         let fabric = Fabric::with_timeout(Duration::from_secs(10));
@@ -507,16 +437,20 @@ mod tests {
                         let (got_vt, sum) = f.wait::<usize>(t);
                         assert_eq!((got_vt, *sum), (max_vt, n * (n - 1) / 2));
                         pause();
-                        let chan = (round, 0, n - 1, 0);
                         if i == 0 {
-                            f.send(chan, round, vt);
+                            drop(f.deposit((round, 2), 0, 2, Some(round), vt));
                         } else if i == n - 1 {
-                            assert_eq!(f.recv::<u64>(chan), (sender_vt, round));
+                            let t = f.deposit((round, 2), 1, 2, None::<u64>, f64::NEG_INFINITY);
+                            let (got_vt, all) = f.wait::<Vec<Option<u64>>>(t);
+                            assert_eq!(
+                                (got_vt, all.as_slice()),
+                                (sender_vt, &[Some(round), None][..])
+                            );
                         }
                     });
                 }
             });
         }
-        assert!(lock(&fabric.state).slots.is_empty());
+        assert!(lock(&fabric.slots).is_empty());
     }
 }

@@ -5,7 +5,8 @@
 //! paper's implementation uses: broadcast, reduce, all-reduce, all-gather,
 //! cyclic shift (Cannon), barrier and point-to-point send/recv. Reductions
 //! combine deposits in ascending member order, so results are bitwise
-//! deterministic run-to-run.
+//! deterministic run-to-run. Every op, point-to-point included, is one
+//! rendezvous under the group's next `(group id, seq)` key.
 //!
 //! # One form per collective
 //!
@@ -54,7 +55,7 @@ use tesseract_tensor::{trace, Payload, TraceKind};
 use crate::cost::CollectiveOp;
 use crate::ctx::RankCtx;
 use crate::fabric::{Fabric, Ticket};
-use crate::topology::GroupPlacement;
+use crate::topology::{GroupPlacement, Link};
 
 /// One in-flight communication op: what it is, where its span starts, and
 /// the wait its charging site has booked so far. The charging site
@@ -66,7 +67,7 @@ use crate::topology::GroupPlacement;
 struct CommScope {
     op: CollectiveOp,
     key: (u64, u64),
-    /// Span start: deposit timestamp (collectives) or entry clock (p2p).
+    /// Span start: the deposit timestamp.
     begin: f64,
     /// Nanoseconds [`CommScope::advance`] booked as this op's wait.
     blocked_nanos: u64,
@@ -121,20 +122,6 @@ impl CommScope {
             },
         );
     }
-}
-
-/// FNV-1a over a point-to-point channel's `(src, dst, tag)` triple: the
-/// sequence half of the trace key shared by a send event and its matching
-/// recv event (the group id is the other half).
-fn chan_seq(src: usize, dst: usize, tag: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [src as u64, dst as u64, tag] {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
 }
 
 /// FNV-1a over a tag and the member ranks; gives every distinct group a
@@ -521,39 +508,48 @@ impl CommGroup {
         .complete(ctx)
     }
 
-    /// Point-to-point send to another member (by member index).
-    pub fn send<P: Payload>(&self, ctx: &mut RankCtx, dst: usize, tag: u64, payload: P) {
-        assert!(dst < self.size() && dst != self.my_index, "send: bad destination");
+    /// The other member of a two-member group, and the link to it.
+    fn peer(&self, ctx: &RankCtx, op: &str) -> (usize, Link) {
+        assert_eq!(self.size(), 2, "{op} needs a two-member group, not one of {}", self.size());
+        let peer = 1 - self.my_index;
+        (peer, ctx.topology.link_between(self.ranks[self.my_index], self.ranks[peer]))
+    }
+
+    /// Eager point-to-point send to the other member of this two-member
+    /// group: deposits `payload` under the group's next sequence number and
+    /// never waits. The sender pays only injection latency; the transfer
+    /// time is charged to the receiver.
+    pub fn send<P: Payload>(&self, ctx: &mut RankCtx, payload: P) {
+        let (_, link) = self.peer(ctx, "send");
         ctx.flush_compute();
         let bytes = payload.wire_size();
-        let chan = (self.id, self.my_index, dst, tag);
         let send_vt = ctx.clock();
-        let key = (self.id, chan_seq(self.my_index, dst, tag));
+        let key = (self.id, self.next_seq());
         let mut span = CommScope::open(CollectiveOp::SendRecv, key, send_vt);
-        ctx.fabric().send(chan, payload, send_vt);
-        let link = ctx.topology.link_between(self.ranks[self.my_index], self.ranks[dst]);
+        drop(ctx.fabric().deposit(key, self.my_index, 2, Some(payload), send_vt));
         let (alpha, _) = ctx.params.link_params(link);
-        // The sender only pays injection latency; transfer time is charged
-        // to the receiver (eager-send model).
-        let injected = ctx.clock() + alpha;
-        span.advance(ctx, injected);
+        span.advance(ctx, send_vt + alpha);
         let wire = ctx.params.wire_bytes(CollectiveOp::SendRecv, 2, bytes);
         ctx.comm.record(CollectiveOp::SendRecv, wire, 0.0);
         span.finish(ctx, send_vt, alpha, (0, 0.0), (wire, 0.0), true);
     }
 
-    /// Point-to-point receive from another member (by member index).
-    pub fn recv<P: Payload>(&self, ctx: &mut RankCtx, src: usize, tag: u64) -> P {
-        assert!(src < self.size() && src != self.my_index, "recv: bad source");
+    /// Point-to-point receive from the other member of this two-member
+    /// group: deposits nothing (its entry bounds nothing, so the rendezvous's
+    /// entry time is the sender's), waits, and takes the payload — an `Arc`
+    /// payload is shared, not copied.
+    pub fn recv<P: Payload>(&self, ctx: &mut RankCtx) -> P {
+        let (peer, link) = self.peer(ctx, "recv");
         ctx.flush_compute();
-        let chan = (self.id, src, self.my_index, tag);
-        let key = (self.id, chan_seq(src, self.my_index, tag));
+        let key = (self.id, self.next_seq());
         let mut span = CommScope::open(CollectiveOp::SendRecv, key, ctx.clock());
-        let (send_vt, payload): (f64, P) = ctx.fabric().recv(chan);
-        let link = ctx.topology.link_between(self.ranks[src], self.ranks[self.my_index]);
+        let ticket = ctx.fabric().deposit(key, self.my_index, 2, None::<P>, f64::NEG_INFINITY);
+        let (send_vt, deposits) = ctx.fabric().wait::<Vec<Option<P>>>(ticket);
+        let payload = deposits[peer].clone().unwrap_or_else(|| {
+            panic!("recv at rendezvous {key:?}: the peer received too instead of sending")
+        });
         let cost = ctx.params.collective_time(CollectiveOp::SendRecv, 2, payload.wire_size(), link);
-        let ready = send_vt.max(ctx.clock());
-        span.advance(ctx, ready + cost);
+        span.advance(ctx, send_vt.max(ctx.clock()) + cost);
         // The sender booked the call and its wire bytes; the transfer
         // seconds are charged here, so they are booked here.
         ctx.comm.charge_time(CollectiveOp::SendRecv, cost);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tesseract_comm::RunConfig;
-use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+use tesseract_tensor::{DenseTensor, Matrix, TensorLike, TraceKind};
 
 /// A run whose fabric gives up in seconds instead of minutes, so
 /// ranks that survive an injected failure fail fast. Set per run via
@@ -91,13 +91,79 @@ fn reduce_root_out_of_range_panics() {
     });
 }
 
+// Point-to-point is a rendezvous on a two-member group: the peer is the
+// other member, so a group of any other size has no peer to name.
+
 #[test]
-#[should_panic(expected = "send: bad destination")]
-fn send_to_self_panics() {
-    fail_fast(2).run(|ctx| {
-        let g = ctx.world_group();
-        g.send(ctx, g.my_index(), 0, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
+#[should_panic(expected = "send needs a two-member group, not one of 3")]
+fn send_on_a_three_member_group_panics() {
+    fail_fast(3).run(|ctx| {
+        ctx.world_group().send(ctx, DenseTensor::from_matrix(Matrix::zeros(1, 1)));
     });
+}
+
+#[test]
+#[should_panic(expected = "recv needs a two-member group, not one of 1")]
+fn recv_on_a_one_member_group_panics() {
+    fail_fast(1).run(|ctx| {
+        let _: DenseTensor = ctx.world_group().recv(ctx);
+    });
+}
+
+/// A recv whose peer never sends waits out the timeout and names the
+/// rendezvous it waited at: the pair group's first sequence number.
+#[test]
+fn a_recv_whose_peer_never_sends_times_out_naming_its_rendezvous() {
+    let err = panic::catch_unwind(|| {
+        fail_fast(2).run(|ctx| {
+            if ctx.rank == 0 {
+                let _: DenseTensor = ctx.world_group().recv(ctx);
+            }
+        })
+    })
+    .expect_err("the recv timed out");
+    let msg = err.downcast_ref::<String>().expect("run panics with a String");
+    assert!(msg.starts_with("rank 0 panicked: rendezvous ("), "{msg}");
+    assert!(msg.contains(", 0) timed out (member 0 of 2)"), "{msg}");
+}
+
+/// Sends are eager: two sends deposited before the first recv (a barrier on
+/// another group orders them on the host) arrive in send order, each recv
+/// naming its own message's send clock as the slowest entry.
+#[test]
+fn two_sends_before_the_first_recv_arrive_in_order_with_their_send_clocks() {
+    // Rank 0 returns its send clocks, rank 1 the values it received.
+    let out = fail_fast(2).with_trace(true).run(|ctx| {
+        let pair = ctx.group("pair", vec![0, 1]);
+        let mut seen = Vec::new();
+        if ctx.rank == 0 {
+            for v in [1.0, 2.0] {
+                let t = DenseTensor::from_matrix(Matrix::full(4, 4, v));
+                let _ = t.matmul(&t, &mut ctx.meter);
+                ctx.flush_compute();
+                seen.push(ctx.clock());
+                pair.send(ctx, t);
+            }
+            ctx.world_group().barrier(ctx);
+        } else {
+            ctx.world_group().barrier(ctx);
+            for _ in 0..2 {
+                let t: DenseTensor = pair.recv(ctx);
+                seen.push(t.matrix()[(0, 0)] as f64);
+            }
+        }
+        seen
+    });
+    let (send_clocks, values) = (&out.results[0], &out.results[1]);
+    assert!(send_clocks[0] < send_clocks[1], "the sends left at one clock: {send_clocks:?}");
+    assert_eq!(values, &[1.0, 2.0], "messages arrived out of order");
+    let entries: Vec<f64> = (out.traces[1].iter())
+        .filter_map(|ev| match ev.kind {
+            TraceKind::Comm { op: "send_recv", max_entry_vt, .. } => Some(max_entry_vt),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(&entries, send_clocks, "a recv names the wrong send clock");
 }
 
 #[test]

@@ -54,7 +54,11 @@ fn issue_blocking(g: &CommGroup, ctx: &mut RankCtx, op: CollectiveOp, rows: usiz
 /// (f64 bits). World 4 is one NVLink node; world 8 spans two nodes, so the
 /// hierarchical cost model is pinned too. Rank `r` runs `r + 1` 61³ GEMMs
 /// first, so entry clocks are skewed and every rank waits a different,
-/// fractional number of nanoseconds.
+/// fractional number of nanoseconds. The `send_recv` rows, captured while
+/// point-to-point still ran on channel queues of its own, pin a pair in one
+/// node (ranks 0 and 3 of w4) and across two (ranks 0 and 4 of w8), the
+/// sender entering before (`0->hi`) and after (`hi->0`) the receiver: both
+/// exit clocks and both waits, sender first.
 const GOLDEN_CHARGES: &str = "\
 w4 broadcast rows=3 clock=3ef92cf7fa66a932 wait=[22007,20005,18002,16000] calls=1 wire=180 time=3ee0c720dc05b451
 w4 broadcast rows=257 clock=3ef933c973ed3236 wait=[22033,20031,18028,16026] calls=1 wire=15420 time=3ee0d4c3cf12c658
@@ -77,7 +81,57 @@ w8 all_gather rows=3 clock=3f0715ab0899bd74 wait=[42028,40026,38024,36021,34019,
 w8 all_gather rows=257 clock=3f07a17143dfb63d wait=[43070,41067,39065,37063,35061,33058,31056,29054] calls=1 wire=35980 time=3efe770b0fadbbf4
 w8 shift rows=3 clock=3efd61b61dd93dbe wait=[26018,24016,22014,20011,18009,16007,14005,12002] calls=1 wire=480 time=3ee92bbd4b8f1a71
 w8 shift rows=257 clock=3efd9841ea0d85db wait=[26221,24219,22217,20215,18212,16210,14208,12206] calls=1 wire=41120 time=3ee998d4e3f7aaaa
-w8 barrier rows=3 clock=3f0d5ea144ec4133 wait=[54016,52014,50011,48009,46007,44005,42002,40000] calls=1 wire=0 time=3f04f8b588e368f0";
+w8 barrier rows=3 clock=3f0d5ea144ec4133 wait=[54016,52014,50011,48009,46007,44005,42002,40000] calls=1 wire=0 time=3f04f8b588e368f0
+w4 send_recv 0->3 rows=3 clock=[3ed92ce35cbec5d0,3ee92f7c83bc6e10] wait=[4000,4000] calls=1 wire=60 time=3ed0c74a17557b14
+w4 send_recv 0->3 rows=257 clock=[3ed92ce35cbec5d0,3ee93d1f76c98017] wait=[4000,4026] calls=1 wire=5140 time=3ed0e28ffd6f9f22
+w4 send_recv 3->0 rows=3 clock=[3ee92f53486ca74c,3ee92f7c83bc6e10] wait=[4000,10007] calls=1 wire=60 time=3ed0c74a17557b14
+w4 send_recv 3->0 rows=257 clock=[3ee92f53486ca74c,3ee93d1f76c98017] wait=[4000,10033] calls=1 wire=5140 time=3ed0e28ffd6f9f22
+w8 send_recv 0->4 rows=3 clock=[3eed5d694f155076,3ef7154550d29b8c] wait=[12000,12002] calls=1 wire=60 time=3ee92bbd4b8f1a71
+w8 send_recv 0->4 rows=257 clock=[3eed5d694f155076,3ef74bd11d06e3a8] wait=[12000,12206] calls=1 wire=5140 time=3ee998d4e3f7aaaa
+w8 send_recv 4->0 rows=3 clock=[3ef714a06393807e,3ef7154550d29b8c] wait=[12000,20011] calls=1 wire=60 time=3ee92bbd4b8f1a71
+w8 send_recv 4->0 rows=257 clock=[3ef714a06393807e,3ef74bd11d06e3a8] wait=[12000,20215] calls=1 wire=5140 time=3ee998d4e3f7aaaa";
+
+/// Rank `r` runs `r + 1` 61³ GEMMs, so entry clocks are skewed.
+fn skew(ctx: &mut RankCtx) {
+    let t = DenseTensor::from_matrix(Matrix::full(61, 61, 0.5));
+    for _ in 0..=ctx.rank {
+        let _ = t.matmul(&t, &mut ctx.meter);
+    }
+}
+
+/// The golden line of one `[rows, 5]` send from rank `from` to rank `to`
+/// over their pair group.
+fn send_recv_row(world: usize, from: usize, to: usize, rows: usize) -> String {
+    let pair = vec![from.min(to), from.max(to)];
+    let out = RunConfig::from_env(world).run(|ctx| {
+        skew(ctx);
+        if pair.contains(&ctx.rank) {
+            let g = ctx.group("pair", pair.clone());
+            if ctx.rank == from {
+                g.send(ctx, DenseTensor::from_matrix(Matrix::full(rows, 5, 1.0)));
+            } else {
+                drop(g.recv::<DenseTensor>(ctx));
+            }
+        }
+        ctx.flush_compute();
+        ctx.clock()
+    });
+    let s = out.comm.get(CollectiveOp::SendRecv);
+    assert_eq!(out.comm.total_calls(), s.calls, "only send_recv may be recorded");
+    let clock = |r: usize| format!("{:016x}", out.results[r].to_bits());
+    let wait = |r: usize| out.reports[r].comm_wait_nanos;
+    format!(
+        "w{world} send_recv {from}->{to} rows={rows} clock=[{},{}] wait=[{},{}] calls={} wire={} \
+         time={:016x}",
+        clock(from),
+        clock(to),
+        wait(from),
+        wait(to),
+        s.calls,
+        s.wire_bytes,
+        s.time.to_bits()
+    )
+}
 
 #[test]
 fn blocking_charges_match_the_pre_refactor_golden_table() {
@@ -90,10 +144,7 @@ fn blocking_charges_match_the_pre_refactor_golden_table() {
                 }
                 let out = RunConfig::from_env(world).run(|ctx| {
                     let g = ctx.world_group();
-                    let t = DenseTensor::from_matrix(Matrix::full(61, 61, 0.5));
-                    for _ in 0..=ctx.rank {
-                        let _ = t.matmul(&t, &mut ctx.meter);
-                    }
+                    skew(ctx);
                     issue_blocking(&g, ctx, op, rows);
                     ctx.flush_compute();
                     ctx.clock()
@@ -120,6 +171,13 @@ fn blocking_charges_match_the_pre_refactor_golden_table() {
                     s.wire_bytes,
                     s.time.to_bits()
                 ));
+            }
+        }
+    }
+    for (world, hi) in [(4usize, 3usize), (8, 4)] {
+        for (from, to) in [(0, hi), (hi, 0)] {
+            for rows in [3usize, 257] {
+                lines.push(send_recv_row(world, from, to, rows));
             }
         }
     }

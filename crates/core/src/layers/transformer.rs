@@ -445,8 +445,8 @@ impl<T: TensorLike> TesseractTransformer<T> {
         }
     }
 
-    /// Bytes of weights [`TesseractTransformer::forward_infer`] holds on this
-    /// rank: every linear's fetched panels and bias (zero before the fetch;
+    /// Bytes of weights [`TesseractTransformer::fetch_stationary`] fetched
+    /// on this rank: every linear's panels and bias (zero before the fetch;
     /// [`TesseractLinear::stationary_bytes`]).
     pub fn stationary_bytes(&self) -> u64 {
         (self.layers.iter())

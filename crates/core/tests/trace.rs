@@ -65,12 +65,12 @@ fn every_rank_books_its_own_wait_per_op() {
         let a_loc = if stage == 0 {
             DenseTensor::from_matrix(a_block(&a, shape, i, j, k))
         } else {
-            pipe.recv(ctx, 0, 0)
+            pipe.recv(ctx)
         };
         let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
         let y = tesseract_matmul(&grid, ctx, &Arc::new(a_loc), &b_loc);
         if stage == 0 {
-            pipe.send(ctx, 1, 0, y.clone());
+            pipe.send(ctx, y.clone());
         }
         let world = ctx.world_group();
         let _ = world.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| Arc::new(y)));
@@ -175,6 +175,66 @@ fn scope_events_balance_under_tape_rewind() {
                 assert!(disjoint || nested, "scopes partially overlap: {:?} vs {:?}", a, b);
             }
         }
+    }
+}
+
+/// A hand-off between pipeline stages is a rendezvous of its own: in a
+/// traced two-stage GPipe step over three microbatches, every `send_recv`
+/// key holds exactly one send span (the one that books the call) and one
+/// recv span, and the two agree on the slowest entry, the send clock.
+#[test]
+fn every_pipeline_message_has_a_trace_key_of_its_own() {
+    let shape = GridShape::new(2, 1);
+    let stage_size = shape.size();
+    let microbatches = 3usize;
+    let cfg = TransformerConfig {
+        batch: 2,
+        seq: 4,
+        hidden: 8,
+        heads: 2,
+        mlp_ratio: 2,
+        layers: 1,
+        eps: 1e-5,
+    };
+    let out = RunConfig::from_env(2 * stage_size).with_trace(true).run(move |ctx| {
+        let (stage, local) = (ctx.rank / stage_size, ctx.rank % stage_size);
+        let grid = TesseractGrid::new(ctx, shape, stage * stage_size);
+        let (i, j, k) = grid.coords;
+        let pipe = ctx.group("pipe", vec![local, stage_size + local]);
+        let block = |m: u64| {
+            Arc::new(DenseTensor::from_matrix(a_block(&Matrix::seeded(8, 8, m), shape, i, j, k)))
+        };
+        let mut stack = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 3);
+        for m in 0..microbatches as u64 {
+            let x = if stage == 0 { block(50 + m) } else { pipe.recv(ctx) };
+            let y = stack.forward(&grid, ctx, &x);
+            if stage == 0 {
+                pipe.send(ctx, y);
+            }
+        }
+        for m in (0..microbatches as u64).rev() {
+            let dy = if stage == 1 { block(60 + m) } else { pipe.recv(ctx) };
+            let dx = stack.backward(&grid, ctx, &dy);
+            if stage == 1 {
+                pipe.send(ctx, dx);
+            }
+        }
+    });
+    assert_eq!(out.reconcile_trace(), Ok(()));
+    let mut by_key = std::collections::HashMap::<_, Vec<_>>::new();
+    for ev in out.traces.iter().flatten() {
+        if let TraceKind::Comm {
+            op: "send_recv", key_group, key_seq, max_entry_vt, recorded, ..
+        } = ev.kind
+        {
+            by_key.entry((key_group, key_seq)).or_default().push((recorded, max_entry_vt));
+        }
+    }
+    assert_eq!(by_key.len(), 2 * microbatches * stage_size, "one key per message");
+    for ((g, s), spans) in &by_key {
+        let sends = spans.iter().filter(|sp| sp.0).count();
+        assert_eq!((sends, spans.len()), (1, 2), "({g:x},{s}): {spans:?}");
+        assert_eq!(spans[0].1, spans[1].1, "({g:x},{s}): send and recv disagree on the entry");
     }
 }
 

@@ -15,10 +15,9 @@ use tesseract_comm::{CommGroup, Payload, RankCtx};
 use tesseract_core::{Module, TesseractGrid};
 use tesseract_tensor::TensorLike;
 
-const TAG_FWD: u64 = 0;
-const TAG_BWD: u64 = 1;
-
-/// One rank's handle on its pipeline position.
+/// One rank's handle on its pipeline position. Each pair group carries a
+/// step's activations forward, then their gradients back, as one sequence
+/// of rendezvous that both members issue in the same order.
 pub struct PipelineStage {
     pub pp: usize,
     pub pp_idx: usize,
@@ -54,22 +53,19 @@ impl PipelineStage {
     }
 
     fn send_forward<P: Payload>(&self, ctx: &mut RankCtx, activation: P) {
-        self.next
-            .as_ref()
-            .expect("last stage cannot send forward")
-            .send(ctx, 1, TAG_FWD, activation);
+        self.next.as_ref().expect("last stage cannot send forward").send(ctx, activation);
     }
 
     fn recv_forward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
-        self.prev.as_ref().expect("first stage cannot recv forward").recv(ctx, 0, TAG_FWD)
+        self.prev.as_ref().expect("first stage cannot recv forward").recv(ctx)
     }
 
     fn send_backward<P: Payload>(&self, ctx: &mut RankCtx, grad: P) {
-        self.prev.as_ref().expect("first stage cannot send backward").send(ctx, 0, TAG_BWD, grad);
+        self.prev.as_ref().expect("first stage cannot send backward").send(ctx, grad);
     }
 
     fn recv_backward<P: Payload>(&self, ctx: &mut RankCtx) -> P {
-        self.next.as_ref().expect("last stage cannot recv backward").recv(ctx, 1, TAG_BWD)
+        self.next.as_ref().expect("last stage cannot recv backward").recv(ctx)
     }
 }
 

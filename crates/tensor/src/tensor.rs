@@ -532,7 +532,7 @@ impl<P: Payload> Payload for Vec<P> {
     }
 }
 
-/// `Arc<P>` travels through collectives and point-to-point channels without
+/// `Arc<P>` travels through collectives and point-to-point sends without
 /// copying the inner payload (the pipeline sends activations this way).
 /// Reducing through the `Arc` uses copy-on-write: uniquely-owned deposits
 /// are combined in place, shared ones are cloned first.

@@ -1,8 +1,9 @@
 //! The workspace's structural rules as one table. Each row is a design rule
 //! that keeps one job in one place (one env parser, one argument parser, one
-//! SUMMA loop, one GEMM signature, one JSON writer, one feasibility rule per
-//! arrangement, one case generator, …), with the matcher that finds a
-//! breach, where it looks, which paths may hold a hit and why.
+//! fabric transport, one SUMMA loop, one GEMM signature, one JSON writer,
+//! one feasibility rule per arrangement, one case generator, …), with the
+//! matcher that finds a breach, where it looks, which paths may hold a hit
+//! and why.
 //! `every_row_holds` walks `crates/ src/ tests/ examples/` (every `.rs` file
 //! but this one, whose planted lines break every row) and names file, line
 //! and reason for each hit;
@@ -114,6 +115,34 @@ const ROWS: &[Row] = &[
             planted: "std::hint::spin_loop();",
             clean: "std::thread::yield_now();",
         }],
+    },
+    Row {
+        name: "one-transport",
+        reason: "every transfer, a pipeline send/recv included, is a (group id, seq) rendezvous \
+                 waited on by Fabric::wait; a queue or a send/recv of the fabric's own is a \
+                 second transport with a second wait path",
+        checks: &[
+            Check {
+                rule: Rule::Forbidden {
+                    scope: Scope::Under("crates/comm/src/fabric.rs"),
+                    allowed: &[],
+                },
+                matcher: Matcher::Line(|l| {
+                    ["VecDeque", "mpsc", "ChanKey"].iter().any(|p| l.contains(p))
+                }),
+                planted: "channels: HashMap<ChanKey, Arc<Mutex<VecDeque<Box<dyn Any + Send>>>>>,",
+                clean: "slots: Mutex<HashMap<SlotKey, Slot>>,",
+            },
+            Check {
+                rule: Rule::Forbidden {
+                    scope: Scope::Under("crates/comm/src/fabric.rs"),
+                    allowed: &[],
+                },
+                matcher: Matcher::Line(|l| has_word(l, "fn send") || has_word(l, "fn recv")),
+                planted: "pub fn recv<P: Send + 'static>(&self, chan: ChanKey) -> (f64, P) {",
+                clean: "pub fn wait<T: Send + Sync + 'static>(&self, ticket: Ticket) -> (f64, Arc<T>) {",
+            },
+        ],
     },
     Row {
         name: "one-rounding-site",
