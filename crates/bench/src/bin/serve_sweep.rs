@@ -17,14 +17,19 @@
 //! runs with tracing on and is exported as a Chrome-trace JSON of the
 //! saturated steady state.
 //!
+//! The committed sweep ([`GRIDS`]) sets each tensor-parallel arrangement
+//! beside the `q = 1` arrangement on as many GPUs: `d` pure replicas, the
+//! no-tensor-parallel baseline.
+//!
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
-//! nonzero throughput, and exactly two lane all-reduces per layer and one
-//! launch more than that in every step of the flood's busiest lane) and
-//! the whole sweep is deterministic: same arguments, same bytes out.
+//! nonzero throughput, and exactly two lane all-gathers per layer, no
+//! all-reduce, and one launch more than that in every step of the flood's
+//! busiest lane) and the whole sweep is deterministic: same arguments,
+//! same bytes out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
-//!           [--grids 2,1;2,2;4,1] [--requests 1000] [--out BENCH_serving.json] \
+//!           [--grids 2,1;1,4;2,2;1,8;4,1] [--requests 1000] [--out BENCH_serving.json] \
 //!           [--trace-out target/TRACE_serving.json]`
 
 use tesseract_bench::cli::Args;
@@ -41,6 +46,11 @@ use tesseract_tensor::ShadowTensor;
 /// Offered load as multiples of the measured saturated capacity; the knee
 /// sits at 1.0 by construction.
 const LOAD_MULTIPLIERS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
+
+/// The committed `(q, d)` arrangements: `[2,2,1]`, `[2,2,2]` and `[4,4,1]`,
+/// the first two each followed by the replicas on as many GPUs. The first
+/// is the traced one.
+const GRIDS: [(usize, usize); 5] = [(2, 1), (1, 4), (2, 2), (1, 8), (4, 1)];
 
 /// Arrival rate that floods every request in at t≈0 for calibration.
 const FLOOD_RATE: f64 = 1e12;
@@ -104,13 +114,16 @@ struct FloodCost {
     comm_s_per_step: f64,
     /// Collectives the rank booked (`RankReport::comm`: those it led).
     collectives_per_step: f64,
-    /// Row all-reduces of the rank's lane: the weight fetch issues none,
-    /// and each lane all-reduce is booked by one of the lane's ranks.
-    all_reduces_per_step: f64,
+    /// Row all-gathers of the rank's lane, net of the weight fetch's one
+    /// lane exchange per row-parallel linear; each is booked by one of the
+    /// lane's ranks.
+    all_gathers_per_step: f64,
+    /// Row all-reduces of the rank's lane over the whole flood.
+    all_reduces: u64,
 }
 
 impl FloodCost {
-    fn of(flood: &RunOutput<ServeSummary>, shape: GridShape) -> Self {
+    fn of(flood: &RunOutput<ServeSummary>, shape: GridShape, layers: usize) -> Self {
         let busiest = (flood.reports.iter())
             .reduce(|a, b| if b.compute_time > a.compute_time { b } else { a })
             .expect("a run has ranks");
@@ -120,17 +133,23 @@ impl FloodCost {
             let (i, _, k) = shape.coords_of(rank);
             (i, k)
         };
-        let lane_all_reduces: u64 = (flood.reports.iter())
-            .filter(|r| lane(r.rank) == lane(busiest.rank))
-            .map(|r| r.comm.get(CollectiveOp::AllReduce).calls)
-            .sum();
+        let lane_calls = |op| -> u64 {
+            (flood.reports.iter())
+                .filter(|r| lane(r.rank) == lane(busiest.rank))
+                .map(|r| r.comm.get(op).calls)
+                .sum()
+        };
+        let fetch_gathers = 2 * layers as u64;
         FloodCost {
             steps,
             kernels_per_step: per_step(busiest.kernels as f64),
             compute_s_per_step: per_step(busiest.compute_time),
             comm_s_per_step: per_step(busiest.comm_time),
             collectives_per_step: per_step(busiest.comm.total_calls() as f64),
-            all_reduces_per_step: per_step(lane_all_reduces as f64),
+            all_gathers_per_step: per_step(
+                (lane_calls(CollectiveOp::AllGather) - fetch_gathers) as f64,
+            ),
+            all_reduces: lane_calls(CollectiveOp::AllReduce),
         }
     }
 }
@@ -169,7 +188,7 @@ fn run_point(
     (out, latencies)
 }
 
-/// Lane all-reduces and launches of one busy serving step: two per layer,
+/// Lane all-gathers and launches of one busy serving step: two per layer,
 /// and one launch more.
 fn step_counts(cfg: &ServeConfig) -> (usize, usize) {
     let layers = cfg.model.layers;
@@ -184,15 +203,17 @@ fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
-    let flood = FloodCost::of(&flood, shape);
-    // Per layer, two fused launches that each end in one lane all-reduce;
-    // then one launch for the last residual add.
-    let (all_reduces, launches) = step_counts(&cfg);
+    let flood = FloodCost::of(&flood, shape, cfg.model.layers);
+    // Per layer, two fused launches that each end in one lane all-gather
+    // of the row-parallel terms; then one launch for the last fold and
+    // residual add.
+    let (all_gathers, launches) = step_counts(&cfg);
     assert_eq!(flood.kernels_per_step, launches as f64, "{shape:?}: launches per busy step");
     assert_eq!(
-        flood.all_reduces_per_step, all_reduces as f64,
-        "{shape:?}: lane all-reduces per busy step"
+        flood.all_gathers_per_step, all_gathers as f64,
+        "{shape:?}: lane all-gathers per busy step"
     );
+    assert_eq!(flood.all_reduces, 0, "{shape:?}: a serving lane all-reduces nothing");
 
     let mut points = Vec::new();
     for &mult in &LOAD_MULTIPLIERS {
@@ -249,7 +270,7 @@ fn write_saturated_trace(path: &str, shape: GridShape, requests: usize) -> usize
 
 fn main() {
     let args = Args::parse(&["--grids", "--requests", "--out", "--trace-out"]);
-    let grids = args.pairs("--grids", &[(2, 1), (2, 2), (4, 1)]);
+    let grids = args.pairs("--grids", &GRIDS);
     let requests: usize = args.value("--requests", 1000);
     let out_path = args.value("--out", String::from("BENCH_serving.json"));
     // Traces are regenerated artifacts, not sources: they default under
@@ -314,9 +335,9 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!("invariant ok: p99 >= p50 at every load point");
     println!("invariant ok: nonzero throughput at every load point");
     println!("invariant ok: latency grows past the saturation knee");
-    let (all_reduces, launches) = step_counts(&serve_cfg());
+    let (all_gathers, launches) = step_counts(&serve_cfg());
     println!(
-        "invariant ok: a busy serving step is {all_reduces} lane all-reduces and {launches} launches"
+        "invariant ok: a busy serving step is {all_gathers} lane all-gathers and {launches} launches"
     );
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
@@ -372,4 +393,38 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     }));
     std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tesseract_comm::Payload;
+    use tesseract_core::TesseractGrid;
+
+    /// The lane all-gather of the row-parallel terms fits the traffic it
+    /// serves: on every committed lane placement and at every row count a
+    /// step can carry (1 to `max_batch_tokens` rows of the committed width),
+    /// it costs at most what the all-reduce of the same terms would.
+    #[test]
+    fn a_lane_gather_of_the_terms_costs_at_most_their_all_reduce() {
+        let cfg = serve_cfg();
+        for (q, d) in GRIDS {
+            let shape = GridShape::new(q, d);
+            let run = RunConfig::from_env(shape.size());
+            let lanes = run.run(|ctx| TesseractGrid::new(ctx, shape, 0).row.placement()).results;
+            for (rank, &lane) in lanes.iter().enumerate() {
+                for rows in 1..=cfg.max_batch_tokens {
+                    let bytes = ShadowTensor::new(rows, cfg.model.hidden).wire_size();
+                    let cost = |op| run.params.phased_collective_time(op, bytes, lane).total;
+                    let (gather, reduce) =
+                        (cost(CollectiveOp::AllGather), cost(CollectiveOp::AllReduce));
+                    assert!(
+                        gather <= reduce,
+                        "[{q},{q},{d}] rank {rank} ({lane:?}), {rows} rows: \
+                         gather {gather} s > all-reduce {reduce} s"
+                    );
+                }
+            }
+        }
+    }
 }

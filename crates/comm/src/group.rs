@@ -535,27 +535,32 @@ impl CommGroup {
     }
 
     /// Point-to-point receive from the other member of this two-member
-    /// group: deposits nothing (its entry bounds nothing, so the rendezvous's
-    /// entry time is the sender's), waits, and takes the payload — an `Arc`
-    /// payload is shared, not copied.
+    /// group: deposits nothing (the fabric's entry time is the sender's),
+    /// waits, and takes the payload — an `Arc` payload is shared, not
+    /// copied. The transfer starts at the later of the send and this
+    /// rank's entry.
     pub fn recv<P: Payload>(&self, ctx: &mut RankCtx) -> P {
         let (peer, link) = self.peer(ctx, "recv");
         ctx.flush_compute();
         let key = (self.id, self.next_seq());
-        let mut span = CommScope::open(CollectiveOp::SendRecv, key, ctx.clock());
+        let entry_vt = ctx.clock();
+        let mut span = CommScope::open(CollectiveOp::SendRecv, key, entry_vt);
         let ticket = ctx.fabric().deposit(key, self.my_index, 2, None::<P>, f64::NEG_INFINITY);
         let (send_vt, deposits) = ctx.fabric().wait::<Vec<Option<P>>>(ticket);
         let payload = deposits[peer].clone().unwrap_or_else(|| {
             panic!("recv at rendezvous {key:?}: the peer received too instead of sending")
         });
         let cost = ctx.params.collective_time(CollectiveOp::SendRecv, 2, payload.wire_size(), link);
-        span.advance(ctx, send_vt.max(ctx.clock()) + cost);
+        let start_vt = send_vt.max(entry_vt);
+        span.advance(ctx, start_vt + cost);
         // The sender booked the call and its wire bytes; the transfer
         // seconds are charged here, so they are booked here.
         ctx.comm.charge_time(CollectiveOp::SendRecv, cost);
-        // The recv's cross-rank dependency is the sender's injection time:
-        // it is the span's "slowest entry", so the critical path hops there.
-        span.finish(ctx, send_vt, cost, (0, 0.0), (0, cost), false);
+        // The span's slowest entry is whichever side entered last, so that
+        // its exit is `max_entry_vt + cost`: the critical path hops to the
+        // sender only when the send was the later entry, and otherwise stays
+        // on this rank's own work before the recv.
+        span.finish(ctx, start_vt, cost, (0, 0.0), (0, cost), false);
         payload
     }
 }

@@ -129,7 +129,8 @@ fn a_recv_whose_peer_never_sends_times_out_naming_its_rendezvous() {
 
 /// Sends are eager: two sends deposited before the first recv (a barrier on
 /// another group orders them on the host) arrive in send order, each recv
-/// naming its own message's send clock as the slowest entry.
+/// on its own message's rendezvous key. The barrier leaves the receiver
+/// past both send clocks, so each recv's slowest entry is its own.
 #[test]
 fn two_sends_before_the_first_recv_arrive_in_order_with_their_send_clocks() {
     // Rank 0 returns its send clocks, rank 1 the values it received.
@@ -157,13 +158,27 @@ fn two_sends_before_the_first_recv_arrive_in_order_with_their_send_clocks() {
     let (send_clocks, values) = (&out.results[0], &out.results[1]);
     assert!(send_clocks[0] < send_clocks[1], "the sends left at one clock: {send_clocks:?}");
     assert_eq!(values, &[1.0, 2.0], "messages arrived out of order");
-    let entries: Vec<f64> = (out.traces[1].iter())
-        .filter_map(|ev| match ev.kind {
-            TraceKind::Comm { op: "send_recv", max_entry_vt, .. } => Some(max_entry_vt),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(&entries, send_clocks, "a recv names the wrong send clock");
+    // (key seq, entry, slowest entry) of each rank's send_recv spans.
+    let spans = |rank: usize| -> Vec<(u64, f64, f64)> {
+        (out.traces[rank].iter())
+            .filter_map(|ev| match ev.kind {
+                TraceKind::Comm { op: "send_recv", key_seq, max_entry_vt, .. } => {
+                    Some((key_seq, ev.begin, max_entry_vt))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let (sends, recvs) = (spans(0), spans(1));
+    let send_entries: Vec<f64> = sends.iter().map(|s| s.1).collect();
+    assert_eq!(&send_entries, send_clocks, "a send names the wrong clock");
+    for (send, recv) in sends.iter().zip(&recvs) {
+        assert_eq!(send.0, recv.0, "a recv took another message's rendezvous");
+        assert_eq!(send.2, send.1, "a send's slowest entry is its own clock");
+        assert!(recv.1 > send.1, "the barrier leaves the receiver past the send");
+        assert_eq!(recv.2, recv.1, "a late recv's slowest entry is its own");
+    }
+    assert_eq!(recvs.len(), 2);
 }
 
 #[test]

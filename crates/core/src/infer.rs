@@ -27,7 +27,7 @@
 //! through the same causal path: every op involved is per-row
 //! deterministic (serial-GEMM rows are independent dot products over a
 //! fixed accumulation order, layer norm / masked softmax / GELU are
-//! per-row), and the lane all-reduces fold the members' terms in the same
+//! per-row), and each layer folds the members' gathered terms in the same
 //! member order regardless of how many rows the step carries. The parity
 //! tests in `crates/serve` pin this property per token.
 
@@ -105,7 +105,7 @@ impl<T: TensorLike> InferBatch<T> {
 
 /// The serving stack is the training stack: [`TesseractTransformer`]'s
 /// `new_kv` / `forward_infer` run the same layers and weights without
-/// touching a tape, its linears weight-stationary (two lane all-reduces
+/// touching a tape, its linears weight-stationary (two lane all-gathers
 /// per layer once each rank has fetched its weight panels). Kept solely
 /// because the frozen `benchmark/` crate still names it; ROADMAP item
 /// 1(d)'s `[benchmark]` PR removes that caller and this alias with it.

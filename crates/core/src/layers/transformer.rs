@@ -6,6 +6,7 @@
 //! training, checkpointed recomputation, pipeline stages and serving all
 //! run it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use tesseract_comm::RankCtx;
@@ -19,7 +20,7 @@ use crate::layers::layernorm::layer_norm_rows;
 use crate::layers::linear::{Stationary, TesseractLinear};
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
-use crate::mm::{lane_sum, row_panels};
+use crate::mm::{fold_terms, lane_sum, row_panels};
 use crate::module::{Module, ParamRef, Tape};
 
 /// Execution options of a [`Transformer`] stack (tape
@@ -71,9 +72,10 @@ impl<T: TensorLike> TesseractTransformerLayer<T> {
     /// Inference forward with KV-cached causal attention: the same
     /// pre-norm residual wiring as [`Module::forward`], no tape pushes, on
     /// the weights [`TesseractTransformer::fetch_stationary`] fetched. Two
-    /// stretches, each one fused launch ending in one lane all-reduce:
-    /// the residual add, [`norm_attention`] and `wo`'s row-parallel
-    /// product; then the residual add, [`norm_mlp_up`] and `fc2`'s.
+    /// stretches, each one fused launch ending in one lane all-gather of
+    /// the row-parallel terms: the pending fold and residual add,
+    /// [`norm_attention`] and `wo`'s term; then the fold and residual add,
+    /// [`norm_mlp_up`] and `fc2`'s.
     /// `layer_idx` selects this layer's [`LayerKv`] slice out of each
     /// request's cache in `batch`.
     pub fn forward_infer(
@@ -98,31 +100,45 @@ impl<T: TensorLike> TesseractTransformerLayer<T> {
 }
 
 /// A serving step's residual stream between stretches: full rows `[rows,
-/// h]`, equal on every rank of the lane. It is `base`, plus the lane sum of
-/// the row-parallel projection that ended the last stretch and that
-/// projection's bias, not yet added: the next launch adds them at its
-/// head, as training's `x + (X·W + b)`.
+/// h]`, equal on every rank of the lane. It is `base`, plus the lane's
+/// terms of the row-parallel projection that ended the last stretch (in
+/// member order) and that projection's bias, not yet added: the next
+/// launch folds the terms and adds them at its head, as training's
+/// `x + (X·W + b)`.
 pub struct Stream<T> {
     base: Arc<T>,
-    pending: Option<(Arc<T>, Option<Arc<T>>)>,
+    /// The lane's terms, in member order; empty when nothing is pending.
+    terms: Vec<Arc<T>>,
+    bias: Option<Arc<T>>,
 }
 
 impl<T: TensorLike> Stream<T> {
     /// A step's input rows, nothing pending.
     pub fn new(rows: Arc<T>) -> Self {
-        Self { base: rows, pending: None }
+        Self { base: rows, terms: Vec::new(), bias: None }
     }
 
-    /// `base + (sum + bias)`, or `None` when nothing is pending and the
-    /// rows are `base` itself.
+    /// `base + (Σ terms + bias)`, the terms folded by [`fold_terms`], or
+    /// `None` when nothing is pending and the rows are `base` itself. The
+    /// residual is added in place into the last intermediate it owns, so
+    /// folding `q ≥ 2` terms allocates no more tensors than adding one
+    /// shared sum would.
     fn add_pending(&self, m: &mut Meter) -> Option<T> {
-        let (sum, bias) = self.pending.as_ref()?;
-        let y = bias.as_ref().map(|b| sum.add_rowvec(b, m));
-        Some(self.base.add(y.as_ref().unwrap_or(sum), m))
+        if self.terms.is_empty() {
+            return None;
+        }
+        let mut y = match (fold_terms(&self.terms, m), &self.bias) {
+            (sum, Some(b)) => sum.add_rowvec(b, m),
+            (Cow::Owned(sum), None) => sum,
+            (Cow::Borrowed(term), None) => return Some(self.base.add(term, m)),
+        };
+        // `y + base` is `base + y` bit for bit: f32 addition commutes.
+        y.add_assign(&self.base, m);
+        Some(y)
     }
 
-    /// The stream's rows, the pending sum added in one fused launch: a
-    /// step's last launch.
+    /// The stream's rows, the pending terms folded and added in one fused
+    /// launch: a step's last launch.
     pub fn into_rows(self, ctx: &mut RankCtx) -> Arc<T> {
         match fused(&mut ctx.meter.scope("residual"), |m| self.add_pending(m)) {
             Some(rows) => Arc::new(rows),
@@ -131,12 +147,12 @@ impl<T: TensorLike> Stream<T> {
     }
 }
 
-/// One collective-free stretch of a serving layer and the lane all-reduce
+/// One collective-free stretch of a serving layer and the lane all-gather
 /// that ends it. One fused launch, its compute span named `label` in the
-/// trace: the stream's pending residual add, `chain` over the resulting
-/// rows `x`, and `proj`'s row-parallel term of `chain`'s output
-/// ([`Stationary::partial`]). Then [`lane_sum`] adds the lane's terms.
-/// Returns `x` with that sum and `proj`'s bias pending.
+/// trace: the stream's pending fold and residual add, `chain` over the
+/// resulting rows `x`, and `proj`'s row-parallel term of `chain`'s output
+/// ([`Stationary::partial`]). Then [`lane_sum`] gathers the lane's terms.
+/// Returns `x` with those terms and `proj`'s bias pending.
 fn stretch<T: TensorLike>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -151,8 +167,8 @@ fn stretch<T: TensorLike>(
         (added, proj.partial(&a, m))
     });
     let base = added.map_or_else(|| Arc::clone(&input.base), Arc::new);
-    let sum = lane_sum(grid, ctx, partial);
-    Stream { base, pending: Some((sum, proj.bias.clone())) }
+    let terms = lane_sum(grid, ctx, partial);
+    Stream { base, terms, bias: proj.bias.clone() }
 }
 
 /// The MLP's column-parallel half, `LN₂ → fc1 (+ bias) → GELU`, over a
@@ -406,11 +422,11 @@ impl<T: TensorLike> TesseractTransformer<T> {
     /// One inference step over the batch on full rows, the serving
     /// engine's layout: `x` is `[batch.total_rows(), h]`, equal on every
     /// rank of the lane, and so is the output. Per layer two fused
-    /// launches, each ending in one lane all-reduce, then one launch for
-    /// the last residual add: `2·layers` collectives, no all-gather, and
-    /// `2·layers + 1` launches. Runs on the weights
-    /// [`TesseractTransformer::fetch_stationary`] fetched and panics
-    /// before the fetch.
+    /// launches, each ending in one lane all-gather of the row-parallel
+    /// terms, then one launch for the last fold and residual add:
+    /// `2·layers` collectives, no all-reduce, and `2·layers + 1` launches.
+    /// Runs on the weights [`TesseractTransformer::fetch_stationary`]
+    /// fetched and panics before the fetch.
     pub fn forward_infer_rows(
         &self,
         grid: &TesseractGrid,

@@ -51,15 +51,17 @@
 //! `[B_j0 … B_{j,q-1}]` instead, built once from the lane's fetched columns
 //! by [`lane_exchange`]. Its input is this rank's column block `A_j` (the
 //! local heads' attention, the local MLP columns), and `A_j·B_jt` for every
-//! output block `t` is its term of the sum that [`lane_sum`] folds in
-//! ascending member order: `matmul_panels`' order again, so every block is
-//! bitwise SUMMA's. A serving layer runs each collective-free stretch as
-//! one fused launch (a fused launch is its op chain under
-//! `tesseract_tensor::fused`) that ends in one lane all-reduce. Each rank
-//! holds `q` weight panels per linear for it, `q×` its training shard; the
-//! paper's §3.1 trades memory for communication across depth the same way.
+//! output block `t` is its term of the lane's sum. [`lane_sum`] gathers the
+//! `q` terms to every member and [`fold_terms`] adds them in ascending
+//! member order: `matmul_panels`' order again, so every block is bitwise
+//! SUMMA's. A serving layer runs each collective-free stretch as one fused
+//! launch (a fused launch is its op chain under `tesseract_tensor::fused`)
+//! that ends in one lane all-gather of the terms; the next launch folds
+//! them at its head. Each rank holds `q` weight panels per linear for it,
+//! `q×` its training shard; the paper's §3.1 trades memory for
+//! communication across depth the same way.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 use tesseract_comm::{CommGroup, PendingCollective, RankCtx};
@@ -317,11 +319,30 @@ where
     grid.row.all_gather_shared(ctx, Arc::new(panels))
 }
 
-/// The sum of the lane members' `partial`s, delivered to every member:
-/// one row all-reduce, which folds them left in ascending member order.
-/// For partials `A_j·B_jt` that is [`matmul_panels`]' accumulation order.
-pub fn lane_sum<T: TensorLike>(grid: &TesseractGrid, ctx: &mut RankCtx, partial: T) -> Arc<T> {
-    grid.row.all_reduce_shared(ctx, partial)
+/// The sum of the lane members' `partial`s, delivered to every member as
+/// its `q` terms in member order: one row all-gather ([`row_panels`] of
+/// the partial), each term shared, not copied. [`fold_terms`] adds them.
+/// A ring all-gather pays `q − 1` latency steps where a ring all-reduce
+/// pays `2(q − 1)`, and a serving term is small enough for that to win.
+pub fn lane_sum<T: TensorLike>(grid: &TesseractGrid, ctx: &mut RankCtx, partial: T) -> Vec<Arc<T>> {
+    row_panels(grid, ctx, &Arc::new(partial))
+}
+
+/// `Σ_j terms[j]`, folded left in ascending member order: for terms
+/// `A_j·B_jt` that is [`matmul_panels`]' accumulation order, so the sum is
+/// bitwise SUMMA's. One term is the sum itself, borrowed, not copied.
+pub fn fold_terms<'a, T: TensorLike>(terms: &'a [Arc<T>], m: &mut Meter) -> Cow<'a, T> {
+    match terms {
+        [] => panic!("fold_terms: a lane has at least one member"),
+        [only] => Cow::Borrowed(only),
+        [first, second, rest @ ..] => {
+            let mut acc = first.add(second, m);
+            for t in rest {
+                acc.add_assign(t, m);
+            }
+            Cow::Owned(acc)
+        }
+    }
 }
 
 /// `Σ_t A_t·B_t (+ bias)` over a gathered row of panels `a = [A_0 …

@@ -2,29 +2,31 @@
 //! (`TesseractLinear::fetch_stationary`) fetches its column of weight
 //! panels and bias block once and `Stationary::matmul` multiplies row
 //! panels by them; a row-parallel one (`fetch_stationary_row`) holds its
-//! row of panels and the whole bias, and the lane all-reduce of its terms
-//! (`Stationary::partial`, `mm::lane_sum`) plus the bias is the product.
+//! row of panels and the whole bias, and the lane's gathered terms
+//! (`Stationary::partial`, `mm::lane_sum`), folded in member order
+//! (`mm::fold_terms`), plus the bias is the product.
 //! Both must be bitwise SUMMA's (`Module::forward`: `tesseract_matmul` plus
 //! the bias broadcast) on every grid and row layout, and so must a serving
 //! layer's pre-norm stretch (which normalizes the full rows itself); Dense
 //! and Shadow must agree on the virtual clock, and a steady serving layer
-//! must issue nothing but its two lane all-reduces.
+//! must issue nothing but its two lane all-gathers.
 
 use std::sync::Arc;
 
 use tesseract_comm::{CollectiveOp, CommStats, RankCtx, RunConfig};
 use tesseract_core::layers::layernorm::layer_norm_rows;
 use tesseract_core::layers::transformer::norm_mlp_up;
-use tesseract_core::mm::{lane_sum, row_panels};
+use tesseract_core::mm::{fold_terms, lane_sum, row_panels};
 use tesseract_core::{
     GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
     TesseractTransformer, TransformerConfig,
 };
 use tesseract_tensor::{fused, DenseTensor, Matrix, Meter, ShadowTensor, TensorLike};
 
-/// The `(q, d)` arrangements the parity suite covers: 2-D and 2.5-D, at
-/// an even and an odd `q`, and a four-rank lane.
-const GRIDS: [(usize, usize); 5] = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)];
+/// The `(q, d)` arrangements the parity suite covers: 2-D and 2.5-D
+/// (`d = 1, 2`) at `q = 2, 3, 4`, so an even and an odd lane width and a
+/// four-rank lane.
+const GRIDS: [(usize, usize); 6] = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)];
 
 /// Row layouts of the activation blocks: every lane empty, one row each,
 /// and ragged (lane-dependent counts, zero included).
@@ -93,7 +95,8 @@ fn serve_column<T: TensorLike>(
 
 /// Serves `x` through `lin` as a row-parallel linear: the weight fetch (a
 /// no-op once held), this rank's term as one fused launch, the lane
-/// all-reduce of the terms, then the bias. Returns the full product.
+/// all-gather of the terms, their fold, then the bias. Returns the full
+/// product.
 fn serve_row<T: TensorLike>(
     lin: &TesseractLinear<T>,
     grid: &TesseractGrid,
@@ -103,9 +106,9 @@ fn serve_row<T: TensorLike>(
     lin.fetch_stationary_row(grid, ctx);
     let st = lin.stationary();
     let partial = fused(&mut ctx.meter, |m| st.partial(x, m));
-    let sum = lane_sum(grid, ctx, partial);
+    let terms = lane_sum(grid, ctx, partial);
     let bias = st.bias.as_ref().expect("the test linear has a bias");
-    sum.add_rowvec(bias, &mut ctx.meter)
+    fold_terms(&terms, &mut ctx.meter).add_rowvec(bias, &mut ctx.meter)
 }
 
 /// Serves two calls (the one that fetches the weights, then a steady
@@ -141,30 +144,48 @@ fn stationary_linear_is_bitwise_summa_on_every_grid_and_row_layout() {
     }
 }
 
-/// The row-parallel product, the lane all-reduce of per-block terms
-/// `A_j·W_jt` plus the bias, against `matmul_panels` plus the bias (a
-/// column-parallel linear on the same weights) and SUMMA. Each rank checks
-/// its own column block of the full product; at q = 3 a fold in any order
-/// but ascending member order would round differently.
+/// The row-parallel product at `(q, d)` over `rows` on backend `T`: per
+/// rank, its column block of the served product (the folded lane terms
+/// plus the bias), of `matmul_panels` plus the bias (a column-parallel
+/// linear on the same weights) and of SUMMA, as stored values (`None` on
+/// a backend without them); and the run's makespan and wire bytes.
+fn lane_sum_run<T: TensorLike>(
+    shape: GridShape,
+    rows: Rows,
+) -> (Vec<[Option<Matrix>; 3]>, f64, u64) {
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let mut lin = linear::<T>(ctx, &grid);
+        let by_rows = linear::<T>(ctx, &grid);
+        let x = input(&grid, lin.in_features, rows, 3);
+        let full = serve_row(&by_rows, &grid, ctx, &x);
+        let w = full.cols() / shape.q;
+        let served = full.slice_cols(grid.j() * w, (grid.j() + 1) * w, &mut ctx.meter);
+        let panels = serve_column(&lin, &grid, ctx, &x);
+        let summa = lin.forward(&grid, ctx, &x);
+        [&served, &*panels, &*summa].map(|t| t.try_matrix().cloned())
+    });
+    (out.results.clone(), out.makespan(), out.comm.total_wire_bytes())
+}
+
+/// The row-parallel product, the lane's gathered terms `A_j·W_jt` folded
+/// plus the bias, against `matmul_panels` plus the bias and SUMMA. Each
+/// rank checks its own column block of the full product; at q = 3 and 4 a
+/// fold in any order but ascending member order would round differently.
+/// Dense and Shadow must book the same virtual clock and wire bytes.
 #[test]
 fn the_lane_sum_of_row_parallel_terms_is_bitwise_matmul_panels_plus_bias() {
     for (q, d) in GRIDS {
         for rows in [Rows::Empty, Rows::One, Rows::Ragged] {
             let shape = GridShape::new(q, d);
-            let out = RunConfig::from_env(shape.size()).run(|ctx| {
-                let grid = TesseractGrid::new(ctx, shape, 0);
-                let mut lin = linear::<DenseTensor>(ctx, &grid);
-                let by_rows = linear::<DenseTensor>(ctx, &grid);
-                let x = input(&grid, lin.in_features, rows, 3);
-                let full = serve_row(&by_rows, &grid, ctx, &x);
-                let w = full.cols() / q;
-                let served = full.slice_cols(grid.j() * w, (grid.j() + 1) * w, &mut ctx.meter);
-                let panels = serve_column(&lin, &grid, ctx, &x);
-                let summa = lin.forward(&grid, ctx, &x);
-                [served.matrix(), panels.matrix(), summa.matrix()].map(Matrix::clone)
-            });
-            for (rank, [served, panels, summa]) in out.results.iter().enumerate() {
-                let what = format!("[{q},{q},{d}] {rows:?} rank {rank}");
+            let (dense, dense_makespan, dense_bytes) = lane_sum_run::<DenseTensor>(shape, rows);
+            let (_, shadow_makespan, shadow_bytes) = lane_sum_run::<ShadowTensor>(shape, rows);
+            let grid = format!("[{q},{q},{d}] {rows:?}");
+            assert_eq!(dense_makespan, shadow_makespan, "{grid}: Dense and Shadow clocks differ");
+            assert_eq!(dense_bytes, shadow_bytes, "{grid}: Dense and Shadow wire bytes differ");
+            for (rank, [served, panels, summa]) in dense.iter().enumerate() {
+                let what = format!("{grid} rank {rank}");
+                assert!(served.is_some(), "{what}: Dense stores values");
                 assert_eq!(served, panels, "{what}: lane sum differs from matmul_panels");
                 assert_eq!(served, summa, "{what}: lane sum differs from SUMMA");
             }
@@ -269,7 +290,7 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
 }
 
 #[test]
-fn a_steady_serving_layer_all_reduces_twice_and_broadcasts_nothing() {
+fn a_steady_serving_layer_all_gathers_twice_and_broadcasts_nothing() {
     use CollectiveOp::{AllGather, AllReduce, Broadcast};
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
@@ -280,11 +301,11 @@ fn a_steady_serving_layer_all_reduces_twice_and_broadcasts_nothing() {
         // per-rank counts are group calls over the q·d groups of a kind.
         let groups = (shape.q * shape.d) as u64;
         assert_eq!(
-            step(AllReduce),
+            step(AllGather),
             2 * groups,
-            "q = {q}: one lane all-reduce per row-parallel linear"
+            "q = {q}: one lane all-gather of the terms per row-parallel linear"
         );
-        assert_eq!(step(AllGather), 0, "q = {q}: the rows are full width");
+        assert_eq!(step(AllReduce), 0, "q = {q}: the terms are gathered and folded locally");
         assert_eq!(step(Broadcast), 0, "q = {q}: no weight or bias broadcast after the fetch");
         assert_eq!(two.total_calls() - one.total_calls(), 2 * groups, "q = {q}: nothing else");
         // The fetch itself: per linear, q weight panels and the bias down

@@ -5,14 +5,14 @@
 
 use std::sync::Arc;
 
-use tesseract_comm::{CollectiveOp, RunConfig};
+use tesseract_comm::{CollectiveOp, CostParams, Link, RunConfig};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, TesseractGrid,
     TesseractTransformer, TransformerConfig,
 };
-use tesseract_tensor::trace::{chrome, json};
-use tesseract_tensor::{DenseTensor, Matrix, TraceKind};
+use tesseract_tensor::trace::{chrome, critical, json};
+use tesseract_tensor::{DenseTensor, Matrix, TensorLike, TraceKind};
 
 const SEED: u64 = 7;
 
@@ -227,15 +227,58 @@ fn every_pipeline_message_has_a_trace_key_of_its_own() {
             op: "send_recv", key_group, key_seq, max_entry_vt, recorded, ..
         } = ev.kind
         {
-            by_key.entry((key_group, key_seq)).or_default().push((recorded, max_entry_vt));
+            let span = (recorded, ev.begin, max_entry_vt);
+            by_key.entry((key_group, key_seq)).or_default().push(span);
         }
     }
     assert_eq!(by_key.len(), 2 * microbatches * stage_size, "one key per message");
     for ((g, s), spans) in &by_key {
         let sends = spans.iter().filter(|sp| sp.0).count();
         assert_eq!((sends, spans.len()), (1, 2), "({g:x},{s}): {spans:?}");
-        assert_eq!(spans[0].1, spans[1].1, "({g:x},{s}): send and recv disagree on the entry");
+        let (send, recv) = if spans[0].0 { (spans[0], spans[1]) } else { (spans[1], spans[0]) };
+        assert_eq!(send.2, send.1, "({g:x},{s}): a send's entry is its own clock");
+        if recv.1 <= send.1 {
+            assert_eq!(recv.2, send.2, "({g:x},{s}): an early recv names the send's entry");
+        } else {
+            assert_eq!(recv.2, recv.1, "({g:x},{s}): a late recv names its own, later entry");
+        }
     }
+}
+
+/// A receiver that enters its recv after the send: rank 0 sends at 0,
+/// rank 1 runs ten 61³ GEMMs and then receives. The recv's slowest entry
+/// is rank 1's own, so the critical path walks rank 1's GEMMs as compute,
+/// and `send_recv` holds only the transfer's seconds.
+#[test]
+fn a_late_receivers_compute_is_walked_as_compute_not_as_its_recv() {
+    let bytes = 61 * 61 * 4;
+    let out = RunConfig::new(2).with_trace(true).run(|ctx| {
+        let pair = ctx.group("pair", vec![0, 1]);
+        let t = DenseTensor::from_matrix(Matrix::seeded(61, 61, 8));
+        if ctx.rank == 0 {
+            pair.send(ctx, t);
+        } else {
+            for _ in 0..10 {
+                let _ = t.matmul(&t, &mut ctx.meter);
+            }
+            let _: DenseTensor = pair.recv(ctx);
+        }
+    });
+    let transfer =
+        CostParams::a100_cluster().collective_time(CollectiveOp::SendRecv, 2, bytes, Link::NvLink);
+    let path = critical::critical_path(&out.traces);
+    let seconds = |category| -> f64 {
+        path.segments.iter().filter(|sg| sg.category == category).map(|sg| sg.duration()).sum()
+    };
+    let gemms = out.reports[1].compute_time;
+    assert!(gemms > transfer, "the receiver must enter late: {gemms} vs {transfer}");
+    assert!((path.makespan - (gemms + transfer)).abs() < 1e-12, "{}", path.makespan);
+    assert!((seconds("compute") - gemms).abs() < 1e-12, "{:?}", path.segments);
+    assert!((seconds("comm") - transfer).abs() < 1e-12, "{:?}", path.segments);
+    assert!(path.segments.iter().all(|sg| sg.rank == 1), "{:?}", path.segments);
+    let totals = path.op_totals();
+    let send_recv = totals.iter().find(|(name, _)| name == "send_recv").map(|t| t.1);
+    assert!((send_recv.unwrap_or(0.0) - transfer).abs() < 1e-12, "{totals:?}");
 }
 
 /// All members of one logical collective (same `(group, seq)` rendezvous

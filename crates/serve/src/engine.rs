@@ -6,7 +6,7 @@
 //! assigned to one `(i, k)` **lane** (round-robin by id over the `q·d` row
 //! -block owners); the `q` ranks of that lane's row fiber hold its KV cache,
 //! sharded by heads exactly like training, and its activations, as full
-//! rows between the layer's lane all-reduces. At
+//! rows between the layer's lane all-gathers. At
 //! every step boundary the scheduler may **admit** newly-arrived requests
 //! (up to `max_lane_requests` concurrent per lane) and **evicts** finished
 //! ones, freeing their KV immediately — batch membership changes at step
@@ -39,17 +39,19 @@
 //! serving, every rank fetches its panels of the weights once (column
 //! broadcasts over the whole grid, then one row all-gather per row-parallel
 //! linear); after that a lane's only collectives are its own row
-//! all-reduces, two per layer, and lanes exchange no data. Each rank runs
-//! the metadata scheduler of its own lane only (arrivals and lengths are in
-//! the shared traffic trace; generated token values never influence
-//! scheduling) and decides on its **lane clock**, `ctx.clock()` at the step
-//! boundary. The `q` members of a lane hold bitwise-equal clocks at every
-//! boundary: they finish the weight fetch together (every rank starts it on
-//! one clock, and `run_serve` asserts that the grid columns they fetch over
-//! sit alike on nodes), run symmetric compute, and every blocking row
-//! all-reduce releases them together. So they plan
-//! the same batch and execute the same collective sequence without
-//! communicating to agree. A lane with nothing runnable `idle_until`s its
+//! all-gathers, two per layer, and lanes exchange no data. Each of a
+//! layer's two stretches is one fused launch that ends in one lane
+//! all-gather of the row-parallel terms; the next launch folds them at
+//! its head. Each rank runs the metadata scheduler of its own lane only
+//! (arrivals and lengths are in the shared traffic trace; generated token
+//! values never influence scheduling) and decides on its **lane clock**,
+//! `ctx.clock()` at the step boundary. The `q` members of a lane hold
+//! bitwise-equal clocks at every boundary: they finish the weight fetch
+//! together (every rank starts it on one clock, and `run_serve` asserts
+//! that the grid columns they fetch over sit alike on nodes), run
+//! symmetric compute, and every blocking row all-gather releases them
+//! together. So they plan the same batch and execute the same collective
+//! sequence without communicating to agree. A lane with nothing runnable `idle_until`s its
 //! own next arrival, and leaves the loop when its own requests are done.
 //! Latencies are measured on the lane clock, which makes whole runs —
 //! results, reports, traces — reproducible byte for byte.

@@ -166,11 +166,12 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
 }
 
 #[test]
-fn a_busy_decode_step_is_two_lane_all_reduces_per_layer_and_one_launch_more() {
-    // Per layer two fused launches, each ending in one lane all-reduce:
-    // residual add → ln1 → wqkv → KV append → attention → wo's term; then
-    // residual add → ln2 → fc1 → GELU → fc2's term. Then one launch for the
-    // last residual add. The rows are full width, so nothing is gathered.
+fn a_busy_decode_step_is_two_lane_all_gathers_per_layer_and_one_launch_more() {
+    // Per layer two fused launches, each ending in one lane all-gather of
+    // the row-parallel terms: residual add → ln1 → wqkv → KV append →
+    // attention → wo's term; then fold → residual add → ln2 → fc1 → GELU →
+    // fc2's term. Then one launch for the last fold and residual add. The
+    // terms are gathered, not all-reduced.
     let cfg = test_model();
     let layers = cfg.layers as u64;
     for q in [2, 4] {
@@ -187,8 +188,8 @@ fn a_busy_decode_step_is_two_lane_all_reduces_per_layer_and_one_launch_more() {
         for lane in 0..q {
             let on_lane = out.results.iter().zip(&lane_of).filter(|&(_, &l)| l == lane);
             let led = |c: usize| on_lane.clone().map(|(r, _)| r[c]).sum::<u64>();
-            assert_eq!(led(1), 2 * layers, "q = {q}, lane {lane}: lane all-reduces per step");
-            assert_eq!(led(2), 0, "q = {q}, lane {lane}: all-gathers per step");
+            assert_eq!(led(1), 0, "q = {q}, lane {lane}: all-reduces per step");
+            assert_eq!(led(2), 2 * layers, "q = {q}, lane {lane}: lane all-gathers per step");
         }
     }
 }

@@ -106,18 +106,18 @@ for pair in plan_sweep:plan serve_sweep:serving; do
     cmp "target/$bin.txt" "crates/bench/golden/$bin.txt" \
         || { echo "ci.sh: $bin's stdout differs from crates/bench/golden/$bin.txt"; exit 1; }
 done
-echo "a33fc57cd1a5e0b29ed651d367e2ec546011ff4ed725f860cb058dc82d4a8494  target/TRACE_serving.json" \
+echo "ab0d75d3f6bd9d59671af1d12a41820bc618169f26b5e40c297b4845913f6aa6  target/TRACE_serving.json" \
     | sha256sum -c --quiet --strict \
     || { echo "ci.sh: serve_sweep's trace differs from its pinned digest"; exit 1; }
 
 # serve_sweep re-checks the serving-engine invariants internally (identical
 # results on every rank, meter/engine counter reconciliation, ordered
 # percentiles, latency growth past the saturation knee, exactly 2·layers
-# lane all-reduces and 2·layers + 1 launches per busy step) and panics on
-# any violation; CI greps the invariant lines it prints only after those
-# asserts held, then proves the whole open-loop sweep is deterministic by
-# running it twice and byte-comparing both the bench JSON and the Chrome
-# trace.
+# lane all-gathers, no all-reduce and 2·layers + 1 launches per busy step)
+# and panics on any violation; CI greps the invariant lines it prints only
+# after those asserts held, then proves the whole open-loop sweep is
+# deterministic by running it twice and byte-comparing both the bench JSON
+# and the Chrome trace.
 echo "== serve_sweep smoke (tiny grid, open-loop determinism) =="
 cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
     --grids 2,1 --requests 8 --out target/BENCH_serving.smoke.json \
@@ -128,9 +128,9 @@ grep -q 'invariant ok: nonzero throughput at every load point' target/serve_swee
     || { echo "ci.sh: serve_sweep nonzero-throughput invariant missing"; exit 1; }
 grep -q 'invariant ok: latency grows past the saturation knee' target/serve_sweep.smoke.log \
     || { echo "ci.sh: serve_sweep saturation-knee invariant missing"; exit 1; }
-grep -q 'invariant ok: a busy serving step is 8 lane all-reduces and 9 launches' \
+grep -q 'invariant ok: a busy serving step is 8 lane all-gathers and 9 launches' \
     target/serve_sweep.smoke.log \
-    || { echo "ci.sh: serve_sweep all-reduces-and-launches-per-step invariant missing"; exit 1; }
+    || { echo "ci.sh: serve_sweep all-gathers-and-launches-per-step invariant missing"; exit 1; }
 cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
     --grids 2,1 --requests 8 --out target/BENCH_serving.smoke2.json \
     --trace-out target/TRACE_serving.smoke2.json > /dev/null

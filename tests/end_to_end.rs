@@ -177,7 +177,7 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     // the SUMMA forward's on the updated weights, bit for bit, in both
     // roles.
     use std::sync::Arc;
-    use tesseract_repro::core::mm::{lane_sum, row_panels};
+    use tesseract_repro::core::mm::{fold_terms, lane_sum, row_panels};
     use tesseract_repro::core::TesseractLinear;
     use tesseract_repro::tensor::TensorLike;
     let shape = GridShape::new(2, 2);
@@ -200,9 +200,9 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
             let by_column = column.stationary().matmul(&panels, &mut Meter::new());
             row.fetch_stationary_row(&grid, ctx);
             let st = row.stationary();
-            let sum = lane_sum(&grid, ctx, st.partial(&x, &mut Meter::new()));
+            let terms = lane_sum(&grid, ctx, st.partial(&x, &mut Meter::new()));
             let bias = st.bias.as_ref().expect("built with a bias");
-            let full = sum.add_rowvec(bias, &mut Meter::new());
+            let full = fold_terms(&terms, &mut Meter::new()).add_rowvec(bias, &mut Meter::new());
             let w = out_f / shape.q;
             let by_row = full.slice_cols(j * w, (j + 1) * w, &mut Meter::new());
             [by_column, by_row].map(|y| y.matrix().clone())

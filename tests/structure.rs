@@ -245,8 +245,8 @@ const ROWS: &[Row] = &[
         name: "one-SUMMA",
         reason: "SUMMA is core::mm's one summa_pipeline loop (Algorithm 3; 2-D SUMMA at d = 1, \
                  blocking when TesseractGrid::overlap is false); Solomonik's 2.5-D matmul and \
-                 the ViT logits gather are exempt, serving gathers through mm::row_panels and \
-                 mm::lane_exchange",
+                 the ViT logits gather are exempt, serving gathers through mm::row_panels, \
+                 mm::lane_exchange and mm::lane_sum (a lane's row-parallel terms)",
         checks: &[
             Check {
                 rule: Rule::Forbidden {
