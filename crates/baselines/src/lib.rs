@@ -23,8 +23,7 @@ pub mod solomonik;
 
 pub use cannon::cannon_matmul;
 pub use megatron::{
-    MegatronLayerNorm, MegatronLinear, MegatronTransformer, MegatronTransformerLayer,
-    MegatronWorld, Split,
+    MegatronLinear, MegatronTransformer, MegatronTransformerLayer, MegatronWorld, Split,
 };
 pub use serial::{
     SerialAttention, SerialLayerNorm, SerialLinear, SerialMlp, SerialTransformer,

@@ -11,10 +11,11 @@
 //! the serial reference and the Tesseract layers, so outputs are comparable
 //! across schemes.
 //!
-//! Only what is 1-D specific lives here: the world, its linear and its
-//! (rank-local) layer norm. [`MegatronWorld`] implements
-//! [`tesseract_core::layers::World`], so the MLP, attention, layer and stack
-//! are the shared `tesseract_core::layers` block instantiated over it.
+//! Only what is 1-D specific lives here: the world and its linear.
+//! [`MegatronWorld`] implements [`tesseract_core::layers::World`], so the
+//! MLP, attention, layer norm, layer and stack are the shared
+//! `tesseract_core::layers` block instantiated over it; the layer norm is
+//! rank-local, since the world leaves a row's sums as they are.
 
 use std::sync::Arc;
 
@@ -85,7 +86,6 @@ impl MegatronWorld {
 
 impl<T: TensorLike> World<T> for MegatronWorld {
     type Linear = MegatronLinear<T>;
-    type Norm = MegatronLayerNorm<T>;
 
     /// Column-parallel first, row-parallel second: the pair needs one
     /// all-reduce per direction and each rank's QKV columns are whole heads.
@@ -105,8 +105,9 @@ impl<T: TensorLike> World<T> for MegatronWorld {
         MegatronLinear::new_fused(self, split, in_features, outs, with_bias, seed)
     }
 
-    fn norm(&self, hidden: usize, eps: f32) -> MegatronLayerNorm<T> {
-        MegatronLayerNorm::new(hidden, eps)
+    /// Activations are replicated: a rank's rows, and so their sums, are whole.
+    fn complete_row_sums(&self, _ctx: &mut RankCtx, a: T, b: T) -> (T, T) {
+        (a, b)
     }
 
     fn check(&self, cfg: &TransformerConfig) -> Result<(), ShapeError> {
@@ -120,6 +121,10 @@ impl<T: TensorLike> World<T> for MegatronWorld {
 
     fn local_heads(&self, heads: usize) -> usize {
         heads / self.p
+    }
+
+    fn local_hidden(&self, hidden: usize) -> usize {
+        hidden
     }
 }
 
@@ -277,61 +282,6 @@ impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLinear<T> {
         if let Some(db) = self.dbias.as_mut() {
             *db = T::zeros(db.rows(), db.cols());
         }
-    }
-
-    fn reset_tape(&mut self, ctx: &mut RankCtx) {
-        self.tape.clear_tracked(ctx);
-    }
-}
-
-/// Serial layer norm on the replicated activation (Megatron keeps layer
-/// norms unsharded), built from TensorLike primitives so the shadow backend
-/// can run it too.
-pub struct MegatronLayerNorm<T> {
-    pub eps: f32,
-    hidden: usize,
-    tape: Tape<(Arc<T>, T)>,
-}
-
-impl<T: TensorLike> MegatronLayerNorm<T> {
-    pub fn new(hidden: usize, eps: f32) -> Self {
-        Self { eps, hidden, tape: Tape::new() }
-    }
-}
-
-impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLayerNorm<T> {
-    /// The norm is rank-local (activations are replicated), so the world is
-    /// unused — it is only here to satisfy the `Module` signature.
-    fn forward(&mut self, _world: &MegatronWorld, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let n = self.hidden as f32;
-        assert_eq!(x.cols(), self.hidden);
-        let s1 = x.row_sums(&mut ctx.meter);
-        let s2 = x.row_sums_of_squares(&mut ctx.meter);
-        let mean = s1.scale(1.0 / n, &mut ctx.meter);
-        let mean_sq = mean.hadamard(&mean, &mut ctx.meter);
-        let var = s2.scale(1.0 / n, &mut ctx.meter).sub(&mean_sq, &mut ctx.meter);
-        let inv_std = var.rsqrt_add(self.eps, &mut ctx.meter);
-        let xhat =
-            Arc::new(x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter));
-        let bytes = (xhat.byte_size() + inv_std.byte_size()) as u64;
-        self.tape.push_tracked(ctx, bytes, (Arc::clone(&xhat), inv_std));
-        xhat
-    }
-
-    fn backward(&mut self, _world: &MegatronWorld, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let (xhat, inv_std) = self.tape.pop_tracked(ctx, "MegatronLayerNorm");
-        let n = self.hidden as f32;
-        let t1 = xhat.hadamard(dy, &mut ctx.meter).row_sums(&mut ctx.meter);
-        let t2 = dy.row_sums(&mut ctx.meter);
-        let correction = xhat
-            .mul_colvec(&t1, &mut ctx.meter)
-            .add_colvec(&t2, &mut ctx.meter)
-            .scale(1.0 / n, &mut ctx.meter);
-        Arc::new(dy.sub(&correction, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter))
-    }
-
-    fn zero_grad(&mut self) {
-        self.tape.debug_assert_balanced("MegatronLayerNorm");
     }
 
     fn reset_tape(&mut self, ctx: &mut RankCtx) {

@@ -1,20 +1,23 @@
-//! Distributed layer normalization (paper §3.2.2, Eq. 13/14).
+//! Layer normalization over a hidden dimension that a [`World`] may split
+//! (paper §3.2.2, Eq. 13/14): written once for every world.
 //!
-//! The hidden dimension is split across the `q` columns of the grid, so the
-//! per-row statistics `ΣX` and `ΣX²` are computed locally and **all-reduced
-//! along the row** (one fused `[rows, 2]` all-reduce). The backward pass
-//! all-reduces `Σ X̂ᵢ(δJ/δX̂)ᵢ` and `Σ(δJ/δX̂)ᵢ` the same way and applies
+//! A row's statistics need `ΣX` and `ΣX²` over the whole row. Each rank
+//! takes its block's row sums, and [`World::complete_row_sums`] completes
+//! them over the hidden split: one fused `[rows, 2]` row all-reduce on the
+//! `[q, q, d]` grid, nothing on the 1-D world (its activations are
+//! replicated, so a rank's row is already whole). The backward pass
+//! completes `Σ X̂ᵢ(δJ/δX̂)ᵢ` and `Σ(δJ/δX̂)ᵢ` the same way and applies
 //! Eq. 14 with the taped `X̂` and `1/sqrt(Var+ε)`.
 //!
 //! Serving ([`layer_norm_rows`]) needs no all-reduce at all. A serving
 //! layer's rows are full width on every rank of the lane, so each rank
 //! normalizes them itself at the head of the fused launch that multiplies
 //! them (a fused launch is its op chain under `tesseract_tensor::fused`),
-//! panel by panel: every panel bitwise the one `normalize` gives its owner
-//! (the fold runs in the all-reduce's member order; both finish with one
-//! statistics tail). Training keeps the all-reduce: its activations are
-//! split by columns, and Eq. 14's backward all-reduces along the row
-//! regardless.
+//! panel by panel: every panel bitwise the one [`LayerNorm`] gives its
+//! owner on the grid (the fold runs in the all-reduce's member order; both
+//! finish with one statistics tail). Training keeps the all-reduce: its
+//! activations are split by columns, and Eq. 14's backward all-reduces
+//! along the row regardless.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -22,14 +25,13 @@ use std::sync::Arc;
 use tesseract_comm::RankCtx;
 use tesseract_tensor::{Meter, TensorLike};
 
-use crate::grid::TesseractGrid;
+use crate::layers::world::World;
 use crate::module::{Module, Tape};
 
-/// Parameter-free distributed layer norm over the (globally split) hidden
-/// dimension.
-pub struct TesseractLayerNorm<T> {
-    /// Global hidden size `h` (local tensors have `h/q` columns).
-    pub hidden_global: usize,
+/// Parameter-free layer norm over the (possibly split) hidden dimension.
+pub struct LayerNorm<T> {
+    /// Global hidden size `h` (a rank's block has [`World::local_hidden`] columns).
+    pub hidden: usize,
     pub eps: f32,
     /// Tape of (x̂ local block, inv_std column vector) per microbatch.
     /// `x̂` is the same allocation handed to the next layer, so taping it
@@ -37,29 +39,9 @@ pub struct TesseractLayerNorm<T> {
     tape: Tape<(Arc<T>, T)>,
 }
 
-impl<T: TensorLike> TesseractLayerNorm<T> {
-    pub fn new(hidden_global: usize, eps: f32) -> Self {
-        Self { hidden_global, eps, tape: Tape::new() }
-    }
-
-    /// `X̂ = (X − E[X]) / sqrt(Var[X] + ε)` and `1/sqrt(Var[X] + ε)`, with the
-    /// packed per-row statistics all-reduced along the row fiber.
-    fn normalize(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> (Arc<T>, T) {
-        let n = self.hidden_global as f32;
-        assert_eq!(
-            x.cols() * grid.shape.q,
-            self.hidden_global,
-            "layernorm: local width times q must equal global hidden"
-        );
-        let s1 = x.row_sums(&mut ctx.meter);
-        let s2 = x.row_sums_of_squares(&mut ctx.meter);
-        let packed = T::concat_cols(&[s1, s2], &mut ctx.meter);
-        let packed = grid.row.all_reduce_shared(ctx, packed);
-        let s1 = packed.slice_cols(0, 1, &mut ctx.meter);
-        let s2 = packed.slice_cols(1, 2, &mut ctx.meter);
-        let (mean, inv_std) = statistics(&s1, &s2, n, self.eps, &mut ctx.meter);
-        let xhat = x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter);
-        (Arc::new(xhat), inv_std)
+impl<T: TensorLike> LayerNorm<T> {
+    pub fn new(hidden: usize, eps: f32) -> Self {
+        Self { hidden, eps, tape: Tape::new() }
     }
 }
 
@@ -76,9 +58,8 @@ fn statistics<T: TensorLike>(s1: &T, s2: &T, n: f32, eps: f32, m: &mut Meter) ->
 /// `[X_0 … X_{q-1}]` (§3.2.2's blocks): every normalized panel
 /// `X̂_t = (X_t − E[X]) ∘ 1/sqrt(Var[X] + eps)`, the statistics taken over
 /// all `Σ_t cols(X_t)` columns. The per-panel sums fold in ascending panel
-/// order, the member-order fold of the row all-reduce `normalize` uses, so
-/// each panel is bitwise what the split layer norm gives the rank that
-/// owns it.
+/// order, the member-order fold of the grid's row all-reduce, so each
+/// panel is bitwise what the split layer norm gives the rank that owns it.
 pub fn layer_norm_panels<T: TensorLike>(
     panels: &[impl Borrow<T>],
     eps: f32,
@@ -106,38 +87,46 @@ pub fn layer_norm_rows<T: TensorLike>(x: &T, panels: usize, eps: f32, m: &mut Me
     layer_norm_panels(&split, eps, m)
 }
 
-impl<T: TensorLike> Module<T> for TesseractLayerNorm<T> {
+impl<T: TensorLike, G: World<T>> Module<T, G> for LayerNorm<T> {
     fn name(&self) -> &'static str {
         "layernorm"
     }
 
-    /// Normalizes and tapes `(X̂, inv_std)`.
-    fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let (xhat, inv_std) = self.normalize(grid, ctx, x);
+    /// `X̂ = (X − E[X]) / sqrt(Var[X] + ε)`, the row sums completed by the
+    /// world; tapes `(X̂, 1/sqrt(Var[X] + ε))`.
+    fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
+        assert_eq!(
+            x.cols(),
+            world.local_hidden(self.hidden),
+            "layernorm: local width must be the world's share of hidden {}",
+            self.hidden
+        );
+        let s1 = x.row_sums(&mut ctx.meter);
+        let s2 = x.row_sums_of_squares(&mut ctx.meter);
+        let (s1, s2) = world.complete_row_sums(ctx, s1, s2);
+        let (mean, inv_std) = statistics(&s1, &s2, self.hidden as f32, self.eps, &mut ctx.meter);
+        let xhat =
+            Arc::new(x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter));
         let bytes = (xhat.byte_size() + inv_std.byte_size()) as u64;
         self.tape.push_tracked(ctx, bytes, (Arc::clone(&xhat), inv_std));
         xhat
     }
 
     /// Backward (Eq. 14): `dX = (dY − (X̂·Σ(X̂∘dY) + Σ dY)/n) ∘ inv_std`.
-    fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let (xhat, inv_std) = self.tape.pop_tracked(ctx, "TesseractLayerNorm");
-        let n = self.hidden_global as f32;
+    fn backward(&mut self, world: &G, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
+        let (xhat, inv_std) = self.tape.pop_tracked(ctx, "LayerNorm");
         let t1 = xhat.hadamard(dy, &mut ctx.meter).row_sums(&mut ctx.meter);
         let t2 = dy.row_sums(&mut ctx.meter);
-        let packed = T::concat_cols(&[t1, t2], &mut ctx.meter);
-        let packed = grid.row.all_reduce_shared(ctx, packed);
-        let t1 = packed.slice_cols(0, 1, &mut ctx.meter);
-        let t2 = packed.slice_cols(1, 2, &mut ctx.meter);
+        let (t1, t2) = world.complete_row_sums(ctx, t1, t2);
         let correction = xhat
             .mul_colvec(&t1, &mut ctx.meter)
             .add_colvec(&t2, &mut ctx.meter)
-            .scale(1.0 / n, &mut ctx.meter);
+            .scale(1.0 / self.hidden as f32, &mut ctx.meter);
         Arc::new(dy.sub(&correction, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter))
     }
 
     fn zero_grad(&mut self) {
-        self.tape.debug_assert_balanced("TesseractLayerNorm");
+        self.tape.debug_assert_balanced("LayerNorm");
     }
 
     fn reset_tape(&mut self, ctx: &mut RankCtx) {

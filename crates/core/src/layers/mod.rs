@@ -1,6 +1,6 @@
 //! The Transformer of paper §3.2: one block ([`Mlp`], [`Attention`],
-//! [`TransformerLayer`], [`Transformer`]) written against the [`World`]
-//! seam, plus the `[q, q, d]` grid's own linear and layer norm.
+//! [`LayerNorm`], [`TransformerLayer`], [`Transformer`]) written against
+//! the [`World`] seam, plus the `[q, q, d]` grid's own linear.
 
 pub mod attention;
 pub mod layernorm;
@@ -10,7 +10,7 @@ pub mod transformer;
 pub mod world;
 
 pub use attention::{Attention, TesseractAttention};
-pub use layernorm::TesseractLayerNorm;
+pub use layernorm::LayerNorm;
 pub use linear::TesseractLinear;
 pub use mlp::{Mlp, TesseractMlp};
 pub use transformer::{

@@ -16,7 +16,7 @@ use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv, RequestKv};
 use crate::layers::attention::{norm_attention, Attention};
-use crate::layers::layernorm::layer_norm_rows;
+use crate::layers::layernorm::{layer_norm_rows, LayerNorm};
 use crate::layers::linear::{Stationary, TesseractLinear};
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
@@ -40,9 +40,9 @@ pub const PARAM_IDS_PER_LAYER: u64 = 6;
 
 /// One Transformer layer.
 pub struct TransformerLayer<T: TensorLike, G: World<T>> {
-    pub ln1: G::Norm,
+    pub ln1: LayerNorm<T>,
     pub attn: Attention<T, G>,
-    pub ln2: G::Norm,
+    pub ln2: LayerNorm<T>,
     pub mlp: Mlp<T, G>,
 }
 
@@ -60,9 +60,9 @@ impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
     ) -> Self {
         let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
         Self {
-            ln1: world.norm(h, cfg.eps),
+            ln1: LayerNorm::new(h, cfg.eps),
             attn: Attention::new(ctx, world, cfg, with_bias, seed, param_id),
-            ln2: world.norm(h, cfg.eps),
+            ln2: LayerNorm::new(h, cfg.eps),
             mlp: Mlp::new(ctx, world, h, mlp_h, with_bias, seed, param_id + 4),
         }
     }
@@ -211,16 +211,16 @@ impl<T: TensorLike, G: World<T>> Module<T, G> for TransformerLayer<T, G> {
     }
 
     fn zero_grad(&mut self) {
-        self.ln1.zero_grad();
+        Module::<T, G>::zero_grad(&mut self.ln1);
         self.attn.zero_grad();
-        self.ln2.zero_grad();
+        Module::<T, G>::zero_grad(&mut self.ln2);
         self.mlp.zero_grad();
     }
 
     fn reset_tape(&mut self, ctx: &mut RankCtx) {
-        self.ln1.reset_tape(ctx);
+        Module::<T, G>::reset_tape(&mut self.ln1, ctx);
         self.attn.reset_tape(ctx);
-        self.ln2.reset_tape(ctx);
+        Module::<T, G>::reset_tape(&mut self.ln2, ctx);
         self.mlp.reset_tape(ctx);
     }
 }

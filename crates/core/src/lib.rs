@@ -39,7 +39,7 @@ pub use config::{ShapeError, TransformerConfig};
 pub use grid::{GridShape, TesseractGrid};
 pub use infer::{InferBatch, InferModel, LayerKv, RequestKv};
 pub use layers::{
-    TesseractAttention, TesseractLayerNorm, TesseractLinear, TesseractMlp, TesseractTransformer,
+    LayerNorm, TesseractAttention, TesseractLinear, TesseractMlp, TesseractTransformer,
     TesseractTransformerLayer,
 };
 pub use mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};

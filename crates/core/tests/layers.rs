@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
+use tesseract_baselines::MegatronWorld;
 use tesseract_comm::RunConfig;
-use tesseract_core::layers::{TesseractLayerNorm, TesseractLinear, TesseractMlp};
+use tesseract_core::layers::{LayerNorm, TesseractLinear, TesseractMlp};
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
     GridShape, Module, TesseractGrid, TesseractTransformerLayer, TransformerConfig,
@@ -17,27 +18,57 @@ use tesseract_tensor::{
 
 const SEED: u64 = 99;
 
+/// A world `layernorm_matches_serial_kernel` runs the one [`LayerNorm`] on.
+#[derive(Clone, Copy, Debug)]
+enum NormWorld {
+    /// The `[q, q, d]` grid: rows and hidden columns split.
+    Grid(GridShape),
+    /// Megatron's 1-D world of `p` ranks: every rank holds the whole rows.
+    Megatron(usize),
+}
+
 #[test]
 fn layernorm_matches_serial_kernel() {
-    let shape = GridShape::new(2, 2);
     let x = Matrix::seeded(8, 8, 1);
     let dy = Matrix::seeded(8, 8, 2);
-    let out = RunConfig::from_env(shape.size()).run(|ctx| {
-        let grid = TesseractGrid::new(ctx, shape, 0);
-        let (i, j, k) = grid.coords;
-        let mut ln = TesseractLayerNorm::<DenseTensor>::new(8, 1e-5);
-        let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
-        let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
-        let y = ln.forward(&grid, ctx, &x_loc);
-        let dx = ln.backward(&grid, ctx, &dy_loc);
-        (y.matrix().clone(), dx.matrix().clone())
-    });
-    let y = combine_c(&out.results.iter().map(|(y, _)| y.clone()).collect::<Vec<_>>(), shape);
-    let dx = combine_c(&out.results.iter().map(|(_, d)| d.clone()).collect::<Vec<_>>(), shape);
     let cache = nn::layernorm_rows(&x, 1e-5);
-    assert_slices_close(y.data(), cache.y.data(), 1e-4);
     let dx_ser = nn::layernorm_rows_backward(&cache, &dy);
-    assert_slices_close(dx.data(), dx_ser.data(), 1e-4);
+    let worlds =
+        [NormWorld::Grid(GridShape::new(2, 2)), NormWorld::Megatron(2), NormWorld::Megatron(4)];
+    for world in worlds {
+        // The whole (Y, dX) as each holder of whole rows sees it.
+        let outs: Vec<(Matrix, Matrix)> = match world {
+            NormWorld::Grid(shape) => {
+                let out = RunConfig::from_env(shape.size()).run(|ctx| {
+                    let grid = TesseractGrid::new(ctx, shape, 0);
+                    let (i, j, k) = grid.coords;
+                    let mut ln = LayerNorm::<DenseTensor>::new(8, 1e-5);
+                    let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
+                    let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
+                    let y = ln.forward(&grid, ctx, &x_loc);
+                    let dx = ln.backward(&grid, ctx, &dy_loc);
+                    (y.matrix().clone(), dx.matrix().clone())
+                });
+                let (ys, dxs): (Vec<_>, Vec<_>) = out.results.into_iter().unzip();
+                vec![(combine_c(&ys, shape), combine_c(&dxs, shape))]
+            }
+            NormWorld::Megatron(p) => {
+                let out = RunConfig::from_env(p).run(|ctx| {
+                    let world = MegatronWorld::new(ctx, (0..p).collect());
+                    let mut ln = LayerNorm::<DenseTensor>::new(8, 1e-5);
+                    let y = ln.forward(&world, ctx, &Arc::new(DenseTensor::from_matrix(x.clone())));
+                    let dx =
+                        ln.backward(&world, ctx, &Arc::new(DenseTensor::from_matrix(dy.clone())));
+                    (y.matrix().clone(), dx.matrix().clone())
+                });
+                out.results
+            }
+        };
+        for (y, dx) in &outs {
+            assert_slices_close(y.data(), cache.y.data(), 1e-4);
+            assert_slices_close(dx.data(), dx_ser.data(), 1e-4);
+        }
+    }
 }
 
 #[test]

@@ -18,8 +18,8 @@ use tesseract_core::layers::layernorm::layer_norm_rows;
 use tesseract_core::layers::transformer::norm_mlp_up;
 use tesseract_core::mm::{fold_terms, lane_sum, row_panels};
 use tesseract_core::{
-    GridShape, InferBatch, Module, TesseractGrid, TesseractLayerNorm, TesseractLinear,
-    TesseractTransformer, TransformerConfig,
+    GridShape, InferBatch, LayerNorm, Module, TesseractGrid, TesseractLinear, TesseractTransformer,
+    TransformerConfig,
 };
 use tesseract_tensor::{fused, DenseTensor, Matrix, Meter, ShadowTensor, TensorLike};
 
@@ -204,7 +204,7 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
             let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
                 let mut lin = linear::<DenseTensor>(ctx, &grid);
-                let mut norm = TesseractLayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
+                let mut norm = LayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
                 let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
                 let full = full_rows(&grid, ctx, &x);
                 lin.fetch_stationary(&grid, ctx);

@@ -4,7 +4,8 @@
 //! 1-D tensor parallelism, or the paper's hybrid `[dp, pp, depth, row, col]`
 //! arrangement (§3.4), whose `dp = pp = 1` case with one microbatch is a
 //! bare Tesseract `[q, q, d]` grid ([`Candidate::tesseract`]). Each
-//! arrangement has one spelling, so no two candidates run the same step.
+//! `(dp, pp, q, d, mb)` tuple is enumerated once, though some run the same
+//! step (`dp=4 × [4,4,2]` and `dp=2 × [4,4,4]`: `dp` and depth both split the batch).
 //! [`enumerate`] generates every structural factorization of the GPU budget
 //! (the paper's studied range `1 ≤ d ≤ q` for Tesseract depth); feasibility
 //! against a concrete workload is a separate, `Result`-returning step
@@ -130,9 +131,9 @@ fn divisors(n: usize) -> Vec<usize> {
 }
 
 /// Enumerates every structural candidate for a `gpus`-rank budget from the
-/// requested menu, each arrangement once: Megatron, then the bare grids,
-/// then the hybrids with `dp · pp > 1` (the planner breaks makespan ties by
-/// this order). Workload feasibility is *not* checked here — the planner
+/// requested menu, each `(dp, pp, q, d, mb)` tuple once: Megatron, then the
+/// bare grids, then the hybrids with `dp · pp > 1` (the planner breaks
+/// makespan ties by this order). Workload feasibility is *not* checked here — the planner
 /// runs [`Candidate::check`] per candidate so infeasible arrangements are
 /// reported with their rejection reason instead of silently skipped.
 pub fn enumerate(gpus: usize, menu: CandidateMenu, microbatches: usize) -> Vec<Candidate> {

@@ -1,7 +1,7 @@
 //! The exhaustive arrangement search.
 //!
 //! [`plan`] enumerates every structural candidate for the GPU budget (each
-//! arrangement once), rejects infeasible ones with their [`ShapeError`]
+//! `(dp, pp, q, d, mb)` tuple once), rejects infeasible ones with their [`ShapeError`]
 //! reason, and runs a full ShadowTensor dry-run of **every** feasible
 //! candidate on the simulated cluster. The winner is the entry with the
 //! smallest simulated makespan (ties go to the earlier-enumerated
@@ -57,9 +57,9 @@ impl PlanRequest {
 pub enum EntryStatus {
     /// Dry-run and ranked; 0 is the winner.
     Ranked(usize),
-    /// Never produced: [`enumerate`] spells each arrangement once, so there
-    /// is nothing to collapse. Kept for readers of the old deduplicating
-    /// search.
+    /// Never produced: the planner collapses nothing, so two tuples that run
+    /// the same step are both ranked, tied. Kept for readers of the old
+    /// deduplicating search.
     Duplicate { of: String },
 }
 

@@ -4,8 +4,9 @@
 use std::sync::Arc;
 
 use tesseract_comm::{CollectiveOp, RankCtx, RunConfig};
+use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
-    GridShape, InferBatch, TesseractGrid, TesseractTransformer, TransformerConfig,
+    GridShape, InferBatch, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
 use tesseract_serve::{
     latency_stats, serve_on_cluster, RequestSpec, ServeConfig, ServeSummary, TrafficConfig,
@@ -117,6 +118,46 @@ fn cached_decode_matches_recompute_bitwise_on_2x2x2() {
 #[test]
 fn single_token_prompt_decodes_consistently() {
     cached_vs_recompute(GridShape::new(2, 1), 1, 5, 17);
+}
+
+/// The whole serving stack against the whole training stack on `[q, q, 1]`
+/// at `q = 2, 3, 4`. With one token per sample, causal serving attention is
+/// training attention, so `forward_infer_rows` on the full rows must be
+/// bitwise the gathered `Module::forward` output. At `q ≥ 3` a lane folds
+/// three or more terms, so the fold order shows.
+#[test]
+fn serving_rows_are_bitwise_the_training_forward_at_q_2_3_4() {
+    for q in [2, 3, 4] {
+        let cfg = TransformerConfig {
+            batch: 2 * q,
+            seq: 1,
+            hidden: 4 * q,
+            heads: q,
+            mlp_ratio: 4,
+            layers: 2,
+            eps: 1e-5,
+        };
+        let shape = GridShape::new(q, 1);
+        let x = Matrix::seeded(cfg.batch, cfg.hidden, 31 + q as u64);
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            let (i, j, k) = grid.coords;
+            let mut model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 23, 0);
+            let block = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
+            let trained = model.forward(&grid, ctx, &block).matrix().clone();
+            model.fetch_stationary(&grid, ctx);
+            let kvs = (0..cfg.batch).map(|_| model.new_kv(&grid)).collect();
+            let mut batch = InferBatch { new_rows: vec![1; cfg.batch], kvs };
+            let rows = Arc::new(DenseTensor::from_matrix(x.clone()));
+            let served = model.forward_infer_rows(&grid, ctx, rows, &mut batch);
+            (trained, served.matrix().clone())
+        });
+        let (trained, served): (Vec<_>, Vec<_>) = out.results.into_iter().unzip();
+        let trained = combine_c(&trained, shape);
+        for (rank, served) in served.iter().enumerate() {
+            assert_eq!(*served, trained, "q = {q}, rank {rank}: serving differs from training");
+        }
+    }
 }
 
 /// What one decode step on full rows over `segments` requests, each

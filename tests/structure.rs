@@ -404,6 +404,23 @@ const ROWS: &[Row] = &[
         }],
     },
     Row {
+        name: "one-layer-norm",
+        reason: "a layer norm is written once, generic over the World, which only completes \
+                 a row's sums; the serving chains share its statistics tail, so a second \
+                 copy of the row statistics outside the tensor crate is a second norm",
+        checks: &[Check {
+            rule: Rule::Forbidden {
+                scope: Scope::Lib,
+                allowed: &["crates/tensor/", "crates/core/src/layers/layernorm.rs"],
+            },
+            matcher: Matcher::Line(|l| {
+                l.contains(".rsqrt_add(") || l.contains("row_sums_of_squares(")
+            }),
+            planted: "let inv_std = var.rsqrt_add(self.eps, &mut ctx.meter);",
+            clean: "let (s1, s2) = world.complete_row_sums(ctx, s1, s2);",
+        }],
+    },
+    Row {
         name: "trace-artifact",
         reason: "traces are regenerated artifacts (serve_sweep writes them under target/); \
                  none is committed",
