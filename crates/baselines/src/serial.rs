@@ -60,6 +60,13 @@ impl SerialLinear {
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+        self.backward_params(dy);
+        gemm(Orient::Nt, dy, self.w.matrix())
+    }
+
+    /// The parameter half of [`SerialLinear::backward`]: accumulates
+    /// `dbias` and `dW = Xᵀ·dY`, and computes no `dX`.
+    pub fn backward_params(&mut self, dy: &Matrix) {
         let x = self.cached_x.take().expect("backward without forward");
         if let Some(db) = self.dbias.as_mut() {
             for i in 0..dy.rows() {
@@ -69,7 +76,6 @@ impl SerialLinear {
             }
         }
         self.dw.0.add_assign(&gemm(Orient::Tn, &x, dy));
-        gemm(Orient::Nt, dy, self.w.matrix())
     }
 
     /// Visits `(w, dw)`, then `(bias, dbias)` if the layer has a bias.

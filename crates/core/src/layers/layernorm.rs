@@ -35,7 +35,9 @@ pub struct LayerNorm<T> {
     pub eps: f32,
     /// Tape of (x̂ local block, inv_std column vector) per microbatch.
     /// `x̂` is the same allocation handed to the next layer, so taping it
-    /// costs one `Arc` bump rather than a deep copy.
+    /// costs one `Arc` bump rather than a deep copy. That layer's linear
+    /// tapes the same `Arc` and books its bytes, so this tape books only
+    /// `inv_std`: the ledger books each buffer once.
     tape: Tape<(Arc<T>, T)>,
 }
 
@@ -93,7 +95,8 @@ impl<T: TensorLike, G: World<T>> Module<T, G> for LayerNorm<T> {
     }
 
     /// `X̂ = (X − E[X]) / sqrt(Var[X] + ε)`, the row sums completed by the
-    /// world; tapes `(X̂, 1/sqrt(Var[X] + ε))`.
+    /// world; tapes `(X̂, 1/sqrt(Var[X] + ε))` and books `1/sqrt(Var[X] + ε)`
+    /// (the linear `X̂` feeds books `X̂`).
     fn forward(&mut self, world: &G, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
         assert_eq!(
             x.cols(),
@@ -107,7 +110,7 @@ impl<T: TensorLike, G: World<T>> Module<T, G> for LayerNorm<T> {
         let (mean, inv_std) = statistics(&s1, &s2, self.hidden as f32, self.eps, &mut ctx.meter);
         let xhat =
             Arc::new(x.sub_colvec(&mean, &mut ctx.meter).mul_colvec(&inv_std, &mut ctx.meter));
-        let bytes = (xhat.byte_size() + inv_std.byte_size()) as u64;
+        let bytes = inv_std.byte_size() as u64;
         self.tape.push_tracked(ctx, bytes, (Arc::clone(&xhat), inv_std));
         xhat
     }

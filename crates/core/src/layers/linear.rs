@@ -2,8 +2,9 @@
 //!
 //! Weight `W [in, out]` is B-type partitioned: rank `(i, j, k)` holds block
 //! `[in/q, out/q]`, replicated across depth. The forward pass is one
-//! Tesseract matmul; the backward applies Eq. 3 (`dX = dY·Wᵀ`,
-//! `dW = Xᵀ·dY` + depth all-reduce).
+//! Tesseract matmul; the backward applies Eq. 3 (`dW = Xᵀ·dY` + depth
+//! all-reduce, then `dX = dY·Wᵀ`), its parameter half callable alone
+//! ([`TesseractLinear::backward_params`]) where `X` is data.
 //!
 //! The bias follows §3.2.2 exactly: it lives on the row-0 processors of each
 //! layer, is **broadcast down each column** in the forward pass, and its
@@ -214,6 +215,28 @@ impl<T: TensorLike> TesseractLinear<T> {
             .map_or(0, |st| st.panels.iter().chain(&st.bias).map(|p| p.byte_size() as u64).sum())
     }
 
+    /// The parameter half of [`Module::backward`]: pops the taped `X`,
+    /// accumulates `dbias` on row 0 (column sums, the column reduce to
+    /// row 0, the depth all-reduce) and `dW = Xᵀ·dY` (with its depth
+    /// all-reduce). A layer whose input is data, whose `dX` nothing reads
+    /// (the ViT's patch embedding), stops here.
+    pub fn backward_params(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &T) {
+        let x = self.tape.pop_tracked(ctx, "TesseractLinear");
+        if self.with_bias {
+            let db_local = dy.col_sums(&mut ctx.meter);
+            let db = grid.col.reduce_shared(ctx, 0, db_local);
+            if grid.i() == 0 {
+                let mut db = db.expect("row-0 rank receives bias gradient");
+                if grid.shape.d > 1 {
+                    db = Arc::clone(&*grid.depth.all_reduce_shared(ctx, db));
+                }
+                self.dbias.as_mut().expect("row-0 rank holds bias").add_assign(&db, &mut ctx.meter);
+            }
+        }
+        let dw = tesseract_matmul_tn(grid, ctx, &x, dy, true);
+        self.dw.add_assign(&dw, &mut ctx.meter);
+    }
+
     /// This rank's weight block (for tests).
     pub fn weight(&self) -> &T {
         &self.w
@@ -252,22 +275,10 @@ impl<T: TensorLike> Module<T> for TesseractLinear<T> {
         Arc::new(y)
     }
 
-    /// Backward: returns `dX`; accumulates `dW` (and `dbias` on row 0).
+    /// Backward: the parameter half ([`TesseractLinear::backward_params`]),
+    /// then returns `dX = dY·Wᵀ`.
     fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, dy: &Arc<T>) -> Arc<T> {
-        let x = self.tape.pop_tracked(ctx, "TesseractLinear");
-        if self.with_bias {
-            let db_local = dy.col_sums(&mut ctx.meter);
-            let db = grid.col.reduce_shared(ctx, 0, db_local);
-            if grid.i() == 0 {
-                let mut db = db.expect("row-0 rank receives bias gradient");
-                if grid.shape.d > 1 {
-                    db = Arc::clone(&*grid.depth.all_reduce_shared(ctx, db));
-                }
-                self.dbias.as_mut().expect("row-0 rank holds bias").add_assign(&db, &mut ctx.meter);
-            }
-        }
-        let dw = tesseract_matmul_tn(grid, ctx, &x, &**dy, true);
-        self.dw.add_assign(&dw, &mut ctx.meter);
+        self.backward_params(grid, ctx, dy);
         tesseract_matmul_nt(grid, ctx, &**dy, &self.w)
     }
 

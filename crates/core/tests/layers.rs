@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use tesseract_baselines::MegatronWorld;
+use tesseract_baselines::{MegatronTransformerLayer, MegatronWorld};
 use tesseract_comm::RunConfig;
 use tesseract_core::layers::{LayerNorm, TesseractLinear, TesseractMlp};
 use tesseract_core::partition::{a_block, combine_c};
@@ -13,7 +13,7 @@ use tesseract_core::{
 };
 use tesseract_tensor::{
     assert_slices_close, init::global_xavier, matmul::gemm, nn, DenseTensor, Matrix, Orient,
-    TensorLike,
+    ShadowTensor, TensorLike,
 };
 
 const SEED: u64 = 99;
@@ -263,4 +263,74 @@ fn gpipe_style_multi_forward_then_backward_works() {
     let d2 = combine_c(&out.results.iter().map(|(_, b)| b.clone()).collect::<Vec<_>>(), shape);
     assert_slices_close(d1.data(), single(&x1, 1).data(), 1e-5);
     assert_slices_close(d2.data(), single(&x2, 2).data(), 1e-5);
+}
+
+/// Bytes of the distinct buffers one Transformer layer's forward leaves on
+/// its tapes, each counted once: per layer norm `X̂` `[rows, w]` (which
+/// the linear it feeds tapes too) and `1/sqrt(Var+ε)` `[rows, 1]`; per
+/// local (sample, head) the attention's Q, K, V `[s, hd]` and scores
+/// `[s, s]`; the merged heads `[rows, heads·hd]` (`wo`'s input); the MLP's
+/// pre-activation and activation `[rows, mlp_w]`.
+fn distinct_layer_tape_bytes(
+    cfg: TransformerConfig,
+    (rows, w, samples, heads, mlp_w): (usize, usize, usize, usize, usize),
+) -> u64 {
+    let (s, hd) = (cfg.seq, cfg.head_dim());
+    let elems = 2 * (rows * w + rows)
+        + samples * heads * (3 * s * hd + s * s)
+        + rows * heads * hd
+        + 2 * rows * mlp_w;
+    (elems * 4) as u64
+}
+
+#[test]
+fn a_layers_tape_books_each_buffer_once() {
+    // `train_gemm`'s layer shape.
+    let cfg = TransformerConfig {
+        batch: 8,
+        seq: 64,
+        hidden: 512,
+        heads: 8,
+        mlp_ratio: 4,
+        layers: 1,
+        eps: 1e-5,
+    };
+    let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
+    // Per rank: the tape bytes after one layer forward, then after its
+    // backward, against the distinct buffers the forward taped.
+    let check = |world: &str, ranks: &[(u64, u64)], want: u64| {
+        for (rank, &(taped, left)) in ranks.iter().enumerate() {
+            assert_eq!(taped, want, "{world} rank {rank}: tape bytes after forward");
+            assert_eq!(left, 0, "{world} rank {rank}: tape bytes after backward");
+        }
+    };
+    for shape in [GridShape::new(2, 1), GridShape::new(2, 2)] {
+        let (q, d) = (shape.q, shape.d);
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            let mut layer =
+                TesseractTransformerLayer::<ShadowTensor>::new(ctx, &grid, cfg, true, SEED, 0);
+            let x = Arc::new(ShadowTensor::new(cfg.rows() / (q * d), h / q));
+            let y = layer.forward(&grid, ctx, &x);
+            let taped = ctx.tape_bytes_now();
+            let _ = layer.backward(&grid, ctx, &y);
+            (taped, ctx.tape_bytes_now())
+        });
+        let samples = cfg.batch / (q * d);
+        let dims = (samples * cfg.seq, h / q, samples, cfg.heads / q, mlp_h / q);
+        check(&format!("{shape:?}"), &out.results, distinct_layer_tape_bytes(cfg, dims));
+    }
+    for p in [2, 4] {
+        let out = RunConfig::from_env(p).run(|ctx| {
+            let world = MegatronWorld::new(ctx, (0..p).collect());
+            let mut layer =
+                MegatronTransformerLayer::<ShadowTensor>::new(ctx, &world, cfg, true, SEED, 0);
+            let y = layer.forward(&world, ctx, &Arc::new(ShadowTensor::new(cfg.rows(), h)));
+            let taped = ctx.tape_bytes_now();
+            let _ = layer.backward(&world, ctx, &y);
+            (taped, ctx.tape_bytes_now())
+        });
+        let dims = (cfg.rows(), h, cfg.batch, cfg.heads / p, mlp_h / p);
+        check(&format!("megatron[{p}]"), &out.results, distinct_layer_tape_bytes(cfg, dims));
+    }
 }

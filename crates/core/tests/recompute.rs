@@ -107,7 +107,7 @@ fn peak_activation_bytes(shape: GridShape, cfg: TransformerConfig, opts: StackOp
 #[test]
 fn recompute_reduces_peak_activation_bytes() {
     // 4 layers checkpointed every layer: each rank measures
-    // 47616 / 165888 = 0.287 of the dense peak (one live layer plus the four
+    // 43520 / 149504 = 0.291 of the dense peak (one live layer plus the four
     // segment inputs). The gate is that ratio plus under 10 % slack, so it
     // fails if recomputation stops dropping segments.
     const RHO: f64 = 0.31;

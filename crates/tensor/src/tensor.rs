@@ -88,6 +88,13 @@ impl<A: FusedOutput> FusedOutput for Option<A> {
     }
 }
 
+/// An in-place chain: it writes no new tensor, no bytes.
+impl FusedOutput for () {
+    fn out_bytes(&self) -> usize {
+        0
+    }
+}
+
 impl<A: FusedOutput, B: FusedOutput> FusedOutput for (A, B) {
     fn out_bytes(&self) -> usize {
         self.0.out_bytes() + self.1.out_bytes()
@@ -481,9 +488,8 @@ pub trait TensorLike: Clone + Send + Sync + Sized + 'static {
     }
 
     /// Frobenius norm of the stored values, if this backend has real data
-    /// (the shadow backend returns `None`; gradient clipping skips the
-    /// rescale there). Not metered: a norm is negligible against the
-    /// fwd/bwd work the tables time.
+    /// (the shadow backend returns `None`). Not metered: its one caller,
+    /// gradient clipping, charges the norm's op chain on shadow shapes.
     fn frobenius(&self) -> Option<f32> {
         self.try_matrix().map(Matrix::frobenius_norm)
     }

@@ -9,6 +9,13 @@
 //! every block `d` times. The resulting scale factor is identical on every
 //! rank, so the clip itself needs no further communication.
 //!
+//! A clip is two launches around the two scalar all-reduces: one for the
+//! local squared norm, one scaling every gradient by
+//! `min(1, max_norm / norm)`. The scale runs whether or not the threshold
+//! engages (scaling by 1 is exact), and a shadow run charges the same
+//! launches and collectives, so a clip's clock depends on neither the
+//! values nor the backend.
+//!
 //! This is the only clip: the serial oracle (`SerialViT`) is a [`Module`]
 //! too and is clipped on a `[1,1,1]` grid, where both all-reduces have one
 //! member and return the local sum unchanged.
@@ -18,23 +25,32 @@ use std::sync::Arc;
 use tesseract_comm::RankCtx;
 use tesseract_core::module::Module;
 use tesseract_core::TesseractGrid;
-use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+use tesseract_tensor::{fused, Matrix, Meter, ShadowTensor, TensorLike};
 
-/// Sum of squared Frobenius norms of a module's local gradient blocks.
-/// `None` when the backend carries no values (shadow tensors).
-fn local_grad_norm_sq<T: TensorLike, G>(model: &mut dyn Module<T, G>) -> Option<f32> {
+/// Sum of squared Frobenius norms of a module's local gradient blocks, as
+/// a `[1, 1]` tensor (a blank shape on the shadow backend), in one fused
+/// launch. The value is summed in `f64` off the stored gradients; the
+/// launch is charged as the op chain `G∘G`, column sums, row sum and the
+/// add into the running sum, per gradient, run on shadow shapes.
+fn local_grad_norm_sq<T: TensorLike, G>(model: &mut dyn Module<T, G>, m: &mut Meter) -> T {
     let mut sq = 0.0f64;
-    let mut measurable = true;
-    model.visit_params(&mut |pr| match pr.grad.frobenius() {
-        Some(n) => sq += (n as f64) * (n as f64),
-        None => measurable = false,
+    let _ = fused(m, |m| {
+        let mut sum = ShadowTensor::new(1, 1);
+        model.visit_params(&mut |pr| {
+            if let Some(n) = pr.grad.frobenius() {
+                sq += (n as f64) * (n as f64);
+            }
+            let g = ShadowTensor::new(pr.grad.rows(), pr.grad.cols());
+            sum = sum.add(&g.hadamard(&g, m).col_sums(m).row_sums(m), m);
+        });
+        sum
     });
-    measurable.then_some(sq as f32)
+    T::build(1, 1, || Matrix::from_vec(1, 1, vec![sq as f32]))
 }
 
-/// Scales every gradient by `max_norm / global_norm` when the global norm
-/// exceeds `max_norm`. Returns the (pre-clip) global norm, or `None` on
-/// value-free backends, where clipping is a no-op.
+/// Scales every gradient by `min(1, max_norm / global_norm)`. Returns the
+/// (pre-clip) global norm, or `None` on value-free backends, which charge
+/// the same launches and collectives and scale by 1.
 ///
 /// Collective: all grid ranks must call this together (it all-reduces one
 /// scalar over the row and column fibers).
@@ -45,18 +61,11 @@ pub fn clip_grad_norm<T: TensorLike>(
     max_norm: f32,
 ) -> Option<f32> {
     assert!(max_norm > 0.0, "clip threshold must be positive");
-    let local_sq = local_grad_norm_sq(model);
-    // The scalar rides in a 1×1 dense tensor so both backends share the
-    // collective path; shadow runs skip the reduce entirely (all ranks
-    // agree the norm is unmeasurable, so the collective stays aligned).
-    let local_sq = local_sq?;
-    let packed = DenseTensor::from_matrix(Matrix::from_vec(1, 1, vec![local_sq]));
-    let packed = grid.row.all_reduce_shared(ctx, packed);
+    let local_sq = local_grad_norm_sq(model, &mut ctx.meter);
+    let packed = grid.row.all_reduce_shared(ctx, local_sq);
     let packed = grid.col.all_reduce_shared(ctx, Arc::unwrap_or_clone(packed));
-    let norm = packed.matrix()[(0, 0)].sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        model.visit_params(&mut |pr| pr.grad.scale_assign(scale, &mut ctx.meter));
-    }
-    Some(norm)
+    let norm = packed.try_matrix().map(|s| s[(0, 0)].sqrt());
+    let scale = norm.map_or(1.0, |n| (max_norm / n).min(1.0));
+    fused(&mut ctx.meter, |m| model.visit_params(&mut |pr| pr.grad.scale_assign(scale, m)));
+    norm
 }

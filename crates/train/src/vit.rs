@@ -9,7 +9,7 @@ use tesseract_comm::RankCtx;
 use tesseract_core::module::{Module, ParamRef};
 use tesseract_core::{TesseractGrid, TesseractLinear, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::nn;
-use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
+use tesseract_tensor::{fused, DenseTensor, Matrix, TensorLike};
 
 use tesseract_baselines::serial::{SerialLinear, SerialTransformer};
 
@@ -81,35 +81,40 @@ impl<T: TensorLike> Module<T> for TesseractViT<T> {
         let s = self.vcfg.body.seq;
         let e = self.embed.forward(grid, ctx, x_local);
         let feats = self.body.forward(grid, ctx, &e);
-        // Mean-pool over the sequence of each local sample.
+        // Mean-pool over the sequence of each local sample, in one launch.
         let samples = self.local_samples(grid);
-        let mut pooled = Vec::with_capacity(samples);
-        for si in 0..samples {
-            let rows = feats.slice_rows(si * s, (si + 1) * s, &mut ctx.meter);
-            pooled.push(rows.col_sums(&mut ctx.meter).scale(1.0 / s as f32, &mut ctx.meter));
-        }
-        let pool = Arc::new(T::concat_rows(&pooled, &mut ctx.meter));
-        self.head.forward(grid, ctx, &pool)
+        let pool = fused(&mut ctx.meter, |m| {
+            let pooled: Vec<T> = (0..samples)
+                .map(|si| {
+                    feats.slice_rows(si * s, (si + 1) * s, m).col_sums(m).scale(1.0 / s as f32, m)
+                })
+                .collect();
+            T::concat_rows(&pooled, m)
+        });
+        self.head.forward(grid, ctx, &Arc::new(pool))
     }
 
-    /// Backward from the logits gradient; accumulates all parameter grads
-    /// and returns the gradient w.r.t. the local patch-feature block.
+    /// Backward from the logits gradient; accumulates all parameter grads.
+    /// The patches are data, so the patch embedding runs only its
+    /// parameter half ([`TesseractLinear::backward_params`]) and no
+    /// gradient reaches them: returns an empty `[0, patch_dim/q]` block.
     fn backward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, d_logits: &Arc<T>) -> Arc<T> {
         let s = self.vcfg.body.seq;
         let d_pool = self.head.backward(grid, ctx, d_logits);
-        // Un-pool: every sequence position receives 1/s of the pooled grad.
+        // Un-pool, in one launch: every sequence position receives 1/s of
+        // the pooled grad.
         let samples = self.local_samples(grid);
-        let mut expanded = Vec::with_capacity(samples * s);
-        for si in 0..samples {
-            let row =
-                d_pool.slice_rows(si, si + 1, &mut ctx.meter).scale(1.0 / s as f32, &mut ctx.meter);
-            for _ in 0..s {
-                expanded.push(row.clone());
+        let d_feats = fused(&mut ctx.meter, |m| {
+            let mut expanded = Vec::with_capacity(samples * s);
+            for si in 0..samples {
+                let row = d_pool.slice_rows(si, si + 1, m).scale(1.0 / s as f32, m);
+                expanded.extend(std::iter::repeat_n(row, s));
             }
-        }
-        let d_feats = Arc::new(T::concat_rows(&expanded, &mut ctx.meter));
-        let d_embed = self.body.backward(grid, ctx, &d_feats);
-        self.embed.backward(grid, ctx, &d_embed)
+            T::concat_rows(&expanded, m)
+        });
+        let d_embed = self.body.backward(grid, ctx, &Arc::new(d_feats));
+        self.embed.backward_params(grid, ctx, &d_embed);
+        Arc::new(T::zeros(0, self.vcfg.patch_dim / grid.shape.q))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, T>)) {
@@ -170,7 +175,9 @@ impl Module<DenseTensor> for SerialViT {
         Arc::new(DenseTensor(self.head.forward(&pool)))
     }
 
-    /// Accumulates every parameter gradient; returns `dX` of the patches.
+    /// Accumulates every parameter gradient. The patches are data, so the
+    /// patch embedding computes no `dX`: returns an empty
+    /// `[0, patch_dim]` tensor.
     fn backward(
         &mut self,
         _: &TesseractGrid,
@@ -189,7 +196,8 @@ impl Module<DenseTensor> for SerialViT {
             }
         }
         let d_embed = self.body.backward(&d_feats);
-        Arc::new(DenseTensor(self.embed.backward(&d_embed)))
+        self.embed.backward_params(&d_embed);
+        Arc::new(DenseTensor::zeros(0, self.vcfg.patch_dim))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamRef<'_, DenseTensor>)) {

@@ -2,14 +2,15 @@
 //! `[2,2,1]` and `[2,2,2]`, `clip_grad_norm` reduces the same norm the
 //! serial oracle's gradients have, every rank gets it, and clipping puts
 //! the global norm on the threshold. The `[1,1,1]` cases pin the arithmetic
-//! on hand-made gradients.
+//! on hand-made gradients. A clip's clock depends on neither the backend
+//! nor whether the threshold engages.
 
 use std::sync::Arc;
 
 use tesseract_comm::{RankCtx, RunConfig};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, ParamRef, TesseractGrid, TransformerConfig};
-use tesseract_tensor::{DenseTensor, Matrix};
+use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike};
 use tesseract_train::clip_grad_norm;
 use tesseract_train::vit::{SerialViT, TesseractViT, ViTConfig};
 
@@ -99,6 +100,64 @@ fn grid_clip_matches_serial_norm_on_2x2x1() {
 #[test]
 fn grid_clip_matches_serial_norm_on_2x2x2() {
     check_grid_clip(GridShape::new(2, 2));
+}
+
+/// Per rank, after one ViT backward on `[2,2,1]` on backend `T`: the
+/// virtual seconds (as f64 bits) that `clip_grad_norm(max_norm)` advances
+/// the clock by, and the norm it reports.
+fn clip_clock<T: TensorLike>(max_norm: f32) -> Vec<(u64, Option<f32>)> {
+    let (x, dlogits) = inputs();
+    let shape = GridShape::new(2, 1);
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let (i, j, k) = grid.coords;
+        let block = |m: &Matrix| {
+            let b = a_block(m, shape, i, j, k);
+            Arc::new(T::build(b.rows(), b.cols(), || b))
+        };
+        let mut model = TesseractViT::<T>::new(ctx, &grid, vcfg(), SEED);
+        let _ = model.forward(&grid, ctx, &block(&x));
+        let _ = model.backward(&grid, ctx, &block(&dlogits));
+        ctx.flush_compute();
+        let before = ctx.clock();
+        let norm = clip_grad_norm(&grid, ctx, &mut model, max_norm);
+        ctx.flush_compute();
+        ((ctx.clock() - before).to_bits(), norm)
+    });
+    out.results
+}
+
+#[test]
+fn a_dense_and_a_shadow_clip_charge_the_same_clock() {
+    let dense = clip_clock::<DenseTensor>(1e-6);
+    let shadow = clip_clock::<ShadowTensor>(1e-6);
+    for (rank, (&(d, norm), &(s, none))) in dense.iter().zip(&shadow).enumerate() {
+        assert!(f64::from_bits(d) > 0.0, "rank {rank}: the clip charged nothing");
+        assert!(norm.is_some() && none.is_none(), "rank {rank}: only Dense reports a norm");
+        assert_eq!(
+            d,
+            s,
+            "rank {rank}: Dense clip {} s, Shadow {} s",
+            f64::from_bits(d),
+            f64::from_bits(s)
+        );
+    }
+}
+
+#[test]
+fn a_clips_clock_does_not_depend_on_whether_it_engages() {
+    let engaged = clip_clock::<DenseTensor>(1e-6);
+    let idle = clip_clock::<DenseTensor>(f32::MAX);
+    for (rank, (&(e, norm), &(i, _))) in engaged.iter().zip(&idle).enumerate() {
+        assert!(norm.expect("dense norm") > 1e-6, "rank {rank}: the threshold must engage");
+        assert_eq!(
+            e,
+            i,
+            "rank {rank}: engaged {} s, idle {} s",
+            f64::from_bits(e),
+            f64::from_bits(i)
+        );
+    }
 }
 
 /// A bare parameter set: borrowed `(weight, grad)` pairs, visited in

@@ -10,13 +10,16 @@
 //! blocked path. Its constants hold under every `TESSERACT_KERNEL` the host
 //! supports (`scripts/ci.sh` re-runs this file under each): every blocked
 //! backend computes the same fused chain, so no Dense bit depends on the CPU.
+//!
+//! The small step's virtual clock is pinned too: every rank's virtual
+//! seconds and the collectives per op.
 
 use tesseract_comm::RunConfig;
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::{DenseTensor, Meter, ShadowTensor, TensorLike};
 use tesseract_train::vit::{distributed_cross_entropy, TesseractViT, ViTConfig};
-use tesseract_train::{train_serial, AdamW, TrainSettings};
+use tesseract_train::{clip_grad_norm, train_serial, AdamW, TrainSettings};
 
 fn vcfg() -> ViTConfig {
     ViTConfig {
@@ -54,9 +57,19 @@ fn vcfg_blocked() -> ViTConfig {
     }
 }
 
-/// One AdamW step of the dense ViT on `shape`: rank 0's fingerprint, and the
-/// fewest GEMMs any rank ran on the blocked path.
-fn run_step(v: ViTConfig, shape: GridShape) -> (Fingerprint, u64) {
+/// The virtual clock of one step: every rank's virtual seconds (f64 bit
+/// patterns, rank order) and the collectives the ranks led, per op in
+/// `CollectiveOp::ALL` order.
+#[derive(Debug, PartialEq)]
+struct StepClock {
+    virt_s: Vec<u64>,
+    calls: Vec<u64>,
+}
+
+/// One AdamW step of the dense ViT on `shape`, clipped to `f32::MAX` (so
+/// the clip's charges run and no value moves): rank 0's fingerprint, the
+/// fewest GEMMs any rank ran on the blocked path, and the step's clock.
+fn run_step(v: ViTConfig, shape: GridShape) -> (Fingerprint, u64, StepClock) {
     let ds =
         tesseract_train::SyntheticVisionDataset::new(v.classes, v.body.seq, v.patch_dim, 0.3, 7);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
@@ -73,6 +86,7 @@ fn run_step(v: ViTConfig, shape: GridShape) -> (Fingerprint, u64) {
         let logits = model.forward(&grid, ctx, &x_loc);
         let (loss_local, dlogits, _) = distributed_cross_entropy(&grid, ctx, &logits, my_labels, b);
         let _ = model.backward(&grid, ctx, &std::sync::Arc::new(dlogits));
+        clip_grad_norm(&grid, ctx, &mut model, f32::MAX);
         opt.step(&mut Meter::new(), &mut model);
         model.zero_grad();
         let logits_row0: Vec<u32> = logits.matrix().row(0).iter().map(|f| f.to_bits()).collect();
@@ -91,7 +105,11 @@ fn run_step(v: ViTConfig, shape: GridShape) -> (Fingerprint, u64) {
         Fingerprint { logits_row0, loss: loss_local.to_bits(), embed_w00, head_w00, mlp_fc1_w00 }
     });
     let fewest_blocked = out.reports.iter().map(|r| r.gemms_blocked).min().expect("ranks");
-    (out.results.into_iter().next().expect("rank 0 fingerprint"), fewest_blocked)
+    let clock = StepClock {
+        virt_s: out.reports.iter().map(|r| r.virtual_time.to_bits()).collect(),
+        calls: out.comm.per_op.iter().map(|op| op.calls).collect(),
+    };
+    (out.results.into_iter().next().expect("rank 0 fingerprint"), fewest_blocked, clock)
 }
 
 mod golden {
@@ -105,6 +123,26 @@ mod golden {
     pub const HEAD_W00: u32 = 1050329089;
     /// Post-step MLP fc1 weight `[(0, 0)]` (5th visited parameter).
     pub const MLP_FC1_W00: u32 = 3195770600;
+    /// The step's virtual seconds per rank (f64 bit patterns): 930.05 µs
+    /// (rows `i = 0` and `i = 1` differ in the last bits). Before the patch
+    /// embedding dropped its `dX` product and the pooling and the clip
+    /// became one launch each, every rank read
+    /// 4561901902106294984 (950.05 µs).
+    pub const STEP_VIRT_S: [u64; 8] = [
+        4561717430629686987,
+        4561717430629686987,
+        4561717430628026780,
+        4561717430628026780,
+        4561717430629686987,
+        4561717430629686987,
+        4561717430628026780,
+        4561717430628026780,
+    ];
+    /// The step's collectives per op (`CollectiveOp::ALL` order:
+    /// broadcast, reduce, all-reduce, all-gather, …). Before, the dropped
+    /// `dX` product added 8 broadcasts and 8 reduces: `[216, 120, 60, 4,
+    /// 0, 0, 0, 0, 0]`.
+    pub const STEP_CALLS: [u64; 9] = [208, 112, 60, 4, 0, 0, 0, 0, 0];
     /// Shadow Transformer fwd+bwd on `[2, 2, 2]`: rank 0's metered flops
     /// (f64 bit pattern).
     pub const SHADOW_FLOPS: u64 = 4634766966517661696;
@@ -160,7 +198,11 @@ fn print_goldens() {
     for (name, v, shape) in
         [("", vcfg(), GridShape::new(2, 2)), ("blocked::", vcfg_blocked(), GridShape::new(2, 1))]
     {
-        let (fp, _) = run_step(v, shape);
+        let (fp, _, clock) = run_step(v, shape);
+        if name.is_empty() {
+            println!("STEP_VIRT_S: {:?}", clock.virt_s);
+            println!("STEP_CALLS: {:?}", clock.calls);
+        }
         println!("{name}LOGITS_ROW0: {:?}", fp.logits_row0);
         println!("{name}LOSS: {}", fp.loss);
         println!("{name}EMBED_W00: {}", fp.embed_w00);
@@ -186,14 +228,14 @@ fn assert_fingerprint(fp: &Fingerprint, want: (&[u32], u32, u32, u32, u32)) {
 
 #[test]
 fn dense_vit_step_is_bitwise_stable() {
-    let (fp, _) = run_step(vcfg(), GridShape::new(2, 2));
+    let (fp, _, _) = run_step(vcfg(), GridShape::new(2, 2));
     use golden::*;
     assert_fingerprint(&fp, (&LOGITS_ROW0, LOSS, EMBED_W00, HEAD_W00, MLP_FC1_W00));
 }
 
 #[test]
 fn dense_vit_step_on_blocked_gemms_is_bitwise_stable() {
-    let (fp, fewest_blocked) = run_step(vcfg_blocked(), GridShape::new(2, 1));
+    let (fp, fewest_blocked, _) = run_step(vcfg_blocked(), GridShape::new(2, 1));
     assert!(fewest_blocked > 0, "a rank ran no GEMM on the blocked path");
     use golden::blocked::*;
     assert_fingerprint(&fp, (&LOGITS_ROW0, LOSS, EMBED_W00, HEAD_W00, MLP_FC1_W00));
@@ -219,4 +261,12 @@ fn shadow_step_accounting_is_stable() {
     let (flops, bytes) = shadow_counters();
     assert_eq!(flops, golden::SHADOW_FLOPS, "shadow flop accounting drifted");
     assert_eq!(bytes, golden::SHADOW_BYTES, "shadow byte accounting drifted");
+}
+
+#[test]
+fn dense_vit_step_clock_is_stable() {
+    let (_, _, clock) = run_step(vcfg(), GridShape::new(2, 2));
+    let want =
+        StepClock { virt_s: golden::STEP_VIRT_S.to_vec(), calls: golden::STEP_CALLS.to_vec() };
+    assert_eq!(clock, want, "the ViT step's virtual clock drifted");
 }
