@@ -21,12 +21,16 @@
 //! beside the `q = 1` arrangement on as many GPUs: `d` pure replicas, the
 //! no-tensor-parallel baseline.
 //!
+//! Per arrangement it also runs the one-time weight fetch alone and
+//! reports its virtual seconds and collectives per rank.
+//!
 //! Every run re-checks the engine's invariants (identical results on all
 //! ranks, meter/engine counter reconciliation, ordered percentiles,
-//! nonzero throughput, and exactly two lane all-gathers per layer, no
-//! all-reduce, and one launch more than that in every step of the flood's
-//! busiest lane) and the whole sweep is deterministic: same arguments,
-//! same bytes out.
+//! nonzero throughput, exactly two lane all-gathers and two launches per
+//! layer and no all-reduce in every step of the flood's busiest lane, and
+//! a weight fetch of `q` column broadcasts and one lane exchange per
+//! rank) and the whole sweep is deterministic: same arguments, same bytes
+//! out.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin serve_sweep -- \
 //!           [--grids 2,1;1,4;2,2;1,8;4,1] [--requests 1000] [--out BENCH_serving.json] \
@@ -35,9 +39,10 @@
 use tesseract_bench::cli::Args;
 use tesseract_bench::write_chrome_trace;
 use tesseract_comm::{CollectiveOp, RunConfig, RunOutput};
-use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_core::{GridShape, TesseractGrid, TransformerConfig};
 use tesseract_serve::{
-    generate, latency_stats, serve_on_cluster, ServeConfig, ServeSummary, TrafficConfig,
+    generate, latency_stats, serve_on_cluster, served_model, ServeConfig, ServeSummary,
+    TrafficConfig,
 };
 use tesseract_tensor::json;
 use tesseract_tensor::trace::json::{self, Value};
@@ -114,16 +119,15 @@ struct FloodCost {
     comm_s_per_step: f64,
     /// Collectives the rank booked (`RankReport::comm`: those it led).
     collectives_per_step: f64,
-    /// Row all-gathers of the rank's lane, net of the weight fetch's one
-    /// lane exchange per row-parallel linear; each is booked by one of the
-    /// lane's ranks.
+    /// Row all-gathers of the rank's lane, net of the weight fetch's lane
+    /// exchange; each is booked by one of the lane's ranks.
     all_gathers_per_step: f64,
     /// Row all-reduces of the rank's lane over the whole flood.
     all_reduces: u64,
 }
 
 impl FloodCost {
-    fn of(flood: &RunOutput<ServeSummary>, shape: GridShape, layers: usize) -> Self {
+    fn of(flood: &RunOutput<ServeSummary>, shape: GridShape, fetch: &FetchCost) -> Self {
         let busiest = (flood.reports.iter())
             .reduce(|a, b| if b.compute_time > a.compute_time { b } else { a })
             .expect("a run has ranks");
@@ -139,7 +143,6 @@ impl FloodCost {
                 .map(|r| r.comm.get(op).calls)
                 .sum()
         };
-        let fetch_gathers = 2 * layers as u64;
         FloodCost {
             steps,
             kernels_per_step: per_step(busiest.kernels as f64),
@@ -147,10 +150,51 @@ impl FloodCost {
             comm_s_per_step: per_step(busiest.comm_time),
             collectives_per_step: per_step(busiest.comm.total_calls() as f64),
             all_gathers_per_step: per_step(
-                (lane_calls(CollectiveOp::AllGather) - fetch_gathers) as f64,
+                (lane_calls(CollectiveOp::AllGather) - fetch.lane_exchanges) as f64,
             ),
             all_reduces: lane_calls(CollectiveOp::AllReduce),
         }
+    }
+}
+
+/// The one-time weight fetch (`TesseractTransformer::fetch_stationary`)
+/// run alone on the served model, read from that run's own clocks and
+/// ledger.
+struct FetchCost {
+    /// Max over ranks of the clock when the fetch returns.
+    virt_s: f64,
+    /// Column broadcasts and lane exchanges per rank. Every rank sits in
+    /// exactly one row group and one column group, and there are `q·d` of
+    /// each, so per-rank counts are group calls over `q·d`.
+    broadcasts: u64,
+    lane_exchanges: u64,
+}
+
+impl FetchCost {
+    fn of(shape: GridShape, cfg: &ServeConfig) -> Self {
+        let out = RunConfig::from_env(shape.size()).run(|ctx| {
+            let grid = TesseractGrid::new(ctx, shape, 0);
+            served_model::<ShadowTensor>(ctx, &grid, cfg).fetch_stationary(&grid, ctx);
+            ctx.flush_compute();
+            ctx.clock()
+        });
+        let groups = (shape.q * shape.d) as u64;
+        let per_rank = |op| out.comm.get(op).calls / groups;
+        let cost = FetchCost {
+            virt_s: out.results.iter().copied().fold(0.0, f64::max),
+            broadcasts: per_rank(CollectiveOp::Broadcast),
+            lane_exchanges: per_rank(CollectiveOp::AllGather),
+        };
+        assert_eq!(
+            (cost.broadcasts, cost.lane_exchanges, cost.collectives()),
+            (shape.q as u64, 1, out.comm.total_calls() / groups),
+            "{shape:?}: the weight fetch is q column broadcasts and one lane exchange per rank"
+        );
+        cost
+    }
+
+    fn collectives(&self) -> u64 {
+        self.broadcasts + self.lane_exchanges
     }
 }
 
@@ -160,6 +204,7 @@ struct ArrangementCurve {
     /// Weight bytes a rank holds for weight-stationary serving, max over
     /// ranks (from the calibration flood).
     weight_bytes: u64,
+    fetch: FetchCost,
     flood: FloodCost,
     points: Vec<Point>,
 }
@@ -188,11 +233,11 @@ fn run_point(
     (out, latencies)
 }
 
-/// Lane all-gathers and launches of one busy serving step: two per layer,
-/// and one launch more.
+/// Lane all-gathers and launches of one busy serving step: two each per
+/// layer.
 fn step_counts(cfg: &ServeConfig) -> (usize, usize) {
     let layers = cfg.model.layers;
-    (2 * layers, 2 * layers + 1)
+    (2 * layers, 2 * layers)
 }
 
 fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
@@ -203,10 +248,11 @@ fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
     let capacity_rps = requests as f64 / flood.makespan();
     assert!(capacity_rps > 0.0 && capacity_rps.is_finite());
     let weight_bytes = flood.reports.iter().map(|r| r.weight_bytes).max().unwrap_or(0);
-    let flood = FloodCost::of(&flood, shape, cfg.model.layers);
+    let fetch = FetchCost::of(shape, &cfg);
+    let flood = FloodCost::of(&flood, shape, &fetch);
     // Per layer, two fused launches that each end in one lane all-gather
-    // of the row-parallel terms; then one launch for the last fold and
-    // residual add.
+    // of the row-parallel terms; the step ends at its last gather, and the
+    // next step's first launch folds the carried rows.
     let (all_gathers, launches) = step_counts(&cfg);
     assert_eq!(flood.kernels_per_step, launches as f64, "{shape:?}: launches per busy step");
     assert_eq!(
@@ -251,7 +297,7 @@ fn sweep_arrangement(shape: GridShape, requests: usize) -> ArrangementCurve {
         q = shape.q,
         d = shape.d,
     );
-    ArrangementCurve { shape, capacity_rps, weight_bytes, flood, points }
+    ArrangementCurve { shape, capacity_rps, weight_bytes, fetch, flood, points }
 }
 
 /// Runs a `requests`-request calibration flood of the first arrangement
@@ -300,6 +346,11 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
             curve.capacity_rps,
             curve.weight_bytes
         );
+        println!(
+            "weight fetch: {:.1} us, {} collectives per rank",
+            curve.fetch.virt_s * 1e6,
+            curve.fetch.collectives()
+        );
         let f = &curve.flood;
         println!(
             "flood, busiest rank: {} steps, {:.1} launches, {:.1} us compute, {:.1} us comm, \
@@ -339,6 +390,9 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
     println!(
         "invariant ok: a busy serving step is {all_gathers} lane all-gathers and {launches} launches"
     );
+    println!(
+        "invariant ok: the weight fetch is q column broadcasts and one lane exchange per rank"
+    );
 
     let trace_shape = GridShape::new(grids[0].0, grids[0].1);
     let events = write_saturated_trace(&trace_path, trace_shape, requests.min(TRACE_REQUESTS));
@@ -365,6 +419,10 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
             "world": curve.shape.size(),
             "capacity_rps": Value::fixed(curve.capacity_rps, 9),
             "weight_bytes": curve.weight_bytes,
+            "fetch": {
+                "virt_s": Value::fixed(curve.fetch.virt_s, 9),
+                "collectives_per_rank": curve.fetch.collectives()
+            },
             "flood": {
                 "steps": f.steps, "kernels_per_step": Value::fixed(f.kernels_per_step, 3),
                 "compute_s_per_step": Value::fixed(f.compute_s_per_step, 9),
@@ -379,6 +437,7 @@ loads {LOAD_MULTIPLIERS:?} x measured capacity (virtual seconds)\n",
         "units": {
             "time": "simulated seconds", "rates": "per simulated second",
             "kv_peak": "bytes, max over ranks", "weight": "bytes per rank, max over ranks",
+            "fetch": "the one-time weight fetch alone: max over ranks, collectives per rank",
             "flood": "calibration flood, busiest rank (most compute), per step of its lane",
             "collectives": "calls the rank booked, i.e. led (RankReport::comm)"
         },

@@ -11,13 +11,14 @@
 //! gradients are **reduced back to row 0** (plus a depth all-reduce so the
 //! replicas stay in sync).
 //!
-//! Serving is weight-stationary. A column-parallel linear
-//! ([`TesseractLinear::fetch_stationary`]) fetches this rank's column of
-//! weight panels and its bias block once, and [`Stationary::matmul`]
+//! Serving is weight-stationary: [`TesseractLinear::fetch_stationary`]
+//! fetches every serving linear's panels once, in one bucket. A
+//! column-parallel linear ([`Parallel::Column`]) holds this rank's column
+//! of weight panels and its bias block, and [`Stationary::matmul`]
 //! multiplies the panels of full rows by them: SUMMA's multiply-and-add on
 //! the same panels, so its output is bitwise [`Module::forward`]'s block.
-//! A row-parallel linear ([`TesseractLinear::fetch_stationary_row`]) holds
-//! its row of panels and the full-width bias instead;
+//! A row-parallel linear ([`Parallel::Row`]) holds its row of panels and
+//! the full-width bias instead;
 //! [`Stationary::partial`] is this rank's term of the lane's sum, and the
 //! bias is added once, after it. Both take a `Meter`, not a `RankCtx`, so
 //! they run inside the fused launch of a serving stretch and never fetch.
@@ -61,8 +62,7 @@ pub struct TesseractLinear<T> {
     tape: Tape<Arc<T>>,
     with_bias: bool,
     /// Serving's copy of this rank's weight panels, filled by
-    /// [`TesseractLinear::fetch_stationary`] or
-    /// [`TesseractLinear::fetch_stationary_row`] and dropped by
+    /// [`TesseractLinear::fetch_stationary`] and dropped by
     /// `visit_params`.
     stationary: OnceLock<Stationary<T>>,
 }
@@ -75,6 +75,19 @@ pub struct TesseractLinear<T> {
 pub struct Stationary<T> {
     pub panels: Vec<Arc<T>>,
     pub bias: Option<Arc<T>>,
+}
+
+/// How a serving lane splits a linear's product, which decides the
+/// weights [`TesseractLinear::fetch_stationary`] leaves on a rank.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Parallel {
+    /// Each rank computes its column block of the output from full rows
+    /// ([`Stationary::matmul`]): it holds its weight column.
+    Column,
+    /// Each rank computes its term of the lane's sum from its column block
+    /// of the input ([`Stationary::partial`]): it holds its weight row and
+    /// the whole bias.
+    Row,
 }
 
 impl<T: TensorLike> Stationary<T> {
@@ -165,38 +178,62 @@ impl<T: TensorLike> TesseractLinear<T> {
         }
     }
 
-    /// Fetches this rank's weight column and bias block (the column
-    /// broadcasts [`Module::forward`] issues every call) for serving as a
-    /// column-parallel linear, unless it already holds its panels. SPMD
-    /// over each grid column: its `q` ranks fetch together.
-    pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        self.stationary.get_or_init(|| self.fetch_column(grid, ctx));
-    }
-
-    /// Fetches this rank's row of weight panels and the whole bias for
-    /// serving as a row-parallel linear, unless it already holds its
-    /// panels: the column fetch, then one [`lane_exchange`] of the lane's
-    /// columns, rank `j` keeping panel `j` of each and every bias block.
-    /// SPMD over the whole grid.
-    pub fn fetch_stationary_row(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        self.stationary.get_or_init(|| {
-            let Stationary { mut panels, bias } = self.fetch_column(grid, ctx);
-            panels.extend(bias);
-            let columns = lane_exchange(grid, ctx, panels);
-            let (j, q) = (grid.j(), grid.shape.q);
-            let bias = self.with_bias.then(|| {
-                let blocks: Vec<T> = columns.iter().map(|c| T::clone(&c[q])).collect();
-                Arc::new(T::concat_cols(&blocks, &mut Meter::new()))
-            });
-            Stationary { panels: columns.iter().map(|c| Arc::clone(&c[j])).collect(), bias }
-        });
-    }
-
-    fn fetch_column(&self, grid: &TesseractGrid, ctx: &mut RankCtx) -> Stationary<T> {
-        Stationary {
-            panels: column_panels(grid, ctx, &self.w),
-            bias: self.with_bias.then(|| grid.col.broadcast_shared(ctx, 0, self.bias.clone())),
+    /// Fetches, in one bucket, the weight panels and bias that serving
+    /// multiplies by for every linear of `set` that does not hold them
+    /// yet, in one traced scope, `fetch_stationary`. The one weight fetch:
+    /// SPMD over the whole grid, every rank naming the same set.
+    ///
+    /// A rank's bucket is its weight block of every such linear, then the
+    /// bias blocks it holds (row 0's). [`column_panels`] moves the buckets
+    /// down every column in `q` broadcasts, after which a rank holds its
+    /// column `[W_0j … W_{q-1,j}]` of each linear and the column's bias
+    /// blocks. A [`Parallel::Column`] linear keeps them. The
+    /// [`Parallel::Row`] linears' columns and bias blocks then cross the
+    /// lane in one [`lane_exchange`]: rank `j` keeps panel `j` of every
+    /// member's column, its row `[W_j0 … W_{j,q-1}]`, and every member's
+    /// bias block, the whole bias. The bytes are those of fetching each
+    /// linear alone; the collectives are `q` per rank, plus one with a
+    /// row-parallel linear in the set, however large the set.
+    pub fn fetch_stationary(grid: &TesseractGrid, ctx: &mut RankCtx, set: &[(&Self, Parallel)]) {
+        let todo: Vec<(&Self, Parallel)> =
+            set.iter().copied().filter(|(lin, _)| lin.stationary.get().is_none()).collect();
+        if todo.is_empty() {
+            return;
         }
+        ctx.traced("fetch_stationary", "infer", |ctx| {
+            let blocks = todo.iter().map(|(lin, _)| Arc::clone(&lin.w));
+            let biases = todo.iter().flat_map(|(lin, _)| lin.bias.clone());
+            let bucket: Vec<Arc<T>> = blocks.chain(biases).collect();
+            let columns = column_panels(grid, ctx, &Arc::new(bucket));
+            let mut biases = columns[0][todo.len()..].iter();
+            let mut fetched: Vec<Stationary<T>> = (todo.iter().enumerate())
+                .map(|(l, (lin, _))| Stationary {
+                    panels: columns.iter().map(|c| Arc::clone(&c[l])).collect(),
+                    bias: lin.with_bias.then(|| Arc::clone(biases.next().expect("row 0's bias"))),
+                })
+                .collect();
+            let rows: Vec<usize> =
+                (0..todo.len()).filter(|&l| todo[l].1 == Parallel::Row).collect();
+            if !rows.is_empty() {
+                let mine =
+                    rows.iter().flat_map(|&l| fetched[l].panels.iter().chain(&fetched[l].bias));
+                let lane = lane_exchange(grid, ctx, mine.cloned().collect());
+                let (j, q) = (grid.j(), grid.shape.q);
+                let mut at = 0;
+                for &l in &rows {
+                    let bias = todo[l].0.with_bias.then(|| {
+                        let blocks: Vec<T> = lane.iter().map(|c| T::clone(&c[at + q])).collect();
+                        Arc::new(T::concat_cols(&blocks, &mut Meter::new()))
+                    });
+                    let panels = lane.iter().map(|c| Arc::clone(&c[at + j])).collect();
+                    at += q + usize::from(bias.is_some());
+                    fetched[l] = Stationary { panels, bias };
+                }
+            }
+            for ((lin, _), st) in todo.iter().zip(fetched) {
+                lin.stationary.get_or_init(|| st);
+            }
+        });
     }
 
     /// The fetched weight panels and bias serving multiplies by, with no

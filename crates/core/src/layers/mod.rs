@@ -11,10 +11,10 @@ pub mod world;
 
 pub use attention::{Attention, TesseractAttention};
 pub use layernorm::LayerNorm;
-pub use linear::TesseractLinear;
+pub use linear::{Parallel, TesseractLinear};
 pub use mlp::{Mlp, TesseractMlp};
 pub use transformer::{
-    StackOptions, TesseractTransformer, TesseractTransformerLayer, Transformer, TransformerLayer,
-    PARAM_IDS_PER_LAYER,
+    StackOptions, Stream, TesseractTransformer, TesseractTransformerLayer, Transformer,
+    TransformerLayer, PARAM_IDS_PER_LAYER,
 };
 pub use world::{Half, World};

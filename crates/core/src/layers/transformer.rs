@@ -17,7 +17,7 @@ use crate::grid::TesseractGrid;
 use crate::infer::{InferBatch, LayerKv, RequestKv};
 use crate::layers::attention::{norm_attention, Attention};
 use crate::layers::layernorm::{layer_norm_rows, LayerNorm};
-use crate::layers::linear::{Stationary, TesseractLinear};
+use crate::layers::linear::{Parallel, Stationary, TesseractLinear};
 use crate::layers::mlp::Mlp;
 use crate::layers::world::World;
 use crate::mm::{fold_terms, lane_sum, row_panels};
@@ -100,45 +100,127 @@ impl<T: TensorLike> TesseractTransformerLayer<T> {
 }
 
 /// A serving step's residual stream between stretches: full rows `[rows,
-/// h]`, equal on every rank of the lane. It is `base`, plus the lane's
-/// terms of the row-parallel projection that ended the last stretch (in
-/// member order) and that projection's bias, not yet added: the next
-/// launch folds the terms and adds them at its head, as training's
-/// `x + (X·W + b)`.
+/// h]`, equal on every rank of the lane. It is `base`, plus, on its first
+/// `pending` rows, the lane's terms of the row-parallel projection that
+/// ended the last stretch (in member order) and that projection's bias,
+/// not yet added: the next launch folds the terms and adds them at its
+/// head, as training's `x + (X·W + b)`. A step returns its last stretch's
+/// stream, every row pending; the engine carries a continuing request's
+/// row ([`Stream::slice_rows`]) into the next step, whose first launch
+/// folds it ([`Stream::concat_rows`]). [`Stream::into_rows`] folds in a
+/// launch of its own, for a caller that reads the rows.
 pub struct Stream<T> {
     base: Arc<T>,
-    /// The lane's terms, in member order; empty when nothing is pending.
+    /// The lane's terms `[pending, h]`, in member order; empty when
+    /// nothing is pending.
     terms: Vec<Arc<T>>,
     bias: Option<Arc<T>>,
 }
 
 impl<T: TensorLike> Stream<T> {
-    /// A step's input rows, nothing pending.
+    /// Rows with nothing pending.
     pub fn new(rows: Arc<T>) -> Self {
         Self { base: rows, terms: Vec::new(), bias: None }
     }
 
-    /// `base + (Σ terms + bias)`, the terms folded by [`fold_terms`], or
-    /// `None` when nothing is pending and the rows are `base` itself. The
-    /// residual is added in place into the last intermediate it owns, so
-    /// folding `q ≥ 2` terms allocates no more tensors than adding one
-    /// shared sum would.
+    /// The stream's row count.
+    pub fn rows(&self) -> usize {
+        self.base.rows()
+    }
+
+    /// Leading rows that carry pending terms.
+    fn pending(&self) -> usize {
+        self.terms.first().map_or(0, |t| t.rows())
+    }
+
+    /// The parts the next fold adds: the base rows, the lane's terms in
+    /// member order (over the first `pending` rows; none when nothing is
+    /// pending) and the bias.
+    pub fn parts(&self) -> (&Arc<T>, &[Arc<T>], Option<&Arc<T>>) {
+        (&self.base, &self.terms, self.bias.as_ref())
+    }
+
+    /// Rows `r0..r1`, with the pending parts that fall inside them.
+    /// Zero-flop data movement, no launch.
+    pub fn slice_rows(&self, r0: usize, r1: usize, m: &mut Meter) -> Self {
+        let (p0, p1) = (r0.min(self.pending()), r1.min(self.pending()));
+        let base = Arc::new(self.base.slice_rows(r0, r1, m));
+        if p0 == p1 {
+            return Self::new(base);
+        }
+        let terms = self.terms.iter().map(|t| Arc::new(t.slice_rows(p0, p1, m))).collect();
+        Self { base, terms, bias: self.bias.clone() }
+    }
+
+    /// `parts` stacked by rows, the pending ones first (carried rows ahead
+    /// of fresh prompts): the pending parts' terms and their one bias stay
+    /// pending, so the next launch folds them at its head, and every row it
+    /// reads is the row [`Stream::into_rows`] would have given. Zero-flop
+    /// data movement, no launch.
+    pub fn concat_rows(parts: Vec<Self>, m: &mut Meter) -> Self {
+        let held = parts.iter().take_while(|p| !p.terms.is_empty()).count();
+        let (lanes, bias) = parts.first().map_or((0, None), |p| (p.terms.len(), p.bias.clone()));
+        let same_bias =
+            |p: &Self| p.bias.as_ref().map(Arc::as_ptr) == bias.as_ref().map(Arc::as_ptr);
+        assert!(
+            parts[held..].iter().all(|p| p.terms.is_empty())
+                && parts[..held].iter().all(|p| p.terms.len() == lanes && same_bias(p)),
+            "Stream::concat_rows: the pending parts come first, from one projection"
+        );
+        let mut bases = Vec::with_capacity(parts.len());
+        let mut terms: Vec<Vec<T>> = (0..lanes).map(|_| Vec::with_capacity(held)).collect();
+        for p in parts {
+            bases.push(Arc::unwrap_or_clone(p.base));
+            for (lane, t) in terms.iter_mut().zip(p.terms) {
+                lane.push(Arc::unwrap_or_clone(t));
+            }
+        }
+        let base = Arc::new(T::concat_rows(&bases, m));
+        let terms = terms.iter().map(|t| Arc::new(T::concat_rows(t, m))).collect();
+        Self { base, terms, bias }
+    }
+
+    /// `base + (Σ terms + bias)` on the pending rows, the terms folded by
+    /// [`fold_terms`], and `base` on the rest; `None` when nothing is
+    /// pending and the rows are `base` itself. The residual is added in
+    /// place into the last intermediate it owns, so folding `q ≥ 2` terms
+    /// allocates no more tensors than adding one shared sum would.
     fn add_pending(&self, m: &mut Meter) -> Option<T> {
-        if self.terms.is_empty() {
+        let (pending, rows) = (self.pending(), self.rows());
+        if pending == 0 {
             return None;
         }
-        let mut y = match (fold_terms(&self.terms, m), &self.bias) {
-            (sum, Some(b)) => sum.add_rowvec(b, m),
-            (Cow::Owned(sum), None) => sum,
-            (Cow::Borrowed(term), None) => return Some(self.base.add(term, m)),
+        let head;
+        let base = if pending == rows {
+            &*self.base
+        } else {
+            head = self.base.slice_rows(0, pending, m);
+            &head
         };
-        // `y + base` is `base + y` bit for bit: f32 addition commutes.
-        y.add_assign(&self.base, m);
-        Some(y)
+        let y = match (fold_terms(&self.terms, m), &self.bias) {
+            // `y + base` is `base + y` bit for bit: f32 addition commutes.
+            (sum, Some(b)) => {
+                let mut y = sum.add_rowvec(b, m);
+                y.add_assign(base, m);
+                y
+            }
+            (Cow::Owned(mut sum), None) => {
+                sum.add_assign(base, m);
+                sum
+            }
+            (Cow::Borrowed(term), None) => base.add(term, m),
+        };
+        if pending == rows {
+            return Some(y);
+        }
+        Some(T::concat_rows(&[y, self.base.slice_rows(pending, rows, m)], m))
     }
 
     /// The stream's rows, the pending terms folded and added in one fused
-    /// launch: a step's last launch.
+    /// launch of their own. A serving step spends none: the next step's
+    /// first launch folds a carried row at its head. Callers that read the
+    /// rows (training parity, the column-block wrapper
+    /// [`TesseractTransformer::forward_infer`]) pay it.
     pub fn into_rows(self, ctx: &mut RankCtx) -> Arc<T> {
         match fused(&mut ctx.meter.scope("residual"), |m| self.add_pending(m)) {
             Some(rows) => Arc::new(rows),
@@ -401,7 +483,8 @@ impl<T: TensorLike> TesseractTransformer<T> {
     /// ([`TesseractTransformer::fetch_stationary`]; SPMD over the whole
     /// grid) unless the caller already did. A thin wrapper over
     /// [`TesseractTransformer::forward_infer_rows`]: one row all-gather
-    /// in, this rank's column block out.
+    /// in, the step's rows folded ([`Stream::into_rows`]), this rank's
+    /// column block out.
     pub fn forward_infer(
         &self,
         grid: &TesseractGrid,
@@ -413,8 +496,8 @@ impl<T: TensorLike> TesseractTransformer<T> {
         // fetched them up front pays no collective here.
         self.fetch_stationary(grid, ctx);
         let panels: Vec<T> = row_panels(grid, ctx, x).iter().map(|p| T::clone(p)).collect();
-        let rows = Arc::new(T::concat_cols(&panels, &mut ctx.meter));
-        let y = self.forward_infer_rows(grid, ctx, rows, batch);
+        let rows = Stream::new(Arc::new(T::concat_cols(&panels, &mut ctx.meter)));
+        let y = self.forward_infer_rows(grid, ctx, rows, batch).into_rows(ctx);
         let w = x.cols();
         Arc::new(y.slice_cols(grid.j() * w, (grid.j() + 1) * w, &mut ctx.meter))
     }
@@ -423,42 +506,50 @@ impl<T: TensorLike> TesseractTransformer<T> {
     /// engine's layout: `x` is `[batch.total_rows(), h]`, equal on every
     /// rank of the lane, and so is the output. Per layer two fused
     /// launches, each ending in one lane all-gather of the row-parallel
-    /// terms, then one launch for the last fold and residual add:
-    /// `2·layers` collectives, no all-reduce, and `2·layers + 1` launches.
-    /// Runs on the weights [`TesseractTransformer::fetch_stationary`]
-    /// fetched and panics before the fetch.
+    /// terms: `2·layers` collectives, no all-reduce, and `2·layers`
+    /// launches. The step ends at its last gather: it returns that
+    /// gather's [`Stream`], every row pending, and spends no launch on
+    /// folding it. The first launch folds whatever `x` holds pending (the
+    /// rows a previous step left) at its head. Runs on the weights
+    /// [`TesseractTransformer::fetch_stationary`] fetched and panics
+    /// before the fetch.
     pub fn forward_infer_rows(
         &self,
         grid: &TesseractGrid,
         ctx: &mut RankCtx,
-        x: Arc<T>,
+        x: Stream<T>,
         batch: &mut InferBatch<T>,
-    ) -> Arc<T> {
+    ) -> Stream<T> {
         assert_eq!(x.rows(), batch.total_rows(), "batch rows mismatch");
-        assert_eq!(x.cols(), self.cfg.hidden, "serving rows are full width");
-        let mut h = Stream::new(x);
+        assert_eq!(x.base.cols(), self.cfg.hidden, "serving rows are full width");
+        let mut h = x;
         for (li, layer) in self.layers.iter().enumerate() {
             h = ctx.traced("transformer_layer", "infer", |ctx| {
                 layer.forward_infer(grid, ctx, &h, li, batch)
             });
         }
-        h.into_rows(ctx)
+        h
     }
 
-    /// Fetches every linear's weight panels and bias, in forward order:
-    /// `wqkv` and `fc1` as column-parallel linears
-    /// ([`TesseractLinear::fetch_stationary`]), `wo` and `fc2`, the second
-    /// of each pair, as row-parallel ones
-    /// ([`TesseractLinear::fetch_stationary_row`]). The one-time
-    /// collective work of serving, after which a grid row serves with
-    /// row collectives alone. SPMD over the whole grid.
+    /// Fetches every linear's weight panels and bias in one bucket
+    /// ([`TesseractLinear::fetch_stationary`]): `wqkv` and `fc1` as
+    /// column-parallel linears, `wo` and `fc2`, the second of each pair,
+    /// as row-parallel ones. The one-time collective work of serving, `q`
+    /// column broadcasts and one lane exchange per rank at any depth,
+    /// after which a grid row serves with row collectives alone. SPMD over
+    /// the whole grid; a no-op once every linear holds its panels.
     pub fn fetch_stationary(&self, grid: &TesseractGrid, ctx: &mut RankCtx) {
-        for layer in &self.layers {
-            layer.attn.wqkv.fetch_stationary(grid, ctx);
-            layer.attn.wo.fetch_stationary_row(grid, ctx);
-            layer.mlp.fc1.fetch_stationary(grid, ctx);
-            layer.mlp.fc2.fetch_stationary_row(grid, ctx);
-        }
+        let set: Vec<_> = (self.layers.iter())
+            .flat_map(|l| {
+                [
+                    (&l.attn.wqkv, Parallel::Column),
+                    (&l.attn.wo, Parallel::Row),
+                    (&l.mlp.fc1, Parallel::Column),
+                    (&l.mlp.fc2, Parallel::Row),
+                ]
+            })
+            .collect();
+        TesseractLinear::fetch_stationary(grid, ctx, &set);
     }
 
     /// Bytes of weights [`TesseractTransformer::fetch_stationary`] fetched

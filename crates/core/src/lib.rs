@@ -39,8 +39,8 @@ pub use config::{ShapeError, TransformerConfig};
 pub use grid::{GridShape, TesseractGrid};
 pub use infer::{InferBatch, InferModel, LayerKv, RequestKv};
 pub use layers::{
-    LayerNorm, TesseractAttention, TesseractLinear, TesseractMlp, TesseractTransformer,
-    TesseractTransformerLayer,
+    LayerNorm, Parallel, Stream, TesseractAttention, TesseractLinear, TesseractMlp,
+    TesseractTransformer, TesseractTransformerLayer,
 };
 pub use mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
 pub use module::{Module, ParamRef, Tape};

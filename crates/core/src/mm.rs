@@ -40,31 +40,33 @@
 //! Serving never changes the weights, so re-broadcasting `B_tj` down the
 //! column every step moves constants. [`column_panels`] fetches a rank's
 //! whole column `[B_0j … B_{q-1,j}]` once (the same `q` column broadcasts
-//! one SUMMA call issues). A serving layer pairs a column-parallel linear
-//! with a row-parallel one inside each lane (a grid row of `q` ranks), as
-//! Megatron pairs them inside its tensor-parallel group. The rows arrive
-//! full width, split into the panels `[A_0 … A_{q-1}]` that SUMMA
-//! broadcasts, and [`matmul_panels`] multiplies them by the column: the
-//! same panels multiplied and summed in the same ascending-`t` order as the
-//! accumulating sink, so the result is bitwise [`tesseract_matmul`]'s
-//! block `j`. The row-parallel linear holds row `j` of panels
-//! `[B_j0 … B_{j,q-1}]` instead, built once from the lane's fetched columns
-//! by [`lane_exchange`]. Its input is this rank's column block `A_j` (the
-//! local heads' attention, the local MLP columns), and `A_j·B_jt` for every
-//! output block `t` is its term of the lane's sum. [`lane_sum`] gathers the
-//! `q` terms to every member and [`fold_terms`] adds them in ascending
-//! member order: `matmul_panels`' order again, so every block is bitwise
-//! SUMMA's. A serving layer runs each collective-free stretch as one fused
-//! launch (a fused launch is its op chain under `tesseract_tensor::fused`)
-//! that ends in one lane all-gather of the terms; the next launch folds
-//! them at its head. Each rank holds `q` weight panels per linear for it,
-//! `q×` its training shard; the paper's §3.1 trades memory for
-//! communication across depth the same way.
+//! one SUMMA call issues), and serving fetches every linear's column in
+//! those `q` broadcasts, each member's blocks moving as one bucket. A
+//! serving layer pairs a column-parallel linear with a row-parallel one
+//! inside each lane (a grid row of `q` ranks), as Megatron pairs them
+//! inside its tensor-parallel group. The rows arrive full width, split into
+//! the panels `[A_0 … A_{q-1}]` that SUMMA broadcasts, and
+//! [`matmul_panels`] multiplies them by the column: the same panels
+//! multiplied and summed in the same ascending-`t` order as the
+//! accumulating sink, so the result is bitwise [`tesseract_matmul`]'s block
+//! `j`. The row-parallel linear holds row `j` of panels `[B_j0 …
+//! B_{j,q-1}]` instead, built once from the lane's fetched columns by one
+//! [`lane_exchange`] for all of them. Its input is this rank's column block
+//! `A_j` (the local heads' attention, the local MLP columns), and
+//! `A_j·B_jt` for every output block `t` is its term of the lane's sum.
+//! [`lane_sum`] gathers the `q` terms to every member and [`fold_terms`]
+//! adds them in ascending member order: `matmul_panels`' order again, so
+//! every block is bitwise SUMMA's. A serving layer runs each
+//! collective-free stretch as one fused launch (a fused launch is its op
+//! chain under `tesseract_tensor::fused`) that ends in one lane all-gather
+//! of the terms; the next launch folds them at its head. Each rank holds
+//! `q` weight panels per linear for it, `q×` its training shard; the
+//! paper's §3.1 trades memory for communication across depth the same way.
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
-use tesseract_comm::{CommGroup, PendingCollective, RankCtx};
+use tesseract_comm::{CommGroup, Payload, PendingCollective, RankCtx};
 use tesseract_tensor::{Meter, TensorLike};
 
 use crate::grid::TesseractGrid;
@@ -160,13 +162,14 @@ fn row_panel_begin<'g, T: TensorLike>(
     grid.row.broadcast_shared_begin(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)))
 }
 
-/// Begins the step-`t` column broadcast of a B-type panel.
-fn col_panel_begin<'g, T: TensorLike>(
+/// Begins the step-`t` column broadcast of a B-type panel (or of a
+/// bucket of them, [`column_panels`]).
+fn col_panel_begin<'g, P: Payload>(
     grid: &'g TesseractGrid,
     ctx: &mut RankCtx,
-    b_local: &Arc<T>,
+    b_local: &Arc<P>,
     t: usize,
-) -> PendingCollective<'g, Arc<T>> {
+) -> PendingCollective<'g, Arc<P>> {
     grid.col.broadcast_shared_begin(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)))
 }
 
@@ -285,10 +288,12 @@ where
 
 /// This rank's column of B-type panels `[B_0j … B_{q-1,j}]`, in step order:
 /// the `q` column broadcasts of one [`tesseract_matmul`] call, issued once
-/// so that weight-stationary serving can reuse them every call after.
-pub fn column_panels<T>(grid: &TesseractGrid, ctx: &mut RankCtx, b_local: &Arc<T>) -> Vec<Arc<T>>
+/// so that weight-stationary serving can reuse them every call after. A
+/// panel may be a bucket (a list of every linear's block), so that one
+/// broadcast per member fetches a whole model's column.
+pub fn column_panels<P>(grid: &TesseractGrid, ctx: &mut RankCtx, b_local: &Arc<P>) -> Vec<Arc<P>>
 where
-    T: TensorLike,
+    P: Payload,
 {
     (0..grid.shape.q).map(|t| col_panel_begin(grid, ctx, b_local, t).complete(ctx)).collect()
 }
@@ -307,7 +312,8 @@ where
 /// Every lane member's list of panels, in member order: one row
 /// all-gather, each panel shared, not copied. A row-parallel serving
 /// linear takes item `j` of every member's fetched column, which is its
-/// row of weight panels `[B_j0 … B_{j,q-1}]`.
+/// row of weight panels `[B_j0 … B_{j,q-1}]`; one exchange carries every
+/// row-parallel linear's column.
 pub fn lane_exchange<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,

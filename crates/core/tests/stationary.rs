@@ -1,8 +1,8 @@
 //! Weight-stationary serving: a column-parallel linear
-//! (`TesseractLinear::fetch_stationary`) fetches its column of weight
-//! panels and bias block once and `Stationary::matmul` multiplies row
-//! panels by them; a row-parallel one (`fetch_stationary_row`) holds its
-//! row of panels and the whole bias, and the lane's gathered terms
+//! (`TesseractLinear::fetch_stationary` on `Parallel::Column`) fetches its
+//! column of weight panels and bias block once and `Stationary::matmul`
+//! multiplies row panels by them; a row-parallel one (`Parallel::Row`)
+//! holds its row of panels and the whole bias, and the lane's gathered terms
 //! (`Stationary::partial`, `mm::lane_sum`), folded in member order
 //! (`mm::fold_terms`), plus the bias is the product.
 //! Both must be bitwise SUMMA's (`Module::forward`: `tesseract_matmul` plus
@@ -18,8 +18,8 @@ use tesseract_core::layers::layernorm::layer_norm_rows;
 use tesseract_core::layers::transformer::norm_mlp_up;
 use tesseract_core::mm::{fold_terms, lane_sum, row_panels};
 use tesseract_core::{
-    GridShape, InferBatch, LayerNorm, Module, TesseractGrid, TesseractLinear, TesseractTransformer,
-    TransformerConfig,
+    GridShape, InferBatch, LayerNorm, Module, Parallel, Stream, TesseractGrid, TesseractLinear,
+    TesseractTransformer, TransformerConfig,
 };
 use tesseract_tensor::{fused, DenseTensor, Matrix, Meter, ShadowTensor, TensorLike};
 
@@ -89,7 +89,7 @@ fn serve_column<T: TensorLike>(
     x: &Arc<T>,
 ) -> Arc<T> {
     let rows = row_panels(grid, ctx, x);
-    lin.fetch_stationary(grid, ctx);
+    TesseractLinear::fetch_stationary(grid, ctx, &[(lin, Parallel::Column)]);
     Arc::new(fused(&mut ctx.meter, |m| lin.stationary().matmul(&rows, m)))
 }
 
@@ -103,7 +103,7 @@ fn serve_row<T: TensorLike>(
     ctx: &mut RankCtx,
     x: &Arc<T>,
 ) -> T {
-    lin.fetch_stationary_row(grid, ctx);
+    TesseractLinear::fetch_stationary(grid, ctx, &[(lin, Parallel::Row)]);
     let st = lin.stationary();
     let partial = fused(&mut ctx.meter, |m| st.partial(x, m));
     let terms = lane_sum(grid, ctx, partial);
@@ -207,7 +207,7 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
                 let mut norm = LayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
                 let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
                 let full = full_rows(&grid, ctx, &x);
-                lin.fetch_stationary(&grid, ctx);
+                TesseractLinear::fetch_stationary(&grid, ctx, &[(&lin, Parallel::Column)]);
                 let m = &mut ctx.meter;
                 let normed = layer_norm_rows(&full, q, norm.eps, m);
                 let served = norm_mlp_up(&full, norm.eps, lin.stationary(), m);
@@ -251,17 +251,18 @@ fn dense_and_shadow_serve_on_the_same_virtual_clock() {
     }
 }
 
-/// Fetches a one-layer stack's weights, then runs `steps` serving steps on
-/// full rows (a prompt, then one decode row per step); returns the run's
-/// collective statistics.
-fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
+/// Fetches a `layers`-deep stack's weights, then runs `steps` serving
+/// steps on full rows (a prompt, then one decode row per step, each
+/// carrying the last step's pending row); returns the run's collective
+/// statistics.
+fn serve_steps(shape: GridShape, layers: usize, steps: usize) -> CommStats {
     let cfg = TransformerConfig {
         batch: 16,
         seq: 4,
         hidden: 16,
         heads: 4,
         mlp_ratio: 4,
-        layers: 1,
+        layers,
         eps: 1e-5,
     };
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
@@ -269,20 +270,13 @@ fn serve_steps(shape: GridShape, steps: usize) -> CommStats {
         let model = TesseractTransformer::<DenseTensor>::new(ctx, &grid, cfg, true, 3, 0);
         model.fetch_stationary(&grid, ctx);
         let mut kvs = vec![model.new_kv(&grid)];
-        for step in 0..steps {
-            let rows = if step == 0 { 3 } else { 1 };
-            let x = DenseTensor::init_xavier_block(
-                rows,
-                cfg.hidden,
-                0,
-                0,
-                rows,
-                cfg.hidden,
-                9,
-                step as u64,
-            );
-            let mut batch = InferBatch { new_rows: vec![rows], kvs };
-            let _ = model.forward_infer_rows(&grid, ctx, Arc::new(x), &mut batch);
+        let (h, prompt) = (cfg.hidden, 3);
+        let x = DenseTensor::init_xavier_block(prompt, h, 0, 0, prompt, h, 9, 0);
+        let mut x = Stream::new(Arc::new(x));
+        for _ in 0..steps {
+            let mut batch = InferBatch { new_rows: vec![x.rows()], kvs };
+            let y = model.forward_infer_rows(&grid, ctx, x, &mut batch);
+            x = y.slice_rows(y.rows() - 1, y.rows(), &mut ctx.meter);
             kvs = batch.kvs;
         }
     });
@@ -294,24 +288,30 @@ fn a_steady_serving_layer_all_gathers_twice_and_broadcasts_nothing() {
     use CollectiveOp::{AllGather, AllReduce, Broadcast};
     for q in [2, 4] {
         let shape = GridShape::new(q, 1);
-        let (fetch, one, two) =
-            (serve_steps(shape, 0), serve_steps(shape, 1), serve_steps(shape, 2));
-        let step = |op| two.get(op).calls - one.get(op).calls;
         // Every rank sits in exactly one row group and one column group, so
         // per-rank counts are group calls over the q·d groups of a kind.
         let groups = (shape.q * shape.d) as u64;
-        assert_eq!(
-            step(AllGather),
-            2 * groups,
-            "q = {q}: one lane all-gather of the terms per row-parallel linear"
-        );
-        assert_eq!(step(AllReduce), 0, "q = {q}: the terms are gathered and folded locally");
-        assert_eq!(step(Broadcast), 0, "q = {q}: no weight or bias broadcast after the fetch");
-        assert_eq!(two.total_calls() - one.total_calls(), 2 * groups, "q = {q}: nothing else");
-        // The fetch itself: per linear, q weight panels and the bias down
-        // every column; per row-parallel linear, one lane exchange.
-        assert_eq!(fetch.get(Broadcast).calls, 4 * (q as u64 + 1) * groups, "q = {q}");
-        assert_eq!(fetch.get(AllGather).calls, 2 * groups, "q = {q}");
-        assert_eq!(fetch.total_calls(), (4 * (q as u64 + 1) + 2) * groups, "q = {q}");
+        for layers in [1, 3] {
+            let what = format!("q = {q}, {layers} layers");
+            let serve = |steps| serve_steps(shape, layers, steps);
+            let (fetch, one, two) = (serve(0), serve(1), serve(2));
+            let step = |op| two.get(op).calls - one.get(op).calls;
+            let per_layer = 2 * layers as u64;
+            assert_eq!(
+                step(AllGather),
+                per_layer * groups,
+                "{what}: one lane all-gather of the terms per row-parallel linear"
+            );
+            assert_eq!(step(AllReduce), 0, "{what}: the terms are gathered and folded locally");
+            assert_eq!(step(Broadcast), 0, "{what}: no weight or bias broadcast after the fetch");
+            assert_eq!(two.total_calls() - one.total_calls(), per_layer * groups, "{what}");
+            // The fetch itself, at any depth: one bucket down every column,
+            // q broadcasts, then one lane exchange of every row-parallel
+            // linear's column. (Fetched per linear, it was 4(q + 1)
+            // broadcasts and 2 lane exchanges per layer.)
+            assert_eq!(fetch.get(Broadcast).calls, q as u64 * groups, "{what}");
+            assert_eq!(fetch.get(AllGather).calls, groups, "{what}");
+            assert_eq!(fetch.total_calls(), (q as u64 + 1) * groups, "{what}");
+        }
     }
 }

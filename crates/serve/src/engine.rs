@@ -28,21 +28,26 @@
 //!    the budget.
 //!
 //! Decode rows, then prompt rows, are stacked into one `forward_infer_rows`
-//! call. A step's collective count does not depend on its row count, so
-//! an admission rides along with the lane's decoders instead of stalling
-//! them for a prefill-only step. (This is not chunked prefill: a prompt is
-//! never split across steps.)
+//! call. A decode row is the request's last row of the previous step,
+//! carried still pending (its base row, the lane's `q` term rows and the
+//! bias): a step ends at its last lane all-gather, and the next step's
+//! first launch folds the carried rows at its head. A finishing request's
+//! row is never folded. A step's collective count does not depend on its
+//! row count, so an admission rides along with the lane's decoders instead
+//! of stalling them for a prefill-only step. (This is not chunked prefill:
+//! a prompt is never split across steps.)
 //!
 //! ## Independent lanes
 //!
 //! A lane is an independent `q`-rank tensor-parallel replica. Before
-//! serving, every rank fetches its panels of the weights once (column
-//! broadcasts over the whole grid, then one row all-gather per row-parallel
-//! linear); after that a lane's only collectives are its own row
-//! all-gathers, two per layer, and lanes exchange no data. Each of a
-//! layer's two stretches is one fused launch that ends in one lane
-//! all-gather of the row-parallel terms; the next launch folds them at
-//! its head. Each rank runs the metadata scheduler of its own lane only
+//! serving, every rank fetches its panels of the weights once, in one
+//! bucket (`q` column broadcasts over the whole grid, then one row
+//! all-gather of the row-parallel linears' columns); after that a lane's
+//! only collectives are its own row all-gathers, two per layer, and lanes
+//! exchange no data. Each of a layer's two stretches is one fused launch
+//! that ends in one lane all-gather of the row-parallel terms; the next
+//! launch folds them at its head, so a busy step is two launches per
+//! layer. Each rank runs the metadata scheduler of its own lane only
 //! (arrivals and lengths are in the shared traffic trace; generated token
 //! values never influence scheduling) and decides on its **lane clock**,
 //! `ctx.clock()` at the step boundary. The `q` members of a lane hold
@@ -61,7 +66,9 @@ use std::sync::Arc;
 
 use tesseract_comm::{RankCtx, RunConfig, RunOutput};
 use tesseract_core::TransformerConfig;
-use tesseract_core::{GridShape, InferBatch, RequestKv, TesseractGrid, TesseractTransformer};
+use tesseract_core::{
+    GridShape, InferBatch, RequestKv, Stream, TesseractGrid, TesseractTransformer,
+};
 use tesseract_tensor::TensorLike;
 
 use crate::traffic::RequestSpec;
@@ -341,8 +348,23 @@ impl Scheduler {
 struct LaneSlot<T> {
     kv: Option<RequestKv<T>>,
     /// Next decode input `[1, h]`: the model output row of the request's
-    /// latest token.
-    next_input: Option<T>,
+    /// latest token, still pending (its base row, the lane's `q` term rows
+    /// and the bias), which the next step's first launch folds. `None`
+    /// once the request finishes: nothing reads its row.
+    next_input: Option<Stream<T>>,
+}
+
+/// The stack [`run_serve`] serves on `grid`, before its weight fetch.
+/// `cfg.model`'s `batch` and `seq` only shape training; the smallest batch
+/// the grid accepts keeps the stack's one feasibility rule to the serving
+/// widths.
+pub fn served_model<T: TensorLike>(
+    ctx: &RankCtx,
+    grid: &TesseractGrid,
+    cfg: &ServeConfig,
+) -> TesseractTransformer<T> {
+    let model_cfg = TransformerConfig { batch: grid.shape.q * grid.shape.d, seq: 1, ..cfg.model };
+    TesseractTransformer::new(ctx, grid, model_cfg, cfg.with_bias, cfg.seed, 0)
 }
 
 /// Runs the serving engine on one rank (SPMD: call from every rank of the
@@ -366,10 +388,7 @@ pub fn run_serve<T: TensorLike>(
         "serving needs every grid column of a depth layer to sit alike on nodes, so that a \
          lane's ranks finish the weight fetch on one clock"
     );
-    // `batch` and `seq` only shape training; the smallest batch the grid
-    // accepts keeps the stack's one feasibility rule to the serving widths.
-    let model_cfg = TransformerConfig { batch: q * grid.shape.d, seq: 1, ..cfg.model };
-    let model = TesseractTransformer::<T>::new(ctx, grid, model_cfg, cfg.with_bias, cfg.seed, 0);
+    let model = served_model::<T>(ctx, grid, cfg);
     model.fetch_stationary(grid, ctx);
     // Serving never drops the fetched weights, so this total is the peak.
     ctx.note_weight_bytes(model.stationary_bytes());
@@ -393,7 +412,7 @@ pub fn run_serve<T: TensorLike>(
         };
 
         let segments = batch.decode.len() + batch.prefill.len();
-        let mut parts: Vec<T> = Vec::with_capacity(segments);
+        let mut parts: Vec<Stream<T>> = Vec::with_capacity(segments);
         let mut new_rows = Vec::with_capacity(segments);
         let mut kvs = Vec::with_capacity(segments);
         for &id in &batch.decode {
@@ -406,7 +425,7 @@ pub fn run_serve<T: TensorLike>(
             let plen = sched.spec(id).prompt_len;
             // The prompt is a deterministic function of (seed, id): every
             // rank of the lane generates the same full [plen, h] rows.
-            parts.push(T::init_xavier_block(
+            parts.push(Stream::new(Arc::new(T::init_xavier_block(
                 plen,
                 hidden,
                 0,
@@ -415,12 +434,11 @@ pub fn run_serve<T: TensorLike>(
                 hidden,
                 prompt_seed,
                 id as u64,
-            ));
+            ))));
             new_rows.push(plen);
             kvs.push(model.new_kv(grid));
         }
-        let x = Arc::new(T::concat_rows(&parts, &mut ctx.meter));
-        drop(parts);
+        let x = Stream::concat_rows(parts, &mut ctx.meter);
 
         let mut infer = InferBatch { new_rows, kvs };
         let y = model.forward_infer_rows(grid, ctx, x, &mut infer);
@@ -428,14 +446,16 @@ pub fn run_serve<T: TensorLike>(
         // that only decoded, as a decode step.
         ctx.count_serving_step(!batch.prefill.is_empty());
 
-        // Scatter outputs back: the last row of each segment is the next
-        // decode input; caches (now grown) return to their slots.
+        // Scatter outputs back: the last row of each continuing segment,
+        // still pending, is the next decode input; caches (now grown)
+        // return to their slots.
         let mut r0 = 0;
         let kvs_back = std::mem::take(&mut infer.kvs);
         for (seg, (id, kv)) in batch.ids().zip(kvs_back).enumerate() {
             let r1 = r0 + infer.new_rows[seg];
-            let next = y.slice_rows(r1 - 1, r1, &mut ctx.meter);
-            slots.insert(id, LaneSlot { kv: Some(kv), next_input: Some(next) });
+            let next =
+                (!batch.finishing.contains(&id)).then(|| y.slice_rows(r1 - 1, r1, &mut ctx.meter));
+            slots.insert(id, LaneSlot { kv: Some(kv), next_input: next });
             r0 = r1;
         }
 

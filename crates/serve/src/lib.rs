@@ -25,6 +25,8 @@ pub mod engine;
 pub mod metrics;
 pub mod traffic;
 
-pub use engine::{run_serve, serve_on_cluster, RequestResult, ServeConfig, ServeSummary};
+pub use engine::{
+    run_serve, serve_on_cluster, served_model, RequestResult, ServeConfig, ServeSummary,
+};
 pub use metrics::{latency_stats, percentile, LatencyStats};
 pub use traffic::{generate, RequestSpec, TrafficConfig};

@@ -6,12 +6,12 @@ use std::sync::Arc;
 use tesseract_comm::{CollectiveOp, RankCtx, RunConfig};
 use tesseract_core::partition::{a_block, combine_c};
 use tesseract_core::{
-    GridShape, InferBatch, Module, TesseractGrid, TesseractTransformer, TransformerConfig,
+    GridShape, InferBatch, Module, Stream, TesseractGrid, TesseractTransformer, TransformerConfig,
 };
 use tesseract_serve::{
     latency_stats, serve_on_cluster, RequestSpec, ServeConfig, ServeSummary, TrafficConfig,
 };
-use tesseract_tensor::{DenseTensor, Matrix, ShadowTensor, TensorLike, Xoshiro256StarStar};
+use tesseract_tensor::{DenseTensor, Matrix, Meter, ShadowTensor, TensorLike, Xoshiro256StarStar};
 
 fn test_model() -> TransformerConfig {
     // batch divides q·d for both [2,2,1] and [2,2,2]; everything small
@@ -148,8 +148,8 @@ fn serving_rows_are_bitwise_the_training_forward_at_q_2_3_4() {
             model.fetch_stationary(&grid, ctx);
             let kvs = (0..cfg.batch).map(|_| model.new_kv(&grid)).collect();
             let mut batch = InferBatch { new_rows: vec![1; cfg.batch], kvs };
-            let rows = Arc::new(DenseTensor::from_matrix(x.clone()));
-            let served = model.forward_infer_rows(&grid, ctx, rows, &mut batch);
+            let rows = Stream::new(Arc::new(DenseTensor::from_matrix(x.clone())));
+            let served = model.forward_infer_rows(&grid, ctx, rows, &mut batch).into_rows(ctx);
             (trained, served.matrix().clone())
         });
         let (trained, served): (Vec<_>, Vec<_>) = out.results.into_iter().unzip();
@@ -160,10 +160,26 @@ fn serving_rows_are_bitwise_the_training_forward_at_q_2_3_4() {
     }
 }
 
+/// The pending last row of each segment of a step's output `y`, whose
+/// segments are `new_rows` long: what the engine carries into the next
+/// step.
+fn last_rows<T: TensorLike>(
+    y: &Stream<T>,
+    new_rows: &[usize],
+    ctx: &mut RankCtx,
+) -> Vec<Stream<T>> {
+    let ends = new_rows.iter().scan(0, |end, n| {
+        *end += n;
+        Some(*end)
+    });
+    ends.map(|end| y.slice_rows(end - 1, end, &mut ctx.meter)).collect()
+}
+
 /// What one decode step on full rows over `segments` requests, each
 /// prefilled first with a prompt of its own length, books on this rank:
 /// its kernel launches, and the row all-reduces and all-gathers it led
-/// (one member of each lane books the lane's collective).
+/// (one member of each lane books the lane's collective). The decode step
+/// carries the prefill's pending last rows, as the engine does.
 fn decode_step(
     ctx: &mut RankCtx,
     grid: &TesseractGrid,
@@ -171,21 +187,146 @@ fn decode_step(
     segments: usize,
 ) -> [u64; 3] {
     let hidden = test_model().hidden;
-    let full = |rows, stream| {
-        Arc::new(DenseTensor::init_xavier_block(rows, hidden, 0, 0, rows, hidden, 5, stream))
-    };
     model.fetch_stationary(grid, ctx);
     let new_rows: Vec<usize> = (0..segments).map(|s| 2 + s % 3).collect();
-    let prompt = full(new_rows.iter().sum(), segments as u64);
+    let rows = new_rows.iter().sum();
+    let prompt = DenseTensor::init_xavier_block(rows, hidden, 0, 0, rows, hidden, 5, 1);
     let kvs = (0..segments).map(|_| model.new_kv(grid)).collect();
     let mut batch = InferBatch { new_rows, kvs };
-    model.forward_infer_rows(grid, ctx, prompt, &mut batch);
+    let y = model.forward_infer_rows(grid, ctx, Stream::new(Arc::new(prompt)), &mut batch);
+    let carried = Stream::concat_rows(last_rows(&y, &batch.new_rows, ctx), &mut ctx.meter);
     batch.new_rows = vec![1; segments];
     let before = ctx.report();
-    model.forward_infer_rows(grid, ctx, full(segments, 100 + segments as u64), &mut batch);
+    model.forward_infer_rows(grid, ctx, carried, &mut batch);
     let after = ctx.report();
     let led = |op| after.comm.get(op).calls - before.comm.get(op).calls;
     [after.kernels - before.kernels, led(CollectiveOp::AllReduce), led(CollectiveOp::AllGather)]
+}
+
+/// `Σ terms` in member order, then the bias, then the base, written out
+/// op by op: the order in which training's `x + (X·W + b)` adds a row,
+/// and in which a step's own last launch added its pending rows when a
+/// step still ended with one. `None` on a backend without stored values.
+fn fold_by_hand<T: TensorLike>(row: &Stream<T>) -> Option<Matrix> {
+    let (base, terms, bias) = row.parts();
+    let m = &mut Meter::new();
+    let mut sum = T::clone(&terms[0]);
+    for term in &terms[1..] {
+        sum = sum.add(term, m);
+    }
+    let sum = match bias {
+        Some(b) => sum.add_rowvec(b, m),
+        None => sum,
+    };
+    base.add(&sum, m).try_matrix().cloned()
+}
+
+/// Per rank: its clock (f64 bits), the last step's rows and every
+/// request's KV cache (stored values, `None` on Shadow).
+type FoldRun = Vec<(u64, Option<Matrix>, Vec<Option<Matrix>>)>;
+
+/// A prompt step (two requests, 3 and 2 rows), then two decode steps, the
+/// second with a third request's 4-row prompt riding along, on every lane
+/// of `shape`. Every weight and bias is moved off its initial value, so
+/// every fold adds a nonzero bias. With `carry`, each continuing request's
+/// pending last row goes into the next step, whose first launch folds it;
+/// without, each is materialized by `Stream::into_rows` (checked against
+/// [`fold_by_hand`]) and fed in as fresh rows.
+fn prompt_then_two_decodes<T: TensorLike>(shape: GridShape, carry: bool) -> FoldRun {
+    let (q, d) = (shape.q, shape.d);
+    let cfg = TransformerConfig {
+        batch: q * d,
+        seq: 1,
+        hidden: 8 * q,
+        heads: 2 * q,
+        mlp_ratio: 4,
+        layers: 2,
+        eps: 1e-5,
+    };
+    let out = RunConfig::from_env(shape.size()).run(|ctx| {
+        let grid = TesseractGrid::new(ctx, shape, 0);
+        let mut model = TesseractTransformer::<T>::new(ctx, &grid, cfg, true, 29, 0);
+        let mut stream = 0;
+        model.visit_params(&mut |p| {
+            let (r, c) = (p.weight.rows(), p.weight.cols());
+            stream += 1;
+            let nudge = T::init_xavier_block(r, c, 0, 0, r, c, 61, stream);
+            p.weight.add_assign(&nudge, &mut Meter::new());
+        });
+        model.fetch_stationary(&grid, ctx);
+        let (h, lane) = (cfg.hidden, 10 * grid.a_row_block() as u64);
+        let prompt =
+            |rows, id| Stream::new(Arc::new(T::init_xavier_block(rows, h, 0, 0, rows, h, 37, id)));
+        let mut batch = InferBatch {
+            new_rows: vec![3, 2],
+            kvs: vec![model.new_kv(&grid), model.new_kv(&grid)],
+        };
+        let mut x = Stream::concat_rows(vec![prompt(3, lane), prompt(2, lane + 1)], &mut ctx.meter);
+        for step in 1..=2 {
+            let y = model.forward_infer_rows(&grid, ctx, x, &mut batch);
+            let mut rows = last_rows(&y, &batch.new_rows, ctx);
+            if !carry {
+                rows = (rows.into_iter())
+                    .map(|row| {
+                        let by_hand = fold_by_hand(&row);
+                        let folded = row.into_rows(ctx);
+                        assert_eq!(
+                            folded.try_matrix().cloned(),
+                            by_hand,
+                            "[{q},{q},{d}] rank {}: a pending row folds out of order",
+                            ctx.rank
+                        );
+                        Stream::new(folded)
+                    })
+                    .collect();
+            }
+            batch.new_rows = vec![1; rows.len()];
+            if step == 2 {
+                rows.push(prompt(4, lane + 2));
+                batch.new_rows.push(4);
+                batch.kvs.push(model.new_kv(&grid));
+            }
+            x = Stream::concat_rows(rows, &mut ctx.meter);
+        }
+        let y = model.forward_infer_rows(&grid, ctx, x, &mut batch).into_rows(ctx);
+        ctx.flush_compute();
+        let kvs = (batch.kvs.iter())
+            .flat_map(|kv| kv.layers.iter().flat_map(|l| [&l.k, &l.v]))
+            .map(|t| t.try_matrix().cloned())
+            .collect();
+        (ctx.clock().to_bits(), y.try_matrix().cloned(), kvs)
+    });
+    out.results
+}
+
+/// A continuing request's pending last row, carried into the next step
+/// and folded at the head of its first launch, reads bitwise what
+/// materializing it with `Stream::into_rows` and feeding it in does: every
+/// rank's outputs and KV caches agree, on `[2,2,1]`, `[3,3,1]` (three
+/// terms to fold) and `[2,2,2]`, with a fresh prompt riding behind the
+/// carried rows. Dense and Shadow book the same clock on every rank.
+#[test]
+fn a_carried_pending_row_folds_bitwise_as_its_materialized_row() {
+    for (q, d) in [(2, 1), (3, 1), (2, 2)] {
+        let shape = GridShape::new(q, d);
+        let carried = prompt_then_two_decodes::<DenseTensor>(shape, true);
+        let materialized = prompt_then_two_decodes::<DenseTensor>(shape, false);
+        for (rank, (c, m)) in carried.iter().zip(&materialized).enumerate() {
+            let what = format!("[{q},{q},{d}] rank {rank}");
+            assert!(c.1.is_some(), "{what}: Dense stores values");
+            assert_eq!(c.1, m.1, "{what}: the last step's rows differ");
+            assert_eq!(c.2, m.2, "{what}: the KV caches differ");
+        }
+        for (carry, dense) in [(true, &carried), (false, &materialized)] {
+            let shadow = prompt_then_two_decodes::<ShadowTensor>(shape, carry);
+            for (rank, (dense, shadow)) in dense.iter().zip(&shadow).enumerate() {
+                assert_eq!(
+                    dense.0, shadow.0,
+                    "[{q},{q},{d}] rank {rank}, carry = {carry}: Dense and Shadow clocks differ"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -207,12 +348,14 @@ fn a_decode_step_launches_the_same_kernels_for_one_segment_as_for_eight() {
 }
 
 #[test]
-fn a_busy_decode_step_is_two_lane_all_gathers_per_layer_and_one_launch_more() {
+fn a_busy_decode_step_is_two_lane_all_gathers_and_two_launches_per_layer() {
     // Per layer two fused launches, each ending in one lane all-gather of
-    // the row-parallel terms: residual add → ln1 → wqkv → KV append →
-    // attention → wo's term; then fold → residual add → ln2 → fc1 → GELU →
-    // fc2's term. Then one launch for the last fold and residual add. The
-    // terms are gathered, not all-reduced.
+    // the row-parallel terms: fold → residual add → ln1 → wqkv → KV append
+    // → attention → wo's term; then fold → residual add → ln2 → fc1 → GELU
+    // → fc2's term. The step ends at its last gather: the next step's
+    // first launch folds the carried rows at its head (a step that folded
+    // its own last rows spent one launch more, 2·layers + 1). The terms
+    // are gathered, not all-reduced.
     let cfg = test_model();
     let layers = cfg.layers as u64;
     for q in [2, 4] {
@@ -223,7 +366,7 @@ fn a_busy_decode_step_is_two_lane_all_gathers_per_layer_and_one_launch_more() {
             decode_step(ctx, &grid, &model, 3)
         });
         for (rank, &[launches, ..]) in out.results.iter().enumerate() {
-            assert_eq!(launches, 2 * layers + 1, "q = {q}, rank {rank}: launches per step");
+            assert_eq!(launches, 2 * layers, "q = {q}, rank {rank}: launches per step");
         }
         let lane_of = lanes_of(shape);
         for lane in 0..q {

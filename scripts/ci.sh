@@ -106,15 +106,17 @@ for pair in plan_sweep:plan serve_sweep:serving; do
     cmp "target/$bin.txt" "crates/bench/golden/$bin.txt" \
         || { echo "ci.sh: $bin's stdout differs from crates/bench/golden/$bin.txt"; exit 1; }
 done
-echo "ab0d75d3f6bd9d59671af1d12a41820bc618169f26b5e40c297b4845913f6aa6  target/TRACE_serving.json" \
+echo "128ec32aab63a053173f6889e0022b8487396b0107436eea060d587786435f10  target/TRACE_serving.json" \
     | sha256sum -c --quiet --strict \
     || { echo "ci.sh: serve_sweep's trace differs from its pinned digest"; exit 1; }
 
 # serve_sweep re-checks the serving-engine invariants internally (identical
 # results on every rank, meter/engine counter reconciliation, ordered
 # percentiles, latency growth past the saturation knee, exactly 2·layers
-# lane all-gathers, no all-reduce and 2·layers + 1 launches per busy step)
-# and panics on any violation; CI greps the invariant lines it prints only
+# lane all-gathers, no all-reduce and 2·layers launches per busy step, and
+# a weight fetch of q column broadcasts and one lane exchange per rank,
+# read from the fetch run's own ledger) and panics on any violation; CI
+# greps the invariant lines it prints only
 # after those asserts held, then proves the whole open-loop sweep is
 # deterministic by running it twice and byte-comparing both the bench JSON
 # and the Chrome trace.
@@ -128,9 +130,12 @@ grep -q 'invariant ok: nonzero throughput at every load point' target/serve_swee
     || { echo "ci.sh: serve_sweep nonzero-throughput invariant missing"; exit 1; }
 grep -q 'invariant ok: latency grows past the saturation knee' target/serve_sweep.smoke.log \
     || { echo "ci.sh: serve_sweep saturation-knee invariant missing"; exit 1; }
-grep -q 'invariant ok: a busy serving step is 8 lane all-gathers and 9 launches' \
+grep -q 'invariant ok: a busy serving step is 8 lane all-gathers and 8 launches' \
     target/serve_sweep.smoke.log \
     || { echo "ci.sh: serve_sweep all-gathers-and-launches-per-step invariant missing"; exit 1; }
+grep -q 'invariant ok: the weight fetch is q column broadcasts and one lane exchange per rank' \
+    target/serve_sweep.smoke.log \
+    || { echo "ci.sh: serve_sweep weight-fetch invariant missing"; exit 1; }
 cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
     --grids 2,1 --requests 8 --out target/BENCH_serving.smoke2.json \
     --trace-out target/TRACE_serving.smoke2.json > /dev/null

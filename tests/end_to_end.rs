@@ -178,7 +178,7 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     // roles.
     use std::sync::Arc;
     use tesseract_repro::core::mm::{fold_terms, lane_sum, row_panels};
-    use tesseract_repro::core::TesseractLinear;
+    use tesseract_repro::core::{Parallel, TesseractLinear};
     use tesseract_repro::tensor::TensorLike;
     let shape = GridShape::new(2, 2);
     let (in_f, out_f, rows) = (8, 12, 16);
@@ -196,9 +196,9 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
         let serve = |column: &TesseractLinear<DenseTensor>,
                      row: &TesseractLinear<DenseTensor>,
                      ctx: &mut _| {
-            column.fetch_stationary(&grid, ctx);
+            TesseractLinear::fetch_stationary(&grid, ctx, &[(column, Parallel::Column)]);
             let by_column = column.stationary().matmul(&panels, &mut Meter::new());
-            row.fetch_stationary_row(&grid, ctx);
+            TesseractLinear::fetch_stationary(&grid, ctx, &[(row, Parallel::Row)]);
             let st = row.stationary();
             let terms = lane_sum(&grid, ctx, st.partial(&x, &mut Meter::new()));
             let bias = st.bias.as_ref().expect("built with a bias");
