@@ -22,9 +22,7 @@ pub mod serial;
 pub mod solomonik;
 
 pub use cannon::cannon_matmul;
-pub use megatron::{
-    MegatronLinear, MegatronTransformer, MegatronTransformerLayer, MegatronWorld, Split,
-};
+pub use megatron::{MegatronLinear, MegatronTransformer, MegatronTransformerLayer, MegatronWorld};
 pub use serial::{
     SerialAttention, SerialLayerNorm, SerialLinear, SerialMlp, SerialTransformer,
     SerialTransformerLayer,

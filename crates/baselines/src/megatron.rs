@@ -22,18 +22,9 @@ use std::sync::Arc;
 use tesseract_comm::{CommGroup, Mesh, MeshAxis, RankCtx};
 use tesseract_tensor::TensorLike;
 
-use tesseract_core::layers::{Half, Transformer, TransformerLayer, World};
+use tesseract_core::layers::{Parallel, Transformer, TransformerLayer, World};
 use tesseract_core::module::{Module, ParamRef, Tape};
 use tesseract_core::{ShapeError, TransformerConfig};
-
-/// How a weight is split across the 1-D group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Split {
-    /// `W = [W₁ | W₂ | …]`: output features split; input replicated.
-    Column,
-    /// `W = [W₁; W₂; …]`: input features split; output all-reduced.
-    Row,
-}
 
 /// One rank's handle on the 1-D tensor-parallel world.
 pub struct MegatronWorld {
@@ -91,17 +82,12 @@ impl<T: TensorLike> World<T> for MegatronWorld {
     /// all-reduce per direction and each rank's QKV columns are whole heads.
     fn linear(
         &self,
-        _ctx: &RankCtx,
-        half: Half,
+        split: Parallel,
         in_features: usize,
         outs: &[(usize, u64)],
         with_bias: bool,
         seed: u64,
     ) -> MegatronLinear<T> {
-        let split = match half {
-            Half::First => Split::Column,
-            Half::Second => Split::Row,
-        };
         MegatronLinear::new_fused(self, split, in_features, outs, with_bias, seed)
     }
 
@@ -134,9 +120,12 @@ impl<T: TensorLike> World<T> for MegatronWorld {
 pub type MegatronTransformerLayer<T> = TransformerLayer<T, MegatronWorld>;
 pub type MegatronTransformer<T> = Transformer<T, MegatronWorld>;
 
-/// A 1-D tensor-parallel linear layer.
+/// A 1-D tensor-parallel linear layer: [`Parallel::Column`] splits
+/// `W = [W₁ | W₂ | …]` by output features (input replicated),
+/// [`Parallel::Row`] splits `W = [W₁; W₂; …]` by input features (output
+/// all-reduced).
 pub struct MegatronLinear<T> {
-    pub split: Split,
+    pub split: Parallel,
     pub in_features: usize,
     pub out_features: usize,
     w: T,
@@ -149,7 +138,7 @@ pub struct MegatronLinear<T> {
 impl<T: TensorLike> MegatronLinear<T> {
     pub fn new(
         world: &MegatronWorld,
-        split: Split,
+        split: Parallel,
         in_features: usize,
         out_features: usize,
         with_bias: bool,
@@ -163,7 +152,7 @@ impl<T: TensorLike> MegatronLinear<T> {
     /// weights (used for QKV so each rank owns whole heads).
     pub fn new_fused(
         world: &MegatronWorld,
-        split: Split,
+        split: Parallel,
         in_features: usize,
         outs: &[(usize, u64)],
         with_bias: bool,
@@ -175,7 +164,7 @@ impl<T: TensorLike> MegatronLinear<T> {
         let mut blocks = Vec::with_capacity(outs.len());
         for &(out_i, pid) in outs {
             match split {
-                Split::Column => {
+                Parallel::Column => {
                     assert_eq!(out_i % p, 0, "column split needs p | out");
                     let w = out_i / p;
                     blocks.push(T::init_xavier_block(
@@ -189,7 +178,7 @@ impl<T: TensorLike> MegatronLinear<T> {
                         pid,
                     ));
                 }
-                Split::Row => {
+                Parallel::Row => {
                     assert_eq!(in_features % p, 0, "row split needs p | in");
                     let h = in_features / p;
                     blocks.push(T::init_xavier_block(
@@ -208,8 +197,8 @@ impl<T: TensorLike> MegatronLinear<T> {
         let w = T::concat_cols(&blocks, &mut scratch);
         let out_features: usize = outs.iter().map(|&(o, _)| o).sum();
         let bias_cols = match split {
-            Split::Column => out_features / p,
-            Split::Row => out_features,
+            Parallel::Column => out_features / p,
+            Parallel::Row => out_features,
         };
         let (bias, dbias) = if with_bias {
             (Some(T::zeros(1, bias_cols)), Some(T::zeros(1, bias_cols)))
@@ -242,8 +231,8 @@ impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLinear<T> {
         let mut y = match self.split {
             // The freshly computed partial is consumed by the in-place
             // reduction; every rank receives the shared sum uncopied.
-            Split::Row => world.group.all_reduce_shared(ctx, y),
-            Split::Column => Arc::new(y),
+            Parallel::Row => world.group.all_reduce_shared(ctx, y),
+            Parallel::Column => Arc::new(y),
         };
         if let Some(b) = &self.bias {
             y = Arc::new(y.add_rowvec(b, &mut ctx.meter));
@@ -264,8 +253,8 @@ impl<T: TensorLike> Module<T, MegatronWorld> for MegatronLinear<T> {
         self.dw.add_assign(&dw, &mut ctx.meter);
         let dx = dy.matmul_nt(&self.w, &mut ctx.meter);
         match self.split {
-            Split::Column => world.group.all_reduce_shared(ctx, dx),
-            Split::Row => Arc::new(dx),
+            Parallel::Column => world.group.all_reduce_shared(ctx, dx),
+            Parallel::Row => Arc::new(dx),
         }
     }
 

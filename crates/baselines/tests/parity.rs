@@ -35,7 +35,7 @@ fn run_tesseract(
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, c, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(x, shape, i, j, k)));
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(dy, shape, i, j, k)));
         let y = layer.forward(&grid, ctx, &x_loc);
@@ -127,8 +127,7 @@ fn megatron_layer_matches_serial() {
     for p in [2usize, 4] {
         let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
-            let mut layer =
-                MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, c, true, SEED, 0);
+            let mut layer = MegatronTransformerLayer::<DenseTensor>::new(&world, c, true, SEED, 0);
             let x_full = Arc::new(DenseTensor::from_matrix(x.clone()));
             let dy_full = Arc::new(DenseTensor::from_matrix(dy.clone()));
             let y = layer.forward(&world, ctx, &x_full);
@@ -208,7 +207,7 @@ fn weight_gradients_are_depth_synchronized() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, c, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let _ = layer.forward(&grid, ctx, &x_loc);
@@ -244,7 +243,7 @@ fn serial_weight_gradients_match_assembled_tesseract_gradients() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, c, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let _ = layer.forward(&grid, ctx, &x_loc);
@@ -270,7 +269,7 @@ fn fused_qkv_blocks_match_separate_serial_projections() {
     let shape = GridShape::new(2, 1);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let layer = TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, c, true, SEED, 0);
+        let layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, c, true, SEED, 0);
         (grid.coords, layer.attn.wqkv.weight().clone().into_matrix())
     });
     let wq = tesseract_tensor::init::global_xavier(c.hidden, c.hidden, SEED, 0);

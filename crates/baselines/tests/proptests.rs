@@ -8,8 +8,9 @@
 use std::sync::Arc;
 
 use tesseract_baselines::cannon::cannon_matmul;
-use tesseract_baselines::megatron::{MegatronLinear, MegatronWorld, Split};
+use tesseract_baselines::megatron::{MegatronLinear, MegatronWorld};
 use tesseract_comm::RunConfig;
+use tesseract_core::layers::Parallel;
 use tesseract_core::partition::{b_block, combine_b};
 use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{
@@ -49,7 +50,7 @@ fn megatron_column_blocks_tile_the_global_weight() {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let lin = MegatronLinear::<DenseTensor>::new(
                 &world,
-                Split::Column,
+                Parallel::Column,
                 inf,
                 outf,
                 false,
@@ -75,8 +76,15 @@ fn megatron_row_linear_matches_serial() {
         let expected = gemm(Orient::Nn, &x, &w);
         let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
-            let mut lin =
-                MegatronLinear::<DenseTensor>::new(&world, Split::Row, inf, outf, false, seed, 9);
+            let mut lin = MegatronLinear::<DenseTensor>::new(
+                &world,
+                Parallel::Row,
+                inf,
+                outf,
+                false,
+                seed,
+                9,
+            );
             // Row-parallel input: this rank's column slice of x.
             let cols = inf / p;
             let r = world.index;

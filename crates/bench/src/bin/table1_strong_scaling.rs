@@ -1,6 +1,8 @@
 //! Reproduces **Table 1** (strong scaling): fixed problem size
 //! (hidden 3072, 64 attention heads, batch 12), schemes Megatron-LM
 //! `[4]`/`[16]`/`[64]`, Optimus `[2,2]`/`[4,4]`/`[8,8]`, Tesseract `[2,2,1]` … `[8,8,1]`.
+//! Each `[q,q,d]` row with `d > 1` is followed by its control,
+//! `dp=d × [q,q,1]`: Optimus with `d`-way data parallelism on the same GPUs.
 //!
 //! Rows whose arrangement requires `q·d | batch` that 12 does not satisfy
 //! (`[4,4,2]`, `[8,8,1]`, Optimus `[8,8]`) run with batch 16, as the paper itself
@@ -9,8 +11,8 @@
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin table1_strong_scaling`
 
-use tesseract_bench::tables::{render_rows, row, ResultRow};
-use tesseract_bench::timing::{paper_config, time_megatron, time_tesseract};
+use tesseract_bench::tables::{control_row, render_rows, row, ResultRow};
+use tesseract_bench::timing::{paper_config, time_data_parallel, time_megatron, time_tesseract};
 use tesseract_core::GridShape;
 
 fn main() {
@@ -49,6 +51,9 @@ fn main() {
             &t,
             note,
         ));
+        if d > 1 {
+            rows.push(control_row(q * q * d, q, d, &cfg, &time_data_parallel(d, q, cfg)));
+        }
     }
 
     println!("{}", render_rows("Table 1 — strong scaling (simulated A100 cluster)", &rows));

@@ -1,11 +1,13 @@
 //! Reproduces **Table 2** (weak scaling): per-GPU problem size held at
 //! `[b/(d·q), n/q, h/n] = [24, 16, 192]`, so batch/hidden/heads grow with
-//! the arrangement exactly as in the paper's rows.
+//! the arrangement exactly as in the paper's rows. Each `[q,q,d]` row with
+//! `d > 1` is followed by its control, `dp=d × [q,q,1]`: Optimus with
+//! `d`-way data parallelism on the same GPUs.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin table2_weak_scaling`
 
-use tesseract_bench::tables::{render_rows, row, ResultRow};
-use tesseract_bench::timing::{paper_config, time_megatron, time_tesseract};
+use tesseract_bench::tables::{control_row, render_rows, row, ResultRow};
+use tesseract_bench::timing::{paper_config, time_data_parallel, time_megatron, time_tesseract};
 use tesseract_core::GridShape;
 
 fn main() {
@@ -46,6 +48,9 @@ fn main() {
             &t,
             "",
         ));
+        if d > 1 {
+            rows.push(control_row(q * q * d, q, d, &cfg, &time_data_parallel(d, q, cfg)));
+        }
     }
 
     println!("{}", render_rows("Table 2 — weak scaling (simulated A100 cluster)", &rows));

@@ -82,6 +82,19 @@ pub fn render_rows(title: &str, rows: &[ResultRow]) -> String {
     out
 }
 
+/// The `dp=d × [q,q,1]` control row of a `[q,q,d]` Tesseract row (`d >
+/// 1`): the same GPUs and batch, the depth spelled as data parallelism.
+pub fn control_row(
+    gpus: usize,
+    q: usize,
+    d: usize,
+    cfg: &TransformerConfig,
+    t: &DryRun,
+) -> ResultRow {
+    let shape = format!("dp={d} × [{q},{q},1]");
+    ResultRow::measured("Optimus × dp", gpus, shape, cfg, t, "control for the row above")
+}
+
 /// Finds a row by its shape string (for the ratio summaries the paper
 /// quotes in §4.1/§4.2).
 pub fn row<'a>(rows: &'a [ResultRow], shape: &str) -> &'a ResultRow {

@@ -13,6 +13,7 @@
 
 use tesseract_comm::{CostParams, Topology};
 use tesseract_core::{GridShape, TransformerConfig};
+use tesseract_hybrid::HybridShape;
 use tesseract_plan::{dry_run, Candidate, DryRun};
 
 /// One untraced dry-run of `cand` on the default cluster model.
@@ -29,6 +30,14 @@ fn time(cand: Candidate, cfg: &TransformerConfig) -> DryRun {
 /// 0.1225 ≈ 3.9 for Megatron, 0.2636 / 0.0869 ≈ 3.0 for Tesseract).
 pub fn time_tesseract(shape: GridShape, cfg: TransformerConfig) -> DryRun {
     time(Candidate::tesseract(shape), &cfg)
+}
+
+/// Times one batch through `dp` data-parallel replicas of a `[q, q, 1]`
+/// grid, one microbatch each: the control for a `[q, q, dp]` row, whose
+/// depth splits the batch the same way.
+pub fn time_data_parallel(dp: usize, q: usize, cfg: TransformerConfig) -> DryRun {
+    let shape = HybridShape::new(dp, 1, GridShape::new(q, 1));
+    time(Candidate::Hybrid { shape, microbatches: 1 }, &cfg)
 }
 
 /// Times one batch through a Megatron-LM 1-D Transformer stack on `p` GPUs.

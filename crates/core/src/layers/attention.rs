@@ -19,8 +19,8 @@ use crate::config::TransformerConfig;
 use crate::grid::TesseractGrid;
 use crate::infer::LayerKv;
 use crate::layers::layernorm::layer_norm_rows;
-use crate::layers::linear::Stationary;
-use crate::layers::world::{Half, World};
+use crate::layers::linear::{Parallel, Stationary};
+use crate::layers::world::World;
 use crate::module::{Module, ParamRef, Tape};
 
 struct HeadCache<T> {
@@ -46,7 +46,6 @@ impl<T: TensorLike, G: World<T>> Attention<T, G> {
     /// Builds the layer; consumes param ids `param_id .. param_id + 4`
     /// (Wq, Wk, Wv, Wo).
     pub fn new(
-        ctx: &RankCtx,
         world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
@@ -57,8 +56,8 @@ impl<T: TensorLike, G: World<T>> Attention<T, G> {
         // Three independent [h, h] projections fused column-wise so each
         // rank's slice holds Q/K/V for exactly its own heads.
         let qkv = [(h, param_id), (h, param_id + 1), (h, param_id + 2)];
-        let wqkv = world.linear(ctx, Half::First, h, &qkv, with_bias, seed);
-        let wo = world.linear(ctx, Half::Second, h, &[(h, param_id + 3)], with_bias, seed);
+        let wqkv = world.linear(Parallel::Column, h, &qkv, with_bias, seed);
+        let wo = world.linear(Parallel::Row, h, &[(h, param_id + 3)], with_bias, seed);
         Self { wqkv, wo, cfg, tape: Tape::new() }
     }
 }

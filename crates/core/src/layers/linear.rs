@@ -77,16 +77,20 @@ pub struct Stationary<T> {
     pub bias: Option<Arc<T>>,
 }
 
-/// How a serving lane splits a linear's product, which decides the
-/// weights [`TesseractLinear::fetch_stationary`] leaves on a rank.
+/// How a linear's product is split: the first linear of a block's pair
+/// (`wqkv`, `fc1`) by columns, the second (`wo`, `fc2`) by rows. A 1-D
+/// world splits its weights that way
+/// ([`World::linear`](crate::layers::World::linear)), and so does a
+/// serving lane, which decides the weights
+/// [`TesseractLinear::fetch_stationary`] leaves on a rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallel {
-    /// Each rank computes its column block of the output from full rows
-    /// ([`Stationary::matmul`]): it holds its weight column.
+    /// Each rank computes its column block of the output from full rows:
+    /// it holds its weight column (a serving lane: [`Stationary::matmul`]).
     Column,
-    /// Each rank computes its term of the lane's sum from its column block
-    /// of the input ([`Stationary::partial`]): it holds its weight row and
-    /// the whole bias.
+    /// Each rank computes its term of the sum from its column block of the
+    /// input: it holds its weight row (a serving lane: [`Stationary::partial`],
+    /// with the whole bias).
     Row,
 }
 
@@ -113,7 +117,6 @@ impl<T: TensorLike> Stationary<T> {
 impl<T: TensorLike> TesseractLinear<T> {
     /// A plain `[in, out]` linear layer with Xavier weight `param_id`.
     pub fn new(
-        ctx: &RankCtx,
         grid: &TesseractGrid,
         in_features: usize,
         out_features: usize,
@@ -121,20 +124,18 @@ impl<T: TensorLike> TesseractLinear<T> {
         seed: u64,
         param_id: u64,
     ) -> Self {
-        Self::new_fused(ctx, grid, in_features, &[(out_features, param_id)], with_bias, seed)
+        Self::new_fused(grid, in_features, &[(out_features, param_id)], with_bias, seed)
     }
 
     /// A fused projection: one matmul over the column-concatenation of
     /// several independently-initialized `[in, out_i]` weights.
     pub fn new_fused(
-        ctx: &RankCtx,
         grid: &TesseractGrid,
         in_features: usize,
         outs: &[(usize, u64)],
         with_bias: bool,
         seed: u64,
     ) -> Self {
-        let _ = ctx;
         let q = grid.shape.q;
         assert_eq!(in_features % q, 0, "in_features must divide by q");
         let (i, j, _k) = grid.coords;

@@ -12,7 +12,8 @@ use tesseract_comm::RankCtx;
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::layers::world::{Half, World};
+use crate::layers::linear::Parallel;
+use crate::layers::world::World;
 use crate::module::{Module, ParamRef, Tape};
 
 /// Feed-forward block: `fc2(gelu(fc1(x)))`.
@@ -30,7 +31,6 @@ impl<T: TensorLike, G: World<T>> Mlp<T, G> {
     /// `hidden → mlp_hidden → hidden`, weights at `param_id` and
     /// `param_id + 1` (biases are zero-initialized).
     pub fn new(
-        ctx: &RankCtx,
         world: &G,
         hidden: usize,
         mlp_hidden: usize,
@@ -39,9 +39,9 @@ impl<T: TensorLike, G: World<T>> Mlp<T, G> {
         param_id: u64,
     ) -> Self {
         let fc1 =
-            world.linear(ctx, Half::First, hidden, &[(mlp_hidden, param_id)], with_bias, seed);
+            world.linear(Parallel::Column, hidden, &[(mlp_hidden, param_id)], with_bias, seed);
         let fc2 =
-            world.linear(ctx, Half::Second, mlp_hidden, &[(hidden, param_id + 1)], with_bias, seed);
+            world.linear(Parallel::Row, mlp_hidden, &[(hidden, param_id + 1)], with_bias, seed);
         Self { fc1, fc2, tape: Tape::new() }
     }
 }

@@ -17,4 +17,4 @@ pub use transformer::{
     StackOptions, Stream, TesseractTransformer, TesseractTransformerLayer, Transformer,
     TransformerLayer, PARAM_IDS_PER_LAYER,
 };
-pub use world::{Half, World};
+pub use world::World;

@@ -51,7 +51,6 @@ pub type TesseractTransformerLayer<T> = TransformerLayer<T, TesseractGrid>;
 
 impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
     pub fn new(
-        ctx: &RankCtx,
         world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
@@ -61,9 +60,9 @@ impl<T: TensorLike, G: World<T>> TransformerLayer<T, G> {
         let (h, mlp_h) = (cfg.hidden, cfg.mlp_hidden());
         Self {
             ln1: LayerNorm::new(h, cfg.eps),
-            attn: Attention::new(ctx, world, cfg, with_bias, seed, param_id),
+            attn: Attention::new(world, cfg, with_bias, seed, param_id),
             ln2: LayerNorm::new(h, cfg.eps),
-            mlp: Mlp::new(ctx, world, h, mlp_h, with_bias, seed, param_id + 4),
+            mlp: Mlp::new(world, h, mlp_h, with_bias, seed, param_id + 4),
         }
     }
 }
@@ -333,7 +332,9 @@ pub type TesseractTransformer<T> = Transformer<T, TesseractGrid>;
 
 impl<T: TensorLike, G: World<T>> Transformer<T, G> {
     /// Builds the stack; layer `l` uses param ids
-    /// `base_param_id + l·PARAM_IDS_PER_LAYER ..`.
+    /// `base_param_id + l·PARAM_IDS_PER_LAYER ..`. Every rank builds its
+    /// weights from `world` alone: `ctx` is unread, kept solely because the
+    /// frozen `benchmark/` crate calls both constructors with it.
     pub fn new(
         ctx: &RankCtx,
         world: &G,
@@ -350,7 +351,7 @@ impl<T: TensorLike, G: World<T>> Transformer<T, G> {
     /// Parameter ids are assigned identically in every mode, so stacks
     /// built with different options hold bitwise-identical weights.
     pub fn new_with_options(
-        ctx: &RankCtx,
+        _ctx: &RankCtx,
         world: &G,
         cfg: TransformerConfig,
         with_bias: bool,
@@ -368,7 +369,7 @@ impl<T: TensorLike, G: World<T>> Transformer<T, G> {
         let layers = (0..cfg.layers)
             .map(|l| {
                 let param_id = base_param_id + l as u64 * PARAM_IDS_PER_LAYER;
-                TransformerLayer::new(ctx, world, cfg, with_bias, seed, param_id)
+                TransformerLayer::new(world, cfg, with_bias, seed, param_id)
             })
             .collect();
         Self { layers, cfg, recompute_every: opts.recompute_every, inputs: Tape::new() }

@@ -15,17 +15,8 @@ use tesseract_tensor::TensorLike;
 
 use crate::config::{ShapeError, TransformerConfig};
 use crate::grid::TesseractGrid;
-use crate::layers::linear::TesseractLinear;
+use crate::layers::linear::{Parallel, TesseractLinear};
 use crate::module::Module;
-
-/// Which linear of a block's pair (`fc1`/`fc2`, `wqkv`/`wo`) is being built.
-/// 1-D schemes split the first by columns and the second by rows; a
-/// `[q, q, d]` grid blocks both the same way and ignores it.
-#[derive(Clone, Copy, Debug)]
-pub enum Half {
-    First,
-    Second,
-}
 
 /// What a parallel scheme supplies to run the shared Transformer block.
 pub trait World<T: TensorLike>: Sized + 'static {
@@ -33,11 +24,14 @@ pub trait World<T: TensorLike>: Sized + 'static {
 
     /// Builds the linear `[in_features, Σ outs]` whose column groups are the
     /// independently initialized `(width, param_id)` weights of `outs` (one
-    /// entry for a plain layer, three for the fused QKV projection).
+    /// entry for a plain layer, three for the fused QKV projection). The
+    /// first linear of a block's pair (`wqkv`, `fc1`) is
+    /// [`Parallel::Column`], the second (`wo`, `fc2`) [`Parallel::Row`]; a
+    /// 1-D scheme splits its weight that way, a `[q, q, d]` grid blocks
+    /// both the same way and ignores it.
     fn linear(
         &self,
-        ctx: &RankCtx,
-        half: Half,
+        split: Parallel,
         in_features: usize,
         outs: &[(usize, u64)],
         with_bias: bool,
@@ -68,14 +62,13 @@ impl<T: TensorLike> World<T> for TesseractGrid {
 
     fn linear(
         &self,
-        ctx: &RankCtx,
-        _half: Half,
+        _split: Parallel,
         in_features: usize,
         outs: &[(usize, u64)],
         with_bias: bool,
         seed: u64,
     ) -> TesseractLinear<T> {
-        TesseractLinear::new_fused(ctx, self, in_features, outs, with_bias, seed)
+        TesseractLinear::new_fused(self, in_features, outs, with_bias, seed)
     }
 
     /// The hidden dimension is split over the row's `q` ranks: one row

@@ -80,7 +80,7 @@ fn linear_forward_matches_global_weight_product() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, false, SEED, 7);
+        let mut lin = TesseractLinear::<DenseTensor>::new(&grid, in_f, out_f, false, SEED, 7);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         lin.forward(&grid, ctx, &x_loc).matrix().clone()
     });
@@ -93,7 +93,7 @@ fn linear_bias_lives_on_row_zero_and_broadcasts() {
     let shape = GridShape::new(2, 2);
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, true, SEED, 0);
+        let lin = TesseractLinear::<DenseTensor>::new(&grid, 4, 4, true, SEED, 0);
         (grid.coords, lin.bias().is_some())
     });
     for ((i, _j, _k), has_bias) in &out.results {
@@ -111,7 +111,7 @@ fn linear_bias_gradient_reduces_to_row_zero() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, true, SEED, 0);
+        let mut lin = TesseractLinear::<DenseTensor>::new(&grid, 4, 4, true, SEED, 0);
         let x = Matrix::full(rows_global, 4, 1.0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let _ = lin.forward(&grid, ctx, &x_loc);
@@ -141,7 +141,7 @@ fn mlp_gradient_matches_finite_difference() {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
-            let mut mlp = TesseractMlp::<DenseTensor>::new(ctx, &grid, 4, 8, true, SEED, 0);
+            let mut mlp = TesseractMlp::<DenseTensor>::new(&grid, 4, 8, true, SEED, 0);
             let x_loc = Arc::new(DenseTensor::from_matrix(a_block(input, shape, i, j, k)));
             mlp.forward(&grid, ctx, &x_loc).matrix().clone()
         });
@@ -150,7 +150,7 @@ fn mlp_gradient_matches_finite_difference() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut mlp = TesseractMlp::<DenseTensor>::new(ctx, &grid, 4, 8, true, SEED, 0);
+        let mut mlp = TesseractMlp::<DenseTensor>::new(&grid, 4, 8, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let _ = mlp.forward(&grid, ctx, &x_loc);
         let dy_loc = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
@@ -196,8 +196,7 @@ fn forward_backward_can_repeat_across_steps() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer =
-            TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, cfg, true, SEED, 0);
         let x_loc = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let mut outs = Vec::new();
         for _step in 0..3 {
@@ -234,8 +233,7 @@ fn gpipe_style_multi_forward_then_backward_works() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer =
-            TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, cfg, true, SEED, 0);
         let x1_loc = Arc::new(DenseTensor::from_matrix(a_block(&x1, shape, i, j, k)));
         let x2_loc = Arc::new(DenseTensor::from_matrix(a_block(&x2, shape, i, j, k)));
         let y1 = layer.forward(&grid, ctx, &x1_loc);
@@ -252,7 +250,7 @@ fn gpipe_style_multi_forward_then_backward_works() {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
             let mut layer =
-                TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, cfg, true, SEED, 0);
+                TesseractTransformerLayer::<DenseTensor>::new(&grid, cfg, true, SEED, 0);
             let x_loc = Arc::new(DenseTensor::from_matrix(a_block(x, shape, i, j, k)));
             let y = layer.forward(&grid, ctx, &x_loc);
             layer.backward(&grid, ctx, &y).matrix().clone()
@@ -309,7 +307,7 @@ fn a_layers_tape_books_each_buffer_once() {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let mut layer =
-                TesseractTransformerLayer::<ShadowTensor>::new(ctx, &grid, cfg, true, SEED, 0);
+                TesseractTransformerLayer::<ShadowTensor>::new(&grid, cfg, true, SEED, 0);
             let x = Arc::new(ShadowTensor::new(cfg.rows() / (q * d), h / q));
             let y = layer.forward(&grid, ctx, &x);
             let taped = ctx.tape_bytes_now();
@@ -324,7 +322,7 @@ fn a_layers_tape_books_each_buffer_once() {
         let out = RunConfig::from_env(p).run(|ctx| {
             let world = MegatronWorld::new(ctx, (0..p).collect());
             let mut layer =
-                MegatronTransformerLayer::<ShadowTensor>::new(ctx, &world, cfg, true, SEED, 0);
+                MegatronTransformerLayer::<ShadowTensor>::new(&world, cfg, true, SEED, 0);
             let y = layer.forward(&world, ctx, &Arc::new(ShadowTensor::new(cfg.rows(), h)));
             let taped = ctx.tape_bytes_now();
             let _ = layer.backward(&world, ctx, &y);

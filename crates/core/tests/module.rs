@@ -30,7 +30,7 @@ fn tape_survives_four_microbatch_gpipe_schedule() {
         RunConfig::from_env(shape.size()).run(move |ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let (i, j, k) = grid.coords;
-            let mut model = TesseractLinear::<DenseTensor>::new(ctx, &grid, 8, 8, true, SEED, 1);
+            let mut model = TesseractLinear::<DenseTensor>::new(&grid, 8, 8, true, SEED, 1);
             let x_loc: Vec<Arc<DenseTensor>> = xs
                 .iter()
                 .map(|x| Arc::new(DenseTensor::from_matrix(a_block(x, shape, i, j, k))))
@@ -84,7 +84,7 @@ fn backward_on_empty_tape_panics() {
     let shape = GridShape::new(1, 1);
     RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut lin = TesseractLinear::<DenseTensor>::new(ctx, &grid, 4, 4, false, SEED, 1);
+        let mut lin = TesseractLinear::<DenseTensor>::new(&grid, 4, 4, false, SEED, 1);
         let dy = Arc::new(DenseTensor::from_matrix(Matrix::seeded(4, 4, 3)));
         let _ = lin.backward(&grid, ctx, &dy);
     });

@@ -59,9 +59,9 @@ fn input<T: TensorLike>(grid: &TesseractGrid, in_f: usize, rows: Rows, stream: u
 /// A `[4q, 6q]` linear with a bias whose weight and bias are moved off
 /// their initial values (the bias is zero-initialized), so the bias add
 /// is exercised.
-fn linear<T: TensorLike>(ctx: &RankCtx, grid: &TesseractGrid) -> TesseractLinear<T> {
+fn linear<T: TensorLike>(grid: &TesseractGrid) -> TesseractLinear<T> {
     let q = grid.shape.q;
-    let mut lin = TesseractLinear::<T>::new(ctx, grid, 4 * q, 6 * q, true, 5, 0);
+    let mut lin = TesseractLinear::<T>::new(grid, 4 * q, 6 * q, true, 5, 0);
     let mut scratch = tesseract_tensor::Meter::new();
     let mut stream = 0;
     lin.visit_params(&mut |p| {
@@ -116,7 +116,7 @@ fn serve_row<T: TensorLike>(
 fn served_and_summa(shape: GridShape, rows: Rows) -> Vec<[Matrix; 4]> {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut lin = linear::<DenseTensor>(ctx, &grid);
+        let mut lin = linear::<DenseTensor>(&grid);
         let in_f = lin.in_features;
         let (x0, x1) = (input(&grid, in_f, rows, 0), input(&grid, in_f, rows, 1));
         let fetch = serve_column(&lin, &grid, ctx, &x0);
@@ -155,8 +155,8 @@ fn lane_sum_run<T: TensorLike>(
 ) -> (Vec<[Option<Matrix>; 3]>, f64, u64) {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
-        let mut lin = linear::<T>(ctx, &grid);
-        let by_rows = linear::<T>(ctx, &grid);
+        let mut lin = linear::<T>(&grid);
+        let by_rows = linear::<T>(&grid);
         let x = input(&grid, lin.in_features, rows, 3);
         let full = serve_row(&by_rows, &grid, ctx, &x);
         let w = full.cols() / shape.q;
@@ -203,7 +203,7 @@ fn serving_pre_norm_then_linear_is_bitwise_the_training_norm_then_summa() {
             let shape = GridShape::new(q, d);
             let out = RunConfig::from_env(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
-                let mut lin = linear::<DenseTensor>(ctx, &grid);
+                let mut lin = linear::<DenseTensor>(&grid);
                 let mut norm = LayerNorm::<DenseTensor>::new(lin.in_features, 1e-5);
                 let x = input::<DenseTensor>(&grid, lin.in_features, rows, 2);
                 let full = full_rows(&grid, ctx, &x);
@@ -236,7 +236,7 @@ fn dense_and_shadow_serve_on_the_same_virtual_clock() {
     fn serve<T: TensorLike>(shape: GridShape) -> (f64, u64) {
         let out = RunConfig::from_env(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
-            let (lin, by_rows) = (linear::<T>(ctx, &grid), linear::<T>(ctx, &grid));
+            let (lin, by_rows) = (linear::<T>(&grid), linear::<T>(&grid));
             for (stream, rows) in [Rows::Ragged, Rows::One, Rows::Ragged].into_iter().enumerate() {
                 let x = input::<T>(&grid, lin.in_features, rows, stream as u64);
                 let _ = serve_column(&lin, &grid, ctx, &x);

@@ -5,15 +5,21 @@
 //! of the stage's `layers / pp` layers — on its module's Tesseract grid,
 //! and exposes a GPipe `train_step` that finishes with the data-parallel
 //! gradient all-reduce.
+//!
+//! Every replica axis sums: the depth all-reduce inside the backward
+//! (Algorithm 3), the microbatches' accumulation, and the `dp.grad`
+//! all-reduce here. Each rank's gradient is its share of the gradient of
+//! the one global loss, whose `1/global_batch` mean the loss gradient
+//! already carries, so the sum over every replica is that gradient and
+//! `[q,q,d]`, `dp=d × [q,q,1]` and `d` microbatches on `[q,q,1]` agree.
 
 use std::sync::Arc;
 
-use tesseract_comm::RankCtx;
+use tesseract_comm::{CommGroup, RankCtx};
 use tesseract_core::layers::{StackOptions, Transformer, PARAM_IDS_PER_LAYER};
-use tesseract_core::{TesseractGrid, TesseractTransformer, TransformerConfig};
+use tesseract_core::{Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::TensorLike;
 
-use crate::data_parallel::DataParallel;
 use crate::mapping::{HybridCoords, HybridShape};
 use crate::pipeline::{gpipe_step_module, PipelineStage};
 
@@ -23,7 +29,9 @@ pub struct HybridTransformer<T: TensorLike> {
     pub coords: HybridCoords,
     pub grid: TesseractGrid,
     pub stage: PipelineStage,
-    pub dp: DataParallel,
+    /// The gradient all-reduce group: the ranks that hold this rank's
+    /// shard in the other replicas.
+    pub dp: CommGroup,
     /// This pipeline stage's contiguous slice of the layer stack. Layer
     /// `l` of the global stack keeps its global parameter ids, so the
     /// stages jointly hold exactly the weights of the monolithic model.
@@ -65,13 +73,14 @@ impl<T: TensorLike> HybridTransformer<T> {
             .then(|| shape.module_base(coords.dp_idx, coords.pp_idx + 1) + coords.tess_offset);
         let stage = PipelineStage::new(ctx, shape.pp(), coords.pp_idx, prev_peer, next_peer);
 
-        let dp = DataParallel::new(ctx, shape.dp_group_ranks(coords.pp_idx, coords.tess_offset));
+        let dp = ctx.group("dp.grad", shape.dp_group_ranks(coords.pp_idx, coords.tess_offset));
 
         Self { shape, coords, grid, stage, dp, model, cfg }
     }
 
     /// One GPipe training step over `microbatches` inputs, followed by the
-    /// data-parallel gradient sync. `inputs(m)` supplies microbatch `m`'s
+    /// data-parallel gradient sync: each gradient summed over `dp`,
+    /// unscaled (see the module doc). `inputs(m)` supplies microbatch `m`'s
     /// local activation block on the first stage; `loss_grad` converts the
     /// last stage's output into the initial gradient. Returns last-stage
     /// outputs (empty on other stages) and the clock at the end of the
@@ -93,7 +102,14 @@ impl<T: TensorLike> HybridTransformer<T> {
             loss_grad,
         );
         if self.shape.dp() > 1 {
-            self.dp.sync_gradients(ctx, &mut self.model);
+            // SPMD: replicas visit their parameters in the same order, so the
+            // all-reduces line up. Each gradient moves into the reduction (a
+            // placeholder takes its slot) and the shared sum moves back out.
+            let dp = &self.dp;
+            self.model.visit_params(&mut |pr| {
+                let g = std::mem::replace(pr.grad, T::zeros(1, 1));
+                *pr.grad = Arc::unwrap_or_clone(dp.all_reduce_shared(ctx, g));
+            });
         }
         step
     }

@@ -43,7 +43,6 @@ impl<T: TensorLike> TesseractViT<T> {
         assert_eq!(vcfg.classes % grid.shape.q, 0, "classes must divide by q");
         Self {
             embed: TesseractLinear::new(
-                ctx,
                 grid,
                 vcfg.patch_dim,
                 vcfg.body.hidden,
@@ -52,15 +51,7 @@ impl<T: TensorLike> TesseractViT<T> {
                 PID_EMBED,
             ),
             body: TesseractTransformer::new(ctx, grid, vcfg.body, true, seed, 0),
-            head: TesseractLinear::new(
-                ctx,
-                grid,
-                vcfg.body.hidden,
-                vcfg.classes,
-                true,
-                seed,
-                PID_HEAD,
-            ),
+            head: TesseractLinear::new(grid, vcfg.body.hidden, vcfg.classes, true, seed, PID_HEAD),
             vcfg,
         }
     }

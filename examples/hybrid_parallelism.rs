@@ -1,6 +1,9 @@
 //! Figure 6 end-to-end: data parallelism × pipeline parallelism ×
 //! Tesseract on 32 simulated GPUs, running a real (dense) training step
-//! and verifying the data-parallel replicas stay synchronized.
+//! and verifying the data-parallel replicas stay synchronized. The sync
+//! sums each gradient over the replicas, as the depth all-reduce sums over
+//! depth and the GPipe step over microbatches: every replica axis adds up
+//! its shares of the one global loss's gradient.
 //!
 //! Run: `cargo run --release --example hybrid_parallelism`
 
@@ -65,7 +68,7 @@ fn main() {
         }
     }
 
-    // Verify the data-parallel all-reduce left replicas identical.
+    // Verify the data-parallel all-reduce left every replica the same sum.
     let mut synced = true;
     for pp_idx in 0..shape.pp() {
         for off in 0..shape.grid().size() {

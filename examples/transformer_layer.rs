@@ -39,8 +39,7 @@ fn main() {
     let tess = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let mut layer =
-            TesseractTransformerLayer::<DenseTensor>::new(ctx, &grid, cfg, true, seed, 0);
+        let mut layer = TesseractTransformerLayer::<DenseTensor>::new(&grid, cfg, true, seed, 0);
         let x_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let y = layer.forward(&grid, ctx, &x_loc);
@@ -58,8 +57,7 @@ fn main() {
     // Megatron-LM on 4 GPUs for comparison.
     let mega = RunConfig::from_env(4).run(|ctx| {
         let world = MegatronWorld::new(ctx, (0..4).collect());
-        let mut layer =
-            MegatronTransformerLayer::<DenseTensor>::new(ctx, &world, cfg, true, seed, 0);
+        let mut layer = MegatronTransformerLayer::<DenseTensor>::new(&world, cfg, true, seed, 0);
         let x_full = std::sync::Arc::new(DenseTensor::from_matrix(x.clone()));
         let dy_full = std::sync::Arc::new(DenseTensor::from_matrix(dy.clone()));
         let y = layer.forward(&world, ctx, &x_full);

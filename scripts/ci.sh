@@ -15,6 +15,17 @@ cargo clippy -q --workspace --all-targets --offline -- -D warnings
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 
+# Clippy only compiles the examples. Each drives the public crate API end to
+# end and asserts its own claim (quickstart: the serial product exactly;
+# hybrid_parallelism: the data-parallel replicas hold one summed gradient),
+# so run them all; together they take well under a second optimized.
+echo "== examples (release: each runs and asserts its claim) =="
+for f in examples/*.rs; do
+    e=$(basename "$f" .rs)
+    cargo run -q --release --offline --example "$e" > "target/example.$e.txt" \
+        || { echo "ci.sh: example $e failed"; exit 1; }
+done
+
 # Besides the unit, integration and property suites this runs the
 # structural rules (tests/structure.rs: one row per design rule, naming
 # file, line and reason) and the golden outputs

@@ -187,9 +187,8 @@ fn serving_after_an_optimizer_step_runs_on_the_updated_weights() {
     let out = RunConfig::from_env(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let (i, j, k) = grid.coords;
-        let new =
-            |ctx: &_| TesseractLinear::<DenseTensor>::new(ctx, &grid, in_f, out_f, true, SEED, 3);
-        let (mut column, mut row) = (new(ctx), new(ctx));
+        let new = || TesseractLinear::<DenseTensor>::new(&grid, in_f, out_f, true, SEED, 3);
+        let (mut column, mut row) = (new(), new());
         let x = Arc::new(DenseTensor::from_matrix(a_block(&x, shape, i, j, k)));
         let dy = Arc::new(DenseTensor::from_matrix(a_block(&dy, shape, i, j, k)));
         let panels = row_panels(&grid, ctx, &x);

@@ -212,7 +212,7 @@ const ROWS: &[Row] = &[
                 allowed: &["crates/core/src/layers/transformer.rs"],
             },
             matcher: Matcher::Line(builds_layer),
-            planted: "let l = TesseractTransformerLayer::<ShadowTensor>::new(ctx, grid, cfg, 0);",
+            planted: "let l = TesseractTransformerLayer::<ShadowTensor>::new(grid, cfg, 0);",
             clean: "let l = SerialTransformerLayer::new(cfg, 0);",
         }],
     },
